@@ -6,7 +6,7 @@ the reproduction:
 
 1. **WireTap** — record the simulated wire to a real ``.pcap`` file
    (open it in Wireshark) and print a tcpdump-style summary;
-2. **EngineTracer** — a logic-analyzer view of FtEngine's control path:
+2. **TraceBus** — a logic-analyzer view of FtEngine's control path:
    events, FPU passes, transmissions, state transitions;
 3. **InvariantMonitor** — hardware-assertion-style audits of the
    engine's architectural invariants while traffic runs.
@@ -17,10 +17,12 @@ Run:  python examples/debugging_tools.py
 import tempfile
 
 from repro.engine import Testbed
-from repro.engine.telemetry import EngineTracer
 from repro.engine.verification import InvariantMonitor, audited_run
 from repro.net.pcap import WireTap
 from repro.net.wire import LossPattern, Wire
+from repro.obs.export import render_flow_timeline, to_chrome_trace
+from repro.obs.hooks import attach_engine
+from repro.obs.trace import TraceBus
 
 
 def main() -> None:
@@ -30,7 +32,8 @@ def main() -> None:
     testbed = Testbed(wire=wire)
 
     tap = WireTap.attach(testbed.wire.port_a)
-    tracer = EngineTracer.attach(testbed.engine_a)
+    bus = TraceBus(layers=["engine"])
+    attach_engine(testbed.engine_a, bus)
     monitor = InvariantMonitor(testbed.engine_a)
 
     a_flow, b_flow = testbed.establish()
@@ -52,15 +55,20 @@ def main() -> None:
         print(f"\nsaved {count} packets to {handle.name} (open in Wireshark)")
 
     # ---- 2. telemetry ----------------------------------------------------
-    print("\n== EngineTracer: retransmission, as the engine saw it ==")
-    lines = tracer.render().splitlines()
+    print("\n== TraceBus: retransmission, as the engine saw it ==")
+    lines = render_flow_timeline(to_chrome_trace(bus.events), a_flow).splitlines()
     interesting = [
         line for line in lines if "RTX" in line or "dupack" in line
     ]
     print("\n".join(interesting) if interesting else "(loss repaired before 3 dupACKs)")
-    print(f"\ntrace totals: {tracer.count('event')} events, "
-          f"{tracer.count('fpu')} FPU passes, {tracer.count('tx')} transmissions")
-    print("state transitions:", " ; ".join(tracer.state_transitions(a_flow)))
+    print(f"\ntrace totals: {bus.count('event')} events, "
+          f"{bus.count('fpu')} FPU passes, {bus.count('tx')} transmissions")
+    transitions = [
+        str(event.detail)
+        for event in bus.events_for_flow(a_flow)
+        if event.kind == "state"
+    ]
+    print("state transitions:", " ; ".join(transitions))
 
     # ---- 3. invariants ---------------------------------------------------
     print("\n== InvariantMonitor ==")

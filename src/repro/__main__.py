@@ -9,7 +9,6 @@ Subcommands::
     python -m repro lab run ...       # parallel, resumable sweeps
     python -m repro obs summary ...   # inspect exported traces
     python -m repro check all         # static analyzer + race sanitizer
-    python -m repro perf run          # benchmark suite -> BENCH_perf.json
     python -m repro mem sweep ...     # TCB cache-geometry/sketch sweeps
     python -m repro fabric sweep ...  # backend head-to-head over a fabric
     python -m repro shard run ...     # sharded multi-process simulation
@@ -447,12 +446,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.fabric.cli import add_fabric_parser, main as fabric_main
     from repro.mem.cli import add_mem_parser, main as mem_main
     from repro.obs.cli import add_obs_parser, main as obs_main
-    from repro.perf.cli import add_perf_parser, main as perf_main
     from repro.shard.cli import add_shard_parser, main as shard_main
 
     add_obs_parser(subparsers)
     add_check_parser(subparsers)
-    add_perf_parser(subparsers)
     add_fabric_parser(subparsers)
     add_shard_parser(subparsers)
     add_mem_parser(subparsers)
@@ -467,7 +464,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lab": _cmd_lab,
         "obs": obs_main,
         "check": check_main,
-        "perf": perf_main,
         "fabric": fabric_main,
         "shard": shard_main,
         "mem": mem_main,

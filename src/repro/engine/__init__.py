@@ -18,14 +18,12 @@ from .packet_gen import PacketGenerator
 from .resources import ftengine_cost, utilization_table
 from .rx_parser import RxParser
 from .scheduler import Location, Scheduler
-from .telemetry import EngineTracer, TraceRecord
 from .testbed import Testbed
 from .verification import InvariantMonitor, Violation, audited_run
 
 __all__ = [
     "ENGINE_FREQ_HZ",
     "EngineMessage",
-    "EngineTracer",
     "EventEntry",
     "EventHandler",
     "EventKind",
@@ -47,7 +45,6 @@ __all__ = [
     "StallingAccelerator",
     "TcpEvent",
     "Testbed",
-    "TraceRecord",
     "TimerOp",
     "InvariantMonitor",
     "Violation",

@@ -329,8 +329,8 @@ def flow_ids_in(records: Sequence[Dict[str, Any]]) -> List[int]:
 def render_flow_timeline(
     records: Sequence[Dict[str, Any]], flow_id: int, limit: int = 0
 ) -> str:
-    """One flow's life as a text timeline (the EngineTracer view, but
-    cross-layer and reconstructed from the exported JSON)."""
+    """One flow's life as a cross-layer text timeline, reconstructed
+    from the exported JSON."""
     tracks = _tracks(records)
     lines = []
     selected = [

@@ -12,8 +12,8 @@ Boundedness: a 1M-event run must not hold 1M events.  The bus supports
 two sampling policies sharing one ``max_events`` cap:
 
 * ``head`` (default): keep the first ``max_events`` events, count the
-  rest in :attr:`dropped` — the legacy ``EngineTracer`` record-cap
-  behaviour, and the right default for "what happened at the start".
+  rest in :attr:`dropped` — the right default for "what happened at
+  the start".
 * ``reservoir``: algorithm-R reservoir over the whole stream, seeded so
   two identical runs sample identically (determinism is a feature of
   the whole harness, the trace included).
@@ -107,16 +107,11 @@ class TraceBus:
         max_events: int = DEFAULT_MAX_EVENTS,
         sampling: str = "head",
         seed: int = 0,
-        kinds: Optional[Iterable[str]] = None,
     ) -> None:
         if sampling not in ("head", "reservoir"):
             raise ValueError(f"sampling must be 'head' or 'reservoir', got {sampling!r}")
         self.layers = expand_layers(layers)
         self.flows = flows
-        #: Optional event-kind allowlist (None = every kind).  Lets a
-        #: consumer with exact cap semantics (EngineTracer) keep only
-        #: the kinds it renders without spending cap slots on others.
-        self.kinds = None if kinds is None else set(kinds)
         self.max_events = max_events
         self.sampling = sampling
         self._rng = random.Random(seed)
@@ -148,8 +143,6 @@ class TraceBus:
         if layer not in self.layers:
             return
         if self.flows is not None and flow_id not in self.flows:
-            return
-        if self.kinds is not None and kind not in self.kinds:
             return
         self.emitted += 1
         event = TraceEvent(t_ps, layer, component, kind, flow_id, detail, dur_ps)

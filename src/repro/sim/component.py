@@ -30,11 +30,6 @@ class Component:
       the default always-busy ``busy()`` opts out of both mechanisms.
     """
 
-    #: Components implementing an exact vectorized :meth:`drain` set
-    #: this True; schedulers check it before replacing ``n`` ``tick()``
-    #: calls with one ``drain(n)``.
-    supports_drain = False
-
     def __init__(self, name: str) -> None:
         self.name = name
         self.cycle = 0
@@ -42,24 +37,6 @@ class Component:
     def tick(self) -> None:
         """Advance one clock cycle.  Subclasses do their work here."""
         self.cycle += 1
-
-    def drain(self, n: int) -> None:
-        """Advance ``n`` cycles in one call (the batch-drain hook).
-
-        Contract for overrides (advertised via ``supports_drain``):
-        given that no external input arrives during the window —
-        guaranteed by the caller, since nothing else runs while a batch
-        drains — ``drain(n)`` must leave the component in exactly the
-        state ``n`` consecutive ``tick()`` calls would, and ticking
-        while ``busy()`` is False must be a no-op apart from the cycle
-        counter (parking may be deferred to the end of the batch).
-        Typical overrides coalesce FIFO runs, count down pipeline
-        retires, or pop timer batches over preallocated int arrays
-        instead of dispatching per-cycle method calls.  The default
-        simply loops ``tick()`` so unconverted components keep working.
-        """
-        for _ in range(n):
-            self.tick()
 
     def busy(self) -> bool:
         """Return True while the component holds in-flight work.

@@ -71,35 +71,6 @@ class Fifo(Generic[T]):
         self.pops += 1
         return self._items.popleft()
 
-    def push_many(self, items: List[T]) -> int:
-        """Append a run of items; returns how many fit.
-
-        Bulk equivalent of calling :meth:`push` per item — accepted
-        prefix, rejected tail, same statistics — with one occupancy
-        update instead of one per element.  Batch-drain hooks use it to
-        coalesce whole runs of pending work.
-        """
-        room = self.capacity - len(self._items)
-        if room >= len(items):
-            accepted = len(items)
-            self._items.extend(items)
-        else:
-            accepted = max(room, 0)
-            self._items.extend(items[:accepted])
-            self.rejects += len(items) - accepted
-        self.pushes += accepted
-        if len(self._items) > self.max_occupancy:
-            self.max_occupancy = len(self._items)
-        return accepted
-
-    def pop_many(self, n: int) -> List[T]:
-        """Pop up to ``n`` items, preserving order (bulk :meth:`try_pop`)."""
-        take = min(n, len(self._items))
-        items = self._items
-        out = [items.popleft() for _ in range(take)]
-        self.pops += take
-        return out
-
     def drain(self) -> List[T]:
         """Pop everything, preserving order."""
         items = list(self._items)

@@ -24,6 +24,10 @@ Time contract (the part every exhibit and sweep sits on):
 
 Scheduling structures:
 
+* Edge order comes from one place: the compiled schedule table
+  (:mod:`repro.sim.schedule`), rebuilt whenever a domain is added.
+  ``step``, ``run_cycles``, ``run_until_time_ps`` and ``run_lockstep``
+  all advance through its cursor.
 * Wakeups live in a lazily-pruned min-heap: stale entries are dropped on
   every insert and every pop, so a busy run that schedules each arrival
   keeps the heap bounded by the number of still-future wakeups instead
@@ -34,14 +38,19 @@ Scheduling structures:
   skips to a scheduled wakeup.  Components using the conservative
   default ``busy() -> True`` are never parked.
 
-Two usage styles are supported:
+Entry points:
 
-* ``run_cycles`` — tight loop over a single domain, used by the
-  micro-architectural experiments (Figs 2, 15, 16b) where every cycle does
-  work.
+* ``run_cycles`` — exactly ``n`` cycles of one domain, other domains
+  ticked in step.
 * ``run_until`` — run until a predicate is true or every component reports
-  idle, with idle-skip to the next scheduled wakeup.  Used by functional
-  end-to-end runs where long stretches are quiet (e.g. waiting for an RTO).
+  idle, with idle-skip to the next scheduled wakeup, for runs where long
+  stretches are quiet (e.g. waiting for an RTO).
+* ``run_until_time_ps`` / ``run_lockstep`` — bounded time slices with an
+  exact, replayable stop; ``tests/shard/test_lockstep_interop.py`` drives
+  the shard barrier protocol from them.
+
+The paper exhibits, ``Testbed.run``, ``run_fabric`` and ``CellSim`` own
+their loops and do not instantiate :class:`Simulator`.
 """
 
 from __future__ import annotations
@@ -158,38 +167,6 @@ class ClockDomain:
         if parked:
             self._rebuild_active()
 
-    def tick_batch(self, n: int) -> None:
-        """Advance ``n`` cycles, draining components in bulk when possible.
-
-        Exactly equivalent to ``n`` :meth:`tick` calls when every
-        unparked component honours the :meth:`Component.drain` contract
-        — no external input can arrive inside the window because
-        nothing else runs while the batch drains, and parking is
-        applied once at the end, which is unobservable since ``wake``
-        only happens between kernel entry points.  Any component
-        without ``supports_drain`` sends the whole batch down the
-        per-cycle path instead, so unconverted components keep their
-        exact tick-by-tick semantics.
-        """
-        if n <= 0:
-            return
-        run = self._active if self._parked else self.components
-        for component in run:
-            if not component.supports_drain:
-                for _ in range(n):
-                    self.tick()
-                return
-        for component in run:
-            component.drain(n)
-        self.cycle += n
-        parked = False
-        for component in run:
-            if not component.busy():
-                self._parked.add(component)
-                parked = True
-        if parked:
-            self._rebuild_active()
-
     def busy(self) -> bool:
         run = self._active if self._parked else self.components
         for component in run:
@@ -210,7 +187,20 @@ class ClockDomain:
 
 
 class Simulator:
-    """Multi-domain cycle simulator keeping exact integer-picosecond time."""
+    """Multi-domain cycle simulator keeping exact integer-picosecond time.
+
+    Every entry point advances through one compiled schedule table
+    (:mod:`repro.sim.schedule`).  Three inputs the table cannot express
+    are rejected where they happen rather than degraded around:
+
+    * a domain set whose exact LCM window exceeds the slot cap —
+      ``add_domain`` raises ``ValueError``;
+    * ``add_domain`` once time has advanced (any ``cycle > 0`` or
+      ``time_ps > 0``) — ``RuntimeError``; the new domain's edges would
+      start in the past.  Register every domain first, or ``reset()``;
+    * ``ClockDomain.cycle`` edited from outside the kernel — the next
+      cursor resync raises ``RuntimeError``.
+    """
 
     def __init__(self) -> None:
         self.domains: Dict[str, ClockDomain] = {}
@@ -220,59 +210,44 @@ class Simulator:
         self.time_ps: int = 0
         #: Lazily-pruned min-heap of future wakeup times (integer ps).
         self._wakeups: List[int] = []
-        #: Compiled edge schedule (see :mod:`repro.sim.schedule`): a
-        #: static table of (domain index, edge offset) slots over one
-        #: LCM window, replacing the per-step min-scan with a cursor.
+        #: Compiled edge schedule: (domain index, edge offset) slots
+        #: over one LCM window, recompiled by every ``add_domain``.
         self._table: Optional[ScheduleTable] = None
+        #: The next slot to tick is ``_table_cursor`` (always a valid
+        #: index) in the window starting at ``_table_base_ps``.
         self._table_base_ps = 0
         self._table_cursor = 0
-        #: True whenever domain cycles moved without the cursor (idle
-        #: skip, bulk run, reset) — the next hot-path entry resyncs.
-        self._table_dirty = True
-        #: Set when compilation fails (degenerate frequency ratio) or a
-        #: resync finds externally-surgeried cycle state the table
-        #: cannot express; the kernel then keeps the legacy scan until
-        #: ``reset``/``add_domain`` re-arm compilation.
-        self._table_broken = False
+        #: True when domain cycles moved without the cursor (an idle
+        #: skip) — the next table access resyncs.
+        self._table_dirty = False
 
     def add_domain(self, name: str, freq_hz: float) -> ClockDomain:
         if name in self.domains:
             raise ValueError(f"duplicate clock domain {name!r}")
+        if self.time_ps > 0 or any(d.cycle > 0 for d in self._domain_list):
+            raise RuntimeError(
+                f"cannot add clock domain {name!r} after time has advanced "
+                f"(time_ps={self.time_ps}); register domains first or reset()"
+            )
         domain = ClockDomain(name, freq_hz)
+        # Compile before committing, so a rejected domain leaves the
+        # simulator as it was.
+        self._table = compile_schedule(self._domain_list + [domain])
         self.domains[name] = domain
         self._domain_list.append(domain)
-        self._table = None
-        self._table_dirty = True
-        self._table_broken = False
         return domain
 
-    def _table_sync(self) -> bool:
-        """(Re)align the schedule-table cursor with the domains' cycles.
-
-        Returns True when the table-driven path may run.  Compilation
-        happens once per domain set; resync after a cycle jump is a
-        cursor search plus a per-domain count check.  Any failure
-        degrades permanently (until reset/add_domain) to the legacy
-        scan — the table is an optimization, never a semantic change.
-        """
-        if self._table_broken:
-            return False
-        if not self._table_dirty:
-            return True
+    def _synced_table(self) -> ScheduleTable:
+        """The schedule table, its cursor aligned with the domains' cycles."""
         table = self._table
         if table is None:
-            table = compile_schedule(self._domain_list)
-            if table is None:
-                self._table_broken = True
-                return False
-            self._table = table
-        pos = locate_cursor(table, self._domain_list)
-        if pos is None:
-            self._table_broken = True
-            return False
-        self._table_base_ps, self._table_cursor = pos
-        self._table_dirty = False
-        return True
+            raise RuntimeError("no clock domains registered")
+        if self._table_dirty:
+            self._table_base_ps, self._table_cursor = locate_cursor(
+                table, self._domain_list
+            )
+            self._table_dirty = False
+        return table
 
     def add_component(self, component: Component, domain: str) -> None:
         self.domains[domain].add(component)
@@ -313,58 +288,34 @@ class Simulator:
     def time_seconds(self) -> float:
         return self.time_ps / PS_PER_SECOND
 
-    def _earliest_domain(self) -> ClockDomain:
-        """The domain holding the next edge; ties go to the first registered."""
-        domains = self._domain_list
-        best = domains[0]
-        best_edge = best.edge_ps(best.cycle + 1)
-        for i in range(1, len(domains)):
-            d = domains[i]
-            e = d.edge_ps(d.cycle + 1)
-            if e < best_edge:
-                best, best_edge = d, e
-        return best
+    def _next_edge_ps(self) -> int:
+        table = self._synced_table()
+        return self._table_base_ps + table.slot_offset_ps[self._table_cursor]
 
     def step(self) -> None:
         """Advance global time to the earliest next clock edge and tick it.
 
-        Simultaneous edges tie-break by domain registration order.  The
-        normal path reads the next (domain, edge time) pair straight
-        from the compiled schedule table — two array indexes — instead
-        of re-deriving the interleaving with a rational-arithmetic scan
-        over every domain; the scan remains as the fallback whenever no
-        table applies.
+        The (domain, edge time) pair is read from the compiled schedule
+        table, whose slot order already carries the registration-order
+        tie-break for simultaneous edges.  This is the only place the
+        cursor advances.
         """
-        domains = self._domain_list
-        if not domains:
-            raise RuntimeError("no clock domains registered")
-        if self._table_sync():
-            table = self._table
-            cur = self._table_cursor
-            if cur == table.slots:
-                self._table_base_ps += table.window_ps
-                cur = 0
-            self.time_ps = self._table_base_ps + table.slot_offset_ps[cur]
-            self._table_cursor = cur + 1
-            domains[table.slot_domain[cur]].tick()
-            return
-        best = domains[0]
-        best_edge = best.edge_ps(best.cycle + 1)
-        for i in range(1, len(domains)):
-            d = domains[i]
-            e = d.edge_ps(d.cycle + 1)
-            if e < best_edge:
-                best, best_edge = d, e
-        self.time_ps = best_edge
-        best.tick()
+        table = self._synced_table()
+        cur = self._table_cursor
+        self.time_ps = self._table_base_ps + table.slot_offset_ps[cur]
+        domain = self._domain_list[table.slot_domain[cur]]
+        cur += 1
+        if cur == table.slots:
+            self._table_base_ps += table.window_ps
+            cur = 0
+        self._table_cursor = cur
+        domain.tick()
 
     def run_cycles(self, n: int, domain: Optional[str] = None) -> None:
         """Run exactly ``n`` cycles of ``domain`` (ticking others in step).
 
-        With a single domain this is a tight loop; with several, other
-        domains are ticked whenever their edges fall earlier.  Either
-        way the finishing time is the exact integer edge time — the same
-        value ``n`` individual ``step()`` calls land on.
+        Other domains are ticked whenever their edges fall earlier; the
+        finishing time is the exact integer edge time of the last cycle.
         """
         if domain is None:
             if len(self.domains) != 1:
@@ -372,36 +323,6 @@ class Simulator:
             domain = next(iter(self.domains))
         d = self.domains[domain]
         target = d.cycle + n
-        if len(self.domains) == 1:
-            # Batch-drain when every component supports it; falls back
-            # to the per-cycle tick loop inside.  Cycles moved without
-            # the cursor, so the table resyncs on next use.
-            d.tick_batch(n)
-            self.time_ps = d.edge_ps(d.cycle)
-            self._table_dirty = True
-            return
-        if self._table_sync():
-            # Multi-domain: walk the compiled slot table directly
-            # instead of re-scanning every domain per edge via step().
-            table = self._table
-            slots = table.slots
-            slot_domain = table.slot_domain
-            slot_offset = table.slot_offset_ps
-            window = table.window_ps
-            base = self._table_base_ps
-            cur = self._table_cursor
-            domains = self._domain_list
-            while d.cycle < target:
-                if cur == slots:
-                    base += window
-                    cur = 0
-                self.time_ps = base + slot_offset[cur]
-                nxt = domains[slot_domain[cur]]
-                cur += 1
-                nxt.tick()
-            self._table_base_ps = base
-            self._table_cursor = cur
-            return
         while d.cycle < target:
             self.step()
 
@@ -508,40 +429,10 @@ class Simulator:
         at or after it — the same landing contract as a scheduled
         wakeup.  This is the primitive sharded runs slice time with:
         a bounded window of simulation with an exact, replayable stop.
-
-        The slot table makes the slice loop a cursor walk with one
-        integer compare per edge; slicing stays cycle-exact because the
-        table reproduces the scan's edge order (including the
-        registration-order tie-break), so lockstep epochs tick the same
-        edges in the same order as an unsliced run.
+        Slicing is cycle-exact because the deadline only bounds *when*
+        the cursor walk pauses, never which slot comes next.
         """
-        if self._table_sync():
-            table = self._table
-            slots = table.slots
-            slot_domain = table.slot_domain
-            slot_offset = table.slot_offset_ps
-            window = table.window_ps
-            base = self._table_base_ps
-            cur = self._table_cursor
-            domains = self._domain_list
-            while True:
-                if cur == slots:
-                    base += window
-                    cur = 0
-                t = base + slot_offset[cur]
-                if t >= deadline_ps:
-                    break
-                self.time_ps = t
-                nxt = domains[slot_domain[cur]]
-                cur += 1
-                nxt.tick()
-            self._table_base_ps = base
-            self._table_cursor = cur
-            return
-        while True:
-            best = self._earliest_domain()
-            if best.edge_ps(best.cycle + 1) >= deadline_ps:
-                return
+        while self._next_edge_ps() < deadline_ps:
             self.step()
 
     def run_lockstep(
@@ -573,11 +464,10 @@ class Simulator:
     def reset(self) -> None:
         self.time_ps = 0
         self._wakeups.clear()
-        # The compiled table stays valid (same domains); only the
-        # cursor must resync, and a broken table gets a fresh chance.
+        # The compiled table stays valid (same domains); every cycle
+        # returns to zero, which is slot 0 of window 0.
         self._table_base_ps = 0
         self._table_cursor = 0
-        self._table_dirty = True
-        self._table_broken = False
+        self._table_dirty = False
         for domain in self._domain_list:
             domain.reset()

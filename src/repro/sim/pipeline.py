@@ -71,9 +71,9 @@ class Pipeline(Generic[T, R]):
     def next_retire_cycle(self) -> Optional[int]:
         """First cycle at which :meth:`retire_ready` would pop something.
 
-        None while empty.  Batch schedulers use this as a work horizon:
-        every cycle strictly before it is a guaranteed no-op for the
-        pipeline, so a drain may skip straight to it.
+        None while empty.  ``FtEngine.next_work_cycle`` uses this as a
+        work horizon: every cycle strictly before it is a guaranteed
+        no-op for the pipeline, so an idle skip may jump straight to it.
         """
         if not self._in_flight:
             return None

@@ -12,28 +12,26 @@ float period is ever summed (simlint F4T006/F4T007).
 :func:`compile_schedule` lowers the registered domains into one static
 :class:`ScheduleTable`: two preallocated int arrays, one holding the
 domain index of each slot and one the edge-time offset within the
-window, sorted by ``(offset, registration index)`` — the same
-deterministic tie-break the per-step scan applies at coincident edges.
-``Simulator`` then replaces its per-step min-scan over domains with a
-table cursor: advance one slot, add the offset to the window base, tick
+window, sorted by ``(offset, registration index)`` — the
+deterministic tie-break for coincident edges.  ``Simulator`` walks it
+with a cursor: advance one slot, add the offset to the window base, tick
 the slot's domain.  RapidStream TAPA's fast cosim flow is the exemplar:
 lower the dataflow to a static schedule once, then replay it.
 
-Irrational-ish frequencies (anything whose float->Fraction denominator
-makes the window explode) simply fail to compile under the slot cap and
-the kernel keeps its legacy scan — compilation is an optimization, never
-a semantic change.
+The table is the kernel's only source of edge order, so a domain set it
+cannot hold is an error, not a slow path: irrational-ish frequencies
+(anything whose float->Fraction denominator makes the window explode
+past :data:`MAX_SLOTS`) make :func:`compile_schedule` raise.
 """
 
 from __future__ import annotations
 
 from array import array
 from math import gcd
-from typing import List, Optional, Sequence
+from typing import Sequence, Tuple
 
 #: Slot cap: 250/322 MHz needs 286 slots; anything orders of magnitude
-#: beyond this came from a degenerate float ratio and would cost more to
-#: build and hold than the scan it replaces.
+#: beyond this came from a degenerate float ratio.
 MAX_SLOTS = 65_536
 
 
@@ -80,40 +78,35 @@ class ScheduleTable:
         )
 
 
-def compile_schedule(domains: Sequence) -> Optional[ScheduleTable]:
+def compile_schedule(domains: Sequence) -> ScheduleTable:
     """Compile registered domains into a :class:`ScheduleTable`.
 
-    Returns None when no exact finite table exists within
-    :data:`MAX_SLOTS` — the caller keeps the legacy per-step scan.
     ``domains`` is the simulator's registration-ordered list; each needs
-    the ``_num``/``_den`` exact rational period and ``edge_ps``.
+    the ``_num``/``_den`` exact rational period and ``edge_ps``.  Raises
+    ``ValueError`` when the list is empty or the exact LCM window needs
+    more than :data:`MAX_SLOTS` slots.
     """
-    if not domains or len(domains) > 65_535:
-        return None
+    if not domains:
+        raise ValueError("no clock domains to schedule")
     # Minimal exact window per domain: W_d = num/gcd(num, den); the
     # combined window is their lcm.  All integer arithmetic.
     window = 1
     for d in domains:
-        g = gcd(d._num, d._den)
-        w_d = d._num // g
+        w_d = d._num // gcd(d._num, d._den)
         window = window * w_d // gcd(window, w_d)
-        if window > (1 << 62):
-            return None
-    cycles: List[int] = []
-    total = 0
-    for d in domains:
-        m, rem = divmod(window * d._den, d._num)
-        if rem:  # cannot happen given window's construction; be safe
-            return None
-        cycles.append(m)
-        total += m
-        if total > MAX_SLOTS:
-            return None
+    cycles = [window * d._den // d._num for d in domains]
+    slots = sum(cycles)
+    # The second bound keeps offsets inside the signed 64-bit slot array.
+    if slots > MAX_SLOTS or window > (1 << 62):
+        raise ValueError(
+            f"clock domains {[d.name for d in domains]} need a schedule "
+            f"window of {slots} slots / {window} ps "
+            f"(limits: {MAX_SLOTS} slots, 2**62 ps)"
+        )
     # Edge offsets for window 0: domain d contributes edges 1..m_d.
     # Exact periodicity makes window w's slot times base + offset for
-    # every w, with base = w * window.  Sorting by (offset, index)
-    # reproduces the scan's registration-order tie-break at coincident
-    # edges exactly.
+    # every w, with base = w * window.  Sorting by (offset, index) gives
+    # coincident edges to the first-registered domain.
     merged = sorted(
         (d.edge_ps(k), index)
         for index, d in enumerate(domains)
@@ -127,18 +120,14 @@ def compile_schedule(domains: Sequence) -> Optional[ScheduleTable]:
     )
 
 
-def locate_cursor(
-    table: ScheduleTable, domains: Sequence
-) -> Optional[tuple]:
+def locate_cursor(table: ScheduleTable, domains: Sequence) -> Tuple[int, int]:
     """Find the (window_base_ps, cursor) matching the domains' cycles.
 
-    The kernel calls this to (re)sync the table cursor to whatever
-    cycle state the domains are in — after construction, a reset, or an
-    idle skip (which advances ``cycle`` without stepping).  Any state
-    the kernel itself produces consumes edges in slot order, so the
-    consumed set is always a prefix of some window and a consistent
-    position exists; if external surgery desynced the domains, returns
-    None and the caller falls back to the legacy scan.
+    The kernel calls this to resync the table cursor after an idle skip
+    (which advances ``cycle`` without stepping).  Any state the kernel
+    itself produces consumes edges in slot order, so the consumed set is
+    always a prefix of some window and a consistent position exists; if
+    the domains' cycles were edited from outside, raises ``RuntimeError``.
     """
     # The next edge to tick (earliest time, registration-order
     # tie-break) anchors the position.
@@ -155,21 +144,28 @@ def locate_cursor(
     offset = best_edge - base
     slot_domain = table.slot_domain
     slot_offset = table.slot_offset_ps
-    cursor = None
-    for s in range(table.slots):
-        if slot_offset[s] == offset and slot_domain[s] == best_index:
-            cursor = s
-            break
-    if cursor is None:
-        return None
-    # Validate: every domain's cycle count must equal full windows done
-    # plus its slots before the cursor in this window.
-    windows_done = base // window
-    for index, d in enumerate(domains):
-        before = 0
+    cursor = next(
+        (
+            s
+            for s in range(table.slots)
+            if slot_offset[s] == offset and slot_domain[s] == best_index
+        ),
+        None,
+    )
+    if cursor is not None:
+        # Every domain's cycle count must equal full windows done plus
+        # its slots before the cursor in this window.
+        windows_done = base // window
+        before = [0] * len(domains)
         for s in range(cursor):
-            if slot_domain[s] == index:
-                before += 1
-        if d.cycle != windows_done * table.cycles_per_window[index] + before:
-            return None
-    return base, cursor
+            before[slot_domain[s]] += 1
+        if all(
+            d.cycle == windows_done * table.cycles_per_window[i] + before[i]
+            for i, d in enumerate(domains)
+        ):
+            return base, cursor
+    raise RuntimeError(
+        "domain cycles modified outside the kernel: "
+        + ", ".join(f"{d.name}.cycle={d.cycle}" for d in domains)
+        + " is not a state the schedule table can reach"
+    )

@@ -1,16 +1,19 @@
-"""Engine telemetry: trace completeness and transparency."""
+"""Engine tracing through the obs TraceBus: completeness and transparency."""
 
 import pytest
 
-from repro.engine.telemetry import EngineTracer
 from repro.engine.testbed import Testbed
+from repro.obs.export import render_flow_timeline, to_chrome_trace
+from repro.obs.hooks import attach_engine
+from repro.obs.trace import TraceBus
 
 
 @pytest.fixture
 def traced_world():
     testbed = Testbed()
-    tracer = EngineTracer.attach(testbed.engine_a)
-    return testbed, tracer
+    bus = TraceBus(layers=["engine"])
+    attach_engine(testbed.engine_a, bus)
+    return testbed, bus
 
 
 class TestTracing:
@@ -25,7 +28,7 @@ class TestTracing:
         assert testbed.engine_b.recv_data(b_flow, 10_000) == b"z" * 10_000
 
     def test_records_every_layer(self, traced_world):
-        testbed, tracer = traced_world
+        testbed, bus = traced_world
         a_flow, b_flow = testbed.establish()
         testbed.engine_a.send_data(a_flow, b"z" * 5000)
         testbed.run(
@@ -33,15 +36,19 @@ class TestTracing:
             max_time_s=0.05,
         )
         testbed.run(max_time_s=testbed.now_s + 1e-4)  # let ACKs return
-        assert tracer.count("event") >= 2  # connect + send at least
-        assert tracer.count("fpu") >= 2
-        assert tracer.count("tx") >= 4  # SYN + data segments
-        assert tracer.count("rx") >= 2  # SYN-ACK + ACKs
+        assert bus.count("event") >= 2  # connect + send at least
+        assert bus.count("fpu") >= 2
+        assert bus.count("tx") >= 4  # SYN + data segments
+        assert bus.count("rx") >= 2  # SYN-ACK + ACKs
 
     def test_state_transitions_recorded(self, traced_world):
-        testbed, tracer = traced_world
+        testbed, bus = traced_world
         a_flow, _ = testbed.establish()
-        transitions = tracer.state_transitions(a_flow)
+        transitions = [
+            str(event.detail)
+            for event in bus.events_for_flow(a_flow)
+            if event.kind == "state"
+        ]
         assert any("SYN_SENT" in t for t in transitions)
         assert any("ESTABLISHED" in t for t in transitions)
 
@@ -49,37 +56,39 @@ class TestTracing:
         testbed = Testbed()
         testbed.engine_b.listen(80)
         first = testbed.engine_a.connect(testbed.engine_b.ip, 80)
-        tracer = EngineTracer.attach(testbed.engine_a, flows={first + 1})
+        bus = TraceBus(layers=["engine"], flows={first + 1})
+        attach_engine(testbed.engine_a, bus)
         second = testbed.engine_a.connect(testbed.engine_b.ip, 80)
         testbed.run(max_time_s=testbed.now_s + 1e-4)
-        flows_seen = {record.flow_id for record in tracer.records}
+        flows_seen = {event.flow_id for event in bus.events}
         assert flows_seen <= {second}
 
     def test_render_filters_by_kind(self, traced_world):
-        testbed, tracer = traced_world
-        testbed.establish()
-        tx_only = tracer.render(kinds={"tx"})
-        assert "tx" in tx_only
+        testbed, bus = traced_world
+        a_flow, _ = testbed.establish()
+        tx_events = [event for event in bus.events if event.kind == "tx"]
+        tx_only = render_flow_timeline(to_chrome_trace(tx_events), a_flow)
+        assert "tx" in tx_only.split()
         assert "event" not in tx_only.split()  # kind column filtered
 
     def test_bounded_buffer(self):
         testbed = Testbed()
-        tracer = EngineTracer.attach(testbed.engine_a, max_records=5)
+        bus = TraceBus(layers=["engine"], max_events=5)
+        attach_engine(testbed.engine_a, bus)
         a_flow, b_flow = testbed.establish()
         testbed.engine_a.send_data(a_flow, b"x" * 50_000)
         testbed.run(
             until=lambda: testbed.engine_b.readable(b_flow) >= 50_000,
             max_time_s=0.05,
         )
-        assert len(tracer.records) == 5
-        assert tracer.dropped > 0
-        assert "dropped" in tracer.render()
+        assert len(bus) == 5
+        assert bus.dropped > 0
 
     def test_detach_restores_behaviour(self, traced_world):
-        testbed, tracer = traced_world
+        testbed, bus = traced_world
         testbed.establish()
-        count = len(tracer.records)
-        tracer.detach()
+        count = len(bus)
+        attach_engine(testbed.engine_a, None)
         testbed.engine_a.connect(testbed.engine_b.ip, 80)
         testbed.run(max_time_s=testbed.now_s + 1e-4)
-        assert len(tracer.records) == count
+        assert len(bus) == count

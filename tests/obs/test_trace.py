@@ -45,13 +45,6 @@ class TestFiltering:
         bus.emit(0.0, "engine.tx", "a/tx", "tx", 8, "filtered")
         assert [event.flow_id for event in bus.events] == [7]
 
-    def test_kind_allowlist(self):
-        bus = TraceBus(kinds={"tx"})
-        bus.emit(0.0, "engine.tx", "a/tx", "tx", 1)
-        bus.emit(0.0, "engine.fpc", "a/fpc0", "handle", 1)
-        assert bus.count("tx") == 1
-        assert len(bus) == 1
-
     def test_count_by_kind_and_layer(self):
         bus = TraceBus()
         _fill(bus, 3, layer="engine.fpc", kind="handle")

@@ -2,15 +2,14 @@
 
 The shard runner slices time into fixed lockstep epochs with a
 hand-rolled barrier loop; the kernel offers the same slicing through
-``Simulator.run_lockstep``, now table-driven (the compiled 250/322 MHz
-schedule walks edges with a cursor instead of a per-step domain scan).
-This test closes the loop between the two layers: the kernel's epoch
-boundaries — produced by ``run_until_time_ps`` over the compiled
-table — feed the shard barrier protocol, and the merged churn
+``Simulator.run_lockstep``, walking the compiled 250/322 MHz schedule
+table with a cursor.  This test closes the loop between the two layers:
+the kernel's epoch boundaries — produced by ``run_until_time_ps`` over
+the table — feed the shard barrier protocol, and the merged churn
 fingerprint must land on the pinned golden bit-for-bit, with the
-``LockstepSanitizer`` clean throughout.  If table-driven slicing
-drifted by even one edge or one picosecond, the barrier would run at a
-different boundary and the fingerprint would move.
+``LockstepSanitizer`` clean throughout.  If the slicing drifted by even
+one edge or one picosecond, the barrier would run at a different
+boundary and the fingerprint would move.
 """
 
 from repro.check.lockstep import LockstepSanitizer
@@ -37,12 +36,10 @@ class TestRunLockstepShardInterop:
 
         # The kernel that supplies the epoch boundaries: the F4T clock
         # pair, so every boundary is produced by the compiled table's
-        # cursor walk (falling back to the legacy scan would still have
-        # to match, but the point here is the table path).
+        # cursor walk.
         kernel = Simulator()
         kernel.add_domain("engine", 250e6)
         kernel.add_domain("eth", 322e6)
-        assert kernel._table_sync(), "schedule table must compile"
 
         progress = {"epochs": 0, "exchanged": 0}
 

@@ -154,6 +154,34 @@ class TestSimulator:
         assert PS_PER_SECOND == 1_000_000_000_000
 
 
+class TestAddDomainAfterTimeAdvancedRegression:
+    """Bug: a domain added mid-run started at cycle 0, so the next
+    ``step()`` picked its stale first edge and ``time_ps`` ran backwards
+    (40000 -> 3106).  Late registration is now refused outright."""
+
+    def test_add_domain_after_stepping_raises(self):
+        sim = Simulator()
+        sim.add_domain("a", 250e6)
+        for _ in range(10):
+            sim.step()
+        assert sim.time_ps == 40_000
+        with pytest.raises(RuntimeError, match="after time has advanced"):
+            sim.add_domain("b", 322e6)
+        # The refused domain left nothing behind; time keeps moving forward.
+        assert list(sim.domains) == ["a"]
+        sim.step()
+        assert sim.time_ps == 44_000
+
+    def test_add_domain_allowed_again_after_reset(self):
+        sim = Simulator()
+        sim.add_domain("a", 250e6)
+        sim.run_cycles(10)
+        sim.reset()
+        sim.add_domain("b", 322e6)
+        sim.step()
+        assert sim.time_ps == 3106
+
+
 # --------------------------------------------------------------- PR 5 suite
 class TestIntegerPicoseconds:
     """The integer-ps contract: exact edges, no cumulative drift."""

@@ -1,18 +1,17 @@
-"""Compiled schedule table: slot lowering, cursor resync, fallback.
+"""Compiled schedule table: slot lowering, cursor resync, named errors.
 
-The table is an optimization with a hard exactness bar: every path it
-drives (``step``, multi-domain ``run_cycles``, ``run_until_time_ps``)
-must tick the same domains at the same integer-ps times in the same
-order as the legacy per-step scan, including the registration-order
-tie-break at coincident 250/322 MHz edges.  Forcing ``_table_broken``
-gives the legacy behaviour on the same Simulator class, which is what
-these equivalence tests diff against.
+The table is the kernel's only edge-selection path, with a hard
+exactness bar: every entry point it drives (``step``, ``run_cycles``,
+``run_until_time_ps``) must tick the domains at their exact integer-ps
+edge times in time order, coincident 250/322 MHz edges going to the
+first-registered domain.  ``reference_edges`` below is the oracle: a
+brute-force sort of ``(edge_ps(k), registration index)`` that shares no
+code with the table.
 """
 
 import pytest
 
 from repro.sim.component import Component
-from repro.sim.fifo import Fifo
 from repro.sim.kernel import ClockDomain, Simulator
 from repro.sim.pipeline import Pipeline
 from repro.sim.schedule import (
@@ -36,21 +35,36 @@ class EdgeLog(Component):
         self.log.append((self.name, self.domain.cycle, self.sim.time_ps))
 
 
+FREQS = (("engine", 250e6), ("eth", 322e6))
+
+
 def _two_domain_sim():
     sim = Simulator()
     log = []
-    engine = sim.add_domain("engine", 250e6)
-    eth = sim.add_domain("eth", 322e6)
-    sim.add_component(EdgeLog("engine", sim, engine, log), "engine")
-    sim.add_component(EdgeLog("eth", sim, eth, log), "eth")
+    for name, freq_hz in FREQS:
+        domain = sim.add_domain(name, freq_hz)
+        sim.add_component(EdgeLog(name, sim, domain, log), name)
     return sim, log
+
+
+def reference_edges(horizon_ps, start_cycles=(0, 0)):
+    """Every (name, cycle, t_ps) edge up to ``horizon_ps`` in kernel
+    order — earliest first, ties to the first-registered domain —
+    starting after each domain's ``start_cycles`` entry."""
+    edges = []
+    for index, (name, freq_hz) in enumerate(FREQS):
+        domain = ClockDomain(name, freq_hz)
+        cycle = start_cycles[index] + 1
+        while domain.edge_ps(cycle) <= horizon_ps:
+            edges.append((domain.edge_ps(cycle), index, name, cycle))
+            cycle += 1
+    return [(name, cycle, t) for t, _index, name, cycle in sorted(edges)]
 
 
 class TestCompile:
     def test_f4t_window_is_500ns_286_slots(self):
         domains = [ClockDomain("engine", 250e6), ClockDomain("eth", 322e6)]
         table = compile_schedule(domains)
-        assert table is not None
         assert table.window_ps == 500_000
         assert table.slots == 286
         assert list(table.cycles_per_window) == [125, 161]
@@ -79,22 +93,34 @@ class TestCompile:
 
     def test_degenerate_ratio_fails_closed(self):
         # A float-artifact frequency whose exact rational blows the
-        # window past the slot cap compiles to None, not to a wrong
-        # table.
+        # window past the slot cap is rejected by name, not compiled to
+        # a wrong table.
         domains = [
             ClockDomain("engine", 250e6),
             ClockDomain("weird", 322e6 + 1e-4),
         ]
-        assert compile_schedule(domains) is None
+        with pytest.raises(ValueError, match="slots"):
+            compile_schedule(domains)
 
     def test_slot_cap_enforced(self):
         # 1 Hz against 250 MHz needs 250e6 + 1 slots >> MAX_SLOTS.
         domains = [ClockDomain("engine", 250e6), ClockDomain("slow", 1.0)]
-        assert compile_schedule(domains) is None
-        assert MAX_SLOTS < 250_000_000
+        assert MAX_SLOTS < 250_000_001
+        with pytest.raises(ValueError, match="250000001 slots"):
+            compile_schedule(domains)
+
+    def test_add_domain_rejects_oversized_window_and_stays_usable(self):
+        sim = Simulator()
+        sim.add_domain("engine", 250e6)
+        with pytest.raises(ValueError, match="250000001 slots"):
+            sim.add_domain("slow", 1.0)
+        assert list(sim.domains) == ["engine"]
+        sim.step()
+        assert sim.time_ps == 4000
 
     def test_empty_domain_list_fails_closed(self):
-        assert compile_schedule([]) is None
+        with pytest.raises(ValueError):
+            compile_schedule([])
 
 
 class TestLocateCursor:
@@ -110,9 +136,7 @@ class TestLocateCursor:
         reference.add_domain("eth", 322e6)
         table = compile_schedule(reference._domain_list)
         for n in range(700):
-            pos = locate_cursor(table, sim._domain_list)
-            assert pos is not None
-            base, cursor = pos
+            base, cursor = locate_cursor(table, sim._domain_list)
             total = base // table.window_ps * table.slots + cursor
             assert total == n
             sim.step()
@@ -123,101 +147,92 @@ class TestLocateCursor:
         # Advance one domain to a state slot order can never produce:
         # engine 10 cycles in while eth never ticked.
         domains[0].cycle = 10
-        assert locate_cursor(table, domains) is None
-
-
-def _force_legacy(sim):
-    sim._table_broken = True
-    return sim
+        with pytest.raises(RuntimeError, match="outside the kernel"):
+            locate_cursor(table, domains)
 
 
 class TestTableEquivalence:
-    """Table-driven and legacy-scan paths must be bit-identical."""
+    """Table-driven entry points must reproduce the brute-force order."""
 
-    def test_step_sequence_matches_legacy(self):
-        fast, fast_log = _two_domain_sim()
-        slow, slow_log = _two_domain_sim()
-        _force_legacy(slow)
+    def test_step_sequence_matches_reference(self):
+        sim, log = _two_domain_sim()
         for _ in range(2000):
-            fast.step()
-            slow.step()
-        assert fast_log == slow_log
-        assert fast.time_ps == slow.time_ps
+            sim.step()
+        # 2000 steps cover ~7 windows; the reference is cut to length.
+        assert log == reference_edges(4_000_000)[:2000]
+        assert sim.time_ps == log[-1][2]
 
-    def test_run_until_time_ps_matches_legacy(self):
-        fast, fast_log = _two_domain_sim()
-        slow, slow_log = _two_domain_sim()
-        _force_legacy(slow)
+    def test_run_until_time_ps_matches_reference(self):
+        sim, log = _two_domain_sim()
         for deadline in (3106, 4000, 500_000, 500_001, 1_234_567):
-            fast.run_until_time_ps(deadline)
-            slow.run_until_time_ps(deadline)
-            assert fast_log == slow_log
-            assert fast.time_ps == slow.time_ps
+            sim.run_until_time_ps(deadline)
+            # Every edge strictly before the deadline, none at or after.
+            assert log == reference_edges(deadline - 1)
+            assert sim.time_ps == (log[-1][2] if log else 0)
 
     def test_resync_after_idle_skip(self):
-        fast, fast_log = _two_domain_sim()
-        slow, slow_log = _two_domain_sim()
-        _force_legacy(slow)
-        for sim in (fast, slow):
-            sim.run_cycles(3, "engine")
-            sim.schedule_wakeup(1_000_000)
-            # All-idle: both components report busy (default EdgeLog),
-            # so drive the skip directly to exercise the landing.
-            sim._skip_to_next_wakeup(None)
-            sim.run_cycles(5, "engine")
-        assert fast_log == slow_log
-        assert fast.time_ps == slow.time_ps
+        sim, log = _two_domain_sim()
+        sim.run_cycles(3, "engine")
+        before_skip = list(log)
+        assert before_skip == reference_edges(12_000)
+        sim.schedule_wakeup(1_000_000)
+        # All-idle: both components report busy (default EdgeLog),
+        # so drive the skip directly to exercise the landing.
+        sim._skip_to_next_wakeup(None)
+        landed = tuple(d.cycle for d in sim._domain_list)
+        assert landed == (249, 321)  # last edges strictly before 1 us
+        sim.run_cycles(5, "engine")
+        resumed = reference_edges(1_016_000, start_cycles=landed)
+        assert log == before_skip + resumed
+        assert sim.time_ps == 1_016_000
 
     def test_broken_table_never_resurrects_until_reset(self):
-        sim, _log = _two_domain_sim()
+        sim = Simulator()
+        engine = sim.add_domain("engine", 250e6)
+        sim.add_domain("eth", 322e6)
         sim.step()
-        # Surgery the slot order can never produce; the next resync
-        # (any dirty-marking event triggers one) must fail closed to
-        # the legacy scan rather than tick from a desynced cursor.
-        sim._domain_list[0].cycle += 7
-        sim._table_dirty = True
-        for _ in range(3):
-            sim.step()
-        assert sim._table_broken
+        # Surgery the slot order can never produce: engine far ahead of
+        # eth.  The idle skip then moves eth alone, and the resync that
+        # follows must raise rather than tick from a desynced cursor —
+        # on every later step too, until reset() zeroes the cycles.
+        engine.cycle += 7
+        sim.schedule_wakeup(20_000)
+        with pytest.raises(RuntimeError, match="outside the kernel"):
+            sim.run_until(lambda: False, max_steps=10)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="outside the kernel"):
+                sim.step()
         sim.reset()
         sim.step()
-        assert not sim._table_broken
+        assert sim.time_ps == 3106
 
 
 class TestRunCyclesMultiDomain:
-    """Satellite 3: multi-domain run_cycles goes through the table."""
+    """``run_cycles`` stops on the named domain's n-th edge, having
+    ticked every earlier edge of the others."""
 
     @pytest.mark.parametrize("n", [1, 7, 125, 286, 1000])
     def test_matches_n_steps(self, n):
-        bulk, bulk_log = _two_domain_sim()
-        bulk.run_cycles(n, "engine")
+        sim, log = _two_domain_sim()
+        sim.run_cycles(n, "engine")
 
-        stepped, stepped_log = _two_domain_sim()
-        while stepped._domain_list[0].cycle < n:
-            stepped.step()
-
-        assert bulk._domain_list[0].cycle == n
-        assert bulk.time_ps == stepped.time_ps
-        assert [c for c in zip(bulk._domain_list, stepped._domain_list)]
-        for a, b in zip(bulk._domain_list, stepped._domain_list):
-            assert a.cycle == b.cycle
-        assert bulk_log == stepped_log
+        last = ("engine", n, n * 4000)
+        reference = reference_edges(n * 4000)
+        # An eth edge coinciding with the last engine edge (n = 125,
+        # 1000) sorts after it and is left for the next call.
+        assert log == reference[: reference.index(last) + 1]
+        assert sim.time_ps == n * 4000
 
     def test_single_domain_matches_n_steps(self):
         n = 333
-        bulk = Simulator()
-        bulk.add_domain("eth", 322e6)
-        bulk.add_component(Component("c"), "eth")
-        bulk.run_cycles(n)
+        sim = Simulator()
+        eth = sim.add_domain("eth", 322e6)
+        counter = Component("c")
+        sim.add_component(counter, "eth")
+        sim.run_cycles(n)
 
-        stepped = Simulator()
-        stepped.add_domain("eth", 322e6)
-        stepped.add_component(Component("c"), "eth")
-        for _ in range(n):
-            stepped.step()
-
-        assert bulk.time_ps == stepped.time_ps
-        assert bulk._domain_list[0].cycle == stepped._domain_list[0].cycle
+        assert eth.cycle == counter.cycle == n
+        assert sim.time_ps == ClockDomain("eth", 322e6).edge_ps(n)
 
     def test_split_multi_domain_runs_land_identically(self):
         whole, whole_log = _two_domain_sim()
@@ -229,100 +244,7 @@ class TestRunCyclesMultiDomain:
         assert whole_log == split_log
 
 
-class Countdown(Component):
-    """Drainable component: decrements a work counter each busy cycle."""
-
-    supports_drain = True
-
-    def __init__(self, work):
-        super().__init__("countdown")
-        self.work = work
-
-    def tick(self):
-        self.cycle += 1
-        if self.work:
-            self.work -= 1
-
-    def drain(self, n):
-        self.cycle += n
-        self.work = max(0, self.work - n)
-
-    def busy(self):
-        return self.work > 0
-
-
-class TestBatchDrain:
-    def test_tick_batch_equals_n_ticks(self):
-        batched = ClockDomain("main", 250e6)
-        batched.add(Countdown(10))
-        batched.tick_batch(25)
-
-        ticked = ClockDomain("main", 250e6)
-        ticked.add(Countdown(10))
-        for _ in range(25):
-            ticked.tick()
-
-        assert batched.cycle == ticked.cycle == 25
-        assert batched.components[0].work == ticked.components[0].work == 0
-        # Parking may be deferred to batch end but must still happen.
-        assert batched._parked == set(batched.components)
-        assert ticked._parked == set(ticked.components)
-
-    def test_unconverted_component_falls_back_to_ticks(self):
-        domain = ClockDomain("main", 250e6)
-        ticks = []
-
-        class Plain(Component):
-            def tick(self):
-                super().tick()
-                ticks.append(self.cycle)
-
-        domain.add(Plain("plain"))
-        domain.add(Countdown(3))
-        domain.tick_batch(5)
-        assert ticks == [1, 2, 3, 4, 5]
-        assert domain.cycle == 5
-
-    def test_run_cycles_uses_drain_hook(self):
-        sim = Simulator()
-        sim.add_domain("main", 250e6)
-        comp = Countdown(1000)
-        calls = []
-        original = comp.drain
-
-        def spying(n):
-            calls.append(n)
-            original(n)
-
-        comp.drain = spying
-        sim.add_component(comp, "main")
-        sim.run_cycles(400)
-        assert calls == [400]
-        assert comp.work == 600
-        assert sim.time_ps == sim._domain_list[0].edge_ps(400)
-
-
 class TestBulkHelpers:
-    def test_fifo_push_many_matches_per_item_stats(self):
-        bulk = Fifo(4, "bulk")
-        loop = Fifo(4, "loop")
-        items = list(range(6))
-        accepted = bulk.push_many(items)
-        for item in items:
-            loop.push(item)
-        assert accepted == 4
-        assert list(bulk) == list(loop)
-        assert (bulk.pushes, bulk.rejects) == (loop.pushes, loop.rejects)
-        assert bulk.max_occupancy == loop.max_occupancy
-
-    def test_fifo_pop_many(self):
-        fifo = Fifo(8)
-        fifo.push_many([1, 2, 3])
-        assert fifo.pop_many(2) == [1, 2]
-        assert fifo.pop_many(5) == [3]
-        assert fifo.pop_many(1) == []
-        assert fifo.pops == 3
-
     def test_pipeline_next_retire_cycle(self):
         pipe = Pipeline(latency=12, initiation_interval=2)
         assert pipe.next_retire_cycle() is None

@@ -26,10 +26,14 @@ GOLDEN = {
 
 
 def traced_fingerprint(
-    scenario: str, sweep: bool = False, backend: str = "f4t"
+    scenario: str,
+    sweep: bool = False,
+    backend: str = "f4t",
+    batched: bool = True,
 ) -> str:
     load_engine = LoadEngine(get_scenario(scenario, seed=1234), backend=backend)
     load_engine.sweep_all_pumps = sweep
+    load_engine.batched = batched
     bus = TraceBus()
     attach_load_engine(load_engine, bus)
     load_engine.run()
@@ -48,6 +52,13 @@ class TestCycleExactEquivalence:
         it must land on the same trace, proving the dirty-set skips only
         side-effect-free polls."""
         assert traced_fingerprint("mixed", sweep=True) == GOLDEN["mixed"]
+
+    def test_per_cycle_loop_matches_golden_too(self):
+        """``batched = False`` is the per-cycle testbed loop the batched
+        one (quiet-cycle skips + ``advance_cycles``) is checked against;
+        it must land on the same trace, proving the batching collapses
+        only provable no-ops."""
+        assert traced_fingerprint("mixed", batched=False) == GOLDEN["mixed"]
 
     def test_f4t_behind_backend_interface_matches_golden(self):
         """PR 6 put the engine behind ``repro.fabric``'s OffloadBackend
