@@ -9,12 +9,16 @@ Walks the :mod:`repro.traffic` layer end to end:
    per-class offered vs. achieved load and latency percentiles;
 3. **replay** it — same seed, bit-identical metrics — then change the
    seed and watch the run change;
-4. **sweep** offered load on the calibrated model backend to get the
-   latency-vs-load curve and its knee.
+4. **sweep** offered load on the calibrated model backend — register
+   the scenario by name and run the ``traffic-load`` lab grid over it,
+   the same path ``python -m repro traffic sweep`` and ``lab run
+   traffic-load`` take — to get the latency-vs-load curve and its knee.
 
 Run:  python examples/traffic_scenarios.py
 """
 
+from repro.analysis.reporting import render_table, tabulate
+from repro.lab.grids import traffic_load_grid
 from repro.traffic import (
     Fixed,
     Impairments,
@@ -22,8 +26,9 @@ from repro.traffic import (
     Scenario,
     TrafficClass,
     Zipf,
+    detect_knee,
+    register_scenario,
     run_scenario,
-    sweep_load,
 )
 
 
@@ -78,12 +83,19 @@ def main() -> None:
     # --- 4. sweep to the knee -------------------------------------------
     # The calibrated model backend runs the same schedules in
     # milliseconds, which makes dense latency-vs-load curves cheap.
-    sweep = sweep_load(
-        scenario, [0.5, 1, 2, 4, 8, 16, 24, 32], backend="model"
+    register_scenario("demo")(lambda: scenario)
+    rows = traffic_load_grid(
+        scenario="demo", loads=[0.5, 1, 2, 4, 8, 16, 24, 32], backend="model"
+    ).records()
+    knee = detect_knee(
+        [row["offered_rps"] for row in rows], [row["p99_us"] for row in rows]
     )
     print()
-    print(sweep.summary())
-    print(sweep.table())
+    print("no knee detected" if knee is None
+          else f"knee at load x{rows[knee]['load_scale']:g}")
+    print(render_table(*tabulate(
+        rows, ["load_scale", "offered_rps", "achieved_rps", "p50_us", "p99_us"]
+    )))
 
 
 if __name__ == "__main__":

@@ -22,8 +22,43 @@ Quick start::
     lib = F4TLibrary(testbed.engine_a, pump=pump)
 """
 
+from typing import Callable, Dict, TypeVar
+
 __version__ = "1.1.0"
 __paper__ = (
     "F4T: A Fast and Flexible FPGA-based Full-stack TCP Acceleration "
     "Framework, ISCA 2023, doi:10.1145/3579371.3589090"
 )
+
+F = TypeVar("F")
+
+
+class UnknownNameError(KeyError):
+    """A :class:`Registry` has no entry of that name.
+
+    ``args[0]`` is the whole message, ending in the names that do exist.
+    Nothing else raises it, so the CLI can turn it into exit code 2
+    without hiding a stray ``KeyError`` from inside a run.
+    """
+
+
+class Registry(Dict[str, F]):
+    """Named entries of one ``kind`` — the scenario, grid and backend
+    tables the CLI verbs look names up in."""
+
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        self.kind = kind
+
+    def register(self, name: str) -> Callable[[F], F]:
+        """``@registry.register("name")`` adds the decorated entry."""
+        def decorate(entry: F) -> F:
+            self[name] = entry
+            return entry
+
+        return decorate
+
+    def __missing__(self, name: str) -> F:
+        raise UnknownNameError(
+            f"unknown {self.kind} {name!r}; available: " + ", ".join(sorted(self))
+        )

@@ -21,6 +21,9 @@ import os
 import sys
 from typing import List, Optional
 
+from repro import UnknownNameError
+from repro.cli import add_group, comma_list, emit
+
 #: Default run-store location; ``*.sqlite`` is gitignored.
 DEFAULT_LAB_DB = "lab.sqlite"
 
@@ -106,6 +109,12 @@ def _cmd_iperf(args: argparse.Namespace) -> int:
 
 
 # -------------------------------------------------------------- traffic
+_TRAFFIC_SWEEP_COLUMNS = [
+    "load_scale", "offered_rps", "achieved_rps", "p50_us", "p99_us",
+    "goodput_gbps", "knee",
+]
+
+
 def _cmd_traffic_list(_args: argparse.Namespace) -> int:
     from repro.traffic import available_scenarios, get_scenario
 
@@ -116,13 +125,9 @@ def _cmd_traffic_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_traffic_run(args: argparse.Namespace) -> int:
-    from repro.traffic import get_scenario, run_scenario, run_scenario_model
+    from repro.traffic import get_scenario, run_scenario_model
 
-    try:
-        scenario = get_scenario(args.scenario, seed=args.seed)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    scenario = get_scenario(args.scenario, seed=args.seed)
     tap = None
     bus = None
     engine = None
@@ -151,11 +156,8 @@ def _cmd_traffic_run(args: argparse.Namespace) -> int:
             )
 
             try:
-                layers = (
-                    args.trace_layers.split(",") if args.trace_layers else None
-                )
                 bus = TraceBus(
-                    layers=layers,
+                    layers=args.trace_layers,
                     max_events=args.trace_events or DEFAULT_MAX_EVENTS,
                     sampling=args.trace_sampling,
                 )
@@ -167,34 +169,19 @@ def _cmd_traffic_run(args: argparse.Namespace) -> int:
     print(result.summary())
     print(result.table())
     if args.csv is not None:
-        if args.csv == "-":
-            sys.stdout.write(result.to_csv())
-        else:
-            with open(args.csv, "w") as handle:
-                handle.write(result.to_csv())
-            print(f"wrote {args.csv}")
+        emit(result.to_csv(), args.csv)
     if tap is not None and args.pcap:
         packets = tap.save(args.pcap)
         print(f"wrote {args.pcap} ({packets} packets)")
     if bus is not None:
-        from repro.obs import write_chrome_trace
+        from repro.obs import save_trace
 
-        write_chrome_trace(args.trace, bus.events)
-        dropped = f", {bus.dropped} dropped" if bus.dropped else ""
-        print(f"wrote {args.trace} ({len(bus.events)} events{dropped}; "
-              f"load into https://ui.perfetto.dev, or: "
-              f"python -m repro obs summary {args.trace})")
+        save_trace(args.trace, bus)
     if args.metrics and engine is not None:
         from repro.obs import collect_traced_run
 
         registry = collect_traced_run(engine.testbed, result)
-        snapshot = registry.snapshot()
-        if args.metrics == "-":
-            sys.stdout.write(snapshot.to_csv())
-        else:
-            with open(args.metrics, "w") as handle:
-                handle.write(snapshot.to_csv())
-            print(f"wrote {args.metrics} ({len(snapshot.rows)} metric rows)")
+        emit(registry.snapshot().to_csv(), args.metrics)
     if result.violations:
         for violation in result.violations:
             print(f"  invariant violation: {violation}", file=sys.stderr)
@@ -203,38 +190,39 @@ def _cmd_traffic_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_traffic_sweep(args: argparse.Namespace) -> int:
-    from repro.traffic import get_scenario, sweep_load
+    """The ``traffic-load`` grid, run in-process on the verb's flags."""
+    from repro.analysis.reporting import render_csv, render_table, tabulate
+    from repro.lab.grids import traffic_load_grid
+    from repro.traffic import detect_knee
 
-    try:
-        scenario = get_scenario(args.scenario, seed=args.seed)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    loads = [float(x) for x in args.loads.split(",")]
-    result = sweep_load(scenario, loads, backend=args.backend)
-    print(result.summary())
-    print(result.table())
+    records = traffic_load_grid(
+        scenario=args.scenario, loads=args.loads,
+        backend=args.backend, seed=args.seed,
+    ).records()
+    knee = detect_knee(
+        [r["offered_rps"] for r in records], [r["p99_us"] for r in records]
+    )
+    for index, record in enumerate(records):
+        record["knee"] = "*" if index == knee else ""
+    head = f"sweep[{args.scenario}/{args.backend}]: {len(records)} points"
+    if knee is None:
+        print(head + ", no knee detected")
+    else:
+        at = records[knee]
+        print(head + f", knee at load x{at['load_scale']:g} "
+              f"({at['offered_rps']:.3g} rps offered, p99={at['p99_us']:.3g}us)")
+    table = tabulate(records, _TRAFFIC_SWEEP_COLUMNS)
+    print(render_table(*table))
     if args.csv is not None:
-        rows = result.rows()
-        header = ",".join(rows[0].keys())
-        lines = [header] + [
-            ",".join(str(v) for v in row.values()) for row in rows
-        ]
-        text = "\n".join(lines) + "\n"
-        if args.csv == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.csv, "w") as handle:
-                handle.write(text)
-            print(f"wrote {args.csv}")
+        emit(render_csv(*table), args.csv)
     return 0
 
 
 def _add_traffic_parser(subparsers: argparse._SubParsersAction) -> None:
-    traffic = subparsers.add_parser(
-        "traffic", help="scenario-driven load generation (repro.traffic)"
+    traffic_sub = add_group(
+        subparsers, "traffic",
+        help="scenario-driven load generation (repro.traffic)",
     )
-    traffic_sub = traffic.add_subparsers(dest="traffic_command")
 
     run = traffic_sub.add_parser("run", help="run one scenario")
     run.add_argument("scenario", help="scenario name (see: traffic list)")
@@ -250,6 +238,7 @@ def _add_traffic_parser(subparsers: argparse._SubParsersAction) -> None:
     run.add_argument("--trace", metavar="PATH",
                      help="write a Chrome/Perfetto trace-event JSON")
     run.add_argument("--trace-layers", metavar="L1,L2,...", default=None,
+                     type=comma_list(str),
                      help="layers to trace (default all; 'engine' = engine.*)")
     run.add_argument("--trace-events", type=int, default=None,
                      help="event cap (default 250000)")
@@ -257,29 +246,22 @@ def _add_traffic_parser(subparsers: argparse._SubParsersAction) -> None:
                      default="head", help="policy once the cap is hit")
     run.add_argument("--metrics", metavar="PATH",
                      help="write the labeled metrics snapshot CSV ('-' = stdout)")
-    run.set_defaults(traffic_handler=_cmd_traffic_run)
+    run.set_defaults(handler=_cmd_traffic_run)
 
     sweep = traffic_sub.add_parser("sweep", help="latency-vs-load sweep")
     sweep.add_argument("scenario", help="scenario name (see: traffic list)")
     sweep.add_argument("--seed", type=int, default=None, help="top-level seed")
     sweep.add_argument("--loads", default="0.5,1,2,4,8,12,16,24",
+                       type=comma_list(float),
                        help="comma-separated load scales")
     sweep.add_argument("--backend", choices=["functional", "model"],
                        default="model")
     sweep.add_argument("--csv", metavar="PATH", help="write sweep CSV ('-' = stdout)")
-    sweep.set_defaults(traffic_handler=_cmd_traffic_sweep)
+    sweep.set_defaults(handler=_cmd_traffic_sweep)
 
     traffic_sub.add_parser(
         "list", help="available scenarios"
-    ).set_defaults(traffic_handler=_cmd_traffic_list)
-
-
-def _cmd_traffic(args: argparse.Namespace) -> int:
-    handler = getattr(args, "traffic_handler", None)
-    if handler is None:
-        print("usage: python -m repro traffic {run,sweep,list}")
-        return 2
-    return handler(args)
+    ).set_defaults(handler=_cmd_traffic_list)
 
 
 # ------------------------------------------------------------------ lab
@@ -305,11 +287,7 @@ def _cmd_lab_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        grids = get_grids(args.grids, quick=args.quick)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    grids = get_grids(args.grids, quick=args.quick)
     report = run_grid(
         grids,
         args.db,
@@ -359,23 +337,17 @@ def _cmd_lab_export(args: argparse.Namespace) -> int:
 
     with RunStore(args.db) as store:
         if args.csv is not None:
-            text = export_csv(store, experiment=args.grid)
-            if args.csv == "-":
-                sys.stdout.write(text)
-            else:
-                with open(args.csv, "w") as handle:
-                    handle.write(text)
-                print(f"wrote {args.csv}")
+            emit(export_csv(store, experiment=args.grid), args.csv)
         else:
             print(export_markdown(store, experiment=args.grid))
     return 0
 
 
 def _add_lab_parser(subparsers: argparse._SubParsersAction) -> None:
-    lab = subparsers.add_parser(
-        "lab", help="parallel, persistent experiment sweeps (repro.lab)"
+    lab_sub = add_group(
+        subparsers, "lab",
+        help="parallel, persistent experiment sweeps (repro.lab)",
     )
-    lab_sub = lab.add_subparsers(dest="lab_command")
 
     def add_db(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
@@ -389,38 +361,39 @@ def _add_lab_parser(subparsers: argparse._SubParsersAction) -> None:
     run.add_argument("--timeout", type=float, default=300.0, help="per-run seconds")
     run.add_argument("--retries", type=int, default=2, help="retries per run")
     add_db(run)
-    run.set_defaults(lab_handler=_cmd_lab_run)
+    run.set_defaults(handler=_cmd_lab_run)
 
     status = lab_sub.add_parser("status", help="per-grid state counts")
     add_db(status)
-    status.set_defaults(lab_handler=_cmd_lab_status)
+    status.set_defaults(handler=_cmd_lab_status)
 
     retry = lab_sub.add_parser("retry", help="reset error/stale runs to pending")
     retry.add_argument("grids", nargs="*", help="limit to these grids")
     add_db(retry)
-    retry.set_defaults(lab_handler=_cmd_lab_retry)
+    retry.set_defaults(handler=_cmd_lab_retry)
 
     export = lab_sub.add_parser("export", help="dump results (Markdown or CSV)")
     export.add_argument("grid", nargs="?", default=None, help="one grid (default all)")
     export.add_argument("--csv", metavar="PATH", help="write CSV here ('-' = stdout)")
     add_db(export)
-    export.set_defaults(lab_handler=_cmd_lab_export)
+    export.set_defaults(handler=_cmd_lab_export)
 
     lab_sub.add_parser("list", help="available prebuilt grids").set_defaults(
-        lab_handler=_cmd_lab_list
+        handler=_cmd_lab_list
     )
 
 
-def _cmd_lab(args: argparse.Namespace) -> int:
-    handler = getattr(args, "lab_handler", None)
-    if handler is None:
-        print("usage: python -m repro lab {run,status,retry,export,list}")
-        return 2
-    return handler(args)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """Every verb: the top-level ones and the ``traffic``/``lab`` groups
+    declared here, the other groups in their package's ``cli.py``.  Each
+    leaf names its handler with ``set_defaults(handler=fn)``; ``main``
+    parses and calls it."""
     import repro
+    from repro.check.cli import add_check_parser
+    from repro.fabric.cli import add_fabric_parser
+    from repro.mem.cli import add_mem_parser
+    from repro.obs.cli import add_obs_parser
+    from repro.shard.cli import add_shard_parser
 
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument(
@@ -428,51 +401,44 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     subparsers = parser.add_subparsers(dest="command")
 
-    subparsers.add_parser("info", help="package and design summary")
+    info = subparsers.add_parser("info", help="package and design summary")
+    info.set_defaults(handler=_cmd_info)
     report = subparsers.add_parser("report", help="regenerate paper exhibits")
     report.add_argument("exhibits", nargs="*", help="subset of exhibits")
     report.add_argument("--quick", action="store_true")
     report.add_argument("--plots", action="store_true")
-    subparsers.add_parser("demo", help="run the quickstart demo")
+    report.set_defaults(handler=_cmd_report)
+    demo = subparsers.add_parser("demo", help="run the quickstart demo")
+    demo.set_defaults(handler=_cmd_demo)
     iperf = subparsers.add_parser("iperf", help="bulk-transfer measurement")
     iperf.add_argument("--size", type=int, default=128, help="request bytes")
     iperf.add_argument("--cores", type=int, default=2, help="CPU cores")
     iperf.add_argument(
         "--bytes", type=int, default=500_000, help="functional transfer size"
     )
+    iperf.set_defaults(handler=_cmd_iperf)
     _add_traffic_parser(subparsers)
     _add_lab_parser(subparsers)
-    from repro.check.cli import add_check_parser, main as check_main
-    from repro.fabric.cli import add_fabric_parser, main as fabric_main
-    from repro.mem.cli import add_mem_parser, main as mem_main
-    from repro.obs.cli import add_obs_parser, main as obs_main
-    from repro.shard.cli import add_shard_parser, main as shard_main
-
     add_obs_parser(subparsers)
     add_check_parser(subparsers)
     add_fabric_parser(subparsers)
     add_shard_parser(subparsers)
     add_mem_parser(subparsers)
+    return parser
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "info": _cmd_info,
-        "report": _cmd_report,
-        "demo": _cmd_demo,
-        "iperf": _cmd_iperf,
-        "traffic": _cmd_traffic,
-        "lab": _cmd_lab,
-        "obs": obs_main,
-        "check": check_main,
-        "fabric": fabric_main,
-        "shard": shard_main,
-        "mem": mem_main,
-    }
     if args.command is None:
         parser.print_help()
         return 0
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
+    except UnknownNameError as exc:
+        # No such scenario/backend/grid: the message lists what exists.
+        print(exc.args[0], file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pipe closed early (e.g. `... lab export | head`).
         # Point stdout at devnull so the interpreter's exit-time flush

@@ -7,8 +7,10 @@ the paper's exhibit reports plus a paper-vs-measured annotation.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -93,6 +95,30 @@ def render_markdown_table(
     out = [line([str(c) for c in columns]), line(["-" * w for w in widths])]
     out.extend(line(row) for row in cells)
     return "\n".join(out)
+
+
+def tabulate(
+    records: Sequence[Mapping[str, Any]], columns: Optional[Sequence[str]] = None
+) -> Tuple[List[str], List[List[Any]]]:
+    """``(columns, rows)`` for the renderers from one mapping per row.
+
+    ``columns`` defaults to the union of the records' keys in first-seen
+    order; a record without a column gets a blank cell, so rows of
+    different shapes (one- and two-level cache geometries) share a table.
+    """
+    if columns is None:
+        columns = list(dict.fromkeys(key for record in records for key in record))
+    return list(columns), [[r.get(c, "") for c in columns] for r in records]
+
+
+def render_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """The result-table CSV every verb writes: floats as ``repr`` so a cell
+    parses back to exactly the value on the result object."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def render(result: ExperimentResult) -> str:

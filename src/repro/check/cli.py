@@ -11,9 +11,6 @@ Exit code 0 means clean; 1 means findings (each named with its rule id
 and ``file:line``, or cycle and memory location for race findings);
 2 means usage error.  ``--json`` writes the machine-readable artifact
 CI uploads on failure.
-
-The handlers live here (not in ``repro.__main__``) so they are
-importable and testable like any other library function.
 """
 
 from __future__ import annotations
@@ -21,14 +18,68 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Any, Dict, Optional, Tuple
 
-from .lint import LintResult, lint_paths, write_json
-from .lockstep import LockstepSanitizer, run_lockstep_check
-from .race import DEFAULT_MAX_FINDINGS, RaceSanitizer, run_race_check
+from ..cli import add_group, emit
+from .lint import lint_paths
+from .lockstep import run_lockstep_check
+from .race import DEFAULT_MAX_FINDINGS, run_race_check
 from .rules import all_rules
 
 DEFAULT_PATHS = ["src"]
+
+
+Leg = Tuple[Dict[str, Any], bool]  # (the --json payload, clean?)
+
+
+def _lint(args: argparse.Namespace) -> Leg:
+    result = lint_paths(args.paths or DEFAULT_PATHS)
+    print(result.render())
+    return result.to_json(), result.ok
+
+
+def _race(args: argparse.Namespace, max_findings: int = DEFAULT_MAX_FINDINGS) -> Leg:
+    san, result = run_race_check(
+        scenario_name=args.scenario,
+        seed=args.seed,
+        load_scale=args.load_scale,
+        max_findings=max_findings,
+        policy=args.policy,
+        geometry=args.geometry,
+    )
+    print(san.report())
+    finished = getattr(result, "finished", True)
+    if not finished:
+        print("check race: traffic run did not finish", file=sys.stderr)
+    payload = {
+        "writes_checked": san.writes_checked,
+        "findings": [finding.to_json() for finding in san.findings],
+    }
+    return payload, san.ok and finished
+
+
+def _lockstep(
+    scenario: str, seed: Optional[int], max_findings: int = DEFAULT_MAX_FINDINGS
+) -> Leg:
+    san, result = run_lockstep_check(
+        scenario_name=scenario, seed=seed, max_findings=max_findings
+    )
+    print(san.report())
+    finished = getattr(result, "finished", True)
+    if not finished:
+        print("check lockstep: shard run did not finish", file=sys.stderr)
+    payload = {
+        "checks_run": san.checks_run,
+        "findings": [finding.to_json() for finding in san.findings],
+    }
+    return payload, san.ok and finished
+
+
+def _finish(args: argparse.Namespace, payload: Dict[str, Any], ok: bool) -> int:
+    """Write the ``--json PATH`` artifact, if asked; exit 0 only when clean."""
+    if args.json is not None:
+        emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.json)
+    return 0 if ok else 1
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -36,110 +87,28 @@ def cmd_lint(args: argparse.Namespace) -> int:
         for rule in all_rules():
             print(f"{rule.rule_id} {rule.title}: {rule.rationale}")
         return 0
-    result = lint_paths(args.paths or DEFAULT_PATHS)
-    print(result.render())
-    if args.json is not None:
-        write_json(result, args.json)
-        print(f"wrote {args.json}")
-    return 0 if result.ok else 1
+    return _finish(args, *_lint(args))
 
 
 def cmd_race(args: argparse.Namespace) -> int:
-    san, result = run_race_check(
-        scenario_name=args.scenario,
-        seed=args.seed,
-        load_scale=args.load_scale,
-        max_findings=args.max_findings,
-        policy=args.policy,
-        geometry=args.geometry,
-    )
-    print(san.report())
-    if args.json is not None:
-        _write_race_json(args.json, san)
-        print(f"wrote {args.json}")
-    if not getattr(result, "finished", True):
-        print("check race: traffic run did not finish", file=sys.stderr)
-        return 1
-    return 0 if san.ok else 1
+    return _finish(args, *_race(args, args.max_findings))
 
 
 def cmd_lockstep(args: argparse.Namespace) -> int:
-    san, result = run_lockstep_check(
-        scenario_name=args.scenario,
-        seed=args.seed,
-        max_findings=args.max_findings,
-    )
-    print(san.report())
-    if args.json is not None:
-        _write_lockstep_json(args.json, san)
-        print(f"wrote {args.json}")
-    if not getattr(result, "finished", True):
-        print("check lockstep: shard run did not finish", file=sys.stderr)
-        return 1
-    return 0 if san.ok else 1
+    return _finish(args, *_lockstep(args.scenario, args.seed, args.max_findings))
 
 
 def cmd_all(args: argparse.Namespace) -> int:
-    lint_result = lint_paths(args.paths or DEFAULT_PATHS)
-    print(lint_result.render())
-    san, result = run_race_check(
-        scenario_name=args.scenario,
-        seed=args.seed,
-        load_scale=args.load_scale,
-        policy=args.policy,
-        geometry=args.geometry,
-    )
-    print(san.report())
-    lockstep_san, lockstep_result = run_lockstep_check(
-        scenario_name=args.lockstep_scenario, seed=args.seed
-    )
-    print(lockstep_san.report())
-    if args.json is not None:
-        payload = {
-            "lint": lint_result.to_json(),
-            "race": {
-                "writes_checked": san.writes_checked,
-                "findings": [f.to_json() for f in san.findings],
-            },
-            "lockstep": {
-                "checks_run": lockstep_san.checks_run,
-                "findings": [
-                    f.to_json() for f in lockstep_san.findings
-                ],
-            },
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    ok = (
-        lint_result.ok
-        and san.ok
-        and getattr(result, "finished", True)
-        and lockstep_san.ok
-        and getattr(lockstep_result, "finished", True)
-    )
-    return 0 if ok else 1
-
-
-def _write_race_json(path: str, san: "RaceSanitizer") -> None:
-    payload = {
-        "writes_checked": san.writes_checked,
-        "findings": [finding.to_json() for finding in san.findings],
+    legs = {
+        "lint": _lint(args),
+        "race": _race(args),
+        "lockstep": _lockstep(args.lockstep_scenario, args.seed),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _write_lockstep_json(path: str, san: "LockstepSanitizer") -> None:
-    payload = {
-        "checks_run": san.checks_run,
-        "findings": [finding.to_json() for finding in san.findings],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    return _finish(
+        args,
+        {name: payload for name, (payload, _) in legs.items()},
+        all(ok for _, ok in legs.values()),
+    )
 
 
 def _add_race_options(parser: argparse.ArgumentParser) -> None:
@@ -166,10 +135,9 @@ def _add_race_options(parser: argparse.ArgumentParser) -> None:
 
 
 def add_check_parser(subparsers: argparse._SubParsersAction) -> None:
-    check = subparsers.add_parser(
-        "check", help="static analyzer + race sanitizer (repro.check)"
+    check_sub = add_group(
+        subparsers, "check", help="static analyzer + race sanitizer (repro.check)"
     )
-    check_sub = check.add_subparsers(dest="check_command")
 
     lint = check_sub.add_parser("lint", help="run simlint over the tree")
     lint.add_argument(
@@ -179,7 +147,7 @@ def add_check_parser(subparsers: argparse._SubParsersAction) -> None:
     lint.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
     )
-    lint.set_defaults(check_handler=cmd_lint)
+    lint.set_defaults(handler=cmd_lint)
 
     race = check_sub.add_parser(
         "race", help="run a traffic scenario under the race sanitizer"
@@ -190,7 +158,7 @@ def add_check_parser(subparsers: argparse._SubParsersAction) -> None:
         help="cap on recorded violations",
     )
     race.add_argument("--json", metavar="PATH", help="write findings JSON")
-    race.set_defaults(check_handler=cmd_race)
+    race.set_defaults(handler=cmd_race)
 
     lockstep = check_sub.add_parser(
         "lockstep",
@@ -209,7 +177,7 @@ def add_check_parser(subparsers: argparse._SubParsersAction) -> None:
         help="cap on recorded violations",
     )
     lockstep.add_argument("--json", metavar="PATH", help="write findings JSON")
-    lockstep.set_defaults(check_handler=cmd_lockstep)
+    lockstep.set_defaults(handler=cmd_lockstep)
 
     everything = check_sub.add_parser(
         "all", help="simlint + race + lockstep sanitizers; the CI gate"
@@ -225,12 +193,4 @@ def add_check_parser(subparsers: argparse._SubParsersAction) -> None:
     everything.add_argument(
         "--json", metavar="PATH", help="write combined findings JSON"
     )
-    everything.set_defaults(check_handler=cmd_all)
-
-
-def main(args: argparse.Namespace) -> int:
-    handler = getattr(args, "check_handler", None)
-    if handler is None:
-        print("usage: python -m repro check {lint,race,lockstep,all}")
-        return 2
-    return handler(args)
+    everything.set_defaults(handler=cmd_all)

@@ -10,7 +10,6 @@ tests use.
 from __future__ import annotations
 
 import ast
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -193,9 +192,3 @@ def lint_paths(
         result.findings.extend(kept)
         result.suppressed += suppressed
     return result
-
-
-def write_json(result: LintResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result.to_json(), handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -19,8 +19,9 @@ Two halves, one design-space laboratory:
   ``outcast``, ``flash_crowd`` and CDN-style ``zipf_fanout`` — built on
   :mod:`repro.traffic`'s seeded arrival/size machinery.
 
-``python -m repro fabric sweep`` runs the head-to-head comparison and
-:mod:`repro.lab` persists it; every timestamp is integer picoseconds
+``python -m repro fabric sweep`` runs the head-to-head comparison — the
+``fabric-backends`` grid of :mod:`repro.lab`, which also persists it;
+every timestamp is integer picoseconds
 (simlint F4T007 covers this package), so identical seeds replay
 identical runs bit for bit.
 """
@@ -47,5 +48,4 @@ from .scenarios import (  # noqa: F401
     get_fabric_scenario,
 )
 from .softstack import SoftStack, SoftTestbed  # noqa: F401
-from .sweep import BackendComparison, sweep_backends  # noqa: F401
 from .switch import SwitchConfig, SwitchFabric  # noqa: F401

@@ -37,6 +37,7 @@ from typing import (
     Tuple,
 )
 
+from .. import Registry
 from ..net.link import LINK_100G, Link
 from ..net.wire import Wire
 from ..tcp.state_machine import TcpState
@@ -97,8 +98,9 @@ class BackendSpec:
         return service_for(self.name, **overrides)
 
 
-_REGISTRY: Dict[str, BackendSpec] = {
-    spec.name: spec
+_REGISTRY: Registry[BackendSpec] = Registry("backend")
+_REGISTRY.update(
+    (spec.name, spec)
     for spec in (
         BackendSpec(
             name="f4t",
@@ -144,7 +146,7 @@ _REGISTRY: Dict[str, BackendSpec] = {
             ),
         ),
     )
-}
+)
 
 #: Aliases accepted anywhere a backend name is: the traffic layer's
 #: historical default label maps to the real engine.
@@ -157,13 +159,7 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def get_backend(name: str) -> BackendSpec:
-    spec = _REGISTRY.get(_ALIASES.get(name, name))
-    if spec is None:
-        raise KeyError(
-            f"unknown backend {name!r}; available: "
-            + ", ".join(available_backends())
-        )
-    return spec
+    return _REGISTRY[_ALIASES.get(name, name)]
 
 
 def build_point_to_point(

@@ -10,7 +10,14 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
-import sys
+
+from ..cli import add_group, comma_list, emit
+
+_SWEEP_COLUMNS = [
+    "backend", "provenance", "completed", "goodput_gbps",
+    "p50_us", "p99_us", "retransmits", "switch_drops", "ecn_marks",
+]
+_CSV_COLUMNS = ["scenario", "num_hosts", "seed", "load_scale"] + _SWEEP_COLUMNS
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -32,76 +39,66 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .engine import run_fabric
     from .scenarios import get_fabric_scenario
 
-    try:
-        scenario = get_fabric_scenario(
-            args.scenario, num_hosts=args.hosts, seed=args.seed
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    scenario = get_fabric_scenario(
+        args.scenario, num_hosts=args.hosts, seed=args.seed
+    )
     bus = None
     if args.trace:
         from ..obs import DEFAULT_MAX_EVENTS, TraceBus
 
         bus = TraceBus(max_events=args.trace_events or DEFAULT_MAX_EVENTS)
-    try:
-        result = run_fabric(
-            scenario,
-            backend=args.backend,
-            load_scale=args.load_scale,
-            trace=bus,
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    result = run_fabric(
+        scenario,
+        backend=args.backend,
+        load_scale=args.load_scale,
+        trace=bus,
+    )
     print(result.summary())
     for key, value in result.scalars().items():
         print(f"  {key:>16}: {value:g}")
     if bus is not None:
-        from ..obs import write_chrome_trace
+        from ..obs import save_trace
 
-        write_chrome_trace(args.trace, bus.events)
-        dropped = f", {bus.dropped} dropped" if bus.dropped else ""
-        print(f"wrote {args.trace} ({len(bus.events)} events{dropped}; "
-              f"load into https://ui.perfetto.dev, or: "
-              f"python -m repro obs summary {args.trace})")
+        save_trace(args.trace, bus)
     return 0 if result.finished else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import sweep_backends
+    """The ``fabric-backends`` grid, run in-process on the verb's flags."""
+    from ..analysis.reporting import render_csv, render_table, tabulate
+    from ..lab.grids import fabric_backends_grid
+    from .backend import available_backends, get_backend
+    from .scenarios import get_fabric_scenario
 
-    backends = args.backends.split(",") if args.backends else None
-    try:
-        comparison = sweep_backends(
-            args.scenario,
-            backends=backends,
-            num_hosts=args.hosts,
-            seed=args.seed,
-            load_scale=args.load_scale,
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    print(comparison.summary())
+    # Resolve every name before the first run: a typo is exit 2 now,
+    # not after the backends in front of it have run to completion.
+    scenario = get_fabric_scenario(
+        args.scenario, num_hosts=args.hosts, seed=args.seed
+    )
+    specs = [get_backend(name) for name in args.backends or available_backends()]
+    records = fabric_backends_grid(
+        scenario=scenario.name,
+        backends=[spec.name for spec in specs],
+        num_hosts=args.hosts,
+        seed=args.seed,
+        load_scale=args.load_scale,
+    ).records()
+    for record, spec in zip(records, specs):
+        record.update(seed=scenario.seed, provenance=spec.provenance)
+    print(f"{scenario.name}: {scenario.num_hosts} hosts, seed {scenario.seed}, "
+          f"load x{args.load_scale:g}")
     print()
-    print(comparison.table())
+    print(render_table(*tabulate(records, _SWEEP_COLUMNS)))
     if args.csv is not None:
-        if args.csv == "-":
-            sys.stdout.write(comparison.to_csv())
-        else:
-            with open(args.csv, "w") as handle:
-                handle.write(comparison.to_csv())
-            print(f"wrote {args.csv}")
-    return 0 if all(r.finished for r in comparison.results) else 1
+        emit(render_csv(*tabulate(records, _CSV_COLUMNS)), args.csv)
+    return 0 if all(record["finished"] for record in records) else 1
 
 
 def add_fabric_parser(subparsers: argparse._SubParsersAction) -> None:
-    fabric = subparsers.add_parser(
-        "fabric",
+    fabric_sub = add_group(
+        subparsers, "fabric",
         help="offload backends + multi-host fabric scenarios (repro.fabric)",
     )
-    fabric_sub = fabric.add_subparsers(dest="fabric_command")
 
     run = fabric_sub.add_parser("run", help="run one scenario on one backend")
     run.add_argument("scenario", help="fabric scenario (see: fabric list)")
@@ -116,7 +113,7 @@ def add_fabric_parser(subparsers: argparse._SubParsersAction) -> None:
                      help="write a Chrome/Perfetto trace-event JSON")
     run.add_argument("--trace-events", type=int, default=None,
                      help="trace event cap (default 250000)")
-    run.set_defaults(fabric_handler=_cmd_run)
+    run.set_defaults(handler=_cmd_run)
 
     sweep = fabric_sub.add_parser(
         "sweep", help="run one scenario across backends, head to head"
@@ -124,6 +121,7 @@ def add_fabric_parser(subparsers: argparse._SubParsersAction) -> None:
     sweep.add_argument("scenario", nargs="?", default="incast",
                        help="fabric scenario (default: incast)")
     sweep.add_argument("--backends", default=None, metavar="B1,B2,...",
+                       type=comma_list(str),
                        help="comma-separated backends (default: all four)")
     sweep.add_argument("--hosts", type=int, default=8,
                        help="number of hosts (default 8)")
@@ -132,16 +130,8 @@ def add_fabric_parser(subparsers: argparse._SubParsersAction) -> None:
                        help="multiply open-loop arrival rates")
     sweep.add_argument("--csv", metavar="PATH",
                        help="write the comparison CSV ('-' = stdout)")
-    sweep.set_defaults(fabric_handler=_cmd_sweep)
+    sweep.set_defaults(handler=_cmd_sweep)
 
     fabric_sub.add_parser(
         "list", help="available backends and fabric scenarios"
-    ).set_defaults(fabric_handler=_cmd_list)
-
-
-def main(args: argparse.Namespace) -> int:
-    handler = getattr(args, "fabric_handler", None)
-    if handler is None:
-        print("usage: python -m repro fabric {run,sweep,list}")
-        return 2
-    return handler(args)
+    ).set_defaults(handler=_cmd_list)

@@ -76,15 +76,15 @@ class FabricResult:
     def scalars(self) -> Dict[str, float]:
         """Flat numeric view (lab drivers and the sweep table)."""
         return {
-            "offered": float(self.offered),
-            "completed": float(self.completed),
+            "offered": self.offered,
+            "completed": self.completed,
             "goodput_gbps": self.goodput_gbps,
             "p50_us": self.p50_s * 1e6,
             "p99_us": self.p99_s * 1e6,
-            "retransmits": float(self.retransmits),
-            "timeouts": float(self.timeouts),
-            "switch_drops": float(self.switch_drops),
-            "ecn_marks": float(self.ecn_marks),
+            "retransmits": self.retransmits,
+            "timeouts": self.timeouts,
+            "switch_drops": self.switch_drops,
+            "ecn_marks": self.ecn_marks,
             "peak_buffer_kib": self.peak_buffer_bytes / 1024,
             "elapsed_us": self.elapsed_s * 1e6,
         }

@@ -22,8 +22,9 @@ scenario's single seed, so one seed replays one run exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
+from .. import Registry
 from ..traffic.arrivals import ArrivalProcess, FlashCrowd, Poisson
 from ..traffic.sizes import Fixed, SizeDistribution, Zipf
 from .switch import SwitchConfig
@@ -98,17 +99,10 @@ class FabricScenario:
 # ------------------------------------------------------------- the registry
 FabricScenarioFactory = Callable[[], FabricScenario]
 
-FABRIC_SCENARIO_FACTORIES: Dict[str, FabricScenarioFactory] = {}
-
-
-def register_fabric_scenario(
-    name: str,
-) -> Callable[[FabricScenarioFactory], FabricScenarioFactory]:
-    def decorate(factory: FabricScenarioFactory) -> FabricScenarioFactory:
-        FABRIC_SCENARIO_FACTORIES[name] = factory
-        return factory
-
-    return decorate
+FABRIC_SCENARIO_FACTORIES: Registry[FabricScenarioFactory] = Registry(
+    "fabric scenario"
+)
+register_fabric_scenario = FABRIC_SCENARIO_FACTORIES.register
 
 
 def available_fabric_scenarios() -> Tuple[str, ...]:
@@ -120,14 +114,7 @@ def get_fabric_scenario(
     num_hosts: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> FabricScenario:
-    try:
-        factory = FABRIC_SCENARIO_FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown fabric scenario {name!r}; available: "
-            + ", ".join(available_fabric_scenarios())
-        ) from None
-    scenario = factory()
+    scenario = FABRIC_SCENARIO_FACTORIES[name]()
     if num_hosts is not None:
         scenario = scenario.with_hosts(num_hosts)
     if seed is not None:

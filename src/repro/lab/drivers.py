@@ -24,13 +24,9 @@ from ..analysis.reporting import ExperimentResult
 # --------------------------------------------------------------- exhibits
 def run_exhibit(exhibit: str, quick: bool = False) -> ExperimentResult:
     """One paper exhibit (``table1`` … ``figure16b``) as a grid point."""
-    from ..analysis.report import _QUICKABLE
-    from ..analysis.experiments import ALL_EXPERIMENTS
+    from ..analysis import report
 
-    driver = ALL_EXPERIMENTS[exhibit]
-    if quick and exhibit in _QUICKABLE:
-        return driver(quick=True)
-    return driver()
+    return report.run_all([exhibit], quick)[exhibit]
 
 
 # ------------------------------------------------- ablation: header rates
@@ -106,7 +102,7 @@ def ablation_mss_point(mss: int, total_bytes: int = 300_000) -> Dict[str, float]
 # -------------------------------------------------- traffic: scenario runs
 def traffic_scenario_point(
     scenario: str,
-    seed: int = 0,
+    seed: Optional[int] = None,
     load_scale: float = 1.0,
     backend: str = "functional",
     audit: bool = True,
@@ -265,33 +261,3 @@ def ablation_tcb_cache_point(
         memory, flows=flows, transactions=transactions, cache_entries=cache_entries
     )
     return {"swap_rate": rate}
-
-
-# ------------------------------------------------- repro.mem: cache sweep
-def mem_point(
-    geometry: str = "512x1:direct",
-    sketch_width: int = 1024,
-    churn: float = 0.3,
-    events: int = 20_000,
-    seed: int = 1234,
-) -> Dict[str, float]:
-    """One repro.mem cache-geometry replay point (numeric scalars only).
-
-    The geometry string itself is already in the grid's parameters, so
-    only the numeric columns (hit rate, DRAM charges, per-level stats,
-    sketch accuracy) go into the result row.
-    """
-    from ..mem.sweep import run_mem_point
-
-    row = run_mem_point(
-        geometry=geometry,
-        sketch_width=sketch_width,
-        churn=churn,
-        events=events,
-        seed=seed,
-    )
-    return {
-        key: float(value)
-        for key, value in row.items()
-        if isinstance(value, (int, float)) and not isinstance(value, bool)
-    }

@@ -9,11 +9,9 @@ the per-exhibit report.
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.reporting import render_markdown_table, render_table
+from ..analysis.reporting import render_csv, render_markdown_table, render_table
 from .store import RunRecord, RunStore
 
 #: Trailing bookkeeping columns, in export order.
@@ -63,24 +61,13 @@ def _flatten(
     return columns, rows
 
 
-def _select(
-    store: RunStore, experiment: Optional[str], status: Optional[str]
-) -> List[RunRecord]:
-    return store.records(experiment=experiment, status=status)
-
-
 def export_csv(
     store: RunStore,
     experiment: Optional[str] = None,
     status: Optional[str] = None,
 ) -> str:
     """The flattened view as CSV text."""
-    columns, rows = _flatten(_select(store, experiment, status))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    return render_csv(*_flatten(store.records(experiment=experiment, status=status)))
 
 
 def export_markdown(
@@ -89,7 +76,7 @@ def export_markdown(
     status: Optional[str] = None,
 ) -> str:
     """The flattened view as an aligned GitHub-Markdown table."""
-    columns, rows = _flatten(_select(store, experiment, status))
+    columns, rows = _flatten(store.records(experiment=experiment, status=status))
     return render_markdown_table(columns, rows)
 
 
@@ -99,11 +86,11 @@ def export_text(
     status: Optional[str] = None,
 ) -> str:
     """The flattened view as the report-style aligned plain-text table."""
-    columns, rows = _flatten(_select(store, experiment, status))
+    columns, rows = _flatten(store.records(experiment=experiment, status=status))
     return render_table(columns, rows)
 
 
-def status_table(store: RunStore, markdown: bool = False) -> str:
+def status_table(store: RunStore) -> str:
     """Per-experiment per-state counts, the ``lab status`` body."""
     counts = store.counts()
     columns = ["experiment", "pending", "running", "done", "error", "total"]
@@ -126,5 +113,4 @@ def status_table(store: RunStore, markdown: bool = False) -> str:
             ["TOTAL", totals["pending"], totals["running"], totals["done"],
              totals["error"], sum(totals.values())]
         )
-    renderer = render_markdown_table if markdown else render_table
-    return renderer(columns, rows)
+    return render_table(columns, rows)

@@ -135,7 +135,7 @@ def normalize_result(value: Any) -> PointResult:
                     "expected int/float (return an ExperimentResult for "
                     "anything richer)"
                 )
-            scalars[str(name)] = float(scalar)
+            scalars[str(name)] = scalar  # counts stay ints: 9, not 9.0
         return PointResult(scalars=scalars)
     raise TypeError(
         f"driver returned {type(value).__name__}; expected ExperimentResult "
@@ -198,6 +198,14 @@ class ExperimentGrid:
         """Execute one point in-process (the benches use this directly)."""
         driver = resolve_driver(point.driver)
         return normalize_result(driver(**point.kwargs()))
+
+    def records(self) -> List[Dict[str, Any]]:
+        """Every point run in-process, one flat ``{param..., scalar...}``
+        mapping each — the rows a sweep verb tabulates."""
+        return [
+            {**point.kwargs(), **self.call(point).scalars}
+            for point in self.expand()
+        ]
 
 
 # ------------------------------------------------------------- provenance

@@ -5,7 +5,11 @@ driver is a dotted path into :mod:`repro.lab.drivers`.  These are the
 single source of truth for the sweep points: the CLI (``python -m repro
 lab run <name>``) executes them through the store/worker machinery, and
 ``benchmarks/test_ablation_*.py`` iterate the very same points
-in-process — so a point added here shows up in both.
+in-process — so a point added here shows up in both.  The three sweep
+verbs (``traffic sweep``, ``fabric sweep``, ``mem sweep``) call their
+factory with the verb's flags as keywords and run the grid in-process;
+the keyword defaults *are* the registered grid, so verb and ``lab run``
+hash to the same run ids.
 
 ``quick=True`` shrinks sample counts for smoke runs; because a point's
 run id hashes its parameters, quick and full results never collide in
@@ -14,21 +18,15 @@ the store.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
+from .. import Registry
 from .grid import ExperimentGrid
 
-GridFactory = Callable[[bool], ExperimentGrid]
+GridFactory = Callable[..., ExperimentGrid]
 
-GRID_FACTORIES: Dict[str, GridFactory] = {}
-
-
-def register_grid(name: str) -> Callable[[GridFactory], GridFactory]:
-    def decorate(factory: GridFactory) -> GridFactory:
-        GRID_FACTORIES[name] = factory
-        return factory
-
-    return decorate
+GRID_FACTORIES: Registry[GridFactory] = Registry("grid")
+register_grid = GRID_FACTORIES.register
 
 
 def available_grids() -> List[str]:
@@ -36,13 +34,7 @@ def available_grids() -> List[str]:
 
 
 def get_grid(name: str, quick: bool = False) -> ExperimentGrid:
-    try:
-        factory = GRID_FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown grid {name!r}; available: {', '.join(available_grids())}"
-        ) from None
-    return factory(quick)
+    return GRID_FACTORIES[name](quick)
 
 
 def get_grids(names: Sequence[str], quick: bool = False) -> List[ExperimentGrid]:
@@ -83,16 +75,23 @@ def traffic_scenarios_grid(quick: bool = False) -> ExperimentGrid:
 
 
 @register_grid("traffic-load")
-def traffic_load_grid(quick: bool = False) -> ExperimentGrid:
-    """Offered-load sweep of the rpc scenario on the calibrated model."""
+def traffic_load_grid(
+    quick: bool = False,
+    scenario: str = "rpc",
+    loads: Optional[Sequence[float]] = None,
+    backend: str = "model",
+    seed: Optional[int] = None,
+) -> ExperimentGrid:
+    """Offered-load sweep of one scenario; ``traffic sweep`` runs this grid."""
+    if loads is None:
+        loads = [1.0, 4.0, 12.0] if quick else [0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 24.0]
     return ExperimentGrid(
         name="traffic-load",
         driver="repro.lab.drivers:traffic_scenario_point",
-        domains={
-            "load_scale": [1.0, 4.0, 12.0] if quick
-            else [0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 24.0],
-        },
-        base={"scenario": "rpc", "backend": "model"},
+        # float(): a load spelled 1 and one spelled 1.0 are the same run id
+        domains={"load_scale": sorted(float(load) for load in loads)},
+        base={"scenario": scenario, "backend": backend},
+        seeds=None if seed is None else [seed],
         description="latency-vs-load curve points (model backend, dense)",
     )
 
@@ -124,19 +123,28 @@ def fabric_incast_grid(quick: bool = False) -> ExperimentGrid:
 
 
 @register_grid("fabric-backends")
-def fabric_backends_grid(quick: bool = False) -> ExperimentGrid:
-    """All four offload backends head-to-head on the incast fabric."""
+def fabric_backends_grid(
+    quick: bool = False,
+    scenario: str = "incast",
+    backends: Optional[Sequence[str]] = None,
+    num_hosts: Optional[int] = None,
+    seed: Optional[int] = None,
+    load_scale: float = 1.0,
+) -> ExperimentGrid:
+    """Offload backends head-to-head on one fabric scenario; ``fabric
+    sweep`` runs this grid (all four backends, 8 hosts, by default)."""
     from ..fabric import available_backends
 
     return ExperimentGrid(
         name="fabric-backends",
         driver="repro.lab.drivers:fabric_point",
-        domains={"backend": list(available_backends())},
+        domains={"backend": list(backends or available_backends())},
         base={
-            "scenario": "incast",
-            "num_hosts": 4 if quick else 8,
-            "seed": 0,
+            "scenario": scenario,
+            "num_hosts": num_hosts or (4 if quick else 8),
+            "load_scale": load_scale,
         },
+        seeds=None if seed is None else [seed],
         description="f4t vs flextoe vs pno vs linux_stack on one incast "
         "(f4t paper-backed, soft backends model-backed)",
     )
@@ -259,17 +267,22 @@ def ablation_matrix_grid(quick: bool = False) -> ExperimentGrid:
 
 
 @register_grid("mem-geometry")
-def mem_geometry_grid(quick: bool = False) -> ExperimentGrid:
+def mem_geometry_grid(quick: bool = False, seed: int = 1234) -> ExperimentGrid:
     """TCB cache geometry x sketch width x churn (repro.mem).
 
     The replay-level ablation behind the ROADMAP's million-flow memory
     question: which cache organisation (and how much sketch state)
     beats the paper's direct-mapped cache once connections churn.
+    ``mem sweep`` runs this grid.  Every non-direct geometry keeps the
+    baseline's 512-line capacity, so the comparison isolates
+    organisation, not size.
     """
     return ExperimentGrid(
         name="mem-geometry",
-        driver="repro.lab.drivers:mem_point",
+        driver="repro.mem.sweep:run_mem_point",
         domains={
+            "churn": [0.2, 0.6],
+            "sketch_width": [256, 1024],
             "geometry": [
                 "512x1:direct",
                 "128x4:lru",
@@ -277,9 +290,8 @@ def mem_geometry_grid(quick: bool = False) -> ExperimentGrid:
                 "128x4:freq",
                 "64x4:lru/256x1:direct",
             ],
-            "sketch_width": [256, 1024],
-            "churn": [0.2, 0.6],
         },
-        base={"events": 4_000 if quick else 20_000},
+        base={"sketch": "countmin", "events": 4_000 if quick else 20_000},
+        seeds=[seed],
         description="cache organisation vs DRAM charges under churn",
     )

@@ -22,9 +22,9 @@ flow-table-lookup and FPGA sketch-acceleration papers in PAPERS.md:
   placement act on *predicted* heavy hitters before queues back up
   (``placement_policy="predictive"``; ``"reactive"`` is the paper's
   behaviour and the default);
-* :mod:`repro.mem.sweep` — the cache-geometry × sketch-width × churn
-  replay grid behind ``repro mem {stats,sweep}`` and the lab's
-  ``mem-geometry`` grid.
+* :mod:`repro.mem.sweep` — the one-geometry stream replay that is the
+  point driver of the lab's ``mem-geometry`` grid (which ``repro mem
+  sweep`` runs), and the placement-policy A/B behind ``repro mem stats``.
 """
 
 from .advisor import POLICIES, POLICY_PREDICTIVE, POLICY_REACTIVE, FlowHeat

@@ -8,28 +8,30 @@ Subcommands::
 ``stats`` answers "is the machinery working" in one screen: sketch
 estimation error against the exact oracle, one cache-geometry replay,
 and the reactive-vs-predictive placement comparison.  ``sweep`` runs
-the full replay grid and renders it as a table or byte-deterministic
-CSV (the mem-smoke CI job runs it twice and ``cmp``'s the files).
-
-The handlers live here (not in ``repro.__main__``) so they are
-importable and testable like any other library function.
+the ``mem-geometry`` lab grid in-process and renders it as a table or
+byte-deterministic CSV (the mem-smoke CI job runs it twice and
+``cmp``'s the files).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List
 
+from ..cli import add_group, emit
 from .sweep import (
     DEFAULT_BASELINE_GEOMETRY,
     best_improvement,
     compare_policies,
-    rows_to_csv,
     run_mem_point,
-    run_mem_sweep,
     synth_accesses,
 )
+
+#: What a sweep row *is*; ``--csv`` leads with these, then every
+#: measured column any row carries (two-level geometries add ``l1_*``).
+_IDENTITY = [
+    "geometry", "sketch", "sketch_width", "events", "working_set", "churn", "seed",
+]
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -73,31 +75,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    events = 4000 if args.quick else 20000
-    rows = run_mem_sweep(events=events, seed=args.seed)
-    text = rows_to_csv(rows)
+    from ..analysis.reporting import render_csv, render_table, tabulate
+    from ..lab.grids import mem_geometry_grid
+
+    rows = mem_geometry_grid(args.quick, seed=args.seed).records()
     if args.csv is not None:
-        if args.csv == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.csv, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"wrote {args.csv} ({len(rows)} rows)")
+        ordered = [{**dict.fromkeys(_IDENTITY), **row} for row in rows]
+        emit(render_csv(*tabulate(ordered)), args.csv)
     else:
-        columns = (
-            "geometry", "sketch_width", "churn", "hit_rate", "dram_charges"
-        )
-        header = "  ".join(f"{c:>14}" for c in columns)
-        print(header)
-        for row in rows:
-            cells: List[str] = []
-            for column in columns:
-                value = row[column]
-                cells.append(
-                    f"{value:>14.4f}" if isinstance(value, float)
-                    else f"{value:>14}"
-                )
-            print("  ".join(cells))
+        print(render_table(*tabulate(
+            rows, ["geometry", "sketch_width", "churn", "hit_rate", "dram_charges"]
+        )))
     best = best_improvement(rows)
     if best is None:
         print("no baseline row swept; cannot rank geometries", file=sys.stderr)
@@ -112,10 +100,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def add_mem_parser(subparsers: argparse._SubParsersAction) -> None:
-    mem = subparsers.add_parser(
-        "mem", help="TCB memory-hierarchy experiments (repro.mem)"
+    mem_sub = add_group(
+        subparsers, "mem", help="TCB memory-hierarchy experiments (repro.mem)"
     )
-    mem_sub = mem.add_subparsers(dest="mem_command")
 
     stats = mem_sub.add_parser(
         "stats", help="sketch accuracy, cache replay, and policy A/B"
@@ -131,7 +118,7 @@ def add_mem_parser(subparsers: argparse._SubParsersAction) -> None:
         "--geometry", default="128x4:freq", metavar="SPEC",
         help="cache geometry for the replay (default 128x4:freq)",
     )
-    stats.set_defaults(mem_handler=cmd_stats)
+    stats.set_defaults(handler=cmd_stats)
 
     sweep = mem_sub.add_parser(
         "sweep", help="geometry x sketch-width x churn replay grid"
@@ -143,12 +130,4 @@ def add_mem_parser(subparsers: argparse._SubParsersAction) -> None:
     sweep.add_argument(
         "--csv", metavar="PATH", help="write sweep CSV ('-' = stdout)"
     )
-    sweep.set_defaults(mem_handler=cmd_sweep)
-
-
-def main(args: argparse.Namespace) -> int:
-    handler = getattr(args, "mem_handler", None)
-    if handler is None:
-        print("usage: python -m repro mem {stats,sweep}")
-        return 2
-    return handler(args)
+    sweep.set_defaults(handler=cmd_sweep)

@@ -1,13 +1,14 @@
-"""Cache-geometry × sketch-width × churn replay sweeps.
+"""Replaying one synthetic TCB access stream through one cache geometry.
 
-The sweep replays a seeded synthetic TCB access stream — a Zipf-skewed
+:func:`run_mem_point` replays a seeded stream — a Zipf-skewed
 persistent working set plus one-shot churn flows — directly through a
 :class:`~repro.mem.hierarchy.TcbCacheHierarchy`, counting DRAM charges
 the way the memory manager does (one line fill per miss, one write-back
-per line leaving the hierarchy).  It answers the ROADMAP ablation
-question cheaply, without a full engine run: which geometry/policy
-beats the paper's direct-mapped cache on a churning million-flow
-workload, and how much sketch width that takes.
+per line leaving the hierarchy).  Swept over the ``mem-geometry`` grid
+(:mod:`repro.lab.grids`; ``python -m repro mem sweep`` runs it) it
+answers the ROADMAP ablation question cheaply, without a full engine
+run: which geometry/policy beats the paper's direct-mapped cache on a
+churning million-flow workload, and how much sketch width that takes.
 
 :func:`compare_policies` is the companion scheduler-level experiment:
 the same Zipf stream pushed through a slot-starved FPC pair under
@@ -15,17 +16,16 @@ the same Zipf stream pushed through a slot-starved FPC pair under
 ``predictive`` (decline migrating predicted heavy hitters) placement,
 reporting congestion-migration counts for both.
 
-Everything here is seeded and integer-deterministic; the CSV renderer
-formats floats to fixed precision so byte-identical reruns are a CI
-assertion (``cmp`` in the mem-smoke job), like every other sweep in the
-repo.
+Everything here is seeded and integer-deterministic, so byte-identical
+reruns of the sweep CSV are a CI assertion (``cmp`` in the mem-smoke
+job), like every other sweep in the repo.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from .advisor import POLICY_PREDICTIVE, POLICY_REACTIVE, FlowHeat
 from .hierarchy import CacheGeometry, TcbCacheHierarchy
@@ -33,19 +33,6 @@ from .sketch import ExactOracle, accuracy_report, make_sketch
 
 #: The paper's geometry; every sweep row is measured against it.
 DEFAULT_BASELINE_GEOMETRY = "512x1:direct"
-
-#: Default sweep axes (geometry × sketch width × churn).  All
-#: non-direct geometries keep the baseline's 512-line capacity so the
-#: comparison isolates organisation, not size.
-DEFAULT_GEOMETRIES = (
-    "512x1:direct",
-    "128x4:lru",
-    "128x4:slru",
-    "128x4:freq",
-    "64x4:lru/256x1:direct",
-)
-DEFAULT_SKETCH_WIDTHS = (256, 1024)
-DEFAULT_CHURNS = (0.2, 0.6)
 
 
 def synth_accesses(
@@ -92,13 +79,14 @@ def run_mem_point(
     churn: float = 0.3,
     zipf_s: float = 1.1,
     seed: int = 1234,
-) -> Dict[str, object]:
+) -> Dict[str, float]:
     """Replay one synthetic stream through one cache geometry.
 
-    Returns flat scalars: DRAM charges (fills + write-backs — the
-    number the memory manager would put on the channel), hit rate,
-    per-level stats, and the sketch's accuracy against the exact
-    oracle over the persistent working set.
+    Returns flat numeric scalars — this is the ``mem-geometry`` grid's
+    point driver: DRAM charges (fills + write-backs — the number the
+    memory manager would put on the channel), hit rate, per-level
+    stats, and the sketch's accuracy against the exact oracle over the
+    persistent working set.
     """
     parsed = CacheGeometry.parse(geometry)
     estimator = make_sketch(sketch, width=sketch_width, seed=seed)
@@ -116,9 +104,7 @@ def run_mem_point(
     accuracy = accuracy_report(
         estimator, oracle, keys=range(min(working_set, 256)), k=8
     )
-    row: Dict[str, object] = {
-        "geometry": parsed.render(),
-        "sketch": sketch,
+    row: Dict[str, float] = {
         "sketch_width": sketch_width,
         "events": events,
         "working_set": working_set,
@@ -135,49 +121,6 @@ def run_mem_point(
             row[f"l{index}_{key}"] = value
     row.update(accuracy)
     return row
-
-
-def run_mem_sweep(
-    geometries: Iterable[str] = DEFAULT_GEOMETRIES,
-    sketch_widths: Iterable[int] = DEFAULT_SKETCH_WIDTHS,
-    churns: Iterable[float] = DEFAULT_CHURNS,
-    sketch: str = "countmin",
-    events: int = 20000,
-    working_set: int = 2048,
-    seed: int = 1234,
-) -> List[Dict[str, object]]:
-    """The full geometry × sketch-width × churn grid, one row per point."""
-    rows: List[Dict[str, object]] = []
-    for churn in churns:
-        for width in sketch_widths:
-            for geometry in geometries:
-                rows.append(run_mem_point(
-                    geometry=geometry,
-                    sketch=sketch,
-                    sketch_width=width,
-                    events=events,
-                    working_set=working_set,
-                    churn=churn,
-                    seed=seed,
-                ))
-    return rows
-
-
-def rows_to_csv(rows: List[Dict[str, object]]) -> str:
-    """Byte-deterministic CSV: fixed column order, fixed float format."""
-    if not rows:
-        return "\n"
-    columns = list(rows[0].keys())
-
-    def cell(value: object) -> str:
-        if isinstance(value, float):
-            return f"{value:.6f}"
-        return str(value)
-
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(cell(row[column]) for column in columns))
-    return "\n".join(lines) + "\n"
 
 
 def best_improvement(rows: List[Dict[str, object]]) -> Optional[Dict[str, object]]:

@@ -27,6 +27,7 @@ from .export import (
     load_chrome_trace,
     render_flow_timeline,
     render_summary,
+    save_trace,
     summarize_records,
     to_chrome_trace,
     write_chrome_trace,
@@ -90,6 +91,7 @@ __all__ = [
     "render_flow_timeline",
     "render_summary",
     "sample_occupancy",
+    "save_trace",
     "summarize_records",
     "to_chrome_trace",
     "write_chrome_trace",

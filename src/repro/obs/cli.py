@@ -6,9 +6,6 @@ Subcommands operate on the Chrome trace-event JSON that
 * ``summary``  — per-component time/occupancy breakdown, busiest first;
 * ``flows``    — list traced flows, or print one flow's text timeline;
 * ``export``   — convert the JSON to a flat CSV or a full text timeline.
-
-The handlers live here (not in ``repro.__main__``) so they are
-importable and testable like any other library function.
 """
 
 from __future__ import annotations
@@ -17,6 +14,7 @@ import argparse
 import sys
 from typing import List
 
+from ..cli import add_group, emit
 from .export import (
     events_to_csv,
     flow_ids_in,
@@ -67,20 +65,14 @@ def cmd_export(args: argparse.Namespace) -> int:
             lines.append(render_flow_timeline(records, flow_id))
         text = "\n".join(lines) + "\n"
         destination = args.timeline or "-"
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w") as handle:
-            handle.write(text)
-        print(f"wrote {destination}")
+    emit(text, destination)
     return 0
 
 
 def add_obs_parser(subparsers: argparse._SubParsersAction) -> None:
-    obs = subparsers.add_parser(
-        "obs", help="inspect exported traces (repro.obs)"
+    obs_sub = add_group(
+        subparsers, "obs", help="inspect exported traces (repro.obs)"
     )
-    obs_sub = obs.add_subparsers(dest="obs_command")
 
     summary = obs_sub.add_parser(
         "summary", help="per-component time/occupancy breakdown"
@@ -88,7 +80,7 @@ def add_obs_parser(subparsers: argparse._SubParsersAction) -> None:
     summary.add_argument("trace", help="Chrome trace-event JSON (from --trace)")
     summary.add_argument("--top", type=int, default=0,
                          help="only the N busiest components")
-    summary.set_defaults(obs_handler=cmd_summary)
+    summary.set_defaults(handler=cmd_summary)
 
     flows = obs_sub.add_parser("flows", help="per-flow text timelines")
     flows.add_argument("trace", help="Chrome trace-event JSON (from --trace)")
@@ -96,7 +88,7 @@ def add_obs_parser(subparsers: argparse._SubParsersAction) -> None:
                        help="print this flow's timeline (default: list flows)")
     flows.add_argument("--limit", type=int, default=0,
                        help="cap timeline lines (0 = all)")
-    flows.set_defaults(obs_handler=cmd_flows)
+    flows.set_defaults(handler=cmd_flows)
 
     export = obs_sub.add_parser(
         "export", help="convert a trace to CSV or text timelines"
@@ -106,12 +98,4 @@ def add_obs_parser(subparsers: argparse._SubParsersAction) -> None:
                         help="flat event CSV ('-' = stdout)")
     export.add_argument("--timeline", metavar="PATH",
                         help="all flows as text timelines ('-' = stdout)")
-    export.set_defaults(obs_handler=cmd_export)
-
-
-def main(args: argparse.Namespace) -> int:
-    handler = getattr(args, "obs_handler", None)
-    if handler is None:
-        print("usage: python -m repro obs {summary,flows,export}")
-        return 2
-    return handler(args)
+    export.set_defaults(handler=cmd_export)

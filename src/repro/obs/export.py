@@ -22,7 +22,7 @@ import json
 from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .trace import TraceEvent
+from .trace import TraceBus, TraceEvent
 
 #: Cap flow-arrow chains per export so a big trace stays loadable.
 MAX_FLOW_ARROWS = 2000
@@ -180,6 +180,16 @@ def write_chrome_trace(
     with open(path, "w") as handle:
         json.dump(records, handle)
     return len(records)
+
+
+def save_trace(path: str, bus: TraceBus) -> None:
+    """The ``--trace PATH`` sink of every ``run`` verb: write the bus
+    and tell the user how to look at it."""
+    write_chrome_trace(path, bus.events)
+    dropped = f", {bus.dropped} dropped" if bus.dropped else ""
+    print(f"wrote {path} ({len(bus.events)} events{dropped}; "
+          f"load into https://ui.perfetto.dev, or: "
+          f"python -m repro obs summary {path})")
 
 
 # ----------------------------------------------------- reading JSON back

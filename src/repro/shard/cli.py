@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, TextIO
+
+from ..cli import add_group, comma_list
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from .runner import ShardResult
-    from .scenarios import ShardScenario
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -34,50 +35,45 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve(args: argparse.Namespace) -> Optional["ShardScenario"]:
-    """A shard scenario by name, or None for the traffic-shard path."""
+def _run(
+    args: argparse.Namespace,
+    workers: int,
+    fingerprint: Optional[bool],
+    progress: Optional[TextIO] = None,
+    load_scale: float = 1.0,
+) -> "ShardResult":
+    """One run at one worker count: a shard scenario by that name, else
+    a traffic scenario split by class into cells."""
+    from ..traffic.scenario import get_scenario
+    from .runner import run_shard, run_traffic_shard
     from .scenarios import SHARD_SCENARIOS, get_shard_scenario
 
-    if args.scenario not in SHARD_SCENARIOS:
-        return None
-    scenario = get_shard_scenario(args.scenario, seed=args.seed)
-    if args.dry:
-        scenario = scenario.scaled(128)
-    return scenario
+    if args.scenario in SHARD_SCENARIOS:
+        scenario = get_shard_scenario(args.scenario, seed=args.seed)
+        if args.dry:
+            scenario = scenario.scaled(128)
+        return run_shard(
+            scenario, workers=workers, fingerprint=fingerprint, progress=progress
+        )
+    return run_traffic_shard(
+        get_scenario(args.scenario, seed=args.seed),
+        cells=args.cells,
+        workers=workers,
+        load_scale=load_scale,
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .runner import run_shard, run_traffic_shard
-
-    scenario = _resolve(args)
-    if scenario is not None:
-        fingerprint: Optional[bool] = None  # scenario default
-        if args.fingerprint:
-            fingerprint = True
-        elif args.no_fingerprint:
-            fingerprint = False
-        result = run_shard(
-            scenario,
-            workers=args.workers,
-            fingerprint=fingerprint,
-            progress=None if args.json else sys.stderr,
-        )
-    else:
-        from ..traffic.scenario import SCENARIO_FACTORIES, get_scenario
-
-        if args.scenario not in SCENARIO_FACTORIES:
-            print(
-                f"unknown scenario {args.scenario!r} "
-                "(see: python -m repro shard list)",
-                file=sys.stderr,
-            )
-            return 2
-        result = run_traffic_shard(
-            get_scenario(args.scenario, seed=args.seed),
-            cells=args.cells,
-            workers=args.workers,
-            load_scale=args.load_scale,
-        )
+    fingerprint: Optional[bool] = None  # scenario default
+    if args.fingerprint:
+        fingerprint = True
+    elif args.no_fingerprint:
+        fingerprint = False
+    result = _run(
+        args, args.workers, fingerprint,
+        progress=None if args.json else sys.stderr,
+        load_scale=args.load_scale,
+    )
     if args.json:
         json.dump(result.to_json(), sys.stdout, indent=2)
         print()
@@ -90,28 +86,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """Run one scenario at several worker counts; the merged
     fingerprint must not move.  Exit 1 when it does — this is the
     determinism check CI leans on."""
-    from ..traffic.scenario import SCENARIO_FACTORIES, get_scenario
-    from .runner import run_shard, run_traffic_shard
-
-    worker_counts = [int(w) for w in args.workers_list.split(",")]
-    scenario = _resolve(args)
     rows: List["ShardResult"] = []
-    for workers in worker_counts:
-        if scenario is not None:
-            result = run_shard(scenario, workers=workers, fingerprint=True)
-        else:
-            if args.scenario not in SCENARIO_FACTORIES:
-                print(
-                    f"unknown scenario {args.scenario!r} "
-                    "(see: python -m repro shard list)",
-                    file=sys.stderr,
-                )
-                return 2
-            result = run_traffic_shard(
-                get_scenario(args.scenario, seed=args.seed),
-                cells=args.cells,
-                workers=workers,
-            )
+    for workers in args.workers_list:
+        result = _run(args, workers, fingerprint=True)
         rows.append(result)
         print(
             f"workers={workers:<3d} epochs={result.epochs:<6d} "
@@ -121,18 +98,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if len(fingerprints) != 1:
         print("FINGERPRINT MISMATCH across worker counts", file=sys.stderr)
         return 1
-    print(f"deterministic across workers {args.workers_list}: "
-          f"{rows[0].fingerprint}")
+    counts = ",".join(str(workers) for workers in args.workers_list)
+    print(f"deterministic across workers {counts}: {rows[0].fingerprint}")
     return 0
 
 
 def add_shard_parser(subparsers: argparse._SubParsersAction) -> None:
-    shard = subparsers.add_parser(
-        "shard",
+    shard_sub = add_group(
+        subparsers, "shard",
         help="sharded multi-process simulation for million-flow runs "
              "(repro.shard)",
     )
-    shard_sub = shard.add_subparsers(dest="shard_command")
 
     run = shard_sub.add_parser("run", help="run one sharded scenario")
     run.add_argument("scenario",
@@ -152,7 +128,7 @@ def add_shard_parser(subparsers: argparse._SubParsersAction) -> None:
                      help="force trace fingerprinting off")
     run.add_argument("--json", action="store_true",
                      help="machine-readable result on stdout")
-    run.set_defaults(shard_handler=_cmd_run)
+    run.set_defaults(handler=_cmd_run)
 
     sweep = shard_sub.add_parser(
         "sweep", help="fingerprint equality across worker counts"
@@ -160,22 +136,15 @@ def add_shard_parser(subparsers: argparse._SubParsersAction) -> None:
     sweep.add_argument("scenario", nargs="?", default="churn",
                        help="scenario (default: churn)")
     sweep.add_argument("--workers-list", default="1,2,4", metavar="W1,W2,...",
+                       type=comma_list(int),
                        help="worker counts to compare (default 1,2,4)")
     sweep.add_argument("--seed", type=int, default=None, help="top-level seed")
     sweep.add_argument("--cells", type=int, default=None,
                        help="traffic shards: cell count")
     sweep.add_argument("--dry", action="store_true",
                        help="1/128-scale dry run (shard scenarios only)")
-    sweep.set_defaults(shard_handler=_cmd_sweep)
+    sweep.set_defaults(handler=_cmd_sweep)
 
     shard_sub.add_parser(
         "list", help="available shard + traffic scenarios"
-    ).set_defaults(shard_handler=_cmd_list)
-
-
-def main(args: argparse.Namespace) -> int:
-    handler = getattr(args, "shard_handler", None)
-    if handler is None:
-        print("usage: python -m repro shard {run,sweep,list}")
-        return 2
-    return handler(args)
+    ).set_defaults(handler=_cmd_list)

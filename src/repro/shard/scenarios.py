@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
+from .. import Registry
 from ..fabric.switch import SwitchConfig
 from ..net.wire import derive_seed
 
@@ -188,17 +189,8 @@ class ShardScenario:
 # ------------------------------------------------------------- the registry
 ShardScenarioFactory = Callable[[], ShardScenario]
 
-SHARD_SCENARIOS: Dict[str, ShardScenarioFactory] = {}
-
-
-def register_shard_scenario(
-    name: str,
-) -> Callable[[ShardScenarioFactory], ShardScenarioFactory]:
-    def decorate(factory: ShardScenarioFactory) -> ShardScenarioFactory:
-        SHARD_SCENARIOS[name] = factory
-        return factory
-
-    return decorate
+SHARD_SCENARIOS: Registry[ShardScenarioFactory] = Registry("shard scenario")
+register_shard_scenario = SHARD_SCENARIOS.register
 
 
 def available_shard_scenarios() -> List[str]:
@@ -206,14 +198,7 @@ def available_shard_scenarios() -> List[str]:
 
 
 def get_shard_scenario(name: str, seed: Optional[int] = None) -> ShardScenario:
-    try:
-        factory = SHARD_SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown shard scenario {name!r}; available: "
-            + ", ".join(available_shard_scenarios())
-        ) from None
-    scenario = factory()
+    scenario = SHARD_SCENARIOS[name]()
     return scenario if seed is None else scenario.with_seed(seed)
 
 

@@ -5,8 +5,9 @@ distributions and connection lifecycles from one top-level seed; the
 :class:`LoadEngine` drives them open-loop over the functional two-engine
 testbed (or the calibrated model via :func:`run_scenario_model`),
 measuring offered vs. achieved load, goodput and per-class latency
-percentiles.  :func:`sweep_load` produces latency-vs-load curves with
-knee detection.  ``python -m repro traffic {list,run,sweep}`` is the CLI.
+percentiles.  ``python -m repro traffic {list,run,sweep}`` is the CLI;
+``sweep`` runs the ``traffic-load`` lab grid and marks the latency knee
+(:func:`detect_knee`).
 """
 
 from .arrivals import (
@@ -30,7 +31,7 @@ from .scenario import (
     register_scenario,
 )
 from .sizes import Fixed, Lognormal, Pareto, SizeDistribution, Zipf
-from .sweep import SweepPoint, SweepResult, detect_knee, sweep_load
+from .sweep import detect_knee
 
 __all__ = [
     "ArrivalProcess",
@@ -57,8 +58,5 @@ __all__ = [
     "LoadEngine",
     "run_scenario",
     "run_scenario_model",
-    "SweepPoint",
-    "SweepResult",
     "detect_knee",
-    "sweep_load",
 ]

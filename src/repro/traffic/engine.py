@@ -155,15 +155,11 @@ class ScenarioResult:
         return render_table(self._COLUMNS, self.rows())
 
     def to_csv(self) -> str:
-        from ..analysis.reporting import format_value
+        from ..analysis.reporting import render_csv
 
         header = ["scenario", "backend", "seed", "load_scale"] + self._COLUMNS
-        lines = [",".join(header)]
-        for row in self.rows():
-            prefix = [self.scenario, self.backend, str(self.seed),
-                      format_value(self.load_scale)]
-            lines.append(",".join(prefix + [format_value(v) for v in row]))
-        return "\n".join(lines) + "\n"
+        prefix = [self.scenario, self.backend, self.seed, self.load_scale]
+        return render_csv(header, [prefix + row for row in self.rows()])
 
     def summary(self) -> str:
         state = "finished" if self.finished else "hit the time bound"

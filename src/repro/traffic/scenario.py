@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
+from .. import Registry
 from ..net.link import LINK_100G, Link
 from ..net.wire import Wire, derive_seed
 from .arrivals import ArrivalProcess, FlashCrowd, OnOffBursts, Poisson
@@ -212,15 +213,8 @@ class Scenario:
 # ------------------------------------------------------------- the registry
 ScenarioFactory = Callable[[], Scenario]
 
-SCENARIO_FACTORIES: Dict[str, ScenarioFactory] = {}
-
-
-def register_scenario(name: str) -> Callable[[ScenarioFactory], ScenarioFactory]:
-    def decorate(factory: ScenarioFactory) -> ScenarioFactory:
-        SCENARIO_FACTORIES[name] = factory
-        return factory
-
-    return decorate
+SCENARIO_FACTORIES: Registry[ScenarioFactory] = Registry("scenario")
+register_scenario = SCENARIO_FACTORIES.register
 
 
 def available_scenarios() -> List[str]:
@@ -228,14 +222,7 @@ def available_scenarios() -> List[str]:
 
 
 def get_scenario(name: str, seed: Optional[int] = None) -> Scenario:
-    try:
-        factory = SCENARIO_FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; available: "
-            + ", ".join(available_scenarios())
-        ) from None
-    scenario = factory()
+    scenario = SCENARIO_FACTORIES[name]()
     return scenario if seed is None else scenario.with_seed(seed)
 
 

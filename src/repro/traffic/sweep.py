@@ -1,98 +1,17 @@
-"""Latency-vs-load sweeps and knee detection.
+"""Knee detection for latency-vs-load curves.
 
 Sweeping ``load_scale`` over a scenario and plotting a latency
 percentile against achieved load is *the* canonical transport-stack
 exhibit (F4T Fig. 11 style): flat at low load, a knee where queueing
-takes over, then a wall.  :func:`sweep_load` runs the sweep on either
-backend and :func:`detect_knee` finds the knee with the kneedle
+takes over, then a wall.  The sweep itself is the ``traffic-load`` grid
+(:mod:`repro.lab.grids`), which ``python -m repro traffic sweep`` runs;
+:func:`detect_knee` finds the knee in its rows with the kneedle
 max-distance-from-chord rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
-
-from .engine import ScenarioResult, run_scenario
-from .model import run_scenario_model
-from .scenario import Scenario
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep sample: a load scale and the result it produced."""
-
-    load_scale: float
-    offered_rps: float
-    achieved_rps: float
-    p50_s: float
-    p99_s: float
-    goodput_gbps: float
-    result: ScenarioResult = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """A full latency-vs-load curve plus its detected knee."""
-
-    scenario: str
-    backend: str
-    points: List[SweepPoint]
-    #: Index into ``points`` of the detected knee, or None if flat.
-    knee_index: Optional[int]
-
-    @property
-    def knee(self) -> Optional[SweepPoint]:
-        return None if self.knee_index is None else self.points[self.knee_index]
-
-    def monotone_latency(self, tolerance: float = 0.10) -> bool:
-        """True when p99 never *drops* by more than ``tolerance``.
-
-        Open-loop percentiles wobble at low load, so "monotone" means
-        non-decreasing up to a fractional tolerance — the shape check
-        the acceptance criteria ask for, not strict inequality.
-        """
-        p99s = [p.p99_s for p in self.points]
-        return all(
-            b >= a * (1.0 - tolerance) for a, b in zip(p99s, p99s[1:])
-        )
-
-    def rows(self) -> List[dict]:
-        return [
-            {
-                "load_scale": p.load_scale,
-                "offered_rps": p.offered_rps,
-                "achieved_rps": p.achieved_rps,
-                "p50_us": p.p50_s * 1e6,
-                "p99_us": p.p99_s * 1e6,
-                "goodput_gbps": p.goodput_gbps,
-                "knee": "*" if self.knee_index is not None
-                and self.points[self.knee_index] is p else "",
-            }
-            for p in self.points
-        ]
-
-    def table(self) -> str:
-        from ..analysis.reporting import render_table
-
-        rows = self.rows()
-        columns = list(rows[0].keys())
-        return render_table(columns, [[r[c] for c in columns] for r in rows])
-
-    def summary(self) -> str:
-        head = (
-            f"sweep[{self.scenario}/{self.backend}]: "
-            f"{len(self.points)} points"
-        )
-        if self.knee is not None:
-            head += (
-                f", knee at load x{self.knee.load_scale:g} "
-                f"({self.knee.offered_rps:.3g} rps offered, "
-                f"p99={self.knee.p99_s * 1e6:.3g}us)"
-            )
-        else:
-            head += ", no knee detected"
-        return head
+from typing import Optional, Sequence
 
 
 def detect_knee(
@@ -131,56 +50,3 @@ def detect_knee(
         if distance > best_distance:
             best_index, best_distance = i, distance
     return best_index
-
-
-def sweep_load(
-    scenario: Scenario,
-    load_scales: Sequence[float],
-    backend: str = "model",
-    run: Optional[Callable[[Scenario, float], ScenarioResult]] = None,
-) -> SweepResult:
-    """Run the scenario at each load scale and locate the latency knee.
-
-    ``backend`` picks the calibrated model (fast — the default for
-    dense sweeps), the functional two-engine testbed ("functional"),
-    or any offload backend from ``repro.fabric`` ("f4t", "flextoe",
-    "pno", "linux_stack").  A custom ``run`` callable overrides all.
-    """
-    if run is None:
-        if backend == "model":
-            run = lambda sc, ls: run_scenario_model(sc, load_scale=ls)
-        elif backend == "functional":
-            run = lambda sc, ls: run_scenario(sc, load_scale=ls)
-        else:
-            from ..fabric.backend import get_backend
-
-            try:
-                spec = get_backend(backend)
-            except KeyError:
-                raise ValueError(f"unknown backend {backend!r}") from None
-            run = lambda sc, ls: run_scenario(
-                sc, load_scale=ls, backend=spec.name
-            )
-    points: List[SweepPoint] = []
-    for load_scale in sorted(load_scales):
-        result = run(scenario, load_scale)
-        points.append(
-            SweepPoint(
-                load_scale=load_scale,
-                offered_rps=result.offered_rps,
-                achieved_rps=result.achieved_rps,
-                p50_s=result.p50_s,
-                p99_s=result.p99_s,
-                goodput_gbps=result.goodput_gbps,
-                result=result,
-            )
-        )
-    knee = detect_knee(
-        [p.offered_rps for p in points], [p.p99_s for p in points]
-    )
-    return SweepResult(
-        scenario=scenario.name,
-        backend=backend,
-        points=points,
-        knee_index=knee,
-    )

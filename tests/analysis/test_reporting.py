@@ -7,7 +7,9 @@ from repro.analysis.reporting import (
     PaperCheck,
     format_value,
     render,
+    render_csv,
     render_table,
+    tabulate,
 )
 
 
@@ -44,6 +46,30 @@ class TestFormatting:
     def test_render_table_empty(self):
         table = render_table(["x"], [])
         assert "x" in table
+
+
+class TestCsv:
+    def test_tabulate_unions_columns_and_blanks_the_gaps(self):
+        one_level = {"geometry": "512x1", "l0_hits": 7}
+        two_level = {"geometry": "64x4/256x1", "l0_hits": 5, "l1_hits": 2}
+        for records in ([one_level, two_level], [two_level, one_level]):
+            columns, rows = tabulate(records)
+            assert sorted(columns) == ["geometry", "l0_hits", "l1_hits"]
+            by_geometry = {row[columns.index("geometry")]: row for row in rows}
+            assert by_geometry["512x1"][columns.index("l1_hits")] == ""
+            assert by_geometry["64x4/256x1"][columns.index("l1_hits")] == 2
+
+    def test_tabulate_selects_and_orders_named_columns(self):
+        columns, rows = tabulate([{"a": 1, "b": 2, "c": 3}], ["c", "a"])
+        assert (columns, rows) == (["c", "a"], [[3, 1]])
+
+    def test_floats_are_written_as_repr_not_display_format(self):
+        text = render_csv(["p99_us", "n"], [[1234.5, 3], [0.1 + 0.2, 4]])
+        assert text == "p99_us,n\n1234.5,3\n0.30000000000000004,4\n"
+        assert format_value(1234.5) == "1.23e+03"  # what a cell used to lose
+
+    def test_cells_with_commas_are_quoted(self):
+        assert render_csv(["detail"], [["a,b"]]) == 'detail\n"a,b"\n'
 
 
 class TestRender:

@@ -3,8 +3,8 @@
 import json
 import os
 
+from repro.__main__ import main
 from repro.check import lint_paths
-from repro.check.lint import write_json
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -15,10 +15,10 @@ class TestCleanTree:
         assert result.findings == [], result.render()
         assert result.files_checked > 50
 
-    def test_json_artifact_round_trips(self, tmp_path):
+    def test_json_artifact_round_trips(self, tmp_path, capsys):
         result = lint_paths([SRC])
         out = tmp_path / "findings.json"
-        write_json(result, str(out))
+        assert main(["check", "lint", SRC, "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["findings"] == []
         assert payload["files_checked"] == result.files_checked

@@ -113,6 +113,21 @@ class TestNormalization:
         result = normalize_result({"a": 1, "b": 2.5})
         assert result.scalars == {"a": 1.0, "b": 2.5}
         assert result.checks == {}
+        # a count stays a count: exported as 1, tabulated as "1" not "1.00"
+        assert type(result.scalars["a"]) is int
+
+    def test_records_are_params_then_scalars_one_per_point(self, tmp_path):
+        grid = ExperimentGrid(
+            name="g",
+            driver=DRIVER,
+            domains={"x": [2, 3]},
+            base={"log_path": str(tmp_path / "log")},
+            seeds=[5],
+        )
+        records = grid.records()
+        assert [r["x"] for r in records] == [2, 3]
+        assert [r["square"] for r in records] == [4.0, 9.0]
+        assert list(records[0]) == ["log_path", "x", "seed", "square", "seed_used"]
 
     def test_experiment_result_keeps_checks(self):
         exhibit = ExperimentResult(

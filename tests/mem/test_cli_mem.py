@@ -1,40 +1,29 @@
 """python -m repro mem — handler exit codes and CSV output."""
 
-import argparse
-
-from repro.mem.cli import add_mem_parser, cmd_stats, cmd_sweep, main
-
-
-def parse(argv):
-    parser = argparse.ArgumentParser()
-    subparsers = parser.add_subparsers(dest="command")
-    add_mem_parser(subparsers)
-    return parser.parse_args(argv)
+from repro.__main__ import main
 
 
 class TestMemCli:
     def test_no_subcommand_usage(self):
-        assert main(parse(["mem"])) == 2
+        assert main(["mem"]) == 2
 
     def test_stats_exits_zero_and_prints_policy_win(self, capsys):
-        args = parse(["mem", "stats", "--events", "4000"])
-        assert main(args) == 0
+        assert main(["mem", "stats", "--events", "4000"]) == 0
         out = capsys.readouterr().out
         assert "recall_at_k" in out
         assert "predictive avoids" in out
 
     def test_sweep_table_names_best_geometry(self, capsys):
-        args = parse(["mem", "sweep", "--quick"])
-        assert main(args) == 0
+        assert main(["mem", "sweep", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "best:" in out
         assert "512x1:direct" in out
 
     def test_sweep_csv_stdout_deterministic(self, capsys):
-        args = parse(["mem", "sweep", "--quick", "--csv", "-"])
-        assert cmd_sweep(args) == 0
+        argv = ["mem", "sweep", "--quick", "--csv", "-"]
+        assert main(argv) == 0
         first = capsys.readouterr().out
-        assert cmd_sweep(args) == 0
+        assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
         header = first.splitlines()[0]
@@ -42,13 +31,11 @@ class TestMemCli:
 
     def test_sweep_csv_file(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
-        args = parse(["mem", "sweep", "--quick", "--csv", str(path)])
-        assert cmd_sweep(args) == 0
+        assert main(["mem", "sweep", "--quick", "--csv", str(path)]) == 0
         assert path.read_text().count("\n") == 21  # header + 20 rows
 
     def test_stats_geometry_flag(self, capsys):
-        args = parse([
-            "mem", "stats", "--events", "2000", "--geometry", "64x4:lru",
-        ])
-        assert cmd_stats(args) == 0
+        assert main(
+            ["mem", "stats", "--events", "2000", "--geometry", "64x4:lru"]
+        ) == 0
         assert "64x4:lru" in capsys.readouterr().out

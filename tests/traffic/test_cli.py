@@ -48,6 +48,25 @@ class TestTrafficCli:
         ) == 0
         assert "model" in capsys.readouterr().out
 
+    def test_run_csv_cells_parse_back_to_the_run_exactly(self, capsys):
+        """Cells are ``repr`` floats (not the 2-decimal display format),
+        and a rerun writes the same bytes."""
+        from repro.traffic import get_scenario, run_scenario_model
+
+        argv = ["traffic", "run", "rpc", "--backend", "model", "--csv", "-"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        text = out[out.index("scenario,backend,seed"):]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(text)
+        header, *lines = text.splitlines()
+        result = run_scenario_model(get_scenario("rpc"))
+        for line, metrics in zip(lines, result.classes.values()):
+            cells = dict(zip(header.split(","), line.split(",")))
+            assert cells["class"] == metrics.name
+            assert float(cells["p99_us"]) == metrics.p99_s * 1e6
+            assert float(cells["achieved_rps"]) == metrics.achieved_rps
+
     def test_model_backend_rejects_pcap(self, capsys):
         assert main(
             ["traffic", "run", "rpc", "--backend", "model", "--pcap", "x.pcap"]
