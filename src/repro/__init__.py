@@ -3,7 +3,8 @@ framework (Boo et al., ISCA 2023), rebuilt in Python.
 
 Subpackages:
 
-* :mod:`repro.sim` — cycle-level simulation kernel (the FPGA substrate);
+* :mod:`repro.sim` — hardware primitives (components, FIFOs, pipelines,
+  memories) and stats; each model above keeps its own clock;
 * :mod:`repro.tcp` — the TCP protocol substrate;
 * :mod:`repro.engine` — FtEngine, the paper's contribution;
 * :mod:`repro.host` — the F4T software stack and the Linux baseline;

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import List, Optional
 
 from repro import UnknownNameError
@@ -49,14 +50,30 @@ def _cmd_info(_args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.report import main as report_main
+    from repro.analysis.report import run_all
+    from repro.analysis.reporting import render
 
-    argv = list(args.exhibits)
-    if args.quick:
-        argv.append("--quick")
-    if args.plots:
-        argv.append("--plots")
-    return report_main(argv)
+    failures = 0
+    started = time.time()
+    results = run_all(args.exhibits, quick=args.quick)
+    for name, result in results.items():
+        print()
+        print(render(result))
+        if args.plots:
+            from repro.analysis.plots import EXHIBIT_PLOTS
+
+            plotter = EXHIBIT_PLOTS.get(name)
+            if plotter is not None:
+                print()
+                print(plotter(result))
+        if not result.all_checks_pass():
+            failures += 1
+    print()
+    print(
+        f"ran {len(results)} exhibits in {time.time() - started:.0f}s wall; "
+        f"{failures} with out-of-tolerance checks"
+    )
+    return 1 if failures else 0
 
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
@@ -138,18 +155,15 @@ def _cmd_traffic_run(args: argparse.Namespace) -> int:
             return 2
         result = run_scenario_model(scenario, load_scale=args.load_scale)
     else:
-        from repro.engine.testbed import Testbed
         from repro.traffic import LoadEngine
 
-        testbed = Testbed(wire=scenario.build_wire())
+        engine = LoadEngine(
+            scenario, load_scale=args.load_scale, audit=args.audit
+        )
         if args.pcap:
             from repro.net.pcap import WireTap
 
-            tap = WireTap.attach(testbed.wire.port_a)
-        engine = LoadEngine(
-            scenario, testbed=testbed,
-            load_scale=args.load_scale, audit=args.audit,
-        )
+            tap = WireTap.attach(engine.testbed.wire.port_a)
         if args.trace:
             from repro.obs import (
                 DEFAULT_MAX_EVENTS, TraceBus, attach_load_engine,

@@ -9,8 +9,9 @@ cycle simulation, functional protocol execution, or calibrated models.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List
 
+from .. import Registry
 from ..apps.echo import EchoModel
 from ..apps.iperf import BulkTransferModel
 from ..apps.nginx import NginxPerformanceModel, simulate_closed_loop
@@ -615,21 +616,23 @@ def run_table2(quick: bool = True) -> ExperimentResult:
     return result
 
 
-#: Every exhibit driver, for the print-everything entry point.
-ALL_EXPERIMENTS = {
-    "table1": run_table1,
-    "figure1": run_figure1,
-    "figure2": run_figure2,
-    "figure7": run_figure7,
-    "figure8": run_figure8,
-    "figure9": run_figure9,
-    "figure10": run_figure10,
-    "figure11": run_figure11,
-    "figure12": run_figure12,
-    "figure13": run_figure13,
-    "figure14": run_figure14,
-    "figure15": run_figure15,
-    "figure16a": run_figure16a,
-    "figure16b": run_figure16b,
-    "table2": run_table2,
-}
+#: Every exhibit driver, in paper order (``repro report`` presents them
+#: in this order and looks exhibit names up here).
+ALL_EXPERIMENTS: Registry[Callable[..., ExperimentResult]] = Registry("exhibit")
+ALL_EXPERIMENTS.update(
+    table1=run_table1,
+    figure1=run_figure1,
+    figure2=run_figure2,
+    figure7=run_figure7,
+    figure8=run_figure8,
+    figure9=run_figure9,
+    figure10=run_figure10,
+    figure11=run_figure11,
+    figure12=run_figure12,
+    figure13=run_figure13,
+    figure14=run_figure14,
+    figure15=run_figure15,
+    figure16a=run_figure16a,
+    figure16b=run_figure16b,
+    table2=run_table2,
+)

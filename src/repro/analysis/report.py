@@ -1,10 +1,10 @@
-"""Regenerate every exhibit and render the full reproduction report.
+"""Regenerate the paper's exhibits: the machinery behind ``repro report``.
 
 Usage::
 
-    python -m repro.analysis.report            # everything (minutes)
-    python -m repro.analysis.report figure8    # one exhibit
-    python -m repro.analysis.report --quick    # reduced sample counts
+    python -m repro report            # everything (minutes)
+    python -m repro report figure8    # one exhibit
+    python -m repro report --quick    # reduced sample counts
 
 The same machinery backs EXPERIMENTS.md: each section shows the rows the
 paper's exhibit reports plus the paper-vs-measured checks.
@@ -12,91 +12,32 @@ paper's exhibit reports plus the paper-vs-measured checks.
 
 from __future__ import annotations
 
-import argparse
-import sys
-import time
 from typing import Dict, List, Optional
 
 from .experiments import ALL_EXPERIMENTS
-from .reporting import ExperimentResult, render
+from .reporting import ExperimentResult
 
 #: Drivers accepting a ``quick`` keyword (the slow, sampled ones).
 _QUICKABLE = {"figure10", "figure12", "figure14", "figure16b", "table2"}
 
-#: Stable presentation order (paper order).
-EXHIBIT_ORDER = [
-    "table1",
-    "figure1",
-    "figure2",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure14",
-    "figure15",
-    "figure16a",
-    "figure16b",
-    "table2",
-]
+#: Stable presentation order (paper order): the registry's own.
+EXHIBIT_ORDER = list(ALL_EXPERIMENTS)
 
 
 def run_all(
     names: Optional[List[str]] = None, quick: bool = False
 ) -> Dict[str, ExperimentResult]:
-    """Run the selected exhibits; returns name -> result."""
+    """Run the selected exhibits; returns name -> result.
+
+    Every name is looked up before the first driver runs, so an unknown
+    exhibit raises ``UnknownNameError`` at once, not minutes in.
+    """
     selected = names if names else EXHIBIT_ORDER
+    drivers = [(name, ALL_EXPERIMENTS[name]) for name in selected]
     results: Dict[str, ExperimentResult] = {}
-    for name in selected:
-        driver = ALL_EXPERIMENTS[name]
+    for name, driver in drivers:
         if quick and name in _QUICKABLE:
             results[name] = driver(quick=True)
         else:
             results[name] = driver()
     return results
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "exhibits",
-        nargs="*",
-        choices=EXHIBIT_ORDER + [[]],
-        help="exhibits to run (default: all, in paper order)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="reduced sample counts"
-    )
-    parser.add_argument(
-        "--plots", action="store_true", help="render ASCII plots where available"
-    )
-    args = parser.parse_args(argv)
-
-    names = list(args.exhibits) if args.exhibits else None
-    failures = 0
-    started = time.time()
-    for name, result in run_all(names, quick=args.quick).items():
-        print()
-        print(render(result))
-        if args.plots:
-            from .plots import EXHIBIT_PLOTS
-
-            plotter = EXHIBIT_PLOTS.get(name)
-            if plotter is not None:
-                print()
-                print(plotter(result))
-        if not result.all_checks_pass():
-            failures += 1
-    print()
-    print(
-        f"ran {len(names or EXHIBIT_ORDER)} exhibits in "
-        f"{time.time() - started:.0f}s wall; "
-        f"{failures} with out-of-tolerance checks"
-    )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -250,6 +250,17 @@ class Fpu:
             tcb.rcv_nxt = seq_add(tcb.irs, 1)
             tcb.rcv_user = tcb.rcv_nxt
             tcb.ack_pending = True
+            tcb.cc["_peer_syn_seen"] = True
+        elif tcb.state is TcpState.SYN_RECEIVED:
+            # Retransmitted SYN: our SYN-ACK was lost.  Send it again —
+            # a bare ACK would not carry our ISS, and the peer cannot
+            # leave SYN_SENT without it.  The RTO armed for the first
+            # SYN-ACK keeps running.
+            self._emit(
+                result, tcb, seq=tcb.iss, length=0,
+                flags=FLAG_SYN | FLAG_ACK, retransmission=True,
+                options=TcpOptions(mss=tcb.mss, window_scale=WINDOW_SCALE),
+            )
         else:
             # Duplicate SYN/SYN-ACK in a synchronized state: our ACK was
             # lost; answer with a challenge ACK (RFC 793) so the peer's
@@ -261,6 +272,11 @@ class Fpu:
     ) -> None:
         latest_ack = tcb.cc.pop("_latest_ack", None)
         if latest_ack is None:
+            return
+        if tcb.state is TcpState.SYN_SENT and "_peer_syn_seen" not in tcb.cc:
+            # RFC 793: an ACK without the peer's SYN is dropped in
+            # SYN-SENT.  rcv_nxt is still unknown, so completing the
+            # handshake here would ACK 0 for the rest of the connection.
             return
         sent_high = tcb.snd_max if tcb.snd_max is not None else tcb.snd_nxt
         if seq_gt(latest_ack, sent_high):
@@ -282,6 +298,7 @@ class Fpu:
             tcb.snd_una, seq_add(tcb.iss, 1)
         ):
             tcb.state = on_syn_ack_received(tcb.state)
+            del tcb.cc["_peer_syn_seen"]
             result.notifications.append(
                 HostNotification(NoteKind.CONNECTED, tcb.flow_id)
             )
@@ -346,6 +363,11 @@ class Fpu:
         self, result: ProcessResult, tcb: Tcb, dup_count: int, now_s: float
     ) -> None:
         if tcb.bytes_in_flight == 0:
+            return
+        if tcb.state in (TcpState.SYN_SENT, TcpState.SYN_RECEIVED):
+            # Only the SYN is in flight: it occupies a sequence number
+            # but no byte of the send stream, so there is nothing for
+            # fast retransmit to fetch.  The RTO resends it.
             return
         if self.cc.on_dupacks(tcb, dup_count, now_s):
             self._retransmit_missing(result, tcb)

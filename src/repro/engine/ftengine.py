@@ -57,7 +57,7 @@ from ..sim.memory import DRAMModel
 
 #: FtEngine's main clock (§4.1): control path at 250 MHz.
 ENGINE_FREQ_HZ = 250e6
-#: Exact integer picoseconds per 250 MHz cycle — kernel time is integer
+#: Exact integer picoseconds per 250 MHz cycle — simulated time is integer
 #: ps end-to-end (simlint F4T007); 250 MHz divides 1 THz evenly.
 ENGINE_PERIOD_PS = 10**12 // int(ENGINE_FREQ_HZ)
 

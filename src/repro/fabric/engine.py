@@ -28,7 +28,7 @@ from ..sim.stats import Histogram
 from ..tcp.state_machine import TcpState
 from .backend import get_backend
 from .scenarios import FabricScenario
-from .softstack import SoftStack, SoftStackConfig
+from .softstack import SoftStack, SoftStackConfig, run_event_loop
 from .switch import SwitchFabric
 
 #: Shared zero payload; transfer content is opaque, only sizes matter.
@@ -502,35 +502,15 @@ class FabricLoadEngine:
 
     # ------------------------------------------------------------ run loop
     def _run(self, until: Callable[[], bool], max_time_s: float) -> bool:
-        """Event-driven loop: settle every host at each event instant."""
-        max_time_ps = self.time_ps + int(max_time_s * 1e12)
-        stacks = self.stacks
-        fabric = self.fabric
-        while True:
-            t = self.time_ps
-            for stack in stacks:
-                stack.now_ps = t
-            for stack in stacks:
-                stack.tick()
-            if until():
-                return True
-            if t >= max_time_ps:
-                return False
-            candidates: List[int] = []
-            nxt = fabric.next_event_ps()
-            if nxt is not None:
-                candidates.append(nxt)
-            for stack in stacks:
-                wakeup = stack.next_wakeup_ps()
-                if wakeup is not None:
-                    candidates.append(wakeup)
-            arrival = self._next_arrival_ps()
-            if arrival is not None:
-                candidates.append(arrival)
-            future = [c for c in candidates if c > t]
-            if not future:
-                return False  # stalled: nothing can change the predicate
-            self.time_ps = min(min(future), max_time_ps)
+        """Settle every host at each event instant, for ``max_time_s`` more."""
+        return run_event_loop(
+            self,
+            self.stacks,
+            self.fabric.next_event_ps,
+            self.time_ps + int(max_time_s * 1e12),
+            until=until,
+            wakeup_ps=self._next_arrival_ps,
+        )
 
 
 def run_fabric(

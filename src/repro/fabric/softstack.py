@@ -29,7 +29,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..engine.ftengine import EngineMessage
 from ..net.link import LINK_100G, PER_PACKET_OVERHEAD, Link
@@ -809,6 +809,57 @@ class SoftStack:
                 )
 
 
+def run_event_loop(
+    clock,
+    stacks: Sequence[SoftStack],
+    next_network_event_ps: Callable[[], Optional[int]],
+    deadline_ps: int,
+    until: Optional[Callable[[], bool]] = None,
+    wakeup_ps: Optional[Callable[[], Optional[float]]] = None,
+    max_steps: Optional[int] = None,
+) -> bool:
+    """The one discrete-event loop every set of soft-stack hosts runs on.
+
+    ``clock`` is the owner (``SoftTestbed``, ``FabricLoadEngine``) whose
+    integer ``time_ps`` this loop advances; predicates and drivers read
+    it between events.  The soft stacks do nothing between packet
+    arrivals and timer deadlines, so at each instant the loop stamps
+    ``now_ps`` on every stack, ticks every stack and tests ``until``,
+    then jumps to the earliest of the network's next event
+    (``next_network_event_ps``), the stacks' timer wakeups and the
+    external ``wakeup_ps`` — never past the absolute ``deadline_ps``.
+
+    True when ``until`` held, or with no ``until`` when nothing is left
+    to happen; False on the deadline, the step bound, or a stall (no
+    future event could change ``until``).
+    """
+    steps = 0
+    while True:
+        t = clock.time_ps
+        for stack in stacks:
+            stack.now_ps = t
+        for stack in stacks:
+            stack.tick()
+        if until is not None and until():
+            return True
+        if t >= deadline_ps or (max_steps is not None and steps >= max_steps):
+            return False
+        candidates = [next_network_event_ps()]
+        candidates.extend(stack.next_wakeup_ps() for stack in stacks)
+        if wakeup_ps is not None:
+            external = wakeup_ps()
+            if external is not None:
+                # Ceil: landing one truncated ps *before* a float
+                # wakeup leaves the driver's predicate unsatisfied
+                # with no other event in the future — a stall.
+                candidates.append(int(external) + (external > int(external)))
+        future = [c for c in candidates if c is not None and c > t]
+        if not future:
+            return until is None
+        clock.time_ps = min(min(future), deadline_ps)
+        steps += 1
+
+
 class SoftTestbed:
     """Two soft stacks back to back: the point-to-point backend testbed.
 
@@ -852,26 +903,6 @@ class SoftTestbed:
     def cycle(self) -> int:
         return self.time_ps // _PERIOD_PS
 
-    def _next_event_ps(self) -> Optional[int]:
-        candidates = []
-        arrival = self.wire.next_arrival_ps()
-        if arrival is not None:
-            candidates.append(arrival)
-        for engine in (self.engine_a, self.engine_b):
-            wakeup = engine.next_wakeup_ps()
-            if wakeup is not None:
-                candidates.append(wakeup)
-        future = [t for t in candidates if t > self.time_ps]
-        return min(future) if future else None
-
-    def _settle(self) -> None:
-        """Process everything due at the current instant."""
-        engine_a, engine_b = self.engine_a, self.engine_b
-        engine_a.now_ps = self.time_ps
-        engine_b.now_ps = self.time_ps
-        engine_a.tick()
-        engine_b.tick()
-
     def run(
         self,
         until: Optional[Callable[[], bool]] = None,
@@ -886,29 +917,12 @@ class SoftTestbed:
         this loop is already event-driven, so there are no per-cycle
         no-op iterations to batch away.
         """
-        max_time_ps = int(max_time_s * 1e12)
-        steps = 0
-        while True:
-            self._settle()
-            if until is not None and until():
-                return True
-            if self.time_ps >= max_time_ps or steps >= max_steps:
-                return False
-            nxt = self._next_event_ps()
-            if wakeup_ps is not None:
-                external = wakeup_ps()
-                if external is not None:
-                    # Ceil: landing one truncated ps *before* a float
-                    # wakeup leaves the driver's predicate unsatisfied
-                    # with no other event in the future — a stall.
-                    external_ps = int(external) + (external > int(external))
-                    if external_ps > self.time_ps and (
-                        nxt is None or external_ps < nxt
-                    ):
-                        nxt = external_ps
-            if nxt is None:
-                if until is None:
-                    return True  # fully idle and nothing awaited
-                return False  # stalled: no event can change until()
-            self.time_ps = min(nxt, max_time_ps)
-            steps += 1
+        return run_event_loop(
+            self,
+            (self.engine_a, self.engine_b),
+            self.wire.next_arrival_ps,
+            int(max_time_s * 1e12),
+            until=until,
+            wakeup_ps=wakeup_ps,
+            max_steps=max_steps,
+        )

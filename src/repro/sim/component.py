@@ -1,10 +1,10 @@
 """Base class for clocked hardware components.
 
 Every block of FtEngine (event handler, TCB manager, FPU, scheduler, ...)
-is modelled as a :class:`Component` attached to a clock domain.  The
-simulation kernel calls :meth:`Component.tick` once per cycle of that
-domain, in the registration order (which callers arrange to follow the
-dataflow direction so that single-phase simulation is deterministic).
+is modelled as a :class:`Component`.  Whoever owns a component calls
+:meth:`Component.tick` once per clock cycle: ``Testbed.run`` ticks the
+two engines, ``FtEngine.tick`` ticks its blocks in dataflow order (so
+single-phase simulation is deterministic).
 """
 
 from __future__ import annotations
@@ -14,20 +14,11 @@ class Component:
     """A clocked component with a per-cycle ``tick`` callback.
 
     Subclasses override :meth:`tick` to do one cycle of work and
-    :meth:`busy` to report whether they still hold in-flight state.  The
-    kernel uses ``busy`` two ways:
-
-    * **idle-skip** — when every component of a domain is idle, whole
-      stretches of cycles are skipped without simulating them;
-    * **parking** — a component whose ``busy()`` goes False after a tick
-      is removed from the tick list entirely (the busy-set) and not
-      ticked again until woken, either explicitly via
-      ``Simulator.wake`` or implicitly when the kernel skips to a
-      scheduled wakeup.  On wake its ``cycle`` counter is
-      fast-forwarded to the domain's, so cycle-relative logic stays
-      aligned.  A producer that fills a parked peer's queue must wake
-      it (or the peer must stay ``busy`` while anything can arrive) —
-      the default always-busy ``busy()`` opts out of both mechanisms.
+    :meth:`busy` to report whether they still hold in-flight state.
+    The owning loop reads ``busy`` to idle-skip: when every component
+    it ticks is idle, whole stretches of cycles are jumped over without
+    simulating them, so a component must stay ``busy`` while anything
+    it holds can still act.
     """
 
     def __init__(self, name: str) -> None:

@@ -37,7 +37,7 @@ class RateMeter:
     """Converts an event count over simulated time into a rate.
 
     Rates are reported against *simulated* time (picoseconds from the
-    kernel), never wall-clock time, because the simulator's speed is
+    model's own clock), never wall-clock time, because the simulator's speed is
     irrelevant to the modelled hardware's throughput.
     """
 

@@ -50,6 +50,14 @@ class TestCli:
         assert main(["report", "table1"]) == 1
         assert "1 with out-of-tolerance checks" in capsys.readouterr().out
 
+    def test_report_unknown_exhibit_is_the_shared_usage_error(self, capsys):
+        """One parser: the name goes to the exhibit registry, and nothing
+        runs before every name has resolved."""
+        assert main(["report", "table1", "nosuch", "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown exhibit 'nosuch'; available: figure1," in captured.err
+        assert "Table 1" not in captured.out
+
     def test_iperf(self, capsys):
         assert main(["iperf", "--size", "128", "--cores", "2", "--bytes", "200000"]) == 0
         out = capsys.readouterr().out

@@ -1,21 +1,15 @@
-"""simlint coverage over the compiled-schedule module (F4T007/F4T010).
+"""simlint coverage over schedule-table idioms (F4T006/F4T007/F4T010).
 
-The schedule table is the kernel's hottest data structure, so it is
-exactly where the integer-picosecond contract (F4T007) and the
-total-order-key contract (F4T010) would be most tempting to shortcut —
-a float slot offset or a float-keyed slot sort would be invisibly wrong
-until two edges tie.  The real module must lint clean, and mutated
-variants of its own idioms must trip the rules, proving the lint
-actually covers this shape of code rather than passing vacuously.
+An edge schedule — integer-ps slot offsets, a window base, a sort of
+coincident clock edges — is exactly where the integer-picosecond
+contract (F4T007) and the total-order-key contract (F4T010) are most
+tempting to shortcut: a float slot offset or a float-keyed slot sort is
+invisibly wrong until two edges tie.  These snippets are linted as if
+they lived in the sim layer; mutated variants must trip the rules and
+the integer forms must pass, proving the lint covers this shape of code.
 """
 
-import os
-
-from repro.check import lint_paths, lint_source
-
-SIM = os.path.join(
-    os.path.dirname(__file__), "..", "..", "src", "repro", "sim"
-)
+from repro.check import lint_source
 
 
 def ids(findings):
@@ -23,19 +17,7 @@ def ids(findings):
 
 
 def lint_in_sim(source):
-    return lint_source(source, path="src/repro/sim/schedule.py")
-
-
-class TestScheduleModuleClean:
-    def test_schedule_and_kernel_have_no_findings(self):
-        result = lint_paths(
-            [
-                os.path.join(SIM, "schedule.py"),
-                os.path.join(SIM, "kernel.py"),
-            ]
-        )
-        assert result.findings == [], result.render()
-        assert result.files_checked == 2
+    return lint_source(source, path="src/repro/sim/fifo.py")
 
 
 class TestF4T007CoversScheduleIdioms:

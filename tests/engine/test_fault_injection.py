@@ -6,7 +6,9 @@ from repro.engine.fpu import MAX_RTO_BACKOFF
 from repro.engine.testbed import Testbed
 from repro.host.runtime import F4TRuntime
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
-from repro.tcp.segment import TcpSegment
+from repro.tcp.segment import FLAG_ACK, FLAG_SYN, TcpSegment
+from repro.tcp.seq import seq_add
+from repro.tcp.state_machine import TcpState
 
 
 class TestWireCorruption:
@@ -115,3 +117,103 @@ class TestRstGeneration:
         testbed.engine_a._transmit_ip(stray, testbed.engine_b.ip)
         testbed.run(max_time_s=testbed.now_s + 1e-4)
         assert testbed.engine_b.counters.get("rsts_sent", ) == 0
+
+
+def _drop(port, should_drop):
+    """Lose every TCP segment ``should_drop`` picks, on one wire port.
+
+    ARP frames always pass.  Returns the list the lost segments land in.
+    """
+    original_send = port.send
+    lost = []
+
+    def lossy_send(frame, now_ps):
+        segment = frame.payload
+        if isinstance(segment, TcpSegment) and should_drop(segment):
+            lost.append(segment)
+            return
+        original_send(frame, now_ps)
+
+    port.send = lossy_send
+    return lost
+
+
+class TestHandshakeUnderLoss:
+    def test_lost_syn_ack_handshake_completes(self):
+        """The first SYN-ACK is lost, so the client's RTO resends its
+        SYN to a SYN_RECEIVED server: the server must answer SYN|ACK
+        again (a bare ACK would tell the client nothing about ``irs``)."""
+        testbed = Testbed()
+        lost = _drop(
+            testbed.wire.port_b,
+            lambda segment: segment.syn and segment.has_ack and not lost,
+        )
+        a_flow, b_flow = testbed.establish(max_time_s=5.0)
+        assert len(lost) == 1
+        client = testbed.engine_a.tcb_of(a_flow)
+        server = testbed.engine_b.tcb_of(b_flow)
+        assert client.rcv_nxt == seq_add(server.iss, 1)
+        assert server.state is TcpState.ESTABLISHED
+        assert "accepted" in [
+            message.kind for message in testbed.engine_b.drain_host_messages()
+        ]
+        # The connection carries data both ways afterwards.
+        testbed.engine_a.send_data(a_flow, b"ping")
+        testbed.engine_b.send_data(b_flow, b"pong")
+        assert testbed.run(
+            until=lambda: testbed.engine_b.readable(b_flow) >= 4
+            and testbed.engine_a.readable(a_flow) >= 4,
+            max_time_s=testbed.now_s + 0.01,
+        )
+
+    def test_syn_sent_ignores_ack_without_syn(self):
+        """RFC 793: in SYN-SENT a segment that ACKs our SYN but carries
+        no SYN is dropped — the peer's sequence space is still unknown,
+        so completing the handshake on it would ACK ``0`` forever."""
+        testbed = Testbed()
+        _drop(testbed.wire.port_a, lambda segment: segment.syn)
+        a_flow = testbed.engine_a.connect(testbed.engine_b.ip, 80)
+        testbed.run(max_time_s=1e-4)  # the SYN leaves (and is lost)
+        client = testbed.engine_a.tcb_of(a_flow)
+        assert client.state is TcpState.SYN_SENT
+        bare_ack = TcpSegment(
+            src_ip=testbed.engine_b.ip, dst_ip=testbed.engine_a.ip,
+            src_port=80, dst_port=client.key.src_port,
+            seq=7000, ack=seq_add(client.iss, 1), flags=FLAG_ACK,
+        )
+        testbed.engine_b._transmit_ip(bare_ack, testbed.engine_a.ip)
+        testbed.run(max_time_s=testbed.now_s + 1e-4)
+        client = testbed.engine_a.tcb_of(a_flow)
+        assert client.state is TcpState.SYN_SENT
+        assert client.snd_una == client.iss
+        assert "connected" not in [
+            message.kind for message in testbed.engine_a.drain_host_messages()
+        ]
+
+    def test_dupacks_in_syn_received_do_not_fast_retransmit(self):
+        """Three duplicate ACKs at a SYN_RECEIVED flow: the only thing
+        in flight is the SYN-ACK, which has no byte in the send stream —
+        fast retransmit must leave it to the RTO instead of asking the
+        packet generator for the SYN's sequence number."""
+        testbed = Testbed()
+        engine_a, engine_b = testbed.engine_a, testbed.engine_b
+        engine_b.listen(80)
+        # B's SYN-ACK never arrives, so A never answers it.
+        _drop(testbed.wire.port_b, lambda segment: segment.syn)
+
+        def from_a(**fields):
+            segment = TcpSegment(
+                src_ip=engine_a.ip, dst_ip=engine_b.ip,
+                src_port=40000, dst_port=80, **fields,
+            )
+            engine_a._transmit_ip(segment, engine_b.ip)
+            testbed.run(max_time_s=testbed.now_s + 1e-4)
+
+        from_a(seq=100, flags=FLAG_SYN)
+        (b_flow,) = engine_b.flows
+        assert engine_b.flow_state(b_flow) is TcpState.SYN_RECEIVED
+        for _ in range(4):  # the first sets the reference, three dups follow
+            from_a(seq=101, ack=0, flags=FLAG_ACK)
+        assert engine_b.rx_parser.dup_acks_detected == 3
+        assert engine_b.flow_state(b_flow) is TcpState.SYN_RECEIVED
+        assert engine_b.counters.get("retransmissions") == 0

@@ -79,3 +79,13 @@ class TestPipelineTiming:
         pipe.retire_ready(5)
         assert pipe.issued == 1
         assert pipe.retired == 1
+
+    def test_pipeline_next_retire_cycle(self):
+        pipe = Pipeline(latency=12, initiation_interval=2)
+        assert pipe.next_retire_cycle() is None
+        pipe.issue("a", cycle=5)
+        pipe.issue("b", cycle=7)
+        assert pipe.next_retire_cycle() == 17
+        assert pipe.retire_ready(16) == []
+        assert pipe.retire_ready(17) == ["a"]
+        assert pipe.next_retire_cycle() == 19

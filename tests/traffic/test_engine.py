@@ -5,6 +5,7 @@ import pytest
 from repro.traffic import (
     PER_REQUEST,
     Fixed,
+    LoadEngine,
     Poisson,
     Scenario,
     TrafficClass,
@@ -99,6 +100,17 @@ class TestLifecycles:
         assert result.finished
         assert result.frames_dropped > 0
         assert result.completed == result.offered
+        assert result.clean
+
+    @pytest.mark.parametrize("seed", [9, 21, 24, 51])
+    def test_pools_establish_when_the_wire_loses_a_syn_ack(self, seed):
+        """These four seeds drop a pool connection's SYN-ACK; the
+        handshake must recover through the client's SYN retransmit
+        (1 s RTO, hence the long setup bound) instead of wedging."""
+        engine = LoadEngine(get_scenario("lossy-mixed", seed), audit=True)
+        result = engine.run(setup_time_s=5.0)
+        assert result.finished
+        assert result.completed == result.offered > 0
         assert result.clean
 
 
