@@ -21,7 +21,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..net.wire import derive_seed
 from ..sim.stats import Histogram
@@ -120,12 +120,13 @@ class _FabricConn:
     """One client->server connection and its in-flight transfers."""
 
     __slots__ = (
-        "client", "server", "c_flow", "s_flow", "state",
+        "index", "client", "server", "c_flow", "s_flow", "state",
         "pending", "current", "send_remaining", "resp_remaining",
         "srv_expect", "srv_send_remaining",
     )
 
-    def __init__(self, client: int, server: int) -> None:
+    def __init__(self, index: int, client: int, server: int) -> None:
+        self.index = index  # position in FabricLoadEngine.conns
         self.client = client
         self.server = server
         self.c_flow: Optional[int] = None
@@ -139,16 +140,6 @@ class _FabricConn:
         #: Server-side framing FIFO: [remaining, transfer].
         self.srv_expect: Deque[list] = deque()
         self.srv_send_remaining = 0
-
-    @property
-    def idle(self) -> bool:
-        """Ready to issue the next transfer client-side.
-
-        One-way pushes (resp=0) pipeline — the conn is idle again as
-        soon as the request bytes are buffered; request/response
-        transfers serialize per connection.
-        """
-        return self.current is None
 
 
 class FabricLoadEngine:
@@ -185,6 +176,12 @@ class FabricLoadEngine:
         #: stack draws ephemeral ports from the same range — two hosts'
         #: connections to one server can share a port number.
         self._awaiting: Dict[Tuple[int, int, int], _FabricConn] = {}
+        #: (host, flow id) -> conn, both ends: routes host messages.
+        self._conn_of_flow: Dict[Tuple[int, int], _FabricConn] = {}
+        #: Indexes of conns to advance on the next pump: a flow of
+        #: theirs posted a message, they were handed a transfer, or
+        #: their last advance left a step that may need no message.
+        self._dirty: Set[int] = set()
         self._round = 0
         #: Openloop schedule: (time_s, client, server, req_b, resp_b).
         self._schedule: List[Tuple[float, int, int, int, int]] = []
@@ -294,50 +291,54 @@ class FabricLoadEngine:
         return self.time_ps / 1e12
 
     def _connect(self, client: int, server: int) -> _FabricConn:
-        conn = _FabricConn(client, server)
+        conn = _FabricConn(len(self.conns), client, server)
         stack = self.stacks[client]
         conn.c_flow = stack.connect(
             self.fabric.host_ip(server), self.scenario.server_port
         )
         key = stack.flows[conn.c_flow].key
         self._awaiting[(server, key.src_ip, key.src_port)] = conn
+        self._conn_of_flow[(client, conn.c_flow)] = conn
         self.conns.append(conn)
         self._conn_by_pair[(client, server)] = conn
         return conn
 
-    def _poll_accepts(self) -> None:
+    def _poll_messages(self) -> None:
+        """Drain every host queue; each message dirties its conn."""
         port = self.scenario.server_port
         for index, stack in enumerate(self.stacks):
-            while True:
-                flow = stack.accept(port)
-                if flow is None:
-                    break
-                record = stack.flows.get(flow)
-                if record is None:
-                    continue
-                conn = self._awaiting.pop(
-                    (index, record.key.dst_ip, record.key.dst_port), None
-                )
+            if not stack.host_messages[0]:
+                continue
+            for message in stack.drain_host_messages():
+                if message.kind == "accepted":
+                    # One accept-queue entry per message, in step.
+                    flow = stack.accept(port)
+                    record = stack.flows.get(flow)
+                    if record is not None:
+                        key = record.key
+                        conn = self._awaiting.pop(
+                            (index, key.dst_ip, key.dst_port), None
+                        )
+                        if conn is not None:
+                            conn.s_flow = flow
+                            self._conn_of_flow[(index, flow)] = conn
+                conn = self._conn_of_flow.get((index, message.flow_id))
                 if conn is not None:
-                    conn.s_flow = flow
+                    self._dirty.add(conn.index)
 
-    def _advance_connecting(self, conn: _FabricConn) -> None:
-        if conn.state != _CONNECTING:
-            return
-        stack = self.stacks[conn.client]
+    def _ready(self, conn: _FabricConn) -> bool:
         if (
-            conn.s_flow is not None
-            and stack.flow_state(conn.c_flow) is TcpState.ESTABLISHED
+            conn.state == _CONNECTING
+            and conn.s_flow is not None
+            and self.stacks[conn.client].flow_state(conn.c_flow)
+            is TcpState.ESTABLISHED
         ):
             conn.state = _READY
+        return conn.state == _READY
 
     def _pools_ready(self) -> bool:
-        self._poll_accepts()
-        for conn in self.conns:
-            self._advance_connecting(conn)
-            if conn.state == _CONNECTING:
-                return False
-        return True
+        self._poll_messages()
+        return all(self._ready(conn) for conn in self.conns)
 
     # ------------------------------------------------------------ the pump
     def _next_arrival_ps(self) -> Optional[int]:
@@ -350,15 +351,24 @@ class FabricLoadEngine:
         return int(arrival_s * 1e12) + 1
 
     def _pump(self) -> bool:
-        self._poll_accepts()
-        for conn in self.conns:
-            self._advance_connecting(conn)
+        """One driver step, run by the event loop at every instant.
+
+        Message-driven: only dirty conns are advanced, in ``conns``
+        order (they share stacks, so order is part of the result).  The
+        round release looks at what the *previous* step completed, so a
+        round starts — and stamps its arrival time — on the loop instant
+        after the last completion; that instant is simulated behaviour.
+        """
+        self._poll_messages()
         if self.scenario.mode == "rounds":
             self._pump_rounds()
         else:
             self._release_arrivals()
-        for conn in self.conns:
-            self._advance_conn(conn)
+        still_dirty: Set[int] = set()
+        for index in sorted(self._dirty):
+            if self._advance_conn(self.conns[index]):
+                still_dirty.add(index)
+        self._dirty = still_dirty
         return self._all_done()
 
     def _pump_rounds(self) -> None:
@@ -382,6 +392,7 @@ class FabricLoadEngine:
                     _Transfer(scenario.request_bytes, block, now_rel)
                 )
             self._outstanding += 1
+            self._dirty.add(conn.index)
         if self.trace is not None:
             self.trace.emit(
                 self.time_ps, "fabric", "driver", "round", -1,
@@ -402,6 +413,7 @@ class FabricLoadEngine:
             if conn is None:
                 conn = self._connect(client, server)
             conn.pending.append(_Transfer(req_b, resp_b, t))
+            self._dirty.add(conn.index)
             if self.trace is not None:
                 self.trace.emit(
                     self.time_ps, "fabric", "driver", "arrival", -1,
@@ -409,9 +421,11 @@ class FabricLoadEngine:
                 )
 
     # ----------------------------------------------------- conn state steps
-    def _advance_conn(self, conn: _FabricConn) -> None:
-        if conn.state != _READY:
-            return
+    def _advance_conn(self, conn: _FabricConn) -> bool:
+        """One step of one conn; True while a next step may need no
+        message (an unfinished chunked send, a queued transfer)."""
+        if not self._ready(conn):
+            return False
         if conn.current is None and conn.pending:
             transfer = conn.pending.popleft()
             conn.current = transfer
@@ -433,6 +447,11 @@ class FabricLoadEngine:
         self._serve(conn)
         if conn.resp_remaining > 0 and conn.send_remaining == 0:
             self._pull_response(conn)
+        return bool(
+            conn.send_remaining
+            or conn.srv_send_remaining
+            or (conn.current is None and conn.pending)
+        )
 
     def _serve(self, conn: _FabricConn) -> None:
         stack = self.stacks[conn.server]
@@ -506,7 +525,7 @@ class FabricLoadEngine:
         return run_event_loop(
             self,
             self.stacks,
-            self.fabric.next_event_ps,
+            self.fabric,
             self.time_ps + int(max_time_s * 1e12),
             until=until,
             wakeup_ps=self._next_arrival_ps,

@@ -29,7 +29,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..engine.ftengine import EngineMessage
 from ..net.link import LINK_100G, PER_PACKET_OVERHEAD, Link
@@ -170,14 +170,15 @@ class _IntDirection:
     def serialization_ps(self, wire_bytes: int) -> int:
         return wire_bytes * 8 * 10**12 // self._bits_per_s
 
-    def transmit(self, packet: FabricPacket, now_ps: int) -> None:
+    def transmit(self, packet: FabricPacket, now_ps: int) -> Optional[int]:
+        """Returns the far-end arrival instant (None: impairment drop)."""
         if (
             self._drop_rng is not None
             and packet.kind == "data"
             and self._drop_rng.random() < self.drop_probability
         ):
             self.frames_dropped += 1
-            return
+            return None
         start = now_ps if now_ps > self.next_free_ps else self.next_free_ps
         self.next_free_ps = start + self.serialization_ps(packet.wire_bytes)
         arrival = self.next_free_ps + self._prop_ps
@@ -185,15 +186,13 @@ class _IntDirection:
         heapq.heappush(self._in_flight, (arrival, self._sequence, packet))
         self.frames_sent += 1
         self.bytes_sent += packet.wire_bytes
+        return arrival
 
     def deliver_due(self, now_ps: int) -> List[FabricPacket]:
         due: List[FabricPacket] = []
         while self._in_flight and self._in_flight[0][0] <= now_ps:
             due.append(heapq.heappop(self._in_flight)[2])
         return due
-
-    def next_arrival_ps(self) -> Optional[int]:
-        return self._in_flight[0][0] if self._in_flight else None
 
     @property
     def in_flight(self) -> int:
@@ -212,13 +211,6 @@ class SoftPort:
 
     def poll(self, now_ps: int) -> List[FabricPacket]:
         return self._inbound.deliver_due(now_ps)
-
-    def next_arrival_ps(self) -> Optional[int]:
-        return self._inbound.next_arrival_ps()
-
-    @property
-    def pending(self) -> int:
-        return self._inbound.in_flight + self._outbound.in_flight
 
 
 class SoftWire:
@@ -247,10 +239,6 @@ class SoftWire:
         self.port_b = SoftPort(outbound=self._ba, inbound=self._ab)
 
     @property
-    def in_flight(self) -> int:
-        return self._ab.in_flight + self._ba.in_flight
-
-    @property
     def frames_sent(self) -> int:
         return self._ab.frames_sent + self._ba.frames_sent
 
@@ -262,13 +250,20 @@ class SoftWire:
     def bytes_sent(self) -> int:
         return self._ab.bytes_sent + self._ba.bytes_sent
 
-    def next_arrival_ps(self) -> Optional[int]:
-        times = [
-            t
-            for t in (self._ab.next_arrival_ps(), self._ba.next_arrival_ps())
-            if t is not None
-        ]
-        return min(times) if times else None
+    def next_event_ps(self) -> Optional[int]:
+        return min(
+            (d._in_flight[0][0] for d in (self._ab, self._ba) if d._in_flight),
+            default=None,
+        )
+
+    def advance(self, now_ps: int) -> Set[int]:
+        """The event loop's network step: a wire has no events of its
+        own, so just name the ends (0 = a, 1 = b) with an arrival due."""
+        return {
+            end
+            for end, inbound in enumerate((self._ba, self._ab))
+            if inbound._in_flight and inbound._in_flight[0][0] <= now_ps
+        }
 
 
 class SoftStack:
@@ -453,12 +448,10 @@ class SoftStack:
         return drained
 
     # ------------------------------------------------------------ the tick
-    def busy(self) -> bool:
-        return any(
-            flow.next_to_send < flow.app_written
-            or flow.flow_acked < flow.next_to_send
-            for flow in self.flows.values()
-        )
+    def timer_due(self, now_ps: int) -> bool:
+        """Whether ``tick`` has a timer entry (live or stale) to pop."""
+        timers = self._timers
+        return bool(timers) and timers[0][0] <= now_ps
 
     def next_wakeup_ps(self) -> Optional[int]:
         timers = self._timers
@@ -809,10 +802,23 @@ class SoftStack:
                 )
 
 
+def earliest_wakeup_ps(stacks: Iterable[SoftStack], best: Optional[int]) -> Optional[int]:
+    """``best`` lowered to the earliest live timer deadline under it.  A raw
+    heap head is never later than the stack's true deadline, so only a head
+    that beats ``best`` is worth validating."""
+    for stack in stacks:
+        timers = stack._timers
+        if timers and (best is None or timers[0][0] < best):
+            wakeup = stack.next_wakeup_ps()
+            if wakeup is not None and (best is None or wakeup < best):
+                best = wakeup
+    return best
+
+
 def run_event_loop(
     clock,
     stacks: Sequence[SoftStack],
-    next_network_event_ps: Callable[[], Optional[int]],
+    network,
     deadline_ps: int,
     until: Optional[Callable[[], bool]] = None,
     wakeup_ps: Optional[Callable[[], Optional[float]]] = None,
@@ -822,12 +828,17 @@ def run_event_loop(
 
     ``clock`` is the owner (``SoftTestbed``, ``FabricLoadEngine``) whose
     integer ``time_ps`` this loop advances; predicates and drivers read
-    it between events.  The soft stacks do nothing between packet
-    arrivals and timer deadlines, so at each instant the loop stamps
-    ``now_ps`` on every stack, ticks every stack and tests ``until``,
-    then jumps to the earliest of the network's next event
-    (``next_network_event_ps``), the stacks' timer wakeups and the
-    external ``wakeup_ps`` — never past the absolute ``deadline_ps``.
+    it between events.  ``network`` (``SoftWire``, ``SwitchFabric``)
+    joins the stacks: ``advance(now_ps)`` runs its events up to the
+    instant and names the stacks (by index) with a delivery due, and
+    ``next_event_ps()`` is its next state change.  The soft stacks do
+    nothing between packet arrivals and timer deadlines, so an instant
+    stamps ``now_ps`` on every stack (the driver may call into any),
+    ticks only those with a delivery or timer entry due and tests
+    ``until`` — at *every* instant, due stack or not: the fabric driver
+    releases a round one instant after it saw the last completion —
+    then jumps to the earliest of the network's next event, the timer
+    wakeups and the external ``wakeup_ps``, never past ``deadline_ps``.
 
     True when ``until`` held, or with no ``until`` when nothing is left
     to happen; False on the deadline, the step bound, or a stall (no
@@ -836,27 +847,31 @@ def run_event_loop(
     steps = 0
     while True:
         t = clock.time_ps
-        for stack in stacks:
+        arrived = network.advance(t)
+        for index, stack in enumerate(stacks):
             stack.now_ps = t
-        for stack in stacks:
-            stack.tick()
+            if index in arrived or stack.timer_due(t):
+                stack.tick()
         if until is not None and until():
             return True
         if t >= deadline_ps or (max_steps is not None and steps >= max_steps):
             return False
-        candidates = [next_network_event_ps()]
-        candidates.extend(stack.next_wakeup_ps() for stack in stacks)
+        following = network.next_event_ps()
+        if following is not None and following <= t:
+            following = None
         if wakeup_ps is not None:
             external = wakeup_ps()
             if external is not None:
                 # Ceil: landing one truncated ps *before* a float
                 # wakeup leaves the driver's predicate unsatisfied
                 # with no other event in the future — a stall.
-                candidates.append(int(external) + (external > int(external)))
-        future = [c for c in candidates if c is not None and c > t]
-        if not future:
+                external = int(external) + (external > int(external))
+                if external > t and (following is None or external < following):
+                    following = external
+        following = earliest_wakeup_ps(stacks, following)
+        if following is None:
             return until is None
-        clock.time_ps = min(min(future), deadline_ps)
+        clock.time_ps = min(following, deadline_ps)
         steps += 1
 
 
@@ -920,7 +935,7 @@ class SoftTestbed:
         return run_event_loop(
             self,
             (self.engine_a, self.engine_b),
-            self.wire.next_arrival_ps,
+            self.wire,
             int(max_time_s * 1e12),
             until=until,
             wakeup_ps=wakeup_ps,

@@ -20,9 +20,10 @@ shared buffer, and the admission policy arbitrating it — are all here:
   above the threshold are CE-marked; the soft stacks echo the mark and
   halve their windows — DCTCP-flavored, deliberately minimal.
 
-Everything is integer picoseconds and integer bytes; events are
-processed in global (time, port-index) order, so one seed replays one
-run bit for bit (the switch itself has *no* RNG at all).
+Everything is integer picoseconds and integer bytes; events sit on one
+``(time_ps, ingress-before-egress, port)`` heap and are processed in
+that total order, so one seed replays one run bit for bit (the switch
+itself has *no* RNG at all) and an instant costs what is due at it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from ..net.link import LINK_100G, Link
 from ..tcp.segment import ip_from_string
@@ -41,6 +42,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: First host IP; host ``i`` is ``_BASE_IP + i`` (plain int arithmetic).
 _BASE_IP = ip_from_string("10.0.0.1")
+
+#: Event kinds, the middle field of the heap key: at one instant every
+#: ingress admission sorts before any egress start.
+_INGRESS, _EGRESS = 0, 1
+
+
+def _take_due(queue: Deque[Tuple[int, FabricPacket]], now_ps: int) -> List[FabricPacket]:
+    """Pop one host's deliveries that have arrived by ``now_ps``."""
+    due: List[FabricPacket] = []
+    while queue and queue[0][0] <= now_ps:
+        due.append(queue.popleft()[1])
+    return due
+
+
+def _pop_due_hosts(arrivals: List[Tuple[int, int]], now_ps: int) -> Set[int]:
+    """Pop the ``(arrival_ps, host)`` heap up to ``now_ps``: the hosts
+    with a delivery due (reported once — the caller polls them)."""
+    hosts: Set[int] = set()
+    while arrivals and arrivals[0][0] <= now_ps:
+        hosts.add(heapq.heappop(arrivals)[1])
+    return hosts
 
 
 @dataclass(frozen=True)
@@ -80,16 +102,16 @@ class _OutputQueue:
     def __init__(self, config: SwitchConfig) -> None:
         self._drr = config.queueing == "drr"
         self._quantum = config.drr_quantum_bytes
-        #: FIFO mode: one deque of (packet, enqueue_ps).
-        self._fifo: Deque[Tuple[FabricPacket, int]] = deque()
+        #: FIFO mode: one deque of packets.
+        self._fifo: Deque[FabricPacket] = deque()
         #: DRR mode: per-source deques plus the active rotation.
-        self._per_src: Dict[int, Deque[Tuple[FabricPacket, int]]] = {}
+        self._per_src: Dict[int, Deque[FabricPacket]] = {}
         self._active: Deque[int] = deque()
         self._deficit: Dict[int, int] = {}
         self.queued_bytes = 0
         self.queued_packets = 0
 
-    def push(self, packet: FabricPacket, src: int, enqueue_ps: int) -> None:
+    def push(self, packet: FabricPacket, src: int) -> None:
         if self._drr:
             queue = self._per_src.get(src)
             if queue is None:
@@ -97,35 +119,24 @@ class _OutputQueue:
             if not queue:
                 self._active.append(src)
                 self._deficit[src] = 0
-            queue.append((packet, enqueue_ps))
+            queue.append(packet)
         else:
-            self._fifo.append((packet, enqueue_ps))
+            self._fifo.append(packet)
         self.queued_bytes += packet.wire_bytes
         self.queued_packets += 1
 
-    def head_ready_ps(self) -> Optional[int]:
-        """Earliest enqueue instant among queued packets (None = empty)."""
-        if not self._drr:
-            return self._fifo[0][1] if self._fifo else None
-        ready: Optional[int] = None
-        for src in self._active:
-            t = self._per_src[src][0][1]
-            if ready is None or t < ready:
-                ready = t
-        return ready
-
-    def pop(self) -> Tuple[FabricPacket, int]:
+    def pop(self) -> FabricPacket:
         """Dequeue the next packet per the discipline."""
         if not self._drr:
-            packet, enqueue_ps = self._fifo.popleft()
+            packet = self._fifo.popleft()
         else:
             while True:
                 src = self._active[0]
                 queue = self._per_src[src]
-                head_bytes = queue[0][0].wire_bytes
+                head_bytes = queue[0].wire_bytes
                 if self._deficit[src] >= head_bytes:
                     self._deficit[src] -= head_bytes
-                    packet, enqueue_ps = queue.popleft()
+                    packet = queue.popleft()
                     if not queue:
                         self._active.popleft()
                         self._deficit[src] = 0
@@ -135,7 +146,7 @@ class _OutputQueue:
                 self._active.rotate(-1)
         self.queued_bytes -= packet.wire_bytes
         self.queued_packets -= 1
-        return packet, enqueue_ps
+        return packet
 
 
 class _FabricPort:
@@ -146,23 +157,14 @@ class _FabricPort:
         self._index = index
 
     def send(self, packet: FabricPacket, now_ps: int) -> None:
-        self._fabric._uplinks[self._index].transmit(packet, now_ps)
+        fabric = self._fabric
+        arrival = fabric._uplinks[self._index].transmit(packet, now_ps)
+        if arrival is not None:
+            heapq.heappush(fabric._events, (arrival, _INGRESS, self._index))
 
     def poll(self, now_ps: int) -> List[FabricPacket]:
-        self._fabric.advance(now_ps)
-        heap = self._fabric._delivery[self._index]
-        due: List[FabricPacket] = []
-        while heap and heap[0][0] <= now_ps:
-            due.append(heapq.heappop(heap)[2])
-        return due
-
-    def next_arrival_ps(self) -> Optional[int]:
-        heap = self._fabric._delivery[self._index]
-        return heap[0][0] if heap else None
-
-    @property
-    def pending(self) -> int:
-        return self._fabric.in_flight
+        """Packets the switch (advanced by the event loop) delivered."""
+        return _take_due(self._fabric._delivery[self._index], now_ps)
 
 
 class SwitchFabric:
@@ -180,11 +182,18 @@ class SwitchFabric:
         self._egress_free_ps = [0] * num_hosts
         self._egress_prop_ps = int(link.propagation_delay_us * 10**6)
         self._bits_per_s = int(link.bandwidth_gbps * 1e9)
-        #: Per-host inbound deliveries: heaps of (arrival_ps, seq, packet).
-        self._delivery: List[List[Tuple[int, int, FabricPacket]]] = [
-            [] for _ in range(num_hosts)
+        #: The event heap: ``(time_ps, kind, port)``.  An ingress entry
+        #: is pushed when an uplink transmit fixes an arrival; a port
+        #: with queued packets has exactly one scheduled egress start.
+        self._events: List[Tuple[int, int, int]] = []
+        self.events_popped = 0
+        #: Per-host inbound deliveries, (arrival_ps, packet) in arrival
+        #: order (one egress serializer per port: arrivals only grow),
+        #: and the (arrival_ps, host) heap that says who is due when.
+        self._delivery: List[Deque[Tuple[int, FabricPacket]]] = [
+            deque() for _ in range(num_hosts)
         ]
-        self._delivery_seq = 0
+        self._arrivals: List[Tuple[int, int]] = []
         self.buffer_used = 0
         # Counters (all deterministic; surfaced into FabricResult).
         self.forwarded = 0
@@ -219,66 +228,31 @@ class SwitchFabric:
         return config.dt_alpha_x8 * free // 8
 
     # ------------------------------------------------------ the event loop
-    def _next_ingress(self) -> Optional[Tuple[int, int]]:
-        """Earliest (arrival_ps, src_index) across uplinks."""
-        best: Optional[Tuple[int, int]] = None
-        for index, uplink in enumerate(self._uplinks):
-            t = uplink.next_arrival_ps()
-            if t is not None and (best is None or t < best[0]):
-                best = (t, index)
-        return best
-
-    def _next_egress(self) -> Optional[Tuple[int, int]]:
-        """Earliest (start_ps, out_port) an egress could begin serving."""
-        best: Optional[Tuple[int, int]] = None
-        for index, queue in enumerate(self._queues):
-            head = queue.head_ready_ps()
-            if head is None:
-                continue
-            start = self._egress_free_ps[index]
-            if start < head:
-                start = head
-            if best is None or start < best[0]:
-                best = (start, index)
-        return best
-
     def next_event_ps(self) -> Optional[int]:
         """Earliest instant at which the fabric's state next changes."""
-        times: List[int] = []
-        ingress = self._next_ingress()
-        if ingress is not None:
-            times.append(ingress[0])
-        egress = self._next_egress()
-        if egress is not None:
-            times.append(egress[0])
-        for heap in self._delivery:
-            if heap:
-                times.append(heap[0][0])
-        return min(times) if times else None
+        events, arrivals = self._events, self._arrivals
+        if events and (not arrivals or events[0][0] < arrivals[0][0]):
+            return events[0][0]
+        return arrivals[0][0] if arrivals else None
 
-    def advance(self, now_ps: int) -> None:
-        """Process every switch event due at or before ``now_ps``.
+    def advance(self, now_ps: int) -> Set[int]:
+        """Process every switch event due at or before ``now_ps``;
+        returns the hosts with a delivery due.
 
         Events are handled in global time order with ingress admissions
         before egress starts at the same instant, ties across ports
         broken by host index — a fixed total order, hence determinism.
         """
-        while True:
-            ingress = self._next_ingress()
-            egress = self._next_egress()
-            ingress_t = ingress[0] if ingress is not None else None
-            egress_t = egress[0] if egress is not None else None
-            if ingress_t is not None and ingress_t <= now_ps and (
-                egress_t is None or ingress_t <= egress_t
-            ):
-                t, src = ingress
-                for packet in self._uplinks[src].deliver_due(t):
-                    self._admit(packet, src, t)
-                continue
-            if egress_t is not None and egress_t <= now_ps:
-                self._serve(egress[1], egress_t)
-                continue
-            return
+        events = self._events
+        while events and events[0][0] <= now_ps:
+            t, kind, port = heapq.heappop(events)
+            self.events_popped += 1
+            if kind == _INGRESS:
+                for packet in self._uplinks[port].deliver_due(t):
+                    self._admit(packet, port, t)
+            else:
+                self._serve(port, t)
+        return _pop_due_hosts(self._arrivals, now_ps)
 
     def _admit(self, packet: FabricPacket, src: int, now_ps: int) -> None:
         out_port = self._host_of_ip(packet.key.dst_ip)
@@ -306,43 +280,31 @@ class SwitchFabric:
                     now_ps, "fabric", "switch", "ecn-mark", -1,
                     f"port={out_port} depth={queue.queued_bytes + wire_bytes}",
                 )
-        queue.push(packet, src, now_ps)
+        queue.push(packet, src)
+        if queue.queued_packets == 1:
+            # First in line: starts now, or when the serializer frees.
+            start = max(now_ps, self._egress_free_ps[out_port])
+            heapq.heappush(self._events, (start, _EGRESS, out_port))
         self.buffer_used += wire_bytes
         if self.buffer_used > self.peak_buffer_bytes:
             self.peak_buffer_bytes = self.buffer_used
 
     def _serve(self, out_port: int, start_ps: int) -> None:
         queue = self._queues[out_port]
-        packet, _ = queue.pop()
+        packet = queue.pop()
         self.buffer_used -= packet.wire_bytes
         ser_ps = packet.wire_bytes * 8 * 10**12 // self._bits_per_s
         self._egress_free_ps[out_port] = start_ps + ser_ps
         arrival = start_ps + ser_ps + self._egress_prop_ps
-        self._delivery_seq += 1
-        heapq.heappush(
-            self._delivery[out_port], (arrival, self._delivery_seq, packet)
-        )
+        self._delivery[out_port].append((arrival, packet))
+        heapq.heappush(self._arrivals, (arrival, out_port))
+        if queue.queued_packets:
+            # Whatever is queued was admitted at or before start_ps, so
+            # the next start is the instant the serializer frees.
+            heapq.heappush(
+                self._events, (start_ps + ser_ps, _EGRESS, out_port)
+            )
         self.forwarded += 1
-
-    # ----------------------------------------------------------- inventory
-    @property
-    def in_flight(self) -> int:
-        total = sum(u.in_flight for u in self._uplinks)
-        total += sum(q.queued_packets for q in self._queues)
-        total += sum(len(h) for h in self._delivery)
-        return total
-
-    @property
-    def frames_dropped(self) -> int:
-        return self.dropped
-
-    def describe(self) -> str:
-        config = self.config
-        return (
-            f"{self.num_hosts}-host switch: {config.buffer_bytes >> 10} KiB "
-            f"{config.partition} buffer, {config.queueing} queues, "
-            f"ecn@{config.ecn_threshold_bytes}"
-        )
 
 
 # ---------------------------------------------------------------- sharding
@@ -403,11 +365,13 @@ class CellSwitch:
         self._serving: Dict[int, Deque[Tuple[int, int]]] = {
             h: deque() for h in hosts
         }
-        #: Per owned host: (delivery_ps, seq, packet) min-heaps.
-        self._delivery: Dict[int, List[Tuple[int, int, FabricPacket]]] = {
-            h: [] for h in hosts
+        #: Per owned host: (delivery_ps, packet) in delivery order (one
+        #: egress serializer per port), and the (delivery_ps, host) heap
+        #: over all of them: who is due when.
+        self._delivery: Dict[int, Deque[Tuple[int, FabricPacket]]] = {
+            h: deque() for h in hosts
         }
-        self._delivery_seq = 0
+        self._arrivals: List[Tuple[int, int]] = []
         #: Lockstep sanitizer view (set by CellSim when attached); the
         #: admit hook checks the nondecreasing-arrival feed contract.
         self.san: Optional["LockstepSanitizer"] = None
@@ -468,31 +432,24 @@ class CellSwitch:
         self._egress_free[out_port] = done
         self._depth[out_port] = depth + wire_bytes
         serving.append((start, wire_bytes))
-        self._delivery_seq += 1
-        heapq.heappush(
-            self._delivery[out_port],
-            (done + self.prop_ps, self._delivery_seq, packet),
-        )
+        self._delivery[out_port].append((done + self.prop_ps, packet))
+        heapq.heappush(self._arrivals, (done + self.prop_ps, out_port))
         self.forwarded += 1
 
     # ------------------------------------------------------------ the ports
     def deliver_due(self, host: int, now_ps: int) -> List[FabricPacket]:
-        heap = self._delivery[host]
-        due: List[FabricPacket] = []
-        while heap and heap[0][0] <= now_ps:
-            due.append(heapq.heappop(heap)[2])
-        return due
+        return _take_due(self._delivery[host], now_ps)
 
     def next_delivery_ps(self, host: int) -> Optional[int]:
-        heap = self._delivery[host]
-        return heap[0][0] if heap else None
+        queue = self._delivery[host]
+        return queue[0][0] if queue else None
 
     def next_any_delivery_ps(self) -> Optional[int]:
-        best: Optional[int] = None
-        for heap in self._delivery.values():
-            if heap and (best is None or heap[0][0] < best):
-                best = heap[0][0]
-        return best
+        return self._arrivals[0][0] if self._arrivals else None
+
+    def due_hosts(self, now_ps: int) -> Set[int]:
+        """The hosts whose ``deliver_due(host, now_ps)`` has packets."""
+        return _pop_due_hosts(self._arrivals, now_ps)
 
     def port(self, host: int, outbound) -> "ShardPort":
         return ShardPort(self, host, outbound)

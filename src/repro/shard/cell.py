@@ -28,7 +28,7 @@ from ..obs.trace import StreamingFingerprint
 
 from ..check.lockstep import LockstepSanitizer
 from ..fabric.backend import get_backend
-from ..fabric.softstack import FabricPacket, SoftStack
+from ..fabric.softstack import FabricPacket, SoftStack, earliest_wakeup_ps
 from ..fabric.switch import CellSwitch
 from .host import ClientPairDriver, ServerHostDriver
 from .scenarios import ShardScenario
@@ -109,8 +109,18 @@ class CellSim:
         self.outboxes: Dict[int, List[Entry]] = {
             c: [] for c in range(scenario.num_cells) if c != cell
         }
+        #: One (next scheduled open, host) entry per host with any left.
+        self._opens: List[Tuple[int, int]] = []
+        for host in self.hosts:
+            self._schedule_open(host)
         self.now_ps = 0
         self.events = 0
+
+    def _schedule_open(self, host: int) -> None:
+        opens = (d.next_action_ps() for d in self.clients[host])
+        times = [at for at in opens if at is not None]
+        if times:
+            heapq.heappush(self._opens, (min(times), host))
 
     # ------------------------------------------------------------- routing
     def _route(
@@ -148,25 +158,17 @@ class CellSim:
 
     # ---------------------------------------------------------- event loop
     def _next_event_ps(self) -> Optional[int]:
-        best: Optional[int] = None
-        if self.pending:
-            best = self.pending[0][0]
-        delivery = self.switch.next_any_delivery_ps()
-        if delivery is not None and (best is None or delivery < best):
-            best = delivery
-        for host in self.hosts:
-            wakeup = self.stacks[host].next_wakeup_ps()
-            if wakeup is not None and (best is None or wakeup < best):
-                best = wakeup
-            for driver in self.clients[host]:
-                action = driver.next_action_ps()
-                if action is not None and (best is None or action < best):
-                    best = action
-        return best
+        best = self.switch.next_any_delivery_ps()
+        for heap in (self.pending, self._opens):
+            if heap and (best is None or heap[0][0] < best):
+                best = heap[0][0]
+        return earliest_wakeup_ps(self.stacks.values(), best)
 
     def _settle(self, now: int) -> None:
         """Process everything due at one instant, in canonical order:
-        admissions, stack ticks, driver ticks, message dispatch."""
+        admissions, stack ticks, driver ticks, message dispatch — on
+        the hosts with a delivery, a scheduled open or a timer entry
+        due (nothing can happen on the others)."""
         pending = self.pending
         while pending and pending[0][0] <= now:
             entry = heapq.heappop(pending)
@@ -174,17 +176,29 @@ class CellSim:
                 self.san.on_admit(entry, now)
             arrival, _src, _seq, packet = entry
             self.switch.admit(packet, arrival)
-        for host in self.hosts:
+        due = self.switch.due_hosts(now)
+        opens = self._opens
+        opening: List[int] = []
+        while opens and opens[0][0] <= now:
+            opening.append(heapq.heappop(opens)[1])
+        due.update(opening)
+        hosts = [
+            host for host in self.hosts
+            if host in due or self.stacks[host].timer_due(now)
+        ]
+        for host in hosts:
             stack = self.stacks[host]
             stack.now_ps = now
             stack.tick()
-        for host in self.hosts:
+        for host in hosts:
             server = self.servers.get(host)
             if server is not None:
                 server.tick(now)
             for driver in self.clients[host]:
                 driver.tick(now)
-        for host in self.hosts:
+        for host in opening:
+            self._schedule_open(host)
+        for host in hosts:
             stack = self.stacks[host]
             messages = stack.drain_host_messages()
             if not messages:
@@ -221,17 +235,11 @@ class CellSim:
     def idle(self) -> bool:
         """Nothing pending, in flight, armed or scheduled — this cell
         cannot act again without a barrier delivering it input."""
-        if self.pending:
+        if self.pending or self.switch.next_any_delivery_ps() is not None:
             return False
-        if self.switch.next_any_delivery_ps() is not None:
+        if earliest_wakeup_ps(self.stacks.values(), None) is not None:
             return False
-        for host in self.hosts:
-            if self.stacks[host].next_wakeup_ps() is not None:
-                return False
-            for driver in self.clients[host]:
-                if not driver.done:
-                    return False
-        return True
+        return all(d.done for ds in self.clients.values() for d in ds)
 
     def open_conns(self) -> int:
         """Live client-side connections (the concurrency gauge; server

@@ -193,9 +193,6 @@ class ServerHostDriver:
         self.responded = 0
         self.closed = 0
 
-    def next_action_ps(self) -> Optional[int]:
-        return None  # purely reactive
-
     def tick(self, now_ps: int) -> None:
         while True:
             flow_id = self.stack.accept(self.port)

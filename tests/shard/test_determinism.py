@@ -96,3 +96,43 @@ class TestSeedSensitivity:
         r = run_shard(scenario, workers=64, fingerprint=True)
         assert r.workers == scenario.num_cells
         assert r.fingerprint == GOLDEN_CHURN
+
+
+class TestCellEventCounts:
+    """Per-cell counters — ``events`` (the instants a cell visited)
+    first among them — recorded at the commit before ``_settle`` began
+    touching only the hosts with something due.  They are part of
+    ``sim_digest``: skipping a host must never skip (or add) an instant.
+    """
+
+    #: counter names, then one row per cell.
+    COLUMNS = (
+        "events", "forwarded", "packets_sent", "packets_received",
+        "conns_opened", "conns_established", "conns_closed", "accepted",
+        "responded", "txns_completed",
+    )
+    MEGAFLOW_512 = 4 * [(1792, 640, 1152, 640, 512, 512, 0, 0, 0, 64)] + 4 * [
+        (2304, 1152, 640, 1152, 0, 0, 0, 512, 64, 0)
+    ]
+    CHURN = [
+        (2144, 992, 1120, 992, 160, 160, 160, 32, 32, 160),
+        (1792, 832, 928, 832, 128, 128, 128, 32, 32, 128),
+        (1536, 768, 640, 768, 0, 0, 0, 128, 128, 0),
+        (1887, 928, 832, 928, 32, 32, 32, 128, 128, 32),
+    ]
+
+    @pytest.mark.parametrize("scenario,expected", [
+        (get_shard_scenario("megaflow").scaled(512), MEGAFLOW_512),
+        (get_shard_scenario("churn"), CHURN),
+    ], ids=["megaflow/512", "churn"])
+    def test_per_cell_counters_are_pinned(self, scenario, expected):
+        result = run_shard(scenario, workers=1, fingerprint=False)
+        assert result.finished
+        rows = [
+            tuple(cell.counters[name] for name in self.COLUMNS)
+            for cell in result.cells
+        ]
+        assert rows == expected
+        for cell in result.cells:
+            for name in ("dropped", "retransmits", "timeouts", "ecn_marked"):
+                assert cell.counters[name] == 0
