@@ -50,15 +50,12 @@ def run_functional_echo(
     payload_bytes: int = 128,
     testbed: Optional[Testbed] = None,
     max_time_s: float = 2.0,
-    backend: str = "f4t",
 ) -> float:
     """Real ping-pong over ``flows`` connections; returns transactions/s.
 
     A thin preset over :mod:`repro.traffic`: each flow is a persistent
     closed-loop connection sending the next payload only after the
     previous echo lands — the worst-case TCB locality pattern.
-    ``backend`` picks any :mod:`repro.fabric` offload backend; the
-    default is the F4T engine testbed, unchanged.
     """
     result = run_scenario(
         echo_scenario(flows, rounds, payload_bytes),
@@ -66,7 +63,6 @@ def run_functional_echo(
         setup_time_s=max_time_s,
         run_time_s=max_time_s,
         raise_on_incomplete=True,
-        backend=backend,
     )
     return result.classes["echo"].achieved_rps
 

@@ -50,7 +50,6 @@ def run_functional_round_robin(
     request_bytes: int = 128,
     testbed: Optional[Testbed] = None,
     max_time_s: float = 1.0,
-    backend: str = "f4t",
 ) -> BulkResult:
     """Drive real round-robin requests over ``flows`` connections.
 
@@ -58,8 +57,6 @@ def run_functional_round_robin(
     closed-loop connection pipelining one-way requests, so FtEngine sees
     events of *different* flows back to back.  Delivery to the server
     side is completion; ``bytes_delivered`` counts request bytes only.
-    ``backend`` picks any :mod:`repro.fabric` offload backend; the
-    default is the F4T engine testbed, unchanged.
     """
     result = run_scenario(
         round_robin_scenario(flows, requests_per_flow, request_bytes),
@@ -67,7 +64,6 @@ def run_functional_round_robin(
         setup_time_s=max_time_s,
         run_time_s=max_time_s,
         raise_on_incomplete=True,
-        backend=backend,
     )
     metrics = result.classes["rr"]
     elapsed = result.elapsed_s

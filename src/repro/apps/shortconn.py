@@ -63,7 +63,6 @@ def run_connection_churn(
     concurrency: int = 4,
     testbed: Optional[Testbed] = None,
     max_time_s: float = 30.0,
-    backend: str = "f4t",
 ) -> ChurnResult:
     """Run ``connections`` short transactions, ``concurrency`` at a time.
 
@@ -79,7 +78,6 @@ def run_connection_churn(
         testbed=testbed,
         run_time_s=max_time_s,
         raise_on_incomplete=True,
-        backend=backend,
     )
     metrics = result.classes["churn"]
     return ChurnResult(metrics.completed, result.elapsed_s, metrics.lifecycle)

@@ -54,13 +54,10 @@ def run_functional_wrk(
     requests_per_connection: int = 8,
     testbed: Testbed = None,
     max_time_s: float = 2.0,
-    backend: str = "f4t",
 ) -> WrkResult:
     """Closed-loop GETs over real connections; returns rate + latencies.
 
     A thin preset over :mod:`repro.traffic`'s persistent closed loop.
-    ``backend`` picks any :mod:`repro.fabric` offload backend; the
-    default is the F4T engine testbed, unchanged.
     """
     result = run_scenario(
         wrk_scenario(connections, requests_per_connection),
@@ -68,7 +65,6 @@ def run_functional_wrk(
         setup_time_s=max_time_s,
         run_time_s=max_time_s,
         raise_on_incomplete=True,
-        backend=backend,
     )
     metrics = result.classes["wrk"]
     return WrkResult(metrics.completed, result.elapsed_s, metrics.latencies)

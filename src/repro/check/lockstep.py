@@ -292,5 +292,5 @@ def run_lockstep_check(
 
     scenario = get_shard_scenario(scenario_name, seed=seed)
     san = LockstepSanitizer(max_findings=max_findings)
-    result = run_shard(scenario, workers=1, fingerprint=True, sanitizer=san)
+    result = run_shard(scenario, workers=2, fingerprint=True, sanitizer=san)
     return san, result

@@ -8,8 +8,8 @@ Two halves, one design-space laboratory:
   FtEngine`, unchanged behind the interface), a FlexTOE-style
   pipeline-parallel data path, a PnO-style off-path SmartNIC proxy, and
   the calibrated ``linux_stack`` baseline.  Point-to-point runs of any
-  backend plug straight into :mod:`repro.traffic`'s LoadEngine and the
-  ``repro.apps`` presets via ``backend=``.
+  backend plug straight into :mod:`repro.traffic`'s LoadEngine
+  (``LoadEngine(backend=...)`` / ``run_scenario(..., backend=...)``).
 
 * **Fabric** (:mod:`.switch`, :mod:`.engine`, :mod:`.scenarios`): N
   hosts attached through a deterministic output-queued switch with
@@ -40,7 +40,6 @@ from .service import (  # noqa: F401
     LinuxService,
     PnoService,
     ServiceModel,
-    service_for,
 )
 from .scenarios import (  # noqa: F401
     FabricScenario,

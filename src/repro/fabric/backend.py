@@ -20,9 +20,11 @@ name           kind     provenance    what runs
 ``linux_stack``  soft   calibrated    SoftStack + LinuxService
 =============  =======  ============  =====================================
 
-``build_point_to_point`` is the single constructor the traffic layer
-calls: it returns a testbed object (``engine_a``/``engine_b``/``wire``/
-``run``/``now_s``/``cycle``) for any backend name.
+``build_point_to_point`` returns a testbed object (``engine_a``/
+``engine_b``/``wire``/``run``/``now_s``/``cycle``) for any backend name.
+:class:`~repro.traffic.engine.LoadEngine` calls it for the soft
+backends only; for ``f4t`` it builds the engine
+:class:`~repro.engine.testbed.Testbed` itself.
 """
 
 from __future__ import annotations
@@ -35,13 +37,20 @@ from typing import (
     Optional,
     Protocol,
     Tuple,
+    Type,
 )
 
 from .. import Registry
 from ..net.link import LINK_100G, Link
 from ..net.wire import Wire
 from ..tcp.state_machine import TcpState
-from .service import ServiceModel, service_for
+from .service import (
+    F4TService,
+    FlexToeService,
+    LinuxService,
+    PnoService,
+    ServiceModel,
+)
 from .softstack import SoftStackConfig, SoftTestbed
 
 
@@ -92,10 +101,13 @@ class BackendSpec:
     #: ``model-backed`` (published architecture, modeled timings).
     provenance: str
     description: str
+    #: The fabric-host service model (the soft backends' whole timing
+    #: model; F4T's stand-in when it sits in an N-host fabric).
+    service_class: Type[ServiceModel]
 
     def service(self, **overrides: int) -> ServiceModel:
-        """The fabric-host service model for this backend."""
-        return service_for(self.name, **overrides)
+        """A fresh service model for one host of this backend."""
+        return self.service_class(**overrides)
 
 
 _REGISTRY: Registry[BackendSpec] = Registry("backend")
@@ -113,6 +125,7 @@ _REGISTRY.update(
                 "Point-to-point runs use the real cycle-driven FtEngine; "
                 "N-host fabrics use its service model."
             ),
+            service_class=F4TService,
         ),
         BackendSpec(
             name="flextoe",
@@ -124,6 +137,7 @@ _REGISTRY.update(
                 "rate independent of flow count, at pipeline-depth "
                 "latency."
             ),
+            service_class=FlexToeService,
         ),
         BackendSpec(
             name="pno",
@@ -134,6 +148,7 @@ _REGISTRY.update(
                 "TCP terminates on the SmartNIC SoC off the host's "
                 "critical path; every segment pays the proxy hop."
             ),
+            service_class=PnoService,
         ),
         BackendSpec(
             name="linux_stack",
@@ -144,6 +159,7 @@ _REGISTRY.update(
                 "The kernel-stack baseline from this repo's calibrated "
                 "per-send cycle costs (host.calibration)."
             ),
+            service_class=LinuxService,
         ),
     )
 )

@@ -194,21 +194,3 @@ class LinuxService(ServiceModel):
         # carried in millicycles so no fractional ps ever accumulates.
         millicycles = self._base_kcycles_x1000 + 600 * payload_bytes
         return millicycles * self._ps_per_kcycle // 1_000_000
-
-
-def service_for(backend: str, **overrides: int) -> ServiceModel:
-    """Build the fabric-host service model for one backend name."""
-    factories = {
-        "f4t": F4TService,
-        "flextoe": FlexToeService,
-        "pno": PnoService,
-        "linux_stack": LinuxService,
-    }
-    try:
-        factory = factories[backend]
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {backend!r}; available: "
-            + ", ".join(sorted(factories))
-        ) from None
-    return factory(**overrides)

@@ -4,9 +4,11 @@
 store (content-hash run ids make this idempotent: points already
 ``done`` are cache hits and never re-execute), reclaims rows left
 ``running`` by a previously killed pool, then executes every claimable
-row — in-process when ``workers <= 1``, else on a ``multiprocessing``
-pool where each worker owns its own SQLite connection and pulls open
-runs PyExperimenter-style until none remain.
+row through one work loop (:func:`_work_loop`): ``workers > 1`` runs it
+on a ``multiprocessing`` pool where each worker owns its own SQLite
+connection and pulls open runs PyExperimenter-style until none remain,
+and the orchestrator always runs it once itself — the whole grid for
+``workers <= 1``, otherwise whatever a dead pool worker left behind.
 
 Per-run limits:
 
@@ -31,7 +33,7 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, TextIO, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Union
 
 from .grid import ExperimentGrid, normalize_result, provenance, resolve_driver
 from .store import RunRecord, RunStore
@@ -65,7 +67,7 @@ class GridRunReport:
     experiments: List[str]
     total: int
     cached: int  # already done before this invocation
-    executed: int = 0
+    executed: int = 0  # brought to done by this invocation
     done: int = 0
     errors: int = 0
     elapsed_s: float = 0.0
@@ -73,7 +75,8 @@ class GridRunReport:
 
     @property
     def ok(self) -> bool:
-        return self.errors == 0 and self.totals.get("pending", 0) == 0
+        """Every row is ``done``: none failed, pending or left running."""
+        return self.done == self.total
 
 
 # ------------------------------------------------------------ one run
@@ -102,11 +105,8 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _execute_claimed(store: RunStore, record: RunRecord, options: RunOptions) -> bool:
-    """Run one claimed row to ``done``/``pending``(retry)/``error``.
-
-    Returns True when the row finished ``done``.
-    """
+def _execute_claimed(store: RunStore, record: RunRecord, options: RunOptions) -> None:
+    """Run one claimed row to ``done``/``pending``(retry)/``error``."""
     start = time.monotonic()
     try:
         driver = resolve_driver(record.driver)
@@ -130,14 +130,13 @@ def _execute_claimed(store: RunStore, record: RunRecord, options: RunOptions) ->
             )
         else:
             store.fail(record.run_id, message, wall_time_s=wall)
-        return False
+        return
     store.finish(
         record.run_id,
         result,
         wall_time_s=time.monotonic() - start,
         provenance=provenance(record.seed),
     )
-    return True
 
 
 def _work_loop(
@@ -145,19 +144,21 @@ def _work_loop(
     experiments: Sequence[str],
     options: RunOptions,
     worker: str,
-) -> int:
+    on_row: Optional[Callable[[], None]] = None,
+) -> None:
     """Claim-and-execute until the selected experiments have no pending
     rows left (backoff-gated retries included — the loop waits them out).
+    ``on_row`` is called after each executed row.
     """
-    executed = 0
     while True:
         record = store.claim(worker, experiments)
         if record is not None:
-            executed += 1
             _execute_claimed(store, record, options)
+            if on_row is not None:
+                on_row()
             continue
         if store.totals(experiments)["pending"] == 0:
-            return executed
+            return
         time.sleep(options.poll_s)
 
 
@@ -273,23 +274,15 @@ def run_grid(
             experiments=experiments, total=total, cached=before["done"]
         )
 
-        if workers <= 1:
-            while True:
-                record = store.claim("worker-serial", experiments)
-                if record is not None:
-                    report.executed += 1
-                    _execute_claimed(store, record, options)
-                    printer.update(
-                        _progress_line(
-                            store.totals(experiments), total, started,
-                            store.mean_wall_time(experiments), 1,
-                        )
-                    )
-                    continue
-                if store.totals(experiments)["pending"] == 0:
-                    break
-                time.sleep(options.poll_s)
-        else:
+        def show_progress() -> None:
+            printer.update(
+                _progress_line(
+                    store.totals(experiments), total, started,
+                    store.mean_wall_time(experiments), workers,
+                )
+            )
+
+        if workers > 1:
             context = _mp_context()
             pool = [
                 context.Process(
@@ -304,12 +297,7 @@ def run_grid(
                 process.start()
             try:
                 while any(process.is_alive() for process in pool):
-                    totals = store.totals(experiments)
-                    printer.update(
-                        _progress_line(
-                            totals, total, started, store.mean_wall_time(experiments), workers
-                        )
-                    )
+                    show_progress()
                     time.sleep(0.2)
                 for process in pool:
                     process.join()
@@ -323,12 +311,16 @@ def run_grid(
                     f"({store.totals(experiments)['done']}/{total} done)"
                 )
                 raise
+            # A worker that died (OOM, SIGKILL) left its row ``running``
+            # and maybe rows unclaimed; the loop below finishes both.
+            store.reset_running(experiments)
+        _work_loop(store, experiments, options, "worker-serial", show_progress)
 
         after = store.totals(experiments)
         report.totals = after
         report.done = after["done"]
         report.errors = after["error"]
-        report.executed = max(report.executed, report.done - report.cached)
+        report.executed = report.done - report.cached
         report.elapsed_s = time.monotonic() - started
         printer.finish(
             f"lab: {report.done}/{total} done ({report.cached} cached), "

@@ -288,31 +288,29 @@ class RunStore:
             )
 
     # ------------------------------------------------------------ resetting
-    def reset_running(self, experiments: Optional[Iterable[str]] = None) -> int:
-        """Reclaim rows left ``running`` by a killed pool (crash resume)."""
+    def _reset(
+        self, status: str, clear: str, experiments: Optional[Iterable[str]]
+    ) -> int:
+        """Send every ``status`` row back to ``pending``, claimable now."""
         filter_sql, filter_args = self._experiment_filter(
             list(experiments) if experiments else None
         )
         with self._conn:
             cursor = self._conn.execute(
-                "UPDATE runs SET status='pending', worker=NULL, not_before=0 "
-                "WHERE status='running'" + filter_sql,
-                filter_args,
+                f"UPDATE runs SET status='pending', not_before=0, {clear} "
+                "WHERE status=?" + filter_sql,
+                (status, *filter_args),
             )
         return cursor.rowcount
 
+    def reset_running(self, experiments: Optional[Iterable[str]] = None) -> int:
+        """Reclaim rows left ``running`` by a dead worker or a killed
+        pool (crash resume); the attempt they were on stays charged."""
+        return self._reset("running", "worker=NULL", experiments)
+
     def reset_errors(self, experiments: Optional[Iterable[str]] = None) -> int:
         """``lab retry``: make every ``error`` row claimable again."""
-        filter_sql, filter_args = self._experiment_filter(
-            list(experiments) if experiments else None
-        )
-        with self._conn:
-            cursor = self._conn.execute(
-                "UPDATE runs SET status='pending', attempts=0, not_before=0 "
-                "WHERE status='error'" + filter_sql,
-                filter_args,
-            )
-        return cursor.rowcount
+        return self._reset("error", "attempts=0", experiments)
 
     # ------------------------------------------------------------- querying
     def get(self, run_id: str) -> Optional[RunRecord]:

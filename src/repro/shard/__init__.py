@@ -36,6 +36,7 @@ from .cell import CellSim
 from .runner import (
     CellReport,
     ShardResult,
+    ShardWorkerError,
     run_shard,
     run_traffic_shard,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "ShardPair",
     "ShardResult",
     "ShardScenario",
+    "ShardWorkerError",
     "available_shard_scenarios",
     "get_shard_scenario",
     "register_shard_scenario",

@@ -1,16 +1,20 @@
-"""The shard runner: lockstep epochs, worker processes, merged results.
+"""The shard runner: one lockstep barrier loop over cell groups.
 
 :func:`run_shard` executes a :class:`~repro.shard.scenarios.
-ShardScenario` — in-process when ``workers <= 1``, else on a pool of
-forked worker processes, each hosting a fixed subset of cells.  The
-epoch protocol is a plain barrier loop:
+ShardScenario` as ``workers`` *cell groups*, each hosting a fixed
+subset of cells: a :class:`_CellGroup` simulating them in this process,
+or a :class:`_PipedGroup` proxy whose forked worker runs that same
+``_CellGroup`` behind a pipe.  The worker count picks the group kind,
+never the protocol — one coordinator loop drives either:
 
-1. every worker runs each of its cells up to the epoch boundary;
-2. workers send their cross-cell outboxes (plus an idle flag and the
-   live-connection gauge) to the coordinator;
-3. the coordinator routes entries to the destination cells' workers —
-   or, if **no** entries were exchanged and **every** cell reported
-   idle, declares quiescence and stops.
+1. it hands every group the epoch boundary and the entries routed to
+   its cells at the last barrier;
+2. each group admits them, runs its cells up to the boundary and hands
+   back its cross-cell outboxes, an idle flag and the live-connection
+   gauge;
+3. it routes the outboxes to the destination cells' groups — or, if
+   **no** entries were exchanged and **every** group reported idle,
+   declares quiescence and stops.
 
 Because the stop decision is a function of per-cell flags only, and
 each cell's simulation is a pure function of (scenario, seed, cell) and
@@ -32,8 +36,7 @@ import resource
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
-from multiprocessing.process import BaseProcess
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, TextIO, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, TextIO, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..traffic.scenario import Scenario
@@ -67,7 +70,7 @@ class ShardResult:
     kind: str  # 'fabric' | 'traffic'
     seed: int
     num_cells: int
-    workers: int
+    workers: int  # cell groups: forked workers, or in-process groups
     epochs: int
     epoch_ps: int
     finished: bool
@@ -76,7 +79,7 @@ class ShardResult:
     cells: List[CellReport]
     elapsed_s: float
     #: Peak RSS in KiB of the largest worker process (the bounded
-    #: per-shard memory gauge; the coordinator's own RSS for workers<=1).
+    #: per-shard memory gauge; this process's RSS for in-process groups).
     max_worker_rss_kb: int = 0
 
     def total(self, key: str) -> int:
@@ -143,227 +146,169 @@ def _rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _cell_report(sim: CellSim) -> CellReport:
-    fp = sim.trace.hexdigest() if sim.trace is not None else None
-    return CellReport(cell=sim.cell, fingerprint=fp, counters=sim.report())
+# --------------------------------------------------------- the cell groups
+class ShardWorkerError(RuntimeError):
+    """A forked shard worker died before the run was over."""
 
 
-def _merged(
-    scenario: ShardScenario,
-    workers: int,
-    epochs: int,
-    finished: bool,
-    peak: int,
-    reports: List[CellReport],
-    elapsed: float,
-    rss_kb: int,
-    san: Optional[LockstepSanitizer] = None,
-) -> ShardResult:
-    reports = sorted(reports, key=lambda r: r.cell)
-    if san is not None:
-        san.on_merge([r.cell for r in reports], scenario.num_cells)
-    parts = [report.fingerprint for report in reports]
-    merged = (
-        merge_fingerprints(parts) if all(p is not None for p in parts) else None
-    )
-    return ShardResult(
-        scenario=scenario.name,
-        kind="fabric",
-        seed=scenario.seed,
-        num_cells=scenario.num_cells,
-        workers=workers,
-        epochs=epochs,
-        epoch_ps=scenario.epoch_ps,
-        finished=finished,
-        peak_concurrent=peak,
-        fingerprint=merged,
-        cells=reports,
-        elapsed_s=elapsed,
-        max_worker_rss_kb=rss_kb,
-    )
+#: What a group hands back at a barrier: ``{(src cell, dst cell):
+#: entries}`` for every non-empty outbox, all-cells-idle, live conns.
+Barrier = Tuple[Dict[Tuple[int, int], List[Entry]], bool, int]
+#: What it is handed to start an epoch: one batch per destination cell.
+Inbound = Dict[int, List[Entry]]
 
 
-# --------------------------------------------------------------- sequential
-def _run_sequential(
-    scenario: ShardScenario,
-    fingerprint: bool,
-    progress: Optional[TextIO],
-    san: Optional[LockstepSanitizer] = None,
-) -> ShardResult:
-    started = time.monotonic()  # f4t: noqa[F4T002] harness wall clock
-    sims = [
-        CellSim(
-            scenario, cell,
-            StreamingFingerprint() if fingerprint else None,
-            san=san,
-        )
-        for cell in range(scenario.num_cells)
-    ]
-    epoch_ps = scenario.epoch_ps
-    peak = 0
-    finished = False
-    epoch = 0
-    while epoch < scenario.max_epochs:
-        boundary = (epoch + 1) * epoch_ps
-        if san is not None:
-            san.on_epoch(epoch, boundary)
-        exchanged = 0
-        for sim in sims:
-            sim.run_epoch(boundary)
-        for sim in sims:
-            for dst, entries in sim.take_outboxes().items():
-                sims[dst].receive(entries)
-                exchanged += len(entries)
-        open_now = sum(sim.open_conns() for sim in sims)
-        if open_now > peak:
-            peak = open_now
-        epoch += 1
-        if exchanged == 0 and all(sim.idle() for sim in sims):
-            finished = True
-            break
-        if progress is not None and epoch % 200 == 0:
-            progress.write(
-                f"shard: epoch {epoch}, {open_now} conns open\n"
+class _CellGroup:
+    """The cells one worker hosts, simulated in the calling process."""
+
+    def __init__(
+        self,
+        scenario: ShardScenario,
+        cell_ids: List[int],
+        fingerprint: bool,
+        san: Optional[LockstepSanitizer] = None,
+    ) -> None:
+        self.sims = {
+            cell: CellSim(
+                scenario, cell,
+                StreamingFingerprint() if fingerprint else None,
+                san=san,
             )
-            progress.flush()
-    return _merged(
-        scenario, 1, epoch, finished, peak,
-        [_cell_report(sim) for sim in sims],
-        time.monotonic() - started, _rss_kb(),  # f4t: noqa[F4T002]
-        san=san,
-    )
+            for cell in cell_ids
+        }
+        self._barrier: Barrier = ({}, True, 0)
+
+    def start_epoch(self, epoch: int, boundary_ps: int, inbound: Inbound) -> None:
+        """Admit ``inbound``, run every cell up to ``boundary_ps``
+        (``epoch`` is carried for a proxy's error message only)."""
+        for cell, entries in inbound.items():
+            self.sims[cell].receive(entries)
+        sims = self.sims.values()
+        outbound: Dict[Tuple[int, int], List[Entry]] = {}
+        for sim in sims:
+            sim.run_epoch(boundary_ps)
+            for dst, entries in sim.take_outboxes().items():
+                outbound[sim.cell, dst] = entries
+        self._barrier = (
+            outbound,
+            all(sim.idle() for sim in sims),
+            sum(sim.open_conns() for sim in sims),
+        )
+
+    def barrier(self) -> Barrier:
+        return self._barrier
+
+    def finish(self) -> Tuple[List[CellReport], int]:
+        reports = [
+            CellReport(
+                sim.cell,
+                sim.trace.hexdigest() if sim.trace is not None else None,
+                sim.report(),
+            )
+            for sim in self.sims.values()
+        ]
+        return reports, _rss_kb()
+
+    def close(self) -> None:
+        """Nothing to reap."""
 
 
-# ----------------------------------------------------------- worker process
 def _shard_worker_main(
-    channel: Any,
+    channel: Connection,
+    inherited: List[Connection],
     scenario: ShardScenario,
     cell_ids: List[int],
     fingerprint: bool,
 ) -> None:
-    """One worker: simulate ``cell_ids`` in lockstep with the barrier."""
-    sims = {
-        cell: CellSim(
-            scenario, cell, StreamingFingerprint() if fingerprint else None
-        )
-        for cell in cell_ids
-    }
-    epoch_ps = scenario.epoch_ps
-    epoch = 0
+    """A forked worker: one :class:`_CellGroup` relayed over ``channel``."""
+    # fork copied every parent-side pipe end opened so far, this worker's
+    # own included; while a copy stays open here, a coordinator that
+    # closed its end (or died) never reads as EOF and recv() blocks.
+    for end in inherited:
+        end.close()
+    group = _CellGroup(scenario, cell_ids, fingerprint)
     try:
         while True:
-            boundary = (epoch + 1) * epoch_ps
-            outbound: Dict[int, List[Entry]] = {}
-            open_conns = 0
-            for cell in cell_ids:
-                sim = sims[cell]
-                sim.run_epoch(boundary)
-                # Canonical wire order: the heap on the receiving
-                # side makes admission order-invariant, but sorting here
-                # keeps the pickled exchange bytes worker-layout-stable.
-                for dst, entries in sorted(sim.take_outboxes().items()):
-                    outbound.setdefault(dst, []).extend(entries)
-                open_conns += sim.open_conns()
-            idle = all(sims[cell].idle() for cell in cell_ids)
-            channel.send(("barrier", epoch, outbound, idle, open_conns))
-            command = channel.recv()
-            if command[0] == "stop":
-                break
-            for cell, entries in command[1].items():
-                sims[cell].receive(entries)
-            epoch += 1
-        channel.send(
-            ("final", [_cell_report(sims[cell]) for cell in cell_ids], _rss_kb())
-        )
-    except (KeyboardInterrupt, BrokenPipeError, EOFError):
+            message = channel.recv()
+            if message is None:
+                channel.send(group.finish())
+                return
+            group.start_epoch(*message)
+            channel.send(group.barrier())
+    except (KeyboardInterrupt, EOFError, ConnectionError):
         pass
 
 
-def _run_pooled(
-    scenario: ShardScenario,
-    workers: int,
-    fingerprint: bool,
-    progress: Optional[TextIO],
-) -> ShardResult:
-    started = time.monotonic()  # f4t: noqa[F4T002] harness wall clock
-    context = _mp_context()
-    #: Worker w hosts cells w, w+workers, w+2*workers, ... — any fixed
-    #: assignment works; the fingerprint must not (and does not) care.
-    assignment = [
-        list(range(w, scenario.num_cells, workers)) for w in range(workers)
-    ]
-    owner = {
-        cell: w for w, cells in enumerate(assignment) for cell in cells
-    }
-    channels: List[Connection] = []
-    processes: List[BaseProcess] = []
-    for w in range(workers):
-        parent_end, child_end = context.Pipe()
-        process = context.Process(
+class _PipedGroup:
+    """Proxy for a :class:`_CellGroup` living in a forked worker."""
+
+    def __init__(
+        self,
+        index: int,
+        scenario: ShardScenario,
+        cell_ids: List[int],
+        fingerprint: bool,
+        parent_ends: List[Connection],
+    ) -> None:
+        """``parent_ends`` holds the coordinator's end of every pipe
+        opened so far; this proxy's is added to it."""
+        context = _mp_context()
+        self.index = index
+        self.cell_ids = cell_ids
+        self.epoch = 0
+        self.channel, child_end = context.Pipe()
+        parent_ends.append(self.channel)
+        self.process = context.Process(
             target=_shard_worker_main,
-            args=(child_end, scenario, assignment[w], fingerprint),
-            name=f"shard-worker-{w}",
+            args=(child_end, parent_ends, scenario, cell_ids, fingerprint),
+            name=f"shard-worker-{index}",
             daemon=True,
         )
-        process.start()
+        self.process.start()
         child_end.close()
-        channels.append(parent_end)
-        processes.append(process)
 
-    peak = 0
-    finished = False
-    epoch = 0
-    try:
-        while epoch < scenario.max_epochs:
-            exchanged = 0
-            all_idle = True
-            open_now = 0
-            inbound: List[Dict[int, List[Entry]]] = [
-                {} for _ in range(workers)
-            ]
-            for channel in channels:
-                tag, _epoch, outbound, idle, opened = channel.recv()
-                assert tag == "barrier"
-                all_idle = all_idle and idle
-                open_now += opened
-                for dst, entries in sorted(outbound.items()):
-                    inbound[owner[dst]].setdefault(dst, []).extend(entries)
-                    exchanged += len(entries)
-            if open_now > peak:
-                peak = open_now
-            epoch += 1
-            if exchanged == 0 and all_idle:
-                finished = True
-                break
-            for w, channel in enumerate(channels):
-                channel.send(("run", inbound[w]))
-            if progress is not None and epoch % 200 == 0:
-                progress.write(
-                    f"shard: epoch {epoch}, {open_now} conns open\n"
-                )
-                progress.flush()
-        reports: List[CellReport] = []
-        rss = 0
-        for channel in channels:
-            channel.send(("stop",))
-        for channel in channels:
-            tag, worker_reports, worker_rss = channel.recv()
-            assert tag == "final"
-            reports.extend(worker_reports)
-            rss = max(rss, worker_rss)
-    finally:
-        for channel in channels:
-            channel.close()
-        for process in processes:
-            process.join(timeout=30)
-            if process.is_alive():
-                process.terminate()
-    return _merged(
-        scenario, workers, epoch, finished, peak, reports,
-        time.monotonic() - started, rss,  # f4t: noqa[F4T002]
-    )
+    def _io(self, op: Callable[..., Any], *args: Any) -> Any:
+        try:
+            return op(*args)
+        except (EOFError, ConnectionError) as exc:
+            self.process.join(timeout=1)
+            raise ShardWorkerError(
+                f"shard worker {self.index} (cells {self.cell_ids}) died "
+                f"in epoch {self.epoch}, exit code {self.process.exitcode}"
+            ) from exc
+
+    def start_epoch(self, epoch: int, boundary_ps: int, inbound: Inbound) -> None:
+        self.epoch = epoch
+        self._io(self.channel.send, (epoch, boundary_ps, inbound))
+
+    def barrier(self) -> Barrier:
+        barrier: Barrier = self._io(self.channel.recv)
+        return barrier
+
+    def finish(self) -> Tuple[List[CellReport], int]:
+        self._io(self.channel.send, None)
+        final: Tuple[List[CellReport], int] = self._io(self.channel.recv)
+        self.process.join(timeout=30)  # it returns right after that send
+        return final
+
+    def close(self) -> None:
+        """Reap the worker; one still running (the coordinator is
+        unwinding an error) is terminated, not waited for."""
+        self.channel.close()
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join()
 
 
+def _can_fork(workers: int) -> bool:
+    """Whether ``workers`` asks for a pool this process may start: a
+    daemonic process (a lab grid worker, say) cannot have children.
+    Capability probe only; never enters sim state or digests."""
+    return (workers > 1
+            and not multiprocessing.current_process().daemon)  # f4t: noqa[F4T009]
+
+
+# -------------------------------------------------------- the barrier loop
 def run_shard(
     scenario: ShardScenario,
     workers: int = 1,
@@ -371,7 +316,7 @@ def run_shard(
     progress: Optional[TextIO] = None,
     sanitizer: Optional[LockstepSanitizer] = None,
 ) -> ShardResult:
-    """Run a sharded fabric scenario on ``workers`` processes.
+    """Run a sharded fabric scenario as ``workers`` cell groups.
 
     ``fingerprint=None`` takes the scenario's default (the million-flow
     presets turn it off; everything else on).  The merged fingerprint —
@@ -379,23 +324,96 @@ def run_shard(
 
     ``sanitizer`` attaches a
     :class:`~repro.check.lockstep.LockstepSanitizer`; its shadow state
-    must live in one address space, so a sanitized run always takes the
-    (bit-identical) sequential path regardless of ``workers``.
+    must live in one address space, so a sanitized run keeps its groups
+    in this process (as does a lone group, or a run inside a daemonic
+    process) — same loop, same routing, same fingerprint.
     """
+    started = time.monotonic()  # f4t: noqa[F4T002] harness wall clock
     if fingerprint is None:
         fingerprint = scenario.fingerprint_default
     workers = max(1, min(workers, scenario.num_cells))
+    #: Group w hosts cells w, w+workers, w+2*workers, ... — any fixed
+    #: assignment works; the fingerprint must not (and does not) care.
+    assignment = [
+        list(range(w, scenario.num_cells, workers)) for w in range(workers)
+    ]
+    owner = {
+        cell: w for w, cells in enumerate(assignment) for cell in cells
+    }
+    piped = sanitizer is None and _can_fork(workers)
+    groups: List[Union[_CellGroup, _PipedGroup]] = []
+    parent_ends: List[Connection] = []
+    try:
+        for w, cells in enumerate(assignment):
+            groups.append(
+                _PipedGroup(w, scenario, cells, fingerprint, parent_ends)
+                if piped
+                else _CellGroup(scenario, cells, fingerprint, sanitizer)
+            )
+        inbound: List[Inbound] = [{} for _ in groups]
+        peak = 0
+        finished = False
+        epoch = 0
+        while not finished and epoch < scenario.max_epochs:
+            boundary = (epoch + 1) * scenario.epoch_ps
+            if sanitizer is not None:
+                sanitizer.on_epoch(epoch, boundary)
+            for group, batch in zip(groups, inbound):
+                group.start_epoch(epoch, boundary, batch)
+            outbound: Dict[Tuple[int, int], List[Entry]] = {}
+            all_idle = True
+            open_now = 0
+            for group in groups:
+                sent, idle, opened = group.barrier()
+                outbound.update(sent)
+                all_idle = all_idle and idle
+                open_now += opened
+            peak = max(peak, open_now)
+            epoch += 1
+            # One batch per destination cell, sources in sorted cell
+            # order: the same list (and pickle) for every worker layout.
+            inbound = [{} for _ in groups]
+            exchanged = 0
+            for (_src, dst), entries in sorted(outbound.items()):
+                inbound[owner[dst]].setdefault(dst, []).extend(entries)
+                exchanged += len(entries)
+            finished = exchanged == 0 and all_idle
+            if progress is not None and not finished and epoch % 200 == 0:
+                progress.write(
+                    f"shard: epoch {epoch}, {open_now} conns open\n"
+                )
+                progress.flush()
+        reports: List[CellReport] = []
+        rss_kb = 0
+        for group in groups:
+            group_reports, group_rss_kb = group.finish()
+            reports.extend(group_reports)
+            rss_kb = max(rss_kb, group_rss_kb)
+    finally:
+        for group in groups:
+            group.close()
+    reports.sort(key=lambda report: report.cell)
     if sanitizer is not None:
-        return _run_sequential(scenario, fingerprint, progress, san=sanitizer)
-    # Pool-capability probe only; never enters sim state or digests.
-    if (workers > 1
-            and multiprocessing.current_process().daemon):  # f4t: noqa[F4T009]
-        # A daemonic pool worker (e.g. a lab grid worker) cannot fork
-        # children; the sequential path is bit-identical, just slower.
-        workers = 1
-    if workers == 1:
-        return _run_sequential(scenario, fingerprint, progress)
-    return _run_pooled(scenario, workers, fingerprint, progress)
+        sanitizer.on_merge([r.cell for r in reports], scenario.num_cells)
+    parts = [report.fingerprint for report in reports]
+    return ShardResult(
+        scenario=scenario.name,
+        kind="fabric",
+        seed=scenario.seed,
+        num_cells=scenario.num_cells,
+        workers=workers,
+        epochs=epoch,
+        epoch_ps=scenario.epoch_ps,
+        finished=finished,
+        peak_concurrent=peak,
+        fingerprint=(
+            merge_fingerprints(parts)
+            if all(p is not None for p in parts) else None
+        ),
+        cells=reports,
+        elapsed_s=time.monotonic() - started,  # f4t: noqa[F4T002]
+        max_worker_rss_kb=rss_kb,
+    )
 
 
 # ------------------------------------------------------------ traffic kind
@@ -438,16 +456,12 @@ def run_traffic_shard(
     parts = scenario.split(cells)
     jobs = [(cell, part, load_scale) for cell, part in enumerate(parts)]
     workers = max(1, min(workers, len(jobs)))
-    # Pool-capability probe only; never enters sim state or digests.
-    if (workers > 1
-            and multiprocessing.current_process().daemon):  # f4t: noqa[F4T009]
-        workers = 1
-    if workers == 1:
-        rows = [_traffic_cell_job(job) for job in jobs]
-    else:
-        context = _mp_context()
-        with context.Pool(processes=workers) as pool:
+    if _can_fork(workers):
+        with _mp_context().Pool(processes=workers) as pool:
             rows = pool.map(_traffic_cell_job, jobs)
+    else:
+        workers = 1
+        rows = [_traffic_cell_job(job) for job in jobs]
     rows.sort(key=lambda row: row[0])
     reports = [
         CellReport(cell=cell, fingerprint=fp, counters=counters)

@@ -1,5 +1,9 @@
 """The worker pool: execution, caching, resume, retry, timeout, speedup."""
 
+import multiprocessing
+import os
+import signal
+import threading
 import time
 
 import pytest
@@ -206,3 +210,42 @@ class TestParallel:
         assert report.cached == 6
         assert report.executed == 0
         assert len(log_lines(tmp_path / "log.txt")) == 6
+
+
+class TestWorkerDeath:
+    def test_sigkilled_worker_is_never_a_clean_partial_run(self, tmp_path):
+        """A pool worker SIGKILLed mid-row leaves that row ``running``;
+        the orchestrator reclaims and finishes it in-process — the run
+        is 4/4 done or not ok, never ok with a row still ``running``."""
+        grid = ExperimentGrid(
+            name="sleepy",
+            driver="tests.lab._drivers:sleepy_point",
+            domains={"x": [1, 2, 3, 4]},
+            base={"sleep_s": 0.6},
+        )
+        db = str(tmp_path / "runs.sqlite")
+
+        def kill_one():
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                workers = [
+                    p for p in multiprocessing.active_children()
+                    if p.name.startswith("lab-worker-")
+                ]
+                if len(workers) == 2:
+                    time.sleep(0.3)  # both are inside a row by now
+                    os.kill(workers[0].pid, signal.SIGKILL)
+                    return
+                time.sleep(0.01)
+
+        killer = threading.Thread(target=kill_one)
+        killer.start()
+        try:
+            report = run_grid(grid, db, workers=2, timeout_s=30)
+        finally:
+            killer.join(timeout=30)
+        assert report.totals["running"] == 0
+        assert (report.done, report.ok) == (4, True)
+        with RunStore(db) as store:
+            reclaimed = [r for r in store.records() if r.attempts == 2]
+        assert [r.worker for r in reclaimed] == ["worker-serial"]

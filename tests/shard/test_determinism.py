@@ -78,6 +78,76 @@ class TestSanitizedRun:
         ]
 
 
+    def test_sanitizer_watches_cross_group_routing(self):
+        """A sanitized ``workers=2`` run is two in-process groups on the
+        one barrier loop, so the hooks see the routing a multi-worker
+        run executes — and it is clean and on the golden."""
+        from repro.check.lockstep import LockstepSanitizer
+
+        san = LockstepSanitizer()
+        result = run_shard(
+            get_shard_scenario("churn"), workers=2, fingerprint=True,
+            sanitizer=san,
+        )
+        assert san.findings == [], san.report()
+        assert result.workers == 2
+        assert result.fingerprint == GOLDEN_CHURN
+
+
+class TestGroupKinds:
+    def test_in_process_and_piped_group_agree_at_every_barrier(self):
+        """The forked worker runs the same group class behind a pipe:
+        fed the same inbound, both kinds hand back the same
+        ``(outbound, idle, open_conns)`` at each of 50 churn barriers."""
+        from repro.fabric.softstack import FabricPacket
+        from repro.shard.runner import _CellGroup, _PipedGroup
+
+        def plain(barrier):
+            outbound, idle, open_conns = barrier
+            return (
+                {
+                    pair: [
+                        (at, src, seq) + tuple(
+                            getattr(packet, name)
+                            for name in FabricPacket.__slots__
+                        )
+                        for at, src, seq, packet in entries
+                    ]
+                    for pair, entries in outbound.items()
+                },
+                idle,
+                open_conns,
+            )
+
+        scenario = get_shard_scenario("churn")
+        cells = list(range(scenario.num_cells))
+        groups = [
+            _CellGroup(scenario, cells, True),
+            _PipedGroup(0, scenario, cells, True, []),
+        ]
+        try:
+            inbound = {}
+            exchanged = 0
+            for epoch in range(50):
+                for group in groups:
+                    group.start_epoch(
+                        epoch, (epoch + 1) * scenario.epoch_ps, inbound
+                    )
+                local, piped = (group.barrier() for group in groups)
+                assert plain(local) == plain(piped), f"epoch {epoch}"
+                inbound = {}
+                for (_src, dst), entries in sorted(local[0].items()):
+                    inbound.setdefault(dst, []).extend(entries)
+                    exchanged += len(entries)
+            assert exchanged > 0
+            assert [r.fingerprint for r in groups[0].finish()[0]] == [
+                r.fingerprint for r in groups[1].finish()[0]
+            ]
+        finally:
+            for group in groups:
+                group.close()
+
+
 class TestSeedSensitivity:
     def test_same_seed_byte_identical(self):
         scenario = get_shard_scenario("churn", seed=7)

@@ -1,9 +1,16 @@
 """End-to-end shard runs: lifecycle accounting, quiescence, results."""
 
 import json
+import multiprocessing
+import os
+import signal
+import threading
+import time
+
+import pytest
 
 from repro.__main__ import main as repro_main
-from repro.shard import get_shard_scenario, run_shard
+from repro.shard import ShardWorkerError, get_shard_scenario, run_shard
 
 
 class TestChurnRun:
@@ -51,6 +58,50 @@ class TestMegaflowDry:
         assert r.total("conns_closed") == 0
         assert r.peak_concurrent == total  # every conn held open
         assert r.max_worker_rss_kb > 0
+
+
+def shard_workers():
+    return sorted(
+        (p for p in multiprocessing.active_children()
+         if p.name.startswith("shard-worker-")),
+        key=lambda p: p.name,
+    )
+
+
+class TestWorkerDeath:
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_sigkilled_worker_is_a_prompt_named_error(self, victim):
+        """A dead worker is one ShardWorkerError naming it, raised at
+        once, and the survivor is reaped — not a bare EOFError after the
+        survivor sat out a 30 s join on a pipe that never reads EOF."""
+        scenario = get_shard_scenario("megaflow").scaled(32)  # seconds of work
+        killed_at = []
+
+        def kill_one():
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                if len(shard_workers()) == 2:
+                    time.sleep(0.2)  # let the epochs get going
+                    os.kill(shard_workers()[victim].pid, signal.SIGKILL)
+                    killed_at.append(time.monotonic())
+                    return
+                time.sleep(0.01)
+
+        killer = threading.Thread(target=kill_one)
+        killer.start()
+        try:
+            cells = list(range(victim, scenario.num_cells, 2))
+            with pytest.raises(ShardWorkerError) as raised:
+                run_shard(scenario, workers=2)
+            elapsed = time.monotonic() - killed_at[0]
+        finally:
+            killer.join(timeout=30)
+        message = str(raised.value)
+        assert f"worker {victim} " in message
+        assert str(cells) in message
+        assert "epoch" in message and "exit code -9" in message
+        assert elapsed < 5.0
+        assert shard_workers() == []
 
 
 class TestShardCli:
