@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..engine.ftengine import FtEngineConfig
+from ..engine.ftengine import FtEngineConfig, first_cycle_at
 from ..engine.testbed import Testbed
 from ..net.link import Link
 from ..net.wire import Wire
@@ -76,7 +76,16 @@ def capture_engine_cwnd_trace(
             state["next_sample"] = tb.cycle + sample_every_cycles
         return tb.now_s >= duration_s
 
-    tb.run(until=pump, max_time_s=duration_s * 4)
+    # Everything the pump does is cycle-gated, so it declares when:
+    # the next send, the next sample, the cycle the duration test trips.
+    end_cycle = first_cycle_at(duration_s)
+    tb.run(
+        until=pump,
+        max_time_s=duration_s * 4,
+        quiet_cycle=lambda: min(
+            state["next_send"], state["next_sample"], end_cycle
+        ),
+    )
     return trace
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..engine.testbed import Testbed
+from ..engine.testbed import Testbed, message_driven
 from ..host.calibration import (
     F4T_CYCLES_PER_SEND_BULK,
     FPC_EVENTS_PER_SECOND,
@@ -64,7 +64,11 @@ def run_functional_bulk(
             received += len(tb.engine_b.recv_data(b_flow, readable))
         return received >= total_bytes
 
-    finished = tb.run(until=pump, max_time_s=start_s + max_time_s)
+    # The pump sends until the buffer refuses and reads what is there:
+    # after a call only an 'acked' or 'data' message can move it.
+    finished = tb.run(
+        until=pump, max_time_s=start_s + max_time_s, quiet_cycle=message_driven
+    )
     elapsed = max(tb.now_s - start_s, 1e-12)
     if not finished:
         raise TimeoutError(f"bulk transfer stalled at {received}/{total_bytes} B")

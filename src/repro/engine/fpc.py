@@ -39,6 +39,9 @@ from .fpu import Fpu, ProcessResult
 DEFAULT_SLOTS = 128
 DEFAULT_INPUT_DEPTH = 64
 
+#: A work horizon meaning "nothing scheduled": later than any cycle.
+NEVER = 1 << 62
+
 
 class FlowProcessingCore(Component):
     """One FPC; FtEngine instantiates several in parallel (§4.4.2)."""
@@ -71,16 +74,26 @@ class FlowProcessingCore(Component):
         )
 
         self.input: Fifo[TcpEvent] = Fifo(DEFAULT_INPUT_DEPTH, f"fpc{fpc_id}.in")
-        #: Conservative activity flag: False guarantees every work
-        #: container is empty (an idle FPC can only gain work through
-        #: offer_event/request_evict, which set it); True means the
-        #: owner must check for real.  Lets the engine's per-cycle scan
-        #: touch one attribute for confirmed-idle FPCs.
-        self._maybe_busy = True
         self._dispatch_queue: Deque[int] = deque()  # flow ids needing the FPU
         self._queued: Set[int] = set()
         self._in_flight: Set[int] = set()
         self._evict_requested: Set[int] = set()
+        #: Queued flows not in flight: what the TCB manager could issue.
+        self._ready = 0
+        #: When the pipe's head retires (NEVER while empty) and when it
+        #: next admits an issue, as plain integers: a tick with nothing
+        #: to do is a few compares.
+        self._retire_at = NEVER
+        self._issue_at = 0
+        #: The work horizon: the value ``cycle`` holds when :meth:`tick`
+        #: next changes anything (NEVER while idle).  Every tick before
+        #: it only bumps ``cycle``, so an owner may do ``cycle += n``
+        #: instead.  Kept current wherever the state behind it changes
+        #: (:meth:`_rearm`); exact but for the start rule in
+        #: :meth:`accept_tcb`, which ``_ticked_at`` (the last cycle
+        #: ticked) serves.
+        self.next_action = NEVER
+        self._ticked_at = 0
 
         # Per-cycle outputs drained by FtEngine.
         self.out_results: List[ProcessResult] = []
@@ -134,6 +147,16 @@ class FlowProcessingCore(Component):
         )
         if pending:
             self._mark_pending(tcb.flow_id)
+            # Start rule (pinned by every spilling run's counts, open
+            # in ROADMAP item 4): the event handler and evict requests
+            # start the TCB manager, the swap-in port does not.  A TCB
+            # installed into an FPC that holds no work and did not tick
+            # on the cycle before waits, queued, for that FPC's next
+            # event.  FtEngine ticks by ``next_action``, so it honours
+            # this; an owner ticking every cycle dispatches at once,
+            # and next_action_cycle() says so.
+            if self.next_action != NEVER or self._ticked_at == self.cycle:
+                self._rearm()
 
     def request_evict(self, flow_id: int) -> bool:
         """Scheduler asks to evict ``flow_id``; sets the TCB's evict flag."""
@@ -147,7 +170,7 @@ class FlowProcessingCore(Component):
         self._evict_requested.add(flow_id)
         # Route the flow to the FPU so the evict checker sees it soon.
         self._mark_pending(flow_id, priority=True)
-        self._maybe_busy = True
+        self._rearm()
         return True
 
     def coldest_flow(self, key=None) -> Optional[int]:
@@ -182,11 +205,20 @@ class FlowProcessingCore(Component):
             self._dispatch_queue.appendleft(flow_id)
         else:
             self._dispatch_queue.append(flow_id)
+        if flow_id not in self._in_flight:
+            self._ready += 1
 
     def offer_event(self, event: TcpEvent) -> bool:
         """Scheduler pushes an event; False signals backpressure (§4.4.2)."""
-        self._maybe_busy = True
-        return self.input.push(event)
+        if not self.input.push(event):
+            return False
+        if self.next_action == NEVER:
+            self._rearm()  # also starts any swap-in that was waiting
+        else:
+            handled = (self.cycle + 2) & ~1  # the event table's even phase
+            if handled < self.next_action:
+                self.next_action = handled
+        return True
 
     @property
     def backpressure(self) -> bool:
@@ -194,24 +226,66 @@ class FlowProcessingCore(Component):
 
     # -------------------------------------------------------------- clock
     def busy(self) -> bool:
-        # Hot path: direct container truthiness.
-        return bool(
-            self.input._items
-            or self._dispatch_queue
-            or self._in_flight
-            or self.out_results
-            or self.out_evicted
-        )
+        return self.next_action_cycle() != NEVER
+
+    def next_action_cycle(self) -> int:
+        """The ``cycle`` value at which this FPC next needs its owner.
+
+        ``cycle + 1`` while undrained outputs wait, else the exact tick
+        horizon; NEVER when idle.  An owner that ticks only when this
+        is due (adding the cycles it skips to ``cycle``) sees exactly
+        what an owner ticking every cycle sees.
+        """
+        if self.out_results or self.out_evicted:
+            return self.cycle + 1
+        if self._ready and self.next_action == NEVER:
+            return self._issue_cycle()  # a swap-in accept_tcb left waiting
+        return self.next_action
+
+    def _issue_cycle(self) -> int:
+        """Next *odd* cycle the FPU's initiation interval admits."""
+        return max(self.cycle + 1, self._issue_at) | 1
+
+    def _rearm(self) -> None:
+        """Recompute :attr:`next_action` from the state it summarises.
+
+        Three things make a tick act: the pipe head retiring; an input
+        event, on the next *even* cycle (the event table's port phase);
+        a queued flow not in flight, on the next *odd* cycle the FPU's
+        initiation interval admits.  A queue of in-flight flows only
+        waits on their retire, which the first term covers.
+        """
+        due = self._retire_at
+        if self.input._items:
+            handled = (self.cycle + 2) & ~1
+            if handled < due:
+                due = handled
+        if self._ready:
+            issue = self._issue_cycle()
+            if issue < due:
+                due = issue
+        self.next_action = due
 
     def tick(self) -> None:
-        self.cycle += 1
-        # Retire first so a writeback and a dispatch can share a cycle
-        # on the two BRAM ports (§4.2.3's two-cycle schedule).
-        self._retire()
-        if self.cycle % 2 == 0:
-            self._handle_one_event()
-        else:
+        cycle = self.cycle + 1
+        self.cycle = cycle
+        self._ticked_at = cycle
+        # A stage is entered only when it has something to do.  Retire
+        # first so a writeback and a dispatch can share a cycle on the
+        # two BRAM ports (§4.2.3's two-cycle schedule).
+        acted = False
+        if self._retire_at <= cycle:
+            self._retire()
+            acted = True
+        if cycle % 2 == 0:
+            if self.input._items:
+                self._handle_one_event()
+                acted = True
+        elif self._ready and self._issue_at <= cycle:
             self._dispatch_one()
+            acted = True
+        if acted:
+            self._rearm()
 
     def _handle_one_event(self) -> None:
         event = self.input.try_pop()
@@ -246,6 +320,7 @@ class FlowProcessingCore(Component):
             if flow_id in self._in_flight:
                 self._dispatch_queue.append(flow_id)
                 continue
+            self._ready -= 1
             slot = self.cam.try_lookup(flow_id)
             if slot is None:
                 self._queued.discard(flow_id)
@@ -263,6 +338,8 @@ class FlowProcessingCore(Component):
             self._in_flight.add(flow_id)
             issued = self.pipe.issue((slot, snapshot, dup), self.cycle)
             assert issued, "TCB manager respects the FPU initiation interval"
+            self._issue_at = self.pipe.next_issue_cycle()
+            self._retire_at = self.pipe.next_retire_cycle()
             return
 
     def _retire(self) -> None:
@@ -270,6 +347,8 @@ class FlowProcessingCore(Component):
             result = self.fpu.process(tcb, dup, self.now_fn())
             self.tcbs_processed += 1
             self._in_flight.discard(tcb.flow_id)
+            if tcb.flow_id in self._queued:
+                self._ready += 1  # re-queued while in the pipeline
             self.out_results.append(result)
             if tcb.flow_id in self._evict_requested:
                 # The evict checker consults the request register, not
@@ -324,6 +403,8 @@ class FlowProcessingCore(Component):
                 if entry is not None and entry.valid:
                     # Events accumulated while we were in the pipeline.
                     self._mark_pending(tcb.flow_id)
+        head = self.pipe.next_retire_cycle()
+        self._retire_at = NEVER if head is None else head
 
     def drain_results(self) -> List[ProcessResult]:
         results, self.out_results = self.out_results, []
@@ -343,3 +424,8 @@ class FlowProcessingCore(Component):
         self.out_results.clear()
         self.out_evicted.clear()
         self.pipe.flush()
+        self._ready = 0
+        self._retire_at = NEVER
+        self._issue_at = 0
+        self.next_action = NEVER
+        self._ticked_at = 0

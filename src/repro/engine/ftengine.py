@@ -46,7 +46,7 @@ from .events import (
     user_recv_event,
     user_send_event,
 )
-from .fpc import FlowProcessingCore
+from .fpc import NEVER, FlowProcessingCore
 from .fpu import NoteKind, ProcessResult, TimerOp
 from .icmp import IcmpMessage, IcmpModule
 from .memory_manager import MemoryManager
@@ -60,6 +60,22 @@ ENGINE_FREQ_HZ = 250e6
 #: Exact integer picoseconds per 250 MHz cycle — simulated time is integer
 #: ps end-to-end (simlint F4T007); 250 MHz divides 1 THz evenly.
 ENGINE_PERIOD_PS = 10**12 // int(ENGINE_FREQ_HZ)
+
+
+def first_cycle_at(time_s: float) -> int:
+    """First cycle on which a per-cycle ``now_s >= time_s`` test holds.
+
+    Guarded search around the analytic guess: ``now_s``'s own float
+    expression decides, so a horizon lands on the identical cycle the
+    per-cycle loop would — an analytic ceil alone can be off by one at
+    float boundaries.
+    """
+    k = max(0, int(time_s * 1e12 / ENGINE_PERIOD_PS))
+    while time_s > (k * ENGINE_PERIOD_PS) / 1e12:
+        k += 1
+    while k > 0 and time_s <= ((k - 1) * ENGINE_PERIOD_PS) / 1e12:
+        k -= 1
+    return k
 
 
 @dataclass
@@ -211,6 +227,11 @@ class FtEngine(Component):
         self._accept_rr: Dict[int, int] = {}  # per-port round-robin index
 
         self.counters = Counters()
+
+        #: Horizon memos: the cycle a timer hint / a wire arrival falls
+        #: on only changes when the hint / the head frame does.
+        self._timer_memo = (math.inf, NEVER)
+        self._arrival_memo = (None, NEVER)
 
         #: Observability (repro.obs): a TraceBus, or None — the default —
         #: which keeps every emit site at one attribute test of cost.
@@ -416,8 +437,7 @@ class FtEngine(Component):
 
     # ---------------------------------------------------------------- tick
     def busy(self) -> bool:
-        # Hot path: called once per probe by the testbed loop; plain
-        # loop with direct container truthiness beats any()/genexpr.
+        """Work is held inside the engine (timers and the wire aside)."""
         if (
             self._event_backlog
             or self.scheduler.busy()
@@ -426,13 +446,9 @@ class FtEngine(Component):
         ):
             return True
         for fpc in self.fpcs:
-            if fpc._maybe_busy and (
-                fpc.input._items
-                or fpc._dispatch_queue
-                or fpc._in_flight
-                or fpc.out_results
-                or fpc.out_evicted
-            ):
+            # Outputs never outlive a tick (results are applied in it,
+            # an evicted TCB keeps its migration — the scheduler — busy).
+            if fpc.next_action != NEVER:
                 return True
         return False
 
@@ -441,90 +457,76 @@ class FtEngine(Component):
         deadline_s = self.timers.next_deadline()
         return None if deadline_s is None else deadline_s * 1e12
 
-    # ------------------------------------------------------ batched advance
+    # ------------------------------------------------------- work horizons
     def next_work_cycle(self) -> Optional[int]:
-        """Earliest absolute cycle at which :meth:`tick` does real work.
+        """The exact absolute cycle at which :meth:`tick` next does work.
 
-        None means nothing bounded is scheduled at all (quiet forever,
-        absent external input).  Only meaningful under the testbed's
-        quiet-run contract: nothing external — wire sends from the
-        peer, host API calls — happens before the returned cycle, which
-        the caller proves by combining both engines' horizons with the
-        pump's.  Anything the very next tick would consume (backlog,
-        RX notifications, a busy scheduler or memory manager, any FPC
-        queue) reports ``cycle + 1``; the remaining sources of future
-        work are exactly the three the tick pokes every cycle — FPU
-        pipeline retires, timer expiry, wire arrivals.
+        None means nothing is scheduled at all (quiet forever, absent
+        external input).  Exact under the testbed's quiet-run contract:
+        nothing external — a wire send from the peer, a host API call —
+        happens before the returned cycle, so whoever caches the value
+        recomputes it after this engine's own tick and after a host
+        call, and folds :meth:`next_arrival_cycle` in after the peer's
+        tick.  Anything the very next tick would consume (backlog, RX
+        notifications, a busy scheduler or memory manager) reports
+        ``cycle + 1``; what remains are the FPCs' own horizons
+        (:attr:`FlowProcessingCore.next_action`), timer expiry and wire
+        arrivals.
         """
+        cycle = self.cycle
         if (
             self._event_backlog
             or self.rx_parser.notifications
             or self.scheduler.busy()
             or self.memory_manager.busy()
         ):
-            return self.cycle + 1
-        best: Optional[int] = None
+            return cycle + 1
+        best = self.next_arrival_cycle()
         for fpc in self.fpcs:
-            if not fpc._maybe_busy:
-                continue  # idle invariant: every container empty
-            if (
-                fpc.input._items
-                or fpc._dispatch_queue
-                or fpc.out_results
-                or fpc.out_evicted
-            ):
-                return self.cycle + 1
-            retire = fpc.pipe.next_retire_cycle()
-            if retire is not None:
+            due = fpc.next_action
+            if due != NEVER:
                 # FPC counters lag the engine's after idle jumps (jumps
                 # move the testbed cycle without ticking); only the
                 # delta to the FPC's own cycle is meaningful.
-                c = self.cycle + max(1, retire - fpc.cycle)
-                if best is None or c < best:
+                c = cycle + due - fpc.cycle
+                if c <= cycle:
+                    c = cycle + 1
+                if c < best:
                     best = c
         hint_s = self.timers.earliest_hint
         if hint_s != math.inf:
-            c = self._timer_guard_cycle(hint_s)
-            if best is None or c < best:
+            memo_s, c = self._timer_memo
+            if hint_s != memo_s:
+                c = first_cycle_at(hint_s)
+                self._timer_memo = (hint_s, c)
+            if c <= cycle:
+                c = cycle + 1
+            if c < best:
                 best = c
-        if self.port is not None:
-            arrival = self.port.next_arrival_ps()
-            if arrival is not None:
-                c = self._arrival_cycle(arrival)
-                if best is None or c < best:
-                    best = c
-        return best
+        return None if best == NEVER else best
 
-    def _timer_guard_cycle(self, hint_s: float) -> int:
-        """First cycle whose tick passes the timer-expiry guard.
+    def next_arrival_cycle(self) -> int:
+        """First cycle whose wire poll delivers a frame; NEVER if none.
 
-        Guarded search around the analytic guess: the result must
-        satisfy ``_expire_timers``'s own float comparison exactly, so a
-        batched run fires the timer on the identical cycle the
-        per-cycle loop does — an analytic ceil alone can be off by one
-        at float boundaries.
+        The one term of :meth:`next_work_cycle` the peer's tick can
+        move: a frame sent at cycle *c* arrives strictly after *c*.
         """
-        floor_k = self.cycle + 1
-        k = int(hint_s * 1e12 / ENGINE_PERIOD_PS)
-        if k < floor_k:
-            k = floor_k
-        while hint_s > (k * ENGINE_PERIOD_PS) / 1e12:
-            k += 1
-        while k > floor_k and hint_s <= ((k - 1) * ENGINE_PERIOD_PS) / 1e12:
-            k -= 1
-        return k
-
-    def _arrival_cycle(self, arrival_ps: float) -> int:
-        """First cycle whose wire poll delivers ``arrival_ps`` (guarded)."""
-        floor_k = self.cycle + 1
-        k = int(arrival_ps // ENGINE_PERIOD_PS)
-        if k < floor_k:
-            k = floor_k
-        while k * ENGINE_PERIOD_PS < arrival_ps:
-            k += 1
-        while k > floor_k and (k - 1) * ENGINE_PERIOD_PS >= arrival_ps:
-            k -= 1
-        return k
+        if self.port is None:
+            return NEVER
+        arrival_ps = self.port.next_arrival_ps()
+        if arrival_ps is None:
+            return NEVER
+        memo_ps, k = self._arrival_memo
+        if arrival_ps != memo_ps:
+            # Guarded like first_cycle_at, against the poll's own
+            # integer-picosecond comparison.
+            k = int(arrival_ps // ENGINE_PERIOD_PS)
+            while k * ENGINE_PERIOD_PS < arrival_ps:
+                k += 1
+            while k > 0 and (k - 1) * ENGINE_PERIOD_PS >= arrival_ps:
+                k -= 1
+            self._arrival_memo = (arrival_ps, k)
+        return k if k > self.cycle else self.cycle + 1
 
     def advance_cycles(self, n: int) -> None:
         """Advance ``n`` guaranteed-quiet cycles in one call.
@@ -533,7 +535,8 @@ class FtEngine(Component):
         scheduler's and every FPC's cycle advances on every tick
         whether or not they work, while the memory manager's advances
         only inside its own busy tick — which a quiet window excludes.
-        The caller proves quietness via :meth:`next_work_cycle` first.
+        The caller proves quietness first: ``n`` must stop short of
+        :meth:`next_work_cycle`.
         """
         self.cycle += n
         self.scheduler.cycle += n
@@ -563,24 +566,15 @@ class FtEngine(Component):
         if memory_manager.input._items or memory_manager.swap_in_requests:
             memory_manager.tick()
         for fpc in self.fpcs:
-            # Idle FPCs would only bump their cycle counter; do exactly
-            # that without the full tick (hot-loop fast path).
-            if fpc._maybe_busy:
-                if (
-                    fpc.input._items
-                    or fpc._dispatch_queue
-                    or fpc._in_flight
-                    or fpc.out_results
-                    or fpc.out_evicted
-                ):
-                    fpc.tick()
-                    if fpc.out_results or fpc.out_evicted:
-                        self._drain_one_fpc(fpc)
-                else:
-                    fpc._maybe_busy = False
-                    fpc.cycle += 1
+            # An FPC short of its horizon would only bump its cycle
+            # counter; do exactly that without the tick.
+            due = fpc.cycle + 1
+            if fpc.next_action <= due:
+                fpc.tick()
+                if fpc.out_results or fpc.out_evicted:
+                    self._drain_one_fpc(fpc)
             else:
-                fpc.cycle += 1
+                fpc.cycle = due
         if self.rx_parser.notifications:
             self._drain_rx_notifications()
 

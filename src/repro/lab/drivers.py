@@ -68,7 +68,7 @@ def ablation_header_point(
 def ablation_mss_point(mss: int, total_bytes: int = 300_000) -> Dict[str, float]:
     """Functional goodput at one MSS, plus its closed-form wire ceiling."""
     from ..engine.ftengine import FtEngineConfig
-    from ..engine.testbed import Testbed
+    from ..engine.testbed import NEVER, Testbed
     from ..net.link import LINK_100G
 
     testbed = Testbed(
@@ -76,19 +76,26 @@ def ablation_mss_point(mss: int, total_bytes: int = 300_000) -> Dict[str, float]
     )
     a_flow, b_flow = testbed.establish()
     start = testbed.now_s
-    sent = {"n": 0, "received": 0}
+    sent = {"n": 0, "received": 0, "room": True}
     payload = bytes(16384)
 
     def pump() -> bool:
         if sent["n"] < total_bytes:
-            sent["n"] += testbed.engine_a.send_data(a_flow, payload)
+            accepted = testbed.engine_a.send_data(a_flow, payload)
+            sent["n"] += accepted
+            # One payload per call: a full accept may leave room for the
+            # next call; a short one means only an 'acked' frees more.
+            sent["room"] = accepted == len(payload)
         readable = testbed.engine_b.readable(b_flow)
         if readable:
             testbed.engine_b.recv_data(b_flow, readable)
             sent["received"] += readable
         return sent["received"] >= total_bytes
 
-    if not testbed.run(until=pump, max_time_s=start + 5.0):
+    def quiet_cycle() -> Optional[int]:
+        return None if sent["room"] and sent["n"] < total_bytes else NEVER
+
+    if not testbed.run(until=pump, max_time_s=start + 5.0, quiet_cycle=quiet_cycle):
         raise RuntimeError(f"mss={mss}: transfer did not finish in simulated time")
     goodput_gbps = total_bytes * 8 / (testbed.now_s - start) / 1e9
     ceiling = LINK_100G.max_goodput_gbps(mss)

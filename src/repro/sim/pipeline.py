@@ -68,11 +68,17 @@ class Pipeline(Generic[T, R]):
         self.issued += 1
         return True
 
+    def next_issue_cycle(self) -> int:
+        """First cycle the initiation interval admits another issue."""
+        if self._last_issue_cycle is None:
+            return 0
+        return self._last_issue_cycle + self.initiation_interval
+
     def next_retire_cycle(self) -> Optional[int]:
         """First cycle at which :meth:`retire_ready` would pop something.
 
-        None while empty.  ``FtEngine.next_work_cycle`` uses this as a
-        work horizon: every cycle strictly before it is a guaranteed
+        None while empty.  ``FlowProcessingCore.next_action`` uses this
+        as a work horizon: every cycle strictly before it is a guaranteed
         no-op for the pipeline, so an idle skip may jump straight to it.
         """
         if not self._in_flight:

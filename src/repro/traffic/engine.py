@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional
 
-from ..engine.ftengine import ENGINE_PERIOD_PS
-from ..engine.testbed import Testbed
+from ..engine.ftengine import first_cycle_at
+from ..engine.testbed import NEVER, Testbed, message_driven
 from ..engine.verification import InvariantMonitor
 from ..sim.stats import Histogram
 from ..tcp.state_machine import TcpState
@@ -30,6 +31,8 @@ from .scenario import PER_REQUEST, Request, Scenario, TrafficClass
 
 #: Shared zero payload; request content is opaque, only sizes matter.
 _ZEROS = bytes(1 << 16)
+
+_A_FLOW = attrgetter("a_flow")
 
 # Connection states.
 _CONNECTING, _READY, _SENDING, _WAITING, _CLOSING, _DONE = range(6)
@@ -201,7 +204,8 @@ class _Conn:
         #: and is not advanced until an EngineMessage (or a new arrival)
         #: re-marks it.  Polling a blocked conn is side-effect-free, so
         #: skipping it is cycle-exact (see _drain_host_messages).
-        self.dirty = True
+        #: LoadEngine._mark_dirty sets it and queues the conn.
+        self.dirty = False
 
 
 def _conn_snapshot(conn: "_Conn") -> tuple:
@@ -228,6 +232,8 @@ class _ClassState:
         self.cls = cls
         self.metrics = ClassMetrics(cls.name)
         self.conns: List[_Conn] = []
+        #: The conns with ``dirty`` set — all the pump has to look at.
+        self.dirty: List[_Conn] = []
         #: Open-loop requests released but not yet picked up by a conn.
         self.pending: Deque[Request] = deque()
         #: Per-request transactions still to start (closed-loop churn).
@@ -292,6 +298,8 @@ class LoadEngine:
         }
         self.schedule: List[Request] = scenario.schedule(load_scale)
         self._release_index = 0
+        #: (release index, first cycle whose release check admits it).
+        self._release_memo = (-1, 0)
         self._outstanding = 0
         self._start_s = 0.0
         #: client ephemeral port -> conn awaiting its server-side accept.
@@ -307,10 +315,11 @@ class LoadEngine:
         #: pre-dirty-set behaviour).  Both modes are cycle-identical —
         #: tests assert equal trace fingerprints — but sweeping is slow.
         self.sweep_all_pumps = False
-        #: Batched execution switch: hand the testbed the pump-quiet
-        #: horizon so busy-but-idle runs collapse into bulk advances.
-        #: Both modes are cycle-identical (equivalence tests pin the
-        #: trace fingerprints); False keeps the per-cycle legacy loop.
+        #: Loop switch: hand the testbed the pump's ``quiet_cycle`` so it
+        #: runs its horizon loop (due-only engine ticks, the pump called
+        #: on messages and on its own schedule).  Both modes are
+        #: cycle-identical (equivalence tests pin the trace
+        #: fingerprints); False keeps the per-cycle reference loop.
         self.batched = True
 
         #: Observability (repro.obs): a TraceBus, or None (free default).
@@ -344,7 +353,12 @@ class LoadEngine:
         if any(
             state.cls.lifecycle != PER_REQUEST for state in self.states.values()
         ):
-            if not tb.run(until=self._pools_ready, max_time_s=tb.now_s + setup_time_s):
+            if not tb.run(
+                until=self._pools_ready,
+                max_time_s=tb.now_s + setup_time_s,
+                # Handshakes finish on 'accepted' / 'connected' messages.
+                quiet_cycle=message_driven if self.batched else None,
+            ):
                 raise TimeoutError(
                     f"{self.scenario.name}: connection pools failed to establish"
                 )
@@ -389,6 +403,7 @@ class LoadEngine:
         client_port = tb.engine_a.flows[conn.a_flow].key.src_port
         self._awaiting_accept[client_port] = conn
         self._conn_of_a[conn.a_flow] = conn
+        self._mark_dirty(conn)
         self.states[cls.name].metrics.connections_opened += 1
         if self.trace is not None:
             self.trace.emit(
@@ -414,60 +429,44 @@ class LoadEngine:
         return arrival_s * 1e12
 
     def _pump_quiet_cycle(self) -> Optional[int]:
-        """Earliest cycle the next :meth:`_pump` call acts, or None.
+        """Earliest cycle a later :meth:`_pump` call acts by itself.
 
-        The testbed's batched loop may only skip a pump call that is a
-        pure no-op.  A pump is a no-op exactly when nothing it touches
-        can move: no conn is dirty (every one is blocked on the engines
-        and will be re-marked by an EngineMessage), no churn class can
+        This is the ``quiet_cycle`` the horizon loop of
+        :meth:`Testbed.run` asks for right after each pump call.  A pump
+        call is a pure no-op exactly when nothing it touches can move:
+        no conn is dirty (every one is blocked on the engines and will
+        be re-marked by an EngineMessage — whose ``msg_epoch`` bump is
+        what makes the testbed call the pump again), no churn class can
         start a transaction, and none of the cycle-gated activities —
         audit checks, trace occupancy samples, schedule arrival
-        releases — fires before the returned cycle.  Returning None
-        forbids skipping entirely (a conn may advance on the very next
-        call); accepts and host messages need no horizon because they
-        only appear through engine work, which the engines' own
-        horizons already bound.
+        releases — fires before the returned cycle.  None means the very
+        next call may act (a conn is still advancing); accepts and host
+        messages need no horizon because they only appear through
+        engine work.
         """
         if self.sweep_all_pumps:
             return None
         for state in self.states.values():
             cls = state.cls
-            if (
+            if state.dirty or (
                 cls.lifecycle == PER_REQUEST
                 and len(state.conns) < cls.connections
                 and self._churn_work(state)
             ):
                 return None
-            for conn in state.conns:
-                if conn.dirty:
-                    return None
         floor_c = self.testbed.cycle + 1
-        best: Optional[int] = None
+        best = NEVER  # nothing cycle-gated: engines and bounds limit the skip
         if self._release_index < len(self.schedule):
-            t = self._start_s + self.schedule[self._release_index].time_s
-            # Guarded search: land on the exact cycle the release
-            # check's own float comparison first admits the arrival.
-            c = int(t * 1e12 / ENGINE_PERIOD_PS)
-            if c < floor_c:
-                c = floor_c
-            while t > (c * ENGINE_PERIOD_PS) / 1e12:
-                c += 1
-            while c > floor_c and t <= ((c - 1) * ENGINE_PERIOD_PS) / 1e12:
-                c -= 1
-            best = c
+            if self._release_memo[0] != self._release_index:
+                # The exact cycle the release check's own float
+                # comparison first admits the arrival.
+                t = self._start_s + self.schedule[self._release_index].time_s
+                self._release_memo = (self._release_index, first_cycle_at(t))
+            best = max(self._release_memo[1], floor_c)
         if self.trace is not None:
-            c = max(self._next_trace_sample_cycle, floor_c)
-            if best is None or c < best:
-                best = c
+            best = min(best, max(self._next_trace_sample_cycle, floor_c))
         if self.monitors:
-            c = max(self._next_audit_cycle, floor_c)
-            if best is None or c < best:
-                best = c
-        if best is None:
-            # Quiescent with nothing cycle-gated pending: the pump
-            # never forces a cycle; the engines' horizons and the run
-            # bounds alone limit the skip (None would forbid it).
-            return 1 << 62
+            best = min(best, max(self._next_audit_cycle, floor_c))
         return best
 
     def _pump(self) -> bool:
@@ -532,7 +531,7 @@ class LoadEngine:
                     message = queue[i]
                     conn = conn_map.get(message.flow_id)
                     if conn is not None:
-                        conn.dirty = True
+                        self._mark_dirty(conn)
                     elif message.kind != "accepted":
                         # A flow we can't map (shouldn't happen: accepts
                         # are mapped by _poll_accepts before this runs).
@@ -543,12 +542,21 @@ class LoadEngine:
         if unknown:
             self._mark_all_dirty()
 
+    def _mark_dirty(self, conn: _Conn) -> None:
+        if not conn.dirty:
+            conn.dirty = True
+            self.states[conn.cls.name].dirty.append(conn)
+
     def _mark_all_dirty(self) -> None:
         for state in self.states.values():
             for conn in state.conns:
-                conn.dirty = True
+                self._mark_dirty(conn)
 
     def _poll_accepts(self) -> None:
+        # connect() registers the conn before its SYN leaves, so an
+        # accept queue entry always belongs to an awaited conn.
+        if not self._awaiting_accept:
+            return
         engine_b = self.testbed.engine_b
         while True:
             b_flow = engine_b.accept(self.scenario.server_port)
@@ -561,7 +569,7 @@ class LoadEngine:
             if conn is not None:
                 conn.b_flow = b_flow
                 self._conn_of_b[b_flow] = conn
-                conn.dirty = True
+                self._mark_dirty(conn)
 
     def _release_arrivals(self) -> None:
         now = self.testbed.now_s
@@ -576,7 +584,7 @@ class LoadEngine:
             if state.cls.lifecycle != PER_REQUEST:
                 # A pooled conn may be idle-clean waiting for work.
                 for conn in state.conns:
-                    conn.dirty = True
+                    self._mark_dirty(conn)
             if self.trace is not None:
                 self.trace.emit(
                     now * 1e12, "traffic", "load", "arrival", -1,
@@ -603,30 +611,28 @@ class LoadEngine:
                     else self.testbed.now_s
                 )
                 state.conns.append(conn)
-        conns = state.conns
-        if not conns:
-            return
-        for conn in conns:
-            if conn.dirty:
-                break
-        else:
+        dirty = state.dirty
+        if not dirty:
             return  # whole class blocked on the engines; nothing to do
-        for conn in list(conns):
-            if not conn.dirty:
-                continue
+        # Conn order, which the trace pins: conns are created — and
+        # their client flow ids allocated — in the order they are kept.
+        dirty.sort(key=_A_FLOW)
+        state.dirty = still_dirty = []  # advancing one conn marks no other
+        for conn in dirty:
             before = _conn_snapshot(conn)
             self._advance_conn(state, conn)
             if conn.state == _DONE:
-                conns.remove(conn)
+                state.conns.remove(conn)
                 if conn.a_flow is not None:
                     self._conn_of_a.pop(conn.a_flow, None)
                 if conn.b_flow is not None:
                     self._conn_of_b.pop(conn.b_flow, None)
-                continue
-            if _conn_snapshot(conn) == before:
+            elif _conn_snapshot(conn) == before:
                 # No forward progress: the conn is blocked on the engines
                 # and an EngineMessage will re-mark it when that changes.
                 conn.dirty = False
+            else:
+                still_dirty.append(conn)
 
     def _churn_work(self, state: _ClassState) -> bool:
         if state.cls.open_loop:

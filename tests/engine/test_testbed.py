@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.ftengine import ENGINE_PERIOD_PS, FtEngineConfig
-from repro.engine.testbed import Testbed
+from repro.engine.testbed import Testbed, message_driven
 from repro.net.link import Link
 
 
@@ -162,3 +162,104 @@ class TestIdleSkipNeverOvershoots:
 
         assert testbed.run(until=until, max_time_s=1.0, wakeup_ps=wakeup)
         assert all(delta <= 9 * ENGINE_PERIOD_PS for delta in crossed)
+
+
+def _bulk_pump(testbed, a_flow, b_flow, total_bytes):
+    """A purely message-driven pump: send until the buffer refuses,
+    read whatever is there.  Records the cycle of every call that acted."""
+    progress = {"sent": 0, "received": 0, "acted": []}
+    payload = bytes(4096)
+
+    def pump():
+        acted = False
+        while progress["sent"] < total_bytes:
+            accepted = testbed.engine_a.send_data(a_flow, payload)
+            progress["sent"] += accepted
+            acted = acted or accepted > 0
+            if accepted < len(payload):
+                break
+        readable = testbed.engine_b.readable(b_flow)
+        if readable:
+            progress["received"] += len(testbed.engine_b.recv_data(b_flow, readable))
+            acted = True
+        if acted:
+            progress["acted"].append(testbed.cycle)
+        return progress["received"] >= total_bytes
+
+    return pump, progress
+
+
+class TestHorizonLoop:
+    """``quiet_cycle`` turns the per-cycle loop into the horizon loop;
+    both must walk the same simulated history."""
+
+    def _transfer(self, quiet_cycle, total_bytes=200_000, max_steps=50_000_000):
+        testbed = Testbed()
+        a_flow, b_flow = testbed.establish()
+        pump, progress = _bulk_pump(testbed, a_flow, b_flow, total_bytes)
+        setup = dict(testbed.loop_stats)
+        finished = testbed.run(
+            until=pump, max_time_s=1.0, max_steps=max_steps, quiet_cycle=quiet_cycle
+        )
+        stats = {k: v - setup[k] for k, v in testbed.loop_stats.items()}
+        return testbed, progress, stats, finished
+
+    @staticmethod
+    def _counters(testbed):
+        return [
+            (e.cycle, e.scheduler.cycle, [f.cycle for f in e.fpcs],
+             e.scheduler.events_routed, e.counters.as_dict())
+            for e in (testbed.engine_a, testbed.engine_b)
+        ]
+
+    def test_loop_stats_of_the_per_cycle_reference(self):
+        testbed, _, stats, finished = self._transfer(None, total_bytes=20_000)
+        assert finished
+        assert stats["cycles_advanced"] == 0
+        assert stats["ticks_a"] == stats["ticks_b"] == stats["cycles_visited"]
+        # until runs at every top, the one that returns True included.
+        assert stats["until_calls"] == stats["cycles_visited"] + 1
+
+    def test_message_driven_pump_is_called_only_on_messages(self):
+        ref_tb, ref_progress, ref_stats, _ = self._transfer(None)
+        tb, progress, stats, finished = self._transfer(message_driven)
+        assert finished
+        # Same history: the pump acted on the same cycles, the run ended
+        # on the same cycle with every counter where the reference has it.
+        assert progress["acted"] == ref_progress["acted"]
+        assert tb.cycle == ref_tb.cycle
+        assert self._counters(tb) == self._counters(ref_tb)
+        # Every simulated cycle accounted for, ticked or advanced.
+        assert (
+            stats["cycles_visited"] + stats["cycles_advanced"]
+            == ref_stats["cycles_visited"]
+        )
+        # ...at a fraction of the visits, ticks and pump calls.
+        assert stats["cycles_visited"] < ref_stats["cycles_visited"] / 2
+        assert stats["ticks_a"] + stats["ticks_b"] < ref_stats["ticks_a"]
+        assert stats["until_calls"] < ref_stats["until_calls"] / 2
+        assert stats["until_calls"] >= len(progress["acted"])
+
+    @pytest.mark.parametrize("max_steps", [1, 7, 8, 9, 250, 1001, 4444])
+    def test_max_steps_lands_mid_skip_on_the_reference_cycle(self, max_steps):
+        ref_tb, ref_progress, _, ref_finished = self._transfer(None, max_steps=max_steps)
+        tb, progress, stats, finished = self._transfer(message_driven, max_steps=max_steps)
+        assert not finished and not ref_finished
+        assert stats["cycles_visited"] + stats["cycles_advanced"] == max_steps
+        assert tb.cycle == ref_tb.cycle
+        assert progress == ref_progress
+        assert self._counters(tb) == self._counters(ref_tb)
+
+    def test_none_from_quiet_cycle_means_call_again_next_cycle(self):
+        tb, progress, stats, finished = self._transfer(lambda: None, total_bytes=20_000)
+        ref_tb, ref_progress, ref_stats, _ = self._transfer(None, total_bytes=20_000)
+        assert finished
+        assert progress == ref_progress and tb.cycle == ref_tb.cycle
+        assert stats["until_calls"] == ref_stats["until_calls"]
+        assert (
+            stats["cycles_visited"] + stats["cycles_advanced"]
+            == ref_stats["cycles_visited"]
+        )
+        # Even so, only an engine with work is ticked.
+        assert stats["ticks_a"] + stats["ticks_b"] < ref_stats["ticks_a"]
+        assert self._counters(tb) == self._counters(ref_tb)

@@ -1,9 +1,10 @@
-"""Property test: the batched testbed loop is invisible to traces.
+"""Property test: the horizon loop is invisible to traces.
 
-``LoadEngine.batched`` selects between the per-cycle legacy loop and
-the batched one (``Testbed.run``'s ``quiet_cycle`` skip path plus
-``FtEngine.advance_cycles``).  The batched path may only collapse
-iterations it can prove are no-ops, so for ANY scenario and seed the
+``LoadEngine.batched`` selects between the per-cycle reference loop and
+the horizon loop (``Testbed.run`` with a ``quiet_cycle``: due-only
+engine ticks, ``FtEngine.advance_cycles`` over the gaps, the pump
+called on messages and on its own schedule).  The horizon loop may only
+leave out what it can prove is a no-op, so for ANY scenario and seed the
 obs trace fingerprint — every event at every layer, timestamped to the
 picosecond — must be bit-identical between the two.  Hypothesis
 composes small randomized scenarios (open/closed loop, persistent and
@@ -14,6 +15,9 @@ oracle-not-examples idiom as ``tests/mem/test_fuzz_churn.py``.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.engine.ftengine import first_cycle_at
+from repro.engine.testbed import Testbed
+from repro.net.wire import LossPattern, Wire
 from repro.obs.hooks import attach_load_engine
 from repro.obs.trace import TraceBus, fingerprint
 from repro.traffic import (
@@ -26,6 +30,12 @@ from repro.traffic import (
     Zipf,
 )
 from repro.traffic.engine import LoadEngine
+
+
+def _budget(quick):
+    """``quick`` examples in tier-1; the ``deep`` profile's when selected."""
+    deep = settings.get_profile("deep").max_examples
+    return deep if settings.default.max_examples == deep else quick
 
 
 def _request_sizes(draw):
@@ -106,7 +116,7 @@ def _traced_fingerprint(scenario, batched):
 
 class TestBatchedLegacyEquivalence:
     @settings(
-        max_examples=12,
+        max_examples=_budget(12),
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
@@ -119,3 +129,72 @@ class TestBatchedLegacyEquivalence:
         from repro.traffic import get_scenario
 
         assert LoadEngine(get_scenario("mixed", seed=1)).batched is True
+
+
+def _cycle_gated_run(drop_every, send_every, sample_every, duration_s,
+                     declare_horizon, max_steps):
+    """A Fig-14-style pump: everything it does is gated on the cycle
+    count (send, sample, stop), nothing on engine messages.  Run to the
+    step bound first, then on to the end, as one history."""
+    testbed = Testbed(wire=Wire(drop_a_to_b=LossPattern.every_nth(drop_every, 5)))
+    a_flow, b_flow = testbed.establish()
+    samples = []
+    gate = {"send": 0, "sample": 0}
+    payload = bytes(8192)
+
+    def pump():
+        if testbed.cycle >= gate["send"]:
+            testbed.engine_a.send_data(a_flow, payload)
+            readable = testbed.engine_b.readable(b_flow)
+            if readable:
+                testbed.engine_b.recv_data(b_flow, readable)
+            gate["send"] = testbed.cycle + send_every
+        if testbed.cycle >= gate["sample"]:
+            tcb = testbed.engine_a.tcb_of(a_flow)
+            samples.append((testbed.cycle, tcb.cwnd, tcb.snd_una))
+            gate["sample"] = testbed.cycle + sample_every
+        return testbed.now_s >= duration_s
+
+    end_cycle = first_cycle_at(duration_s)
+    quiet_cycle = (
+        (lambda: min(gate["send"], gate["sample"], end_cycle))
+        if declare_horizon
+        else None
+    )
+    marks = []
+    for bound in (max_steps, 50_000_000):
+        finished = testbed.run(
+            until=pump, max_time_s=4 * duration_s, max_steps=bound,
+            quiet_cycle=quiet_cycle,
+        )
+        marks.append((
+            finished, testbed.cycle, len(samples),
+            [(e.cycle, e.scheduler.cycle, e.fpcs[0].cycle, e.counters.as_dict())
+             for e in (testbed.engine_a, testbed.engine_b)],
+        ))
+    return samples, marks
+
+
+class TestCycleGatedPump:
+    """A pump that declares its own schedule through ``quiet_cycle`` is
+    skipped between its gates and nowhere else — including when the
+    step bound cuts a skip short."""
+
+    @settings(
+        max_examples=_budget(10),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        drop_every=st.integers(min_value=7, max_value=60),
+        send_every=st.sampled_from([8, 32, 100]),
+        sample_every=st.sampled_from([50, 333, 2000]),
+        duration_s=st.sampled_from([40e-6, 90e-6]),
+        max_steps=st.integers(min_value=1, max_value=6000),
+    )
+    def test_declared_horizon_changes_nothing(
+        self, drop_every, send_every, sample_every, duration_s, max_steps
+    ):
+        args = (drop_every, send_every, sample_every, duration_s)
+        assert _cycle_gated_run(*args, True, max_steps) == \
+            _cycle_gated_run(*args, False, max_steps)

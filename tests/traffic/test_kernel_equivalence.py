@@ -69,6 +69,48 @@ class TestCycleExactEquivalence:
         assert traced_fingerprint("churn", backend="functional") == GOLDEN["churn"]
 
 
+#: 64 round-robin flows on 2 x 8 TCB slots, captured on the PR 17 tree:
+#: every round evicts and swaps in, so the trace also pins *when* a
+#: swapped-in TCB is first processed (``FlowProcessingCore.accept_tcb``'s
+#: start rule; 232 + 280 FPU passes — 233 + 281 if a swap-in into an
+#: idle FPC were dispatched at once).  ROADMAP item 4 asks whether that
+#: rule is the model we want; change it deliberately, not by optimising.
+GOLDEN_SPILL = "de270e20445c6bd808e3d8287e21cd8cac8c25544cb00207a4e7200f262a18d2"
+
+
+class TestSpillEquivalence:
+    """The goldens above never leave SRAM; this one lives on migration."""
+
+    @staticmethod
+    def _run(batched):
+        from repro.apps.roundrobin import round_robin_scenario
+        from repro.engine.ftengine import FtEngineConfig
+        from repro.engine.testbed import Testbed
+
+        config = FtEngineConfig(num_fpcs=2, fpc_slots=8)
+        load_engine = LoadEngine(
+            round_robin_scenario(64, 3, 128),
+            testbed=Testbed(config_a=config, config_b=config),
+        )
+        load_engine.batched = batched
+        bus = TraceBus()
+        attach_load_engine(load_engine, bus)
+        assert load_engine.run(setup_time_s=5.0).finished
+        testbed = load_engine.testbed
+        passes = [
+            sum(fpc.tcbs_processed for fpc in engine.fpcs)
+            for engine in (testbed.engine_a, testbed.engine_b)
+        ]
+        assert testbed.engine_a.scheduler.swap_ins > 100
+        return fingerprint(bus.events), passes
+
+    def test_horizon_loop_matches_spill_golden(self):
+        assert self._run(batched=True) == (GOLDEN_SPILL, [232, 280])
+
+    def test_per_cycle_loop_matches_spill_golden(self):
+        assert self._run(batched=False) == (GOLDEN_SPILL, [232, 280])
+
+
 class TestDirtySetBookkeeping:
     def test_conn_maps_emptied_when_scenario_completes(self):
         load_engine = LoadEngine(get_scenario("churn", seed=7))

@@ -1,0 +1,90 @@
+"""The engine loop costs what is due, not what exists.
+
+``Testbed.run``'s horizon loop (what ``LoadEngine.batched`` selects)
+ticks an engine only on a cycle its own ``next_work_cycle`` names and
+calls the pump only when its ``quiet_cycle`` or an engine message says
+so.  These tests read what the loop did from ``Testbed.loop_stats`` and
+hold it against the per-cycle reference: same simulated cycles, every
+one accounted for, a fraction of the ticks.
+"""
+
+import pytest
+
+from repro.engine.ftengine import FtEngine
+from repro.engine.testbed import Testbed
+from repro.traffic import get_scenario
+from repro.traffic.engine import LoadEngine
+
+
+def _run(scenario, batched):
+    load_engine = LoadEngine(get_scenario(scenario, seed=1234))
+    load_engine.batched = batched
+    result = load_engine.run()
+    assert result.finished and result.completed == result.offered
+    return load_engine, result
+
+
+@pytest.mark.parametrize("scenario", ["mixed", "lossy-mixed"])
+def test_every_horizon_tick_was_due(scenario, monkeypatch):
+    """No engine is ticked because its peer, or the clock, moved."""
+    in_horizon_loop = []
+    undue = []
+    tick, run = FtEngine.tick, Testbed.run
+
+    def checked_tick(engine):
+        if in_horizon_loop and engine.next_work_cycle() != engine.cycle + 1:
+            undue.append((engine.name, engine.cycle))
+        tick(engine)
+
+    def flagged_run(testbed, *args, **kwargs):
+        if kwargs.get("quiet_cycle") is not None:
+            in_horizon_loop.append(True)
+        try:
+            return run(testbed, *args, **kwargs)
+        finally:
+            in_horizon_loop.clear()
+
+    monkeypatch.setattr(FtEngine, "tick", checked_tick)
+    monkeypatch.setattr(Testbed, "run", flagged_run)
+    load_engine, _ = _run(scenario, batched=True)
+    assert load_engine.testbed.loop_stats["ticks_a"] > 0
+    assert undue == []
+
+
+@pytest.mark.parametrize("scenario", ["mixed", "lossy-mixed"])
+def test_ticks_follow_events_and_every_cycle_is_accounted_for(scenario):
+    batched, batched_result = _run(scenario, batched=True)
+    reference, reference_result = _run(scenario, batched=False)
+    assert batched_result.elapsed_s == reference_result.elapsed_s
+    assert batched.testbed.cycle == reference.testbed.cycle
+
+    stats, ref = batched.testbed.loop_stats, reference.testbed.loop_stats
+    # The reference visits every cycle and ticks both engines on it.
+    assert ref["cycles_advanced"] == 0
+    assert ref["ticks_a"] == ref["ticks_b"] == ref["cycles_visited"]
+    assert ref["until_calls"] >= ref["cycles_visited"]
+    # Ticked or advanced, the horizon loop moved each engine through
+    # exactly the cycles the reference ticked it through (the same idle
+    # jumps, which move the clock but not the engines' tick counters).
+    assert stats["cycles_visited"] + stats["cycles_advanced"] == ref["ticks_a"]
+    assert stats["idle_jumps"] == ref["idle_jumps"]
+    for a, b in zip(
+        (batched.testbed.engine_a, batched.testbed.engine_b),
+        (reference.testbed.engine_a, reference.testbed.engine_b),
+    ):
+        assert a.scheduler.cycle == b.scheduler.cycle
+        assert [f.cycle for f in a.fpcs] == [f.cycle for f in b.fpcs]
+
+    # Work-proportional: a routed event costs a handful of engine ticks
+    # (its scheduler pass, its handle, its dispatch, its retire), where
+    # the per-cycle loop pays for every cycle on both engines.
+    routed = sum(
+        engine.scheduler.events_routed
+        for engine in (batched.testbed.engine_a, batched.testbed.engine_b)
+    )
+    ticks = stats["ticks_a"] + stats["ticks_b"]
+    assert ticks / routed <= 4
+    assert (ref["ticks_a"] + ref["ticks_b"]) / routed > 4 * ticks / routed
+    # ...and the pump runs when a message or its own schedule says so.
+    assert stats["until_calls"] < ticks
+    assert stats["until_calls"] < ref["until_calls"] / 4
