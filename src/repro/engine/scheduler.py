@@ -149,9 +149,6 @@ class Scheduler(Component):
     def _fpc_with_lowest_count(
         self, require_room: bool = False
     ) -> Optional[FlowProcessingCore]:
-        candidates = [f for f in self.fpcs if not require_room or f.has_room]
-        if not candidates:
-            return None
         if self.placement_policy == POLICY_PREDICTIVE and self.flow_heat is not None:
             # Predictive placement ranks FPCs by predicted event mass,
             # not resident-flow count: an FPC hosting one heavy hitter
@@ -160,13 +157,23 @@ class Scheduler(Component):
             # ping-ponging through the hot one.
             heat = self.flow_heat
             return min(
-                candidates,
+                (f for f in self.fpcs if not require_room or f.has_room),
                 key=lambda f: (
                     sum(heat.estimate(fid) for fid in f.cam.keys()),
                     f.flow_count,
                 ),
+                default=None,
             )
-        return min(candidates, key=lambda f: f.flow_count)
+        # One pass, first minimum wins (what ``min`` over the list did).
+        best: Optional[FlowProcessingCore] = None
+        lowest = 0
+        for fpc in self.fpcs:
+            if require_room and not fpc.has_room:
+                continue
+            count = fpc.flow_count
+            if best is None or count < lowest:
+                best, lowest = fpc, count
+        return best
 
     # ------------------------------------------------------------- submit
     def submit(self, event: TcpEvent) -> bool:

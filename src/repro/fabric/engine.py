@@ -28,7 +28,7 @@ from ..sim.stats import Histogram
 from ..tcp.state_machine import TcpState
 from .backend import get_backend
 from .scenarios import FabricScenario
-from .softstack import SoftStack, SoftStackConfig, run_event_loop
+from .softstack import SoftStack, SoftStackConfig, TimerWakeIndex, run_event_loop
 from .switch import SwitchFabric
 
 #: Shared zero payload; transfer content is opaque, only sizes matter.
@@ -168,6 +168,7 @@ class FabricLoadEngine:
             )
             for i in range(scenario.num_hosts)
         ]
+        self._wake = TimerWakeIndex(enumerate(self.stacks))
         self.time_ps = 0
         self.conns: List[_FabricConn] = []
         self._conn_by_pair: Dict[Tuple[int, int], _FabricConn] = {}
@@ -524,7 +525,7 @@ class FabricLoadEngine:
         """Settle every host at each event instant, for ``max_time_s`` more."""
         return run_event_loop(
             self,
-            self.stacks,
+            self._wake,
             self.fabric,
             self.time_ps + int(max_time_s * 1e12),
             until=until,

@@ -29,7 +29,8 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..engine.ftengine import EngineMessage
 from ..net.link import LINK_100G, PER_PACKET_OVERHEAD, Link
@@ -293,6 +294,9 @@ class SoftStack:
         #: O(log n) instead of O(flows) — the difference between a
         #: 2-host testbed and a million-flow shard cell.
         self._timers: List[Tuple[int, int]] = []
+        #: Set by the owner's :class:`TimerWakeIndex`: called with the
+        #: raw head of ``_timers`` whenever that head changes.
+        self._publish_wake: Optional[Callable[[int], None]] = None
         self.host_messages: Dict[int, Deque[EngineMessage]] = {0: deque()}
         #: Bumped on every host-queue mutation, mirroring
         #: ``FtEngine.msg_epoch`` so pollers can skip unchanged queues.
@@ -368,7 +372,12 @@ class SoftStack:
             return
         if flow.timer_armed_ps == 0 or deadline < flow.timer_armed_ps:
             flow.timer_armed_ps = deadline
-            heapq.heappush(self._timers, (deadline, flow.flow_id))
+            timers = self._timers
+            if self._publish_wake is not None and (
+                not timers or deadline < timers[0][0]
+            ):
+                self._publish_wake(deadline)
+            heapq.heappush(timers, (deadline, flow.flow_id))
 
     # ----------------------------------------------------- host-facing API
     def listen(self, port: int) -> None:
@@ -448,13 +457,10 @@ class SoftStack:
         return drained
 
     # ------------------------------------------------------------ the tick
-    def timer_due(self, now_ps: int) -> bool:
-        """Whether ``tick`` has a timer entry (live or stale) to pop."""
-        timers = self._timers
-        return bool(timers) and timers[0][0] <= now_ps
-
     def next_wakeup_ps(self) -> Optional[int]:
+        """The earliest live deadline, dropping the stale entries above it."""
         timers = self._timers
+        popped = False
         while timers:
             deadline, flow_id = timers[0]
             flow = self.flows.get(flow_id)
@@ -466,10 +472,13 @@ class SoftStack:
                 else:
                     actual = hs or rto
             if actual == deadline:
+                if popped and self._publish_wake is not None:
+                    self._publish_wake(deadline)
                 return deadline
             # Dead flow or superseded deadline: drop the entry and, if
             # the flow still has a live deadline, re-index it there.
             heapq.heappop(timers)
+            popped = True
             if flow is not None:
                 if flow.timer_armed_ps == deadline:
                     flow.timer_armed_ps = 0
@@ -555,6 +564,8 @@ class SoftStack:
 
     def _expire_timers(self, now: int) -> None:
         timers = self._timers
+        if not timers or timers[0][0] > now:
+            return
         while timers and timers[0][0] <= now:
             deadline, flow_id = heapq.heappop(timers)
             flow = self.flows.get(flow_id)
@@ -593,6 +604,8 @@ class SoftStack:
                     )
                     self._retransmit_from(flow, go_back=True)
             self._arm(flow)
+        if timers and self._publish_wake is not None:
+            self._publish_wake(timers[0][0])
 
     # ------------------------------------------------------------- receive
     def _receive(self, packet: FabricPacket, now: int) -> None:
@@ -802,22 +815,71 @@ class SoftStack:
                 )
 
 
-def earliest_wakeup_ps(stacks: Iterable[SoftStack], best: Optional[int]) -> Optional[int]:
-    """``best`` lowered to the earliest live timer deadline under it.  A raw
-    heap head is never later than the stack's true deadline, so only a head
-    that beats ``best`` is worth validating."""
-    for stack in stacks:
-        timers = stack._timers
-        if timers and (best is None or timers[0][0] < best):
-            wakeup = stack.next_wakeup_ps()
-            if wakeup is not None and (best is None or wakeup < best):
-                best = wakeup
-    return best
+class TimerWakeIndex:
+    """One ``(raw timer-heap head, host)`` min-heap over a set of stacks.
+
+    The owner of the stacks (``CellSim``, ``FabricLoadEngine``,
+    ``SoftTestbed``) builds it once; from then on every stack publishes
+    its raw ``_timers`` head here whenever that head changes — ``_arm``
+    pushing a new head, ``_expire_timers``/``next_wakeup_ps`` popping
+    the old one.  An entry is live iff it still equals its stack's raw
+    head; anything else was superseded by a later publish and is dropped
+    on pop.  So "who has a timer entry to pop now" and "when is the next
+    timer instant" cost what is due, not one visit per host.
+    """
+
+    def __init__(self, stacks: Iterable[Tuple[int, "SoftStack"]]) -> None:
+        #: host -> stack, in the order given (ascending host).
+        self.stacks: Dict[int, SoftStack] = dict(stacks)
+        self._heap: List[Tuple[int, int]] = []
+        self.pushes = 0
+        self.live_pops = 0
+        self.stale_pops = 0
+        for host, stack in self.stacks.items():
+            stack._publish_wake = partial(self._publish, host)
+
+    def _publish(self, host: int, head_ps: int) -> None:
+        self.pushes += 1
+        heapq.heappush(self._heap, (head_ps, host))
+
+    def pop_due(self, now_ps: int, due: Set[int]) -> None:
+        """Add to ``due`` every host whose stack has a timer entry (live
+        or stale) to pop at ``now_ps``."""
+        heap = self._heap
+        while heap and heap[0][0] <= now_ps:
+            head, host = heapq.heappop(heap)
+            timers = self.stacks[host]._timers
+            if timers and timers[0][0] == head:
+                self.live_pops += 1
+                due.add(host)
+            else:
+                self.stale_pops += 1
+
+    def next_wakeup_ps(self, best: Optional[int]) -> Optional[int]:
+        """``best`` lowered to the earliest live timer deadline under it.
+
+        A raw head is never later than its stack's true deadline, so only
+        a top that beats ``best`` is worth validating; validation drops
+        the stack's stale timer entries and re-publishes, which leaves
+        this top superseded and the next one to look at.
+        """
+        heap = self._heap
+        while heap and (best is None or heap[0][0] < best):
+            head, host = heap[0]
+            stack = self.stacks[host]
+            timers = stack._timers
+            if timers and timers[0][0] == head and stack.next_wakeup_ps() == head:
+                return head
+            # Superseded: anything re-published is later than ``head``,
+            # so the top is still this entry.
+            heapq.heappop(heap)
+            self.stale_pops += 1
+        return best
 
 
 def run_event_loop(
     clock,
-    stacks: Sequence[SoftStack],
+    wake: TimerWakeIndex,
     network,
     deadline_ps: int,
     until: Optional[Callable[[], bool]] = None,
@@ -828,30 +890,35 @@ def run_event_loop(
 
     ``clock`` is the owner (``SoftTestbed``, ``FabricLoadEngine``) whose
     integer ``time_ps`` this loop advances; predicates and drivers read
-    it between events.  ``network`` (``SoftWire``, ``SwitchFabric``)
-    joins the stacks: ``advance(now_ps)`` runs its events up to the
-    instant and names the stacks (by index) with a delivery due, and
+    it between events.  ``wake`` is the owner's timer wake index over
+    the stacks.  ``network`` (``SoftWire``, ``SwitchFabric``) joins
+    them: ``advance(now_ps)`` runs its events up to the instant and
+    names the stacks (by host) with a delivery due, and
     ``next_event_ps()`` is its next state change.  The soft stacks do
     nothing between packet arrivals and timer deadlines, so an instant
     stamps ``now_ps`` on every stack (the driver may call into any),
-    ticks only those with a delivery or timer entry due and tests
-    ``until`` — at *every* instant, due stack or not: the fabric driver
-    releases a round one instant after it saw the last completion —
-    then jumps to the earliest of the network's next event, the timer
-    wakeups and the external ``wakeup_ps``, never past ``deadline_ps``.
+    ticks — in ascending host order — only those with a delivery due or
+    a timer entry due in the index, and tests ``until`` — at *every*
+    instant, due stack or not: the fabric driver releases a round one
+    instant after it saw the last completion — then jumps to the
+    earliest of the network's next event, the external ``wakeup_ps``
+    and the index's earliest live deadline (validated only when its raw
+    top beats the other two), never past ``deadline_ps``.
 
     True when ``until`` held, or with no ``until`` when nothing is left
     to happen; False on the deadline, the step bound, or a stall (no
     future event could change ``until``).
     """
+    stacks = wake.stacks
     steps = 0
     while True:
         t = clock.time_ps
-        arrived = network.advance(t)
-        for index, stack in enumerate(stacks):
+        due = network.advance(t)
+        wake.pop_due(t, due)
+        for stack in stacks.values():
             stack.now_ps = t
-            if index in arrived or stack.timer_due(t):
-                stack.tick()
+        for host in sorted(due):
+            stacks[host].tick()
         if until is not None and until():
             return True
         if t >= deadline_ps or (max_steps is not None and steps >= max_steps):
@@ -868,7 +935,7 @@ def run_event_loop(
                 external = int(external) + (external > int(external))
                 if external > t and (following is None or external < following):
                     following = external
-        following = earliest_wakeup_ps(stacks, following)
+        following = wake.next_wakeup_ps(following)
         if following is None:
             return until is None
         clock.time_ps = min(following, deadline_ps)
@@ -908,6 +975,7 @@ class SoftTestbed:
             ip_from_string("10.0.0.2"), self.wire.port_b, service_factory(),
             config=config, name="b", seed=seed,
         )
+        self._wake = TimerWakeIndex(enumerate((self.engine_a, self.engine_b)))
         self.time_ps = 0
 
     @property
@@ -934,7 +1002,7 @@ class SoftTestbed:
         """
         return run_event_loop(
             self,
-            (self.engine_a, self.engine_b),
+            self._wake,
             self.wire,
             int(max_time_s * 1e12),
             until=until,

@@ -28,7 +28,7 @@ from ..obs.trace import StreamingFingerprint
 
 from ..check.lockstep import LockstepSanitizer
 from ..fabric.backend import get_backend
-from ..fabric.softstack import FabricPacket, SoftStack, earliest_wakeup_ps
+from ..fabric.softstack import FabricPacket, SoftStack, TimerWakeIndex
 from ..fabric.switch import CellSwitch
 from .host import ClientPairDriver, ServerHostDriver
 from .scenarios import ShardScenario
@@ -74,6 +74,7 @@ class CellSim:
             )
             stack.trace = trace
             self.stacks[host] = stack
+        self._wake = TimerWakeIndex(self.stacks.items())
         # Drivers: client pairs sorted by (client, server) and server
         # hosts grouped — construction order is part of determinism.
         self.clients: Dict[int, List[ClientPairDriver]] = {
@@ -115,6 +116,23 @@ class CellSim:
             self._schedule_open(host)
         self.now_ps = 0
         self.events = 0
+        self._admission_only = 0
+        self._stack_ticks = 0
+
+    @property
+    def loop_stats(self) -> Dict[str, int]:
+        """What the event loop itself did — not simulated behaviour, so
+        not in :meth:`report`: instants visited, instants that only
+        admitted packets, stack ticks, and the wake index's traffic."""
+        wake = self._wake
+        return {
+            "instants": self.events,
+            "admission_only": self._admission_only,
+            "stack_ticks": self._stack_ticks,
+            "index_pushes": wake.pushes,
+            "live_pops": wake.live_pops,
+            "stale_pops": wake.stale_pops,
+        }
 
     def _schedule_open(self, host: int) -> None:
         opens = (d.next_action_ps() for d in self.clients[host])
@@ -162,13 +180,13 @@ class CellSim:
         for heap in (self.pending, self._opens):
             if heap and (best is None or heap[0][0] < best):
                 best = heap[0][0]
-        return earliest_wakeup_ps(self.stacks.values(), best)
+        return self._wake.next_wakeup_ps(best)
 
     def _settle(self, now: int) -> None:
         """Process everything due at one instant, in canonical order:
         admissions, stack ticks, driver ticks, message dispatch — on
         the hosts with a delivery, a scheduled open or a timer entry
-        due (nothing can happen on the others)."""
+        due (nothing can happen on the others), in ascending order."""
         pending = self.pending
         while pending and pending[0][0] <= now:
             entry = heapq.heappop(pending)
@@ -182,10 +200,12 @@ class CellSim:
         while opens and opens[0][0] <= now:
             opening.append(heapq.heappop(opens)[1])
         due.update(opening)
-        hosts = [
-            host for host in self.hosts
-            if host in due or self.stacks[host].timer_due(now)
-        ]
+        self._wake.pop_due(now, due)
+        if not due:
+            self._admission_only += 1
+            return
+        hosts = sorted(due)
+        self._stack_ticks += len(hosts)
         for host in hosts:
             stack = self.stacks[host]
             stack.now_ps = now
@@ -237,7 +257,7 @@ class CellSim:
         cannot act again without a barrier delivering it input."""
         if self.pending or self.switch.next_any_delivery_ps() is not None:
             return False
-        if earliest_wakeup_ps(self.stacks.values(), None) is not None:
+        if self._wake.next_wakeup_ps(None) is not None:
             return False
         return all(d.done for ds in self.clients.values() for d in ds)
 
