@@ -23,7 +23,10 @@ Quick start::
     lib = F4TLibrary(testbed.engine_a, pump=pump)
 """
 
-from typing import Callable, Dict, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, TypeVar
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from multiprocessing.context import BaseContext
 
 __version__ = "1.1.0"
 __paper__ = (
@@ -63,3 +66,14 @@ class Registry(Dict[str, F]):
         raise UnknownNameError(
             f"unknown {self.kind} {name!r}; available: " + ", ".join(sorted(self))
         )
+
+
+def mp_context() -> "BaseContext":
+    """The start method the worker pools (``repro.lab``, ``repro.shard``)
+    share: fork keeps the already imported simulator modules without a
+    re-import; the platform default elsewhere."""
+    import multiprocessing  # ~18 ms that ``import repro`` should not pay
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()

@@ -30,18 +30,26 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..engine.ftengine import EngineMessage
 from ..net.link import LINK_100G, PER_PACKET_OVERHEAD, Link
 from ..net.wire import derive_seed
-from ..tcp.segment import FlowKey, ip_from_string
+from ..tcp.segment import FlowKey, ip_from_string, ip_to_string
 from ..tcp.state_machine import TcpState
 from .service import ServiceModel
 
 #: Engine-period compatibility constant: ``cycle`` properties below are
 #: derived from integer picoseconds at the F4T 250 MHz period.
 _PERIOD_PS = 4_000
+
+#: Source ports ``connect`` hands out: from the start of the dynamic
+#: range upwards, wrapping inside the unprivileged range.
+_EPHEMERAL_BASE = 49152
+_PORT_MIN, _PORT_MAX = 1024, 65535
+_PORT_COUNT = _PORT_MAX - _PORT_MIN + 1
 
 
 @dataclass
@@ -101,11 +109,15 @@ class FabricPacket:
         )
 
 
+#: The reassembly state of every flow with no hole open (see ``ooo``).
+_NO_RUNS: Tuple[Tuple[int, int], ...] = ()
+
+
 class _SoftFlow:
     """Per-connection state: both transmit and receive directions."""
 
     __slots__ = (
-        "flow_id", "key", "slot", "state", "listen_port",
+        "flow_id", "key", "slot", "state",
         # transmit side (cumulative byte offsets from 0)
         "app_written", "flow_acked", "next_to_send",
         "cwnd", "ssthresh", "peer_window", "dup_acks", "recover_mark",
@@ -121,17 +133,16 @@ class _SoftFlow:
 
     def __init__(
         self, flow_id: int, key: FlowKey, slot: int, state: TcpState,
-        config: SoftStackConfig,
+        config: SoftStackConfig, init_cwnd: int,
     ) -> None:
         self.flow_id = flow_id
-        self.key = key
+        self.key = key  # a passive flow's src_port is its listen port
         self.slot = slot
         self.state = state
-        self.listen_port: Optional[int] = None
         self.app_written = 0
         self.flow_acked = 0
         self.next_to_send = 0
-        self.cwnd = config.init_cwnd_segments * config.mss
+        self.cwnd = init_cwnd
         self.ssthresh = config.send_buffer
         self.peer_window = config.recv_buffer
         self.dup_acks = 0
@@ -145,7 +156,10 @@ class _SoftFlow:
         self.fin_acked = False
         self.contiguous = 0
         self.delivered = 0
-        self.ooo: List[Tuple[int, int]] = []  # sorted disjoint (start, end)
+        #: Sorted disjoint (start, end) runs above ``contiguous``: the
+        #: shared ``_NO_RUNS`` until a segment arrives out of order, a
+        #: list of this flow's own while a hole is open.
+        self.ooo: Sequence[Tuple[int, int]] = _NO_RUNS
         self.peer_fin_at = -1
         self.ce_pending = False
         self.eof_posted = False
@@ -305,7 +319,10 @@ class SoftStack:
         self._accept_queues: Dict[int, Deque[int]] = {}
         self._by_key: Dict[FlowKey, int] = {}
         self._next_flow_id = 0
-        self._next_port = 49152
+        self._next_port = _EPHEMERAL_BASE
+        #: One int shared by every flow this stack opens, not one boxed
+        #: per flow.
+        self._init_cwnd = self.config.init_cwnd_segments * self.config.mss
         self._free_slots: List[int] = []
         self._next_slot = 0
         # Counters surfaced into fabric results and obs samples.
@@ -384,14 +401,30 @@ class SoftStack:
         self._listening.add(port)
         self._accept_queues.setdefault(port, deque())
 
+    def _alloc_key(self, dst_ip: int, dst_port: int) -> FlowKey:
+        """The next free 4-tuple towards a destination: source ports run
+        on from the last one handed out, wrap inside the valid range
+        and skip any still held by a live flow."""
+        port = self._next_port
+        for _ in range(_PORT_COUNT):
+            key = FlowKey(self.ip, port, dst_ip, dst_port)
+            port = port + 1 if port < _PORT_MAX else _PORT_MIN
+            if key not in self._by_key:
+                self._next_port = port
+                return key
+        raise OSError(
+            f"stack {self.name}: no free source port towards "
+            f"{ip_to_string(dst_ip)}:{dst_port} — all "
+            f"{_PORT_COUNT} 4-tuples are held by live flows"
+        )
+
     def connect(self, dst_ip: int, dst_port: int) -> int:
-        src_port = self._next_port
-        self._next_port += 1
-        key = FlowKey(self.ip, src_port, dst_ip, dst_port)
+        key = self._alloc_key(dst_ip, dst_port)
         flow_id = self._next_flow_id
         self._next_flow_id += 1
         flow = _SoftFlow(
-            flow_id, key, self._alloc_slot(), TcpState.SYN_SENT, self.config
+            flow_id, key, self._alloc_slot(), TcpState.SYN_SENT, self.config,
+            self._init_cwnd,
         )
         self.flows[flow_id] = flow
         self._by_key[key] = flow_id
@@ -633,9 +666,9 @@ class SoftStack:
             # on the accept queue before normal processing.
             flow.state = TcpState.ESTABLISHED
             flow.hs_deadline_ps = 0
-            port = flow.listen_port
-            if port is not None:
-                self._accept_queues.setdefault(port, deque()).append(flow_id)
+            # Only passive flows are ever SYN_RECEIVED, and theirs is
+            # the key of a SYN to a listening port.
+            self._accept_queues[flow.key.src_port].append(flow_id)
             self._post("accepted", flow_id)
         if kind == "data":
             self._on_data(flow, packet, now)
@@ -657,9 +690,8 @@ class SoftStack:
             self._next_flow_id += 1
             flow = _SoftFlow(
                 flow_id, key, self._alloc_slot(), TcpState.SYN_RECEIVED,
-                self.config,
+                self.config, self._init_cwnd,
             )
-            flow.listen_port = packet.key.dst_port
             self.flows[flow_id] = flow
             self._by_key[key] = flow_id
         at = self._send_segment(flow, FabricPacket("synack", flow.key))
@@ -688,15 +720,16 @@ class SoftStack:
         if start <= flow.contiguous:
             if end > flow.contiguous:
                 flow.contiguous = end
-            # Absorb any out-of-order runs now made contiguous.
-            merged: List[Tuple[int, int]] = []
-            for lo, hi in flow.ooo:
-                if lo <= flow.contiguous:
-                    if hi > flow.contiguous:
-                        flow.contiguous = hi
-                else:
-                    merged.append((lo, hi))
-            flow.ooo = merged
+            if flow.ooo:
+                # Absorb any out-of-order runs now made contiguous.
+                merged: List[Tuple[int, int]] = []
+                for lo, hi in flow.ooo:
+                    if lo <= flow.contiguous:
+                        if hi > flow.contiguous:
+                            flow.contiguous = hi
+                    else:
+                        merged.append((lo, hi))
+                flow.ooo = merged or _NO_RUNS
         else:
             self._insert_ooo(flow, start, end)
         if flow.contiguous > before:
@@ -704,8 +737,7 @@ class SoftStack:
         self._ack_now(flow)
 
     def _insert_ooo(self, flow: _SoftFlow, start: int, end: int) -> None:
-        runs = flow.ooo
-        runs.append((start, end))
+        runs = [*flow.ooo, (start, end)]  # never the shared empty itself
         runs.sort()
         merged = [runs[0]]
         for lo, hi in runs[1:]:

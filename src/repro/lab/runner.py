@@ -24,7 +24,6 @@ Per-run limits:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import sys
@@ -35,6 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Union
 
+from .. import mp_context
 from .grid import ExperimentGrid, normalize_result, provenance, resolve_driver
 from .store import RunRecord, RunStore
 
@@ -229,14 +229,6 @@ class _ProgressPrinter:
 
 
 # ------------------------------------------------------------ run_grid
-def _mp_context() -> multiprocessing.context.BaseContext:
-    # fork keeps the (already imported) simulator modules without a
-    # re-import; fall back to the platform default elsewhere.
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def run_grid(
     grids: Union[ExperimentGrid, Sequence[ExperimentGrid]],
     store_path: str,
@@ -283,7 +275,7 @@ def run_grid(
             )
 
         if workers > 1:
-            context = _mp_context()
+            context = mp_context()
             pool = [
                 context.Process(
                     target=_worker_main,

@@ -4,24 +4,26 @@ Each cell drives its hosts with two small state machines sitting on the
 :class:`~repro.fabric.softstack.SoftStack` host API:
 
 * :class:`ClientPairDriver` — one per :class:`~repro.shard.scenarios.
-  ShardPair` on the client host: opens connections at the derived
-  schedule's instants, sends each transacting connection's request once
+  ShardPair` on the client host: opens connections at the pair's packed
+  connect instants, sends each transacting connection's request once
   established, counts response bytes, then closes (churn) or holds
   (megaflow).
-* :class:`ServerHostDriver` — one per server host: accepts, matches the
-  *i*-th accepted connection from a client to the *i*-th entry of that
-  pair's derived schedule (per-pair arrival order is FIFO end to end),
-  frames the request by byte count, sends the response, closes on EOF.
+* :class:`ServerHostDriver` — one per server host: accepts, frames the
+  *i*-th accepted connection from a client as that pair's *i*-th
+  connection (per-pair arrival order is FIFO end to end; the sizes are
+  :meth:`~repro.shard.scenarios.ShardPair.framing` of the index, as on
+  the client), sends the response, closes on EOF.
 
 Both sides count everything they do; a cell's connection/transaction
 totals are sums of these counters, and all state for settled
 connections is dropped eagerly — a held-open megaflow connection costs
-its two stack flow objects and nothing here.
+its two stack flow objects and, here, the eight bytes of its connect
+instant.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..engine.ftengine import EngineMessage
 from ..fabric.softstack import SoftStack
@@ -59,7 +61,7 @@ class ClientPairDriver:
         self.server_ip = server_ip
         self.server_port = scenario.server_port
         self.close_after = scenario.close_after
-        self.schedule = scenario.schedule(pair)
+        self.connect_at = scenario.connect_instants(pair)
         self.trace = trace
         self.trace_name = f"pair{pair.client}->{pair.server}"
         self._next = 0
@@ -74,8 +76,8 @@ class ClientPairDriver:
 
     # ------------------------------------------------------------- surface
     def next_action_ps(self) -> Optional[int]:
-        if self._next < len(self.schedule):
-            return self.schedule[self._next][0]
+        if self._next < len(self.connect_at):
+            return self.connect_at[self._next]
         return None
 
     @property
@@ -84,12 +86,12 @@ class ClientPairDriver:
 
     @property
     def done(self) -> bool:
-        return self._next >= len(self.schedule) and self._unsettled == 0
+        return self._next >= len(self.connect_at) and self._unsettled == 0
 
     def tick(self, now_ps: int) -> None:
-        schedule = self.schedule
-        while self._next < len(schedule) and schedule[self._next][0] <= now_ps:
-            _at, _req, resp = schedule[self._next]
+        connect_at = self.connect_at
+        while self._next < len(connect_at) and connect_at[self._next] <= now_ps:
+            _req, resp = self.pair.framing(self._next)
             flow_id = self.stack.connect(self.server_ip, self.server_port)
             conn = _ClientConn()
             conn.resp_remaining = resp
@@ -180,10 +182,10 @@ class ServerHostDriver:
         self.trace = trace
         self.trace_name = f"srv{host}"
         stack.listen(self.port)
-        #: Per client host: that pair's derived schedule and the index
-        #: of the next accept — the framing contract with the client.
-        self.schedules: Dict[int, List[Tuple[int, int, int]]] = {
-            pair.client: scenario.schedule(pair) for pair in pairs
+        #: Per client host: that pair and the index of the next
+        #: accept — the framing contract with the client.
+        self.pairs: Dict[int, ShardPair] = {
+            pair.client: pair for pair in pairs
         }
         self.accept_index: Dict[int, int] = {
             pair.client: 0 for pair in pairs
@@ -206,13 +208,13 @@ class ServerHostDriver:
                 # Not a scheduled pair: nothing to frame, just hold.
                 self.accepted += 1
                 continue
-            schedule = self.schedules.get(client)
-            if schedule is None:
+            pair = self.pairs.get(client)
+            if pair is None:
                 self.accepted += 1
                 continue
             index = self.accept_index[client]
             self.accept_index[client] = index + 1
-            _at, req, resp = schedule[index]
+            req, resp = pair.framing(index)
             self.accepted += 1
             if self.trace is not None:
                 self.trace.emit(

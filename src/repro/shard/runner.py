@@ -41,8 +41,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, TextIO, T
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..traffic.scenario import Scenario
 
+from .. import mp_context
 from ..check.lockstep import LockstepSanitizer
-from ..lab.runner import _mp_context
 from ..obs.trace import StreamingFingerprint, TraceBus
 from ..obs.trace import fingerprint as trace_fingerprint
 from ..obs.trace import merge_fingerprints
@@ -252,7 +252,7 @@ class _PipedGroup:
     ) -> None:
         """``parent_ends`` holds the coordinator's end of every pipe
         opened so far; this proxy's is added to it."""
-        context = _mp_context()
+        context = mp_context()
         self.index = index
         self.cell_ids = cell_ids
         self.epoch = 0
@@ -457,7 +457,7 @@ def run_traffic_shard(
     jobs = [(cell, part, load_scale) for cell, part in enumerate(parts)]
     workers = max(1, min(workers, len(jobs)))
     if _can_fork(workers):
-        with _mp_context().Pool(processes=workers) as pool:
+        with mp_context().Pool(processes=workers) as pool:
             rows = pool.map(_traffic_cell_job, jobs)
     else:
         workers = 1

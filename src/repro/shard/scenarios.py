@@ -2,19 +2,21 @@
 
 A :class:`ShardScenario` names a host population partitioned into
 contiguous cells plus a set of client→server :class:`ShardPair` entries.
-Everything a pair's two endpoints must agree on — connect instants,
-request and response sizes — is derived from the scenario seed with
-:func:`~repro.net.wire.derive_seed`, so the client cell and the server
-cell compute bit-identical schedules without exchanging a byte of
-control plane: the server matches its *i*-th accepted connection from a
-client to the *i*-th scheduled transaction of that pair (per-pair packet
-order is FIFO end to end — one uplink serializer, one FIFO egress
-queue — so accept order equals connect order).
+Everything a pair's two endpoints must agree on is derived, never
+exchanged: the connect instants from the scenario seed with
+:func:`~repro.net.wire.derive_seed` (the client alone needs them), and
+each connection's request and response sizes from its index
+(:meth:`ShardPair.framing`), so the client cell and the server cell
+agree without a byte of control plane: the server frames its *i*-th
+accepted connection from a client as that pair's *i*-th connection
+(per-pair packet order is FIFO end to end — one uplink serializer, one
+FIFO egress queue — so accept order equals connect order).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Set, Tuple
 
@@ -46,6 +48,14 @@ class ShardPair:
                 f"pair {self.client}->{self.server}: transactions need "
                 "req_bytes > 0 and resp_bytes > 0"
             )
+
+    def framing(self, index: int) -> Tuple[int, int]:
+        """``(req, resp)`` bytes of the pair's ``index``-th connection —
+        the contract the client and the server each derive alone."""
+        every = self.transact_every
+        if every and index % every == 0:
+            return self.req_bytes, self.resp_bytes
+        return 0, 0
 
 
 def _static_switch() -> SwitchConfig:
@@ -142,13 +152,14 @@ class ShardScenario:
             ),
         )
 
-    def schedule(self, pair: ShardPair) -> List[Tuple[int, int, int]]:
-        """The pair's per-connection ``(connect_at_ps, req, resp)`` list.
+    def connect_instants(self, pair: ShardPair) -> array[int]:
+        """The pair's connect instants (int ps), packed, one per connection.
 
-        Pure function of (seed, scenario name, pair endpoints): both the
-        client cell and the server cell call this and get the same list.
-        Connect instants are strictly increasing — one per ``window /
-        conns`` slot, jittered inside the slot by the pair's seeded RNG.
+        Pure function of (seed, scenario name, pair endpoints), and
+        strictly increasing — one per ``window / conns`` slot, jittered
+        inside the slot by the pair's seeded RNG.  Only the client
+        driver holds it; what each connection carries is
+        :meth:`ShardPair.framing` of its index, on both sides.
         """
         rng = random.Random(
             derive_seed(
@@ -156,19 +167,13 @@ class ShardScenario:
             )
         )
         spacing = max(1, self.connect_window_ps // pair.conns)
-        every = pair.transact_every
-        out: List[Tuple[int, int, int]] = []
-        for index in range(pair.conns):
-            jitter = rng.randrange(spacing) if spacing > 1 else 0
-            transacts = bool(every) and index % every == 0
-            out.append(
-                (
-                    index * spacing + jitter,
-                    pair.req_bytes if transacts else 0,
-                    pair.resp_bytes if transacts else 0,
-                )
-            )
-        return out
+        return array(
+            "q",
+            (
+                index * spacing + rng.randrange(spacing)
+                for index in range(pair.conns)
+            ),
+        )
 
     @property
     def total_conns(self) -> int:

@@ -37,11 +37,17 @@ def _fnv1a(data: bytes, seed: int) -> int:
 
 
 def _validate_key(key: object) -> None:
-    """Reject key types whose default repr embeds the object address."""
-    if isinstance(key, tuple):
+    """Reject key types whose default repr embeds the object address.
+
+    Only a tuple printed by ``tuple.__repr__`` — its items' reprs — is
+    walked; a record type with a ``__repr__`` of its own (``FlowKey``)
+    answers for its fields in one check per lookup.
+    """
+    key_repr = type(key).__repr__
+    if key_repr is tuple.__repr__:
         for item in key:
             _validate_key(item)
-    elif type(key).__repr__ is object.__repr__:
+    elif key_repr is object.__repr__:
         raise TypeError(
             f"{type(key).__name__} has the default object repr; cuckoo "
             "keys need a stable __repr__ (or a plain field tuple) so "

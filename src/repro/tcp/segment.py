@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .checksum import internet_checksum, tcp_checksum
 from .options import TcpOptions
@@ -50,9 +50,14 @@ def ip_to_string(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """The connection 4-tuple used for flow lookup in the RX parser."""
+class FlowKey(NamedTuple):
+    """The connection 4-tuple used for flow lookup in the RX parser.
+
+    A tuple, not an object with a ``__dict__``: a held-open connection
+    pins one key per endpoint.  ``repr`` is the keyword form
+    ``FlowKey(src_ip=…, src_port=…, dst_ip=…, dst_port=…)`` —
+    :class:`~repro.tcp.cuckoo.CuckooHashTable` hashes it.
+    """
 
     src_ip: int
     src_port: int

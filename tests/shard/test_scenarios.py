@@ -1,5 +1,7 @@
 """ShardScenario geometry, derived schedules and preset shapes."""
 
+from array import array
+
 import pytest
 
 from repro.shard import ShardPair, ShardScenario, get_shard_scenario
@@ -52,27 +54,28 @@ class TestSchedules:
     def test_schedule_is_deterministic_and_increasing(self):
         scenario = _scenario()
         (pair,) = scenario.pairs
-        a = scenario.schedule(pair)
-        b = scenario.schedule(pair)
-        assert a == b
-        instants = [at for at, _req, _resp in a]
-        assert instants == sorted(instants)
-        assert len(set(instants)) == len(instants)
+        instants = scenario.connect_instants(pair)
+        assert instants == scenario.connect_instants(pair)
+        assert isinstance(instants, array) and instants.typecode == "q"
+        assert len(instants) == pair.conns
+        assert list(instants) == sorted(set(instants))  # strictly increasing
         assert all(0 <= at < scenario.connect_window_ps for at in instants)
 
     def test_seed_moves_the_schedule(self):
         scenario = _scenario()
         (pair,) = scenario.pairs
-        assert scenario.schedule(pair) != scenario.with_seed(9).schedule(pair)
+        assert scenario.connect_instants(pair) != (
+            scenario.with_seed(9).connect_instants(pair)
+        )
 
     def test_transact_every_thins_transactions(self):
-        scenario = _scenario(pairs=(
-            ShardPair(0, 4, conns=8, req_bytes=64, resp_bytes=64,
-                      transact_every=4),
-        ))
-        schedule = scenario.schedule(scenario.pairs[0])
-        transacting = [entry for entry in schedule if entry[1] > 0]
-        assert len(transacting) == 2  # indices 0 and 4
+        pair = ShardPair(0, 4, conns=8, req_bytes=64, resp_bytes=32,
+                         transact_every=4)
+        framings = [pair.framing(index) for index in range(pair.conns)]
+        assert [i for i, f in enumerate(framings) if f != (0, 0)] == [0, 4]
+        assert framings[4] == (64, 32)
+        idle = ShardPair(0, 4, conns=8, transact_every=0)
+        assert {idle.framing(index) for index in range(8)} == {(0, 0)}
 
     def test_scaled_shrinks_conns(self):
         scenario = _scenario(pairs=(ShardPair(0, 4, conns=1280),))

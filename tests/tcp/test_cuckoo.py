@@ -38,6 +38,28 @@ class TestBasics:
         with pytest.raises(ValueError):
             CuckooHashTable(1)
 
+    def test_address_bearing_keys_rejected(self):
+        """A default object repr embeds a process-local address; plain
+        tuples (and subclasses printing as one) are walked for them, a
+        record type with its own repr is one check."""
+
+        class Bare:
+            pass
+
+        class Pair(tuple):
+            pass
+
+        table = CuckooHashTable(64)
+        for bad in (Bare(), (1, Bare()), (1, (2, Bare())), Pair((1, Bare()))):
+            with pytest.raises(TypeError, match="default object repr"):
+                table.insert(bad, 0)
+            with pytest.raises(TypeError):
+                table.get(bad)
+        table.insert((1, ("a", 2)), 5)
+        table.insert(Pair((1, 2)), 6)
+        assert table.get((1, ("a", 2))) == 5
+        assert len(table) == 2
+
     def test_flow_key_usage(self):
         """The actual use: 4-tuple -> flow id (§4.1.2)."""
         table = CuckooHashTable(1024)

@@ -1,8 +1,11 @@
 """TCP segment wire format: serialization, parsing, fault rejection."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.tcp.cuckoo import CuckooHashTable
 from repro.tcp.options import TcpOptions
 from repro.tcp.segment import (
     FLAG_ACK,
@@ -52,6 +55,48 @@ class TestFlowKey:
 
     def test_hashable(self):
         assert len({FlowKey(1, 2, 3, 4), FlowKey(1, 2, 3, 4)}) == 1
+
+    def test_reversed_twice_is_the_same_dict_key(self):
+        key = FlowKey(10, 49152, 20, 9000)
+        back = key.reversed().reversed()
+        assert back is not key
+        assert back == key and hash(back) == hash(key)
+        assert {key: "flow"}[back] == "flow"
+        assert key.reversed() != key
+
+    def test_repr_is_pinned(self):
+        """``CuckooHashTable`` hashes ``repr(key)``: one byte of drift
+        moves every flow-table placement and every pinned digest."""
+        assert repr(FlowKey(1, 2, 3, 4)) == (
+            "FlowKey(src_ip=1, src_port=2, dst_ip=3, dst_port=4)"
+        )
+
+    def test_cuckoo_placement_is_pinned(self):
+        table = CuckooHashTable(1024)
+        key = FlowKey(1, 2, 3, 4)
+        table.insert(key, 7)
+        assert table._tables[0][116] == (key, 7)
+        assert (table._hash(key, 1), table._hash(key.reversed(), 0)) == (49, 340)
+        assert table.get(FlowKey(1, 2, 3, 4)) == 7
+
+    def test_pickle_round_trip(self):
+        """Keys cross ``run_shard``'s worker pipes inside packets."""
+        key = FlowKey(ip_from_string("10.0.0.1"), 49152,
+                      ip_from_string("10.0.0.2"), 9000)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(key, protocol))
+            assert type(copy) is FlowKey
+            assert copy == key and hash(copy) == hash(key)
+            assert repr(copy) == repr(key)
+            assert copy.dst_port == 9000
+
+    def test_no_per_instance_dict(self):
+        """A held-open connection pins one key per endpoint; the key
+        must be one allocation, not an object plus its ``__dict__``."""
+        key = FlowKey(1, 2, 3, 4)
+        assert not hasattr(key, "__dict__")
+        with pytest.raises(AttributeError):
+            key.src_port = 5
 
 
 class TestSegmentProperties:
