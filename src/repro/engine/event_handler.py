@@ -153,9 +153,9 @@ def accumulate_event(entry: EventEntry, event: TcpEvent) -> EventEntry:
 
 
 def copy_entry(entry: EventEntry) -> EventEntry:
-    """Shallow copy, for the memory manager's check logic (§4.3.1)."""
-    clone = EventEntry()
-    clone.__dict__.update(entry.__dict__)
+    """Shallow copy: every field from ``entry``, no constructor run."""
+    clone = EventEntry.__new__(EventEntry)
+    clone.__dict__ = entry.__dict__.copy()
     return clone
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from ..sim.component import Component
+from ..sim.component import NEVER, Component, TickCounter
 from ..sim.fifo import Fifo
 from ..sim.memory import CAM, DualPortSRAM
 from ..sim.pipeline import Pipeline
@@ -38,9 +38,6 @@ from .fpu import Fpu, ProcessResult
 #: Reference design: 8 FPCs x 128 flows (§4.4.2).
 DEFAULT_SLOTS = 128
 DEFAULT_INPUT_DEPTH = 64
-
-#: A work horizon meaning "nothing scheduled": later than any cycle.
-NEVER = 1 << 62
 
 
 class FlowProcessingCore(Component):
@@ -54,6 +51,11 @@ class FlowProcessingCore(Component):
         now_fn: Optional[Callable[[], float]] = None,
         fpu: Optional[Fpu] = None,
     ) -> None:
+        #: Where ``cycle`` lives.  A stand-alone FPC counts its own
+        #: ticks; the FPCs of an engine all hold the same value, so
+        #: FtEngine keeps one counter for them (:meth:`share_clock`).
+        self.clock = TickCounter()
+        self._own_clock = True
         super().__init__(f"fpc{fpc_id}")
         self.fpc_id = fpc_id
         self.slots = slots
@@ -98,6 +100,9 @@ class FlowProcessingCore(Component):
         # Per-cycle outputs drained by FtEngine.
         self.out_results: List[ProcessResult] = []
         self.out_evicted: List[Tcb] = []
+        #: Called when a TCB is queued on ``out_evicted`` (the scheduler,
+        #: which collects them, hangs its wake here), or None.
+        self.notify_scheduler: Optional[Callable[[], None]] = None
 
         self.events_accepted = 0
         self.tcbs_processed = 0
@@ -107,6 +112,21 @@ class FlowProcessingCore(Component):
         self.trace_name = self.name
         #: Race sanitizer (repro.check): shadow-state checker, or None.
         self.san = None
+
+    # -------------------------------------------------------------- clock
+    @property
+    def cycle(self) -> int:
+        return self.clock.cycle
+
+    @cycle.setter
+    def cycle(self, value: int) -> None:
+        self.clock.cycle = value
+
+    def share_clock(self, clock: TickCounter) -> None:
+        """Count on ``clock``, which the caller advances — once for all
+        the FPCs sharing it — before it ticks any of them."""
+        self.clock = clock
+        self._own_clock = False
 
     # -------------------------------------------------------------- flows
     @property
@@ -155,7 +175,7 @@ class FlowProcessingCore(Component):
             # event.  FtEngine ticks by ``next_action``, so it honours
             # this; an owner ticking every cycle dispatches at once,
             # and next_action_cycle() says so.
-            if self.next_action != NEVER or self._ticked_at == self.cycle:
+            if self.next_action != NEVER or self._ticked_at == self.clock.cycle:
                 self._rearm()
 
     def request_evict(self, flow_id: int) -> bool:
@@ -215,14 +235,14 @@ class FlowProcessingCore(Component):
         if self.next_action == NEVER:
             self._rearm()  # also starts any swap-in that was waiting
         else:
-            handled = (self.cycle + 2) & ~1  # the event table's even phase
+            handled = (self.clock.cycle + 2) & ~1  # the event table's even phase
             if handled < self.next_action:
                 self.next_action = handled
         return True
 
     @property
     def backpressure(self) -> bool:
-        return len(self.input) > self.input.capacity // 2
+        return len(self.input._items) > self.input.capacity // 2
 
     # -------------------------------------------------------------- clock
     def busy(self) -> bool:
@@ -244,7 +264,7 @@ class FlowProcessingCore(Component):
 
     def _issue_cycle(self) -> int:
         """Next *odd* cycle the FPU's initiation interval admits."""
-        return max(self.cycle + 1, self._issue_at) | 1
+        return max(self.clock.cycle + 1, self._issue_at) | 1
 
     def _rearm(self) -> None:
         """Recompute :attr:`next_action` from the state it summarises.
@@ -257,7 +277,7 @@ class FlowProcessingCore(Component):
         """
         due = self._retire_at
         if self.input._items:
-            handled = (self.cycle + 2) & ~1
+            handled = (self.clock.cycle + 2) & ~1
             if handled < due:
                 due = handled
         if self._ready:
@@ -267,8 +287,10 @@ class FlowProcessingCore(Component):
         self.next_action = due
 
     def tick(self) -> None:
-        cycle = self.cycle + 1
-        self.cycle = cycle
+        clock = self.clock
+        if self._own_clock:
+            clock.cycle += 1
+        cycle = clock.cycle
         self._ticked_at = cycle
         # A stage is entered only when it has something to do.  Retire
         # first so a writeback and a dispatch can share a cycle on the
@@ -311,8 +333,9 @@ class FlowProcessingCore(Component):
         self._mark_pending(event.flow_id)
 
     def _dispatch_one(self) -> None:
-        if not self._dispatch_queue or not self.pipe.can_issue(self.cycle):
-            return
+        cycle = self.clock.cycle
+        if not self._dispatch_queue or self._issue_at > cycle:
+            return  # nothing queued, or inside the FPU's initiation interval
         # Round-robin over pending flows, skipping in-flight ones (the
         # "distance" that prevents RMW hazards, §4.2.2).
         for _ in range(len(self._dispatch_queue)):
@@ -336,14 +359,14 @@ class FlowProcessingCore(Component):
                 )
             dup = merge_into_tcb(snapshot, entry) if entry is not None else 0
             self._in_flight.add(flow_id)
-            issued = self.pipe.issue((slot, snapshot, dup), self.cycle)
+            issued = self.pipe.issue((slot, snapshot, dup), cycle)
             assert issued, "TCB manager respects the FPU initiation interval"
             self._issue_at = self.pipe.next_issue_cycle()
             self._retire_at = self.pipe.next_retire_cycle()
             return
 
     def _retire(self) -> None:
-        for slot, tcb, dup in self.pipe.retire_ready(self.cycle):
+        for slot, tcb, dup in self.pipe.retire_ready(self.clock.cycle):
             result = self.fpu.process(tcb, dup, self.now_fn())
             self.tcbs_processed += 1
             self._in_flight.discard(tcb.flow_id)
@@ -385,6 +408,8 @@ class FlowProcessingCore(Component):
                         self.fpc_id, self.cycle, slot, tcb.flow_id
                     )
                 self.out_evicted.append(tcb)
+                if self.notify_scheduler is not None:
+                    self.notify_scheduler()
                 if self.trace is not None:
                     self.trace.emit(
                         self.now_fn() * 1e12, "engine.fpc", self.trace_name,

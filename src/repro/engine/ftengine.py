@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from collections import deque
 
@@ -30,9 +30,9 @@ from ..mem.advisor import POLICY_PREDICTIVE, FlowHeat
 from ..mem.hierarchy import CacheGeometry
 from ..mem.sketch import make_sketch
 from ..net.wire import WirePort
-from ..sim.component import Component
+from ..sim.component import NEVER, Component, TickCounter
 from ..sim.stats import Counters
-from ..tcp.segment import FLAG_ACK, FLAG_RST, FlowKey, TcpSegment
+from ..tcp.segment import FLAG_ACK, FLAG_RST, FlowKey, TcpSegment, ip_to_string
 from ..tcp.seq import SEQ_MOD, seq_add
 from ..tcp.state_machine import TcpState
 from ..tcp.tcb import DEFAULT_BUFFER_BYTES, DEFAULT_MSS, Tcb
@@ -46,7 +46,7 @@ from .events import (
     user_recv_event,
     user_send_event,
 )
-from .fpc import NEVER, FlowProcessingCore
+from .fpc import FlowProcessingCore
 from .fpu import NoteKind, ProcessResult, TimerOp
 from .icmp import IcmpMessage, IcmpModule
 from .memory_manager import MemoryManager
@@ -60,6 +60,11 @@ ENGINE_FREQ_HZ = 250e6
 #: Exact integer picoseconds per 250 MHz cycle — simulated time is integer
 #: ps end-to-end (simlint F4T007); 250 MHz divides 1 THz evenly.
 ENGINE_PERIOD_PS = 10**12 // int(ENGINE_FREQ_HZ)
+
+#: Source ports an active open may take, and where the first one starts.
+_PORT_MIN, _PORT_MAX = 1024, 65535
+_PORT_COUNT = _PORT_MAX - _PORT_MIN + 1
+_EPHEMERAL_BASE = 40000
 
 
 def first_cycle_at(time_s: float) -> int:
@@ -166,14 +171,22 @@ class FtEngine(Component):
             if needs_sketch
             else None
         )
+        # The blocks' clocks, one call deep (they run under every
+        # event): the same expressions as the properties below.
+        def time_ps() -> int:
+            return self.cycle * ENGINE_PERIOD_PS
+
+        def now_s() -> float:
+            return self.cycle * ENGINE_PERIOD_PS / 1e12
+
         self.flow_heat = FlowHeat(sketch) if predictive else None
         if self.flow_heat is not None:
-            self.flow_heat.time_ps_fn = lambda: self.time_ps
+            self.flow_heat.time_ps_fn = time_ps
 
         self.memory_manager = MemoryManager(
             dram,
             cache_entries=self.config.tcb_cache_entries,
-            time_ps_fn=lambda: self.time_ps,
+            time_ps_fn=time_ps,
             geometry=geometry,
             sketch=sketch,
             # The advisor records every submitted event; the cache must
@@ -185,10 +198,15 @@ class FtEngine(Component):
                 i,
                 slots=self.config.fpc_slots,
                 algorithm=self.config.algorithm,
-                now_fn=lambda: self.now_s,
+                now_fn=now_s,
             )
             for i in range(self.config.num_fpcs)
         ]
+        #: The FPCs' one tick counter: they always hold the same cycle,
+        #: so :meth:`tick` and :meth:`advance_cycles` move it once.
+        self.fpc_clock = TickCounter()
+        for fpc in self.fpcs:
+            fpc.share_clock(self.fpc_clock)
         self.scheduler = Scheduler(
             self.fpcs,
             self.memory_manager,
@@ -200,7 +218,7 @@ class FtEngine(Component):
         self.arp = ArpModule(self.mac, ip)
         self.icmp = IcmpModule(ip)
         self.rx_parser = RxParser(
-            now_fn=lambda: self.now_s,
+            now_fn=now_s,
             passive_open=self._passive_open,
             recv_buffer_bytes=self.config.recv_buffer,
         )
@@ -210,10 +228,12 @@ class FtEngine(Component):
         )
 
         self.flows: Dict[int, _FlowRecord] = {}
+        #: The 4-tuples of ``flows``, so an active open never reuses one.
+        self._keys_in_use: Set[FlowKey] = set()
         #: port -> per-thread accept queues (SO_REUSEPORT, §4.6).
         self.listening: Dict[int, Dict[int, Deque[int]]] = {}
         self._next_flow_id = 0
-        self._next_ephemeral_port = 40000
+        self._next_ephemeral_port = _EPHEMERAL_BASE
 
         #: Events that could not enter the scheduler yet (backpressure).
         self._event_backlog: Deque[TcpEvent] = deque()
@@ -263,7 +283,7 @@ class FtEngine(Component):
 
     @property
     def now_s(self) -> float:
-        return self.time_ps / 1e12
+        return self.cycle * ENGINE_PERIOD_PS / 1e12
 
     # ------------------------------------------------------------ flow API
     def _alloc_flow_id(self) -> int:
@@ -304,10 +324,28 @@ class FtEngine(Component):
             stream=SendStream(seq_add(iss, 1), self.config.send_buffer),
             listen_port=listen_port,
         )
+        self._keys_in_use.add(key)
         self.rx_parser.register_flow(key, flow_id, rcv_nxt=0)
         self.scheduler.register_new_flow(tcb)
         self.counters.add("flows_created")
         return flow_id
+
+    def _alloc_key(self, dst_ip: int, dst_port: int) -> FlowKey:
+        """The next free 4-tuple towards a destination: source ports run
+        on from the last one handed out, wrap inside the valid range
+        and skip any still held by a live flow (as ``SoftStack`` does)."""
+        port = self._next_ephemeral_port
+        for _ in range(_PORT_COUNT):
+            key = FlowKey(self.ip, port, dst_ip, dst_port)
+            port = port + 1 if port < _PORT_MAX else _PORT_MIN
+            if key not in self._keys_in_use:
+                self._next_ephemeral_port = port
+                return key
+        raise OSError(
+            f"engine {self.name}: no free source port towards "
+            f"{ip_to_string(dst_ip)}:{dst_port} — all "
+            f"{_PORT_COUNT} 4-tuples are held by live flows"
+        )
 
     def connect(
         self,
@@ -318,9 +356,9 @@ class FtEngine(Component):
     ) -> int:
         """Active open; returns the flow ID immediately (SYN in flight)."""
         if src_port is None:
-            src_port = self._next_ephemeral_port
-            self._next_ephemeral_port += 1
-        key = FlowKey(self.ip, src_port, dst_ip, dst_port)
+            key = self._alloc_key(dst_ip, dst_port)
+        else:
+            key = FlowKey(self.ip, src_port, dst_ip, dst_port)
         flow_id = self._create_flow(key)
         self._assign_flow_to_thread(flow_id, thread_id)
         self._submit(
@@ -437,20 +475,20 @@ class FtEngine(Component):
 
     # ---------------------------------------------------------------- tick
     def busy(self) -> bool:
-        """Work is held inside the engine (timers and the wire aside)."""
-        if (
-            self._event_backlog
-            or self.scheduler.busy()
-            or self.memory_manager.busy()
-            or self.rx_parser.notifications
-        ):
+        """Work is held inside the engine (timers and the wire aside).
+
+        Whether anything is *held* — a migration in flight counts — not
+        when it next acts: the idle jump asks this, the horizon loop
+        asks :meth:`next_work_cycle`.
+        """
+        if self._event_backlog or self.rx_parser.notifications:
             return True
         for fpc in self.fpcs:
             # Outputs never outlive a tick (results are applied in it,
             # an evicted TCB keeps its migration — the scheduler — busy).
             if fpc.next_action != NEVER:
                 return True
-        return False
+        return self.scheduler.busy() or self.memory_manager.busy()
 
     def next_wakeup_ps(self) -> Optional[float]:
         """Earliest future time this engine must run (timer deadline)."""
@@ -467,42 +505,51 @@ class FtEngine(Component):
         happens before the returned cycle, so whoever caches the value
         recomputes it after this engine's own tick and after a host
         call, and folds :meth:`next_arrival_cycle` in after the peer's
-        tick.  Anything the very next tick would consume (backlog, RX
-        notifications, a busy scheduler or memory manager) reports
-        ``cycle + 1``; what remains are the FPCs' own horizons
-        (:attr:`FlowProcessingCore.next_action`), timer expiry and wire
-        arrivals.
+        tick.  What the very next tick would consume (backlog, RX
+        notifications) reports ``cycle + 1``; the rest is a minimum
+        over integers the blocks keep current — the scheduler's, the
+        memory manager's and the FPCs' ``next_action`` — plus timer
+        expiry and wire arrivals.
         """
         cycle = self.cycle
-        if (
-            self._event_backlog
-            or self.rx_parser.notifications
-            or self.scheduler.busy()
-            or self.memory_manager.busy()
-        ):
+        if self._event_backlog or self.rx_parser.notifications:
             return cycle + 1
-        best = self.next_arrival_cycle()
+        best = self.memory_manager.next_action  # already an engine cycle
+        if self.port is not None:
+            in_flight = self.port._inbound._in_flight
+            if in_flight:
+                # next_arrival_cycle(), its memo read in place.
+                memo_ps, due = self._arrival_memo
+                if in_flight[0][0] != memo_ps:
+                    due = self.next_arrival_cycle()
+                if due < best:
+                    best = due
+        # The scheduler and the FPCs count ticks, and lag the engine's
+        # cycle after idle jumps (jumps move the testbed cycle without
+        # ticking): only the delta to their own counter is meaningful.
+        due = self.scheduler.next_action
+        if due != NEVER:
+            due += cycle - self.scheduler.cycle
+            if due < best:
+                best = due
+        due = NEVER
         for fpc in self.fpcs:
-            due = fpc.next_action
-            if due != NEVER:
-                # FPC counters lag the engine's after idle jumps (jumps
-                # move the testbed cycle without ticking); only the
-                # delta to the FPC's own cycle is meaningful.
-                c = cycle + due - fpc.cycle
-                if c <= cycle:
-                    c = cycle + 1
-                if c < best:
-                    best = c
+            if fpc.next_action < due:
+                due = fpc.next_action
+        if due != NEVER:
+            due += cycle - self.fpc_clock.cycle
+            if due < best:
+                best = due
         hint_s = self.timers.earliest_hint
         if hint_s != math.inf:
             memo_s, c = self._timer_memo
             if hint_s != memo_s:
                 c = first_cycle_at(hint_s)
                 self._timer_memo = (hint_s, c)
-            if c <= cycle:
-                c = cycle + 1
             if c < best:
                 best = c
+        if best <= cycle:
+            return cycle + 1
         return None if best == NEVER else best
 
     def next_arrival_cycle(self) -> int:
@@ -513,9 +560,10 @@ class FtEngine(Component):
         """
         if self.port is None:
             return NEVER
-        arrival_ps = self.port.next_arrival_ps()
-        if arrival_ps is None:
+        in_flight = self.port._inbound._in_flight
+        if not in_flight:
             return NEVER
+        arrival_ps = in_flight[0][0]
         memo_ps, k = self._arrival_memo
         if arrival_ps != memo_ps:
             # Guarded like first_cycle_at, against the poll's own
@@ -532,21 +580,21 @@ class FtEngine(Component):
         """Advance ``n`` guaranteed-quiet cycles in one call.
 
         Mirrors exactly what ``n`` no-op ticks do to the counters: the
-        scheduler's and every FPC's cycle advances on every tick
-        whether or not they work, while the memory manager's advances
-        only inside its own busy tick — which a quiet window excludes.
-        The caller proves quietness first: ``n`` must stop short of
-        :meth:`next_work_cycle`.
+        scheduler's and the FPCs' advance on every tick whether or not
+        they work; the memory manager's advances on the ticks it waits
+        for the DRAM channel with input queued, and not at all while it
+        has none.  The caller proves quietness first: ``n`` must stop
+        short of :meth:`next_work_cycle`.
         """
         self.cycle += n
         self.scheduler.cycle += n
-        for fpc in self.fpcs:
-            fpc.cycle += n
+        self.fpc_clock.cycle += n
+        if self.memory_manager.next_action != NEVER:
+            self.memory_manager.cycle += n
 
     def tick(self) -> None:
-        # Hot path: every guard below is the callee's own first check
-        # inlined (same expressions, so same float compares), saving a
-        # call per quiet subsystem per cycle.
+        # Hot path: a block is called only on a cycle its ``next_action``
+        # names; short of that its tick would only count, so count here.
         cycle = self.cycle + 1
         self.cycle = cycle
         if self.timers.earliest_hint <= cycle * ENGINE_PERIOD_PS / 1e12:
@@ -558,35 +606,36 @@ class FtEngine(Component):
             in_flight = port._inbound._in_flight
             if in_flight and in_flight[0][0] <= cycle * ENGINE_PERIOD_PS:
                 self._poll_wire()
-        if self.scheduler.busy():
-            self.scheduler.tick()
+        scheduler = self.scheduler
+        ticks = scheduler.cycle + 1
+        if scheduler.next_action <= ticks:
+            scheduler.tick()
         else:
-            self.scheduler.cycle += 1  # keep cycle-based retries aligned
+            scheduler.cycle = ticks  # keep cycle-based retries aligned
         memory_manager = self.memory_manager
-        if memory_manager.input._items or memory_manager.swap_in_requests:
+        due = memory_manager.next_action
+        if due <= cycle:
             memory_manager.tick()
+        elif due != NEVER:
+            memory_manager.cycle += 1  # a tick stalled on the DRAM channel
+        clock = self.fpc_clock
+        ticks = clock.cycle + 1
+        clock.cycle = ticks
         for fpc in self.fpcs:
-            # An FPC short of its horizon would only bump its cycle
-            # counter; do exactly that without the tick.
-            due = fpc.cycle + 1
-            if fpc.next_action <= due:
+            if fpc.next_action <= ticks:
                 fpc.tick()
-                if fpc.out_results or fpc.out_evicted:
+                if fpc.out_results:
                     self._drain_one_fpc(fpc)
-            else:
-                fpc.cycle = due
         if self.rx_parser.notifications:
             self._drain_rx_notifications()
 
     def _drain_one_fpc(self, fpc) -> None:
+        """Apply what an FPC's tick produced.  (A TCB it evicted stays
+        queued on the FPC: the scheduler, woken by it, collects it.)"""
         for result in fpc.drain_results():
             if self.trace is not None:
                 self._trace_fpu(fpc, result)
             self._apply_result(result)
-        if fpc.out_evicted:
-            # Evicted TCBs are collected by the scheduler next tick;
-            # nothing to do here (they stay queued on the FPC).
-            pass
 
     def _trace_fpu(self, fpc, result: ProcessResult) -> None:
         """One FPU pass (and any state transition) onto the trace bus."""
@@ -763,6 +812,7 @@ class FtEngine(Component):
         self.timers.cancel(flow_id)
         self.scheduler.deregister_flow(flow_id)
         self.rx_parser.deregister_flow(record.key, flow_id)
+        self._keys_in_use.discard(record.key)
         del self.flows[flow_id]
         self._flow_thread.pop(flow_id, None)
         self.counters.add("flows_closed")

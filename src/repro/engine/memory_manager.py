@@ -21,15 +21,59 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..mem.hierarchy import CacheGeometry, TcbCacheHierarchy
-from ..sim.component import Component
+from ..sim.component import NEVER, Component
 from ..sim.fifo import Fifo
 from ..sim.memory import DRAMModel
+from ..tcp.seq import seq_max, seq_sub
 from ..tcp.tcb import TCB_SIZE_BYTES, Tcb
-from .event_handler import EventEntry, accumulate_event, copy_entry, merge_into_tcb
+from .event_handler import V_ACK, V_FLAGS, V_REQ, V_WND, EventEntry, accumulate_event
 from .events import TcpEvent
 
 DEFAULT_CACHE_ENTRIES = 512
 DEFAULT_INPUT_DEPTH = 256
+
+#: One 250 MHz cycle in exact integer picoseconds (ftengine's
+#: ENGINE_PERIOD_PS; that module imports this one).
+CYCLE_PS = 4000
+
+
+def check_logic(tcb: Tcb, entry: EventEntry) -> bool:
+    """Would this DRAM-resident flow emit a packet if processed? (§4.3.1)
+
+    What :meth:`Tcb.can_send_now` and the connection-control tests
+    would say of ``tcb`` with ``entry``'s valid fields laid over it —
+    worked out from the two records as they are, because the check
+    logic must neither process nor write back.  (Merging copies gives
+    the same answer; tests/engine/_check_logic_oracle.py holds that
+    form and compares.)
+    """
+    valid = entry.valid
+    cc = tcb.cc
+    # A cumulative ACK, a connect request, or connection control
+    # (SYN/SYN-ACK replies, FIN progress, RST teardown) is processed in
+    # an FPC whatever the windows say.
+    if valid & V_ACK or cc.get("_latest_ack") is not None or cc.get("_connect_req"):
+        return True
+    if tcb.syn_received or tcb.fin_received or tcb.rst_received:
+        return True
+    if tcb.ack_pending or tcb.timeout_pending or tcb.dupacks >= 3:
+        return True
+    close = tcb.close_requested
+    if valid & V_FLAGS:
+        if (
+            entry.syn or entry.fin or entry.rst
+            or entry.connect or entry.timeout or entry.ack_needed
+        ):
+            return True
+        close = close or entry.close
+    req = seq_max(tcb.req, entry.req) if valid & V_REQ else tcb.req
+    if seq_sub(req, tcb.snd_nxt) <= 0:  # nothing unsent: only a FIN could go
+        return bool(close and not tcb.fin_sent)
+    snd_wnd = entry.wnd if valid & V_WND else tcb.snd_wnd
+    if snd_wnd == 0:
+        return True  # zero-window probe
+    in_flight = max(0, seq_sub(tcb.snd_nxt, tcb.snd_una))
+    return min(tcb.cwnd, snd_wnd) > in_flight
 
 
 class MemoryManager(Component):
@@ -49,7 +93,7 @@ class MemoryManager(Component):
         self.cache_entries = cache_entries
         # Fall back to the component's own 250 MHz cycle clock when no
         # engine-level time source is wired in (standalone use).
-        self.time_ps_fn = time_ps_fn or (lambda: self.cycle * 4000)
+        self.time_ps_fn = time_ps_fn or (lambda: self.cycle * CYCLE_PS)
 
         if geometry is None:
             geometry = CacheGeometry.direct_mapped(cache_entries)
@@ -69,6 +113,15 @@ class MemoryManager(Component):
         #: Check-logic output: flows that can now send (§4.3.1).
         self.swap_in_requests: List[int] = []
         self._swap_in_pending: set = set()
+        #: Called when a swap-in request is queued (the scheduler, which
+        #: drains them, hangs its wake here), or None.
+        self.notify_scheduler: Optional[Callable[[], None]] = None
+        #: The work horizon, in cycles of ``time_ps_fn``'s clock: the
+        #: first on which :meth:`tick` handles an event — queued input
+        #: and a free DRAM channel — NEVER while the input is empty.
+        #: Every cycle short of it is a stalled tick, which only counts:
+        #: the owner does ``cycle += 1`` instead of calling.
+        self.next_action = NEVER
 
         self.events_handled = 0
         self.cache_hits = 0
@@ -100,6 +153,8 @@ class MemoryManager(Component):
             self.san.on_dram_store(self.cycle, tcb.flow_id)
         self._touch_cache(tcb.flow_id, write=True)
         self._swap_in_pending.discard(tcb.flow_id)
+        if self.next_action != NEVER:
+            self._rearm(self.next_action)  # the write may hold the channel
 
     def take(self, flow_id: int) -> Tuple[Tcb, EventEntry]:
         """Remove and return a flow's state for swap-in to an FPC."""
@@ -114,6 +169,8 @@ class MemoryManager(Component):
         if self.san is not None:
             self.san.on_dram_take(self.cycle, flow_id)
         self._swap_in_pending.discard(flow_id)
+        if self.next_action != NEVER:
+            self._rearm(self.next_action)  # the read may hold the channel
         return self._resident.pop(flow_id)
 
     def peek_tcb(self, flow_id: int) -> Optional[Tcb]:
@@ -186,7 +243,12 @@ class MemoryManager(Component):
 
     # -------------------------------------------------------------- input
     def offer_event(self, event: TcpEvent) -> bool:
-        return self.input.push(event)
+        if not self.input.push(event):
+            return False
+        if self.next_action == NEVER:
+            # The scheduler routes before this block's turn in a cycle.
+            self._rearm(int(self.time_ps_fn() // CYCLE_PS))
+        return True
 
     @property
     def backpressure(self) -> bool:
@@ -196,16 +258,36 @@ class MemoryManager(Component):
         # Hot path: direct deque truthiness avoids Fifo.__len__.
         return bool(self.input._items or self.swap_in_requests)
 
+    def _rearm(self, earliest: int) -> None:
+        """Publish :attr:`next_action`: ``earliest``, or the first cycle
+        the DRAM channel is free if that is later.
+
+        Guarded like ``first_cycle_at``: :meth:`tick`'s own comparison
+        decides, so the horizon is the cycle the per-cycle stall test
+        would first pass on.
+        """
+        if not self.input._items:
+            self.next_action = NEVER
+            return
+        busy_until_ps = self.dram.busy_until_ps
+        if busy_until_ps > earliest * CYCLE_PS:
+            earliest = int(busy_until_ps // CYCLE_PS)
+            while busy_until_ps > earliest * CYCLE_PS:
+                earliest += 1
+            while not busy_until_ps > (earliest - 1) * CYCLE_PS:
+                earliest -= 1
+        self.next_action = earliest
+
     def tick(self) -> None:
         self.cycle += 1
+        now_ps = self.time_ps_fn()
         # The DRAM channel gates throughput: while it is busy we stall,
         # which is exactly the Fig 13 bottleneck.
-        if self.dram.busy_until_ps > self.time_ps_fn():
-            return
-        event = self.input.try_pop()
-        if event is None:
-            return
-        self.handle_event(event)
+        if not self.dram.busy_until_ps > now_ps:
+            event = self.input.try_pop()
+            if event is not None:
+                self.handle_event(event)
+        self._rearm(int(now_ps // CYCLE_PS) + 1)
 
     def handle_event(self, event: TcpEvent) -> None:
         """Handle (accumulate) one event against the DRAM-resident TCB."""
@@ -218,20 +300,7 @@ class MemoryManager(Component):
         self.events_handled += 1
         if self.san is not None:
             self.san.on_dram_write(self.cycle, event.flow_id, entry.valid)
-        # Check logic: would this flow emit a packet if processed?  It
-        # merges a *copy* — it must not process or write back (§4.3.1).
-        probe = tcb.clone()
-        merge_into_tcb(probe, copy_entry(entry))
-        needs_processing = (
-            probe.can_send_now()
-            or probe.cc.get("_connect_req")
-            or probe.cc.get("_latest_ack") is not None
-            # Connection control must also be processed in an FPC:
-            # SYN/SYN-ACK replies, FIN progress, RST teardown.
-            or probe.syn_received
-            or probe.fin_received
-            or probe.rst_received
-        )
+        needs_processing = check_logic(tcb, entry)
         if self.trace is not None:
             self.trace.emit(
                 self.time_ps_fn(), "engine.mem", self.trace_name,
@@ -240,6 +309,8 @@ class MemoryManager(Component):
         if needs_processing and event.flow_id not in self._swap_in_pending:
             self._swap_in_pending.add(event.flow_id)
             self.swap_in_requests.append(event.flow_id)
+            if self.notify_scheduler is not None:
+                self.notify_scheduler()
             if self.trace is not None:
                 self.trace.emit(
                     self.time_ps_fn(), "engine.mem", self.trace_name,

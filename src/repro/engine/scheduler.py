@@ -25,23 +25,18 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..mem.advisor import POLICY_PREDICTIVE, resolve_policy
-from ..sim.component import Component
+from ..sim.component import NEVER, Component
 from ..sim.fifo import Fifo
 from ..sim.memory import PartitionedLUT
 from ..tcp.tcb import Tcb
 from .events import TcpEvent
 from .fpc import FlowProcessingCore
-from .memory_manager import MemoryManager
+from .memory_manager import CYCLE_PS, MemoryManager
 
 #: Retry interval for events whose TCB is migrating (§4.3.2).
 PENDING_RETRY_CYCLES = 12
 COALESCE_FIFOS = 4
 COALESCE_DEPTH = 16
-
-#: One 250 MHz cycle in exact integer picoseconds, for trace timestamps.
-#: (Duplicated from ftengine, which imports this module; the engine keeps
-#: our cycle aligned to its.)
-_CYCLE_PS = 4000
 
 
 class Location(enum.Enum):
@@ -92,6 +87,20 @@ class Scheduler(Component):
         self._migrations: Dict[int, _Migration] = {}
         #: Swap-ins waiting for room in their target FPC.
         self._deferred_swap_ins: Deque[int] = deque()
+        #: The work horizon: the value ``cycle`` holds when :meth:`tick`
+        #: next does anything (NEVER while there is nothing to do).  The
+        #: next cycle while a coalesce FIFO, a swap-in request, a
+        #: deferred swap-in or an evicted TCB waits; else the pending
+        #: head's retry cycle.  A migration in flight is not on the
+        #: list: its wait is the source FPC's, whose retire queues the
+        #: evicted TCB and wakes us.  Every tick before the horizon only
+        #: counts, so the owner does ``cycle += 1`` instead of calling.
+        self.next_action = NEVER
+        # The blocks whose output queues tick() drains say when they
+        # fill one.
+        memory_manager.notify_scheduler = self._wake
+        for fpc in fpcs:
+            fpc.notify_scheduler = self._wake
 
         self.events_submitted = 0
         self.events_coalesced = 0
@@ -179,26 +188,32 @@ class Scheduler(Component):
     def submit(self, event: TcpEvent) -> bool:
         """Accept an event into the coalesce stage; False = backpressure."""
         fifo = self.coalesce_fifos[event.flow_id % COALESCE_FIFOS]
-        self.events_submitted += 1
-        if self.flow_heat is not None:
-            self.flow_heat.record(event.flow_id)
+        coalesced = False
         if self.coalescing:
             # Coalesce with an event of the same flow already queued,
             # but only when no information would be lost (§4.4.1).
-            for queued in fifo:
+            for queued in fifo._items:
                 if queued.flow_id == event.flow_id and queued.information_preserving_merge(event):
-                    self.events_coalesced += 1
-                    if self.trace is not None:
-                        self.trace.emit(
-                            self.cycle * _CYCLE_PS, "engine.sched",
-                            self.trace_name, "coalesce", event.flow_id,
-                            event.kind.value,
-                        )
-                    return True
-        if fifo.push(event):
-            return True
-        self.events_submitted -= 1
-        return False
+                    coalesced = True
+                    break
+        if not coalesced and not fifo.push(event):
+            # Refused: the caller offers the same event again, so
+            # nothing — the heat advisor least of all — may count it yet.
+            return False
+        self.events_submitted += 1
+        if self.flow_heat is not None:
+            self.flow_heat.record(event.flow_id)
+        if coalesced:
+            self.events_coalesced += 1
+            if self.trace is not None:
+                self.trace.emit(
+                    self.cycle * CYCLE_PS, "engine.sched",
+                    self.trace_name, "coalesce", event.flow_id,
+                    event.kind.value,
+                )
+        else:
+            self._wake()
+        return True
 
     @property
     def input_backlog(self) -> int:
@@ -216,19 +231,38 @@ class Scheduler(Component):
                 return True
         return False
 
+    def _wake(self) -> None:
+        """Something :meth:`tick` drains was queued: due next cycle."""
+        due = self.cycle + 1
+        if due < self.next_action:
+            self.next_action = due
+
+    def _rearm(self) -> None:
+        """Recompute :attr:`next_action` at the end of a tick, when the
+        swap-in requests and the evicted TCBs have just been drained."""
+        due = self.cycle + 1
+        if not self._deferred_swap_ins:
+            for fifo in self.coalesce_fifos:
+                if fifo._items:
+                    break
+            else:
+                due = self.pending[0][0] if self.pending else NEVER
+        self.next_action = due
+
     def tick(self) -> None:
+        # A stage is entered only when it has something to do.
         self.cycle += 1
-        self._retry_pending()
+        if self.pending:
+            self._retry_pending()
         # Route up to one event per LUT partition per cycle (§4.4.2).
         for fifo in self.coalesce_fifos:
-            if fifo.empty:
-                continue
-            event = fifo.peek()
-            if self._route(event):
+            if fifo._items and self._route(fifo._items[0]):
                 fifo.pop()
                 self.events_routed += 1
-        self._handle_swap_in_requests()
+        if self.memory_manager.swap_in_requests or self._deferred_swap_ins:
+            self._handle_swap_in_requests()
         self._collect_evicted()
+        self._rearm()
 
     # ------------------------------------------------------------- routing
     def _route(self, event: TcpEvent) -> bool:
@@ -241,7 +275,7 @@ class Scheduler(Component):
             self.max_pending = max(self.max_pending, len(self.pending))
             if self.trace is not None:
                 self.trace.emit(
-                    self.cycle * _CYCLE_PS, "engine.sched", self.trace_name,
+                    self.cycle * CYCLE_PS, "engine.sched", self.trace_name,
                     "pend", event.flow_id, event.kind.value,
                 )
             return True
@@ -284,7 +318,7 @@ class Scheduler(Component):
             self.pending_retries += 1
             if self.trace is not None:
                 self.trace.emit(
-                    self.cycle * _CYCLE_PS, "engine.sched", self.trace_name,
+                    self.cycle * CYCLE_PS, "engine.sched", self.trace_name,
                     "retry", event.flow_id, event.kind.value,
                 )
             if not self._route(event):
@@ -303,7 +337,7 @@ class Scheduler(Component):
             self.san.on_migration_start(self.cycle, flow_id, source_fpc)
         if self.trace is not None:
             self.trace.emit(
-                self.cycle * _CYCLE_PS, "engine.sched", self.trace_name,
+                self.cycle * CYCLE_PS, "engine.sched", self.trace_name,
                 "migrate", flow_id, f"congestion from=fpc{source_fpc}",
             )
 
@@ -330,7 +364,7 @@ class Scheduler(Component):
             self.san.on_migration_start(self.cycle, victim, fpc.fpc_id)
         if self.trace is not None:
             self.trace.emit(
-                self.cycle * _CYCLE_PS, "engine.sched", self.trace_name,
+                self.cycle * CYCLE_PS, "engine.sched", self.trace_name,
                 "migrate", victim, f"capacity from=fpc{fpc.fpc_id}",
             )
         return True
@@ -364,13 +398,15 @@ class Scheduler(Component):
         self.swap_ins += 1
         if self.trace is not None:
             self.trace.emit(
-                self.cycle * _CYCLE_PS, "engine.sched", self.trace_name,
+                self.cycle * CYCLE_PS, "engine.sched", self.trace_name,
                 "swapin", flow_id, f"to=fpc{target.fpc_id}",
             )
 
     def _collect_evicted(self) -> None:
         """Fig 6 steps ④–⑤: evicted TCBs arrive; update the location LUT."""
         for fpc in self.fpcs:
+            if not fpc.out_evicted:
+                continue
             for tcb in fpc.drain_evicted():
                 migration = self._migrations.pop(tcb.flow_id, None)
                 self.evictions += 1
@@ -382,7 +418,7 @@ class Scheduler(Component):
                         self.lut.set(tcb.flow_id, (Location.FPC, target.fpc_id))
                         if self.trace is not None:
                             self.trace.emit(
-                                self.cycle * _CYCLE_PS, "engine.sched",
+                                self.cycle * CYCLE_PS, "engine.sched",
                                 self.trace_name, "evicted", tcb.flow_id,
                                 f"to=fpc{target.fpc_id}",
                             )
@@ -391,7 +427,7 @@ class Scheduler(Component):
                 self.lut.set(tcb.flow_id, (Location.DRAM, -1))
                 if self.trace is not None:
                     self.trace.emit(
-                        self.cycle * _CYCLE_PS, "engine.sched",
+                        self.cycle * CYCLE_PS, "engine.sched",
                         self.trace_name, "evicted", tcb.flow_id, "to=dram",
                     )
                 if migration is not None and migration.then_swap_in is not None:

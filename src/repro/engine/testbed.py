@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from ..net.link import LINK_100G, Link
 from ..net.wire import Wire
 from ..tcp.segment import ip_from_string
-from .fpc import NEVER
+from ..sim.component import NEVER
 from .ftengine import ENGINE_PERIOD_PS, FtEngine, FtEngineConfig
 
 

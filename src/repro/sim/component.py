@@ -9,6 +9,22 @@ single-phase simulation is deterministic).
 
 from __future__ import annotations
 
+#: A work horizon meaning "nothing scheduled": later than any cycle.
+NEVER = 1 << 62
+
+
+class TickCounter:
+    """A cycle count several components read as their ``cycle``.
+
+    Blocks that their owner always moves together hold the same value;
+    keeping it once makes advancing all of them one addition.
+    """
+
+    __slots__ = ("cycle",)
+
+    def __init__(self) -> None:
+        self.cycle = 0
+
 
 class Component:
     """A clocked component with a per-cycle ``tick`` callback.
@@ -19,6 +35,13 @@ class Component:
     it ticks is idle, whole stretches of cycles are jumped over without
     simulating them, so a component must stay ``busy`` while anything
     it holds can still act.
+
+    A component may also publish a ``next_action`` cycle: the first
+    cycle on which its :meth:`tick` changes anything (:data:`NEVER`
+    while idle), kept current wherever the state behind it changes.
+    Every tick before that cycle only counts, so the owner compares an
+    integer and adds to ``cycle`` instead of calling (ARCHITECTURE.md,
+    "Where time lives", lists who publishes what).
     """
 
     def __init__(self, name: str) -> None:

@@ -44,13 +44,15 @@ class Fifo(Generic[T]):
 
     def push(self, item: T) -> bool:
         """Append ``item``; returns False (and drops nothing) when full."""
-        if self.full:
+        items = self._items
+        occupancy = len(items)
+        if occupancy >= self.capacity:
             self.rejects += 1
             return False
-        self._items.append(item)
+        items.append(item)
         self.pushes += 1
-        if len(self._items) > self.max_occupancy:
-            self.max_occupancy = len(self._items)
+        if occupancy >= self.max_occupancy:
+            self.max_occupancy = occupancy + 1
         return True
 
     def pop(self) -> T:

@@ -43,32 +43,38 @@ class DualPortSRAM(Generic[V]):
         self._cycle_accesses: Dict[int, int] = {}
         self.max_accesses_per_cycle = 0
 
-    def _track(self, cycle: Optional[int]) -> None:
-        if cycle is None:
-            return
+    def _track(self, cycle: int) -> None:
         count = self._cycle_accesses.get(cycle, 0) + 1
         self._cycle_accesses = {cycle: count}
         if count > self.max_accesses_per_cycle:
             self.max_accesses_per_cycle = count
 
-    def _check(self, addr: int) -> None:
-        if not 0 <= addr < self.depth:
-            raise IndexError(f"{self.name}: address {addr} out of range 0..{self.depth - 1}")
+    def _out_of_range(self, addr: int) -> IndexError:
+        return IndexError(
+            f"{self.name}: address {addr} out of range 0..{self.depth - 1}"
+        )
 
+    # read/write sit under every event and every FPU pass: the bounds
+    # check and the port accounting are inline, one call per access.
     def read(self, addr: int, cycle: Optional[int] = None) -> Optional[V]:
-        self._check(addr)
+        if not 0 <= addr < self.depth:
+            raise self._out_of_range(addr)
         self.reads += 1
-        self._track(cycle)
+        if cycle is not None:
+            self._track(cycle)
         return self._data[addr]
 
     def write(self, addr: int, value: V, cycle: Optional[int] = None) -> None:
-        self._check(addr)
+        if not 0 <= addr < self.depth:
+            raise self._out_of_range(addr)
         self.writes += 1
-        self._track(cycle)
+        if cycle is not None:
+            self._track(cycle)
         self._data[addr] = value
 
     def clear(self, addr: int) -> None:
-        self._check(addr)
+        if not 0 <= addr < self.depth:
+            raise self._out_of_range(addr)
         self._data[addr] = None
 
 
@@ -262,17 +268,27 @@ class PartitionedLUT:
     def __contains__(self, key: Any) -> bool:
         return key in self._group_of(key)
 
+    # A flow id — a plain int, what the engine keys the LUT by — is its
+    # own partition hash (see _stable_partition): one call per access.
     def get(self, key: Any, default: Any = None) -> Any:
         self.accesses += 1
+        if type(key) is int:
+            return self._tables[key % self.groups].get(key, default)
         return self._group_of(key).get(key, default)
 
     def set(self, key: Any, value: Any) -> None:
         self.accesses += 1
-        self._group_of(key)[key] = value
+        if type(key) is int:
+            self._tables[key % self.groups][key] = value
+        else:
+            self._group_of(key)[key] = value
 
     def delete(self, key: Any) -> None:
         self.accesses += 1
-        self._group_of(key).pop(key, None)
+        if type(key) is int:
+            self._tables[key % self.groups].pop(key, None)
+        else:
+            self._group_of(key).pop(key, None)
 
     @property
     def accesses_per_cycle(self) -> int:

@@ -8,6 +8,11 @@ bucket probes — which is what lets the parser run at line rate.
 Two tables, each probed with an independent hash; inserts displace
 residents along a bounded kick chain and fall back to a small stash, so
 the table keeps its constant-time lookup guarantee under load.
+
+A key's two bucket indices are a function of the key alone, so they are
+computed once, when the key becomes resident, and kept beside the entry
+until it is removed (the flow-table shape of Hatami et al., PAPERS.md):
+looking a resident key up is two list probes, not two hashes.
 """
 
 from __future__ import annotations
@@ -85,6 +90,13 @@ class CuckooHashTable(Generic[K, V]):
             [None] * self._table_size,
         ]
         self._stash: Dict[K, V] = {}
+        #: (type, key) -> its bucket index in each table, for resident
+        #: keys only: stored when an insert succeeds, dropped by
+        #: ``remove``, so ``len(_indices) == len(self)``.  The type is
+        #: part of the key because equal keys of different types
+        #: (``FlowKey(1, 2, 3, 4) == (1, 2, 3, 4)``) print, hence hash
+        #: and place, differently.
+        self._indices: Dict[Tuple[type, K], Tuple[int, int]] = {}
         self._count = 0
         self.lookups = 0
         self.kicks = 0
@@ -108,14 +120,25 @@ class CuckooHashTable(Generic[K, V]):
         data = _key_bytes(key)
         return _fnv1a(data, seed=0x9E3779B9 * (table + 1)) % self._table_size
 
+    def _buckets(self, key: K) -> Tuple[int, int]:
+        """``key``'s bucket index in each table: kept for a resident
+        key, hashed (and not kept) for any other."""
+        buckets = self._indices.get((type(key), key))
+        if buckets is None:
+            buckets = (self._hash(key, 0), self._hash(key, 1))
+        return buckets
+
     # ------------------------------------------------------------- queries
     def get(self, key: K) -> Optional[V]:
         """Constant-time lookup: two bucket probes plus the stash."""
         self.lookups += 1
-        for table in (0, 1):
-            slot = self._tables[table][self._hash(key, table)]
-            if slot is not None and slot[0] == key:
-                return slot[1]
+        first, second = self._buckets(key)
+        slot = self._tables[0][first]
+        if slot is not None and slot[0] == key:
+            return slot[1]
+        slot = self._tables[1][second]
+        if slot is not None and slot[0] == key:
+            return slot[1]
         return self._stash.get(key)
 
     def __contains__(self, key: K) -> bool:
@@ -125,8 +148,9 @@ class CuckooHashTable(Generic[K, V]):
     def insert(self, key: K, value: V) -> None:
         """Insert or update; raises :class:`CuckooFullError` when full."""
         self.inserts += 1
+        buckets = self._buckets(key)
         for table in (0, 1):
-            index = self._hash(key, table)
+            index = buckets[table]
             slot = self._tables[table][index]
             if slot is not None and slot[0] == key:
                 self._tables[table][index] = (key, value)
@@ -135,12 +159,15 @@ class CuckooHashTable(Generic[K, V]):
             self._stash[key] = value
             return
 
+        # The new key is resident unless the insert fails below; every
+        # key the kick chain moves already is, so nothing is hashed here.
+        self._indices[(type(key), key)] = buckets
         entry: Tuple[K, V] = (key, value)
         table = 0
         path: List[Tuple[int, int]] = []
         chain = 0
         for _ in range(self.MAX_KICKS):
-            index = self._hash(entry[0], table)
+            index = self._buckets(entry[0])[table]
             resident = self._tables[table][index]
             self._tables[table][index] = entry
             path.append((table, index))
@@ -168,6 +195,7 @@ class CuckooHashTable(Generic[K, V]):
                 self._tables[undo_table][undo_index],
                 entry,
             )
+        del self._indices[(type(key), key)]
         self.failed_inserts += 1
         raise CuckooFullError(
             f"cuckoo table full: {self._count}/{self.capacity} entries "
@@ -178,16 +206,20 @@ class CuckooHashTable(Generic[K, V]):
 
     def remove(self, key: K) -> Optional[V]:
         """Delete ``key``; returns its value or None if absent."""
+        buckets = self._buckets(key)
         for table in (0, 1):
-            index = self._hash(key, table)
+            index = buckets[table]
             slot = self._tables[table][index]
             if slot is not None and slot[0] == key:
                 self._tables[table][index] = None
                 self._count -= 1
+                self._indices.pop((type(slot[0]), slot[0]), None)
                 return slot[1]
-        if key in self._stash:
-            self._count -= 1
-            return self._stash.pop(key)
+        for resident in self._stash:
+            if resident == key:
+                self._count -= 1
+                self._indices.pop((type(resident), resident), None)
+                return self._stash.pop(resident)
         return None
 
     def items(self) -> Iterator[Tuple[K, V]]:

@@ -164,9 +164,13 @@ class Tcb:
         return False
 
     def clone(self) -> "Tcb":
-        """Snapshot for the FPU pipeline (stateless processing input)."""
-        copy = Tcb(flow_id=self.flow_id, key=self.key)
-        copy.__dict__.update(self.__dict__)
+        """Snapshot for the FPU pipeline (stateless processing input).
+
+        Every field comes from ``self``, so the 41-field constructor is
+        not run only to have its defaults overwritten.
+        """
+        copy = Tcb.__new__(Tcb)
+        copy.__dict__ = self.__dict__.copy()
         copy.cc = dict(self.cc)
         copy.sacked = list(self.sacked)
         return copy

@@ -377,3 +377,106 @@ class TestWorkHorizon:
         assert fpc.next_action_cycle() == fpc.cycle + 1
         fpc.drain_results()
         assert fpc.next_action_cycle() == NEVER
+
+
+# ------------------------------------------------- whose counter it is
+def _engine(num_fpcs=3):
+    from repro.engine.ftengine import FtEngine, FtEngineConfig
+
+    return FtEngine(ip=0x0A000001, config=FtEngineConfig(num_fpcs=num_fpcs, fpc_slots=4))
+
+
+def _counters(engine):
+    return (
+        engine.cycle, engine.scheduler.cycle, engine.memory_manager.cycle,
+        engine.fpc_clock.cycle, [fpc.cycle for fpc in engine.fpcs],
+        [fpc._ticked_at for fpc in engine.fpcs],
+        [fpc.next_action for fpc in engine.fpcs],
+        engine.scheduler.next_action, engine.memory_manager.next_action,
+    )
+
+
+class TestSharedTickCounter:
+    """A stand-alone FPC counts its own ticks (``analysis/microbench.py``
+    and ``mem/sweep.py`` drive it so); the FPCs of an engine read one
+    counter the engine advances.  Same FPC either way."""
+
+    def test_a_stand_alone_fpc_owns_its_counter(self):
+        a, b = make_fpc(), make_fpc()
+        a.tick()
+        assert (a.cycle, b.cycle) == (1, 0)
+        a.cycle += 5  # an owner skipping no-op cycles
+        assert (a.cycle, a.clock.cycle) == (6, 6)
+
+    def test_engine_fpcs_share_the_engines(self):
+        engine = _engine()
+        assert all(fpc.clock is engine.fpc_clock for fpc in engine.fpcs)
+        engine.tick()
+        engine.advance_cycles(9)
+        assert [fpc.cycle for fpc in engine.fpcs] == [10, 10, 10]
+        assert engine.scheduler.cycle == engine.fpc_clock.cycle == 10
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_OPS, latency=st.sampled_from([1, 3, 14]), skip=st.booleans())
+    def test_stand_alone_and_engine_owned_agree(self, ops, latency, skip):
+        """One schedule, the FPC once on its own counter and once on a
+        counter its owner advances before each tick (skipping the
+        cycles short of the horizon, if ``skip``)."""
+        from repro.sim.component import TickCounter
+
+        def drive(shared):
+            fpc = FlowProcessingCore(0, slots=4, fpu=NullFpu(latency))
+            clock = TickCounter()
+            if shared:
+                fpc.share_clock(clock)
+            install_flows(fpc, 3)
+            history = []
+            for op, flow_id, _ in ops:
+                if op == "event" and not fpc.input.full:
+                    fpc.offer_event(user_send_event(flow_id % 3, len(history) + 1, 0.0))
+                elif op == "evict":
+                    fpc.request_evict(flow_id % 3)
+                due = fpc.next_action_cycle() <= fpc.cycle + 1
+                if shared:
+                    clock.cycle += 1  # the owner's one store for all its FPCs
+                    if due or not skip:
+                        fpc.tick()
+                elif due or not skip:
+                    fpc.tick()
+                else:
+                    fpc.cycle += 1
+                history.append((fpc.cycle, fpc._ticked_at, fpc.next_action, _state(fpc)))
+                fpc.drain_results()
+                fpc.drain_evicted()
+            return history
+
+        assert drive(shared=True) == drive(shared=False)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=40), stalled=st.booleans())
+    def test_advance_cycles_equals_that_many_no_op_ticks(self, n, stalled):
+        """On every counter — the memory manager's included, which
+        counts the cycles it waits for the DRAM channel with input
+        queued and no others."""
+        from repro.engine.events import EventKind, TcpEvent
+        from repro.tcp.tcb import Tcb
+
+        def quiet_engine():
+            engine = _engine()
+            engine.tick()
+            if stalled:
+                manager = engine.memory_manager
+                manager.store(Tcb(flow_id=900))
+                manager.dram.busy_until_ps = (engine.cycle + n + 1) * 4000.0
+                manager.offer_event(TcpEvent(EventKind.RX_PACKET, 900, wnd=1))
+                assert manager.next_action == engine.cycle + n + 1
+            assert (engine.next_work_cycle() or NEVER) > engine.cycle + n
+            return engine
+
+        ticked, advanced = quiet_engine(), quiet_engine()
+        for _ in range(n):
+            ticked.tick()
+        advanced.advance_cycles(n)
+        assert _counters(advanced) == _counters(ticked)
+        assert ticked.memory_manager.cycle == (n if stalled else 0)
+        assert ticked.memory_manager.events_handled == 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine.ftengine import ENGINE_FREQ_HZ, FtEngineConfig
+from repro.engine import ftengine
+from repro.engine.ftengine import ENGINE_FREQ_HZ, FtEngine, FtEngineConfig
 from repro.engine.testbed import Testbed
 from repro.engine.icmp import IcmpMessage, IcmpType
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
@@ -157,6 +158,47 @@ class TestTeardown:
         assert testbed.run(
             until=lambda: testbed.engine_b.readable(b2) >= 5, max_time_s=0.05
         )
+
+
+class TestEphemeralPorts:
+    """Active opens draw source ports from 40000 up, inside 1024-65535."""
+
+    PEER = 0x0A000002
+
+    def _ports(self, engine, flows):
+        return [engine.flows[flow].key.src_port for flow in flows]
+
+    def test_the_25537th_active_open_wraps_instead_of_leaving_the_range(self):
+        # No wire: the SYNs go nowhere, the flows stay held open.
+        engine = FtEngine(ip=0x0A000001)
+        flows = [engine.connect(self.PEER, 80) for _ in range(25_540)]
+        ports = self._ports(engine, flows)
+        # The first 25,536 are the ports the unbounded counter gave.
+        assert ports[:25_536] == list(range(40_000, 65_536))
+        assert ports[25_536:] == [1024, 1025, 1026, 1027]
+        assert len({engine.flows[flow].key for flow in flows}) == len(flows)
+
+    def test_a_port_held_by_a_live_flow_is_skipped(self):
+        engine = FtEngine(ip=0x0A000001)
+        held = engine.connect(self.PEER, 80, src_port=40_001)
+        flows = [engine.connect(self.PEER, 80) for _ in range(3)]
+        assert self._ports(engine, flows) == [40_000, 40_002, 40_003]
+        # Only the same 4-tuple collides: another destination is free.
+        other = engine.connect(self.PEER, 443)
+        assert self._ports(engine, [held, other]) == [40_001, 40_004]
+
+    def test_exhaustion_names_the_engine_and_the_destination(self, monkeypatch):
+        monkeypatch.setattr(ftengine, "_PORT_MIN", 40_000)
+        monkeypatch.setattr(ftengine, "_PORT_MAX", 40_003)
+        monkeypatch.setattr(ftengine, "_PORT_COUNT", 4)
+        engine = FtEngine(ip=0x0A000001, name="edge")
+        for _ in range(4):
+            engine.connect(self.PEER, 80)
+        with pytest.raises(OSError, match=r"engine edge.*10\.0\.0\.2:80"):
+            engine.connect(self.PEER, 80)
+        # A closed flow gives its port back.
+        engine._teardown_flow(1)
+        assert self._ports(engine, [engine.connect(self.PEER, 80)]) == [40_001]
 
 
 class TestIcmpPing:

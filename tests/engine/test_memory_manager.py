@@ -1,12 +1,19 @@
 """The DRAM memory manager: handling, cache, check logic (§4.3.1)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.engine.event_handler import (
+    V_ACK, V_DUP, V_FLAGS, V_REQ, V_WND, EventEntry,
+)
 from repro.engine.events import EventKind, TcpEvent, user_send_event
-from repro.engine.memory_manager import MemoryManager
+from repro.engine.memory_manager import MemoryManager, check_logic
 from repro.sim.memory import DRAMModel
+from repro.tcp.seq import SEQ_MOD
 from repro.tcp.state_machine import TcpState
 from repro.tcp.tcb import Tcb
+
+from ._check_logic_oracle import check_logic_by_merging
 
 
 def make_manager(cache_entries=8, memory="hbm"):
@@ -92,6 +99,87 @@ class TestCheckLogic:
         manager.handle_event(user_send_event(1, 1000, 0.0))
         manager.handle_event(user_send_event(1, 2000, 0.0))
         assert manager.drain_swap_in_requests() == [1]
+
+
+# Sequence pointers near one another (and near the wrap point), so that
+# "nothing unsent", "window full" and "room to send" all come up.
+_BASE = st.sampled_from([0, 1000, SEQ_MOD - 3000])
+_NEAR = st.integers(min_value=0, max_value=4000)
+_WINDOW = st.sampled_from([0, 0, 1, 1460, 2920, 65535])
+_FLAG = st.booleans()
+
+
+@st.composite
+def _tcbs(draw):
+    base = draw(_BASE)
+    snd_una = (base + draw(_NEAR)) % SEQ_MOD
+    snd_nxt = (snd_una + draw(_NEAR)) % SEQ_MOD
+    cc = {}
+    if draw(_FLAG):
+        cc["_latest_ack"] = draw(st.one_of(st.none(), _NEAR))
+    if draw(_FLAG):
+        cc["_connect_req"] = draw(_FLAG)
+    return Tcb(
+        flow_id=1,
+        req=(base + draw(st.integers(min_value=0, max_value=9000))) % SEQ_MOD,
+        snd_una=snd_una, snd_nxt=snd_nxt,
+        snd_wnd=draw(_WINDOW), cwnd=draw(_WINDOW),
+        dupacks=draw(st.integers(min_value=0, max_value=4)),
+        ack_pending=draw(_FLAG), timeout_pending=draw(_FLAG),
+        close_requested=draw(_FLAG), fin_sent=draw(_FLAG),
+        syn_received=draw(_FLAG), fin_received=draw(_FLAG),
+        rst_received=draw(_FLAG), cc=cc,
+    )
+
+
+@st.composite
+def _entries(draw, base=_BASE):
+    """Any subset of valid bits over any field values: a field whose
+    bit is clear must not count, whatever it holds."""
+    return EventEntry(
+        valid=draw(st.integers(min_value=0, max_value=(1 << 10) - 1)),
+        req=(draw(base) + draw(st.integers(min_value=0, max_value=9000))) % SEQ_MOD,
+        ack=draw(_NEAR), wnd=draw(_WINDOW),
+        dup_pending=draw(st.integers(min_value=0, max_value=4)),
+        fin=draw(_FLAG), syn=draw(_FLAG), rst=draw(_FLAG),
+        timeout=draw(_FLAG), ack_needed=draw(_FLAG),
+        connect=draw(_FLAG), close=draw(_FLAG),
+    )
+
+
+class TestCheckLogicFunction:
+    """``check_logic`` reads the answer off ``(tcb, entry)``; the form
+    it replaced cloned, merged and asked (the oracle)."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(tcb=_tcbs(), entry=_entries())
+    # Zero window with data waiting: the probe goes out.
+    @example(tcb=Tcb(1, req=100, snd_wnd=0), entry=EventEntry())
+    @example(tcb=Tcb(1), entry=EventEntry(valid=V_REQ | V_WND, req=100, wnd=0))
+    # ``close`` after ``req``: the FIN waits for the data before it.
+    @example(tcb=Tcb(1, cwnd=0), entry=EventEntry(valid=V_REQ | V_FLAGS, req=100, close=True))
+    @example(tcb=Tcb(1, req=100, snd_nxt=100), entry=EventEntry(valid=V_FLAGS, close=True))
+    @example(tcb=Tcb(1, fin_sent=True), entry=EventEntry(valid=V_FLAGS, close=True))
+    # A dup-ACK-only entry moves nothing the predicate reads.
+    @example(tcb=Tcb(1, dupacks=2), entry=EventEntry(valid=V_DUP, dup_pending=3))
+    @example(tcb=Tcb(1, dupacks=3), entry=EventEntry(valid=V_DUP, dup_pending=1))
+    # Flags without their valid bit, an ACK with it.
+    @example(tcb=Tcb(1), entry=EventEntry(syn=True, connect=True, ack_needed=True))
+    @example(tcb=Tcb(1), entry=EventEntry(valid=V_ACK, ack=0))
+    def test_equals_the_clone_and_merge_form(self, tcb, entry):
+        before = (dict(vars(tcb)), dict(tcb.cc), dict(vars(entry)))
+        assert check_logic(tcb, entry) is check_logic_by_merging(tcb, entry)
+        # Neither form processes or writes back (§4.3.1).
+        assert (dict(vars(tcb)), dict(tcb.cc), dict(vars(entry))) == before
+
+    def test_both_answers_occur(self):
+        """The strategies are not stuck on one side of the predicate."""
+        tcb = Tcb(1, req=5000, cwnd=1460, snd_wnd=65535)
+        assert check_logic(tcb, EventEntry())
+        tcb.snd_nxt, tcb.snd_una = 1460, 0  # a full window in flight
+        assert not check_logic(tcb, EventEntry())
+        assert check_logic(tcb, EventEntry(valid=V_WND, wnd=0))
+        assert not check_logic(tcb, EventEntry(wnd=0))
 
 
 class TestCacheAccounting:
