@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from ..sim.component import NEVER, Component, TickCounter
+from ..sim.component import NEVER, Component, OwnersCycle
 from ..sim.fifo import Fifo
 from ..sim.memory import CAM, DualPortSRAM
 from ..sim.pipeline import Pipeline
@@ -34,6 +34,7 @@ from ..tcp.tcb import Tcb
 from .event_handler import EventEntry, EventHandler, merge_into_tcb
 from .events import TcpEvent
 from .fpu import Fpu, ProcessResult
+from .memory_manager import CYCLE_PS
 
 #: Reference design: 8 FPCs x 128 flows (§4.4.2).
 DEFAULT_SLOTS = 128
@@ -43,6 +44,8 @@ DEFAULT_INPUT_DEPTH = 64
 class FlowProcessingCore(Component):
     """One FPC; FtEngine instantiates several in parallel (§4.4.2)."""
 
+    cycle = OwnersCycle()
+
     def __init__(
         self,
         fpc_id: int,
@@ -50,13 +53,9 @@ class FlowProcessingCore(Component):
         algorithm: str = "newreno",
         now_fn: Optional[Callable[[], float]] = None,
         fpu: Optional[Fpu] = None,
+        clock=None,
     ) -> None:
-        #: Where ``cycle`` lives.  A stand-alone FPC counts its own
-        #: ticks; the FPCs of an engine all hold the same value, so
-        #: FtEngine keeps one counter for them (:meth:`share_clock`).
-        self.clock = TickCounter()
-        self._own_clock = True
-        super().__init__(f"fpc{fpc_id}")
+        super().__init__(f"fpc{fpc_id}", clock)
         self.fpc_id = fpc_id
         self.slots = slots
         self.now_fn = now_fn or (lambda: 0.0)
@@ -87,15 +86,11 @@ class FlowProcessingCore(Component):
         #: to do is a few compares.
         self._retire_at = NEVER
         self._issue_at = 0
-        #: The work horizon: the value ``cycle`` holds when :meth:`tick`
-        #: next changes anything (NEVER while idle).  Every tick before
-        #: it only bumps ``cycle``, so an owner may do ``cycle += n``
-        #: instead.  Kept current wherever the state behind it changes
-        #: (:meth:`_rearm`); exact but for the start rule in
-        #: :meth:`accept_tcb`, which ``_ticked_at`` (the last cycle
-        #: ticked) serves.
+        #: The work horizon: the first cycle on which :meth:`tick`
+        #: changes anything (NEVER while idle); a tick before it is a
+        #: no-op.  Kept current wherever the state behind it changes
+        #: (:meth:`_rearm`).
         self.next_action = NEVER
-        self._ticked_at = 0
 
         # Per-cycle outputs drained by FtEngine.
         self.out_results: List[ProcessResult] = []
@@ -112,21 +107,6 @@ class FlowProcessingCore(Component):
         self.trace_name = self.name
         #: Race sanitizer (repro.check): shadow-state checker, or None.
         self.san = None
-
-    # -------------------------------------------------------------- clock
-    @property
-    def cycle(self) -> int:
-        return self.clock.cycle
-
-    @cycle.setter
-    def cycle(self, value: int) -> None:
-        self.clock.cycle = value
-
-    def share_clock(self, clock: TickCounter) -> None:
-        """Count on ``clock``, which the caller advances — once for all
-        the FPCs sharing it — before it ticks any of them."""
-        self.clock = clock
-        self._own_clock = False
 
     # -------------------------------------------------------------- flows
     @property
@@ -166,17 +146,10 @@ class FlowProcessingCore(Component):
             or tcb.rst_received
         )
         if pending:
+            # The check logic swaps a flow in because it can send
+            # (§4.3.1): the TCB manager starts on it at once.
             self._mark_pending(tcb.flow_id)
-            # Start rule (pinned by every spilling run's counts, open
-            # in ROADMAP item 4): the event handler and evict requests
-            # start the TCB manager, the swap-in port does not.  A TCB
-            # installed into an FPC that holds no work and did not tick
-            # on the cycle before waits, queued, for that FPC's next
-            # event.  FtEngine ticks by ``next_action``, so it honours
-            # this; an owner ticking every cycle dispatches at once,
-            # and next_action_cycle() says so.
-            if self.next_action != NEVER or self._ticked_at == self.clock.cycle:
-                self._rearm()
+            self._rearm(self.clock.cycle)
 
     def request_evict(self, flow_id: int) -> bool:
         """Scheduler asks to evict ``flow_id``; sets the TCB's evict flag."""
@@ -190,7 +163,7 @@ class FlowProcessingCore(Component):
         self._evict_requested.add(flow_id)
         # Route the flow to the FPU so the evict checker sees it soon.
         self._mark_pending(flow_id, priority=True)
-        self._rearm()
+        self._rearm(self.clock.cycle)
         return True
 
     def coldest_flow(self, key=None) -> Optional[int]:
@@ -232,12 +205,9 @@ class FlowProcessingCore(Component):
         """Scheduler pushes an event; False signals backpressure (§4.4.2)."""
         if not self.input.push(event):
             return False
-        if self.next_action == NEVER:
-            self._rearm()  # also starts any swap-in that was waiting
-        else:
-            handled = (self.clock.cycle + 2) & ~1  # the event table's even phase
-            if handled < self.next_action:
-                self.next_action = handled
+        handled = (self.clock.cycle + 1) & ~1  # the event table's even phase
+        if handled < self.next_action:
+            self.next_action = handled
         return True
 
     @property
@@ -245,53 +215,35 @@ class FlowProcessingCore(Component):
         return len(self.input._items) > self.input.capacity // 2
 
     # -------------------------------------------------------------- clock
-    def busy(self) -> bool:
-        return self.next_action_cycle() != NEVER
+    def _rearm(self, earliest: int) -> None:
+        """Publish :attr:`next_action`: the first cycle from
+        ``earliest`` on which a tick acts.
 
-    def next_action_cycle(self) -> int:
-        """The ``cycle`` value at which this FPC next needs its owner.
-
-        ``cycle + 1`` while undrained outputs wait, else the exact tick
-        horizon; NEVER when idle.  An owner that ticks only when this
-        is due (adding the cycles it skips to ``cycle``) sees exactly
-        what an owner ticking every cycle sees.
-        """
-        if self.out_results or self.out_evicted:
-            return self.cycle + 1
-        if self._ready and self.next_action == NEVER:
-            return self._issue_cycle()  # a swap-in accept_tcb left waiting
-        return self.next_action
-
-    def _issue_cycle(self) -> int:
-        """Next *odd* cycle the FPU's initiation interval admits."""
-        return max(self.clock.cycle + 1, self._issue_at) | 1
-
-    def _rearm(self) -> None:
-        """Recompute :attr:`next_action` from the state it summarises.
-
-        Three things make a tick act: the pipe head retiring; an input
-        event, on the next *even* cycle (the event table's port phase);
-        a queued flow not in flight, on the next *odd* cycle the FPU's
-        initiation interval admits.  A queue of in-flight flows only
-        waits on their retire, which the first term covers.
+        The entry points pass the clock's cycle — the scheduler, which
+        calls them, has its turn in a cycle before the FPCs have theirs
+        — and :meth:`tick` the one after.  Three things make a tick
+        act: the pipe head retiring; an input event, on an *even* cycle
+        (the event table's port phase); a queued flow not in flight, on
+        an *odd* cycle the FPU's initiation interval admits.  A queue of
+        in-flight flows only waits on their retire, which the first
+        term covers.
         """
         due = self._retire_at
         if self.input._items:
-            handled = (self.clock.cycle + 2) & ~1
+            handled = (earliest + 1) & ~1
             if handled < due:
                 due = handled
         if self._ready:
-            issue = self._issue_cycle()
+            issue = max(earliest, self._issue_at) | 1
             if issue < due:
                 due = issue
         self.next_action = due
 
     def tick(self) -> None:
         clock = self.clock
-        if self._own_clock:
-            clock.cycle += 1
+        if clock is self:
+            self.cycle += 1
         cycle = clock.cycle
-        self._ticked_at = cycle
         # A stage is entered only when it has something to do.  Retire
         # first so a writeback and a dispatch can share a cycle on the
         # two BRAM ports (§4.2.3's two-cycle schedule).
@@ -307,7 +259,7 @@ class FlowProcessingCore(Component):
             self._dispatch_one()
             acted = True
         if acted:
-            self._rearm()
+            self._rearm(cycle + 1)
 
     def _handle_one_event(self) -> None:
         event = self.input.try_pop()
@@ -327,7 +279,7 @@ class FlowProcessingCore(Component):
             )
         if self.trace is not None:
             self.trace.emit(
-                self.now_fn() * 1e12, "engine.fpc", self.trace_name,
+                self.cycle * CYCLE_PS, "engine.fpc", self.trace_name,
                 "handle", event.flow_id, event.kind.value,
             )
         self._mark_pending(event.flow_id)
@@ -412,7 +364,7 @@ class FlowProcessingCore(Component):
                     self.notify_scheduler()
                 if self.trace is not None:
                     self.trace.emit(
-                        self.now_fn() * 1e12, "engine.fpc", self.trace_name,
+                        self.cycle * CYCLE_PS, "engine.fpc", self.trace_name,
                         "evict", tcb.flow_id, tcb.state.value,
                     )
                 continue
@@ -453,4 +405,3 @@ class FlowProcessingCore(Component):
         self._retire_at = NEVER
         self._issue_at = 0
         self.next_action = NEVER
-        self._ticked_at = 0

@@ -30,7 +30,7 @@ from ..mem.advisor import POLICY_PREDICTIVE, FlowHeat
 from ..mem.hierarchy import CacheGeometry
 from ..mem.sketch import make_sketch
 from ..net.wire import WirePort
-from ..sim.component import NEVER, Component, TickCounter
+from ..sim.component import NEVER, Component
 from ..sim.stats import Counters
 from ..tcp.segment import FLAG_ACK, FLAG_RST, FlowKey, TcpSegment, ip_to_string
 from ..tcp.seq import SEQ_MOD, seq_add
@@ -171,7 +171,7 @@ class FtEngine(Component):
             if needs_sketch
             else None
         )
-        # The blocks' clocks, one call deep (they run under every
+        # The blocks' time sources, one call deep (they run under every
         # event): the same expressions as the properties below.
         def time_ps() -> int:
             return self.cycle * ENGINE_PERIOD_PS
@@ -186,12 +186,12 @@ class FtEngine(Component):
         self.memory_manager = MemoryManager(
             dram,
             cache_entries=self.config.tcb_cache_entries,
-            time_ps_fn=time_ps,
             geometry=geometry,
             sketch=sketch,
             # The advisor records every submitted event; the cache must
             # not feed the same sketch again on each access.
             sketch_own_updates=self.flow_heat is None,
+            clock=self,
         )
         self.fpcs = [
             FlowProcessingCore(
@@ -199,20 +199,17 @@ class FtEngine(Component):
                 slots=self.config.fpc_slots,
                 algorithm=self.config.algorithm,
                 now_fn=now_s,
+                clock=self,
             )
             for i in range(self.config.num_fpcs)
         ]
-        #: The FPCs' one tick counter: they always hold the same cycle,
-        #: so :meth:`tick` and :meth:`advance_cycles` move it once.
-        self.fpc_clock = TickCounter()
-        for fpc in self.fpcs:
-            fpc.share_clock(self.fpc_clock)
         self.scheduler = Scheduler(
             self.fpcs,
             self.memory_manager,
             coalescing=self.config.coalescing,
             flow_heat=self.flow_heat,
             placement_policy=self.config.placement_policy,
+            clock=self,
         )
         self.timers = TimerWheel()
         self.arp = ArpModule(self.mac, ip)
@@ -474,47 +471,25 @@ class FtEngine(Component):
             self._event_backlog.popleft()
 
     # ---------------------------------------------------------------- tick
-    def busy(self) -> bool:
-        """Work is held inside the engine (timers and the wire aside).
-
-        Whether anything is *held* — a migration in flight counts — not
-        when it next acts: the idle jump asks this, the horizon loop
-        asks :meth:`next_work_cycle`.
-        """
-        if self._event_backlog or self.rx_parser.notifications:
-            return True
-        for fpc in self.fpcs:
-            # Outputs never outlive a tick (results are applied in it,
-            # an evicted TCB keeps its migration — the scheduler — busy).
-            if fpc.next_action != NEVER:
-                return True
-        return self.scheduler.busy() or self.memory_manager.busy()
-
-    def next_wakeup_ps(self) -> Optional[float]:
-        """Earliest future time this engine must run (timer deadline)."""
-        deadline_s = self.timers.next_deadline()
-        return None if deadline_s is None else deadline_s * 1e12
-
-    # ------------------------------------------------------- work horizons
     def next_work_cycle(self) -> Optional[int]:
-        """The exact absolute cycle at which :meth:`tick` next does work.
+        """The exact cycle at which :meth:`tick` next does work.
 
         None means nothing is scheduled at all (quiet forever, absent
-        external input).  Exact under the testbed's quiet-run contract:
-        nothing external — a wire send from the peer, a host API call —
-        happens before the returned cycle, so whoever caches the value
-        recomputes it after this engine's own tick and after a host
-        call, and folds :meth:`next_arrival_cycle` in after the peer's
-        tick.  What the very next tick would consume (backlog, RX
-        notifications) reports ``cycle + 1``; the rest is a minimum
-        over integers the blocks keep current — the scheduler's, the
-        memory manager's and the FPCs' ``next_action`` — plus timer
+        external input).  Exact as long as nothing external — a wire
+        send from the peer, a host API call — happens before the
+        returned cycle, so whoever caches the value recomputes it after
+        this engine's own tick and after a host call, and folds
+        :meth:`next_arrival_cycle` in after the peer's tick.  What the
+        very next tick would consume (backlog, RX notifications)
+        reports ``cycle + 1``; the rest is a minimum over cycles of this
+        engine's clock that the blocks keep current — the scheduler's,
+        the memory manager's and the FPCs' ``next_action`` — plus timer
         expiry and wire arrivals.
         """
         cycle = self.cycle
         if self._event_backlog or self.rx_parser.notifications:
             return cycle + 1
-        best = self.memory_manager.next_action  # already an engine cycle
+        best = self.memory_manager.next_action
         if self.port is not None:
             in_flight = self.port._inbound._in_flight
             if in_flight:
@@ -524,22 +499,11 @@ class FtEngine(Component):
                     due = self.next_arrival_cycle()
                 if due < best:
                     best = due
-        # The scheduler and the FPCs count ticks, and lag the engine's
-        # cycle after idle jumps (jumps move the testbed cycle without
-        # ticking): only the delta to their own counter is meaningful.
-        due = self.scheduler.next_action
-        if due != NEVER:
-            due += cycle - self.scheduler.cycle
-            if due < best:
-                best = due
-        due = NEVER
+        if self.scheduler.next_action < best:
+            best = self.scheduler.next_action
         for fpc in self.fpcs:
-            if fpc.next_action < due:
-                due = fpc.next_action
-        if due != NEVER:
-            due += cycle - self.fpc_clock.cycle
-            if due < best:
-                best = due
+            if fpc.next_action < best:
+                best = fpc.next_action
         hint_s = self.timers.earliest_hint
         if hint_s != math.inf:
             memo_s, c = self._timer_memo
@@ -577,24 +541,17 @@ class FtEngine(Component):
         return k if k > self.cycle else self.cycle + 1
 
     def advance_cycles(self, n: int) -> None:
-        """Advance ``n`` guaranteed-quiet cycles in one call.
+        """Skip ``n`` quiet cycles: what ``n`` no-op ticks come to.
 
-        Mirrors exactly what ``n`` no-op ticks do to the counters: the
-        scheduler's and the FPCs' advance on every tick whether or not
-        they work; the memory manager's advances on the ticks it waits
-        for the DRAM channel with input queued, and not at all while it
-        has none.  The caller proves quietness first: ``n`` must stop
-        short of :meth:`next_work_cycle`.
+        Every block reads this clock, so there is nothing else to move.
+        The caller proves quietness first: ``n`` must stop short of
+        :meth:`next_work_cycle`.
         """
         self.cycle += n
-        self.scheduler.cycle += n
-        self.fpc_clock.cycle += n
-        if self.memory_manager.next_action != NEVER:
-            self.memory_manager.cycle += n
 
     def tick(self) -> None:
         # Hot path: a block is called only on a cycle its ``next_action``
-        # names; short of that its tick would only count, so count here.
+        # names; short of that its tick is a no-op.
         cycle = self.cycle + 1
         self.cycle = cycle
         if self.timers.earliest_hint <= cycle * ENGINE_PERIOD_PS / 1e12:
@@ -606,23 +563,12 @@ class FtEngine(Component):
             in_flight = port._inbound._in_flight
             if in_flight and in_flight[0][0] <= cycle * ENGINE_PERIOD_PS:
                 self._poll_wire()
-        scheduler = self.scheduler
-        ticks = scheduler.cycle + 1
-        if scheduler.next_action <= ticks:
-            scheduler.tick()
-        else:
-            scheduler.cycle = ticks  # keep cycle-based retries aligned
-        memory_manager = self.memory_manager
-        due = memory_manager.next_action
-        if due <= cycle:
-            memory_manager.tick()
-        elif due != NEVER:
-            memory_manager.cycle += 1  # a tick stalled on the DRAM channel
-        clock = self.fpc_clock
-        ticks = clock.cycle + 1
-        clock.cycle = ticks
+        if self.scheduler.next_action <= cycle:
+            self.scheduler.tick()
+        if self.memory_manager.next_action <= cycle:
+            self.memory_manager.tick()
         for fpc in self.fpcs:
-            if fpc.next_action <= ticks:
+            if fpc.next_action <= cycle:
                 fpc.tick()
                 if fpc.out_results:
                     self._drain_one_fpc(fpc)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..mem.hierarchy import CacheGeometry, TcbCacheHierarchy
-from ..sim.component import NEVER, Component
+from ..sim.component import NEVER, Component, OwnersCycle
 from ..sim.fifo import Fifo
 from ..sim.memory import DRAMModel
 from ..tcp.seq import seq_max, seq_sub
@@ -79,6 +79,8 @@ def check_logic(tcb: Tcb, entry: EventEntry) -> bool:
 class MemoryManager(Component):
     """Handles events for DRAM-resident flows and feeds swap-in requests."""
 
+    cycle = OwnersCycle()
+
     def __init__(
         self,
         dram: DRAMModel,
@@ -87,13 +89,14 @@ class MemoryManager(Component):
         geometry: Optional[Union[str, CacheGeometry]] = None,
         sketch=None,
         sketch_own_updates: bool = True,
+        clock=None,
     ) -> None:
-        super().__init__("memory-manager")
+        super().__init__("memory-manager", clock)
         self.dram = dram
         self.cache_entries = cache_entries
-        # Fall back to the component's own 250 MHz cycle clock when no
-        # engine-level time source is wired in (standalone use).
-        self.time_ps_fn = time_ps_fn or (lambda: self.cycle * CYCLE_PS)
+        # Fall back to the 250 MHz cycle clock when no time source is
+        # wired in.
+        self.time_ps_fn = time_ps_fn or (lambda: self.clock.cycle * CYCLE_PS)
 
         if geometry is None:
             geometry = CacheGeometry.direct_mapped(cache_entries)
@@ -119,8 +122,7 @@ class MemoryManager(Component):
         #: The work horizon, in cycles of ``time_ps_fn``'s clock: the
         #: first on which :meth:`tick` handles an event — queued input
         #: and a free DRAM channel — NEVER while the input is empty.
-        #: Every cycle short of it is a stalled tick, which only counts:
-        #: the owner does ``cycle += 1`` instead of calling.
+        #: Every cycle short of it is a stalled tick, a no-op.
         self.next_action = NEVER
 
         self.events_handled = 0
@@ -254,10 +256,6 @@ class MemoryManager(Component):
     def backpressure(self) -> bool:
         return len(self.input) > self.input.capacity // 2
 
-    def busy(self) -> bool:
-        # Hot path: direct deque truthiness avoids Fifo.__len__.
-        return bool(self.input._items or self.swap_in_requests)
-
     def _rearm(self, earliest: int) -> None:
         """Publish :attr:`next_action`: ``earliest``, or the first cycle
         the DRAM channel is free if that is later.
@@ -279,7 +277,8 @@ class MemoryManager(Component):
         self.next_action = earliest
 
     def tick(self) -> None:
-        self.cycle += 1
+        if self.clock is self:
+            self.cycle += 1
         now_ps = self.time_ps_fn()
         # The DRAM channel gates throughput: while it is busy we stall,
         # which is exactly the Fig 13 bottleneck.

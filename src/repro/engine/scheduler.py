@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..mem.advisor import POLICY_PREDICTIVE, resolve_policy
-from ..sim.component import NEVER, Component
+from ..sim.component import NEVER, Component, OwnersCycle
 from ..sim.fifo import Fifo
 from ..sim.memory import PartitionedLUT
 from ..tcp.tcb import Tcb
@@ -61,6 +61,8 @@ class _Migration:
 class Scheduler(Component):
     """Routes events and migrates TCBs among FPCs and DRAM."""
 
+    cycle = OwnersCycle()
+
     def __init__(
         self,
         fpcs: List[FlowProcessingCore],
@@ -69,8 +71,9 @@ class Scheduler(Component):
         lut_groups: int = COALESCE_FIFOS,
         flow_heat=None,
         placement_policy: Optional[str] = None,
+        clock=None,
     ) -> None:
-        super().__init__("scheduler")
+        super().__init__("scheduler", clock)
         self.fpcs = fpcs
         self.memory_manager = memory_manager
         self.coalescing = coalescing
@@ -87,14 +90,13 @@ class Scheduler(Component):
         self._migrations: Dict[int, _Migration] = {}
         #: Swap-ins waiting for room in their target FPC.
         self._deferred_swap_ins: Deque[int] = deque()
-        #: The work horizon: the value ``cycle`` holds when :meth:`tick`
-        #: next does anything (NEVER while there is nothing to do).  The
-        #: next cycle while a coalesce FIFO, a swap-in request, a
-        #: deferred swap-in or an evicted TCB waits; else the pending
-        #: head's retry cycle.  A migration in flight is not on the
-        #: list: its wait is the source FPC's, whose retire queues the
-        #: evicted TCB and wakes us.  Every tick before the horizon only
-        #: counts, so the owner does ``cycle += 1`` instead of calling.
+        #: The work horizon: the first cycle on which :meth:`tick` does
+        #: anything (NEVER while there is nothing to do); a tick before
+        #: it is a no-op.  At once while a coalesce FIFO, a swap-in
+        #: request, a deferred swap-in or an evicted TCB waits; else the
+        #: pending head's retry cycle.  A migration in flight is not on
+        #: the list: its wait is the source FPC's, whose retire queues
+        #: the evicted TCB and wakes us.
         self.next_action = NEVER
         # The blocks whose output queues tick() drains say when they
         # fill one.
@@ -220,27 +222,18 @@ class Scheduler(Component):
         return sum(len(f) for f in self.coalesce_fifos) + len(self.pending)
 
     # -------------------------------------------------------------- clock
-    def busy(self) -> bool:
-        # Hot path: direct deque truthiness, no len()/sum() chains.
-        if self.pending or self._migrations or self._deferred_swap_ins:
-            return True
-        if self.memory_manager.swap_in_requests:
-            return True
-        for fifo in self.coalesce_fifos:
-            if fifo._items:
-                return True
-        return False
-
     def _wake(self) -> None:
-        """Something :meth:`tick` drains was queued: due next cycle."""
-        due = self.cycle + 1
+        """Something :meth:`tick` drains was queued: due on the first
+        tick from now — this cycle's, when a wire arrival is submitted
+        ahead of the scheduler's turn in it."""
+        due = self.clock.cycle
         if due < self.next_action:
             self.next_action = due
 
     def _rearm(self) -> None:
         """Recompute :attr:`next_action` at the end of a tick, when the
         swap-in requests and the evicted TCBs have just been drained."""
-        due = self.cycle + 1
+        due = self.clock.cycle + 1
         if not self._deferred_swap_ins:
             for fifo in self.coalesce_fifos:
                 if fifo._items:
@@ -251,7 +244,8 @@ class Scheduler(Component):
 
     def tick(self) -> None:
         # A stage is entered only when it has something to do.
-        self.cycle += 1
+        if self.clock is self:
+            self.cycle += 1
         if self.pending:
             self._retry_pending()
         # Route up to one event per LUT partition per cycle (§4.4.2).
@@ -271,7 +265,7 @@ class Scheduler(Component):
             return True  # flow closed while queued; drop
         location, fpc_id = where
         if location is Location.MOVING:
-            self.pending.append((self.cycle + PENDING_RETRY_CYCLES, event))
+            self.pending.append((self.clock.cycle + PENDING_RETRY_CYCLES, event))
             self.max_pending = max(self.max_pending, len(self.pending))
             if self.trace is not None:
                 self.trace.emit(
@@ -303,7 +297,7 @@ class Scheduler(Component):
                     and not target.backpressure
                 ):
                     self._migrate_between_fpcs(event.flow_id, fpc_id)
-                    self.pending.append((self.cycle + PENDING_RETRY_CYCLES, event))
+                    self.pending.append((self.clock.cycle + PENDING_RETRY_CYCLES, event))
                     self.max_pending = max(self.max_pending, len(self.pending))
                     return True
             return fpc.offer_event(event)
@@ -312,7 +306,7 @@ class Scheduler(Component):
     def _retry_pending(self) -> None:
         for _ in range(len(self.pending)):
             retry_cycle, event = self.pending[0]
-            if retry_cycle > self.cycle:
+            if retry_cycle > self.clock.cycle:
                 break
             self.pending.popleft()
             self.pending_retries += 1
@@ -322,7 +316,7 @@ class Scheduler(Component):
                     "retry", event.flow_id, event.kind.value,
                 )
             if not self._route(event):
-                self.pending.append((self.cycle + PENDING_RETRY_CYCLES, event))
+                self.pending.append((self.clock.cycle + PENDING_RETRY_CYCLES, event))
 
     # ----------------------------------------------------------- migration
     def _migrate_between_fpcs(self, flow_id: int, source_fpc: int) -> None:

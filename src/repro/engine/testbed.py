@@ -52,12 +52,11 @@ class Testbed:
         )
         self.cycle = 0
         #: What :meth:`run` itself did, summed over calls: cycles it
-        #: visited (stepping one at a time) and cycles it covered in
-        #: skips, idle jumps taken, ``until`` calls made, real ticks per
-        #: engine.  Visited + advanced is the per-cycle loop's tick count.
+        #: landed on and cycles it skipped on the way (together every
+        #: simulated cycle), ``until`` calls made, ticks per engine.
         self.loop_stats = dict.fromkeys(
-            ("cycles_visited", "cycles_advanced", "idle_jumps",
-             "until_calls", "ticks_a", "ticks_b"), 0
+            ("cycles_visited", "cycles_advanced", "until_calls",
+             "ticks_a", "ticks_b"), 0
         )
 
     @property
@@ -71,24 +70,10 @@ class Testbed:
 
     def step(self) -> None:
         """One 250 MHz cycle for both engines."""
+        self.engine_a.cycle = self.engine_b.cycle = self.cycle
         self.cycle += 1
-        # Engines keep their own cycle counters aligned with the testbed.
-        self.engine_a.cycle = self.cycle - 1
-        self.engine_b.cycle = self.cycle - 1
         self.engine_a.tick()
         self.engine_b.tick()
-
-    def _next_wakeup_ps(self) -> Optional[float]:
-        candidates = []
-        arrival = self.wire.next_arrival_ps()
-        if arrival is not None:
-            candidates.append(arrival)
-        for engine in (self.engine_a, self.engine_b):
-            wakeup = engine.next_wakeup_ps()
-            if wakeup is not None:
-                candidates.append(wakeup)
-        future = [t for t in candidates if t > self.time_ps]
-        return min(future) if future else None
 
     def run(
         self,
@@ -98,224 +83,132 @@ class Testbed:
         wakeup_ps: Optional[Callable[[], Optional[float]]] = None,
         quiet_cycle: Optional[Callable[[], Optional[int]]] = None,
     ) -> bool:
-        """Run until ``until()`` holds; returns False on time/step bound.
+        """Run until ``until()`` holds; returns False on time/step bound
+        (``max_steps`` counts the cycles landed on, not the ones skipped).
 
-        With no predicate, runs until everything is idle (all queues
-        empty, nothing in flight, no timers pending).  ``wakeup_ps``
-        lets a driver announce externally scheduled work (e.g. the next
-        open-loop traffic arrival) so idle-skip jumps exactly there
-        instead of fast-forwarding in blind chunks past it.
+        With no predicate, runs until nothing is scheduled anywhere (no
+        engine work, nothing in flight, no timers pending).
 
-        Without ``quiet_cycle`` this is the per-cycle reference: every
-        cycle is visited, ``until`` called and both engines ticked on
-        each.  ``quiet_cycle`` turns it into the horizon loop, whose
-        cost follows the work instead of the clock.  Asked right after
-        each ``until`` call, it declares the pump's own schedule: the
-        earliest cycle at which a later call would act by itself (an
-        arrival release, an audit, a sample), :data:`NEVER` if nothing
-        is cycle-gated, None if the very next call may act.  ``until``
-        then runs only when that cycle is reached or an engine's
-        ``msg_epoch`` moved — every engine-side state a blocked pump
-        waits on is announced by an :class:`EngineMessage`.  Each
-        iteration goes to the earliest of both engines'
-        :meth:`FtEngine.next_work_cycle`, the pump's cycle and the time
-        bound, and ticks only the engine(s) due there; the cycles an
-        engine sat out reach it as one :meth:`FtEngine.advance_cycles`,
-        which is what its no-op ticks would have done to the counters.
+        One loop, whose cost follows the work instead of the clock.
+        Each iteration lands on the earliest of both engines'
+        :meth:`FtEngine.next_work_cycle`, the cycle the pump asked for
+        and the bound, and ticks the engine(s) due there; the cycles an
+        engine sat out reach it as one :meth:`FtEngine.advance_cycles`
+        before its next tick, the next ``until`` call or the return.
         An engine's horizon holds until its own tick or an ``until``
         call; the peer's tick can only pull its wire-arrival term in
         (a frame sent at cycle *c* arrives strictly after *c*).
 
-        Both modes obey one probe contract (ARCHITECTURE.md, "Where
-        time lives"; the kernel-equivalence goldens pin it): ``steps``
-        counts every cycle ticked *or* advanced, and the idle branch —
-        a jump of ``self.cycle`` that does **not** move the engines'
-        scheduler/FPC counters — is taken only on a probe top
-        (``steps % 8 == 0``) that finds nothing busy.
+        ``until`` is called after every cycle landed on — every cycle
+        on which an engine worked — unless the pump declares its own
+        schedule through ``quiet_cycle``.  Asked right after each
+        ``until`` call, that names the earliest cycle at which a later
+        call would act by itself (an arrival release, an audit, a
+        sample): :data:`NEVER` if nothing is cycle-gated, None if the
+        very next call may act.  ``until`` then runs only when that
+        cycle is reached or an engine's ``msg_epoch`` moved — every
+        engine-side state a blocked pump waits on is announced by an
+        :class:`EngineMessage`.  ``wakeup_ps`` names externally
+        scheduled work (the next open-loop arrival) as a time; the loop
+        lands on the first cycle at or after it and calls ``until``.
         """
         max_time_ps = max_time_s * 1e12
-        # First cycle whose top-of-loop time check exits: guarded so
-        # skips stop exactly where the float compare would.
-        cycle_bound = math.ceil(max_time_ps / ENGINE_PERIOD_PS)
-        while cycle_bound * ENGINE_PERIOD_PS < max_time_ps:
-            cycle_bound += 1
-        while cycle_bound > 0 and (cycle_bound - 1) * ENGINE_PERIOD_PS >= max_time_ps:
-            cycle_bound -= 1
+        # First cycle on which the time bound's own float compare,
+        # ``cycle * period >= max_time_ps``, holds.
+        bound = math.ceil(max_time_ps / ENGINE_PERIOD_PS)
+        while bound * ENGINE_PERIOD_PS < max_time_ps:
+            bound += 1
+        while bound > 0 and (bound - 1) * ENGINE_PERIOD_PS >= max_time_ps:
+            bound -= 1
+        start = self.cycle
         # Hot loop: hoist attribute lookups — this loop runs under
         # every traffic scenario and lab sweep.
         engine_a = self.engine_a
         engine_b = self.engine_b
-        wire = self.wire
         tick_a = engine_a.tick
         tick_b = engine_b.tick
-        due_only = quiet_cycle is not None
-        engine_a.cycle = engine_b.cycle = self.cycle
-        steps = 0
-        idle_chunk = 256
-        # An engine that is not due is not touched: it falls behind and
-        # is advanced in one call just before its next tick, the next
-        # ``until`` call or the return, so its counters are exact at
-        # every hook.  synced_x is the ``steps`` engine x is current to.
-        synced_a = synced_b = 0
-        # The cycle each engine's tick is next due on (-1: stale); the
-        # reference ticks both on every cycle.
-        work_a = work_b = -1 if due_only else 0
+        engine_a.cycle = engine_b.cycle = start
+        # The cycle each engine's tick is next due on (-1: stale).
+        work_a = work_b = -1
         pump_at = 0
         epoch_a = epoch_b = -1
-        advanced = idle_jumps = until_calls = ticks_a = ticks_b = 0
+        landings = until_calls = ticks_a = ticks_b = 0
         try:
             while True:
                 cycle = self.cycle
                 if (
-                    cycle >= pump_at
+                    quiet_cycle is None
+                    or cycle >= pump_at
                     or engine_a.msg_epoch != epoch_a
                     or engine_b.msg_epoch != epoch_b
                 ):
-                    if synced_a != steps:
-                        engine_a.advance_cycles(steps - synced_a)
-                        synced_a = steps
-                    if synced_b != steps:
-                        engine_b.advance_cycles(steps - synced_b)
-                        synced_b = steps
+                    for engine in (engine_a, engine_b):
+                        if engine.cycle != cycle:
+                            engine.advance_cycles(cycle - engine.cycle)
                     until_calls += 1
                     if until is not None and until():
                         return True
-                    if due_only:
+                    pump_at = NEVER
+                    if quiet_cycle is not None:
                         pump_at = quiet_cycle()
                         if pump_at is None:
                             pump_at = cycle + 1
-                        epoch_a = engine_a.msg_epoch
-                        epoch_b = engine_b.msg_epoch
-                        work_a = work_b = -1  # host calls reach both engines
-                if cycle * ENGINE_PERIOD_PS >= max_time_ps or steps >= max_steps:
+                    if wakeup_ps is not None:
+                        external = wakeup_ps()
+                        if external is not None and external > self.time_ps:
+                            pump_at = min(
+                                pump_at, math.ceil(external / ENGINE_PERIOD_PS)
+                            )
+                    epoch_a = engine_a.msg_epoch
+                    epoch_b = engine_b.msg_epoch
+                    work_a = work_b = -1  # host calls reach both engines
+                if cycle >= bound or landings >= max_steps:
                     return False
-                busy = None
-                if due_only:
-                    # Stale means just ticked or just pumped: in step.
-                    if work_a < 0:
-                        work_a = engine_a.next_work_cycle() or NEVER
-                    if work_b < 0:
-                        work_b = engine_b.next_work_cycle() or NEVER
-                    # An engine due on cycle k works in the iteration
-                    # whose top reads k - 1; the pump and the bound act
-                    # at the top itself.
-                    land = (work_a if work_a < work_b else work_b) - 1
-                    if land > cycle:
-                        if pump_at < land:
-                            land = pump_at
-                        if cycle_bound < land:
-                            land = cycle_bound
-                        skip = land - cycle
-                        if max_steps - steps < skip:
-                            skip = max_steps - steps
-                        to_probe = -steps % 8
-                        if skip > to_probe:
-                            # Busy cannot change inside a no-op run: a
-                            # busy skip resets idle_chunk as the probe it
-                            # crosses would; a not-busy one lands on that
-                            # probe top, which must take the idle branch.
-                            busy = (
-                                wire.in_flight > 0
-                                or engine_a.busy()
-                                or engine_b.busy()
-                            )
-                            if busy:
-                                idle_chunk = 256
-                            else:
-                                skip = to_probe
-                        if skip > 0:
-                            cycle += skip
-                            self.cycle = cycle
-                            steps += skip
-                            advanced += skip
-                            if (
-                                cycle >= pump_at
-                                or cycle >= cycle_bound
-                                or steps >= max_steps
-                            ):
-                                continue
-                # The busy probe costs more than an idle step, so only
-                # look for idle-skip opportunities on probe tops.
-                if steps % 8 == 0:
-                    if busy is None:
-                        busy = (
-                            wire.in_flight > 0
-                            or engine_a.busy()
-                            or engine_b.busy()
-                        )
-                    if busy:
-                        idle_chunk = 256
-                    else:
-                        idle_jumps += 1
-                        before = self.cycle
-                        wakeup = self._next_wakeup_ps()
-                        if wakeup_ps is not None:
-                            external = wakeup_ps()
-                            if external is not None and external > self.time_ps:
-                                wakeup = (
-                                    external
-                                    if wakeup is None
-                                    else min(wakeup, external)
-                                )
-                        if wakeup is None:
-                            if until is None:
-                                return True  # fully idle and nothing awaited
-                            # Idle but a predicate is waiting: fast-forward
-                            # in growing chunks so cycle-gated drivers (send
-                            # pumps) still run, yet long dead time is cheap.
-                            self.cycle += idle_chunk
-                            idle_chunk = min(idle_chunk * 2, 1 << 22)
-                        else:
-                            # Jump to the cycle holding the wakeup (never
-                            # past the caller's time bound).
-                            target = min(wakeup, max_time_ps)
-                            self.cycle = max(
-                                self.cycle, math.ceil(target / ENGINE_PERIOD_PS)
-                            )
-                        # The engines' clocks jump along; their scheduler
-                        # and FPC counters, which count ticks, do not.
-                        engine_a.cycle += self.cycle - before
-                        engine_b.cycle += self.cycle - before
-                # One 250 MHz cycle: tick whoever is due.
-                cycle = self.cycle + 1
-                self.cycle = cycle
-                if work_a <= cycle:
-                    if synced_a != steps:
-                        engine_a.advance_cycles(steps - synced_a)
+                # Stale means just ticked or just pumped: in step.
+                if work_a < 0:
+                    work_a = engine_a.next_work_cycle() or NEVER
+                if work_b < 0:
+                    work_b = engine_b.next_work_cycle() or NEVER
+                land = work_a if work_a < work_b else work_b
+                if cycle < pump_at < land:
+                    land = pump_at
+                if land == NEVER and until is None:
+                    return True  # nothing scheduled and nothing awaited
+                if bound < land:
+                    land = bound
+                self.cycle = land
+                landings += 1
+                if work_a <= land:
+                    if engine_a.cycle != land - 1:
+                        engine_a.advance_cycles(land - 1 - engine_a.cycle)
                     tick_a()
-                    synced_a = steps + 1
                     ticks_a += 1
-                    if due_only:
-                        work_a = -1
-                        if work_b > cycle:
-                            # B sits this cycle out on a horizon taken
-                            # before A's tick: valid for this cycle, but a
-                            # frame A just sent may arrive before it.
-                            arrival = engine_b.next_arrival_cycle()
-                            if arrival < work_b:
-                                work_b = arrival
-                if work_b <= cycle:
-                    if synced_b != steps:
-                        engine_b.advance_cycles(steps - synced_b)
+                    work_a = -1
+                    if work_b > land:
+                        # B sits this cycle out on a horizon taken
+                        # before A's tick: valid for this cycle, but a
+                        # frame A just sent may arrive before it.
+                        arrival = engine_b.next_arrival_cycle()
+                        if arrival < work_b:
+                            work_b = arrival
+                if work_b <= land:
+                    if engine_b.cycle != land - 1:
+                        engine_b.advance_cycles(land - 1 - engine_b.cycle)
                     tick_b()
-                    synced_b = steps + 1
                     ticks_b += 1
-                    if due_only:
-                        work_b = -1
-                        if work_a > cycle:
-                            arrival = engine_a.next_arrival_cycle()
-                            if arrival < work_a:
-                                work_a = arrival
-                steps += 1
+                    work_b = -1
+                    if work_a > land:
+                        arrival = engine_a.next_arrival_cycle()
+                        if arrival < work_a:
+                            work_a = arrival
         finally:
-            if synced_a != steps:
-                engine_a.advance_cycles(steps - synced_a)
-            if synced_b != steps:
-                engine_b.advance_cycles(steps - synced_b)
+            cycle = self.cycle
+            for engine in (engine_a, engine_b):
+                if engine.cycle != cycle:
+                    engine.advance_cycles(cycle - engine.cycle)
             stats = self.loop_stats
-            stats["cycles_visited"] += steps - advanced
-            stats["cycles_advanced"] += advanced
-            stats["idle_jumps"] += idle_jumps
+            stats["cycles_visited"] += landings
+            stats["cycles_advanced"] += cycle - start - landings
             stats["until_calls"] += until_calls
             stats["ticks_a"] += ticks_a
             stats["ticks_b"] += ticks_b

@@ -315,12 +315,6 @@ class LoadEngine:
         #: pre-dirty-set behaviour).  Both modes are cycle-identical —
         #: tests assert equal trace fingerprints — but sweeping is slow.
         self.sweep_all_pumps = False
-        #: Loop switch: hand the testbed the pump's ``quiet_cycle`` so it
-        #: runs its horizon loop (due-only engine ticks, the pump called
-        #: on messages and on its own schedule).  Both modes are
-        #: cycle-identical (equivalence tests pin the trace
-        #: fingerprints); False keeps the per-cycle reference loop.
-        self.batched = True
 
         #: Observability (repro.obs): a TraceBus, or None (free default).
         #: When attached, the pump also emits periodic occupancy samples.
@@ -357,7 +351,7 @@ class LoadEngine:
                 until=self._pools_ready,
                 max_time_s=tb.now_s + setup_time_s,
                 # Handshakes finish on 'accepted' / 'connected' messages.
-                quiet_cycle=message_driven if self.batched else None,
+                quiet_cycle=message_driven,
             ):
                 raise TimeoutError(
                     f"{self.scenario.name}: connection pools failed to establish"
@@ -369,7 +363,7 @@ class LoadEngine:
             until=self._pump,
             max_time_s=self._start_s + run_time_s,
             wakeup_ps=self._next_arrival_ps,
-            quiet_cycle=self._pump_quiet_cycle if self.batched else None,
+            quiet_cycle=self._pump_quiet_cycle,
         )
         if raise_on_incomplete and not finished:
             raise TimeoutError(

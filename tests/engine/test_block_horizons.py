@@ -2,7 +2,7 @@
 
 Both blocks publish a ``next_action`` cycle the way an FPC does
 (tests/engine/test_fpc.py holds that oracle): the owner calls ``tick``
-only on a cycle the horizon names and counts the others.  The oracle
+only on a cycle the horizon names.  The oracle
 here is the same shape — one rig stepped by yesterday's rules (the
 scheduler's whole tick body on every cycle, the memory manager's
 whenever its input holds anything), one stepped by ``next_action`` —
@@ -29,13 +29,15 @@ FLOWS = 7  # on 2 FPCs x 2 slots: four in SRAM, three in DRAM
 
 
 class Rig:
-    """A scheduler, a memory manager and two small FPCs under one clock,
+    """A scheduler, a memory manager and two small FPCs on one clock —
+    the rig's ``cycle``, as FtEngine's blocks are on the engine's —
     ticked in FtEngine's order."""
 
     def __init__(self, latency, interval):
         self.cycle = 0
         self.fpcs = [
-            FlowProcessingCore(i, slots=2, fpu=NullFpu(latency)) for i in range(2)
+            FlowProcessingCore(i, slots=2, fpu=NullFpu(latency), clock=self)
+            for i in range(2)
         ]
         for fpc in self.fpcs:
             fpc.pipe.initiation_interval = interval
@@ -44,9 +46,9 @@ class Rig:
         # channel for 7 cycles, 14 with a dirty write-back.
         self.manager = MemoryManager(
             DRAMModel.ddr4(), cache_entries=1,
-            time_ps_fn=lambda: self.cycle * CYCLE_PS,
+            clock=self,
         )
-        self.scheduler = Scheduler(self.fpcs, self.manager)
+        self.scheduler = Scheduler(self.fpcs, self.manager, clock=self)
         for flow_id in range(FLOWS):
             self.scheduler.register_new_flow(Tcb(flow_id=flow_id))
         self.drained = []  # (cycle, what, flow) in drain order
@@ -76,7 +78,6 @@ class Rig:
         self.cycle += 1
         scheduler, manager = self.scheduler, self.manager
         # The scheduler's tick body, unguarded, every cycle.
-        scheduler.cycle += 1
         scheduler._retry_pending()
         for fifo in scheduler.coalesce_fifos:
             if not fifo.empty and scheduler._route(fifo.peek()):
@@ -86,7 +87,6 @@ class Rig:
         scheduler._collect_evicted()
         # The memory manager's, whenever its input holds anything.
         if manager.input._items:
-            manager.cycle += 1
             if not manager.dram.busy_until_ps > manager.time_ps_fn():
                 manager.handle_event(manager.input.pop())
         self._tick_fpcs()
@@ -94,7 +94,7 @@ class Rig:
     def step_gated(self):
         self.cycle += 1
         scheduler, manager = self.scheduler, self.manager
-        if scheduler.next_action <= scheduler.cycle + 1:
+        if scheduler.next_action <= self.cycle:
             before = self._scheduler_view()
             scheduler.tick()
             blocked = scheduler._deferred_swap_ins or any(
@@ -102,15 +102,11 @@ class Rig:
             )
             if self._scheduler_view() == before and not blocked:
                 self.idle_ticks.append(("scheduler", self.cycle))
-        else:
-            scheduler.cycle += 1
         if manager.next_action <= self.cycle:
             queued = len(manager.input)
             manager.tick()
             if len(manager.input) == queued:
                 self.idle_ticks.append(("memory manager", self.cycle))
-        elif manager.next_action != NEVER:
-            manager.cycle += 1
         self._tick_fpcs()
 
     # ------------------------------------------------------------ state
@@ -139,9 +135,8 @@ class Rig:
         manager = self.manager
         return (
             self._scheduler_view(),
-            self.scheduler.cycle, self.scheduler.events_submitted,
-            self.scheduler.events_coalesced,
-            manager.cycle, manager.events_handled,
+            self.scheduler.events_submitted, self.scheduler.events_coalesced,
+            manager.events_handled,
             manager.cache_hits, manager.cache_misses,
             [(e.flow_id, e.req) for e in manager.input],
             sorted(
@@ -216,7 +211,7 @@ class TestBlockHorizons:
             scheduler, manager = rig.scheduler, rig.manager
             if scheduler.pending and scheduler.next_action == scheduler.pending[0][0]:
                 seen.add("sleeping until a pending retry")
-            if scheduler._migrations and scheduler.next_action > scheduler.cycle + 1:
+            if scheduler._migrations and scheduler.next_action > rig.cycle + 1:
                 seen.add("sleeping through a migration")
             if scheduler._deferred_swap_ins:
                 seen.add("swap-in deferred")
@@ -237,12 +232,12 @@ class TestBlockHorizons:
         scheduler = rig.scheduler
         scheduler.lut.set(0, (Location.MOVING, 0))  # as a migration leaves it
         scheduler.submit(user_send_event(0, 1, 0.0))
-        assert scheduler.next_action == scheduler.cycle + 1
+        assert scheduler.next_action <= rig.cycle + 1  # the next tick
         rig.step_gated()  # routed into the pending queue
-        assert scheduler.next_action == scheduler.cycle + PENDING_RETRY_CYCLES
+        assert scheduler.next_action == rig.cycle + PENDING_RETRY_CYCLES
         ticked_at = []
         tick = scheduler.tick
-        scheduler.tick = lambda: (ticked_at.append(scheduler.cycle + 1), tick())
+        scheduler.tick = lambda: (ticked_at.append(rig.cycle), tick())
         for _ in range(2 * PENDING_RETRY_CYCLES):
             rig.step_gated()
         # It stays MOVING, so every retry re-queues it twelve cycles on.
@@ -265,15 +260,11 @@ class TestBlockHorizons:
             assert free_at > rig.cycle + 1
             assert manager.dram.busy_until_ps <= free_at * CYCLE_PS
             assert manager.dram.busy_until_ps > (free_at - 1) * CYCLE_PS
-            counted = manager.cycle
-            stalled = free_at - rig.cycle - 1
-            for _ in range(stalled):
+            for _ in range(free_at - rig.cycle - 1):
                 rig.step_gated()
-            # Stalled cycles are counted, as the ticks they replace were...
-            assert manager.cycle == counted + stalled
+            # Nothing is handled on a stalled cycle...
             assert manager.events_handled == handled - 1
             rig.step_gated()
             # ...and the first cycle the channel is free handles an event.
-            assert manager.cycle == counted + stalled + 1
             assert manager.events_handled == handled
         assert manager.next_action == NEVER and rig.idle_ticks == []

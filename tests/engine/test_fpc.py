@@ -1,5 +1,8 @@
 """The Flow Processing Core: rates, hazards, eviction (§4.2, §4.3.2)."""
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -216,7 +219,7 @@ class TestBackpressure:
         fpc.tick()
         fpc.reset()
         assert fpc.cycle == 0
-        assert not fpc.busy()
+        assert fpc.next_action == NEVER
 
 
 # ------------------------------------------------------ the work horizon
@@ -231,11 +234,17 @@ _OPS = st.lists(
 )
 
 
+def owned_fpc(slots=4, latency=14):
+    """An FPC on an owner's clock — anything with a ``cycle``, which the
+    owner alone advances — as FtEngine builds its own."""
+    clock = SimpleNamespace(cycle=0)
+    fpc = FlowProcessingCore(0, slots=slots, fpu=NullFpu(latency), clock=clock)
+    return fpc, clock
+
+
 def _full_tick(fpc):
     """The tick body with no guard and no horizon: every stage runs on
     every cycle (what ``tick`` was before it learnt to look ahead)."""
-    fpc.cycle += 1
-    fpc._ticked_at = fpc.cycle
     fpc._retire()
     if fpc.cycle % 2 == 0:
         fpc._handle_one_event()
@@ -250,16 +259,15 @@ def _every_cycle(fpc):
 
 
 def _horizon_gated(fpc):
-    """Tick only when the horizon is due; otherwise just count the cycle."""
-    if fpc.next_action_cycle() <= fpc.cycle + 1:
+    """Tick only when the horizon is due, as FtEngine does."""
+    if fpc.next_action <= fpc.cycle:
         fpc.tick()
         return True
-    fpc.cycle += 1
     return False
 
 
 def _state(fpc):
-    """Everything a tick can change, except ``cycle`` itself."""
+    """Everything a tick can change."""
     slots = []
     for flow_id in sorted(fpc.resident_flows()):
         slot = fpc.cam.lookup(flow_id)
@@ -279,36 +287,42 @@ def _state(fpc):
     )
 
 
+def _apply(fpc, op, flow_id, pending, sequence, parked, fresh):
+    """One scheduler-side call into the FPC (its entry points)."""
+    if op == "event" and not fpc.input.full:
+        fpc.offer_event(user_send_event(flow_id % 3, sequence, 0.0))
+    elif op == "evict":
+        fpc.request_evict(flow_id % 3)
+    elif op == "accept" and fpc.has_room:
+        tcb = parked.pop(0) if parked else Tcb(
+            flow_id=100 + next(fresh), state=TcpState.ESTABLISHED
+        )
+        # A swap-in may arrive with work pending (§4.3.1's check logic
+        # is why it is swapped in at all) or without.
+        tcb.ack_pending = pending
+        fpc.accept_tcb(tcb)
+
+
 def _drive(ops, latency, interval, step):
-    """Replay one schedule; returns per-step states and the gate's record."""
-    fpc = FlowProcessingCore(0, slots=4, fpu=NullFpu(latency))
+    """Replay one schedule the way FtEngine runs a cycle: the owner's
+    clock moves, the scheduler's turn calls into the FPC, then the FPC
+    has its turn.  Returns per-cycle states and the gate's record."""
+    fpc, clock = owned_fpc(latency=latency)
     # The FPU's own interval (2) coincides with the odd-cycle dispatch
     # phase; a longer one makes the interval bind on its own.
     fpc.pipe.initiation_interval = interval
     install_flows(fpc, 3)
     parked = []  # evicted TCBs, to be swapped back in
-    next_flow = 100
+    fresh = itertools.count()
     history, wasted = [], 0
     for op, flow_id, pending in ops:
-        if op == "event" and not fpc.input.full:
-            fpc.offer_event(user_send_event(flow_id % 3, len(history) + 1, 0.0))
-        elif op == "evict":
-            fpc.request_evict(flow_id % 3)
-        elif op == "accept" and fpc.has_room:
-            if parked:
-                tcb = parked.pop(0)
-            else:
-                tcb = Tcb(flow_id=next_flow, state=TcpState.ESTABLISHED)
-                next_flow += 1
-            # A swap-in may arrive with work pending (§4.3.1's check
-            # logic is why it is swapped in at all) or without.
-            tcb.ack_pending = pending
-            fpc.accept_tcb(tcb)
+        clock.cycle += 1
+        _apply(fpc, op, flow_id, pending, len(history) + 1, parked, fresh)
         before = _state(fpc)
         ticked = step(fpc)
         if ticked and step is _horizon_gated and _state(fpc) == before:
             wasted += 1
-        history.append((fpc.cycle, _state(fpc)))
+        history.append(_state(fpc))
         # The owner drains outputs every cycle, as FtEngine does.
         fpc.drain_results()
         parked.extend(fpc.drain_evicted())
@@ -316,9 +330,9 @@ def _drive(ops, latency, interval, step):
 
 
 class TestWorkHorizon:
-    """``next_action_cycle`` is exact: an owner that ticks only when it
-    is due sees what an owner ticking every cycle sees — and never ticks
-    for nothing, which is what makes the engine loop work-proportional.
+    """``next_action`` is exact: an owner that ticks only when it is due
+    sees what an owner ticking every cycle sees — and never ticks for
+    nothing, which is what makes the engine loop work-proportional.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -342,19 +356,19 @@ class TestWorkHorizon:
     def test_idle_fpc_has_no_horizon(self):
         fpc = make_fpc()
         install_flows(fpc, 2)
-        assert fpc.next_action_cycle() == NEVER
-        assert not fpc.busy()
+        assert fpc.next_action == NEVER
 
     def test_event_is_handled_on_the_next_even_cycle(self):
-        fpc = make_fpc()
+        fpc, clock = owned_fpc()
         install_flows(fpc, 1)
+        clock.cycle = 1
         fpc.offer_event(user_send_event(0, 1, 0.0))
-        assert fpc.next_action_cycle() == 2
-        fpc.cycle += 1  # the owner skips the odd cycle
+        assert fpc.next_action == 2  # the owner skips this odd cycle
+        clock.cycle = 2
         fpc.tick()
         assert fpc.events_accepted == 1
         # Handled at 2, so the TCB manager issues on the next odd cycle.
-        assert fpc.next_action_cycle() == 3
+        assert fpc.next_action == 3
 
     def test_in_flight_flow_waits_for_its_retire(self):
         fpc = make_fpc(latency=14)
@@ -366,98 +380,103 @@ class TestWorkHorizon:
         fpc.offer_event(user_send_event(0, 2, 0.0))
         fpc.tick()  # cycle 4 handles it; flow 0 re-queued but in flight
         assert list(fpc._dispatch_queue) == [0]
-        assert fpc.next_action_cycle() == 3 + 14
+        assert fpc.next_action == 3 + 14
+
+    def test_a_swap_in_with_work_pending_starts_an_idle_fpc(self):
+        """The check logic swaps a flow in because it can send: the TCB
+        manager issues it on the next odd cycle, idle FPC or not."""
+        fpc, clock = owned_fpc()
+        clock.cycle = 40  # long idle
+        fpc.accept_tcb(Tcb(flow_id=7, state=TcpState.ESTABLISHED, ack_pending=True))
+        assert fpc.next_action == 41
+        fpc.accept_tcb(Tcb(flow_id=8, state=TcpState.ESTABLISHED))
+        assert list(fpc._dispatch_queue) == [7]  # nothing pending: not queued
 
     def test_undrained_outputs_are_due_at_once(self):
+        """An evicted TCB waits on ``out_evicted`` for the scheduler: the
+        retire that queues it wakes the scheduler there and then."""
         fpc = make_fpc(latency=1)
         install_flows(fpc, 1)
-        fpc.offer_event(user_send_event(0, 1, 0.0))
-        while not fpc.out_results:
+        woken = []
+        fpc.notify_scheduler = lambda: woken.append(fpc.cycle)
+        assert fpc.request_evict(0)
+        while not fpc.out_evicted:
             fpc.tick()
-        assert fpc.next_action_cycle() == fpc.cycle + 1
-        fpc.drain_results()
-        assert fpc.next_action_cycle() == NEVER
+        assert woken == [fpc.cycle]
+        assert fpc.next_action == NEVER
 
 
-# ------------------------------------------------- whose counter it is
+# ------------------------------------------------------ whose clock it is
 def _engine(num_fpcs=3):
     from repro.engine.ftengine import FtEngine, FtEngineConfig
 
     return FtEngine(ip=0x0A000001, config=FtEngineConfig(num_fpcs=num_fpcs, fpc_slots=4))
 
 
+def _blocks(engine):
+    return [engine.scheduler, engine.memory_manager, *engine.fpcs]
+
+
 def _counters(engine):
     return (
-        engine.cycle, engine.scheduler.cycle, engine.memory_manager.cycle,
-        engine.fpc_clock.cycle, [fpc.cycle for fpc in engine.fpcs],
-        [fpc._ticked_at for fpc in engine.fpcs],
-        [fpc.next_action for fpc in engine.fpcs],
-        engine.scheduler.next_action, engine.memory_manager.next_action,
+        engine.cycle, [block.cycle for block in _blocks(engine)],
+        [block.next_action for block in _blocks(engine)],
     )
 
 
 class TestSharedTickCounter:
-    """A stand-alone FPC counts its own ticks (``analysis/microbench.py``
-    and ``mem/sweep.py`` drive it so); the FPCs of an engine read one
-    counter the engine advances.  Same FPC either way."""
+    """A stand-alone FPC is its own clock and counts its own ticks
+    (``analysis/microbench.py`` and ``mem/sweep.py`` drive it so); the
+    blocks of an engine read the engine's cycle and never count.  Same
+    FPC either way."""
 
     def test_a_stand_alone_fpc_owns_its_counter(self):
         a, b = make_fpc(), make_fpc()
         a.tick()
         assert (a.cycle, b.cycle) == (1, 0)
-        a.cycle += 5  # an owner skipping no-op cycles
-        assert (a.cycle, a.clock.cycle) == (6, 6)
+        assert a.clock is a and "cycle" in vars(a)
 
     def test_engine_fpcs_share_the_engines(self):
         engine = _engine()
-        assert all(fpc.clock is engine.fpc_clock for fpc in engine.fpcs)
+        assert all(block.clock is engine for block in _blocks(engine))
+        # No block keeps a cycle of its own to fall out of step.
+        assert not any("cycle" in vars(block) for block in _blocks(engine))
         engine.tick()
         engine.advance_cycles(9)
-        assert [fpc.cycle for fpc in engine.fpcs] == [10, 10, 10]
-        assert engine.scheduler.cycle == engine.fpc_clock.cycle == 10
+        assert [block.cycle for block in _blocks(engine)] == [10] * 5
 
     @settings(max_examples=100, deadline=None)
     @given(ops=_OPS, latency=st.sampled_from([1, 3, 14]), skip=st.booleans())
     def test_stand_alone_and_engine_owned_agree(self, ops, latency, skip):
-        """One schedule, the FPC once on its own counter and once on a
-        counter its owner advances before each tick (skipping the
-        cycles short of the horizon, if ``skip``)."""
-        from repro.sim.component import TickCounter
+        """One schedule, the FPC once counting its own ticks and once on
+        a clock its owner advances before each cycle (ticking it only
+        when its horizon is due, if ``skip``)."""
 
-        def drive(shared):
-            fpc = FlowProcessingCore(0, slots=4, fpu=NullFpu(latency))
-            clock = TickCounter()
-            if shared:
-                fpc.share_clock(clock)
+        def drive(owned):
+            if owned:
+                fpc, clock = owned_fpc(latency=latency)
+            else:
+                fpc = clock = make_fpc(slots=4, latency=latency)
             install_flows(fpc, 3)
-            history = []
-            for op, flow_id, _ in ops:
-                if op == "event" and not fpc.input.full:
-                    fpc.offer_event(user_send_event(flow_id % 3, len(history) + 1, 0.0))
-                elif op == "evict":
-                    fpc.request_evict(flow_id % 3)
-                due = fpc.next_action_cycle() <= fpc.cycle + 1
-                if shared:
-                    clock.cycle += 1  # the owner's one store for all its FPCs
-                    if due or not skip:
-                        fpc.tick()
-                elif due or not skip:
+            parked, fresh, history = [], itertools.count(), []
+            for op, flow_id, pending in ops:
+                if owned:
+                    clock.cycle += 1
+                _apply(fpc, op, flow_id, pending, len(history) + 1, parked, fresh)
+                if not (owned and skip) or fpc.next_action <= clock.cycle:
                     fpc.tick()
-                else:
-                    fpc.cycle += 1
-                history.append((fpc.cycle, fpc._ticked_at, fpc.next_action, _state(fpc)))
+                history.append((fpc.cycle, _state(fpc)))
                 fpc.drain_results()
-                fpc.drain_evicted()
+                parked.extend(fpc.drain_evicted())
             return history
 
-        assert drive(shared=True) == drive(shared=False)
+        assert drive(owned=True) == drive(owned=False)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(min_value=1, max_value=40), stalled=st.booleans())
     def test_advance_cycles_equals_that_many_no_op_ticks(self, n, stalled):
-        """On every counter — the memory manager's included, which
-        counts the cycles it waits for the DRAM channel with input
-        queued and no others."""
+        """Short of every horizon — the memory manager's wait for the
+        DRAM channel included — a tick changes nothing but the cycle."""
         from repro.engine.events import EventKind, TcpEvent
         from repro.tcp.tcb import Tcb
 
@@ -478,5 +497,5 @@ class TestSharedTickCounter:
             ticked.tick()
         advanced.advance_cycles(n)
         assert _counters(advanced) == _counters(ticked)
-        assert ticked.memory_manager.cycle == (n if stalled else 0)
+        assert ticked.stats_report() == advanced.stats_report()
         assert ticked.memory_manager.events_handled == 0

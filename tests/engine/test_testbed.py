@@ -1,10 +1,12 @@
-"""The Testbed run loop: time keeping, idle-skip, bounds."""
+"""The Testbed run loop: time keeping, horizons, bounds."""
 
 import pytest
 
 from repro.engine.ftengine import ENGINE_PERIOD_PS, FtEngineConfig
 from repro.engine.testbed import Testbed, message_driven
 from repro.net.link import Link
+
+from ._percycle_oracle import run_per_cycle
 
 
 class TestTimeKeeping:
@@ -43,15 +45,15 @@ class TestRunSemantics:
         assert Testbed().run(max_time_s=1.0)
 
     def test_idle_fast_forward_with_predicate(self):
-        """A cycle-gated predicate still fires when everything is idle:
-        the loop fast-forwards instead of stalling or spinning."""
+        """A time-gated predicate still fires when everything is idle:
+        the loop goes to the bound in one skip instead of stepping."""
         testbed = Testbed()
-        target = {"cycle": 100_000}
         assert testbed.run(
-            until=lambda: testbed.cycle >= target["cycle"],
+            until=lambda: testbed.cycle >= 100_000,
             max_time_s=1.0,
-            max_steps=10_000,  # far fewer steps than cycles: must skip
+            max_steps=10,  # far fewer steps than cycles: must skip
         )
+        assert testbed.loop_stats["cycles_visited"] == 1
 
     def test_timer_wakeup_is_not_skipped(self):
         """Idle-skip lands on timer deadlines, not past them."""
@@ -101,7 +103,7 @@ class TestCustomLink:
 
 
 class TestIdleSkipNeverOvershoots:
-    """PR 5 / satellite 4: idle-skip must never jump past scheduled work."""
+    """PR 5 / satellite 4: a skip must never jump past scheduled work."""
 
     def test_external_wakeup_lands_within_one_cycle(self):
         """With ``wakeup_ps`` announcing an arrival, the skip lands on
@@ -120,9 +122,8 @@ class TestIdleSkipNeverOvershoots:
             max_time_s=0.01,
             wakeup_ps=lambda: arrival_ps,
         )
-        # The skip lands at most one cycle past the arrival (ceil), and
-        # the predicate runs after one more step: 2 cycles worst case.
-        assert 0 <= observed[0] - arrival_ps <= 2 * ENGINE_PERIOD_PS
+        # The skip lands on the first cycle at or after the arrival.
+        assert 0 <= observed[0] - arrival_ps < ENGINE_PERIOD_PS
 
     def test_aligned_external_wakeup_observed_exactly(self):
         testbed = Testbed()
@@ -137,31 +138,43 @@ class TestIdleSkipNeverOvershoots:
         assert testbed.run(
             until=until, max_time_s=0.01, wakeup_ps=lambda: arrival_ps
         )
-        assert seen[0] <= arrival_ps // ENGINE_PERIOD_PS + 1
+        assert seen[0] == arrival_ps // ENGINE_PERIOD_PS
 
-    def test_idle_chunk_doubling_cannot_skip_an_arrival(self):
-        """The blind idle_chunk fast-forward only runs when no wakeup is
-        announced; once one is, the jump is capped at the arrival."""
+    def test_a_moving_wakeup_is_never_skipped(self):
+        """With everything idle the loop goes as far as it is told it
+        may: a wakeup announced anew after every call is landed on
+        every time."""
         testbed = Testbed()
-        checks = []
+        announced = []
 
         def wakeup():
-            # Announce an arrival two chunks ahead of wherever we are.
-            target = testbed.time_ps + 512 * ENGINE_PERIOD_PS
-            checks.append(target)
-            return target
+            announced.append(testbed.time_ps + 512 * ENGINE_PERIOD_PS)
+            return announced[-1]
 
-        crossed = []
+        called_at = []
 
         def until():
-            if checks and testbed.time_ps > checks[-1]:
-                # We may land past the *announced* time by at most the
-                # distance to the next probe (8 steps).
-                crossed.append(testbed.time_ps - checks[-1])
+            called_at.append(testbed.time_ps)
             return testbed.cycle >= 100_000
 
         assert testbed.run(until=until, max_time_s=1.0, wakeup_ps=wakeup)
-        assert all(delta <= 9 * ENGINE_PERIOD_PS for delta in crossed)
+        assert called_at[1:] == announced
+
+    def test_a_declared_pump_cycle_is_met_while_everything_is_idle(self):
+        """Until PR 23 an idle probe fast-forwarded in blind chunks past
+        the cycle a pump had declared (Fig 14's sender restarted ~260
+        cycles late after every fully acknowledged window)."""
+        testbed = Testbed()
+        testbed.establish()
+        gate = testbed.cycle + 100
+        called_at = []
+
+        def until():
+            called_at.append(testbed.cycle)
+            return testbed.cycle >= gate
+
+        assert testbed.run(until=until, max_time_s=1.0, quiet_cycle=lambda: gate)
+        assert called_at[-1] == gate
 
 
 def _bulk_pump(testbed, a_flow, b_flow, total_bytes):
@@ -190,76 +203,98 @@ def _bulk_pump(testbed, a_flow, b_flow, total_bytes):
 
 
 class TestHorizonLoop:
-    """``quiet_cycle`` turns the per-cycle loop into the horizon loop;
-    both must walk the same simulated history."""
+    """The run loop lands only where something is due; it must walk the
+    same simulated history as the per-cycle oracle, which visits, pumps
+    and ticks every cycle."""
 
-    def _transfer(self, quiet_cycle, total_bytes=200_000, max_steps=50_000_000):
+    def _transfer(self, quiet_cycle, total_bytes=200_000, max_steps=None,
+                  per_cycle=False):
+        """One bulk transfer; with ``max_steps``, cut there and resumed."""
         testbed = Testbed()
         a_flow, b_flow = testbed.establish()
         pump, progress = _bulk_pump(testbed, a_flow, b_flow, total_bytes)
-        setup = dict(testbed.loop_stats)
-        finished = testbed.run(
-            until=pump, max_time_s=1.0, max_steps=max_steps, quiet_cycle=quiet_cycle
-        )
+        setup = dict(testbed.loop_stats, cycle=testbed.cycle)
+        cut = None
+        if per_cycle:
+            finished = run_per_cycle(testbed, until=pump, max_time_s=1.0)
+        else:
+            if max_steps is not None:
+                cut = (
+                    testbed.run(until=pump, max_time_s=1.0, max_steps=max_steps,
+                                quiet_cycle=quiet_cycle),
+                    testbed.loop_stats["cycles_visited"] - setup["cycles_visited"],
+                    testbed.engine_a.cycle == testbed.engine_b.cycle == testbed.cycle,
+                )
+            finished = testbed.run(
+                until=pump, max_time_s=1.0, quiet_cycle=quiet_cycle
+            )
         stats = {k: v - setup[k] for k, v in testbed.loop_stats.items()}
+        stats["cycles"] = testbed.cycle - setup["cycle"]
+        stats["cut"] = cut
         return testbed, progress, stats, finished
 
     @staticmethod
     def _counters(testbed):
         return [
-            (e.cycle, e.scheduler.cycle, [f.cycle for f in e.fpcs],
-             e.scheduler.events_routed, e.counters.as_dict())
+            (e.cycle, e.scheduler.events_routed, e.counters.as_dict(),
+             e.stats_report())
             for e in (testbed.engine_a, testbed.engine_b)
         ]
 
-    def test_loop_stats_of_the_per_cycle_reference(self):
-        testbed, _, stats, finished = self._transfer(None, total_bytes=20_000)
-        assert finished
-        assert stats["cycles_advanced"] == 0
-        assert stats["ticks_a"] == stats["ticks_b"] == stats["cycles_visited"]
-        # until runs at every top, the one that returns True included.
-        assert stats["until_calls"] == stats["cycles_visited"] + 1
-
     def test_message_driven_pump_is_called_only_on_messages(self):
-        ref_tb, ref_progress, ref_stats, _ = self._transfer(None)
+        ref_tb, ref_progress, ref_stats, _ = self._transfer(None, per_cycle=True)
         tb, progress, stats, finished = self._transfer(message_driven)
         assert finished
         # Same history: the pump acted on the same cycles, the run ended
-        # on the same cycle with every counter where the reference has it.
+        # on the same cycle with every counter where the oracle has it.
         assert progress["acted"] == ref_progress["acted"]
         assert tb.cycle == ref_tb.cycle
         assert self._counters(tb) == self._counters(ref_tb)
-        # Every simulated cycle accounted for, ticked or advanced.
-        assert (
-            stats["cycles_visited"] + stats["cycles_advanced"]
-            == ref_stats["cycles_visited"]
-        )
+        # Every simulated cycle accounted for, landed on or skipped...
+        assert stats["cycles_visited"] + stats["cycles_advanced"] == stats["cycles"]
         # ...at a fraction of the visits, ticks and pump calls.
-        assert stats["cycles_visited"] < ref_stats["cycles_visited"] / 2
-        assert stats["ticks_a"] + stats["ticks_b"] < ref_stats["ticks_a"]
-        assert stats["until_calls"] < ref_stats["until_calls"] / 2
+        assert stats["cycles_visited"] < stats["cycles"] / 2
+        assert stats["ticks_a"] + stats["ticks_b"] < stats["cycles"]
+        assert stats["until_calls"] < stats["cycles"] / 2
         assert stats["until_calls"] >= len(progress["acted"])
+
+    def test_an_undeclared_pump_is_called_after_every_cycle_landed_on(self):
+        ref_tb, ref_progress, _, _ = self._transfer(None, per_cycle=True)
+        tb, progress, stats, finished = self._transfer(None)
+        assert finished
+        assert progress == ref_progress and tb.cycle == ref_tb.cycle
+        assert self._counters(tb) == self._counters(ref_tb)
+        # until runs at every top, the one that returns True included.
+        assert stats["until_calls"] == stats["cycles_visited"] + 1
+        assert stats["cycles_visited"] < stats["cycles"] / 2
 
     @pytest.mark.parametrize("max_steps", [1, 7, 8, 9, 250, 1001, 4444])
     def test_max_steps_lands_mid_skip_on_the_reference_cycle(self, max_steps):
-        ref_tb, ref_progress, _, ref_finished = self._transfer(None, max_steps=max_steps)
-        tb, progress, stats, finished = self._transfer(message_driven, max_steps=max_steps)
-        assert not finished and not ref_finished
-        assert stats["cycles_visited"] + stats["cycles_advanced"] == max_steps
-        assert tb.cycle == ref_tb.cycle
-        assert progress == ref_progress
+        """The step bound counts cycles landed on.  Cut there — engines
+        brought up to the cycle reached — and resumed, the run walks the
+        history the oracle walks in one go."""
+        ref_tb, ref_progress, _, _ = self._transfer(None, per_cycle=True)
+        tb, progress, stats, finished = self._transfer(
+            message_driven, max_steps=max_steps
+        )
+        finished_at_cut, visited_at_cut, engines_in_step = stats["cut"]
+        assert finished and engines_in_step
+        assert finished_at_cut == (visited_at_cut < max_steps)
+        assert visited_at_cut <= max_steps
+        assert progress == ref_progress and tb.cycle == ref_tb.cycle
         assert self._counters(tb) == self._counters(ref_tb)
+        assert stats["cycles_visited"] + stats["cycles_advanced"] == stats["cycles"]
 
     def test_none_from_quiet_cycle_means_call_again_next_cycle(self):
         tb, progress, stats, finished = self._transfer(lambda: None, total_bytes=20_000)
-        ref_tb, ref_progress, ref_stats, _ = self._transfer(None, total_bytes=20_000)
+        ref_tb, ref_progress, _, _ = self._transfer(
+            None, total_bytes=20_000, per_cycle=True
+        )
         assert finished
         assert progress == ref_progress and tb.cycle == ref_tb.cycle
-        assert stats["until_calls"] == ref_stats["until_calls"]
-        assert (
-            stats["cycles_visited"] + stats["cycles_advanced"]
-            == ref_stats["cycles_visited"]
-        )
-        # Even so, only an engine with work is ticked.
-        assert stats["ticks_a"] + stats["ticks_b"] < ref_stats["ticks_a"]
+        # Every cycle is landed on and pumped, as the oracle does...
+        assert stats["cycles_visited"] == stats["cycles"]
+        assert stats["until_calls"] == stats["cycles"] + 1
+        # ...even so, only an engine with work is ticked.
+        assert stats["ticks_a"] + stats["ticks_b"] < stats["cycles"]
         assert self._counters(tb) == self._counters(ref_tb)

@@ -110,3 +110,25 @@ class TestTracedScenarioDeterminism:
         layers = {event.layer for event in bus.events}
         assert len(layers) >= 4, layers
         assert "traffic" in layers
+
+
+def test_engine_layer_timestamps_never_run_backwards():
+    """One clock per engine: whatever block emits it, an engine's next
+    ``engine*`` event is never stamped before its last one.  (Until PR 23
+    the scheduler stamped its own tick count, which idle jumps did not
+    move: 82 of this run's 968 ``engine.sched`` events preceded an
+    earlier event of the same engine, by up to 104 us.)"""
+    load_engine = LoadEngine(get_scenario("mixed", seed=1234))
+    bus = TraceBus(layers=["engine"])
+    attach_load_engine(load_engine, bus)
+    load_engine.run()
+    latest = {}
+    backwards = []
+    for event in bus.events:
+        assert event.layer.startswith("engine")
+        engine = event.component.split("/")[0]
+        if event.t_ps < latest.get(engine, 0):
+            backwards.append(event)
+        latest[engine] = max(event.t_ps, latest.get(engine, 0))
+    assert sorted(latest) == ["a", "b"] and len(bus.events) > 2000
+    assert backwards == []

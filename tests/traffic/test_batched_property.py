@@ -1,17 +1,20 @@
 """Property test: the horizon loop is invisible to traces.
 
-``LoadEngine.batched`` selects between the per-cycle reference loop and
-the horizon loop (``Testbed.run`` with a ``quiet_cycle``: due-only
-engine ticks, ``FtEngine.advance_cycles`` over the gaps, the pump
-called on messages and on its own schedule).  The horizon loop may only
-leave out what it can prove is a no-op, so for ANY scenario and seed the
-obs trace fingerprint — every event at every layer, timestamped to the
-picosecond — must be bit-identical between the two.  Hypothesis
+``Testbed.run`` is the horizon loop (due-only engine ticks,
+``FtEngine.advance_cycles`` over the gaps, the pump called on messages
+and on its own schedule); ``tests/engine/_percycle_oracle.py`` is the
+loop it replaced, which visits, pumps and ticks every cycle.  The
+horizon loop may only leave out what it can prove is a no-op, so for
+ANY scenario and seed the obs trace fingerprint — every event at every
+layer, timestamped to the picosecond — must be bit-identical between
+the two.  Hypothesis
 composes small randomized scenarios (open/closed loop, persistent and
 churn lifecycles, skewed sizes, optional wire drops so timers and
 retransmissions run) and diffs the fingerprints, the same
 oracle-not-examples idiom as ``tests/mem/test_fuzz_churn.py``.
 """
+
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -30,6 +33,8 @@ from repro.traffic import (
     Zipf,
 )
 from repro.traffic.engine import LoadEngine
+
+from ..engine._percycle_oracle import run_per_cycle
 
 
 def _budget(quick):
@@ -97,13 +102,19 @@ def scenarios(draw):
     )
 
 
-def _traced_fingerprint(scenario, batched):
+def _traced_fingerprint(scenario, per_cycle):
     load_engine = LoadEngine(scenario)
-    load_engine.batched = batched
+    if per_cycle:
+        testbed = load_engine.testbed
+        testbed.run = lambda **kwargs: run_per_cycle(testbed, **kwargs)
     bus = TraceBus()
     attach_load_engine(load_engine, bus)
     try:
-        load_engine.run()
+        # Bounds the oracle can walk cycle by cycle (the defaults leave
+        # a stalled run 0.5 s, 125 M cycles, to give up in).
+        load_engine.run(
+            setup_time_s=2e-4, run_time_s=scenario.duration_s * 3 + 4e-4
+        )
         outcome = "completed"
     except TimeoutError:
         # Some drawn scenarios genuinely stall (e.g. a dropped
@@ -122,20 +133,21 @@ class TestBatchedLegacyEquivalence:
     )
     @given(scenario=scenarios())
     def test_fingerprints_identical(self, scenario):
-        assert _traced_fingerprint(scenario, batched=True) == \
-            _traced_fingerprint(scenario, batched=False)
-
-    def test_batched_is_the_default(self):
-        from repro.traffic import get_scenario
-
-        assert LoadEngine(get_scenario("mixed", seed=1)).batched is True
+        # A 50 us floor under the RTO (10 ms as shipped) lets a dropped
+        # segment's timer fire, back off and fire again inside those
+        # bounds — on both sides alike.
+        with mock.patch("repro.tcp.timers.MIN_RTO_S", 50e-6):
+            assert _traced_fingerprint(scenario, per_cycle=False) == \
+                _traced_fingerprint(scenario, per_cycle=True)
 
 
 def _cycle_gated_run(drop_every, send_every, sample_every, duration_s,
-                     declare_horizon, max_steps):
+                     max_steps):
     """A Fig-14-style pump: everything it does is gated on the cycle
-    count (send, sample, stop), nothing on engine messages.  Run to the
-    step bound first, then on to the end, as one history."""
+    count (send, sample, stop), nothing on engine messages.  With
+    ``max_steps``, the horizon loop declaring the pump's schedule, run
+    to the step bound first and then on to the end, as one history;
+    without, the per-cycle oracle."""
     testbed = Testbed(wire=Wire(drop_a_to_b=LossPattern.every_nth(drop_every, 5)))
     a_flow, b_flow = testbed.establish()
     samples = []
@@ -156,23 +168,18 @@ def _cycle_gated_run(drop_every, send_every, sample_every, duration_s,
         return testbed.now_s >= duration_s
 
     end_cycle = first_cycle_at(duration_s)
-    quiet_cycle = (
-        (lambda: min(gate["send"], gate["sample"], end_cycle))
-        if declare_horizon
-        else None
-    )
-    marks = []
-    for bound in (max_steps, 50_000_000):
-        finished = testbed.run(
-            until=pump, max_time_s=4 * duration_s, max_steps=bound,
-            quiet_cycle=quiet_cycle,
-        )
-        marks.append((
-            finished, testbed.cycle, len(samples),
-            [(e.cycle, e.scheduler.cycle, e.fpcs[0].cycle, e.counters.as_dict())
-             for e in (testbed.engine_a, testbed.engine_b)],
-        ))
-    return samples, marks
+    if max_steps is None:
+        finished = run_per_cycle(testbed, until=pump, max_time_s=4 * duration_s)
+    else:
+        for bound in (max_steps, 50_000_000):
+            finished = testbed.run(
+                until=pump, max_time_s=4 * duration_s, max_steps=bound,
+                quiet_cycle=lambda: min(gate["send"], gate["sample"], end_cycle),
+            )
+    return samples, finished, testbed.cycle, [
+        (e.cycle, e.scheduler.cycle, e.fpcs[0].cycle, e.stats_report())
+        for e in (testbed.engine_a, testbed.engine_b)
+    ]
 
 
 class TestCycleGatedPump:
@@ -196,5 +203,4 @@ class TestCycleGatedPump:
         self, drop_every, send_every, sample_every, duration_s, max_steps
     ):
         args = (drop_every, send_every, sample_every, duration_s)
-        assert _cycle_gated_run(*args, True, max_steps) == \
-            _cycle_gated_run(*args, False, max_steps)
+        assert _cycle_gated_run(*args, max_steps) == _cycle_gated_run(*args, None)

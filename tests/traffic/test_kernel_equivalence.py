@@ -11,29 +11,40 @@ without RTL.
 If a future PR changes these hashes it changed simulated behaviour.
 That can be legitimate (a modelling fix) but must be *deliberate*:
 re-capture the constants in the same change and say why.
+
+PR 23 (one clock per engine) is such a change, declared: a block's
+``cycle`` is the engine's, so an FPC's even/odd phase and the
+scheduler's pending retry no longer depend on which cycles the run loop
+jumped, a TCB swapped into an idle FPC starts at once, a timer or a
+declared pump cycle is met on the cycle it names, and scheduler trace
+events carry the engine's time.  All goldens below were re-captured
+then (EXPERIMENTS.md has the before/after table); a run that never
+waits and never spills kept its trace —
+``tests/engine/test_one_clock.py`` pins one captured at the parent.
 """
+
+import pytest
+from hypothesis import settings
 
 from repro.obs.hooks import attach_load_engine
 from repro.obs.trace import TraceBus, fingerprint
 from repro.traffic import get_scenario
 from repro.traffic.engine import LoadEngine
 
-#: Captured on the pre-PR-5 kernel (float time, exhaustive pump).
+from ..engine._percycle_oracle import use_per_cycle
+
+#: Re-captured at PR 23 (seed 1234); before that, the pre-PR-5 kernel's.
 GOLDEN = {
-    "mixed": "c900a42f80a90bb6c3fa31397baf484f0c72816e3217f9d7f5176cf3cc5aeaea",
-    "churn": "13abc7dc59d9267cf77599abfcc431370e6ce0d3a740a6bccc2f9eaca4563303",
+    "mixed": "4645a742d2ec9f2e275b17db0130ecc960e260db64b2946c43127f61f828d487",
+    "churn": "eaad53fb54053c62301f46277bd0c3f4d87f0ee384e351cb2c78675c774b17b1",
 }
 
 
 def traced_fingerprint(
-    scenario: str,
-    sweep: bool = False,
-    backend: str = "f4t",
-    batched: bool = True,
+    scenario: str, sweep: bool = False, backend: str = "f4t"
 ) -> str:
     load_engine = LoadEngine(get_scenario(scenario, seed=1234), backend=backend)
     load_engine.sweep_all_pumps = sweep
-    load_engine.batched = batched
     bus = TraceBus()
     attach_load_engine(load_engine, bus)
     load_engine.run()
@@ -53,12 +64,21 @@ class TestCycleExactEquivalence:
         side-effect-free polls."""
         assert traced_fingerprint("mixed", sweep=True) == GOLDEN["mixed"]
 
-    def test_per_cycle_loop_matches_golden_too(self):
-        """``batched = False`` is the per-cycle testbed loop the batched
-        one (quiet-cycle skips + ``advance_cycles``) is checked against;
-        it must land on the same trace, proving the batching collapses
-        only provable no-ops."""
-        assert traced_fingerprint("mixed", batched=False) == GOLDEN["mixed"]
+    def test_per_cycle_loop_matches_golden_too(self, monkeypatch):
+        """The per-cycle oracle (every cycle visited, pumped and ticked)
+        must land on the same trace, proving the horizon loop leaves
+        out only provable no-ops."""
+        use_per_cycle(monkeypatch)
+        assert traced_fingerprint("mixed") == GOLDEN["mixed"]
+
+    @pytest.mark.skipif(
+        settings.default.max_examples
+        != settings.get_profile("deep").max_examples,
+        reason="7M per-cycle visits (~40 s): CI's deep pass runs it",
+    )
+    def test_per_cycle_loop_matches_churn_golden(self, monkeypatch):
+        use_per_cycle(monkeypatch)
+        assert traced_fingerprint("churn") == GOLDEN["churn"]
 
     def test_f4t_behind_backend_interface_matches_golden(self):
         """PR 6 put the engine behind ``repro.fabric``'s OffloadBackend
@@ -69,20 +89,20 @@ class TestCycleExactEquivalence:
         assert traced_fingerprint("churn", backend="functional") == GOLDEN["churn"]
 
 
-#: 64 round-robin flows on 2 x 8 TCB slots, captured on the PR 17 tree:
-#: every round evicts and swaps in, so the trace also pins *when* a
-#: swapped-in TCB is first processed (``FlowProcessingCore.accept_tcb``'s
-#: start rule; 232 + 280 FPU passes — 233 + 281 if a swap-in into an
-#: idle FPC were dispatched at once).  ROADMAP item 4 asks whether that
-#: rule is the model we want; change it deliberately, not by optimising.
-GOLDEN_SPILL = "de270e20445c6bd808e3d8287e21cd8cac8c25544cb00207a4e7200f262a18d2"
+#: 64 round-robin flows on 2 x 8 TCB slots, re-captured at PR 23: every
+#: round evicts and swaps in, so the trace also pins *when* a swapped-in
+#: TCB is first processed — at once, also in an idle FPC (233 + 281
+#: FPU passes; 232 + 280 under the start rule PR 23 retired, which left
+#: such a TCB queued until that FPC's next event).
+GOLDEN_SPILL = "54e24698068e16326ab9e0c9c6052a5d2a8f66e561532b8a59dd22fefc0e5fe4"
+SPILL_PASSES = [233, 281]
 
 
 class TestSpillEquivalence:
     """The goldens above never leave SRAM; this one lives on migration."""
 
     @staticmethod
-    def _run(batched):
+    def _run():
         from repro.apps.roundrobin import round_robin_scenario
         from repro.engine.ftengine import FtEngineConfig
         from repro.engine.testbed import Testbed
@@ -92,7 +112,6 @@ class TestSpillEquivalence:
             round_robin_scenario(64, 3, 128),
             testbed=Testbed(config_a=config, config_b=config),
         )
-        load_engine.batched = batched
         bus = TraceBus()
         attach_load_engine(load_engine, bus)
         assert load_engine.run(setup_time_s=5.0).finished
@@ -105,10 +124,11 @@ class TestSpillEquivalence:
         return fingerprint(bus.events), passes
 
     def test_horizon_loop_matches_spill_golden(self):
-        assert self._run(batched=True) == (GOLDEN_SPILL, [232, 280])
+        assert self._run() == (GOLDEN_SPILL, SPILL_PASSES)
 
-    def test_per_cycle_loop_matches_spill_golden(self):
-        assert self._run(batched=False) == (GOLDEN_SPILL, [232, 280])
+    def test_per_cycle_loop_matches_spill_golden(self, monkeypatch):
+        use_per_cycle(monkeypatch)
+        assert self._run() == (GOLDEN_SPILL, SPILL_PASSES)
 
 
 class TestDirtySetBookkeeping:

@@ -17,11 +17,12 @@ from repro.traffic import get_scenario
 
 from .test_kernel_equivalence import GOLDEN
 
-#: Merged fingerprint of the per-class split of ``mixed`` (seed 1234),
-#: captured at introduction of repro.shard.  Moves only when simulated
-#: kernel behaviour moves — re-capture deliberately, with a reason.
+#: Merged fingerprint of the per-class split of ``mixed`` (seed 1234).
+#: Moves only when simulated kernel behaviour moves — re-capture
+#: deliberately, with a reason.  Last re-captured at PR 23 with
+#: ``GOLDEN`` (one clock per engine; see test_kernel_equivalence.py).
 GOLDEN_MIXED_SPLIT = (
-    "97c94cdb488a7b4601d587006a86d9ff0fcea6967b7bcd3b8875ae9e07634b06"
+    "99604b9242e83c950a804aa195833d1f93187c7a579570678aac21fac5df450a"
 )
 
 
