@@ -139,7 +139,11 @@ class Fpu:
         retransmission: bool = False,
         options: Optional[TcpOptions] = None,
     ) -> None:
-        window = tcb.rcv_wnd
+        # Tcb.rcv_wnd, worked out in place (once per directive).
+        used = seq_sub(tcb.rcv_nxt, tcb.rcv_user)
+        window = tcb.rcv_buf - used if used > 0 else tcb.rcv_buf
+        if window < 0:
+            window = 0
         result.directives.append(
             TxDirective(
                 flow_id=tcb.flow_id,
@@ -165,7 +169,8 @@ class Fpu:
         """One stateless pass over the accumulated events in ``tcb``."""
         self.passes += 1
         result = ProcessResult(tcb=tcb)
-        tcb.last_active = max(tcb.last_active, now_s)
+        if now_s > tcb.last_active:
+            tcb.last_active = now_s
         if tcb.snd_max is None:
             tcb.snd_max = tcb.snd_nxt
 
@@ -173,15 +178,21 @@ class Fpu:
             self._handle_rst(result, tcb)
             return result
 
-        self._handle_connection_setup(result, tcb, now_s)
-        self._handle_incoming_ack(result, tcb, now_s)
+        # Each piece is entered only when an event asked for it.
+        cc = tcb.cc
+        if tcb.syn_received or "_connect_req" in cc:
+            self._handle_connection_setup(result, tcb, now_s)
+        if "_latest_ack" in cc:
+            self._handle_incoming_ack(result, tcb, now_s)
         if dup_count:
             self._handle_dupacks(result, tcb, dup_count, now_s)
         if tcb.timeout_pending:
             self._handle_timeout(result, tcb, now_s)
         self._transmit_new_data(result, tcb, now_s)
-        self._handle_close(result, tcb, now_s)
-        self._handle_peer_fin(result, tcb)
+        if tcb.close_requested and not tcb.fin_sent:
+            self._handle_close(result, tcb, now_s)
+        if tcb.fin_received:
+            self._handle_peer_fin(result, tcb)
         self._generate_ack_if_needed(result, tcb)
         if tcb.state is TcpState.TIME_WAIT:
             # 2*MSL modelled as a couple of RTOs; expiry closes the flow.
@@ -348,12 +359,15 @@ class Fpu:
         if not tcb.in_recovery:
             tcb.cc.pop("_sack_rtx_high", None)
         # ACKed data invalidates stale SACK blocks below snd_una.
-        tcb.sacked = [
-            (s0, e0) for s0, e0 in tcb.sacked if seq_gt(e0, tcb.snd_una)
-        ]
+        if tcb.sacked:
+            tcb.sacked = [
+                (s0, e0) for s0, e0 in tcb.sacked if seq_gt(e0, tcb.snd_una)
+            ]
 
         # Timer: everything acknowledged -> cancel; otherwise restart.
-        if tcb.bytes_in_flight == 0 and not (tcb.fin_sent and not tcb.fin_acked):
+        if seq_sub(tcb.snd_nxt, tcb.snd_una) <= 0 and not (
+            tcb.fin_sent and not tcb.fin_acked
+        ):
             if tcb.state is not TcpState.CLOSED:
                 self._cancel(result, tcb)
         else:
@@ -527,36 +541,42 @@ class Fpu:
         if tcb.state not in DATA_STATES:
             return
         retransmitting = tcb.cc.pop("_retransmitting", False)
-        unsent = tcb.bytes_unsent
+        # Tcb.bytes_unsent, bytes_in_flight and effective_window, each
+        # worked out once.
+        snd_nxt = tcb.snd_nxt
+        unsent = seq_sub(tcb.req, snd_nxt)
         if unsent <= 0:
             return
-        window = tcb.effective_window
-        sendable = min(unsent, window)
+        in_flight = seq_sub(snd_nxt, tcb.snd_una)
+        if in_flight < 0:
+            in_flight = 0
+        window = tcb.cwnd if tcb.cwnd <= tcb.snd_wnd else tcb.snd_wnd
+        sendable = window - in_flight
+        if unsent <= sendable:
+            sendable = unsent
         if sendable <= 0:
-            if tcb.snd_wnd == 0 and tcb.bytes_in_flight == 0:
+            if tcb.snd_wnd == 0 and in_flight == 0:
                 # Blocked on a zero window: arm the persist timer.
                 self._arm(result, tcb, now_s)
             return
         self._emit(
             result,
             tcb,
-            seq=tcb.snd_nxt,
+            seq=snd_nxt,
             length=sendable,
             flags=FLAG_ACK | FLAG_PSH,
             retransmission=retransmitting,
         )
+        snd_nxt = seq_add(snd_nxt, sendable)
         if tcb.rtt_seq is None and not retransmitting:
-            tcb.rtt_seq = seq_add(tcb.snd_nxt, sendable)
+            tcb.rtt_seq = snd_nxt
             tcb.rtt_sent_at = now_s
-        tcb.snd_nxt = seq_add(tcb.snd_nxt, sendable)
+        tcb.snd_nxt = snd_nxt
         self._arm(result, tcb, now_s)
 
     def _handle_close(self, result: ProcessResult, tcb: Tcb, now_s: float) -> None:
-        if (
-            not tcb.close_requested
-            or tcb.fin_sent
-            or tcb.bytes_unsent > 0
-            or tcb.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT)
+        if tcb.bytes_unsent > 0 or tcb.state not in (
+            TcpState.ESTABLISHED, TcpState.CLOSE_WAIT
         ):
             return
         self._emit(result, tcb, seq=tcb.snd_nxt, length=0, flags=FLAG_FIN | FLAG_ACK)
@@ -567,8 +587,6 @@ class Fpu:
         self._arm(result, tcb, now_s)
 
     def _handle_peer_fin(self, result: ProcessResult, tcb: Tcb) -> None:
-        if not tcb.fin_received:
-            return
         tcb.fin_received = False
         tcb.state = on_fin_received(tcb.state)
         tcb.ack_pending = True

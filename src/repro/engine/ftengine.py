@@ -32,7 +32,14 @@ from ..mem.sketch import make_sketch
 from ..net.wire import WirePort
 from ..sim.component import NEVER, Component
 from ..sim.stats import Counters
-from ..tcp.segment import FLAG_ACK, FLAG_RST, FlowKey, TcpSegment, ip_to_string
+from ..tcp.segment import (
+    FLAG_ACK,
+    FLAG_RST,
+    PACKET_OVERHEAD,
+    FlowKey,
+    TcpSegment,
+    ip_to_string,
+)
 from ..tcp.seq import SEQ_MOD, seq_add
 from ..tcp.state_machine import TcpState
 from ..tcp.tcb import DEFAULT_BUFFER_BYTES, DEFAULT_MSS, Tcb
@@ -47,7 +54,7 @@ from .events import (
     user_send_event,
 )
 from .fpc import FlowProcessingCore
-from .fpu import NoteKind, ProcessResult, TimerOp
+from .fpu import NoteKind, ProcessResult, TimerOp, TxDirective
 from .icmp import IcmpMessage, IcmpModule
 from .memory_manager import MemoryManager
 from .rx_parser import RxParser
@@ -245,10 +252,20 @@ class FtEngine(Component):
 
         self.counters = Counters()
 
+        #: The work horizon: the first cycle on which :meth:`tick` does
+        #: anything, NEVER while nothing is scheduled.  The end of each
+        #: tick publishes it and a submitted event pulls it to the next
+        #: cycle — every host call that can move it submits one — so it
+        #: holds until this engine's next tick, except that the peer's
+        #: tick can pull its wire-arrival term in (:meth:`Testbed.run`
+        #: folds :meth:`next_arrival_cycle` then).
+        self.next_action = NEVER
         #: Horizon memos: the cycle a timer hint / a wire arrival falls
         #: on only changes when the hint / the head frame does.
         self._timer_memo = (math.inf, NEVER)
         self._arrival_memo = (None, NEVER)
+        #: The frames on their way in, earliest arrival first.
+        self._wire_in = port._inbound._in_flight if port is not None else []
 
         #: Observability (repro.obs): a TraceBus, or None — the default —
         #: which keeps every emit site at one attribute test of cost.
@@ -463,6 +480,8 @@ class FtEngine(Component):
             )
         if self._event_backlog or not self.scheduler.submit(event):
             self._event_backlog.append(event)
+        # Routed, coalesced or backlogged, the next tick has work.
+        self.next_action = self.cycle + 1
 
     def _drain_backlog(self) -> None:
         while self._event_backlog:
@@ -471,27 +490,36 @@ class FtEngine(Component):
             self._event_backlog.popleft()
 
     # ---------------------------------------------------------------- tick
-    def next_work_cycle(self) -> Optional[int]:
-        """The exact cycle at which :meth:`tick` next does work.
+    def next_work_cycle(self) -> int:
+        """Publish :attr:`next_action` from scratch, and return it.
 
-        None means nothing is scheduled at all (quiet forever, absent
-        external input).  Exact as long as nothing external — a wire
-        send from the peer, a host API call — happens before the
-        returned cycle, so whoever caches the value recomputes it after
-        this engine's own tick and after a host call, and folds
-        :meth:`next_arrival_cycle` in after the peer's tick.  What the
-        very next tick would consume (backlog, RX notifications)
-        reports ``cycle + 1``; the rest is a minimum over cycles of this
-        engine's clock that the blocks keep current — the scheduler's,
-        the memory manager's and the FPCs' ``next_action`` — plus timer
-        expiry and wire arrivals.
+        For whoever drives this engine after changing it from outside
+        the host API — a wire send, a timer, another run loop — as
+        :meth:`Testbed.run` does once on entry.  From there on
+        :meth:`tick` and the host calls keep it current.
         """
+        best = NEVER
+        for fpc in self.fpcs:
+            if fpc.next_action < best:
+                best = fpc.next_action
+        return self._publish(best)
+
+    def _publish(self, best: int) -> int:
+        """Set :attr:`next_action` to the earliest of ``best`` (the FPCs'
+        minimum) and the cycles the other blocks, the timers and the
+        wire name for this engine's clock; a cycle already reached
+        means the next tick."""
         cycle = self.cycle
-        if self._event_backlog or self.rx_parser.notifications:
-            return cycle + 1
-        best = self.memory_manager.next_action
-        if self.port is not None:
-            in_flight = self.port._inbound._in_flight
+        if self._event_backlog:
+            best = cycle + 1
+        else:
+            due = self.memory_manager.next_action
+            if due < best:
+                best = due
+            due = self.scheduler.next_action
+            if due < best:
+                best = due
+            in_flight = self._wire_in
             if in_flight:
                 # next_arrival_cycle(), its memo read in place.
                 memo_ps, due = self._arrival_memo
@@ -499,32 +527,25 @@ class FtEngine(Component):
                     due = self.next_arrival_cycle()
                 if due < best:
                     best = due
-        if self.scheduler.next_action < best:
-            best = self.scheduler.next_action
-        for fpc in self.fpcs:
-            if fpc.next_action < best:
-                best = fpc.next_action
-        hint_s = self.timers.earliest_hint
-        if hint_s != math.inf:
-            memo_s, c = self._timer_memo
+            hint_s = self.timers.earliest_hint
+            memo_s, due = self._timer_memo
             if hint_s != memo_s:
-                c = first_cycle_at(hint_s)
-                self._timer_memo = (hint_s, c)
-            if c < best:
-                best = c
-        if best <= cycle:
-            return cycle + 1
-        return None if best == NEVER else best
+                due = NEVER if hint_s == math.inf else first_cycle_at(hint_s)
+                self._timer_memo = (hint_s, due)
+            if due < best:
+                best = due
+            if best <= cycle:
+                best = cycle + 1
+        self.next_action = best
+        return best
 
     def next_arrival_cycle(self) -> int:
         """First cycle whose wire poll delivers a frame; NEVER if none.
 
-        The one term of :meth:`next_work_cycle` the peer's tick can
-        move: a frame sent at cycle *c* arrives strictly after *c*.
+        The one term of :attr:`next_action` the peer's tick can move: a
+        frame sent at cycle *c* arrives strictly after *c*.
         """
-        if self.port is None:
-            return NEVER
-        in_flight = self.port._inbound._in_flight
+        in_flight = self._wire_in
         if not in_flight:
             return NEVER
         arrival_ps = in_flight[0][0]
@@ -545,7 +566,7 @@ class FtEngine(Component):
 
         Every block reads this clock, so there is nothing else to move.
         The caller proves quietness first: ``n`` must stop short of
-        :meth:`next_work_cycle`.
+        :attr:`next_action`.
         """
         self.cycle += n
 
@@ -558,30 +579,49 @@ class FtEngine(Component):
             self._expire_timers()
         if self._event_backlog:
             self._drain_backlog()
-        port = self.port
-        if port is not None:
-            in_flight = port._inbound._in_flight
-            if in_flight and in_flight[0][0] <= cycle * ENGINE_PERIOD_PS:
-                self._poll_wire()
+        in_flight = self._wire_in
+        if in_flight and in_flight[0][0] <= cycle * ENGINE_PERIOD_PS:
+            for frame in self.port.poll(cycle * ENGINE_PERIOD_PS):
+                self._handle_frame(frame)
         if self.scheduler.next_action <= cycle:
             self.scheduler.tick()
         if self.memory_manager.next_action <= cycle:
             self.memory_manager.tick()
+        # Nothing later in a tick moves an FPC's horizon once it has
+        # had its turn, so their minimum is taken on the way.
+        best = NEVER
         for fpc in self.fpcs:
-            if fpc.next_action <= cycle:
+            due = fpc.next_action
+            if due <= cycle:
                 fpc.tick()
                 if fpc.out_results:
                     self._drain_one_fpc(fpc)
+                due = fpc.next_action
+            if due < best:
+                best = due
+        # Last, so no RX notification outlives a tick.
         if self.rx_parser.notifications:
             self._drain_rx_notifications()
+        self._publish(best)
 
     def _drain_one_fpc(self, fpc) -> None:
-        """Apply what an FPC's tick produced.  (A TCB it evicted stays
-        queued on the FPC: the scheduler, woken by it, collects it.)"""
+        """Apply what an FPC's tick produced: timer, segments, host
+        notifications.  (A TCB it evicted stays queued on the FPC: the
+        scheduler, woken by it, collects it.)"""
         for result in fpc.drain_results():
             if self.trace is not None:
                 self._trace_fpu(fpc, result)
-            self._apply_result(result)
+            tcb = result.tcb
+            if result.timer is TimerOp.ARM:
+                self.timers.arm(tcb.flow_id, result.timer_deadline)
+            elif result.timer is TimerOp.CANCEL:
+                self.timers.cancel(tcb.flow_id)
+            # Directives first: a CLOSED notification tears the flow
+            # down, and the final ACK must still make it out.
+            if result.directives:
+                self._transmit_directives(tcb, result.directives)
+            for note in result.notifications:
+                self._apply_notification(note.kind, note.flow_id, note.value)
 
     def _trace_fpu(self, fpc, result: ProcessResult) -> None:
         """One FPU pass (and any state transition) onto the trace bus."""
@@ -615,12 +655,6 @@ class FtEngine(Component):
             if flow_id in self.flows:
                 self._submit(timeout_event(flow_id, self.now_s))
                 self.counters.add("timeouts_fired")
-
-    def _poll_wire(self) -> None:
-        if self.port is None:
-            return
-        for frame in self.port.poll(self.time_ps):
-            self._handle_frame(frame)
 
     def _handle_frame(self, frame: EthernetFrame) -> None:
         if frame.ethertype == ETHERTYPE_ARP:
@@ -678,32 +712,6 @@ class FtEngine(Component):
             )
         self.counters.add("rsts_sent")
         self._transmit_ip(rst, rst.dst_ip)
-
-    def _apply_result(self, result: ProcessResult) -> None:
-        tcb = result.tcb
-        if result.timer is TimerOp.ARM:
-            self.timers.arm(tcb.flow_id, result.timer_deadline)
-        elif result.timer is TimerOp.CANCEL:
-            self.timers.cancel(tcb.flow_id)
-
-        # Directives first: a CLOSED notification tears the flow down,
-        # and the final ACK must still make it out.
-        mss = tcb.mss or self.config.mss
-        sack_blocks = None
-        rx_state = self.rx_parser.rx_states.get(tcb.flow_id)
-        if rx_state is not None and rx_state.reassembly.out_of_order_chunks:
-            # RFC 2018: advertise our out-of-order holdings so the peer
-            # retransmits only the holes.
-            sack_blocks = rx_state.reassembly.chunk_boundaries()[:3]
-        for directive in result.directives:
-            for segment in self.packet_gen.generate(directive, mss, sack_blocks):
-                self._transmit_segment(segment)
-                self.counters.add("packets_sent")
-                if directive.retransmission:
-                    self.counters.add("retransmissions")
-
-        for note in result.notifications:
-            self._apply_notification(note.kind, note.flow_id, note.value)
 
     def _post_message(self, kind: str, flow_id: int, value: int = 0) -> None:
         """Queue a message on the flow's thread (receive-side scaling)."""
@@ -769,16 +777,51 @@ class FtEngine(Component):
             self._post_message(kind, note.flow_id, note.readable_pointer)
 
     # ------------------------------------------------------------ transmit
-    def _transmit_segment(self, segment: TcpSegment) -> None:
-        if self.trace is not None:
-            flow_id = self.rx_parser.lookup(segment.flow_key)
-            self.trace.emit(
-                self.time_ps, "engine.tx", f"{self.trace_name}/tx", "tx",
-                flow_id if flow_id is not None else -1,
-                f"{segment.flag_names()} seq={segment.seq} "
-                f"ack={segment.ack} len={len(segment.payload)}",
+    def _transmit_directives(self, tcb: Tcb, directives: List[TxDirective]) -> None:
+        """One FPU pass's segments onto the wire: one frame each, built
+        here with its known size when the peer's MAC is resolved."""
+        mss = tcb.mss or self.config.mss
+        sack_blocks = None
+        rx_state = self.rx_parser.rx_states.get(tcb.flow_id)
+        if rx_state is not None and rx_state.reassembly.out_of_order_chunks:
+            # RFC 2018: advertise our out-of-order holdings so the peer
+            # retransmits only the holes.
+            sack_blocks = rx_state.reassembly.chunk_boundaries()[:3]
+        port = self.port
+        now_ps = self.cycle * ENGINE_PERIOD_PS
+        for directive in directives:
+            segments = self.packet_gen.generate(directive, mss, sack_blocks)
+            if not segments:
+                continue
+            # TcpSegment.wire_length, once per directive: its segments
+            # share its options (most directives carry none).
+            options = directive.options
+            overhead = PACKET_OVERHEAD + (
+                0 if options is None else len(options.encode())
             )
-        self._transmit_ip(segment, segment.dst_ip)
+            for segment in segments:
+                if self.trace is not None:
+                    flow_id = self.rx_parser.lookup(segment.flow_key)
+                    self.trace.emit(
+                        now_ps, "engine.tx", f"{self.trace_name}/tx", "tx",
+                        flow_id if flow_id is not None else -1,
+                        f"{segment.flag_names()} seq={segment.seq} "
+                        f"ack={segment.ack} len={len(segment.payload)}",
+                    )
+                dst_mac = None if port is None else self.arp.resolve(segment.dst_ip)
+                if dst_mac is None:
+                    self._transmit_ip(segment, segment.dst_ip)
+                else:
+                    port.send(
+                        EthernetFrame(
+                            self.mac, dst_mac, ETHERTYPE_IPV4, segment,
+                            overhead + len(segment.payload),
+                        ),
+                        now_ps,
+                    )
+            self.counters.add("packets_sent", len(segments))
+            if directive.retransmission:
+                self.counters.add("retransmissions", len(segments))
 
     def _transmit_ip(self, packet, dst_ip: int) -> None:
         if self.port is None:

@@ -119,6 +119,11 @@ class MemoryManager(Component):
         #: Called when a swap-in request is queued (the scheduler, which
         #: drains them, hangs its wake here), or None.
         self.notify_scheduler: Optional[Callable[[], None]] = None
+        #: Called with an event whose flow was swapped in while the
+        #: event waited in :attr:`input` (the scheduler hangs its
+        #: pending queue here, which routes it again to wherever the
+        #: flow is by then), or None.
+        self.return_event: Optional[Callable[[TcpEvent], None]] = None
         #: The work horizon, in cycles of ``time_ps_fn``'s clock: the
         #: first on which :meth:`tick` handles an event — queued input
         #: and a free DRAM channel — NEVER while the input is empty.
@@ -292,7 +297,12 @@ class MemoryManager(Component):
         """Handle (accumulate) one event against the DRAM-resident TCB."""
         pair = self._resident.get(event.flow_id)
         if pair is None:
-            return  # flow migrated away after routing; scheduler retries
+            # Swapped in after routing: dropping it here would lose a
+            # cumulative pointer (a request's last ``req``) for good.
+            if self.return_event is None:
+                raise KeyError(f"flow {event.flow_id} is not DRAM-resident")
+            self.return_event(event)
+            return
         tcb, entry = pair
         self._touch_cache(event.flow_id)
         accumulate_event(entry, event)

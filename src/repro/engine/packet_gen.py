@@ -76,9 +76,9 @@ class PacketGenerator:
                 segments.append(segment)
                 seq = seq_add(seq, take)
                 remaining -= take
+            self.bytes_generated += directive.length
 
         self.packets_generated += len(segments)
-        self.bytes_generated += sum(len(s.payload) for s in segments)
         return segments
 
     def _bare_segment(

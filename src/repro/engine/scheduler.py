@@ -101,6 +101,7 @@ class Scheduler(Component):
         # The blocks whose output queues tick() drains say when they
         # fill one.
         memory_manager.notify_scheduler = self._wake
+        memory_manager.return_event = self._pend
         for fpc in fpcs:
             fpc.notify_scheduler = self._wake
 
@@ -265,8 +266,7 @@ class Scheduler(Component):
             return True  # flow closed while queued; drop
         location, fpc_id = where
         if location is Location.MOVING:
-            self.pending.append((self.clock.cycle + PENDING_RETRY_CYCLES, event))
-            self.max_pending = max(self.max_pending, len(self.pending))
+            self._pend(event)
             if self.trace is not None:
                 self.trace.emit(
                     self.cycle * CYCLE_PS, "engine.sched", self.trace_name,
@@ -297,8 +297,7 @@ class Scheduler(Component):
                     and not target.backpressure
                 ):
                     self._migrate_between_fpcs(event.flow_id, fpc_id)
-                    self.pending.append((self.clock.cycle + PENDING_RETRY_CYCLES, event))
-                    self.max_pending = max(self.max_pending, len(self.pending))
+                    self._pend(event)
                     return True
             return fpc.offer_event(event)
         return self.memory_manager.offer_event(event)
@@ -316,7 +315,17 @@ class Scheduler(Component):
                     "retry", event.flow_id, event.kind.value,
                 )
             if not self._route(event):
-                self.pending.append((self.clock.cycle + PENDING_RETRY_CYCLES, event))
+                self._pend(event)
+
+    def _pend(self, event: TcpEvent) -> None:
+        """Hold ``event`` in the pending queue and route it again
+        PENDING_RETRY_CYCLES on (§4.3.2) — also called by the memory
+        manager for an event whose flow left DRAM while it was queued."""
+        retry = self.clock.cycle + PENDING_RETRY_CYCLES
+        self.pending.append((retry, event))
+        self.max_pending = max(self.max_pending, len(self.pending))
+        if retry < self.next_action:
+            self.next_action = retry
 
     # ----------------------------------------------------------- migration
     def _migrate_between_fpcs(self, flow_id: int, source_fpc: int) -> None:

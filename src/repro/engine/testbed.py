@@ -91,13 +91,15 @@ class Testbed:
 
         One loop, whose cost follows the work instead of the clock.
         Each iteration lands on the earliest of both engines'
-        :meth:`FtEngine.next_work_cycle`, the cycle the pump asked for
-        and the bound, and ticks the engine(s) due there; the cycles an
+        :attr:`FtEngine.next_action`, the cycle the pump asked for and
+        the bound, and ticks the engine(s) due there; the cycles an
         engine sat out reach it as one :meth:`FtEngine.advance_cycles`
         before its next tick, the next ``until`` call or the return.
-        An engine's horizon holds until its own tick or an ``until``
-        call; the peer's tick can only pull its wire-arrival term in
-        (a frame sent at cycle *c* arrives strictly after *c*).
+        An engine keeps its horizon current through its own ticks and
+        host calls; the peer's tick can only pull its wire-arrival term
+        in (a frame sent at cycle *c* arrives strictly after *c*), so
+        that term is folded in after a tick that put a new frame at the
+        head of the peer's inbound wire.
 
         ``until`` is called after every cycle landed on — every cycle
         on which an engine worked — unless the pump declares its own
@@ -127,9 +129,14 @@ class Testbed:
         engine_b = self.engine_b
         tick_a = engine_a.tick
         tick_b = engine_b.tick
+        # The frames on their way to each engine.
+        inbound_a = engine_a._wire_in
+        inbound_b = engine_b._wire_in
         engine_a.cycle = engine_b.cycle = start
-        # The cycle each engine's tick is next due on (-1: stale).
-        work_a = work_b = -1
+        # Whatever was done to the engines between runs, from here on
+        # they keep their horizons.
+        engine_a.next_work_cycle()
+        engine_b.next_work_cycle()
         pump_at = 0
         epoch_a = epoch_b = -1
         landings = until_calls = ticks_a = ticks_b = 0
@@ -161,14 +168,10 @@ class Testbed:
                             )
                     epoch_a = engine_a.msg_epoch
                     epoch_b = engine_b.msg_epoch
-                    work_a = work_b = -1  # host calls reach both engines
                 if cycle >= bound or landings >= max_steps:
                     return False
-                # Stale means just ticked or just pumped: in step.
-                if work_a < 0:
-                    work_a = engine_a.next_work_cycle() or NEVER
-                if work_b < 0:
-                    work_b = engine_b.next_work_cycle() or NEVER
+                work_a = engine_a.next_action
+                work_b = engine_b.next_action
                 land = work_a if work_a < work_b else work_b
                 if cycle < pump_at < land:
                     land = pump_at
@@ -181,26 +184,25 @@ class Testbed:
                 if work_a <= land:
                     if engine_a.cycle != land - 1:
                         engine_a.advance_cycles(land - 1 - engine_a.cycle)
+                    head = inbound_b[0] if inbound_b else None
                     tick_a()
                     ticks_a += 1
-                    work_a = -1
-                    if work_b > land:
-                        # B sits this cycle out on a horizon taken
-                        # before A's tick: valid for this cycle, but a
-                        # frame A just sent may arrive before it.
+                    # Unless B's own tick is next, fold in a frame A
+                    # just put at the head of B's inbound wire.
+                    if work_b > land and inbound_b and inbound_b[0] is not head:
                         arrival = engine_b.next_arrival_cycle()
-                        if arrival < work_b:
-                            work_b = arrival
+                        if arrival < engine_b.next_action:
+                            engine_b.next_action = arrival
                 if work_b <= land:
                     if engine_b.cycle != land - 1:
                         engine_b.advance_cycles(land - 1 - engine_b.cycle)
+                    head = inbound_a[0] if inbound_a else None
                     tick_b()
                     ticks_b += 1
-                    work_b = -1
-                    if work_a > land:
+                    if inbound_a and inbound_a[0] is not head:
                         arrival = engine_a.next_arrival_cycle()
-                        if arrival < work_a:
-                            work_a = arrival
+                        if arrival < engine_a.next_action:
+                            engine_a.next_action = arrival
         finally:
             cycle = self.cycle
             for engine in (engine_a, engine_b):

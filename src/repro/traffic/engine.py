@@ -208,23 +208,6 @@ class _Conn:
         self.dirty = False
 
 
-def _conn_snapshot(conn: "_Conn") -> tuple:
-    """Everything _advance_conn can change without changing conn.state.
-
-    An advance that leaves the snapshot identical made no progress — the
-    conn is blocked on the engines and safe to park until a message.
-    """
-    return (
-        conn.state,
-        conn.send_remaining,
-        conn.resp_remaining,
-        conn.srv_send_remaining,
-        len(conn.srv_expect),
-        conn.srv_expect[0][1] if conn.srv_expect else -1,
-        conn.current,
-    )
-
-
 class _ClassState:
     """Runtime bookkeeping for one traffic class."""
 
@@ -311,9 +294,10 @@ class LoadEngine:
         #: (side, thread_id) -> scan position in that host-message queue.
         self._msg_cursors: Dict[tuple, int] = {}
         self._msg_epochs = [-1, -1]  # last-seen msg_epoch per engine side
-        #: Verification switch: advance every conn every pump (the
-        #: pre-dirty-set behaviour).  Both modes are cycle-identical —
-        #: tests assert equal trace fingerprints — but sweeping is slow.
+        #: Verification switch: advance every conn on every pump call,
+        #: parked ones too (the pre-dirty-set behaviour).  Both modes
+        #: are cycle-identical — tests assert equal trace fingerprints
+        #: and that a parked conn's advance changes nothing.
         self.sweep_all_pumps = False
 
         #: Observability (repro.obs): a TraceBus, or None (free default).
@@ -438,8 +422,6 @@ class LoadEngine:
         messages need no horizon because they only appear through
         engine work.
         """
-        if self.sweep_all_pumps:
-            return None
         for state in self.states.values():
             cls = state.cls
             if state.dirty or (
@@ -476,9 +458,9 @@ class LoadEngine:
             self._next_trace_sample_cycle = tb.cycle + self.trace_sample_cycles
         self._poll_accepts()
         self._drain_host_messages()
+        self._release_arrivals()
         if self.sweep_all_pumps:
             self._mark_all_dirty()
-        self._release_arrivals()
         # Declaration-order iteration, fixed per scenario+seed; sorting
         # would reorder emits and re-pin the trace goldens.
         for state in self.states.values():
@@ -613,7 +595,6 @@ class LoadEngine:
         dirty.sort(key=_A_FLOW)
         state.dirty = still_dirty = []  # advancing one conn marks no other
         for conn in dirty:
-            before = _conn_snapshot(conn)
             self._advance_conn(state, conn)
             if conn.state == _DONE:
                 state.conns.remove(conn)
@@ -621,12 +602,33 @@ class LoadEngine:
                     self._conn_of_a.pop(conn.a_flow, None)
                 if conn.b_flow is not None:
                     self._conn_of_b.pop(conn.b_flow, None)
-            elif _conn_snapshot(conn) == before:
-                # No forward progress: the conn is blocked on the engines
-                # and an EngineMessage will re-mark it when that changes.
-                conn.dirty = False
-            else:
+            elif self._may_act(state, conn):
                 still_dirty.append(conn)
+            else:
+                # Blocked on the engines: an EngineMessage re-marks it
+                # when that changes.
+                conn.dirty = False
+
+    def _may_act(self, state: _ClassState, conn: _Conn) -> bool:
+        """Whether the next advance of ``conn`` can act with no
+        EngineMessage in between: a request to issue, or a send — the
+        client's or the server's — with buffer room.
+
+        Nothing else is left by an advance: it reads every readable
+        byte on both sides, moves a handshake or a teardown as far as
+        the engines allow, and each of those waits on a message.
+        """
+        if conn.state == _READY and self._has_request(state, conn):
+            return True
+        if (
+            conn.state == _SENDING
+            and self.testbed.engine_a.flows[conn.a_flow].stream.room
+        ):
+            return True
+        if conn.srv_send_remaining:
+            record = self.testbed.engine_b.flows.get(conn.b_flow)
+            return record is not None and record.stream.room > 0
+        return False
 
     def _churn_work(self, state: _ClassState) -> bool:
         if state.cls.open_loop:
@@ -681,20 +683,28 @@ class LoadEngine:
                         f"lifecycle_us={(tb.now_s - conn.connect_s) * 1e6:.2f}",
                     )
 
-    def _maybe_issue(self, state: _ClassState, conn: _Conn) -> None:
+    @staticmethod
+    def _has_request(state: _ClassState, conn: _Conn) -> bool:
+        """Whether :meth:`_maybe_issue` would find a request for ``conn``."""
         cls = state.cls
-        request: Optional[Request] = None
         if cls.lifecycle == PER_REQUEST:
-            request = conn.current  # churn conns carry their one request
+            return conn.current is not None  # churn conns carry their one
+        if cls.open_loop:
+            return bool(state.pending)
+        return conn.rounds_left > 0
+
+    def _maybe_issue(self, state: _ClassState, conn: _Conn) -> None:
+        if not self._has_request(state, conn):
+            return
+        cls = state.cls
+        if cls.lifecycle == PER_REQUEST:
+            request = conn.current
         elif cls.open_loop:
-            if state.pending:
-                request = state.pending.popleft()
-        elif conn.rounds_left > 0:
+            request = state.pending.popleft()
+        else:
             conn.rounds_left -= 1
             request = self._closed_loop_request(state)
             self._outstanding += 1
-        if request is None:
-            return
         conn.current = request
         conn.send_remaining = request.request_bytes
         conn.resp_remaining = request.response_bytes

@@ -7,15 +7,18 @@ loop it replaced, which visits, pumps and ticks every cycle.  The
 horizon loop may only leave out what it can prove is a no-op, so for
 ANY scenario and seed the obs trace fingerprint — every event at every
 layer, timestamped to the picosecond — must be bit-identical between
-the two.  Hypothesis
-composes small randomized scenarios (open/closed loop, persistent and
-churn lifecycles, skewed sizes, optional wire drops so timers and
-retransmissions run) and diffs the fingerprints, the same
+the two — and on the horizon side every engine's published
+``next_action`` must equal the from-scratch horizon
+(``tests/engine/_horizon_oracle.py``) after every tick and pump call.
+Hypothesis composes small randomized scenarios (open/closed loop,
+persistent and churn lifecycles, skewed sizes, optional wire drops so
+timers and retransmissions run) and diffs the fingerprints, the same
 oracle-not-examples idiom as ``tests/mem/test_fuzz_churn.py``.
 """
 
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine.ftengine import first_cycle_at
@@ -34,6 +37,7 @@ from repro.traffic import (
 )
 from repro.traffic.engine import LoadEngine
 
+from ..engine._horizon_oracle import check_published_horizons
 from ..engine._percycle_oracle import run_per_cycle
 
 
@@ -137,8 +141,11 @@ class TestBatchedLegacyEquivalence:
         # segment's timer fire, back off and fire again inside those
         # bounds — on both sides alike.
         with mock.patch("repro.tcp.timers.MIN_RTO_S", 50e-6):
-            assert _traced_fingerprint(scenario, per_cycle=False) == \
-                _traced_fingerprint(scenario, per_cycle=True)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                checked = check_published_horizons(monkeypatch)
+                horizon = _traced_fingerprint(scenario, per_cycle=False)
+            assert checked["until_calls"] > 0
+            assert horizon == _traced_fingerprint(scenario, per_cycle=True)
 
 
 def _cycle_gated_run(drop_every, send_every, sample_every, duration_s,

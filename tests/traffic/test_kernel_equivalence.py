@@ -28,7 +28,7 @@ from hypothesis import settings
 
 from repro.obs.hooks import attach_load_engine
 from repro.obs.trace import TraceBus, fingerprint
-from repro.traffic import get_scenario
+from repro.traffic import Fixed, Scenario, TrafficClass, get_scenario
 from repro.traffic.engine import LoadEngine
 
 from ..engine._percycle_oracle import use_per_cycle
@@ -40,15 +40,81 @@ GOLDEN = {
 }
 
 
+def _large_transfers() -> Scenario:
+    """Two closed-loop conns, 200 KB requests and 150 KB responses."""
+    return Scenario(
+        name="large",
+        classes=[TrafficClass(
+            name="large", request=Fixed(200_000), response=Fixed(150_000),
+            rounds=2, connections=2,
+        )],
+        duration_s=1e-3,
+        seed=1234,
+    )
+
+
 def traced_fingerprint(
     scenario: str, sweep: bool = False, backend: str = "f4t"
 ) -> str:
-    load_engine = LoadEngine(get_scenario(scenario, seed=1234), backend=backend)
+    load_engine = LoadEngine(
+        _large_transfers() if scenario == "large"
+        else get_scenario(scenario, seed=1234),
+        backend=backend,
+    )
     load_engine.sweep_all_pumps = sweep
     bus = TraceBus()
     attach_load_engine(load_engine, bus)
     load_engine.run()
     return fingerprint(bus.events)
+
+
+def _conn_snapshot(conn) -> tuple:
+    """Everything an advance can change of a conn."""
+    return (
+        conn.state,
+        conn.send_remaining,
+        conn.resp_remaining,
+        conn.srv_send_remaining,
+        len(conn.srv_expect),
+        conn.srv_expect[0][1] if conn.srv_expect else -1,
+        conn.current,
+    )
+
+
+def check_parking(monkeypatch) -> list:
+    """The pump's parking rule, checked: with ``sweep_all_pumps`` on,
+    every pump call advances every conn, and an advance of a conn the
+    dirty-set pump would have skipped — parked by ``_may_act`` and not
+    re-marked by a message, an accept or an arrival since — must change
+    neither the conn nor an engine (no event submitted).  Returns a
+    one-element list counting the parked advances checked."""
+    parked = {}
+    checked = [0]
+    mark_all, advance = LoadEngine._mark_all_dirty, LoadEngine._advance_conn
+
+    def recording_mark_all(load_engine):
+        parked.clear()
+        for state in load_engine.states.values():
+            parked.update((id(c), c) for c in state.conns if not c.dirty)
+        mark_all(load_engine)
+
+    def submitted(load_engine):
+        return [
+            (engine.scheduler.events_submitted, len(engine._event_backlog))
+            for engine in (load_engine.testbed.engine_a, load_engine.testbed.engine_b)
+        ]
+
+    def checked_advance(load_engine, state, conn):
+        if parked.get(id(conn)) is not conn:
+            return advance(load_engine, state, conn)
+        before = _conn_snapshot(conn), submitted(load_engine)
+        advance(load_engine, state, conn)
+        assert (_conn_snapshot(conn), submitted(load_engine)) == before
+        checked[0] += 1
+
+    monkeypatch.setattr(LoadEngine, "_mark_all_dirty", recording_mark_all)
+    monkeypatch.setattr(LoadEngine, "_advance_conn", checked_advance)
+    return checked
 
 
 class TestCycleExactEquivalence:
@@ -58,11 +124,26 @@ class TestCycleExactEquivalence:
     def test_churn_matches_pre_optimization_golden(self):
         assert traced_fingerprint("churn") == GOLDEN["churn"]
 
-    def test_sweep_mode_matches_golden_too(self):
-        """``sweep_all_pumps`` replays the pre-dirty-set exhaustive poll;
-        it must land on the same trace, proving the dirty-set skips only
+    def test_sweep_mode_matches_golden_too(self, monkeypatch):
+        """``sweep_all_pumps`` under the per-cycle oracle replays the
+        pre-dirty-set exhaustive poll — every conn on every cycle; it
+        must land on the same trace, proving the dirty-set skips only
         side-effect-free polls."""
+        use_per_cycle(monkeypatch)
+        checked = check_parking(monkeypatch)
         assert traced_fingerprint("mixed", sweep=True) == GOLDEN["mixed"]
+        assert checked[0] > 0
+
+    @pytest.mark.parametrize("scenario", ["mixed", "churn", "lossy-mixed", "large"])
+    def test_a_parked_conn_cannot_act(self, scenario, monkeypatch):
+        """Every pump call of the horizon loop, with every parked conn
+        advanced anyway: not one of them moves, and the trace is the
+        dirty-set pump's.  ``large`` sends requests and responses past
+        the pump's 64 KiB chunk, so a conn is left with buffer room."""
+        expected = GOLDEN.get(scenario) or traced_fingerprint(scenario)
+        checked = check_parking(monkeypatch)
+        assert traced_fingerprint(scenario, sweep=True) == expected
+        assert checked[0] > 0
 
     def test_per_cycle_loop_matches_golden_too(self, monkeypatch):
         """The per-cycle oracle (every cycle visited, pumped and ticked)
@@ -102,7 +183,7 @@ class TestSpillEquivalence:
     """The goldens above never leave SRAM; this one lives on migration."""
 
     @staticmethod
-    def _run():
+    def _run(sweep=False):
         from repro.apps.roundrobin import round_robin_scenario
         from repro.engine.ftengine import FtEngineConfig
         from repro.engine.testbed import Testbed
@@ -112,6 +193,7 @@ class TestSpillEquivalence:
             round_robin_scenario(64, 3, 128),
             testbed=Testbed(config_a=config, config_b=config),
         )
+        load_engine.sweep_all_pumps = sweep
         bus = TraceBus()
         attach_load_engine(load_engine, bus)
         assert load_engine.run(setup_time_s=5.0).finished
@@ -129,6 +211,11 @@ class TestSpillEquivalence:
     def test_per_cycle_loop_matches_spill_golden(self, monkeypatch):
         use_per_cycle(monkeypatch)
         assert self._run() == (GOLDEN_SPILL, SPILL_PASSES)
+
+    def test_a_parked_conn_cannot_act_while_flows_migrate(self, monkeypatch):
+        checked = check_parking(monkeypatch)
+        assert self._run(sweep=True) == (GOLDEN_SPILL, SPILL_PASSES)
+        assert checked[0] > 0
 
 
 class TestDirtySetBookkeeping:

@@ -1,11 +1,12 @@
 """The engine loop costs what is due, not what exists.
 
-``Testbed.run`` ticks an engine only on a cycle its own
-``next_work_cycle`` names and calls the pump only when its
-``quiet_cycle`` or an engine message says so.  These tests read what the
-loop did from ``Testbed.loop_stats`` and hold it against the per-cycle
-oracle (``tests/engine/_percycle_oracle.py``): same simulated cycles,
-every one accounted for, a fraction of the ticks.
+``Testbed.run`` ticks an engine only on a cycle its published
+``next_action`` names and calls the pump only when its ``quiet_cycle``
+or an engine message says so.  These tests read what the loop did from
+``Testbed.loop_stats`` and hold it against the per-cycle oracle
+(``tests/engine/_percycle_oracle.py``): same simulated cycles, every one
+accounted for, a fraction of the ticks; and they hold the published
+horizon against the from-scratch one (``tests/engine/_horizon_oracle.py``).
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.engine.testbed import Testbed
 from repro.traffic import get_scenario
 from repro.traffic.engine import LoadEngine
 
+from ..engine._horizon_oracle import check_published_horizons, work_cycle
 from ..engine._percycle_oracle import run_per_cycle
 
 
@@ -50,7 +52,7 @@ def test_every_horizon_tick_was_due(scenario, monkeypatch):
     tick = FtEngine.tick
 
     def checked_tick(engine):
-        if engine.next_work_cycle() != engine.cycle + 1:
+        if work_cycle(engine) != engine.cycle + 1:
             undue.append((engine.name, engine.cycle))
         tick(engine)
 
@@ -58,6 +60,36 @@ def test_every_horizon_tick_was_due(scenario, monkeypatch):
     load_engine, _ = _run(scenario)
     assert load_engine.testbed.loop_stats["ticks_a"] > 0
     assert undue == []
+
+
+@pytest.mark.parametrize("scenario", ["mixed", "churn", "spill"])
+def test_the_published_horizon_is_the_from_scratch_one(scenario, monkeypatch):
+    """After every tick and every pump call each engine's ``next_action``
+    is what working it out from every block, the timers and the wire
+    gives — so the loop reads two integers where it used to ask."""
+    from repro.engine.ftengine import FtEngine
+
+    checked = check_published_horizons(monkeypatch)
+    calls = {"next_work_cycle": 0, "runs": 0}
+    publish, run = FtEngine.next_work_cycle, Testbed.run
+
+    def counted_publish(engine):
+        calls["next_work_cycle"] += 1
+        return publish(engine)
+
+    def counted_run(testbed, *args, **kwargs):
+        calls["runs"] += 1
+        return run(testbed, *args, **kwargs)
+
+    monkeypatch.setattr(FtEngine, "next_work_cycle", counted_publish)
+    monkeypatch.setattr(Testbed, "run", counted_run)
+    if scenario == "spill":
+        _run_spill()
+    else:
+        _run(scenario)
+    assert checked["ticks"] > 0 and checked["until_calls"] > 0
+    # From scratch only on entry to a run, once per engine.
+    assert calls["next_work_cycle"] == 2 * calls["runs"]
 
 
 @pytest.mark.parametrize("scenario", ["mixed", "lossy-mixed"])
