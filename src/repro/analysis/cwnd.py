@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..engine.ftengine import FtEngineConfig, first_cycle_at
+from ..engine.ftengine import ENGINE_PERIOD_PS, FtEngineConfig
 from ..engine.testbed import Testbed
 from ..net.link import Link
 from ..net.wire import Wire
 from ..refsim.netsim import CwndTrace, ReferenceTcpSimulation
+from ..sim.component import first_ps_at
 from ..tcp.segment import TcpSegment
 
 
@@ -76,14 +77,15 @@ def capture_engine_cwnd_trace(
             state["next_sample"] = tb.cycle + sample_every_cycles
         return tb.now_s >= duration_s
 
-    # Everything the pump does is cycle-gated, so it declares when:
-    # the next send, the next sample, the cycle the duration test trips.
-    end_cycle = first_cycle_at(duration_s)
+    # Everything the pump does is time-gated, so it declares when: the
+    # next send, the next sample, the instant the duration test trips.
+    end_ps = first_ps_at(duration_s)
     tb.run(
         until=pump,
         max_time_s=duration_s * 4,
-        quiet_cycle=lambda: min(
-            state["next_send"], state["next_sample"], end_cycle
+        next_call_ps=lambda: min(
+            min(state["next_send"], state["next_sample"]) * ENGINE_PERIOD_PS,
+            end_ps,
         ),
     )
     return trace

@@ -67,7 +67,7 @@ def run_functional_bulk(
     # The pump sends until the buffer refuses and reads what is there:
     # after a call only an 'acked' or 'data' message can move it.
     finished = tb.run(
-        until=pump, max_time_s=start_s + max_time_s, quiet_cycle=message_driven
+        until=pump, max_time_s=start_s + max_time_s, next_call_ps=message_driven
     )
     elapsed = max(tb.now_s - start_s, 1e-12)
     if not finished:

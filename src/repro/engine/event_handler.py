@@ -152,13 +152,6 @@ def accumulate_event(entry: EventEntry, event: TcpEvent) -> EventEntry:
     return entry
 
 
-def copy_entry(entry: EventEntry) -> EventEntry:
-    """Shallow copy: every field from ``entry``, no constructor run."""
-    clone = EventEntry.__new__(EventEntry)
-    clone.__dict__ = entry.__dict__.copy()
-    return clone
-
-
 class EventHandler:
     """Writes events into the event table back-to-back, one per 2 cycles.
 

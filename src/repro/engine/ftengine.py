@@ -30,7 +30,7 @@ from ..mem.advisor import POLICY_PREDICTIVE, FlowHeat
 from ..mem.hierarchy import CacheGeometry
 from ..mem.sketch import make_sketch
 from ..net.wire import WirePort
-from ..sim.component import NEVER, Component
+from ..sim.component import NEVER, Component, first_ps_at
 from ..sim.stats import Counters
 from ..tcp.segment import (
     FLAG_ACK,
@@ -72,22 +72,6 @@ ENGINE_PERIOD_PS = 10**12 // int(ENGINE_FREQ_HZ)
 _PORT_MIN, _PORT_MAX = 1024, 65535
 _PORT_COUNT = _PORT_MAX - _PORT_MIN + 1
 _EPHEMERAL_BASE = 40000
-
-
-def first_cycle_at(time_s: float) -> int:
-    """First cycle on which a per-cycle ``now_s >= time_s`` test holds.
-
-    Guarded search around the analytic guess: ``now_s``'s own float
-    expression decides, so a horizon lands on the identical cycle the
-    per-cycle loop would — an analytic ceil alone can be off by one at
-    float boundaries.
-    """
-    k = max(0, int(time_s * 1e12 / ENGINE_PERIOD_PS))
-    while time_s > (k * ENGINE_PERIOD_PS) / 1e12:
-        k += 1
-    while k > 0 and time_s <= ((k - 1) * ENGINE_PERIOD_PS) / 1e12:
-        k -= 1
-    return k
 
 
 @dataclass
@@ -429,6 +413,12 @@ class FtEngine(Component):
         self.counters.add("send_requests")
         return accept
 
+    def send_room(self, flow_id: int) -> int:
+        """Bytes :meth:`send_data` would accept now (none for an unknown
+        flow)."""
+        record = self.flows.get(flow_id)
+        return 0 if record is None else record.stream.room
+
     def readable(self, flow_id: int) -> int:
         return self.rx_parser.readable(flow_id)
 
@@ -530,7 +520,9 @@ class FtEngine(Component):
             hint_s = self.timers.earliest_hint
             memo_s, due = self._timer_memo
             if hint_s != memo_s:
-                due = NEVER if hint_s == math.inf else first_cycle_at(hint_s)
+                due = NEVER
+                if hint_s != math.inf:
+                    due = -(-first_ps_at(hint_s) // ENGINE_PERIOD_PS)
                 self._timer_memo = (hint_s, due)
             if due < best:
                 best = due
@@ -551,7 +543,7 @@ class FtEngine(Component):
         arrival_ps = in_flight[0][0]
         memo_ps, k = self._arrival_memo
         if arrival_ps != memo_ps:
-            # Guarded like first_cycle_at, against the poll's own
+            # Guarded like first_ps_at, against the poll's own
             # integer-picosecond comparison.
             k = int(arrival_ps // ENGINE_PERIOD_PS)
             while k * ENGINE_PERIOD_PS < arrival_ps:

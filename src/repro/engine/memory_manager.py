@@ -265,7 +265,7 @@ class MemoryManager(Component):
         """Publish :attr:`next_action`: ``earliest``, or the first cycle
         the DRAM channel is free if that is later.
 
-        Guarded like ``first_cycle_at``: :meth:`tick`'s own comparison
+        Guarded like ``first_ps_at``: :meth:`tick`'s own comparison
         decides, so the horizon is the cycle the per-cycle stall test
         would first pass on.
         """

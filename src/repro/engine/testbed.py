@@ -19,7 +19,7 @@ from .ftengine import ENGINE_PERIOD_PS, FtEngine, FtEngineConfig
 
 
 def message_driven() -> int:
-    """The ``quiet_cycle`` of a pump with nothing cycle-gated.
+    """The ``next_call_ps`` of a pump with nothing time-gated.
 
     After any call such a pump is blocked on the engines, so only an
     :class:`EngineMessage` can move it — see :meth:`Testbed.run`.
@@ -80,8 +80,7 @@ class Testbed:
         until: Optional[Callable[[], bool]] = None,
         max_time_s: float = 1.0,
         max_steps: int = 50_000_000,
-        wakeup_ps: Optional[Callable[[], Optional[float]]] = None,
-        quiet_cycle: Optional[Callable[[], Optional[int]]] = None,
+        next_call_ps: Optional[Callable[[], int]] = None,
     ) -> bool:
         """Run until ``until()`` holds; returns False on time/step bound
         (``max_steps`` counts the cycles landed on, not the ones skipped).
@@ -103,16 +102,16 @@ class Testbed:
 
         ``until`` is called after every cycle landed on — every cycle
         on which an engine worked — unless the pump declares its own
-        schedule through ``quiet_cycle``.  Asked right after each
-        ``until`` call, that names the earliest cycle at which a later
-        call would act by itself (an arrival release, an audit, a
-        sample): :data:`NEVER` if nothing is cycle-gated, None if the
-        very next call may act.  ``until`` then runs only when that
-        cycle is reached or an engine's ``msg_epoch`` moved — every
-        engine-side state a blocked pump waits on is announced by an
-        :class:`EngineMessage`.  ``wakeup_ps`` names externally
-        scheduled work (the next open-loop arrival) as a time; the loop
-        lands on the first cycle at or after it and calls ``until``.
+        schedule through ``next_call_ps`` — the contract
+        ``run_event_loop`` shares, in picoseconds.  Asked right after
+        each ``until`` call, it names the integer-ps instant at which a
+        later call would act by itself (an arrival release, an audit, a
+        sample): :data:`NEVER` if nothing is time-gated, an instant
+        already reached if the next cycle's call may act.  The loop
+        lands on the first cycle at or after it (an integer ceil), and
+        ``until`` runs only there or when an engine's ``msg_epoch``
+        moved — every engine-side state a blocked pump waits on is
+        announced by an :class:`EngineMessage`.
         """
         max_time_ps = max_time_s * 1e12
         # First cycle on which the time bound's own float compare,
@@ -144,7 +143,7 @@ class Testbed:
             while True:
                 cycle = self.cycle
                 if (
-                    quiet_cycle is None
+                    next_call_ps is None
                     or cycle >= pump_at
                     or engine_a.msg_epoch != epoch_a
                     or engine_b.msg_epoch != epoch_b
@@ -155,17 +154,12 @@ class Testbed:
                     until_calls += 1
                     if until is not None and until():
                         return True
-                    pump_at = NEVER
-                    if quiet_cycle is not None:
-                        pump_at = quiet_cycle()
-                        if pump_at is None:
-                            pump_at = cycle + 1
-                    if wakeup_ps is not None:
-                        external = wakeup_ps()
-                        if external is not None and external > self.time_ps:
-                            pump_at = min(
-                                pump_at, math.ceil(external / ENGINE_PERIOD_PS)
-                            )
+                    if next_call_ps is not None:
+                        pump_at = next_call_ps()
+                        if pump_at != NEVER:
+                            pump_at = -(-pump_at // ENGINE_PERIOD_PS)
+                            if pump_at <= cycle:
+                                pump_at = cycle + 1
                     epoch_a = engine_a.msg_epoch
                     epoch_b = engine_b.msg_epoch
                 if cycle >= bound or landings >= max_steps:

@@ -23,7 +23,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
+from ..engine.testbed import message_driven
 from ..net.wire import derive_seed
+from ..sim.component import NEVER, first_ps_at
 from ..sim.stats import Histogram
 from ..tcp.state_machine import TcpState
 from .backend import get_backend
@@ -181,7 +183,8 @@ class FabricLoadEngine:
         self._conn_of_flow: Dict[Tuple[int, int], _FabricConn] = {}
         #: Indexes of conns to advance on the next pump: a flow of
         #: theirs posted a message, they were handed a transfer, or
-        #: their last advance left a step that may need no message.
+        #: their last advance left a step they can take with no message
+        #: in between (see ``_advance_conn``).
         self._dirty: Set[int] = set()
         self._round = 0
         #: Openloop schedule: (time_s, client, server, req_b, resp_b).
@@ -271,12 +274,13 @@ class FabricLoadEngine:
                 self._connect(client=0, server=i)
         else:
             self._build_schedule()
-        if not self._run(until=self._pools_ready, max_time_s=setup_time_s):
+        # Handshakes finish on 'accepted' / 'connected' messages.
+        if not self._run(self._pools_ready, message_driven, setup_time_s):
             raise TimeoutError(
                 f"{scenario.name}: fabric connection setup did not complete"
             )
         self._start_s = self.now_s
-        finished = self._run(until=self._pump, max_time_s=max_time_s)
+        finished = self._run(self._pump, self._next_call_ps, max_time_s)
         result = self.result
         result.finished = finished
         result.elapsed_s = max(self.now_s - self._start_s, 1e-12)
@@ -342,23 +346,29 @@ class FabricLoadEngine:
         return all(self._ready(conn) for conn in self.conns)
 
     # ------------------------------------------------------------ the pump
-    def _next_arrival_ps(self) -> Optional[int]:
-        if self._release_index >= len(self._schedule):
-            return None
-        arrival_s = self._start_s + self._schedule[self._release_index][0]
-        # +1: int() truncates, and landing one ps *before* the arrival
-        # would stall the loop (the release check would still be in the
-        # future, and no other event would advance time).
-        return int(arrival_s * 1e12) + 1
+    def _next_call_ps(self) -> int:
+        """When a later :meth:`_pump` call acts by itself, in int ps: at
+        once (an instant already reached) while a round release is
+        pending or a conn can act with no message in between, else at
+        the next scheduled arrival, else :data:`NEVER` — only a host
+        message can move the driver then."""
+        if self._dirty or self._round_due():
+            return self.time_ps
+        if self._release_index < len(self._schedule):
+            t = self._schedule[self._release_index][0]
+            return first_ps_at(self._start_s + t)
+        return NEVER
 
     def _pump(self) -> bool:
-        """One driver step, run by the event loop at every instant.
+        """One driver step, called when :meth:`_next_call_ps` says so or
+        a stack posted a host message.
 
         Message-driven: only dirty conns are advanced, in ``conns``
         order (they share stacks, so order is part of the result).  The
-        round release looks at what the *previous* step completed, so a
-        round starts — and stamps its arrival time — on the loop instant
-        after the last completion; that instant is simulated behaviour.
+        round release looks at what the *previous* call completed, and
+        that call asked for the next picosecond: a round starts — and
+        stamps its arrival time — 1 ps after the call that saw its last
+        completion.
         """
         self._poll_messages()
         if self.scenario.mode == "rounds":
@@ -372,13 +382,21 @@ class FabricLoadEngine:
         self._dirty = still_dirty
         return self._all_done()
 
-    def _pump_rounds(self) -> None:
+    def _round_due(self) -> bool:
+        """Whether the next pump call releases a round: rounds remain,
+        the last one is complete and every conn is ready."""
         scenario = self.scenario
-        if self._round >= scenario.rounds or self._outstanding > 0:
+        return (
+            scenario.mode == "rounds"
+            and self._round < scenario.rounds
+            and self._outstanding == 0
+            and all(conn.state == _READY for conn in self.conns)
+        )
+
+    def _pump_rounds(self) -> None:
+        if not self._round_due():
             return
-        for conn in self.conns:
-            if conn.state != _READY:
-                return
+        scenario = self.scenario
         # Barrier crossed: everyone finished the previous round.
         now_rel = self.now_s - self._start_s
         block = scenario.block_bytes
@@ -402,11 +420,11 @@ class FabricLoadEngine:
         self._round += 1
 
     def _release_arrivals(self) -> None:
-        now_rel = self.now_s - self._start_s
+        now = self.now_s
         schedule = self._schedule
         while self._release_index < len(schedule):
             t, client, server, req_b, resp_b = schedule[self._release_index]
-            if t > now_rel:
+            if self._start_s + t > now:
                 return
             self._release_index += 1
             self._outstanding += 1
@@ -423,8 +441,9 @@ class FabricLoadEngine:
 
     # ----------------------------------------------------- conn state steps
     def _advance_conn(self, conn: _FabricConn) -> bool:
-        """One step of one conn; True while a next step may need no
-        message (an unfinished chunked send, a queued transfer)."""
+        """One step of one conn; True if its next step can act with no
+        message in between: a send — request or response — with buffer
+        room, or a queued transfer.  Anything else waits on a message."""
         if not self._ready(conn):
             return False
         if conn.current is None and conn.pending:
@@ -449,8 +468,11 @@ class FabricLoadEngine:
         if conn.resp_remaining > 0 and conn.send_remaining == 0:
             self._pull_response(conn)
         return bool(
-            conn.send_remaining
-            or conn.srv_send_remaining
+            (conn.send_remaining and client_stack.send_room(conn.c_flow))
+            or (
+                conn.srv_send_remaining
+                and self.stacks[conn.server].send_room(conn.s_flow)
+            )
             or (conn.current is None and conn.pending)
         )
 
@@ -521,7 +543,12 @@ class FabricLoadEngine:
         )
 
     # ------------------------------------------------------------ run loop
-    def _run(self, until: Callable[[], bool], max_time_s: float) -> bool:
+    def _run(
+        self,
+        until: Callable[[], bool],
+        next_call_ps: Callable[[], int],
+        max_time_s: float,
+    ) -> bool:
         """Settle every host at each event instant, for ``max_time_s`` more."""
         return run_event_loop(
             self,
@@ -529,7 +556,7 @@ class FabricLoadEngine:
             self.fabric,
             self.time_ps + int(max_time_s * 1e12),
             until=until,
-            wakeup_ps=self._next_arrival_ps,
+            next_call_ps=next_call_ps,
         )
 
 

@@ -37,6 +37,7 @@ from typing import (
 from ..engine.ftengine import EngineMessage
 from ..net.link import LINK_100G, PER_PACKET_OVERHEAD, Link
 from ..net.wire import derive_seed
+from ..sim.component import NEVER
 from ..tcp.segment import FlowKey, ip_from_string, ip_to_string
 from ..tcp.state_machine import TcpState
 from .service import ServiceModel
@@ -304,7 +305,7 @@ class SoftStack:
         self._ecn_rng = random.Random(derive_seed(seed, f"ecn/{name}"))
         self.flows: Dict[int, _SoftFlow] = {}
         #: Lazy (deadline_ps, flow_id) min-heap over hs/rto deadlines;
-        #: see ``_arm``.  Keeps ``next_wakeup_ps``/``_expire_timers``
+        #: see ``_arm``.  Keeps ``next_deadline_ps``/``_expire_timers``
         #: O(log n) instead of O(flows) — the difference between a
         #: 2-host testbed and a million-flow shard cell.
         self._timers: List[Tuple[int, int]] = []
@@ -443,14 +444,18 @@ class SoftStack:
         flow = self.flows.get(flow_id)
         return flow.state if flow is not None else None
 
-    def send_data(self, flow_id: int, data: bytes) -> int:
+    def send_room(self, flow_id: int) -> int:
+        """Bytes :meth:`send_data` would accept now."""
         flow = self.flows.get(flow_id)
         if flow is None or flow.fin_queued:
             return 0
-        room = self.config.send_buffer - (flow.app_written - flow.flow_acked)
-        accepted = min(len(data), room) if room > 0 else 0
+        return self.config.send_buffer - (flow.app_written - flow.flow_acked)
+
+    def send_data(self, flow_id: int, data: bytes) -> int:
+        accepted = min(len(data), self.send_room(flow_id))
         if accepted <= 0:
             return 0
+        flow = self.flows[flow_id]
         flow.app_written += accepted
         if flow.state is TcpState.ESTABLISHED:
             self._pump_flow(flow)
@@ -490,7 +495,7 @@ class SoftStack:
         return drained
 
     # ------------------------------------------------------------ the tick
-    def next_wakeup_ps(self) -> Optional[int]:
+    def next_deadline_ps(self) -> Optional[int]:
         """The earliest live deadline, dropping the stale entries above it."""
         timers = self._timers
         popped = False
@@ -853,7 +858,7 @@ class TimerWakeIndex:
     The owner of the stacks (``CellSim``, ``FabricLoadEngine``,
     ``SoftTestbed``) builds it once; from then on every stack publishes
     its raw ``_timers`` head here whenever that head changes — ``_arm``
-    pushing a new head, ``_expire_timers``/``next_wakeup_ps`` popping
+    pushing a new head, ``_expire_timers``/``next_deadline_ps`` popping
     the old one.  An entry is live iff it still equals its stack's raw
     head; anything else was superseded by a later publish and is dropped
     on pop.  So "who has a timer entry to pop now" and "when is the next
@@ -887,7 +892,7 @@ class TimerWakeIndex:
             else:
                 self.stale_pops += 1
 
-    def next_wakeup_ps(self, best: Optional[int]) -> Optional[int]:
+    def next_deadline_ps(self, best: Optional[int]) -> Optional[int]:
         """``best`` lowered to the earliest live timer deadline under it.
 
         A raw head is never later than its stack's true deadline, so only
@@ -900,7 +905,7 @@ class TimerWakeIndex:
             head, host = heap[0]
             stack = self.stacks[host]
             timers = stack._timers
-            if timers and timers[0][0] == head and stack.next_wakeup_ps() == head:
+            if timers and timers[0][0] == head and stack.next_deadline_ps() == head:
                 return head
             # Superseded: anything re-published is later than ``head``,
             # so the top is still this entry.
@@ -915,7 +920,7 @@ def run_event_loop(
     network,
     deadline_ps: int,
     until: Optional[Callable[[], bool]] = None,
-    wakeup_ps: Optional[Callable[[], Optional[float]]] = None,
+    next_call_ps: Optional[Callable[[], int]] = None,
     max_steps: Optional[int] = None,
 ) -> bool:
     """The one discrete-event loop every set of soft-stack hosts runs on.
@@ -928,14 +933,20 @@ def run_event_loop(
     names the stacks (by host) with a delivery due, and
     ``next_event_ps()`` is its next state change.  The soft stacks do
     nothing between packet arrivals and timer deadlines, so an instant
-    stamps ``now_ps`` on every stack (the driver may call into any),
-    ticks — in ascending host order — only those with a delivery due or
-    a timer entry due in the index, and tests ``until`` — at *every*
-    instant, due stack or not: the fabric driver releases a round one
-    instant after it saw the last completion — then jumps to the
-    earliest of the network's next event, the external ``wakeup_ps``
-    and the index's earliest live deadline (validated only when its raw
-    top beats the other two), never past ``deadline_ps``.
+    ticks — in ascending host order — only the stacks with a delivery
+    or a timer entry due in the index, then jumps to the earliest of
+    the network's next event, the pump's declared instant and the
+    index's earliest live deadline (validated only when its raw top
+    beats the other two), never past ``deadline_ps``.
+
+    ``until`` (the driver's pump) has ``Testbed.run``'s contract in
+    picoseconds.  Without ``next_call_ps`` it runs at every instant.
+    With it, asked right after each call, ``until`` runs only at the
+    instant that names (:data:`NEVER`: never by itself; an instant
+    already reached: the next picosecond) or when a stack ticked at
+    this instant posted a host message (moved its ``msg_epoch``; the
+    pump's own drains do not count).  Every stack's ``now_ps`` is
+    stamped before a call: the driver may call into any.
 
     True when ``until`` held, or with no ``until`` when nothing is left
     to happen; False on the deadline, the step bound, or a stall (no
@@ -943,31 +954,35 @@ def run_event_loop(
     """
     stacks = wake.stacks
     steps = 0
+    pump_at = 0  # the first instant calls the pump
     while True:
         t = clock.time_ps
         due = network.advance(t)
         wake.pop_due(t, due)
-        for stack in stacks.values():
-            stack.now_ps = t
+        posted = False
         for host in sorted(due):
-            stacks[host].tick()
-        if until is not None and until():
-            return True
+            stack = stacks[host]
+            epoch = stack.msg_epoch
+            stack.now_ps = t
+            stack.tick()
+            posted = posted or stack.msg_epoch != epoch
+        if until is not None and (next_call_ps is None or t >= pump_at or posted):
+            for stack in stacks.values():
+                stack.now_ps = t
+            if until():
+                return True
+            if next_call_ps is not None:
+                pump_at = next_call_ps()
+                if pump_at <= t:
+                    pump_at = t + 1
         if t >= deadline_ps or (max_steps is not None and steps >= max_steps):
             return False
         following = network.next_event_ps()
         if following is not None and following <= t:
             following = None
-        if wakeup_ps is not None:
-            external = wakeup_ps()
-            if external is not None:
-                # Ceil: landing one truncated ps *before* a float
-                # wakeup leaves the driver's predicate unsatisfied
-                # with no other event in the future — a stall.
-                external = int(external) + (external > int(external))
-                if external > t and (following is None or external < following):
-                    following = external
-        following = wake.next_wakeup_ps(following)
+        if t < pump_at < NEVER and (following is None or pump_at < following):
+            following = pump_at
+        following = wake.next_deadline_ps(following)
         if following is None:
             return until is None
         clock.time_ps = min(following, deadline_ps)
@@ -1023,21 +1038,16 @@ class SoftTestbed:
         until: Optional[Callable[[], bool]] = None,
         max_time_s: float = 1.0,
         max_steps: int = 50_000_000,
-        wakeup_ps: Optional[Callable[[], Optional[float]]] = None,
-        quiet_cycle: Optional[Callable[[], Optional[int]]] = None,
+        next_call_ps: Optional[Callable[[], int]] = None,
     ) -> bool:
-        """Event-driven run; the same contract as ``Testbed.run``.
-
-        ``quiet_cycle`` is accepted for signature parity and ignored:
-        this loop is already event-driven, so there are no per-cycle
-        no-op iterations to batch away.
-        """
+        """Event-driven run: ``Testbed.run``'s contract, in picoseconds
+        (see :func:`run_event_loop`)."""
         return run_event_loop(
             self,
             self._wake,
             self.wire,
             int(max_time_s * 1e12),
             until=until,
-            wakeup_ps=wakeup_ps,
+            next_call_ps=next_call_ps,
             max_steps=max_steps,
         )

@@ -68,8 +68,9 @@ def ablation_header_point(
 def ablation_mss_point(mss: int, total_bytes: int = 300_000) -> Dict[str, float]:
     """Functional goodput at one MSS, plus its closed-form wire ceiling."""
     from ..engine.ftengine import FtEngineConfig
-    from ..engine.testbed import NEVER, Testbed
+    from ..engine.testbed import Testbed
     from ..net.link import LINK_100G
+    from ..sim.component import NEVER
 
     testbed = Testbed(
         config_a=FtEngineConfig(mss=mss), config_b=FtEngineConfig(mss=mss)
@@ -92,10 +93,14 @@ def ablation_mss_point(mss: int, total_bytes: int = 300_000) -> Dict[str, float]
             sent["received"] += readable
         return sent["received"] >= total_bytes
 
-    def quiet_cycle() -> Optional[int]:
-        return None if sent["room"] and sent["n"] < total_bytes else NEVER
+    def next_call_ps() -> int:
+        # The next tick while the last send filled its payload; else
+        # only an 'acked' or 'data' message can move the pump.
+        if sent["room"] and sent["n"] < total_bytes:
+            return testbed.time_ps
+        return NEVER
 
-    if not testbed.run(until=pump, max_time_s=start + 5.0, quiet_cycle=quiet_cycle):
+    if not testbed.run(until=pump, max_time_s=start + 5.0, next_call_ps=next_call_ps):
         raise RuntimeError(f"mss={mss}: transfer did not finish in simulated time")
     goodput_gbps = total_bytes * 8 / (testbed.now_s - start) / 1e9
     ceiling = LINK_100G.max_goodput_gbps(mss)

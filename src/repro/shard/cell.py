@@ -180,7 +180,7 @@ class CellSim:
         for heap in (self.pending, self._opens):
             if heap and (best is None or heap[0][0] < best):
                 best = heap[0][0]
-        return self._wake.next_wakeup_ps(best)
+        return self._wake.next_deadline_ps(best)
 
     def _settle(self, now: int) -> None:
         """Process everything due at one instant, in canonical order:
@@ -257,7 +257,7 @@ class CellSim:
         cannot act again without a barrier delivering it input."""
         if self.pending or self.switch.next_any_delivery_ps() is not None:
             return False
-        if self._wake.next_wakeup_ps(None) is not None:
+        if self._wake.next_deadline_ps(None) is not None:
             return False
         return all(d.done for ds in self.clients.values() for d in ds)
 

@@ -20,6 +20,23 @@ from typing import Any, Optional
 NEVER = 1 << 62
 
 
+def first_ps_at(time_s: float) -> int:
+    """First integer picosecond ``p`` at which ``p / 1e12 >= time_s``.
+
+    The one guarded float search: a deadline in seconds (a timer hint,
+    an arrival) is compared against ``time_ps / 1e12``, and an analytic
+    ceil alone can be off by one at float boundaries.  The compare is
+    monotone in ``p``, so a clock of period ``P`` ps first passes it on
+    cycle ``ceil(first_ps_at(t) / P)``.
+    """
+    p = max(0, int(time_s * 1e12))
+    while p / 1e12 < time_s:
+        p += 1
+    while p > 0 and (p - 1) / 1e12 >= time_s:
+        p -= 1
+    return p
+
+
 class OwnersCycle:
     """``cycle = OwnersCycle()`` in a block's class: built with a clock,
     the block's ``cycle`` is its owner's (hot paths read

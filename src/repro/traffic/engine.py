@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Deque, Dict, List, Optional
 
-from ..engine.ftengine import first_cycle_at
-from ..engine.testbed import NEVER, Testbed, message_driven
+from ..engine.ftengine import ENGINE_PERIOD_PS
+from ..engine.testbed import Testbed, message_driven
 from ..engine.verification import InvariantMonitor
+from ..sim.component import NEVER, first_ps_at
 from ..sim.stats import Histogram
 from ..tcp.state_machine import TcpState
 from .scenario import PER_REQUEST, Request, Scenario, TrafficClass
@@ -281,7 +282,7 @@ class LoadEngine:
         }
         self.schedule: List[Request] = scenario.schedule(load_scale)
         self._release_index = 0
-        #: (release index, first cycle whose release check admits it).
+        #: (release index, first instant (ps) its release check admits).
         self._release_memo = (-1, 0)
         self._outstanding = 0
         self._start_s = 0.0
@@ -335,7 +336,7 @@ class LoadEngine:
                 until=self._pools_ready,
                 max_time_s=tb.now_s + setup_time_s,
                 # Handshakes finish on 'accepted' / 'connected' messages.
-                quiet_cycle=message_driven,
+                next_call_ps=message_driven,
             ):
                 raise TimeoutError(
                     f"{self.scenario.name}: connection pools failed to establish"
@@ -346,8 +347,7 @@ class LoadEngine:
         finished = tb.run(
             until=self._pump,
             max_time_s=self._start_s + run_time_s,
-            wakeup_ps=self._next_arrival_ps,
-            quiet_cycle=self._pump_quiet_cycle,
+            next_call_ps=self._next_call_ps,
         )
         if raise_on_incomplete and not finished:
             raise TimeoutError(
@@ -400,27 +400,21 @@ class LoadEngine:
         return True
 
     # ------------------------------------------------------------ the pump
-    def _next_arrival_ps(self) -> Optional[float]:
-        if self._release_index >= len(self.schedule):
-            return None
-        arrival_s = self._start_s + self.schedule[self._release_index].time_s
-        return arrival_s * 1e12
+    def _next_call_ps(self) -> int:
+        """Earliest instant (int ps) a later :meth:`_pump` call acts by
+        itself.
 
-    def _pump_quiet_cycle(self) -> Optional[int]:
-        """Earliest cycle a later :meth:`_pump` call acts by itself.
-
-        This is the ``quiet_cycle`` the horizon loop of
-        :meth:`Testbed.run` asks for right after each pump call.  A pump
-        call is a pure no-op exactly when nothing it touches can move:
-        no conn is dirty (every one is blocked on the engines and will
-        be re-marked by an EngineMessage — whose ``msg_epoch`` bump is
-        what makes the testbed call the pump again), no churn class can
-        start a transaction, and none of the cycle-gated activities —
-        audit checks, trace occupancy samples, schedule arrival
-        releases — fires before the returned cycle.  None means the very
-        next call may act (a conn is still advancing); accepts and host
-        messages need no horizon because they only appear through
-        engine work.
+        This is the ``next_call_ps`` either testbed asks for right after
+        each pump call.  A pump call is a pure no-op exactly when
+        nothing it touches can move: no conn is dirty (every one is
+        blocked on the engines and will be re-marked by an EngineMessage
+        — whose ``msg_epoch`` bump is what makes the testbed call the
+        pump again), no churn class can start a transaction, and none of
+        the time-gated activities — audit checks, trace occupancy
+        samples, schedule arrival releases — fires before the returned
+        instant.  The current instant means the next tick may act (a
+        conn is still advancing); accepts and host messages need no
+        horizon because they only appear through engine work.
         """
         for state in self.states.values():
             cls = state.cls
@@ -429,20 +423,19 @@ class LoadEngine:
                 and len(state.conns) < cls.connections
                 and self._churn_work(state)
             ):
-                return None
-        floor_c = self.testbed.cycle + 1
-        best = NEVER  # nothing cycle-gated: engines and bounds limit the skip
+                return self.testbed.time_ps
+        best = NEVER  # nothing time-gated: engines and bounds limit the skip
         if self._release_index < len(self.schedule):
             if self._release_memo[0] != self._release_index:
-                # The exact cycle the release check's own float
-                # comparison first admits the arrival.
+                # The first instant the release check's own float
+                # comparison admits the arrival.
                 t = self._start_s + self.schedule[self._release_index].time_s
-                self._release_memo = (self._release_index, first_cycle_at(t))
-            best = max(self._release_memo[1], floor_c)
+                self._release_memo = (self._release_index, first_ps_at(t))
+            best = self._release_memo[1]
         if self.trace is not None:
-            best = min(best, max(self._next_trace_sample_cycle, floor_c))
+            best = min(best, self._next_trace_sample_cycle * ENGINE_PERIOD_PS)
         if self.monitors:
-            best = min(best, max(self._next_audit_cycle, floor_c))
+            best = min(best, self._next_audit_cycle * ENGINE_PERIOD_PS)
         return best
 
     def _pump(self) -> bool:
@@ -622,12 +615,11 @@ class LoadEngine:
             return True
         if (
             conn.state == _SENDING
-            and self.testbed.engine_a.flows[conn.a_flow].stream.room
+            and self.testbed.engine_a.send_room(conn.a_flow)
         ):
             return True
         if conn.srv_send_remaining:
-            record = self.testbed.engine_b.flows.get(conn.b_flow)
-            return record is not None and record.stream.room > 0
+            return self.testbed.engine_b.send_room(conn.b_flow) > 0
         return False
 
     def _churn_work(self, state: _ClassState) -> bool:

@@ -8,7 +8,14 @@ from the two records as they are; this retired form is the reference
 ``tests/engine/test_memory_manager.py`` holds it against.
 """
 
-from repro.engine.event_handler import copy_entry, merge_into_tcb
+from repro.engine.event_handler import EventEntry, merge_into_tcb
+
+
+def copy_entry(entry: EventEntry) -> EventEntry:
+    """Shallow copy: every field from ``entry``, no constructor run."""
+    clone = EventEntry.__new__(EventEntry)
+    clone.__dict__ = entry.__dict__.copy()
+    return clone
 
 
 def check_logic_by_merging(tcb, entry) -> bool:

@@ -11,8 +11,9 @@ whenever the loop could read it.
 
 import math
 
-from repro.engine.ftengine import ENGINE_PERIOD_PS, FtEngine, first_cycle_at
+from repro.engine.ftengine import ENGINE_PERIOD_PS, FtEngine
 from repro.engine.testbed import Testbed
+from repro.sim.component import first_ps_at
 
 
 def work_cycle(engine) -> int:
@@ -36,7 +37,8 @@ def work_cycle(engine) -> int:
             k += 1
         best = min(best, k)
     if engine.timers.earliest_hint != math.inf:
-        best = min(best, first_cycle_at(engine.timers.earliest_hint))
+        hint_ps = first_ps_at(engine.timers.earliest_hint)
+        best = min(best, -(-hint_ps // ENGINE_PERIOD_PS))
     return cycle + 1 if best <= cycle else best
 
 

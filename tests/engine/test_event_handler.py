@@ -10,13 +10,14 @@ from repro.engine.event_handler import (
     V_FLAGS,
     V_REQ,
     accumulate_event,
-    copy_entry,
     merge_into_tcb,
 )
 from repro.engine.events import EventKind, TcpEvent, user_send_event
 from repro.sim.memory import DualPortSRAM
 from repro.tcp.state_machine import TcpState
 from repro.tcp.tcb import Tcb
+
+from ._check_logic_oracle import copy_entry
 
 
 class TestAccumulation:

@@ -166,6 +166,37 @@ class TestHandshakeUnderLoss:
             max_time_s=testbed.now_s + 0.01,
         )
 
+    def test_lost_third_ack_handshake_completes(self):
+        """The client's first pure ACK — the handshake's third segment —
+        is lost: the server stays SYN_RECEIVED until its SYN-ACK
+        retransmission draws the ACK again, then data flows both ways."""
+        testbed = Testbed()
+        lost = _drop(
+            testbed.wire.port_a,
+            lambda segment: segment.has_ack and not segment.syn
+            and not segment.payload and not lost,
+        )
+        testbed.engine_b.listen(80)
+        a_flow = testbed.engine_a.connect(testbed.engine_b.ip, 80)
+        assert testbed.run(until=lambda: bool(lost), max_time_s=0.01)
+        (b_flow,) = testbed.engine_b.flows
+        assert testbed.engine_b.flow_state(b_flow) is TcpState.SYN_RECEIVED
+        assert testbed.run(
+            until=lambda: testbed.engine_b.flow_state(b_flow)
+            is TcpState.ESTABLISHED,
+            max_time_s=testbed.now_s + 5.0,
+        )
+        assert len(lost) == 1
+        testbed.engine_a.send_data(a_flow, b"ping")
+        testbed.engine_b.send_data(b_flow, b"pong")
+        assert testbed.run(
+            until=lambda: testbed.engine_b.readable(b_flow) >= 4
+            and testbed.engine_a.readable(a_flow) >= 4,
+            max_time_s=testbed.now_s + 0.01,
+        )
+        assert testbed.engine_b.recv_data(b_flow, 4) == b"ping"
+        assert testbed.engine_a.recv_data(a_flow, 4) == b"pong"
+
     def test_syn_sent_ignores_ack_without_syn(self):
         """RFC 793: in SYN-SENT a segment that ACKs our SYN but carries
         no SYN is dropped — the peer's sequence space is still unknown,

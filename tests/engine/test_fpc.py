@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.baseline import NullFpu
 from repro.engine.events import EventKind, TcpEvent, user_send_event
-from repro.engine.fpc import NEVER, FlowProcessingCore
+from repro.engine.fpc import FlowProcessingCore
+from repro.sim.component import NEVER
 from repro.tcp.state_machine import TcpState
 from repro.tcp.tcb import Tcb
 

@@ -106,7 +106,7 @@ class TestIdleSkipNeverOvershoots:
     """PR 5 / satellite 4: a skip must never jump past scheduled work."""
 
     def test_external_wakeup_lands_within_one_cycle(self):
-        """With ``wakeup_ps`` announcing an arrival, the skip lands on
+        """With ``next_call_ps`` announcing an arrival, the skip lands on
         the first cycle at or after it — never beyond."""
         testbed = Testbed()
         arrival_ps = 1_000_000_007  # ~1 ms, deliberately unaligned
@@ -120,7 +120,7 @@ class TestIdleSkipNeverOvershoots:
         assert testbed.run(
             until=until,
             max_time_s=0.01,
-            wakeup_ps=lambda: arrival_ps,
+            next_call_ps=lambda: arrival_ps,
         )
         # The skip lands on the first cycle at or after the arrival.
         assert 0 <= observed[0] - arrival_ps < ENGINE_PERIOD_PS
@@ -136,18 +136,18 @@ class TestIdleSkipNeverOvershoots:
             return bool(seen)
 
         assert testbed.run(
-            until=until, max_time_s=0.01, wakeup_ps=lambda: arrival_ps
+            until=until, max_time_s=0.01, next_call_ps=lambda: arrival_ps
         )
         assert seen[0] == arrival_ps // ENGINE_PERIOD_PS
 
     def test_a_moving_wakeup_is_never_skipped(self):
         """With everything idle the loop goes as far as it is told it
-        may: a wakeup announced anew after every call is landed on
+        may: an instant announced anew after every call is landed on
         every time."""
         testbed = Testbed()
         announced = []
 
-        def wakeup():
+        def next_call():
             announced.append(testbed.time_ps + 512 * ENGINE_PERIOD_PS)
             return announced[-1]
 
@@ -157,7 +157,7 @@ class TestIdleSkipNeverOvershoots:
             called_at.append(testbed.time_ps)
             return testbed.cycle >= 100_000
 
-        assert testbed.run(until=until, max_time_s=1.0, wakeup_ps=wakeup)
+        assert testbed.run(until=until, max_time_s=1.0, next_call_ps=next_call)
         assert called_at[1:] == announced
 
     def test_a_declared_pump_cycle_is_met_while_everything_is_idle(self):
@@ -173,7 +173,10 @@ class TestIdleSkipNeverOvershoots:
             called_at.append(testbed.cycle)
             return testbed.cycle >= gate
 
-        assert testbed.run(until=until, max_time_s=1.0, quiet_cycle=lambda: gate)
+        assert testbed.run(
+            until=until, max_time_s=1.0,
+            next_call_ps=lambda: gate * ENGINE_PERIOD_PS,
+        )
         assert called_at[-1] == gate
 
 
@@ -207,7 +210,7 @@ class TestHorizonLoop:
     same simulated history as the per-cycle oracle, which visits, pumps
     and ticks every cycle."""
 
-    def _transfer(self, quiet_cycle, total_bytes=200_000, max_steps=None,
+    def _transfer(self, next_call_ps, total_bytes=200_000, max_steps=None,
                   per_cycle=False):
         """One bulk transfer; with ``max_steps``, cut there and resumed."""
         testbed = Testbed()
@@ -221,12 +224,12 @@ class TestHorizonLoop:
             if max_steps is not None:
                 cut = (
                     testbed.run(until=pump, max_time_s=1.0, max_steps=max_steps,
-                                quiet_cycle=quiet_cycle),
+                                next_call_ps=next_call_ps),
                     testbed.loop_stats["cycles_visited"] - setup["cycles_visited"],
                     testbed.engine_a.cycle == testbed.engine_b.cycle == testbed.cycle,
                 )
             finished = testbed.run(
-                until=pump, max_time_s=1.0, quiet_cycle=quiet_cycle
+                until=pump, max_time_s=1.0, next_call_ps=next_call_ps
             )
         stats = {k: v - setup[k] for k, v in testbed.loop_stats.items()}
         stats["cycles"] = testbed.cycle - setup["cycle"]
@@ -285,8 +288,8 @@ class TestHorizonLoop:
         assert self._counters(tb) == self._counters(ref_tb)
         assert stats["cycles_visited"] + stats["cycles_advanced"] == stats["cycles"]
 
-    def test_none_from_quiet_cycle_means_call_again_next_cycle(self):
-        tb, progress, stats, finished = self._transfer(lambda: None, total_bytes=20_000)
+    def test_an_instant_already_reached_means_call_again_next_cycle(self):
+        tb, progress, stats, finished = self._transfer(lambda: 0, total_bytes=20_000)
         ref_tb, ref_progress, _, _ = self._transfer(
             None, total_bytes=20_000, per_cycle=True
         )

@@ -27,7 +27,7 @@ def earliest_wakeup_ps(
     for stack in stacks:
         timers = stack._timers
         if timers and (best is None or timers[0][0] < best):
-            wakeup = stack.next_wakeup_ps()
+            wakeup = stack.next_deadline_ps()
             if wakeup is not None and (best is None or wakeup < best):
                 best = wakeup
     return best
@@ -42,11 +42,11 @@ def use_scan(monkeypatch) -> None:
             if timer_due(stack, now_ps)
         )
 
-    def next_wakeup_ps(self: TimerWakeIndex, best: Optional[int]) -> Optional[int]:
+    def next_deadline_ps(self: TimerWakeIndex, best: Optional[int]) -> Optional[int]:
         return earliest_wakeup_ps(self.stacks.values(), best)
 
     monkeypatch.setattr(TimerWakeIndex, "pop_due", pop_due)
-    monkeypatch.setattr(TimerWakeIndex, "next_wakeup_ps", next_wakeup_ps)
+    monkeypatch.setattr(TimerWakeIndex, "next_deadline_ps", next_deadline_ps)
 
 
 #: ("instant", first host of the index, now_ps) per loop instant, then

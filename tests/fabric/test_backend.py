@@ -73,6 +73,31 @@ class TestServiceOrdering:
             p99[name] = result.p99_s
         assert p99["f4t"] < p99["flextoe"] < p99["pno"] < p99["linux_stack"]
 
+    @pytest.mark.parametrize("backend", ["flextoe", "pno", "linux_stack"])
+    def test_a_request_larger_than_one_push_finishes(self, backend):
+        """A 600 KB request leaves its conn sending with buffer room
+        after an advance, so the pump's may-act rule asks the backend
+        for its send room — which soft flows answer too."""
+        from repro.traffic import Fixed, Poisson, Scenario, TrafficClass, run_scenario
+
+        scenario = Scenario(
+            name="large-requests",
+            classes=[TrafficClass(
+                name="large", arrival=Poisson(rate=200e3), request=Fixed(600_000),
+            )],
+            duration_s=50e-6,
+        )
+        result = run_scenario(scenario, backend=backend)
+        assert result.finished
+        assert result.completed == result.offered > 0
+
+    def test_mixed_on_a_soft_testbed_completes_every_request(self):
+        from repro.traffic import get_scenario, run_scenario
+
+        result = run_scenario(get_scenario("mixed"), backend="flextoe")
+        assert result.finished
+        assert result.completed == result.offered
+
     def test_audit_rejected_on_soft_backends(self):
         from repro.traffic import get_scenario
         from repro.traffic.engine import LoadEngine

@@ -15,11 +15,13 @@ from repro.obs.trace import TraceBus, fingerprint
 
 #: Fabric-layer trace fingerprint of ``incast`` (8 hosts, seed 1234,
 #: backend f4t), carried over unchanged from the retired perf baseline
-#: files, its only home until PR 12.  If a change moves this hash it
-#: changed simulated fabric behaviour — that can be legitimate, but
-#: re-capture it in the same change and say why.
+#: files, then re-captured once when the fabric pump began declaring its
+#: next instant (a round now starts 1 ps after the call that saw its last
+#: completion).  If a change moves this hash it changed simulated fabric
+#: behaviour — that can be legitimate, but re-capture it in the same
+#: change and say why.
 GOLDEN_INCAST_F4T = (
-    "62feb91e3ee89f99c3b1679b437f78b1284e43d8001738eb3b4b90b7474f6a20"
+    "7321cefdba78011757808617c6c754bb355a08c88188f2f8067702522076f33c"
 )
 
 
@@ -34,28 +36,27 @@ def test_incast_f4t_trace_matches_golden():
 
 #: What a driver of the fabric observes, per (scenario, backend) at 4 and
 #: 8 hosts, seed 1234: sha256 (first 16 hex digits) over the sorted
-#: latency samples and ``FabricResult.scalars()``.  Recorded at the
-#: commit *before* the event heap and due-only ticking replaced the
-#: all-hosts sweep, so they pin the loop's contract rather than its
-#: implementation — in rounds mode (incast, outcast) that includes the
-#: round-release-on-next-instant rule, see ARCHITECTURE.md.
+#: latency samples and ``FabricResult.scalars()``.  They pin the loop's
+#: contract rather than its implementation — in rounds mode (incast,
+#: outcast) that includes the rule that a round starts 1 ps after the
+#: pump call that saw its last completion, see ARCHITECTURE.md.
 OBSERVED = {
-    ("incast", "f4t"): ("f42b2fce19ca3df0", "b4adcfac5aa52d01"),
-    ("incast", "flextoe"): ("35d3fe8d773e32e9", "ff9839afb02cd855"),
-    ("incast", "pno"): ("a3f6a427df9fb9c9", "c29454f0a04eff45"),
-    ("incast", "linux_stack"): ("b21fcf8cd3816c76", "8e8418e9af06581a"),
-    ("outcast", "f4t"): ("f43d2cf12fe637ab", "34676fa874651109"),
-    ("outcast", "flextoe"): ("6d32fd4a6dafc14b", "1e0e81986b590928"),
-    ("outcast", "pno"): ("0e57269c4622443b", "9f50d2898b0bd2c4"),
-    ("outcast", "linux_stack"): ("b7580715e60f2755", "dc663a3ae7a179e1"),
-    ("flash_crowd", "f4t"): ("9f6a5a3dd4899eb6", "72b9ff22ceea8446"),
-    ("flash_crowd", "flextoe"): ("65b5998f522b7f23", "b3539e20711d83a9"),
-    ("flash_crowd", "pno"): ("be51f53db7b9a4db", "1a52a73d446465e1"),
-    ("flash_crowd", "linux_stack"): ("7eaedd48654ac58e", "01b8c14c70bf506a"),
-    ("zipf_fanout", "f4t"): ("1ae6a369a6b29a8a", "c8012524ebb44ae7"),
-    ("zipf_fanout", "flextoe"): ("8a983d56eb64fd0f", "36f9eb0a683ef58b"),
-    ("zipf_fanout", "pno"): ("af3cb79257f6a96c", "691e8a232af12336"),
-    ("zipf_fanout", "linux_stack"): ("d51c9c7ba9d6e165", "15fb7e86500673cc"),
+    ("incast", "f4t"): ("0ca969fc640f7abc", "81f9c961512da2c7"),
+    ("incast", "flextoe"): ("cf388b7791619cad", "1f85ffdd1dd13c01"),
+    ("incast", "pno"): ("13c3cb89f19c1656", "4647a356958a4ef1"),
+    ("incast", "linux_stack"): ("e0e24ef7ce57335f", "b6daf9375d8f04db"),
+    ("outcast", "f4t"): ("e00255135b598d03", "d71b552c44b41161"),
+    ("outcast", "flextoe"): ("b5e28dd0071b485e", "4435c377c1799149"),
+    ("outcast", "pno"): ("b2f14909530bc9ed", "7b6a069811dbee50"),
+    ("outcast", "linux_stack"): ("1e76fc51ee6b1425", "a20a944084b75908"),
+    ("flash_crowd", "f4t"): ("7233221d0ea0c904", "9023069d6b8e76aa"),
+    ("flash_crowd", "flextoe"): ("5730c71075454703", "a832be3d3e626e38"),
+    ("flash_crowd", "pno"): ("f563302792353b55", "e294ed13335c794f"),
+    ("flash_crowd", "linux_stack"): ("50e89d22f6eeae75", "c9626e80ac305465"),
+    ("zipf_fanout", "f4t"): ("5ae5a8397fcac06f", "851647f175ca3eac"),
+    ("zipf_fanout", "flextoe"): ("bb59fb1fba1d19ea", "40c40c5fd03f69e4"),
+    ("zipf_fanout", "pno"): ("705ab5d1a9e3c0f9", "8a4db1db73cce959"),
+    ("zipf_fanout", "linux_stack"): ("8b88ff3c4a121124", "ac1b598707878e3e"),
 }
 
 

@@ -54,6 +54,47 @@ def test_work_is_proportional_to_events(num_hosts, monkeypatch):
     assert fabric.events_popped == ingress + fabric.forwarded
 
 
+# ------------------------------------------------- when the pump is called
+@pytest.mark.parametrize("name", ["incast", "flash_crowd"])
+def test_every_pump_call_is_due(name, monkeypatch):
+    """The pump runs at the instant its previous call declared (the
+    next picosecond for "now") — never past it — or earlier only when
+    a stack ticked at that instant posted a host message."""
+    seen = {"declared": None, "posted_at": None}
+    calls, undue = [], []
+    tick = SoftStack.tick
+    pump = FabricLoadEngine._pump
+    next_call_ps = FabricLoadEngine._next_call_ps
+
+    def watched_tick(stack):
+        epoch = stack.msg_epoch
+        tick(stack)
+        if stack.msg_epoch != epoch:
+            seen["posted_at"] = stack.now_ps
+
+    def watched_pump(engine):
+        now, declared = engine.time_ps, seen["declared"]
+        calls.append(now)
+        posted = seen["posted_at"] == now
+        if declared is not None and not (
+            now == declared or (now < declared and posted)
+        ):
+            undue.append(now)
+        return pump(engine)
+
+    def watched_next_call_ps(engine):
+        at = next_call_ps(engine)
+        seen["declared"] = max(at, engine.time_ps + 1)
+        return at
+
+    monkeypatch.setattr(SoftStack, "tick", watched_tick)
+    monkeypatch.setattr(FabricLoadEngine, "_pump", watched_pump)
+    monkeypatch.setattr(FabricLoadEngine, "_next_call_ps", watched_next_call_ps)
+    engine = run_engine(name, 8)
+    assert engine.result.completed == engine.result.offered
+    assert calls and undue == []
+
+
 # ------------------------------------------------- the timer wake index
 def run_lossy_testbed():
     """Four bulk transfers over a 5 % drop wire: RTO timers fire, back
@@ -105,7 +146,7 @@ def test_index_visits_the_instants_and_ticks_the_stacks_of_the_scan(
     """Instant by instant: the same instants and the same ticked hosts
     as asking every stack ``timer_due`` and walking every timer heap.
     Fails if a publish site (``_arm``'s new head, the re-publish after
-    ``_expire_timers`` / ``next_wakeup_ps`` pop) goes missing."""
+    ``_expire_timers`` / ``next_deadline_ps`` pop) goes missing."""
     index = recorded(monkeypatch, run, scan=False)
     scan = recorded(monkeypatch, run, scan=True)
     assert any(kind == "tick" for kind, _who, _at in index)

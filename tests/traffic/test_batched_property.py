@@ -21,11 +21,12 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine.ftengine import first_cycle_at
+from repro.engine.ftengine import ENGINE_PERIOD_PS
 from repro.engine.testbed import Testbed
 from repro.net.wire import LossPattern, Wire
 from repro.obs.hooks import attach_load_engine
 from repro.obs.trace import TraceBus, fingerprint
+from repro.sim.component import first_ps_at
 from repro.traffic import (
     Deterministic,
     Fixed,
@@ -174,14 +175,16 @@ def _cycle_gated_run(drop_every, send_every, sample_every, duration_s,
             gate["sample"] = testbed.cycle + sample_every
         return testbed.now_s >= duration_s
 
-    end_cycle = first_cycle_at(duration_s)
+    end_ps = first_ps_at(duration_s)
     if max_steps is None:
         finished = run_per_cycle(testbed, until=pump, max_time_s=4 * duration_s)
     else:
         for bound in (max_steps, 50_000_000):
             finished = testbed.run(
                 until=pump, max_time_s=4 * duration_s, max_steps=bound,
-                quiet_cycle=lambda: min(gate["send"], gate["sample"], end_cycle),
+                next_call_ps=lambda: min(
+                    min(gate["send"], gate["sample"]) * ENGINE_PERIOD_PS, end_ps
+                ),
             )
     return samples, finished, testbed.cycle, [
         (e.cycle, e.scheduler.cycle, e.fpcs[0].cycle, e.stats_report())
@@ -190,7 +193,7 @@ def _cycle_gated_run(drop_every, send_every, sample_every, duration_s,
 
 
 class TestCycleGatedPump:
-    """A pump that declares its own schedule through ``quiet_cycle`` is
+    """A pump that declares its own schedule through ``next_call_ps`` is
     skipped between its gates and nowhere else — including when the
     step bound cuts a skip short."""
 
