@@ -46,6 +46,12 @@ class UnknownNameError(KeyError):
     """
 
 
+class CorruptStoreError(Exception):
+    """A lab run store that SQLite cannot read (not a database, or
+    truncated).  ``args[0]`` is one line naming the file, which the CLI
+    prints before exiting 2."""
+
+
 class Registry(Dict[str, F]):
     """Named entries of one ``kind`` — the scenario, grid and backend
     tables the CLI verbs look names up in."""

@@ -22,7 +22,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro import UnknownNameError
+from repro import CorruptStoreError, UnknownNameError
 from repro.cli import add_group, comma_list, emit
 
 #: Default run-store location; ``*.sqlite`` is gitignored.
@@ -449,8 +449,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     try:
         return args.handler(args)
-    except UnknownNameError as exc:
-        # No such scenario/backend/grid: the message lists what exists.
+    except (UnknownNameError, CorruptStoreError) as exc:
+        # No such scenario/backend/grid (the message lists what exists),
+        # or a --db file that is not a run store (the message names it).
         print(exc.args[0], file=sys.stderr)
         return 2
     except BrokenPipeError:

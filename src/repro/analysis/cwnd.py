@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..engine.ftengine import ENGINE_PERIOD_PS, FtEngineConfig
 from ..engine.testbed import Testbed
@@ -126,12 +126,6 @@ class TraceComparison:
     mean_cwnd_ratio: float  # engine mean / reference mean
     engine_decreases: int
     reference_decreases: int
-
-    @property
-    def decrease_counts_match(self) -> bool:
-        """Both traces show the same number of multiplicative decreases
-        (within one event — boundary sampling can clip one)."""
-        return abs(self.engine_decreases - self.reference_decreases) <= 1
 
 
 def count_multiplicative_decreases(values: List[int], threshold: float = 0.25) -> int:

@@ -12,59 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..engine.memory_manager import MemoryManager
-from ..engine.testbed import Testbed
 from ..engine.events import EventKind, TcpEvent
 from ..host.calibration import F4T_CYCLES_PER_ECHO
 from ..host.cpu import CpuModel
 from ..sim.memory import DRAMModel
 from ..tcp.tcb import Tcb
-from ..traffic import Fixed, Scenario, TrafficClass, run_scenario
-
-
-def echo_scenario(
-    flows: int = 4, rounds: int = 10, payload_bytes: int = 128
-) -> Scenario:
-    """The echo benchmark as a traffic scenario: closed-loop ping-pong."""
-    return Scenario(
-        name="echo",
-        description="closed-loop ping-pong over persistent connections",
-        server_port=7,
-        classes=[
-            TrafficClass(
-                name="echo",
-                request=Fixed(payload_bytes),
-                response=Fixed(payload_bytes),
-                connections=flows,
-                rounds=rounds,
-            )
-        ],
-    )
-
-
-def run_functional_echo(
-    flows: int = 4,
-    rounds: int = 10,
-    payload_bytes: int = 128,
-    testbed: Optional[Testbed] = None,
-    max_time_s: float = 2.0,
-) -> float:
-    """Real ping-pong over ``flows`` connections; returns transactions/s.
-
-    A thin preset over :mod:`repro.traffic`: each flow is a persistent
-    closed-loop connection sending the next payload only after the
-    previous echo lands — the worst-case TCB locality pattern.
-    """
-    result = run_scenario(
-        echo_scenario(flows, rounds, payload_bytes),
-        testbed=testbed,
-        setup_time_s=max_time_s,
-        run_time_s=max_time_s,
-        raise_on_incomplete=True,
-    )
-    return result.classes["echo"].achieved_rps
 
 
 def measure_dram_swap_rate(

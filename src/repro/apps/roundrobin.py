@@ -9,14 +9,12 @@ target (Table 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..engine.testbed import Testbed
 from ..host.calibration import F4T_CYCLES_PER_SEND_RR
 from ..host.cpu import CpuModel
 from ..host.pcie import PcieModel
 from ..net.link import LINK_100G, Link
-from ..traffic import Fixed, Scenario, TrafficClass, run_scenario
+from ..traffic import Fixed, Scenario, TrafficClass
 from .iperf import BulkResult
 
 FLOWS_PER_CORE = 16
@@ -41,38 +39,6 @@ def round_robin_scenario(
                 rounds=requests_per_flow,
             )
         ],
-    )
-
-
-def run_functional_round_robin(
-    flows: int = FLOWS_PER_CORE,
-    requests_per_flow: int = 64,
-    request_bytes: int = 128,
-    testbed: Optional[Testbed] = None,
-    max_time_s: float = 1.0,
-) -> BulkResult:
-    """Drive real round-robin requests over ``flows`` connections.
-
-    A thin preset over :mod:`repro.traffic`: each flow is a persistent
-    closed-loop connection pipelining one-way requests, so FtEngine sees
-    events of *different* flows back to back.  Delivery to the server
-    side is completion; ``bytes_delivered`` counts request bytes only.
-    """
-    result = run_scenario(
-        round_robin_scenario(flows, requests_per_flow, request_bytes),
-        testbed=testbed,
-        setup_time_s=max_time_s,
-        run_time_s=max_time_s,
-        raise_on_incomplete=True,
-    )
-    metrics = result.classes["rr"]
-    elapsed = result.elapsed_s
-    return BulkResult(
-        goodput_gbps=metrics.bytes_delivered * 8 / elapsed / 1e9,
-        requests_per_s=metrics.bytes_delivered / request_bytes / elapsed,
-        bytes_delivered=metrics.bytes_delivered,
-        elapsed_s=elapsed,
-        bottleneck="functional",
     )
 
 

@@ -31,10 +31,10 @@ Three engines behind one CLI
 """
 
 from .findings import Finding, LockstepFinding, RaceFinding
-from .lint import LintResult, layer_of, lint_paths, lint_source
+from .lint import LintResult, layer_of, lint_paths
 from .lockstep import LockstepSanitizer, run_lockstep_check
 from .race import RaceSanitizer, attach_sanitizer, run_race_check
-from .rules import LintRule, SIM_LAYERS, all_rules, get_rule
+from .rules import LintRule, SIM_LAYERS, all_rules
 
 __all__ = [
     "Finding",
@@ -47,10 +47,8 @@ __all__ = [
     "SIM_LAYERS",
     "all_rules",
     "attach_sanitizer",
-    "get_rule",
     "layer_of",
     "lint_paths",
-    "lint_source",
     "run_lockstep_check",
     "run_race_check",
 ]

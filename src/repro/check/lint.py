@@ -3,8 +3,7 @@
 ``lint_paths`` walks files or directories, parses each Python file once,
 runs every applicable rule (layer scoping comes from the file's position
 under ``repro/``), and filters findings through ``# f4t: noqa`` line
-suppressions.  ``lint_source`` is the in-memory variant the rule unit
-tests use.
+suppressions.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ from .rules import FileContext, LintRule, all_rules
 
 #: ``# f4t: noqa`` (all rules) or ``# f4t: noqa[F4T003]`` / a comma list.
 _NOQA_RE = re.compile(r"#\s*f4t:\s*noqa(?:\[([A-Za-z0-9_,\s]+)\])?", re.I)
-
-#: Sentinel so ``lint_source(..., layer=None)`` can mean "no layer".
-_UNSET = object()
-
 
 def layer_of(path: str) -> Optional[str]:
     """The repo layer a file belongs to: its package directly under
@@ -60,13 +55,9 @@ def noqa_lines(source: str) -> Dict[int, Optional[Set[str]]]:
 
 
 def _raw_findings(
-    source: str,
-    path: str,
-    layer: object,
-    rules: Optional[Sequence[LintRule]],
+    source: str, path: str, rules: Optional[Sequence[LintRule]]
 ) -> List[Finding]:
     """Every finding in one source string, before noqa suppression."""
-    resolved_layer = layer_of(path) if layer is _UNSET else layer
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -77,7 +68,7 @@ def _raw_findings(
             col=exc.offset or 0,
             message=f"syntax error: {exc.msg}",
         )]
-    ctx = FileContext(path=path, layer=resolved_layer, tree=tree, source=source)  # type: ignore[arg-type]
+    ctx = FileContext(path=path, layer=layer_of(path), tree=tree, source=source)  # type: ignore[arg-type]
     findings: List[Finding] = []
     for rule in rules if rules is not None else all_rules():
         if rule.applies(ctx):
@@ -104,17 +95,6 @@ def _apply_noqa(
         else:
             kept.append(finding)
     return kept, suppressed
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    layer: object = _UNSET,
-    rules: Optional[Sequence[LintRule]] = None,
-) -> List[Finding]:
-    """Lint one in-memory source string; returns unsuppressed findings."""
-    kept, _ = _apply_noqa(_raw_findings(source, path, layer, rules), source)
-    return kept
 
 
 @dataclass
@@ -186,7 +166,7 @@ def lint_paths(
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
         kept, suppressed = _apply_noqa(
-            _raw_findings(source, path, _UNSET, rules), source
+            _raw_findings(source, path, rules), source
         )
         result.files_checked += 1
         result.findings.extend(kept)

@@ -833,11 +833,3 @@ _RULES: List[LintRule] = [
 
 def all_rules() -> List[LintRule]:
     return list(_RULES)
-
-
-def get_rule(rule_id: str) -> LintRule:
-    for rule in _RULES:
-        if rule.rule_id == rule_id:
-            return rule
-    raise KeyError(f"unknown rule {rule_id!r}; known: "
-                   + ", ".join(r.rule_id for r in _RULES))

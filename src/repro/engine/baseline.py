@@ -14,8 +14,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim.component import Component
 from ..sim.fifo import Fifo
 from ..tcp.tcb import Tcb
@@ -66,9 +64,6 @@ class StallingAccelerator(Component):
     def offer_event(self, event: TcpEvent) -> bool:
         return self.input.push(event)
 
-    def busy(self) -> bool:
-        return bool(self.input) or self._stall_remaining > 0
-
     def tick(self) -> None:
         self.cycle += 1
         if self._stall_remaining > 0:
@@ -81,11 +76,6 @@ class StallingAccelerator(Component):
         if event.req is not None:
             self.bytes_processed += event.req  # req carries size in rate runs
         self._stall_remaining = self.stall_cycles - 1
-
-    def events_per_second(self) -> float:
-        if self.cycle == 0:
-            return 0.0
-        return self.events_processed * self.freq_hz / self.cycle
 
 
 class SingleCycleAccelerator(Component):
@@ -105,9 +95,6 @@ class SingleCycleAccelerator(Component):
     def offer_event(self, event: TcpEvent) -> bool:
         return self.input.push(event)
 
-    def busy(self) -> bool:
-        return bool(self.input)
-
     def tick(self) -> None:
         self.cycle += 1
         event = self.input.try_pop()
@@ -116,8 +103,3 @@ class SingleCycleAccelerator(Component):
         self.events_processed += 1
         if event.req is not None:
             self.bytes_processed += event.req
-
-    def events_per_second(self) -> float:
-        if self.cycle == 0:
-            return 0.0
-        return self.events_processed * self.freq_hz / self.cycle

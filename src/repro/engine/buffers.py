@@ -30,10 +30,6 @@ class SendStream:
         return seq_add(self.base_seq, len(self._data))
 
     @property
-    def buffered(self) -> int:
-        return len(self._data)
-
-    @property
     def room(self) -> int:
         return self.capacity - len(self._data)
 
@@ -71,9 +67,3 @@ class SendStream:
         self.base_seq = seq_add(self.base_seq, advance)
         self.bytes_released += advance
         return advance
-
-    def rebase(self, new_base_seq: int) -> None:
-        """Reset an empty stream's origin (used at connection setup)."""
-        if self._data:
-            raise BufferError("cannot rebase a non-empty send stream")
-        self.base_seq = new_base_seq

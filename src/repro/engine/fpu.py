@@ -54,10 +54,6 @@ class TxDirective:
     retransmission: bool = False
     options: Optional[TcpOptions] = None
 
-    @property
-    def is_pure_ack(self) -> bool:
-        return self.length == 0 and self.flags == FLAG_ACK
-
 
 class NoteKind(enum.Enum):
     """Commands FtEngine sends up to the software (§4.1.1)."""

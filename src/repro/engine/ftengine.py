@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Set
 
 from collections import deque
 
@@ -44,7 +44,7 @@ from ..tcp.seq import SEQ_MOD, seq_add
 from ..tcp.state_machine import TcpState
 from ..tcp.tcb import DEFAULT_BUFFER_BYTES, DEFAULT_MSS, Tcb
 from ..tcp.timers import TimerWheel
-from .arp import ArpMessage, ArpModule
+from .arp import ArpModule
 from .buffers import SendStream
 from .events import (
     EventKind,
@@ -267,9 +267,6 @@ class FtEngine(Component):
     @property
     def registered_threads(self) -> List[int]:
         return sorted(self.host_messages)
-
-    def thread_of_flow(self, flow_id: int) -> int:
-        return self._flow_thread.get(flow_id, 0)
 
     def _assign_flow_to_thread(self, flow_id: int, thread_id: int) -> None:
         self._flow_thread[flow_id] = thread_id

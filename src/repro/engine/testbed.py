@@ -68,13 +68,6 @@ class Testbed:
     def now_s(self) -> float:
         return self.time_ps / 1e12
 
-    def step(self) -> None:
-        """One 250 MHz cycle for both engines."""
-        self.engine_a.cycle = self.engine_b.cycle = self.cycle
-        self.cycle += 1
-        self.engine_a.tick()
-        self.engine_b.tick()
-
     def run(
         self,
         until: Optional[Callable[[], bool]] = None,

@@ -51,7 +51,7 @@ from .service import (
     PnoService,
     ServiceModel,
 )
-from .softstack import SoftStackConfig, SoftTestbed
+from .softstack import SoftTestbed
 
 
 class OffloadBackend(Protocol):
@@ -104,10 +104,6 @@ class BackendSpec:
     #: The fabric-host service model (the soft backends' whole timing
     #: model; F4T's stand-in when it sits in an N-host fabric).
     service_class: Type[ServiceModel]
-
-    def service(self, **overrides: int) -> ServiceModel:
-        """A fresh service model for one host of this backend."""
-        return self.service_class(**overrides)
 
 
 _REGISTRY: Registry[BackendSpec] = Registry("backend")
@@ -185,8 +181,6 @@ def build_point_to_point(
     reorder_probability: float = 0.0,
     reorder_delay_us: float = 10.0,
     seed: int = 0,
-    soft_config: Optional[SoftStackConfig] = None,
-    **service_overrides: int,
 ):
     """Build a two-host point-to-point testbed for any backend.
 
@@ -197,11 +191,6 @@ def build_point_to_point(
     """
     spec = get_backend(backend)
     if spec.kind == "engine":
-        if service_overrides:
-            raise ValueError(
-                "service model overrides only apply to soft backends; "
-                "configure the f4t engine via FtEngineConfig"
-            )
         impaired = drop_probability > 0 or reorder_probability > 0
         wire = (
             Wire.impaired(
@@ -223,10 +212,9 @@ def build_point_to_point(
             "reorder impairments require the f4t engine backend"
         )
     return SoftTestbed(
-        service_factory=lambda: spec.service(**service_overrides),
+        service_factory=spec.service_class,
         link=link,
         drop_probability=drop_probability,
         seed=seed,
-        config=soft_config,
         backend=spec.name,
     )

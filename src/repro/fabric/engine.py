@@ -30,7 +30,7 @@ from ..sim.stats import Histogram
 from ..tcp.state_machine import TcpState
 from .backend import get_backend
 from .scenarios import FabricScenario
-from .softstack import SoftStack, SoftStackConfig, TimerWakeIndex, run_event_loop
+from .softstack import SoftStack, TimerWakeIndex, run_event_loop
 from .switch import SwitchFabric
 
 #: Shared zero payload; transfer content is opaque, only sizes matter.
@@ -152,8 +152,6 @@ class FabricLoadEngine:
         scenario: FabricScenario,
         backend: str = "f4t",
         load_scale: float = 1.0,
-        soft_config: Optional[SoftStackConfig] = None,
-        **service_overrides: int,
     ) -> None:
         self.scenario = scenario
         self.spec = get_backend(backend)
@@ -163,8 +161,7 @@ class FabricLoadEngine:
             SoftStack(
                 ip=self.fabric.host_ip(i),
                 port=self.fabric.port(i),
-                service=self.spec.service(**service_overrides),
-                config=soft_config,
+                service=self.spec.service_class(),
                 name=f"h{i}",
                 seed=scenario.seed,
             )
@@ -566,11 +563,8 @@ def run_fabric(
     load_scale: float = 1.0,
     trace=None,
     max_time_s: float = 0.25,
-    **service_overrides: int,
 ) -> FabricResult:
     """One-call fabric run; see :class:`FabricLoadEngine`."""
-    engine = FabricLoadEngine(
-        scenario, backend=backend, load_scale=load_scale, **service_overrides
-    )
+    engine = FabricLoadEngine(scenario, backend=backend, load_scale=load_scale)
     engine.trace = trace
     return engine.run(max_time_s=max_time_s)

@@ -440,10 +440,6 @@ class CellSwitch:
     def deliver_due(self, host: int, now_ps: int) -> List[FabricPacket]:
         return _take_due(self._delivery[host], now_ps)
 
-    def next_delivery_ps(self, host: int) -> Optional[int]:
-        queue = self._delivery[host]
-        return queue[0][0] if queue else None
-
     def next_any_delivery_ps(self) -> Optional[int]:
         return self._arrivals[0][0] if self._arrivals else None
 
@@ -477,9 +473,6 @@ class ShardPort:
 
     def poll(self, now_ps: int) -> List[FabricPacket]:
         return self._switch.deliver_due(self._host, now_ps)
-
-    def next_arrival_ps(self) -> Optional[int]:
-        return self._switch.next_delivery_ps(self._host)
 
     @property
     def pending(self) -> int:

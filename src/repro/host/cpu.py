@@ -31,10 +31,6 @@ class CpuModel:
             raise ValueError("cycles per request must be positive")
         return self.cycles_per_second / cycles_per_request
 
-    def cores_needed(self, target_rate: float, cycles_per_request: float) -> float:
-        """Cores required to sustain ``target_rate`` (may be fractional)."""
-        return target_rate * cycles_per_request / self.freq_hz
-
 
 @dataclass
 class CycleAccount:

@@ -6,25 +6,16 @@ Calls are plain function calls (no mode switch): each one moves a 16 B
 command through the runtime's per-thread queues and, for blocking
 sockets, spins the simulation (polling, then "sleeping") until the
 condition is met — mirroring the poll-then-sleep strategy of §4.6.
-
-``epoll`` is implemented as the paper describes: the library maintains
-an internal event list fed by hardware completion commands and returns
-ready sockets from it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..engine.ftengine import FtEngine
 from ..sim.stats import Counters
-from ..tcp.state_machine import TcpState
-from .calibration import (
-    F4T_CYCLES_PER_SEND_BULK,
-    HOST_CPU_FREQ_HZ,
-)
+from .calibration import F4T_CYCLES_PER_SEND_BULK
 from .cpu import CycleAccount
 from .runtime import F4TRuntime
 
@@ -34,7 +25,6 @@ from .runtime import F4TRuntime
 CALL_COST_CYCLES = {
     "send": F4T_CYCLES_PER_SEND_BULK,
     "recv": F4T_CYCLES_PER_SEND_BULK,
-    "epoll": 30.0,
     "socket": 20.0,
     "connect": 200.0,
     "listen": 100.0,
@@ -112,9 +102,6 @@ class F4TSocket:
     def close(self) -> None:
         self.library.close(self)
 
-    def setblocking(self, flag: bool) -> None:
-        self.blocking = flag
-
 
 class F4TLibrary:
     """The per-thread socket library bound to one engine + runtime."""
@@ -132,8 +119,6 @@ class F4TLibrary:
         self.pump = pump
         self.timeout_s = timeout_s
         self._sockets_by_flow: Dict[int, F4TSocket] = {}
-        #: The epoll event list (§4.1.1: internal linked list of events).
-        self._epoll_events: Deque[Tuple[F4TSocket, str]] = deque()
         self.counters = Counters()
         #: Modelled CPU consumption of this thread's library calls — the
         #: currency of the paper's headline claims (64% saved, §5.2).
@@ -141,14 +126,6 @@ class F4TLibrary:
 
     def _charge(self, call: str) -> None:
         self.cpu_account.charge("f4t_library", CALL_COST_CYCLES[call])
-
-    @property
-    def cpu_cycles_consumed(self) -> float:
-        return self.cpu_account.total()
-
-    @property
-    def cpu_seconds_consumed(self) -> float:
-        return self.cpu_cycles_consumed / HOST_CPU_FREQ_HZ
 
     # ------------------------------------------------------------ plumbing
     def socket(self) -> F4TSocket:
@@ -167,15 +144,10 @@ class F4TLibrary:
                 continue
             if message.kind == "connected":
                 sock.connected = True
-                self._epoll_events.append((sock, "writable"))
-            elif message.kind == "data":
-                self._epoll_events.append((sock, "readable"))
             elif message.kind == "eof":
                 sock.peer_closed = True
-                self._epoll_events.append((sock, "readable"))
             elif message.kind == "reset":
                 sock.reset = True
-                self._epoll_events.append((sock, "error"))
             elif message.kind == "closed":
                 sock.closed = True
             # 'acked' frees send-buffer room; senders poll room directly.
@@ -297,22 +269,3 @@ class F4TLibrary:
         if sock.flow_id is not None and not sock.closed:
             self.runtime.close(sock.flow_id)
             self.runtime.flush()
-
-    # --------------------------------------------------------------- epoll
-    def epoll_wait(
-        self, max_events: int = 64, timeout_s: float = 0.0
-    ) -> List[Tuple[F4TSocket, str]]:
-        """Return (socket, event) pairs from the internal event list."""
-        self.counters.add("epoll_calls")
-        self._charge("epoll")
-        self.runtime.flush()
-        self._drain_completions()
-        if not self._epoll_events and timeout_s > 0:
-            self.pump(
-                lambda: (self.runtime.flush(), self._drain_completions(), bool(self._epoll_events))[-1],
-                timeout_s,
-            )
-        events: List[Tuple[F4TSocket, str]] = []
-        while self._epoll_events and len(events) < max_events:
-            events.append(self._epoll_events.popleft())
-        return events

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 from ..net.link import Link, LINK_100G
 from .calibration import (
-    HOST_CPU_FREQ_HZ,
     LINUX_CYCLES_PER_ECHO,
     LINUX_CYCLES_PER_SEND_BULK,
     LINUX_CYCLES_PER_SEND_RR,
     LINUX_ECHO_FLOW_PENALTY,
     NGINX_LINUX_CYCLES_PER_REQ,
-    NGINX_LINUX_TCP_FRACTION,
 )
-from .cpu import CpuModel, CycleAccount
+from .cpu import CpuModel
 
 
 @dataclass
@@ -63,23 +61,3 @@ class LinuxTcpStack:
     def nginx_request_rate(self) -> float:
         """Figs 1b/10: web-server requests/s on this core pool."""
         return self.cpu.rate_for(NGINX_LINUX_CYCLES_PER_REQ)
-
-    def nginx_cycle_breakdown(self) -> CycleAccount:
-        """Fig 1a: where Nginx's cycles go under Linux."""
-        from .calibration import (
-            NGINX_LINUX_APP_FRACTION,
-            NGINX_LINUX_KERNEL_FRACTION,
-        )
-
-        account = CycleAccount()
-        per_request = NGINX_LINUX_CYCLES_PER_REQ
-        account.charge("application", NGINX_LINUX_APP_FRACTION * per_request)
-        account.charge("tcp_stack", NGINX_LINUX_TCP_FRACTION * per_request)
-        account.charge("kernel_other", NGINX_LINUX_KERNEL_FRACTION * per_request)
-        return account
-
-    def cores_to_saturate(self, request_bytes: int) -> float:
-        """§1: '104 cores to saturate 100 Gbps with 128 B requests'."""
-        target = self.link.max_packets_per_second(request_bytes)
-        cycles = LINUX_CYCLES_PER_SEND_BULK + 0.6 * request_bytes
-        return self.cpu.cores_needed(target, cycles)

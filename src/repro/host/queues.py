@@ -10,9 +10,9 @@ writes the software doorbell in the DMA buffer and the library polls it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List
 
-from .commands import COMMAND_SIZE, Command
+from .commands import Command
 
 QUEUE_DEPTH = 1024
 
@@ -36,12 +36,6 @@ class CommandQueue:
         self.enqueued = 0
         self.dequeued = 0
         self.full_stalls = 0
-
-    @property
-    def entry_bytes(self) -> int:
-        from .commands import COMMAND_SIZE, COMMAND_SIZE_SIMPLIFIED
-
-        return COMMAND_SIZE_SIMPLIFIED if self.simplified else COMMAND_SIZE
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -95,8 +89,3 @@ class QueuePair:
         self.simplified = simplified
         self.submission = CommandQueue(depth, f"sq{thread_id}", simplified)
         self.completion = CommandQueue(depth, f"cq{thread_id}", simplified)
-
-    @property
-    def bytes_per_round_trip(self) -> int:
-        """PCIe payload for one request plus one completion."""
-        return 2 * self.submission.entry_bytes

@@ -96,14 +96,6 @@ class PointResult:
     def all_checks_pass(self) -> bool:
         return all(check["passes"] for check in self.checks.values())
 
-    def metrics_snapshot(self) -> Optional["Any"]:
-        """Decode :attr:`metrics` back into a MetricsSnapshot, if present."""
-        if self.metrics is None:
-            return None
-        from ..obs.metrics import MetricsSnapshot
-
-        return MetricsSnapshot.from_json(json.dumps(self.metrics))
-
 
 def normalize_result(value: Any) -> PointResult:
     """Coerce a driver's return value into a :class:`PointResult`.

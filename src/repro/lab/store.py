@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from .. import CorruptStoreError
 from .grid import ExperimentGrid, GridPoint, PointResult, canonical_json
 
 STATUSES = ("pending", "running", "done", "error")
@@ -120,7 +121,8 @@ class RunStore:
     """Open (creating if needed) the run database at ``path``.
 
     Each :class:`RunStore` owns one connection; every process must make
-    its own instance (sqlite connections do not survive ``fork``).
+    its own instance (sqlite connections do not survive ``fork``).  A
+    file SQLite cannot read raises :class:`~repro.CorruptStoreError`.
     """
 
     def __init__(self, path: str):
@@ -129,12 +131,19 @@ class RunStore:
         os.makedirs(directory, exist_ok=True)
         self._conn = sqlite3.connect(self.path, timeout=30.0)
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        with self._conn:
-            self._conn.executescript(_SCHEMA)
-        self._migrate()
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA busy_timeout=30000")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            with self._conn:
+                self._conn.executescript(_SCHEMA)
+            self._migrate()
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise CorruptStoreError(
+                f"{self.path}: not a readable run store ({exc}); "
+                "move it aside or pass another --db"
+            ) from None
 
     def _migrate(self) -> None:
         """Add columns newer code expects to databases older code created.

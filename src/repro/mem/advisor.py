@@ -18,7 +18,7 @@ everywhere; no pinned fingerprint sees the advisor.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple
 
 from .sketch import Sketch
 
@@ -97,15 +97,6 @@ class FlowHeat:
                     "hot", flow_id, str(estimate),
                 )
         return hot
-
-    def hot_flows(self, k: int = 8) -> List[Tuple[int, int]]:
-        """Top-k (flow, estimate) pairs above the heat bar."""
-        bar = self.hot_threshold
-        return [
-            (flow, est)
-            for flow, est in self.sketch.heavy_hitters(k)
-            if est > bar
-        ]
 
     def coldness_key(self, flow_id: int, last_active: int) -> Tuple[int, int]:
         """Victim-selection key: sketch-coldest first, LRU tie-break."""

@@ -118,11 +118,6 @@ class CacheGeometry:
     def uses_sketch(self) -> bool:
         return any(level.policy == "freq" for level in self.levels)
 
-    @property
-    def is_default_shape(self) -> bool:
-        """True for the single-level direct compat geometry (any size)."""
-        return len(self.levels) == 1 and self.levels[0].policy == "direct"
-
     def render(self) -> str:
         return "/".join(level.render() for level in self.levels)
 
@@ -191,9 +186,6 @@ class TcbCacheHierarchy:
 
     def contains(self, flow_id: int) -> bool:
         return flow_id in self._where
-
-    def level_of(self, flow_id: int) -> Optional[int]:
-        return self._where.get(flow_id)
 
     # ------------------------------------------------------------- access
     def _bucket(self, level: int, flow_id: int) -> List[int]:

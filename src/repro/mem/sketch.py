@@ -159,10 +159,6 @@ class SpaceSavingSketch:
     def estimate(self, key: int) -> int:
         return self._counts.get(key, 0)
 
-    def error_bound(self, key: int) -> int:
-        """Maximum overcount baked into :meth:`estimate` for ``key``."""
-        return self._errors.get(key, 0)
-
     def heavy_hitters(self, k: int = 8) -> List[Tuple[int, int]]:
         ranked = sorted(
             self._counts.items(), key=lambda item: (-item[1], item[0])

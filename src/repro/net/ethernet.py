@@ -27,10 +27,6 @@ def make_mac(node_id: int) -> int:
     return 0x02_00_00_00_00_00 | (node_id & 0xFFFFFFFF)
 
 
-def mac_to_string(mac: int) -> str:
-    return ":".join(f"{(mac >> s) & 0xFF:02x}" for s in range(40, -8, -8))
-
-
 BROADCAST_MAC = 0xFF_FF_FF_FF_FF_FF
 
 

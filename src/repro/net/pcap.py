@@ -129,9 +129,6 @@ class WireTap:
         port.send = tapped_send
         return tap
 
-    def detach(self) -> None:
-        self.port.send = self._original_send
-
     @property
     def packets(self) -> List[CapturedPacket]:
         return self.writer.packets

@@ -41,13 +41,6 @@ class LossPattern:
         return lambda frame, index: False
 
     @staticmethod
-    def every_nth(n: int, start: int = 0) -> FaultFn:
-        """Drop packet indices start, start+n, start+2n, ..."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return lambda frame, index: index >= start and (index - start) % n == 0
-
-    @staticmethod
     def probability(p: float, seed: int = 1) -> FaultFn:
         """Drop each data-bearing frame independently with probability p."""
         rng = random.Random(seed)
@@ -76,12 +69,6 @@ class DelayPattern:
         rng = random.Random(seed)
         delay_ps = delay_us * 1e6
         return lambda frame, index: delay_ps if rng.random() < p else 0.0
-
-    @staticmethod
-    def jitter(max_us: float, seed: int = 1) -> DelayFn:
-        """Uniform random extra delay in [0, max_us] per frame."""
-        rng = random.Random(seed)
-        return lambda frame, index: rng.random() * max_us * 1e6
 
 
 class _Direction:
@@ -120,9 +107,6 @@ class _Direction:
             frames.append(heapq.heappop(self._in_flight)[2])
         return frames
 
-    def next_arrival_ps(self) -> Optional[float]:
-        return self._in_flight[0][0] if self._in_flight else None
-
     @property
     def in_flight(self) -> int:
         return len(self._in_flight)
@@ -140,9 +124,6 @@ class WirePort:
 
     def poll(self, now_ps: float) -> List[EthernetFrame]:
         return self._inbound.deliver_due(now_ps)
-
-    def next_arrival_ps(self) -> Optional[float]:
-        return self._inbound.next_arrival_ps()
 
     @property
     def pending(self) -> int:
@@ -220,11 +201,3 @@ class Wire:
     @property
     def bytes_sent(self) -> int:
         return self._ab.bytes_sent + self._ba.bytes_sent
-
-    def next_arrival_ps(self) -> Optional[float]:
-        times = [
-            t
-            for t in (self._ab.next_arrival_ps(), self._ba.next_arrival_ps())
-            if t is not None
-        ]
-        return min(times) if times else None

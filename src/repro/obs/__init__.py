@@ -35,7 +35,6 @@ from .export import (
 from .hooks import (
     attach_engine,
     attach_load_engine,
-    attach_runtime,
     attach_testbed,
     sample_occupancy,
 )
@@ -46,7 +45,6 @@ from .metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     format_labels,
-    parse_labels,
 )
 from .trace import (
     ALL_LAYERS,
@@ -74,7 +72,6 @@ __all__ = [
     "TraceEvent",
     "attach_engine",
     "attach_load_engine",
-    "attach_runtime",
     "attach_testbed",
     "collect_engine",
     "collect_scenario_result",
@@ -87,7 +84,6 @@ __all__ = [
     "format_labels",
     "load_chrome_trace",
     "merge_fingerprints",
-    "parse_labels",
     "render_flow_timeline",
     "render_summary",
     "sample_occupancy",

@@ -72,12 +72,6 @@ def attach_testbed(testbed, bus: Optional[TraceBus]) -> None:
     attach_engine(testbed.engine_b, bus, name="b")
 
 
-def attach_runtime(runtime, bus: Optional[TraceBus]) -> None:
-    """Attach one host-runtime thread's queue instrumentation."""
-    runtime.trace = _if_enabled(bus, "host")
-    runtime.trace_name = f"runtime{runtime.thread_id}"
-
-
 def attach_load_engine(
     load_engine, bus: Optional[TraceBus], sample_every_cycles: int = 4096
 ) -> None:

@@ -8,16 +8,13 @@ Prometheus), so ``cache_misses{engine=a}`` and ``cache_misses{engine=b}``
 coexist, and a sweep can merge per-run registries into one.
 
 The registry *wraps* the sim.stats primitives rather than replacing
-them — :meth:`MetricsRegistry.ingest_counters` lifts an existing
-:class:`~repro.sim.stats.Counters` bag into labeled metrics, and
-histograms delegate their percentile math to
-:class:`~repro.sim.stats.Histogram` — so components keep their cheap
-local instruments and the registry assembles the global picture at
-snapshot time.
+them — components keep their cheap local bags and histograms, and
+:meth:`MetricsRegistry.ingest_scalars` / ``ingest_histogram`` lift them
+into labeled metrics at snapshot time (histograms delegate their
+percentile math to :class:`~repro.sim.stats.Histogram`).
 
-Snapshots are plain rows (name, kind, labels, value): diffable
-(:meth:`MetricsSnapshot.delta`), mergeable across runs
-(:meth:`MetricsRegistry.merge`), and exportable as CSV or JSON.
+Snapshots are plain rows (name, kind, labels, value), exportable as
+CSV or JSON.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import json
 import math
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from ..sim.stats import Counters, Histogram
+from ..sim.stats import Histogram
 
 #: A frozen, hashable label set: (("engine","a"), ("class","rpc")).
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -41,25 +38,15 @@ def format_labels(labels: Mapping[str, str]) -> str:
     return ";".join(f"{k}={v}" for k, v in _label_key(labels))
 
 
-def parse_labels(text: str) -> Dict[str, str]:
-    if not text:
-        return {}
-    return dict(part.split("=", 1) for part in text.split(";"))
-
-
 class Counter:
-    """Monotonic labeled counter."""
+    """Labeled counter, ingested as a total: the sim.stats bags count
+    from the component's own start of time."""
 
     kind = "counter"
 
     def __init__(self) -> None:
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    # `set` supports ingesting an externally accumulated total (the
-    # sim.stats bags count from the component's own start of time).
     def set_total(self, value: float) -> None:
         self.value = float(value)
 
@@ -74,12 +61,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 #: The stats a histogram flattens into at snapshot time.
@@ -135,24 +116,6 @@ class MetricsSnapshot:
             out[f"{name}{{{suffix}}}" if suffix else name] = value
         return out
 
-    def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Counter rows become this-minus-earlier; everything else kept.
-
-        Gauges and histogram stats are point-in-time readings, so the
-        later value *is* the delta-window reading.
-        """
-        before = {
-            (name, _label_key(labels)): value
-            for name, kind, labels, value in earlier.rows
-            if kind == "counter"
-        }
-        rows = []
-        for name, kind, labels, value in self.rows:
-            if kind == "counter":
-                value = value - before.get((name, _label_key(labels)), 0.0)
-            rows.append((name, kind, dict(labels), value))
-        return MetricsSnapshot(rows)
-
     # ------------------------------------------------------------- export
     def to_csv(self) -> str:
         lines = ["name,kind,labels,value"]
@@ -171,14 +134,6 @@ class MetricsSnapshot:
             ],
             sort_keys=True,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsSnapshot":
-        rows = [
-            (row["name"], row["kind"], dict(row["labels"]), float(row["value"]))
-            for row in json.loads(text)
-        ]
-        return cls(rows)
 
 
 class MetricsRegistry:
@@ -212,19 +167,6 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: str) -> HistogramMetric:
         return self._get(HistogramMetric, name, labels)
 
-    # ----------------------------------------------------------- ingestion
-    def ingest_counters(
-        self, counters: Counters, prefix: str = "", **labels: str
-    ) -> None:
-        """Lift a :class:`~repro.sim.stats.Counters` bag into the registry.
-
-        This is the supersede-without-rewrite path: components keep
-        their local bags, the registry absorbs them (as totals) under
-        stable labeled names at collection time.
-        """
-        for name, value in counters.as_dict().items():
-            self.counter(prefix + name, **labels).set_total(value)
-
     def ingest_scalars(
         self, scalars: Mapping[str, float], prefix: str = "", **labels: str
     ) -> None:
@@ -241,22 +183,6 @@ class MetricsRegistry:
         metric = self.histogram(name, **labels)
         for sample in histogram.samples:
             metric.observe(sample)
-
-    # ------------------------------------------------------------- merging
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters add, gauges take the other's
-        value, histograms pool samples.  Labels keep runs distinguishable;
-        merging identical label sets means "same instrument, more data"."""
-        for (name, key), instrument in other._instruments.items():
-            labels = dict(key)
-            if isinstance(instrument, Counter):
-                self.counter(name, **labels).inc(instrument.value)
-            elif isinstance(instrument, Gauge):
-                self.gauge(name, **labels).set(instrument.value)
-            else:
-                mine = self.histogram(name, **labels)
-                for sample in instrument.histogram.samples:
-                    mine.observe(sample)
 
     # ------------------------------------------------------------ snapshot
     def snapshot(self) -> MetricsSnapshot:

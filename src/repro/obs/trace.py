@@ -122,13 +122,6 @@ class TraceBus:
         #: Everything that passed the layer/flow filters, kept or not.
         self.emitted = 0
 
-    # ------------------------------------------------------------- filters
-    def enabled(self, layer: str) -> bool:
-        return layer in self.layers
-
-    def wants_flow(self, flow_id: int) -> bool:
-        return self.flows is None or flow_id in self.flows
-
     # --------------------------------------------------------------- emit
     def emit(
         self,

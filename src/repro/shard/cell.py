@@ -68,7 +68,7 @@ class CellSim:
             stack = SoftStack(
                 ip=self.switch.host_ip(host),
                 port=self.switch.port(host, self._route),
-                service=spec.service(),
+                service=spec.service_class(),
                 name=f"h{host}",
                 seed=scenario.seed,
             )

@@ -17,7 +17,7 @@ from .component import Component
 from .fifo import Fifo
 from .memory import CAM, DRAMModel, DualPortSRAM, PartitionedLUT
 from .pipeline import Pipeline
-from .stats import Counters, Histogram, RateMeter
+from .stats import Counters, Histogram
 
 __all__ = [
     "CAM",
@@ -29,5 +29,4 @@ __all__ = [
     "Histogram",
     "PartitionedLUT",
     "Pipeline",
-    "RateMeter",
 ]

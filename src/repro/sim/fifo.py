@@ -9,7 +9,7 @@ uses to detect a congested FPC (§4.4.2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Iterator, List, Optional, TypeVar
+from typing import Deque, Generic, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -38,10 +38,6 @@ class Fifo(Generic[T]):
     def full(self) -> bool:
         return len(self._items) >= self.capacity
 
-    @property
-    def empty(self) -> bool:
-        return not self._items
-
     def push(self, item: T) -> bool:
         """Append ``item``; returns False (and drops nothing) when full."""
         items = self._items
@@ -61,24 +57,12 @@ class Fifo(Generic[T]):
         self.pops += 1
         return self._items.popleft()
 
-    def peek(self) -> T:
-        if not self._items:
-            raise IndexError(f"peek on empty FIFO {self.name!r}")
-        return self._items[0]
-
     def try_pop(self) -> Optional[T]:
         """Pop the head, or return None when empty."""
         if not self._items:
             return None
         self.pops += 1
         return self._items.popleft()
-
-    def drain(self) -> List[T]:
-        """Pop everything, preserving order."""
-        items = list(self._items)
-        self.pops += len(items)
-        self._items.clear()
-        return items
 
     def clear(self) -> None:
         self._items.clear()

@@ -290,10 +290,5 @@ class PartitionedLUT:
         else:
             self._group_of(key).pop(key, None)
 
-    @property
-    def accesses_per_cycle(self) -> int:
-        """Peak routing throughput in lookups per cycle."""
-        return self.groups
-
     def __len__(self) -> int:
         return sum(len(t) for t in self._tables)

@@ -49,10 +49,6 @@ class Pipeline(Generic[T, R]):
     def __len__(self) -> int:
         return len(self._in_flight)
 
-    @property
-    def busy(self) -> bool:
-        return bool(self._in_flight)
-
     def can_issue(self, cycle: int) -> bool:
         return (
             self._last_issue_cycle is None

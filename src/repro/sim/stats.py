@@ -33,44 +33,6 @@ class Counters:
         return f"Counters({self._values!r})"
 
 
-class RateMeter:
-    """Converts an event count over simulated time into a rate.
-
-    Rates are reported against *simulated* time (picoseconds from the
-    model's own clock), never wall-clock time, because the simulator's speed is
-    irrelevant to the modelled hardware's throughput.
-    """
-
-    def __init__(self, name: str = "rate") -> None:
-        self.name = name
-        self.count = 0
-        self.units = 0.0  # e.g. bytes, for throughput meters
-
-    def record(self, units: float = 1.0) -> None:
-        self.count += 1
-        self.units += units
-
-    def per_second(self, elapsed_ps: float) -> float:
-        """Events per simulated second.
-
-        A zero (or negative, or non-finite) measurement window has no
-        meaningful rate; it reports 0.0 rather than raising or returning
-        inf, so aggregation over many windows never blows up.
-        """
-        if not elapsed_ps > 0 or math.isinf(elapsed_ps):
-            return 0.0
-        return self.count / (elapsed_ps / 1e12)
-
-    def units_per_second(self, elapsed_ps: float) -> float:
-        if not elapsed_ps > 0 or math.isinf(elapsed_ps):
-            return 0.0
-        return self.units / (elapsed_ps / 1e12)
-
-    def gbps(self, elapsed_ps: float) -> float:
-        """Throughput in gigabits per second, treating units as bytes."""
-        return self.units_per_second(elapsed_ps) * 8 / 1e9
-
-
 class Histogram:
     """Sample store with percentile queries (median, p99, ...)."""
 

@@ -22,14 +22,12 @@ from .segment import (
 from .seq import (
     SEQ_MOD,
     seq_add,
-    seq_between,
     seq_ge,
     seq_gt,
     seq_in_window,
     seq_le,
     seq_lt,
     seq_max,
-    seq_min,
     seq_sub,
 )
 from .state_machine import TcpState
@@ -68,14 +66,12 @@ __all__ = [
     "ip_to_string",
     "register",
     "seq_add",
-    "seq_between",
     "seq_ge",
     "seq_gt",
     "seq_in_window",
     "seq_le",
     "seq_lt",
     "seq_max",
-    "seq_min",
     "seq_sub",
     "update_rtt",
 ]

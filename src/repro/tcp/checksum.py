@@ -33,8 +33,3 @@ def tcp_checksum(src_ip: int, dst_ip: int, segment: bytes) -> int:
     return internet_checksum(
         pseudo_header(src_ip, dst_ip, 6, len(segment)) + segment
     )
-
-
-def verify_tcp_checksum(src_ip: int, dst_ip: int, segment: bytes) -> bool:
-    """True when the embedded checksum validates (sum folds to zero)."""
-    return tcp_checksum(src_ip, dst_ip, segment) == 0

@@ -39,10 +39,6 @@ class ReassemblyBuffer:
     def out_of_order_chunks(self) -> int:
         return len(self._chunks)
 
-    @property
-    def buffered_bytes(self) -> int:
-        return sum(len(chunk) for chunk in self._chunks.values())
-
     def chunk_boundaries(self) -> List[Tuple[int, int]]:
         """The stored (start, end) chunk intervals, sorted by stream order."""
         spans = [(s, seq_add(s, len(p))) for s, p in self._chunks.items()]
@@ -154,11 +150,6 @@ class ReassemblyBuffer:
             raise ValueError("read size must be non-negative")
         data = bytes(self._ready[:nbytes])
         del self._ready[:nbytes]
-        return data
-
-    def read_all(self) -> bytes:
-        data = bytes(self._ready)
-        self._ready.clear()
         return data
 
 

@@ -51,16 +51,6 @@ def seq_max(a: int, b: int) -> int:
     return a if seq_ge(a, b) else b
 
 
-def seq_min(a: int, b: int) -> int:
-    """The earlier of two sequence numbers."""
-    return a if seq_le(a, b) else b
-
-
-def seq_between(low: int, x: int, high: int) -> bool:
-    """True when ``low <= x <= high`` along the wrapped stream."""
-    return seq_le(low, x) and seq_le(x, high)
-
-
 def seq_in_window(x: int, window_start: int, window_len: int) -> bool:
     """True when ``x`` falls in [window_start, window_start + window_len)."""
     if window_len <= 0:

@@ -35,22 +35,6 @@ RECEIVE_STATES = frozenset(
 )
 
 
-class TcpTransitionError(RuntimeError):
-    """An event arrived that is illegal in the current state."""
-
-
-def on_active_open(state: TcpState) -> TcpState:
-    if state is not TcpState.CLOSED:
-        raise TcpTransitionError(f"active open in {state.value}")
-    return TcpState.SYN_SENT
-
-
-def on_passive_open(state: TcpState) -> TcpState:
-    if state is not TcpState.CLOSED:
-        raise TcpTransitionError(f"passive open in {state.value}")
-    return TcpState.LISTEN
-
-
 def on_syn_received(state: TcpState) -> TcpState:
     """Peer's SYN arrived (no ACK)."""
     if state is TcpState.LISTEN:
@@ -100,12 +84,6 @@ def on_ack_of_fin(state: TcpState) -> TcpState:
     if state is TcpState.CLOSING:
         return TcpState.TIME_WAIT
     if state is TcpState.LAST_ACK:
-        return TcpState.CLOSED
-    return state
-
-
-def on_time_wait_expiry(state: TcpState) -> TcpState:
-    if state is TcpState.TIME_WAIT:
         return TcpState.CLOSED
     return state
 

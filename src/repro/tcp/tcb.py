@@ -127,16 +127,6 @@ class Tcb:
         return max(0, seq_sub(self.snd_nxt, self.snd_una))
 
     @property
-    def bytes_unacked_requested(self) -> int:
-        """Send-buffer occupancy: requested but not yet acknowledged."""
-        return max(0, seq_sub(self.req, self.snd_una))
-
-    @property
-    def send_buffer_room(self) -> int:
-        """How many more bytes the app may request before blocking."""
-        return max(0, self.send_buf - self.bytes_unacked_requested)
-
-    @property
     def rcv_wnd(self) -> int:
         """Receive window to advertise: buffer minus undelivered data."""
         used = max(0, seq_sub(self.rcv_nxt, self.rcv_user))

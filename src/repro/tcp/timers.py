@@ -73,9 +73,6 @@ class TimerWheel:
         self._gen[flow_id] = self._gen.get(flow_id, 0) + 1
         self._armed.pop(flow_id, None)
 
-    def deadline(self, flow_id: int) -> Optional[float]:
-        return self._armed.get(flow_id)
-
     def next_deadline(self) -> Optional[float]:
         """Earliest live deadline, for the simulator's idle-skip."""
         while self._heap:

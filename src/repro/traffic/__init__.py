@@ -12,7 +12,6 @@ percentiles.  ``python -m repro traffic {list,run,sweep}`` is the CLI;
 
 from .arrivals import (
     ArrivalProcess,
-    Deterministic,
     FlashCrowd,
     OnOffBursts,
     Poisson,
@@ -30,19 +29,16 @@ from .scenario import (
     get_scenario,
     register_scenario,
 )
-from .sizes import Fixed, Lognormal, Pareto, SizeDistribution, Zipf
+from .sizes import Fixed, SizeDistribution, Zipf
 from .sweep import detect_knee
 
 __all__ = [
     "ArrivalProcess",
-    "Deterministic",
     "Poisson",
     "OnOffBursts",
     "FlashCrowd",
     "SizeDistribution",
     "Fixed",
-    "Lognormal",
-    "Pareto",
     "Zipf",
     "PERSISTENT",
     "PER_REQUEST",

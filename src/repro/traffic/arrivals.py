@@ -18,9 +18,6 @@ from typing import List
 class ArrivalProcess:
     """Generates request arrival times in ``[0, duration_s)``."""
 
-    #: Long-run average arrivals per simulated second.
-    mean_rate: float
-
     def times(self, rng: random.Random, duration_s: float) -> List[float]:
         raise NotImplementedError
 
@@ -33,37 +30,10 @@ class ArrivalProcess:
 
 
 @dataclass(frozen=True)
-class Deterministic(ArrivalProcess):
-    """Evenly spaced arrivals at a fixed rate (iperf-style pacing)."""
-
-    rate: float
-    #: Fractional offset of the first arrival within its slot.
-    phase: float = 0.5
-
-    @property
-    def mean_rate(self) -> float:
-        return self.rate
-
-    def times(self, rng: random.Random, duration_s: float) -> List[float]:
-        count = int(self.rate * duration_s)
-        return [(i + self.phase) / self.rate for i in range(count)]
-
-    def scaled(self, factor: float) -> "Deterministic":
-        return replace(self, rate=self.rate * factor)
-
-    def describe(self) -> str:
-        return f"deterministic({self.rate:.3g}/s)"
-
-
-@dataclass(frozen=True)
 class Poisson(ArrivalProcess):
     """Memoryless arrivals: exponential inter-arrival gaps."""
 
     rate: float
-
-    @property
-    def mean_rate(self) -> float:
-        return self.rate
 
     def times(self, rng: random.Random, duration_s: float) -> List[float]:
         times: List[float] = []
@@ -87,7 +57,7 @@ class OnOffBursts(ArrivalProcess):
     The classic two-state Markov-modulated Poisson process datacenter
     traces motivate: exponentially distributed ON and OFF dwell times,
     with arrivals only (or mostly) during ON.  Same mean load as a plain
-    Poisson process at ``mean_rate``, but the arrivals clump — the
+    Poisson process at the dwell-weighted rate, but the arrivals clump — the
     pattern that stresses coalesce FIFOs and accept queues.
     """
 
@@ -96,13 +66,6 @@ class OnOffBursts(ArrivalProcess):
     mean_off_s: float
     #: Background rate during OFF dwells (0 = pure on/off).
     idle_rate: float = 0.0
-
-    @property
-    def mean_rate(self) -> float:
-        total = self.mean_on_s + self.mean_off_s
-        return (
-            self.burst_rate * self.mean_on_s + self.idle_rate * self.mean_off_s
-        ) / total
 
     def times(self, rng: random.Random, duration_s: float) -> List[float]:
         times: List[float] = []
@@ -152,11 +115,6 @@ class FlashCrowd(ArrivalProcess):
     peak_multiplier: float
     ramp_start_s: float
     ramp_duration_s: float
-
-    @property
-    def mean_rate(self) -> float:
-        # Triangle adds (peak-1)/2 x base over the ramp window.
-        return self.base_rate  # the steady-state component
 
     def rate_at(self, t: float) -> float:
         start, width = self.ramp_start_s, self.ramp_duration_s

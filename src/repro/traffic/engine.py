@@ -33,6 +33,9 @@ from .scenario import PER_REQUEST, Request, Scenario, TrafficClass
 #: Shared zero payload; request content is opaque, only sizes matter.
 _ZEROS = bytes(1 << 16)
 
+#: With ``audit=True``, the invariant monitors run every this many cycles.
+AUDIT_EVERY_CYCLES = 4096
+
 _A_FLOW = attrgetter("a_flow")
 
 # Connection states.
@@ -237,7 +240,6 @@ class LoadEngine:
         testbed: Optional[Testbed] = None,
         load_scale: float = 1.0,
         audit: bool = False,
-        audit_every_cycles: int = 4096,
         backend: str = "f4t",
     ) -> None:
         # Local import: repro.fabric composes on top of repro.traffic, so
@@ -269,7 +271,6 @@ class LoadEngine:
                 )
         self.testbed = testbed
         self.audit = audit
-        self.audit_every_cycles = audit_every_cycles
         self.monitors = (
             [InvariantMonitor(testbed.engine_a), InvariantMonitor(testbed.engine_b)]
             if audit
@@ -295,11 +296,6 @@ class LoadEngine:
         #: (side, thread_id) -> scan position in that host-message queue.
         self._msg_cursors: Dict[tuple, int] = {}
         self._msg_epochs = [-1, -1]  # last-seen msg_epoch per engine side
-        #: Verification switch: advance every conn on every pump call,
-        #: parked ones too (the pre-dirty-set behaviour).  Both modes
-        #: are cycle-identical — tests assert equal trace fingerprints
-        #: and that a parked conn's advance changes nothing.
-        self.sweep_all_pumps = False
 
         #: Observability (repro.obs): a TraceBus, or None (free default).
         #: When attached, the pump also emits periodic occupancy samples.
@@ -443,7 +439,7 @@ class LoadEngine:
         if self.monitors and tb.cycle >= self._next_audit_cycle:
             for monitor in self.monitors:
                 monitor.check()
-            self._next_audit_cycle = tb.cycle + self.audit_every_cycles
+            self._next_audit_cycle = tb.cycle + AUDIT_EVERY_CYCLES
         if self.trace is not None and tb.cycle >= self._next_trace_sample_cycle:
             from ..obs.hooks import sample_occupancy
 
@@ -452,8 +448,6 @@ class LoadEngine:
         self._poll_accepts()
         self._drain_host_messages()
         self._release_arrivals()
-        if self.sweep_all_pumps:
-            self._mark_all_dirty()
         # Declaration-order iteration, fixed per scenario+seed; sorting
         # would reorder emits and re-pin the trace goldens.
         for state in self.states.values():

@@ -12,7 +12,7 @@ from the scenario's single top-level seed with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 from .. import Registry
@@ -185,12 +185,6 @@ class Scenario:
             replace(self, classes=list(self.classes[cell::cells]))
             for cell in range(cells)
         ]
-
-    def offered_bytes(self, load_scale: float = 1.0) -> int:
-        return sum(
-            r.request_bytes + r.response_bytes
-            for r in self.schedule(load_scale)
-        )
 
     def build_wire(self) -> Optional[Wire]:
         if self.impairments is None:

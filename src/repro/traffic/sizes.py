@@ -9,7 +9,6 @@ whole bytes within ``[minimum, maximum]``.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -36,49 +35,6 @@ class Fixed(SizeDistribution):
 
     def describe(self) -> str:
         return f"fixed({self.size_bytes}B)"
-
-
-@dataclass(frozen=True)
-class Lognormal(SizeDistribution):
-    """Lognormal sizes around a median — web-object-like bodies."""
-
-    median_bytes: float
-    sigma: float = 0.8
-    minimum: int = 1
-    maximum: int = 1 << 20
-
-    def sample(self, rng: random.Random) -> int:
-        value = self.median_bytes * math.exp(rng.gauss(0.0, self.sigma))
-        return max(self.minimum, min(self.maximum, int(round(value))))
-
-    def describe(self) -> str:
-        return f"lognormal(median={self.median_bytes:g}B, sigma={self.sigma:g})"
-
-
-@dataclass(frozen=True)
-class Pareto(SizeDistribution):
-    """Bounded Pareto: the textbook heavy-tailed flow-size model.
-
-    Inverse-CDF sampling of a Pareto(``alpha``) truncated to
-    ``[minimum, maximum]`` — alpha near 1 gives elephants their share.
-    """
-
-    alpha: float = 1.2
-    minimum: int = 64
-    maximum: int = 1 << 20
-
-    def sample(self, rng: random.Random) -> int:
-        low, high, a = float(self.minimum), float(self.maximum), self.alpha
-        u = rng.random()
-        # Inverse CDF of the bounded Pareto distribution.
-        value = (
-            -(u * high ** a - u * low ** a - high ** a)
-            / (high ** a * low ** a)
-        ) ** (-1.0 / a)
-        return max(self.minimum, min(self.maximum, int(round(value))))
-
-    def describe(self) -> str:
-        return f"pareto(a={self.alpha:g}, {self.minimum}-{self.maximum}B)"
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.echo import EchoModel, measure_dram_swap_rate, run_functional_echo
+from repro.apps.echo import EchoModel, measure_dram_swap_rate
 from repro.apps.iperf import BulkTransferModel, run_functional_bulk
 from repro.apps.nginx import (
     HTTP_RESPONSE,
@@ -11,8 +11,27 @@ from repro.apps.nginx import (
     http_get,
     simulate_closed_loop,
 )
-from repro.apps.roundrobin import RoundRobinModel, run_functional_round_robin
+from repro.apps.roundrobin import RoundRobinModel, round_robin_scenario
 from repro.apps.wrk import run_functional_wrk
+from repro.traffic import Fixed, Scenario, TrafficClass, run_scenario
+
+
+def echo_scenario(flows, rounds, payload_bytes=128):
+    """Closed-loop 128 B ping-pong over persistent connections."""
+    return Scenario(
+        name="echo",
+        description="closed-loop ping-pong over persistent connections",
+        server_port=7,
+        classes=[
+            TrafficClass(
+                name="echo",
+                request=Fixed(payload_bytes),
+                response=Fixed(payload_bytes),
+                connections=flows,
+                rounds=rounds,
+            )
+        ],
+    )
 
 
 class TestBulkModel:
@@ -129,12 +148,14 @@ class TestFunctionalDrivers:
         assert result.goodput_gbps > 10  # the simulated 100G link delivers
 
     def test_functional_round_robin(self):
-        result = run_functional_round_robin(flows=4, requests_per_flow=8)
-        assert result.bytes_delivered == 4 * 8 * 128
+        result = run_scenario(
+            round_robin_scenario(4, 8, 128), raise_on_incomplete=True
+        )
+        assert result.classes["rr"].bytes_delivered == 4 * 8 * 128
 
     def test_functional_echo(self):
-        rate = run_functional_echo(flows=3, rounds=4)
-        assert rate > 0
+        result = run_scenario(echo_scenario(3, 4), raise_on_incomplete=True)
+        assert result.classes["echo"].achieved_rps > 0
 
     def test_functional_wrk_serves_http(self):
         result = run_functional_wrk(connections=3, requests_per_connection=3)

@@ -1,7 +1,9 @@
 """simlint rules: known-good and known-bad snippets for every rule."""
 
-from repro.check import layer_of, lint_source
-from repro.check.rules import all_rules, get_rule
+from repro.check import layer_of
+from repro.check.rules import all_rules
+
+from ._lint_source import lint_source
 
 
 def ids(findings):
@@ -18,9 +20,6 @@ class TestRegistry:
         assert len(seen) == len(set(seen))
         for rule_id in seen:
             assert rule_id.startswith("F4T") and len(rule_id) == 6
-
-    def test_get_rule(self):
-        assert get_rule("F4T001").rule_id == "F4T001"
 
     def test_layer_of(self):
         assert layer_of("src/repro/engine/fpc.py") == "engine"

@@ -9,7 +9,7 @@ they lived in the sim layer; mutated variants must trip the rules and
 the integer forms must pass, proving the lint covers this shape of code.
 """
 
-from repro.check import lint_source
+from ._lint_source import lint_source
 
 
 def ids(findings):

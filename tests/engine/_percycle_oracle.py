@@ -12,13 +12,21 @@ from repro.engine.ftengine import ENGINE_PERIOD_PS
 from repro.engine.testbed import Testbed
 
 
+def step(testbed) -> None:
+    """One 250 MHz cycle for both engines."""
+    testbed.engine_a.cycle = testbed.engine_b.cycle = testbed.cycle
+    testbed.cycle += 1
+    testbed.engine_a.tick()
+    testbed.engine_b.tick()
+
+
 def run_per_cycle(testbed, until, max_time_s=1.0, **_declared):
     """``Testbed.run`` by brute force; True as soon as ``until()`` holds."""
     max_time_ps = max_time_s * 1e12
     while not until():
         if testbed.cycle * ENGINE_PERIOD_PS >= max_time_ps:
             return False
-        testbed.step()
+        step(testbed)
     return True
 
 

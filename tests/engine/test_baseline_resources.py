@@ -17,6 +17,10 @@ from repro.engine.resources import (
 from repro.tcp.tcb import Tcb
 
 
+def events_per_second(accel):
+    return accel.events_processed * accel.freq_hz / accel.cycle
+
+
 def saturate(accel, cycles):
     for i in range(cycles):
         if not accel.input.full:
@@ -28,12 +32,12 @@ def saturate(accel, cycles):
 class TestStallingAccelerator:
     def test_rate_is_frequency_over_stall(self):
         accel = saturate(StallingAccelerator(stall_cycles=17, freq_hz=250e6), 17_000)
-        assert accel.events_per_second() == pytest.approx(250e6 / 17, rel=0.01)
+        assert events_per_second(accel) == pytest.approx(250e6 / 17, rel=0.01)
 
     def test_limago_configuration(self):
         """The Fig 2 baseline: 322 MHz, 17 cycles per event [44]."""
         accel = saturate(StallingAccelerator(17, freq_hz=322e6), 17_000)
-        assert accel.events_per_second() == pytest.approx(18.9e6, rel=0.02)
+        assert events_per_second(accel) == pytest.approx(18.9e6, rel=0.02)
 
     def test_rejects_zero_stall(self):
         with pytest.raises(ValueError):
@@ -43,20 +47,20 @@ class TestStallingAccelerator:
         accel = StallingAccelerator(17)
         accel.tick()
         assert accel.events_processed == 0
-        assert not accel.busy()
+        assert not accel.input
 
 
 class TestSingleCycleAccelerator:
     def test_one_event_per_cycle(self):
         accel = saturate(SingleCycleAccelerator(freq_hz=100e6), 5000)
         assert accel.events_processed == 5000
-        assert accel.events_per_second() == pytest.approx(100e6)
+        assert events_per_second(accel) == pytest.approx(100e6)
 
     def test_tonic_vs_limago_gap(self):
         """Fig 2's w/o-RMW vs w-RMW gap at equal request sizes."""
         tonic = saturate(SingleCycleAccelerator(freq_hz=100e6), 10_000)
         limago = saturate(StallingAccelerator(17, freq_hz=322e6), 10_000)
-        assert tonic.events_per_second() > 5 * limago.events_per_second()
+        assert events_per_second(tonic) > 5 * events_per_second(limago)
 
 
 class TestNullFpu:

@@ -80,7 +80,7 @@ class Rig:
         # The scheduler's tick body, unguarded, every cycle.
         scheduler._retry_pending()
         for fifo in scheduler.coalesce_fifos:
-            if not fifo.empty and scheduler._route(fifo.peek()):
+            if fifo and scheduler._route(next(iter(fifo))):
                 fifo.pop()
                 scheduler.events_routed += 1
         scheduler._handle_swap_in_requests()

@@ -59,17 +59,6 @@ class TestSendStream:
         stream.release(3)
         assert stream.fetch(3, 7) == b"3456789"
 
-    def test_rebase(self):
-        stream = SendStream(base_seq=0, capacity=10)
-        stream.rebase(500)
-        assert stream.base_seq == 500
-
-    def test_rebase_nonempty_refused(self):
-        stream = SendStream(base_seq=0, capacity=10)
-        stream.append(b"x")
-        with pytest.raises(BufferError):
-            stream.rebase(500)
-
     def test_wraparound(self):
         start = SEQ_MOD - 3
         stream = SendStream(base_seq=start, capacity=100)
@@ -90,4 +79,4 @@ class TestSendStream:
         joined = b"".join(chunks)
         if joined:
             assert stream.fetch(start, len(joined)) == joined
-        assert stream.buffered == len(joined)
+        assert stream.capacity - stream.room == len(joined)

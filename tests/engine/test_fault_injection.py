@@ -72,7 +72,7 @@ class TestSimplifiedCommands:
         testbed = Testbed()
         a_flow, b_flow = testbed.establish()
         runtime = F4TRuntime(testbed.engine_a, thread_id=5, simplified_commands=True)
-        assert runtime.queues.bytes_per_round_trip == 16  # 8 B each way
+        assert runtime.queues.simplified  # 8 B commands each way
         sent = runtime.send(a_flow, b"tiny commands, same stack")
         runtime.flush()
         assert testbed.run(

@@ -165,7 +165,7 @@ class TestEviction:
         # The evicted TCB carries the newest request pointer: every
         # queued event was handled and processed before eviction.
         assert evicted[0].req == 104
-        assert fpc.input.empty
+        assert len(fpc.input) == 0
 
     def test_evict_request_survives_in_flight_pass(self):
         """The evict checker reads the request register, not the TCB

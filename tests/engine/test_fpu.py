@@ -62,7 +62,7 @@ class TestConnectionSetup:
         kinds = [note.kind for note in result.notifications]
         assert NoteKind.CONNECTED in kinds
         # The handshake-completing pure ACK goes out.
-        assert any(d.is_pure_ack for d in result.directives)
+        assert any(d.length == 0 and d.flags == FLAG_ACK for d in result.directives)
 
     def test_ack_of_syn_ack_completes_server_handshake(self):
         fpu = Fpu()
@@ -282,7 +282,7 @@ class TestCloseAndReset:
         result = fpu.process(tcb, 0, now_s=0.0)
         assert tcb.state is TcpState.CLOSE_WAIT
         assert any(n.kind is NoteKind.PEER_FIN for n in result.notifications)
-        assert any(d.is_pure_ack for d in result.directives)
+        assert any(d.length == 0 and d.flags == FLAG_ACK for d in result.directives)
 
     def test_rst_notifies_and_cancels(self):
         fpu = Fpu()

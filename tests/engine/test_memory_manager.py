@@ -254,7 +254,7 @@ class TestNoEventLostToASwapIn:
 
     @pytest.mark.parametrize("shape", ["roundrobin", "echo"])
     def test_every_request_completes_with_the_audit_clean(self, shape):
-        from repro.apps.echo import echo_scenario
+        from ..apps.test_workloads import echo_scenario
         from repro.apps.roundrobin import round_robin_scenario
         from repro.engine.ftengine import FtEngineConfig
         from repro.engine.testbed import Testbed

@@ -6,13 +6,13 @@ from repro.engine.ftengine import ENGINE_PERIOD_PS, FtEngineConfig
 from repro.engine.testbed import Testbed, message_driven
 from repro.net.link import Link
 
-from ._percycle_oracle import run_per_cycle
+from ._percycle_oracle import run_per_cycle, step
 
 
 class TestTimeKeeping:
     def test_time_advances_with_cycles(self):
         testbed = Testbed()
-        testbed.step()
+        step(testbed)
         assert testbed.cycle == 1
         assert testbed.time_ps == pytest.approx(ENGINE_PERIOD_PS)
         assert testbed.now_s == pytest.approx(4e-9)
@@ -20,7 +20,7 @@ class TestTimeKeeping:
     def test_engines_stay_in_lockstep(self):
         testbed = Testbed()
         for _ in range(10):
-            testbed.step()
+            step(testbed)
         assert testbed.engine_a.cycle == testbed.engine_b.cycle == 10
 
 

@@ -45,10 +45,6 @@ class TestBuildPointToPoint:
             assert isinstance(tb, SoftTestbed)
             assert tb.backend == name
 
-    def test_f4t_rejects_service_overrides(self):
-        with pytest.raises(ValueError):
-            build_point_to_point(backend="f4t", latency_ps=1)
-
     def test_soft_rejects_reordering(self):
         with pytest.raises(ValueError):
             build_point_to_point(backend="pno", reorder_probability=0.01)

@@ -104,4 +104,3 @@ class TestQueuePair:
         pair = QueuePair(thread_id=3)
         assert pair.submission.name == "sq3"
         assert pair.completion.name == "cq3"
-        assert pair.bytes_per_round_trip == 32  # 16 B each way

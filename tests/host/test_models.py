@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.host.calibration import HOST_CPU_FREQ_HZ
 from repro.host.cpu import CpuModel, CycleAccount
 from repro.host.linux_stack import LinuxTcpStack
 from repro.host.pcie import PcieModel
@@ -42,11 +41,6 @@ class TestCpuModel:
         with pytest.raises(ValueError):
             CpuModel().rate_for(0)
 
-    def test_cores_needed(self):
-        cpu = CpuModel()
-        cores = cpu.cores_needed(target_rate=1e6, cycles_per_request=2300)
-        assert cores == pytest.approx(1e6 * 2300 / HOST_CPU_FREQ_HZ)
-
     def test_cycle_account(self):
         account = CycleAccount()
         account.charge("app", 30)
@@ -85,8 +79,9 @@ class TestLinuxStack:
 
     def test_nginx_tcp_share(self):
         """Fig 1a: 37% of Nginx cycles in the TCP stack."""
-        stack = LinuxTcpStack(CpuModel(cores=1))
-        breakdown = stack.nginx_cycle_breakdown()
+        from repro.apps.nginx import NginxPerformanceModel
+
+        breakdown = NginxPerformanceModel().cycle_breakdown("linux")
         assert breakdown.fraction("tcp_stack") == pytest.approx(0.37)
 
     def test_rate_capped_by_link(self):
@@ -94,6 +89,3 @@ class TestLinuxStack:
         stack = LinuxTcpStack(CpuModel(cores=1000))
         assert stack.bulk_request_rate(128) <= stack.link.max_packets_per_second(128)
 
-    def test_cores_to_saturate_scales_inversely_with_size(self):
-        stack = LinuxTcpStack(CpuModel(cores=1))
-        assert stack.cores_to_saturate(128) > stack.cores_to_saturate(1024)

@@ -40,7 +40,7 @@ class TestSoReuseport:
         accepted = [listeners[0].accept() for _ in range(3)]
         accepted += [listeners[1].accept() for _ in range(3)]
         # Even distribution: each thread got exactly half.
-        threads = [testbed.engine_b.thread_of_flow(s.flow_id) for s in accepted]
+        threads = [testbed.engine_b._flow_thread.get(s.flow_id, 0) for s in accepted]
         assert threads.count(0) == 3 and threads.count(1) == 3
 
     def test_data_follows_the_owning_thread(self, world):

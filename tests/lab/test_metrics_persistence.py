@@ -4,6 +4,7 @@ import sqlite3
 
 from repro.lab.grid import ExperimentGrid, PointResult, normalize_result
 from repro.lab.store import RunStore
+from repro.obs.metrics import MetricsSnapshot
 
 
 def _grid():
@@ -13,6 +14,13 @@ def _grid():
         points=[{"scenario": "mixed"}],
         seeds=[1],
     )
+
+
+def _snapshot(result):
+    return MetricsSnapshot([
+        (row["name"], row["kind"], row["labels"], row["value"])
+        for row in result.metrics
+    ])
 
 
 def _result():
@@ -30,7 +38,7 @@ class TestPointResultMetrics:
         assert normalize_result({"x": 1.0}).metrics is None
 
     def test_snapshot_round_trip(self):
-        snapshot = _result().metrics_snapshot()
+        snapshot = _snapshot(_result())
         assert snapshot.value("frames", engine="a") == 3.0
 
     def test_traffic_driver_carries_a_snapshot(self):
@@ -38,7 +46,7 @@ class TestPointResultMetrics:
 
         result = normalize_result(traffic_scenario_point("mixed", seed=1))
         assert result.metrics
-        snapshot = result.metrics_snapshot()
+        snapshot = _snapshot(result)
         assert snapshot.value("achieved_rps", component="traffic", cls="rpc") > 0
         # engine-side counters made it in too, labeled per engine
         assert any(row[2].get("engine") == "a" for row in snapshot.rows)

@@ -1,9 +1,12 @@
 """The SQLite run store: lifecycle, claiming, resets, counting."""
 
+import random
 import time
 
 import pytest
 
+from repro import CorruptStoreError
+from repro.__main__ import main
 from repro.lab.grid import ExperimentGrid, PointResult
 from repro.lab.store import RunStore
 
@@ -150,3 +153,32 @@ class TestCounting:
             record = store.claim("w")
             store.finish(record.run_id, PointResult({"square": 0.0}), wall, {})
         assert store.mean_wall_time() == pytest.approx(2.0)
+
+
+def _corrupt_stores(tmp_path):
+    """A file of random bytes, and a real store truncated to half its size."""
+    noise = tmp_path / "noise.sqlite"
+    noise.write_bytes(random.Random(7).randbytes(4096))
+    real = tmp_path / "real.sqlite"
+    with RunStore(str(real)) as store:
+        store.sync_grid(small_grid(n=300))
+        store._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    data = real.read_bytes()
+    half = tmp_path / "half.sqlite"
+    half.write_bytes(data[: len(data) // 2])
+    return [noise, half]
+
+
+class TestCorruptStore:
+    def test_open_raises_one_error_naming_the_file(self, tmp_path):
+        for path in _corrupt_stores(tmp_path):
+            with pytest.raises(CorruptStoreError) as info:
+                RunStore(str(path))
+            assert str(path) in info.value.args[0]
+
+    def test_cli_prints_one_line_and_exits_2(self, tmp_path, capsys):
+        for path in _corrupt_stores(tmp_path):
+            assert main(["lab", "status", "--db", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and str(path) in err
+            assert "Traceback" not in err

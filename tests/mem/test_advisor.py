@@ -43,8 +43,8 @@ class TestFlowHeat:
 
     def test_hot_flows_lists_only_hot(self):
         heat = heated()
-        hot = heat.hot_flows(8)
-        assert [flow for flow, _ in hot] == [0]
+        top = heat.sketch.heavy_hitters(8)
+        assert [flow for flow, _ in top if heat.is_hot(flow)] == [0]
 
     def test_coldness_key_orders_by_estimate_then_recency(self):
         heat = heated()

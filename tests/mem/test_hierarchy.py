@@ -15,7 +15,6 @@ from repro.mem.sketch import CountMinSketch
 class TestGeometry:
     def test_parse_bare_int_is_direct(self):
         geometry = CacheGeometry.parse("512")
-        assert geometry.is_default_shape
         assert geometry.capacity == 512
         assert geometry.render() == "512x1:direct"
 
@@ -26,7 +25,6 @@ class TestGeometry:
         ]
         assert geometry.capacity == 64 * 4 + 1024
         assert geometry.uses_sketch
-        assert not geometry.is_default_shape
 
     def test_parse_defaults_policy_to_direct(self):
         assert CacheGeometry.parse("128x1").levels[0].policy == "direct"
@@ -123,11 +121,11 @@ class TestEviction:
         hierarchy = TcbCacheHierarchy(CacheGeometry.parse("1x1:lru/4x1:direct"))
         hierarchy.access(0)
         hierarchy.access(1)          # 0 demoted to level 1
-        assert hierarchy.level_of(0) == 1
+        assert hierarchy._where.get(0) == 1
         outcome = hierarchy.access(0)
         assert outcome.hit_level == 1
         assert outcome.promoted_from == 1
-        assert hierarchy.level_of(0) == 0
+        assert hierarchy._where.get(0) == 0
 
     def test_invalidate(self):
         hierarchy = TcbCacheHierarchy(CacheGeometry.parse("4x2:lru"))

@@ -107,7 +107,7 @@ class TestSpaceSaving:
         for key, estimate in sketch.heavy_hitters(8):
             true = oracle.estimate(key)
             assert estimate >= true
-            assert estimate - sketch.error_bound(key) <= true
+            assert estimate - sketch._errors.get(key, 0) <= true
 
     def test_replacements_counted(self):
         sketch = SpaceSavingSketch(capacity=2)

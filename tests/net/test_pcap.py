@@ -85,16 +85,6 @@ class TestWireTap:
         ]
         assert len(data_packets) >= 4  # 5000 B / 1460 MSS
 
-    def test_detach_stops_capturing(self):
-        testbed = Testbed()
-        tap = WireTap.attach(testbed.wire.port_a)
-        testbed.establish()
-        captured = len(tap.packets)
-        tap.detach()
-        a_flow = testbed.engine_a.connect(testbed.engine_b.ip, 80)
-        testbed.run(max_time_s=testbed.now_s + 1e-4)
-        assert len(tap.packets) == captured
-
     def test_timestamps_increase(self):
         testbed = Testbed()
         tap = WireTap.attach(testbed.wire.port_a)

@@ -92,10 +92,10 @@ class TestReceiverSide:
         second = _packet(switch, 1, 0, payload=500)
         switch.admit(first, 1000)
         switch.admit(second, 1000)
-        t1 = switch.next_delivery_ps(0)
-        assert switch.next_any_delivery_ps() == t1
+        t1 = switch.next_any_delivery_ps()
+        assert switch.due_hosts(t1) == {0}
         assert switch.deliver_due(0, t1) == [first]
-        t2 = switch.next_delivery_ps(0)
+        t2 = switch.next_any_delivery_ps()
         ser = switch.serialization_ps(first.wire_bytes)
         assert t2 == t1 + ser  # FIFO egress: second serializes after first
         assert switch.deliver_due(0, t2) == [second]
@@ -153,5 +153,5 @@ class TestShardPort:
         packet = _packet(switch, 1, 0)
         switch.admit(packet, 0)
         assert port.pending == 1
-        assert port.poll(port.next_arrival_ps()) == [packet]
+        assert port.poll(switch.next_any_delivery_ps()) == [packet]
         assert port.pending == 0

@@ -31,25 +31,14 @@ class TestFifoBasics:
     def test_peek_does_not_consume(self):
         fifo = Fifo(2)
         fifo.push(7)
-        assert fifo.peek() == 7
+        assert next(iter(fifo)) == 7  # iteration starts at the head
         assert len(fifo) == 1
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(IndexError):
-            Fifo(1).peek()
 
     def test_try_pop(self):
         fifo = Fifo(2)
         assert fifo.try_pop() is None
         fifo.push(5)
         assert fifo.try_pop() == 5
-
-    def test_drain_preserves_order_and_empties(self):
-        fifo = Fifo(8)
-        for i in range(5):
-            fifo.push(i)
-        assert fifo.drain() == [0, 1, 2, 3, 4]
-        assert fifo.empty
 
     def test_occupancy_statistics(self):
         fifo = Fifo(4)
@@ -62,9 +51,9 @@ class TestFifoBasics:
 
     def test_full_and_empty_flags(self):
         fifo = Fifo(1)
-        assert fifo.empty and not fifo.full
+        assert len(fifo) == 0 and not fifo.full
         fifo.push(0)
-        assert fifo.full and not fifo.empty
+        assert fifo.full and len(fifo) == 1
 
 
 class TestFifoProperties:
@@ -73,7 +62,7 @@ class TestFifoProperties:
         fifo = Fifo(capacity)
         accepted = [item for item in items if fifo.push(item)]
         assert accepted == items[:capacity]
-        assert fifo.drain() == accepted
+        assert [fifo.pop() for _ in accepted] == accepted
 
     @given(st.lists(st.booleans(), max_size=200))
     def test_occupancy_never_exceeds_capacity(self, operations):

@@ -149,7 +149,7 @@ class TestPartitionedLUT:
     def test_partition_count_sets_routing_rate(self):
         """Eight FPCs at one event per two cycles need four partitions
         (§4.4.2)."""
-        assert PartitionedLUT(4).accesses_per_cycle == 4
+        assert PartitionedLUT(4).groups == 4
 
     def test_len_counts_across_partitions(self):
         lut = PartitionedLUT(4)

@@ -60,11 +60,11 @@ class TestPipelineTiming:
 
     def test_busy_and_len(self):
         pipe = Pipeline(latency=2)
-        assert not pipe.busy
+        assert len(pipe) == 0
         pipe.issue("a", 0)
-        assert pipe.busy and len(pipe) == 1
+        assert len(pipe) == 1
         pipe.retire_ready(2)
-        assert not pipe.busy
+        assert len(pipe) == 0
 
     def test_flush(self):
         pipe = Pipeline(latency=3)

@@ -17,7 +17,6 @@ EXPECTED = [
     "Histogram",
     "PartitionedLUT",
     "Pipeline",
-    "RateMeter",
 ]
 
 

@@ -1,11 +1,11 @@
-"""Counters, rate meters and percentile histograms."""
+"""Counters and percentile histograms."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import Counters, Histogram, RateMeter
+from repro.sim.stats import Counters, Histogram
 
 
 class TestCounters:
@@ -25,32 +25,6 @@ class TestCounters:
         snapshot = counters.as_dict()
         snapshot["x"] = 99
         assert counters.get("x") == 1
-
-
-class TestRateMeter:
-    def test_events_per_second(self):
-        meter = RateMeter()
-        for _ in range(100):
-            meter.record()
-        assert meter.per_second(1e12) == pytest.approx(100.0)
-
-    def test_gbps_from_bytes(self):
-        meter = RateMeter()
-        meter.record(units=125_000_000)  # bytes over 1 ms
-        assert meter.gbps(1e9) == pytest.approx(1000.0)
-
-    def test_zero_elapsed(self):
-        meter = RateMeter()
-        meter.record()
-        assert meter.per_second(0) == 0.0
-        assert meter.units_per_second(-1) == 0.0
-
-    def test_degenerate_windows_are_defined(self):
-        meter = RateMeter()
-        meter.record(units=100.0)
-        assert meter.per_second(math.nan) == 0.0
-        assert meter.units_per_second(math.inf) == 0.0
-        assert meter.gbps(0) == 0.0
 
 
 class TestHistogram:

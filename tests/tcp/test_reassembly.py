@@ -14,7 +14,7 @@ class TestInOrder:
         buffer = ReassemblyBuffer(rcv_nxt=100, window=1000)
         assert buffer.offer(100, b"hello") == 5
         assert buffer.rcv_nxt == 105
-        assert buffer.read_all() == b"hello"
+        assert buffer.read(buffer.readable) == b"hello"
 
     def test_partial_read(self):
         buffer = ReassemblyBuffer(0, 1000)
@@ -38,7 +38,7 @@ class TestOutOfOrder:
         assert buffer.readable == 0
         assert buffer.out_of_order_chunks == 1
         buffer.offer(0, b"hello")
-        assert buffer.read_all() == b"helloworld"
+        assert buffer.read(buffer.readable) == b"helloworld"
         assert buffer.out_of_order_chunks == 0
 
     def test_adjacent_chunks_merge(self):
@@ -67,14 +67,14 @@ class TestOutOfOrder:
         buffer = ReassemblyBuffer(0, 1000)
         buffer.offer(0, b"abcd")
         assert buffer.offer(2, b"cdef") == 2  # only 'ef' is new
-        assert buffer.read_all() == b"abcdef"
+        assert buffer.read(buffer.readable) == b"abcdef"
 
     def test_overlapping_ooo_chunks(self):
         buffer = ReassemblyBuffer(0, 1000)
         buffer.offer(10, b"klmno")
         buffer.offer(12, b"mnopq")
         buffer.offer(0, b"abcdefghij")
-        assert buffer.read_all() == b"abcdefghijklmnopq"
+        assert buffer.read(buffer.readable) == b"abcdefghijklmnopq"
 
 
 class TestWindowEnforcement:
@@ -87,7 +87,7 @@ class TestWindowEnforcement:
     def test_data_straddling_window_clipped(self):
         buffer = ReassemblyBuffer(0, 5)
         assert buffer.offer(0, b"abcdefgh") == 5
-        assert buffer.read_all() == b"abcde"
+        assert buffer.read(buffer.readable) == b"abcde"
         assert buffer.bytes_dropped == 3
 
     def test_window_follows_consumption(self):
@@ -100,7 +100,7 @@ class TestWindowEnforcement:
         assert buffer.read(10) == b"0123456789"
         assert buffer.effective_window == 10
         assert buffer.offer(10, b"abcde") == 5
-        assert buffer.read_all() == b"abcde"
+        assert buffer.read(buffer.readable) == b"abcde"
 
 
 class TestWraparound:
@@ -110,7 +110,7 @@ class TestWraparound:
         buffer.offer(start, b"abcd")  # ends exactly at the wrap
         buffer.offer(0, b"efgh")
         assert buffer.rcv_nxt == 4
-        assert buffer.read_all() == b"abcdefgh"
+        assert buffer.read(buffer.readable) == b"abcdefgh"
 
     def test_ooo_across_wrap(self):
         start = SEQ_MOD - 2
@@ -118,7 +118,7 @@ class TestWraparound:
         buffer.offer(2, b"late")  # past the wrap, out of order
         assert buffer.readable == 0
         buffer.offer(start, b"abcd")
-        assert buffer.read_all() == b"abcdlate"
+        assert buffer.read(buffer.readable) == b"abcdlate"
 
 
 class TestProperties:
@@ -146,7 +146,7 @@ class TestProperties:
         buffer = ReassemblyBuffer(start, window=1 << 20)
         for offset, chunk in chunks:
             buffer.offer(seq_add(start, offset), chunk)
-        assert buffer.read_all() == data
+        assert buffer.read(buffer.readable) == data
         assert buffer.out_of_order_chunks == 0
 
     @settings(max_examples=40, deadline=None)
@@ -164,7 +164,7 @@ class TestProperties:
         for seq, payload in offers:
             buffer.offer(seq, payload)
             # Buffered out-of-order bytes never exceed the window.
-            assert buffer.buffered_bytes <= 256
+            assert sum(e - s for s, e in buffer.chunk_boundaries()) <= 256
             # Chunks are disjoint and none starts at/before rcv_nxt.
             boundaries = buffer.chunk_boundaries()
             for (s1, e1), (s2, e2) in zip(boundaries, boundaries[1:]):

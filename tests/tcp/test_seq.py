@@ -1,19 +1,16 @@
 """Sequence arithmetic across the 2^32 wrap."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.tcp.seq import (
     SEQ_MOD,
     seq_add,
-    seq_between,
     seq_ge,
     seq_gt,
     seq_in_window,
     seq_le,
     seq_lt,
     seq_max,
-    seq_min,
     seq_sub,
 )
 
@@ -45,12 +42,6 @@ class TestBasics:
 
     def test_min_max(self):
         assert seq_max(SEQ_MOD - 1, 5) == 5
-        assert seq_min(SEQ_MOD - 1, 5) == SEQ_MOD - 1
-
-    def test_between(self):
-        assert seq_between(10, 15, 20)
-        assert not seq_between(10, 25, 20)
-        assert seq_between(SEQ_MOD - 5, 2, 10)  # wrapped interval
 
     def test_window_membership(self):
         assert seq_in_window(105, 100, 10)
@@ -82,7 +73,8 @@ class TestProperties:
 
     @given(seqs, seqs)
     def test_max_min_partition(self, a, b):
-        assert {seq_max(a, b), seq_min(a, b)} == {a, b}
+        assert seq_max(a, b) in {a, b}
+        assert seq_max(a, b) == seq_max(b, a) or abs(seq_sub(a, b)) == 1 << 31
 
     @given(seqs, st.integers(min_value=1, max_value=1 << 20), st.integers(min_value=0, max_value=(1 << 20) - 1))
     def test_window_contains_its_interior(self, start, length, offset):

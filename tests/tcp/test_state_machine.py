@@ -1,54 +1,31 @@
 """RFC 793 connection state transitions."""
 
-import pytest
-
 from repro.tcp.state_machine import (
     DATA_STATES,
     TcpState,
-    TcpTransitionError,
     on_ack_of_fin,
     on_ack_of_syn,
-    on_active_open,
     on_close,
     on_fin_received,
-    on_passive_open,
     on_rst,
     on_syn_ack_received,
     on_syn_received,
-    on_time_wait_expiry,
 )
 
 
 class TestOpening:
-    def test_active_open(self):
-        assert on_active_open(TcpState.CLOSED) is TcpState.SYN_SENT
-
-    def test_active_open_from_wrong_state(self):
-        with pytest.raises(TcpTransitionError):
-            on_active_open(TcpState.ESTABLISHED)
-
-    def test_passive_open(self):
-        assert on_passive_open(TcpState.CLOSED) is TcpState.LISTEN
-
-    def test_passive_open_from_wrong_state(self):
-        with pytest.raises(TcpTransitionError):
-            on_passive_open(TcpState.LISTEN)
-
     def test_three_way_handshake_server_side(self):
-        state = on_passive_open(TcpState.CLOSED)
-        state = on_syn_received(state)
+        state = on_syn_received(TcpState.LISTEN)
         assert state is TcpState.SYN_RECEIVED
         state = on_ack_of_syn(state)
         assert state is TcpState.ESTABLISHED
 
     def test_three_way_handshake_client_side(self):
-        state = on_active_open(TcpState.CLOSED)
-        state = on_syn_ack_received(state)
+        state = on_syn_ack_received(TcpState.SYN_SENT)
         assert state is TcpState.ESTABLISHED
 
     def test_simultaneous_open(self):
-        state = on_active_open(TcpState.CLOSED)
-        state = on_syn_received(state)  # peer's SYN crosses ours
+        state = on_syn_received(TcpState.SYN_SENT)  # peer's SYN crosses ours
         assert state is TcpState.SYN_RECEIVED
         assert on_ack_of_syn(state) is TcpState.ESTABLISHED
 
@@ -64,7 +41,6 @@ class TestClosing:
         assert state is TcpState.FIN_WAIT_2
         state = on_fin_received(state)
         assert state is TcpState.TIME_WAIT
-        assert on_time_wait_expiry(state) is TcpState.CLOSED
 
     def test_passive_close_sequence(self):
         state = on_fin_received(TcpState.ESTABLISHED)
@@ -82,9 +58,6 @@ class TestClosing:
     def test_close_before_established(self):
         assert on_close(TcpState.SYN_SENT) is TcpState.CLOSED
         assert on_close(TcpState.LISTEN) is TcpState.CLOSED
-
-    def test_time_wait_expiry_only_from_time_wait(self):
-        assert on_time_wait_expiry(TcpState.ESTABLISHED) is TcpState.ESTABLISHED
 
 
 class TestAbort:

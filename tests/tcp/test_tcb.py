@@ -32,11 +32,6 @@ class TestDerivedPointers:
         assert tcb.bytes_in_flight == 150
         assert tcb.bytes_unsent == 100
 
-    def test_send_buffer_room(self):
-        tcb = established_tcb(req=3000, snd_una=1000, send_buf=5000)
-        assert tcb.bytes_unacked_requested == 2000
-        assert tcb.send_buffer_room == 3000
-
     def test_rcv_wnd_shrinks_with_undelivered_data(self):
         tcb = established_tcb(rcv_nxt=5000, rcv_user=1000, rcv_buf=10_000)
         assert tcb.rcv_wnd == 6000

@@ -106,8 +106,7 @@ class TestTimerWheel:
     def test_deadline_query(self):
         wheel = TimerWheel()
         wheel.arm(3, 7.5)
-        assert wheel.deadline(3) == 7.5
-        assert wheel.deadline(4) is None
+        assert wheel.next_deadline() == 7.5
 
     def test_next_deadline_skips_stale_entries(self):
         wheel = TimerWheel()

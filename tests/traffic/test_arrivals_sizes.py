@@ -4,16 +4,7 @@ import random
 
 import pytest
 
-from repro.traffic import (
-    Deterministic,
-    Fixed,
-    FlashCrowd,
-    Lognormal,
-    OnOffBursts,
-    Pareto,
-    Poisson,
-    Zipf,
-)
+from repro.traffic import Fixed, FlashCrowd, OnOffBursts, Poisson, Zipf
 
 
 def _times(process, duration_s, seed=1):
@@ -21,12 +12,6 @@ def _times(process, duration_s, seed=1):
 
 
 class TestArrivals:
-    def test_deterministic_evenly_spaced(self):
-        times = _times(Deterministic(rate=1000.0), 0.01)
-        assert len(times) == 10
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        assert all(gap == pytest.approx(1e-3) for gap in gaps)
-
     def test_poisson_mean_rate(self):
         times = _times(Poisson(rate=10_000.0), 1.0)
         assert len(times) == pytest.approx(10_000, rel=0.05)
@@ -40,7 +25,6 @@ class TestArrivals:
 
     def test_onoff_same_mean_load_but_clumped(self):
         bursty = OnOffBursts(burst_rate=30_000.0, mean_on_s=1e-3, mean_off_s=2e-3)
-        assert bursty.mean_rate == pytest.approx(10_000.0)
         times = _times(bursty, 2.0)
         assert len(times) == pytest.approx(20_000, rel=0.1)
         # Clumping: the variance of per-bin counts far exceeds Poisson's.
@@ -80,24 +64,6 @@ class TestSizes:
     def test_fixed(self):
         assert Fixed(128).sample(random.Random(0)) == 128
 
-    def test_lognormal_median_and_bounds(self):
-        dist = Lognormal(median_bytes=1000.0, sigma=1.0, minimum=1, maximum=10**6)
-        rng = random.Random(11)
-        samples = sorted(dist.sample(rng) for _ in range(4000))
-        median = samples[len(samples) // 2]
-        assert median == pytest.approx(1000, rel=0.15)
-        assert samples[0] >= 1 and samples[-1] <= 10**6
-
-    def test_pareto_heavy_tail(self):
-        dist = Pareto(alpha=1.1, minimum=64, maximum=1 << 20)
-        rng = random.Random(5)
-        samples = [dist.sample(rng) for _ in range(5000)]
-        assert all(64 <= s <= (1 << 20) for s in samples)
-        mean = sum(samples) / len(samples)
-        median = sorted(samples)[len(samples) // 2]
-        # Elephants drag the mean far above the median.
-        assert mean > 3 * median
-
     def test_zipf_rank_skew(self):
         dist = Zipf(s=1.2, minimum=64, maximum=65536, buckets=8)
         rng = random.Random(9)
@@ -108,7 +74,7 @@ class TestSizes:
         assert smallest_share > 0.25  # rank-1 bucket dominates by count
 
     def test_replay(self):
-        for dist in (Lognormal(512.0), Pareto(), Zipf()):
+        for dist in (Zipf(), Zipf(s=0.8, buckets=4)):
             a = [dist.sample(random.Random(2)) for _ in range(50)]
             b = [dist.sample(random.Random(2)) for _ in range(50)]
             assert a == b

@@ -16,6 +16,7 @@ timers and retransmissions run) and diffs the fingerprints, the same
 oracle-not-examples idiom as ``tests/mem/test_fuzz_churn.py``.
 """
 
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import pytest
@@ -23,12 +24,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine.ftengine import ENGINE_PERIOD_PS
 from repro.engine.testbed import Testbed
-from repro.net.wire import LossPattern, Wire
+from repro.net.wire import Wire
 from repro.obs.hooks import attach_load_engine
 from repro.obs.trace import TraceBus, fingerprint
 from repro.sim.component import first_ps_at
 from repro.traffic import (
-    Deterministic,
     Fixed,
     Impairments,
     Poisson,
@@ -36,10 +36,24 @@ from repro.traffic import (
     TrafficClass,
     Zipf,
 )
+from repro.traffic.arrivals import ArrivalProcess
 from repro.traffic.engine import LoadEngine
 
 from ..engine._horizon_oracle import check_published_horizons
 from ..engine._percycle_oracle import run_per_cycle
+
+
+@dataclass(frozen=True)
+class Deterministic(ArrivalProcess):
+    """Evenly spaced arrivals: an input shape no registered scenario uses."""
+
+    rate: float
+
+    def times(self, rng, duration_s):
+        return [(i + 0.5) / self.rate for i in range(int(self.rate * duration_s))]
+
+    def scaled(self, factor):
+        return replace(self, rate=self.rate * factor)
 
 
 def _budget(quick):
@@ -156,7 +170,10 @@ def _cycle_gated_run(drop_every, send_every, sample_every, duration_s,
     ``max_steps``, the horizon loop declaring the pump's schedule, run
     to the step bound first and then on to the end, as one history;
     without, the per-cycle oracle."""
-    testbed = Testbed(wire=Wire(drop_a_to_b=LossPattern.every_nth(drop_every, 5)))
+    def drop(frame, index):  # every ``drop_every``-th frame from the 5th
+        return index >= 5 and (index - 5) % drop_every == 0
+
+    testbed = Testbed(wire=Wire(drop_a_to_b=drop))
     a_flow, b_flow = testbed.establish()
     samples = []
     gate = {"send": 0, "sample": 0}

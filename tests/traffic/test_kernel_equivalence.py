@@ -53,15 +53,25 @@ def _large_transfers() -> Scenario:
     )
 
 
+class SweepingLoadEngine(LoadEngine):
+    """Advances every conn on every pump call, parked ones too: the
+    pre-dirty-set behaviour.  It must be cycle-identical to
+    :class:`LoadEngine` (equal trace fingerprints), and a parked conn's
+    advance must change nothing (:func:`check_parking`)."""
+
+    def _release_arrivals(self) -> None:
+        super()._release_arrivals()
+        self._mark_all_dirty()
+
+
 def traced_fingerprint(
     scenario: str, sweep: bool = False, backend: str = "f4t"
 ) -> str:
-    load_engine = LoadEngine(
+    load_engine = (SweepingLoadEngine if sweep else LoadEngine)(
         _large_transfers() if scenario == "large"
         else get_scenario(scenario, seed=1234),
         backend=backend,
     )
-    load_engine.sweep_all_pumps = sweep
     bus = TraceBus()
     attach_load_engine(load_engine, bus)
     load_engine.run()
@@ -82,7 +92,7 @@ def _conn_snapshot(conn) -> tuple:
 
 
 def check_parking(monkeypatch) -> list:
-    """The pump's parking rule, checked: with ``sweep_all_pumps`` on,
+    """The pump's parking rule, checked: on a :class:`SweepingLoadEngine`,
     every pump call advances every conn, and an advance of a conn the
     dirty-set pump would have skipped — parked by ``_may_act`` and not
     re-marked by a message, an accept or an arrival since — must change
@@ -125,7 +135,7 @@ class TestCycleExactEquivalence:
         assert traced_fingerprint("churn") == GOLDEN["churn"]
 
     def test_sweep_mode_matches_golden_too(self, monkeypatch):
-        """``sweep_all_pumps`` under the per-cycle oracle replays the
+        """A :class:`SweepingLoadEngine` under the per-cycle oracle replays the
         pre-dirty-set exhaustive poll — every conn on every cycle; it
         must land on the same trace, proving the dirty-set skips only
         side-effect-free polls."""
@@ -189,11 +199,10 @@ class TestSpillEquivalence:
         from repro.engine.testbed import Testbed
 
         config = FtEngineConfig(num_fpcs=2, fpc_slots=8)
-        load_engine = LoadEngine(
+        load_engine = (SweepingLoadEngine if sweep else LoadEngine)(
             round_robin_scenario(64, 3, 128),
             testbed=Testbed(config_a=config, config_b=config),
         )
-        load_engine.sweep_all_pumps = sweep
         bus = TraceBus()
         attach_load_engine(load_engine, bus)
         assert load_engine.run(setup_time_s=5.0).finished
