@@ -59,8 +59,8 @@ def functional_migration_stress(flows: int = 16) -> None:
 def fig13_sweep() -> None:
     print("== Part 2: echo rate vs flow count (Fig 13, 8 cores) ==")
     linux = LinuxTcpStack(CpuModel(cores=8))
-    ddr4 = EchoModel(cores=8, memory="ddr4")
-    hbm = EchoModel(cores=8, memory="hbm")
+    ddr4 = EchoModel(memory="ddr4")
+    hbm = EchoModel(memory="hbm")
     print(f"{'flows':>7} | {'Linux':>9} | {'F4T-DDR4':>9} | {'F4T-HBM':>9}")
     print("-" * 45)
     for flows in (256, 1024, 2048, 4096, 16384, 65536):

@@ -53,7 +53,7 @@ def main() -> None:
             TrafficClass(
                 name="bulk",
                 arrival=Poisson(rate=10e3),
-                request=Zipf(s=1.1, minimum=1024, maximum=65536),
+                request=Zipf(minimum=1024, maximum=65536),
                 response=Fixed(0),  # one-way stream
                 connections=2,
             ),

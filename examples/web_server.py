@@ -26,7 +26,7 @@ def functional_demo() -> None:
 
 def model_comparison() -> None:
     print("== Calibrated comparison: Linux vs F4T (Figs 10-12) ==")
-    model = NginxPerformanceModel(cores=1)
+    model = NginxPerformanceModel()
     print(f"per-request budget : Linux {model.linux_cycles_per_request:.0f} cycles, "
           f"F4T {model.f4t_cycles_per_request:.0f} cycles")
     print(f"request-rate gain  : {model.speedup():.2f}x   (paper: 2.6-2.8x)")

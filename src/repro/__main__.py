@@ -23,7 +23,7 @@ import time
 from typing import List, Optional
 
 from repro import CorruptStoreError, UnknownNameError
-from repro.cli import add_group, comma_list, emit
+from repro.cli import add_group, comma_list, emit, positive
 
 #: Default run-store location; ``*.sqlite`` is gitignored.
 DEFAULT_LAB_DB = "lab.sqlite"
@@ -241,7 +241,7 @@ def _add_traffic_parser(subparsers: argparse._SubParsersAction) -> None:
     run = traffic_sub.add_parser("run", help="run one scenario")
     run.add_argument("scenario", help="scenario name (see: traffic list)")
     run.add_argument("--seed", type=int, default=None, help="top-level seed")
-    run.add_argument("--load-scale", type=float, default=1.0,
+    run.add_argument("--load-scale", type=positive, default=1.0,
                      help="multiply every open-loop arrival rate")
     run.add_argument("--backend", choices=["functional", "model"],
                      default="functional")
@@ -266,7 +266,7 @@ def _add_traffic_parser(subparsers: argparse._SubParsersAction) -> None:
     sweep.add_argument("scenario", help="scenario name (see: traffic list)")
     sweep.add_argument("--seed", type=int, default=None, help="top-level seed")
     sweep.add_argument("--loads", default="0.5,1,2,4,8,12,16,24",
-                       type=comma_list(float),
+                       type=comma_list(positive),
                        help="comma-separated load scales")
     sweep.add_argument("--backend", choices=["functional", "model"],
                        default="model")

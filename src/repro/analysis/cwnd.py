@@ -24,11 +24,10 @@ from ..tcp.segment import TcpSegment
 class PeriodicDataDropper:
     """Drop every Nth data-bearing frame (the Fig 14 'occasional drops')."""
 
-    def __init__(self, every: int, start: int = 0) -> None:
+    def __init__(self, every: int) -> None:
         if every <= 0:
             raise ValueError("drop period must be positive")
         self.every = every
-        self.start = start
         self.count = 0
         self.dropped = 0
 
@@ -36,7 +35,7 @@ class PeriodicDataDropper:
         payload = frame.payload
         if isinstance(payload, TcpSegment) and payload.payload:
             self.count += 1
-            if self.count >= self.start and self.count % self.every == 0:
+            if self.count % self.every == 0:
                 self.dropped += 1
                 return True
         return False
@@ -46,12 +45,11 @@ def capture_engine_cwnd_trace(
     algorithm: str = "newreno",
     duration_s: float = 3e-3,
     drop_every: int = 1500,
-    link_gbps: float = 100.0,
     delay_us: float = 5.0,
     sample_every_cycles: int = 2000,
 ) -> CwndTrace:
     """Functional F4T bulk transfer with drops; returns the cwnd trace."""
-    link = Link(bandwidth_gbps=link_gbps, propagation_delay_us=delay_us)
+    link = Link(propagation_delay_us=delay_us)
     wire = Wire(link=link, drop_a_to_b=PeriodicDataDropper(drop_every))
     tb = Testbed(
         config_a=FtEngineConfig(algorithm=algorithm),

@@ -116,7 +116,7 @@ def run_figure1() -> ExperimentResult:
 def run_figure2() -> ExperimentResult:
     """Fig 2: bulk throughput of w-RMW vs w/o-RMW designs (cycle sim)."""
     w_rmw_rate = measure_baseline_event_rate(stall_cycles=17, freq_hz=322e6)
-    wo_rmw_rate = measure_tonic_event_rate(freq_hz=100e6)
+    wo_rmw_rate = measure_tonic_event_rate()
     rows = []
     for size in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
         w = w_rmw_rate * size * 8 / 1e9
@@ -363,8 +363,8 @@ def run_figure13() -> ExperimentResult:
     flow_counts = (256, 1024, 2048, 4096, 16384, 65536)
     for flows in flow_counts:
         linux = LinuxTcpStack(CpuModel(cores=8)).echo_rate(flows)
-        ddr = EchoModel(cores=8, memory="ddr4").rate(flows)
-        hbm = EchoModel(cores=8, memory="hbm").rate(flows)
+        ddr = EchoModel(memory="ddr4").rate(flows)
+        hbm = EchoModel(memory="hbm").rate(flows)
         points[("linux", flows)] = linux
         points[("ddr4", flows)] = ddr
         points[("hbm", flows)] = hbm

@@ -42,18 +42,16 @@ def measure_baseline_event_rate(
     return accel.events_processed * freq_hz / cycles
 
 
-def measure_tonic_event_rate(
-    cycles: int = 20_000, freq_hz: float = 100e6
-) -> float:
+def measure_tonic_event_rate(cycles: int = 20_000) -> float:
     """w/o-RMW design: one event per cycle at 100 MHz (§3.1)."""
-    accel = SingleCycleAccelerator(freq_hz=freq_hz)
+    accel = SingleCycleAccelerator()
     index = 0
     for _ in range(cycles):
         if not accel.input.full:
             accel.offer_event(_synthetic_event(0, index))
             index += 1
         accel.tick()
-    return accel.events_processed * freq_hz / cycles
+    return accel.events_processed * accel.freq_hz / cycles
 
 
 def measure_fpc_event_rate(

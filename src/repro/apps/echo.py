@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..engine.memory_manager import MemoryManager
 from ..engine.events import EventKind, TcpEvent
@@ -63,10 +64,10 @@ def measure_dram_swap_rate(
 class EchoModel:
     """Fig 13's F4T curves: software rate throttled by TCB swapping."""
 
-    cores: int = 8
     memory: str = "hbm"
-    sram_flows: int = 1024  # reference design: 8 FPCs x 128 (§4.4.2)
-    cache_entries: int = 512
+    cores: ClassVar[int] = 8
+    sram_flows: ClassVar[int] = 1024  # reference design: 8 FPCs x 128 (§4.4.2)
+    cache_entries: ClassVar[int] = 512
 
     def rate(self, flows: int) -> float:
         cpu = CpuModel(cores=self.cores)

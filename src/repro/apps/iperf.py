@@ -19,13 +19,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..engine.testbed import Testbed, message_driven
-from ..host.calibration import (
-    F4T_CYCLES_PER_SEND_BULK,
-    FPC_EVENTS_PER_SECOND,
-)
+from ..host.calibration import F4T_CYCLES_PER_SEND_BULK
 from ..host.cpu import CpuModel
 from ..host.pcie import PcieModel
-from ..net.link import LINK_100G, Link
+from ..net.link import LINK_100G
 
 
 @dataclass
@@ -83,23 +80,16 @@ def run_functional_bulk(
 
 @dataclass
 class BulkTransferModel:
-    """End-to-end F4T bulk rate: min(software, PCIe, engine, link).
+    """End-to-end F4T bulk rate: min(software, PCIe, link).
 
-    The engine term uses the FPC event rate with coalescing: in bulk
-    mode, events of the same flow coalesce in the scheduler, so the
-    engine effectively never limits bulk throughput (§4.4.1, §5.1's
-    observation that accumulated events act as one large request).
+    There is no engine term: in bulk mode, events of the same flow
+    coalesce in the scheduler, so the engine processes the merged
+    stream as one large request and never limits bulk throughput
+    (§4.4.1, §5.1's observation that accumulated events act as one
+    large request).
     """
 
     cores: int = 1
-    link: Link = LINK_100G
-    pcie: PcieModel = None  # type: ignore[assignment]
-    coalescing: bool = True
-    cycles_per_request: float = F4T_CYCLES_PER_SEND_BULK
-
-    def __post_init__(self) -> None:
-        if self.pcie is None:
-            self.pcie = PcieModel()
 
     def request_rate(self, request_bytes: int, mss: int = 1460) -> BulkResult:
         """F4T's achievable request rate at this request size.
@@ -112,24 +102,13 @@ class BulkTransferModel:
         """
         cpu = CpuModel(cores=self.cores)
         software = cpu.rate_for(
-            self.cycles_per_request + 0.05 * max(0, request_bytes - 128)
+            F4T_CYCLES_PER_SEND_BULK + 0.05 * max(0, request_bytes - 128)
         )
-        pcie = self.pcie.max_requests_per_s(request_bytes)
-        link_goodput = self.link.max_goodput_gbps(mss) * 1e9 / 8  # bytes/s
+        pcie = PcieModel().max_requests_per_s(request_bytes)
+        link_goodput = LINK_100G.max_goodput_gbps(mss) * 1e9 / 8  # bytes/s
         link = link_goodput / request_bytes
-        if self.coalescing:
-            # Coalesced same-flow events merge ahead of the FPC; the
-            # engine processes the merged stream as one large request.
-            engine = float("inf")
-        else:
-            engine = FPC_EVENTS_PER_SECOND
-        rate = min(software, pcie, engine, link)
-        bottleneck = {
-            software: "software",
-            pcie: "pcie",
-            engine: "engine",
-            link: "link",
-        }[rate]
+        rate = min(software, pcie, link)
+        bottleneck = {software: "software", pcie: "pcie", link: "link"}[rate]
         return BulkResult(
             goodput_gbps=rate * request_bytes * 8 / 1e9,
             requests_per_s=rate,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from ..host.calibration import (
@@ -49,11 +48,10 @@ def http_get(path: str = "/index.html") -> bytes:
 
 
 # --------------------------------------------------------------- modelling
-@dataclass
 class NginxPerformanceModel:
     """Per-request cycle budgets for the two stacks."""
 
-    cores: int = 1
+    cores = 1
 
     # ------------------------------------------------------------- budgets
     @property

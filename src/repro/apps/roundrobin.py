@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..host.calibration import F4T_CYCLES_PER_SEND_RR
 from ..host.cpu import CpuModel
 from ..host.pcie import PcieModel
-from ..net.link import LINK_100G, Link
+from ..net.link import LINK_100G
 from ..traffic import Fixed, Scenario, TrafficClass
 from .iperf import BulkResult
 
@@ -52,20 +52,14 @@ class RoundRobinModel:
     """
 
     cores: int = 1
-    link: Link = LINK_100G
-    pcie: PcieModel = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.pcie is None:
-            self.pcie = PcieModel()
 
     def request_rate(self, request_bytes: int, mss: int = 1460) -> BulkResult:
         cpu = CpuModel(cores=self.cores)
         software = cpu.rate_for(
             F4T_CYCLES_PER_SEND_RR + 0.05 * max(0, request_bytes - 128)
         )
-        pcie = self.pcie.max_requests_per_s(request_bytes)
-        link_goodput = self.link.max_goodput_gbps(mss) * 1e9 / 8
+        pcie = PcieModel().max_requests_per_s(request_bytes)
+        link_goodput = LINK_100G.max_goodput_gbps(mss) * 1e9 / 8
         link = link_goodput / request_bytes
         rate = min(software, pcie, link)
         bottleneck = {software: "software", pcie: "pcie", link: "link"}[rate]

@@ -20,7 +20,7 @@ import json
 import sys
 from typing import Any, Dict, Optional, Tuple
 
-from ..cli import add_group, emit
+from ..cli import add_group, emit, positive
 from .lint import lint_paths
 from .lockstep import run_lockstep_check
 from .race import DEFAULT_MAX_FINDINGS, run_race_check
@@ -119,7 +119,7 @@ def _add_race_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=None, help="top-level seed")
     parser.add_argument(
-        "--load-scale", type=float, default=1.0,
+        "--load-scale", type=positive, default=1.0,
         help="multiply every open-loop arrival rate",
     )
     parser.add_argument(

@@ -46,6 +46,32 @@ def comma_list(convert: Callable[[str], Any]) -> Callable[[str], List[Any]]:
     return parse
 
 
+def positive(text: str) -> float:
+    """An argparse ``type=`` for a rate multiplier: a number above zero.
+
+    Zero divides by zero and a negative rate never ends an arrival
+    schedule, deep inside a run; here either is a usage error (exit 2).
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above zero, got {text!r}")
+    return value
+
+
+def host_count(text: str) -> int:
+    """An argparse ``type=`` for ``--hosts``: a fabric needs two."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"a fabric needs at least 2 hosts, got {text!r}")
+    return value
+
+
 def emit(text: str, dest: str) -> None:
     """Write ``text`` to the file ``dest``, or to stdout when it is ``-``."""
     if dest == "-":

@@ -20,6 +20,9 @@ from ..tcp.tcb import Tcb
 from .events import TcpEvent
 from .fpu import Fpu, ProcessResult
 
+#: Input FIFO depth of both baselines (events).
+INPUT_DEPTH = 1024
+
 
 class NullFpu(Fpu):
     """An FPU that only models pipeline latency; used for rate studies."""
@@ -49,14 +52,13 @@ class StallingAccelerator(Component):
         self,
         stall_cycles: int = 17,
         freq_hz: float = 250e6,
-        input_depth: int = 1024,
     ) -> None:
         super().__init__("w-rmw-baseline")
         if stall_cycles < 1:
             raise ValueError("stall must be at least one cycle")
         self.stall_cycles = stall_cycles
         self.freq_hz = freq_hz
-        self.input: Fifo[TcpEvent] = Fifo(input_depth, "baseline.in")
+        self.input: Fifo[TcpEvent] = Fifo(INPUT_DEPTH, "baseline.in")
         self._stall_remaining = 0
         self.events_processed = 0
         self.bytes_processed = 0
@@ -85,10 +87,11 @@ class SingleCycleAccelerator(Component):
     w/o-RMW curve makes exactly this assumption).
     """
 
-    def __init__(self, freq_hz: float = 100e6, input_depth: int = 1024) -> None:
+    freq_hz = 100e6
+
+    def __init__(self) -> None:
         super().__init__("wo-rmw-tonic")
-        self.freq_hz = freq_hz
-        self.input: Fifo[TcpEvent] = Fifo(input_depth, "tonic.in")
+        self.input: Fifo[TcpEvent] = Fifo(INPUT_DEPTH, "tonic.in")
         self.events_processed = 0
         self.bytes_processed = 0
 

@@ -68,7 +68,7 @@ class FlowProcessingCore(Component):
         self.event_handler = EventHandler(self.event_table)
         self.fpu = fpu if fpu is not None else Fpu(algorithm)
         #: (slot, dup_count) travels the pipeline with the TCB snapshot.
-        self.pipe: Pipeline[Tuple[int, Tcb, int], Tuple[int, Tcb, int]] = Pipeline(
+        self.pipe: Pipeline[Tuple[int, Tcb, int]] = Pipeline(
             latency=self.fpu.latency_cycles,
             initiation_interval=2,
             name=f"fpc{fpc_id}.fpu-pipe",
@@ -391,17 +391,3 @@ class FlowProcessingCore(Component):
         evicted, self.out_evicted = self.out_evicted, []
         return evicted
 
-    def reset(self) -> None:
-        super().reset()
-        self.input.clear()
-        self._dispatch_queue.clear()
-        self._queued.clear()
-        self._in_flight.clear()
-        self._evict_requested.clear()
-        self.out_results.clear()
-        self.out_evicted.clear()
-        self.pipe.flush()
-        self._ready = 0
-        self._retire_at = NEVER
-        self._issue_at = 0
-        self.next_action = NEVER

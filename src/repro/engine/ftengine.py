@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set
+from typing import ClassVar, Deque, Dict, List, Optional, Set
 
 from collections import deque
 
@@ -83,11 +83,11 @@ class FtEngineConfig:
     algorithm: str = "newreno"
     #: 'hbm' (460 GB/s) or 'ddr4' (38 GB/s) for the TCB store (§4.7).
     memory: str = "hbm"
-    coalescing: bool = True
+    coalescing: ClassVar[bool] = True
     mss: int = DEFAULT_MSS
-    send_buffer: int = DEFAULT_BUFFER_BYTES
-    recv_buffer: int = DEFAULT_BUFFER_BYTES
-    tcb_cache_entries: int = 512
+    send_buffer: ClassVar[int] = DEFAULT_BUFFER_BYTES
+    recv_buffer: ClassVar[int] = DEFAULT_BUFFER_BYTES
+    tcb_cache_entries: ClassVar[int] = 512
     #: repro.mem TCB cache geometry spec (e.g. "128x4:lru/1024x1:direct");
     #: None = one direct-mapped level of ``tcb_cache_entries`` sets, the
     #: paper-faithful default the pinned fingerprints assume.
@@ -97,8 +97,8 @@ class FtEngineConfig:
     placement_policy: str = "reactive"
     #: Frequency sketch kind/width backing freq eviction and the
     #: predictive policy ('countmin' | 'spacesaving' | 'exact').
-    sketch: str = "countmin"
-    sketch_width: int = 1024
+    sketch: ClassVar[str] = "countmin"
+    sketch_width: ClassVar[int] = 1024
 
     @property
     def sram_flow_capacity(self) -> int:
@@ -134,10 +134,9 @@ class FtEngine(Component):
         ip: int,
         config: Optional[FtEngineConfig] = None,
         port: Optional[WirePort] = None,
-        name: Optional[str] = None,
     ) -> None:
         node_id = next(self._ids)
-        super().__init__(name or f"ftengine{node_id}")
+        super().__init__(f"ftengine{node_id}")
         self.ip = ip
         self.mac = make_mac(node_id)
         self.config = config or FtEngineConfig()

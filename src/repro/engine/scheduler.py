@@ -68,7 +68,6 @@ class Scheduler(Component):
         fpcs: List[FlowProcessingCore],
         memory_manager: MemoryManager,
         coalescing: bool = True,
-        lut_groups: int = COALESCE_FIFOS,
         flow_heat=None,
         placement_policy: Optional[str] = None,
         clock=None,
@@ -81,7 +80,7 @@ class Scheduler(Component):
         #: placement; the default keeps the hot path advisor-free).
         self.flow_heat = flow_heat
         self.placement_policy = resolve_policy(placement_policy)
-        self.lut = PartitionedLUT(lut_groups)
+        self.lut = PartitionedLUT(COALESCE_FIFOS)
         self.coalesce_fifos: List[Fifo[TcpEvent]] = [
             Fifo(COALESCE_DEPTH, f"coalesce{i}") for i in range(COALESCE_FIFOS)
         ]

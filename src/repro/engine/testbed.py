@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from ..net.link import LINK_100G, Link
 from ..net.wire import Wire
 from ..tcp.segment import ip_from_string
 from ..sim.component import NEVER
@@ -37,9 +36,8 @@ class Testbed:
         config_a: Optional[FtEngineConfig] = None,
         config_b: Optional[FtEngineConfig] = None,
         wire: Optional[Wire] = None,
-        link: Link = LINK_100G,
     ) -> None:
-        self.wire = wire if wire is not None else Wire(link=link)
+        self.wire = wire if wire is not None else Wire()
         self.engine_a = FtEngine(
             ip=ip_from_string("10.0.0.1"),
             config=config_a or FtEngineConfig(),

@@ -13,9 +13,8 @@ Two halves, one design-space laboratory:
 
 * **Fabric** (:mod:`.switch`, :mod:`.engine`, :mod:`.scenarios`): N
   hosts attached through a deterministic output-queued switch with
-  shared-buffer contention (static/shared/dynamic-threshold
-  partitioning, per-port FIFO or deficit-round-robin fair queueing, an
-  ECN marking hook), driven by fabric scenario presets — ``incast``,
+  shared-buffer contention (dynamic-threshold admission, per-port FIFO
+  queues, an ECN marking hook), driven by fabric scenario presets — ``incast``,
   ``outcast``, ``flash_crowd`` and CDN-style ``zipf_fanout`` — built on
   :mod:`repro.traffic`'s seeded arrival/size machinery.
 
@@ -47,4 +46,4 @@ from .scenarios import (  # noqa: F401
     get_fabric_scenario,
 )
 from .softstack import SoftStack, SoftTestbed  # noqa: F401
-from .switch import SwitchConfig, SwitchFabric  # noqa: F401
+from .switch import SwitchFabric  # noqa: F401

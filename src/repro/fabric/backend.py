@@ -41,7 +41,6 @@ from typing import (
 )
 
 from .. import Registry
-from ..net.link import LINK_100G, Link
 from ..net.wire import Wire
 from ..tcp.state_machine import TcpState
 from .service import (
@@ -176,10 +175,8 @@ def get_backend(name: str) -> BackendSpec:
 
 def build_point_to_point(
     backend: str = "f4t",
-    link: Link = LINK_100G,
     drop_probability: float = 0.0,
     reorder_probability: float = 0.0,
-    reorder_delay_us: float = 10.0,
     seed: int = 0,
 ):
     """Build a two-host point-to-point testbed for any backend.
@@ -197,15 +194,13 @@ def build_point_to_point(
                 seed,
                 drop_probability=drop_probability,
                 reorder_probability=reorder_probability,
-                reorder_delay_us=reorder_delay_us,
-                link=link,
             )
             if impaired
-            else Wire(link=link)
+            else Wire()
         )
         from ..engine.testbed import Testbed
 
-        return Testbed(wire=wire, link=link)
+        return Testbed(wire=wire)
     if reorder_probability > 0:
         raise ValueError(
             f"backend {spec.name!r} does not model reordering; "
@@ -213,7 +208,6 @@ def build_point_to_point(
         )
     return SoftTestbed(
         service_factory=spec.service_class,
-        link=link,
         drop_probability=drop_probability,
         seed=seed,
         backend=spec.name,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 
-from ..cli import add_group, comma_list, emit
+from ..cli import add_group, comma_list, emit, host_count, positive
 
 _SWEEP_COLUMNS = [
     "backend", "provenance", "completed", "goodput_gbps",
@@ -104,10 +104,10 @@ def add_fabric_parser(subparsers: argparse._SubParsersAction) -> None:
     run.add_argument("scenario", help="fabric scenario (see: fabric list)")
     run.add_argument("--backend", default="f4t",
                      help="backend name (see: fabric list)")
-    run.add_argument("--hosts", type=int, default=None,
+    run.add_argument("--hosts", type=host_count, default=None,
                      help="number of hosts (default: scenario preset)")
     run.add_argument("--seed", type=int, default=None, help="top-level seed")
-    run.add_argument("--load-scale", type=float, default=1.0,
+    run.add_argument("--load-scale", type=positive, default=1.0,
                      help="multiply open-loop arrival rates")
     run.add_argument("--trace", metavar="PATH",
                      help="write a Chrome/Perfetto trace-event JSON")
@@ -123,10 +123,10 @@ def add_fabric_parser(subparsers: argparse._SubParsersAction) -> None:
     sweep.add_argument("--backends", default=None, metavar="B1,B2,...",
                        type=comma_list(str),
                        help="comma-separated backends (default: all four)")
-    sweep.add_argument("--hosts", type=int, default=8,
+    sweep.add_argument("--hosts", type=host_count, default=8,
                        help="number of hosts (default 8)")
     sweep.add_argument("--seed", type=int, default=None, help="top-level seed")
-    sweep.add_argument("--load-scale", type=float, default=1.0,
+    sweep.add_argument("--load-scale", type=positive, default=1.0,
                        help="multiply open-loop arrival rates")
     sweep.add_argument("--csv", metavar="PATH",
                        help="write the comparison CSV ('-' = stdout)")

@@ -156,7 +156,7 @@ class FabricLoadEngine:
         self.scenario = scenario
         self.spec = get_backend(backend)
         self.load_scale = load_scale
-        self.fabric = SwitchFabric(scenario.num_hosts, config=scenario.switch)
+        self.fabric = SwitchFabric(scenario.num_hosts, scenario.ecn_threshold_bytes)
         self.stacks: List[SoftStack] = [
             SoftStack(
                 ip=self.fabric.host_ip(i),

@@ -22,12 +22,11 @@ scenario's single seed, so one seed replays one run exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 from .. import Registry
 from ..traffic.arrivals import ArrivalProcess, FlashCrowd, Poisson
 from ..traffic.sizes import Fixed, SizeDistribution, Zipf
-from .switch import SwitchConfig
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,8 @@ class FabricScenario:
     mode: str = "rounds"
     # -- rounds mode --------------------------------------------------
     rounds: int = 3
-    block_bytes: int = 128 * 1024
-    request_bytes: int = 64
+    block_bytes: ClassVar[int] = 128 * 1024
+    request_bytes: ClassVar[int] = 64
     #: False = incast (servers answer host 0); True = outcast (host 0
     #: pushes blocks outward).
     reverse: bool = False
@@ -55,10 +54,10 @@ class FabricScenario:
     #: ``fixed`` — every request targets host 0; ``zipf`` — the server
     #: is sampled by Zipf popularity over all hosts but the client.
     server_select: str = "fixed"
-    zipf_s: float = 1.2
-    # -- the switch ---------------------------------------------------
-    switch: SwitchConfig = field(default_factory=SwitchConfig)
-    server_port: int = 9000
+    zipf_s: ClassVar[float] = 1.2
+    #: The switch CE-marks packets enqueued above this depth; 0 = no ECN.
+    ecn_threshold_bytes: int = 0
+    server_port: ClassVar[int] = 9000
 
     def __post_init__(self) -> None:
         if self.num_hosts < 2:
@@ -92,7 +91,7 @@ class FabricScenario:
             )
         return (
             f"{self.name}: {self.description or detail} "
-            f"[{self.num_hosts} hosts, {self.switch.partition} buffer]"
+            f"[{self.num_hosts} hosts, dynamic buffer]"
         )
 
 
@@ -134,8 +133,7 @@ def incast_scenario() -> FabricScenario:
         ),
         mode="rounds",
         rounds=3,
-        block_bytes=128 * 1024,
-        switch=SwitchConfig(ecn_threshold_bytes=96 * 1024),
+        ecn_threshold_bytes=96 * 1024,
     )
 
 
@@ -150,7 +148,6 @@ def outcast_scenario() -> FabricScenario:
         ),
         mode="rounds",
         rounds=3,
-        block_bytes=128 * 1024,
         reverse=True,
     )
 
@@ -175,7 +172,7 @@ def flash_crowd_scenario() -> FabricScenario:
         response=Fixed(8 * 1024),
         duration_s=400e-6,
         server_select="fixed",
-        switch=SwitchConfig(ecn_threshold_bytes=128 * 1024),
+        ecn_threshold_bytes=128 * 1024,
     )
 
 
@@ -191,8 +188,7 @@ def zipf_fanout_scenario() -> FabricScenario:
         mode="openloop",
         arrival=Poisson(rate=60e3),
         request=Fixed(128),
-        response=Zipf(s=1.1, minimum=1024, maximum=64 * 1024),
+        response=Zipf(minimum=1024, maximum=64 * 1024),
         duration_s=400e-6,
         server_select="zipf",
-        zipf_s=1.2,
     )

@@ -58,9 +58,6 @@ class ServiceModel:
     def __init__(self) -> None:
         self._lane_free_ps: List[int] = [0] * self.lanes
 
-    def reset(self) -> None:
-        self._lane_free_ps = [0] * self.lanes
-
     def occupancy_ps(self, payload_bytes: int) -> int:
         """How long one segment holds its lane (int ps)."""
         raise NotImplementedError
@@ -78,12 +75,6 @@ class ServiceModel:
         """Ingress processing before the app-visible state changes."""
         return self.latency_ps
 
-    def describe(self) -> str:
-        return (
-            f"{self.name}: {self.lanes} lane(s), "
-            f"latency {self.latency_ps / 1e3:.1f} ns"
-        )
-
 
 class F4TService(ServiceModel):
     """The F4T FPC engine as a service model (fabric hosts only).
@@ -96,19 +87,12 @@ class F4TService(ServiceModel):
     """
 
     name = "f4t"
-
-    def __init__(
-        self,
-        num_fpcs: int = 8,
-        sram_flows: int = 1024,
-        latency_ps: int = F4T_ENGINE_LATENCY_PS,
-        dram_swap_ps: int = F4T_DRAM_SWAP_PS,
-    ) -> None:
-        self.lanes = num_fpcs
-        self.latency_ps = latency_ps
-        self.sram_flows = sram_flows
-        self.dram_swap_ps = dram_swap_ps
-        super().__init__()
+    #: One lane per FPC.
+    lanes = 8
+    latency_ps = F4T_ENGINE_LATENCY_PS
+    #: Flows past this slot are DRAM-resident.
+    sram_flows = 1024
+    dram_swap_ps = F4T_DRAM_SWAP_PS
 
     def occupancy_ps(self, payload_bytes: int) -> int:
         return F4T_EVENT_INTERVAL_PS
@@ -132,15 +116,8 @@ class FlexToeService(ServiceModel):
 
     name = "flextoe"
     lanes = 1
-
-    def __init__(
-        self,
-        initiation_interval_ps: int = 15_000,
-        latency_ps: int = 2_500_000,
-    ) -> None:
-        self.initiation_interval_ps = initiation_interval_ps
-        self.latency_ps = latency_ps
-        super().__init__()
+    initiation_interval_ps = 15_000
+    latency_ps = 2_500_000
 
     def occupancy_ps(self, payload_bytes: int) -> int:
         return self.initiation_interval_ps
@@ -155,20 +132,15 @@ class PnoService(ServiceModel):
     """
 
     name = "pno"
-
-    def __init__(
-        self,
-        soc_cores: int = 4,
-        occupancy_ps: int = 100_000,
-        proxy_hop_ps: int = 5_000_000,
-    ) -> None:
-        self.lanes = soc_cores
-        self._occupancy_ps = occupancy_ps
-        self.latency_ps = proxy_hop_ps
-        super().__init__()
+    #: One lane per SoC core.
+    lanes = 4
+    #: SoC forwarding time per segment.
+    segment_ps = 100_000
+    #: The proxy hop.
+    latency_ps = 5_000_000
 
     def occupancy_ps(self, payload_bytes: int) -> int:
-        return self._occupancy_ps
+        return self.segment_ps
 
 
 class LinuxService(ServiceModel):
@@ -180,14 +152,12 @@ class LinuxService(ServiceModel):
     """
 
     name = "linux_stack"
-
-    def __init__(self, cores: int = 4, latency_ps: int = 15_000_000) -> None:
-        self.lanes = cores
-        self.latency_ps = latency_ps
-        #: Integer ps per 1000 CPU cycles, so per-call math stays exact.
-        self._ps_per_kcycle = int(1e15 / HOST_CPU_FREQ_HZ)
-        self._base_kcycles_x1000 = int(LINUX_CYCLES_PER_SEND_BULK * 1000)
-        super().__init__()
+    #: One lane per core.
+    lanes = 4
+    latency_ps = 15_000_000
+    #: Integer ps per 1000 CPU cycles, so per-call math stays exact.
+    _ps_per_kcycle = int(1e15 / HOST_CPU_FREQ_HZ)
+    _base_kcycles_x1000 = int(LINUX_CYCLES_PER_SEND_BULK * 1000)
 
     def occupancy_ps(self, payload_bytes: int) -> int:
         # base + 0.6 cycles/byte (the linux_stack bulk calibration),

@@ -28,14 +28,13 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import (
     Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from ..engine.ftengine import EngineMessage
-from ..net.link import LINK_100G, PER_PACKET_OVERHEAD, Link
+from ..net.link import LINK_100G, PER_PACKET_OVERHEAD
 from ..net.wire import derive_seed
 from ..sim.component import NEVER
 from ..tcp.segment import FlowKey, ip_from_string, ip_to_string
@@ -53,23 +52,20 @@ _PORT_MIN, _PORT_MAX = 1024, 65535
 _PORT_COUNT = _PORT_MAX - _PORT_MIN + 1
 
 
-@dataclass
-class SoftStackConfig:
-    """Transport knobs shared by every soft backend."""
-
-    mss: int = 1460
-    send_buffer: int = 1 << 18
-    recv_buffer: int = 1 << 18
-    init_cwnd_segments: int = 10
-    #: Retransmission timeout floor (int ps); doubles per backoff.
-    rto_ps: int = 50_000_000
-    #: Handshake (SYN/SYN-ACK) retransmit interval (int ps).
-    handshake_rto_ps: int = 50_000_000
-    #: ECN response hold-off (int ps): after halving on an echoed CE
-    #: mark, further echoes are ignored for this long (plus a seeded
-    #: jitter of up to 1/8th), so one congestion round trip maps to one
-    #: multiplicative decrease rather than a collapse to the floor.
-    ecn_recovery_ps: int = 10_000_000
+# Transport constants shared by every soft backend.
+MSS = 1460
+SEND_BUFFER = 1 << 18
+RECV_BUFFER = 1 << 18
+INIT_CWND_SEGMENTS = 10
+#: Retransmission timeout floor (int ps); doubles per backoff.
+RTO_PS = 50_000_000
+#: Handshake (SYN/SYN-ACK) retransmit interval (int ps).
+HANDSHAKE_RTO_PS = 50_000_000
+#: ECN response hold-off (int ps): after halving on an echoed CE
+#: mark, further echoes are ignored for this long (plus a seeded
+#: jitter of up to 1/8th), so one congestion round trip maps to one
+#: multiplicative decrease rather than a collapse to the floor.
+ECN_RECOVERY_PS = 10_000_000
 
 
 class FabricPacket:
@@ -134,7 +130,7 @@ class _SoftFlow:
 
     def __init__(
         self, flow_id: int, key: FlowKey, slot: int, state: TcpState,
-        config: SoftStackConfig, init_cwnd: int,
+        init_cwnd: int,
     ) -> None:
         self.flow_id = flow_id
         self.key = key  # a passive flow's src_port is its listen port
@@ -144,8 +140,8 @@ class _SoftFlow:
         self.flow_acked = 0
         self.next_to_send = 0
         self.cwnd = init_cwnd
-        self.ssthresh = config.send_buffer
-        self.peer_window = config.recv_buffer
+        self.ssthresh = SEND_BUFFER
+        self.peer_window = RECV_BUFFER
         self.dup_acks = 0
         self.recover_mark = 0
         self.ecn_hold_until_ps = 0
@@ -168,12 +164,11 @@ class _SoftFlow:
 
 
 class _IntDirection:
-    """One direction of a point-to-point soft link, integer-ps timed."""
+    """One direction of a 100 GbE soft link, integer-ps timed."""
 
-    def __init__(self, link: Link, drop_rng: Optional[random.Random]) -> None:
-        bits_per_s = int(link.bandwidth_gbps * 1e9)
-        self._bits_per_s = bits_per_s
-        self._prop_ps = int(link.propagation_delay_us * 10**6)
+    def __init__(self, drop_rng: Optional[random.Random]) -> None:
+        self._bits_per_s = int(LINK_100G.bandwidth_gbps * 1e9)
+        self._prop_ps = int(LINK_100G.propagation_delay_us * 10**6)
         self._drop_rng = drop_rng
         self.drop_probability = 0.0
         self.next_free_ps = 0
@@ -232,20 +227,12 @@ class SoftPort:
 class SoftWire:
     """A duplex point-to-point soft link with optional seeded loss."""
 
-    def __init__(
-        self,
-        link: Link = LINK_100G,
-        drop_probability: float = 0.0,
-        seed: int = 0,
-    ) -> None:
-        self.link = link
+    def __init__(self, drop_probability: float = 0.0, seed: int = 0) -> None:
         self._ab = _IntDirection(
-            link,
             random.Random(derive_seed(seed, "soft-drop-a2b"))
             if drop_probability > 0 else None,
         )
         self._ba = _IntDirection(
-            link,
             random.Random(derive_seed(seed, "soft-drop-b2a"))
             if drop_probability > 0 else None,
         )
@@ -290,14 +277,12 @@ class SoftStack:
         ip: int,
         port,
         service: ServiceModel,
-        config: Optional[SoftStackConfig] = None,
         name: str = "soft",
         seed: int = 0,
     ) -> None:
         self.ip = ip
         self.port = port
         self.service = service
-        self.config = config or SoftStackConfig()
         self.name = name
         self.now_ps = 0  # the driving loop sets this before tick()
         #: The only RNG: seeded jitter on the ECN recovery hold-off,
@@ -323,7 +308,7 @@ class SoftStack:
         self._next_port = _EPHEMERAL_BASE
         #: One int shared by every flow this stack opens, not one boxed
         #: per flow.
-        self._init_cwnd = self.config.init_cwnd_segments * self.config.mss
+        self._init_cwnd = INIT_CWND_SEGMENTS * MSS
         self._free_slots: List[int] = []
         self._next_slot = 0
         # Counters surfaced into fabric results and obs samples.
@@ -368,7 +353,7 @@ class SoftStack:
 
     def _rwnd(self, flow: _SoftFlow) -> int:
         used = flow.contiguous - flow.delivered
-        free = self.config.recv_buffer - used
+        free = RECV_BUFFER - used
         return free if free > 0 else 0
 
     def _arm(self, flow: _SoftFlow) -> None:
@@ -424,13 +409,13 @@ class SoftStack:
         flow_id = self._next_flow_id
         self._next_flow_id += 1
         flow = _SoftFlow(
-            flow_id, key, self._alloc_slot(), TcpState.SYN_SENT, self.config,
+            flow_id, key, self._alloc_slot(), TcpState.SYN_SENT,
             self._init_cwnd,
         )
         self.flows[flow_id] = flow
         self._by_key[key] = flow_id
         at = self._send_segment(flow, FabricPacket("syn", key))
-        flow.hs_deadline_ps = at + self.config.handshake_rto_ps
+        flow.hs_deadline_ps = at + HANDSHAKE_RTO_PS
         self._arm(flow)
         return flow_id
 
@@ -449,7 +434,7 @@ class SoftStack:
         flow = self.flows.get(flow_id)
         if flow is None or flow.fin_queued:
             return 0
-        return self.config.send_buffer - (flow.app_written - flow.flow_acked)
+        return SEND_BUFFER - (flow.app_written - flow.flow_acked)
 
     def send_data(self, flow_id: int, data: bytes) -> int:
         accepted = min(len(data), self.send_room(flow_id))
@@ -532,7 +517,6 @@ class SoftStack:
     # ------------------------------------------------------- the data path
     def _pump_flow(self, flow: _SoftFlow) -> None:
         """Send whatever the window allows; arm the retransmit timer."""
-        config = self.config
         window = flow.cwnd if flow.cwnd < flow.peer_window else flow.peer_window
         sent_any = False
         last_at = 0
@@ -541,7 +525,7 @@ class SoftStack:
             if flight >= window:
                 break
             chunk = min(
-                config.mss, flow.app_written - flow.next_to_send,
+                MSS, flow.app_written - flow.next_to_send,
                 window - flight,
             )
             last_at = self._send_segment(
@@ -566,7 +550,7 @@ class SoftStack:
             sent_any = True
         if sent_any and flow.rto_deadline_ps == 0:
             flow.rto_deadline_ps = last_at + (
-                config.rto_ps << flow.rto_backoff
+                RTO_PS << flow.rto_backoff
             )
             self._arm(flow)
 
@@ -584,7 +568,7 @@ class SoftStack:
             self._pump_flow(flow)
             return
         chunk = min(
-            self.config.mss, flow.app_written - flow.flow_acked
+            MSS, flow.app_written - flow.flow_acked
         )
         if chunk > 0:
             self._send_segment(
@@ -614,12 +598,12 @@ class SoftStack:
             if flow.hs_deadline_ps and now >= flow.hs_deadline_ps:
                 if flow.state is TcpState.SYN_SENT:
                     at = self._send_segment(flow, FabricPacket("syn", flow.key))
-                    flow.hs_deadline_ps = at + self.config.handshake_rto_ps
+                    flow.hs_deadline_ps = at + HANDSHAKE_RTO_PS
                 elif flow.state is TcpState.SYN_RECEIVED:
                     at = self._send_segment(
                         flow, FabricPacket("synack", flow.key)
                     )
-                    flow.hs_deadline_ps = at + self.config.handshake_rto_ps
+                    flow.hs_deadline_ps = at + HANDSHAKE_RTO_PS
                 else:
                     flow.hs_deadline_ps = 0
             if flow.rto_deadline_ps and now >= flow.rto_deadline_ps:
@@ -633,12 +617,12 @@ class SoftStack:
                     self.timeouts += 1
                     flight = flow.next_to_send - flow.flow_acked
                     half = flight // 2
-                    flow.ssthresh = max(half, 2 * self.config.mss)
-                    flow.cwnd = self.config.mss
+                    flow.ssthresh = max(half, 2 * MSS)
+                    flow.cwnd = MSS
                     if flow.rto_backoff < 6:
                         flow.rto_backoff += 1
                     flow.rto_deadline_ps = now + (
-                        self.config.rto_ps << flow.rto_backoff
+                        RTO_PS << flow.rto_backoff
                     )
                     self._retransmit_from(flow, go_back=True)
             self._arm(flow)
@@ -695,12 +679,12 @@ class SoftStack:
             self._next_flow_id += 1
             flow = _SoftFlow(
                 flow_id, key, self._alloc_slot(), TcpState.SYN_RECEIVED,
-                self.config, self._init_cwnd,
+                self._init_cwnd,
             )
             self.flows[flow_id] = flow
             self._by_key[key] = flow_id
         at = self._send_segment(flow, FabricPacket("synack", flow.key))
-        flow.hs_deadline_ps = at + self.config.handshake_rto_ps
+        flow.hs_deadline_ps = at + HANDSHAKE_RTO_PS
         self._arm(flow)
 
     def _on_synack(self, flow: _SoftFlow) -> None:
@@ -770,8 +754,7 @@ class SoftStack:
         flow.ce_pending = False
 
     def _on_ack(self, flow: _SoftFlow, packet: FabricPacket, now: int) -> None:
-        config = self.config
-        flow.peer_window = max(packet.window, config.mss)
+        flow.peer_window = max(packet.window, MSS)
         if packet.ece and now >= flow.ecn_hold_until_ps:
             # One multiplicative decrease per congestion round trip:
             # halve, then hold off for a seeded recovery interval so a
@@ -779,9 +762,9 @@ class SoftStack:
             # jitter desynchronizes the senders of an incast instead
             # of letting them all re-open their windows in lockstep.
             half = flow.cwnd // 2
-            flow.cwnd = max(config.mss, half)
+            flow.cwnd = max(MSS, half)
             flow.ssthresh = flow.cwnd
-            hold = config.ecn_recovery_ps
+            hold = ECN_RECOVERY_PS
             hold += self._ecn_rng.randrange(hold // 8 + 1)
             flow.ecn_hold_until_ps = now + hold
             self.ecn_echoes += 1
@@ -801,7 +784,7 @@ class SoftStack:
                 or (flow.fin_sent and not flow.fin_acked)
             )
             flow.rto_deadline_ps = (
-                now + config.rto_ps if outstanding else 0
+                now + RTO_PS if outstanding else 0
             )
             if outstanding:
                 self._arm(flow)
@@ -809,11 +792,11 @@ class SoftStack:
                 flow.next_to_send = flow.flow_acked
             # Congestion window growth: slow start, then ~MSS per RTT.
             if flow.cwnd < flow.ssthresh:
-                flow.cwnd += min(advanced, config.mss)
+                flow.cwnd += min(advanced, MSS)
             else:
-                flow.cwnd += max(1, config.mss * config.mss // flow.cwnd)
-            if flow.cwnd > config.send_buffer:
-                flow.cwnd = config.send_buffer
+                flow.cwnd += max(1, MSS * MSS // flow.cwnd)
+            if flow.cwnd > SEND_BUFFER:
+                flow.cwnd = SEND_BUFFER
             self._post("acked", flow.flow_id, advanced)
             self._pump_flow(flow)
         elif (
@@ -823,7 +806,7 @@ class SoftStack:
             flow.dup_acks += 1
             if flow.dup_acks == 3 and flow.flow_acked >= flow.recover_mark:
                 half = (flow.next_to_send - flow.flow_acked) // 2
-                flow.ssthresh = max(half, 2 * config.mss)
+                flow.ssthresh = max(half, 2 * MSS)
                 flow.cwnd = flow.ssthresh
                 flow.recover_mark = flow.next_to_send
                 self._retransmit_from(flow, go_back=False)
@@ -1004,23 +987,19 @@ class SoftTestbed:
     def __init__(
         self,
         service_factory: Callable[[], ServiceModel],
-        link: Link = LINK_100G,
         drop_probability: float = 0.0,
         seed: int = 0,
-        config: Optional[SoftStackConfig] = None,
         backend: str = "soft",
     ) -> None:
-        self.wire = SoftWire(
-            link, drop_probability=drop_probability, seed=seed
-        )
+        self.wire = SoftWire(drop_probability=drop_probability, seed=seed)
         self.backend = backend
         self.engine_a = SoftStack(
             ip_from_string("10.0.0.1"), self.wire.port_a, service_factory(),
-            config=config, name="a", seed=seed,
+            name="a", seed=seed,
         )
         self.engine_b = SoftStack(
             ip_from_string("10.0.0.2"), self.wire.port_b, service_factory(),
-            config=config, name="b", seed=seed,
+            name="b", seed=seed,
         )
         self._wake = TimerWakeIndex(enumerate((self.engine_a, self.engine_b)))
         self.time_ps = 0

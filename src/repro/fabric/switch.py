@@ -2,23 +2,17 @@
 
 N hosts attach through full-duplex links; every packet crosses one
 uplink (serialization + propagation), is admitted against a shared
-packet buffer, queues at its destination's output port, and leaves
-through the egress serializer (+ propagation).  The three contended
+packet buffer, queues FIFO at its destination's output port, and
+leaves through the egress serializer (+ propagation).  The contended
 resources that make fabric scenarios interesting — egress bandwidth,
-shared buffer, and the admission policy arbitrating it — are all here:
+the shared buffer and the policy arbitrating it — are all here:
 
-* **Buffer partitioning** (``SwitchConfig.partition``): ``shared``
-  (one pool, first come first buffered), ``static`` (hard per-output
-  slice), or ``dynamic`` (classic dynamic-threshold: a port may hold at
-  most ``alpha x`` the *remaining free* buffer, so hot ports are
-  throttled while idle ports' share stays reclaimable).
-* **Queueing** (``SwitchConfig.queueing``): per-output ``fifo``, or
-  ``drr`` — deficit-round-robin across source hosts, an approximate
-  fair-queueing discipline that stops one heavy sender from starving
-  the rest of an incast.
-* **ECN hook** (``SwitchConfig.ecn_threshold_bytes``): packets enqueued
-  above the threshold are CE-marked; the soft stacks echo the mark and
-  halve their windows — DCTCP-flavored, deliberately minimal.
+* **Buffer admission**: the classic dynamic threshold — a port may
+  hold at most the *remaining free* buffer (alpha = 1), so hot ports
+  are throttled while idle ports' share stays reclaimable.
+* **ECN hook** (``ecn_threshold_bytes``): packets enqueued above the
+  threshold are CE-marked; the soft stacks echo the mark and halve
+  their windows — DCTCP-flavored, deliberately minimal.
 
 Everything is integer picoseconds and integer bytes; events sit on one
 ``(time_ps, ingress-before-egress, port)`` heap and are processed in
@@ -30,10 +24,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
-from ..net.link import LINK_100G, Link
+from ..net.link import LINK_100G
 from ..tcp.segment import ip_from_string
 from .softstack import FabricPacket, _IntDirection
 
@@ -42,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: First host IP; host ``i`` is ``_BASE_IP + i`` (plain int arithmetic).
 _BASE_IP = ip_from_string("10.0.0.1")
+
+#: Total packet buffer of one switch (bytes).
+BUFFER_BYTES = 1 << 21
 
 #: Event kinds, the middle field of the heap key: at one instant every
 #: ingress admission sorts before any egress start.
@@ -65,85 +61,21 @@ def _pop_due_hosts(arrivals: List[Tuple[int, int]], now_ps: int) -> Set[int]:
     return hosts
 
 
-@dataclass(frozen=True)
-class SwitchConfig:
-    """Knobs for the output-queued shared-buffer switch."""
-
-    #: Total packet buffer shared by all output queues.
-    buffer_bytes: int = 1 << 21
-    #: ``shared`` | ``static`` | ``dynamic`` (dynamic-threshold).
-    partition: str = "dynamic"
-    #: Dynamic-threshold alpha in eighths (8 = 1.0), kept integral so
-    #: admission math never leaves integer bytes.
-    dt_alpha_x8: int = 8
-    #: ``fifo`` | ``drr`` (deficit round robin across source hosts).
-    queueing: str = "fifo"
-    #: DRR quantum per visit (bytes on the wire).
-    drr_quantum_bytes: int = 3076
-    #: CE-mark packets enqueued above this depth; 0 disables ECN.
-    ecn_threshold_bytes: int = 0
-    #: Host-to-switch and switch-to-host link (both directions).
-    link: Link = field(default_factory=lambda: LINK_100G)
-
-    def validate(self) -> None:
-        if self.partition not in ("shared", "static", "dynamic"):
-            raise ValueError(f"unknown partition {self.partition!r}")
-        if self.queueing not in ("fifo", "drr"):
-            raise ValueError(f"unknown queueing {self.queueing!r}")
-        if self.buffer_bytes <= 0:
-            raise ValueError("buffer_bytes must be positive")
-        if self.dt_alpha_x8 <= 0:
-            raise ValueError("dt_alpha_x8 must be positive")
-
-
 class _OutputQueue:
-    """One egress port's queue: FIFO, or DRR over per-source queues."""
+    """One egress port's FIFO and its depth."""
 
-    def __init__(self, config: SwitchConfig) -> None:
-        self._drr = config.queueing == "drr"
-        self._quantum = config.drr_quantum_bytes
-        #: FIFO mode: one deque of packets.
+    def __init__(self) -> None:
         self._fifo: Deque[FabricPacket] = deque()
-        #: DRR mode: per-source deques plus the active rotation.
-        self._per_src: Dict[int, Deque[FabricPacket]] = {}
-        self._active: Deque[int] = deque()
-        self._deficit: Dict[int, int] = {}
         self.queued_bytes = 0
         self.queued_packets = 0
 
-    def push(self, packet: FabricPacket, src: int) -> None:
-        if self._drr:
-            queue = self._per_src.get(src)
-            if queue is None:
-                queue = self._per_src[src] = deque()
-            if not queue:
-                self._active.append(src)
-                self._deficit[src] = 0
-            queue.append(packet)
-        else:
-            self._fifo.append(packet)
+    def push(self, packet: FabricPacket) -> None:
+        self._fifo.append(packet)
         self.queued_bytes += packet.wire_bytes
         self.queued_packets += 1
 
     def pop(self) -> FabricPacket:
-        """Dequeue the next packet per the discipline."""
-        if not self._drr:
-            packet = self._fifo.popleft()
-        else:
-            while True:
-                src = self._active[0]
-                queue = self._per_src[src]
-                head_bytes = queue[0].wire_bytes
-                if self._deficit[src] >= head_bytes:
-                    self._deficit[src] -= head_bytes
-                    packet = queue.popleft()
-                    if not queue:
-                        self._active.popleft()
-                        self._deficit[src] = 0
-                    break
-                # Not enough deficit: top up and move to the next source.
-                self._deficit[src] += self._quantum
-                self._active.rotate(-1)
+        packet = self._fifo.popleft()
         self.queued_bytes -= packet.wire_bytes
         self.queued_packets -= 1
         return packet
@@ -170,18 +102,20 @@ class _FabricPort:
 class SwitchFabric:
     """N host ports around one output-queued shared-buffer switch."""
 
-    def __init__(self, num_hosts: int, config: Optional[SwitchConfig] = None) -> None:
+    #: Total packet buffer shared by all output queues.
+    buffer_bytes = BUFFER_BYTES
+
+    def __init__(self, num_hosts: int, ecn_threshold_bytes: int = 0) -> None:
         if num_hosts < 2:
             raise ValueError("a fabric needs at least 2 hosts")
-        self.config = config or SwitchConfig()
-        self.config.validate()
         self.num_hosts = num_hosts
-        link = self.config.link
-        self._uplinks = [_IntDirection(link, None) for _ in range(num_hosts)]
-        self._queues = [_OutputQueue(self.config) for _ in range(num_hosts)]
+        #: CE-mark packets enqueued above this depth; 0 disables ECN.
+        self.ecn_threshold_bytes = ecn_threshold_bytes
+        self._uplinks = [_IntDirection(None) for _ in range(num_hosts)]
+        self._queues = [_OutputQueue() for _ in range(num_hosts)]
         self._egress_free_ps = [0] * num_hosts
-        self._egress_prop_ps = int(link.propagation_delay_us * 10**6)
-        self._bits_per_s = int(link.bandwidth_gbps * 1e9)
+        self._egress_prop_ps = int(LINK_100G.propagation_delay_us * 10**6)
+        self._bits_per_s = int(LINK_100G.bandwidth_gbps * 1e9)
         #: The event heap: ``(time_ps, kind, port)``.  An ingress entry
         #: is pushed when an uplink transmit fixes an arrival; a port
         #: with queued packets has exactly one scheduled egress start.
@@ -214,18 +148,6 @@ class SwitchFabric:
     def _host_of_ip(self, ip: int) -> Optional[int]:
         index = ip - _BASE_IP
         return index if 0 <= index < self.num_hosts else None
-
-    # ------------------------------------------------------------ policies
-    def _admit_limit(self, out_port: int) -> int:
-        """Max queued bytes this output may hold right now."""
-        config = self.config
-        if config.partition == "shared":
-            return config.buffer_bytes
-        if config.partition == "static":
-            return config.buffer_bytes // self.num_hosts
-        # Dynamic threshold: alpha x free buffer, evaluated on arrival.
-        free = config.buffer_bytes - self.buffer_used
-        return config.dt_alpha_x8 * free // 8
 
     # ------------------------------------------------------ the event loop
     def next_event_ps(self) -> Optional[int]:
@@ -261,7 +183,8 @@ class SwitchFabric:
             return
         queue = self._queues[out_port]
         wire_bytes = packet.wire_bytes
-        if queue.queued_bytes + wire_bytes > self._admit_limit(out_port):
+        # Dynamic threshold: at most the free buffer, evaluated on arrival.
+        if queue.queued_bytes + wire_bytes > self.buffer_bytes - self.buffer_used:
             self.dropped += 1
             self.drops_per_port[out_port] += 1
             if self.trace is not None:
@@ -271,7 +194,7 @@ class SwitchFabric:
                     f"depth={queue.queued_bytes}",
                 )
             return
-        threshold = self.config.ecn_threshold_bytes
+        threshold = self.ecn_threshold_bytes
         if threshold > 0 and queue.queued_bytes + wire_bytes > threshold:
             packet.ce = True
             self.ecn_marked += 1
@@ -280,7 +203,7 @@ class SwitchFabric:
                     now_ps, "fabric", "switch", "ecn-mark", -1,
                     f"port={out_port} depth={queue.queued_bytes + wire_bytes}",
                 )
-        queue.push(packet, src)
+        queue.push(packet)
         if queue.queued_packets == 1:
             # First in line: starts now, or when the serializer frees.
             start = max(now_ps, self._egress_free_ps[out_port])
@@ -317,43 +240,25 @@ class CellSwitch:
     every outbound packet is known before it crosses a cell boundary)
     and its hosts' *output queues + egress serializers* (receiver-side
     contention is resolved locally at admission time).  Nothing else of
-    the switch exists, which is exactly why only ``static`` buffer
-    partitioning (a hard per-port slice) and ``fifo`` queueing
-    decompose: ``shared``/``dynamic`` couple every port through the
-    global ``buffer_used``, and DRR's pop-time deficit rotation needs
-    ingress state from all sources at once.
+    the switch exists, which is why a cell admits against a static
+    per-port slice of the buffer: the dynamic threshold couples every
+    port through the global ``buffer_used``.  Cell switches do not
+    mark ECN.
 
     Admissions MUST be fed in nondecreasing ``(arrival_ps, src, seq)``
     order — the shard worker's event loop guarantees that — so depth
     accounting can retire served packets lazily and stay exact.
     """
 
-    def __init__(
-        self,
-        hosts: List[int],
-        num_hosts: int,
-        config: Optional[SwitchConfig] = None,
-    ) -> None:
-        config = config or SwitchConfig(partition="static")
-        config.validate()
-        if config.partition != "static":
-            raise ValueError(
-                f"cell switches require partition='static' (a per-port "
-                f"buffer slice is the only locally decidable admission "
-                f"policy), got {config.partition!r}"
-            )
-        if config.queueing != "fifo":
-            raise ValueError(
-                f"cell switches require queueing='fifo', got "
-                f"{config.queueing!r}"
-            )
-        self.config = config
+    #: Total packet buffer; each port owns a static 1/N slice of it.
+    buffer_bytes = BUFFER_BYTES
+
+    def __init__(self, hosts: List[int], num_hosts: int) -> None:
         self.hosts = list(hosts)
         self.num_hosts = num_hosts
-        link = config.link
-        self._bits_per_s = int(link.bandwidth_gbps * 1e9)
-        self.prop_ps = int(link.propagation_delay_us * 10**6)
-        self.port_limit = config.buffer_bytes // num_hosts
+        self._bits_per_s = int(LINK_100G.bandwidth_gbps * 1e9)
+        self.prop_ps = int(LINK_100G.propagation_delay_us * 10**6)
+        self.port_limit = self.buffer_bytes // num_hosts
         #: Sender side, per owned host: uplink serializer free instant
         #: and the per-source sequence that makes exchange keys unique.
         self._uplink_free: Dict[int, int] = {h: 0 for h in hosts}
@@ -378,7 +283,6 @@ class CellSwitch:
         # Counters (all deterministic; merged into the shard result).
         self.forwarded = 0
         self.dropped = 0
-        self.ecn_marked = 0
         self.bytes_sent = 0
 
     def host_ip(self, index: int) -> int:
@@ -422,10 +326,6 @@ class CellSwitch:
         if depth + wire_bytes > self.port_limit:
             self.dropped += 1
             return
-        threshold = self.config.ecn_threshold_bytes
-        if threshold > 0 and depth + wire_bytes > threshold:
-            packet.ce = True
-            self.ecn_marked += 1
         free = self._egress_free[out_port]
         start = now_ps if now_ps > free else free
         done = start + self.serialization_ps(wire_bytes)

@@ -9,7 +9,7 @@ converts per-request cycle costs into achievable request rates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import ClassVar, Dict
 
 from .calibration import HOST_CPU_FREQ_HZ
 
@@ -19,7 +19,7 @@ class CpuModel:
     """A pool of identical cores."""
 
     cores: int = 1
-    freq_hz: float = HOST_CPU_FREQ_HZ
+    freq_hz: ClassVar[float] = HOST_CPU_FREQ_HZ
 
     @property
     def cycles_per_second(self) -> float:

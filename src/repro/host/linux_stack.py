@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..net.link import Link, LINK_100G
+from ..net.link import LINK_100G
 from .calibration import (
     LINUX_CYCLES_PER_ECHO,
     LINUX_CYCLES_PER_SEND_BULK,
@@ -29,10 +29,9 @@ class LinuxTcpStack:
     """Throughput model of the kernel stack on a given core pool."""
 
     cpu: CpuModel
-    link: Link = LINK_100G
 
     def _cap_to_link(self, rate: float, request_bytes: int) -> float:
-        return min(rate, self.link.max_packets_per_second(request_bytes))
+        return min(rate, LINK_100G.max_packets_per_second(request_bytes))
 
     # ------------------------------------------------------------ figures
     def bulk_request_rate(self, request_bytes: int) -> float:

@@ -10,22 +10,19 @@ to 8 B (§6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .calibration import (
     COMMAND_BYTES_DEFAULT,
     PCIE_EFFECTIVE_BYTES_PER_S,
 )
 
 
-@dataclass
 class PcieModel:
     """Effective-bandwidth model of the host link."""
 
-    effective_bytes_per_s: float = PCIE_EFFECTIVE_BYTES_PER_S
+    effective_bytes_per_s = PCIE_EFFECTIVE_BYTES_PER_S
     #: One-way latency of a posted write / DMA transaction (§4.2.2 cites
     #: ~1 us for a PCIe transaction round trip).
-    transaction_latency_us: float = 0.9
+    transaction_latency_us = 0.9
 
     def bytes_per_request(
         self,

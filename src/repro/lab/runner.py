@@ -32,7 +32,9 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Union
+from typing import (
+    Any, Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, TextIO, Union,
+)
 
 from .. import mp_context
 from .grid import ExperimentGrid, normalize_result, provenance, resolve_driver
@@ -52,9 +54,9 @@ class RunOptions:
 
     timeout_s: Optional[float] = 300.0
     max_retries: int = 2
-    backoff_base_s: float = 0.5
-    backoff_cap_s: float = 30.0
-    poll_s: float = 0.1
+    backoff_base_s: ClassVar[float] = 0.5
+    backoff_cap_s: ClassVar[float] = 30.0
+    poll_s: ClassVar[float] = 0.1
 
     def backoff(self, attempts: int) -> float:
         return min(self.backoff_cap_s, self.backoff_base_s * 2 ** max(0, attempts - 1))
@@ -235,8 +237,6 @@ def run_grid(
     workers: int = 1,
     timeout_s: Optional[float] = 300.0,
     max_retries: int = 2,
-    backoff_base_s: float = 0.5,
-    backoff_cap_s: float = 30.0,
     progress: Optional[TextIO] = None,
 ) -> GridRunReport:
     """Sync ``grids`` into the store at ``store_path`` and run them.
@@ -247,12 +247,7 @@ def run_grid(
     """
     grid_list = [grids] if isinstance(grids, ExperimentGrid) else list(grids)
     experiments = [grid.name for grid in grid_list]
-    options = RunOptions(
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        backoff_base_s=backoff_base_s,
-        backoff_cap_s=backoff_cap_s,
-    )
+    options = RunOptions(timeout_s=timeout_s, max_retries=max_retries)
     started = time.monotonic()
     printer = _ProgressPrinter(progress)
 

@@ -35,24 +35,18 @@ POLICIES = (POLICY_REACTIVE, POLICY_PREDICTIVE)
 class FlowHeat:
     """Heat oracle over a shared frequency sketch.
 
-    ``hot_fraction`` sets the heavy-hitter bar as a multiple of the
+    ``hot_factor`` sets the heavy-hitter bar as a multiple of the
     uniform share: a flow is hot once its estimate exceeds
     ``hot_factor * total / max(distinct_seen, 1)``.  ``min_total``
     suppresses verdicts until the sketch has seen enough of the stream
     to mean anything (everything is cold during warmup).
     """
 
-    def __init__(
-        self,
-        sketch: Sketch,
-        hot_factor: float = 4.0,
-        min_total: int = 256,
-    ) -> None:
-        if hot_factor <= 0:
-            raise ValueError(f"hot_factor must be > 0, got {hot_factor}")
+    hot_factor = 4.0
+    min_total = 256
+
+    def __init__(self, sketch: Sketch) -> None:
         self.sketch = sketch
-        self.hot_factor = hot_factor
-        self.min_total = min_total
         self.records = 0
         self.hot_checks = 0
         self.hot_hits = 0

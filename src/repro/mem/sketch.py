@@ -1,7 +1,7 @@
 """Streaming frequency sketches with seeded hash families.
 
 Three interchangeable estimators behind one duck-typed surface
-(``update`` / ``estimate`` / ``heavy_hitters`` / ``reset``):
+(``update`` / ``estimate`` / ``heavy_hitters``):
 
 * :class:`CountMinSketch` — d seeded rows of w counters; estimates never
   undercount, and overcount by at most ``total / w`` per row in
@@ -47,21 +47,15 @@ class CountMinSketch:
     """
 
     kind = "countmin"
+    depth = 4
+    track = 32
 
-    def __init__(
-        self,
-        width: int = 1024,
-        depth: int = 4,
-        seed: int = 0,
-        track: int = 32,
-    ) -> None:
-        if width < 1 or depth < 1:
-            raise ValueError(f"width/depth must be >= 1, got {width}x{depth}")
+    def __init__(self, width: int = 1024, seed: int = 0) -> None:
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
         self.width = width
-        self.depth = depth
         self.seed = seed
-        self.track = max(1, track)
-        self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
+        self._rows: List[List[int]] = [[0] * width for _ in range(self.depth)]
         self._topk: Dict[int, int] = {}
         self.total = 0
         self.updates = 0
@@ -105,14 +99,6 @@ class CountMinSketch:
             self._topk.items(), key=lambda item: (-item[1], item[0])
         )
         return ranked[:k]
-
-    def reset(self) -> None:
-        for row in self._rows:
-            for index in range(self.width):
-                row[index] = 0
-        self._topk.clear()
-        self.total = 0
-        self.updates = 0
 
 
 class SpaceSavingSketch:
@@ -165,13 +151,6 @@ class SpaceSavingSketch:
         )
         return ranked[:k]
 
-    def reset(self) -> None:
-        self._counts.clear()
-        self._errors.clear()
-        self.total = 0
-        self.updates = 0
-        self.replacements = 0
-
 
 class ExactOracle:
     """Exact per-key counters — the accuracy baseline, O(keys) memory."""
@@ -199,28 +178,21 @@ class ExactOracle:
         )
         return ranked[:k]
 
-    def reset(self) -> None:
-        self._counts.clear()
-        self.total = 0
-        self.updates = 0
-
 
 #: Any of the interchangeable frequency estimators above; they share
-#: the update/estimate/heavy_hitters/reset surface and the cache
+#: the update/estimate/heavy_hitters surface and the cache
 #: hierarchy, advisor and CLI accept them interchangeably.
 Sketch = Union["CountMinSketch", "SpaceSavingSketch", "ExactOracle"]
 
 
-def make_sketch(
-    kind: str, width: int = 1024, depth: int = 4, seed: int = 0
-) -> Sketch:
+def make_sketch(kind: str, width: int = 1024, seed: int = 0) -> Sketch:
     """Build a sketch by name: ``countmin`` | ``spacesaving`` | ``exact``.
 
     ``width`` doubles as the space-saving capacity so one sweep axis
     (``sketch_width``) scales every kind's memory budget.
     """
     if kind == "countmin":
-        return CountMinSketch(width=width, depth=depth, seed=seed)
+        return CountMinSketch(width=width, seed=seed)
     if kind == "spacesaving":
         return SpaceSavingSketch(capacity=width, seed=seed)
     if kind == "exact":

@@ -9,6 +9,7 @@ goodput at 100 Gbps x 128/(128+78) = 62.1 Gbps (§5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 #: Per-packet overhead in bytes (§5.1).
 PER_PACKET_OVERHEAD = 78
@@ -18,9 +19,9 @@ GBPS = 1e9  # bits per second per Gbps
 
 @dataclass(frozen=True)
 class Link:
-    """A full-duplex point-to-point link."""
+    """A full-duplex 100 GbE point-to-point link."""
 
-    bandwidth_gbps: float = 100.0
+    bandwidth_gbps: ClassVar[float] = 100.0
     propagation_delay_us: float = 2.0
 
     @property
@@ -45,4 +46,4 @@ class Link:
 
 
 #: The evaluation link (§5): directly connected 100 GbE.
-LINK_100G = Link(bandwidth_gbps=100.0, propagation_delay_us=2.0)
+LINK_100G = Link(propagation_delay_us=2.0)

@@ -103,23 +103,20 @@ class TraceBus:
     def __init__(
         self,
         layers: Optional[Iterable[str]] = None,
-        flows: Optional[Set[int]] = None,
         max_events: int = DEFAULT_MAX_EVENTS,
         sampling: str = "head",
-        seed: int = 0,
     ) -> None:
         if sampling not in ("head", "reservoir"):
             raise ValueError(f"sampling must be 'head' or 'reservoir', got {sampling!r}")
         self.layers = expand_layers(layers)
-        self.flows = flows
         self.max_events = max_events
         self.sampling = sampling
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._events: List[TraceEvent] = []
         #: Events filtered out by the cap (head) or replaced-away
         #: candidates (reservoir); either way, emitted-but-not-kept.
         self.dropped = 0
-        #: Everything that passed the layer/flow filters, kept or not.
+        #: Everything that passed the layer filter, kept or not.
         self.emitted = 0
 
     # --------------------------------------------------------------- emit
@@ -134,8 +131,6 @@ class TraceBus:
         dur_ps: float = 0.0,
     ) -> None:
         if layer not in self.layers:
-            return
-        if self.flows is not None and flow_id not in self.flows:
             return
         self.emitted += 1
         event = TraceEvent(t_ps, layer, component, kind, flow_id, detail, dur_ps)
@@ -203,8 +198,7 @@ class StreamingFingerprint:
     buffered fingerprints are interchangeable.
     """
 
-    def __init__(self, layers: Optional[Iterable[str]] = None) -> None:
-        self.layers = None if layers is None else expand_layers(layers)
+    def __init__(self) -> None:
         self._digest = hashlib.sha256()
         self.emitted = 0
 
@@ -218,8 +212,6 @@ class StreamingFingerprint:
         detail: Any = "",
         dur_ps: float = 0.0,
     ) -> None:
-        if self.layers is not None and layer not in self.layers:
-            return
         self.emitted += 1
         event = TraceEvent(t_ps, layer, component, kind, flow_id, detail, dur_ps)
         self._digest.update(event.normalized().encode())

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, ClassVar, List, Optional, Set, Tuple
 
 from ..tcp.seq import seq_ge, seq_gt, seq_lt
 
@@ -234,14 +234,14 @@ class ReferenceTcpSimulation:
     algorithm: str = "newreno"
     link_gbps: float = 10.0
     one_way_delay_ms: float = 0.5
-    mss: int = 1460
+    mss: ClassVar[int] = 1460
     duration_s: float = 2.0
     #: Drop predicate on data-packet index.
     drop_fn: Optional[Callable[[int], bool]] = None
     rto_s: float = 0.2
     #: Send-buffer cap on bytes in flight (F4T's evaluation uses 512 KB
-    #: TCP buffers, §5); None = unlimited.
-    max_flight_bytes: Optional[int] = 512 * 1024
+    #: TCP buffers, §5).
+    max_flight_bytes: ClassVar[int] = 512 * 1024
 
     def run(self) -> CwndTrace:
         mss = self.mss
@@ -285,9 +285,7 @@ class ReferenceTcpSimulation:
                 starts = [start_override]
             else:
                 starts = []
-                limit = cc.cwnd
-                if self.max_flight_bytes is not None:
-                    limit = min(limit, self.max_flight_bytes)
+                limit = min(cc.cwnd, self.max_flight_bytes)
                 while snd_nxt - snd_una < limit:
                     starts.append(snd_nxt)
                     snd_nxt += mss

@@ -52,9 +52,7 @@ class CellSim:
         self.scenario = scenario
         self.cell = cell
         self.hosts = scenario.hosts_of_cell(cell)
-        self.switch = CellSwitch(
-            self.hosts, scenario.num_hosts, scenario.switch
-        )
+        self.switch = CellSwitch(self.hosts, scenario.num_hosts)
         self.trace = trace
         #: Lockstep sanitizer view; None on normal runs (the hooks below
         #: follow the trace bus's near-zero-cost guard contract).
@@ -281,7 +279,7 @@ class CellSim:
             "ecn_echoes": 0,
             "forwarded": self.switch.forwarded,
             "dropped": self.switch.dropped,
-            "ecn_marked": self.switch.ecn_marked,
+            "ecn_marked": 0,  # cell switches do not mark
             "conns_opened": 0,
             "conns_established": 0,
             "txns_completed": 0,

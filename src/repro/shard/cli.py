@@ -15,7 +15,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, List, Optional, TextIO
 
-from ..cli import add_group, comma_list
+from ..cli import add_group, comma_list, positive
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from .runner import ShardResult
@@ -118,7 +118,7 @@ def add_shard_parser(subparsers: argparse._SubParsersAction) -> None:
     run.add_argument("--seed", type=int, default=None, help="top-level seed")
     run.add_argument("--cells", type=int, default=None,
                      help="traffic shards: cell count (default: one per class)")
-    run.add_argument("--load-scale", type=float, default=1.0,
+    run.add_argument("--load-scale", type=positive, default=1.0,
                      help="traffic shards: multiply arrival rates")
     run.add_argument("--dry", action="store_true",
                      help="1/128-scale dry run (shard scenarios only)")

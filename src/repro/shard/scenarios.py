@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, List, Optional, Set, Tuple
 
 from .. import Registry
-from ..fabric.switch import SwitchConfig
+from ..net.link import LINK_100G
 from ..net.wire import derive_seed
 
 
@@ -32,8 +32,8 @@ class ShardPair:
     client: int
     server: int
     conns: int
-    req_bytes: int = 64
-    resp_bytes: int = 64
+    req_bytes: ClassVar[int] = 64
+    resp_bytes: ClassVar[int] = 64
     #: Every k-th connection (by index) runs one request/response
     #: transaction; the others connect and idle.  0 = nobody transacts.
     transact_every: int = 1
@@ -43,11 +43,6 @@ class ShardPair:
             raise ValueError(f"pair {self.client}->{self.server}: loopback")
         if self.conns <= 0:
             raise ValueError(f"pair {self.client}->{self.server}: conns <= 0")
-        if self.transact_every and (self.req_bytes <= 0 or self.resp_bytes <= 0):
-            raise ValueError(
-                f"pair {self.client}->{self.server}: transactions need "
-                "req_bytes > 0 and resp_bytes > 0"
-            )
 
     def framing(self, index: int) -> Tuple[int, int]:
         """``(req, resp)`` bytes of the pair's ``index``-th connection —
@@ -56,10 +51,6 @@ class ShardPair:
         if every and index % every == 0:
             return self.req_bytes, self.resp_bytes
         return 0, 0
-
-
-def _static_switch() -> SwitchConfig:
-    return SwitchConfig(partition="static")
 
 
 @dataclass(frozen=True)
@@ -76,11 +67,8 @@ class ShardScenario:
     #: Tear connections down after their transaction (churn) or hold
     #: them open for the rest of the run (megaflow).
     close_after: bool = True
-    #: Cell switches require static partitioning + fifo queueing — the
-    #: only locally decidable admission policy (see CellSwitch).
-    switch: SwitchConfig = field(default_factory=_static_switch)
-    backend: str = "f4t"
-    server_port: int = 9000
+    backend: ClassVar[str] = "f4t"
+    server_port: ClassVar[int] = 9000
     #: Safety valve: a run that is not quiescent after this many epochs
     #: stops unfinished instead of spinning.
     max_epochs: int = 100_000
@@ -111,7 +99,6 @@ class ShardScenario:
                     "(accept matching is per ordered host pair)"
                 )
             seen.add((pair.client, pair.server))
-        self.switch.validate()
 
     # ------------------------------------------------------------ geometry
     @property
@@ -132,7 +119,7 @@ class ShardScenario:
         switch admission point at ``t + serialization + propagation >=
         epoch_end``, so admissions for epoch ``e+1`` are all known at
         the barrier ending epoch ``e`` — that is the whole proof."""
-        return int(self.switch.link.propagation_delay_us * 10**6)
+        return int(LINK_100G.propagation_delay_us * 10**6)
 
     # ----------------------------------------------------------- schedules
     def with_seed(self, seed: int) -> "ShardScenario":

@@ -86,11 +86,5 @@ class Component:
         if self.clock is self:
             self.cycle += 1
 
-    def reset(self) -> None:
-        """Return to the post-construction state (an owner's clock is
-        the owner's to reset)."""
-        if self.clock is self:
-            self.cycle = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r} cycle={self.clock.cycle}>"

@@ -254,11 +254,10 @@ class PartitionedLUT:
     statistics for the benches.
     """
 
-    def __init__(self, groups: int, name: str = "location-lut") -> None:
+    def __init__(self, groups: int) -> None:
         if groups <= 0:
             raise ValueError(f"groups must be positive, got {groups}")
         self.groups = groups
-        self.name = name
         self._tables: List[Dict[Any, Any]] = [{} for _ in range(groups)]
         self.accesses = 0
 

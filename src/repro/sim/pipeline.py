@@ -3,19 +3,18 @@
 The FPU is a fully pipelined datapath: a new TCB may enter every
 ``initiation_interval`` cycles and results emerge ``latency`` cycles after
 entry (§4.2.2, §4.5).  This class models exactly that timing contract and
-nothing else — the *work* is a callback applied when an item retires.
+nothing else — the owner does the work on what retires.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Generic, List, Optional, Tuple, TypeVar
+from typing import Deque, Generic, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 
-class Pipeline(Generic[T, R]):
+class Pipeline(Generic[T]):
     """A pipeline with fixed latency and initiation interval.
 
     Items are issued with :meth:`issue` stamped with the current cycle and
@@ -28,7 +27,6 @@ class Pipeline(Generic[T, R]):
         self,
         latency: int,
         initiation_interval: int = 1,
-        func: Optional[Callable[[T], R]] = None,
         name: str = "pipeline",
     ) -> None:
         if latency < 1:
@@ -39,7 +37,6 @@ class Pipeline(Generic[T, R]):
             )
         self.latency = latency
         self.initiation_interval = initiation_interval
-        self.func = func
         self.name = name
         self._in_flight: Deque[Tuple[int, T]] = deque()
         self._last_issue_cycle: Optional[int] = None
@@ -81,20 +78,11 @@ class Pipeline(Generic[T, R]):
             return None
         return self._in_flight[0][0] + self.latency
 
-    def retire_ready(self, cycle: int) -> List[R]:
-        """Pop every item whose latency has elapsed by ``cycle``.
-
-        The transform ``func`` (when given) is applied at retire time,
-        modelling that results only become architecturally visible at
-        pipeline exit.
-        """
-        out: List[R] = []
+    def retire_ready(self, cycle: int) -> List[T]:
+        """Pop every item whose latency has elapsed by ``cycle``."""
+        out: List[T] = []
         while self._in_flight and cycle - self._in_flight[0][0] >= self.latency:
             _, item = self._in_flight.popleft()
             self.retired += 1
-            out.append(self.func(item) if self.func is not None else item)
+            out.append(item)
         return out
-
-    def flush(self) -> None:
-        self._in_flight.clear()
-        self._last_issue_cycle = None

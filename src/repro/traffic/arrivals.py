@@ -22,11 +22,20 @@ class ArrivalProcess:
         raise NotImplementedError
 
     def scaled(self, factor: float) -> "ArrivalProcess":
-        """The same process with every rate multiplied by ``factor``."""
+        """The same process with every rate multiplied by ``factor``
+        (above zero: see :func:`_factor`)."""
         raise NotImplementedError
 
     def describe(self) -> str:
         return type(self).__name__
+
+
+def _factor(factor: float) -> float:
+    """A rate multiplier, checked: zero divides by zero, and a negative
+    rate gives negative gaps that never reach a schedule's horizon."""
+    if not factor > 0:
+        raise ValueError(f"a rate scale must be above zero, got {factor!r}")
+    return factor
 
 
 @dataclass(frozen=True)
@@ -44,7 +53,7 @@ class Poisson(ArrivalProcess):
         return times
 
     def scaled(self, factor: float) -> "Poisson":
-        return replace(self, rate=self.rate * factor)
+        return replace(self, rate=self.rate * _factor(factor))
 
     def describe(self) -> str:
         return f"poisson({self.rate:.3g}/s)"
@@ -87,6 +96,7 @@ class OnOffBursts(ArrivalProcess):
         return times
 
     def scaled(self, factor: float) -> "OnOffBursts":
+        factor = _factor(factor)
         return replace(
             self,
             burst_rate=self.burst_rate * factor,
@@ -135,7 +145,7 @@ class FlashCrowd(ArrivalProcess):
         return times
 
     def scaled(self, factor: float) -> "FlashCrowd":
-        return replace(self, base_rate=self.base_rate * factor)
+        return replace(self, base_rate=self.base_rate * _factor(factor))
 
     def describe(self) -> str:
         return (

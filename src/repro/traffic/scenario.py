@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, ClassVar, List, Optional
 
 from .. import Registry
-from ..net.link import LINK_100G, Link
 from ..net.wire import Wire, derive_seed
 from .arrivals import ArrivalProcess, FlashCrowd, OnOffBursts, Poisson
 from .sizes import Fixed, SizeDistribution, Zipf
@@ -85,15 +84,14 @@ class Impairments:
 
     drop_probability: float = 0.0
     reorder_probability: float = 0.0
-    reorder_delay_us: float = 10.0
+    reorder_delay_us: ClassVar[float] = 10.0
 
-    def build_wire(self, seed: int, link: Link = LINK_100G) -> Wire:
+    def build_wire(self, seed: int) -> Wire:
         return Wire.impaired(
             seed,
             drop_probability=self.drop_probability,
             reorder_probability=self.reorder_probability,
             reorder_delay_us=self.reorder_delay_us,
-            link=link,
         )
 
 
@@ -242,7 +240,7 @@ def mixed_scenario() -> Scenario:
             TrafficClass(
                 name="bulk",
                 arrival=Poisson(rate=15e3),
-                request=Zipf(s=1.1, minimum=1024, maximum=65536),
+                request=Zipf(minimum=1024, maximum=65536),
                 response=Fixed(0),
                 connections=2,
             ),

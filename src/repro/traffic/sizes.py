@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import ClassVar, List, Tuple
 
 
 class SizeDistribution:
@@ -47,10 +47,10 @@ class Zipf(SizeDistribution):
     ``maximum``.
     """
 
-    s: float = 1.1
+    s: ClassVar[float] = 1.1
+    buckets: ClassVar[int] = 12
     minimum: int = 64
     maximum: int = 1 << 17
-    buckets: int = 12
     _support: Tuple[Tuple[float, int], ...] = field(
         default=(), init=False, repr=False, compare=False
     )

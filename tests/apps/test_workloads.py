@@ -56,12 +56,6 @@ class TestBulkModel:
         per_packet_limit = 100e9 * 64 / (64 + 78) / 8 / 64  # 64 B packets
         assert point.requests_per_s > per_packet_limit
 
-    def test_engine_term_without_coalescing(self):
-        point = BulkTransferModel(cores=8, coalescing=False).request_rate(64)
-        assert point.requests_per_s <= 125e6
-        assert point.bottleneck == "engine"
-
-
 class TestRoundRobinModel:
     def test_fig8b_anchors(self):
         assert RoundRobinModel(cores=1).request_rate(128).goodput_gbps == pytest.approx(35, rel=0.05)

@@ -52,13 +52,13 @@ class TestStallingAccelerator:
 
 class TestSingleCycleAccelerator:
     def test_one_event_per_cycle(self):
-        accel = saturate(SingleCycleAccelerator(freq_hz=100e6), 5000)
+        accel = saturate(SingleCycleAccelerator(), 5000)
         assert accel.events_processed == 5000
         assert events_per_second(accel) == pytest.approx(100e6)
 
     def test_tonic_vs_limago_gap(self):
         """Fig 2's w/o-RMW vs w-RMW gap at equal request sizes."""
-        tonic = saturate(SingleCycleAccelerator(freq_hz=100e6), 10_000)
+        tonic = saturate(SingleCycleAccelerator(), 10_000)
         limago = saturate(StallingAccelerator(17, freq_hz=322e6), 10_000)
         assert events_per_second(tonic) > 5 * events_per_second(limago)
 

@@ -6,13 +6,14 @@ from repro.engine.ftengine import FtEngineConfig
 from repro.engine.testbed import Testbed
 
 
+class _SmallReceiveBuffer(FtEngineConfig):
+    recv_buffer = 8 * 1024
+
+
 @pytest.fixture
 def small_buffer_testbed():
     """Receiver with a tiny 8 KB buffer so the window closes quickly."""
-    return Testbed(
-        config_a=FtEngineConfig(),
-        config_b=FtEngineConfig(recv_buffer=8 * 1024),
-    )
+    return Testbed(config_a=FtEngineConfig(), config_b=_SmallReceiveBuffer())
 
 
 class TestReceiveWindow:

@@ -213,16 +213,6 @@ class TestBackpressure:
         assert fpc.backpressure
         assert not fpc.offer_event(user_send_event(0, 1, 0.0))
 
-    def test_reset(self):
-        fpc = make_fpc()
-        install_flows(fpc, 2)
-        fpc.offer_event(user_send_event(0, 1, 0.0))
-        fpc.tick()
-        fpc.reset()
-        assert fpc.cycle == 0
-        assert fpc.next_action == NEVER
-
-
 # ------------------------------------------------------ the work horizon
 _OPS = st.lists(
     st.tuples(

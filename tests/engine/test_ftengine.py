@@ -191,10 +191,10 @@ class TestEphemeralPorts:
         monkeypatch.setattr(ftengine, "_PORT_MIN", 40_000)
         monkeypatch.setattr(ftengine, "_PORT_MAX", 40_003)
         monkeypatch.setattr(ftengine, "_PORT_COUNT", 4)
-        engine = FtEngine(ip=0x0A000001, name="edge")
+        engine = FtEngine(ip=0x0A000001)
         for _ in range(4):
             engine.connect(self.PEER, 80)
-        with pytest.raises(OSError, match=r"engine edge.*10\.0\.0\.2:80"):
+        with pytest.raises(OSError, match=rf"engine {engine.name}.*10\.0\.0\.2:80"):
             engine.connect(self.PEER, 80)
         # A closed flow gives its port back.
         engine._teardown_flow(1)

@@ -9,6 +9,10 @@ from repro.net.wire import LossPattern, Wire
 from repro.tcp.segment import TcpSegment
 
 
+class _OneGigLink(Link):
+    bandwidth_gbps = 1.0
+
+
 def patterned_data(n, salt=0):
     return bytes((i * 131 + salt) % 256 for i in range(n))
 
@@ -207,7 +211,7 @@ class TestWireByteFidelity:
 
     def test_slow_link_paces_transfer(self):
         """A 1 Gbps link bounds goodput at the serialization rate."""
-        testbed = Testbed(link=Link(bandwidth_gbps=1.0, propagation_delay_us=2.0))
+        testbed = Testbed(wire=Wire(link=_OneGigLink(propagation_delay_us=2.0)))
         a_flow, b_flow = testbed.establish()
         start = testbed.now_s
         data = patterned_data(100_000)

@@ -5,8 +5,13 @@ import pytest
 from repro.engine.ftengine import ENGINE_PERIOD_PS, FtEngineConfig
 from repro.engine.testbed import Testbed, message_driven
 from repro.net.link import Link
+from repro.net.wire import Wire
 
 from ._percycle_oracle import run_per_cycle, step
+
+
+class _OneGigLink(Link):
+    bandwidth_gbps = 1.0
 
 
 class TestTimeKeeping:
@@ -86,8 +91,8 @@ class TestEstablish:
 
 class TestCustomLink:
     def test_link_parameters_respected(self):
-        slow = Testbed(link=Link(bandwidth_gbps=1.0, propagation_delay_us=50.0))
-        fast = Testbed(link=Link(bandwidth_gbps=100.0, propagation_delay_us=1.0))
+        slow = Testbed(wire=Wire(link=_OneGigLink(propagation_delay_us=50.0)))
+        fast = Testbed(wire=Wire(link=Link(propagation_delay_us=1.0)))
         slow.establish()
         fast.establish()
         # Handshake RTT dominated by propagation: 100 us vs 2 us-ish.

@@ -1,7 +1,7 @@
 """ECN echoes close the loop: marks -> halved windows -> fewer drops.
 
 The incast fabric run is the forcing function: N-1 synchronized block
-responses collide at one egress port.  With a deliberately small shared
+responses collide at one egress port.  With a deliberately small switch
 buffer the un-marked run tail-drops heavily; turning the switch's CE
 threshold on must shift loss into marks — the soft stacks echo the
 marks, halve their congestion windows (seeded recovery holdoff, one
@@ -11,23 +11,23 @@ measurably fewer drops.
 
 from dataclasses import replace
 
+import pytest
+
 from repro.fabric import get_fabric_scenario, run_fabric
-from repro.fabric.switch import SwitchConfig
+from repro.fabric.switch import SwitchFabric
 
 #: Small enough that a 7-into-1 incast of 128 KiB blocks overflows.
 _TIGHT_BUFFER = 128 * 1024
 
 
+@pytest.fixture(autouse=True)
+def _tight_buffer(monkeypatch):
+    monkeypatch.setattr(SwitchFabric, "buffer_bytes", _TIGHT_BUFFER)
+
+
 def _tight_incast(ecn_threshold_bytes: int):
     scenario = get_fabric_scenario("incast", num_hosts=8, seed=3)
-    return replace(
-        scenario,
-        switch=SwitchConfig(
-            partition="shared",
-            buffer_bytes=_TIGHT_BUFFER,
-            ecn_threshold_bytes=ecn_threshold_bytes,
-        ),
-    )
+    return replace(scenario, ecn_threshold_bytes=ecn_threshold_bytes)
 
 
 class TestEcnCongestionResponse:

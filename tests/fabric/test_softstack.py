@@ -3,7 +3,8 @@
 import pytest
 
 from repro.fabric.backend import build_point_to_point
-from repro.fabric.softstack import _NO_RUNS, SoftStackConfig, SoftTestbed
+from repro.fabric import softstack
+from repro.fabric.softstack import _NO_RUNS, SoftTestbed
 from repro.fabric.service import FlexToeService
 from repro.tcp.segment import FlowKey
 from repro.tcp.state_machine import TcpState
@@ -59,8 +60,9 @@ class TestHandshakeAndData:
         assert got["n"] == total
         assert tb.engine_b.readable(b_flow) == 0  # nothing phantom left
 
-    def test_send_respects_buffer_backpressure(self):
-        tb = flextoe_testbed(config=SoftStackConfig(send_buffer=4096))
+    def test_send_respects_buffer_backpressure(self, monkeypatch):
+        monkeypatch.setattr(softstack, "SEND_BUFFER", 4096)
+        tb = flextoe_testbed()
         a_flow, _ = establish(tb)
         accepted = tb.engine_a.send_data(a_flow, bytes(1 << 16))
         assert 0 < accepted <= 4096

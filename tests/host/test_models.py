@@ -5,6 +5,7 @@ import pytest
 from repro.host.cpu import CpuModel, CycleAccount
 from repro.host.linux_stack import LinuxTcpStack
 from repro.host.pcie import PcieModel
+from repro.net.link import LINK_100G
 
 
 class TestPcieModel:
@@ -34,7 +35,7 @@ class TestPcieModel:
 
 class TestCpuModel:
     def test_rate_for(self):
-        cpu = CpuModel(cores=2, freq_hz=2.3e9)
+        cpu = CpuModel(cores=2)  # at HOST_CPU_FREQ_HZ = 2.3 GHz
         assert cpu.rate_for(2300) == pytest.approx(2e6)
 
     def test_rejects_bad_cost(self):
@@ -87,5 +88,5 @@ class TestLinuxStack:
     def test_rate_capped_by_link(self):
         """A thousand cores cannot push past 100 Gbps."""
         stack = LinuxTcpStack(CpuModel(cores=1000))
-        assert stack.bulk_request_rate(128) <= stack.link.max_packets_per_second(128)
+        assert stack.bulk_request_rate(128) <= LINK_100G.max_packets_per_second(128)
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.lab.grid import ExperimentGrid, PointResult
-from repro.lab.runner import run_grid
+from repro.lab.runner import RunOptions, run_grid
 from repro.lab.store import RunStore
 
 
@@ -102,6 +102,10 @@ class TestResume:
 
 
 class TestRetry:
+    @pytest.fixture(autouse=True)
+    def _fast_backoff(self, monkeypatch):
+        monkeypatch.setattr(RunOptions, "backoff_base_s", 0.01)
+
     def test_transient_failures_retry_until_success(self, tmp_path):
         state = tmp_path / "state"
         state.mkdir()
@@ -112,7 +116,7 @@ class TestRetry:
             base={"state_dir": str(state), "fail_times": 2},
         )
         db = str(tmp_path / "runs.sqlite")
-        report = run_grid(grid, db, max_retries=2, backoff_base_s=0.01)
+        report = run_grid(grid, db, max_retries=2)
         assert report.done == 2
         assert report.errors == 0
         with RunStore(db) as store:
@@ -127,7 +131,7 @@ class TestRetry:
             domains={"x": [1]},
         )
         db = str(tmp_path / "runs.sqlite")
-        report = run_grid(grid, db, max_retries=1, backoff_base_s=0.01)
+        report = run_grid(grid, db, max_retries=1)
         assert report.errors == 1
         assert not report.ok
         with RunStore(db) as store:
@@ -151,7 +155,7 @@ class TestRetry:
         assert report.errors == 1
         with RunStore(db) as store:
             assert store.reset_errors() == 1
-        report = run_grid(grid, db, max_retries=1, backoff_base_s=0.01)
+        report = run_grid(grid, db, max_retries=1)
         assert report.errors == 0
         assert report.done == 1
 
@@ -162,7 +166,7 @@ class TestRetry:
             domains={"x": [1]},
         )
         db = str(tmp_path / "runs.sqlite")
-        report = run_grid(grid, db, max_retries=5, backoff_base_s=0.01)
+        report = run_grid(grid, db, max_retries=5)
         assert report.errors == 1
         with RunStore(db) as store:
             assert store.records()[0].attempts == 1  # no pointless retries

@@ -12,13 +12,9 @@ from repro.mem.advisor import (
 from repro.mem.sketch import CountMinSketch, ExactOracle
 
 
-def heated(hot_factor=4.0, min_total=256, heavy=0, mice=32, rounds=40):
+def heated(heavy=0, mice=32, rounds=40):
     """A FlowHeat fed a stream where ``heavy`` dominates ``mice`` peers."""
-    heat = FlowHeat(
-        CountMinSketch(width=1024, seed=1),
-        hot_factor=hot_factor,
-        min_total=min_total,
-    )
+    heat = FlowHeat(CountMinSketch(width=1024, seed=1))
     for _ in range(rounds):
         for _ in range(mice):
             heat.record(heavy)
@@ -29,8 +25,8 @@ def heated(hot_factor=4.0, min_total=256, heavy=0, mice=32, rounds=40):
 
 class TestFlowHeat:
     def test_warmup_suppresses_verdicts(self):
-        heat = FlowHeat(CountMinSketch(width=64, seed=1), min_total=100)
-        for _ in range(50):
+        heat = FlowHeat(CountMinSketch(width=64, seed=1))
+        for _ in range(FlowHeat.min_total // 2):
             heat.record(0)
         assert heat.hot_threshold == float("inf")
         assert not heat.is_hot(0)
@@ -59,11 +55,6 @@ class TestFlowHeat:
         for _ in range(40 * 32):
             oracle.update(0)
         assert heat.estimate(0) >= oracle.estimate(0)
-
-    def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            FlowHeat(CountMinSketch(), hot_factor=0)
-
 
 class TestResolvePolicy:
     def test_none_is_reactive(self):

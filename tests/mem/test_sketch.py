@@ -36,7 +36,7 @@ class TestMix64:
 
 class TestCountMin:
     def test_never_undercounts(self):
-        sketch = CountMinSketch(width=64, depth=4, seed=1)
+        sketch = CountMinSketch(width=64, seed=1)
         oracle = ExactOracle()
         for key in zipf_stream(5000, keys=512):
             sketch.update(key)
@@ -45,14 +45,14 @@ class TestCountMin:
             assert sketch.estimate(key) >= oracle.estimate(key)
 
     def test_exact_when_uncontended(self):
-        sketch = CountMinSketch(width=4096, depth=4, seed=1)
+        sketch = CountMinSketch(width=4096, seed=1)
         for _ in range(10):
             sketch.update(5)
         assert sketch.estimate(5) == 10
         assert sketch.estimate(6) == 0
 
     def test_heavy_hitter_recall(self):
-        sketch = CountMinSketch(width=1024, depth=4, seed=3)
+        sketch = CountMinSketch(width=1024, seed=3)
         oracle = ExactOracle()
         for key in zipf_stream(20000):
             sketch.update(key)
@@ -63,21 +63,13 @@ class TestCountMin:
 
     def test_seeded_determinism(self):
         streams = zipf_stream(3000)
-        a = CountMinSketch(width=256, depth=3, seed=9)
-        b = CountMinSketch(width=256, depth=3, seed=9)
+        a = CountMinSketch(width=256, seed=9)
+        b = CountMinSketch(width=256, seed=9)
         for key in streams:
             a.update(key)
             b.update(key)
         assert all(a.estimate(k) == b.estimate(k) for k in range(64))
         assert a.heavy_hitters(8) == b.heavy_hitters(8)
-
-    def test_reset(self):
-        sketch = CountMinSketch(width=64, depth=2)
-        sketch.update(1)
-        sketch.reset()
-        assert sketch.estimate(1) == 0
-        assert sketch.total == 0
-        assert sketch.heavy_hitters() == []
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -136,7 +128,7 @@ class TestModelBased:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=100), max_size=500))
     def test_countmin_upper_bounds_every_key(self, stream):
-        sketch = CountMinSketch(width=32, depth=3, seed=11)
+        sketch = CountMinSketch(width=32, seed=11)
         oracle = ExactOracle()
         for key in stream:
             sketch.update(key)

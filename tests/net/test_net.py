@@ -28,8 +28,8 @@ class TestLink:
         assert rate == pytest.approx(100e9 / 8 / 1538, rel=1e-6)
 
     def test_serialization_time(self):
-        link = Link(bandwidth_gbps=10)
-        assert link.serialization_time_ps(1250) == pytest.approx(1e6)  # 1 us
+        link = Link()  # 100 Gbps
+        assert link.serialization_time_ps(12_500) == pytest.approx(1e6)  # 1 us
 
     def test_mss_goodput_near_capacity(self):
         assert LINK_100G.max_goodput_gbps(1460) == pytest.approx(94.9, abs=0.1)
@@ -55,7 +55,7 @@ def frame(n=128):
 
 class TestWire:
     def test_delivery_after_serialization_and_propagation(self):
-        wire = Wire(link=Link(bandwidth_gbps=100, propagation_delay_us=2))
+        wire = Wire(link=Link(propagation_delay_us=2))
         wire.port_a.send(frame(), now_ps=0.0)
         assert wire.port_b.poll(now_ps=1e6) == []  # 1 us: still in flight
         delivered = wire.port_b.poll(now_ps=3e6)
@@ -63,10 +63,10 @@ class TestWire:
 
     def test_serialization_backpressure(self):
         """Frames queue behind each other at the link rate."""
-        wire = Wire(link=Link(bandwidth_gbps=1, propagation_delay_us=0))
+        wire = Wire(link=Link(propagation_delay_us=0))
         for _ in range(10):
             wire.port_a.send(frame(1000), now_ps=0.0)
-        early = wire.port_b.poll(now_ps=9e6)  # ~9 us: about half arrived
+        early = wire.port_b.poll(now_ps=9e4)  # 90 ns: ~83 ns per frame
         late = wire.port_b.poll(now_ps=1e9)
         assert 0 < len(early) < 10
         assert len(early) + len(late) == 10
@@ -112,7 +112,7 @@ class TestReordering:
     def test_delay_fn_reorders(self):
         tagged = [EthernetFrame(1, 2, ETHERTYPE_IPV4, bytes([i]) * 50) for i in range(4)]
         wire = Wire(
-            link=Link(bandwidth_gbps=100, propagation_delay_us=1),
+            link=Link(propagation_delay_us=1),
             delay_a_to_b=lambda f, i: 50e6 if i == 0 else 0.0,  # delay the first
         )
         for f in tagged:

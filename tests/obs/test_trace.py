@@ -39,12 +39,6 @@ class TestFiltering:
         assert len(bus) == 1
         assert bus.events[0].layer == "engine.tx"
 
-    def test_flow_filter(self):
-        bus = TraceBus(flows={7})
-        bus.emit(0.0, "engine.tx", "a/tx", "tx", 7, "kept")
-        bus.emit(0.0, "engine.tx", "a/tx", "tx", 8, "filtered")
-        assert [event.flow_id for event in bus.events] == [7]
-
     def test_count_by_kind_and_layer(self):
         bus = TraceBus()
         _fill(bus, 3, layer="engine.fpc", kind="handle")
@@ -64,20 +58,19 @@ class TestSampling:
         assert [event.detail for event in bus.events] == [f"e{i}" for i in range(5)]
 
     def test_reservoir_spans_the_stream(self):
-        bus = TraceBus(max_events=10, sampling="reservoir", seed=1)
+        bus = TraceBus(max_events=10, sampling="reservoir")
         _fill(bus, 1000)
         assert len(bus) == 10
         # A head sample would top out at e9; a reservoir reaches the tail.
         assert any(int(str(e.detail)[1:]) >= 500 for e in bus.events)
 
     def test_reservoir_is_seed_deterministic(self):
-        def sample(seed):
-            bus = TraceBus(max_events=10, sampling="reservoir", seed=seed)
+        def sample():
+            bus = TraceBus(max_events=10, sampling="reservoir")
             _fill(bus, 1000)
             return [event.detail for event in bus.events]
 
-        assert sample(3) == sample(3)
-        assert sample(3) != sample(4)
+        assert sample() == sample()
 
     def test_invalid_sampling_rejected(self):
         with pytest.raises(ValueError):

@@ -43,11 +43,10 @@ class TestLossFreeBehaviour:
         with pytest.raises(ValueError):
             ReferenceTcpSimulation(algorithm="quic").run()
 
-    def test_flight_cap_bounds_usable_window(self):
+    def test_flight_cap_bounds_usable_window(self, monkeypatch):
         """The 512 KB send buffer caps in-flight data (§5)."""
-        sim = ReferenceTcpSimulation(
-            duration_s=0.3, drop_fn=None, max_flight_bytes=64 * 1024
-        )
+        monkeypatch.setattr(ReferenceTcpSimulation, "max_flight_bytes", 64 * 1024)
+        sim = ReferenceTcpSimulation(duration_s=0.3, drop_fn=None)
         trace = sim.run()
         assert trace is not None  # growth continues but flight is capped
 

@@ -5,21 +5,20 @@ arrival instant crosses cell boundaries as data, not as simulation),
 and receiver-side egress contention is resolved at admission with lazy
 depth retirement.  These tests check the slice against the physics the
 full :class:`~repro.fabric.switch.SwitchFabric` models: serialization,
-propagation, FIFO egress queueing, per-port static buffer limits and
-threshold CE marking.
+propagation, FIFO egress queueing and per-port static buffer limits.
 """
 
-import pytest
-
 from repro.fabric.softstack import PER_PACKET_OVERHEAD, FabricPacket
-from repro.fabric.switch import CellSwitch, SwitchConfig
+from repro.fabric.switch import CellSwitch
 from repro.tcp.segment import FlowKey
 
 
-def _switch(**overrides) -> CellSwitch:
-    defaults = dict(partition="static", buffer_bytes=64 * 1024)
-    defaults.update(overrides)
-    return CellSwitch([0, 1], num_hosts=4, config=SwitchConfig(**defaults))
+class _SmallSwitch(CellSwitch):
+    buffer_bytes = 64 * 1024
+
+
+def _switch() -> CellSwitch:
+    return _SmallSwitch([0, 1], num_hosts=4)
 
 
 def _packet(switch: CellSwitch, src: int, dst: int, payload: int = 0):
@@ -31,21 +30,6 @@ def _packet(switch: CellSwitch, src: int, dst: int, payload: int = 0):
 
 
 class TestConfigGuards:
-    def test_requires_static_partition(self):
-        with pytest.raises(ValueError, match="static"):
-            CellSwitch([0], 4, SwitchConfig(partition="shared"))
-        with pytest.raises(ValueError, match="static"):
-            CellSwitch([0], 4, SwitchConfig(partition="dynamic"))
-
-    def test_requires_fifo_queueing(self):
-        with pytest.raises(ValueError, match="fifo"):
-            CellSwitch(
-                [0], 4, SwitchConfig(partition="static", queueing="drr")
-            )
-
-    def test_default_config_is_static(self):
-        assert CellSwitch([0], 4).config.partition == "static"
-
     def test_port_limit_is_the_static_slice(self):
         switch = _switch()
         assert switch.port_limit == 64 * 1024 // 4
@@ -101,10 +85,11 @@ class TestReceiverSide:
         assert switch.deliver_due(0, t2) == [second]
         assert switch.forwarded == 2
 
-    def test_port_limit_drops_and_lazy_retirement_frees(self):
+    def test_port_limit_drops_and_lazy_retirement_frees(self, monkeypatch):
         # One 1000-byte packet of waiting room per port; the packet in
         # the egress serializer is retired from depth at service start.
-        switch = _switch(buffer_bytes=4 * (1000 + PER_PACKET_OVERHEAD))
+        monkeypatch.setattr(_SmallSwitch, "buffer_bytes", 4 * (1000 + PER_PACKET_OVERHEAD))
+        switch = _switch()
         assert switch.port_limit == 1000 + PER_PACKET_OVERHEAD
         switch.admit(_packet(switch, 1, 0, payload=1000), 0)  # in service
         switch.admit(_packet(switch, 1, 0, payload=1000), 0)  # waiting
@@ -115,16 +100,6 @@ class TestReceiverSide:
         later = switch.serialization_ps(1000 + PER_PACKET_OVERHEAD) + 1
         switch.admit(_packet(switch, 1, 0, payload=1000), later)
         assert (switch.forwarded, switch.dropped) == (3, 1)
-
-    def test_ce_mark_above_threshold(self):
-        switch = _switch(ecn_threshold_bytes=100)
-        small = _packet(switch, 1, 0, payload=0)
-        big = _packet(switch, 1, 0, payload=1000)
-        switch.admit(small, 0)
-        assert not small.ce  # below threshold
-        switch.admit(big, 0)
-        assert big.ce
-        assert switch.ecn_marked == 1
 
     def test_foreign_destination_is_dropped(self):
         switch = _switch()  # owns hosts 0 and 1 of 4

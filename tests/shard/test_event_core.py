@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.fabric.switch import SwitchConfig
+from repro.fabric.switch import CellSwitch
 from repro.shard import get_shard_scenario, run_shard, runner
 from repro.shard.cell import CellSim
 from repro.shard.scenarios import ShardPair, ShardScenario
@@ -34,14 +34,22 @@ def run_in_process(monkeypatch, scenario, workers=1):
     return result, sims
 
 
+class _BigResponsePair(ShardPair):
+    resp_bytes = 32768
+
+
 def lossy_churn() -> ShardScenario:
-    """Churn with 32 KiB responses through an 8 KiB-per-port switch:
-    bursts are dropped, so RTO timers fire, back off and go stale."""
+    """Churn with 32 KiB responses through an 8 KiB-per-port switch (the
+    test shrinks the buffer): bursts are dropped, so RTO timers fire,
+    back off and go stale."""
     churn = get_shard_scenario("churn")
     return replace(
         churn,
-        pairs=tuple(replace(p, conns=8, resp_bytes=32768) for p in churn.pairs),
-        switch=SwitchConfig(partition="static", buffer_bytes=1 << 16),
+        pairs=tuple(
+            _BigResponsePair(p.client, p.server, conns=8,
+                             transact_every=p.transact_every)
+            for p in churn.pairs
+        ),
         connect_window_ps=10_000_000,
     )
 
@@ -54,6 +62,8 @@ def test_index_visits_the_instants_and_ticks_the_stacks_of_the_scan(
 ):
     """A two-group run, instant by instant, against asking every stack
     ``timer_due`` and walking every timer heap."""
+    if lossy:
+        monkeypatch.setattr(CellSwitch, "buffer_bytes", 1 << 16)
     runs = {}
     for scan in (False, True):
         with monkeypatch.context() as patch:

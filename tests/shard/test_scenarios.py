@@ -4,6 +4,7 @@ from array import array
 
 import pytest
 
+from repro.net.link import LINK_100G
 from repro.shard import ShardPair, ShardScenario, get_shard_scenario
 from repro.shard.scenarios import available_shard_scenarios
 
@@ -35,8 +36,7 @@ class TestGeometry:
 
     def test_epoch_is_the_propagation_bound(self):
         scenario = _scenario()
-        link = scenario.switch.link
-        assert scenario.epoch_ps == int(link.propagation_delay_us * 10**6)
+        assert scenario.epoch_ps == int(LINK_100G.propagation_delay_us * 10**6)
 
     def test_loopback_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -69,11 +69,10 @@ class TestSchedules:
         )
 
     def test_transact_every_thins_transactions(self):
-        pair = ShardPair(0, 4, conns=8, req_bytes=64, resp_bytes=32,
-                         transact_every=4)
+        pair = ShardPair(0, 4, conns=8, transact_every=4)
         framings = [pair.framing(index) for index in range(pair.conns)]
         assert [i for i, f in enumerate(framings) if f != (0, 0)] == [0, 4]
-        assert framings[4] == (64, 32)
+        assert framings[4] == (ShardPair.req_bytes, ShardPair.resp_bytes)
         idle = ShardPair(0, 4, conns=8, transact_every=0)
         assert {idle.framing(index) for index in range(8)} == {(0, 0)}
 

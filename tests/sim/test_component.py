@@ -21,15 +21,7 @@ class TestComponent:
         owner.tick()
         block.tick()
         assert (owner.cycle, block.cycle) == (1, 1)
-        block.reset()
-        assert owner.cycle == 1
         assert "cycle" not in vars(block)
-
-    def test_reset(self):
-        component = Component("c")
-        component.tick()
-        component.reset()
-        assert component.cycle == 0
 
     def test_name(self):
         assert Component("scheduler").name == "scheduler"

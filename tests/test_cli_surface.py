@@ -9,6 +9,7 @@ default shows up as a diff against that file.
 
 import argparse
 import os
+import re
 
 import pytest
 
@@ -105,3 +106,28 @@ def test_only_a_registry_miss_becomes_exit_2(capsys, monkeypatch):
     monkeypatch.setattr("repro.__main__._cmd_info", stray)
     with pytest.raises(KeyError):
         main(["info"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["traffic", "run", "mixed", "--load-scale", "0"],
+    ["traffic", "sweep", "mixed", "--loads", "0,1"],
+    ["fabric", "run", "zipf_fanout", "--load-scale", "0"],
+    ["fabric", "sweep", "zipf_fanout", "--load-scale", "0"],
+    ["fabric", "run", "incast", "--hosts", "1"],
+    ["fabric", "sweep", "incast", "--hosts", "1"],
+    ["shard", "run", "mixed", "--load-scale", "0"],
+    ["check", "race", "--load-scale", "0"],
+    ["check", "all", "--load-scale", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_a_rate_of_zero_or_less_or_one_host_is_a_usage_error(argv, capsys):
+    """Caught by the flag's type before anything runs: exit 2 and one
+    error line, never a hang, a ZeroDivisionError or a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.match(
+        r"repro .*: error: argument --(load-scale|loads|hosts): ",
+        err.strip().splitlines()[-1],
+    )

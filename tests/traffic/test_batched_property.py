@@ -65,7 +65,7 @@ def _budget(quick):
 def _request_sizes(draw):
     if draw(st.booleans()):
         return Fixed(draw(st.integers(min_value=1, max_value=4096)))
-    return Zipf(minimum=64, maximum=8192, buckets=6)
+    return Zipf(minimum=64, maximum=8192)
 
 
 @st.composite
