@@ -83,7 +83,7 @@ def test_micro_fpu_pass(benchmark):
         tcb.snd_nxt = 50_000
         tcb.cwnd = 80_000  # room to transmit after the ACK advance
         tcb.cc["_latest_ack"] = 20_000
-        result = fpu.process(tcb, 0, now_s=1.0)
+        result = fpu.process(tcb, 0, now_ps=10**12)
         return len(result.directives)
 
     assert benchmark(one_pass) >= 1

@@ -36,7 +36,7 @@ class EagerAimd(CongestionControl):
     name = "eager-aimd"
     fpu_latency_cycles = 9  # simple arithmetic: a shallow pipeline
 
-    def _congestion_avoidance(self, tcb: Tcb, acked, now_s, rtt) -> None:
+    def _congestion_avoidance(self, tcb: Tcb, acked, now_ps, rtt_ps) -> None:
         grow = tcb.cc.get("accum", 0) + 2 * acked
         while grow >= tcb.cwnd:
             grow -= tcb.cwnd

@@ -9,8 +9,8 @@ Walks the :mod:`repro.traffic` layer end to end:
    per-class offered vs. achieved load and latency percentiles;
 3. **replay** it — same seed, bit-identical metrics — then change the
    seed and watch the run change;
-4. **sweep** offered load on the calibrated model backend — register
-   the scenario by name and run the ``traffic-load`` lab grid over it,
+4. **sweep** offered load on the engines — register the scenario by
+   name and run the ``traffic-load`` lab grid over it,
    the same path ``python -m repro traffic sweep`` and ``lab run
    traffic-load`` take — to get the latency-vs-load curve and its knee.
 
@@ -81,11 +81,13 @@ def main() -> None:
     )
 
     # --- 4. sweep to the knee -------------------------------------------
-    # The calibrated model backend runs the same schedules in
-    # milliseconds, which makes dense latency-vs-load curves cheap.
+    # Every point is a full engine run of the same seeded schedule at a
+    # scaled arrival rate, over the same lossy wire: where a frame is
+    # dropped, its request waits out a 10 ms retransmission timeout,
+    # which the curve shows as millisecond p99s and a low achieved rate.
     register_scenario("demo")(lambda: scenario)
     rows = traffic_load_grid(
-        scenario="demo", loads=[0.5, 1, 2, 4, 8, 16, 24, 32], backend="model"
+        scenario="demo", loads=[0.5, 1, 2, 4, 8, 16, 24, 32]
     ).records()
     knee = detect_knee(
         [row["offered_rps"] for row in rows], [row["p99_us"] for row in rows]

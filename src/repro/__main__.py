@@ -142,44 +142,30 @@ def _cmd_traffic_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_traffic_run(args: argparse.Namespace) -> int:
-    from repro.traffic import get_scenario, run_scenario_model
+    from repro.traffic import LoadEngine, get_scenario
 
     scenario = get_scenario(args.scenario, seed=args.seed)
     tap = None
     bus = None
-    engine = None
-    if args.backend == "model":
-        if args.pcap or args.audit or args.trace or args.metrics:
-            print("--pcap/--audit/--trace/--metrics need the functional "
-                  "backend", file=sys.stderr)
-            return 2
-        result = run_scenario_model(scenario, load_scale=args.load_scale)
-    else:
-        from repro.traffic import LoadEngine
+    engine = LoadEngine(scenario, load_scale=args.load_scale, audit=args.audit)
+    if args.pcap:
+        from repro.net.pcap import WireTap
 
-        engine = LoadEngine(
-            scenario, load_scale=args.load_scale, audit=args.audit
-        )
-        if args.pcap:
-            from repro.net.pcap import WireTap
+        tap = WireTap.attach(engine.testbed.wire.port_a)
+    if args.trace:
+        from repro.obs import DEFAULT_MAX_EVENTS, TraceBus, attach_load_engine
 
-            tap = WireTap.attach(engine.testbed.wire.port_a)
-        if args.trace:
-            from repro.obs import (
-                DEFAULT_MAX_EVENTS, TraceBus, attach_load_engine,
+        try:
+            bus = TraceBus(
+                layers=args.trace_layers,
+                max_events=args.trace_events or DEFAULT_MAX_EVENTS,
+                sampling=args.trace_sampling,
             )
-
-            try:
-                bus = TraceBus(
-                    layers=args.trace_layers,
-                    max_events=args.trace_events or DEFAULT_MAX_EVENTS,
-                    sampling=args.trace_sampling,
-                )
-            except ValueError as exc:
-                print(exc, file=sys.stderr)
-                return 2
-            attach_load_engine(engine, bus)
-        result = engine.run()
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        attach_load_engine(engine, bus)
+    result = engine.run()
     print(result.summary())
     print(result.table())
     if args.csv is not None:
@@ -191,7 +177,7 @@ def _cmd_traffic_run(args: argparse.Namespace) -> int:
         from repro.obs import save_trace
 
         save_trace(args.trace, bus)
-    if args.metrics and engine is not None:
+    if args.metrics:
         from repro.obs import collect_traced_run
 
         registry = collect_traced_run(engine.testbed, result)
@@ -210,15 +196,14 @@ def _cmd_traffic_sweep(args: argparse.Namespace) -> int:
     from repro.traffic import detect_knee
 
     records = traffic_load_grid(
-        scenario=args.scenario, loads=args.loads,
-        backend=args.backend, seed=args.seed,
+        scenario=args.scenario, loads=args.loads, seed=args.seed,
     ).records()
     knee = detect_knee(
         [r["offered_rps"] for r in records], [r["p99_us"] for r in records]
     )
     for index, record in enumerate(records):
         record["knee"] = "*" if index == knee else ""
-    head = f"sweep[{args.scenario}/{args.backend}]: {len(records)} points"
+    head = f"sweep[{args.scenario}]: {len(records)} points"
     if knee is None:
         print(head + ", no knee detected")
     else:
@@ -243,8 +228,6 @@ def _add_traffic_parser(subparsers: argparse._SubParsersAction) -> None:
     run.add_argument("--seed", type=int, default=None, help="top-level seed")
     run.add_argument("--load-scale", type=positive, default=1.0,
                      help="multiply every open-loop arrival rate")
-    run.add_argument("--backend", choices=["functional", "model"],
-                     default="functional")
     run.add_argument("--audit", action="store_true",
                      help="run invariant monitors during the run")
     run.add_argument("--csv", metavar="PATH", help="write per-class CSV ('-' = stdout)")
@@ -268,8 +251,6 @@ def _add_traffic_parser(subparsers: argparse._SubParsersAction) -> None:
     sweep.add_argument("--loads", default="0.5,1,2,4,8,12,16,24",
                        type=comma_list(positive),
                        help="comma-separated load scales")
-    sweep.add_argument("--backend", choices=["functional", "model"],
-                       default="model")
     sweep.add_argument("--csv", metavar="PATH", help="write sweep CSV ('-' = stdout)")
     sweep.set_defaults(handler=_cmd_traffic_sweep)
 

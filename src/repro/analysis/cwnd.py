@@ -17,7 +17,7 @@ from ..engine.testbed import Testbed
 from ..net.link import Link
 from ..net.wire import Wire
 from ..refsim.netsim import CwndTrace, ReferenceTcpSimulation
-from ..sim.component import first_ps_at
+from ..sim.component import seconds_to_ps
 from ..tcp.segment import TcpSegment
 
 
@@ -60,6 +60,7 @@ def capture_engine_cwnd_trace(
     trace = CwndTrace()
     payload = bytes(32768)
     state = {"next_send": 0, "next_sample": 0}
+    end_ps = seconds_to_ps(duration_s)
 
     def pump() -> bool:
         if tb.cycle >= state["next_send"]:
@@ -73,11 +74,10 @@ def capture_engine_cwnd_trace(
             if tcb is not None:
                 trace.record(tb.now_s, tcb.cwnd)
             state["next_sample"] = tb.cycle + sample_every_cycles
-        return tb.now_s >= duration_s
+        return tb.time_ps >= end_ps
 
     # Everything the pump does is time-gated, so it declares when: the
-    # next send, the next sample, the instant the duration test trips.
-    end_ps = first_ps_at(duration_s)
+    # next send, the next sample, the end of the duration.
     tb.run(
         until=pump,
         max_time_s=duration_s * 4,

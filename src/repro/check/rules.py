@@ -16,8 +16,9 @@ knows:
   ``.record()``), never by poking the private ``_values`` store.
 * **F4T006** — picosecond clocks must not accumulate fractional floats
   (``+=`` of a division drifts); recompute from absolute values.
-* **F4T007** — kernel time is integer picoseconds end-to-end: in the
-  ``sim``/``engine`` layers, no float literal may be assigned into
+* **F4T007** — simulated time is integer picoseconds end to end, from
+  the wire through the TCP core to the arrival schedule: in the
+  :data:`CLOCKED_LAYERS`, no float literal may be assigned into
   ``*_ps`` instance state outside the calibrated-constants modules.
 * **F4T008 / F4T009 / F4T010 / F4T011** — the determinism-dataflow
   family added with the shard layer (PR 9), backed by
@@ -25,8 +26,9 @@ knows:
   not feed trace emits, digests, exchange outboxes or cross-process
   pickles; process identity (``id()``, ``os.getpid()``, salted
   ``hash()``, default object ``repr``) must not enter sim state or
-  digests; heap/sort keys must be totally ordered (no floats, payload
-  objects shielded behind a sequence discriminator); and sim-layer
+  digests; heap/sort keys must be totally ordered (no floats in the
+  :data:`CLOCKED_LAYERS`, payload objects shielded behind a sequence
+  discriminator everywhere); and sim-layer
   functions must not take mutable default arguments.
 """
 
@@ -44,6 +46,15 @@ from .findings import Finding
 SIM_LAYERS = frozenset(
     {"sim", "engine", "tcp", "net", "traffic", "refsim", "fabric", "shard",
      "mem"}
+)
+
+#: Layers whose simulated time is integer picoseconds end to end, from
+#: the wire through the TCP core to the arrival schedule: F4T007 keeps
+#: float literals out of their ``*_ps`` state and F4T010 float elements
+#: out of their heap and sort keys.  ``refsim`` stays float seconds on
+#: purpose (it is the independent reference), and ``mem`` keeps no time.
+CLOCKED_LAYERS = frozenset(
+    {"sim", "engine", "net", "tcp", "traffic", "fabric", "shard"}
 )
 
 #: ``random`` module functions that draw from the shared global RNG.
@@ -473,7 +484,7 @@ class FloatPsStateRule(LintRule):
         "keep physical/calibrated float constants in the exempted modules"
     )
     #: Only the clocked layers carry kernel time; hosts/analysis are free.
-    layers = frozenset({"sim", "engine", "fabric", "shard"})
+    layers = CLOCKED_LAYERS
     #: Calibrated physical-latency models legitimately hold fractional
     #: picoseconds (e.g. DRAM occupancy = bytes / bandwidth).
     exempt_suffixes = (
@@ -682,10 +693,6 @@ class HeapKeyOrderRule(LintRule):
         "two keys tie — shield payloads behind a unique sequence field"
     )
     layers = SIM_LAYERS
-    #: Only the integer-picosecond domains (the F4T007 set) reject float
-    #: key elements; the functional float-seconds layers (net, tcp,
-    #: refsim, traffic) keep the payload checks only.
-    clocked_layers = frozenset({"sim", "engine", "fabric", "shard"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         imports = _ImportMap(ctx.tree)
@@ -734,7 +741,7 @@ class HeapKeyOrderRule(LintRule):
         shielded = False
         for index, elt in enumerate(key.elts):
             kind = df.infer_kind(elt, scope)
-            if kind == df.KIND_FLOAT and ctx.layer in self.clocked_layers:
+            if kind == df.KIND_FLOAT and ctx.layer in CLOCKED_LAYERS:
                 yield self.finding(
                     ctx, call,
                     f"float element at position {index} in a {where} key "

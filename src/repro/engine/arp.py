@@ -37,7 +37,7 @@ class ArpModule:
     MAX_PENDING_PER_IP = 64
     #: Re-broadcast an unanswered request after this long (the request
     #: itself may have been lost on the wire).
-    RETRY_INTERVAL_S = 1.0
+    RETRY_INTERVAL_PS = 10**12  # 1 s
 
     def __init__(self, my_mac: int, my_ip: int) -> None:
         self.my_mac = my_mac
@@ -45,7 +45,7 @@ class ArpModule:
         self.cache: Dict[int, int] = {}
         #: Packets parked until their next-hop resolves: ip -> payloads.
         self._pending: Dict[int, List[Any]] = {}
-        self._last_request_s: Dict[int, float] = {}
+        self._last_request_ps: Dict[int, int] = {}
         self.requests_sent = 0
         self.replies_sent = 0
 
@@ -54,7 +54,7 @@ class ArpModule:
         return self.cache.get(ip)
 
     def queue_until_resolved(
-        self, ip: int, packet: Any, now_s: float = 0.0
+        self, ip: int, packet: Any, now_ps: int = 0
     ) -> Optional[EthernetFrame]:
         """Park ``packet``; returns the ARP request frame to broadcast.
 
@@ -65,14 +65,14 @@ class ArpModule:
         waiters = self._pending.setdefault(ip, [])
         if len(waiters) < self.MAX_PENDING_PER_IP:
             waiters.append(packet)
-        last = self._last_request_s.get(ip)
+        last = self._last_request_ps.get(ip)
         if (
             len(waiters) > 1
             and last is not None
-            and now_s - last < self.RETRY_INTERVAL_S
+            and now_ps - last < self.RETRY_INTERVAL_PS
         ):
             return None
-        self._last_request_s[ip] = now_s
+        self._last_request_ps[ip] = now_ps
         self.requests_sent += 1
         return EthernetFrame(
             src_mac=self.my_mac,

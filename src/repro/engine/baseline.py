@@ -35,7 +35,7 @@ class NullFpu(Fpu):
     def latency_cycles(self) -> int:
         return self._latency
 
-    def process(self, tcb: Tcb, dup_count: int, now_s: float) -> ProcessResult:
+    def process(self, tcb: Tcb, dup_count: int, now_ps: int) -> ProcessResult:
         self.passes += 1
         return ProcessResult(tcb=tcb)
 

@@ -71,7 +71,7 @@ class EventEntry:
     ack_needed: bool = False
     connect: bool = False
     close: bool = False
-    last_time: float = 0.0
+    last_time: int = 0
 
     def clear(self) -> None:
         """Clear all valid bits (step ④ of the §4.2.3 walk-through)."""

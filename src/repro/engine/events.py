@@ -62,8 +62,8 @@ class TcpEvent:
     irs: Optional[int] = None
     #: Negotiated MSS carried on SYN options.
     mss: Optional[int] = None
-    #: Event creation time in seconds (for RTT sampling and stats).
-    timestamp: float = 0.0
+    #: Event creation instant in ps (for RTT sampling and stats).
+    timestamp: int = 0
     #: True when this RX event is eligible for coalescing: in-order, no
     #: drops/reordering observed by the parser (GRO-like rule, §4.4.1).
     coalescible: bool = True
@@ -109,19 +109,19 @@ class TcpEvent:
         return True
 
 
-def user_send_event(flow_id: int, req_pointer: int, now_s: float) -> TcpEvent:
+def user_send_event(flow_id: int, req_pointer: int, now_ps: int) -> TcpEvent:
     """send(): the library transmits the new request *pointer* (§4.2.1)."""
     return TcpEvent(
-        EventKind.USER_REQ, flow_id, req=req_pointer, timestamp=now_s
+        EventKind.USER_REQ, flow_id, req=req_pointer, timestamp=now_ps
     )
 
 
-def user_recv_event(flow_id: int, rcv_user: int, now_s: float) -> TcpEvent:
+def user_recv_event(flow_id: int, rcv_user: int, now_ps: int) -> TcpEvent:
     """recv(): consumption pointer update so the window can reopen."""
     return TcpEvent(
-        EventKind.USER_REQ, flow_id, rcv_user=rcv_user, timestamp=now_s
+        EventKind.USER_REQ, flow_id, rcv_user=rcv_user, timestamp=now_ps
     )
 
 
-def timeout_event(flow_id: int, now_s: float) -> TcpEvent:
-    return TcpEvent(EventKind.TIMEOUT, flow_id, timeout=True, timestamp=now_s)
+def timeout_event(flow_id: int, now_ps: int) -> TcpEvent:
+    return TcpEvent(EventKind.TIMEOUT, flow_id, timeout=True, timestamp=now_ps)

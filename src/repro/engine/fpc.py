@@ -51,14 +51,12 @@ class FlowProcessingCore(Component):
         fpc_id: int,
         slots: int = DEFAULT_SLOTS,
         algorithm: str = "newreno",
-        now_fn: Optional[Callable[[], float]] = None,
         fpu: Optional[Fpu] = None,
         clock=None,
     ) -> None:
         super().__init__(f"fpc{fpc_id}", clock)
         self.fpc_id = fpc_id
         self.slots = slots
-        self.now_fn = now_fn or (lambda: 0.0)
 
         self.tcb_table: DualPortSRAM[Tcb] = DualPortSRAM(slots, f"fpc{fpc_id}.tcb")
         self.event_table: DualPortSRAM[EventEntry] = DualPortSRAM(
@@ -318,8 +316,9 @@ class FlowProcessingCore(Component):
             return
 
     def _retire(self) -> None:
-        for slot, tcb, dup in self.pipe.retire_ready(self.clock.cycle):
-            result = self.fpu.process(tcb, dup, self.now_fn())
+        cycle = self.clock.cycle
+        for slot, tcb, dup in self.pipe.retire_ready(cycle):
+            result = self.fpu.process(tcb, dup, cycle * CYCLE_PS)
             self.tcbs_processed += 1
             self._in_flight.discard(tcb.flow_id)
             if tcb.flow_id in self._queued:

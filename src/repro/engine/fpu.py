@@ -87,7 +87,8 @@ class ProcessResult:
     directives: List[TxDirective] = field(default_factory=list)
     notifications: List[HostNotification] = field(default_factory=list)
     timer: TimerOp = TimerOp.NONE
-    timer_deadline: float = 0.0
+    #: The deadline (ps) an ARM sets.
+    timer_deadline: int = 0
 
 
 #: Give up on a connection after this many consecutive RTO backoffs
@@ -116,9 +117,9 @@ class Fpu:
         return self.cc.fpu_latency_cycles
 
     # ------------------------------------------------------------ helpers
-    def _arm(self, result: ProcessResult, tcb: Tcb, now_s: float) -> None:
+    def _arm(self, result: ProcessResult, tcb: Tcb, now_ps: int) -> None:
         result.timer = TimerOp.ARM
-        result.timer_deadline = now_s + tcb.rto
+        result.timer_deadline = now_ps + tcb.rto
         tcb.rto_deadline = result.timer_deadline
 
     def _cancel(self, result: ProcessResult, tcb: Tcb) -> None:
@@ -161,12 +162,12 @@ class Fpu:
             self.retransmissions += 1
 
     # ---------------------------------------------------------- main pass
-    def process(self, tcb: Tcb, dup_count: int, now_s: float) -> ProcessResult:
+    def process(self, tcb: Tcb, dup_count: int, now_ps: int) -> ProcessResult:
         """One stateless pass over the accumulated events in ``tcb``."""
         self.passes += 1
         result = ProcessResult(tcb=tcb)
-        if now_s > tcb.last_active:
-            tcb.last_active = now_s
+        if now_ps > tcb.last_active:
+            tcb.last_active = now_ps
         if tcb.snd_max is None:
             tcb.snd_max = tcb.snd_nxt
 
@@ -177,22 +178,22 @@ class Fpu:
         # Each piece is entered only when an event asked for it.
         cc = tcb.cc
         if tcb.syn_received or "_connect_req" in cc:
-            self._handle_connection_setup(result, tcb, now_s)
+            self._handle_connection_setup(result, tcb, now_ps)
         if "_latest_ack" in cc:
-            self._handle_incoming_ack(result, tcb, now_s)
+            self._handle_incoming_ack(result, tcb, now_ps)
         if dup_count:
-            self._handle_dupacks(result, tcb, dup_count, now_s)
+            self._handle_dupacks(result, tcb, dup_count, now_ps)
         if tcb.timeout_pending:
-            self._handle_timeout(result, tcb, now_s)
-        self._transmit_new_data(result, tcb, now_s)
+            self._handle_timeout(result, tcb, now_ps)
+        self._transmit_new_data(result, tcb, now_ps)
         if tcb.close_requested and not tcb.fin_sent:
-            self._handle_close(result, tcb, now_s)
+            self._handle_close(result, tcb, now_ps)
         if tcb.fin_received:
             self._handle_peer_fin(result, tcb)
         self._generate_ack_if_needed(result, tcb)
         if tcb.state is TcpState.TIME_WAIT:
             # 2*MSL modelled as a couple of RTOs; expiry closes the flow.
-            self._arm(result, tcb, now_s)
+            self._arm(result, tcb, now_ps)
         # High-water mark: go-back-N may roll snd_nxt back, but data up
         # to snd_max is on the wire and may still be cumulatively ACKed.
         if seq_gt(tcb.snd_nxt, tcb.snd_max):
@@ -207,14 +208,14 @@ class Fpu:
         self._cancel(result, tcb)
 
     def _handle_connection_setup(
-        self, result: ProcessResult, tcb: Tcb, now_s: float
+        self, result: ProcessResult, tcb: Tcb, now_ps: int
     ) -> None:
         if tcb.cc.pop("_connect_req", False) and tcb.state is TcpState.CLOSED:
             # Active open: emit SYN carrying our MSS and start the CC.
             tcb.state = TcpState.SYN_SENT
             tcb.snd_una = tcb.iss
             tcb.snd_nxt = tcb.iss
-            self.cc.on_init(tcb, now_s)
+            self.cc.on_init(tcb, now_ps)
             self._emit(
                 result,
                 tcb,
@@ -225,8 +226,8 @@ class Fpu:
             )
             tcb.snd_nxt = seq_add(tcb.snd_nxt, 1)
             tcb.rtt_seq = tcb.snd_nxt  # time the SYN for the first sample
-            tcb.rtt_sent_at = now_s
-            self._arm(result, tcb, now_s)
+            tcb.rtt_sent_at = now_ps
+            self._arm(result, tcb, now_ps)
             return
 
         if not tcb.syn_received:
@@ -239,7 +240,7 @@ class Fpu:
             tcb.rcv_user = tcb.rcv_nxt
             tcb.snd_una = tcb.iss
             tcb.snd_nxt = tcb.iss
-            self.cc.on_init(tcb, now_s)
+            self.cc.on_init(tcb, now_ps)
             self._emit(
                 result,
                 tcb,
@@ -250,8 +251,8 @@ class Fpu:
             )
             tcb.snd_nxt = seq_add(tcb.snd_nxt, 1)
             tcb.rtt_seq = tcb.snd_nxt  # time the SYN-ACK
-            tcb.rtt_sent_at = now_s
-            self._arm(result, tcb, now_s)
+            tcb.rtt_sent_at = now_ps
+            self._arm(result, tcb, now_ps)
         elif tcb.state is TcpState.SYN_SENT:
             # SYN-ACK (or simultaneous open SYN) arrived.
             tcb.rcv_nxt = seq_add(tcb.irs, 1)
@@ -275,7 +276,7 @@ class Fpu:
             tcb.ack_pending = True
 
     def _handle_incoming_ack(
-        self, result: ProcessResult, tcb: Tcb, now_s: float
+        self, result: ProcessResult, tcb: Tcb, now_ps: int
     ) -> None:
         latest_ack = tcb.cc.pop("_latest_ack", None)
         if latest_ack is None:
@@ -320,11 +321,11 @@ class Fpu:
             acked -= 1
 
         # RTT sample: the timed sequence got covered.
-        rtt_sample: Optional[float] = None
+        rtt_ps: Optional[int] = None
         if tcb.rtt_seq is not None and seq_ge(tcb.snd_una, tcb.rtt_seq):
-            rtt_sample = max(0.0, now_s - tcb.rtt_sent_at)
-            update_rtt(tcb, rtt_sample)
-            self.cc.on_rtt_sample(tcb, rtt_sample, now_s)
+            rtt_ps = max(0, now_ps - tcb.rtt_sent_at)
+            update_rtt(tcb, rtt_ps)
+            self.cc.on_rtt_sample(tcb, rtt_ps, now_ps)
             tcb.rtt_seq = None
 
         # FIN ACKed?  (The FIN consumed the last sequence number.)
@@ -345,7 +346,7 @@ class Fpu:
                 self._cancel(result, tcb)
 
         if acked > 0:
-            retransmit_first = self.cc.on_ack(tcb, acked, now_s, rtt_sample)
+            retransmit_first = self.cc.on_ack(tcb, acked, now_ps, rtt_ps)
             if retransmit_first:
                 self._retransmit_missing(result, tcb)
             result.notifications.append(
@@ -367,10 +368,10 @@ class Fpu:
             if tcb.state is not TcpState.CLOSED:
                 self._cancel(result, tcb)
         else:
-            self._arm(result, tcb, now_s)
+            self._arm(result, tcb, now_ps)
 
     def _handle_dupacks(
-        self, result: ProcessResult, tcb: Tcb, dup_count: int, now_s: float
+        self, result: ProcessResult, tcb: Tcb, dup_count: int, now_ps: int
     ) -> None:
         if tcb.bytes_in_flight == 0:
             return
@@ -379,9 +380,9 @@ class Fpu:
             # but no byte of the send stream, so there is nothing for
             # fast retransmit to fetch.  The RTO resends it.
             return
-        if self.cc.on_dupacks(tcb, dup_count, now_s):
+        if self.cc.on_dupacks(tcb, dup_count, now_ps):
             self._retransmit_missing(result, tcb)
-            self._arm(result, tcb, now_s)
+            self._arm(result, tcb, now_ps)
         elif tcb.in_recovery and tcb.sacked:
             # Additional dupACKs revealed more holes: keep filling them.
             self._retransmit_missing(result, tcb, limit=1)
@@ -467,7 +468,7 @@ class Fpu:
         )
 
     def _handle_timeout(
-        self, result: ProcessResult, tcb: Tcb, now_s: float
+        self, result: ProcessResult, tcb: Tcb, now_ps: int
     ) -> None:
         tcb.timeout_pending = False
         if tcb.rto_backoff >= MAX_RTO_BACKOFF:
@@ -492,7 +493,7 @@ class Fpu:
                 result, tcb, seq=tcb.iss, length=0, flags=FLAG_SYN,
                 retransmission=True, options=TcpOptions(mss=tcb.mss, window_scale=WINDOW_SCALE),
             )
-            self._arm(result, tcb, now_s)
+            self._arm(result, tcb, now_ps)
             return
         if tcb.state is TcpState.SYN_RECEIVED:
             backoff_rto(tcb)
@@ -501,12 +502,12 @@ class Fpu:
                 flags=FLAG_SYN | FLAG_ACK, retransmission=True,
                 options=TcpOptions(mss=tcb.mss, window_scale=WINDOW_SCALE),
             )
-            self._arm(result, tcb, now_s)
+            self._arm(result, tcb, now_ps)
             return
         if tcb.bytes_in_flight > 0:
             # Go-back-N: collapse snd_nxt and let the send path resend
             # under the post-timeout one-segment window.
-            self.cc.on_timeout(tcb, now_s)
+            self.cc.on_timeout(tcb, now_ps)
             backoff_rto(tcb)
             fin_seq = tcb.cc.get("_fin_seq")
             if tcb.fin_sent and fin_seq is not None and seq_ge(fin_seq, tcb.snd_una):
@@ -516,7 +517,7 @@ class Fpu:
             tcb.cc["_retransmitting"] = True
             tcb.cc.pop("_sack_rtx_high", None)
             tcb.sacked = []  # go-back-N resends everything anyway
-            self._arm(result, tcb, now_s)
+            self._arm(result, tcb, now_ps)
         elif tcb.snd_wnd == 0 and tcb.bytes_unsent > 0:
             # Persist timer fired: send a 1-byte zero-window probe.
             self._emit(
@@ -529,10 +530,10 @@ class Fpu:
             )
             tcb.snd_nxt = seq_add(tcb.snd_nxt, 1)
             backoff_rto(tcb)
-            self._arm(result, tcb, now_s)
+            self._arm(result, tcb, now_ps)
 
     def _transmit_new_data(
-        self, result: ProcessResult, tcb: Tcb, now_s: float
+        self, result: ProcessResult, tcb: Tcb, now_ps: int
     ) -> None:
         if tcb.state not in DATA_STATES:
             return
@@ -553,7 +554,7 @@ class Fpu:
         if sendable <= 0:
             if tcb.snd_wnd == 0 and in_flight == 0:
                 # Blocked on a zero window: arm the persist timer.
-                self._arm(result, tcb, now_s)
+                self._arm(result, tcb, now_ps)
             return
         self._emit(
             result,
@@ -566,11 +567,11 @@ class Fpu:
         snd_nxt = seq_add(snd_nxt, sendable)
         if tcb.rtt_seq is None and not retransmitting:
             tcb.rtt_seq = snd_nxt
-            tcb.rtt_sent_at = now_s
+            tcb.rtt_sent_at = now_ps
         tcb.snd_nxt = snd_nxt
-        self._arm(result, tcb, now_s)
+        self._arm(result, tcb, now_ps)
 
-    def _handle_close(self, result: ProcessResult, tcb: Tcb, now_s: float) -> None:
+    def _handle_close(self, result: ProcessResult, tcb: Tcb, now_ps: int) -> None:
         if tcb.bytes_unsent > 0 or tcb.state not in (
             TcpState.ESTABLISHED, TcpState.CLOSE_WAIT
         ):
@@ -580,7 +581,7 @@ class Fpu:
         tcb.snd_nxt = seq_add(tcb.snd_nxt, 1)
         tcb.fin_sent = True
         tcb.state = on_close(tcb.state)
-        self._arm(result, tcb, now_s)
+        self._arm(result, tcb, now_ps)
 
     def _handle_peer_fin(self, result: ProcessResult, tcb: Tcb) -> None:
         tcb.fin_received = False

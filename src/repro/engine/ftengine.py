@@ -14,7 +14,6 @@ are queued as :class:`EngineMessage` objects that the library drains.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import ClassVar, Deque, Dict, List, Optional, Set
 
@@ -30,7 +29,7 @@ from ..mem.advisor import POLICY_PREDICTIVE, FlowHeat
 from ..mem.hierarchy import CacheGeometry
 from ..mem.sketch import make_sketch
 from ..net.wire import WirePort
-from ..sim.component import NEVER, Component, first_ps_at
+from ..sim.component import NEVER, Component
 from ..sim.stats import Counters
 from ..tcp.segment import (
     FLAG_ACK,
@@ -161,13 +160,9 @@ class FtEngine(Component):
             if needs_sketch
             else None
         )
-        # The blocks' time sources, one call deep (they run under every
-        # event): the same expressions as the properties below.
+        # The advisor's time source, one call deep: :attr:`time_ps`.
         def time_ps() -> int:
             return self.cycle * ENGINE_PERIOD_PS
-
-        def now_s() -> float:
-            return self.cycle * ENGINE_PERIOD_PS / 1e12
 
         self.flow_heat = FlowHeat(sketch) if predictive else None
         if self.flow_heat is not None:
@@ -188,7 +183,6 @@ class FtEngine(Component):
                 i,
                 slots=self.config.fpc_slots,
                 algorithm=self.config.algorithm,
-                now_fn=now_s,
                 clock=self,
             )
             for i in range(self.config.num_fpcs)
@@ -205,7 +199,6 @@ class FtEngine(Component):
         self.arp = ArpModule(self.mac, ip)
         self.icmp = IcmpModule(ip)
         self.rx_parser = RxParser(
-            now_fn=now_s,
             passive_open=self._passive_open,
             recv_buffer_bytes=self.config.recv_buffer,
         )
@@ -243,10 +236,6 @@ class FtEngine(Component):
         #: tick can pull its wire-arrival term in (:meth:`Testbed.run`
         #: folds :meth:`next_arrival_cycle` then).
         self.next_action = NEVER
-        #: Horizon memos: the cycle a timer hint / a wire arrival falls
-        #: on only changes when the hint / the head frame does.
-        self._timer_memo = (math.inf, NEVER)
-        self._arrival_memo = (None, NEVER)
         #: The frames on their way in, earliest arrival first.
         self._wire_in = port._inbound._in_flight if port is not None else []
 
@@ -273,11 +262,8 @@ class FtEngine(Component):
     # ---------------------------------------------------------------- time
     @property
     def time_ps(self) -> int:
+        """The engine's one clock, in exact integer picoseconds."""
         return self.cycle * ENGINE_PERIOD_PS
-
-    @property
-    def now_s(self) -> float:
-        return self.cycle * ENGINE_PERIOD_PS / 1e12
 
     # ------------------------------------------------------------ flow API
     def _alloc_flow_id(self) -> int:
@@ -311,7 +297,7 @@ class FtEngine(Component):
             mss=self.config.mss,
             send_buf=self.config.send_buffer,
             rcv_buf=self.config.recv_buffer,
-            last_active=self.now_s,
+            last_active=self.time_ps,
         )
         self.flows[flow_id] = _FlowRecord(
             key=key,
@@ -357,7 +343,7 @@ class FtEngine(Component):
         self._assign_flow_to_thread(flow_id, thread_id)
         self._submit(
             TcpEvent(
-                EventKind.USER_REQ, flow_id, connect=True, timestamp=self.now_s
+                EventKind.USER_REQ, flow_id, connect=True, timestamp=self.time_ps
             )
         )
         return flow_id
@@ -405,7 +391,7 @@ class FtEngine(Component):
         if accept == 0:
             return 0
         pointer = record.stream.append(data[:accept])
-        self._submit(user_send_event(flow_id, pointer, self.now_s))
+        self._submit(user_send_event(flow_id, pointer, self.time_ps))
         self.counters.add("send_requests")
         return accept
 
@@ -429,7 +415,7 @@ class FtEngine(Component):
                     state.reassembly.rcv_nxt, -state.reassembly.readable
                 )
                 self._submit(
-                    user_recv_event(flow_id, consumed_upto, self.now_s)
+                    user_recv_event(flow_id, consumed_upto, self.time_ps)
                 )
             self.counters.add("recv_calls")
         return data
@@ -440,7 +426,7 @@ class FtEngine(Component):
             return
         self._submit(
             TcpEvent(
-                EventKind.USER_REQ, flow_id, close=True, timestamp=self.now_s
+                EventKind.USER_REQ, flow_id, close=True, timestamp=self.time_ps
             )
         )
         self.counters.add("close_requests")
@@ -505,23 +491,19 @@ class FtEngine(Component):
             due = self.scheduler.next_action
             if due < best:
                 best = due
+            # The first cycles whose wire poll and timer check pass:
+            # integer ceils of the head frame's arrival and the earliest
+            # timer deadline.
             in_flight = self._wire_in
             if in_flight:
-                # next_arrival_cycle(), its memo read in place.
-                memo_ps, due = self._arrival_memo
-                if in_flight[0][0] != memo_ps:
-                    due = self.next_arrival_cycle()
+                due = -(-in_flight[0][0] // ENGINE_PERIOD_PS)
                 if due < best:
                     best = due
-            hint_s = self.timers.earliest_hint
-            memo_s, due = self._timer_memo
-            if hint_s != memo_s:
-                due = NEVER
-                if hint_s != math.inf:
-                    due = -(-first_ps_at(hint_s) // ENGINE_PERIOD_PS)
-                self._timer_memo = (hint_s, due)
-            if due < best:
-                best = due
+            hint = self.timers.earliest_hint
+            if hint != NEVER:
+                due = -(-hint // ENGINE_PERIOD_PS)
+                if due < best:
+                    best = due
             if best <= cycle:
                 best = cycle + 1
         self.next_action = best
@@ -536,17 +518,7 @@ class FtEngine(Component):
         in_flight = self._wire_in
         if not in_flight:
             return NEVER
-        arrival_ps = in_flight[0][0]
-        memo_ps, k = self._arrival_memo
-        if arrival_ps != memo_ps:
-            # Guarded like first_ps_at, against the poll's own
-            # integer-picosecond comparison.
-            k = int(arrival_ps // ENGINE_PERIOD_PS)
-            while k * ENGINE_PERIOD_PS < arrival_ps:
-                k += 1
-            while k > 0 and (k - 1) * ENGINE_PERIOD_PS >= arrival_ps:
-                k -= 1
-            self._arrival_memo = (arrival_ps, k)
+        k = -(-in_flight[0][0] // ENGINE_PERIOD_PS)
         return k if k > self.cycle else self.cycle + 1
 
     def advance_cycles(self, n: int) -> None:
@@ -563,13 +535,14 @@ class FtEngine(Component):
         # names; short of that its tick is a no-op.
         cycle = self.cycle + 1
         self.cycle = cycle
-        if self.timers.earliest_hint <= cycle * ENGINE_PERIOD_PS / 1e12:
+        now_ps = cycle * ENGINE_PERIOD_PS
+        if self.timers.earliest_hint <= now_ps:
             self._expire_timers()
         if self._event_backlog:
             self._drain_backlog()
         in_flight = self._wire_in
-        if in_flight and in_flight[0][0] <= cycle * ENGINE_PERIOD_PS:
-            for frame in self.port.poll(cycle * ENGINE_PERIOD_PS):
+        if in_flight and in_flight[0][0] <= now_ps:
+            for frame in self.port.poll(now_ps):
                 self._handle_frame(frame)
         if self.scheduler.next_action <= cycle:
             self.scheduler.tick()
@@ -637,11 +610,12 @@ class FtEngine(Component):
                 )
 
     def _expire_timers(self) -> None:
-        if self.timers.earliest_hint > self.now_s:
+        now_ps = self.time_ps
+        if self.timers.earliest_hint > now_ps:
             return
-        for flow_id in self.timers.expire(self.now_s):
+        for flow_id in self.timers.expire(now_ps):
             if flow_id in self.flows:
-                self._submit(timeout_event(flow_id, self.now_s))
+                self._submit(timeout_event(flow_id, now_ps))
                 self.counters.add("timeouts_fired")
 
     def _handle_frame(self, frame: EthernetFrame) -> None:
@@ -666,7 +640,7 @@ class FtEngine(Component):
                 self.counters.add("packets_corrupt_dropped")
                 return
         self.counters.add("packets_received")
-        event = self.rx_parser.parse(payload)
+        event = self.rx_parser.parse(payload, self.time_ps)
         if event is not None:
             if self.trace is not None:
                 self.trace.emit(
@@ -816,7 +790,7 @@ class FtEngine(Component):
             return
         dst_mac = self.arp.resolve(dst_ip)
         if dst_mac is None:
-            request = self.arp.queue_until_resolved(dst_ip, packet, self.now_s)
+            request = self.arp.queue_until_resolved(dst_ip, packet, self.time_ps)
             if request is not None:
                 self.port.send(request, self.time_ps)
             return

@@ -265,9 +265,10 @@ class MemoryManager(Component):
         """Publish :attr:`next_action`: ``earliest``, or the first cycle
         the DRAM channel is free if that is later.
 
-        Guarded like ``first_ps_at``: :meth:`tick`'s own comparison
-        decides, so the horizon is the cycle the per-cycle stall test
-        would first pass on.
+        The one float guard left on the simulated path: the calibrated
+        DRAM model's ``busy_until_ps`` carries fractional picoseconds,
+        so :meth:`tick`'s own comparison decides, and the horizon is the
+        cycle the per-cycle stall test would first pass on.
         """
         if not self.input._items:
             self.next_action = NEVER

@@ -57,13 +57,11 @@ class RxParser:
 
     def __init__(
         self,
-        now_fn: Callable[[], float],
         passive_open: Optional[Callable[[TcpSegment], Optional[int]]] = None,
         recv_buffer_bytes: int = DEFAULT_BUFFER_BYTES,
     ) -> None:
         self.flow_table: CuckooHashTable[FlowKey, int] = CuckooHashTable()
         self.rx_states: Dict[int, RxFlowState] = {}
-        self.now_fn = now_fn
         self.passive_open = passive_open
         self.recv_buffer_bytes = recv_buffer_bytes
 
@@ -103,8 +101,9 @@ class RxParser:
         return b"" if state is None else state.reassembly.read(nbytes)
 
     # ------------------------------------------------------------- parsing
-    def parse(self, segment: TcpSegment) -> Optional[TcpEvent]:
-        """Process one received segment; returns the control-path event.
+    def parse(self, segment: TcpSegment, now_ps: int) -> Optional[TcpEvent]:
+        """Process one received segment, arrived at ``now_ps``; returns
+        the control-path event.
 
         The receiver's view of the 4-tuple is the reverse of the
         sender's, so lookups use ``segment.flow_key.reversed()``.
@@ -120,8 +119,7 @@ class RxParser:
                 return None
 
         state = self.rx_states[flow_id]
-        now = self.now_fn()
-        event = TcpEvent(EventKind.RX_PACKET, flow_id, timestamp=now)
+        event = TcpEvent(EventKind.RX_PACKET, flow_id, timestamp=now_ps)
 
         if segment.rst:
             event.rst = True

@@ -8,12 +8,11 @@ stretches (RTO waits) are jumped to the next arrival or timer deadline.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
 from ..net.wire import Wire
 from ..tcp.segment import ip_from_string
-from ..sim.component import NEVER
+from ..sim.component import NEVER, seconds_to_ps
 from .ftengine import ENGINE_PERIOD_PS, FtEngine, FtEngineConfig
 
 
@@ -64,6 +63,7 @@ class Testbed:
 
     @property
     def now_s(self) -> float:
+        """:attr:`time_ps` in seconds, for reporting."""
         return self.time_ps / 1e12
 
     def run(
@@ -104,14 +104,8 @@ class Testbed:
         moved — every engine-side state a blocked pump waits on is
         announced by an :class:`EngineMessage`.
         """
-        max_time_ps = max_time_s * 1e12
-        # First cycle on which the time bound's own float compare,
-        # ``cycle * period >= max_time_ps``, holds.
-        bound = math.ceil(max_time_ps / ENGINE_PERIOD_PS)
-        while bound * ENGINE_PERIOD_PS < max_time_ps:
-            bound += 1
-        while bound > 0 and (bound - 1) * ENGINE_PERIOD_PS >= max_time_ps:
-            bound -= 1
+        # The first cycle at or after the time bound.
+        bound = -(-seconds_to_ps(max_time_s) // ENGINE_PERIOD_PS)
         start = self.cycle
         # Hot loop: hoist attribute lookups — this loop runs under
         # every traffic scenario and lab sweep.

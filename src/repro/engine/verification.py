@@ -24,14 +24,14 @@ from .scheduler import Location
 
 @dataclass
 class Violation:
-    time_s: float
+    time_ps: int
     invariant: str
     flow_id: int
     detail: str
 
     def __str__(self) -> str:
         return (
-            f"{self.time_s * 1e6:.2f}us flow={self.flow_id}: "
+            f"{self.time_ps / 1e6:.2f}us flow={self.flow_id}: "
             f"{self.invariant}: {self.detail}"
         )
 
@@ -58,7 +58,7 @@ class InvariantMonitor:
     # ------------------------------------------------------------- helpers
     def _flag(self, invariant: str, flow_id: int, detail: str) -> None:
         self.violations.append(
-            Violation(self.engine.now_s, invariant, flow_id, detail)
+            Violation(self.engine.time_ps, invariant, flow_id, detail)
         )
 
     # ---------------------------------------------------------------- audit

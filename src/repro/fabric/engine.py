@@ -25,7 +25,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..engine.testbed import message_driven
 from ..net.wire import derive_seed
-from ..sim.component import NEVER, first_ps_at
+from ..sim.component import NEVER, seconds_to_ps
 from ..sim.stats import Histogram
 from ..tcp.state_machine import TcpState
 from .backend import get_backend
@@ -110,12 +110,13 @@ _CONNECTING, _READY = range(2)
 class _Transfer:
     """One request(+response) moving over a conn."""
 
-    __slots__ = ("req_bytes", "resp_bytes", "arrival_s")
+    __slots__ = ("req_bytes", "resp_bytes", "arrival_ps")
 
-    def __init__(self, req_bytes: int, resp_bytes: int, arrival_s: float) -> None:
+    def __init__(self, req_bytes: int, resp_bytes: int, arrival_ps: int) -> None:
         self.req_bytes = req_bytes
         self.resp_bytes = resp_bytes
-        self.arrival_s = arrival_s
+        #: When it arrived (scheduled, or its round began), in ps.
+        self.arrival_ps = arrival_ps
 
 
 class _FabricConn:
@@ -184,11 +185,12 @@ class FabricLoadEngine:
         #: in between (see ``_advance_conn``).
         self._dirty: Set[int] = set()
         self._round = 0
-        #: Openloop schedule: (time_s, client, server, req_b, resp_b).
-        self._schedule: List[Tuple[float, int, int, int, int]] = []
+        #: Openloop schedule: (time_ps from the start, client, server,
+        #: req_b, resp_b).
+        self._schedule: List[Tuple[int, int, int, int, int]] = []
         self._release_index = 0
         self._outstanding = 0
-        self._start_s = 0.0
+        self._start_ps = 0
         self.result = FabricResult(
             scenario=scenario.name,
             backend=self.spec.name,
@@ -276,21 +278,17 @@ class FabricLoadEngine:
             raise TimeoutError(
                 f"{scenario.name}: fabric connection setup did not complete"
             )
-        self._start_s = self.now_s
+        self._start_ps = self.time_ps
         finished = self._run(self._pump, self._next_call_ps, max_time_s)
         result = self.result
         result.finished = finished
-        result.elapsed_s = max(self.now_s - self._start_s, 1e-12)
+        result.elapsed_s = max(self.time_ps - self._start_ps, 1) / 1e12
         result.retransmits = sum(s.retransmits for s in self.stacks)
         result.timeouts = sum(s.timeouts for s in self.stacks)
         result.switch_drops = self.fabric.dropped
         result.ecn_marks = self.fabric.ecn_marked
         result.peak_buffer_bytes = self.fabric.peak_buffer_bytes
         return result
-
-    @property
-    def now_s(self) -> float:
-        return self.time_ps / 1e12
 
     def _connect(self, client: int, server: int) -> _FabricConn:
         conn = _FabricConn(len(self.conns), client, server)
@@ -352,8 +350,7 @@ class FabricLoadEngine:
         if self._dirty or self._round_due():
             return self.time_ps
         if self._release_index < len(self._schedule):
-            t = self._schedule[self._release_index][0]
-            return first_ps_at(self._start_s + t)
+            return self._start_ps + self._schedule[self._release_index][0]
         return NEVER
 
     def _pump(self) -> bool:
@@ -395,17 +392,17 @@ class FabricLoadEngine:
             return
         scenario = self.scenario
         # Barrier crossed: everyone finished the previous round.
-        now_rel = self.now_s - self._start_s
+        now = self.time_ps
         block = scenario.block_bytes
         for conn in self.conns:
             if scenario.reverse:
                 # Outcast: host 0 pushes the block; delivery at the
                 # receiver is completion (one-way stream).
-                conn.pending.append(_Transfer(block, 0, now_rel))
+                conn.pending.append(_Transfer(block, 0, now))
             else:
                 # Incast: a small request triggers the block response.
                 conn.pending.append(
-                    _Transfer(scenario.request_bytes, block, now_rel)
+                    _Transfer(scenario.request_bytes, block, now)
                 )
             self._outstanding += 1
             self._dirty.add(conn.index)
@@ -417,18 +414,19 @@ class FabricLoadEngine:
         self._round += 1
 
     def _release_arrivals(self) -> None:
-        now = self.now_s
+        now = self.time_ps
         schedule = self._schedule
         while self._release_index < len(schedule):
             t, client, server, req_b, resp_b = schedule[self._release_index]
-            if self._start_s + t > now:
+            arrival = self._start_ps + t
+            if arrival > now:
                 return
             self._release_index += 1
             self._outstanding += 1
             conn = self._conn_by_pair.get((client, server))
             if conn is None:
                 conn = self._connect(client, server)
-            conn.pending.append(_Transfer(req_b, resp_b, t))
+            conn.pending.append(_Transfer(req_b, resp_b, arrival))
             self._dirty.add(conn.index)
             if self.trace is not None:
                 self.trace.emit(
@@ -515,9 +513,8 @@ class FabricLoadEngine:
     def _complete(
         self, conn: _FabricConn, transfer: _Transfer, delivered_bytes: int
     ) -> None:
-        latency_s = (self.now_s - self._start_s) - transfer.arrival_s
         result = self.result
-        result.latencies.record(max(latency_s, 0.0))
+        result.latencies.record((self.time_ps - transfer.arrival_ps) / 1e12)
         result.bytes_delivered += delivered_bytes
         result.completed += 1
         self._outstanding -= 1
@@ -551,7 +548,7 @@ class FabricLoadEngine:
             self,
             self._wake,
             self.fabric,
-            self.time_ps + int(max_time_s * 1e12),
+            self.time_ps + seconds_to_ps(max_time_s),
             until=until,
             next_call_ps=next_call_ps,
         )

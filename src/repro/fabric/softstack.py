@@ -18,9 +18,11 @@ unbounded cumulative byte offsets starting at zero, not 32-bit wrapping
 sequence numbers, so ordered comparisons are exact without modular
 arithmetic.
 
-All timestamps are integer picoseconds end to end (simlint F4T007
-covers this package); the only randomness is the optional seeded drop
-impairment on :class:`SoftWire`.
+All timestamps are integer picoseconds end to end — the same type the
+engines keep, so a soft stack and an FtEngine measure time alike
+(simlint F4T007/F4T010 cover this package) — and the link is the
+engines' own :class:`~repro.net.wire.LinkDirection`; the only
+randomness is the optional seeded drop impairment on :class:`SoftWire`.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from typing import (
 )
 
 from ..engine.ftengine import EngineMessage
-from ..net.link import LINK_100G, PER_PACKET_OVERHEAD
-from ..net.wire import derive_seed
-from ..sim.component import NEVER
+from ..net.link import PER_PACKET_OVERHEAD
+from ..net.wire import FaultFn, LinkDirection, WirePort, derive_seed
+from ..sim.component import NEVER, seconds_to_ps
 from ..tcp.segment import FlowKey, ip_from_string, ip_to_string
 from ..tcp.state_machine import TcpState
 from .service import ServiceModel
@@ -163,83 +165,26 @@ class _SoftFlow:
         self.hs_deadline_ps = 0
 
 
-class _IntDirection:
-    """One direction of a 100 GbE soft link, integer-ps timed."""
-
-    def __init__(self, drop_rng: Optional[random.Random]) -> None:
-        self._bits_per_s = int(LINK_100G.bandwidth_gbps * 1e9)
-        self._prop_ps = int(LINK_100G.propagation_delay_us * 10**6)
-        self._drop_rng = drop_rng
-        self.drop_probability = 0.0
-        self.next_free_ps = 0
-        self._in_flight: List[Tuple[int, int, FabricPacket]] = []
-        self._sequence = 0
-        self.frames_sent = 0
-        self.frames_dropped = 0
-        self.bytes_sent = 0
-
-    def serialization_ps(self, wire_bytes: int) -> int:
-        return wire_bytes * 8 * 10**12 // self._bits_per_s
-
-    def transmit(self, packet: FabricPacket, now_ps: int) -> Optional[int]:
-        """Returns the far-end arrival instant (None: impairment drop)."""
-        if (
-            self._drop_rng is not None
-            and packet.kind == "data"
-            and self._drop_rng.random() < self.drop_probability
-        ):
-            self.frames_dropped += 1
-            return None
-        start = now_ps if now_ps > self.next_free_ps else self.next_free_ps
-        self.next_free_ps = start + self.serialization_ps(packet.wire_bytes)
-        arrival = self.next_free_ps + self._prop_ps
-        self._sequence += 1
-        heapq.heappush(self._in_flight, (arrival, self._sequence, packet))
-        self.frames_sent += 1
-        self.bytes_sent += packet.wire_bytes
-        return arrival
-
-    def deliver_due(self, now_ps: int) -> List[FabricPacket]:
-        due: List[FabricPacket] = []
-        while self._in_flight and self._in_flight[0][0] <= now_ps:
-            due.append(heapq.heappop(self._in_flight)[2])
-        return due
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._in_flight)
-
-
-class SoftPort:
-    """One endpoint's handle on a soft link (same shape as WirePort)."""
-
-    def __init__(self, outbound: _IntDirection, inbound: _IntDirection) -> None:
-        self._outbound = outbound
-        self._inbound = inbound
-
-    def send(self, packet: FabricPacket, now_ps: int) -> None:
-        self._outbound.transmit(packet, now_ps)
-
-    def poll(self, now_ps: int) -> List[FabricPacket]:
-        return self._inbound.deliver_due(now_ps)
-
-
 class SoftWire:
-    """A duplex point-to-point soft link with optional seeded loss."""
+    """A duplex point-to-point soft link with optional seeded loss: two
+    :class:`~repro.net.wire.LinkDirection` of the 100 GbE link, whose
+    ends are :class:`~repro.net.wire.WirePort`."""
 
     def __init__(self, drop_probability: float = 0.0, seed: int = 0) -> None:
-        self._ab = _IntDirection(
-            random.Random(derive_seed(seed, "soft-drop-a2b"))
-            if drop_probability > 0 else None,
-        )
-        self._ba = _IntDirection(
-            random.Random(derive_seed(seed, "soft-drop-b2a"))
-            if drop_probability > 0 else None,
-        )
-        self._ab.drop_probability = drop_probability
-        self._ba.drop_probability = drop_probability
-        self.port_a = SoftPort(outbound=self._ab, inbound=self._ba)
-        self.port_b = SoftPort(outbound=self._ba, inbound=self._ab)
+        def data_drops(label: str) -> Optional[FaultFn]:
+            # Only data segments are dropped, one draw each: control
+            # segments never touch the RNG.
+            if drop_probability <= 0:
+                return None
+            rng = random.Random(derive_seed(seed, label))
+            return lambda packet, index: (
+                packet.kind == "data" and rng.random() < drop_probability
+            )
+
+        self._ab = LinkDirection(drop_fn=data_drops("soft-drop-a2b"))
+        self._ba = LinkDirection(drop_fn=data_drops("soft-drop-b2a"))
+        self.port_a = WirePort(outbound=self._ab, inbound=self._ba)
+        self.port_b = WirePort(outbound=self._ba, inbound=self._ab)
 
     @property
     def frames_sent(self) -> int:
@@ -1025,7 +970,7 @@ class SoftTestbed:
             self,
             self._wake,
             self.wire,
-            int(max_time_s * 1e12),
+            seconds_to_ps(max_time_s),
             until=until,
             next_call_ps=next_call_ps,
             max_steps=max_steps,

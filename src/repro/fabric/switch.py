@@ -27,8 +27,9 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from ..net.link import LINK_100G
+from ..net.wire import LinkDirection
 from ..tcp.segment import ip_from_string
-from .softstack import FabricPacket, _IntDirection
+from .softstack import FabricPacket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..check.lockstep import LockstepSanitizer
@@ -82,7 +83,7 @@ class _OutputQueue:
 
 
 class _FabricPort:
-    """One host's NIC-side handle on the fabric (SoftPort-shaped)."""
+    """One host's NIC-side handle on the fabric (WirePort-shaped)."""
 
     def __init__(self, fabric: "SwitchFabric", index: int) -> None:
         self._fabric = fabric
@@ -111,11 +112,11 @@ class SwitchFabric:
         self.num_hosts = num_hosts
         #: CE-mark packets enqueued above this depth; 0 disables ECN.
         self.ecn_threshold_bytes = ecn_threshold_bytes
-        self._uplinks = [_IntDirection(None) for _ in range(num_hosts)]
+        self._uplinks = [LinkDirection() for _ in range(num_hosts)]
         self._queues = [_OutputQueue() for _ in range(num_hosts)]
         self._egress_free_ps = [0] * num_hosts
-        self._egress_prop_ps = int(LINK_100G.propagation_delay_us * 10**6)
-        self._bits_per_s = int(LINK_100G.bandwidth_gbps * 1e9)
+        self._egress_prop_ps = LINK_100G.propagation_delay_ps
+        self._bits_per_s = LINK_100G.bits_per_second
         #: The event heap: ``(time_ps, kind, port)``.  An ingress entry
         #: is pushed when an uplink transmit fixes an arrival; a port
         #: with queued packets has exactly one scheduled egress start.
@@ -216,6 +217,7 @@ class SwitchFabric:
         queue = self._queues[out_port]
         packet = queue.pop()
         self.buffer_used -= packet.wire_bytes
+        # Link.serialization_time_ps, inline: once per forwarded packet.
         ser_ps = packet.wire_bytes * 8 * 10**12 // self._bits_per_s
         self._egress_free_ps[out_port] = start_ps + ser_ps
         arrival = start_ps + ser_ps + self._egress_prop_ps
@@ -256,8 +258,8 @@ class CellSwitch:
     def __init__(self, hosts: List[int], num_hosts: int) -> None:
         self.hosts = list(hosts)
         self.num_hosts = num_hosts
-        self._bits_per_s = int(LINK_100G.bandwidth_gbps * 1e9)
-        self.prop_ps = int(LINK_100G.propagation_delay_us * 10**6)
+        self._bits_per_s = LINK_100G.bits_per_second
+        self.prop_ps = LINK_100G.propagation_delay_ps
         self.port_limit = self.buffer_bytes // num_hosts
         #: Sender side, per owned host: uplink serializer free instant
         #: and the per-source sequence that makes exchange keys unique.
@@ -352,7 +354,7 @@ class CellSwitch:
 
 
 class ShardPort:
-    """One host's NIC-side handle inside a shard cell (SoftPort-shaped).
+    """One host's NIC-side handle inside a shard cell (WirePort-shaped).
 
     Outbound packets run through the cell switch's sender-side timing
     and are handed to ``outbound(arrival_ps, src, seq, packet)`` — the

@@ -138,11 +138,11 @@ class F4TRuntime:
         engine = self.engine
         if command.opcode is Opcode.SEND:
             engine._submit(
-                user_send_event(command.flow_id, command.pointer, engine.now_s)
+                user_send_event(command.flow_id, command.pointer, engine.time_ps)
             )
         elif command.opcode is Opcode.RECV:
             engine._submit(
-                user_recv_event(command.flow_id, command.pointer, engine.now_s)
+                user_recv_event(command.flow_id, command.pointer, engine.time_ps)
             )
         elif command.opcode is Opcode.CLOSE:
             engine.close_flow(command.flow_id)

@@ -119,7 +119,8 @@ def traffic_scenario_point(
     backend: str = "functional",
     audit: bool = True,
 ) -> "PointResult":
-    """One traffic scenario at one offered-load scale, either backend.
+    """One traffic scenario at one offered-load scale, on the engines
+    (``functional``) or a fabric soft backend.
 
     Returns a :class:`~repro.lab.grid.PointResult` whose ``metrics``
     field carries the full labeled snapshot (engine counters, per-class
@@ -130,31 +131,25 @@ def traffic_scenario_point(
 
     from ..lab.grid import PointResult
     from ..obs import MetricsRegistry, collect_scenario_result, collect_traced_run
-    from ..traffic import LoadEngine, get_scenario, run_scenario_model
+    from ..fabric.backend import get_backend
+    from ..traffic import LoadEngine, get_scenario
 
     sc = get_scenario(scenario, seed=seed)
-    if backend == "model":
-        result = run_scenario_model(sc, load_scale=load_scale)
+    spec = get_backend(backend)
+    engine = LoadEngine(
+        sc,
+        load_scale=load_scale,
+        # The invariant monitor reads FtEngine internals; soft
+        # backends run unaudited.
+        audit=audit and spec.kind == "engine",
+        backend=spec.name,
+    )
+    result = engine.run()
+    if spec.kind == "engine":
+        registry = collect_traced_run(engine.testbed, result)
+    else:
         registry = MetricsRegistry()
         collect_scenario_result(registry, result)
-    else:
-        from ..fabric.backend import get_backend
-
-        spec = get_backend(backend)
-        engine = LoadEngine(
-            sc,
-            load_scale=load_scale,
-            # The invariant monitor reads FtEngine internals; soft
-            # backends run unaudited.
-            audit=audit and spec.kind == "engine",
-            backend=spec.name,
-        )
-        result = engine.run()
-        if spec.kind == "engine":
-            registry = collect_traced_run(engine.testbed, result)
-        else:
-            registry = MetricsRegistry()
-            collect_scenario_result(registry, result)
     scalars: Dict[str, float] = {
         "offered": result.offered,
         "completed": result.completed,

@@ -79,7 +79,6 @@ def traffic_load_grid(
     quick: bool = False,
     scenario: str = "rpc",
     loads: Optional[Sequence[float]] = None,
-    backend: str = "model",
     seed: Optional[int] = None,
 ) -> ExperimentGrid:
     """Offered-load sweep of one scenario; ``traffic sweep`` runs this grid."""
@@ -90,9 +89,9 @@ def traffic_load_grid(
         driver="repro.lab.drivers:traffic_scenario_point",
         # float(): a load spelled 1 and one spelled 1.0 are the same run id
         domains={"load_scale": sorted(float(load) for load in loads)},
-        base={"scenario": scenario, "backend": backend},
+        base={"scenario": scenario},
         seeds=None if seed is None else [seed],
-        description="latency-vs-load curve points (model backend, dense)",
+        description="latency-vs-load curve points (functional engines)",
     )
 
 

@@ -9,6 +9,7 @@ goodput at 100 Gbps x 128/(128+78) = 62.1 Gbps (§5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 #: Per-packet overhead in bytes (§5.1).
@@ -28,12 +29,21 @@ class Link:
     def bytes_per_second(self) -> float:
         return self.bandwidth_gbps * GBPS / 8
 
+    @cached_property
+    def bits_per_second(self) -> int:
+        return int(self.bandwidth_gbps * GBPS)
+
+    @cached_property
+    def propagation_delay_ps(self) -> int:
+        return int(self.propagation_delay_us * 10**6)
+
     def wire_bytes(self, payload_bytes: int) -> int:
         """Total bytes on the wire for one packet's payload."""
         return payload_bytes + PER_PACKET_OVERHEAD
 
-    def serialization_time_ps(self, wire_bytes: int) -> float:
-        return wire_bytes / self.bytes_per_second * 1e12
+    def serialization_time_ps(self, wire_bytes: int) -> int:
+        """Whole ps to clock ``wire_bytes`` out (80 per byte at 100 Gbps)."""
+        return wire_bytes * 8 * 10**12 // self.bits_per_second
 
     def max_packets_per_second(self, payload_bytes: int) -> float:
         """Packet rate when the link is saturated with this payload size."""

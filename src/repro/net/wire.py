@@ -4,7 +4,8 @@ Connects two FtEngines (or an engine and a host NIC model) back to back,
 as the paper's testbed does (§5).  Each direction serializes frames at
 the link rate, delays them by the propagation latency, and optionally
 applies fault injection — drops and reorders — which is how the Fig 14
-congestion-window experiments inject "occasional packet drops".
+congestion-window experiments inject "occasional packet drops".  Every
+instant is integer picoseconds, the engines' clock unit.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from .ethernet import EthernetFrame
 from .link import Link, LINK_100G
 
-FaultFn = Callable[[EthernetFrame, int], bool]
-DelayFn = Callable[[EthernetFrame, int], float]
+#: Loss and delay predicates, called with a frame and its index in send
+#: order on one direction; a delay is whole picoseconds.
+FaultFn = Callable[[Any, int], bool]
+DelayFn = Callable[[Any, int], int]
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -35,10 +37,6 @@ def derive_seed(seed: int, label: str) -> int:
 
 class LossPattern:
     """Factory for drop predicates used in fault-injection experiments."""
-
-    @staticmethod
-    def none() -> FaultFn:
-        return lambda frame, index: False
 
     @staticmethod
     def probability(p: float, seed: int = 1) -> FaultFn:
@@ -60,49 +58,61 @@ class DelayPattern:
     """
 
     @staticmethod
-    def none() -> Optional[DelayFn]:
-        return None
-
-    @staticmethod
     def reorder(p: float, delay_us: float = 10.0, seed: int = 1) -> DelayFn:
         """Hold each frame back by ``delay_us`` with probability ``p``."""
         rng = random.Random(seed)
-        delay_ps = delay_us * 1e6
-        return lambda frame, index: delay_ps if rng.random() < p else 0.0
+        delay_ps = int(delay_us * 10**6)
+        return lambda frame, index: delay_ps if rng.random() < p else 0
 
 
-class _Direction:
-    """One direction of the duplex wire."""
+class LinkDirection:
+    """One direction of a link, timed in integer picoseconds.
 
-    def __init__(self, link: Link, drop_fn: FaultFn, delay_fn: Optional[DelayFn]) -> None:
+    Frames — anything with ``wire_bytes``: the engines' Ethernet frames,
+    the fabric's packets — serialize FIFO at the link rate and arrive one
+    propagation delay after their last bit.  The optional ``drop_fn`` and
+    ``delay_fn`` inject loss and reordering.  The engine wire, the soft
+    wire and the switch fabric's uplinks are all made of these.
+    """
+
+    def __init__(
+        self,
+        link: Link = LINK_100G,
+        drop_fn: Optional[FaultFn] = None,
+        delay_fn: Optional[DelayFn] = None,
+    ) -> None:
         self.link = link
         self.drop_fn = drop_fn
         self.delay_fn = delay_fn
-        self.next_free_ps = 0.0
-        self._in_flight: List[Tuple[float, int, EthernetFrame]] = []
+        self._prop_ps = link.propagation_delay_ps
+        self.next_free_ps = 0
+        self._in_flight: List[Tuple[int, int, Any]] = []
         self._sequence = 0
         self.frames_sent = 0
         self.frames_dropped = 0
         self.bytes_sent = 0
 
-    def transmit(self, frame: EthernetFrame, now_ps: float) -> None:
+    def transmit(self, frame: Any, now_ps: int) -> Optional[int]:
+        """Put ``frame`` on the link at ``now_ps``; returns its far-end
+        arrival instant, or None if it was dropped."""
         index = self._sequence
         self._sequence += 1
-        if self.drop_fn(frame, index):
+        if self.drop_fn is not None and self.drop_fn(frame, index):
             self.frames_dropped += 1
-            return
-        start = max(now_ps, self.next_free_ps)
-        tx_time = self.link.serialization_time_ps(frame.wire_bytes)
-        self.next_free_ps = start + tx_time
-        arrival = self.next_free_ps + self.link.propagation_delay_us * 1e6
+            return None
+        wire_bytes = frame.wire_bytes
+        start = now_ps if now_ps > self.next_free_ps else self.next_free_ps
+        self.next_free_ps = start + self.link.serialization_time_ps(wire_bytes)
+        arrival = self.next_free_ps + self._prop_ps
         if self.delay_fn is not None:
-            arrival += max(0.0, self.delay_fn(frame, index))
+            arrival += max(0, self.delay_fn(frame, index))
         heapq.heappush(self._in_flight, (arrival, index, frame))
         self.frames_sent += 1
-        self.bytes_sent += frame.wire_bytes
+        self.bytes_sent += wire_bytes
+        return arrival
 
-    def deliver_due(self, now_ps: float) -> List[EthernetFrame]:
-        frames: List[EthernetFrame] = []
+    def deliver_due(self, now_ps: int) -> List[Any]:
+        frames: List[Any] = []
         while self._in_flight and self._in_flight[0][0] <= now_ps:
             frames.append(heapq.heappop(self._in_flight)[2])
         return frames
@@ -115,14 +125,14 @@ class _Direction:
 class WirePort:
     """One endpoint's handle: send frames out, poll frames in."""
 
-    def __init__(self, outbound: _Direction, inbound: _Direction) -> None:
+    def __init__(self, outbound: LinkDirection, inbound: LinkDirection) -> None:
         self._outbound = outbound
         self._inbound = inbound
 
-    def send(self, frame: EthernetFrame, now_ps: float) -> None:
+    def send(self, frame: Any, now_ps: int) -> None:
         self._outbound.transmit(frame, now_ps)
 
-    def poll(self, now_ps: float) -> List[EthernetFrame]:
+    def poll(self, now_ps: int) -> List[Any]:
         return self._inbound.deliver_due(now_ps)
 
     @property
@@ -142,8 +152,8 @@ class Wire:
         delay_b_to_a: Optional[DelayFn] = None,
     ) -> None:
         self.link = link
-        self._ab = _Direction(link, drop_a_to_b or LossPattern.none(), delay_a_to_b)
-        self._ba = _Direction(link, drop_b_to_a or LossPattern.none(), delay_b_to_a)
+        self._ab = LinkDirection(link, drop_a_to_b, delay_a_to_b)
+        self._ba = LinkDirection(link, drop_b_to_a, delay_b_to_a)
         self.port_a = WirePort(outbound=self._ab, inbound=self._ba)
         self.port_b = WirePort(outbound=self._ba, inbound=self._ab)
 

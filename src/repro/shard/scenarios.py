@@ -119,7 +119,7 @@ class ShardScenario:
         switch admission point at ``t + serialization + propagation >=
         epoch_end``, so admissions for epoch ``e+1`` are all known at
         the barrier ending epoch ``e`` — that is the whole proof."""
-        return int(LINK_100G.propagation_delay_us * 10**6)
+        return LINK_100G.propagation_delay_ps
 
     # ----------------------------------------------------------- schedules
     def with_seed(self, seed: int) -> "ShardScenario":

@@ -10,6 +10,12 @@ There is one clock per owner.  A component built with a ``clock`` — its
 owner, anything with a ``cycle`` — reads ``clock.cycle`` and never
 counts: only the owner adds to it.  A component built without one
 stands alone, is its own clock, and counts the ticks it is given.
+
+Simulated time has one type: integer picoseconds, from the wire through
+the TCP core to the arrival schedule (an engine cycle is exactly
+``ENGINE_PERIOD_PS``).  Seconds exist only at the edges users call:
+durations given in are converted once by :func:`seconds_to_ps`, and
+reported results are ``time_ps / 1e12``.
 """
 
 from __future__ import annotations
@@ -20,21 +26,10 @@ from typing import Any, Optional
 NEVER = 1 << 62
 
 
-def first_ps_at(time_s: float) -> int:
-    """First integer picosecond ``p`` at which ``p / 1e12 >= time_s``.
-
-    The one guarded float search: a deadline in seconds (a timer hint,
-    an arrival) is compared against ``time_ps / 1e12``, and an analytic
-    ceil alone can be off by one at float boundaries.  The compare is
-    monotone in ``p``, so a clock of period ``P`` ps first passes it on
-    cycle ``ceil(first_ps_at(t) / P)``.
-    """
-    p = max(0, int(time_s * 1e12))
-    while p / 1e12 < time_s:
-        p += 1
-    while p > 0 and (p - 1) / 1e12 >= time_s:
-        p -= 1
-    return p
+def seconds_to_ps(seconds: float) -> int:
+    """A time given in seconds at a user-facing edge (a run's time
+    bound, a scenario's horizon) as the nearest whole picosecond."""
+    return round(seconds * 1e12)
 
 
 class OwnersCycle:

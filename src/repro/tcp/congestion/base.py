@@ -6,6 +6,11 @@ divisions — runs at full event rate.  Each algorithm therefore declares
 its ``fpu_latency_cycles``, taken from the paper: NewReno 14, CUBIC 41,
 Vegas 68.
 
+Times are integer picoseconds, the engine clock's unit: ``now_ps`` is
+the instant of the pass and ``rtt_ps`` an RTT sample.  An algorithm may
+turn a *duration* into float seconds inside its own math; the state it
+keeps in ``tcb.cc`` stays integer.
+
 The hooks take *aggregate* inputs (bytes newly acknowledged, not
 individual ACKs) because the FPU processes accumulated events all at once
 (§4.2.2); the reference simulator uses the same hooks per-ACK, and the
@@ -30,7 +35,7 @@ class CongestionControl(abc.ABC):
     fpu_latency_cycles: int = 1
 
     # ------------------------------------------------------------ set-up
-    def on_init(self, tcb: Tcb, now_s: float) -> None:
+    def on_init(self, tcb: Tcb, now_ps: int) -> None:
         """Initialize cwnd/ssthresh and algorithm scratch state."""
         tcb.cwnd = 10 * tcb.mss  # RFC 6928 initial window
         tcb.ssthresh = 1 << 30
@@ -43,8 +48,8 @@ class CongestionControl(abc.ABC):
         self,
         tcb: Tcb,
         acked_bytes: int,
-        now_s: float,
-        rtt_sample: Optional[float] = None,
+        now_ps: int,
+        rtt_ps: Optional[int] = None,
     ) -> bool:
         """A cumulative ACK advanced ``snd_una`` by ``acked_bytes``.
 
@@ -56,16 +61,16 @@ class CongestionControl(abc.ABC):
         tcb.dupacks = 0
         if tcb.in_recovery:
             if seq_ge(tcb.snd_una, tcb.recover):
-                self._exit_recovery(tcb, now_s)
+                self._exit_recovery(tcb, now_ps)
                 return False
-            return self._on_partial_ack(tcb, acked_bytes, now_s)
+            return self._on_partial_ack(tcb, acked_bytes, now_ps)
         if tcb.cwnd < tcb.ssthresh:
-            self._slow_start(tcb, acked_bytes, now_s)
+            self._slow_start(tcb, acked_bytes, now_ps)
         else:
-            self._congestion_avoidance(tcb, acked_bytes, now_s, rtt_sample)
+            self._congestion_avoidance(tcb, acked_bytes, now_ps, rtt_ps)
         return False
 
-    def _slow_start(self, tcb: Tcb, acked_bytes: int, now_s: float) -> None:
+    def _slow_start(self, tcb: Tcb, acked_bytes: int, now_ps: int) -> None:
         """RFC 3465 appropriate byte counting with L = 2*SMSS."""
         tcb.cwnd += min(acked_bytes, 2 * tcb.mss)
 
@@ -74,13 +79,13 @@ class CongestionControl(abc.ABC):
         self,
         tcb: Tcb,
         acked_bytes: int,
-        now_s: float,
-        rtt_sample: Optional[float],
+        now_ps: int,
+        rtt_ps: Optional[int],
     ) -> None:
         """Grow cwnd past ssthresh; the algorithm-defining hook."""
 
     # ---------------------------------------------------------- loss path
-    def on_dupacks(self, tcb: Tcb, new_dupacks: int, now_s: float) -> bool:
+    def on_dupacks(self, tcb: Tcb, new_dupacks: int, now_ps: int) -> bool:
         """Duplicate ACKs arrived; returns True to fast-retransmit."""
         if new_dupacks <= 0:
             return False
@@ -91,26 +96,26 @@ class CongestionControl(abc.ABC):
             tcb.cwnd += new_dupacks * tcb.mss
             return False
         if tcb.dupacks >= 3:
-            self._enter_recovery(tcb, now_s)
+            self._enter_recovery(tcb, now_ps)
             return not already_in
         return False
 
-    def _enter_recovery(self, tcb: Tcb, now_s: float) -> None:
+    def _enter_recovery(self, tcb: Tcb, now_ps: int) -> None:
         flight = tcb.bytes_in_flight
         # Algorithm bookkeeping first: CUBIC must capture w_max from the
         # *pre-decrease* window.
-        self.on_loss_event(tcb, now_s)
+        self.on_loss_event(tcb, now_ps)
         tcb.ssthresh = self.ssthresh_after_loss(tcb, flight)
         tcb.cwnd = tcb.ssthresh + 3 * tcb.mss
         tcb.recover = tcb.snd_nxt
         tcb.in_recovery = True
 
-    def _on_partial_ack(self, tcb: Tcb, acked_bytes: int, now_s: float) -> bool:
+    def _on_partial_ack(self, tcb: Tcb, acked_bytes: int, now_ps: int) -> bool:
         """NewReno partial ACK: deflate, retransmit next hole (RFC 6582)."""
         tcb.cwnd = max(tcb.mss, tcb.cwnd - acked_bytes + tcb.mss)
         return True
 
-    def _exit_recovery(self, tcb: Tcb, now_s: float) -> None:
+    def _exit_recovery(self, tcb: Tcb, now_ps: int) -> None:
         """Full ACK: deflate the window back to ssthresh (RFC 6582)."""
         tcb.cwnd = min(
             tcb.ssthresh, max(tcb.bytes_in_flight + tcb.mss, 2 * tcb.mss)
@@ -118,10 +123,10 @@ class CongestionControl(abc.ABC):
         tcb.in_recovery = False
         tcb.dupacks = 0
 
-    def on_timeout(self, tcb: Tcb, now_s: float) -> None:
+    def on_timeout(self, tcb: Tcb, now_ps: int) -> None:
         """Retransmission timeout: collapse to one segment (RFC 5681)."""
         flight = tcb.bytes_in_flight
-        self.on_loss_event(tcb, now_s)  # pre-decrease bookkeeping
+        self.on_loss_event(tcb, now_ps)  # pre-decrease bookkeeping
         tcb.ssthresh = self.ssthresh_after_loss(tcb, flight)
         tcb.cwnd = tcb.mss
         tcb.in_recovery = False
@@ -132,10 +137,10 @@ class CongestionControl(abc.ABC):
         """Multiplicative decrease target; Reno halves (RFC 5681)."""
         return max(flight // 2, 2 * tcb.mss)
 
-    def on_loss_event(self, tcb: Tcb, now_s: float) -> None:
+    def on_loss_event(self, tcb: Tcb, now_ps: int) -> None:
         """Extra algorithm bookkeeping on any loss (CUBIC epoch reset)."""
 
-    def on_rtt_sample(self, tcb: Tcb, rtt_s: float, now_s: float) -> None:
+    def on_rtt_sample(self, tcb: Tcb, rtt_ps: int, now_ps: int) -> None:
         """Per-RTT-sample hook (Vegas baseRTT tracking)."""
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ...sim.component import NEVER
 from ..tcb import Tcb
 from .base import CongestionControl, register
 
@@ -37,12 +38,12 @@ class BbrLite(CongestionControl):
     #: filter updates — Vegas-class latency (§5.4 reports 68 for Vegas).
     fpu_latency_cycles = 57
 
-    def on_init(self, tcb: Tcb, now_s: float) -> None:
-        super().on_init(tcb, now_s)
+    def on_init(self, tcb: Tcb, now_ps: int) -> None:
+        super().on_init(tcb, now_ps)
         tcb.cc.update(
             {
                 "bw_samples": [],  # recent delivery-rate samples (B/s)
-                "min_rtt": float("inf"),
+                "min_rtt": NEVER,  # ps; NEVER until sampled
                 "in_startup": True,
                 "rounds": 0,
                 "full_bw": 0.0,  # plateau detector state
@@ -55,16 +56,16 @@ class BbrLite(CongestionControl):
     def ssthresh_after_loss(self, tcb: Tcb, flight: int) -> int:
         return max(int(tcb.cwnd * 0.85), 2 * tcb.mss)
 
-    def on_rtt_sample(self, tcb: Tcb, rtt_s: float, now_s: float) -> None:
+    def on_rtt_sample(self, tcb: Tcb, rtt_ps: int, now_ps: int) -> None:
         cc = tcb.cc
         if "min_rtt" in cc:
-            cc["min_rtt"] = min(cc["min_rtt"], rtt_s)
+            cc["min_rtt"] = min(cc["min_rtt"], rtt_ps)
 
-    def _record_bandwidth(self, tcb: Tcb, acked_bytes: int, rtt_s: float) -> float:
+    def _record_bandwidth(self, tcb: Tcb, acked_bytes: int, rtt_ps: int) -> float:
         cc = tcb.cc
         samples = cc.setdefault("bw_samples", [])
-        if rtt_s > 0:
-            samples.append(acked_bytes / rtt_s)
+        if rtt_ps > 0:
+            samples.append(acked_bytes / (rtt_ps / 1e12))
             del samples[:-BW_FILTER_SAMPLES]
         return max(samples) if samples else 0.0
 
@@ -74,13 +75,13 @@ class BbrLite(CongestionControl):
             return STARTUP_GAIN
         return PROBE_GAIN if cc["rounds"] % PROBE_PERIOD == 0 else CRUISE_GAIN
 
-    def _update_cwnd(self, tcb: Tcb, acked_bytes: int, rtt_s: Optional[float]) -> None:
+    def _update_cwnd(self, tcb: Tcb, acked_bytes: int, rtt_ps: Optional[int]) -> None:
         cc = tcb.cc
-        rtt = rtt_s if rtt_s is not None else (tcb.srtt or 0.0)
+        rtt = rtt_ps if rtt_ps is not None else (tcb.srtt or 0)
         if rtt <= 0:
             tcb.cwnd += min(acked_bytes, 2 * tcb.mss)  # no model yet
             return
-        self.on_rtt_sample(tcb, rtt, 0.0)
+        self.on_rtt_sample(tcb, rtt, 0)
         btl_bw = self._record_bandwidth(tcb, acked_bytes, rtt)
         cc["rounds"] += 1
         # Startup exit: bandwidth plateaued for three rounds (BBR v1).
@@ -92,7 +93,7 @@ class BbrLite(CongestionControl):
                 cc["full_bw_rounds"] += 1
                 if cc["full_bw_rounds"] >= 3:
                     cc["in_startup"] = False
-        bdp = btl_bw * cc["min_rtt"]
+        bdp = btl_bw * (cc["min_rtt"] / 1e12)
         if bdp > 0:
             target = int(self._gain(tcb) * bdp)
             tcb.cwnd = max(4 * tcb.mss, target)
@@ -101,8 +102,8 @@ class BbrLite(CongestionControl):
         self,
         tcb: Tcb,
         acked_bytes: int,
-        now_s: float,
-        rtt_sample: Optional[float] = None,
+        now_ps: int,
+        rtt_ps: Optional[int] = None,
     ) -> bool:
         """The model drives cwnd directly — no ssthresh-gated slow start
         and no window deflation on recovery exit (the bandwidth estimate
@@ -116,15 +117,15 @@ class BbrLite(CongestionControl):
             if seq_ge(tcb.snd_una, tcb.recover):
                 tcb.in_recovery = False
                 return False
-            return self._on_partial_ack(tcb, acked_bytes, now_s)
-        self._update_cwnd(tcb, acked_bytes, rtt_sample)
+            return self._on_partial_ack(tcb, acked_bytes, now_ps)
+        self._update_cwnd(tcb, acked_bytes, rtt_ps)
         return False
 
     def _congestion_avoidance(
         self,
         tcb: Tcb,
         acked_bytes: int,
-        now_s: float,
-        rtt_sample: Optional[float],
+        now_ps: int,
+        rtt_ps: Optional[int],
     ) -> None:
-        self._update_cwnd(tcb, acked_bytes, rtt_sample)
+        self._update_cwnd(tcb, acked_bytes, rtt_ps)

@@ -25,19 +25,19 @@ class Cubic(CongestionControl):
     name = "cubic"
     fpu_latency_cycles = 41  # §5.4
 
-    def on_init(self, tcb: Tcb, now_s: float) -> None:
-        super().on_init(tcb, now_s)
+    def on_init(self, tcb: Tcb, now_ps: int) -> None:
+        super().on_init(tcb, now_ps)
         tcb.cc.update(
             {
                 "w_max": 0.0,  # window (bytes) at last loss
                 "k": 0.0,  # time to regrow to w_max
-                "epoch_start": None,  # seconds, None until first CA ack
+                "epoch_start": None,  # ps, None until first CA ack
                 "w_est": 0.0,  # TCP-friendly estimate (bytes)
                 "ack_bytes": 0,  # acked bytes in this epoch
             }
         )
 
-    def on_loss_event(self, tcb: Tcb, now_s: float) -> None:
+    def on_loss_event(self, tcb: Tcb, now_ps: int) -> None:
         cc = tcb.cc
         cc["w_max"] = float(tcb.cwnd)
         cc["epoch_start"] = None
@@ -50,15 +50,16 @@ class Cubic(CongestionControl):
         self,
         tcb: Tcb,
         acked_bytes: int,
-        now_s: float,
-        rtt_sample: Optional[float],
+        now_ps: int,
+        rtt_ps: Optional[int],
     ) -> None:
         cc = tcb.cc
         mss = float(tcb.mss)
-        rtt = rtt_sample if rtt_sample is not None else (tcb.srtt or 0.1)
+        if rtt_ps is None:
+            rtt_ps = tcb.srtt or 100 * 10**9  # 100 ms before any sample
 
         if cc.get("epoch_start") is None:
-            cc["epoch_start"] = now_s
+            cc["epoch_start"] = now_ps
             w_max = cc.get("w_max", 0.0)
             if w_max <= tcb.cwnd:
                 # We are already past the previous saturation point.
@@ -70,7 +71,8 @@ class Cubic(CongestionControl):
             cc["w_est"] = float(tcb.cwnd)
             cc["ack_bytes"] = 0
 
-        t = now_s - cc["epoch_start"] + rtt  # target one RTT ahead
+        # Seconds since the epoch began, targeting one RTT ahead.
+        t = (now_ps - cc["epoch_start"] + rtt_ps) / 1e12
         w_max_seg = cc["w_max"] / mss
         w_cubic_seg = C * (t - cc["k"]) ** 3 + w_max_seg
         w_cubic = w_cubic_seg * mss

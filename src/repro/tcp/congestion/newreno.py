@@ -23,8 +23,8 @@ class NewReno(CongestionControl):
         self,
         tcb: Tcb,
         acked_bytes: int,
-        now_s: float,
-        rtt_sample: Optional[float],
+        now_ps: int,
+        rtt_ps: Optional[int],
     ) -> None:
         # Byte-counting AIMD: cwnd grows one MSS per cwnd of data acked.
         grow = tcb.cc.get("ca_accum", 0) + acked_bytes

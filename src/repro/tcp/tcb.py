@@ -87,14 +87,17 @@ class Tcb:
     sacked: List[Tuple[int, int]] = field(default_factory=list)
 
     # ---- RTT estimation / retransmission (RFC 6298) ----
-    srtt: Optional[float] = None
-    rttvar: float = 0.0
-    rto: float = 1.0
-    rto_deadline: Optional[float] = None
+    # Every time here is integer picoseconds, like the engine's clock.
+    #: None until the first RTT sample.
+    srtt: Optional[int] = None
+    rttvar: int = 0
+    #: ``tcp.timers.INITIAL_RTO_PS`` (1 s).
+    rto: int = 10**12
+    rto_deadline: Optional[int] = None
     rto_backoff: int = 0
-    #: Sequence being timed and its send timestamp, for RTT sampling.
+    #: Sequence being timed and its send instant, for RTT sampling.
     rtt_seq: Optional[int] = None
-    rtt_sent_at: float = 0.0
+    rtt_sent_at: int = 0
 
     # ---- accumulated event flags (written by the event handler) ----
     timeout_pending: bool = False
@@ -113,8 +116,8 @@ class Tcb:
     #: Set by the scheduler to request eviction; honoured by the evict
     #: checker after processing (§4.3.2).
     evict_flag: bool = False
-    #: Cycle/time of last activity, for coldest-flow selection.
-    last_active: float = 0.0
+    #: Instant (ps) of last activity, for coldest-flow selection.
+    last_active: int = 0
 
     # ------------------------------------------------------------ derived
     @property

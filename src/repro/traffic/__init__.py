@@ -3,8 +3,7 @@
 Declarative :class:`Scenario` objects compose arrival processes, size
 distributions and connection lifecycles from one top-level seed; the
 :class:`LoadEngine` drives them open-loop over the functional two-engine
-testbed (or the calibrated model via :func:`run_scenario_model`),
-measuring offered vs. achieved load, goodput and per-class latency
+testbed, measuring offered vs. achieved load, goodput and per-class latency
 percentiles.  ``python -m repro traffic {list,run,sweep}`` is the CLI;
 ``sweep`` runs the ``traffic-load`` lab grid and marks the latency knee
 (:func:`detect_knee`).
@@ -17,7 +16,6 @@ from .arrivals import (
     Poisson,
 )
 from .engine import ClassMetrics, LoadEngine, ScenarioResult, run_scenario
-from .model import run_scenario_model
 from .scenario import (
     PER_REQUEST,
     PERSISTENT,
@@ -53,6 +51,5 @@ __all__ = [
     "ScenarioResult",
     "LoadEngine",
     "run_scenario",
-    "run_scenario_model",
     "detect_knee",
 ]

@@ -4,21 +4,29 @@ Closed-loop drivers (the paper's exhibits) only ever ask the questions
 the server can answer at its own pace; open-loop arrival processes are
 what expose queueing, burst absorption and overload behaviour — the
 FlexTOE/Laminar-style evaluation this layer adds.  Every process turns a
-seeded :class:`random.Random` into a concrete list of arrival times over
-a horizon, so a scenario's offered load is exactly replayable.
+seeded :class:`random.Random` into a concrete list of arrival instants
+over a horizon, so a scenario's offered load is exactly replayable.
+The draws are float seconds; each instant is rounded once, as it is
+generated, to the integer picoseconds the simulator runs on.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import List
 
 
-class ArrivalProcess:
-    """Generates request arrival times in ``[0, duration_s)``."""
+def _instant_ps(t: float) -> int:
+    """An arrival drawn at ``t`` seconds: the first whole ps at or after it."""
+    return math.ceil(t * 1e12)
 
-    def times(self, rng: random.Random, duration_s: float) -> List[float]:
+
+class ArrivalProcess:
+    """Generates request arrival instants, in ps, for ``[0, duration_s)``."""
+
+    def times(self, rng: random.Random, duration_s: float) -> List[int]:
         raise NotImplementedError
 
     def scaled(self, factor: float) -> "ArrivalProcess":
@@ -44,11 +52,11 @@ class Poisson(ArrivalProcess):
 
     rate: float
 
-    def times(self, rng: random.Random, duration_s: float) -> List[float]:
-        times: List[float] = []
+    def times(self, rng: random.Random, duration_s: float) -> List[int]:
+        times: List[int] = []
         t = rng.expovariate(self.rate)
         while t < duration_s:
-            times.append(t)
+            times.append(_instant_ps(t))
             t += rng.expovariate(self.rate)
         return times
 
@@ -76,8 +84,8 @@ class OnOffBursts(ArrivalProcess):
     #: Background rate during OFF dwells (0 = pure on/off).
     idle_rate: float = 0.0
 
-    def times(self, rng: random.Random, duration_s: float) -> List[float]:
-        times: List[float] = []
+    def times(self, rng: random.Random, duration_s: float) -> List[int]:
+        times: List[int] = []
         t = 0.0
         on = rng.random() < self.mean_on_s / (self.mean_on_s + self.mean_off_s)
         while t < duration_s:
@@ -89,7 +97,7 @@ class OnOffBursts(ArrivalProcess):
             if rate > 0:
                 arrival = t + rng.expovariate(rate)
                 while arrival < end:
-                    times.append(arrival)
+                    times.append(_instant_ps(arrival))
                     arrival += rng.expovariate(rate)
             t = end
             on = not on
@@ -134,13 +142,13 @@ class FlashCrowd(ArrivalProcess):
         ascent = (t - start) / half if t < start + half else (start + width - t) / half
         return self.base_rate * (1.0 + (self.peak_multiplier - 1.0) * ascent)
 
-    def times(self, rng: random.Random, duration_s: float) -> List[float]:
+    def times(self, rng: random.Random, duration_s: float) -> List[int]:
         envelope = self.base_rate * max(1.0, self.peak_multiplier)
-        times: List[float] = []
+        times: List[int] = []
         t = rng.expovariate(envelope)
         while t < duration_s:
             if rng.random() < self.rate_at(t) / envelope:
-                times.append(t)
+                times.append(_instant_ps(t))
             t += rng.expovariate(envelope)
         return times
 

@@ -25,7 +25,7 @@ from typing import Deque, Dict, List, Optional
 from ..engine.ftengine import ENGINE_PERIOD_PS
 from ..engine.testbed import Testbed, message_driven
 from ..engine.verification import InvariantMonitor
-from ..sim.component import NEVER, first_ps_at
+from ..sim.component import NEVER
 from ..sim.stats import Histogram
 from ..tcp.state_machine import TcpState
 from .scenario import PER_REQUEST, Request, Scenario, TrafficClass
@@ -52,7 +52,8 @@ class ClassMetrics:
     bytes_delivered: int = 0
     connections_opened: int = 0
     connections_closed: int = 0
-    #: Scheduled-arrival -> fully-delivered, per request (seconds).
+    #: Scheduled-arrival -> fully-delivered, per request (seconds,
+    #: converted from the ps clock as each is recorded).
     latencies: Histogram = field(default_factory=lambda: Histogram("latency"))
     #: connect() -> both flows fully torn down (per-request classes).
     lifecycle: Histogram = field(default_factory=lambda: Histogram("lifecycle"))
@@ -186,7 +187,7 @@ class _Conn:
 
     __slots__ = (
         "cls", "a_flow", "b_flow", "state", "current", "send_remaining",
-        "resp_remaining", "arrival_s", "connect_s", "srv_expect",
+        "resp_remaining", "arrival_ps", "connect_ps", "srv_expect",
         "srv_send_remaining", "rounds_left", "dirty",
     )
 
@@ -198,9 +199,10 @@ class _Conn:
         self.current: Optional[Request] = None
         self.send_remaining = 0
         self.resp_remaining = 0
-        self.arrival_s = 0.0
-        self.connect_s = 0.0
-        #: [orig_request, request_remaining, response_bytes, arrival_s]
+        #: The current request's arrival and the connect() call, in ps.
+        self.arrival_ps = 0
+        self.connect_ps = 0
+        #: [orig_request, request_remaining, response_bytes, arrival_ps]
         self.srv_expect: Deque[list] = deque()
         self.srv_send_remaining = 0
         self.rounds_left = rounds_left
@@ -283,10 +285,9 @@ class LoadEngine:
         }
         self.schedule: List[Request] = scenario.schedule(load_scale)
         self._release_index = 0
-        #: (release index, first instant (ps) its release check admits).
-        self._release_memo = (-1, 0)
         self._outstanding = 0
-        self._start_s = 0.0
+        #: The instant (ps) the schedule's times count from.
+        self._start_ps = 0
         #: client ephemeral port -> conn awaiting its server-side accept.
         self._awaiting_accept: Dict[int, _Conn] = {}
         #: flow id -> conn, per side, so EngineMessages mark the right
@@ -305,14 +306,15 @@ class LoadEngine:
 
         for state in self.states.values():
             cls = state.cls
+            metrics: ClassMetrics = state.metrics
             if cls.open_loop:
                 scheduled = sum(1 for r in self.schedule if r.cls == cls.name)
-                state.metrics.offered = scheduled
-                state.metrics.offered_rps = scheduled / scenario.duration_s
+                metrics.offered = scheduled
+                metrics.offered_rps = scheduled / scenario.duration_s
             elif cls.lifecycle == PER_REQUEST:
-                state.metrics.offered = cls.transactions or 0
+                metrics.offered = cls.transactions or 0
             else:
-                state.metrics.offered = cls.connections * (cls.rounds or 0)
+                metrics.offered = cls.connections * (cls.rounds or 0)
 
     # ------------------------------------------------------------ lifecycle
     def run(
@@ -337,12 +339,12 @@ class LoadEngine:
                 raise TimeoutError(
                     f"{self.scenario.name}: connection pools failed to establish"
                 )
-        self._start_s = tb.now_s
+        self._start_ps = tb.time_ps
         if run_time_s is None:
             run_time_s = self.scenario.duration_s * 3 + 20e-3
         finished = tb.run(
             until=self._pump,
-            max_time_s=self._start_s + run_time_s,
+            max_time_s=tb.now_s + run_time_s,
             next_call_ps=self._next_call_ps,
         )
         if raise_on_incomplete and not finished:
@@ -370,7 +372,7 @@ class LoadEngine:
     def _connect(self, cls: TrafficClass, rounds_left: int = 0) -> _Conn:
         tb = self.testbed
         conn = _Conn(cls, rounds_left=rounds_left)
-        conn.connect_s = tb.now_s
+        conn.connect_ps = tb.time_ps
         conn.a_flow = tb.engine_a.connect(
             tb.engine_b.ip, self.scenario.server_port
         )
@@ -381,7 +383,7 @@ class LoadEngine:
         self.states[cls.name].metrics.connections_opened += 1
         if self.trace is not None:
             self.trace.emit(
-                tb.now_s * 1e12, "traffic", "load", "connect", conn.a_flow,
+                tb.time_ps, "traffic", "load", "connect", conn.a_flow,
                 f"{cls.name} port={client_port}",
             )
         return conn
@@ -422,12 +424,7 @@ class LoadEngine:
                 return self.testbed.time_ps
         best = NEVER  # nothing time-gated: engines and bounds limit the skip
         if self._release_index < len(self.schedule):
-            if self._release_memo[0] != self._release_index:
-                # The first instant the release check's own float
-                # comparison admits the arrival.
-                t = self._start_s + self.schedule[self._release_index].time_s
-                self._release_memo = (self._release_index, first_ps_at(t))
-            best = self._release_memo[1]
+            best = self._start_ps + self.schedule[self._release_index].time_ps
         if self.trace is not None:
             best = min(best, self._next_trace_sample_cycle * ENGINE_PERIOD_PS)
         if self.monitors:
@@ -443,7 +440,7 @@ class LoadEngine:
         if self.trace is not None and tb.cycle >= self._next_trace_sample_cycle:
             from ..obs.hooks import sample_occupancy
 
-            sample_occupancy(self.trace, tb, tb.now_s * 1e12)
+            sample_occupancy(self.trace, tb, tb.time_ps)
             self._next_trace_sample_cycle = tb.cycle + self.trace_sample_cycles
         self._poll_accepts()
         self._drain_host_messages()
@@ -535,10 +532,10 @@ class LoadEngine:
                 self._mark_dirty(conn)
 
     def _release_arrivals(self) -> None:
-        now = self.testbed.now_s
+        now = self.testbed.time_ps
         while self._release_index < len(self.schedule):
             request = self.schedule[self._release_index]
-            if self._start_s + request.time_s > now:
+            if self._start_ps + request.time_ps > now:
                 return
             self._release_index += 1
             self._outstanding += 1
@@ -550,7 +547,7 @@ class LoadEngine:
                     self._mark_dirty(conn)
             if self.trace is not None:
                 self.trace.emit(
-                    now * 1e12, "traffic", "load", "arrival", -1,
+                    now, "traffic", "load", "arrival", -1,
                     f"{request.cls} req={request.request_bytes} "
                     f"resp={request.response_bytes}",
                 )
@@ -568,10 +565,10 @@ class LoadEngine:
                     self._outstanding += 1
                 conn = self._connect(cls, rounds_left=0)
                 conn.current = request
-                conn.arrival_s = (
-                    self._start_s + request.time_s
+                conn.arrival_ps = (
+                    self._start_ps + request.time_ps
                     if cls.open_loop
-                    else self.testbed.now_s
+                    else self.testbed.time_ps
                 )
                 state.conns.append(conn)
         dirty = state.dirty
@@ -624,7 +621,7 @@ class LoadEngine:
     def _closed_loop_request(self, state: _ClassState) -> Request:
         cls = state.cls
         return Request(
-            time_s=self.testbed.now_s - self._start_s,
+            time_ps=self.testbed.time_ps - self._start_ps,
             cls=cls.name,
             request_bytes=max(1, cls.request.sample(state.req_rng)),
             response_bytes=max(0, cls.response.sample(state.resp_rng)),
@@ -656,17 +653,18 @@ class LoadEngine:
             gone_a = conn.a_flow not in tb.engine_a.flows
             gone_b = conn.b_flow not in tb.engine_b.flows
             if gone_a and gone_b:
-                state.metrics.lifecycle.record(tb.now_s - conn.connect_s)
+                lifecycle_ps = tb.time_ps - conn.connect_ps
+                state.metrics.lifecycle.record(lifecycle_ps / 1e12)
                 state.metrics.connections_closed += 1
                 state.metrics.completed += 1
                 self._outstanding -= 1
                 conn.state = _DONE
                 if self.trace is not None:
                     self.trace.emit(
-                        tb.now_s * 1e12, "traffic", "load", "closed",
+                        tb.time_ps, "traffic", "load", "closed",
                         conn.a_flow,
                         f"{state.cls.name} "
-                        f"lifecycle_us={(tb.now_s - conn.connect_s) * 1e6:.2f}",
+                        f"lifecycle_us={lifecycle_ps / 1e6:.2f}",
                     )
 
     @staticmethod
@@ -695,17 +693,17 @@ class LoadEngine:
         conn.send_remaining = request.request_bytes
         conn.resp_remaining = request.response_bytes
         if cls.open_loop:
-            conn.arrival_s = self._start_s + request.time_s
+            conn.arrival_ps = self._start_ps + request.time_ps
         elif cls.lifecycle != PER_REQUEST:
-            conn.arrival_s = self.testbed.now_s
+            conn.arrival_ps = self.testbed.time_ps
         conn.srv_expect.append(
             [request.request_bytes, request.request_bytes,
-             request.response_bytes, conn.arrival_s]
+             request.response_bytes, conn.arrival_ps]
         )
         conn.state = _SENDING
         if self.trace is not None:
             self.trace.emit(
-                self.testbed.now_s * 1e12, "traffic", "load", "issue",
+                self.testbed.time_ps, "traffic", "load", "issue",
                 conn.a_flow,
                 f"{cls.name} req={request.request_bytes} "
                 f"resp={request.response_bytes}",
@@ -758,7 +756,7 @@ class LoadEngine:
         request = conn.current
         self._complete(
             state, conn, request.request_bytes, request.response_bytes,
-            conn.arrival_s,
+            conn.arrival_ps,
         )
         if state.cls.lifecycle == PER_REQUEST:
             # Full teardown, both directions at once (as apps/shortconn
@@ -776,21 +774,21 @@ class LoadEngine:
         conn: _Conn,
         request_bytes: int,
         response_bytes: int,
-        arrival_s: float,
+        arrival_ps: int,
     ) -> None:
-        metrics = state.metrics
-        latency_s = self.testbed.now_s - arrival_s
-        metrics.latencies.record(latency_s)
+        metrics: ClassMetrics = state.metrics
+        latency_ps = self.testbed.time_ps - arrival_ps
+        metrics.latencies.record(latency_ps / 1e12)
         metrics.bytes_delivered += request_bytes + response_bytes
         if state.cls.lifecycle != PER_REQUEST:
             metrics.completed += 1
             self._outstanding -= 1
         if self.trace is not None:
             self.trace.emit(
-                arrival_s * 1e12, "traffic", "load", "complete",
+                arrival_ps, "traffic", "load", "complete",
                 conn.a_flow if conn.a_flow is not None else -1,
                 f"{state.cls.name} bytes={request_bytes + response_bytes}",
-                dur_ps=max(0.0, latency_s) * 1e12,
+                dur_ps=latency_ps,
             )
 
     def _all_done(self) -> bool:
@@ -806,9 +804,9 @@ class LoadEngine:
 
     # -------------------------------------------------------------- results
     def _result(self, finished: bool) -> ScenarioResult:
-        elapsed = max(self.testbed.now_s - self._start_s, 1e-12)
+        elapsed = max(self.testbed.time_ps - self._start_ps, 1) / 1e12
         for state in self.states.values():
-            metrics = state.metrics
+            metrics: ClassMetrics = state.metrics
             metrics.achieved_rps = metrics.completed / elapsed
             metrics.goodput_gbps = metrics.bytes_delivered * 8 / elapsed / 1e9
         violations = [

@@ -99,7 +99,8 @@ class Impairments:
 class Request:
     """One concrete scheduled request of an open-loop class."""
 
-    time_s: float
+    #: Arrival instant in ps, counted from the start of the run.
+    time_ps: int
     cls: str
     request_bytes: int
     response_bytes: int
@@ -154,14 +155,14 @@ class Scenario:
             for t in times:
                 requests.append(
                     Request(
-                        time_s=t,
+                        time_ps=t,
                         cls=cls.name,
                         request_bytes=max(1, cls.request.sample(req_rng)),
                         response_bytes=max(0, cls.response.sample(resp_rng)),
                         index=0,  # re-indexed after the merge sort below
                     )
                 )
-        requests.sort(key=lambda r: (r.time_s, r.cls))
+        requests.sort(key=lambda r: (r.time_ps, r.cls))
         return [replace(r, index=i) for i, r in enumerate(requests)]
 
     def split(self, cells: Optional[int] = None) -> List["Scenario"]:

@@ -41,7 +41,7 @@ class TestValidBitInjection:
         """A valid bit set without an accumulate = FPU reads garbage."""
         san = RaceSanitizer()
         fpc = make_fpc(san)
-        fpc.offer_event(user_send_event(0, 100, 0.0))
+        fpc.offer_event(user_send_event(0, 100, 0))
         assert run_until(fpc, lambda: fpc.events_accepted == 1)
         # Corrupt the event table out-of-band: set SACK-valid even
         # though no SACK event was ever handled.
@@ -58,7 +58,7 @@ class TestValidBitInjection:
         """A cleared bit after an accumulate = the update silently drops."""
         san = RaceSanitizer()
         fpc = make_fpc(san)
-        fpc.offer_event(user_send_event(0, 100, 0.0))
+        fpc.offer_event(user_send_event(0, 100, 0))
         assert run_until(fpc, lambda: fpc.events_accepted == 1)
         slot = fpc.cam.try_lookup(0)
         fpc.event_table.read(slot).valid = 0  # drop every accumulated bit
@@ -82,7 +82,7 @@ class TestDualWriterInjection:
         """A slot handed to a swap-in while the FPU writes it back."""
         san = RaceSanitizer()
         fpc = make_fpc(san)
-        fpc.offer_event(user_send_event(0, 100, 0.0))
+        fpc.offer_event(user_send_event(0, 100, 0))
         before = fpc.tcbs_processed
         assert run_until(fpc, lambda: fpc.tcbs_processed > before)
         assert san.ok

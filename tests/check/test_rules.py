@@ -292,8 +292,19 @@ class TestHeapKeyOrder:
             "def f(heap, t, pkt):\n"
             "    heapq.heappush(heap, (t * 1.5, pkt))\n"
         )
-        # net/tcp/refsim keep float seconds by design (F4T007 scope).
-        assert lint_in_layer(ok, layer="net") == []
+        # refsim keeps float seconds by design: it is the independent
+        # reference, outside CLOCKED_LAYERS.
+        assert lint_in_layer(ok, layer="refsim") == []
+
+    def test_float_timer_key_flagged_in_tcp(self):
+        # The TCP core keeps integer-ps deadlines: a float heap key in
+        # repro/tcp/ (the old float TimerWheel) is flagged.
+        bad = (
+            "import heapq\n\n"
+            "def arm(heap, deadline_s, gen, flow_id):\n"
+            "    heapq.heappush(heap, (float(deadline_s), gen, flow_id))\n"
+        )
+        assert ids(lint_in_layer(bad, layer="tcp")) == ["F4T010"]
 
     def test_sort_key_lambda_checked(self):
         bad = (

@@ -9,11 +9,9 @@ replaced, and :func:`work_cycle` must equal the published value
 whenever the loop could read it.
 """
 
-import math
-
 from repro.engine.ftengine import ENGINE_PERIOD_PS, FtEngine
 from repro.engine.testbed import Testbed
-from repro.sim.component import first_ps_at
+from repro.sim.component import NEVER
 
 
 def work_cycle(engine) -> int:
@@ -36,8 +34,10 @@ def work_cycle(engine) -> int:
         while k * ENGINE_PERIOD_PS < arrival_ps:
             k += 1
         best = min(best, k)
-    if engine.timers.earliest_hint != math.inf:
-        hint_ps = first_ps_at(engine.timers.earliest_hint)
+    hint_ps = engine.timers.earliest_hint
+    if hint_ps != NEVER:
+        # The first cycle whose timer check, ``hint <= cycle * period``,
+        # passes.
         best = min(best, -(-hint_ps // ENGINE_PERIOD_PS))
     return cycle + 1 if best <= cycle else best
 

@@ -10,6 +10,7 @@ declared, so the horizon loop must land on the same history.
 
 from repro.engine.ftengine import ENGINE_PERIOD_PS
 from repro.engine.testbed import Testbed
+from repro.sim.component import seconds_to_ps
 
 
 def step(testbed) -> None:
@@ -22,7 +23,7 @@ def step(testbed) -> None:
 
 def run_per_cycle(testbed, until, max_time_s=1.0, **_declared):
     """``Testbed.run`` by brute force; True as soon as ``until()`` holds."""
-    max_time_ps = max_time_s * 1e12
+    max_time_ps = seconds_to_ps(max_time_s)
     while not until():
         if testbed.cycle * ENGINE_PERIOD_PS >= max_time_ps:
             return False

@@ -60,7 +60,7 @@ class Rig:
         if op == "send":
             # New data: a DRAM flow's check logic asks for a swap-in.
             self.sent += 1
-            self.scheduler.submit(user_send_event(flow_id, self.sent, 0.0))
+            self.scheduler.submit(user_send_event(flow_id, self.sent, 0))
         elif op == "dup":
             # Never coalesces, never makes a DRAM flow sendable.
             self.scheduler.submit(
@@ -231,7 +231,7 @@ class TestBlockHorizons:
         rig = Rig(latency=14, interval=2)
         scheduler = rig.scheduler
         scheduler.lut.set(0, (Location.MOVING, 0))  # as a migration leaves it
-        scheduler.submit(user_send_event(0, 1, 0.0))
+        scheduler.submit(user_send_event(0, 1, 0))
         assert scheduler.next_action <= rig.cycle + 1  # the next tick
         rig.step_gated()  # routed into the pending queue
         assert scheduler.next_action == rig.cycle + PENDING_RETRY_CYCLES

@@ -43,7 +43,7 @@ def run_system(script, coalescing: bool):
     for flow_id, kind, amount in script:
         if kind == "send":
             pointers[flow_id] += amount
-            event = user_send_event(flow_id, pointers[flow_id], 0.0)
+            event = user_send_event(flow_id, pointers[flow_id], 0)
         elif kind == "wnd":
             event = TcpEvent(EventKind.RX_PACKET, flow_id, wnd=amount)
         else:

@@ -101,7 +101,7 @@ def make_parser(listening=False):
         created[flow_id] = key
         return flow_id
 
-    parser = RxParser(now_fn=lambda: 1.0, passive_open=passive_open)
+    parser = RxParser(passive_open=passive_open)
     return parser, created
 
 
@@ -118,24 +118,24 @@ class TestRxParserLookup:
     def test_known_flow_resolved(self):
         parser, _ = make_parser()
         parser.register_flow(KEY, 7, rcv_nxt=0)
-        event = parser.parse(incoming(ack=123))
+        event = parser.parse(incoming(ack=123), 0)
         assert event is not None and event.flow_id == 7
 
     def test_unknown_flow_dropped(self):
         parser, _ = make_parser()
-        assert parser.parse(incoming(ack=1)) is None
+        assert parser.parse(incoming(ack=1), 0) is None
         assert parser.packets_dropped_no_flow == 1
 
     def test_passive_open_on_syn(self):
         parser, created = make_parser(listening=True)
-        event = parser.parse(incoming(seq=555, flags=FLAG_SYN, ack=0))
+        event = parser.parse(incoming(seq=555, flags=FLAG_SYN, ack=0), 0)
         assert event is not None
         assert event.syn and event.irs == 555
         assert len(created) == 1
 
     def test_non_syn_does_not_create_flows(self):
         parser, created = make_parser(listening=True)
-        assert parser.parse(incoming(ack=5)) is None
+        assert parser.parse(incoming(ack=5), 0) is None
         assert not created
 
 
@@ -144,7 +144,7 @@ class TestRxParserDataPath:
         parser, _ = make_parser()
         parser.register_flow(KEY, 7, rcv_nxt=0)
         parser.set_initial_rcv_nxt(7, 100)
-        event = parser.parse(incoming(seq=100, payload=b"hello"))
+        event = parser.parse(incoming(seq=100, payload=b"hello"), 0)
         assert event.rcv_nxt == 105
         assert event.ack_needed
         notes = parser.drain_notifications()
@@ -155,7 +155,7 @@ class TestRxParserDataPath:
         parser, _ = make_parser()
         parser.register_flow(KEY, 7, rcv_nxt=0)
         parser.set_initial_rcv_nxt(7, 100)
-        event = parser.parse(incoming(seq=200, payload=b"late"))
+        event = parser.parse(incoming(seq=200, payload=b"late"), 0)
         assert not event.coalescible
         assert event.ack_needed  # duplicate ACK must go out
         assert parser.out_of_order_packets == 1
@@ -164,8 +164,8 @@ class TestRxParserDataPath:
         parser, _ = make_parser()
         parser.register_flow(KEY, 7, rcv_nxt=0)
         parser.set_initial_rcv_nxt(7, 0)
-        parser.parse(incoming(seq=5, payload=b"world"))
-        event = parser.parse(incoming(seq=0, payload=b"hello"))
+        parser.parse(incoming(seq=5, payload=b"world"), 0)
+        event = parser.parse(incoming(seq=0, payload=b"hello"), 0)
         assert event.rcv_nxt == 10
         assert parser.read(7, 10) == b"helloworld"
 
@@ -178,29 +178,29 @@ class TestDupAckDetection:
 
     def test_repeat_ack_counts_as_duplicate(self):
         parser = self.setup_flow()
-        parser.parse(incoming(ack=100))
-        event = parser.parse(incoming(ack=100))
+        parser.parse(incoming(ack=100), 0)
+        event = parser.parse(incoming(ack=100), 0)
         assert event.dup_incr == 1
         assert parser.dup_acks_detected == 1
 
     def test_advancing_ack_is_not_duplicate(self):
         parser = self.setup_flow()
-        parser.parse(incoming(ack=100))
-        event = parser.parse(incoming(ack=200))
+        parser.parse(incoming(ack=100), 0)
+        event = parser.parse(incoming(ack=200), 0)
         assert event.dup_incr == 0
         assert event.ack == 200
 
     def test_window_update_is_not_duplicate(self):
         parser = self.setup_flow()
-        parser.parse(incoming(ack=100, window=1000))
-        event = parser.parse(incoming(ack=100, window=5000))
+        parser.parse(incoming(ack=100, window=1000), 0)
+        event = parser.parse(incoming(ack=100, window=5000), 0)
         assert event.dup_incr == 0
 
     def test_data_bearing_repeat_is_not_duplicate(self):
         parser = self.setup_flow()
         parser.set_initial_rcv_nxt(7, 0)
-        parser.parse(incoming(ack=100))
-        event = parser.parse(incoming(ack=100, seq=0, payload=b"x"))
+        parser.parse(incoming(ack=100), 0)
+        event = parser.parse(incoming(ack=100, seq=0, payload=b"x"), 0)
         assert event.dup_incr == 0
 
 
@@ -213,7 +213,7 @@ class TestFinAndRst:
 
     def test_in_order_fin(self):
         parser = self.setup_flow()
-        event = parser.parse(incoming(seq=100, flags=FLAG_ACK | FLAG_FIN))
+        event = parser.parse(incoming(seq=100, flags=FLAG_ACK | FLAG_FIN), 0)
         assert event.fin
         assert event.rcv_nxt == 101  # FIN consumes one sequence number
         assert any(n.eof for n in parser.drain_notifications())
@@ -221,33 +221,33 @@ class TestFinAndRst:
     def test_fin_after_payload_in_same_segment(self):
         parser = self.setup_flow()
         event = parser.parse(
-            incoming(seq=100, payload=b"bye", flags=FLAG_ACK | FLAG_FIN)
+            incoming(seq=100, payload=b"bye", flags=FLAG_ACK | FLAG_FIN), 0
         )
         assert event.fin
         assert event.rcv_nxt == 104
 
     def test_out_of_order_fin_waits_for_data(self):
         parser = self.setup_flow()
-        first = parser.parse(incoming(seq=105, flags=FLAG_ACK | FLAG_FIN))
+        first = parser.parse(incoming(seq=105, flags=FLAG_ACK | FLAG_FIN), 0)
         assert not first.fin  # hole at 100..105 not yet filled
-        second = parser.parse(incoming(seq=100, payload=b"hello"))
+        second = parser.parse(incoming(seq=100, payload=b"hello"), 0)
         assert second.fin
         assert second.rcv_nxt == 106
 
     def test_retransmitted_fin_reacked(self):
         parser = self.setup_flow()
-        parser.parse(incoming(seq=100, flags=FLAG_ACK | FLAG_FIN))
-        again = parser.parse(incoming(seq=100, flags=FLAG_ACK | FLAG_FIN))
+        parser.parse(incoming(seq=100, flags=FLAG_ACK | FLAG_FIN), 0)
+        again = parser.parse(incoming(seq=100, flags=FLAG_ACK | FLAG_FIN), 0)
         assert again.ack_needed
         assert not again.fin  # EOF reported once
 
     def test_rst(self):
         parser = self.setup_flow()
-        event = parser.parse(incoming(flags=FLAG_RST))
+        event = parser.parse(incoming(flags=FLAG_RST), 0)
         assert event.rst
         assert not event.coalescible
 
     def test_deregister(self):
         parser = self.setup_flow()
         parser.deregister_flow(KEY, 7)
-        assert parser.parse(incoming(ack=1)) is None
+        assert parser.parse(incoming(ack=1), 0) is None

@@ -24,15 +24,15 @@ class TestAccumulation:
     def test_pointer_overwrite(self):
         """The paper's walk-through: REQ 1000 then +300 B -> REQ 1300."""
         entry = EventEntry()
-        accumulate_event(entry, user_send_event(1, 1000, 0.0))
-        accumulate_event(entry, user_send_event(1, 1300, 0.1))
+        accumulate_event(entry, user_send_event(1, 1000, 0))
+        accumulate_event(entry, user_send_event(1, 1300, 100 * 10**9))
         assert entry.req == 1300
         assert entry.valid & V_REQ
 
     def test_pointers_never_regress(self):
         entry = EventEntry()
-        accumulate_event(entry, user_send_event(1, 1300, 0.0))
-        accumulate_event(entry, user_send_event(1, 1000, 0.1))
+        accumulate_event(entry, user_send_event(1, 1300, 0))
+        accumulate_event(entry, user_send_event(1, 1000, 100 * 10**9))
         assert entry.req == 1300
 
     def test_window_keeps_last_value(self):
@@ -72,7 +72,7 @@ class TestAccumulation:
         the entry holds exactly the furthest request pointer."""
         entry = EventEntry()
         for pointer in pointers:
-            accumulate_event(entry, user_send_event(1, pointer, 0.0))
+            accumulate_event(entry, user_send_event(1, pointer, 0))
         assert entry.req == max(pointers)
 
 
@@ -80,16 +80,16 @@ class TestEventHandlerOverTable:
     def test_handle_creates_and_reuses_entries(self):
         table = DualPortSRAM(4)
         handler = EventHandler(table)
-        handler.handle(2, user_send_event(1, 100, 0.0))
-        handler.handle(2, user_send_event(1, 200, 0.1))
+        handler.handle(2, user_send_event(1, 100, 0))
+        handler.handle(2, user_send_event(1, 200, 100 * 10**9))
         assert table.read(2).req == 200
         assert handler.events_handled == 2
 
     def test_slots_are_independent(self):
         table = DualPortSRAM(4)
         handler = EventHandler(table)
-        handler.handle(0, user_send_event(1, 100, 0.0))
-        handler.handle(1, user_send_event(2, 999, 0.0))
+        handler.handle(0, user_send_event(1, 100, 0))
+        handler.handle(1, user_send_event(2, 999, 0))
         assert table.read(0).req == 100
         assert table.read(1).req == 999
 
@@ -107,7 +107,7 @@ class TestMergeIntoTcb:
         constructed TCB (80, 60, 40), valid bits cleared."""
         tcb = self.make_tcb()
         entry = EventEntry()
-        accumulate_event(entry, user_send_event(1, 80, 0.0))
+        accumulate_event(entry, user_send_event(1, 80, 0))
         merge_into_tcb(tcb, entry)
         assert tcb.req == 80
         assert tcb.snd_nxt == 60
@@ -156,7 +156,7 @@ class TestMergeIntoTcb:
 
     def test_copy_entry_isolated(self):
         entry = EventEntry()
-        accumulate_event(entry, user_send_event(1, 500, 0.0))
+        accumulate_event(entry, user_send_event(1, 500, 0))
         clone = copy_entry(entry)
         merge_into_tcb(self.make_tcb(), clone)  # clears the clone
         assert entry.valid & V_REQ  # original untouched (check logic)

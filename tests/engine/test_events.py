@@ -12,16 +12,16 @@ from repro.engine.events import (
 class TestConstructors:
     def test_send_event_carries_pointer_not_length(self):
         """§4.2.1: the library sends the pointer itself (e.g. 1300)."""
-        event = user_send_event(5, 1300, now_s=1.0)
+        event = user_send_event(5, 1300, now_ps=10**12)
         assert event.kind is EventKind.USER_REQ
         assert event.req == 1300
 
     def test_recv_event(self):
-        event = user_recv_event(5, 900, now_s=1.0)
+        event = user_recv_event(5, 900, now_ps=10**12)
         assert event.rcv_user == 900
 
     def test_timeout_event(self):
-        event = timeout_event(3, now_s=2.0)
+        event = timeout_event(3, now_ps=2 * 10**12)
         assert event.kind is EventKind.TIMEOUT
         assert event.timeout
 
@@ -30,20 +30,20 @@ class TestCoalescing:
     """§4.4.1: coalesce only if no information is lost."""
 
     def test_user_requests_always_coalesce(self):
-        first = user_send_event(1, 1000, 0.0)
-        later = user_send_event(1, 1300, 0.1)
+        first = user_send_event(1, 1000, 0)
+        later = user_send_event(1, 1300, 100 * 10**9)
         assert first.information_preserving_merge(later)
         assert first.req == 1300  # overwritten with the newer pointer
 
     def test_pointer_merge_keeps_later_value_even_if_out_of_order(self):
-        first = user_send_event(1, 1300, 0.0)
-        later = user_send_event(1, 1000, 0.1)
+        first = user_send_event(1, 1300, 0)
+        later = user_send_event(1, 1000, 100 * 10**9)
         assert first.information_preserving_merge(later)
         assert first.req == 1300  # cumulative pointers never regress
 
     def test_different_flows_never_coalesce(self):
-        first = user_send_event(1, 100, 0.0)
-        later = user_send_event(2, 200, 0.1)
+        first = user_send_event(1, 100, 0)
+        later = user_send_event(2, 200, 100 * 10**9)
         assert not first.information_preserving_merge(later)
 
     def test_duplicate_acks_never_coalesce(self):
@@ -73,17 +73,17 @@ class TestCoalescing:
         assert first.fin
 
     def test_timeout_flag_merges(self):
-        first = user_send_event(1, 100, 0.0)
-        later = timeout_event(1, 0.5)
+        first = user_send_event(1, 100, 0)
+        later = timeout_event(1, 500 * 10**9)
         assert first.information_preserving_merge(later)
         assert first.timeout
         assert first.req == 100
 
     def test_timestamp_keeps_latest(self):
-        first = user_send_event(1, 100, 1.0)
-        later = user_send_event(1, 200, 2.0)
+        first = user_send_event(1, 100, 10**12)
+        later = user_send_event(1, 200, 2 * 10**12)
         first.information_preserving_merge(later)
-        assert first.timestamp == 2.0
+        assert first.timestamp == 2 * 10**12
 
     def test_merged_event_equivalent_to_sequence(self):
         """Coalescing N send requests == one request for the total."""

@@ -43,7 +43,7 @@ class TestResidency:
 
     def test_coldest_flow(self):
         fpc = make_fpc()
-        for flow_id, when in ((1, 5.0), (2, 1.0), (3, 9.0)):
+        for flow_id, when in ((1, 5000), (2, 1000), (3, 9000)):
             tcb = Tcb(flow_id=flow_id, last_active=when)
             fpc.accept_tcb(tcb)
         assert fpc.coldest_flow() == 2
@@ -57,7 +57,7 @@ class TestEventProcessingRate:
         offered = 0
         for cycle in range(1000):
             if not fpc.input.full:
-                fpc.offer_event(user_send_event(offered % 4, offered + 1, 0.0))
+                fpc.offer_event(user_send_event(offered % 4, offered + 1, 0))
                 offered += 1
             fpc.tick()
             fpc.drain_results()
@@ -71,7 +71,7 @@ class TestEventProcessingRate:
             install_flows(fpc, 1)
             for i in range(2000):
                 if not fpc.input.full:
-                    fpc.offer_event(user_send_event(0, i + 1, 0.0))
+                    fpc.offer_event(user_send_event(0, i + 1, 0))
                 fpc.tick()
                 fpc.drain_results()
             rates.append(fpc.events_accepted)
@@ -82,7 +82,7 @@ class TestEventProcessingRate:
         install_flows(fpc, 1)
         for i in range(200):
             if not fpc.input.full:
-                fpc.offer_event(user_send_event(0, i + 1, 0.0))
+                fpc.offer_event(user_send_event(0, i + 1, 0))
             fpc.tick()
             fpc.drain_results()
         # Events kept flowing in at ~1/2 cycles even though the FPU
@@ -99,7 +99,7 @@ class TestHazardFreedom:
         max_inflight_same_flow = 0
         for i in range(500):
             if not fpc.input.full:
-                fpc.offer_event(user_send_event(i % 2, i + 1, 0.0))
+                fpc.offer_event(user_send_event(i % 2, i + 1, 0))
             fpc.tick()
             fpc.drain_results()
             # Pipeline entries are (issue_cycle, (slot, tcb, dup)).
@@ -115,11 +115,11 @@ class TestHazardFreedom:
         (dual-memory invariant 2)."""
         fpc = make_fpc(latency=30)
         install_flows(fpc, 1)
-        fpc.offer_event(user_send_event(0, 100, 0.0))
+        fpc.offer_event(user_send_event(0, 100, 0))
         # Let it dispatch, then inject another event mid-pipeline.
         for _ in range(6):
             fpc.tick()
-        fpc.offer_event(user_send_event(0, 999, 0.0))
+        fpc.offer_event(user_send_event(0, 999, 0))
         for _ in range(80):
             fpc.tick()
             fpc.drain_results()
@@ -154,7 +154,7 @@ class TestEviction:
         install_flows(fpc, 1)
         # Queue several events, then immediately request eviction.
         for i in range(5):
-            fpc.offer_event(user_send_event(0, 100 + i, 0.0))
+            fpc.offer_event(user_send_event(0, 100 + i, 0))
         fpc.request_evict(0)
         evicted = []
         for _ in range(200):
@@ -173,7 +173,7 @@ class TestEviction:
         when the stale pipeline copy is written back."""
         fpc = make_fpc(latency=14)
         install_flows(fpc, 1)
-        fpc.offer_event(user_send_event(0, 100, 0.0))
+        fpc.offer_event(user_send_event(0, 100, 0))
         # Tick until the TCB is inside the pipeline, then request evict:
         # the flag lands on the table image while a pre-request clone is
         # in flight.
@@ -209,9 +209,9 @@ class TestBackpressure:
         fpc = make_fpc(slots=4)
         install_flows(fpc, 1)
         while not fpc.input.full:
-            fpc.offer_event(user_send_event(0, 1, 0.0))
+            fpc.offer_event(user_send_event(0, 1, 0))
         assert fpc.backpressure
-        assert not fpc.offer_event(user_send_event(0, 1, 0.0))
+        assert not fpc.offer_event(user_send_event(0, 1, 0))
 
 # ------------------------------------------------------ the work horizon
 _OPS = st.lists(
@@ -281,7 +281,7 @@ def _state(fpc):
 def _apply(fpc, op, flow_id, pending, sequence, parked, fresh):
     """One scheduler-side call into the FPC (its entry points)."""
     if op == "event" and not fpc.input.full:
-        fpc.offer_event(user_send_event(flow_id % 3, sequence, 0.0))
+        fpc.offer_event(user_send_event(flow_id % 3, sequence, 0))
     elif op == "evict":
         fpc.request_evict(flow_id % 3)
     elif op == "accept" and fpc.has_room:
@@ -353,7 +353,7 @@ class TestWorkHorizon:
         fpc, clock = owned_fpc()
         install_flows(fpc, 1)
         clock.cycle = 1
-        fpc.offer_event(user_send_event(0, 1, 0.0))
+        fpc.offer_event(user_send_event(0, 1, 0))
         assert fpc.next_action == 2  # the owner skips this odd cycle
         clock.cycle = 2
         fpc.tick()
@@ -364,11 +364,11 @@ class TestWorkHorizon:
     def test_in_flight_flow_waits_for_its_retire(self):
         fpc = make_fpc(latency=14)
         install_flows(fpc, 1)
-        fpc.offer_event(user_send_event(0, 1, 0.0))
+        fpc.offer_event(user_send_event(0, 1, 0))
         for _ in range(3):
             fpc.tick()
         assert 0 in fpc._in_flight  # issued on cycle 3
-        fpc.offer_event(user_send_event(0, 2, 0.0))
+        fpc.offer_event(user_send_event(0, 2, 0))
         fpc.tick()  # cycle 4 handles it; flow 0 re-queued but in flight
         assert list(fpc._dispatch_queue) == [0]
         assert fpc.next_action == 3 + 14

@@ -78,7 +78,7 @@ class TestReordering:
         rng = random.Random(9)
         wire = Wire(
             delay_a_to_b=lambda frame, index: (
-                3e6 if rng.random() < 0.05 else 0.0  # 3 us extra, 5% of frames
+                3_000_000 if rng.random() < 0.05 else 0  # 3 us extra, 5% of frames
             )
         )
         testbed = Testbed(wire=wire)
@@ -93,7 +93,7 @@ class TestReordering:
         rng = random.Random(10)
         wire = Wire(
             drop_a_to_b=LossPattern.probability(0.02, seed=12),
-            delay_a_to_b=lambda f, i: 2e6 if rng.random() < 0.04 else 0.0,
+            delay_a_to_b=lambda f, i: 2_000_000 if rng.random() < 0.04 else 0,
         )
         testbed = Testbed(wire=wire)
         a_flow, b_flow = testbed.establish()

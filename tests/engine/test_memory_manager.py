@@ -51,7 +51,7 @@ class TestEventHandling:
         manager, _ = make_manager()
         tcb = Tcb(flow_id=1, state=TcpState.ESTABLISHED)
         manager.store(tcb)
-        manager.handle_event(user_send_event(1, 5000, 0.0))
+        manager.handle_event(user_send_event(1, 5000, 0))
         assert tcb.snd_nxt == 0  # untouched: no TCP processing here
         _, entry = manager.take(1)
         assert entry.req == 5000  # but the information is retained
@@ -75,7 +75,7 @@ class TestEventHandling:
         scheduler.register_new_flow(Tcb(flow_id=0))  # takes the one slot
         scheduler.register_new_flow(Tcb(flow_id=1))  # lives in DRAM
         clock.cycle += 1
-        scheduler.submit(user_send_event(1, 100, 0.0))
+        scheduler.submit(user_send_event(1, 100, 0))
         scheduler.tick()
         assert len(manager.input) == 1  # routed to the memory manager
         scheduler.deregister_flow(0)
@@ -92,14 +92,14 @@ class TestEventHandling:
     def test_a_stand_alone_manager_refuses_an_event_for_an_absent_flow(self):
         manager, _ = make_manager()
         with pytest.raises(KeyError):
-            manager.handle_event(user_send_event(9, 1, 0.0))
+            manager.handle_event(user_send_event(9, 1, 0))
         assert manager.events_handled == 0
 
     def test_events_accumulate(self):
         manager, _ = make_manager()
         manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
         for pointer in (100, 300, 200):
-            manager.handle_event(user_send_event(1, pointer, 0.0))
+            manager.handle_event(user_send_event(1, pointer, 0))
         _, entry = manager.take(1)
         assert entry.req == 300
 
@@ -108,7 +108,7 @@ class TestCheckLogic:
     def test_sendable_flow_requests_swap_in(self):
         manager, _ = make_manager()
         manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
-        manager.handle_event(user_send_event(1, 1000, 0.0))
+        manager.handle_event(user_send_event(1, 1000, 0))
         assert manager.drain_swap_in_requests() == [1]
 
     def test_unsendable_flow_waits_in_dram(self):
@@ -123,15 +123,15 @@ class TestCheckLogic:
         manager, _ = make_manager()
         tcb = Tcb(flow_id=1, state=TcpState.ESTABLISHED)
         manager.store(tcb)
-        manager.handle_event(user_send_event(1, 1000, 0.0))
+        manager.handle_event(user_send_event(1, 1000, 0))
         _, entry = manager.take(1)
         assert entry.valid != 0  # events still pending, not consumed
 
     def test_swap_in_requested_once(self):
         manager, _ = make_manager()
         manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
-        manager.handle_event(user_send_event(1, 1000, 0.0))
-        manager.handle_event(user_send_event(1, 2000, 0.0))
+        manager.handle_event(user_send_event(1, 1000, 0))
+        manager.handle_event(user_send_event(1, 2000, 0))
         assert manager.drain_swap_in_requests() == [1]
 
 
@@ -221,7 +221,7 @@ class TestCacheAccounting:
         manager, dram = make_manager(cache_entries=8)
         manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
         requests_after_store = dram.requests
-        manager.handle_event(user_send_event(1, 10, 0.0))  # hit: cached
+        manager.handle_event(user_send_event(1, 10, 0))  # hit: cached
         assert dram.requests == requests_after_store
         assert manager.cache_hits >= 1
 
@@ -231,15 +231,15 @@ class TestCacheAccounting:
         manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
         manager.store(Tcb(flow_id=5, state=TcpState.ESTABLISHED))
         baseline = dram.requests
-        manager.handle_event(user_send_event(1, 10, 0.0))  # miss
-        manager.handle_event(user_send_event(5, 10, 0.0))  # miss again
+        manager.handle_event(user_send_event(1, 10, 0))  # miss
+        manager.handle_event(user_send_event(5, 10, 0))  # miss again
         assert dram.requests > baseline
         assert manager.cache_misses >= 2
 
     def test_tick_stalls_while_dram_busy(self):
         manager, dram = make_manager(memory="ddr4")
         manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
-        manager.offer_event(user_send_event(1, 10, 0.0))
+        manager.offer_event(user_send_event(1, 10, 0))
         dram.busy_until_ps = 1e12  # channel artificially saturated
         manager.tick()
         assert manager.events_handled == 0  # stalled, not dropped

@@ -61,7 +61,7 @@ def materialize(script):
     for kind, amount in script:
         if kind == "send":
             req = seq_add(req, amount)
-            events.append(user_send_event(1, req, 0.0))
+            events.append(user_send_event(1, req, 0))
         else:
             new_ack = seq_add(acked, amount)
             if seq_lt(ack_ceiling, new_ack):
@@ -80,7 +80,7 @@ def run_immediate(events):
         entry = EventEntry()
         accumulate_event(entry, event)
         dup = merge_into_tcb(tcb, entry)
-        result = fpu.process(tcb, dup, now_s=0.0)
+        result = fpu.process(tcb, dup, now_ps=0)
         sent.extend(
             (d.seq, d.length) for d in result.directives if d.length > 0
         )
@@ -95,7 +95,7 @@ def run_accumulated(events):
     for event in events:
         accumulate_event(entry, event)
     dup = merge_into_tcb(tcb, entry)
-    result = fpu.process(tcb, dup, now_s=0.0)
+    result = fpu.process(tcb, dup, now_ps=0)
     sent = [(d.seq, d.length) for d in result.directives if d.length > 0]
     return tcb, sent
 
@@ -144,9 +144,9 @@ class TestAccumulationEquivalence:
             accumulate_event(entry, event)
             if (index + 1) % batch == 0:
                 dup = merge_into_tcb(tcb, entry)
-                fpu.process(tcb, dup, now_s=0.0)
+                fpu.process(tcb, dup, now_ps=0)
         dup = merge_into_tcb(tcb, entry)
-        fpu.process(tcb, dup, now_s=0.0)
+        fpu.process(tcb, dup, now_ps=0)
 
         reference, _ = run_immediate(events)
         assert tcb.req == reference.req
@@ -163,13 +163,13 @@ class TestDupAckEquivalence:
         # Accumulated: one pass with dup_count.
         fpu_a = Fpu("newreno")
         tcb_a = established_tcb()
-        result_a = fpu_a.process(tcb_a, dup_count, now_s=0.0)
+        result_a = fpu_a.process(tcb_a, dup_count, now_ps=0)
         # Immediate: one pass per dupACK.
         fpu_b = Fpu("newreno")
         tcb_b = established_tcb()
         retransmissions = 0
         for _ in range(dup_count):
-            result = fpu_b.process(tcb_b, 1, now_s=0.0)
+            result = fpu_b.process(tcb_b, 1, now_ps=0)
             retransmissions += sum(1 for d in result.directives if d.retransmission)
         assert tcb_a.in_recovery == tcb_b.in_recovery
         assert tcb_a.dupacks == tcb_b.dupacks
@@ -201,7 +201,7 @@ class TestEndToEndDeliveryProperty:
         rng = random.Random(seed)
         wire = Wire(
             drop_a_to_b=LossPattern.probability(loss, seed=seed),
-            delay_a_to_b=lambda f, i, _r=rng: 2e6 if _r.random() < 0.03 else 0.0,
+            delay_a_to_b=lambda f, i, _r=rng: 2_000_000 if _r.random() < 0.03 else 0,
         )
         testbed = Testbed(wire=wire)
         a_flow, b_flow = testbed.establish(max_time_s=10.0)

@@ -69,7 +69,7 @@ class TestSackRetransmission:
         # Segments 2 and 5 lost: blocks cover [3,5) and [6,10).
         s = lambda k: seq_add(tcb.snd_una, k * MSS)
         tcb.sacked = [(s(2), s(4)), (s(5), s(9))]
-        result = fpu.process(tcb, 3, now_s=0.01)
+        result = fpu.process(tcb, 3, now_ps=10 * 10**9)
         retransmitted = [
             (d.seq, d.length) for d in result.directives if d.retransmission
         ]
@@ -83,9 +83,9 @@ class TestSackRetransmission:
         tcb = established(flight_segments=10)
         s = lambda k: seq_add(tcb.snd_una, k * MSS)
         tcb.sacked = [(s(1), s(3)), (s(4), s(9))]
-        first = fpu.process(tcb, 3, now_s=0.01)
+        first = fpu.process(tcb, 3, now_ps=10 * 10**9)
         first_rtx = [d.seq for d in first.directives if d.retransmission]
-        second = fpu.process(tcb, 1, now_s=0.011)
+        second = fpu.process(tcb, 1, now_ps=11 * 10**9)
         second_rtx = [d.seq for d in second.directives if d.retransmission]
         # The second pass does not resend what the first already did.
         assert not set(first_rtx) & set(second_rtx)
@@ -93,7 +93,7 @@ class TestSackRetransmission:
     def test_without_sack_falls_back_to_first_segment(self):
         fpu = Fpu()
         tcb = established(flight_segments=10)
-        result = fpu.process(tcb, 3, now_s=0.01)
+        result = fpu.process(tcb, 3, now_ps=10 * 10**9)
         rtx = [d for d in result.directives if d.retransmission]
         assert len(rtx) == 1
         assert rtx[0].seq == tcb.snd_una

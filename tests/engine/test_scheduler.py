@@ -73,7 +73,7 @@ class TestRouting:
     def test_events_reach_the_owning_fpc(self):
         scheduler, fpcs, _ = make_system(num_fpcs=2)
         scheduler.register_new_flow(Tcb(flow_id=0, state=TcpState.ESTABLISHED))
-        assert scheduler.submit(user_send_event(0, 100, 0.0))
+        assert scheduler.submit(user_send_event(0, 100, 0))
         spin(scheduler, fpcs, 10)
         owner = next(f for f in fpcs if f.peek_tcb(0) is not None)
         assert owner.events_accepted == 1
@@ -82,14 +82,14 @@ class TestRouting:
         scheduler, fpcs, manager = make_system(num_fpcs=1, slots=1)
         scheduler.register_new_flow(Tcb(flow_id=0))
         scheduler.register_new_flow(Tcb(flow_id=1))  # DRAM-resident
-        scheduler.submit(user_send_event(1, 50, 0.0))
+        scheduler.submit(user_send_event(1, 50, 0))
         spin(scheduler, fpcs, 10)
         manager.tick()
         assert manager.events_handled == 1
 
     def test_event_for_closed_flow_dropped(self):
         scheduler, fpcs, _ = make_system()
-        assert scheduler.submit(user_send_event(404, 1, 0.0))
+        assert scheduler.submit(user_send_event(404, 1, 0))
         spin(scheduler, fpcs, 5)  # no crash, event discarded
 
 
@@ -98,7 +98,7 @@ class TestCoalescing:
         scheduler, fpcs, _ = make_system()
         scheduler.register_new_flow(Tcb(flow_id=0, state=TcpState.ESTABLISHED))
         for i in range(10):  # submitted back-to-back, no ticks between
-            assert scheduler.submit(user_send_event(0, 100 * (i + 1), 0.0))
+            assert scheduler.submit(user_send_event(0, 100 * (i + 1), 0))
         assert scheduler.events_coalesced == 9
         spin(scheduler, fpcs, 20)
         owner = next(f for f in fpcs if f.peek_tcb(0) is not None)
@@ -109,7 +109,7 @@ class TestCoalescing:
         scheduler, fpcs, _ = make_system(coalescing=False)
         scheduler.register_new_flow(Tcb(flow_id=0)); submitted = 0
         for i in range(10):
-            if scheduler.submit(user_send_event(0, 100 * (i + 1), 0.0)):
+            if scheduler.submit(user_send_event(0, 100 * (i + 1), 0)):
                 submitted += 1
         assert scheduler.events_coalesced == 0
         assert submitted == 10  # FIFO depth 16 absorbs them individually
@@ -155,8 +155,8 @@ class TestCoalescing:
         spin(scheduler, scheduler.fpcs, 2)  # two routed: room for two
         assert scheduler.submit(blocked)
         assert heat.records == scheduler.events_submitted == 17
-        assert scheduler.submit(user_send_event(0, 1, 0.0))
-        assert scheduler.submit(user_send_event(0, 2, 0.0)) is coalescing
+        assert scheduler.submit(user_send_event(0, 1, 0))
+        assert scheduler.submit(user_send_event(0, 2, 0)) is coalescing
         assert scheduler.events_coalesced == int(coalescing)
         assert heat.records == scheduler.events_submitted == 18 + coalescing
 
@@ -170,7 +170,7 @@ class TestMigration:
             scheduler.register_new_flow(tcb)
         assert scheduler.location_of(4) is Location.DRAM
         # A send request makes flow 4 sendable; check logic fires.
-        scheduler.submit(user_send_event(4, 1000, 0.0))
+        scheduler.submit(user_send_event(4, 1000, 0))
         for _ in range(100):
             scheduler.tick()
             manager.tick()
@@ -196,7 +196,7 @@ class TestMigration:
         for round_number in range(1, 30):
             for flow_id in range(5):
                 pointer = round_number * 100 + flow_id
-                if scheduler.submit(user_send_event(flow_id, pointer, 0.0)):
+                if scheduler.submit(user_send_event(flow_id, pointer, 0)):
                     pointers[flow_id] = max(pointers[flow_id], pointer)
             scheduler.tick()
             manager.tick()
@@ -236,7 +236,7 @@ class TestMigration:
             scheduler.register_new_flow(
                 Tcb(flow_id=flow_id, state=TcpState.ESTABLISHED)
             )
-        scheduler.submit(user_send_event(4, 500, 0.0))
+        scheduler.submit(user_send_event(4, 500, 0))
         for _ in range(200):
             scheduler.tick()
             manager.tick()

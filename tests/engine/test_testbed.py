@@ -6,6 +6,7 @@ from repro.engine.ftengine import ENGINE_PERIOD_PS, FtEngineConfig
 from repro.engine.testbed import Testbed, message_driven
 from repro.net.link import Link
 from repro.net.wire import Wire
+from repro.tcp.timers import MAX_RTO_PS
 
 from ._percycle_oracle import run_per_cycle, step
 
@@ -306,3 +307,36 @@ class TestHorizonLoop:
         # ...even so, only an engine with work is ticked.
         assert stats["ticks_a"] + stats["ticks_b"] < stats["cycles"]
         assert self._counters(tb) == self._counters(ref_tb)
+
+
+class TestLongIdleTimer:
+    """A retransmission timer backed off to MAX_RTO (60 s) and nothing
+    else scheduled: the loop jumps the idle stretch in one skip and the
+    timeout fires on the cycle its integer-ps deadline names."""
+
+    def test_max_rto_fires_on_its_cycle_after_one_jump(self):
+        dropping = {"on": False}
+        testbed = Testbed(wire=Wire(drop_a_to_b=lambda frame, index: dropping["on"]))
+        a_flow, _ = testbed.establish()
+        engine = testbed.engine_a
+        engine.tcb_of(a_flow).rto = MAX_RTO_PS  # backed off to the cap
+        dropping["on"] = True  # the data never arrives, so no ACK
+        engine.send_data(a_flow, bytes(1000))
+        assert testbed.run(
+            until=lambda: engine.timers.next_deadline() is not None,
+            max_time_s=testbed.now_s + 1e-3,
+        )
+        deadline = engine.timers.next_deadline()
+        # Armed by the FPU pass that sent the data: its instant + 60 s.
+        assert deadline == engine.tcb_of(a_flow).last_active + MAX_RTO_PS
+        before = dict(testbed.loop_stats)
+        assert testbed.run(
+            until=lambda: engine.counters.get("timeouts_fired") > 0,
+            max_time_s=testbed.now_s + 61.0,
+        )
+        assert testbed.cycle == -(-deadline // ENGINE_PERIOD_PS)
+        spent = {key: testbed.loop_stats[key] - before[key] for key in before}
+        # 15 G idle cycles skipped; a handful landed on and ticked.
+        assert spent["cycles_advanced"] > MAX_RTO_PS // ENGINE_PERIOD_PS - 100
+        assert spent["cycles_visited"] <= 3
+        assert spent["ticks_a"] + spent["ticks_b"] <= 3

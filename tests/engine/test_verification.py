@@ -38,7 +38,7 @@ class TestMonitorMechanics:
         assert any(v.invariant == "location-lut" for v in found)
 
     def test_violation_rendering(self):
-        violation = Violation(1e-3, "pointer-order", 7, "una passed nxt")
+        violation = Violation(10**9, "pointer-order", 7, "una passed nxt")
         assert "flow=7" in str(violation)
         assert "pointer-order" in str(violation)
 

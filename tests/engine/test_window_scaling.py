@@ -43,7 +43,7 @@ class TestGeneratorScaling:
 
 class TestParserDescaling:
     def make_parser(self):
-        parser = RxParser(now_fn=lambda: 0.0)
+        parser = RxParser()
         parser.register_flow(KEY, 7, rcv_nxt=0)
         return parser
 
@@ -61,14 +61,15 @@ class TestParserDescaling:
             self.incoming(
                 flags=FLAG_SYN, seq=100,
                 options=TcpOptions(mss=1460, window_scale=WINDOW_SCALE),
-            )
+            ),
+            0,
         )
-        event = parser.parse(self.incoming(flags=FLAG_ACK, ack=5, window=4096))
+        event = parser.parse(self.incoming(flags=FLAG_ACK, ack=5, window=4096), 0)
         assert event.wnd == 4096 << WINDOW_SCALE == 512 * 1024
 
     def test_no_negotiation_means_no_scaling(self):
         parser = self.make_parser()
-        event = parser.parse(self.incoming(flags=FLAG_ACK, ack=5, window=4096))
+        event = parser.parse(self.incoming(flags=FLAG_ACK, ack=5, window=4096), 0)
         assert event.wnd == 4096
 
     def test_syn_window_taken_verbatim(self):
@@ -77,7 +78,8 @@ class TestParserDescaling:
             self.incoming(
                 flags=FLAG_SYN, seq=0, window=9000,
                 options=TcpOptions(window_scale=WINDOW_SCALE),
-            )
+            ),
+            0,
         )
         assert event.wnd == 9000
 

@@ -10,7 +10,8 @@ import pytest
 from repro.fabric import get_fabric_scenario
 from repro.fabric.engine import FabricLoadEngine
 from repro.fabric.service import FlexToeService
-from repro.fabric.softstack import SoftStack, SoftTestbed, TimerWakeIndex
+from repro.fabric.softstack import RTO_PS, SoftStack, SoftTestbed, TimerWakeIndex
+from repro.tcp.state_machine import TcpState
 
 from ._scan_oracle import StackVisits, record_instants, timer_due, use_scan
 
@@ -199,3 +200,52 @@ def test_every_live_pop_is_ticked(monkeypatch):
     engine = run_engine("incast", 8, backend="linux_stack")
     assert popped and set(popped) <= set(ticked)
     assert engine._wake.live_pops >= len(popped)
+
+
+class TestLongIdleTimer:
+    """A soft stack's RTO backed off to its cap with nothing else to do:
+    the event loop jumps from deadline to deadline, and the timer wake
+    index hands over each one at exactly its instant."""
+
+    def test_backed_off_rto_fires_at_its_instant(self):
+        # Every data segment is dropped: the RTO fires, backs off and
+        # fires again, and nothing else happens in between.
+        testbed = SoftTestbed(FlexToeService, drop_probability=1.0, seed=0)
+        stack = testbed.engine_a
+        testbed.engine_b.listen(80)
+        flow_id = stack.connect(testbed.engine_b.ip, 80)
+        assert testbed.run(
+            until=lambda: stack.flow_state(flow_id) is TcpState.ESTABLISHED,
+            max_time_s=0.01,
+        )
+        stack.send_data(flow_id, bytes(1000))
+        flow = stack.flows[flow_id]
+        wake = testbed._wake
+        live_before, stale_before = wake.live_pops, wake.stale_pops
+        fires = []  # (instant, the deadline armed before it)
+        seen = {"timeouts": 0, "deadline": None, "instants": 0}
+
+        def until():
+            seen["instants"] += 1
+            if stack.timeouts != seen["timeouts"]:
+                seen["timeouts"] = stack.timeouts
+                fires.append((testbed.time_ps, seen["deadline"]))
+            seen["deadline"] = flow.rto_deadline_ps
+            return stack.timeouts >= 9
+
+        assert testbed.run(until=until, max_time_s=testbed.now_s + 1.0)
+        assert all(instant == deadline for instant, deadline in fires)
+        gaps = [b[0] - a[0] for a, b in zip(fires, fires[1:])]
+        assert gaps[-3:] == [RTO_PS << 6] * 3  # the backoff cap, 3.2 ms
+        # One instant per timeout (plus the first call and the one that
+        # sent the data), not one per cycle or per host.
+        assert seen["instants"] == len(fires) + 2
+        live = wake.live_pops - live_before
+        stale = wake.stale_pops - stale_before
+        assert wake.pushes == wake.live_pops + wake.stale_pops + len(wake._heap)
+        # Each due instant pops the head its stack published when it
+        # re-armed, twice at most (``_arm`` and the end of
+        # ``_expire_timers`` both publish it).  The only stale entries
+        # are the two handshake timers the connection setup left behind.
+        assert len(fires) <= live <= 2 * len(fires)
+        assert stale == 2

@@ -41,12 +41,6 @@ class TestTrafficRunFlags:
         assert any(",counter," in line and "engine=a" in line for line in lines)
         assert any("component=traffic" in line for line in lines)
 
-    def test_model_backend_rejects_trace(self, capsys):
-        assert main(
-            ["traffic", "run", "mixed", "--backend", "model", "--trace", "x.json"]
-        ) == 2
-        assert "functional backend" in capsys.readouterr().err
-
     def test_unknown_trace_layer_fails_loudly(self, capsys, tmp_path):
         assert main(
             ["traffic", "run", "mixed",

@@ -11,6 +11,7 @@ from repro.tcp.congestion import (
     get_algorithm,
     register,
 )
+from repro.sim.component import NEVER
 from repro.tcp.state_machine import TcpState
 from repro.tcp.tcb import Tcb
 
@@ -19,7 +20,7 @@ MSS = 1460
 
 def fresh_tcb(cc: CongestionControl, flight: int = 0) -> Tcb:
     tcb = Tcb(flow_id=0, state=TcpState.ESTABLISHED)
-    cc.on_init(tcb, now_s=0.0)
+    cc.on_init(tcb, now_ps=0)
     tcb.snd_una = 0
     tcb.snd_nxt = flight
     tcb.req = flight
@@ -46,7 +47,7 @@ class TestRegistry:
             name = "fixed-window-test"
             fpu_latency_cycles = 3
 
-            def _congestion_avoidance(self, tcb, acked, now_s, rtt):
+            def _congestion_avoidance(self, tcb, acked, now_ps, rtt_ps):
                 pass  # never grows
 
         assert isinstance(get_algorithm("fixed-window-test"), FixedWindow)
@@ -74,7 +75,7 @@ class TestSlowStart:
         acked = 0
         while acked < start:
             tcb.snd_nxt = tcb.snd_una + 2 * MSS
-            cc.on_ack(tcb, 2 * MSS, now_s=0.01, rtt_sample=0.001)
+            cc.on_ack(tcb, 2 * MSS, now_ps=10 * 10**9, rtt_ps=10**9)
             tcb.snd_una += 2 * MSS
             acked += 2 * MSS
         assert tcb.cwnd >= 2 * start * 0.9  # ~doubles per RTT
@@ -85,8 +86,8 @@ class TestSlowStart:
         for _ in range(10):
             tcb_v.snd_nxt = tcb_v.snd_una + 2 * MSS
             tcb_r.snd_nxt = tcb_r.snd_una + 2 * MSS
-            vegas.on_ack(tcb_v, 2 * MSS, 0.01, 0.001)
-            reno.on_ack(tcb_r, 2 * MSS, 0.01, 0.001)
+            vegas.on_ack(tcb_v, 2 * MSS, 10**10, 10**9)
+            reno.on_ack(tcb_r, 2 * MSS, 10**10, 10**9)
         assert tcb_v.cwnd < tcb_r.cwnd
 
 
@@ -98,13 +99,13 @@ class TestNewReno:
         start = tcb.cwnd
         # One full window of ACKs grows cwnd by about one MSS.
         for _ in range(start // MSS):
-            cc.on_ack(tcb, MSS, now_s=0.0, rtt_sample=0.001)
+            cc.on_ack(tcb, MSS, now_ps=0, rtt_ps=10**9)
         assert start + MSS <= tcb.cwnd <= start + 2 * MSS
 
     def test_triple_dupack_halves_window(self):
         cc = get_algorithm("newreno")
         tcb = fresh_tcb(cc, flight=20 * MSS)
-        retransmit = cc.on_dupacks(tcb, 3, now_s=0.0)
+        retransmit = cc.on_dupacks(tcb, 3, now_ps=0)
         assert retransmit
         assert tcb.in_recovery
         assert tcb.ssthresh == 10 * MSS
@@ -113,39 +114,39 @@ class TestNewReno:
     def test_below_three_dupacks_no_reaction(self):
         cc = get_algorithm("newreno")
         tcb = fresh_tcb(cc, flight=20 * MSS)
-        assert not cc.on_dupacks(tcb, 2, now_s=0.0)
+        assert not cc.on_dupacks(tcb, 2, now_ps=0)
         assert not tcb.in_recovery
 
     def test_extra_dupacks_inflate(self):
         cc = get_algorithm("newreno")
         tcb = fresh_tcb(cc, flight=20 * MSS)
-        cc.on_dupacks(tcb, 3, 0.0)
+        cc.on_dupacks(tcb, 3, 0)
         before = tcb.cwnd
-        assert not cc.on_dupacks(tcb, 2, 0.0)  # no second fast rtx
+        assert not cc.on_dupacks(tcb, 2, 0)  # no second fast rtx
         assert tcb.cwnd == before + 2 * MSS
 
     def test_partial_ack_requests_retransmission(self):
         cc = get_algorithm("newreno")
         tcb = fresh_tcb(cc, flight=20 * MSS)
-        cc.on_dupacks(tcb, 3, 0.0)
+        cc.on_dupacks(tcb, 3, 0)
         assert tcb.recover == tcb.snd_nxt
         tcb.snd_una += 5 * MSS  # partial: below recover
-        assert cc.on_ack(tcb, 5 * MSS, 0.0, None)  # -> retransmit
+        assert cc.on_ack(tcb, 5 * MSS, 0, None)  # -> retransmit
         assert tcb.in_recovery
 
     def test_full_ack_exits_recovery(self):
         cc = get_algorithm("newreno")
         tcb = fresh_tcb(cc, flight=20 * MSS)
-        cc.on_dupacks(tcb, 3, 0.0)
+        cc.on_dupacks(tcb, 3, 0)
         tcb.snd_una = tcb.recover
-        assert not cc.on_ack(tcb, 20 * MSS, 0.0, None)
+        assert not cc.on_ack(tcb, 20 * MSS, 0, None)
         assert not tcb.in_recovery
         assert tcb.cwnd <= tcb.ssthresh
 
     def test_timeout_collapses_to_one_segment(self):
         cc = get_algorithm("newreno")
         tcb = fresh_tcb(cc, flight=20 * MSS)
-        cc.on_timeout(tcb, 0.0)
+        cc.on_timeout(tcb, 0)
         assert tcb.cwnd == MSS
         assert tcb.ssthresh == 10 * MSS
         assert not tcb.in_recovery
@@ -153,22 +154,22 @@ class TestNewReno:
     def test_ssthresh_floor(self):
         cc = get_algorithm("newreno")
         tcb = fresh_tcb(cc, flight=MSS)
-        cc.on_timeout(tcb, 0.0)
+        cc.on_timeout(tcb, 0)
         assert tcb.ssthresh == 2 * MSS
 
 
 class TestCubic:
-    def _drive_ca(self, cc, tcb, seconds, rtt=0.01):
-        now = 0.0
-        while now < seconds:
-            cc.on_ack(tcb, MSS, now_s=now, rtt_sample=rtt)
-            now += rtt / (tcb.cwnd / MSS)
+    def _drive_ca(self, cc, tcb, seconds, rtt=10**10):
+        now = 0
+        while now < seconds * 10**12:
+            cc.on_ack(tcb, MSS, now_ps=now, rtt_ps=rtt)
+            now += rtt * MSS // tcb.cwnd
 
     def test_beta_decrease(self):
         cc = get_algorithm("cubic")
         tcb = fresh_tcb(cc, flight=100 * MSS)
         tcb.cwnd = 100 * MSS
-        cc.on_dupacks(tcb, 3, now_s=1.0)
+        cc.on_dupacks(tcb, 3, now_ps=10**12)
         assert tcb.ssthresh == int(100 * MSS * 0.7)
         assert tcb.cc["w_max"] == pytest.approx(100 * MSS)
 
@@ -178,9 +179,9 @@ class TestCubic:
         cc = get_algorithm("cubic")
         tcb = fresh_tcb(cc, flight=50 * MSS)
         tcb.cwnd = 200 * MSS
-        cc.on_dupacks(tcb, 3, now_s=0.0)
+        cc.on_dupacks(tcb, 3, now_ps=0)
         tcb.snd_una = tcb.recover
-        cc.on_ack(tcb, 50 * MSS, 0.0, 0.01)  # exit recovery
+        cc.on_ack(tcb, 50 * MSS, 0, 10**10)  # exit recovery
         early = tcb.cwnd
         self._drive_ca(cc, tcb, seconds=2.0)
         assert tcb.cwnd > early
@@ -192,14 +193,14 @@ class TestCubic:
         tcb = fresh_tcb(cc)
         tcb.ssthresh = tcb.cwnd
         before = tcb.cwnd
-        cc.on_ack(tcb, MSS, now_s=10.0, rtt_sample=0.01)
+        cc.on_ack(tcb, MSS, now_ps=10 * 10**12, rtt_ps=10 * 10**9)
         assert tcb.cwnd <= before + 2 * MSS
 
     def test_timeout(self):
         cc = get_algorithm("cubic")
         tcb = fresh_tcb(cc, flight=40 * MSS)
         tcb.cwnd = 40 * MSS
-        cc.on_timeout(tcb, 0.0)
+        cc.on_timeout(tcb, 0)
         assert tcb.cwnd == MSS
         assert tcb.cc["epoch_start"] is None
 
@@ -210,25 +211,25 @@ class TestVegas:
         end = tcb.cc["epoch_end_seq"]
         tcb.snd_nxt = end + 10 * MSS
         tcb.snd_una = end
-        cc.on_ack(tcb, 10 * MSS, now_s=0.0, rtt_sample=rtt)
+        cc.on_ack(tcb, 10 * MSS, now_ps=0, rtt_ps=rtt)
 
     def test_grows_when_below_alpha(self):
         cc = get_algorithm("vegas")
         tcb = fresh_tcb(cc)
         tcb.ssthresh = tcb.cwnd  # CA mode
-        tcb.cc["base_rtt"] = 0.010  # baseRTT = 10 ms (prior epochs)
+        tcb.cc["base_rtt"] = 10**10  # baseRTT = 10 ms (prior epochs)
         before = tcb.cwnd
-        self._epoch(cc, tcb, rtt=0.010)  # no queueing: diff = 0 < alpha
+        self._epoch(cc, tcb, rtt=10**10)  # no queueing: diff = 0 < alpha
         assert tcb.cwnd == before + MSS
 
     def test_shrinks_when_above_beta(self):
         cc = get_algorithm("vegas")
         tcb = fresh_tcb(cc)
         tcb.ssthresh = tcb.cwnd
-        tcb.cc["base_rtt"] = 0.010
+        tcb.cc["base_rtt"] = 10**10
         before = tcb.cwnd
         # Large RTT inflation: diff >> beta segments.
-        self._epoch(cc, tcb, rtt=0.030)
+        self._epoch(cc, tcb, rtt=3 * 10**10)
         assert tcb.cwnd == before - MSS
 
     def test_holds_in_the_sweet_spot(self):
@@ -236,19 +237,19 @@ class TestVegas:
         tcb = fresh_tcb(cc)
         tcb.cwnd = 30 * MSS
         tcb.ssthresh = tcb.cwnd
-        tcb.cc["base_rtt"] = 0.010
+        tcb.cc["base_rtt"] = 10**10
         before = tcb.cwnd
         # diff of ~3 segments: between alpha (2) and beta (4).
         # diff = cwnd * (1 - base/rtt) / mss  => rtt for diff=3:
-        rtt = 0.010 / (1 - 3 * MSS / tcb.cwnd)
+        rtt = round(10**10 / (1 - 3 * MSS / tcb.cwnd))
         self._epoch(cc, tcb, rtt=rtt)
         assert tcb.cwnd == before
 
     def test_loss_resets_epoch(self):
         cc = get_algorithm("vegas")
         tcb = fresh_tcb(cc, flight=20 * MSS)
-        cc.on_dupacks(tcb, 3, 0.0)
-        assert tcb.cc["min_rtt"] == float("inf")
+        cc.on_dupacks(tcb, 3, 0)
+        assert tcb.cc["min_rtt"] == NEVER
 
 
 class TestBbrLite:
@@ -256,7 +257,7 @@ class TestBbrLite:
 
     def _ack_round(self, cc, tcb, rtt, amount=10 * MSS):
         tcb.snd_nxt = tcb.snd_una + amount
-        cc.on_ack(tcb, amount, now_s=0.0, rtt_sample=rtt)
+        cc.on_ack(tcb, amount, now_ps=0, rtt_ps=rtt)
         tcb.snd_una = tcb.snd_nxt
 
     def test_registered(self):
@@ -267,7 +268,7 @@ class TestBbrLite:
         """Steady delivery at rate R with RTT T settles cwnd near R*T."""
         cc = get_algorithm("bbr-lite")
         tcb = fresh_tcb(cc)
-        rtt = 0.01
+        rtt = 10**10
         for _ in range(40):
             self._ack_round(cc, tcb, rtt)
         bdp = (10 * MSS / rtt) * rtt  # delivered per round over one RTT
@@ -278,23 +279,23 @@ class TestBbrLite:
         cc = get_algorithm("bbr-lite")
         tcb = fresh_tcb(cc)
         for _ in range(20):
-            self._ack_round(cc, tcb, 0.01)
+            self._ack_round(cc, tcb, 10**10)
         before = tcb.cwnd
         tcb.snd_nxt = tcb.snd_una + 10 * MSS
-        cc.on_dupacks(tcb, 3, now_s=1.0)
+        cc.on_dupacks(tcb, 3, now_ps=10**12)
         assert tcb.cwnd >= 0.5 * before  # gentler than Reno's 0.5 + inflation
 
     def test_startup_exits_on_plateau(self):
         cc = get_algorithm("bbr-lite")
         tcb = fresh_tcb(cc)
         for _ in range(30):
-            self._ack_round(cc, tcb, 0.01)  # constant bandwidth
+            self._ack_round(cc, tcb, 10**10)  # constant bandwidth
         assert not tcb.cc["in_startup"]
 
     def test_min_rtt_filter(self):
         cc = get_algorithm("bbr-lite")
         tcb = fresh_tcb(cc)
-        self._ack_round(cc, tcb, 0.02)
-        self._ack_round(cc, tcb, 0.005)
-        self._ack_round(cc, tcb, 0.03)
-        assert tcb.cc["min_rtt"] == 0.005
+        self._ack_round(cc, tcb, 2 * 10**10)
+        self._ack_round(cc, tcb, 5 * 10**9)
+        self._ack_round(cc, tcb, 3 * 10**10)
+        assert tcb.cc["min_rtt"] == 5 * 10**9

@@ -97,11 +97,11 @@ class TestClone:
         assert tcb.cc["w_max"] == 5.0
 
     def test_clone_preserves_everything(self):
-        tcb = established_tcb(req=42, cwnd=1234, srtt=0.01)
+        tcb = established_tcb(req=42, cwnd=1234, srtt=10**10)
         copy = tcb.clone()
         assert copy.req == 42
         assert copy.cwnd == 1234
-        assert copy.srtt == 0.01
+        assert copy.srtt == 10**10
         assert copy.state is TcpState.ESTABLISHED
 
 

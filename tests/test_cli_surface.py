@@ -57,7 +57,7 @@ def test_surface_matches_the_parent_capture():
         golden = handle.read().splitlines()
     assert lines == golden
     assert sum(1 for line in lines if not line.startswith(" ")) == 35
-    assert sum(1 for line in lines if line.startswith(" ")) == 100
+    assert sum(1 for line in lines if line.startswith(" ")) == 98
 
 
 @pytest.mark.parametrize("group", GROUPS)

@@ -7,6 +7,9 @@ import pytest
 from repro.traffic import Fixed, FlashCrowd, OnOffBursts, Poisson, Zipf
 
 
+S = 10**12  # the instants are integer picoseconds
+
+
 def _times(process, duration_s, seed=1):
     return process.times(random.Random(seed), duration_s)
 
@@ -15,7 +18,7 @@ class TestArrivals:
     def test_poisson_mean_rate(self):
         times = _times(Poisson(rate=10_000.0), 1.0)
         assert len(times) == pytest.approx(10_000, rel=0.05)
-        assert all(0 <= t < 1.0 for t in times)
+        assert all(isinstance(t, int) and 0 <= t <= S for t in times)
         assert times == sorted(times)
 
     def test_poisson_replay_and_seed_sensitivity(self):
@@ -30,7 +33,7 @@ class TestArrivals:
         # Clumping: the variance of per-bin counts far exceeds Poisson's.
         bins = [0] * 2000
         for t in times:
-            bins[int(t / 1e-3)] += 1
+            bins[t // 10**9] += 1
         mean = sum(bins) / len(bins)
         variance = sum((b - mean) ** 2 for b in bins) / len(bins)
         assert variance > 3 * mean
@@ -46,8 +49,8 @@ class TestArrivals:
         assert flash.rate_at(0.5) == pytest.approx(50_000.0)
         assert flash.rate_at(0.7) == pytest.approx(10_000.0)
         times = _times(flash, 1.0)
-        in_ramp = sum(1 for t in times if 0.4 <= t < 0.6)
-        before = sum(1 for t in times if 0.0 <= t < 0.2)
+        in_ramp = sum(1 for t in times if 0.4 * S <= t < 0.6 * S)
+        before = sum(1 for t in times if 0 <= t < 0.2 * S)
         # The ramp window averages 3x the base rate.
         assert in_ramp > 2 * before
 

@@ -16,6 +16,7 @@ timers and retransmissions run) and diffs the fingerprints, the same
 oracle-not-examples idiom as ``tests/mem/test_fuzz_churn.py``.
 """
 
+import math
 from dataclasses import dataclass, replace
 from unittest import mock
 
@@ -27,7 +28,7 @@ from repro.engine.testbed import Testbed
 from repro.net.wire import Wire
 from repro.obs.hooks import attach_load_engine
 from repro.obs.trace import TraceBus, fingerprint
-from repro.sim.component import first_ps_at
+from repro.sim.component import seconds_to_ps
 from repro.traffic import (
     Fixed,
     Impairments,
@@ -50,7 +51,10 @@ class Deterministic(ArrivalProcess):
     rate: float
 
     def times(self, rng, duration_s):
-        return [(i + 0.5) / self.rate for i in range(int(self.rate * duration_s))]
+        return [
+            math.ceil((i + 0.5) / self.rate * 1e12)
+            for i in range(int(self.rate * duration_s))
+        ]
 
     def scaled(self, factor):
         return replace(self, rate=self.rate * factor)
@@ -155,7 +159,7 @@ class TestBatchedLegacyEquivalence:
         # A 50 us floor under the RTO (10 ms as shipped) lets a dropped
         # segment's timer fire, back off and fire again inside those
         # bounds — on both sides alike.
-        with mock.patch("repro.tcp.timers.MIN_RTO_S", 50e-6):
+        with mock.patch("repro.tcp.timers.MIN_RTO_PS", 50_000_000):
             with pytest.MonkeyPatch.context() as monkeypatch:
                 checked = check_published_horizons(monkeypatch)
                 horizon = _traced_fingerprint(scenario, per_cycle=False)
@@ -190,9 +194,9 @@ def _cycle_gated_run(drop_every, send_every, sample_every, duration_s,
             tcb = testbed.engine_a.tcb_of(a_flow)
             samples.append((testbed.cycle, tcb.cwnd, tcb.snd_una))
             gate["sample"] = testbed.cycle + sample_every
-        return testbed.now_s >= duration_s
+        return testbed.time_ps >= end_ps
 
-    end_ps = first_ps_at(duration_s)
+    end_ps = seconds_to_ps(duration_s)
     if max_steps is None:
         finished = run_per_cycle(testbed, until=pump, max_time_s=4 * duration_s)
     else:

@@ -41,37 +41,30 @@ class TestTrafficCli:
             magic = handle.read(4)
         assert len(magic) == 4  # non-empty capture written
 
-    def test_run_model_backend(self, capsys):
+    def test_run_load_scaled(self, capsys):
         assert main(
-            ["traffic", "run", "rpc", "--backend", "model",
-             "--load-scale", "8", "--seed", "3"]
+            ["traffic", "run", "rpc", "--load-scale", "8", "--seed", "3"]
         ) == 0
-        assert "model" in capsys.readouterr().out
+        assert "rpc [f4t] x8:" in capsys.readouterr().out
 
     def test_run_csv_cells_parse_back_to_the_run_exactly(self, capsys):
         """Cells are ``repr`` floats (not the 2-decimal display format),
         and a rerun writes the same bytes."""
-        from repro.traffic import get_scenario, run_scenario_model
+        from repro.traffic import get_scenario, run_scenario
 
-        argv = ["traffic", "run", "rpc", "--backend", "model", "--csv", "-"]
+        argv = ["traffic", "run", "rpc", "--csv", "-"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         text = out[out.index("scenario,backend,seed"):]
         assert main(argv) == 0
         assert capsys.readouterr().out.endswith(text)
         header, *lines = text.splitlines()
-        result = run_scenario_model(get_scenario("rpc"))
+        result = run_scenario(get_scenario("rpc"))
         for line, metrics in zip(lines, result.classes.values()):
             cells = dict(zip(header.split(","), line.split(",")))
             assert cells["class"] == metrics.name
             assert float(cells["p99_us"]) == metrics.p99_s * 1e6
             assert float(cells["achieved_rps"]) == metrics.achieved_rps
-
-    def test_model_backend_rejects_pcap(self, capsys):
-        assert main(
-            ["traffic", "run", "rpc", "--backend", "model", "--pcap", "x.pcap"]
-        ) == 2
-        assert "functional backend" in capsys.readouterr().err
 
     def test_sweep_reports_knee(self, capsys, tmp_path):
         csv_path = str(tmp_path / "sweep.csv")

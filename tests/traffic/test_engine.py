@@ -11,7 +11,6 @@ from repro.traffic import (
     TrafficClass,
     get_scenario,
     run_scenario,
-    run_scenario_model,
 )
 
 
@@ -113,22 +112,3 @@ class TestLifecycles:
         assert result.completed == result.offered > 0
         assert result.clean
 
-
-class TestModelBackend:
-    def test_model_rejects_closed_loops(self):
-        scenario = Scenario(
-            name="closed",
-            classes=[TrafficClass(name="c", request=Fixed(64), rounds=2)],
-        )
-        with pytest.raises(ValueError, match="open-loop"):
-            run_scenario_model(scenario)
-
-    def test_model_tracks_functional_at_low_load(self):
-        scenario = get_scenario("rpc")
-        functional = run_scenario(scenario)
-        model = run_scenario_model(scenario)
-        assert model.completed == functional.completed
-        assert model.achieved_rps == pytest.approx(
-            functional.achieved_rps, rel=0.1
-        )
-        assert model.p50_s == pytest.approx(functional.p50_s, rel=0.25)

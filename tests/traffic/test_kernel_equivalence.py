@@ -21,6 +21,17 @@ events carry the engine's time.  All goldens below were re-captured
 then (EXPERIMENTS.md has the before/after table); a run that never
 waits and never spills kept its trace —
 ``tests/engine/test_one_clock.py`` pins one captured at the parent.
+
+Integer picoseconds through the TCP core and the arrival schedule is
+the next such change, declared.  ``mixed`` moved only in its
+``complete`` events: an arrival instant is now its whole-ps ceil, the
+instant the release was already made at, where the trace used to print
+the float arrival rounded to nearest — 34 events 1 ps later, every
+release, tick and count as before.  ``churn`` also moved 5 timeout
+events one cycle earlier: a deadline ``now + rto`` is cycle-aligned
+(the 10 ms RTO is 2.5 M cycles), and the float sum could land 1 ps
+past it — 0.000975892 + 0.01 is 0.010975892000000001 — so the timer
+fired a cycle late (cycles visited 2,314 -> 2,319).
 """
 
 import pytest
@@ -33,10 +44,10 @@ from repro.traffic.engine import LoadEngine
 
 from ..engine._percycle_oracle import use_per_cycle
 
-#: Re-captured at PR 23 (seed 1234); before that, the pre-PR-5 kernel's.
+#: Re-captured with integer-ps time (seed 1234); see the docstring.
 GOLDEN = {
-    "mixed": "4645a742d2ec9f2e275b17db0130ecc960e260db64b2946c43127f61f828d487",
-    "churn": "eaad53fb54053c62301f46277bd0c3f4d87f0ee384e351cb2c78675c774b17b1",
+    "mixed": "a8d21eebb34b43b1767563042bd9b181de77ee9fa2d6b287ff887f94818d8706",
+    "churn": "64a89feed1eeaff729305b7e585446f105b0e00fd74efbc5920d7b24581eb0cd",
 }
 
 

@@ -78,7 +78,7 @@ class TestSchedule:
         schedule = self._scenario().schedule()
         assert schedule, "expected arrivals over 1 ms"
         assert [r.index for r in schedule] == list(range(len(schedule)))
-        assert all(a.time_s <= b.time_s for a, b in zip(schedule, schedule[1:]))
+        assert all(a.time_ps <= b.time_ps for a, b in zip(schedule, schedule[1:]))
         assert {r.cls for r in schedule} == {"rpc", "bulk"}
 
     def test_schedule_replayable_and_seed_sensitive(self):

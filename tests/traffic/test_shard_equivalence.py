@@ -19,10 +19,10 @@ from .test_kernel_equivalence import GOLDEN
 
 #: Merged fingerprint of the per-class split of ``mixed`` (seed 1234).
 #: Moves only when simulated kernel behaviour moves — re-capture
-#: deliberately, with a reason.  Last re-captured at PR 23 with
-#: ``GOLDEN`` (one clock per engine; see test_kernel_equivalence.py).
+#: deliberately, with a reason.  Last re-captured with ``GOLDEN``
+#: (integer-ps arrival instants; see test_kernel_equivalence.py).
 GOLDEN_MIXED_SPLIT = (
-    "99604b9242e83c950a804aa195833d1f93187c7a579570678aac21fac5df450a"
+    "639517d7a3529e93b180a322d89d3f333405a23ca0e70ef2020c65827020b692"
 )
 
 

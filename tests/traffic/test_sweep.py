@@ -42,13 +42,14 @@ class TestDetectKnee:
 
 
 class TestModelSweep:
+    """The default ``traffic-load`` sweep, on the engines.  (It ran the
+    calibrated traffic model until that was deleted; the name stays.)"""
+
     LOADS = [0.5, 1, 2, 4, 8, 12, 16, 24]
 
     @pytest.fixture(scope="class")
     def rows(self):
-        return traffic_load_grid(
-            scenario="rpc", loads=self.LOADS, backend="model"
-        ).records()
+        return traffic_load_grid(scenario="rpc", loads=self.LOADS).records()
 
     def test_curve_is_monotone_with_a_knee(self, rows):
         assert monotone_latency(rows)
@@ -85,9 +86,7 @@ class TestModelSweep:
     def test_verb_grid_is_the_registered_grid(self):
         """Twins are one: the verb's defaults and ``lab run
         traffic-load`` expand to the same content-hash run ids."""
-        verb = traffic_load_grid(
-            scenario="rpc", loads=self.LOADS, backend="model", seed=None
-        )
+        verb = traffic_load_grid(scenario="rpc", loads=self.LOADS, seed=None)
         assert [p.run_id for p in verb.expand()] == [
             p.run_id for p in get_grid("traffic-load").expand()
         ]
@@ -99,12 +98,14 @@ class TestModelSweep:
 
 class TestFunctionalSweep:
     def test_small_functional_sweep_runs(self):
-        rows = traffic_load_grid(loads=[0.5, 1, 2], backend="functional").records()
+        rows = traffic_load_grid(loads=[0.5, 1, 2]).records()
         assert len(rows) == 3
         assert monotone_latency(rows)
         for row in rows:
             assert row["finished"]
 
     def test_unknown_backend_rejected(self):
+        from repro.lab.drivers import traffic_scenario_point
+
         with pytest.raises(KeyError):
-            traffic_load_grid(loads=[1.0], backend="quantum").records()
+            traffic_scenario_point("rpc", backend="quantum")
