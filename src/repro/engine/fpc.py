@@ -10,7 +10,7 @@ An FPC bundles:
   round-robin so the FPU never sees the same flow twice within its
   pipeline depth (§4.2.2);
 * the **FPU**, the stateless pipelined processor (II = 2, latency =
-  algorithm-dependent);
+  algorithm-dependent), whose pipe is a deque of the TCBs in it;
 * the **evict checker**, which intercepts processed TCBs whose evict flag
   is set and hands them to the scheduler instead of writing them back
   (§4.3.2) — guaranteeing a TCB is never evicted with unprocessed events.
@@ -24,12 +24,11 @@ per two cycles — 125 M events/s at 250 MHz.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, ClassVar, Deque, List, Optional, Set, Tuple
 
 from ..sim.component import NEVER, Component, OwnersCycle
 from ..sim.fifo import Fifo
 from ..sim.memory import CAM, DualPortSRAM
-from ..sim.pipeline import Pipeline
 from ..tcp.tcb import Tcb
 from .event_handler import EventEntry, EventHandler, merge_into_tcb
 from .events import TcpEvent
@@ -45,6 +44,9 @@ class FlowProcessingCore(Component):
     """One FPC; FtEngine instantiates several in parallel (§4.4.2)."""
 
     cycle = OwnersCycle()
+    #: The FPU's initiation interval: a TCB may enter the pipe every
+    #: this many cycles (§4.2.2).
+    initiation_interval: ClassVar[int] = 2
 
     def __init__(
         self,
@@ -65,12 +67,11 @@ class FlowProcessingCore(Component):
         self.cam: CAM[int] = CAM(slots, f"fpc{fpc_id}.cam")
         self.event_handler = EventHandler(self.event_table)
         self.fpu = fpu if fpu is not None else Fpu(algorithm)
-        #: (slot, dup_count) travels the pipeline with the TCB snapshot.
-        self.pipe: Pipeline[Tuple[int, Tcb, int]] = Pipeline(
-            latency=self.fpu.latency_cycles,
-            initiation_interval=2,
-            name=f"fpc{fpc_id}.fpu-pipe",
-        )
+        self._latency = self.fpu.latency_cycles
+        #: The FPU pipeline, oldest first: (retire_cycle, slot, TCB
+        #: snapshot, dup_count).  Every pass takes the same latency, so
+        #: the head retires first.
+        self.pipe: Deque[Tuple[int, int, Tcb, int]] = deque()
 
         self.input: Fifo[TcpEvent] = Fifo(DEFAULT_INPUT_DEPTH, f"fpc{fpc_id}.in")
         self._dispatch_queue: Deque[int] = deque()  # flow ids needing the FPU
@@ -79,8 +80,8 @@ class FlowProcessingCore(Component):
         self._evict_requested: Set[int] = set()
         #: Queued flows not in flight: what the TCB manager could issue.
         self._ready = 0
-        #: When the pipe's head retires (NEVER while empty) and when it
-        #: next admits an issue, as plain integers: a tick with nothing
+        #: When the pipe's head retires (NEVER while empty) and when the
+        #: initiation interval next admits an issue: a tick with nothing
         #: to do is a few compares.
         self._retire_at = NEVER
         self._issue_at = 0
@@ -89,6 +90,11 @@ class FlowProcessingCore(Component):
         #: no-op.  Kept current wherever the state behind it changes
         #: (:meth:`_rearm`).
         self.next_action = NEVER
+        #: Called with :attr:`fpc_id` when :attr:`next_action` leaves
+        #: NEVER — the owning engine keeps the armed FPCs so that its
+        #: tick visits only those — or None (a stand-alone FPC is its
+        #: own clock and publishes nowhere).
+        self.notify_armed: Optional[Callable[[int], None]] = None
 
         # Per-cycle outputs drained by FtEngine.
         self.out_results: List[ProcessResult] = []
@@ -147,7 +153,7 @@ class FlowProcessingCore(Component):
             # The check logic swaps a flow in because it can send
             # (§4.3.1): the TCB manager starts on it at once.
             self._mark_pending(tcb.flow_id)
-            self._rearm(self.clock.cycle)
+            self._wake()
 
     def request_evict(self, flow_id: int) -> bool:
         """Scheduler asks to evict ``flow_id``; sets the TCB's evict flag."""
@@ -161,7 +167,7 @@ class FlowProcessingCore(Component):
         self._evict_requested.add(flow_id)
         # Route the flow to the FPU so the evict checker sees it soon.
         self._mark_pending(flow_id, priority=True)
-        self._rearm(self.clock.cycle)
+        self._wake()
         return True
 
     def coldest_flow(self, key=None) -> Optional[int]:
@@ -204,7 +210,10 @@ class FlowProcessingCore(Component):
         if not self.input.push(event):
             return False
         handled = (self.clock.cycle + 1) & ~1  # the event table's even phase
-        if handled < self.next_action:
+        due = self.next_action
+        if handled < due:
+            if due == NEVER and self.notify_armed is not None:
+                self.notify_armed(self.fpc_id)
             self.next_action = handled
         return True
 
@@ -217,14 +226,14 @@ class FlowProcessingCore(Component):
         """Publish :attr:`next_action`: the first cycle from
         ``earliest`` on which a tick acts.
 
-        The entry points pass the clock's cycle — the scheduler, which
-        calls them, has its turn in a cycle before the FPCs have theirs
-        — and :meth:`tick` the one after.  Three things make a tick
-        act: the pipe head retiring; an input event, on an *even* cycle
-        (the event table's port phase); a queued flow not in flight, on
-        an *odd* cycle the FPU's initiation interval admits.  A queue of
-        in-flight flows only waits on their retire, which the first
-        term covers.
+        The entry points (through :meth:`_wake`) pass the clock's cycle
+        — the scheduler, which calls them, has its turn in a cycle
+        before the FPCs have theirs — and :meth:`tick` the one after.
+        Three things make a tick act: the pipe head retiring; an input
+        event, on an *even* cycle (the event table's port phase); a
+        queued flow not in flight, on an *odd* cycle the FPU's
+        initiation interval admits.  A queue of in-flight flows only
+        waits on their retire, which the first term covers.
         """
         due = self._retire_at
         if self.input._items:
@@ -236,6 +245,14 @@ class FlowProcessingCore(Component):
             if issue < due:
                 due = issue
         self.next_action = due
+
+    def _wake(self) -> None:
+        """An entry point queued a flow for the FPU: publish the horizon
+        from the clock's cycle — never NEVER with a flow queued — and
+        announce the arm if this FPC was idle."""
+        if self.next_action == NEVER and self.notify_armed is not None:
+            self.notify_armed(self.fpc_id)
+        self._rearm(self.clock.cycle)
 
     def tick(self) -> None:
         clock = self.clock
@@ -309,15 +326,18 @@ class FlowProcessingCore(Component):
                 )
             dup = merge_into_tcb(snapshot, entry) if entry is not None else 0
             self._in_flight.add(flow_id)
-            issued = self.pipe.issue((slot, snapshot, dup), cycle)
-            assert issued, "TCB manager respects the FPU initiation interval"
-            self._issue_at = self.pipe.next_issue_cycle()
-            self._retire_at = self.pipe.next_retire_cycle()
+            retire = cycle + self._latency
+            self.pipe.append((retire, slot, snapshot, dup))
+            self._issue_at = cycle + self.initiation_interval
+            if retire < self._retire_at:
+                self._retire_at = retire  # the pipe was empty
             return
 
     def _retire(self) -> None:
         cycle = self.clock.cycle
-        for slot, tcb, dup in self.pipe.retire_ready(cycle):
+        pipe = self.pipe
+        while pipe and pipe[0][0] <= cycle:
+            _, slot, tcb, dup = pipe.popleft()
             result = self.fpu.process(tcb, dup, cycle * CYCLE_PS)
             self.tcbs_processed += 1
             self._in_flight.discard(tcb.flow_id)
@@ -379,8 +399,7 @@ class FlowProcessingCore(Component):
                 if entry is not None and entry.valid:
                     # Events accumulated while we were in the pipeline.
                     self._mark_pending(tcb.flow_id)
-        head = self.pipe.next_retire_cycle()
-        self._retire_at = NEVER if head is None else head
+        self._retire_at = pipe[0][0] if pipe else NEVER
 
     def drain_results(self) -> List[ProcessResult]:
         results, self.out_results = self.out_results, []

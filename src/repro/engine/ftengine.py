@@ -13,6 +13,8 @@ are queued as :class:`EngineMessage` objects that the library drains.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Deque, Dict, List, Optional, Set
@@ -187,6 +189,13 @@ class FtEngine(Component):
             )
             for i in range(self.config.num_fpcs)
         ]
+        #: The indices of the armed FPCs — those whose ``next_action``
+        #: is not NEVER — in order, each FPC announcing itself as it
+        #: arms: all the tick visits.
+        self._armed: List[int] = []
+        arm = functools.partial(bisect.insort, self._armed)
+        for fpc in self.fpcs:
+            fpc.notify_armed = arm
         self.scheduler = Scheduler(
             self.fpcs,
             self.memory_manager,
@@ -481,9 +490,9 @@ class FtEngine(Component):
         minimum) and the cycles the other blocks, the timers and the
         wire name for this engine's clock; a cycle already reached
         means the next tick."""
-        cycle = self.cycle
+        soon = self.cycle + 1
         if self._event_backlog:
-            best = cycle + 1
+            best = soon
         else:
             due = self.memory_manager.next_action
             if due < best:
@@ -491,21 +500,23 @@ class FtEngine(Component):
             due = self.scheduler.next_action
             if due < best:
                 best = due
-            # The first cycles whose wire poll and timer check pass:
-            # integer ceils of the head frame's arrival and the earliest
-            # timer deadline.
-            in_flight = self._wire_in
-            if in_flight:
-                due = -(-in_flight[0][0] // ENGINE_PERIOD_PS)
-                if due < best:
-                    best = due
-            hint = self.timers.earliest_hint
-            if hint != NEVER:
-                due = -(-hint // ENGINE_PERIOD_PS)
-                if due < best:
-                    best = due
-            if best <= cycle:
-                best = cycle + 1
+            if best > soon:
+                # The first cycles whose wire poll and timer check pass:
+                # integer ceils of the head frame's arrival and the
+                # earliest timer deadline.  (Once a block is due by the
+                # next tick, neither can pull the horizon further in.)
+                in_flight = self._wire_in
+                if in_flight:
+                    due = -(-in_flight[0][0] // ENGINE_PERIOD_PS)
+                    if due < best:
+                        best = due
+                hint = self.timers.earliest_hint
+                if hint != NEVER:
+                    due = -(-hint // ENGINE_PERIOD_PS)
+                    if due < best:
+                        best = due
+            if best < soon:
+                best = soon
         self.next_action = best
         return best
 
@@ -548,18 +559,29 @@ class FtEngine(Component):
             self.scheduler.tick()
         if self.memory_manager.next_action <= cycle:
             self.memory_manager.tick()
-        # Nothing later in a tick moves an FPC's horizon once it has
-        # had its turn, so their minimum is taken on the way.
+        # Only an armed FPC can act, in index order.  Nothing later in
+        # a tick moves an FPC's horizon once it has had its turn, so
+        # their minimum is taken on the way, and one that went idle
+        # leaves the armed list.
         best = NEVER
-        for fpc in self.fpcs:
-            due = fpc.next_action
-            if due <= cycle:
-                fpc.tick()
-                if fpc.out_results:
-                    self._drain_one_fpc(fpc)
+        armed = self._armed
+        if armed:
+            fpcs = self.fpcs
+            idle = False
+            for i in armed:
+                fpc = fpcs[i]
                 due = fpc.next_action
-            if due < best:
-                best = due
+                if due <= cycle:
+                    fpc.tick()
+                    if fpc.out_results:
+                        self._drain_one_fpc(fpc)
+                    due = fpc.next_action
+                    if due == NEVER:
+                        idle = True
+                if due < best:
+                    best = due
+            if idle:
+                armed[:] = [i for i in armed if fpcs[i].next_action != NEVER]
         # Last, so no RX notification outlives a tick.
         if self.rx_parser.notifications:
             self._drain_rx_notifications()

@@ -97,12 +97,14 @@ class Scheduler(Component):
         #: the list: its wait is the source FPC's, whose retire queues
         #: the evicted TCB and wakes us.
         self.next_action = NEVER
+        #: An FPC has queued an evicted TCB since the last collection.
+        self._evicted = False
         # The blocks whose output queues tick() drains say when they
         # fill one.
         memory_manager.notify_scheduler = self._wake
         memory_manager.return_event = self._pend
         for fpc in fpcs:
-            fpc.notify_scheduler = self._wake
+            fpc.notify_scheduler = self._on_evicted
 
         self.events_submitted = 0
         self.events_coalesced = 0
@@ -192,11 +194,13 @@ class Scheduler(Component):
         fifo = self.coalesce_fifos[event.flow_id % COALESCE_FIFOS]
         coalesced = False
         if self.coalescing:
-            # Coalesce with an event of the same flow already queued,
-            # but only when no information would be lost (§4.4.1).
-            for queued in fifo._items:
-                if queued.flow_id == event.flow_id and queued.information_preserving_merge(event):
-                    coalesced = True
+            # Coalesce with the flow's tail-most queued event, but only
+            # when no information would be lost (§4.4.1) — order
+            # included: merging past a later event of the flow (a
+            # dup-ACK, say) would let the merged one overtake it.
+            for queued in reversed(fifo._items):
+                if queued.flow_id == event.flow_id:
+                    coalesced = queued.information_preserving_merge(event)
                     break
         if not coalesced and not fifo.push(event):
             # Refused: the caller offers the same event again, so
@@ -230,6 +234,11 @@ class Scheduler(Component):
         if due < self.next_action:
             self.next_action = due
 
+    def _on_evicted(self) -> None:
+        """An FPC queued an evicted TCB: collect it on the next tick."""
+        self._evicted = True
+        self._wake()
+
     def _rearm(self) -> None:
         """Recompute :attr:`next_action` at the end of a tick, when the
         swap-in requests and the evicted TCBs have just been drained."""
@@ -255,7 +264,8 @@ class Scheduler(Component):
                 self.events_routed += 1
         if self.memory_manager.swap_in_requests or self._deferred_swap_ins:
             self._handle_swap_in_requests()
-        self._collect_evicted()
+        if self._evicted:
+            self._collect_evicted()
         self._rearm()
 
     # ------------------------------------------------------------- routing
@@ -406,6 +416,7 @@ class Scheduler(Component):
 
     def _collect_evicted(self) -> None:
         """Fig 6 steps ④–⑤: evicted TCBs arrive; update the location LUT."""
+        self._evicted = False
         for fpc in self.fpcs:
             if not fpc.out_evicted:
                 continue

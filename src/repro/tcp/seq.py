@@ -29,26 +29,30 @@ def seq_sub(a: int, b: int) -> int:
     return diff
 
 
+# The comparisons are seq_sub's sign read off d = (a - b) % SEQ_MOD:
+# negative when d > 2^31, zero when d == 0, positive otherwise.
+
+
 def seq_lt(a: int, b: int) -> bool:
     """True when ``a`` precedes ``b`` in sequence space."""
-    return seq_sub(a, b) < 0
+    return (a - b) % SEQ_MOD > _HALF
 
 
 def seq_le(a: int, b: int) -> bool:
-    return seq_sub(a, b) <= 0
+    return not 0 < (a - b) % SEQ_MOD <= _HALF
 
 
 def seq_gt(a: int, b: int) -> bool:
-    return seq_sub(a, b) > 0
+    return 0 < (a - b) % SEQ_MOD <= _HALF
 
 
 def seq_ge(a: int, b: int) -> bool:
-    return seq_sub(a, b) >= 0
+    return (a - b) % SEQ_MOD <= _HALF
 
 
 def seq_max(a: int, b: int) -> int:
     """The later of two sequence numbers."""
-    return a if seq_ge(a, b) else b
+    return a if (a - b) % SEQ_MOD <= _HALF else b
 
 
 def seq_in_window(x: int, window_start: int, window_len: int) -> bool:

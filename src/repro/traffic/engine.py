@@ -188,7 +188,8 @@ class _Conn:
     __slots__ = (
         "cls", "a_flow", "b_flow", "state", "current", "send_remaining",
         "resp_remaining", "arrival_ps", "connect_ps", "srv_expect",
-        "srv_send_remaining", "rounds_left", "dirty",
+        "srv_send_remaining", "rounds_left", "dirty", "a_readable",
+        "b_readable",
     )
 
     def __init__(self, cls: TrafficClass, rounds_left: int = 0) -> None:
@@ -212,6 +213,11 @@ class _Conn:
         #: skipping it is cycle-exact (see _drain_host_messages).
         #: LoadEngine._mark_dirty sets it and queues the conn.
         self.dirty = False
+        #: Per side, whether a 'data' or 'eof' message may have left
+        #: bytes to read: the pump reads a side only while its mark is
+        #: set, and clears it once a read has emptied that side.
+        self.a_readable = False
+        self.b_readable = False
 
 
 class _ClassState:
@@ -446,9 +452,11 @@ class LoadEngine:
         self._drain_host_messages()
         self._release_arrivals()
         # Declaration-order iteration, fixed per scenario+seed; sorting
-        # would reorder emits and re-pin the trace goldens.
+        # would reorder emits and re-pin the trace goldens.  A pooled
+        # class with no dirty conn is blocked on the engines.
         for state in self.states.values():
-            self._advance_class(state)  # f4t: noqa[F4T008]
+            if state.dirty or state.cls.lifecycle == PER_REQUEST:
+                self._advance_class(state)  # f4t: noqa[F4T008]
         return self._all_done()
 
     def _drain_host_messages(self) -> None:
@@ -461,7 +469,10 @@ class LoadEngine:
         makes bytes readable, 'connected'/'accepted' finish the
         handshake, and 'eof'/'closed'/'reset' move teardown.  Advancing
         only message-marked conns is therefore cycle-identical to
-        polling every conn every cycle.
+        polling every conn every cycle.  A message wakes only what it
+        unblocks: 'acked' a side waiting for send room (the client
+        while ``_SENDING``, the server while it has response bytes
+        left), 'data' and 'eof' the side's readable mark.
 
         The queues are scanned with per-queue cursors rather than
         popped: the host-queue occupancy samples
@@ -490,14 +501,23 @@ class LoadEngine:
                 for i in range(start, size):
                     message = queue[i]
                     conn = conn_map.get(message.flow_id)
-                    if conn is not None:
-                        self._mark_dirty(conn)
-                    elif message.kind != "accepted":
+                    kind = message.kind
+                    if conn is None:
                         # A flow we can't map (shouldn't happen: accepts
                         # are mapped by _poll_accepts before this runs).
                         # Fall back to one exhaustive sweep — polling is
                         # idempotent, so correctness is preserved.
-                        unknown = True
+                        unknown = unknown or kind != "accepted"
+                        continue
+                    if kind == "acked":
+                        if not (conn.srv_send_remaining if side else conn.state == _SENDING):
+                            continue  # that side is not waiting for send room
+                    elif kind == "data" or kind == "eof":
+                        if side:
+                            conn.b_readable = True
+                        else:
+                            conn.a_readable = True
+                    self._mark_dirty(conn)
                 cursors[key] = size
         if unknown:
             self._mark_all_dirty()
@@ -508,8 +528,10 @@ class LoadEngine:
             self.states[conn.cls.name].dirty.append(conn)
 
     def _mark_all_dirty(self) -> None:
+        """Advance every conn next, polling both sides for bytes."""
         for state in self.states.values():
             for conn in state.conns:
+                conn.a_readable = conn.b_readable = True
                 self._mark_dirty(conn)
 
     def _poll_accepts(self) -> None:
@@ -542,9 +564,14 @@ class LoadEngine:
             state = self.states[request.cls]
             state.pending.append(request)
             if state.cls.lifecycle != PER_REQUEST:
-                # A pooled conn may be idle-clean waiting for work.
+                # Wake the first idle conn, in pool (= a_flow) order:
+                # at a pump's end every _READY conn is dirty or
+                # ``pending`` is empty (``_may_act``), so the k conns
+                # that take k requests are all dirty after k releases.
                 for conn in state.conns:
-                    self._mark_dirty(conn)
+                    if conn.state == _READY and not conn.dirty:
+                        self._mark_dirty(conn)
+                        break
             if self.trace is not None:
                 self.trace.emit(
                     now, "traffic", "load", "arrival", -1,
@@ -572,8 +599,6 @@ class LoadEngine:
                 )
                 state.conns.append(conn)
         dirty = state.dirty
-        if not dirty:
-            return  # whole class blocked on the engines; nothing to do
         # Conn order, which the trace pins: conns are created — and
         # their client flow ids allocated — in the order they are kept.
         dirty.sort(key=_A_FLOW)
@@ -724,7 +749,8 @@ class LoadEngine:
         engine_b = self.testbed.engine_b
         if conn.b_flow is None or conn.b_flow not in engine_b.flows:
             return
-        readable = engine_b.readable(conn.b_flow)
+        readable = engine_b.readable(conn.b_flow) if conn.b_readable else 0
+        conn.b_readable = False  # the read below empties this side
         if readable > 0:
             received = len(engine_b.recv_data(conn.b_flow, readable))
             while received > 0 and conn.srv_expect:
@@ -745,11 +771,14 @@ class LoadEngine:
             conn.srv_send_remaining -= engine_b.send_data(conn.b_flow, chunk)
 
     def _pull_response(self, state: _ClassState, conn: _Conn) -> None:
+        if not conn.a_readable:
+            return
         engine_a = self.testbed.engine_a
         readable = engine_a.readable(conn.a_flow)
+        take = min(readable, conn.resp_remaining)
+        conn.a_readable = take < readable  # bytes left after this read
         if readable <= 0:
             return
-        take = min(readable, conn.resp_remaining)
         conn.resp_remaining -= len(engine_a.recv_data(conn.a_flow, take))
         if conn.resp_remaining > 0:
             return

@@ -1,9 +1,10 @@
 """The retired per-cycle loop, kept as the horizon loop's test oracle.
 
-Until PR 23 ``Testbed.run`` without a ``quiet_cycle`` visited every
-cycle.  That loop lives on here, with nothing to skip by: every cycle
-``until()`` is called, both engines are set to the cycle and both are
-ticked — no horizon, no jump, no declared schedule.  A run under
+``Testbed.run`` once visited every cycle unless the pump declared a
+schedule (today its ``next_call_ps``).  That loop lives on here, with
+nothing to skip by: every cycle ``until()`` is called, both engines are
+set to the cycle and both are ticked — no horizon, no jump, no declared
+schedule.  A run under
 :func:`use_per_cycle` never depends on what a block published or a pump
 declared, so the horizon loop must land on the same history.
 """

@@ -40,7 +40,7 @@ class Rig:
             for i in range(2)
         ]
         for fpc in self.fpcs:
-            fpc.pipe.initiation_interval = interval
+            fpc.initiation_interval = interval
             fpc.input.capacity = 4  # backpressure past two queued events
         # DDR4 and a one-line cache: nearly every access holds the
         # channel for 7 cycles, 14 with a dirty write-back.

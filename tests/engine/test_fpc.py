@@ -102,8 +102,8 @@ class TestHazardFreedom:
                 fpc.offer_event(user_send_event(i % 2, i + 1, 0))
             fpc.tick()
             fpc.drain_results()
-            # Pipeline entries are (issue_cycle, (slot, tcb, dup)).
-            in_pipe = [payload[1].flow_id for _, payload in fpc.pipe._in_flight]
+            # Pipe entries are (retire_cycle, slot, tcb, dup).
+            in_pipe = [tcb.flow_id for _, _, tcb, _ in fpc.pipe]
             for flow_id in set(in_pipe):
                 max_inflight_same_flow = max(
                     max_inflight_same_flow, in_pipe.count(flow_id)
@@ -213,6 +213,83 @@ class TestBackpressure:
         assert fpc.backpressure
         assert not fpc.offer_event(user_send_event(0, 1, 0))
 
+
+class TestFpuPipe:
+    """The FPU pipe the FPC keeps (§4.2.2, §4.5): a TCB retires a fixed
+    latency after it issues, issues are an initiation interval apart,
+    and passes retire in issue order."""
+
+    @staticmethod
+    def _run(fpc, flows, cycles):
+        """Offer one event per flow up front, tick ``cycles`` times;
+        returns the (cycle, flow) of every issue and every retire."""
+        install_flows(fpc, flows)
+        for flow_id in range(flows):
+            fpc.offer_event(user_send_event(flow_id, 1, 0))
+        issued, retired = [], []
+        for _ in range(cycles):
+            fpc.tick()
+            pipe = fpc.pipe
+            if pipe and pipe[-1][0] == fpc.cycle + fpc._latency:
+                issued.append((fpc.cycle, pipe[-1][2].flow_id))
+            retired.extend(
+                (fpc.cycle, result.tcb.flow_id) for result in fpc.drain_results()
+            )
+        return issued, retired
+
+    def test_result_appears_after_latency(self):
+        issued, retired = self._run(make_fpc(latency=5), 1, 20)
+        [(issue, flow)] = issued
+        assert retired == [(issue + 5, flow)]
+
+    def test_initiation_interval_blocks_early_reissue(self):
+        fpc = make_fpc(latency=5)
+        fpc.initiation_interval = 3
+        issued, _ = self._run(fpc, 4, 60)
+        assert len(issued) == 4
+        times = [cycle for cycle, _ in issued]
+        assert all(b - a >= 3 for a, b in zip(times, times[1:]))
+
+    def test_pipelined_overlap(self):
+        """TCBs issued every II retire every II after the fill latency —
+        the property that lets the FPU run at full rate regardless of
+        depth (§4.5)."""
+        issued, retired = self._run(make_fpc(latency=14), 8, 60)
+        times = [cycle for cycle, _ in retired]
+        assert times[0] == issued[0][0] + 14
+        assert all(b - a == 2 for a, b in zip(times, times[1:]))
+
+    def test_retire_order_is_issue_order(self):
+        issued, retired = self._run(make_fpc(latency=3), 5, 40)
+        assert [flow for _, flow in retired] == [flow for _, flow in issued]
+        assert len(retired) == 5
+
+    def test_busy_and_len(self):
+        fpc = make_fpc(latency=4)
+        assert len(fpc.pipe) == 0
+        self._run(fpc, 1, 3)  # handled on cycle 2, issued on cycle 3
+        assert len(fpc.pipe) == 1
+        for _ in range(4):
+            fpc.tick()
+        assert len(fpc.pipe) == 0
+
+    def test_counters(self):
+        fpc = make_fpc(latency=1)
+        self._run(fpc, 3, 20)
+        assert fpc.tcbs_processed == 3
+
+    def test_next_retire_cycle(self):
+        """The head's retire cycle is the pipe's term of the horizon."""
+        fpc = make_fpc(latency=12)
+        assert fpc._retire_at == NEVER
+        issued, _ = self._run(fpc, 2, 5)
+        assert [cycle for cycle, _ in issued] == [3, 5]
+        assert fpc._retire_at == 15 and fpc.next_action == 15
+        self._run(fpc, 0, 9)
+        assert fpc._retire_at == 15 and fpc.tcbs_processed == 0
+        fpc.tick()
+        assert fpc.tcbs_processed == 1 and fpc._retire_at == 17
+
 # ------------------------------------------------------ the work horizon
 _OPS = st.lists(
     st.tuples(
@@ -269,7 +346,7 @@ def _state(fpc):
         [event.req for event in fpc.input],
         list(fpc._dispatch_queue),
         sorted(fpc._in_flight),
-        [(issued, item[0], item[1].flow_id) for issued, item in fpc.pipe._in_flight],
+        [(retire, slot, tcb.flow_id) for retire, slot, tcb, _ in fpc.pipe],
         [result.tcb.flow_id for result in fpc.out_results],
         [tcb.flow_id for tcb in fpc.out_evicted],
         fpc.events_accepted,
@@ -301,7 +378,7 @@ def _drive(ops, latency, interval, step):
     fpc, clock = owned_fpc(latency=latency)
     # The FPU's own interval (2) coincides with the odd-cycle dispatch
     # phase; a longer one makes the interval bind on its own.
-    fpc.pipe.initiation_interval = interval
+    fpc.initiation_interval = interval
     install_flows(fpc, 3)
     parked = []  # evicted TCBs, to be swapped back in
     fresh = itertools.count()

@@ -121,6 +121,42 @@ class TestCoalescing:
         scheduler.submit(TcpEvent(EventKind.RX_PACKET, 0, ack=1, dup_incr=1, coalescible=False))
         assert scheduler.events_coalesced == 0
 
+    def test_an_event_never_coalesces_past_a_later_event_of_its_flow(self):
+        """§4.4.1: a merge may lose no information, and order is
+        information.  ack=200 merged into ack=100 would overtake the
+        dup-ACK between them, and the FPU would count that dup-ACK
+        after snd_una had already moved past it.  A merge goes into the
+        flow's tail-most queued event or not at all."""
+        scheduler, fpcs, _ = make_system()
+        scheduler.register_new_flow(Tcb(flow_id=0, state=TcpState.ESTABLISHED))
+
+        def ack(n):
+            return TcpEvent(EventKind.RX_PACKET, 0, ack=n)
+
+        def queued():
+            return [(e.ack, e.dup_incr) for e in scheduler.coalesce_fifos[0]]
+
+        assert scheduler.submit(ack(100))
+        assert scheduler.submit(
+            TcpEvent(EventKind.RX_PACKET, 0, dup_incr=1, coalescible=False)
+        )
+        assert scheduler.submit(ack(200))
+        assert queued() == [(100, 0), (None, 1), (200, 0)]
+        assert scheduler.events_coalesced == 0
+        # The tail-most event of the flow still takes a merge.
+        assert scheduler.submit(ack(300))
+        assert queued() == [(100, 0), (None, 1), (300, 0)]
+        assert scheduler.events_coalesced == 1
+        routed = []
+        for fpc in fpcs:
+            def offer(event, offer=fpc.offer_event):
+                routed.append((event.ack, event.dup_incr))
+                return offer(event)
+
+            fpc.offer_event = offer
+        spin(scheduler, fpcs, 10)
+        assert routed == [(100, 0), (None, 1), (300, 0)]
+
     def test_backpressure_when_fifo_full_of_uncoalescible(self):
         scheduler, _, _ = make_system()
         scheduler.register_new_flow(Tcb(flow_id=0))

@@ -16,7 +16,6 @@ EXPECTED = [
     "Fifo",
     "Histogram",
     "PartitionedLUT",
-    "Pipeline",
 ]
 
 

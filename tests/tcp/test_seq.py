@@ -84,3 +84,34 @@ class TestProperties:
     @given(seqs, st.integers(min_value=1, max_value=1 << 20))
     def test_window_excludes_its_end(self, start, length):
         assert not seq_in_window(seq_add(start, length), start, length)
+
+
+def _by_definition(a: int, b: int) -> tuple:
+    """Each ordered helper as the sign of ``seq_sub``, its definition."""
+    d = seq_sub(a, b)
+    return d < 0, d <= 0, d > 0, d >= 0, a if d >= 0 else b
+
+
+def _flat(a: int, b: int) -> tuple:
+    return seq_lt(a, b), seq_le(a, b), seq_gt(a, b), seq_ge(a, b), seq_max(a, b)
+
+
+class TestFlatHelpersEqualTheirDefinitions:
+    """``seq_lt/le/gt/ge/max`` read the unsigned distance directly; they
+    must agree with ``seq_sub``'s sign everywhere, the antipode too."""
+
+    @given(seqs, seqs)
+    def test_every_pair(self, a, b):
+        assert _flat(a, b) == _by_definition(a, b)
+
+    @given(seqs)
+    def test_edge_distances(self, b):
+        for distance in (0, 1, (1 << 31) - 1, 1 << 31, SEQ_MOD - 1):
+            a = seq_add(b, distance)
+            assert _flat(a, b) == _by_definition(a, b), distance
+            assert _flat(b, a) == _by_definition(b, a), distance
+
+    def test_antipode_compares_as_ahead_both_ways(self):
+        a, b = 1 << 31, 0
+        assert _flat(a, b) == (False, False, True, True, a)
+        assert _flat(b, a) == (False, False, True, True, b)

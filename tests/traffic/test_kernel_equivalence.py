@@ -64,6 +64,21 @@ def _large_transfers() -> Scenario:
     )
 
 
+def _buffer_bound_transfers() -> Scenario:
+    """One closed-loop conn whose 1.2 MB request and response outgrow
+    the 512 KiB send buffers: both sides block on send room, and only
+    an 'acked' message wakes them."""
+    return Scenario(
+        name="buffer-bound",
+        classes=[TrafficClass(
+            name="buffer-bound", request=Fixed(1_200_000),
+            response=Fixed(1_200_000), rounds=1, connections=1,
+        )],
+        duration_s=1e-3,
+        seed=1234,
+    )
+
+
 class SweepingLoadEngine(LoadEngine):
     """Advances every conn on every pump call, parked ones too: the
     pre-dirty-set behaviour.  It must be cycle-identical to
@@ -78,8 +93,9 @@ class SweepingLoadEngine(LoadEngine):
 def traced_fingerprint(
     scenario: str, sweep: bool = False, backend: str = "f4t"
 ) -> str:
+    builders = {"large": _large_transfers, "buffer-bound": _buffer_bound_transfers}
     load_engine = (SweepingLoadEngine if sweep else LoadEngine)(
-        _large_transfers() if scenario == "large"
+        builders[scenario]() if scenario in builders
         else get_scenario(scenario, seed=1234),
         backend=backend,
     )
@@ -155,12 +171,16 @@ class TestCycleExactEquivalence:
         assert traced_fingerprint("mixed", sweep=True) == GOLDEN["mixed"]
         assert checked[0] > 0
 
-    @pytest.mark.parametrize("scenario", ["mixed", "churn", "lossy-mixed", "large"])
+    @pytest.mark.parametrize(
+        "scenario", ["mixed", "churn", "lossy-mixed", "large", "buffer-bound"]
+    )
     def test_a_parked_conn_cannot_act(self, scenario, monkeypatch):
         """Every pump call of the horizon loop, with every parked conn
         advanced anyway: not one of them moves, and the trace is the
         dirty-set pump's.  ``large`` sends requests and responses past
-        the pump's 64 KiB chunk, so a conn is left with buffer room."""
+        the pump's 64 KiB chunk, so a conn is left with buffer room;
+        ``buffer-bound`` past the send buffer, so a conn waits for an
+        'acked' message on either side."""
         expected = GOLDEN.get(scenario) or traced_fingerprint(scenario)
         checked = check_parking(monkeypatch)
         assert traced_fingerprint(scenario, sweep=True) == expected

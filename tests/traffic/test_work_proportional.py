@@ -1,20 +1,23 @@
 """The engine loop costs what is due, not what exists.
 
 ``Testbed.run`` ticks an engine only on a cycle its published
-``next_action`` names and calls the pump only when its ``quiet_cycle``
-or an engine message says so.  These tests read what the loop did from
+``next_action`` names and calls the pump only at the instant its
+``next_call_ps`` names or when an engine message says so; the pump
+advances only the conns a message, an accept or an arrival woke.  These tests read what the loop did from
 ``Testbed.loop_stats`` and hold it against the per-cycle oracle
 (``tests/engine/_percycle_oracle.py``): same simulated cycles, every one
 accounted for, a fraction of the ticks; and they hold the published
 horizon against the from-scratch one (``tests/engine/_horizon_oracle.py``).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine.ftengine import FtEngine
 from repro.engine.testbed import Testbed
 from repro.traffic import get_scenario
-from repro.traffic.engine import LoadEngine
+from repro.traffic.engine import _READY, LoadEngine
 
 from ..engine._horizon_oracle import check_published_horizons, work_cycle
 from ..engine._percycle_oracle import run_per_cycle
@@ -60,6 +63,81 @@ def test_every_horizon_tick_was_due(scenario, monkeypatch):
     load_engine, _ = _run(scenario)
     assert load_engine.testbed.loop_stats["ticks_a"] > 0
     assert undue == []
+
+
+def _conn_fields(conn) -> tuple:
+    """Every field of a conn bar ``dirty`` (the pump's queue mark)."""
+    return tuple(
+        [list(expect) for expect in conn.srv_expect] if name == "srv_expect"
+        else getattr(conn, name)
+        for name in conn.__slots__ if name != "dirty"
+    )
+
+
+#: The advances that change nothing, per scenario run for 2 ms: one per
+#: pool conn on the first pump (``connect()`` marked it, ``_pools_ready``
+#: has already moved it to _READY, and no request has arrived yet), and
+#: the *overtaken* ones — a conn that turned _READY in its own advance
+#: while a request was pending is kept dirty, and a later conn of the
+#: same pump took that request.
+NO_OP_ADVANCES = {
+    "mixed": {"opening": 14, "overtaken": 1},
+    "lossy-mixed": {"opening": 14, "overtaken": 0},
+}
+
+
+@pytest.mark.parametrize("scenario", ["mixed", "lossy-mixed"])
+def test_every_conn_advance_was_due(scenario, monkeypatch):
+    """The pump advances a conn only when a message, an accept or an
+    arrival gave it something to do: an advance that changes no conn
+    field and reads no byte is one of the named few.  (That skipping
+    the rest is exact is ``test_kernel_equivalence.py``'s
+    ``check_parking``.)"""
+    advance, pump, recv = (
+        LoadEngine._advance_conn, LoadEngine._pump, FtEngine.recv_data
+    )
+    counts = {"advances": 0, "opening": 0, "overtaken": 0, "other": 0}
+    read = [0]
+    pumps = [0]
+    kept = set()  # conns left dirty by _may_act at a pump's end
+
+    def counted_pump(load_engine):
+        pumps[0] += 1
+        kept.clear()
+        for state in load_engine.states.values():
+            kept.update(id(conn) for conn in state.dirty)
+        return pump(load_engine)
+
+    def counted_recv(engine, flow_id, nbytes):
+        data = recv(engine, flow_id, nbytes)
+        read[0] += len(data)
+        return data
+
+    def checked_advance(load_engine, state, conn):
+        counts["advances"] += 1
+        before = _conn_fields(conn), read[0]
+        advance(load_engine, state, conn)
+        if (_conn_fields(conn), read[0]) != before:
+            return
+        if pumps[0] == 1:
+            counts["opening"] += 1
+        elif id(conn) in kept and conn.state == _READY:
+            counts["overtaken"] += 1
+        else:
+            counts["other"] += 1
+
+    monkeypatch.setattr(LoadEngine, "_pump", counted_pump)
+    monkeypatch.setattr(LoadEngine, "_advance_conn", checked_advance)
+    monkeypatch.setattr(FtEngine, "recv_data", counted_recv)
+    result = LoadEngine(
+        replace(get_scenario(scenario, seed=1234), duration_s=2e-3)
+    ).run()
+    assert result.finished and result.completed == result.offered
+    assert counts["advances"] > result.completed
+    assert counts["other"] == 0, counts
+    assert {
+        kind: counts[kind] for kind in ("opening", "overtaken")
+    } == NO_OP_ADVANCES[scenario], counts
 
 
 @pytest.mark.parametrize("scenario", ["mixed", "churn", "spill"])
