@@ -19,9 +19,14 @@ from ..apps.roundrobin import RoundRobinModel
 from ..engine.ftengine import ENGINE_FREQ_HZ, FtEngineConfig
 from ..engine.resources import ftengine_cost, utilization_table
 from ..host.calibration import (
+    COMMAND_BYTES_DEFAULT,
+    COMMAND_BYTES_SIMPLIFIED,
     F4T_HEADER_OFFERED_BULK,
     F4T_HEADER_OFFERED_RR,
     F4T_HEADER_RATE_PER_CORE,
+    FPC_EVENTS_PER_SECOND,
+    LINUX_LATENCY_MEDIAN_RATIO,
+    LINUX_LATENCY_P99_RATIO,
     NGINX_LINUX_TCP_FRACTION,
 )
 from ..host.cpu import CpuModel
@@ -342,13 +347,13 @@ def run_figure12(quick: bool = False) -> ExperimentResult:
     )
     result.check(
         "median latency ratio (Linux/F4T)",
-        paper=3.7,
+        paper=LINUX_LATENCY_MEDIAN_RATIO,
         measured=linux_hist.median / f4t_hist.median,
         tolerance=0.30,
     )
     result.check(
         "p99 latency ratio (Linux/F4T)",
-        paper=26.0,
+        paper=LINUX_LATENCY_P99_RATIO,
         measured=linux_hist.p99 / f4t_hist.p99,
         tolerance=0.40,
     )
@@ -477,8 +482,8 @@ def run_figure15() -> ExperimentResult:
         rows=rows,
         method="simulated",
     )
-    result.check("F4T rate at latency 14 (NewReno)", 125e6, f4t_rates[3], tolerance=0.05)
-    result.check("F4T rate at latency 68 (Vegas)", 125e6, f4t_rates[-1], tolerance=0.05)
+    for latency, rate in (("14 (NewReno)", f4t_rates[3]), ("68 (Vegas)", f4t_rates[-1])):
+        result.check(f"F4T rate at latency {latency}", FPC_EVENTS_PER_SECOND, rate, tolerance=0.05)
     result.check(
         "F4T flatness (min/max)", paper=1.0,
         measured=min(f4t_rates) / max(f4t_rates), tolerance=0.02,
@@ -500,14 +505,14 @@ def run_figure15() -> ExperimentResult:
 def run_figure16a() -> ExperimentResult:
     """Fig 16a: header processing rate vs cores, 16B vs 8B commands."""
     pcie = PcieModel()
-    engine_cap = 8 * 125e6  # 8 FPCs, one event per two 250 MHz cycles
+    engine_cap = 8 * FPC_EVENTS_PER_SECOND  # 8 FPCs
     rows = []
     rate_16 = {}
     rate_8 = {}
     for cores in (1, 2, 4, 8, 12, 16, 20, 24):
         software = cores * F4T_HEADER_RATE_PER_CORE
-        r16 = min(software, pcie.max_requests_per_s(0, command_bytes=16), engine_cap)
-        r8 = min(software, pcie.max_requests_per_s(0, command_bytes=8), engine_cap)
+        r16 = min(software, pcie.max_requests_per_s(0, command_bytes=COMMAND_BYTES_DEFAULT), engine_cap)
+        r8 = min(software, pcie.max_requests_per_s(0, command_bytes=COMMAND_BYTES_SIMPLIFIED), engine_cap)
         rate_16[cores] = r16
         rate_8[cores] = r8
         rows.append((cores, round(r16 / MRPS), round(r8 / MRPS)))

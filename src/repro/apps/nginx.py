@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from ..host.calibration import (
     HOST_CPU_FREQ_HZ,
@@ -107,8 +107,6 @@ class NginxPerformanceModel:
 
 
 # --------------------------------------------------------- closed-loop DES
-ServiceSampler = Callable[[random.Random], float]
-
 #: Linux's rare stall magnitude/probability: scheduler preemptions,
 #: softirq batching and page-cache misses produce occasional requests an
 #: order of magnitude slower — the source of Fig 12's heavy p99 tail.

@@ -9,12 +9,15 @@ Three engines behind one CLI
   simulated layers, wraparound-safe sequence comparisons through
   :mod:`repro.tcp.seq`, the ``if self.trace is not None`` near-zero-cost
   tracing contract, no bypassing of the stats/metrics API, no float
-  drift in accumulated picosecond clocks, and — via the dataflow pass in
-  :mod:`repro.check.dataflow` — no unordered iteration feeding digests
-  or cross-process exchanges, no process-identity leaks, no
+  drift in accumulated picosecond clocks, no unordered iteration
+  feeding digests or cross-process exchanges (the dataflow pass in
+  :mod:`repro.check.dataflow`), no process-identity leaks, no
   non-total-order heap keys, and no mutable default arguments.  Findings
   carry rule ids (``F4T0xx``) and honour ``# f4t: noqa[F4T0xx]``
-  suppressions.
+  suppressions.  Every rule reads the program index
+  (:mod:`repro.check.index`): each file parsed once, with one import
+  table per module, which the reach and knob passes under
+  ``tests/check`` read too.
 
 * **race sanitizer** (:mod:`repro.check.race`) — a TSAN-style shadow
   state checker for the dual-memory TCB scheme (§4.2.3): every write to
@@ -31,7 +34,8 @@ Three engines behind one CLI
 """
 
 from .findings import Finding, LockstepFinding, RaceFinding
-from .lint import LintResult, layer_of, lint_paths
+from .index import layer_of
+from .lint import LintResult, lint_paths
 from .lockstep import LockstepSanitizer, run_lockstep_check
 from .race import RaceSanitizer, attach_sanitizer, run_race_check
 from .rules import LintRule, SIM_LAYERS, all_rules

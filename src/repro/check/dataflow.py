@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - the index builds the dataflow
+    from .index import ImportTable
 
 # ----------------------------------------------------------------- kinds
 KIND_DICT = "dict"
@@ -290,36 +293,24 @@ def build_scope(
 def iter_function_scopes(
     tree: ast.AST,
 ) -> Iterator[Tuple[ast.FunctionDef, Scope]]:
-    """Every function in a module with its scope (methods get the
-    class-wide ``self.x`` kinds)."""
+    """Every function in a module with its scope: the module-level ones,
+    the methods of module-level classes (with the class-wide ``self.x``
+    kinds) and every function nested in those."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _walk_function(node, None)
-        elif isinstance(node, ast.ClassDef):
-            attr_kinds = _class_attr_kinds(node)
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield from _walk_function(child, attr_kinds)
+        tops: Sequence[ast.AST] = node.body if isinstance(node, ast.ClassDef) else [node]
+        attr_kinds = _class_attr_kinds(node) if isinstance(node, ast.ClassDef) else None
+        for top in tops:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for func in ast.walk(top):
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield func, build_scope(func, attr_kinds)
 
 
-def _walk_function(
-    func: ast.FunctionDef, attr_kinds: Optional[Dict[str, str]]
-) -> Iterator[Tuple[ast.FunctionDef, Scope]]:
-    yield func, build_scope(func, attr_kinds)
-    for node in ast.walk(func):
-        if node is not func and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            yield node, build_scope(node, attr_kinds)
-
-
-def comparable_classes(tree: ast.AST) -> Set[str]:
-    """Module-local classes that define a total order (``__lt__`` or
+def comparable_classes(classes: Iterable[ast.ClassDef]) -> Set[str]:
+    """The classes that define a total order (``__lt__`` or
     ``functools.total_ordering``)."""
     names: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
+    for node in classes:
         has_lt = any(
             isinstance(item, ast.FunctionDef) and item.name == "__lt__"
             for item in node.body
@@ -400,6 +391,30 @@ def _receiver_hint(func: ast.Attribute) -> str:
     return ".".join(reversed(parts)).lower()
 
 
+_PICKLES = frozenset({"pickle.dumps", "pickle.dump", "marshal.dumps"})
+
+
+def sink_kind_of(call: ast.Call, imports: ImportTable) -> Optional[str]:
+    """What kind of sink ``call`` is, or None."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        attr = func.attr
+        hint = _receiver_hint(func)
+        if attr == "emit":
+            return "trace emit"
+        if attr == "update" and any(h in hint for h in _DIGEST_HINTS):
+            return "digest update"
+        if attr == "send" and any(h in hint for h in _CHANNEL_HINTS):
+            return "cross-process send"
+        if attr in ("append", "extend", "insert") and any(
+            h in hint for h in _OUTBOX_HINTS
+        ):
+            return "exchange outbox"
+    if _PICKLES.intersection(imports.call_targets(func)):
+        return "pickle"
+    return None
+
+
 @dataclass(frozen=True)
 class SinkFlow:
     """One unordered-iteration value reaching one sink call."""
@@ -413,14 +428,15 @@ class SinkFlow:
 class ModuleDataflow:
     """Per-module driver: summaries first, then per-function flows."""
 
-    def __init__(self, tree: ast.AST, imports: object) -> None:
-        self.tree = tree
-        self.imports = imports  # duck-typed _ImportMap (resolve_call)
+    def __init__(
+        self, scopes: Dict[ast.FunctionDef, Scope], imports: ImportTable
+    ) -> None:
+        self.imports = imports
         #: function/method name -> parameter names that reach a sink.
         self.summaries: Dict[str, Set[str]] = {}
         #: function/method name -> positional parameter order (no self).
         self.signatures: Dict[str, List[str]] = {}
-        self._functions = list(iter_function_scopes(tree))
+        self._functions = list(scopes.items())
         for func, _ in self._functions:
             args = func.args
             self.signatures.setdefault(func.name, [
@@ -444,8 +460,11 @@ class ModuleDataflow:
                 ]
                 if not params:
                     continue
-                seeds = {name: {f"param:{name}"} for name in params}
-                for flow_origins in self._run_taint(func, scope, seeds):
+                taint = _TaintPass(
+                    self, scope, seeds={name: {f"param:{name}"} for name in params}
+                )
+                taint.run(func)
+                for flow_origins in taint.sink_origin_sets:
                     for origin in flow_origins:
                         if origin.startswith("param:"):
                             hits.add(origin[len("param:"):])
@@ -463,38 +482,6 @@ class ModuleDataflow:
             taint.run(func)
             flows.extend(taint.flows)
         return flows
-
-    def _run_taint(
-        self,
-        func: ast.FunctionDef,
-        scope: Scope,
-        seeds: Dict[str, Set[str]],
-    ) -> List[Set[str]]:
-        """Origin sets that reached sinks (summary-computation mode)."""
-        taint = _TaintPass(self, scope, seeds=seeds)
-        taint.run(func)
-        return taint.sink_origin_sets
-
-    # ------------------------------------------------------------ sink test
-    def sink_kind_of(self, call: ast.Call) -> Optional[str]:
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            attr = func.attr
-            hint = _receiver_hint(func)
-            if attr == "emit":
-                return "trace emit"
-            if attr == "update" and any(h in hint for h in _DIGEST_HINTS):
-                return "digest update"
-            if attr == "send" and any(h in hint for h in _CHANNEL_HINTS):
-                return "cross-process send"
-            if attr in ("append", "extend", "insert") and any(
-                h in hint for h in _OUTBOX_HINTS
-            ):
-                return "exchange outbox"
-        resolved = self.imports.resolve_call(func)  # type: ignore[attr-defined]
-        if resolved in ("pickle.dumps", "pickle.dump", "marshal.dumps"):
-            return "pickle"
-        return None
 
     def callee_name(self, call: ast.Call) -> Optional[str]:
         """Module-local callee name: ``helper(...)`` or ``self.helper(...)``."""
@@ -658,7 +645,7 @@ class _TaintPass:
         arg_origins: Set[str] = set()
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
             arg_origins |= self._expr_origins(arg)
-        sink = self.module.sink_kind_of(call)
+        sink = sink_kind_of(call, self.module.imports)
         if sink is None:
             # Call-graph summaries: a module-local helper whose parameter
             # reaches a sink makes this call site a sink for the args

@@ -1,100 +1,37 @@
-"""simlint driver: file discovery, parsing, suppression, reporting.
+"""simlint driver: rules over the program index, suppression, reporting.
 
-``lint_paths`` walks files or directories, parses each Python file once,
-runs every applicable rule (layer scoping comes from the file's position
-under ``repro/``), and filters findings through ``# f4t: noqa`` line
-suppressions.
+``lint_paths`` indexes files or directories (:mod:`repro.check.index`
+parses each once) and lints the modules: every applicable rule runs
+(layer scoping comes from the module's dotted name), and findings are
+filtered through ``# f4t: noqa`` line suppressions.
 """
 
 from __future__ import annotations
 
-import ast
-import os
-import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from .findings import Finding
-from .rules import FileContext, LintRule, all_rules
-
-#: ``# f4t: noqa`` (all rules) or ``# f4t: noqa[F4T003]`` / a comma list.
-_NOQA_RE = re.compile(r"#\s*f4t:\s*noqa(?:\[([A-Za-z0-9_,\s]+)\])?", re.I)
-
-def layer_of(path: str) -> Optional[str]:
-    """The repo layer a file belongs to: its package directly under
-    ``repro/`` (``engine``, ``tcp``, ...), ``""`` for top-level modules,
-    or ``None`` when the path is not inside a ``repro`` package at all.
-    """
-    parts = os.path.normpath(path).replace("\\", "/").split("/")
-    for index in range(len(parts) - 1, -1, -1):
-        if parts[index] == "repro":
-            remainder = parts[index + 1:]
-            if len(remainder) <= 1:
-                return ""
-            return remainder[0]
-    return None
+from .index import Module, build_index
+from .rules import all_rules
 
 
-def noqa_lines(source: str) -> Dict[int, Optional[Set[str]]]:
-    """Line -> suppressed rule ids (None = every rule) from f4t noqa tags."""
-    suppressions: Dict[int, Optional[Set[str]]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _NOQA_RE.search(line)
-        if match is None:
-            continue
-        ids = match.group(1)
-        if ids is None:
-            suppressions[lineno] = None
-        else:
-            suppressions[lineno] = {
-                token.strip().upper()
-                for token in ids.split(",")
-                if token.strip()
-            }
-    return suppressions
-
-
-def _raw_findings(
-    source: str, path: str, rules: Optional[Sequence[LintRule]]
-) -> List[Finding]:
-    """Every finding in one source string, before noqa suppression."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
+def raw_findings(module: Module) -> List[Finding]:
+    """Every finding in one module, before noqa suppression."""
+    error = module.syntax_error
+    if error is not None:
         return [Finding(
             rule="F4T000",
-            path=path,
-            line=exc.lineno or 0,
-            col=exc.offset or 0,
-            message=f"syntax error: {exc.msg}",
+            path=module.path,
+            line=error.lineno or 0,
+            col=error.offset or 0,
+            message=f"syntax error: {error.msg}",
         )]
-    ctx = FileContext(path=path, layer=layer_of(path), tree=tree, source=source)  # type: ignore[arg-type]
     findings: List[Finding] = []
-    for rule in rules if rules is not None else all_rules():
-        if rule.applies(ctx):
-            findings.extend(rule.check(ctx))
+    for rule in all_rules():
+        if rule.applies(module):
+            findings.extend(rule.check(module))
     return sorted(findings, key=lambda f: (f.line, f.col, f.rule))
-
-
-def _apply_noqa(
-    findings: Sequence[Finding], source: str
-) -> Tuple[List[Finding], int]:
-    """Filter findings through f4t noqa tags; returns (kept, suppressed)."""
-    suppressions = noqa_lines(source)
-    if not suppressions:
-        return list(findings), 0
-    kept: List[Finding] = []
-    suppressed = 0
-    for finding in findings:
-        if finding.line not in suppressions:
-            kept.append(finding)
-            continue
-        allowed = suppressions[finding.line]
-        if allowed is None or finding.rule.upper() in allowed:
-            suppressed += 1
-        else:
-            kept.append(finding)
-    return kept, suppressed
 
 
 @dataclass
@@ -141,34 +78,21 @@ class LintResult:
         }
 
 
-def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
-    for path in paths:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(
-                    d for d in dirnames
-                    if d not in {"__pycache__", ".git", ".ruff_cache"}
-                )
-                for filename in sorted(filenames):
-                    if filename.endswith(".py"):
-                        yield os.path.join(dirpath, filename)
-        elif path.endswith(".py"):
-            yield path
-
-
-def lint_paths(
-    paths: Sequence[str],
-    rules: Optional[Sequence[LintRule]] = None,
-) -> LintResult:
-    """Lint files and directories; the repo-wide entry point."""
+def lint_modules(modules: Iterable[Module]) -> LintResult:
+    """Lint indexed modules, honouring their noqa tags."""
     result = LintResult()
-    for path in iter_python_files(paths):
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        kept, suppressed = _apply_noqa(
-            _raw_findings(source, path, rules), source
-        )
+    for module in modules:
         result.files_checked += 1
-        result.findings.extend(kept)
-        result.suppressed += suppressed
+        for finding in raw_findings(module):
+            if finding.line in module.noqa:
+                allowed = module.noqa[finding.line]
+                if allowed is None or finding.rule.upper() in allowed:
+                    result.suppressed += 1
+                    continue
+            result.findings.append(finding)
     return result
+
+
+def lint_paths(paths: Sequence[str]) -> LintResult:
+    """Lint files and directories; the repo-wide entry point."""
+    return lint_modules(build_index(paths).values())

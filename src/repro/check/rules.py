@@ -21,7 +21,7 @@ knows:
   :data:`CLOCKED_LAYERS`, no float literal may be assigned into
   ``*_ps`` instance state outside the calibrated-constants modules.
 * **F4T008 / F4T009 / F4T010 / F4T011** — the determinism-dataflow
-  family added with the shard layer (PR 9), backed by
+  family added with the shard layer, F4T008 and F4T010 backed by
   :mod:`repro.check.dataflow`: unordered ``dict``/``set`` iteration must
   not feed trace emits, digests, exchange outboxes or cross-process
   pickles; process identity (``id()``, ``os.getpid()``, salted
@@ -35,11 +35,11 @@ knows:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Tuple, Union, cast
 
 from . import dataflow as df
 from .findings import Finding
+from .index import Module
 
 #: Layers (packages directly under ``repro``) that run inside the
 #: simulated clock domain and must be deterministic given the seed.
@@ -85,79 +85,25 @@ SEQ_NAMES = frozenset({
 })
 
 
-@dataclass
-class FileContext:
-    """Everything a rule needs to know about one parsed file."""
-
-    path: str
-    layer: Optional[str]
-    tree: ast.AST
-    source: str
-    #: node -> direct parent, for guard-scope checks.
-    parents: Dict[ast.AST, ast.AST] = field(default_factory=dict)
+def _first(targets: List[str], wanted: Collection[str]) -> Optional[str]:
+    """The first resolved call target in ``wanted``, or None."""
+    return next((target for target in targets if target in wanted), None)
 
 
-def build_parents(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-class _ImportMap:
-    """Local-name resolution for ``import x as y`` / ``from x import y``."""
-
-    def __init__(self, tree: ast.AST) -> None:
-        self.modules: Dict[str, str] = {}
-        self.members: Dict[str, Tuple[str, str]] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.modules[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    self.members[alias.asname or alias.name] = (
-                        node.module, alias.name
-                    )
-
-    def resolve_call(self, func: ast.expr) -> Optional[str]:
-        """Dotted target of a call after alias resolution, or None.
-
-        ``random.Random`` stays ``random.Random``; ``from random import
-        Random as R`` makes ``R(...)`` resolve to ``random.Random``;
-        ``datetime.datetime.now`` resolves through the class member.
-        """
-        if isinstance(func, ast.Name):
-            member = self.members.get(func.id)
-            if member is not None:
-                return f"{member[0]}.{member[1]}"
-            return None
-        if isinstance(func, ast.Attribute):
-            parts: List[str] = [func.attr]
-            base = func.value
-            while isinstance(base, ast.Attribute):
-                parts.append(base.attr)
-                base = base.value
-            if not isinstance(base, ast.Name):
-                return None
-            root = base.id
-            member = self.members.get(root)
-            if member is not None:
-                parts.append(member[1])
-                parts.append(member[0])
-            elif root in self.modules:
-                parts.append(self.modules[root])
-            else:
-                parts.append(root)
-            return ".".join(reversed(parts))
-        return None
+def _assignments(
+    ctx: Module,
+) -> Iterator[Tuple[ast.stmt, List[ast.expr], Optional[ast.expr]]]:
+    """(statement, targets, value) of every assignment in a module."""
+    for node in ctx.nodes(ast.Assign):
+        yield node, node.targets, node.value
+    for aug in ctx.nodes(ast.AugAssign):
+        yield aug, [aug.target], aug.value
+    for ann in ctx.nodes(ast.AnnAssign):
+        yield ann, [ann.target], ann.value
 
 
 class LintRule:
-    """Base class: one rule id, one :meth:`check` over a parsed file."""
+    """Base class: one rule id, one :meth:`check` over an indexed module."""
 
     rule_id: str = "F4T000"
     title: str = ""
@@ -168,7 +114,7 @@ class LintRule:
     #: typically the module that *implements* the guarded API.
     exempt_suffixes: Tuple[str, ...] = ()
 
-    def applies(self, ctx: FileContext) -> bool:
+    def applies(self, ctx: Module) -> bool:
         path = ctx.path.replace("\\", "/")
         if any(path.endswith(suffix) for suffix in self.exempt_suffixes):
             return False
@@ -176,10 +122,10 @@ class LintRule:
             return True
         return ctx.layer is not None and ctx.layer in self.layers
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, ctx: Module) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
+    def finding(self, ctx: Module, node: ast.AST, message: str) -> Finding:
         return Finding(
             rule=self.rule_id,
             path=ctx.path,
@@ -199,13 +145,14 @@ class UnseededRandomRule(LintRule):
     )
     layers = SIM_LAYERS
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = imports.resolve_call(node.func)
-            if target is None or not target.startswith("random."):
+    def check(self, ctx: Module) -> Iterator[Finding]:
+        for node in ctx.nodes(ast.Call):
+            target = next(
+                (t for t in ctx.imports.call_targets(node.func)
+                 if t.startswith("random.")),
+                None,
+            )
+            if target is None:
                 continue
             member = target[len("random."):]
             if member == "Random" and not node.args and not node.keywords:
@@ -237,15 +184,10 @@ class WallClockRule(LintRule):
     )
     layers = SIM_LAYERS
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = imports.resolve_call(node.func)
-            if target is None:
-                continue
-            if target in WALL_CLOCK_CALLS:
+    def check(self, ctx: Module) -> Iterator[Finding]:
+        for node in ctx.nodes(ast.Call):
+            target = _first(ctx.imports.call_targets(node.func), WALL_CLOCK_CALLS)
+            if target is not None:
                 yield self.finding(
                     ctx, node,
                     f"wall-clock read {target}() in a simulated layer; use "
@@ -283,10 +225,8 @@ class RawSeqCompareRule(LintRule):
     )
     exempt_suffixes = ("repro/tcp/seq.py",)
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
-                continue
+    def check(self, ctx: Module) -> Iterator[Finding]:
+        for node in ctx.nodes(ast.Compare):
             operands = [node.left] + list(node.comparators)
             for op, left, right in zip(node.ops, operands, operands[1:]):
                 helper = _SEQ_HELPER.get(type(op))
@@ -314,12 +254,8 @@ class UnguardedTraceRule(LintRule):
         "*.trace.emit(...) must sit under `if <owner>.trace is not None`"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.parents:
-            ctx.parents = build_parents(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+    def check(self, ctx: Module) -> Iterator[Finding]:
+        for node in ctx.nodes(ast.Call):
             func = node.func
             if not (
                 isinstance(func, ast.Attribute)
@@ -410,15 +346,8 @@ class StatsBypassRule(LintRule):
     )
     exempt_suffixes = ("repro/sim/stats.py", "repro/obs/metrics.py")
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            targets: List[ast.expr]
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            else:
-                continue
+    def check(self, ctx: Module) -> Iterator[Finding]:
+        for node, targets, _ in _assignments(ctx):
             for target in targets:
                 probe = target
                 if isinstance(probe, ast.Subscript):
@@ -439,10 +368,8 @@ class FloatPsAccumulationRule(LintRule):
         "float error compounds; recompute from absolute values instead"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.AugAssign):
-                continue
+    def check(self, ctx: Module) -> Iterator[Finding]:
+        for node in ctx.nodes(ast.AugAssign):
             if not isinstance(node.op, (ast.Add, ast.Sub)):
                 continue
             target = node.target
@@ -492,16 +419,8 @@ class FloatPsStateRule(LintRule):
         "repro/host/calibration.py",
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-                value: Optional[ast.expr] = node.value
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-                value = node.value
-            else:
-                continue
+    def check(self, ctx: Module) -> Iterator[Finding]:
+        for node, targets, value in _assignments(ctx):
             if value is None or not self._has_float_literal(value):
                 continue
             for target in targets:
@@ -553,11 +472,9 @@ class UnorderedFlowRule(LintRule):
     )
     layers = DIGEST_LAYERS
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
-        analysis = df.ModuleDataflow(ctx.tree, imports)
+    def check(self, ctx: Module) -> Iterator[Finding]:
         seen = set()
-        for flow in analysis.sink_flows():
+        for flow in ctx.dataflow.sink_flows():
             key = (flow.sink_node.lineno, flow.sink_kind, flow.origin,
                    flow.origin_line)
             if key in seen:
@@ -583,21 +500,17 @@ class ProcessIdentityRule(LintRule):
     )
     layers = DIGEST_LAYERS
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
-        analysis = df.ModuleDataflow(ctx.tree, imports)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+    def check(self, ctx: Module) -> Iterator[Finding]:
+        for node in ctx.nodes(ast.Call):
             func = node.func
+            target = _first(ctx.imports.call_targets(func), PROCESS_IDENTITY_CALLS)
             if isinstance(func, ast.Name) and func.id == "id" and node.args:
                 yield self.finding(
                     ctx, node,
                     "id() is a process-local address; derive a stable key "
                     "from the object's fields instead",
                 )
-                continue
-            if (
+            elif (
                 isinstance(func, ast.Name)
                 and func.id == "hash"
                 and len(node.args) == 1
@@ -608,37 +521,29 @@ class ProcessIdentityRule(LintRule):
                     "(PYTHONHASHSEED); use a seeded mix such as "
                     "repro.mem.sketch.mix64 or an explicit key encoding",
                 )
-                continue
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "__hash__"
-            ):
+            elif isinstance(func, ast.Attribute) and func.attr == "__hash__":
                 yield self.finding(
                     ctx, node,
                     "default object.__hash__ is the object address; define "
                     "a stable key instead",
                 )
-                continue
-            target = imports.resolve_call(func)
-            if target in PROCESS_IDENTITY_CALLS:
+            elif target is not None:
                 yield self.finding(
                     ctx, node,
                     f"{target}() reads process identity; it must not "
                     "influence sim state or digests",
                 )
-                continue
             # repr(...) of a sim object: flag when the repr feeds a byte
             # encoding or a digest/emit sink — that is where the default
             # object repr's embedded address leaks into fingerprints.
-            if self._repr_into_bytes(node):
+            elif self._repr_into_bytes(node):
                 yield self.finding(
                     ctx, node,
                     "repr(...).encode() bakes the default object repr "
                     "(process-local address) into bytes; use a canonical "
                     "field encoding",
                 )
-                continue
-            if analysis.sink_kind_of(node) is not None:
+            elif df.sink_kind_of(node, ctx.imports) is not None:
                 for arg in list(node.args) + [k.value for k in node.keywords]:
                     for sub in ast.walk(arg):
                         if (
@@ -683,6 +588,9 @@ def _is_seq_discriminator(node: ast.expr) -> bool:
     return any(hint in lowered for hint in _SEQ_HINTS)
 
 
+_HEAP_PUSHES = frozenset({"heapq.heappush", "heapq.heappushpop"})
+
+
 class HeapKeyOrderRule(LintRule):
     rule_id = "F4T010"
     title = "non-total-order-key"
@@ -694,32 +602,36 @@ class HeapKeyOrderRule(LintRule):
     )
     layers = SIM_LAYERS
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = _ImportMap(ctx.tree)
-        comparable = df.comparable_classes(ctx.tree)
-        for func, scope in df.iter_function_scopes(ctx.tree):
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
+    def check(self, ctx: Module) -> Iterator[Finding]:
+        comparable = df.comparable_classes(ctx.nodes(ast.ClassDef))
+        for node in ctx.nodes(ast.Call):
+            heap = len(node.args) >= 2 and _first(
+                ctx.imports.call_targets(node.func), _HEAP_PUSHES
+            ) is not None
+            sort_keys = [
+                kw.value.body for kw in node.keywords
+                if kw.arg == "key"
+                and isinstance(kw.value, ast.Lambda)
+                and isinstance(kw.value.body, ast.Tuple)
+            ]
+            if not heap and not sort_keys:
+                continue
+            # Checked once under each enclosing function's scope.
+            parent = ctx.parents.get(node)
+            while parent is not None:
+                scope = ctx.scopes.get(cast(ast.FunctionDef, parent))
+                parent = ctx.parents.get(parent)
+                if scope is None:
                     continue
-                target = imports.resolve_call(node.func)
-                if target in ("heapq.heappush", "heapq.heappushpop") and len(
-                    node.args
-                ) >= 2:
-                    key = self._tuple_of(node.args[1], scope)
-                    if key is not None:
-                        yield from self._check_key(
-                            ctx, node, key, scope, comparable, "heap"
-                        )
-                for kw in node.keywords:
-                    if (
-                        kw.arg == "key"
-                        and isinstance(kw.value, ast.Lambda)
-                        and isinstance(kw.value.body, ast.Tuple)
-                    ):
-                        yield from self._check_key(
-                            ctx, node, kw.value.body, scope, comparable,
-                            "sort",
-                        )
+                key = self._tuple_of(node.args[1], scope) if heap else None
+                if key is not None:
+                    yield from self._check_key(
+                        ctx, node, key, scope, comparable, "heap"
+                    )
+                for body in sort_keys:
+                    yield from self._check_key(
+                        ctx, node, body, scope, comparable, "sort"
+                    )
 
     @staticmethod
     def _tuple_of(node: ast.expr, scope: df.Scope) -> Optional[ast.Tuple]:
@@ -731,7 +643,7 @@ class HeapKeyOrderRule(LintRule):
 
     def _check_key(
         self,
-        ctx: FileContext,
+        ctx: Module,
         call: ast.Call,
         key: ast.Tuple,
         scope: df.Scope,
@@ -792,10 +704,11 @@ class MutableDefaultRule(LintRule):
     )
     layers = SIM_LAYERS
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+    def check(self, ctx: Module) -> Iterator[Finding]:
+        functions: List[Union[ast.FunctionDef, ast.AsyncFunctionDef]] = [
+            *ctx.nodes(ast.FunctionDef), *ctx.nodes(ast.AsyncFunctionDef)
+        ]
+        for node in functions:
             args = node.args
             defaults = list(args.defaults) + [
                 d for d in args.kw_defaults if d is not None

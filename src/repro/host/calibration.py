@@ -78,19 +78,12 @@ NGINX_F4T_LIB_FRACTION = 0.05
 NGINX_LINUX_CYCLES_PER_REQ = 30_000.0
 
 # --------------------------------------------------------------- latency
-#: Fig 12 scale anchors: F4T's median Nginx latency (its efficient
-#: hardware path) and the service-time dispersion knobs that give Linux
-#: its heavy tail (interrupt coalescing, softirq batching, scheduling).
-F4T_NGINX_MEDIAN_LATENCY_US = 20.0
 LINUX_LATENCY_MEDIAN_RATIO = 3.7  # Fig 12: 3.7x shorter median on F4T
 LINUX_LATENCY_P99_RATIO = 26.0  # Fig 12: 26x shorter p99 on F4T
 
 # ------------------------------------------------------------- the engine
 #: §4.2.3: an FPC handles one event per two cycles at 250 MHz.
 FPC_EVENTS_PER_SECOND = 125e6
-#: §6: F4T header processing scales linearly to about 900 Mrps with
-#: simplified 8 B commands before other limits bite.
-F4T_HEADER_RATE_CEILING = 1.05e9  # Fig 16b: 71.3x over the 14.7M baseline
 
 #: §6 / Fig 16b: the 24-core software submission rate in header-only
 #: mode, derived from the paper's own ratios over the 14.7 M events/s

@@ -8,7 +8,6 @@ paper's goodput arithmetic (§5.1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any
 
@@ -18,8 +17,6 @@ ETHERTYPE_ARP = 0x0806
 #: Header (14 B) + FCS (4 B) + preamble (8 B) + inter-frame gap (12 B).
 FRAME_OVERHEAD = 38
 MIN_PAYLOAD = 46
-
-_mac_counter = itertools.count(1)
 
 
 def make_mac(node_id: int) -> int:

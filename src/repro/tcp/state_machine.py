@@ -29,11 +29,6 @@ DATA_STATES = frozenset(
     {TcpState.ESTABLISHED, TcpState.CLOSE_WAIT, TcpState.FIN_WAIT_1, TcpState.FIN_WAIT_2}
 )
 
-#: States in which receiving data is legal.
-RECEIVE_STATES = frozenset(
-    {TcpState.ESTABLISHED, TcpState.FIN_WAIT_1, TcpState.FIN_WAIT_2}
-)
-
 
 def on_syn_received(state: TcpState) -> TcpState:
     """Peer's SYN arrived (no ACK)."""

@@ -32,6 +32,9 @@ DEFAULT_MSS = 1460
 #: pointers plus congestion-control scratch space).
 TCB_SIZE_BYTES = 128
 
+#: RFC 6298's initial RTO (1 s), in ps.
+INITIAL_RTO_PS = 10**12
+
 
 @dataclass
 class Tcb:
@@ -91,8 +94,7 @@ class Tcb:
     #: None until the first RTT sample.
     srtt: Optional[int] = None
     rttvar: int = 0
-    #: ``tcp.timers.INITIAL_RTO_PS`` (1 s).
-    rto: int = 10**12
+    rto: int = INITIAL_RTO_PS
     rto_deadline: Optional[int] = None
     rto_backoff: int = 0
     #: Sequence being timed and its send instant, for RTT sampling.

@@ -19,7 +19,6 @@ from .tcb import Tcb
 #: RFC 6298 bounds in ps; the lower bound is relaxed for datacenter RTTs.
 MIN_RTO_PS = 10 * 10**9  # 10 ms
 MAX_RTO_PS = 60 * 10**12  # 60 s
-INITIAL_RTO_PS = 10**12  # 1 s: Tcb.rto's default
 
 #: RFC 6298's RTTVAR factor; its gains ALPHA = 1/8 and BETA = 1/4 are
 #: the 7/8 and 3/4 blends in :func:`update_rtt`.

@@ -1,7 +1,7 @@
 """Which constructor options does anything outside ``tests/`` ever set?
 
-A value pass over :mod:`._reach`'s graph (its parsing and its name
-resolution); nothing is imported.  A *knob* is an ``__init__``
+A value pass over :mod:`._reach`'s graph (the program index's trees and
+the graph's name resolution); nothing is imported.  A *knob* is an ``__init__``
 parameter with a default or a dataclass field with a default.  A
 ``default_factory`` container and an ``init=False`` field are not
 knobs, and neither is a dataclass field the package writes after
@@ -36,6 +36,8 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+from repro.check.index import Module
 
 from ._reach import TARGET, Graph, _chain, _registry, build
 
@@ -92,12 +94,14 @@ def _same(a: ast.expr, b: Optional[ast.expr]) -> bool:
 
 
 class KnobPass:
-    def __init__(self, graph: Graph, trees: Dict[str, ast.Module]) -> None:
+    def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.classes: Dict[str, ast.ClassDef] = {}
         self.functions: Dict[str, ast.FunctionDef] = {}
-        for module, tree in trees.items():
-            for stmt in tree.body:
+        for module, indexed in graph.modules.items():
+            if module.startswith("<root>"):
+                continue
+            for stmt in indexed.tree.body:
                 if isinstance(stmt, ast.ClassDef):
                     self.classes[f"{module}:{stmt.name}"] = stmt
                 elif isinstance(stmt, ast.FunctionDef):
@@ -428,19 +432,10 @@ class _Walker(ast.NodeVisitor):
                 self.knobs.escape(key)
 
 
-def build_knobs(src: Path, package: str, root_files: Iterable[Path]) -> KnobPass:
-    """Parse ``src/<package>`` and the root files; find the unvaried knobs."""
-    root_files = list(root_files)
-    graph = build(src, package, root_files)
-    trees: Dict[str, ast.Module] = {}
-    for path in sorted((src / package).rglob("*.py")):
-        parts = path.relative_to(src).with_suffix("").parts
-        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        trees[name] = ast.parse(path.read_text(), str(path))
-    knobs = KnobPass(graph, trees)
-    callers = dict(trees)
-    callers.update((f"<root>{p}", ast.parse(p.read_text(), str(p))) for p in root_files)
-    for module, tree in callers.items():
-        _Walker(knobs, module).visit(tree)
+def build_knobs(index: Dict[str, Module], package: str, root_files: Iterable[Path]) -> KnobPass:
+    """Find the unvaried knobs of ``package``, callers being it and the root files."""
+    knobs = KnobPass(build(index, package, root_files))
+    for name, module in knobs.graph.modules.items():
+        _Walker(knobs, name).visit(module.tree)
     knobs.settle()
     return knobs

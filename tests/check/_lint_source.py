@@ -1,9 +1,9 @@
 """Lint one in-memory source string, as the rule unit tests do."""
 
-from repro.check.lint import _apply_noqa, _raw_findings
+from repro.check.index import Module
+from repro.check.lint import lint_modules
 
 
 def lint_source(source, path="<string>"):
     """The unsuppressed findings; the layer comes from ``path``."""
-    kept, _ = _apply_noqa(_raw_findings(source, path, None), source)
-    return kept
+    return lint_modules([Module(path, source)]).findings

@@ -1,9 +1,11 @@
-"""Which functions, classes and methods of a package does anything outside
-``tests/`` reach?
+"""Which functions, classes, methods and module-level names of a package
+does anything outside ``tests/`` reach?
 
-An AST walk; nothing is imported.  Units are module-level functions and
-classes, their methods, module-level assignments (``NAME = ...``) and
-each module's own top-level code (key ``"mod:"``).  Edges:
+An AST walk over the program index (:mod:`repro.check.index`: its trees
+and its import tables); nothing is imported.  Units are module-level
+functions and classes, their methods, module-level assignments
+(``NAME = ...``) and each module's own top-level code (key ``"mod:"``).
+Edges:
 
 * a name or attribute chain, resolved through imports.  An ``__init__``
   re-export is followed, never counted as a use;
@@ -17,8 +19,8 @@ each module's own top-level code (key ``"mod:"``).  Edges:
 Methods are matched conservatively.  A reached ``x.foo`` (or
 ``getattr(x, "foo")``) reaches the method ``foo`` of every reached
 class; a method overriding a reached base method is reached; dunders
-come with their class.  A reached method reaches its class, a reached
-unit its module's top-level code.
+come with their class, and ``__all__`` with its module.  A reached
+method reaches its class, a reached unit its module's top-level code.
 
 Roots are whole files (every line of them counts: ``bench/``,
 ``benchmarks/``, ``examples/``) and unit keys (the CLI handlers).
@@ -31,6 +33,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+from repro.check.index import Module
 
 #: ``mod:Qual``, ``mod:Qual.method``, ``mod:Qual+.method``, ``mod:DICT[key]``.
 TARGET = re.compile(r"([A-Za-z_][\w.]*):([A-Za-z_]\w*)(\+?)(?:\.([A-Za-z_]\w*))?")
@@ -50,13 +54,6 @@ class Unit:
     imports: Set[str] = field(default_factory=set)
     bases: List[Chain] = field(default_factory=list)
     entries: List[str] = field(default_factory=list)
-
-
-@dataclass
-class Module:
-    name: str
-    #: local name -> (module, name-in-module or None for the module itself)
-    imports: Dict[str, Set[Tuple[str, Optional[str]]]] = field(default_factory=dict)
 
 
 def _chain(node: ast.expr) -> Optional[Chain]:
@@ -123,6 +120,7 @@ def _registry(decorator: ast.expr) -> Optional[Chain]:
 
 class Graph:
     def __init__(self) -> None:
+        #: name -> module: the package's dotted names and ``<root>path``.
         self.modules: Dict[str, Module] = {}
         self.units: Dict[str, Unit] = {}
         self.reached: Set[str] = set()
@@ -132,10 +130,11 @@ class Graph:
         self._entries: List[Tuple[str, Chain, str]] = []
 
     # ------------------------------------------------------------ parsing
-    def add_module(self, name: str, tree: ast.Module, package: bool) -> None:
-        self._add_imports(name, tree, package)
+    def add_module(self, module: Module) -> None:
+        name = module.name
+        self.modules[name] = module
         top = self._unit(f"{name}:", "module", name)
-        for stmt in tree.body:
+        for stmt in module.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 key = f"{name}:{stmt.name}"
                 _collect(top, stmt.decorator_list)
@@ -151,32 +150,12 @@ class Graph:
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-                for local in names:
-                    unit = self._unit(f"{name}:{local}", "data", name, _span(stmt))
+                for local in names:  # ``__all__`` is its module's own code
+                    unit = top if local == "__all__" else self._unit(
+                        f"{name}:{local}", "data", name, _span(stmt))
                     _collect(unit, [stmt])
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 _collect(top, [stmt])
-
-    def _add_imports(self, name: str, tree: ast.Module, package: bool) -> None:
-        module = Module(name)
-        self.modules[name] = module
-        base = name if package else name.rpartition(".")[0]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        module.imports.setdefault(alias.asname, set()).add((alias.name, None))
-                    else:
-                        head = alias.name.split(".")[0]
-                        module.imports.setdefault(head, set()).add((head, None))
-            elif isinstance(node, ast.ImportFrom):
-                source = node.module or ""
-                if node.level:
-                    anchor = base.rsplit(".", node.level - 1)[0] if node.level > 1 else base
-                    source = f"{anchor}.{source}" if source else anchor
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    module.imports.setdefault(local, set()).add((source, alias.name))
 
     def _add_class(self, key: str, node: ast.ClassDef, module: str) -> None:
         unit = self._unit(key, "class", module, _span(node))
@@ -194,11 +173,11 @@ class Graph:
         unit = self.units[key] = Unit(key, kind, module, lines)
         return unit
 
-    def add_root_file(self, path: Path) -> str:
-        """Every line of ``path`` is a root; returns the root unit's key."""
-        name, tree = f"<root>{path}", ast.parse(path.read_text(), str(path))
-        self._add_imports(name, tree, package=False)
-        _collect(self._unit(f"{name}:", "root", name), [tree])
+    def add_root_file(self, module: Module) -> str:
+        """Every line of ``module`` is a root; returns the root unit's key."""
+        name = f"<root>{module.path}"
+        self.modules[name] = module
+        _collect(self._unit(f"{name}:", "root", name), [module.tree])
         return f"{name}:"
 
     # --------------------------------------------------------- resolving
@@ -292,22 +271,20 @@ class Graph:
 
     def unreached(self) -> List[Unit]:
         return [u for k, u in sorted(self.units.items())
-                if u.kind in ("function", "class", "method") and k not in self.reached]
+                if u.kind not in ("module", "root") and k not in self.reached]
 
 
-def build(src: Path, package: str, root_files: Iterable[Path],
+def build(index: Dict[str, Module], package: str, root_files: Iterable[Path],
           root_units: Iterable[str] = ()) -> Graph:
-    """Parse ``src/<package>`` and the root files; reach from the roots."""
+    """Graph ``package`` and the root files from the index; reach from the roots."""
     graph = Graph()
-    for path in sorted((src / package).rglob("*.py")):
-        parts = path.relative_to(src).with_suffix("").parts
-        is_package = parts[-1] == "__init__"
-        name = ".".join(parts[:-1] if is_package else parts)
-        graph.add_module(name, ast.parse(path.read_text(), str(path)), is_package)
+    for module in index.values():
+        if module.name == package or module.name.startswith(f"{package}."):
+            graph.add_module(module)
     for module, chain, key in graph._entries:
         # A registry entry comes with the module that holds the registry.
         for registry in graph.resolve(module, chain):
             graph.units[f"{graph.units[registry].module}:"].entries.append(key)
-    roots = [graph.add_root_file(path) for path in root_files]
+    roots = [graph.add_root_file(index[str(path)]) for path in root_files]
     graph.reach(*roots, *root_units)
     return graph

@@ -89,7 +89,7 @@ class TestLockstepCommand:
 
 
 class TestAllCommand:
-    def test_gate_on_repo_exits_zero(self, tmp_path, capsys):
+    def test_gate_on_repo_exits_zero(self, tmp_path, capsys, src_lint):
         artifact = tmp_path / "combined.json"
         code, out = run_check(
             ["all", "--seed", "3", "--json", str(artifact)], capsys
@@ -97,6 +97,8 @@ class TestAllCommand:
         assert code == 0
         payload = json.loads(artifact.read_text())
         assert payload["lint"]["findings"] == []
+        # The CLI lints the same files the session index holds.
+        assert payload["lint"]["files_checked"] == src_lint.files_checked
         assert payload["race"]["findings"] == []
         assert payload["lockstep"]["findings"] == []
         assert payload["lockstep"]["checks_run"] > 0

@@ -11,8 +11,9 @@ test that needs another value monkeypatches the constant.
 import re
 import textwrap
 
+from repro.check.index import build_index
+
 from ._knobs import build_knobs
-from .test_reachability import REPO, root_files
 
 #: Unvaried on purpose; a pattern over ``module:Class.param`` and a reason.
 ALLOWLIST = {
@@ -23,8 +24,8 @@ ALLOWLIST = {
 }
 
 
-def test_every_knob_is_varied_outside_tests():
-    found = build_knobs(REPO / "src", "repro", root_files()).unvaried()
+def test_every_knob_is_varied_outside_tests(program_index, root_files):
+    found = build_knobs(program_index, "repro", root_files).unvaried()
     stale = [p for p in ALLOWLIST if not any(re.match(p, f) for f in found)]
     assert not stale, f"allowlisted but varied (or gone): {stale}"
     report = [f for f in found if not any(re.match(p, f) for p in ALLOWLIST)]
@@ -43,6 +44,10 @@ def _package(tmp_path, modules):
     for name, text in modules.items():
         (package / f"{name}.py").write_text(textwrap.dedent(text))
     return package
+
+
+def _index(tmp_path, root):
+    return build_index([str(tmp_path / "src"), str(root)])
 
 
 def test_the_pass_on_a_planted_package(tmp_path):
@@ -92,7 +97,7 @@ def test_the_pass_on_a_planted_package(tmp_path):
         def main(args):
             return FromArgs(seed=args.seed)
     """))
-    knobs = build_knobs(tmp_path / "src", "pkg", [root])
+    knobs = build_knobs(_index(tmp_path, root), "pkg", [root])
     assert knobs.unvaried() == ["pkg.mod:OneValue.depth (4)"]
 
 
@@ -107,5 +112,5 @@ def test_a_forwarded_default_is_as_varied_as_its_source(tmp_path):
     """})
     root = tmp_path / "root.py"
     root.write_text("from pkg.mod import build\nbuild(drop=0.5)\n")
-    knobs = build_knobs(tmp_path / "src", "pkg", [root])
+    knobs = build_knobs(_index(tmp_path, root), "pkg", [root])
     assert knobs.unvaried() == ["pkg.mod:Inner.link (100)"]

@@ -12,6 +12,7 @@ import textwrap
 from pathlib import Path
 
 from repro.__main__ import build_parser
+from repro.check.index import build_index
 
 from ._reach import build
 
@@ -35,18 +36,13 @@ def cli_handlers(parser: argparse.ArgumentParser):
                 yield from cli_handlers(sub)
 
 
-def root_files():
-    bench = [p for p in sorted(REPO.glob("bench/*.py")) if not p.name.startswith("test_")]
-    return bench + sorted(REPO.glob("benchmarks/*.py")) + sorted(REPO.glob("examples/*.py"))
-
-
-def repo_graph():
+def repo_graph(index, root_files):
     handlers = sorted(set(cli_handlers(build_parser())))
-    return build(REPO / "src", "repro", root_files(), ["repro.__main__:", *handlers])
+    return build(index, "repro", root_files, ["repro.__main__:", *handlers])
 
 
-def test_every_unit_is_reached_from_a_root():
-    graph = repo_graph()
+def test_every_unit_is_reached_from_a_root(program_index, root_files):
+    graph = repo_graph(program_index, root_files)
     unreached = {unit.key for unit in graph.unreached()}
     stale = sorted(set(ALLOWLIST) - unreached)
     assert not stale, f"allowlisted but reached (or gone): {stale}"
@@ -55,9 +51,9 @@ def test_every_unit_is_reached_from_a_root():
     assert not report, "reached only from tests/, if at all:\n  " + "\n  ".join(report)
 
 
-def test_allowlist_is_short_and_every_root_resolves():
+def test_allowlist_is_short_and_every_root_resolves(program_index, root_files):
     assert len(ALLOWLIST) <= 10
-    graph = repo_graph()
+    graph = repo_graph(program_index, root_files)
     handlers = sorted(set(cli_handlers(build_parser())))
     assert len(handlers) > 20
     assert all(key in graph.units for key in handlers)
@@ -115,5 +111,23 @@ def test_the_graph_on_a_planted_package(tmp_path):
         lookup("entry")
         Child()
     """))
-    graph = build(tmp_path / "src", "pkg", [root])
+    graph = build(build_index([str(tmp_path / "src"), str(root)]), "pkg", [root])
     assert [unit.key for unit in graph.unreached()] == ["pkg.mod:dead"]
+
+
+def test_a_module_level_name_is_a_unit_and_all_comes_with_its_module(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('from .mod import used\n__all__ = ["used"]\n')
+    (package / "mod.py").write_text(textwrap.dedent("""
+        LIMIT = 3
+        SPARE = 4
+        __all__ = ["used"]
+
+        def used():
+            return LIMIT
+    """))
+    root = tmp_path / "root.py"
+    root.write_text("from pkg.mod import used\nused()\n")
+    graph = build(build_index([str(tmp_path / "src"), str(root)]), "pkg", [root])
+    assert [unit.key for unit in graph.unreached()] == ["pkg.mod:SPARE"]

@@ -1,6 +1,7 @@
 """simlint rules: known-good and known-bad snippets for every rule."""
 
 from repro.check import layer_of
+from repro.check.index import Module
 from repro.check.rules import all_rules
 
 from ._lint_source import lint_source
@@ -22,9 +23,21 @@ class TestRegistry:
             assert rule_id.startswith("F4T") and len(rule_id) == 6
 
     def test_layer_of(self):
-        assert layer_of("src/repro/engine/fpc.py") == "engine"
-        assert layer_of("src/repro/__main__.py") == ""
-        assert layer_of("tests/engine/test_fpc.py") is None
+        assert Module("src/repro/engine/fpc.py", "").layer == "engine"
+        assert Module("src/repro/__main__.py", "").layer == ""
+        assert Module("tests/engine/test_fpc.py", "").layer is None
+        assert layer_of("repro.engine", True) == "engine"
+        assert layer_of("repro.cli", False) == ""
+
+    def test_dotted_name_follows_the_init_chain(self, tmp_path):
+        package = tmp_path / "outer" / "repro" / "tcp"
+        package.mkdir(parents=True)
+        for directory in (package, package.parent):
+            (directory / "__init__.py").write_text("")
+        module = Module(str(package / "seq.py"), "")
+        assert (module.name, module.package, module.layer) == ("repro.tcp.seq", False, "tcp")
+        init = Module(str(package / "__init__.py"), "")
+        assert (init.name, init.package, init.layer) == ("repro.tcp", True, "tcp")
 
 
 class TestUnseededRandom:
@@ -43,6 +56,15 @@ class TestUnseededRandom:
     def test_outside_sim_layers_ok(self):
         bad = "import random\n\nx = random.Random()\n"
         assert lint_source(bad, path="src/repro/analysis/plots.py") == []
+
+    def test_sibling_module_named_random_ok(self):
+        # A relative import names the package's own module, not the stdlib.
+        good = "from .random import Random\n\nx = Random()\n"
+        assert ids(lint_in_layer(good, layer="shard")) == []
+
+    def test_sibling_module_imported_from_package_ok(self):
+        good = "from . import random\n\nx = random.random()\n"
+        assert ids(lint_in_layer(good, layer="shard")) == []
 
 
 class TestWallClock:
@@ -218,6 +240,15 @@ class TestUnorderedFlow:
 class TestProcessIdentity:
     def test_getpid_flagged(self):
         bad = "import os\n\ndef f():\n    return os.getpid()\n"
+        assert ids(lint_in_layer(bad, layer="shard")) == ["F4T009"]
+
+    def test_getpid_flagged_after_importing_a_submodule(self):
+        # ``import os.path`` binds ``os`` itself, as Python does.
+        bad = "import os.path\n\ndef f():\n    return os.getpid()\n"
+        assert ids(lint_in_layer(bad, layer="shard")) == ["F4T009"]
+
+    def test_getpid_flagged_after_importing_module_and_submodule(self):
+        bad = "import os, os.path\n\ndef f():\n    return os.getpid()\n"
         assert ids(lint_in_layer(bad, layer="shard")) == ["F4T009"]
 
     def test_id_flagged(self):

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.sim.component import NEVER
-from repro.tcp.tcb import Tcb
+from repro.tcp.tcb import INITIAL_RTO_PS, Tcb
 from repro.tcp.timers import (
-    INITIAL_RTO_PS,
     MAX_RTO_PS,
     MIN_RTO_PS,
     TimerWheel,
