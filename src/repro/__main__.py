@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional
 
 from repro import CorruptStoreError, UnknownNameError
 from repro.cli import add_group, comma_list, emit, positive
@@ -422,9 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main() -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.command is None:
         parser.print_help()
         return 0

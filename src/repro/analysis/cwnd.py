@@ -20,6 +20,18 @@ from ..refsim.netsim import CwndTrace, ReferenceTcpSimulation
 from ..sim.component import seconds_to_ps
 from ..tcp.segment import TcpSegment
 
+#: The Fig 14 setup: every 1500th data frame dropped on a 100 Gbps link
+#: with 5 us one-way delay, the sender's cwnd sampled every 2000 cycles.
+DROP_EVERY = 1500
+DELAY_US = 5.0
+LINK_GBPS = 100.0
+SAMPLE_EVERY_CYCLES = 2000
+#: The comparison grid: 60 samples after the first 0.3 ms of slow start;
+#: a fall of a quarter or more between samples is one decrease.
+SAMPLES = 60
+SKIP_S = 3e-4
+DECREASE_THRESHOLD = 0.25
+
 
 class PeriodicDataDropper:
     """Drop every Nth data-bearing frame (the Fig 14 'occasional drops')."""
@@ -44,13 +56,10 @@ class PeriodicDataDropper:
 def capture_engine_cwnd_trace(
     algorithm: str = "newreno",
     duration_s: float = 3e-3,
-    drop_every: int = 1500,
-    delay_us: float = 5.0,
-    sample_every_cycles: int = 2000,
 ) -> CwndTrace:
     """Functional F4T bulk transfer with drops; returns the cwnd trace."""
-    link = Link(propagation_delay_us=delay_us)
-    wire = Wire(link=link, drop_a_to_b=PeriodicDataDropper(drop_every))
+    link = Link(propagation_delay_us=DELAY_US)
+    wire = Wire(link=link, drop_a_to_b=PeriodicDataDropper(DROP_EVERY))
     tb = Testbed(
         config_a=FtEngineConfig(algorithm=algorithm),
         config_b=FtEngineConfig(),
@@ -73,7 +82,7 @@ def capture_engine_cwnd_trace(
             tcb = tb.engine_a.tcb_of(a_flow)
             if tcb is not None:
                 trace.record(tb.now_s, tcb.cwnd)
-            state["next_sample"] = tb.cycle + sample_every_cycles
+            state["next_sample"] = tb.cycle + SAMPLE_EVERY_CYCLES
         return tb.time_ps >= end_ps
 
     # Everything the pump does is time-gated, so it declares when: the
@@ -92,17 +101,14 @@ def capture_engine_cwnd_trace(
 def reference_cwnd_trace(
     algorithm: str = "newreno",
     duration_s: float = 3e-3,
-    drop_every: int = 1500,
-    link_gbps: float = 100.0,
-    delay_us: float = 5.0,
 ) -> CwndTrace:
     """The matched reference-simulator run (NS3 stand-in)."""
     sim = ReferenceTcpSimulation(
         algorithm=algorithm,
-        link_gbps=link_gbps,
-        one_way_delay_ms=delay_us / 1000.0,
+        link_gbps=LINK_GBPS,
+        one_way_delay_ms=DELAY_US / 1000.0,
         duration_s=duration_s,
-        drop_fn=lambda index: index > 0 and index % drop_every == 0,
+        drop_fn=lambda index: index > 0 and index % DROP_EVERY == 0,
         rto_s=0.05,
     )
     return sim.run()
@@ -126,8 +132,8 @@ class TraceComparison:
     reference_decreases: int
 
 
-def count_multiplicative_decreases(values: List[int], threshold: float = 0.25) -> int:
-    """Count drops of >= ``threshold`` fraction between adjacent samples.
+def count_multiplicative_decreases(values: List[int]) -> int:
+    """Count drops of >= :data:`DECREASE_THRESHOLD` between adjacent samples.
 
     Callers pass a series resampled on a common grid so both traces are
     judged at the same granularity (a fine-grained trace would otherwise
@@ -138,22 +144,21 @@ def count_multiplicative_decreases(values: List[int], threshold: float = 0.25) -
     previous = None
     for cwnd in values:
         if previous is not None and previous > 0:
-            if (previous - cwnd) / previous >= threshold:
+            if (previous - cwnd) / previous >= DECREASE_THRESHOLD:
                 count += 1
         previous = cwnd
     return count
 
 
-def compare_traces(
-    engine: CwndTrace, reference: CwndTrace, samples: int = 60, skip_s: float = 3e-4
-) -> TraceComparison:
+def compare_traces(engine: CwndTrace, reference: CwndTrace) -> TraceComparison:
     """Resample both traces on a common grid and compare.
 
-    ``skip_s`` discards the initial slow-start transient, whose timing
-    depends on handshake details rather than the congestion algorithm.
+    :data:`SKIP_S` discards the initial slow-start transient, whose
+    timing depends on handshake details rather than the congestion
+    algorithm.
     """
     end = min(engine.times_s[-1], reference.times_s[-1])
-    grid = [skip_s + (end - skip_s) * i / (samples - 1) for i in range(samples)]
+    grid = [SKIP_S + (end - SKIP_S) * i / (SAMPLES - 1) for i in range(SAMPLES)]
     a = engine.resampled(grid)
     b = reference.resampled(grid)
 

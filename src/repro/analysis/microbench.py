@@ -9,7 +9,7 @@ baseline — to measure *events consumed per second*.  They are the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..engine.baseline import NullFpu, SingleCycleAccelerator, StallingAccelerator
 from ..engine.events import EventKind, TcpEvent
@@ -19,6 +19,12 @@ from ..engine.memory_manager import MemoryManager
 from ..engine.scheduler import Scheduler
 from ..sim.memory import DRAMModel
 from ..tcp.tcb import Tcb
+
+
+#: NewReno's FPU depth (Table 2), the FPU every header-rate design runs.
+NEWRENO_FPU_CYCLES = 14
+#: Cycles the w/o-RMW design is measured over.
+TONIC_CYCLES = 20_000
 
 
 def _synthetic_event(flow_id: int, index: int) -> TcpEvent:
@@ -42,9 +48,10 @@ def measure_baseline_event_rate(
     return accel.events_processed * freq_hz / cycles
 
 
-def measure_tonic_event_rate(cycles: int = 20_000) -> float:
+def measure_tonic_event_rate() -> float:
     """w/o-RMW design: one event per cycle at 100 MHz (§3.1)."""
     accel = SingleCycleAccelerator()
+    cycles = TONIC_CYCLES
     index = 0
     for _ in range(cycles):
         if not accel.input.full:
@@ -55,28 +62,25 @@ def measure_tonic_event_rate(cycles: int = 20_000) -> float:
 
 
 def measure_fpc_event_rate(
-    fpu_latency: int = 14,
-    flows: int = 1,
+    fpu_latency: int = NEWRENO_FPU_CYCLES,
     cycles: int = 20_000,
-    freq_hz: float = ENGINE_FREQ_HZ,
 ) -> float:
-    """One FPC with a latency-only FPU: the Fig 15 F4T curve.
+    """One FPC with a latency-only FPU, one flow: the Fig 15 F4T curve.
 
     Events of the same flow accumulate in the event table while the FPU
     is busy, so the acceptance rate stays at one event per two cycles —
     125 M events/s at 250 MHz — for *any* FPU latency (§4.5).
     """
-    fpc = FlowProcessingCore(0, slots=max(flows, 1), fpu=NullFpu(fpu_latency))
-    for flow_id in range(flows):
-        fpc.accept_tcb(Tcb(flow_id=flow_id))
+    fpc = FlowProcessingCore(0, slots=1, fpu=NullFpu(fpu_latency))
+    fpc.accept_tcb(Tcb(flow_id=0))
     index = 0
     for _ in range(cycles):
         if not fpc.input.full:
-            fpc.offer_event(_synthetic_event(index % flows, index))
+            fpc.offer_event(_synthetic_event(0, index))
             index += 1
         fpc.tick()
         fpc.drain_results()
-    return fpc.events_accepted * freq_hz / cycles
+    return fpc.events_accepted * ENGINE_FREQ_HZ / cycles
 
 
 @dataclass
@@ -111,8 +115,6 @@ def measure_header_rate(
     offered_rate: float,
     flows: int,
     cycles: int = 30_000,
-    freq_hz: float = ENGINE_FREQ_HZ,
-    fpu_latency: int = 14,
 ) -> float:
     """Consumed header-event rate for a design under a §6 workload.
 
@@ -124,6 +126,7 @@ def measure_header_rate(
     """
     if workload not in ("bulk", "rr"):
         raise ValueError(f"unknown workload {workload!r}")
+    freq_hz = ENGINE_FREQ_HZ
     offered_per_cycle = offered_rate / freq_hz
 
     if design.baseline_stall is not None:
@@ -144,7 +147,7 @@ def measure_header_rate(
 
     slots = max(1, (flows + design.num_fpcs - 1) // design.num_fpcs)
     fpcs = [
-        FlowProcessingCore(i, slots=slots, fpu=NullFpu(fpu_latency))
+        FlowProcessingCore(i, slots=slots, fpu=NullFpu(NEWRENO_FPU_CYCLES))
         for i in range(design.num_fpcs)
     ]
     manager = MemoryManager(DRAMModel.hbm())

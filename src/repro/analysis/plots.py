@@ -14,6 +14,9 @@ from .reporting import ExperimentResult
 
 Point = Tuple[float, float]
 MARKERS = "*o+x#@%&"
+#: Canvas of a line plot and the longest bar of a bar chart, in characters.
+PLOT_WIDTH, PLOT_HEIGHT = 64, 16
+BAR_WIDTH = 50
 
 
 def _scale(value: float, low: float, high: float, steps: int) -> int:
@@ -25,8 +28,6 @@ def _scale(value: float, low: float, high: float, steps: int) -> int:
 
 def line_plot(
     series: Dict[str, List[Point]],
-    width: int = 64,
-    height: int = 16,
     logx: bool = False,
     logy: bool = False,
     title: str = "",
@@ -34,6 +35,7 @@ def line_plot(
     y_label: str = "",
 ) -> str:
     """Render one or more (x, y) series on a shared ASCII canvas."""
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     points = [p for pts in series.values() for p in pts]
     if not points:
         raise ValueError("nothing to plot")
@@ -95,9 +97,7 @@ def line_plot(
 def bar_chart(
     labels: Sequence[str],
     values: Sequence[float],
-    width: int = 50,
     title: str = "",
-    unit: str = "",
 ) -> str:
     """Horizontal ASCII bars, scaled to the largest value."""
     if not labels or len(labels) != len(values):
@@ -106,8 +106,8 @@ def bar_chart(
     label_width = max(len(str(label)) for label in labels)
     lines = [title] if title else []
     for label, value in zip(labels, values):
-        bar = "#" * max(1 if value > 0 else 0, round(value / peak * width))
-        lines.append(f"{str(label):>{label_width}} | {bar} {value:.3g}{unit}")
+        bar = "#" * max(1 if value > 0 else 0, round(value / peak * BAR_WIDTH))
+        lines.append(f"{str(label):>{label_width}} | {bar} {value:.3g}")
     return "\n".join(lines)
 
 
@@ -167,9 +167,7 @@ def plot_figure15(result: ExperimentResult) -> str:
 def plot_figure11(result: ExperimentResult) -> str:
     labels = [f"{row[0]}:{row[1]}" for row in result.rows]
     values = [row[2] for row in result.rows]
-    return bar_chart(
-        labels, values, title="Fig 11: CPU cycle fractions", unit=""
-    )
+    return bar_chart(labels, values, title="Fig 11: CPU cycle fractions")
 
 
 #: Exhibits with a dedicated plot renderer.

@@ -16,13 +16,13 @@ Two faces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from ..engine.testbed import Testbed, message_driven
 from ..host.calibration import F4T_CYCLES_PER_SEND_BULK
 from ..host.cpu import CpuModel
 from ..host.pcie import PcieModel
 from ..net.link import LINK_100G
+from ..tcp.tcb import DEFAULT_MSS
 
 
 @dataclass
@@ -37,11 +37,10 @@ class BulkResult:
 def run_functional_bulk(
     total_bytes: int = 1_000_000,
     request_bytes: int = 1460,
-    testbed: Optional[Testbed] = None,
-    max_time_s: float = 1.0,
 ) -> BulkResult:
-    """Move ``total_bytes`` through the real engines; measure goodput."""
-    tb = testbed if testbed is not None else Testbed()
+    """Move ``total_bytes`` through the real engines within one simulated
+    second; measure goodput."""
+    tb = Testbed()
     a_flow, b_flow = tb.establish()
     start_s = tb.now_s
     sent = 0
@@ -64,7 +63,7 @@ def run_functional_bulk(
     # The pump sends until the buffer refuses and reads what is there:
     # after a call only an 'acked' or 'data' message can move it.
     finished = tb.run(
-        until=pump, max_time_s=start_s + max_time_s, next_call_ps=message_driven
+        until=pump, max_time_s=start_s + 1.0, next_call_ps=message_driven
     )
     elapsed = max(tb.now_s - start_s, 1e-12)
     if not finished:
@@ -91,7 +90,7 @@ class BulkTransferModel:
 
     cores: int = 1
 
-    def request_rate(self, request_bytes: int, mss: int = 1460) -> BulkResult:
+    def request_rate(self, request_bytes: int) -> BulkResult:
         """F4T's achievable request rate at this request size.
 
         Small requests accumulate into MSS-sized packets (§4.2.2 and the
@@ -105,7 +104,7 @@ class BulkTransferModel:
             F4T_CYCLES_PER_SEND_BULK + 0.05 * max(0, request_bytes - 128)
         )
         pcie = PcieModel().max_requests_per_s(request_bytes)
-        link_goodput = LINK_100G.max_goodput_gbps(mss) * 1e9 / 8  # bytes/s
+        link_goodput = LINK_100G.max_goodput_gbps(DEFAULT_MSS) * 1e9 / 8  # bytes/s
         link = link_goodput / request_bytes
         rate = min(software, pcie, link)
         bottleneck = {software: "software", pcie: "pcie", link: "link"}[rate]

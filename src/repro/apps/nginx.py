@@ -43,8 +43,8 @@ HTTP_RESPONSE = (
 assert len(HTTP_RESPONSE) == RESPONSE_BYTES, len(HTTP_RESPONSE)
 
 
-def http_get(path: str = "/index.html") -> bytes:
-    return f"GET {path} HTTP/1.1\r\nHost: repro\r\n\r\n".encode()
+def http_get() -> bytes:
+    return b"GET /index.html HTTP/1.1\r\nHost: repro\r\n\r\n"
 
 
 # --------------------------------------------------------------- modelling

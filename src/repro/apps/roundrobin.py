@@ -14,16 +14,12 @@ from ..host.calibration import F4T_CYCLES_PER_SEND_RR
 from ..host.cpu import CpuModel
 from ..host.pcie import PcieModel
 from ..net.link import LINK_100G
+from ..tcp.tcb import DEFAULT_MSS
 from ..traffic import Fixed, Scenario, TrafficClass
 from .iperf import BulkResult
 
-FLOWS_PER_CORE = 16
-
-
 def round_robin_scenario(
-    flows: int = FLOWS_PER_CORE,
-    requests_per_flow: int = 64,
-    request_bytes: int = 128,
+    flows: int, requests_per_flow: int, request_bytes: int
 ) -> Scenario:
     """Round-robin requests as a traffic scenario: one-way streams."""
     return Scenario(
@@ -53,13 +49,13 @@ class RoundRobinModel:
 
     cores: int = 1
 
-    def request_rate(self, request_bytes: int, mss: int = 1460) -> BulkResult:
+    def request_rate(self, request_bytes: int) -> BulkResult:
         cpu = CpuModel(cores=self.cores)
         software = cpu.rate_for(
             F4T_CYCLES_PER_SEND_RR + 0.05 * max(0, request_bytes - 128)
         )
         pcie = PcieModel().max_requests_per_s(request_bytes)
-        link_goodput = LINK_100G.max_goodput_gbps(mss) * 1e9 / 8
+        link_goodput = LINK_100G.max_goodput_gbps(DEFAULT_MSS) * 1e9 / 8
         link = link_goodput / request_bytes
         rate = min(software, pcie, link)
         bottleneck = {software: "software", pcie: "pcie", link: "link"}[rate]

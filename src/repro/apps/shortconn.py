@@ -16,9 +16,7 @@ load and measuring the reproduction's own connections/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..engine.testbed import Testbed
 from ..sim.stats import Histogram
 from ..traffic import PER_REQUEST, Fixed, Scenario, TrafficClass, run_scenario
 
@@ -36,9 +34,11 @@ class ChurnResult:
         return self.connections_completed / self.elapsed_s
 
 
-def churn_preset(
-    connections: int = 10, request_bytes: int = 64, concurrency: int = 4
-) -> Scenario:
+#: Request and response size of every transaction: a small RPC.
+REQUEST_BYTES = 64
+
+
+def churn_preset(connections: int = 10, concurrency: int = 4) -> Scenario:
     """Connection churn as a traffic scenario: per-request lifecycle."""
     return Scenario(
         name="shortconn",
@@ -47,8 +47,8 @@ def churn_preset(
         classes=[
             TrafficClass(
                 name="churn",
-                request=Fixed(request_bytes),
-                response=Fixed(request_bytes),
+                request=Fixed(REQUEST_BYTES),
+                response=Fixed(REQUEST_BYTES),
                 lifecycle=PER_REQUEST,
                 connections=min(concurrency, connections),
                 transactions=connections,
@@ -59,12 +59,10 @@ def churn_preset(
 
 def run_connection_churn(
     connections: int = 10,
-    request_bytes: int = 64,
     concurrency: int = 4,
-    testbed: Optional[Testbed] = None,
-    max_time_s: float = 30.0,
 ) -> ChurnResult:
-    """Run ``connections`` short transactions, ``concurrency`` at a time.
+    """Run ``connections`` short transactions, ``concurrency`` at a time,
+    within 30 simulated seconds.
 
     A thin preset over :mod:`repro.traffic`'s per-request lifecycle:
     every transaction allocates a fresh flow (new ports, new TCB, new
@@ -74,9 +72,8 @@ def run_connection_churn(
     lingering included.
     """
     result = run_scenario(
-        churn_preset(connections, request_bytes, concurrency),
-        testbed=testbed,
-        run_time_s=max_time_s,
+        churn_preset(connections, concurrency),
+        run_time_s=30.0,
         raise_on_incomplete=True,
     )
     metrics = result.classes["churn"]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.testbed import Testbed
 from ..sim.stats import Histogram
 from ..traffic import Fixed, Scenario, TrafficClass, run_scenario
 from .nginx import RESPONSE_BYTES, http_get
@@ -52,18 +51,16 @@ def wrk_scenario(
 def run_functional_wrk(
     connections: int = 4,
     requests_per_connection: int = 8,
-    testbed: Testbed = None,
-    max_time_s: float = 2.0,
 ) -> WrkResult:
-    """Closed-loop GETs over real connections; returns rate + latencies.
+    """Closed-loop GETs over real connections, set up and run within two
+    simulated seconds each; returns rate + latencies.
 
     A thin preset over :mod:`repro.traffic`'s persistent closed loop.
     """
     result = run_scenario(
         wrk_scenario(connections, requests_per_connection),
-        testbed=testbed,
-        setup_time_s=max_time_s,
-        run_time_s=max_time_s,
+        setup_time_s=2.0,
+        run_time_s=2.0,
         raise_on_incomplete=True,
     )
     metrics = result.classes["wrk"]

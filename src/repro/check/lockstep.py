@@ -42,9 +42,9 @@ DEFAULT_MAX_FINDINGS = 1000
 Key = Tuple[int, int, int]
 
 
-def _call_site(depth: int = 2) -> str:
+def _call_site() -> str:
     """``file:line`` of the hook's caller, repo-relative when possible."""
-    frame = sys._getframe(depth)
+    frame = sys._getframe(2)
     path = frame.f_code.co_filename.replace("\\", "/")
     marker = "/repro/"
     index = path.rfind(marker)

@@ -308,13 +308,14 @@ class FtEngine(Component):
             rcv_buf=self.config.recv_buffer,
             last_active=self.time_ps,
         )
+        # The flow table first: a CuckooFullError leaves nothing behind.
+        self.rx_parser.register_flow(key, flow_id, rcv_nxt=0)
         self.flows[flow_id] = _FlowRecord(
             key=key,
             stream=SendStream(seq_add(iss, 1), self.config.send_buffer),
             listen_port=listen_port,
         )
         self._keys_in_use.add(key)
-        self.rx_parser.register_flow(key, flow_id, rcv_nxt=0)
         self.scheduler.register_new_flow(tcb)
         self.counters.add("flows_created")
         return flow_id

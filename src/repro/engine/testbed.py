@@ -16,6 +16,10 @@ from ..sim.component import NEVER, seconds_to_ps
 from .ftengine import ENGINE_PERIOD_PS, FtEngine, FtEngineConfig
 
 
+#: The bound :meth:`Testbed.establish` gives a handshake, in seconds.
+ESTABLISH_S = 10.0
+
+
 def message_driven() -> int:
     """The ``next_call_ps`` of a pump with nothing time-gated.
 
@@ -195,23 +199,25 @@ class Testbed:
             stats["ticks_b"] += ticks_b
 
     # ------------------------------------------------------- conveniences
-    def establish(
-        self, server_port: int = 80, max_time_s: float = 0.1
-    ) -> "tuple[int, int]":
-        """Open one connection B->listen, A->connect; returns (a_flow, b_flow)."""
-        self.engine_b.listen(server_port)
-        a_flow = self.engine_a.connect(self.engine_b.ip, server_port)
+    def establish(self) -> "tuple[int, int]":
+        """Open one connection to B's port 80; returns (a_flow, b_flow).
+
+        The handshake gets :data:`ESTABLISH_S` simulated seconds: room
+        for RTO-paced SYN retries on a lossy wire.
+        """
+        self.engine_b.listen(80)
+        a_flow = self.engine_a.connect(self.engine_b.ip, 80)
         accepted: list = []
 
         def done() -> bool:
             if not accepted:
-                flow = self.engine_b.accept(server_port)
+                flow = self.engine_b.accept(80)
                 if flow is not None:
                     accepted.append(flow)
             from ..tcp.state_machine import TcpState
 
             return bool(accepted) and self.engine_a.flow_state(a_flow) is TcpState.ESTABLISHED
 
-        if not self.run(until=done, max_time_s=max_time_s):
+        if not self.run(until=done, max_time_s=self.now_s + ESTABLISH_S):
             raise TimeoutError("three-way handshake did not complete")
         return a_flow, accepted[0]

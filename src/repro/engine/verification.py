@@ -21,6 +21,9 @@ from ..tcp.state_machine import TcpState
 from .ftengine import FtEngine
 from .scheduler import Location
 
+#: How often :func:`audited_run` checks the invariants, in cycles.
+RUN_AUDIT_CYCLES = 2048
+
 
 @dataclass
 class Violation:
@@ -182,10 +185,10 @@ def audited_run(
     testbed,
     until,
     max_time_s: float,
-    every_cycles: int = 2048,
     monitors: Optional[List[InvariantMonitor]] = None,
 ) -> bool:
-    """Like ``Testbed.run`` but auditing both engines along the way."""
+    """Like ``Testbed.run`` but auditing both engines every
+    :data:`RUN_AUDIT_CYCLES` along the way."""
     if monitors is None:
         monitors = [
             InvariantMonitor(testbed.engine_a),
@@ -197,7 +200,7 @@ def audited_run(
         if testbed.cycle >= state["next_audit"]:
             for monitor in monitors:
                 monitor.check()
-            state["next_audit"] = testbed.cycle + every_cycles
+            state["next_audit"] = testbed.cycle + RUN_AUDIT_CYCLES
         return until()
 
     finished = testbed.run(until=audited_until, max_time_s=max_time_s)

@@ -1,15 +1,14 @@
-"""``repro.fabric`` — pluggable offload backends + data-center fabrics.
+"""``repro.fabric`` — offload backends on a data-center fabric.
 
 Two halves, one design-space laboratory:
 
-* **Backends** (:mod:`.backend`): the :class:`OffloadBackend` protocol
-  extracted over the functional TCP stack, with four implementations —
-  the paper's F4T FPC engine (the real :class:`~repro.engine.ftengine.
-  FtEngine`, unchanged behind the interface), a FlexTOE-style
+* **Backends** (:mod:`.backend`, :mod:`.service`): the registry of the
+  designs compared — the paper's F4T FPC engine, a FlexTOE-style
   pipeline-parallel data path, a PnO-style off-path SmartNIC proxy, and
-  the calibrated ``linux_stack`` baseline.  Point-to-point runs of any
-  backend plug straight into :mod:`repro.traffic`'s LoadEngine
-  (``LoadEngine(backend=...)`` / ``run_scenario(..., backend=...)``).
+  the calibrated ``linux_stack`` baseline — each a service model under
+  the :class:`~repro.fabric.softstack.SoftStack` transport every fabric
+  host runs.  The real F4T engine runs point to point in
+  :mod:`repro.traffic`'s LoadEngine.
 
 * **Fabric** (:mod:`.switch`, :mod:`.engine`, :mod:`.scenarios`): N
   hosts attached through a deterministic output-queued switch with
@@ -27,9 +26,7 @@ identical runs bit for bit.
 
 from .backend import (  # noqa: F401
     BackendSpec,
-    OffloadBackend,
     available_backends,
-    build_point_to_point,
     get_backend,
 )
 from .engine import FabricLoadEngine, FabricResult, run_fabric  # noqa: F401
@@ -45,5 +42,5 @@ from .scenarios import (  # noqa: F401
     available_fabric_scenarios,
     get_fabric_scenario,
 )
-from .softstack import SoftStack, SoftTestbed  # noqa: F401
+from .softstack import SoftStack  # noqa: F401
 from .switch import SwitchFabric  # noqa: F401

@@ -1,15 +1,15 @@
-"""A functional soft TCP endpoint implementing the backend protocol.
+"""A functional soft TCP endpoint: the hosts of the switch fabric.
 
-:class:`SoftStack` is the shared transport under the FlexTOE, PnO and
-linux_stack backends (and under *every* backend in N-host fabrics): a
+:class:`SoftStack` is the transport under every host of an N-host
+fabric (:mod:`repro.fabric.engine`, :mod:`repro.shard`): a
 byte-counting reliable stream — handshake, cumulative acks, sliding
 window with NewReno-style loss recovery, ECN echo, FIN teardown — whose
 NIC-side timing comes entirely from a pluggable
-:class:`~repro.fabric.service.ServiceModel`.  It exposes the exact
-host-facing surface of :class:`~repro.engine.ftengine.FtEngine`
-(``listen/connect/accept/send_data/readable/recv_data/close_flow/
-flow_state/flows/host_messages``), so :class:`~repro.traffic.engine.
-LoadEngine` and the ``repro.apps`` presets drive it unchanged.
+:class:`~repro.fabric.service.ServiceModel` (the backend being
+compared).  It exposes the host-facing surface of
+:class:`~repro.engine.ftengine.FtEngine` (``listen/connect/accept/
+send_data/readable/recv_data/close_flow/flow_state/flows/
+host_messages``), so a driver written against one drives the other.
 
 Payload content is not modelled — only byte counts move (the traffic
 harness frames requests by size and sends zeros anyway); ``recv_data``
@@ -22,7 +22,7 @@ All timestamps are integer picoseconds end to end — the same type the
 engines keep, so a soft stack and an FtEngine measure time alike
 (simlint F4T007/F4T010 cover this package) — and the link is the
 engines' own :class:`~repro.net.wire.LinkDirection`; the only
-randomness is the optional seeded drop impairment on :class:`SoftWire`.
+randomness is the seeded jitter on the ECN hold-off.
 """
 
 from __future__ import annotations
@@ -37,15 +37,11 @@ from typing import (
 
 from ..engine.ftengine import EngineMessage
 from ..net.link import PER_PACKET_OVERHEAD
-from ..net.wire import FaultFn, LinkDirection, WirePort, derive_seed
-from ..sim.component import NEVER, seconds_to_ps
-from ..tcp.segment import FlowKey, ip_from_string, ip_to_string
+from ..net.wire import derive_seed
+from ..sim.component import NEVER
+from ..tcp.segment import FlowKey, ip_to_string
 from ..tcp.state_machine import TcpState
 from .service import ServiceModel
-
-#: Engine-period compatibility constant: ``cycle`` properties below are
-#: derived from integer picoseconds at the F4T 250 MHz period.
-_PERIOD_PS = 4_000
 
 #: Source ports ``connect`` hands out: from the start of the dynamic
 #: range upwards, wrapping inside the unprivileged range.
@@ -163,55 +159,6 @@ class _SoftFlow:
         self.ce_pending = False
         self.eof_posted = False
         self.hs_deadline_ps = 0
-
-
-class SoftWire:
-    """A duplex point-to-point soft link with optional seeded loss: two
-    :class:`~repro.net.wire.LinkDirection` of the 100 GbE link, whose
-    ends are :class:`~repro.net.wire.WirePort`."""
-
-    def __init__(self, drop_probability: float = 0.0, seed: int = 0) -> None:
-        def data_drops(label: str) -> Optional[FaultFn]:
-            # Only data segments are dropped, one draw each: control
-            # segments never touch the RNG.
-            if drop_probability <= 0:
-                return None
-            rng = random.Random(derive_seed(seed, label))
-            return lambda packet, index: (
-                packet.kind == "data" and rng.random() < drop_probability
-            )
-
-        self._ab = LinkDirection(drop_fn=data_drops("soft-drop-a2b"))
-        self._ba = LinkDirection(drop_fn=data_drops("soft-drop-b2a"))
-        self.port_a = WirePort(outbound=self._ab, inbound=self._ba)
-        self.port_b = WirePort(outbound=self._ba, inbound=self._ab)
-
-    @property
-    def frames_sent(self) -> int:
-        return self._ab.frames_sent + self._ba.frames_sent
-
-    @property
-    def frames_dropped(self) -> int:
-        return self._ab.frames_dropped + self._ba.frames_dropped
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._ab.bytes_sent + self._ba.bytes_sent
-
-    def next_event_ps(self) -> Optional[int]:
-        return min(
-            (d._in_flight[0][0] for d in (self._ab, self._ba) if d._in_flight),
-            default=None,
-        )
-
-    def advance(self, now_ps: int) -> Set[int]:
-        """The event loop's network step: a wire has no events of its
-        own, so just name the ends (0 = a, 1 = b) with an arrival due."""
-        return {
-            end
-            for end, inbound in enumerate((self._ba, self._ab))
-            if inbound._in_flight and inbound._in_flight[0][0] <= now_ps
-        }
 
 
 class SoftStack:
@@ -783,8 +730,8 @@ class SoftStack:
 class TimerWakeIndex:
     """One ``(raw timer-heap head, host)`` min-heap over a set of stacks.
 
-    The owner of the stacks (``CellSim``, ``FabricLoadEngine``,
-    ``SoftTestbed``) builds it once; from then on every stack publishes
+    The owner of the stacks (``CellSim``, ``FabricLoadEngine``) builds
+    it once; from then on every stack publishes
     its raw ``_timers`` head here whenever that head changes — ``_arm``
     pushing a new head, ``_expire_timers``/``next_deadline_ps`` popping
     the old one.  An entry is live iff it still equals its stack's raw
@@ -847,41 +794,38 @@ def run_event_loop(
     wake: TimerWakeIndex,
     network,
     deadline_ps: int,
-    until: Optional[Callable[[], bool]] = None,
-    next_call_ps: Optional[Callable[[], int]] = None,
-    max_steps: Optional[int] = None,
+    until: Callable[[], bool],
+    next_call_ps: Callable[[], int],
 ) -> bool:
     """The one discrete-event loop every set of soft-stack hosts runs on.
 
-    ``clock`` is the owner (``SoftTestbed``, ``FabricLoadEngine``) whose
-    integer ``time_ps`` this loop advances; predicates and drivers read
-    it between events.  ``wake`` is the owner's timer wake index over
-    the stacks.  ``network`` (``SoftWire``, ``SwitchFabric``) joins
-    them: ``advance(now_ps)`` runs its events up to the instant and
-    names the stacks (by host) with a delivery due, and
-    ``next_event_ps()`` is its next state change.  The soft stacks do
-    nothing between packet arrivals and timer deadlines, so an instant
-    ticks — in ascending host order — only the stacks with a delivery
-    or a timer entry due in the index, then jumps to the earliest of
-    the network's next event, the pump's declared instant and the
-    index's earliest live deadline (validated only when its raw top
-    beats the other two), never past ``deadline_ps``.
+    ``clock`` is the owner (``FabricLoadEngine``) whose integer
+    ``time_ps`` this loop advances; predicates and drivers read it
+    between events.  ``wake`` is the owner's timer wake index over the
+    stacks.  ``network`` (``SwitchFabric``) joins them:
+    ``advance(now_ps)`` runs its events up to the instant and names the
+    stacks (by host) with a delivery due, and ``next_event_ps()`` is its
+    next state change.  The soft stacks do nothing between packet
+    arrivals and timer deadlines, so an instant ticks — in ascending
+    host order — only the stacks with a delivery or a timer entry due
+    in the index, then jumps to the earliest of the network's next
+    event, the pump's declared instant and the index's earliest live
+    deadline (validated only when its raw top beats the other two),
+    never past ``deadline_ps``.
 
     ``until`` (the driver's pump) has ``Testbed.run``'s contract in
-    picoseconds.  Without ``next_call_ps`` it runs at every instant.
-    With it, asked right after each call, ``until`` runs only at the
-    instant that names (:data:`NEVER`: never by itself; an instant
-    already reached: the next picosecond) or when a stack ticked at
-    this instant posted a host message (moved its ``msg_epoch``; the
-    pump's own drains do not count).  Every stack's ``now_ps`` is
-    stamped before a call: the driver may call into any.
+    picoseconds: asked right after each call, ``next_call_ps`` names
+    the instant of the next call (:data:`NEVER`: never by itself; an
+    instant already reached: the next picosecond), and ``until`` runs
+    there or when a stack ticked at this instant posted a host message
+    (moved its ``msg_epoch``; the pump's own drains do not count).
+    Every stack's ``now_ps`` is stamped before a call: the driver may
+    call into any.
 
-    True when ``until`` held, or with no ``until`` when nothing is left
-    to happen; False on the deadline, the step bound, or a stall (no
+    True when ``until`` held; False on the deadline or a stall (no
     future event could change ``until``).
     """
     stacks = wake.stacks
-    steps = 0
     pump_at = 0  # the first instant calls the pump
     while True:
         t = clock.time_ps
@@ -894,16 +838,15 @@ def run_event_loop(
             stack.now_ps = t
             stack.tick()
             posted = posted or stack.msg_epoch != epoch
-        if until is not None and (next_call_ps is None or t >= pump_at or posted):
+        if t >= pump_at or posted:
             for stack in stacks.values():
                 stack.now_ps = t
             if until():
                 return True
-            if next_call_ps is not None:
-                pump_at = next_call_ps()
-                if pump_at <= t:
-                    pump_at = t + 1
-        if t >= deadline_ps or (max_steps is not None and steps >= max_steps):
+            pump_at = next_call_ps()
+            if pump_at <= t:
+                pump_at = t + 1
+        if t >= deadline_ps:
             return False
         following = network.next_event_ps()
         if following is not None and following <= t:
@@ -912,66 +855,5 @@ def run_event_loop(
             following = pump_at
         following = wake.next_deadline_ps(following)
         if following is None:
-            return until is None
+            return False
         clock.time_ps = min(following, deadline_ps)
-        steps += 1
-
-
-class SoftTestbed:
-    """Two soft stacks back to back: the point-to-point backend testbed.
-
-    The same shape as :class:`~repro.engine.testbed.Testbed` —
-    ``engine_a``/``engine_b``/``wire``/``run()``/``now_s``/``cycle`` —
-    but driven as a discrete-event loop over integer picoseconds: the
-    soft stacks do nothing between packet arrivals and timer deadlines,
-    so the loop jumps straight from event to event.
-    """
-
-    __test__ = False  # not a pytest test class, despite the name
-
-    def __init__(
-        self,
-        service_factory: Callable[[], ServiceModel],
-        drop_probability: float = 0.0,
-        seed: int = 0,
-        backend: str = "soft",
-    ) -> None:
-        self.wire = SoftWire(drop_probability=drop_probability, seed=seed)
-        self.backend = backend
-        self.engine_a = SoftStack(
-            ip_from_string("10.0.0.1"), self.wire.port_a, service_factory(),
-            name="a", seed=seed,
-        )
-        self.engine_b = SoftStack(
-            ip_from_string("10.0.0.2"), self.wire.port_b, service_factory(),
-            name="b", seed=seed,
-        )
-        self._wake = TimerWakeIndex(enumerate((self.engine_a, self.engine_b)))
-        self.time_ps = 0
-
-    @property
-    def now_s(self) -> float:
-        return self.time_ps / 1e12
-
-    @property
-    def cycle(self) -> int:
-        return self.time_ps // _PERIOD_PS
-
-    def run(
-        self,
-        until: Optional[Callable[[], bool]] = None,
-        max_time_s: float = 1.0,
-        max_steps: int = 50_000_000,
-        next_call_ps: Optional[Callable[[], int]] = None,
-    ) -> bool:
-        """Event-driven run: ``Testbed.run``'s contract, in picoseconds
-        (see :func:`run_event_loop`)."""
-        return run_event_loop(
-            self,
-            self._wake,
-            self.wire,
-            seconds_to_ps(max_time_s),
-            until=until,
-            next_call_ps=next_call_ps,
-            max_steps=max_steps,
-        )

@@ -49,13 +49,14 @@ class LinuxTcpStack:
         cycles = LINUX_CYCLES_PER_SEND_RR + 0.6 * request_bytes
         return self._cap_to_link(self.cpu.rate_for(cycles), request_bytes)
 
-    def echo_rate(self, flows: int, request_bytes: int = 128) -> float:
-        """Fig 13: ping-pong transactions/s, degrading with flow count."""
+    def echo_rate(self, flows: int) -> float:
+        """Fig 13: 128 B ping-pong transactions/s, degrading with flow
+        count."""
         base = self.cpu.rate_for(LINUX_CYCLES_PER_ECHO)
         if flows > 1024:
             doublings = math.log2(flows / 1024)
             base *= max(0.2, 1.0 - LINUX_ECHO_FLOW_PENALTY * doublings)
-        return self._cap_to_link(base, request_bytes)
+        return self._cap_to_link(base, 128)
 
     def nginx_request_rate(self) -> float:
         """Figs 1b/10: web-server requests/s on this core pool."""

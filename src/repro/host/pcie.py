@@ -28,36 +28,29 @@ class PcieModel:
         self,
         payload_bytes: int,
         command_bytes: int = COMMAND_BYTES_DEFAULT,
-        completion: bool = False,
     ) -> int:
-        """PCIe bytes moved per request: command + payload (+ completion).
+        """PCIe bytes moved per request: command + payload.
 
-        Completions default to excluded, matching the paper's Fig 9
-        accounting ("each 16 B request requires a 16 B command and 16 B
-        payload DMA"): hardware-to-software completions are heavily
-        coalesced, so their per-request share is negligible.
+        Completions are excluded, matching the paper's Fig 9 accounting
+        ("each 16 B request requires a 16 B command and 16 B payload
+        DMA"): hardware-to-software completions are heavily coalesced,
+        so their per-request share is negligible.
         """
-        total = command_bytes + payload_bytes
-        if completion:
-            total += command_bytes
-        return total
+        return command_bytes + payload_bytes
 
     def max_requests_per_s(
         self,
         payload_bytes: int,
         command_bytes: int = COMMAND_BYTES_DEFAULT,
-        completion: bool = False,
     ) -> float:
         """The PCIe-imposed request-rate ceiling (Fig 9's 396 Mrps)."""
-        per_request = self.bytes_per_request(payload_bytes, command_bytes, completion)
+        per_request = self.bytes_per_request(payload_bytes, command_bytes)
         return self.effective_bytes_per_s / per_request
 
-    def max_goodput_gbps(
-        self, payload_bytes: int, command_bytes: int = COMMAND_BYTES_DEFAULT
-    ) -> float:
+    def max_goodput_gbps(self, payload_bytes: int) -> float:
         """Payload throughput at the PCIe ceiling."""
         return (
-            self.max_requests_per_s(payload_bytes, command_bytes)
+            self.max_requests_per_s(payload_bytes)
             * payload_bytes
             * 8
             / 1e9

@@ -116,11 +116,9 @@ def traffic_scenario_point(
     scenario: str,
     seed: Optional[int] = None,
     load_scale: float = 1.0,
-    backend: str = "functional",
-    audit: bool = True,
 ) -> "PointResult":
-    """One traffic scenario at one offered-load scale, on the engines
-    (``functional``) or a fabric soft backend.
+    """One traffic scenario at one offered-load scale on the engines,
+    invariants audited.
 
     Returns a :class:`~repro.lab.grid.PointResult` whose ``metrics``
     field carries the full labeled snapshot (engine counters, per-class
@@ -130,26 +128,14 @@ def traffic_scenario_point(
     import json
 
     from ..lab.grid import PointResult
-    from ..obs import MetricsRegistry, collect_scenario_result, collect_traced_run
-    from ..fabric.backend import get_backend
+    from ..obs import collect_traced_run
     from ..traffic import LoadEngine, get_scenario
 
-    sc = get_scenario(scenario, seed=seed)
-    spec = get_backend(backend)
     engine = LoadEngine(
-        sc,
-        load_scale=load_scale,
-        # The invariant monitor reads FtEngine internals; soft
-        # backends run unaudited.
-        audit=audit and spec.kind == "engine",
-        backend=spec.name,
+        get_scenario(scenario, seed=seed), load_scale=load_scale, audit=True
     )
     result = engine.run()
-    if spec.kind == "engine":
-        registry = collect_traced_run(engine.testbed, result)
-    else:
-        registry = MetricsRegistry()
-        collect_scenario_result(registry, result)
+    registry = collect_traced_run(engine.testbed, result)
     scalars: Dict[str, float] = {
         "offered": result.offered,
         "completed": result.completed,
@@ -170,19 +156,11 @@ def traffic_scenario_point(
     )
 
 
-def traffic_churn_point(
-    connections: int,
-    concurrency: int,
-    request_bytes: int = 64,
-) -> Dict[str, float]:
+def traffic_churn_point(connections: int, concurrency: int) -> Dict[str, float]:
     """Connection churn rate at one concurrency level."""
     from ..apps.shortconn import run_connection_churn
 
-    result = run_connection_churn(
-        connections=connections,
-        concurrency=concurrency,
-        request_bytes=request_bytes,
-    )
+    result = run_connection_churn(connections=connections, concurrency=concurrency)
     return {
         "connections_per_s": result.connections_per_s,
         "connections_completed": result.connections_completed,
@@ -199,7 +177,6 @@ def fabric_point(
     num_hosts: Optional[int] = None,
     seed: Optional[int] = None,
     load_scale: float = 1.0,
-    max_time_s: float = 0.25,
 ) -> Dict[str, float]:
     """One fabric scenario on one offload backend (``repro.fabric``).
 
@@ -210,22 +187,15 @@ def fabric_point(
     from ..fabric import get_fabric_scenario, run_fabric
 
     sc = get_fabric_scenario(scenario, num_hosts=num_hosts, seed=seed)
-    result = run_fabric(
-        sc, backend=backend, load_scale=load_scale, max_time_s=max_time_s
-    )
+    result = run_fabric(sc, backend=backend, load_scale=load_scale)
     scalars: Dict[str, float] = {"finished": int(result.finished)}
     scalars.update(result.scalars())
     return scalars
 
 
 # -------------------------------------------- shard: multi-process cells
-def shard_point(
-    scenario: str = "churn",
-    workers: int = 1,
-    seed: Optional[int] = None,
-    dry: bool = False,
-) -> Dict[str, float]:
-    """One sharded lockstep run (``repro.shard``) at one worker count.
+def shard_point(workers: int = 1, seed: Optional[int] = None) -> Dict[str, float]:
+    """The ``churn`` shard (``repro.shard``) at one worker count.
 
     ``fingerprint_prefix`` is the first 12 hex digits of the merged
     trace digest packed into a float-safe integer — rows of a
@@ -234,9 +204,7 @@ def shard_point(
     """
     from ..shard import get_shard_scenario, run_shard
 
-    sc = get_shard_scenario(scenario, seed=seed)
-    if dry:
-        sc = sc.scaled(128)
+    sc = get_shard_scenario("churn", seed=seed)
     result = run_shard(sc, workers=workers, fingerprint=True)
     scalars: Dict[str, float] = {
         "finished": int(result.finished),
@@ -257,14 +225,12 @@ def shard_point(
 # ---------------------------------------------- ablation: TCB cache sweep
 def ablation_tcb_cache_point(
     cache_entries: int,
-    flows: int = 4096,
     transactions: int = 2000,
-    memory: str = "ddr4",
 ) -> Dict[str, float]:
-    """DRAM swap-transaction rate for one TCB-cache size."""
+    """DDR4 swap-transaction rate over 4096 flows for one TCB-cache size."""
     from ..apps.echo import measure_dram_swap_rate
 
     rate = measure_dram_swap_rate(
-        memory, flows=flows, transactions=transactions, cache_entries=cache_entries
+        "ddr4", flows=4096, transactions=transactions, cache_entries=cache_entries
     )
     return {"swap_rate": rate}

@@ -64,29 +64,26 @@ def _flatten(
 def export_csv(
     store: RunStore,
     experiment: Optional[str] = None,
-    status: Optional[str] = None,
 ) -> str:
     """The flattened view as CSV text."""
-    return render_csv(*_flatten(store.records(experiment=experiment, status=status)))
+    return render_csv(*_flatten(store.records(experiment=experiment)))
 
 
 def export_markdown(
     store: RunStore,
     experiment: Optional[str] = None,
-    status: Optional[str] = None,
 ) -> str:
     """The flattened view as an aligned GitHub-Markdown table."""
-    columns, rows = _flatten(store.records(experiment=experiment, status=status))
+    columns, rows = _flatten(store.records(experiment=experiment))
     return render_markdown_table(columns, rows)
 
 
 def export_text(
     store: RunStore,
     experiment: Optional[str] = None,
-    status: Optional[str] = None,
 ) -> str:
     """The flattened view as the report-style aligned plain-text table."""
-    columns, rows = _flatten(store.records(experiment=experiment, status=status))
+    columns, rows = _flatten(store.records(experiment=experiment))
     return render_table(columns, rows)
 
 

@@ -69,7 +69,6 @@ def traffic_scenarios_grid(quick: bool = False) -> ExperimentGrid:
         name="traffic-scenarios",
         driver="repro.lab.drivers:traffic_scenario_point",
         domains={"scenario": scenarios},
-        base={"backend": "functional", "audit": True},
         description="each traffic scenario end-to-end, invariants audited",
     )
 
@@ -161,7 +160,7 @@ def shard_workers_grid(quick: bool = False) -> ExperimentGrid:
         name="shard-workers",
         driver="repro.lab.drivers:shard_point",
         domains={"workers": [1, 2] if quick else [1, 2, 4]},
-        base={"scenario": "churn", "seed": 0},
+        base={"seed": 0},
         description="merged fingerprint is worker-count invariant; "
         "wall time and per-worker RSS vs process count",
     )
@@ -238,7 +237,7 @@ def ablation_tcb_cache_grid(quick: bool = False) -> ExperimentGrid:
         name="ablation-tcb-cache",
         driver="repro.lab.drivers:ablation_tcb_cache_point",
         domains={"cache_entries": [64, 512, 4096]},
-        base={"flows": 4096, "transactions": 500 if quick else 2000},
+        base={"transactions": 500 if quick else 2000},
         description="a covering cache turns swaps into bare write-backs",
     )
 
@@ -290,7 +289,7 @@ def mem_geometry_grid(quick: bool = False, seed: int = 1234) -> ExperimentGrid:
                 "64x4:lru/256x1:direct",
             ],
         },
-        base={"sketch": "countmin", "events": 4_000 if quick else 20_000},
+        base={"events": 4_000 if quick else 20_000},
         seeds=[seed],
         description="cache organisation vs DRAM charges under churn",
     )

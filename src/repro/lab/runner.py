@@ -206,14 +206,14 @@ class _ProgressPrinter:
         self.last_text = ""
         self.last_emit = 0.0
 
-    def update(self, text: str, force: bool = False) -> None:
-        if self.stream is None or (text == self.last_text and not force):
+    def update(self, text: str) -> None:
+        if self.stream is None or text == self.last_text:
             return
         now = time.monotonic()
         if self.is_tty:
             self.stream.write("\r" + text.ljust(len(self.last_text)))
         else:
-            if not force and now - self.last_emit < 2.0:
+            if now - self.last_emit < 2.0:
                 return
             self.stream.write(text + "\n")
         self.stream.flush()

@@ -30,7 +30,7 @@ from .sweep import (
 #: What a sweep row *is*; ``--csv`` leads with these, then every
 #: measured column any row carries (two-level geometries add ``l1_*``).
 _IDENTITY = [
-    "geometry", "sketch", "sketch_width", "events", "working_set", "churn", "seed",
+    "geometry", "sketch_width", "events", "working_set", "churn", "seed",
 ]
 
 
@@ -43,7 +43,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for flow_id in synth_accesses(args.events, seed=args.seed):
         sketch.update(flow_id)
         oracle.update(flow_id)
-    report = accuracy_report(sketch, oracle, keys=range(256), k=8)
+    report = accuracy_report(sketch, oracle, keys=range(256))
     for key, value in report.items():
         print(f"  {key:18} {value:.6f}")
 

@@ -26,6 +26,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 #: Registered sketch kinds for :func:`make_sketch`.
 SKETCH_KINDS = ("countmin", "spacesaving", "exact")
+#: How many heavy hitters ``heavy_hitters`` reports and recall counts.
+TOP_K = 8
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -60,16 +62,16 @@ class CountMinSketch:
         self.total = 0
         self.updates = 0
 
-    def update(self, key: int, count: int = 1) -> int:
-        """Add ``count`` observations of ``key``; returns the new estimate."""
+    def update(self, key: int) -> int:
+        """Add one observation of ``key``; returns the new estimate."""
         estimate: Optional[int] = None
         for row_index, row in enumerate(self._rows):
             slot = mix64(key, self.seed + row_index) % self.width
-            row[slot] += count
+            row[slot] += 1
             if estimate is None or row[slot] < estimate:
                 estimate = row[slot]
         assert estimate is not None  # depth >= 1 by construction
-        self.total += count
+        self.total += 1
         self.updates += 1
         self._track(key, estimate)
         return estimate
@@ -93,12 +95,13 @@ class CountMinSketch:
             for row_index, row in enumerate(self._rows)
         )
 
-    def heavy_hitters(self, k: int = 8) -> List[Tuple[int, int]]:
-        """Top-k (key, estimate) pairs from the inline tracker; O(k·track)."""
+    def heavy_hitters(self) -> List[Tuple[int, int]]:
+        """Top :data:`TOP_K` (key, estimate) pairs from the inline
+        tracker; O(k·track)."""
         ranked = sorted(
             self._topk.items(), key=lambda item: (-item[1], item[0])
         )
-        return ranked[:k]
+        return ranked[:TOP_K]
 
 
 class SpaceSavingSketch:
@@ -123,21 +126,21 @@ class SpaceSavingSketch:
         self.updates = 0
         self.replacements = 0
 
-    def update(self, key: int, count: int = 1) -> int:
-        self.total += count
+    def update(self, key: int) -> int:
+        self.total += 1
         self.updates += 1
         counts = self._counts
         if key in counts:
-            counts[key] += count
+            counts[key] += 1
             return counts[key]
         if len(counts) < self.capacity:
-            counts[key] = count
+            counts[key] = 1
             self._errors[key] = 0
-            return count
+            return 1
         victim = min(counts, key=lambda k: (counts[k], k))
         floor = counts.pop(victim)
         self._errors.pop(victim)
-        counts[key] = floor + count
+        counts[key] = floor + 1
         self._errors[key] = floor
         self.replacements += 1
         return counts[key]
@@ -145,11 +148,11 @@ class SpaceSavingSketch:
     def estimate(self, key: int) -> int:
         return self._counts.get(key, 0)
 
-    def heavy_hitters(self, k: int = 8) -> List[Tuple[int, int]]:
+    def heavy_hitters(self) -> List[Tuple[int, int]]:
         ranked = sorted(
             self._counts.items(), key=lambda item: (-item[1], item[0])
         )
-        return ranked[:k]
+        return ranked[:TOP_K]
 
 
 class ExactOracle:
@@ -163,20 +166,20 @@ class ExactOracle:
         self.total = 0
         self.updates = 0
 
-    def update(self, key: int, count: int = 1) -> int:
-        self.total += count
+    def update(self, key: int) -> int:
+        self.total += 1
         self.updates += 1
-        self._counts[key] = self._counts.get(key, 0) + count
+        self._counts[key] = self._counts.get(key, 0) + 1
         return self._counts[key]
 
     def estimate(self, key: int) -> int:
         return self._counts.get(key, 0)
 
-    def heavy_hitters(self, k: int = 8) -> List[Tuple[int, int]]:
+    def heavy_hitters(self) -> List[Tuple[int, int]]:
         ranked = sorted(
             self._counts.items(), key=lambda item: (-item[1], item[0])
         )
-        return ranked[:k]
+        return ranked[:TOP_K]
 
 
 #: Any of the interchangeable frequency estimators above; they share
@@ -203,7 +206,7 @@ def make_sketch(kind: str, width: int = 1024, seed: int = 0) -> Sketch:
 
 
 def accuracy_report(
-    sketch: Sketch, oracle: ExactOracle, keys: Iterable[int], k: int = 8
+    sketch: Sketch, oracle: ExactOracle, keys: Iterable[int]
 ) -> Dict[str, float]:
     """Compare a sketch against the exact oracle over ``keys``.
 
@@ -214,8 +217,8 @@ def accuracy_report(
     if not keys:
         return {"mean_abs_error": 0.0, "max_abs_error": 0.0, "recall_at_k": 1.0}
     errors = [abs(sketch.estimate(key) - oracle.estimate(key)) for key in keys]
-    true_top = {key for key, _ in oracle.heavy_hitters(k)}
-    sketch_top = {key for key, _ in sketch.heavy_hitters(k)}
+    true_top = {key for key, _ in oracle.heavy_hitters()}
+    sketch_top = {key for key, _ in sketch.heavy_hitters()}
     recall = len(true_top & sketch_top) / len(true_top) if true_top else 1.0
     return {
         "mean_abs_error": sum(errors) / len(errors),

@@ -33,30 +33,32 @@ from .sketch import ExactOracle, accuracy_report, make_sketch
 
 #: The paper's geometry; every sweep row is measured against it.
 DEFAULT_BASELINE_GEOMETRY = "512x1:direct"
+#: The synthetic stream's persistent flows and their Zipf skew.
+WORKING_SET = 2048
+ZIPF_S = 1.1
 
 
 def synth_accesses(
     events: int,
-    working_set: int = 2048,
     churn: float = 0.3,
-    zipf_s: float = 1.1,
     seed: int = 1234,
 ) -> List[int]:
     """A seeded TCB access stream: Zipf persistents + one-shot churn.
 
     With probability ``churn`` an access goes to a brand-new flow id
     never seen again (connection churn — the direct-mapped cache's
-    worst case, §4.3.1 at scale); otherwise to one of ``working_set``
-    persistent flows with Zipf(``zipf_s``) rank weights, so a handful
-    of heavy hitters dominate.
+    worst case, §4.3.1 at scale); otherwise to one of
+    :data:`WORKING_SET` persistent flows with Zipf(:data:`ZIPF_S`) rank
+    weights, so a handful of heavy hitters dominate.
     """
+    working_set = WORKING_SET
     if not 0.0 <= churn <= 1.0:
         raise ValueError(f"churn must be in [0, 1], got {churn}")
     rng = random.Random(seed)
     cumulative: List[float] = []
     total = 0.0
     for rank in range(1, working_set + 1):
-        total += 1.0 / (rank ** zipf_s)
+        total += 1.0 / (rank ** ZIPF_S)
         cumulative.append(total)
     accesses: List[int] = []
     next_churn_id = working_set  # churn ids never collide with persistents
@@ -72,15 +74,13 @@ def synth_accesses(
 
 def run_mem_point(
     geometry: str = DEFAULT_BASELINE_GEOMETRY,
-    sketch: str = "countmin",
     sketch_width: int = 1024,
     events: int = 20000,
-    working_set: int = 2048,
     churn: float = 0.3,
-    zipf_s: float = 1.1,
     seed: int = 1234,
 ) -> Dict[str, float]:
-    """Replay one synthetic stream through one cache geometry.
+    """Replay one synthetic stream through one cache geometry, with a
+    count-min sketch of ``sketch_width`` counters per row.
 
     Returns flat numeric scalars — this is the ``mem-geometry`` grid's
     point driver: DRAM charges (fills + write-backs — the number the
@@ -89,25 +89,23 @@ def run_mem_point(
     persistent working set.
     """
     parsed = CacheGeometry.parse(geometry)
-    estimator = make_sketch(sketch, width=sketch_width, seed=seed)
+    estimator = make_sketch("countmin", width=sketch_width, seed=seed)
     oracle = ExactOracle()
     hierarchy = TcbCacheHierarchy(parsed, sketch=estimator, own_updates=False)
 
-    accesses = synth_accesses(
-        events, working_set=working_set, churn=churn, zipf_s=zipf_s, seed=seed
-    )
+    accesses = synth_accesses(events, churn=churn, seed=seed)
     for flow_id in accesses:
         estimator.update(flow_id)
         oracle.update(flow_id)
         hierarchy.access(flow_id)
 
     accuracy = accuracy_report(
-        estimator, oracle, keys=range(min(working_set, 256)), k=8
+        estimator, oracle, keys=range(min(WORKING_SET, 256))
     )
     row: Dict[str, float] = {
         "sketch_width": sketch_width,
         "events": events,
-        "working_set": working_set,
+        "working_set": WORKING_SET,
         "churn": churn,
         "seed": seed,
         "hits": hierarchy.hits,
@@ -148,16 +146,7 @@ def best_improvement(rows: List[Dict[str, object]]) -> Optional[Dict[str, object
 
 
 # --------------------------------------------------------------- policies
-def compare_policies(
-    events: int = 3000,
-    flows: int = 16,
-    num_fpcs: int = 3,
-    slots: int = 6,
-    burst: int = 3,
-    zipf_s: float = 1.3,
-    seed: int = 1234,
-    sketch_width: int = 1024,
-) -> Dict[str, int]:
+def compare_policies(seed: int = 1234) -> Dict[str, int]:
     """Reactive vs predictive placement on a Zipf-skewed event stream.
 
     Builds an asymmetrically loaded three-FPC engine core (round-robin
@@ -179,6 +168,9 @@ def compare_policies(
     from ..engine.scheduler import Scheduler
     from ..sim.memory import DRAMModel
     from ..tcp.tcb import Tcb
+
+    events, flows, num_fpcs, slots, burst = 3000, 16, 3, 6, 3
+    zipf_s, sketch_width = 1.3, 1024
 
     def run(policy: str) -> Dict[str, int]:
         fpcs = [

@@ -106,16 +106,15 @@ class PcapWriter:
 class WireTap:
     """Transparent capture on one wire port's transmit path."""
 
-    def __init__(self, port, time_source=None) -> None:
+    def __init__(self, port) -> None:
         self.port = port
         self.writer = PcapWriter()
         self._original_send = port.send
-        self._time_source = time_source
 
     @classmethod
-    def attach(cls, port, time_source=None) -> "WireTap":
+    def attach(cls, port) -> "WireTap":
         """Install the tap; every subsequent send is recorded."""
-        tap = cls(port, time_source)
+        tap = cls(port)
 
         def tapped_send(frame, now_ps):
             payload = frame.payload

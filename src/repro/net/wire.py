@@ -164,9 +164,9 @@ class Wire:
         drop_probability: float = 0.0,
         reorder_probability: float = 0.0,
         reorder_delay_us: float = 10.0,
-        link: Link = LINK_100G,
     ) -> "Wire":
-        """A duplex wire with seeded loss/reordering on both directions.
+        """A duplex 100 GbE wire with seeded loss/reordering on both
+        directions.
 
         One top-level ``seed`` determines every impairment decision; the
         four underlying RNG streams are derived per direction and per
@@ -189,7 +189,6 @@ class Wire:
             )
 
         return cls(
-            link=link,
             drop_a_to_b=drops("drop-a2b"),
             drop_b_to_a=drops("drop-b2a"),
             delay_a_to_b=delays("reorder-a2b"),

@@ -70,12 +70,9 @@ def collect_scenario_result(registry: MetricsRegistry, result) -> None:
     )
 
 
-def collect_traced_run(
-    testbed, result=None, registry: MetricsRegistry = None
-) -> MetricsRegistry:
+def collect_traced_run(testbed, result=None) -> MetricsRegistry:
     """The whole picture of one functional run, one call."""
-    if registry is None:
-        registry = MetricsRegistry()
+    registry = MetricsRegistry()
     collect_testbed(registry, testbed)
     if result is not None:
         collect_scenario_result(registry, result)

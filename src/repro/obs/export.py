@@ -107,10 +107,9 @@ def _flow_arrows(
     return arrows
 
 
-def to_chrome_trace(
-    events: Sequence[TraceEvent], flow_arrows: bool = True
-) -> List[Dict[str, Any]]:
-    """The trace as a Chrome trace-event array (``ts`` in microseconds)."""
+def to_chrome_trace(events: Sequence[TraceEvent]) -> List[Dict[str, Any]]:
+    """The trace as a Chrome trace-event array (``ts`` in microseconds),
+    with one flow arrow chain per traced flow."""
     pids, tids = _track_ids(events)
     out: List[Dict[str, Any]] = []
     for layer, pid in pids.items():
@@ -167,16 +166,13 @@ def to_chrome_trace(
             record["ph"] = "i"
             record["s"] = "t"  # thread-scoped instant
         out.append(record)
-    if flow_arrows:
-        out.extend(_flow_arrows(events, pids, tids))
+    out.extend(_flow_arrows(events, pids, tids))
     return out
 
 
-def write_chrome_trace(
-    path: str, events: Sequence[TraceEvent], flow_arrows: bool = True
-) -> int:
+def write_chrome_trace(path: str, events: Sequence[TraceEvent]) -> int:
     """Write the Perfetto-loadable JSON; returns the record count."""
-    records = to_chrome_trace(events, flow_arrows=flow_arrows)
+    records = to_chrome_trace(events)
     with open(path, "w") as handle:
         json.dump(records, handle)
     return len(records)
@@ -246,9 +242,10 @@ class ComponentSummary:
     def span_us(self) -> float:
         return max(0.0, self.last_us - self.first_us)
 
-    def top_kinds(self, n: int = 3) -> str:
+    def top_kinds(self) -> str:
+        """The three most frequent event kinds, ``kind:count`` each."""
         ranked = sorted(self.kinds.items(), key=lambda kv: (-kv[1], kv[0]))
-        return " ".join(f"{kind}:{count}" for kind, count in ranked[:n])
+        return " ".join(f"{kind}:{count}" for kind, count in ranked[:3])
 
 
 def summarize_records(records: Sequence[Dict[str, Any]]) -> List[ComponentSummary]:

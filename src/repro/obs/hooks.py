@@ -72,9 +72,7 @@ def attach_testbed(testbed, bus: Optional[TraceBus]) -> None:
     attach_engine(testbed.engine_b, bus, name="b")
 
 
-def attach_load_engine(
-    load_engine, bus: Optional[TraceBus], sample_every_cycles: int = 4096
-) -> None:
+def attach_load_engine(load_engine, bus: Optional[TraceBus]) -> None:
     """Attach a LoadEngine *and* its testbed; the one-call traced-run setup.
 
     The load engine keeps the bus whenever *any* layer is enabled: its
@@ -82,7 +80,6 @@ def attach_load_engine(
     own mask filters the per-layer emits.
     """
     load_engine.trace = bus if bus is not None and bus.layers else None
-    load_engine.trace_sample_cycles = sample_every_cycles
     load_engine._next_trace_sample_cycle = 0
     attach_testbed(load_engine.testbed, bus)
 

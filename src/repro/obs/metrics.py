@@ -167,15 +167,13 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: str) -> HistogramMetric:
         return self._get(HistogramMetric, name, labels)
 
-    def ingest_scalars(
-        self, scalars: Mapping[str, float], prefix: str = "", **labels: str
-    ) -> None:
+    def ingest_scalars(self, scalars: Mapping[str, float], **labels: str) -> None:
         for name, value in scalars.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
             if isinstance(value, float) and not math.isfinite(value):
                 continue
-            self.counter(prefix + name, **labels).set_total(float(value))
+            self.counter(name, **labels).set_total(float(value))
 
     def ingest_histogram(
         self, histogram: Histogram, name: str, **labels: str

@@ -9,8 +9,8 @@ meters.  (The FPU pipeline lives in the FPC that owns it.)
 
 There is no clock here.  Each model owns its loop and its time base:
 cycle time is ``Testbed.cycle * ENGINE_PERIOD_PS`` (``repro.engine``),
-event time is the integer-picosecond clock of ``SoftTestbed`` /
-``run_fabric`` (``repro.fabric``) and ``CellSim`` (``repro.shard``).
+event time is the integer-picosecond clock of ``run_fabric``
+(``repro.fabric``) and ``CellSim`` (``repro.shard``).
 """
 
 from .component import Component

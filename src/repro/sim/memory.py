@@ -24,7 +24,7 @@ class DualPortSRAM(Generic[V]):
     """A BRAM-like store allowing two accesses per port pair per cycle.
 
     Functionally it is an addressable array; the port discipline is
-    tracked as statistics (``reads``/``writes`` per cycle peak) rather
+    tracked as statistics (``reads``/``writes``, the per-cycle read peak) rather
     than enforced by exceptions, because the FPC schedules its accesses
     statically (§4.2.3) and the tests assert the schedule stays within
     the port budget.
@@ -64,12 +64,10 @@ class DualPortSRAM(Generic[V]):
             self._track(cycle)
         return self._data[addr]
 
-    def write(self, addr: int, value: V, cycle: Optional[int] = None) -> None:
+    def write(self, addr: int, value: V) -> None:
         if not 0 <= addr < self.depth:
             raise self._out_of_range(addr)
         self.writes += 1
-        if cycle is not None:
-            self._track(cycle)
         self._data[addr] = value
 
     def clear(self, addr: int) -> None:

@@ -20,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Deque, Dict, List, Optional
+from typing import ClassVar, Deque, Dict, List, Optional
 
 from ..engine.ftengine import ENGINE_PERIOD_PS
 from ..engine.testbed import Testbed, message_driven
@@ -83,7 +83,6 @@ class ScenarioResult:
     """One scenario run's measurements, per class and overall."""
 
     scenario: str
-    backend: str
     seed: int
     load_scale: float
     elapsed_s: float
@@ -91,6 +90,9 @@ class ScenarioResult:
     classes: Dict[str, ClassMetrics]
     frames_dropped: int = 0
     violations: List[str] = field(default_factory=list)
+
+    #: The offload design that ran: the FtEngine pair (the CSV column).
+    backend: ClassVar[str] = "f4t"
 
     @property
     def completed(self) -> int:
@@ -240,7 +242,12 @@ class _ClassState:
 
 
 class LoadEngine:
-    """Runs one scenario on a functional two-engine testbed."""
+    """Runs one scenario on a functional two-engine testbed.
+
+    ``testbed`` defaults to the engine pair over the scenario's wire; it
+    is duck-typed (``engine_a``/``engine_b``/``wire``/``run``/
+    ``time_ps``/``now_s``/``cycle``), so a caller may hand in its own.
+    """
 
     def __init__(
         self,
@@ -248,35 +255,11 @@ class LoadEngine:
         testbed: Optional[Testbed] = None,
         load_scale: float = 1.0,
         audit: bool = False,
-        backend: str = "f4t",
     ) -> None:
-        # Local import: repro.fabric composes on top of repro.traffic, so
-        # the backend registry cannot be imported at module load time.
-        from ..fabric.backend import get_backend
-
-        spec = get_backend(backend)
         self.scenario = scenario
         self.load_scale = load_scale
-        self.backend = spec.name
         if testbed is None:
-            if spec.kind == "engine":
-                testbed = Testbed(wire=scenario.build_wire())
-            else:
-                from ..fabric.backend import build_point_to_point
-
-                if audit:
-                    raise ValueError(
-                        "audit=True requires the f4t backend: the invariant "
-                        "monitor reads FtEngine internals that soft backends "
-                        f"do not have (got backend={spec.name!r})"
-                    )
-                imp = scenario.impairments
-                testbed = build_point_to_point(
-                    backend=spec.name,
-                    drop_probability=imp.drop_probability if imp else 0.0,
-                    reorder_probability=imp.reorder_probability if imp else 0.0,
-                    seed=scenario.seed,
-                )
+            testbed = Testbed(wire=scenario.build_wire())
         self.testbed = testbed
         self.audit = audit
         self.monitors = (
@@ -843,7 +826,6 @@ class LoadEngine:
         ]
         return ScenarioResult(
             scenario=self.scenario.name,
-            backend=self.backend,
             seed=self.scenario.seed,
             load_scale=self.load_scale,
             elapsed_s=elapsed,
@@ -858,22 +840,13 @@ class LoadEngine:
 
 def run_scenario(
     scenario: Scenario,
-    load_scale: float = 1.0,
-    testbed: Optional[Testbed] = None,
     audit: bool = False,
     setup_time_s: float = 0.5,
     run_time_s: Optional[float] = None,
     raise_on_incomplete: bool = False,
-    backend: str = "f4t",
 ) -> ScenarioResult:
     """One-call functional run of a scenario; see :class:`LoadEngine`."""
-    engine = LoadEngine(
-        scenario,
-        testbed=testbed,
-        load_scale=load_scale,
-        audit=audit,
-        backend=backend,
-    )
+    engine = LoadEngine(scenario, audit=audit)
     return engine.run(
         setup_time_s=setup_time_s,
         run_time_s=run_time_s,

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+#: A knee sits at least this far below the chord (normalized axes) ...
+MIN_RISE = 0.05
+#: ... on a curve that rises by at least this fraction of its low-load value.
+MIN_TOTAL_RISE = 1.0
+
 
 def detect_knee(
     xs: Sequence[float],
     ys: Sequence[float],
-    min_rise: float = 0.05,
-    min_total_rise: float = 1.0,
 ) -> Optional[int]:
     """Kneedle-style knee: the point farthest below the first-last chord.
 
@@ -26,8 +29,8 @@ def detect_knee(
     so after normalizing both axes to [0, 1] the knee is the sample with
     the maximum vertical distance *below* the straight line joining the
     curve's endpoints.  Returns None for degenerate or near-linear
-    curves (max distance < ``min_rise``), and for curves that never
-    leave the flat region (total rise below ``min_total_rise`` as a
+    curves (max distance < :data:`MIN_RISE`), and for curves that never
+    leave the flat region (total rise below :data:`MIN_TOTAL_RISE` as a
     fraction of the low-load latency) — normalizing a flat curve would
     only amplify measurement noise into a fake knee.
     """
@@ -39,9 +42,9 @@ def detect_knee(
     y0, y1 = min(ys), max(ys)
     if x1 <= x0 or y1 <= y0:
         return None
-    if y1 - y0 < min_total_rise * y0:
+    if y1 - y0 < MIN_TOTAL_RISE * y0:
         return None
-    best_index, best_distance = None, min_rise
+    best_index, best_distance = None, MIN_RISE
     for i in range(1, len(xs) - 1):
         nx = (xs[i] - x0) / (x1 - x0)
         ny = (ys[i] - y0) / (y1 - y0)

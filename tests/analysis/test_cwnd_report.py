@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import cwnd
 from repro.analysis.cwnd import (
     PeriodicDataDropper,
     TraceComparison,
@@ -62,24 +63,25 @@ class TestCompareTraces:
         ]
         return CwndTrace(times, values)
 
+    @pytest.fixture(autouse=True)
+    def grid(self, monkeypatch):
+        monkeypatch.setattr(cwnd, "SAMPLES", 40)
+        monkeypatch.setattr(cwnd, "SKIP_S", 0.0)
+
     def test_identical_traces(self):
         a = self.synthetic()
-        comparison = compare_traces(a, self.synthetic(), samples=40, skip_s=0.0)
+        comparison = compare_traces(a, self.synthetic())
         assert comparison.correlation == pytest.approx(1.0)
         assert comparison.median_relative_error == pytest.approx(0.0)
         assert comparison.mean_cwnd_ratio == pytest.approx(1.0)
         assert comparison.engine_decreases == comparison.reference_decreases
 
     def test_scaled_trace_detected(self):
-        comparison = compare_traces(
-            self.synthetic(scale=2.0), self.synthetic(), samples=40, skip_s=0.0
-        )
+        comparison = compare_traces(self.synthetic(scale=2.0), self.synthetic())
         assert comparison.mean_cwnd_ratio == pytest.approx(2.0, rel=0.05)
 
     def test_phase_shift_hurts_correlation_not_distribution(self):
-        comparison = compare_traces(
-            self.synthetic(phase=0.1), self.synthetic(), samples=40, skip_s=0.0
-        )
+        comparison = compare_traces(self.synthetic(phase=0.1), self.synthetic())
         assert comparison.mean_cwnd_ratio == pytest.approx(1.0, rel=0.1)
         assert comparison.correlation < 0.5  # anti-phase
 

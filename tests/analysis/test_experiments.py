@@ -19,6 +19,7 @@ from repro.analysis.experiments import (
     run_figure16a,
     run_table1,
 )
+from repro.analysis import microbench
 from repro.analysis.microbench import (
     HeaderRateDesign,
     measure_baseline_event_rate,
@@ -71,8 +72,9 @@ class TestMicrobench:
         rate = measure_baseline_event_rate(stall_cycles=17, cycles=5000)
         assert rate == pytest.approx(250e6 / 17, rel=0.02)
 
-    def test_tonic_anchor(self):
-        assert measure_tonic_event_rate(cycles=3000) == pytest.approx(100e6, rel=0.02)
+    def test_tonic_anchor(self, monkeypatch):
+        monkeypatch.setattr(microbench, "TONIC_CYCLES", 3000)
+        assert measure_tonic_event_rate() == pytest.approx(100e6, rel=0.02)
 
     def test_fpc_anchor(self):
         assert measure_fpc_event_rate(cycles=4000) == pytest.approx(125e6, rel=0.02)

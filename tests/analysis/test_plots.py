@@ -11,20 +11,20 @@ from repro.analysis.plots import (
 
 class TestLinePlot:
     def test_single_series(self):
-        text = line_plot({"s": [(0, 0), (5, 10), (10, 20)]}, width=20, height=8)
+        text = line_plot({"s": [(0, 0), (5, 10), (10, 20)]})
         assert "*" in text
         assert "s" in text.splitlines()[0]  # legend
 
     def test_multiple_series_distinct_markers(self):
         text = line_plot(
-            {"a": [(0, 1), (1, 2)], "b": [(0, 2), (1, 1)]}, width=20, height=6
+            {"a": [(0, 1), (1, 2)], "b": [(0, 2), (1, 1)]}
         )
         assert "*" in text and "o" in text
 
     def test_log_axes(self):
         text = line_plot(
             {"s": [(1, 1), (100, 100), (10000, 10000)]},
-            logx=True, logy=True, width=30, height=8,
+            logx=True, logy=True,
         )
         assert "1e" in text
 
@@ -42,13 +42,13 @@ class TestLinePlot:
 
     def test_flat_series(self):
         # Degenerate range (all same y) must not crash.
-        text = line_plot({"s": [(0, 5), (1, 5), (2, 5)]}, width=10, height=4)
+        text = line_plot({"s": [(0, 5), (1, 5), (2, 5)]})
         assert "*" in text
 
 
 class TestBarChart:
     def test_bars_scale(self):
-        text = bar_chart(["a", "b"], [1.0, 2.0], width=10)
+        text = bar_chart(["a", "b"], [1.0, 2.0])
         lines = text.splitlines()
         assert lines[1].count("#") == 2 * lines[0].count("#")
 

@@ -159,15 +159,15 @@ class TestFunctionalDrivers:
 
 class TestConnectionChurn:
     def test_transactions_complete_and_flows_recycle(self):
-        from repro.apps.shortconn import run_connection_churn
+        from repro.apps.shortconn import churn_preset
         from repro.engine.testbed import Testbed
+        from repro.traffic import LoadEngine
 
         testbed = Testbed()
-        result = run_connection_churn(
-            connections=8, concurrency=3, testbed=testbed
+        result = LoadEngine(churn_preset(8, 3), testbed=testbed).run(
+            run_time_s=30.0, raise_on_incomplete=True
         )
-        assert result.connections_completed == 8
-        assert result.connections_per_s > 0
+        assert result.classes["churn"].completed == 8
         # Everything torn down: no leaked flows, CAM slots or RX state.
         assert not testbed.engine_a.flows
         assert not testbed.engine_b.flows
@@ -183,14 +183,15 @@ class TestConnectionChurn:
         assert result.lifecycle_latencies.median >= 5e-3
 
     def test_churn_under_loss(self):
-        from repro.apps.shortconn import run_connection_churn
+        from repro.apps.shortconn import churn_preset
         from repro.engine.testbed import Testbed
         from repro.net.wire import LossPattern, Wire
+        from repro.traffic import LoadEngine
 
         wire = Wire(drop_a_to_b=LossPattern.probability(0.02, seed=17))
         testbed = Testbed(wire=wire)
-        result = run_connection_churn(
-            connections=6, concurrency=2, testbed=testbed, max_time_s=120.0
+        result = LoadEngine(churn_preset(6, 2), testbed=testbed).run(
+            run_time_s=120.0, raise_on_incomplete=True
         )
-        assert result.connections_completed == 6
+        assert result.classes["churn"].completed == 6
         assert not testbed.engine_a.flows

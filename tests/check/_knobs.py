@@ -1,33 +1,40 @@
-"""Which constructor options does anything outside ``tests/`` ever set?
+"""Which options does anything outside ``tests/`` ever set?
 
 A value pass over :mod:`._reach`'s graph (the program index's trees and
-the graph's name resolution); nothing is imported.  A *knob* is an ``__init__``
-parameter with a default or a dataclass field with a default.  A
+the graph's name resolution); nothing is imported.  A *knob* is a
+parameter with a default of a module-level function, of a method or of
+an ``__init__``, or a dataclass field with a default.  A
 ``default_factory`` container and an ``init=False`` field are not
 knobs, and neither is a dataclass field the package writes after
 construction (``x.field = ...`` where ``x`` is annotated as, or built
 by, its class; ``self.field = ...`` outside ``__init__`` and
 ``__post_init__``; or through any other owner when no other dataclass
 has a field of that name): its default is a record's initial state.
+Dunder methods come with their class and have no knobs of their own.
 
 A knob is *varied* when a counting caller (any code of the package
 and the root files; never ``tests/``) passes it a value whose source
 text differs from the default's: by keyword, by position, through
-``dataclasses.replace`` or through ``functools.partial``.  These vary
-it too:
+``dataclasses.replace`` or through ``functools.partial``.  A call
+through an attribute that names no package unit (``x.run(...)``,
+``self.run(...)``) is matched by name, as :mod:`._reach` matches
+methods: it binds every method of that name.  These vary it too:
 
-* a ``*``/``**`` splat into its class (every knob of it);
-* a ``"pkg.mod:Qual"`` string naming its class, which is how lab grids
-  name their drivers (every knob of it);
+* a ``*``/``**`` splat into its callable (every knob of it);
+* a ``"pkg.mod:Qual"`` string naming its callable (every knob of it),
+  except a lab grid's ``driver=``: the grid calls its driver with its
+  ``base`` values, each element of a literal ``domains`` list and a
+  ``seed`` per ``seeds`` entry, and those are the values bound;
 * a ``cls(...)``, ``type(self)(...)`` or ``super().__init__(...)`` call
   resolving to its class, judged like any other call.
 
-A value that is a parameter of the calling ``__init__`` or module-level
-function, with the same default text and never reassigned there, is
-forwarded: it varies the knob only when that parameter is varied in
-turn.  A module-level function referenced other than by a call (a
-handler, a callback, a registry entry, a string target) has every
-parameter varied, since its callers cannot be seen.
+A value that is a parameter of the calling function or method, with the
+same default text and never reassigned there, is forwarded: it varies
+the knob only when that parameter is varied in turn.  A function or
+method used other than by a call (a handler, a callback, a registry
+entry, ``getattr(x, "name")``, a string target) has every parameter
+varied, since its callers cannot be seen; for a method that is every
+method of that name.
 """
 
 from __future__ import annotations
@@ -61,6 +68,14 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
         if chain and chain[-1] == "dataclass":
             return True
     return False
+
+
+def _decorated(node: ast.FunctionDef, name: str) -> bool:
+    return any(_chain(d) == (name,) for d in node.decorator_list)
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _field_call(value: Optional[ast.expr]) -> Optional[ast.Call]:
@@ -98,12 +113,20 @@ class KnobPass:
         self.graph = graph
         self.classes: Dict[str, ast.ClassDef] = {}
         self.functions: Dict[str, ast.FunctionDef] = {}
+        #: Methods (dunders come with their class), and their keys by name.
+        self.methods: Dict[str, ast.FunctionDef] = {}
+        self.by_name: Dict[str, List[str]] = {}
         for module, indexed in graph.modules.items():
             if module.startswith("<root>"):
                 continue
             for stmt in indexed.tree.body:
                 if isinstance(stmt, ast.ClassDef):
-                    self.classes[f"{module}:{stmt.name}"] = stmt
+                    key = f"{module}:{stmt.name}"
+                    self.classes[key] = stmt
+                    for sub in stmt.body:
+                        if isinstance(sub, ast.FunctionDef) and not _dunder(sub.name):
+                            self.methods[f"{key}.{sub.name}"] = sub
+                            self.by_name.setdefault(sub.name, []).append(f"{key}.{sub.name}")
                 elif isinstance(stmt, ast.FunctionDef):
                     self.functions[f"{module}:{stmt.name}"] = stmt
         self._sigs: Dict[str, Optional[Signature]] = {}
@@ -112,6 +135,9 @@ class KnobPass:
         self.forwards: List[Tuple[Param, Param]] = []
         #: (class, attribute) written after construction: record state.
         self.stores: Set[Tuple[str, str]] = set()
+        #: ``driver=`` strings a grid binds: they do not escape.
+        self.grid_strings: Set[int] = set()
+        self.escaped: Set[str] = set()
 
     # -------------------------------------------------------- signatures
     def signature(self, key: str) -> Optional[Signature]:
@@ -121,8 +147,12 @@ class KnobPass:
         return self._sigs[key]
 
     def _build_signature(self, key: str) -> Optional[Signature]:
-        if key in self.functions:
-            return _function_params(key, self.functions[key], skip_first=False)
+        function = self.functions.get(key) or self.methods.get(key)
+        if function is not None:
+            static = key in self.functions or _decorated(function, "staticmethod")
+            sig = _function_params(key, function, skip_first=not static)
+            sig.knobs = {n for n, (_, d) in sig.params.items() if d is not None}
+            return sig
         node = self.classes.get(key)
         if node is None:
             return None
@@ -220,6 +250,8 @@ class KnobPass:
         else:
             chain = _chain(func)
             keys = self.graph.resolve(scope.module, chain) if chain else set()
+            if not keys and isinstance(func, ast.Attribute):
+                keys = set(self.by_name.get(func.attr, ()))
         return [s for s in map(self.signature, sorted(keys)) if s is not None]
 
     def is_named(self, func: ast.expr, module: str, *names: str) -> bool:
@@ -234,6 +266,17 @@ class KnobPass:
         return False
 
     def visit_call(self, node: ast.Call, scope: "Scope") -> None:
+        if _chain(node.func) in (("getattr",), ("hasattr",)) and len(node.args) > 1:
+            name = node.args[1]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                self.escape_named(name.value)
+        driver = next((kw.value for kw in node.keywords if kw.arg == "driver"), None)
+        if isinstance(driver, ast.Constant) and isinstance(driver.value, str):
+            self.grid_strings.add(id(driver))
+            for key in self.graph.resolve_target(driver.value):
+                sig = self.signature(key)
+                if sig is not None:
+                    self.grid(sig, node, scope)
         if self.is_named(node.func, scope.module, "replace") and node.args:
             receiver = node.args[0]
             if isinstance(receiver, ast.Name) and receiver.id == "self" and scope.cls:
@@ -250,11 +293,48 @@ class KnobPass:
         for sig in self.targets(node.func, scope):
             self.call(sig, node, 0, scope)
 
+    def grid(self, sig: Signature, node: ast.Call, scope: "Scope") -> None:
+        """Bind a lab grid's driver to the grid's literal parameter values.
+
+        Every ``base`` value and every element of a literal ``domains``
+        list is one call's value; ``seeds`` (unless ``None``) varies
+        ``seed``; anything not spelled out literally varies every knob.
+        """
+        options = {kw.arg: kw.value for kw in node.keywords}
+        values: List[Tuple[str, ast.expr]] = []
+        for option in ("base", "domains", "points"):
+            table = options.get(option)
+            if table is None:
+                continue
+            tables = table.elts if option == "points" and isinstance(table, ast.List) else [table]
+            for entry in tables:
+                if not isinstance(entry, ast.Dict) or not all(
+                    isinstance(k, ast.Constant) for k in entry.keys
+                ):
+                    self.vary_all(sig)
+                    return
+                for name, value in zip(entry.keys, entry.values):
+                    many = option == "domains" and isinstance(value, (ast.List, ast.Tuple))
+                    values += [(name.value, v) for v in (value.elts if many else [value])]
+        seeds = options.get("seeds")
+        if seeds is not None and not (isinstance(seeds, ast.Constant) and seeds.value is None):
+            values.append(("seed", seeds))
+        for name, value in values:
+            self.bind(sig, name, value, scope)
+
     def escape(self, key: str) -> None:
         """A callable whose callers cannot be seen: every parameter varied."""
+        if key in self.escaped:
+            return
+        self.escaped.add(key)
         sig = self.signature(key)
         if sig is not None:
             self.vary_all(sig)
+
+    def escape_named(self, name: str) -> None:
+        """A method used other than by a call: every method of that name."""
+        for key in self.by_name.get(name, ()):
+            self.escape(key)
 
     # ---------------------------------------------------------- results
     def settle(self) -> None:
@@ -283,6 +363,11 @@ class KnobPass:
 
     def unvaried(self) -> List[str]:
         found = []
+        for key in sorted([*self.functions, *self.methods]):
+            sig = self.signature(key)
+            for name in sorted(sig.knobs):
+                if (key, name) not in self.varied:
+                    found.append(f"{key}({name}=) ({_src(sig.params[name][1])})")
         for key in sorted(self.classes):
             sig = self.signature(key)
             if sig is None:
@@ -318,15 +403,17 @@ class Scope:
 
 def _scope_for(module: str, cls: Optional[str], node: ast.FunctionDef) -> Scope:
     scope = Scope(module, cls, node.name)
-    if cls is None or node.name == "__init__":
-        scope.key = cls or f"{module}:{node.name}"
+    if cls is None or not _dunder(node.name) or node.name == "__init__":
+        scope.key = (f"{module}:{node.name}" if cls is None
+                     else cls if node.name == "__init__" else f"{cls}.{node.name}")
         args = node.args
         positional = [*args.posonlyargs, *args.args]
         pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
         pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        stored = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
-                  and isinstance(n.ctx, ast.Store)}
-        scope.params = {a.arg: d for a, d in pairs if a.arg not in stored}
+        if pairs:
+            stored = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)}
+            scope.params = {a.arg: d for a, d in pairs if a.arg not in stored}
     return scope
 
 
@@ -421,12 +508,16 @@ class _Walker(ast.NodeVisitor):
         if id(node) in self.funcs or not isinstance(getattr(node, "ctx", None), ast.Load):
             return
         chain = _chain(node)
-        if chain:
-            for key in self.knobs.graph.resolve(self.scope.module, chain):
-                if key in self.knobs.functions:
-                    self.knobs.escape(key)
+        keys = self.knobs.graph.resolve(self.scope.module, chain) if chain else set()
+        for key in keys:
+            if key in self.knobs.functions or key in self.knobs.methods:
+                self.knobs.escape(key)
+        if not keys and isinstance(node, ast.Attribute):
+            self.knobs.escape_named(node.attr)
 
     def visit_Constant(self, node: ast.Constant) -> None:
+        if id(node) in self.knobs.grid_strings:
+            return
         if isinstance(node.value, str) and TARGET.match(node.value):
             for key in self.knobs.graph.resolve_target(node.value):
                 self.knobs.escape(key)

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.__main__ import main
+from .._cli import main
 
 BAD_SNIPPET = "import time\n\n\ndef stamp(pkt):\n    pkt.t = time.time()\n"
 

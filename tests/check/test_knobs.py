@@ -1,9 +1,10 @@
-"""Every constructor option in ``src/repro`` is one that something varies.
+"""Every option in ``src/repro`` is one that something varies.
 
-A knob (an ``__init__`` parameter or a dataclass field with a default)
-that no caller outside ``tests/`` ever sets to another value is one
-value: it becomes a constant, and the branches only its other values
-reached are deleted.  Callers are the package itself, ``bench/``,
+A knob (a parameter with a default of a function, a method or an
+``__init__``, or a dataclass field with a default) that no caller
+outside ``tests/`` ever sets to another value is one value: it becomes
+a constant, and the branches only its other values reached are
+deleted.  Callers are the package itself, ``bench/``,
 ``benchmarks/`` and ``examples/`` (the reachability test's roots); a
 test that needs another value monkeypatches the constant.
 """
@@ -15,7 +16,8 @@ from repro.check.index import build_index
 
 from ._knobs import build_knobs
 
-#: Unvaried on purpose; a pattern over ``module:Class.param`` and a reason.
+#: Unvaried on purpose; a pattern over ``module:Class.param`` (or
+#: ``module:func(param=)``) and a reason.
 ALLOWLIST = {
     r"repro\.engine\.ftengine:FtEngineConfig\.memory ":
         "§4.7 names both memories; running the engine on DDR4 is an open roadmap item",
@@ -113,4 +115,77 @@ def test_a_forwarded_default_is_as_varied_as_its_source(tmp_path):
     root = tmp_path / "root.py"
     root.write_text("from pkg.mod import build\nbuild(drop=0.5)\n")
     knobs = build_knobs(_index(tmp_path, root), "pkg", [root])
-    assert knobs.unvaried() == ["pkg.mod:Inner.link (100)"]
+    assert knobs.unvaried() == ["pkg.mod:build(link=) (100)", "pkg.mod:Inner.link (100)"]
+
+
+def test_functions_and_methods_are_knobs_too(tmp_path):
+    """A function parameter only tests vary; a method matched by name
+    (any receiver, any class defining it); a method used other than by a
+    call (its callers cannot be seen)."""
+    _package(tmp_path, {"mod": """
+        def run(scenario, backend="f4t", seed=0):
+            return scenario, backend, seed
+
+        class Wire:
+            def send(self, frame, delay=0):
+                return frame, delay
+
+            def tap(self, frame, copies=1):
+                return frame, copies
+
+        class Stack:
+            def send(self, frame, delay=0, flags=0):
+                return frame, delay, flags
+
+            def tick(self, budget=1):
+                return budget
+
+            def _pump(self, until=None):
+                return until
+
+            def drive(self):
+                self._pump()
+                return self.tick
+    """})
+    (tmp_path / "test_mod.py").write_text(
+        "from pkg.mod import run\nrun('rpc', backend='flextoe')\n")
+    root = tmp_path / "root.py"
+    root.write_text(textwrap.dedent("""
+        from pkg.mod import Stack, Wire, run
+
+        run("rpc", seed=7)
+        Stack().send(b"", delay=5)
+        Wire().tap(b"")
+        Stack().drive()
+    """))
+    knobs = build_knobs(_index(tmp_path, root), "pkg", [root])
+    assert knobs.unvaried() == [
+        "pkg.mod:Stack._pump(until=) (None)",
+        "pkg.mod:Stack.send(flags=) (0)",
+        "pkg.mod:Wire.tap(copies=) (1)",
+        "pkg.mod:run(backend=) ('f4t')",
+    ]
+
+
+def test_a_grid_binds_its_driver_to_its_literal_values(tmp_path):
+    """A lab grid names its driver by string: the driver is called with
+    the grid's ``base`` values, each ``domains`` element and ``seed``."""
+    _package(tmp_path, {"drivers": """
+        def point(scenario, load=1.0, audit=True, backend="f4t", seed=None, quick=False):
+            return scenario, load, audit, backend, seed, quick
+    """, "grids": """
+        def grid(quick=False):
+            return dict(
+                driver="pkg.drivers:point",
+                domains={"scenario": ["rpc", "mixed"], "load": [1.0, 2.0]},
+                base={"audit": True, "quick": quick},
+                seeds=[1],
+            )
+    """})
+    root = tmp_path / "root.py"
+    root.write_text("from pkg.grids import grid\ngrid(quick=True)\n")
+    knobs = build_knobs(_index(tmp_path, root), "pkg", [root])
+    assert knobs.unvaried() == [
+        "pkg.drivers:point(audit=) (True)",
+        "pkg.drivers:point(backend=) ('f4t')",
+    ]

@@ -19,10 +19,7 @@ from ._reach import build
 REPO = Path(__file__).resolve().parents[2]
 
 #: Reached on purpose although no root names them; one line of reason each.
-ALLOWLIST = {
-    "repro.fabric.backend:OffloadBackend":
-        "the documented host-facing Protocol; backends satisfy it structurally",
-}
+ALLOWLIST: dict = {}
 
 
 def cli_handlers(parser: argparse.ArgumentParser):

@@ -148,7 +148,7 @@ class TestHandshakeUnderLoss:
             testbed.wire.port_b,
             lambda segment: segment.syn and segment.has_ack and not lost,
         )
-        a_flow, b_flow = testbed.establish(max_time_s=5.0)
+        a_flow, b_flow = testbed.establish()
         assert len(lost) == 1
         client = testbed.engine_a.tcb_of(a_flow)
         server = testbed.engine_b.tcb_of(b_flow)

@@ -59,7 +59,7 @@ class TestLossRecovery:
             drop_b_to_a=LossPattern.probability(0.03, seed=6),
         )
         testbed = Testbed(wire=wire)
-        a_flow, b_flow = testbed.establish(max_time_s=5.0)
+        a_flow, b_flow = testbed.establish()
         data = patterned_data(80_000)
         assert transfer(testbed, a_flow, b_flow, data, max_time_s=10.0) == data
 
@@ -237,6 +237,6 @@ class TestAlternativeAlgorithms:
         wire = Wire(drop_a_to_b=LossPattern.probability(0.02, seed=31))
         testbed = Testbed(config_a=config, config_b=FtEngineConfig(), wire=wire)
         # The SYN itself may be dropped; allow RTO-paced retries.
-        a_flow, b_flow = testbed.establish(max_time_s=10.0)
+        a_flow, b_flow = testbed.establish()
         data = patterned_data(80_000)
         assert transfer(testbed, a_flow, b_flow, data) == data

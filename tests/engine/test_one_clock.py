@@ -10,6 +10,7 @@ never spills, captured at the parent commit (where it took no idle jump
 and ended with ``engine.cycle == scheduler.cycle == 8510``).
 """
 
+from repro.apps import iperf
 from repro.apps.iperf import run_functional_bulk
 from repro.engine.testbed import Testbed
 from repro.obs import TraceBus, attach_testbed, fingerprint
@@ -28,11 +29,12 @@ def _blocks(engine):
     return [engine.scheduler, engine.memory_manager, *engine.fpcs]
 
 
-def test_a_run_that_never_waits_keeps_the_parents_trace():
+def test_a_run_that_never_waits_keeps_the_parents_trace(monkeypatch):
     testbed = Testbed()
     bus = TraceBus(layers=ENGINE_LAYERS)
     attach_testbed(testbed, bus)
-    run_functional_bulk(200_000, testbed=testbed)
+    monkeypatch.setattr(iperf, "Testbed", lambda: testbed)
+    run_functional_bulk(200_000)
     for engine in (testbed.engine_a, testbed.engine_b):
         assert engine.cycle == 8510
         assert engine.scheduler.swap_ins == engine.scheduler.evictions == 0

@@ -204,7 +204,7 @@ class TestEndToEndDeliveryProperty:
             delay_a_to_b=lambda f, i, _r=rng: 2_000_000 if _r.random() < 0.03 else 0,
         )
         testbed = Testbed(wire=wire)
-        a_flow, b_flow = testbed.establish(max_time_s=10.0)
+        a_flow, b_flow = testbed.establish()
         data = bytes(rng.randrange(256) for _ in range(min(size, 4096))) * (
             max(1, size // 4096)
         )

@@ -78,8 +78,8 @@ class TestRunSemantics:
 class TestEstablish:
     def test_returns_flow_pair(self):
         testbed = Testbed()
-        a_flow, b_flow = testbed.establish(server_port=8080)
-        assert testbed.engine_a.flows[a_flow].key.dst_port == 8080
+        a_flow, b_flow = testbed.establish()
+        assert testbed.engine_a.flows[a_flow].key.dst_port == 80
         assert b_flow in testbed.engine_b.flows
 
     def test_timeout_raises(self):
@@ -87,7 +87,7 @@ class TestEstablish:
         # Break the wire so the handshake can never complete.
         testbed.wire.port_a.send = lambda frame, now_ps: None
         with pytest.raises(TimeoutError):
-            testbed.establish(max_time_s=0.01)
+            testbed.establish()
 
 
 class TestCustomLink:

@@ -86,16 +86,19 @@ class TestAuditedRuns:
         assert audited_run(testbed, delivered, max_time_s=testbed.now_s + 30.0)
 
     def test_audited_churn(self):
-        from repro.apps.shortconn import run_connection_churn
+        from repro.apps.shortconn import churn_preset
         from repro.engine.verification import InvariantMonitor
+        from repro.traffic import LoadEngine
 
         testbed = Testbed()
         monitors = [
             InvariantMonitor(testbed.engine_a),
             InvariantMonitor(testbed.engine_b),
         ]
-        result = run_connection_churn(connections=6, concurrency=2, testbed=testbed)
-        assert result.connections_completed == 6
+        result = LoadEngine(churn_preset(6, 2), testbed=testbed).run(
+            run_time_s=30.0, raise_on_incomplete=True
+        )
+        assert result.classes["churn"].completed == 6
         for monitor in monitors:
             monitor.check()
             monitor.assert_clean()

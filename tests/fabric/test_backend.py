@@ -1,22 +1,25 @@
-"""The OffloadBackend registry and point-to-point construction."""
+"""The backend registry, and the service models against the engine."""
 
 import pytest
 
-from repro.engine.testbed import Testbed
-from repro.fabric.backend import (
-    available_backends,
-    build_point_to_point,
-    get_backend,
-)
-from repro.fabric.softstack import SoftTestbed
+from repro.fabric.backend import available_backends, get_backend
+from repro.traffic import LoadEngine, get_scenario
+
+from ._soft_testbed import SoftTestbed
+
+
+def run_on(scenario, backend: str):
+    """``scenario`` on the engine pair (``f4t``) or on two soft stacks
+    over ``backend``'s service model."""
+    testbed = None
+    if backend != "f4t":
+        testbed = SoftTestbed(get_backend(backend).service_class)
+    return LoadEngine(scenario, testbed=testbed).run()
 
 
 class TestRegistry:
     def test_four_backends_registered(self):
         assert available_backends() == ("f4t", "flextoe", "pno", "linux_stack")
-
-    def test_functional_alias_resolves_to_f4t(self):
-        assert get_backend("functional") is get_backend("f4t")
 
     def test_unknown_backend_raises_with_listing(self):
         with pytest.raises(KeyError, match="flextoe"):
@@ -34,38 +37,16 @@ class TestRegistry:
             assert get_backend(name).kind == "soft"
 
 
-class TestBuildPointToPoint:
-    def test_f4t_returns_the_real_testbed(self):
-        tb = build_point_to_point(backend="f4t")
-        assert isinstance(tb, Testbed)
-
-    def test_soft_backends_return_soft_testbeds(self):
-        for name in ("flextoe", "pno", "linux_stack"):
-            tb = build_point_to_point(backend=name)
-            assert isinstance(tb, SoftTestbed)
-            assert tb.backend == name
-
-    def test_soft_rejects_reordering(self):
-        with pytest.raises(ValueError):
-            build_point_to_point(backend="pno", reorder_probability=0.01)
-
-    def test_impaired_f4t_wire_is_seeded(self):
-        tb = build_point_to_point(backend="f4t", drop_probability=0.01, seed=5)
-        assert isinstance(tb, Testbed)
-
-
 class TestServiceOrdering:
-    """The four service models must preserve the paper's latency story:
+    """The real engine and the three uncalibrated service models carry
+    identical traffic and keep the paper's latency story, ordering only:
     F4T < FlexTOE < PnO < Linux for small-transfer latency."""
 
     def test_p99_orders_across_backends(self):
-        from repro.traffic import get_scenario, run_scenario
-
         p99 = {}
         for name in ("f4t", "flextoe", "pno", "linux_stack"):
-            result = run_scenario(get_scenario("rpc", seed=7), backend=name)
+            result = run_on(get_scenario("rpc", seed=7), name)
             assert result.finished, name
-            assert result.backend == name
             p99[name] = result.p99_s
         assert p99["f4t"] < p99["flextoe"] < p99["pno"] < p99["linux_stack"]
 
@@ -74,7 +55,7 @@ class TestServiceOrdering:
         """A 600 KB request leaves its conn sending with buffer room
         after an advance, so the pump's may-act rule asks the backend
         for its send room — which soft flows answer too."""
-        from repro.traffic import Fixed, Poisson, Scenario, TrafficClass, run_scenario
+        from repro.traffic import Fixed, Poisson, Scenario, TrafficClass
 
         scenario = Scenario(
             name="large-requests",
@@ -83,20 +64,11 @@ class TestServiceOrdering:
             )],
             duration_s=50e-6,
         )
-        result = run_scenario(scenario, backend=backend)
+        result = run_on(scenario, backend)
         assert result.finished
         assert result.completed == result.offered > 0
 
     def test_mixed_on_a_soft_testbed_completes_every_request(self):
-        from repro.traffic import get_scenario, run_scenario
-
-        result = run_scenario(get_scenario("mixed"), backend="flextoe")
+        result = run_on(get_scenario("mixed"), "flextoe")
         assert result.finished
         assert result.completed == result.offered
-
-    def test_audit_rejected_on_soft_backends(self):
-        from repro.traffic import get_scenario
-        from repro.traffic.engine import LoadEngine
-
-        with pytest.raises(ValueError, match="audit"):
-            LoadEngine(get_scenario("rpc"), backend="flextoe", audit=True)

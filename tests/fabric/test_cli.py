@@ -2,7 +2,7 @@
 
 import json
 
-from repro.__main__ import main
+from .._cli import main
 
 
 class TestFabricCli:

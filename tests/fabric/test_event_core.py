@@ -10,10 +10,11 @@ import pytest
 from repro.fabric import get_fabric_scenario
 from repro.fabric.engine import FabricLoadEngine
 from repro.fabric.service import FlexToeService
-from repro.fabric.softstack import RTO_PS, SoftStack, SoftTestbed, TimerWakeIndex
+from repro.fabric.softstack import RTO_PS, SoftStack, TimerWakeIndex
 from repro.tcp.state_machine import TcpState
 
 from ._scan_oracle import StackVisits, record_instants, timer_due, use_scan
+from ._soft_testbed import SoftTestbed
 
 
 def run_engine(name: str, num_hosts: int, backend: str = "f4t"):
@@ -233,7 +234,11 @@ class TestLongIdleTimer:
             seen["deadline"] = flow.rto_deadline_ps
             return stack.timeouts >= 9
 
-        assert testbed.run(until=until, max_time_s=testbed.now_s + 1.0)
+        # A timeout posts no host message: the pump names its instants.
+        assert testbed.run(
+            until=until, max_time_s=testbed.now_s + 1.0,
+            next_call_ps=lambda: flow.rto_deadline_ps,
+        )
         assert all(instant == deadline for instant, deadline in fires)
         gaps = [b[0] - a[0] for a, b in zip(fires, fires[1:])]
         assert gaps[-3:] == [RTO_PS << 6] * 3  # the backoff cap, 3.2 ms

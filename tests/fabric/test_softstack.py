@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.fabric.backend import build_point_to_point
 from repro.fabric import softstack
-from repro.fabric.softstack import _NO_RUNS, SoftTestbed
+from repro.fabric.softstack import _NO_RUNS
 from repro.fabric.service import FlexToeService
 from repro.tcp.segment import FlowKey
 from repro.tcp.state_machine import TcpState
+
+from ._soft_testbed import SoftTestbed
 
 
 def flextoe_testbed(**kwargs) -> SoftTestbed:
@@ -269,7 +270,3 @@ class TestIntegerTime:
         assert isinstance(tb.engine_a.now_ps, int)
         for flow in list(tb.engine_a.flows.values()):
             assert isinstance(flow.rto_deadline_ps, int)
-
-    def test_backend_helper_rejects_reorder_for_soft(self):
-        with pytest.raises(ValueError):
-            build_point_to_point(backend="flextoe", reorder_probability=0.5)

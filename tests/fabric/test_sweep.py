@@ -4,7 +4,7 @@ A sweep is the ``fabric-backends`` grid run in-process — the same rows
 ``python -m repro fabric sweep`` tabulates and ``lab run`` persists.
 """
 
-from repro.__main__ import main
+from .._cli import main
 from repro.lab.grids import fabric_backends_grid, get_grid
 
 

@@ -27,10 +27,10 @@ class TestPcieModel:
         assert pcie.max_goodput_gbps(1024) > pcie.max_goodput_gbps(64)
 
     def test_completion_accounting_optional(self):
+        """Coalesced completions stay out of the per-request bytes."""
         pcie = PcieModel()
-        with_completion = pcie.max_requests_per_s(16, completion=True)
-        without = pcie.max_requests_per_s(16)
-        assert with_completion < without
+        assert pcie.bytes_per_request(16) == 32
+        assert pcie.max_requests_per_s(16) == pcie.effective_bytes_per_s / 32
 
 
 class TestCpuModel:

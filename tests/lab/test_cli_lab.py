@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import main
+from .._cli import main
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro import CorruptStoreError
-from repro.__main__ import main
+from .._cli import main
 from repro.lab.grid import ExperimentGrid, PointResult
 from repro.lab.store import RunStore
 

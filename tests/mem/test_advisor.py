@@ -39,7 +39,7 @@ class TestFlowHeat:
 
     def test_hot_flows_lists_only_hot(self):
         heat = heated()
-        top = heat.sketch.heavy_hitters(8)
+        top = heat.sketch.heavy_hitters()
         assert [flow for flow, _ in top if heat.is_hot(flow)] == [0]
 
     def test_coldness_key_orders_by_estimate_then_recency(self):

@@ -1,6 +1,6 @@
 """python -m repro mem — handler exit codes and CSV output."""
 
-from repro.__main__ import main
+from .._cli import main
 
 
 class TestMemCli:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mem import sketch as sketch_module
 from repro.mem.sketch import (
     SKETCH_KINDS,
     CountMinSketch,
@@ -57,7 +58,7 @@ class TestCountMin:
         for key in zipf_stream(20000):
             sketch.update(key)
             oracle.update(key)
-        report = accuracy_report(sketch, oracle, keys=range(64), k=8)
+        report = accuracy_report(sketch, oracle, keys=range(64))
         assert report["recall_at_k"] == 1.0
         assert report["mean_abs_error"] < 20
 
@@ -69,7 +70,7 @@ class TestCountMin:
             a.update(key)
             b.update(key)
         assert all(a.estimate(k) == b.estimate(k) for k in range(64))
-        assert a.heavy_hitters(8) == b.heavy_hitters(8)
+        assert a.heavy_hitters() == b.heavy_hitters()
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -77,15 +78,16 @@ class TestCountMin:
 
 
 class TestSpaceSaving:
-    def test_guaranteed_monitoring_above_threshold(self):
+    def test_guaranteed_monitoring_above_threshold(self, monkeypatch):
         # Any key with true count > total/capacity must be monitored.
         sketch = SpaceSavingSketch(capacity=16)
+        monkeypatch.setattr(sketch_module, "TOP_K", sketch.capacity)
         oracle = ExactOracle()
         for key in zipf_stream(10000, keys=256):
             sketch.update(key)
             oracle.update(key)
         threshold = oracle.total / sketch.capacity
-        monitored = {key for key, _ in sketch.heavy_hitters(sketch.capacity)}
+        monitored = {key for key, _ in sketch.heavy_hitters()}
         for key in range(256):
             if oracle.estimate(key) > threshold:
                 assert key in monitored, key
@@ -96,7 +98,7 @@ class TestSpaceSaving:
         for key in zipf_stream(5000, keys=64):
             sketch.update(key)
             oracle.update(key)
-        for key, estimate in sketch.heavy_hitters(8):
+        for key, estimate in sketch.heavy_hitters():
             true = oracle.estimate(key)
             assert estimate >= true
             assert estimate - sketch._errors.get(key, 0) <= true

@@ -6,8 +6,9 @@ rows ``python -m repro mem sweep`` tabulates and ``lab run`` persists.
 
 import pytest
 
-from repro.__main__ import main
+from .._cli import main
 from repro.lab.grids import get_grid, mem_geometry_grid
+from repro.mem import sweep
 from repro.mem.sweep import (
     DEFAULT_BASELINE_GEOMETRY,
     best_improvement,
@@ -27,14 +28,16 @@ class TestSynthAccesses:
     def test_deterministic(self):
         assert synth_accesses(500, seed=3) == synth_accesses(500, seed=3)
 
-    def test_churn_ids_are_one_shot(self):
-        stream = synth_accesses(2000, working_set=64, churn=0.5, seed=1)
+    def test_churn_ids_are_one_shot(self, monkeypatch):
+        monkeypatch.setattr(sweep, "WORKING_SET", 64)
+        stream = synth_accesses(2000, churn=0.5, seed=1)
         churn_ids = [flow for flow in stream if flow >= 64]
         assert len(churn_ids) == len(set(churn_ids))
         assert churn_ids  # at 50% churn some must appear
 
-    def test_zero_churn_stays_in_working_set(self):
-        stream = synth_accesses(500, working_set=32, churn=0.0, seed=1)
+    def test_zero_churn_stays_in_working_set(self, monkeypatch):
+        monkeypatch.setattr(sweep, "WORKING_SET", 32)
+        stream = synth_accesses(500, churn=0.0, seed=1)
         assert all(flow < 32 for flow in stream)
 
 
@@ -58,7 +61,7 @@ class TestSweep:
         header, *lines = sweep_csv(capsys).splitlines()
         columns = header.split(",")
         assert header.startswith(
-            "geometry,sketch,sketch_width,events,working_set,churn,seed,hits,"
+            "geometry,sketch_width,events,working_set,churn,seed,hits,"
         )
         assert "l1_hits" in columns
         for line in lines:
@@ -112,7 +115,7 @@ class TestComparePolicies:
 
     def test_holds_across_seeds(self):
         for seed in (7, 99):
-            result = compare_policies(events=2000, seed=seed)
+            result = compare_policies(seed=seed)
             assert (
                 result["predictive_congestion_migrations"]
                 <= result["reactive_congestion_migrations"]

@@ -62,10 +62,6 @@ class TestChromeTrace:
         assert len({a["id"] for a in arrows}) == 1
         assert all(a["name"] == "flow5" for a in arrows)
 
-    def test_arrows_can_be_disabled(self, events):
-        records = to_chrome_trace(events, flow_arrows=False)
-        assert not [r for r in records if r["ph"] in ("s", "t", "f")]
-
     def test_write_and_load_round_trip(self, events, tmp_path):
         path = str(tmp_path / "trace.json")
         count = write_chrome_trace(path, events)

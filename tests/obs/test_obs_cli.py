@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import main
+from .._cli import main
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.__main__ import main as repro_main
+from .._cli import main as repro_main
 from repro.shard import ShardWorkerError, get_shard_scenario, run_shard
 
 

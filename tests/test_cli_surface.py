@@ -13,7 +13,9 @@ import re
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import build_parser
+
+from ._cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_surface.txt")
 GROUPS = {

@@ -6,7 +6,7 @@ changes the run.  Everything derives from ``derive_seed(seed, label)``
 (sha256, never ``hash()``), so replay holds across processes too.
 """
 
-from repro.traffic import get_scenario, run_scenario
+from repro.traffic import LoadEngine, get_scenario, run_scenario
 
 
 def _fingerprint(result):
@@ -52,6 +52,6 @@ class TestFunctionalDeterminism:
 class TestLoadScaleDeterminism:
     def test_load_scaled_run_replays_exactly(self):
         # Past the knee (x8 on rpc): queues build, and replay still holds.
-        a = run_scenario(get_scenario("rpc", seed=5), load_scale=8.0)
-        b = run_scenario(get_scenario("rpc", seed=5), load_scale=8.0)
+        a = LoadEngine(get_scenario("rpc", seed=5), load_scale=8.0).run()
+        b = LoadEngine(get_scenario("rpc", seed=5), load_scale=8.0).run()
         assert _fingerprint(a) == _fingerprint(b)

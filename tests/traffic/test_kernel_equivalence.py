@@ -37,6 +37,7 @@ fired a cycle late (cycles visited 2,314 -> 2,319).
 import pytest
 from hypothesis import settings
 
+from repro.engine.testbed import Testbed
 from repro.obs.hooks import attach_load_engine
 from repro.obs.trace import TraceBus, fingerprint
 from repro.traffic import Fixed, Scenario, TrafficClass, get_scenario
@@ -90,14 +91,12 @@ class SweepingLoadEngine(LoadEngine):
         self._mark_all_dirty()
 
 
-def traced_fingerprint(
-    scenario: str, sweep: bool = False, backend: str = "f4t"
-) -> str:
+def traced_fingerprint(scenario: str, sweep: bool = False, testbed=None) -> str:
     builders = {"large": _large_transfers, "buffer-bound": _buffer_bound_transfers}
     load_engine = (SweepingLoadEngine if sweep else LoadEngine)(
         builders[scenario]() if scenario in builders
         else get_scenario(scenario, seed=1234),
-        backend=backend,
+        testbed=testbed,
     )
     bus = TraceBus()
     attach_load_engine(load_engine, bus)
@@ -203,12 +202,12 @@ class TestCycleExactEquivalence:
         assert traced_fingerprint("churn") == GOLDEN["churn"]
 
     def test_f4t_behind_backend_interface_matches_golden(self):
-        """PR 6 put the engine behind ``repro.fabric``'s OffloadBackend
-        registry; selecting it explicitly (and via its legacy alias)
-        must reproduce the pinned trace bit for bit — the refactor moved
-        construction, not behaviour."""
-        assert traced_fingerprint("mixed", backend="f4t") == GOLDEN["mixed"]
-        assert traced_fingerprint("churn", backend="functional") == GOLDEN["churn"]
+        """The engine pair built by the caller and handed in as
+        ``testbed=`` (as ``bench/`` does) reproduces the pinned traces
+        bit for bit: construction moved, not behaviour."""
+        for name in ("mixed", "churn"):
+            wire = get_scenario(name, seed=1234).build_wire()
+            assert traced_fingerprint(name, testbed=Testbed(wire=wire)) == GOLDEN[name]
 
 
 #: 64 round-robin flows on 2 x 8 TCB slots, re-captured at PR 23: every

@@ -10,7 +10,7 @@ and (d) keep every engine invariant clean.
 
 import pytest
 
-from repro.traffic import Fixed, Poisson, Scenario, TrafficClass, run_scenario
+from repro.traffic import Fixed, LoadEngine, Poisson, Scenario, TrafficClass
 
 
 def _overload_scenario(seed: int = 0) -> Scenario:
@@ -35,7 +35,7 @@ class TestGracefulOverload:
     def runs(self):
         scenario = _overload_scenario()
         return {
-            scale: run_scenario(scenario, load_scale=scale, audit=True)
+            scale: LoadEngine(scenario, load_scale=scale, audit=True).run()
             for scale in (1.0, 2.0, 3.0)
         }
 

@@ -6,7 +6,7 @@ A sweep is the ``traffic-load`` grid run in-process — the rows
 
 import pytest
 
-from repro.__main__ import main
+from .._cli import main
 from repro.lab.grids import get_grid, traffic_load_grid
 from repro.traffic import detect_knee
 
@@ -103,9 +103,3 @@ class TestFunctionalSweep:
         assert monotone_latency(rows)
         for row in rows:
             assert row["finished"]
-
-    def test_unknown_backend_rejected(self):
-        from repro.lab.drivers import traffic_scenario_point
-
-        with pytest.raises(KeyError):
-            traffic_scenario_point("rpc", backend="quantum")
