@@ -17,6 +17,7 @@ from ..engine.fpc import FlowProcessingCore
 from ..engine.ftengine import ENGINE_FREQ_HZ
 from ..engine.memory_manager import MemoryManager
 from ..engine.scheduler import Scheduler
+from ..sim.component import Component
 from ..sim.memory import DRAMModel
 from ..tcp.tcb import Tcb
 
@@ -131,7 +132,6 @@ def measure_header_rate(
 
     if design.baseline_stall is not None:
         accel = StallingAccelerator(stall_cycles=design.baseline_stall, freq_hz=freq_hz)
-        accepted = 0
         credit = 0.0
         index = 0
         for _ in range(cycles):
@@ -139,19 +139,23 @@ def measure_header_rate(
             while credit >= 1.0 and not accel.input.full:
                 accel.offer_event(_synthetic_event(index % flows, index))
                 index += 1
-                accepted += 1
                 credit -= 1.0
             credit = min(credit, 8.0)
             accel.tick()
         return accel.events_processed * freq_hz / cycles
 
+    # One clock for every block, advanced once per cycle and read by all
+    # of them, as FtEngine.tick does; a block is ticked only on a cycle
+    # its ``next_action`` names (earlier, its tick is a no-op).  Every
+    # flow fits in SRAM, so the memory manager is never given work.
+    clock = Component("header-rate")
     slots = max(1, (flows + design.num_fpcs - 1) // design.num_fpcs)
     fpcs = [
-        FlowProcessingCore(i, slots=slots, fpu=NullFpu(NEWRENO_FPU_CYCLES))
+        FlowProcessingCore(i, slots=slots, fpu=NullFpu(NEWRENO_FPU_CYCLES), clock=clock)
         for i in range(design.num_fpcs)
     ]
-    manager = MemoryManager(DRAMModel.hbm())
-    scheduler = Scheduler(fpcs, manager, coalescing=design.coalescing)
+    manager = MemoryManager(DRAMModel.hbm(), clock=clock)
+    scheduler = Scheduler(fpcs, manager, coalescing=design.coalescing, clock=clock)
     for flow_id in range(flows):
         scheduler.register_new_flow(Tcb(flow_id=flow_id))
 
@@ -159,28 +163,29 @@ def measure_header_rate(
     # events hit the same flow (command queues are read in batches,
     # §5.1); in rr mode consecutive events hit different flows.
     cores = min(24, flows)
+    bulk = workload == "bulk"
     consumed = 0
     credit = 0.0
     index = 0
-    per_core_counter = [0] * cores
-    for _ in range(cycles):
+    for cycle in range(1, cycles + 1):
+        clock.cycle = cycle
         credit += offered_per_cycle
         while credit >= 1.0:
-            if workload == "bulk":
+            if bulk:
                 # Batched reads: bursts of consecutive events per flow.
-                core = (index // 8) % cores
-                flow_id = core % flows
+                flow_id = (index // 8) % cores
             else:
                 flow_id = index % flows
-            per_core_counter[core if workload == "bulk" else 0] += 1
             if not scheduler.submit(_synthetic_event(flow_id, index)):
                 break  # backpressure: retry next cycle
             index += 1
             consumed += 1
             credit -= 1.0
         credit = min(credit, 16.0)
-        scheduler.tick()
+        if scheduler.next_action <= cycle:
+            scheduler.tick()
         for fpc in fpcs:
-            fpc.tick()
-            fpc.drain_results()
+            if fpc.next_action <= cycle:
+                fpc.tick()
+                fpc.drain_results()
     return consumed * freq_hz / cycles

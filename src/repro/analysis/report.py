@@ -12,13 +12,17 @@ paper's exhibit reports plus the paper-vs-measured checks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .experiments import ALL_EXPERIMENTS
 from .reporting import ExperimentResult
 
 #: Drivers accepting a ``quick`` keyword (the slow, sampled ones).
-_QUICKABLE = {"figure10", "figure12", "figure14", "figure16b", "table2"}
+_QUICKABLE = {"figure10", "figure12", "figure14", "figure16b"}
+
+#: Exhibits that are a view of another's run: name -> the exhibit whose
+#: result their driver takes.
+_READS = {"table2": "figure16b"}
 
 #: Stable presentation order (paper order): the registry's own.
 EXHIBIT_ORDER = list(ALL_EXPERIMENTS)
@@ -30,14 +34,22 @@ def run_all(
     """Run the selected exhibits; returns name -> result.
 
     Every name is looked up before the first driver runs, so an unknown
-    exhibit raises ``UnknownNameError`` at once, not minutes in.
+    exhibit raises ``UnknownNameError`` at once, not minutes in.  Each
+    exhibit runs once: one that another reads (Table 2 reads Figure
+    16b's run) is run for it under the same ``quick``, and returned
+    only if it was selected too.
     """
     selected = names if names else EXHIBIT_ORDER
-    drivers = [(name, ALL_EXPERIMENTS[name]) for name in selected]
-    results: Dict[str, ExperimentResult] = {}
-    for name, driver in drivers:
-        if quick and name in _QUICKABLE:
-            results[name] = driver(quick=True)
-        else:
-            results[name] = driver()
-    return results
+    # Each driver once, an exhibit another reads ahead of its reader.
+    drivers: Dict[str, Callable[..., ExperimentResult]] = {}
+    for name in selected:
+        if name in _READS:
+            source = _READS[name]
+            drivers.setdefault(source, ALL_EXPERIMENTS[source])
+        drivers[name] = ALL_EXPERIMENTS[name]
+    runs: Dict[str, ExperimentResult] = {}
+    for name, driver in drivers.items():
+        args = [runs[_READS[name]]] if name in _READS else []
+        kwargs = {"quick": True} if quick and name in _QUICKABLE else {}
+        runs[name] = driver(*args, **kwargs)
+    return {name: runs[name] for name in selected}

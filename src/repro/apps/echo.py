@@ -11,8 +11,8 @@ F4T-with-DRAM (38 GB/s, throttled past 1024 flows) from F4T-with-HBM
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, field
+from typing import ClassVar, Dict
 
 from ..engine.memory_manager import MemoryManager
 from ..engine.events import EventKind, TcpEvent
@@ -68,18 +68,26 @@ class EchoModel:
     cores: ClassVar[int] = 8
     sram_flows: ClassVar[int] = 1024  # reference design: 8 FPCs x 128 (§4.4.2)
     cache_entries: ClassVar[int] = 512
+    #: Swap rates this model has measured, by capped flow count: a sweep
+    #: over one model measures each point of the swap path once.
+    _swap_rates: Dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def rate(self, flows: int) -> float:
         cpu = CpuModel(cores=self.cores)
         software = cpu.rate_for(F4T_CYCLES_PER_ECHO)
         if flows <= self.sram_flows:
             return software
-        swap_rate = measure_dram_swap_rate(
-            self.memory,
-            flows=min(flows, 8192),  # locality is already worst-case
-            transactions=2000,
-            cache_entries=self.cache_entries,
-        )
+        capped = min(flows, 8192)  # locality is already worst-case
+        swap_rate = self._swap_rates.get(capped)
+        if swap_rate is None:
+            swap_rate = self._swap_rates[capped] = measure_dram_swap_rate(
+                self.memory,
+                flows=capped,
+                transactions=2000,
+                cache_entries=self.cache_entries,
+            )
         # Fraction of transactions landing on DRAM-resident flows under
         # uniform round-robin access.
         dram_fraction = (flows - self.sram_flows) / flows
