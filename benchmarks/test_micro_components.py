@@ -77,7 +77,8 @@ def test_micro_fpu_pass(benchmark):
     fpu = Fpu("cubic")
 
     def one_pass():
-        tcb = Tcb(flow_id=0, state=TcpState.ESTABLISHED)
+        tcb = Tcb(flow_id=0)
+        tcb.state = TcpState.ESTABLISHED
         tcb.req = 100_000
         tcb.snd_una = 0
         tcb.snd_nxt = 50_000

@@ -16,6 +16,8 @@ from ..tcp.seq import seq_add, seq_sub
 class SendStream:
     """A flow's outgoing byte stream addressed in sequence space."""
 
+    __slots__ = ("base_seq", "capacity", "_data", "bytes_appended", "bytes_released")
+
     def __init__(self, base_seq: int, capacity: int) -> None:
         #: Sequence number of ``self._data[0]``.
         self.base_seq = base_seq

@@ -15,7 +15,6 @@ valid event fields onto the (possibly stale) TCB-table entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sim.memory import DualPortSRAM
@@ -49,29 +48,40 @@ def valid_bit_names(bits: int) -> str:
     return "|".join(names) if names else "none"
 
 
-@dataclass
 class EventEntry:
-    """One flow's accumulated, not-yet-processed event information."""
+    """One flow's accumulated, not-yet-processed event information.
 
-    valid: int = 0
-    req: int = 0
-    rcv_user: int = 0
-    ack: int = 0
-    wnd: int = 0
-    rcv_nxt: int = 0
-    dup_pending: int = 0
-    irs: int = 0
-    mss: int = 0
-    sack: tuple = ()
-    # Occurrence flags (OR-accumulated).
-    fin: bool = False
-    syn: bool = False
-    rst: bool = False
-    timeout: bool = False
-    ack_needed: bool = False
-    connect: bool = False
-    close: bool = False
-    last_time: int = 0
+    Slotted, like the TCB: one entry per flow in SRAM or DRAM.
+    """
+
+    __slots__ = (
+        "valid", "req", "rcv_user", "ack", "wnd", "rcv_nxt", "dup_pending",
+        "irs", "mss", "sack",
+        # occurrence flags (OR-accumulated)
+        "fin", "syn", "rst", "timeout", "ack_needed", "connect", "close",
+        "last_time",
+    )
+
+    def __init__(self) -> None:
+        self.valid = 0
+        self.req = 0
+        self.rcv_user = 0
+        self.ack = 0
+        self.wnd = 0
+        self.rcv_nxt = 0
+        self.dup_pending = 0
+        self.irs = 0
+        self.mss = 0
+        self.sack: tuple = ()
+        # Occurrence flags (OR-accumulated).
+        self.fin = False
+        self.syn = False
+        self.rst = False
+        self.timeout = False
+        self.ack_needed = False
+        self.connect = False
+        self.close = False
+        self.last_time = 0
 
     def clear(self) -> None:
         """Clear all valid bits (step ④ of the §4.2.3 walk-through)."""

@@ -13,7 +13,10 @@ An FPC bundles:
   algorithm-dependent), whose pipe is a deque of the TCBs in it;
 * the **evict checker**, which intercepts processed TCBs whose evict flag
   is set and hands them to the scheduler instead of writing them back
-  (§4.3.2) — guaranteeing a TCB is never evicted with unprocessed events.
+  (§4.3.2) — guaranteeing a TCB is never evicted with unprocessed events;
+* the **coldest-first order** of the flows the scheduler may evict, kept
+  as flows are accepted, written back and released, so picking a victim
+  costs the same at 16 flows as at 128.
 
 The port schedule follows the paper: in one cycle the event table stores
 a handled event; in the other the TCB manager constructs and dispatches a
@@ -23,8 +26,9 @@ per two cycles — 125 M events/s at 250 MHz.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, ClassVar, Deque, List, Optional, Set, Tuple
+import heapq
+from collections import OrderedDict, deque
+from typing import Callable, ClassVar, Deque, Dict, List, Optional, Set, Tuple
 
 from ..sim.component import NEVER, Component, OwnersCycle
 from ..sim.fifo import Fifo
@@ -78,6 +82,23 @@ class FlowProcessingCore(Component):
         self._queued: Set[int] = set()
         self._in_flight: Set[int] = set()
         self._evict_requested: Set[int] = set()
+        #: The flows the scheduler may evict — resident, not asked to
+        #: leave; ``coldest_flow`` passes over the ones in flight —
+        #: ranked (table copy's ``last_active``, CAM admission number):
+        #: the order the CAM scan by ``last_active`` gave, first strict
+        #: minimum in CAM order winning.  A write-back stamps the retire
+        #: instant, which only grows, so a processed flow moves to the
+        #: end of ``_lru``; one whose rank is not above that end (a
+        #: swap-in's old ``last_active``) waits in the ``_cold`` heap of
+        #: (last_active, admission, flow) until a pass moves it.  Heap
+        #: entries whose rank is not the flow's current one are stale.
+        self._rank: Dict[int, Tuple[int, int]] = {}
+        self._lru: "OrderedDict[int, None]" = OrderedDict()
+        self._lru_end: Tuple[int, int] = (-1, -1)
+        self._cold: List[Tuple[int, int, int]] = []
+        #: Resident flow -> the order it entered the CAM in.
+        self._admitted: Dict[int, int] = {}
+        self._admissions = 0
         #: Queued flows not in flight: what the TCB manager could issue.
         self._ready = 0
         #: When the pipe's head retires (NEVER while empty) and when the
@@ -102,6 +123,10 @@ class FlowProcessingCore(Component):
         #: Called when a TCB is queued on ``out_evicted`` (the scheduler,
         #: which collects them, hangs its wake here), or None.
         self.notify_scheduler: Optional[Callable[[], None]] = None
+        #: One-shot: set by the scheduler while a swap-in waits for a
+        #: victim here; called and cleared once a tick (or an accept)
+        #: leaves a flow here to evict (:meth:`_announce_victim`).
+        self.notify_victim: Optional[Callable[[], None]] = None
 
         self.events_accepted = 0
         self.tcbs_processed = 0
@@ -115,11 +140,11 @@ class FlowProcessingCore(Component):
     # -------------------------------------------------------------- flows
     @property
     def flow_count(self) -> int:
-        return len(self.cam)
+        return len(self._admitted)  # one entry per CAM entry
 
     @property
     def has_room(self) -> bool:
-        return not self.cam.full
+        return len(self._admitted) < self.slots
 
     def resident_flows(self) -> List[int]:
         return self.cam.keys()
@@ -131,11 +156,16 @@ class FlowProcessingCore(Component):
         FPU's writeback (§4.3.2).  ``entry`` carries any events that were
         handled in the memory manager while the flow lived in DRAM.
         """
-        slot = self.cam.insert(tcb.flow_id)
+        flow_id = tcb.flow_id
+        slot = self.cam.insert(flow_id)
         tcb.evict_flag = False
         written = entry if entry is not None else EventEntry()
         self.tcb_table.write(slot, tcb)
         self.event_table.write(slot, written)
+        self._admissions += 1
+        self._admitted[flow_id] = self._admissions
+        self._rerank(flow_id, tcb.last_active)
+        self._announce_victim()
         if self.san is not None:
             self.san.on_accept(
                 self.fpc_id, self.cycle, slot, tcb.flow_id, written.valid
@@ -165,29 +195,112 @@ class FlowProcessingCore(Component):
         if self.san is not None:
             self.san.on_evict_request(self.fpc_id, self.cycle, flow_id)
         self._evict_requested.add(flow_id)
+        self._withdraw(flow_id)
         # Route the flow to the FPU so the evict checker sees it soon.
         self._mark_pending(flow_id, priority=True)
         self._wake()
         return True
 
+    def release(self, flow_id: int) -> Optional[int]:
+        """Free a closed flow's slot; returns it, or None when the flow
+        is not resident here."""
+        slot = self.cam.try_lookup(flow_id)
+        if slot is None:
+            return None
+        self.cam.remove(flow_id)
+        self.tcb_table.clear(slot)
+        self.event_table.clear(slot)
+        self._withdraw(flow_id)
+        del self._admitted[flow_id]
+        # A pass still in the pipe retires to no slot, never to eviction.
+        self._evict_requested.discard(flow_id)
+        return slot
+
     def coldest_flow(self, key=None) -> Optional[int]:
         """Least-recently-active resident flow eligible for eviction.
 
-        ``key(flow_id, tcb) -> sortable`` overrides the ``last_active``
-        recency ranking — the predictive placement policy passes a
-        sketch-coldness key so heavy hitters are evicted last.
+        The head of the coldest-first order, passing over flows in the
+        FPU pipe (at most its depth): the first such ``_lru`` member or
+        the ``_cold`` heap's top, whichever ranks first.  ``key(flow_id,
+        tcb) -> sortable`` overrides the ``last_active`` recency ranking
+        — the predictive placement policy passes a sketch-coldness key
+        so heavy hitters are evicted last — and is a scan over the
+        evictable flows, since such a key moves with every event.
         """
-        best_id: Optional[int] = None
-        best_rank = None
-        for flow_id in self.cam.keys():
-            if flow_id in self._in_flight or flow_id in self._evict_requested:
-                continue
-            tcb = self.tcb_table.read(self.cam.lookup(flow_id))
-            rank = tcb.last_active if key is None else key(flow_id, tcb)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_id = flow_id
-        return best_id
+        rank, in_flight = self._rank, self._in_flight
+        if key is not None:
+            best_id: Optional[int] = None
+            best_rank = None
+            for flow_id in self.cam.keys():
+                if flow_id not in rank or flow_id in in_flight:
+                    continue
+                tcb = self.tcb_table.read(self.cam.lookup(flow_id))
+                ranked = key(flow_id, tcb)
+                if best_rank is None or ranked < best_rank:
+                    best_rank = ranked
+                    best_id = flow_id
+            return best_id
+        best = None
+        for flow_id in self._lru:
+            if flow_id not in in_flight:
+                best = flow_id
+                break
+        cold = self._cold
+        passing = []
+        while cold:
+            top = cold[0]
+            flow_id = top[2]
+            if rank.get(flow_id) != top[:2]:
+                heapq.heappop(cold)  # stale
+            elif flow_id in in_flight:
+                passing.append(heapq.heappop(cold))
+            else:
+                if best is None or top[:2] < rank[best]:
+                    best = flow_id
+                break
+        for top in passing:
+            heapq.heappush(cold, top)
+        return best
+
+    def _rerank(self, flow_id: int, last_active: int) -> None:
+        """Rank ``flow_id`` by the ``last_active`` its table copy now
+        has: unchanged, it keeps its place; else at the end of ``_lru``
+        when that keeps it in order, or on the heap."""
+        ranked = (last_active, self._admitted[flow_id])
+        rank = self._rank
+        if rank.get(flow_id) == ranked:
+            return
+        rank[flow_id] = ranked
+        lru = self._lru
+        if flow_id in lru:
+            del lru[flow_id]
+        if ranked > self._lru_end or not lru:
+            lru[flow_id] = None
+            self._lru_end = ranked
+        else:
+            cold = self._cold
+            if len(cold) >= 2 * self.slots:
+                # Sweep the stale entries before the heap outgrows the
+                # flows it can rank.
+                cold[:] = {e[2]: e for e in cold if rank.get(e[2]) == e[:2]}.values()
+                heapq.heapify(cold)
+            heapq.heappush(cold, (last_active, ranked[1], flow_id))
+
+    def _announce_victim(self) -> None:
+        """Tell a scheduler waiting for a victim here that there is one
+        (at the end of a tick, so not one its own dispatch took back)."""
+        if self.notify_victim is not None and self.coldest_flow() is not None:
+            notify, self.notify_victim = self.notify_victim, None
+            notify()
+
+    def _withdraw(self, flow_id: int) -> None:
+        """Take ``flow_id`` out of the coldest-first order (its heap
+        entry, if any, goes stale)."""
+        rank = self._rank
+        if flow_id in rank:
+            del rank[flow_id]
+            if flow_id in self._lru:
+                del self._lru[flow_id]
 
     def peek_tcb(self, flow_id: int) -> Optional[Tcb]:
         slot = self.cam.try_lookup(flow_id)
@@ -275,6 +388,8 @@ class FlowProcessingCore(Component):
             acted = True
         if acted:
             self._rearm(cycle + 1)
+            if self.notify_victim is not None:
+                self._announce_victim()
 
     def _handle_one_event(self) -> None:
         event = self.input.try_pop()
@@ -370,6 +485,7 @@ class FlowProcessingCore(Component):
                     self._mark_pending(tcb.flow_id, priority=True)
                     continue
                 self._evict_requested.discard(tcb.flow_id)
+                del self._admitted[tcb.flow_id]
                 self.cam.remove(tcb.flow_id)
                 self.tcb_table.clear(slot)
                 self.event_table.clear(slot)
@@ -390,6 +506,7 @@ class FlowProcessingCore(Component):
             current_slot = self.cam.try_lookup(tcb.flow_id)
             if current_slot is not None:
                 self.tcb_table.write(current_slot, tcb)
+                self._rerank(tcb.flow_id, tcb.last_active)
                 if self.san is not None:
                     self.san.on_tcb_write(
                         self.fpc_id, self.cycle, current_slot, tcb.flow_id,

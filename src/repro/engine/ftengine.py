@@ -115,14 +115,18 @@ class EngineMessage:
     value: int = 0
 
 
-@dataclass
 class _FlowRecord:
     """Engine-side per-flow metadata outside the TCB."""
 
-    key: FlowKey
-    stream: SendStream
-    listen_port: Optional[int] = None  # set for passively opened flows
-    closed: bool = False
+    __slots__ = ("key", "stream", "listen_port", "closed")
+
+    def __init__(
+        self, key: FlowKey, stream: SendStream, listen_port: Optional[int]
+    ) -> None:
+        self.key = key
+        self.stream = stream
+        self.listen_port = listen_port  # set for passively opened flows
+        self.closed = False
 
 
 class FtEngine(Component):
@@ -229,9 +233,11 @@ class FtEngine(Component):
         #: Per-thread message queues: receive-side scaling keeps all of
         #: a flow's commands on one queue for cache locality (§4.6).
         self.host_messages: Dict[int, Deque[EngineMessage]] = {0: deque()}
-        #: Bumped on every host-queue mutation (post or drain) so
-        #: pollers can skip rescanning untouched queues.
+        #: Bumped on every post (and by :meth:`drain_host_messages`) so
+        #: pollers can skip rescanning untouched queues; a host that pops
+        #: a queue itself (``LoadEngine``) leaves it be.
         self.msg_epoch = 0
+        #: Flow -> its thread, for flows not on thread 0 (the default).
         self._flow_thread: Dict[int, int] = {}
         self._accept_rr: Dict[int, int] = {}  # per-port round-robin index
 
@@ -266,7 +272,10 @@ class FtEngine(Component):
         return sorted(self.host_messages)
 
     def _assign_flow_to_thread(self, flow_id: int, thread_id: int) -> None:
-        self._flow_thread[flow_id] = thread_id
+        if thread_id:
+            self._flow_thread[flow_id] = thread_id
+        else:
+            self._flow_thread.pop(flow_id, None)
 
     # ---------------------------------------------------------------- time
     @property

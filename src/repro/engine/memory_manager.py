@@ -109,8 +109,10 @@ class MemoryManager(Component):
             geometry, sketch=sketch, own_updates=sketch_own_updates
         )
 
-        #: Functional home of DRAM-resident state: flow -> (TCB, events).
-        self._resident: Dict[int, Tuple[Tcb, EventEntry]] = {}
+        #: Functional home of DRAM-resident state: flow -> (TCB, events);
+        #: the events entry is None until the first event for the flow
+        #: arrives here (most DRAM flows are idle: they keep no entry).
+        self._resident: Dict[int, Tuple[Tcb, Optional[EventEntry]]] = {}
 
         self.input: Fifo[TcpEvent] = Fifo(DEFAULT_INPUT_DEPTH, "memmgr.in")
         #: Check-logic output: flows that can now send (§4.3.1).
@@ -155,7 +157,10 @@ class MemoryManager(Component):
                 self.time_ps_fn(), "engine.mem", self.trace_name,
                 "store", tcb.flow_id, tcb.state.value,
             )
-        self._resident[tcb.flow_id] = (tcb, entry if entry is not None else EventEntry())
+        # The FPU's transient scratch keys leave an emptied ``cc`` holding
+        # a grown table; the stored copy gets a compact one.
+        tcb.cc = dict(tcb.cc)
+        self._resident[tcb.flow_id] = (tcb, entry)
         if self.san is not None:
             self.san.on_dram_store(self.cycle, tcb.flow_id)
         self._touch_cache(tcb.flow_id, write=True)
@@ -178,7 +183,8 @@ class MemoryManager(Component):
         self._swap_in_pending.discard(flow_id)
         if self.next_action != NEVER:
             self._rearm(self.next_action)  # the read may hold the channel
-        return self._resident.pop(flow_id)
+        tcb, entry = self._resident.pop(flow_id)
+        return tcb, entry if entry is not None else EventEntry()
 
     def peek_tcb(self, flow_id: int) -> Optional[Tcb]:
         pair = self._resident.get(flow_id)
@@ -305,6 +311,9 @@ class MemoryManager(Component):
             self.return_event(event)
             return
         tcb, entry = pair
+        if entry is None:
+            entry = EventEntry()
+            self._resident[event.flow_id] = (tcb, entry)
         self._touch_cache(event.flow_id)
         accumulate_event(entry, event)
         self.events_handled += 1

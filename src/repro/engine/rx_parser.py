@@ -18,7 +18,7 @@ that the event handler counts in a single cycle (§4.2.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..tcp.cuckoo import CuckooHashTable
@@ -28,19 +28,29 @@ from ..tcp.seq import seq_add, seq_ge, seq_gt
 from ..tcp.tcb import DEFAULT_BUFFER_BYTES
 from .events import EventKind, TcpEvent
 
+#: Flow-table slots: 65,536 flows (the paper's 64 K) sit at load 0.25.
+#: A 2-way cuckoo table with one slot per bucket stops near load 0.5,
+#: so half of this would refuse flows short of 64 K.
+FLOW_TABLE_SLOTS = 262_144
 
-@dataclass
+
 class RxFlowState:
     """Parser-side per-flow receive state (the out-of-sequence store)."""
 
-    reassembly: ReassemblyBuffer
-    last_ack_seen: Optional[int] = None
-    last_wnd_seen: Optional[int] = None
-    #: Sequence number of a FIN seen out of order, pending reassembly.
-    fin_seq: Optional[int] = None
-    in_order_streak: int = 0
-    #: Peer's negotiated window-scale shift (RFC 7323), from its SYN.
-    peer_wscale: int = 0
+    __slots__ = (
+        "reassembly", "last_ack_seen", "last_wnd_seen", "fin_seq",
+        "in_order_streak", "peer_wscale",
+    )
+
+    def __init__(self, reassembly: ReassemblyBuffer) -> None:
+        self.reassembly = reassembly
+        self.last_ack_seen: Optional[int] = None
+        self.last_wnd_seen: Optional[int] = None
+        #: Sequence number of a FIN seen out of order, pending reassembly.
+        self.fin_seq: Optional[int] = None
+        self.in_order_streak = 0
+        #: Peer's negotiated window-scale shift (RFC 7323), from its SYN.
+        self.peer_wscale = 0
 
 
 @dataclass
@@ -60,7 +70,9 @@ class RxParser:
         passive_open: Optional[Callable[[TcpSegment], Optional[int]]] = None,
         recv_buffer_bytes: int = DEFAULT_BUFFER_BYTES,
     ) -> None:
-        self.flow_table: CuckooHashTable[FlowKey, int] = CuckooHashTable()
+        self.flow_table: CuckooHashTable[FlowKey, int] = CuckooHashTable(
+            FLOW_TABLE_SLOTS
+        )
         self.rx_states: Dict[int, RxFlowState] = {}
         self.passive_open = passive_open
         self.recv_buffer_bytes = recv_buffer_bytes

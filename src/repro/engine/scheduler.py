@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..mem.advisor import POLICY_PREDICTIVE, resolve_policy
 from ..sim.component import NEVER, Component, OwnersCycle
@@ -43,6 +43,12 @@ class Location(enum.Enum):
     FPC = "fpc"
     DRAM = "dram"
     MOVING = "moving"
+
+
+#: The location-LUT values that name no FPC: one tuple each, shared by
+#: every flow there (a flow's entry costs its dict slot, not a tuple).
+_IN_DRAM = (Location.DRAM, -1)
+_SWAPPING_IN = (Location.MOVING, -1)
 
 
 @dataclass
@@ -81,6 +87,9 @@ class Scheduler(Component):
         self.flow_heat = flow_heat
         self.placement_policy = resolve_policy(placement_policy)
         self.lut = PartitionedLUT(COALESCE_FIFOS)
+        #: Per FPC, its two location-LUT values (shared, like _IN_DRAM).
+        self._in_fpc = [(Location.FPC, fpc.fpc_id) for fpc in fpcs]
+        self._leaving_fpc = [(Location.MOVING, fpc.fpc_id) for fpc in fpcs]
         self.coalesce_fifos: List[Fifo[TcpEvent]] = [
             Fifo(COALESCE_DEPTH, f"coalesce{i}") for i in range(COALESCE_FIFOS)
         ]
@@ -91,14 +100,24 @@ class Scheduler(Component):
         self._deferred_swap_ins: Deque[int] = deque()
         #: The work horizon: the first cycle on which :meth:`tick` does
         #: anything (NEVER while there is nothing to do); a tick before
-        #: it is a no-op.  At once while a coalesce FIFO, a swap-in
-        #: request, a deferred swap-in or an evicted TCB waits; else the
-        #: pending head's retry cycle.  A migration in flight is not on
-        #: the list: its wait is the source FPC's, whose retire queues
-        #: the evicted TCB and wakes us.
+        #: it is a no-op.  At once while an untried coalesce FIFO head,
+        #: a swap-in request, a deferred swap-in or an evicted TCB
+        #: waits; else the pending head's retry cycle.  Two kinds of
+        #: work wait on another block instead: a FIFO head the memory
+        #: manager's full input refused is tried again the cycle after
+        #: that input pops, and a swap-in that found neither room nor a
+        #: victim when the FPC it would evict from publishes one (or a
+        #: slot frees, or a flow opens or closes).  A migration in
+        #: flight is not on the list: its wait is the source FPC's,
+        #: whose retire queues the evicted TCB and wakes us.
         self.next_action = NEVER
         #: An FPC has queued an evicted TCB since the last collection.
         self._evicted = False
+        #: Flows whose FIFO head a full input refused this tick.
+        self._refused: Sequence[int] = ()
+        #: (cycle, FPC) of a swap-in that found no victim, until the
+        #: swap-ins are handled again; see _handle_swap_in_requests.
+        self._victim_wait: Optional[Tuple[int, FlowProcessingCore]] = None
         # The blocks whose output queues tick() drains say when they
         # fill one.
         memory_manager.notify_scheduler = self._wake
@@ -128,10 +147,10 @@ class Scheduler(Component):
         target = self._fpc_with_lowest_count(require_room=True)
         if target is not None:
             target.accept_tcb(tcb)
-            self.lut.set(tcb.flow_id, (Location.FPC, target.fpc_id))
+            self.lut.set(tcb.flow_id, self._in_fpc[target.fpc_id])
             return Location.FPC
         self.memory_manager.store(tcb)
-        self.lut.set(tcb.flow_id, (Location.DRAM, -1))
+        self.lut.set(tcb.flow_id, _IN_DRAM)
         return Location.DRAM
 
     def deregister_flow(self, flow_id: int) -> None:
@@ -139,16 +158,12 @@ class Scheduler(Component):
         where = self.lut.get(flow_id)
         if where is None:
             return
+        self._wake_held()  # a slot may free, a held head may drop
         location, fpc_id = where
         if location is Location.FPC:
-            fpc = self.fpcs[fpc_id]
-            slot = fpc.cam.try_lookup(flow_id)
-            if slot is not None:
-                fpc.cam.remove(flow_id)
-                fpc.tcb_table.clear(slot)
-                fpc.event_table.clear(slot)
-                if self.san is not None:
-                    self.san.on_slot_clear(fpc_id, slot)
+            slot = self.fpcs[fpc_id].release(flow_id)
+            if slot is not None and self.san is not None:
+                self.san.on_slot_clear(fpc_id, slot)
         elif location is Location.DRAM and flow_id in self.memory_manager:
             self.memory_manager.take(flow_id)
         if self.san is not None:
@@ -181,9 +196,9 @@ class Scheduler(Component):
         best: Optional[FlowProcessingCore] = None
         lowest = 0
         for fpc in self.fpcs:
-            if require_room and not fpc.has_room:
-                continue
             count = fpc.flow_count
+            if require_room and count >= fpc.slots:
+                continue  # full
             if best is None or count < lowest:
                 best, lowest = fpc, count
         return best
@@ -192,6 +207,9 @@ class Scheduler(Component):
     def submit(self, event: TcpEvent) -> bool:
         """Accept an event into the coalesce stage; False = backpressure."""
         fifo = self.coalesce_fifos[event.flow_id % COALESCE_FIFOS]
+        # Only a new head is routable: one queued behind another waits
+        # for it (and a queued head has the scheduler due or held).
+        new_head = not fifo._items
         coalesced = False
         if self.coalescing:
             # Coalesce with the flow's tail-most queued event, but only
@@ -209,6 +227,8 @@ class Scheduler(Component):
         self.events_submitted += 1
         if self.flow_heat is not None:
             self.flow_heat.record(event.flow_id)
+            # The heat ranks FPCs, and with them held work's options.
+            self._wake_held()
         if coalesced:
             self.events_coalesced += 1
             if self.trace is not None:
@@ -217,7 +237,7 @@ class Scheduler(Component):
                     self.trace_name, "coalesce", event.flow_id,
                     event.kind.value,
                 )
-        else:
+        elif new_head:
             self._wake()
         return True
 
@@ -234,45 +254,89 @@ class Scheduler(Component):
         if due < self.next_action:
             self.next_action = due
 
+    def _wake_held(self) -> None:
+        """Something held work may wait on moved: wake for it, if any
+        (a tick with no work at all would find nothing to do)."""
+        if self._refused or self._victim_wait is not None:
+            self._wake()
+
     def _on_evicted(self) -> None:
         """An FPC queued an evicted TCB: collect it on the next tick."""
         self._evicted = True
         self._wake()
 
-    def _rearm(self) -> None:
-        """Recompute :attr:`next_action` at the end of a tick, when the
-        swap-in requests and the evicted TCBs have just been drained."""
-        due = self.clock.cycle + 1
-        if not self._deferred_swap_ins:
-            for fifo in self.coalesce_fifos:
-                if fifo._items:
-                    break
+    def _rearm(self, due: int) -> None:
+        """Fold ``due`` — when the FIFO heads are next worth trying —
+        into :attr:`next_action` at the end of a tick, when the swap-in
+        requests and the evicted TCBs have just been drained; wakes
+        during the tick have already pulled it in."""
+        if self._deferred_swap_ins and self._victim_wait is None:
+            # Put there by _collect_evicted after the swap-ins were
+            # handled (or they would be waiting already).
+            cycle = self.clock.cycle
+            fullest = None
+            if self._fpc_with_lowest_count(require_room=True) is None:
+                fullest = self._fpc_with_lowest_count(require_room=False)
+            if fullest is None:
+                due = cycle + 1  # it takes a free slot
             else:
-                due = self.pending[0][0] if self.pending else NEVER
-        self.next_action = due
+                self._wait_for_victim(fullest)
+                if self._victim(fullest) is not None and fullest.next_action > cycle:
+                    # Its victim is there to stay: no tick of that FPC
+                    # this cycle can take it back into the pipe.
+                    due = cycle + 1
+        if self.pending and self.pending[0][0] < due:
+            due = self.pending[0][0]
+        if due < self.next_action:
+            self.next_action = due
 
     def tick(self) -> None:
         # A stage is entered only when it has something to do.
         if self.clock is self:
             self.cycle += 1
+        cycle = self.clock.cycle
+        self.next_action = NEVER
         if self.pending:
             self._retry_pending()
         # Route up to one event per LUT partition per cycle (§4.4.2).
+        due = NEVER
+        refused: List[int] = []
         for fifo in self.coalesce_fifos:
-            if fifo._items and self._route(fifo._items[0]):
+            items = fifo._items
+            if not items:
+                continue
+            refuser = self._route(items[0])
+            if refuser is None:
                 fifo.pop()
                 self.events_routed += 1
+                if items:
+                    due = cycle + 1  # the next head is untried
+            else:
+                refused.append(items[0].flow_id)
+                if refuser is not self.memory_manager:
+                    # An FPC pops its input on its next even cycle, at
+                    # most one tick from now: try again on the next.
+                    due = cycle + 1
+        self._refused = refused
         if self.memory_manager.swap_in_requests or self._deferred_swap_ins:
             self._handle_swap_in_requests()
         if self._evicted:
             self._collect_evicted()
-        self._rearm()
+        if refused:
+            # The memory manager's next tick pops an event (read now: a
+            # store or take above may have held its channel longer).
+            popped = self.memory_manager.next_action + 1
+            if popped < due:
+                due = popped
+        self._rearm(due)
 
     # ------------------------------------------------------------- routing
-    def _route(self, event: TcpEvent) -> bool:
+    def _route(self, event: TcpEvent) -> Optional[object]:
+        """Route ``event`` (or drop or pend it); returns the block whose
+        full input refused it, None when it is off the FIFO."""
         where = self.lut.get(event.flow_id)
         if where is None:
-            return True  # flow closed while queued; drop
+            return None  # flow closed while queued; drop
         location, fpc_id = where
         if location is Location.MOVING:
             self._pend(event)
@@ -281,7 +345,7 @@ class Scheduler(Component):
                     self.cycle * CYCLE_PS, "engine.sched", self.trace_name,
                     "pend", event.flow_id, event.kind.value,
                 )
-            return True
+            return None
         if location is Location.FPC:
             fpc = self.fpcs[fpc_id]
             if fpc.backpressure and len(self.fpcs) > 1:
@@ -298,7 +362,7 @@ class Scheduler(Component):
                     # state and usually re-congests the target — keep it
                     # where it is and let the backlog drain.
                     self.migrations_declined_hot += 1
-                    return fpc.offer_event(event)
+                    return None if fpc.offer_event(event) else fpc
                 target = self._fpc_with_lowest_count(require_room=True)
                 if (
                     target is not None
@@ -307,9 +371,10 @@ class Scheduler(Component):
                 ):
                     self._migrate_between_fpcs(event.flow_id, fpc_id)
                     self._pend(event)
-                    return True
-            return fpc.offer_event(event)
-        return self.memory_manager.offer_event(event)
+                    return None
+            return None if fpc.offer_event(event) else fpc
+        manager = self.memory_manager
+        return None if manager.offer_event(event) else manager
 
     def _retry_pending(self) -> None:
         for _ in range(len(self.pending)):
@@ -323,7 +388,7 @@ class Scheduler(Component):
                     self.cycle * CYCLE_PS, "engine.sched", self.trace_name,
                     "retry", event.flow_id, event.kind.value,
                 )
-            if not self._route(event):
+            if self._route(event) is not None:
                 self._pend(event)
 
     def _pend(self, event: TcpEvent) -> None:
@@ -342,7 +407,7 @@ class Scheduler(Component):
             return
         if not self.fpcs[source_fpc].request_evict(flow_id):
             return
-        self.lut.set(flow_id, (Location.MOVING, source_fpc))
+        self.lut.set(flow_id, self._leaving_fpc[source_fpc])
         self._migrations[flow_id] = _Migration(flow_id, source_fpc, kind="congestion")
         self.congestion_migrations += 1
         if self.san is not None:
@@ -353,10 +418,10 @@ class Scheduler(Component):
                 "migrate", flow_id, f"congestion from=fpc{source_fpc}",
             )
 
-    def _start_eviction(
-        self, fpc: FlowProcessingCore, then_swap_in: Optional[int] = None
-    ) -> bool:
-        """Fig 6 step ①–③: pick the coldest flow and flag it for evict."""
+    def _victim(self, fpc: FlowProcessingCore) -> Optional[int]:
+        """The flow to evict from ``fpc``: its coldest (by the advisor's
+        key under predictive placement), or None while every flow there
+        is in flight or already leaving."""
         if self.flow_heat is not None:
             heat = self.flow_heat
             victim = fpc.coldest_flow(
@@ -364,11 +429,16 @@ class Scheduler(Component):
             )
         else:
             victim = fpc.coldest_flow()
-        if victim is None or victim in self._migrations:
+        return None if victim in self._migrations else victim
+
+    def _start_eviction(
+        self, fpc: FlowProcessingCore, then_swap_in: Optional[int] = None
+    ) -> bool:
+        """Fig 6 step ①–③: pick the coldest flow and flag it for evict."""
+        victim = self._victim(fpc)
+        if victim is None or not fpc.request_evict(victim):
             return False
-        if not fpc.request_evict(victim):
-            return False
-        self.lut.set(victim, (Location.MOVING, fpc.fpc_id))
+        self.lut.set(victim, self._leaving_fpc[fpc.fpc_id])
         self._migrations[victim] = _Migration(
             victim, fpc.fpc_id, kind="capacity", then_swap_in=then_swap_in
         )
@@ -382,10 +452,26 @@ class Scheduler(Component):
         return True
 
     def _handle_swap_in_requests(self) -> None:
+        deferred = self._deferred_swap_ins
+        if self._victim_wait is not None:
+            since, fpc = self._victim_wait
+            self._victim_wait = None
+            fpc.notify_victim = None
+            # Every tick slept through would have found the same: no
+            # room, no victim.  Each dropped the closed flows at the
+            # front and moved the first open one to the back — rotate
+            # the open ones as far.  (A closed flow is only ever
+            # dropped, so when does not matter.)
+            skipped = self.clock.cycle - since - 1
+            if skipped > 0:
+                waiting = [f for f in deferred if f in self.memory_manager]
+                turn = skipped % len(waiting) if waiting else 0
+                deferred.clear()
+                deferred.extend(waiting[turn:] + waiting[:turn])
         for flow_id in self.memory_manager.drain_swap_in_requests():
-            self._deferred_swap_ins.append(flow_id)
-        for _ in range(len(self._deferred_swap_ins)):
-            flow_id = self._deferred_swap_ins.popleft()
+            deferred.append(flow_id)
+        for _ in range(len(deferred)):
+            flow_id = deferred.popleft()
             if flow_id not in self.memory_manager:
                 continue  # already migrated or closed
             target = self._fpc_with_lowest_count(require_room=True)
@@ -398,15 +484,27 @@ class Scheduler(Component):
                 fullest, then_swap_in=flow_id
             ):
                 continue
-            # Eviction also in flight; retry next cycle.
-            self._deferred_swap_ins.append(flow_id)
+            # Every flow there is in flight or leaving: nothing after
+            # this tick's turn can give it room or a victim but what
+            # wakes us.
+            deferred.append(flow_id)
+            if fullest is not None:
+                self._wait_for_victim(fullest)
             break
 
+    def _wait_for_victim(self, fullest: FlowProcessingCore) -> None:
+        """Sleep the deferred swap-ins until ``fullest`` ends a tick
+        with a flow to evict (or another wake comes first)."""
+        self._victim_wait = (self.clock.cycle, fullest)
+        fullest.notify_victim = self._wake
+
     def _complete_swap_in(self, flow_id: int, target: FlowProcessingCore) -> None:
-        self.lut.set(flow_id, (Location.MOVING, -1))
+        if flow_id in self._refused:
+            self._wake()  # its held FIFO head now routes to the FPC
+        self.lut.set(flow_id, _SWAPPING_IN)
         tcb, entry = self.memory_manager.take(flow_id)
         target.accept_tcb(tcb, entry)
-        self.lut.set(flow_id, (Location.FPC, target.fpc_id))
+        self.lut.set(flow_id, self._in_fpc[target.fpc_id])
         self.swap_ins += 1
         if self.trace is not None:
             self.trace.emit(
@@ -428,7 +526,7 @@ class Scheduler(Component):
                     target = self._fpc_with_lowest_count(require_room=True)
                     if target is not None and target is not fpc:
                         target.accept_tcb(tcb)
-                        self.lut.set(tcb.flow_id, (Location.FPC, target.fpc_id))
+                        self.lut.set(tcb.flow_id, self._in_fpc[target.fpc_id])
                         if self.trace is not None:
                             self.trace.emit(
                                 self.cycle * CYCLE_PS, "engine.sched",
@@ -437,7 +535,7 @@ class Scheduler(Component):
                             )
                         continue
                 self.memory_manager.store(tcb)
-                self.lut.set(tcb.flow_id, (Location.DRAM, -1))
+                self.lut.set(tcb.flow_id, _IN_DRAM)
                 if self.trace is not None:
                     self.trace.emit(
                         self.cycle * CYCLE_PS, "engine.sched",

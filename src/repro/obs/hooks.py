@@ -90,6 +90,9 @@ def sample_occupancy(bus: TraceBus, testbed, t_ps: float) -> None:
     Dict details become Perfetto counter tracks; the summary CLI folds
     them into the per-component occupancy lines.  Cumulative counters
     (cache hits/misses) are included so the counter track shows slope.
+    The host-queue ``messages`` are the queues' depth: what was posted
+    and the host has not popped yet (under ``LoadEngine``, what the
+    engines posted since the last pump).
     """
     for name, engine in (("a", testbed.engine_a), ("b", testbed.engine_b)):
         label = getattr(engine, "trace_name", name) or name

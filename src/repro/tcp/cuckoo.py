@@ -12,7 +12,10 @@ the table keeps its constant-time lookup guarantee under load.
 A key's two bucket indices are a function of the key alone, so they are
 computed once, when the key becomes resident, and kept beside the entry
 until it is removed (the flow-table shape of Hatami et al., PAPERS.md):
-looking a resident key up is two list probes, not two hashes.
+looking a resident key up is two bucket probes, not two hashes.  Each
+table keeps only its occupied buckets (index -> entry), so the table
+costs what it holds, not what it could hold: an engine sized for 64 K
+flows pays for the flows it has.
 """
 
 from __future__ import annotations
@@ -75,28 +78,27 @@ class CuckooHashTable(Generic[K, V]):
     """Two-table cuckoo hash with a bounded stash.
 
     ``capacity`` is the total number of slots; lookups probe at most one
-    slot per table plus the stash, independent of occupancy.
+    slot per table plus the stash, independent of occupancy.  A slot
+    absent from its table's dict is empty.
     """
 
     MAX_KICKS = 64
     STASH_SIZE = 8
 
-    def __init__(self, capacity: int = 131072) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 2:
             raise ValueError(f"capacity must be >= 2, got {capacity}")
         self._table_size = capacity // 2
-        self._tables: List[List[Optional[Tuple[K, V]]]] = [
-            [None] * self._table_size,
-            [None] * self._table_size,
-        ]
+        #: The occupied buckets of each table: index -> (key, value).
+        self._tables: List[Dict[int, Tuple[K, V]]] = [{}, {}]
         self._stash: Dict[K, V] = {}
-        #: (type, key) -> its bucket index in each table, for resident
-        #: keys only: stored when an insert succeeds, dropped by
-        #: ``remove``, so ``len(_indices) == len(self)``.  The type is
-        #: part of the key because equal keys of different types
-        #: (``FlowKey(1, 2, 3, 4) == (1, 2, 3, 4)``) print, hence hash
-        #: and place, differently.
-        self._indices: Dict[Tuple[type, K], Tuple[int, int]] = {}
+        #: (type, key) -> its bucket index in each table, packed into one
+        #: int (``first << 32 | second``), for resident keys only: stored
+        #: when an insert succeeds, dropped by ``remove``, so
+        #: ``len(_indices) == len(self)``.  The type is part of the key
+        #: because equal keys of different types (``FlowKey(1, 2, 3, 4)
+        #: == (1, 2, 3, 4)``) print, hence hash and place, differently.
+        self._indices: Dict[Tuple[type, K], int] = {}
         self._count = 0
         self.lookups = 0
         self.kicks = 0
@@ -123,20 +125,20 @@ class CuckooHashTable(Generic[K, V]):
     def _buckets(self, key: K) -> Tuple[int, int]:
         """``key``'s bucket index in each table: kept for a resident
         key, hashed (and not kept) for any other."""
-        buckets = self._indices.get((type(key), key))
-        if buckets is None:
-            buckets = (self._hash(key, 0), self._hash(key, 1))
-        return buckets
+        packed = self._indices.get((type(key), key))
+        if packed is None:
+            return self._hash(key, 0), self._hash(key, 1)
+        return packed >> 32, packed & 0xFFFFFFFF
 
     # ------------------------------------------------------------- queries
     def get(self, key: K) -> Optional[V]:
         """Constant-time lookup: two bucket probes plus the stash."""
         self.lookups += 1
         first, second = self._buckets(key)
-        slot = self._tables[0][first]
+        slot = self._tables[0].get(first)
         if slot is not None and slot[0] == key:
             return slot[1]
-        slot = self._tables[1][second]
+        slot = self._tables[1].get(second)
         if slot is not None and slot[0] == key:
             return slot[1]
         return self._stash.get(key)
@@ -151,7 +153,7 @@ class CuckooHashTable(Generic[K, V]):
         buckets = self._buckets(key)
         for table in (0, 1):
             index = buckets[table]
-            slot = self._tables[table][index]
+            slot = self._tables[table].get(index)
             if slot is not None and slot[0] == key:
                 self._tables[table][index] = (key, value)
                 return
@@ -161,14 +163,14 @@ class CuckooHashTable(Generic[K, V]):
 
         # The new key is resident unless the insert fails below; every
         # key the kick chain moves already is, so nothing is hashed here.
-        self._indices[(type(key), key)] = buckets
+        self._indices[(type(key), key)] = buckets[0] << 32 | buckets[1]
         entry: Tuple[K, V] = (key, value)
         table = 0
         path: List[Tuple[int, int]] = []
         chain = 0
         for _ in range(self.MAX_KICKS):
             index = self._buckets(entry[0])[table]
-            resident = self._tables[table][index]
+            resident = self._tables[table].get(index)
             self._tables[table][index] = entry
             path.append((table, index))
             if resident is None:
@@ -189,7 +191,9 @@ class CuckooHashTable(Generic[K, V]):
         # No room anywhere: undo the whole kick chain so every
         # previously inserted key stays findable, then refuse loudly —
         # a flow the parser cannot look up is a correctness bug, not a
-        # performance wobble.
+        # performance wobble.  Every bucket on the path was occupied
+        # (the chain ends at its first empty one), so each swap puts a
+        # resident back.
         for undo_table, undo_index in reversed(path):
             entry, self._tables[undo_table][undo_index] = (
                 self._tables[undo_table][undo_index],
@@ -209,9 +213,9 @@ class CuckooHashTable(Generic[K, V]):
         buckets = self._buckets(key)
         for table in (0, 1):
             index = buckets[table]
-            slot = self._tables[table][index]
+            slot = self._tables[table].get(index)
             if slot is not None and slot[0] == key:
-                self._tables[table][index] = None
+                del self._tables[table][index]
                 self._count -= 1
                 self._indices.pop((type(slot[0]), slot[0]), None)
                 return slot[1]
@@ -223,10 +227,10 @@ class CuckooHashTable(Generic[K, V]):
         return None
 
     def items(self) -> Iterator[Tuple[K, V]]:
+        """Residents in bucket order (table 0, table 1), then the stash."""
         for table in self._tables:
-            for slot in table:
-                if slot is not None:
-                    yield slot
+            for index in sorted(table):
+                yield table[index]
         yield from self._stash.items()
 
     def metrics(self) -> Dict[str, float]:

@@ -22,6 +22,11 @@ class ReassemblyBuffer:
     how far ahead of it data is accepted (the advertised receive window).
     """
 
+    __slots__ = (
+        "rcv_nxt", "window", "_chunks", "_ready", "bytes_accepted",
+        "bytes_dropped", "duplicates_trimmed",
+    )
+
     def __init__(self, rcv_nxt: int, window: int) -> None:
         self.rcv_nxt = rcv_nxt
         self.window = window

@@ -56,8 +56,17 @@ class TimerWheel:
     """Per-flow deadline tracker producing timeout events.
 
     One outstanding deadline per flow (the retransmission timer); a
-    re-arm replaces the previous deadline lazily via generation counts.
+    re-arm or a cancel replaces the previous deadline lazily, via
+    generation counts: the old heap entry stays until it reaches the
+    top, or until stale entries outnumber live ones and the arm or
+    cancel that tipped it sweeps them out — so the heap grows with the
+    flows armed, not with the sends.  (With a 1 s initial RTO, a
+    millisecond run never lets a cancelled arm reach the top.)
     """
+
+    #: Stale entries tolerated beyond the live count before a sweep, so
+    #: a wheel with few flows armed does not sweep on every re-arm.
+    COMPACT_SLACK = 64
 
     def __init__(self) -> None:
         #: (deadline_ps, gen, flow)
@@ -77,13 +86,31 @@ class TimerWheel:
         gen = self._gen.get(flow_id, 0) + 1
         self._gen[flow_id] = gen
         self._armed[flow_id] = deadline_ps
-        heapq.heappush(self._heap, (deadline_ps, gen, flow_id))
+        heap = self._heap
+        heapq.heappush(heap, (deadline_ps, gen, flow_id))
         if deadline_ps < self.earliest_hint:
             self.earliest_hint = deadline_ps
+        if len(heap) > 2 * len(self._armed) + self.COMPACT_SLACK:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop every stale entry.  Entries are unique (deadline, gen,
+        flow) triples, so the pops that follow come in the order they
+        would have without the sweep."""
+        gen, armed = self._gen, self._armed
+        live = [
+            entry for entry in self._heap
+            if gen[entry[2]] == entry[1] and armed.get(entry[2]) == entry[0]
+        ]
+        heapq.heapify(live)
+        self._heap = live
 
     def cancel(self, flow_id: int) -> None:
         self._gen[flow_id] = self._gen.get(flow_id, 0) + 1
-        self._armed.pop(flow_id, None)
+        if self._armed.pop(flow_id, None) is not None and (
+            len(self._heap) > 2 * len(self._armed) + self.COMPACT_SLACK
+        ):
+            self._compact()
 
     def next_deadline(self) -> Optional[int]:
         """Earliest live deadline, for the simulator's idle-skip."""

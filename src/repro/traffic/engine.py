@@ -205,8 +205,10 @@ class _Conn:
         #: The current request's arrival and the connect() call, in ps.
         self.arrival_ps = 0
         self.connect_ps = 0
-        #: [orig_request, request_remaining, response_bytes, arrival_ps]
-        self.srv_expect: Deque[list] = deque()
+        #: [orig_request, request_remaining, response_bytes, arrival_ps],
+        #: oldest first (a list: a deque's block costs ~600 B per conn,
+        #: and a conn rarely has more than a request or two in flight).
+        self.srv_expect: List[list] = []
         self.srv_send_remaining = 0
         self.rounds_left = rounds_left
         #: Pump fast path: a clean conn is fully blocked on the engines
@@ -283,8 +285,6 @@ class LoadEngine:
         #: conn dirty without scanning every class.
         self._conn_of_a: Dict[int, _Conn] = {}
         self._conn_of_b: Dict[int, _Conn] = {}
-        #: (side, thread_id) -> scan position in that host-message queue.
-        self._msg_cursors: Dict[tuple, int] = {}
         self._msg_epochs = [-1, -1]  # last-seen msg_epoch per engine side
 
         #: Observability (repro.obs): a TraceBus, or None (free default).
@@ -457,32 +457,25 @@ class LoadEngine:
         while ``_SENDING``, the server while it has response bytes
         left), 'data' and 'eof' the side's readable mark.
 
-        The queues are scanned with per-queue cursors rather than
-        popped: the host-queue occupancy samples
-        (``obs.hooks.sample_occupancy``) are part of the trace-stream
-        contract, and a host runtime sharing the engine remains free to
-        drain its own messages (a shrunk queue just resets the cursor).
+        Each message is popped as it is read, so a queue holds what was
+        posted since the last pump and no more: engine memory does not
+        grow with simulated time, and the host-queue occupancy the
+        trace samples (``obs.hooks.sample_occupancy``) is that depth.
         """
         unknown = False
-        cursors = self._msg_cursors
         for side, (engine, conn_map) in enumerate((
             (self.testbed.engine_a, self._conn_of_a),
             (self.testbed.engine_b, self._conn_of_b),
         )):
-            # Every queue mutation bumps the engine's msg_epoch, so an
-            # unchanged epoch means nothing new to mark (and no queue
-            # shrank under a cursor): skip the whole scan.
+            # Every post bumps the engine's msg_epoch, so an unchanged
+            # epoch means nothing new to mark: skip the whole scan.
             if engine.msg_epoch == self._msg_epochs[side]:
                 continue
             self._msg_epochs[side] = engine.msg_epoch
-            for thread_id, queue in engine.host_messages.items():
-                key = (side, thread_id)
-                start = cursors.get(key, 0)
-                size = len(queue)
-                if start > size:
-                    start = 0  # someone drained the queue; rescan
-                for i in range(start, size):
-                    message = queue[i]
+            for queue in engine.host_messages.values():
+                if not queue:
+                    continue
+                for message in queue:
                     conn = conn_map.get(message.flow_id)
                     kind = message.kind
                     if conn is None:
@@ -501,7 +494,7 @@ class LoadEngine:
                         else:
                             conn.a_readable = True
                     self._mark_dirty(conn)
-                cursors[key] = size
+                queue.clear()  # marking posts nothing: all of it was read
         if unknown:
             self._mark_all_dirty()
 
@@ -748,7 +741,7 @@ class LoadEngine:
                 else:
                     # One-way stream: delivery to the server IS completion.
                     self._complete(state, conn, expect[0], 0, expect[3])
-                conn.srv_expect.popleft()
+                del conn.srv_expect[0]
         if conn.srv_send_remaining > 0:
             chunk = _ZEROS[: min(conn.srv_send_remaining, len(_ZEROS))]
             conn.srv_send_remaining -= engine_b.send_data(conn.b_flow, chunk)

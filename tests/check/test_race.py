@@ -17,13 +17,14 @@ from repro.engine.events import user_send_event
 from repro.engine.fpc import FlowProcessingCore
 from repro.engine.testbed import Testbed
 from repro.tcp.state_machine import TcpState
-from repro.tcp.tcb import Tcb
+
+from .._records import make_tcb
 
 
 def make_fpc(san):
     fpc = FlowProcessingCore(0, slots=4, fpu=NullFpu(4))
     fpc.san = san
-    fpc.accept_tcb(Tcb(flow_id=0, state=TcpState.ESTABLISHED))
+    fpc.accept_tcb(make_tcb(flow_id=0, state=TcpState.ESTABLISHED))
     return fpc
 
 

@@ -12,9 +12,11 @@ from repro.engine.event_handler import EventEntry, merge_into_tcb
 
 
 def copy_entry(entry: EventEntry) -> EventEntry:
-    """Shallow copy: every field from ``entry``, no constructor run."""
+    """Shallow copy: every field from ``entry`` (a slotted record, so
+    field by field), no constructor run."""
     clone = EventEntry.__new__(EventEntry)
-    clone.__dict__ = entry.__dict__.copy()
+    for name in EventEntry.__slots__:
+        setattr(clone, name, getattr(entry, name))
     return clone
 
 

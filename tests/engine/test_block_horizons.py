@@ -7,10 +7,12 @@ here is the same shape — one rig stepped by yesterday's rules (the
 scheduler's whole tick body on every cycle, the memory manager's
 whenever its input holds anything), one stepped by ``next_action`` —
 over generated schedules that reach the waits a horizon has to get
-right: a coalesce FIFO blocked by a full FPC input, a pending retry
-landing twelve cycles on, a swap-in deferred behind FPCs with no
-evictable victim, a migration waiting on the FPU pipeline, the DRAM
-channel held by a write-back.  Same state after every cycle, same drain
+right: a coalesce FIFO blocked by a full FPC input, one blocked by the
+memory manager's full input (which sleeps until that input pops), a
+pending retry landing twelve cycles on, a swap-in deferred behind FPCs
+with no evictable victim (which sleeps until one is written back), a
+migration waiting on the FPU pipeline, the DRAM channel held by a
+write-back.  Same state after every cycle, same drain
 order, and a gated tick never finds nothing to do.
 """
 
@@ -48,6 +50,8 @@ class Rig:
             DRAMModel.ddr4(), cache_entries=1,
             clock=self,
         )
+        # Two DRAM events queue up; a third is refused.
+        self.manager.input.capacity = 2
         self.scheduler = Scheduler(self.fpcs, self.manager, clock=self)
         for flow_id in range(FLOWS):
             self.scheduler.register_new_flow(Tcb(flow_id=flow_id))
@@ -80,7 +84,7 @@ class Rig:
         # The scheduler's tick body, unguarded, every cycle.
         scheduler._retry_pending()
         for fifo in scheduler.coalesce_fifos:
-            if fifo and scheduler._route(next(iter(fifo))):
+            if fifo and scheduler._route(next(iter(fifo))) is None:
                 fifo.pop()
                 scheduler.events_routed += 1
         scheduler._handle_swap_in_requests()
@@ -97,9 +101,10 @@ class Rig:
         if scheduler.next_action <= self.cycle:
             before = self._scheduler_view()
             scheduler.tick()
-            blocked = scheduler._deferred_swap_ins or any(
-                fifo._items for fifo in scheduler.coalesce_fifos
-            )
+            # A head an FPC's full input refused is tried again on the
+            # next cycle (the FPC pops it on its next even one); a
+            # swap-in with no victim sleeps, so it never ticks idle.
+            blocked = any(fifo._items for fifo in scheduler.coalesce_fifos)
             if self._scheduler_view() == before and not blocked:
                 self.idle_ticks.append(("scheduler", self.cycle))
         if manager.next_action <= self.cycle:
@@ -113,20 +118,28 @@ class Rig:
     def _scheduler_view(self):
         """Everything a scheduler tick can change."""
         scheduler = self.scheduler
+        deferred = list(scheduler._deferred_swap_ins)
+        if scheduler._victim_wait is not None:
+            # Waiting for a victim: every cycle the reference turns the
+            # queue by one, and the gated scheduler turns it as far when
+            # it wakes — the order is compared once neither waits.
+            deferred.sort()
         return (
             [[(e.flow_id, e.req) for e in fifo] for fifo in scheduler.coalesce_fifos],
             [(retry, e.flow_id, e.req) for retry, e in scheduler.pending],
-            list(scheduler._deferred_swap_ins),
+            deferred,
             sorted(scheduler._migrations),
+            # (Not the LUT's read count nor the memory manager's input
+            # refusals: a head it refused is not tried again while it
+            # sleeps.)
             [dict(table) for table in scheduler.lut._tables],
-            scheduler.lut.accesses,
             scheduler.events_routed, scheduler.evictions, scheduler.swap_ins,
             scheduler.pending_retries, scheduler.congestion_migrations,
             scheduler.max_pending,
             list(self.manager.swap_in_requests),
             [[(e.flow_id, e.req) for e in fpc.input] for fpc in self.fpcs],
             [len(fpc.input) for fpc in self.fpcs],
-            len(self.manager.input), self.manager.input.rejects,
+            len(self.manager.input),
             [sorted(fpc._evict_requested) for fpc in self.fpcs],
             [[t.flow_id for t in fpc.out_evicted] for fpc in self.fpcs],
         )
@@ -140,7 +153,8 @@ class Rig:
             manager.cache_hits, manager.cache_misses,
             [(e.flow_id, e.req) for e in manager.input],
             sorted(
-                (flow_id, entry.valid, entry.req)
+                (flow_id, entry.valid, entry.req) if entry is not None
+                else (flow_id, 0, 0)  # no event yet: no entry kept
                 for flow_id, (_tcb, entry) in manager._resident.items()
             ),
             manager.dram.busy_until_ps, manager.dram.requests,
@@ -188,10 +202,9 @@ class TestBlockHorizons:
         gated, history = _drive(ops, latency, interval, gated=True)
         for cycle, (got, want) in enumerate(zip(history, expected), start=1):
             assert got == want, f"diverged on cycle {cycle}"
-        # Exact, not merely safe: a due tick acts, or is one of the two
-        # blocked kinds (a route refused by a full input, a swap-in
-        # deferred with no evictable victim).  A horizon that wakes a
-        # block early fails here; one that oversleeps fails above.
+        # Exact, not merely safe: a due tick acts, or retries a head an
+        # FPC's full input refused.  A horizon that wakes a block early
+        # fails here; one that oversleeps fails above.
         assert gated.idle_ticks == []
 
     def test_the_schedules_reach_every_wait(self):
@@ -217,6 +230,8 @@ class TestBlockHorizons:
                 seen.add("swap-in deferred")
             if any(fifo.rejects for fpc in rig.fpcs for fifo in [fpc.input]):
                 seen.add("route refused by a full input")
+            if manager.input.rejects and scheduler.next_action > rig.cycle + 1:
+                seen.add("sleeping until the memory manager pops")
             if NEVER > manager.next_action > rig.cycle + 1:
                 seen.add("memory manager stalled on the DRAM channel")
         assert rig.idle_ticks == []
@@ -224,6 +239,7 @@ class TestBlockHorizons:
         assert seen == {
             "sleeping until a pending retry", "sleeping through a migration",
             "swap-in deferred", "route refused by a full input",
+            "sleeping until the memory manager pops",
             "memory manager stalled on the DRAM channel",
         }
 

@@ -15,7 +15,8 @@ from repro.engine.memory_manager import MemoryManager
 from repro.engine.scheduler import Scheduler
 from repro.sim.memory import DRAMModel
 from repro.tcp.state_machine import TcpState
-from repro.tcp.tcb import Tcb
+
+from .._records import make_tcb
 
 FLOWS = 4
 
@@ -37,7 +38,7 @@ def run_system(script, coalescing: bool):
     scheduler = Scheduler(fpcs, MemoryManager(DRAMModel.hbm()), coalescing=coalescing)
     pointers = [0] * FLOWS
     for flow_id in range(FLOWS):
-        scheduler.register_new_flow(Tcb(flow_id=flow_id, state=TcpState.ESTABLISHED))
+        scheduler.register_new_flow(make_tcb(flow_id=flow_id, state=TcpState.ESTABLISHED))
 
     backlog = []
     for flow_id, kind, amount in script:

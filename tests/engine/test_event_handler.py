@@ -15,9 +15,9 @@ from repro.engine.event_handler import (
 from repro.engine.events import EventKind, TcpEvent, user_send_event
 from repro.sim.memory import DualPortSRAM
 from repro.tcp.state_machine import TcpState
-from repro.tcp.tcb import Tcb
 
 from ._check_logic_oracle import copy_entry
+from .._records import make_tcb
 
 
 class TestAccumulation:
@@ -96,7 +96,7 @@ class TestEventHandlerOverTable:
 
 class TestMergeIntoTcb:
     def make_tcb(self):
-        tcb = Tcb(flow_id=1, state=TcpState.ESTABLISHED)
+        tcb = make_tcb(flow_id=1, state=TcpState.ESTABLISHED)
         tcb.req = 70
         tcb.snd_nxt = 60
         tcb.snd_una = 40

@@ -13,6 +13,8 @@ from repro.sim.component import NEVER
 from repro.tcp.state_machine import TcpState
 from repro.tcp.tcb import Tcb
 
+from .._records import make_tcb
+
 
 def make_fpc(slots=8, latency=14):
     return FlowProcessingCore(0, slots=slots, fpu=NullFpu(latency))
@@ -20,7 +22,7 @@ def make_fpc(slots=8, latency=14):
 
 def install_flows(fpc, count):
     for flow_id in range(count):
-        fpc.accept_tcb(Tcb(flow_id=flow_id, state=TcpState.ESTABLISHED))
+        fpc.accept_tcb(make_tcb(flow_id=flow_id, state=TcpState.ESTABLISHED))
 
 
 class TestResidency:
@@ -362,7 +364,7 @@ def _apply(fpc, op, flow_id, pending, sequence, parked, fresh):
     elif op == "evict":
         fpc.request_evict(flow_id % 3)
     elif op == "accept" and fpc.has_room:
-        tcb = parked.pop(0) if parked else Tcb(
+        tcb = parked.pop(0) if parked else make_tcb(
             flow_id=100 + next(fresh), state=TcpState.ESTABLISHED
         )
         # A swap-in may arrive with work pending (§4.3.1's check logic
@@ -455,9 +457,9 @@ class TestWorkHorizon:
         manager issues it on the next odd cycle, idle FPC or not."""
         fpc, clock = owned_fpc()
         clock.cycle = 40  # long idle
-        fpc.accept_tcb(Tcb(flow_id=7, state=TcpState.ESTABLISHED, ack_pending=True))
+        fpc.accept_tcb(make_tcb(flow_id=7, state=TcpState.ESTABLISHED, ack_pending=True))
         assert fpc.next_action == 41
-        fpc.accept_tcb(Tcb(flow_id=8, state=TcpState.ESTABLISHED))
+        fpc.accept_tcb(make_tcb(flow_id=8, state=TcpState.ESTABLISHED))
         assert list(fpc._dispatch_queue) == [7]  # nothing pending: not queued
 
     def test_undrained_outputs_are_due_at_once(self):

@@ -8,11 +8,13 @@ from repro.tcp.seq import seq_add, seq_lt
 from repro.tcp.state_machine import TcpState
 from repro.tcp.tcb import Tcb
 
+from .._records import make_tcb
+
 MSS = 1460
 
 
 def established(iss=1000, irs=5000, **overrides):
-    tcb = Tcb(flow_id=1, state=TcpState.ESTABLISHED, iss=iss, irs=irs)
+    tcb = make_tcb(flow_id=1, state=TcpState.ESTABLISHED, iss=iss, irs=irs)
     tcb.snd_una = tcb.snd_nxt = tcb.req = seq_add(iss, 1)
     tcb.rcv_nxt = tcb.rcv_user = tcb.last_ack_sent = seq_add(irs, 1)
     tcb.cwnd = 10 * MSS
@@ -39,7 +41,7 @@ class TestConnectionSetup:
 
     def test_passive_open_emits_syn_ack(self):
         fpu = Fpu()
-        tcb = Tcb(flow_id=1, state=TcpState.CLOSED, iss=200)
+        tcb = make_tcb(flow_id=1, state=TcpState.CLOSED, iss=200)
         tcb.syn_received = True
         tcb.irs = 900
         result = fpu.process(tcb, 0, now_ps=0)
@@ -51,7 +53,7 @@ class TestConnectionSetup:
 
     def test_syn_ack_completes_client_handshake(self):
         fpu = Fpu()
-        tcb = Tcb(flow_id=1, state=TcpState.SYN_SENT, iss=100)
+        tcb = make_tcb(flow_id=1, state=TcpState.SYN_SENT, iss=100)
         tcb.snd_una = 100
         tcb.snd_nxt = tcb.req = 101
         tcb.syn_received = True
@@ -66,7 +68,7 @@ class TestConnectionSetup:
 
     def test_ack_of_syn_ack_completes_server_handshake(self):
         fpu = Fpu()
-        tcb = Tcb(flow_id=1, state=TcpState.SYN_RECEIVED, iss=200, irs=900)
+        tcb = make_tcb(flow_id=1, state=TcpState.SYN_RECEIVED, iss=200, irs=900)
         tcb.snd_una = 200
         tcb.snd_nxt = tcb.req = 201
         tcb.rcv_nxt = 901

@@ -14,6 +14,7 @@ from repro.tcp.state_machine import TcpState
 from repro.tcp.tcb import Tcb
 
 from ._check_logic_oracle import check_logic_by_merging
+from .._records import fields, make_entry, make_tcb
 
 
 def make_manager(cache_entries=8, memory="hbm"):
@@ -24,7 +25,7 @@ def make_manager(cache_entries=8, memory="hbm"):
 class TestResidency:
     def test_store_take_roundtrip(self):
         manager, _ = make_manager()
-        tcb = Tcb(flow_id=7, state=TcpState.ESTABLISHED)
+        tcb = make_tcb(flow_id=7, state=TcpState.ESTABLISHED)
         manager.store(tcb)
         assert 7 in manager
         taken, entry = manager.take(7)
@@ -49,7 +50,7 @@ class TestEventHandling:
         """§4.3.1: the memory manager handles like the event handler —
         the TCB's architectural pointers stay put until an FPC pass."""
         manager, _ = make_manager()
-        tcb = Tcb(flow_id=1, state=TcpState.ESTABLISHED)
+        tcb = make_tcb(flow_id=1, state=TcpState.ESTABLISHED)
         manager.store(tcb)
         manager.handle_event(user_send_event(1, 5000, 0))
         assert tcb.snd_nxt == 0  # untouched: no TCP processing here
@@ -97,7 +98,7 @@ class TestEventHandling:
 
     def test_events_accumulate(self):
         manager, _ = make_manager()
-        manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
+        manager.store(make_tcb(flow_id=1, state=TcpState.ESTABLISHED))
         for pointer in (100, 300, 200):
             manager.handle_event(user_send_event(1, pointer, 0))
         _, entry = manager.take(1)
@@ -107,7 +108,7 @@ class TestEventHandling:
 class TestCheckLogic:
     def test_sendable_flow_requests_swap_in(self):
         manager, _ = make_manager()
-        manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
+        manager.store(make_tcb(flow_id=1, state=TcpState.ESTABLISHED))
         manager.handle_event(user_send_event(1, 1000, 0))
         assert manager.drain_swap_in_requests() == [1]
 
@@ -115,13 +116,13 @@ class TestCheckLogic:
         """'If the flow cannot send packets, it can wait in the memory
         manager' (§4.3.1) — a pure window update triggers no swap."""
         manager, _ = make_manager()
-        manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
+        manager.store(make_tcb(flow_id=1, state=TcpState.ESTABLISHED))
         manager.handle_event(TcpEvent(EventKind.RX_PACKET, 1, wnd=9999))
         assert manager.drain_swap_in_requests() == []
 
     def test_check_logic_does_not_mutate(self):
         manager, _ = make_manager()
-        tcb = Tcb(flow_id=1, state=TcpState.ESTABLISHED)
+        tcb = make_tcb(flow_id=1, state=TcpState.ESTABLISHED)
         manager.store(tcb)
         manager.handle_event(user_send_event(1, 1000, 0))
         _, entry = manager.take(1)
@@ -129,7 +130,7 @@ class TestCheckLogic:
 
     def test_swap_in_requested_once(self):
         manager, _ = make_manager()
-        manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
+        manager.store(make_tcb(flow_id=1, state=TcpState.ESTABLISHED))
         manager.handle_event(user_send_event(1, 1000, 0))
         manager.handle_event(user_send_event(1, 2000, 0))
         assert manager.drain_swap_in_requests() == [1]
@@ -153,7 +154,7 @@ def _tcbs(draw):
         cc["_latest_ack"] = draw(st.one_of(st.none(), _NEAR))
     if draw(_FLAG):
         cc["_connect_req"] = draw(_FLAG)
-    return Tcb(
+    return make_tcb(
         flow_id=1,
         req=(base + draw(st.integers(min_value=0, max_value=9000))) % SEQ_MOD,
         snd_una=snd_una, snd_nxt=snd_nxt,
@@ -170,7 +171,7 @@ def _tcbs(draw):
 def _entries(draw, base=_BASE):
     """Any subset of valid bits over any field values: a field whose
     bit is clear must not count, whatever it holds."""
-    return EventEntry(
+    return make_entry(
         valid=draw(st.integers(min_value=0, max_value=(1 << 10) - 1)),
         req=(draw(base) + draw(st.integers(min_value=0, max_value=9000))) % SEQ_MOD,
         ack=draw(_NEAR), wnd=draw(_WINDOW),
@@ -188,38 +189,38 @@ class TestCheckLogicFunction:
     @settings(max_examples=1000, deadline=None)
     @given(tcb=_tcbs(), entry=_entries())
     # Zero window with data waiting: the probe goes out.
-    @example(tcb=Tcb(1, req=100, snd_wnd=0), entry=EventEntry())
-    @example(tcb=Tcb(1), entry=EventEntry(valid=V_REQ | V_WND, req=100, wnd=0))
+    @example(tcb=make_tcb(1, req=100, snd_wnd=0), entry=EventEntry())
+    @example(tcb=Tcb(1), entry=make_entry(valid=V_REQ | V_WND, req=100, wnd=0))
     # ``close`` after ``req``: the FIN waits for the data before it.
-    @example(tcb=Tcb(1, cwnd=0), entry=EventEntry(valid=V_REQ | V_FLAGS, req=100, close=True))
-    @example(tcb=Tcb(1, req=100, snd_nxt=100), entry=EventEntry(valid=V_FLAGS, close=True))
-    @example(tcb=Tcb(1, fin_sent=True), entry=EventEntry(valid=V_FLAGS, close=True))
+    @example(tcb=make_tcb(1, cwnd=0), entry=make_entry(valid=V_REQ | V_FLAGS, req=100, close=True))
+    @example(tcb=Tcb(1, req=100, snd_nxt=100), entry=make_entry(valid=V_FLAGS, close=True))
+    @example(tcb=make_tcb(1, fin_sent=True), entry=make_entry(valid=V_FLAGS, close=True))
     # A dup-ACK-only entry moves nothing the predicate reads.
-    @example(tcb=Tcb(1, dupacks=2), entry=EventEntry(valid=V_DUP, dup_pending=3))
-    @example(tcb=Tcb(1, dupacks=3), entry=EventEntry(valid=V_DUP, dup_pending=1))
+    @example(tcb=make_tcb(1, dupacks=2), entry=make_entry(valid=V_DUP, dup_pending=3))
+    @example(tcb=make_tcb(1, dupacks=3), entry=make_entry(valid=V_DUP, dup_pending=1))
     # Flags without their valid bit, an ACK with it.
-    @example(tcb=Tcb(1), entry=EventEntry(syn=True, connect=True, ack_needed=True))
-    @example(tcb=Tcb(1), entry=EventEntry(valid=V_ACK, ack=0))
+    @example(tcb=Tcb(1), entry=make_entry(syn=True, connect=True, ack_needed=True))
+    @example(tcb=Tcb(1), entry=make_entry(valid=V_ACK, ack=0))
     def test_equals_the_clone_and_merge_form(self, tcb, entry):
-        before = (dict(vars(tcb)), dict(tcb.cc), dict(vars(entry)))
+        before = (fields(tcb), dict(tcb.cc), fields(entry))
         assert check_logic(tcb, entry) is check_logic_by_merging(tcb, entry)
         # Neither form processes or writes back (§4.3.1).
-        assert (dict(vars(tcb)), dict(tcb.cc), dict(vars(entry))) == before
+        assert (fields(tcb), dict(tcb.cc), fields(entry)) == before
 
     def test_both_answers_occur(self):
         """The strategies are not stuck on one side of the predicate."""
-        tcb = Tcb(1, req=5000, cwnd=1460, snd_wnd=65535)
+        tcb = make_tcb(1, req=5000, cwnd=1460, snd_wnd=65535)
         assert check_logic(tcb, EventEntry())
         tcb.snd_nxt, tcb.snd_una = 1460, 0  # a full window in flight
         assert not check_logic(tcb, EventEntry())
-        assert check_logic(tcb, EventEntry(valid=V_WND, wnd=0))
-        assert not check_logic(tcb, EventEntry(wnd=0))
+        assert check_logic(tcb, make_entry(valid=V_WND, wnd=0))
+        assert not check_logic(tcb, make_entry(wnd=0))
 
 
 class TestCacheAccounting:
     def test_hits_are_free_misses_pay_dram(self):
         manager, dram = make_manager(cache_entries=8)
-        manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
+        manager.store(make_tcb(flow_id=1, state=TcpState.ESTABLISHED))
         requests_after_store = dram.requests
         manager.handle_event(user_send_event(1, 10, 0))  # hit: cached
         assert dram.requests == requests_after_store
@@ -228,8 +229,8 @@ class TestCacheAccounting:
     def test_conflicting_flows_thrash_the_cache(self):
         manager, dram = make_manager(cache_entries=4)
         # Flows 1 and 5 collide in a 4-entry direct-mapped cache.
-        manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
-        manager.store(Tcb(flow_id=5, state=TcpState.ESTABLISHED))
+        manager.store(make_tcb(flow_id=1, state=TcpState.ESTABLISHED))
+        manager.store(make_tcb(flow_id=5, state=TcpState.ESTABLISHED))
         baseline = dram.requests
         manager.handle_event(user_send_event(1, 10, 0))  # miss
         manager.handle_event(user_send_event(5, 10, 0))  # miss again
@@ -238,7 +239,7 @@ class TestCacheAccounting:
 
     def test_tick_stalls_while_dram_busy(self):
         manager, dram = make_manager(memory="ddr4")
-        manager.store(Tcb(flow_id=1, state=TcpState.ESTABLISHED))
+        manager.store(make_tcb(flow_id=1, state=TcpState.ESTABLISHED))
         manager.offer_event(user_send_event(1, 10, 0))
         dram.busy_until_ps = 1e12  # channel artificially saturated
         manager.tick()

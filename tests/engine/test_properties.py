@@ -13,7 +13,8 @@ from repro.engine.events import EventKind, TcpEvent, user_send_event
 from repro.engine.fpu import Fpu
 from repro.tcp.seq import seq_add
 from repro.tcp.state_machine import TcpState
-from repro.tcp.tcb import Tcb
+
+from .._records import make_tcb
 
 MSS = 1460
 
@@ -25,7 +26,7 @@ PRE_FLIGHT = 64 * MSS
 
 
 def established_tcb():
-    tcb = Tcb(flow_id=1, state=TcpState.ESTABLISHED, iss=1000, irs=5000)
+    tcb = make_tcb(flow_id=1, state=TcpState.ESTABLISHED, iss=1000, irs=5000)
     tcb.snd_una = 1001
     tcb.snd_nxt = tcb.req = seq_add(1001, PRE_FLIGHT)
     tcb.rcv_nxt = tcb.rcv_user = tcb.last_ack_sent = 5001

@@ -7,13 +7,14 @@ from repro.engine.testbed import Testbed
 from repro.net.wire import LossPattern, Wire
 from repro.tcp.seq import seq_add
 from repro.tcp.state_machine import TcpState
-from repro.tcp.tcb import Tcb
+
+from .._records import make_tcb
 
 MSS = 1460
 
 
 def established(flight_segments=10):
-    tcb = Tcb(flow_id=1, state=TcpState.ESTABLISHED, iss=1000, irs=5000)
+    tcb = make_tcb(flow_id=1, state=TcpState.ESTABLISHED, iss=1000, irs=5000)
     tcb.snd_una = 1001
     tcb.snd_nxt = tcb.req = seq_add(1001, flight_segments * MSS)
     tcb.rcv_nxt = tcb.rcv_user = tcb.last_ack_sent = 5001

@@ -9,9 +9,12 @@ from repro.engine.memory_manager import MemoryManager
 from repro.engine.scheduler import Location, PENDING_RETRY_CYCLES, Scheduler
 from repro.mem.advisor import FlowHeat
 from repro.mem.sketch import make_sketch
+from repro.sim.component import NEVER
 from repro.sim.memory import DRAMModel
 from repro.tcp.state_machine import TcpState
 from repro.tcp.tcb import Tcb
+
+from .._records import make_tcb
 
 
 def make_system(num_fpcs=2, slots=4, coalescing=True):
@@ -72,7 +75,7 @@ class TestFlowPlacement:
 class TestRouting:
     def test_events_reach_the_owning_fpc(self):
         scheduler, fpcs, _ = make_system(num_fpcs=2)
-        scheduler.register_new_flow(Tcb(flow_id=0, state=TcpState.ESTABLISHED))
+        scheduler.register_new_flow(make_tcb(flow_id=0, state=TcpState.ESTABLISHED))
         assert scheduler.submit(user_send_event(0, 100, 0))
         spin(scheduler, fpcs, 10)
         owner = next(f for f in fpcs if f.peek_tcb(0) is not None)
@@ -96,7 +99,7 @@ class TestRouting:
 class TestCoalescing:
     def test_same_flow_events_coalesce_in_fifo(self):
         scheduler, fpcs, _ = make_system()
-        scheduler.register_new_flow(Tcb(flow_id=0, state=TcpState.ESTABLISHED))
+        scheduler.register_new_flow(make_tcb(flow_id=0, state=TcpState.ESTABLISHED))
         for i in range(10):  # submitted back-to-back, no ticks between
             assert scheduler.submit(user_send_event(0, 100 * (i + 1), 0))
         assert scheduler.events_coalesced == 9
@@ -128,7 +131,7 @@ class TestCoalescing:
         after snd_una had already moved past it.  A merge goes into the
         flow's tail-most queued event or not at all."""
         scheduler, fpcs, _ = make_system()
-        scheduler.register_new_flow(Tcb(flow_id=0, state=TcpState.ESTABLISHED))
+        scheduler.register_new_flow(make_tcb(flow_id=0, state=TcpState.ESTABLISHED))
 
         def ack(n):
             return TcpEvent(EventKind.RX_PACKET, 0, ack=n)
@@ -202,7 +205,7 @@ class TestMigration:
         """Fig 5/6: a DRAM flow that can send is swapped into an FPC."""
         scheduler, fpcs, manager = make_system(num_fpcs=2, slots=2)
         for flow_id in range(5):
-            tcb = Tcb(flow_id=flow_id, state=TcpState.ESTABLISHED)
+            tcb = make_tcb(flow_id=flow_id, state=TcpState.ESTABLISHED)
             scheduler.register_new_flow(tcb)
         assert scheduler.location_of(4) is Location.DRAM
         # A send request makes flow 4 sendable; check logic fires.
@@ -219,13 +222,37 @@ class TestMigration:
         assert scheduler.swap_ins == 1
         assert scheduler.evictions >= 1  # someone was evicted to make room
 
+    def test_a_swap_in_waiting_for_a_victim_wakes_when_a_flow_closes(self):
+        """No room and the one resident flow in flight: the deferred
+        swap-in sleeps (no tick to find the same) until something moves
+        — here the resident flow's close, which frees its slot."""
+        fpc = FlowProcessingCore(0, slots=1, fpu=NullFpu(1000))
+        manager = MemoryManager(DRAMModel.hbm())
+        scheduler = Scheduler([fpc], manager)
+        scheduler.register_new_flow(make_tcb(0, state=TcpState.ESTABLISHED))
+        scheduler.register_new_flow(make_tcb(1, state=TcpState.ESTABLISHED))
+        assert scheduler.location_of(1) is Location.DRAM
+        scheduler.submit(user_send_event(0, 100, 0))
+        scheduler.tick()
+        for _ in range(3):
+            fpc.tick()
+        assert fpc._in_flight == {0}
+        manager.handle_event(user_send_event(1, 100, 0))  # asks for a swap-in
+        scheduler.tick()
+        assert list(scheduler._deferred_swap_ins) == [1]
+        assert scheduler.next_action == NEVER  # asleep, not retrying
+        scheduler.deregister_flow(0)
+        assert scheduler.next_action <= scheduler.cycle + 1
+        scheduler.tick()
+        assert scheduler.location_of(1) is Location.FPC
+
     def test_no_events_lost_during_migration(self):
         """Invariant 3: events routed while a TCB migrates are held in
         the pending queue and retried (§4.3.2)."""
         scheduler, fpcs, manager = make_system(num_fpcs=2, slots=2)
         for flow_id in range(5):
             scheduler.register_new_flow(
-                Tcb(flow_id=flow_id, state=TcpState.ESTABLISHED)
+                make_tcb(flow_id=flow_id, state=TcpState.ESTABLISHED)
             )
         # Fire events at ALL flows while migrations are in flight.
         pointers = {flow_id: 0 for flow_id in range(5)}
@@ -270,7 +297,7 @@ class TestMigration:
         scheduler, fpcs, manager = make_system(num_fpcs=2, slots=2)
         for flow_id in range(5):
             scheduler.register_new_flow(
-                Tcb(flow_id=flow_id, state=TcpState.ESTABLISHED)
+                make_tcb(flow_id=flow_id, state=TcpState.ESTABLISHED)
             )
         scheduler.submit(user_send_event(4, 500, 0))
         for _ in range(200):

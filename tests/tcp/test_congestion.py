@@ -15,11 +15,13 @@ from repro.sim.component import NEVER
 from repro.tcp.state_machine import TcpState
 from repro.tcp.tcb import Tcb
 
+from .._records import make_tcb
+
 MSS = 1460
 
 
 def fresh_tcb(cc: CongestionControl, flight: int = 0) -> Tcb:
-    tcb = Tcb(flow_id=0, state=TcpState.ESTABLISHED)
+    tcb = make_tcb(flow_id=0, state=TcpState.ESTABLISHED)
     cc.on_init(tcb, now_ps=0)
     tcb.snd_una = 0
     tcb.snd_nxt = flight

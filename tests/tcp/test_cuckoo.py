@@ -189,7 +189,7 @@ class TestKeptIndices:
             assert set(table._indices) == residents
             assert len(table._indices) == len(table)
             for (_, k), kept in table._indices.items():
-                assert kept == (table._hash(k, 0), table._hash(k, 1))
+                assert kept == table._hash(k, 0) << 32 | table._hash(k, 1)
 
     def test_the_churn_reaches_kicks_stash_and_refusal(self):
         table = CuckooHashTable(16)

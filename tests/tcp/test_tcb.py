@@ -4,9 +4,11 @@ from repro.tcp.seq import SEQ_MOD
 from repro.tcp.state_machine import TcpState
 from repro.tcp.tcb import DEFAULT_MSS, TCB_SIZE_BYTES, Tcb
 
+from .._records import make_tcb
+
 
 def established_tcb(**overrides):
-    tcb = Tcb(flow_id=1, state=TcpState.ESTABLISHED)
+    tcb = make_tcb(flow_id=1, state=TcpState.ESTABLISHED)
     for name, value in overrides.items():
         setattr(tcb, name, value)
     return tcb

@@ -1,6 +1,7 @@
 """RFC 6298 RTO estimation and the timer wheel, in integer picoseconds."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.component import NEVER
 from repro.tcp.tcb import INITIAL_RTO_PS, Tcb
@@ -11,6 +12,8 @@ from repro.tcp.timers import (
     backoff_rto,
     update_rtt,
 )
+
+from ._timer_oracle import UncompactedTimerWheel
 
 US = 10**6
 MS = 10**9
@@ -144,3 +147,57 @@ class TestTimerWheel:
         fired = wheel.expire(999)
         assert fired == list(range(500))
         assert len(wheel) == 500
+
+    def test_cancelled_arms_do_not_pile_up(self):
+        """A send arms the RTO and its ACK cancels it, long before a
+        1 s deadline reaches the heap top: 10,000 such pairs on four
+        flows leave a heap the size of what is armed, not of the sends."""
+        wheel = TimerWheel()
+        for send in range(10_000):
+            flow_id = send % 4
+            wheel.arm(flow_id, S + send)
+            wheel.cancel(flow_id)
+            wheel.arm(flow_id, S + send + 1)
+        assert len(wheel) == 4
+        assert len(wheel._heap) <= 2 * len(wheel._armed) + TimerWheel.COMPACT_SLACK
+
+
+_WHEEL_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["arm", "arm", "cancel", "expire"]),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=60),
+    ),
+    max_size=400,
+)
+
+
+class _EagerWheel(TimerWheel):
+    """Sweeps as soon as stale entries outnumber the live ones."""
+
+    COMPACT_SLACK = 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_WHEEL_OPS)
+def test_sweeps_leave_what_fires_and_when_unchanged(ops):
+    """Against the uncompacted wheel: the same flows fire in the same
+    order (equal deadlines included), and the same deadline and hint
+    are published after every operation."""
+    wheel, reference = _EagerWheel(), UncompactedTimerWheel()
+    now = 0
+    for op, flow_id, value in ops:
+        if op == "arm":
+            for w in (wheel, reference):
+                w.arm(flow_id, now + value)
+            assert len(wheel._heap) <= 2 * len(wheel)
+        elif op == "cancel":
+            for w in (wheel, reference):
+                w.cancel(flow_id)
+        else:
+            now += value
+            assert wheel.expire(now) == reference.expire(now)
+        assert wheel.earliest_hint == reference.earliest_hint
+        assert len(wheel) == len(reference)
+    assert wheel.next_deadline() == reference.next_deadline()
+    assert wheel.expire(NEVER) == reference.expire(NEVER)

@@ -32,6 +32,16 @@ events one cycle earlier: a deadline ``now + rto`` is cycle-aligned
 (the 10 ms RTO is 2.5 M cycles), and the float sum could land 1 ps
 past it — 0.000975892 + 0.01 is 0.010975892000000001 — so the timer
 fired a cycle late (cycles visited 2,314 -> 2,319).
+
+Popping the host queues is the third, declared: ``LoadEngine`` used to
+read each engine's message queues by cursor and never pop them, so the
+``hostq`` occupancy sample counted every message since the start.  It
+now pops what it reads, the queues hold only what was posted since the
+last pump, and the sample reports that depth.  ``mixed`` and ``churn``
+were re-captured then; with the host-queue ``sample`` events masked
+out, both traces are byte-identical to their parents' (4,570 and 14,758
+events, 50 and 3,422 of them such samples), and every other golden here
+— ``GOLDEN_SPILL`` included — kept its value.
 """
 
 import pytest
@@ -45,10 +55,11 @@ from repro.traffic.engine import LoadEngine
 
 from ..engine._percycle_oracle import use_per_cycle
 
-#: Re-captured with integer-ps time (seed 1234); see the docstring.
+#: Re-captured when the host queues began to be popped (seed 1234); see
+#: the docstring.
 GOLDEN = {
-    "mixed": "a8d21eebb34b43b1767563042bd9b181de77ee9fa2d6b287ff887f94818d8706",
-    "churn": "64a89feed1eeaff729305b7e585446f105b0e00fd74efbc5920d7b24581eb0cd",
+    "mixed": "42b3fb260a768fad47f79997e4d365991e09ed7712c4440be2c55fee55d29824",
+    "churn": "5ec663dd06b7f0414f087f9c95bc70637f293042b5fe87814fb0a8de3f9b3459",
 }
 
 
@@ -218,24 +229,53 @@ class TestCycleExactEquivalence:
 GOLDEN_SPILL = "54e24698068e16326ab9e0c9c6052a5d2a8f66e561532b8a59dd22fefc0e5fe4"
 SPILL_PASSES = [233, 281]
 
+#: 256 round-robin flows on 4 x 16 TCB slots, two rounds (``bench``'s
+#: quick ``rr_spill``), captured at the parent of the change that made
+#: the scheduler's blocked work sleep: the memory manager's full input
+#: refuses routes (~400) and swap-ins find no victim (~500 waits), so
+#: this trace pins both waits.  It sits out a 1 s SYN retransmission,
+#: out of the per-cycle oracle's reach.
+GOLDEN_RR_SPILL = "91d7cedc8ae50b61d13eafd81ac4b67578e8d6cce0a5594e3e5baecdfba31bdc"
+RR_SPILL_PASSES = [1865, 1439]
+
+
+def tick_scheduler(monkeypatch, always):
+    """The scheduler ticked on every cycle (``always``), or on every
+    cycle it has a FIFO head or a deferred swap-in queued — the retry
+    rule before blocked work slept — whatever its ``next_action``
+    says.  A tick with nothing to do is a no-op, so either must leave
+    every trace as it is."""
+    from repro.engine.scheduler import Scheduler
+
+    tick = Scheduler.tick
+
+    def retried(scheduler):
+        tick(scheduler)
+        if always or scheduler._deferred_swap_ins or any(
+            fifo._items for fifo in scheduler.coalesce_fifos
+        ):
+            scheduler.next_action = scheduler.clock.cycle + 1
+
+    monkeypatch.setattr(Scheduler, "tick", retried)
+
 
 class TestSpillEquivalence:
-    """The goldens above never leave SRAM; this one lives on migration."""
+    """The goldens above never leave SRAM; these live on migration."""
 
     @staticmethod
-    def _run(sweep=False):
+    def _run(sweep=False, flows=64, rounds=3, fpcs=2, slots=8):
         from repro.apps.roundrobin import round_robin_scenario
         from repro.engine.ftengine import FtEngineConfig
         from repro.engine.testbed import Testbed
 
-        config = FtEngineConfig(num_fpcs=2, fpc_slots=8)
+        config = FtEngineConfig(num_fpcs=fpcs, fpc_slots=slots)
         load_engine = (SweepingLoadEngine if sweep else LoadEngine)(
-            round_robin_scenario(64, 3, 128),
+            round_robin_scenario(flows, rounds, 128),
             testbed=Testbed(config_a=config, config_b=config),
         )
         bus = TraceBus()
         attach_load_engine(load_engine, bus)
-        assert load_engine.run(setup_time_s=5.0).finished
+        assert load_engine.run(setup_time_s=5.0, run_time_s=2.0).finished
         testbed = load_engine.testbed
         passes = [
             sum(fpc.tcbs_processed for fpc in engine.fpcs)
@@ -244,12 +284,28 @@ class TestSpillEquivalence:
         assert testbed.engine_a.scheduler.swap_ins > 100
         return fingerprint(bus.events), passes
 
+    def _run_rr_spill(self):
+        return self._run(flows=256, rounds=2, fpcs=4, slots=16)
+
     def test_horizon_loop_matches_spill_golden(self):
         assert self._run() == (GOLDEN_SPILL, SPILL_PASSES)
 
     def test_per_cycle_loop_matches_spill_golden(self, monkeypatch):
         use_per_cycle(monkeypatch)
         assert self._run() == (GOLDEN_SPILL, SPILL_PASSES)
+
+    def test_scheduler_ticked_every_cycle_matches_spill_golden(self, monkeypatch):
+        """Block-level per-cycle: a swap-in that waited for a victim
+        replays, on its next tick, what the ticks it slept through did."""
+        tick_scheduler(monkeypatch, always=True)
+        assert self._run() == (GOLDEN_SPILL, SPILL_PASSES)
+
+    def test_horizon_loop_matches_rr_spill_golden(self):
+        assert self._run_rr_spill() == (GOLDEN_RR_SPILL, RR_SPILL_PASSES)
+
+    def test_scheduler_retried_every_cycle_matches_rr_spill_golden(self, monkeypatch):
+        tick_scheduler(monkeypatch, always=False)
+        assert self._run_rr_spill() == (GOLDEN_RR_SPILL, RR_SPILL_PASSES)
 
     def test_a_parked_conn_cannot_act_while_flows_migrate(self, monkeypatch):
         checked = check_parking(monkeypatch)
@@ -265,11 +321,12 @@ class TestDirtySetBookkeeping:
         assert load_engine._conn_of_a == {}
         assert load_engine._conn_of_b == {}
 
-    def test_message_cursors_track_queue_tails(self):
+    def test_host_queues_are_popped(self):
+        """The pump pops what it reads: after the run no message is
+        left on either engine's queues."""
         load_engine = LoadEngine(get_scenario("churn", seed=7))
         load_engine.run()
         testbed = load_engine.testbed
-        for side, engine in enumerate((testbed.engine_a, testbed.engine_b)):
-            for thread_id, queue in engine.host_messages.items():
-                cursor = load_engine._msg_cursors.get((side, thread_id), 0)
-                assert cursor == len(queue)
+        for engine in (testbed.engine_a, testbed.engine_b):
+            assert engine.counters.get("flows_created") > 0
+            assert all(not queue for queue in engine.host_messages.values())

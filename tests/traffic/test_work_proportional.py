@@ -238,20 +238,34 @@ def _scheduler_footprint(scheduler):
 
 def test_spill_blocks_are_called_when_they_have_something_to_do(monkeypatch):
     """Counted, not timed: of the ticks the engine gives the scheduler
-    and the memory manager, none finds nothing to do."""
+    and the memory manager, none finds nothing to do — work that waits
+    on another block (a route the memory manager's full input refused,
+    a swap-in with no victim to evict) sleeps until that block moves."""
     from repro.engine.memory_manager import MemoryManager
     from repro.engine.scheduler import Scheduler
 
     counts = dict.fromkeys(
-        ("scheduler", "blocked", "idle", "memory_manager", "channel_busy"), 0
+        ("scheduler", "blocked", "idle", "memory_manager", "channel_busy",
+         "refused", "first_tries", "early_retries", "retried_for_nothing"), 0
     )
     scheduler_tick, manager_tick = Scheduler.tick, MemoryManager.tick
+    offer = MemoryManager.offer_event
+    schedulers = {}  # memory manager -> its scheduler
+    pops = {}  # memory manager -> events popped off its input so far
+    refused_at = {}  # id(event) -> its manager's pops when it was refused
 
     def counted_scheduler_tick(scheduler):
+        schedulers[scheduler.memory_manager] = scheduler
         before = _scheduler_footprint(scheduler)
+        first = counts["first_tries"]
         scheduler_tick(scheduler)
         counts["scheduler"] += 1
-        if _scheduler_footprint(scheduler) == before:
+        after = _scheduler_footprint(scheduler)
+        if after[:5] + after[6:] == before[:5] + before[6:]:
+            # Nothing moved but LUT reads: it must at least have tried a
+            # head for the first time since its input last popped.
+            counts["retried_for_nothing"] += counts["first_tries"] == first
+        if after == before:
             # The two blocked kinds wait on another block with the work
             # still queued here: a route refused by a full input, a
             # swap-in deferred while no victim can be evicted.
@@ -266,10 +280,32 @@ def test_spill_blocks_are_called_when_they_have_something_to_do(monkeypatch):
         counts["memory_manager"] += 1
         if manager.dram.busy_until_ps > manager.time_ps_fn():
             counts["channel_busy"] += 1
+        queued = len(manager.input)
         manager_tick(manager)
+        pops[manager] = pops.get(manager, 0) + queued - len(manager.input)
+
+    def checked_offer(manager, event):
+        head = any(
+            fifo._items and fifo._items[0] is event
+            for fifo in schedulers[manager].coalesce_fifos
+        )
+        popped = pops.get(manager, 0)
+        if head:
+            if refused_at.get(id(event)) == popped:
+                counts["early_retries"] += 1  # in a tick that had other work
+            else:
+                counts["first_tries"] += 1
+        accepted = offer(manager, event)
+        if accepted:
+            refused_at.pop(id(event), None)
+        elif head:
+            counts["refused"] += 1
+            refused_at[id(event)] = popped
+        return accepted
 
     monkeypatch.setattr(Scheduler, "tick", counted_scheduler_tick)
     monkeypatch.setattr(MemoryManager, "tick", counted_manager_tick)
+    monkeypatch.setattr(MemoryManager, "offer_event", checked_offer)
     horizon, _ = _run_spill()
     monkeypatch.undo()
 
@@ -279,11 +315,13 @@ def test_spill_blocks_are_called_when_they_have_something_to_do(monkeypatch):
     )
     assert migrations > 0 and counts["memory_manager"] > 0
     assert counts["idle"] == 0, counts
+    assert counts["blocked"] == 0, counts
+    assert counts["refused"] > 0 and counts["retried_for_nothing"] == 0, counts
     assert counts["channel_busy"] == 0, counts
     # A migration costs a handful of ticks of each block, not one per
     # cycle it is in flight.
     assert counts["scheduler"] / migrations < 8, counts
     assert counts["memory_manager"] / migrations < 8, counts
     # (This shape sits out a 1 s SYN retransmission — 250 M cycles, out
-    # of the per-cycle oracle's reach; the spilling run held against the
-    # oracle is test_kernel_equivalence.py's.)
+    # of the per-cycle oracle's reach; the spilling runs held against the
+    # scheduler ticked on every cycle are test_kernel_equivalence.py's.)
