@@ -9,7 +9,6 @@ Subcommands::
     python -m repro lab run ...       # parallel, resumable sweeps
     python -m repro obs summary ...   # inspect exported traces
     python -m repro check all         # static analyzer + race sanitizer
-    python -m repro mem sweep ...     # TCB cache-geometry/sketch sweeps
     python -m repro fabric sweep ...  # backend head-to-head over a fabric
     python -m repro shard run ...     # sharded multi-process simulation
 """
@@ -385,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     import repro
     from repro.check.cli import add_check_parser
     from repro.fabric.cli import add_fabric_parser
-    from repro.mem.cli import add_mem_parser
     from repro.obs.cli import add_obs_parser
     from repro.shard.cli import add_shard_parser
 
@@ -417,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_check_parser(subparsers)
     add_fabric_parser(subparsers)
     add_shard_parser(subparsers)
-    add_mem_parser(subparsers)
     return parser
 
 

@@ -44,8 +44,6 @@ def _race(args: argparse.Namespace, max_findings: int = DEFAULT_MAX_FINDINGS) ->
         seed=args.seed,
         load_scale=args.load_scale,
         max_findings=max_findings,
-        policy=args.policy,
-        geometry=args.geometry,
     )
     print(san.report())
     finished = getattr(result, "finished", True)
@@ -121,16 +119,6 @@ def _add_race_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--load-scale", type=positive, default=1.0,
         help="multiply every open-loop arrival rate",
-    )
-    parser.add_argument(
-        "--policy", choices=["reactive", "predictive"], default=None,
-        help="repro.mem placement policy (default: the engine default, "
-             "reactive)",
-    )
-    parser.add_argument(
-        "--geometry", default=None, metavar="SPEC",
-        help="repro.mem TCB cache geometry, e.g. 128x4:lru/1024x1:direct "
-             "(default: the paper's direct-mapped cache)",
     )
 
 

@@ -28,7 +28,7 @@ trace bus uses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..engine.event_handler import valid_bit_names
 from .findings import RaceFinding
@@ -67,10 +67,10 @@ class RaceSanitizer:
         self._location: Dict[Tuple[str, int], str] = {}
         #: (label, flow) -> cycle the evict flag was set (migration window).
         self._evict_pending: Dict[Tuple[str, int], int] = {}
-        #: (label, flow) -> cache level; shadow of the TCB cache
-        #: hierarchy (repro.mem) — a cache line is only legal while the
+        #: (label, flow) of every cached TCB line: shadow of the TCB
+        #: cache (repro.mem) — a cache line is only legal while the
         #: flow's authoritative copy is DRAM-resident.
-        self._cached: Dict[Tuple[str, int], int] = {}
+        self._cached: Set[Tuple[str, int]] = set()
 
     def scoped(self, label: str) -> "RaceSanitizer":
         """A view of this sanitizer with every key namespaced by ``label``.
@@ -260,11 +260,11 @@ class RaceSanitizer:
             # state to the next DRAM access.
             self._emit(
                 "ghost-cache-line", cycle, flow_id,
-                f"{self.label}tcb-cache", self._cached[key], WRITER_MEMMGR,
+                f"{self.label}tcb-cache", -1, WRITER_MEMMGR,
                 "cache line still present when the flow's TCB left DRAM; "
                 "the line must be invalidated before swap-in",
             )
-            del self._cached[key]
+            self._cached.discard(key)
         self._location[key] = "moving"
 
     def on_dram_write(self, cycle: int, flow_id: int, valid: int) -> None:
@@ -290,13 +290,12 @@ class RaceSanitizer:
             )
 
     # ------------------------------------------------------ TCB-cache hooks
-    def on_cache_fill(self, cycle: int, flow_id: int, level: int) -> None:
-        """A line for ``flow_id`` was (re)filled at ``level``.
+    def on_cache_fill(self, cycle: int, flow_id: int) -> None:
+        """A miss filled a line for ``flow_id``.
 
-        Covers both miss fills and demotion/promotion moves through the
-        repro.mem hierarchy; the flow must be DRAM-resident (a cache in
-        front of DRAM cannot cache what DRAM does not hold), and the
-        exclusive hierarchy holds at most one copy.
+        The flow must be DRAM-resident (a cache in front of DRAM cannot
+        cache what DRAM does not hold), and the direct-mapped cache
+        holds at most one line per flow.
         """
         self._counts["writes"] += 1
         key = self._flow_key(flow_id)
@@ -306,24 +305,21 @@ class RaceSanitizer:
         elif where != "dram":
             self._emit(
                 "ghost-cache-line", cycle, flow_id,
-                f"{self.label}tcb-cache", level, WRITER_MEMMGR,
+                f"{self.label}tcb-cache", -1, WRITER_MEMMGR,
                 f"cache line filled while the flow's live copy is in "
                 f"{where}; the line would shadow a TCB DRAM does not own",
             )
-        previous = self._cached.get(key)
-        if previous is not None and previous == level:
+        if key in self._cached:
             self._emit(
                 "dup-cache-line", cycle, flow_id,
-                f"{self.label}tcb-cache", level, WRITER_MEMMGR,
-                "line filled at a level that already holds this flow; "
-                "the exclusive hierarchy allows exactly one copy",
+                f"{self.label}tcb-cache", -1, WRITER_MEMMGR,
+                "line filled for a flow the cache already holds; a "
+                "cached flow's access is a hit",
             )
-        self._cached[key] = level
+        self._cached.add(key)
 
-    def on_cache_evict(
-        self, cycle: int, flow_id: int, writeback: bool = False
-    ) -> None:
-        """A line left the hierarchy entirely (last-level eviction)."""
+    def on_cache_evict(self, cycle: int, flow_id: int) -> None:
+        """A miss wrote a displaced line back to DRAM."""
         self._counts["writes"] += 1
         key = self._flow_key(flow_id)
         if key not in self._cached:
@@ -333,11 +329,11 @@ class RaceSanitizer:
                 "write-back of a line the shadow state never saw filled",
             )
             return
-        del self._cached[key]
+        self._cached.remove(key)
 
     def on_cache_invalidate(self, flow_id: int) -> None:
         """The manager dropped a flow's line (take/teardown path)."""
-        self._cached.pop(self._flow_key(flow_id), None)
+        self._cached.discard(self._flow_key(flow_id))
 
     # ----------------------------------------------------- scheduler hooks
     def on_migration_start(
@@ -350,7 +346,7 @@ class RaceSanitizer:
         """Flow deregistered; forget everything about it."""
         self._location.pop(self._flow_key(flow_id), None)
         self._evict_pending.pop(self._flow_key(flow_id), None)
-        self._cached.pop(self._flow_key(flow_id), None)
+        self._cached.discard(self._flow_key(flow_id))
 
 
 def attach_sanitizer(target: object, san: Optional[RaceSanitizer]) -> None:
@@ -385,36 +381,19 @@ def run_race_check(
     seed: Optional[int] = None,
     load_scale: float = 1.0,
     max_findings: int = DEFAULT_MAX_FINDINGS,
-    policy: Optional[str] = None,
-    geometry: Optional[str] = None,
 ) -> Tuple[RaceSanitizer, object]:
     """Run a traffic scenario with the sanitizer attached end to end.
 
     The churn preset exercises the interesting surface — per-request
     connection churn forces evictions and swap-ins through the Fig 6
-    migration protocol while both writers stay busy.  ``policy`` and
-    ``geometry`` select the repro.mem placement policy and TCB cache
-    geometry (None = the paper-faithful defaults), so the new eviction
-    and promotion paths run under the same shadow-state checks.
-    Returns the sanitizer and the traffic result.
+    migration protocol while both writers stay busy.  Returns the
+    sanitizer and the traffic result.
     """
-    from ..engine.ftengine import FtEngineConfig
     from ..engine.testbed import Testbed
     from ..traffic import LoadEngine, get_scenario
 
     scenario = get_scenario(scenario_name, seed=seed)
-    if policy is None and geometry is None:
-        testbed = Testbed(wire=scenario.build_wire())
-    else:
-        def config() -> FtEngineConfig:
-            return FtEngineConfig(
-                placement_policy=policy or "reactive",
-                cache_geometry=geometry,
-            )
-
-        testbed = Testbed(
-            config_a=config(), config_b=config(), wire=scenario.build_wire()
-        )
+    testbed = Testbed(wire=scenario.build_wire())
     san = RaceSanitizer(max_findings=max_findings)
     attach_sanitizer(testbed, san)
     engine = LoadEngine(scenario, testbed=testbed, load_scale=load_scale)

@@ -518,8 +518,8 @@ class ProcessIdentityRule(LintRule):
                 yield self.finding(
                     ctx, node,
                     "builtin hash() is salted per process "
-                    "(PYTHONHASHSEED); use a seeded mix such as "
-                    "repro.mem.sketch.mix64 or an explicit key encoding",
+                    "(PYTHONHASHSEED); use an explicit key encoding or "
+                    "a seeded hash such as repro.tcp.cuckoo's FNV-1a",
                 )
             elif isinstance(func, ast.Attribute) and func.attr == "__hash__":
                 yield self.finding(

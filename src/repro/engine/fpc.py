@@ -142,10 +142,6 @@ class FlowProcessingCore(Component):
     def flow_count(self) -> int:
         return len(self._admitted)  # one entry per CAM entry
 
-    @property
-    def has_room(self) -> bool:
-        return len(self._admitted) < self.slots
-
     def resident_flows(self) -> List[int]:
         return self.cam.keys()
 
@@ -216,30 +212,14 @@ class FlowProcessingCore(Component):
         self._evict_requested.discard(flow_id)
         return slot
 
-    def coldest_flow(self, key=None) -> Optional[int]:
+    def coldest_flow(self) -> Optional[int]:
         """Least-recently-active resident flow eligible for eviction.
 
         The head of the coldest-first order, passing over flows in the
         FPU pipe (at most its depth): the first such ``_lru`` member or
-        the ``_cold`` heap's top, whichever ranks first.  ``key(flow_id,
-        tcb) -> sortable`` overrides the ``last_active`` recency ranking
-        — the predictive placement policy passes a sketch-coldness key
-        so heavy hitters are evicted last — and is a scan over the
-        evictable flows, since such a key moves with every event.
+        the ``_cold`` heap's top, whichever ranks first.
         """
         rank, in_flight = self._rank, self._in_flight
-        if key is not None:
-            best_id: Optional[int] = None
-            best_rank = None
-            for flow_id in self.cam.keys():
-                if flow_id not in rank or flow_id in in_flight:
-                    continue
-                tcb = self.tcb_table.read(self.cam.lookup(flow_id))
-                ranked = key(flow_id, tcb)
-                if best_rank is None or ranked < best_rank:
-                    best_rank = ranked
-                    best_id = flow_id
-            return best_id
         best = None
         for flow_id in self._lru:
             if flow_id not in in_flight:

@@ -27,9 +27,6 @@ from ..net.ethernet import (
     EthernetFrame,
     make_mac,
 )
-from ..mem.advisor import POLICY_PREDICTIVE, FlowHeat
-from ..mem.hierarchy import CacheGeometry
-from ..mem.sketch import make_sketch
 from ..net.wire import WirePort
 from ..sim.component import NEVER, Component
 from ..sim.stats import Counters
@@ -89,17 +86,6 @@ class FtEngineConfig:
     send_buffer: ClassVar[int] = DEFAULT_BUFFER_BYTES
     recv_buffer: ClassVar[int] = DEFAULT_BUFFER_BYTES
     tcb_cache_entries: ClassVar[int] = 512
-    #: repro.mem TCB cache geometry spec (e.g. "128x4:lru/1024x1:direct");
-    #: None = one direct-mapped level of ``tcb_cache_entries`` sets, the
-    #: paper-faithful default the pinned fingerprints assume.
-    cache_geometry: Optional[str] = None
-    #: 'reactive' (paper: migrate on observed congestion) or
-    #: 'predictive' (sketch-driven heavy-hitter placement).
-    placement_policy: str = "reactive"
-    #: Frequency sketch kind/width backing freq eviction and the
-    #: predictive policy ('countmin' | 'spacesaving' | 'exact').
-    sketch: ClassVar[str] = "countmin"
-    sketch_width: ClassVar[int] = 1024
 
     @property
     def sram_flow_capacity(self) -> int:
@@ -150,38 +136,9 @@ class FtEngine(Component):
         dram = DRAMModel.hbm() if self.config.memory == "hbm" else DRAMModel.ddr4()
         self.dram = dram
 
-        # repro.mem wiring: one shared sketch backs both the cache's
-        # freq eviction and the scheduler's FlowHeat advisor.  In the
-        # default config (reactive policy, direct geometry) nothing is
-        # built and the hot path is exactly the paper's.
-        geometry = (
-            None
-            if self.config.cache_geometry is None
-            else CacheGeometry.parse(self.config.cache_geometry)
-        )
-        predictive = self.config.placement_policy == POLICY_PREDICTIVE
-        needs_sketch = predictive or (geometry is not None and geometry.uses_sketch)
-        sketch = (
-            make_sketch(self.config.sketch, width=self.config.sketch_width)
-            if needs_sketch
-            else None
-        )
-        # The advisor's time source, one call deep: :attr:`time_ps`.
-        def time_ps() -> int:
-            return self.cycle * ENGINE_PERIOD_PS
-
-        self.flow_heat = FlowHeat(sketch) if predictive else None
-        if self.flow_heat is not None:
-            self.flow_heat.time_ps_fn = time_ps
-
         self.memory_manager = MemoryManager(
             dram,
             cache_entries=self.config.tcb_cache_entries,
-            geometry=geometry,
-            sketch=sketch,
-            # The advisor records every submitted event; the cache must
-            # not feed the same sketch again on each access.
-            sketch_own_updates=self.flow_heat is None,
             clock=self,
         )
         self.fpcs = [
@@ -204,8 +161,6 @@ class FtEngine(Component):
             self.fpcs,
             self.memory_manager,
             coalescing=self.config.coalescing,
-            flow_heat=self.flow_heat,
-            placement_policy=self.config.placement_policy,
             clock=self,
         )
         self.timers = TimerWheel()
@@ -850,7 +805,6 @@ class FtEngine(Component):
                 "swap_ins": self.scheduler.swap_ins,
                 "pending_retries": self.scheduler.pending_retries,
                 "congestion_migrations": self.scheduler.congestion_migrations,
-                "migrations_declined_hot": self.scheduler.migrations_declined_hot,
             },
             "fpcs": {
                 fpc.name: {
@@ -867,14 +821,8 @@ class FtEngine(Component):
                 "cache_misses": self.memory_manager.cache_misses,
                 "dram_bytes": self.dram.bytes_transferred,
             },
-            "tcb_cache": {
-                "geometry": self.memory_manager.cache.geometry.render(),
-                **self.memory_manager.cache.stats(),
-            },
+            "tcb_cache": self.memory_manager.cache.stats(),
             "flow_table": self.rx_parser.flow_table.metrics(),
-            "flow_heat": (
-                self.flow_heat.stats() if self.flow_heat is not None else {}
-            ),
             "rx_parser": {
                 "packets_parsed": self.rx_parser.packets_parsed,
                 "out_of_order": self.rx_parser.out_of_order_packets,

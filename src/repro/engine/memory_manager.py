@@ -6,21 +6,16 @@ into the flow's event entry exactly like the FPC's event handler would —
 but never processed; when the check logic determines the flow could now
 send a packet, it signals the scheduler to swap the TCB into an FPC.
 
-A TCB cache in front of the DRAM absorbs accesses to hot flows; misses
-pay the DRAM channel occupancy that throttles Fig 13's DRAM curve past
-1024 flows.  The cache is a :class:`repro.mem.TcbCacheHierarchy`: the
-default geometry (one direct-mapped level of ``cache_entries`` sets) is
-the paper's scheme and reproduces the pre-hierarchy pinned trace
-fingerprints bit for bit; non-default geometries (multi-level,
-set-associative, sketch-driven eviction) are the ``repro.mem``
-million-flow upgrade path.
+A direct-mapped TCB cache (:class:`repro.mem.TcbCacheHierarchy`) in
+front of the DRAM absorbs accesses to hot flows; misses pay the DRAM
+channel occupancy that throttles Fig 13's DRAM curve past 1024 flows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..mem.hierarchy import CacheGeometry, TcbCacheHierarchy
+from ..mem.hierarchy import TcbCacheHierarchy
 from ..sim.component import NEVER, Component, OwnersCycle
 from ..sim.fifo import Fifo
 from ..sim.memory import DRAMModel
@@ -86,9 +81,6 @@ class MemoryManager(Component):
         dram: DRAMModel,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
         time_ps_fn: Optional[Callable[[], int]] = None,
-        geometry: Optional[Union[str, CacheGeometry]] = None,
-        sketch=None,
-        sketch_own_updates: bool = True,
         clock=None,
     ) -> None:
         super().__init__("memory-manager", clock)
@@ -97,17 +89,7 @@ class MemoryManager(Component):
         # Fall back to the 250 MHz cycle clock when no time source is
         # wired in.
         self.time_ps_fn = time_ps_fn or (lambda: self.clock.cycle * CYCLE_PS)
-
-        if geometry is None:
-            geometry = CacheGeometry.direct_mapped(cache_entries)
-        elif isinstance(geometry, str):
-            geometry = CacheGeometry.parse(geometry)
-        #: The TCB cache model.  ``sketch_own_updates=False`` when a
-        #: scheduler-side FlowHeat advisor already feeds the shared
-        #: sketch (avoids double-counting each event).
-        self.cache = TcbCacheHierarchy(
-            geometry, sketch=sketch, own_updates=sketch_own_updates
-        )
+        self.cache = TcbCacheHierarchy(cache_entries)
 
         #: Functional home of DRAM-resident state: flow -> (TCB, events);
         #: the events entry is None until the first event for the flow
@@ -133,8 +115,6 @@ class MemoryManager(Component):
         self.next_action = NEVER
 
         self.events_handled = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
 
         #: Observability (repro.obs): a TraceBus, or None (free default).
         self.trace = None
@@ -150,6 +130,14 @@ class MemoryManager(Component):
     def flow_count(self) -> int:
         return len(self._resident)
 
+    @property
+    def cache_hits(self) -> int:
+        return self.cache.hits
+
+    @property
+    def cache_misses(self) -> int:
+        return self.cache.misses
+
     def store(self, tcb: Tcb, entry: Optional[EventEntry] = None) -> None:
         """Accept an evicted TCB from an FPC (swap-out completes here)."""
         if self.trace is not None:
@@ -163,7 +151,7 @@ class MemoryManager(Component):
         self._resident[tcb.flow_id] = (tcb, entry)
         if self.san is not None:
             self.san.on_dram_store(self.cycle, tcb.flow_id)
-        self._touch_cache(tcb.flow_id, write=True)
+        self._touch_cache(tcb.flow_id)
         self._swap_in_pending.discard(tcb.flow_id)
         if self.next_action != NEVER:
             self._rearm(self.next_action)  # the write may hold the channel
@@ -177,7 +165,12 @@ class MemoryManager(Component):
                 self.time_ps_fn(), "engine.mem", self.trace_name,
                 "take", flow_id,
             )
-        self._charge_dram(read=True, flow_id=flow_id, evicting=True)
+        if flow_id in self.cache:
+            self.cache.invalidate(flow_id)
+            if self.san is not None:
+                self.san.on_cache_invalidate(flow_id)
+        else:
+            self.dram.transfer(TCB_SIZE_BYTES, self.time_ps_fn())  # DRAM read
         if self.san is not None:
             self.san.on_dram_take(self.cycle, flow_id)
         self._swap_in_pending.discard(flow_id)
@@ -191,68 +184,34 @@ class MemoryManager(Component):
         return None if pair is None else pair[0]
 
     # -------------------------------------------------------------- cache
-    def _touch_cache(self, flow_id: int, write: bool = False) -> bool:
-        """Access the TCB through the cache; returns True on a hit.
+    def _touch_cache(self, flow_id: int) -> None:
+        """Access the TCB through the cache.
 
-        A miss charges the DRAM channel for a TCB read (plus the dirty
-        write-back of each line the fill cascade pushed out); a hit is
-        free — that is the whole point of the cache (§4.3.1).  In the
-        default direct-mapped geometry the emitted hit/miss/writeback
-        sequence and DRAM charge order are identical to the original
-        hardcoded cache (the pinned fingerprints are the oracle).
+        A miss charges the DRAM channel for a TCB read, after the dirty
+        write-back of the line it displaced; a hit is free — that is the
+        whole point of the cache (§4.3.1).
         """
-        outcome = self.cache.access(flow_id)
-        if outcome.hit:
-            self.cache_hits += 1
+        hit, victim = self.cache.access(flow_id)
+        if hit:
             if self.trace is not None:
                 self.trace.emit(
                     self.time_ps_fn(), "engine.mem", self.trace_name,
                     "hit", flow_id,
                 )
-            if outcome.promoted_from is not None and self.trace is not None:
-                self.trace.emit(
-                    self.time_ps_fn(), "engine.mem", self.trace_name,
-                    "promote", flow_id, f"l{outcome.promoted_from}",
-                )
-        else:
-            self.cache_misses += 1
-            now_ps = self.time_ps_fn()
-            if self.trace is not None:
-                self.trace.emit(
-                    now_ps, "engine.mem", self.trace_name, "miss", flow_id,
-                    "clean" if not outcome.writebacks
-                    else f"writeback={outcome.writebacks[0]}",
-                )
-        self._apply_outcome(flow_id, outcome)
-        return outcome.hit
-
-    def _apply_outcome(self, flow_id: int, outcome) -> None:
-        """Charge DRAM and drive trace/sanitizer from one cache access."""
+            return
         now_ps = self.time_ps_fn()
-        for victim in outcome.writebacks:
+        if self.trace is not None:
+            self.trace.emit(
+                now_ps, "engine.mem", self.trace_name, "miss", flow_id,
+                "clean" if victim is None else f"writeback={victim}",
+            )
+        if victim is not None:
             self.dram.transfer(TCB_SIZE_BYTES, now_ps)  # dirty write-back
             if self.san is not None:
-                self.san.on_cache_evict(self.cycle, victim, writeback=True)
-        if not outcome.hit:
-            self.dram.transfer(TCB_SIZE_BYTES, now_ps)  # line fill
-        for level, filled in outcome.fills:
-            if level > 0 and filled != flow_id and self.trace is not None:
-                self.trace.emit(
-                    now_ps, "engine.mem", self.trace_name,
-                    "demote", filled, f"l{level}",
-                )
-            if self.san is not None:
-                self.san.on_cache_fill(self.cycle, filled, level)
-
-    def _charge_dram(self, read: bool, flow_id: int, evicting: bool = False) -> None:
-        now_ps = self.time_ps_fn()
-        if self.cache.contains(flow_id):
-            if evicting:
-                self.cache.invalidate(flow_id)
-                if self.san is not None:
-                    self.san.on_cache_invalidate(flow_id)
-            return
-        self.dram.transfer(TCB_SIZE_BYTES, now_ps)
+                self.san.on_cache_evict(self.cycle, victim)
+        self.dram.transfer(TCB_SIZE_BYTES, now_ps)  # line fill
+        if self.san is not None:
+            self.san.on_cache_fill(self.cycle, flow_id)
 
     # -------------------------------------------------------------- input
     def offer_event(self, event: TcpEvent) -> bool:

@@ -24,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..mem.advisor import POLICY_PREDICTIVE, resolve_policy
 from ..sim.component import NEVER, Component, OwnersCycle
 from ..sim.fifo import Fifo
 from ..sim.memory import PartitionedLUT
@@ -74,18 +73,12 @@ class Scheduler(Component):
         fpcs: List[FlowProcessingCore],
         memory_manager: MemoryManager,
         coalescing: bool = True,
-        flow_heat=None,
-        placement_policy: Optional[str] = None,
         clock=None,
     ) -> None:
         super().__init__("scheduler", clock)
         self.fpcs = fpcs
         self.memory_manager = memory_manager
         self.coalescing = coalescing
-        #: repro.mem FlowHeat advisor, or None (the paper's reactive
-        #: placement; the default keeps the hot path advisor-free).
-        self.flow_heat = flow_heat
-        self.placement_policy = resolve_policy(placement_policy)
         self.lut = PartitionedLUT(COALESCE_FIFOS)
         #: Per FPC, its two location-LUT values (shared, like _IN_DRAM).
         self._in_fpc = [(Location.FPC, fpc.fpc_id) for fpc in fpcs]
@@ -129,7 +122,6 @@ class Scheduler(Component):
         self.events_coalesced = 0
         self.events_routed = 0
         self.congestion_migrations = 0
-        self.migrations_declined_hot = 0
         self.evictions = 0
         self.swap_ins = 0
         self.pending_retries = 0
@@ -158,7 +150,8 @@ class Scheduler(Component):
         where = self.lut.get(flow_id)
         if where is None:
             return
-        self._wake_held()  # a slot may free, a held head may drop
+        if self._refused or self._victim_wait is not None:
+            self._wake()  # a slot may free, a held head may drop
         location, fpc_id = where
         if location is Location.FPC:
             slot = self.fpcs[fpc_id].release(flow_id)
@@ -177,21 +170,6 @@ class Scheduler(Component):
     def _fpc_with_lowest_count(
         self, require_room: bool = False
     ) -> Optional[FlowProcessingCore]:
-        if self.placement_policy == POLICY_PREDICTIVE and self.flow_heat is not None:
-            # Predictive placement ranks FPCs by predicted event mass,
-            # not resident-flow count: an FPC hosting one heavy hitter
-            # is *fuller* than one hosting three mice, so migrations
-            # and swap-ins land on genuinely idle cores instead of
-            # ping-ponging through the hot one.
-            heat = self.flow_heat
-            return min(
-                (f for f in self.fpcs if not require_room or f.has_room),
-                key=lambda f: (
-                    sum(heat.estimate(fid) for fid in f.cam.keys()),
-                    f.flow_count,
-                ),
-                default=None,
-            )
         # One pass, first minimum wins (what ``min`` over the list did).
         best: Optional[FlowProcessingCore] = None
         lowest = 0
@@ -222,13 +200,9 @@ class Scheduler(Component):
                     break
         if not coalesced and not fifo.push(event):
             # Refused: the caller offers the same event again, so
-            # nothing — the heat advisor least of all — may count it yet.
+            # nothing may count it yet.
             return False
         self.events_submitted += 1
-        if self.flow_heat is not None:
-            self.flow_heat.record(event.flow_id)
-            # The heat ranks FPCs, and with them held work's options.
-            self._wake_held()
         if coalesced:
             self.events_coalesced += 1
             if self.trace is not None:
@@ -253,12 +227,6 @@ class Scheduler(Component):
         due = self.clock.cycle
         if due < self.next_action:
             self.next_action = due
-
-    def _wake_held(self) -> None:
-        """Something held work may wait on moved: wake for it, if any
-        (a tick with no work at all would find nothing to do)."""
-        if self._refused or self._victim_wait is not None:
-            self._wake()
 
     def _on_evicted(self) -> None:
         """An FPC queued an evicted TCB: collect it on the next tick."""
@@ -353,16 +321,6 @@ class Scheduler(Component):
                 # FPC (§4.4.2, Table 2) and hold the event meanwhile —
                 # but only when some FPC actually has headroom.  When
                 # every FPC is saturated, migrating just thrashes.
-                if (
-                    self.placement_policy == POLICY_PREDICTIVE
-                    and self.flow_heat is not None
-                    and self.flow_heat.is_hot(event.flow_id)
-                ):
-                    # Predicted heavy hitter: moving it thrashes its CAM
-                    # state and usually re-congests the target — keep it
-                    # where it is and let the backlog drain.
-                    self.migrations_declined_hot += 1
-                    return None if fpc.offer_event(event) else fpc
                 target = self._fpc_with_lowest_count(require_room=True)
                 if (
                     target is not None
@@ -419,16 +377,9 @@ class Scheduler(Component):
             )
 
     def _victim(self, fpc: FlowProcessingCore) -> Optional[int]:
-        """The flow to evict from ``fpc``: its coldest (by the advisor's
-        key under predictive placement), or None while every flow there
-        is in flight or already leaving."""
-        if self.flow_heat is not None:
-            heat = self.flow_heat
-            victim = fpc.coldest_flow(
-                key=lambda fid, tcb: heat.coldness_key(fid, tcb.last_active)
-            )
-        else:
-            victim = fpc.coldest_flow()
+        """The flow to evict from ``fpc``: its coldest, or None while
+        every flow there is in flight or already leaving."""
+        victim = fpc.coldest_flow()
         return None if victim in self._migrations else victim
 
     def _start_eviction(

@@ -5,8 +5,8 @@ driver is a dotted path into :mod:`repro.lab.drivers`.  These are the
 single source of truth for the sweep points: the CLI (``python -m repro
 lab run <name>``) executes them through the store/worker machinery, and
 ``benchmarks/test_ablation_*.py`` iterate the very same points
-in-process — so a point added here shows up in both.  The three sweep
-verbs (``traffic sweep``, ``fabric sweep``, ``mem sweep``) call their
+in-process — so a point added here shows up in both.  The two sweep
+verbs (``traffic sweep``, ``fabric sweep``) call their
 factory with the verb's flags as keywords and run the grid in-process;
 the keyword defaults *are* the registered grid, so verb and ``lab run``
 hash to the same run ids.
@@ -261,35 +261,4 @@ def ablation_matrix_grid(quick: bool = False) -> ExperimentGrid:
         },
         base={"cycles": 3_000 if quick else 10_000},
         description="FPC count x coalescing x workload, 12 points",
-    )
-
-
-@register_grid("mem-geometry")
-def mem_geometry_grid(quick: bool = False, seed: int = 1234) -> ExperimentGrid:
-    """TCB cache geometry x sketch width x churn (repro.mem).
-
-    The replay-level ablation behind the ROADMAP's million-flow memory
-    question: which cache organisation (and how much sketch state)
-    beats the paper's direct-mapped cache once connections churn.
-    ``mem sweep`` runs this grid.  Every non-direct geometry keeps the
-    baseline's 512-line capacity, so the comparison isolates
-    organisation, not size.
-    """
-    return ExperimentGrid(
-        name="mem-geometry",
-        driver="repro.mem.sweep:run_mem_point",
-        domains={
-            "churn": [0.2, 0.6],
-            "sketch_width": [256, 1024],
-            "geometry": [
-                "512x1:direct",
-                "128x4:lru",
-                "128x4:slru",
-                "128x4:freq",
-                "64x4:lru/256x1:direct",
-            ],
-        },
-        base={"events": 4_000 if quick else 20_000},
-        seeds=[seed],
-        description="cache organisation vs DRAM charges under churn",
     )

@@ -57,10 +57,6 @@ def attach_engine(
     manager = engine.memory_manager
     manager.trace = _if_enabled(bus, "engine.mem")
     manager.trace_name = f"{label}/memmgr"
-    flow_heat = getattr(engine, "flow_heat", None)
-    if flow_heat is not None:
-        flow_heat.trace = _if_enabled(bus, "engine.mem")
-        flow_heat.trace_name = f"{label}/flowheat"
     for fpc in engine.fpcs:
         fpc.trace = _if_enabled(bus, "engine.fpc")
         fpc.trace_name = f"{label}/fpc{fpc.fpc_id}"

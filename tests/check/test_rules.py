@@ -259,7 +259,7 @@ class TestProcessIdentity:
         bad = "def f(key):\n    return hash(key)\n"
         findings = lint_in_layer(bad)
         assert ids(findings) == ["F4T009"]
-        assert "mix64" in findings[0].message
+        assert "FNV-1a" in findings[0].message
 
     def test_repr_into_bytes_flagged(self):
         bad = "def f(pkt):\n    return repr(pkt).encode()\n"

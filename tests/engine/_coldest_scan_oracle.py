@@ -10,20 +10,14 @@ holds it against on every call.
 from typing import Optional
 
 
-def coldest_flow_by_scan(fpc, key=None) -> Optional[int]:
-    """Least-recently-active resident flow eligible for eviction.
-
-    ``key(flow_id, tcb) -> sortable`` overrides the ``last_active``
-    recency ranking — the predictive placement policy passes a
-    sketch-coldness key so heavy hitters are evicted last.
-    """
+def coldest_flow_by_scan(fpc) -> Optional[int]:
+    """Least-recently-active resident flow eligible for eviction."""
     best_id: Optional[int] = None
     best_rank = None
     for flow_id in fpc.cam.keys():
         if flow_id in fpc._in_flight or flow_id in fpc._evict_requested:
             continue
-        tcb = fpc.tcb_table.read(fpc.cam.lookup(flow_id))
-        rank = tcb.last_active if key is None else key(flow_id, tcb)
+        rank = fpc.tcb_table.read(fpc.cam.lookup(flow_id)).last_active
         if best_rank is None or rank < best_rank:
             best_rank = rank
             best_id = flow_id

@@ -41,7 +41,7 @@ def test_every_pick_equals_the_scan(ops, latency):
     for op, pick, when in ops:
         resident = fpc.resident_flows()
         flow = resident[pick % len(resident)] if resident else None
-        if op == "accept" and fpc.has_room:
+        if op == "accept" and fpc.flow_count < fpc.slots:
             # Few distinct instants: ties in last_active are common, and
             # an accepted flow is often older than a written-back one.
             fpc.accept_tcb(make_tcb(next_id, last_active=when * 1000))
@@ -79,10 +79,10 @@ def _checked(monkeypatch):
     counts = {"calls": 0, "mismatches": 0}
     picked = FlowProcessingCore.coldest_flow
 
-    def checked(fpc, key=None):
-        flow = picked(fpc, key)
+    def checked(fpc):
+        flow = picked(fpc)
         counts["calls"] += 1
-        counts["mismatches"] += flow != coldest_flow_by_scan(fpc, key)
+        counts["mismatches"] += flow != coldest_flow_by_scan(fpc)
         return flow
 
     monkeypatch.setattr(FlowProcessingCore, "coldest_flow", checked)
@@ -94,10 +94,8 @@ def _checked(monkeypatch):
     [
         (64, 3, FtEngineConfig(num_fpcs=2, fpc_slots=8)),
         (256, 2, FtEngineConfig(num_fpcs=4, fpc_slots=16)),
-        (64, 3, FtEngineConfig(
-            num_fpcs=2, fpc_slots=8, placement_policy="predictive")),
     ],
-    ids=["golden-spill", "rr-spill", "predictive"],
+    ids=["golden-spill", "rr-spill"],
 )
 def test_the_spill_runs_pick_what_the_scan_picks(flows, rounds, config, monkeypatch):
     counts = _checked(monkeypatch)

@@ -36,7 +36,9 @@ class TestResidency:
     def test_has_room(self):
         fpc = make_fpc(slots=2)
         install_flows(fpc, 2)
-        assert not fpc.has_room
+        assert fpc.flow_count == fpc.slots
+        with pytest.raises(OverflowError):
+            fpc.accept_tcb(Tcb(flow_id=99))
 
     def test_resident_flows(self):
         fpc = make_fpc()
@@ -201,7 +203,7 @@ class TestEviction:
             fpc.tick()
             fpc.drain_results()
             fpc.drain_evicted()
-        assert fpc.has_room
+        assert fpc.flow_count < fpc.slots
         fpc.accept_tcb(Tcb(flow_id=77))
         assert fpc.peek_tcb(77) is not None
 
@@ -363,7 +365,7 @@ def _apply(fpc, op, flow_id, pending, sequence, parked, fresh):
         fpc.offer_event(user_send_event(flow_id % 3, sequence, 0))
     elif op == "evict":
         fpc.request_evict(flow_id % 3)
-    elif op == "accept" and fpc.has_room:
+    elif op == "accept" and fpc.flow_count < fpc.slots:
         tcb = parked.pop(0) if parked else make_tcb(
             flow_id=100 + next(fresh), state=TcpState.ESTABLISHED
         )

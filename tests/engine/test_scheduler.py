@@ -7,8 +7,6 @@ from repro.engine.events import EventKind, TcpEvent, user_send_event
 from repro.engine.fpc import FlowProcessingCore
 from repro.engine.memory_manager import MemoryManager
 from repro.engine.scheduler import Location, PENDING_RETRY_CYCLES, Scheduler
-from repro.mem.advisor import FlowHeat
-from repro.mem.sketch import make_sketch
 from repro.sim.component import NEVER
 from repro.sim.memory import DRAMModel
 from repro.tcp.state_machine import TcpState
@@ -173,12 +171,11 @@ class TestCoalescing:
         assert not all(results)
 
     @pytest.mark.parametrize("coalescing", [False, True])
-    def test_heat_counts_an_event_once_however_often_it_is_refused(self, coalescing):
+    def test_a_refused_event_is_counted_once(self, coalescing):
         """FtEngine offers a backpressured event again every tick
-        (``_drain_backlog``); the advisor must see it when it is taken
-        in — pushed or coalesced — and not once per attempt."""
+        (``_drain_backlog``); it counts when it is taken in — pushed or
+        coalesced — and not once per attempt."""
         scheduler, _, _ = make_system(coalescing=coalescing)
-        heat = scheduler.flow_heat = FlowHeat(make_sketch("exact"))
         scheduler.register_new_flow(Tcb(flow_id=0))
 
         def dup_ack():
@@ -186,18 +183,18 @@ class TestCoalescing:
 
         while scheduler.submit(dup_ack()):
             pass
-        assert heat.records == scheduler.events_submitted == 16
+        assert scheduler.events_submitted == 16
         blocked = dup_ack()
         for _ in range(5):
             assert not scheduler.submit(blocked)
-        assert heat.records == 16 and heat.estimate(0) == 16
+        assert scheduler.events_submitted == 16
         spin(scheduler, scheduler.fpcs, 2)  # two routed: room for two
         assert scheduler.submit(blocked)
-        assert heat.records == scheduler.events_submitted == 17
+        assert scheduler.events_submitted == 17
         assert scheduler.submit(user_send_event(0, 1, 0))
         assert scheduler.submit(user_send_event(0, 2, 0)) is coalescing
         assert scheduler.events_coalesced == int(coalescing)
-        assert heat.records == scheduler.events_submitted == 18 + coalescing
+        assert scheduler.events_submitted == 18 + coalescing
 
 
 class TestMigration:

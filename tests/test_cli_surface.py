@@ -25,7 +25,6 @@ GROUPS = {
     "check": "lint,race,lockstep,all",
     "fabric": "run,sweep,list",
     "shard": "run,sweep,list",
-    "mem": "stats,sweep",
 }
 
 
@@ -58,8 +57,8 @@ def test_surface_matches_the_parent_capture():
     with open(GOLDEN) as handle:
         golden = handle.read().splitlines()
     assert lines == golden
-    assert sum(1 for line in lines if not line.startswith(" ")) == 35
-    assert sum(1 for line in lines if line.startswith(" ")) == 98
+    assert sum(1 for line in lines if not line.startswith(" ")) == 32
+    assert sum(1 for line in lines if line.startswith(" ")) == 87
 
 
 @pytest.mark.parametrize("group", GROUPS)
