@@ -106,46 +106,35 @@ class FabricPacket:
 
 #: The reassembly state of every flow with no hole open (see ``ooo``).
 _NO_RUNS: Tuple[Tuple[int, int], ...] = ()
+#: The initial congestion window: one int every transfer starts on.
+_INIT_CWND = INIT_CWND_SEGMENTS * MSS
 
 
-class _SoftFlow:
-    """Per-connection state: both transmit and receive directions."""
+class _Transfer:
+    """What a connection has moved: both directions' sequence, window,
+    loss-recovery and FIN state (cumulative byte offsets from 0)."""
 
     __slots__ = (
-        "flow_id", "key", "slot", "state",
-        # transmit side (cumulative byte offsets from 0)
+        # transmit side
         "app_written", "flow_acked", "next_to_send",
         "cwnd", "ssthresh", "peer_window", "dup_acks", "recover_mark",
-        "ecn_hold_until_ps", "rto_deadline_ps", "rto_backoff",
-        "timer_armed_ps",
+        "ecn_hold_until_ps", "rto_backoff",
         "fin_queued", "fin_sent", "fin_acked",
         # receive side
-        "contiguous", "delivered", "ooo", "peer_fin_at", "ce_pending",
-        "eof_posted",
-        # handshake
-        "hs_deadline_ps",
+        "contiguous", "delivered", "ooo", "peer_fin_at", "eof_posted",
     )
 
-    def __init__(
-        self, flow_id: int, key: FlowKey, slot: int, state: TcpState,
-        init_cwnd: int,
-    ) -> None:
-        self.flow_id = flow_id
-        self.key = key  # a passive flow's src_port is its listen port
-        self.slot = slot
-        self.state = state
+    def __init__(self) -> None:
         self.app_written = 0
         self.flow_acked = 0
         self.next_to_send = 0
-        self.cwnd = init_cwnd
+        self.cwnd = _INIT_CWND
         self.ssthresh = SEND_BUFFER
         self.peer_window = RECV_BUFFER
         self.dup_acks = 0
         self.recover_mark = 0
         self.ecn_hold_until_ps = 0
-        self.rto_deadline_ps = 0          # 0 = timer off
         self.rto_backoff = 0
-        self.timer_armed_ps = 0           # earliest heap entry, 0 = none
         self.fin_queued = False
         self.fin_sent = False
         self.fin_acked = False
@@ -153,12 +142,61 @@ class _SoftFlow:
         self.delivered = 0
         #: Sorted disjoint (start, end) runs above ``contiguous``: the
         #: shared ``_NO_RUNS`` until a segment arrives out of order, a
-        #: list of this flow's own while a hole is open.
+        #: list of this transfer's own while a hole is open.
         self.ooo: Sequence[Tuple[int, int]] = _NO_RUNS
         self.peer_fin_at = -1
-        self.ce_pending = False
         self.eof_posted = False
+
+
+class _IdleTransfer(_Transfer):
+    """The one transfer every flow starts on, shared: defaults only.
+
+    Reading it is reading a fresh transfer; writing it raises, so a
+    write path that forgot to give its flow its own :class:`_Transfer`
+    fails at once instead of moving every idle flow at the same time.
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        fresh = _Transfer()
+        for name in _Transfer.__slots__:
+            object.__setattr__(self, name, getattr(fresh, name))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(
+            f"{name}: the shared idle transfer is read-only; the flow "
+            f"takes its own _Transfer before its first write"
+        )
+
+
+_IDLE = _IdleTransfer()
+
+
+class _SoftFlow:
+    """One connection: identity, state and timers, plus ``x``, what it
+    has moved — the shared :data:`_IDLE` until its first transfer.
+    Most held-open connections never move a byte, and pay only this."""
+
+    __slots__ = (
+        "flow_id", "key", "slot", "state",
+        "hs_deadline_ps", "rto_deadline_ps", "timer_armed_ps", "x",
+    )
+
+    def __init__(
+        self, flow_id: int, key: FlowKey, slot: int, state: TcpState,
+    ) -> None:
+        self.flow_id = flow_id
+        self.key = key  # a passive flow's src_port is its listen port
+        self.slot = slot
+        self.state = state
         self.hs_deadline_ps = 0
+        self.rto_deadline_ps = 0          # 0 = timer off
+        self.timer_armed_ps = 0           # earliest heap entry, 0 = none
+        #: Every write path starts ``x = flow.x; if x is _IDLE: x =
+        #: flow.x = _Transfer()``; paths that only write after one of
+        #: those (an RTO, a retransmission, ``recv_data``) go through ``x``.
+        self.x: _Transfer = _IDLE
 
 
 class SoftStack:
@@ -195,12 +233,9 @@ class SoftStack:
         self.msg_epoch = 0
         self._listening: Set[int] = set()
         self._accept_queues: Dict[int, Deque[int]] = {}
-        self._by_key: Dict[FlowKey, int] = {}
+        self._by_key: Dict[FlowKey, _SoftFlow] = {}
         self._next_flow_id = 0
         self._next_port = _EPHEMERAL_BASE
-        #: One int shared by every flow this stack opens, not one boxed
-        #: per flow.
-        self._init_cwnd = INIT_CWND_SEGMENTS * MSS
         self._free_slots: List[int] = []
         self._next_slot = 0
         # Counters surfaced into fabric results and obs samples.
@@ -243,8 +278,10 @@ class SoftStack:
             )
         return at
 
-    def _rwnd(self, flow: _SoftFlow) -> int:
-        used = flow.contiguous - flow.delivered
+    def _rwnd(self, x: _Transfer) -> int:
+        used = x.contiguous - x.delivered
+        if not used:
+            return RECV_BUFFER  # the module's one int, not a new one
         free = RECV_BUFFER - used
         return free if free > 0 else 0
 
@@ -300,12 +337,9 @@ class SoftStack:
         key = self._alloc_key(dst_ip, dst_port)
         flow_id = self._next_flow_id
         self._next_flow_id += 1
-        flow = _SoftFlow(
-            flow_id, key, self._alloc_slot(), TcpState.SYN_SENT,
-            self._init_cwnd,
-        )
+        flow = _SoftFlow(flow_id, key, self._alloc_slot(), TcpState.SYN_SENT)
         self.flows[flow_id] = flow
-        self._by_key[key] = flow_id
+        self._by_key[key] = flow
         at = self._send_segment(flow, FabricPacket("syn", key))
         flow.hs_deadline_ps = at + HANDSHAKE_RTO_PS
         self._arm(flow)
@@ -324,16 +358,19 @@ class SoftStack:
     def send_room(self, flow_id: int) -> int:
         """Bytes :meth:`send_data` would accept now."""
         flow = self.flows.get(flow_id)
-        if flow is None or flow.fin_queued:
+        if flow is None or flow.x.fin_queued:
             return 0
-        return SEND_BUFFER - (flow.app_written - flow.flow_acked)
+        return SEND_BUFFER - (flow.x.app_written - flow.x.flow_acked)
 
     def send_data(self, flow_id: int, data: bytes) -> int:
         accepted = min(len(data), self.send_room(flow_id))
         if accepted <= 0:
             return 0
         flow = self.flows[flow_id]
-        flow.app_written += accepted
+        x = flow.x
+        if x is _IDLE:
+            x = flow.x = _Transfer()
+        x.app_written += accepted
         if flow.state is TcpState.ESTABLISHED:
             self._pump_flow(flow)
         return accepted
@@ -342,23 +379,27 @@ class SoftStack:
         flow = self.flows.get(flow_id)
         if flow is None:
             return 0
-        return flow.contiguous - flow.delivered
+        return flow.x.contiguous - flow.x.delivered
 
     def recv_data(self, flow_id: int, nbytes: int) -> bytes:
         flow = self.flows.get(flow_id)
         if flow is None:
             return b""
-        take = min(nbytes, flow.contiguous - flow.delivered)
+        x = flow.x  # bytes to take means a data arrival gave it its own
+        take = min(nbytes, x.contiguous - x.delivered)
         if take <= 0:
             return b""
-        flow.delivered += take
+        x.delivered += take
         return bytes(take)
 
     def close_flow(self, flow_id: int) -> None:
         flow = self.flows.get(flow_id)
-        if flow is None or flow.fin_queued:
+        if flow is None or flow.x.fin_queued:
             return
-        flow.fin_queued = True
+        x = flow.x
+        if x is _IDLE:
+            x = flow.x = _Transfer()
+        x.fin_queued = True
         if flow.state is TcpState.ESTABLISHED:
             self._pump_flow(flow)
 
@@ -409,71 +450,73 @@ class SoftStack:
     # ------------------------------------------------------- the data path
     def _pump_flow(self, flow: _SoftFlow) -> None:
         """Send whatever the window allows; arm the retransmit timer."""
-        window = flow.cwnd if flow.cwnd < flow.peer_window else flow.peer_window
+        x = flow.x
+        window = x.cwnd if x.cwnd < x.peer_window else x.peer_window
         sent_any = False
         last_at = 0
-        while flow.next_to_send < flow.app_written:
-            flight = flow.next_to_send - flow.flow_acked
+        while x.next_to_send < x.app_written:
+            flight = x.next_to_send - x.flow_acked
             if flight >= window:
                 break
             chunk = min(
-                MSS, flow.app_written - flow.next_to_send,
+                MSS, x.app_written - x.next_to_send,
                 window - flight,
             )
             last_at = self._send_segment(
                 flow,
                 FabricPacket(
-                    "data", flow.key, offset=flow.next_to_send,
-                    payload_bytes=chunk, ack_to=flow.contiguous,
-                    window=self._rwnd(flow),
+                    "data", flow.key, offset=x.next_to_send,
+                    payload_bytes=chunk, ack_to=x.contiguous,
+                    window=self._rwnd(x),
                 ),
             )
-            flow.next_to_send += chunk
+            x.next_to_send += chunk
             sent_any = True
         if (
-            flow.fin_queued
-            and not flow.fin_sent
-            and flow.next_to_send == flow.app_written
+            x.fin_queued
+            and not x.fin_sent
+            and x.next_to_send == x.app_written
         ):
             last_at = self._send_segment(
-                flow, FabricPacket("fin", flow.key, offset=flow.app_written)
+                flow, FabricPacket("fin", flow.key, offset=x.app_written)
             )
-            flow.fin_sent = True
+            x.fin_sent = True
             sent_any = True
         if sent_any and flow.rto_deadline_ps == 0:
             flow.rto_deadline_ps = last_at + (
-                RTO_PS << flow.rto_backoff
+                RTO_PS << x.rto_backoff
             )
             self._arm(flow)
 
     def _retransmit_from(self, flow: _SoftFlow, go_back: bool) -> None:
         """Resend from the cumulative ack point (one MSS, or go-back-N)."""
+        x = flow.x
         self.retransmits += 1
         if self.trace is not None:
             self.trace.emit(
                 self.now_ps, "fabric", self.trace_name, "retx",
-                flow.flow_id, f"from={flow.flow_acked} gbn={int(go_back)}",
+                flow.flow_id, f"from={x.flow_acked} gbn={int(go_back)}",
             )
         if go_back:
-            flow.next_to_send = flow.flow_acked
-            flow.fin_sent = False
+            x.next_to_send = x.flow_acked
+            x.fin_sent = False
             self._pump_flow(flow)
             return
         chunk = min(
-            MSS, flow.app_written - flow.flow_acked
+            MSS, x.app_written - x.flow_acked
         )
         if chunk > 0:
             self._send_segment(
                 flow,
                 FabricPacket(
-                    "data", flow.key, offset=flow.flow_acked,
-                    payload_bytes=chunk, ack_to=flow.contiguous,
-                    window=self._rwnd(flow),
+                    "data", flow.key, offset=x.flow_acked,
+                    payload_bytes=chunk, ack_to=x.contiguous,
+                    window=self._rwnd(x),
                 ),
             )
-        elif flow.fin_sent and not flow.fin_acked:
+        elif x.fin_sent and not x.fin_acked:
             self._send_segment(
-                flow, FabricPacket("fin", flow.key, offset=flow.app_written)
+                flow, FabricPacket("fin", flow.key, offset=x.app_written)
             )
 
     def _expire_timers(self, now: int) -> None:
@@ -499,22 +542,24 @@ class SoftStack:
                 else:
                     flow.hs_deadline_ps = 0
             if flow.rto_deadline_ps and now >= flow.rto_deadline_ps:
+                # Something outstanding means a transfer of its own.
+                x = flow.x
                 outstanding = (
-                    flow.flow_acked < flow.next_to_send
-                    or (flow.fin_sent and not flow.fin_acked)
+                    x.flow_acked < x.next_to_send
+                    or (x.fin_sent and not x.fin_acked)
                 )
                 if not outstanding:
                     flow.rto_deadline_ps = 0
                 else:
                     self.timeouts += 1
-                    flight = flow.next_to_send - flow.flow_acked
+                    flight = x.next_to_send - x.flow_acked
                     half = flight // 2
-                    flow.ssthresh = max(half, 2 * MSS)
-                    flow.cwnd = MSS
-                    if flow.rto_backoff < 6:
-                        flow.rto_backoff += 1
+                    x.ssthresh = max(half, 2 * MSS)
+                    x.cwnd = MSS
+                    if x.rto_backoff < 6:
+                        x.rto_backoff += 1
                     flow.rto_deadline_ps = now + (
-                        RTO_PS << flow.rto_backoff
+                        RTO_PS << x.rto_backoff
                     )
                     self._retransmit_from(flow, go_back=True)
             self._arm(flow)
@@ -530,14 +575,27 @@ class SoftStack:
             return
         # Everything else belongs to an existing flow, looked up by the
         # local view of the 4-tuple (the peer's key reversed).
-        flow_id = self._by_key.get(packet.key.reversed())
-        if flow_id is None:
-            return  # late segment for a torn-down flow
-        flow = self.flows[flow_id]
+        key = packet.key.reversed()
+        flow = self._by_key.get(key)
+        if flow is None:
+            # Late segment for a torn-down flow.  A FIN is one
+            # retransmitted because our ACK of it was lost: there is no
+            # TIME_WAIT to answer it, so re-ACK it from the segment
+            # alone (through the service model as slot 0: the flow's
+            # own is gone), or its sender retransmits it forever.
+            if kind == "fin":
+                self._emit(
+                    FabricPacket(
+                        "ack", key, ack_to=packet.offset + 1,
+                        window=RECV_BUFFER,
+                    ),
+                    self.service.tx_ready_ps(now, 0, 0),
+                )
+            return
         if self.trace is not None:
             self.trace.emit(
                 now, "fabric", self.trace_name, f"rx-{kind}",
-                flow_id, f"off={packet.offset} n={packet.payload_bytes}",
+                flow.flow_id, f"off={packet.offset} n={packet.payload_bytes}",
             )
         if kind == "synack":
             self._on_synack(flow)
@@ -549,32 +607,29 @@ class SoftStack:
             flow.hs_deadline_ps = 0
             # Only passive flows are ever SYN_RECEIVED, and theirs is
             # the key of a SYN to a listening port.
-            self._accept_queues[flow.key.src_port].append(flow_id)
-            self._post("accepted", flow_id)
+            self._accept_queues[flow.key.src_port].append(flow.flow_id)
+            self._post("accepted", flow.flow_id)
         if kind == "data":
-            self._on_data(flow, packet, now)
+            self._on_data(flow, packet)
         elif kind == "ack":
             self._on_ack(flow, packet, now)
         elif kind == "fin":
-            self._on_fin(flow, packet, now)
+            self._on_fin(flow, packet)
         self._maybe_teardown(flow)
 
     def _on_syn(self, packet: FabricPacket) -> None:
         if packet.key.dst_port not in self._listening:
             return
         key = packet.key.reversed()  # our view: src = us
-        existing = self._by_key.get(key)
-        if existing is not None:
-            flow = self.flows[existing]  # duplicate SYN: re-answer
-        else:
+        flow = self._by_key.get(key)  # not None: a duplicate SYN, re-answer
+        if flow is None:
             flow_id = self._next_flow_id
             self._next_flow_id += 1
             flow = _SoftFlow(
                 flow_id, key, self._alloc_slot(), TcpState.SYN_RECEIVED,
-                self._init_cwnd,
             )
             self.flows[flow_id] = flow
-            self._by_key[key] = flow_id
+            self._by_key[key] = flow
         at = self._send_segment(flow, FabricPacket("synack", flow.key))
         flow.hs_deadline_ps = at + HANDSHAKE_RTO_PS
         self._arm(flow)
@@ -588,37 +643,38 @@ class SoftStack:
         self._send_segment(
             flow,
             FabricPacket(
-                "ack", flow.key, ack_to=0, window=self._rwnd(flow)
+                "ack", flow.key, ack_to=0, window=self._rwnd(flow.x)
             ),
         )
         self._pump_flow(flow)
 
-    def _on_data(self, flow: _SoftFlow, packet: FabricPacket, now: int) -> None:
-        if packet.ce:
-            flow.ce_pending = True
+    def _on_data(self, flow: _SoftFlow, packet: FabricPacket) -> None:
+        x = flow.x
+        if x is _IDLE:
+            x = flow.x = _Transfer()
         start, end = packet.offset, packet.offset + packet.payload_bytes
-        before = flow.contiguous
-        if start <= flow.contiguous:
-            if end > flow.contiguous:
-                flow.contiguous = end
-            if flow.ooo:
+        before = x.contiguous
+        if start <= x.contiguous:
+            if end > x.contiguous:
+                x.contiguous = end
+            if x.ooo:
                 # Absorb any out-of-order runs now made contiguous.
                 merged: List[Tuple[int, int]] = []
-                for lo, hi in flow.ooo:
-                    if lo <= flow.contiguous:
-                        if hi > flow.contiguous:
-                            flow.contiguous = hi
+                for lo, hi in x.ooo:
+                    if lo <= x.contiguous:
+                        if hi > x.contiguous:
+                            x.contiguous = hi
                     else:
                         merged.append((lo, hi))
-                flow.ooo = merged or _NO_RUNS
+                x.ooo = merged or _NO_RUNS
         else:
-            self._insert_ooo(flow, start, end)
-        if flow.contiguous > before:
-            self._post("data", flow.flow_id, flow.contiguous - before)
-        self._ack_now(flow)
+            self._insert_ooo(x, start, end)
+        if x.contiguous > before:
+            self._post("data", flow.flow_id, x.contiguous - before)
+        self._ack_now(flow, x, packet.ce)
 
-    def _insert_ooo(self, flow: _SoftFlow, start: int, end: int) -> None:
-        runs = [*flow.ooo, (start, end)]  # never the shared empty itself
+    def _insert_ooo(self, x: _Transfer, start: int, end: int) -> None:
+        runs = [*x.ooo, (start, end)]  # never the shared empty itself
         runs.sort()
         merged = [runs[0]]
         for lo, hi in runs[1:]:
@@ -627,94 +683,101 @@ class SoftStack:
                 merged[-1] = (last_lo, max(last_hi, hi))
             else:
                 merged.append((lo, hi))
-        flow.ooo = merged
+        x.ooo = merged
 
-    def _ack_now(self, flow: _SoftFlow) -> None:
-        ack_to = flow.contiguous
-        if (
-            flow.peer_fin_at >= 0
-            and flow.contiguous >= flow.peer_fin_at
-        ):
-            ack_to = flow.peer_fin_at + 1  # the FIN's virtual byte
+    def _ack_now(self, flow: _SoftFlow, x: _Transfer, ece: bool) -> None:
+        """ACK what has arrived, echoing ``ece`` (the arrival's CE)."""
+        ack_to = x.contiguous
+        if x.peer_fin_at >= 0 and x.contiguous >= x.peer_fin_at:
+            ack_to = x.peer_fin_at + 1  # the FIN's virtual byte
         self._send_segment(
             flow,
             FabricPacket(
-                "ack", flow.key, ack_to=ack_to,
-                window=self._rwnd(flow), ece=flow.ce_pending,
+                "ack", flow.key, ack_to=ack_to, window=self._rwnd(x),
+                ece=ece,
             ),
         )
-        flow.ce_pending = False
 
     def _on_ack(self, flow: _SoftFlow, packet: FabricPacket, now: int) -> None:
-        flow.peer_window = max(packet.window, MSS)
-        if packet.ece and now >= flow.ecn_hold_until_ps:
+        x = flow.x
+        window = max(packet.window, MSS)
+        if x is _IDLE:
+            if window == x.peer_window and not packet.ece and not packet.ack_to:
+                return  # the handshake's ACK: nothing moved
+            x = flow.x = _Transfer()
+        x.peer_window = window
+        if packet.ece and now >= x.ecn_hold_until_ps:
             # One multiplicative decrease per congestion round trip:
             # halve, then hold off for a seeded recovery interval so a
             # burst of echoed marks maps to one response, and the
             # jitter desynchronizes the senders of an incast instead
             # of letting them all re-open their windows in lockstep.
-            half = flow.cwnd // 2
-            flow.cwnd = max(MSS, half)
-            flow.ssthresh = flow.cwnd
+            half = x.cwnd // 2
+            x.cwnd = max(MSS, half)
+            x.ssthresh = x.cwnd
             hold = ECN_RECOVERY_PS
             hold += self._ecn_rng.randrange(hold // 8 + 1)
-            flow.ecn_hold_until_ps = now + hold
+            x.ecn_hold_until_ps = now + hold
             self.ecn_echoes += 1
-        fin_point = flow.app_written + 1 if flow.fin_sent else -1
-        if packet.ack_to == fin_point and not flow.fin_acked:
-            flow.fin_acked = True
-            flow.flow_acked = flow.app_written
+        # Only our FIN's virtual byte acks past ``app_written``; a
+        # go-back-N resend may have cleared ``fin_sent`` since it left.
+        fin_point = x.app_written + 1 if x.fin_queued else -1
+        if packet.ack_to == fin_point and not x.fin_acked:
+            x.fin_acked = True
+            x.flow_acked = x.app_written
             flow.rto_deadline_ps = 0
             return
-        advanced = packet.ack_to - flow.flow_acked
+        advanced = packet.ack_to - x.flow_acked
         if advanced > 0:
-            flow.flow_acked = packet.ack_to
-            flow.dup_acks = 0
-            flow.rto_backoff = 0
+            x.flow_acked = packet.ack_to
+            x.dup_acks = 0
+            x.rto_backoff = 0
             outstanding = (
-                flow.flow_acked < flow.next_to_send
-                or (flow.fin_sent and not flow.fin_acked)
+                x.flow_acked < x.next_to_send
+                or (x.fin_sent and not x.fin_acked)
             )
             flow.rto_deadline_ps = (
                 now + RTO_PS if outstanding else 0
             )
             if outstanding:
                 self._arm(flow)
-            if flow.next_to_send < flow.flow_acked:
-                flow.next_to_send = flow.flow_acked
+            if x.next_to_send < x.flow_acked:
+                x.next_to_send = x.flow_acked
             # Congestion window growth: slow start, then ~MSS per RTT.
-            if flow.cwnd < flow.ssthresh:
-                flow.cwnd += min(advanced, MSS)
+            if x.cwnd < x.ssthresh:
+                x.cwnd += min(advanced, MSS)
             else:
-                flow.cwnd += max(1, MSS * MSS // flow.cwnd)
-            if flow.cwnd > SEND_BUFFER:
-                flow.cwnd = SEND_BUFFER
+                x.cwnd += max(1, MSS * MSS // x.cwnd)
+            if x.cwnd > SEND_BUFFER:
+                x.cwnd = SEND_BUFFER
             self._post("acked", flow.flow_id, advanced)
             self._pump_flow(flow)
         elif (
-            packet.ack_to == flow.flow_acked
-            and flow.next_to_send > flow.flow_acked
+            packet.ack_to == x.flow_acked
+            and x.next_to_send > x.flow_acked
         ):
-            flow.dup_acks += 1
-            if flow.dup_acks == 3 and flow.flow_acked >= flow.recover_mark:
-                half = (flow.next_to_send - flow.flow_acked) // 2
-                flow.ssthresh = max(half, 2 * MSS)
-                flow.cwnd = flow.ssthresh
-                flow.recover_mark = flow.next_to_send
+            x.dup_acks += 1
+            if x.dup_acks == 3 and x.flow_acked >= x.recover_mark:
+                half = (x.next_to_send - x.flow_acked) // 2
+                x.ssthresh = max(half, 2 * MSS)
+                x.cwnd = x.ssthresh
+                x.recover_mark = x.next_to_send
                 self._retransmit_from(flow, go_back=False)
 
-    def _on_fin(self, flow: _SoftFlow, packet: FabricPacket, now: int) -> None:
-        flow.peer_fin_at = packet.offset
-        self._ack_now(flow)
+    def _on_fin(self, flow: _SoftFlow, packet: FabricPacket) -> None:
+        x = flow.x
+        if x is _IDLE:
+            x = flow.x = _Transfer()
+        x.peer_fin_at = packet.offset
+        self._ack_now(flow, x, False)
 
     def _maybe_teardown(self, flow: _SoftFlow) -> None:
-        peer_done = (
-            flow.peer_fin_at >= 0 and flow.contiguous >= flow.peer_fin_at
-        )
-        if peer_done and not flow.eof_posted:
-            flow.eof_posted = True
+        x = flow.x
+        peer_done = x.peer_fin_at >= 0 and x.contiguous >= x.peer_fin_at
+        if peer_done and not x.eof_posted:
+            x.eof_posted = True
             self._post("eof", flow.flow_id)
-        if peer_done and flow.fin_acked:
+        if peer_done and x.fin_acked:
             flow.state = TcpState.CLOSED
             del self.flows[flow.flow_id]
             self._by_key.pop(flow.key, None)

@@ -14,12 +14,16 @@ through the same traffic.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Set
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.engine.testbed import message_driven
 from repro.fabric.service import ServiceModel
 from repro.fabric.softstack import SoftStack, TimerWakeIndex, run_event_loop
-from repro.net.wire import FaultFn, LinkDirection, WirePort, derive_seed
+from repro.net.wire import (
+    DelayFn, FaultFn, LinkDirection, WirePort, derive_seed,
+)
 from repro.sim.component import seconds_to_ps
 from repro.tcp.segment import ip_from_string
 
@@ -28,12 +32,79 @@ from repro.tcp.segment import ip_from_string
 _PERIOD_PS = 4_000
 
 
-class SoftWire:
-    """A duplex point-to-point soft link with optional seeded loss: two
-    :class:`~repro.net.wire.LinkDirection` of the 100 GbE link, whose
-    ends are :class:`~repro.net.wire.WirePort`."""
+@dataclass(frozen=True)
+class Fault:
+    """One scheduled fault: the ``nth`` segment (from 0) of ``kind``
+    sent in ``direction`` (``"a2b"`` or ``"b2a"``) is dropped, held back
+    ``delay_ps`` on the wire, or — data segments only — CE-marked."""
 
-    def __init__(self, drop_probability: float = 0.0, seed: int = 0) -> None:
+    direction: str
+    kind: str        # 'syn' | 'synack' | 'data' | 'ack' | 'fin'
+    nth: int
+    action: str = "drop"  # 'drop' | 'delay' | 'ce'
+    delay_ps: int = 0
+
+    def __post_init__(self) -> None:
+        assert self.direction in ("a2b", "b2a"), self.direction
+        assert self.action in ("drop", "delay", "ce"), self.action
+        assert self.action != "ce" or self.kind == "data", self
+        assert (self.action == "delay") == (self.delay_ps > 0), self
+
+
+class FaultSchedule:
+    """Faults by per-direction, per-kind segment index: deterministic
+    loss, reordering and CE marks with no RNG involved.
+
+    :meth:`hooks` gives a direction's ``drop_fn``/``delay_fn`` pair for
+    :class:`~repro.net.wire.LinkDirection`; ``fired`` lists the faults
+    that met their segment, in wire order.
+    """
+
+    def __init__(self, faults: Iterable[Fault]) -> None:
+        self._faults: Dict[Tuple[str, str, int], List[Fault]] = {}
+        for fault in faults:
+            self._faults.setdefault(
+                (fault.direction, fault.kind, fault.nth), []
+            ).append(fault)
+        self._counts: Counter = Counter()
+        #: (direction, link frame index) -> hold-back of a frame the
+        #: drop hook matched and did not drop.
+        self._holds: Dict[Tuple[str, int], int] = {}
+        self.fired: List[Fault] = []
+
+    def hooks(self, direction: str) -> Tuple[FaultFn, DelayFn]:
+        def drop_fn(packet, index: int) -> bool:
+            nth = self._counts[direction, packet.kind]
+            self._counts[direction, packet.kind] += 1
+            dropped = False
+            for fault in self._faults.get((direction, packet.kind, nth), ()):
+                self.fired.append(fault)
+                if fault.action == "drop":
+                    dropped = True
+                elif fault.action == "ce":
+                    packet.ce = True
+                else:
+                    self._holds[direction, index] = fault.delay_ps
+            return dropped
+
+        def delay_fn(packet, index: int) -> int:
+            return self._holds.pop((direction, index), 0)
+
+        return drop_fn, delay_fn
+
+
+class SoftWire:
+    """A duplex point-to-point soft link with optional seeded loss or a
+    :class:`FaultSchedule`: two :class:`~repro.net.wire.LinkDirection`
+    of the 100 GbE link, whose ends are
+    :class:`~repro.net.wire.WirePort`."""
+
+    def __init__(
+        self,
+        drop_probability: float = 0.0,
+        seed: int = 0,
+        schedule: Optional[FaultSchedule] = None,
+    ) -> None:
         def data_drops(label: str) -> Optional[FaultFn]:
             # Only data segments are dropped, one draw each: control
             # segments never touch the RNG.
@@ -44,8 +115,16 @@ class SoftWire:
                 packet.kind == "data" and rng.random() < drop_probability
             )
 
-        self._ab = LinkDirection(drop_fn=data_drops("soft-drop-a2b"))
-        self._ba = LinkDirection(drop_fn=data_drops("soft-drop-b2a"))
+        if schedule is not None:
+            assert drop_probability <= 0, "a schedule or seeded loss, not both"
+            drop_ab, delay_ab = schedule.hooks("a2b")
+            drop_ba, delay_ba = schedule.hooks("b2a")
+        else:
+            drop_ab = data_drops("soft-drop-a2b")
+            drop_ba = data_drops("soft-drop-b2a")
+            delay_ab = delay_ba = None
+        self._ab = LinkDirection(drop_fn=drop_ab, delay_fn=delay_ab)
+        self._ba = LinkDirection(drop_fn=drop_ba, delay_fn=delay_ba)
         self.port_a = WirePort(outbound=self._ab, inbound=self._ba)
         self.port_b = WirePort(outbound=self._ba, inbound=self._ab)
 
@@ -94,8 +173,11 @@ class SoftTestbed:
         service_factory: Callable[[], ServiceModel],
         drop_probability: float = 0.0,
         seed: int = 0,
+        schedule: Optional[FaultSchedule] = None,
     ) -> None:
-        self.wire = SoftWire(drop_probability=drop_probability, seed=seed)
+        self.wire = SoftWire(
+            drop_probability=drop_probability, seed=seed, schedule=schedule,
+        )
         self.engine_a = SoftStack(
             ip_from_string("10.0.0.1"), self.wire.port_a, service_factory(),
             name="a", seed=seed,

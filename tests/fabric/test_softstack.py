@@ -3,12 +3,14 @@
 import pytest
 
 from repro.fabric import softstack
-from repro.fabric.softstack import _NO_RUNS
+from repro.fabric.softstack import (
+    _IDLE, _INIT_CWND, _NO_RUNS, MSS, RECV_BUFFER, FabricPacket, _Transfer,
+)
 from repro.fabric.service import FlexToeService
 from repro.tcp.segment import FlowKey
 from repro.tcp.state_machine import TcpState
 
-from ._soft_testbed import SoftTestbed
+from ._soft_testbed import Fault, FaultSchedule, SoftTestbed
 
 
 def flextoe_testbed(**kwargs) -> SoftTestbed:
@@ -110,7 +112,7 @@ class TestLossRecovery:
 
 
 class TestLazyReassemblyState:
-    """``_SoftFlow.ooo`` is the shared empty tuple until a segment
+    """A transfer's ``ooo`` is the shared empty tuple until a segment
     arrives out of order, and again once the hole has closed."""
 
     def test_lossy_transfer_is_unchanged_and_never_shares_a_list(self):
@@ -143,12 +145,12 @@ class TestLazyReassemblyState:
             mutable = []
             for stack in (a, b):
                 for flow in stack.flows.values():
-                    if flow.ooo:
-                        assert type(flow.ooo) is list
-                        mutable.append(flow.ooo)
+                    if flow.x.ooo:
+                        assert type(flow.x.ooo) is list
+                        mutable.append(flow.x.ooo)
                         holed.add((stack.name, flow.flow_id))
                     else:
-                        assert flow.ooo is _NO_RUNS
+                        assert flow.x.ooo is _NO_RUNS
                         if (stack.name, flow.flow_id) in holed:
                             seen["closed"] += 1
             assert len({id(runs) for runs in mutable}) == len(mutable)
@@ -166,7 +168,7 @@ class TestLazyReassemblyState:
         assert seen["holes"] == 4 and seen["closed"] > 0
         assert _NO_RUNS == ()
         for stack in (a, b):
-            assert all(f.ooo is _NO_RUNS for f in stack.flows.values())
+            assert all(f.x.ooo is _NO_RUNS for f in stack.flows.values())
 
     def test_out_of_order_insert_copies_the_shared_empty(self):
         tb = flextoe_testbed()
@@ -174,12 +176,105 @@ class TestLazyReassemblyState:
         first, second = (
             tb.engine_a.flows[a_flow], tb.engine_b.flows[b_flow]
         )
-        tb.engine_b._insert_ooo(second, 3000, 4000)
-        assert second.ooo == [(3000, 4000)]
-        assert first.ooo is _NO_RUNS and _NO_RUNS == ()
-        tb.engine_b._insert_ooo(second, 1000, 2000)
-        tb.engine_b._insert_ooo(second, 2000, 3500)
-        assert second.ooo == [(1000, 4000)]
+        x = second.x = _Transfer()
+        assert x.ooo is _NO_RUNS
+        tb.engine_b._insert_ooo(x, 3000, 4000)
+        assert x.ooo == [(3000, 4000)]
+        assert first.x.ooo is _NO_RUNS and _NO_RUNS == ()
+        tb.engine_b._insert_ooo(x, 1000, 2000)
+        tb.engine_b._insert_ooo(x, 2000, 3500)
+        assert x.ooo == [(1000, 4000)]
+
+
+def owned(tb: SoftTestbed):
+    """(stack, flow) of every flow on a transfer record of its own."""
+    return {
+        (stack.name, flow.flow_id)
+        for stack in (tb.engine_a, tb.engine_b)
+        for flow in stack.flows.values()
+        if flow.x is not _IDLE
+    }
+
+
+class TestIdleTransfer:
+    """Every flow starts on the one shared, read-only idle transfer and
+    takes its own at its first write; every other flow stays on it."""
+
+    def rig(self, **kwargs):
+        """Four established connections a -> b, none moved a byte."""
+        tb = flextoe_testbed(**kwargs)
+        pairs = [establish(tb) for _ in range(4)]
+        assert owned(tb) == set()  # the handshake's ACK copies nothing
+        return tb, pairs[1]  # one with idle neighbours on both sides
+
+    def test_the_idle_transfer_reads_as_a_fresh_one_and_refuses_writes(self):
+        fresh = _Transfer()
+        for name in _Transfer.__slots__:
+            assert getattr(_IDLE, name) == getattr(fresh, name), name
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(_IDLE, name, getattr(fresh, name))
+
+    def test_send_data(self):
+        tb, (a_flow, _) = self.rig()
+        assert tb.engine_a.send_data(a_flow, bytes(100)) == 100
+        assert owned(tb) == {("a", a_flow)}
+        assert tb.engine_a.flows[a_flow].x.app_written == 100
+
+    def test_close_flow(self):
+        tb, (a_flow, _) = self.rig()
+        tb.engine_a.close_flow(a_flow)
+        assert owned(tb) == {("a", a_flow)}
+        assert tb.engine_a.flows[a_flow].x.fin_sent
+
+    def test_data_arrival_and_recv_data(self):
+        tb, (a_flow, b_flow) = self.rig()
+        b = tb.engine_b
+        tb.engine_a.send_data(a_flow, bytes(100))
+        assert tb.run(until=lambda: b.readable(b_flow) == 100, max_time_s=0.1)
+        assert owned(tb) == {("a", a_flow), ("b", b_flow)}
+        assert len(b.recv_data(b_flow, 100)) == 100
+        assert b.readable(b_flow) == 0
+        assert owned(tb) == {("a", a_flow), ("b", b_flow)}
+
+    def test_fin_arrival(self):
+        tb, (a_flow, b_flow) = self.rig()
+        tb.engine_a.close_flow(a_flow)
+        flow = tb.engine_b.flows[b_flow]
+        assert tb.run(until=lambda: flow.x.peer_fin_at == 0, max_time_s=0.1)
+        assert owned(tb) == {("a", a_flow), ("b", b_flow)}
+
+    def test_rto(self):
+        # The first data segment on the wire is connection 1's only one.
+        schedule = FaultSchedule([Fault("a2b", "data", 0)])
+        tb, (a_flow, b_flow) = self.rig(schedule=schedule)
+        tb.engine_a.send_data(a_flow, bytes(100))
+        b = tb.engine_b
+        assert tb.run(until=lambda: b.readable(b_flow) == 100, max_time_s=0.1)
+        assert tb.engine_a.timeouts == 1 and schedule.fired
+        assert owned(tb) == {("a", a_flow), ("b", b_flow)}
+
+    def test_acks_that_move_nothing_copy_nothing(self):
+        tb, (a_flow, b_flow) = self.rig()
+        key = tb.engine_a.flows[a_flow].key  # the sender's view
+        tb.engine_b._receive(
+            FabricPacket("ack", key, window=RECV_BUFFER), tb.time_ps
+        )
+        assert owned(tb) == set()
+
+    @pytest.mark.parametrize("window, ece", [(1000, False), (RECV_BUFFER, True)])
+    def test_ack_that_changes_the_window_or_echoes_ce(self, window, ece):
+        tb, (a_flow, b_flow) = self.rig()
+        b = tb.engine_b
+        key = tb.engine_a.flows[a_flow].key
+        b._receive(
+            FabricPacket("ack", key, window=window, ece=ece), tb.time_ps
+        )
+        assert owned(tb) == {("b", b_flow)}
+        x = b.flows[b_flow].x
+        assert x.peer_window == max(window, MSS)
+        assert (b.ecn_echoes, x.cwnd) == (
+            (1, _INIT_CWND // 2) if ece else (0, _INIT_CWND)
+        )
 
 
 class TestSourcePorts:
