@@ -43,35 +43,18 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     print()
     print("try:  python -m repro demo")
     print("      python -m repro report --quick")
-    print("      pytest benchmarks/ --benchmark-only")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.report import run_all
-    from repro.analysis.reporting import render
+    from repro.analysis.report import render_report, run_all
 
-    failures = 0
     started = time.time()
     results = run_all(args.exhibits, quick=args.quick)
-    for name, result in results.items():
-        print()
-        print(render(result))
-        if args.plots:
-            from repro.analysis.plots import EXHIBIT_PLOTS
-
-            plotter = EXHIBIT_PLOTS.get(name)
-            if plotter is not None:
-                print()
-                print(plotter(result))
-        if not result.all_checks_pass():
-            failures += 1
-    print()
-    print(
-        f"ran {len(results)} exhibits in {time.time() - started:.0f}s wall; "
-        f"{failures} with out-of-tolerance checks"
-    )
-    return 1 if failures else 0
+    print(render_report(results))
+    print(f"ran {len(results)} exhibits in {time.time() - started:.0f}s wall",
+          file=sys.stderr)
+    return 0 if all(result.all_checks_pass() for result in results.values()) else 1
 
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
@@ -398,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser("report", help="regenerate paper exhibits")
     report.add_argument("exhibits", nargs="*", help="subset of exhibits")
     report.add_argument("--quick", action="store_true")
-    report.add_argument("--plots", action="store_true")
     report.set_defaults(handler=_cmd_report)
     demo = subparsers.add_parser("demo", help="run the quickstart demo")
     demo.set_defaults(handler=_cmd_demo)

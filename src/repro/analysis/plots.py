@@ -1,4 +1,5 @@
-"""ASCII plotting for the exhibit report (``--plots``).
+"""ASCII plotting for the exhibit report: printed after each exhibit that
+has an entry in :data:`EXHIBIT_PLOTS`.
 
 Terminal-renderable line plots and bar charts so the report can show the
 *shapes* the paper's figures show — crossovers, plateaus, sawtooth decay

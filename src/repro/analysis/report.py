@@ -2,20 +2,22 @@
 
 Usage::
 
-    python -m repro report            # everything (minutes)
+    python -m repro report            # every exhibit, full fidelity
     python -m repro report figure8    # one exhibit
     python -m repro report --quick    # reduced sample counts
 
-The same machinery backs EXPERIMENTS.md: each section shows the rows the
-paper's exhibit reports plus the paper-vs-measured checks.
+EXPERIMENTS.md holds the full-fidelity stdout between its report
+markers, and `tests/analysis/test_experiments_doc.py` fails when the two
+differ.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from .experiments import ALL_EXPERIMENTS
-from .reporting import ExperimentResult
+from .plots import EXHIBIT_PLOTS
+from .reporting import ExperimentResult, render
 
 #: Drivers accepting a ``quick`` keyword (the slow, sampled ones).
 _QUICKABLE = {"figure10", "figure12", "figure14", "figure16b"}
@@ -53,3 +55,19 @@ def run_all(
         kwargs = {"quick": True} if quick and name in _QUICKABLE else {}
         runs[name] = driver(*args, **kwargs)
     return {name: runs[name] for name in selected}
+
+
+def render_report(results: Mapping[str, ExperimentResult]) -> str:
+    """The report ``repro report`` prints: each exhibit's table, checks,
+    notes and ASCII plot, then a count of the exhibits with a check out
+    of tolerance.  A pure function of the results (no wall time), with
+    no trailing blanks, so EXPERIMENTS.md can hold it byte for byte."""
+    blocks = []
+    for name, result in results.items():
+        blocks.append(render(result))
+        plotter = EXHIBIT_PLOTS.get(name)
+        if plotter is not None:
+            blocks.append(plotter(result))
+    failing = sum(not result.all_checks_pass() for result in results.values())
+    blocks.append(f"{len(results)} exhibits; {failing} with out-of-tolerance checks")
+    return "\n".join(line.rstrip() for line in "\n\n".join(blocks).splitlines())

@@ -29,10 +29,22 @@ class TestCli:
         assert "0 with out-of-tolerance checks" in out
 
     def test_report_with_plots(self, capsys):
-        assert main(["report", "figure15", "--quick", "--plots"]) == 0
+        """Plots are part of every report, not a switch."""
+        assert main(["report", "figure15", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "event rate vs FPU latency" in out
         assert "+----" in out  # the ASCII canvas frame
+
+    def test_report_stdout_is_a_function_of_the_code(self, capsys):
+        """EXPERIMENTS.md holds the report byte for byte, so nothing on
+        stdout may depend on the run (the wall time goes to stderr)."""
+        argv = ["report", "table1", "figure15", "--quick"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(argv) == 0
+        second = capsys.readouterr()
+        assert first.out == second.out
+        assert "wall" in first.err and "wall" not in first.out
 
     def test_report_exits_nonzero_on_failing_checks(self, capsys, monkeypatch):
         """CI gates on this: an out-of-tolerance exhibit fails the run."""

@@ -1,8 +1,9 @@
 """Fast experiment drivers produce passing paper-vs-measured checks.
 
-The slow exhibits (Figs 10, 12, 13, 14, 16b) are exercised by the
-benchmark harness (``pytest benchmarks/ --benchmark-only``); here the
-cheap ones run as ordinary tests plus structural checks on the rest.
+The slow exhibits (Figs 10, 12, 13, 14, 16b) run in
+``test_measure_once.py`` (quick) and ``test_experiments_doc.py`` (full
+fidelity); here the cheap ones run as ordinary tests plus structural
+checks on the rest.
 """
 
 import pytest

@@ -104,32 +104,56 @@ class TestHeaderRateOracle:
             assert ticks["n"] == count, workload
 
 
+def _count_measurements(monkeypatch, header_rate, swap_rate):
+    """Put counting wrappers of these in place of both simulated
+    measurements; returns the live call counts."""
+    calls = {"header": 0, "swap": 0}
+
+    def counted_header_rate(*args, **kwargs):
+        calls["header"] += 1
+        return header_rate(*args, **kwargs)
+
+    def counted_swap_rate(*args, **kwargs):
+        calls["swap"] += 1
+        return swap_rate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "measure_header_rate", counted_header_rate)
+    monkeypatch.setattr(echo, "measure_dram_swap_rate", counted_swap_rate)
+    return calls
+
+
 @pytest.fixture
 def counted_measurements(monkeypatch):
     """Stub both simulated measurements with counting ones whose value
     depends on the design point (and, for header rates, on the cycles)."""
-    calls = {"header": 0, "swap": 0}
 
     def header_rate(design, workload, offered_rate, flows, cycles=30_000):
-        calls["header"] += 1
         return 1e6 * (1 + design.num_fpcs + 2 * design.coalescing) + 100 * cycles
 
     def swap_rate(memory="ddr4", flows=65536, transactions=4000, cache_entries=512):
-        calls["swap"] += 1
         return (4e9 if memory == "hbm" else 1e9) / flows
 
-    monkeypatch.setattr(experiments, "measure_header_rate", header_rate)
-    monkeypatch.setattr(echo, "measure_dram_swap_rate", swap_rate)
-    return calls
+    return _count_measurements(monkeypatch, header_rate, swap_rate)
+
+
+@pytest.fixture
+def counted_real_measurements(monkeypatch):
+    """Count both simulated measurements and keep their real values."""
+    return _count_measurements(
+        monkeypatch, experiments.measure_header_rate, echo.measure_dram_swap_rate
+    )
 
 
 class TestMeasuredOnce:
-    def test_full_quick_report(self, counted_measurements):
+    def test_full_quick_report(self, counted_real_measurements):
+        """Every quick exhibit passes its checks, each measured once."""
         results = run_all(quick=True)
         assert list(results) == EXHIBIT_ORDER
+        failing = [name for name, result in results.items() if not result.all_checks_pass()]
+        assert failing == []
         # Fig 16b's 4 designs x 2 workloads, read again by Table 2; Fig
         # 13's 3 distinct capped swap points (2K, 4K, 8K) per memory.
-        assert counted_measurements == {"header": 8, "swap": 6}
+        assert counted_real_measurements == {"header": 8, "swap": 6}
 
     def test_table2_alone_runs_figure16b_once(self, counted_measurements):
         results = run_all(["table2"], quick=True)

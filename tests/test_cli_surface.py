@@ -58,7 +58,7 @@ def test_surface_matches_the_parent_capture():
         golden = handle.read().splitlines()
     assert lines == golden
     assert sum(1 for line in lines if not line.startswith(" ")) == 32
-    assert sum(1 for line in lines if line.startswith(" ")) == 87
+    assert sum(1 for line in lines if line.startswith(" ")) == 86
 
 
 @pytest.mark.parametrize("group", GROUPS)

@@ -18,7 +18,7 @@ scheduler's pending retry no longer depend on which cycles the run loop
 jumped, a TCB swapped into an idle FPC starts at once, a timer or a
 declared pump cycle is met on the cycle it names, and scheduler trace
 events carry the engine's time.  All goldens below were re-captured
-then (EXPERIMENTS.md has the before/after table); a run that never
+then (CHANGES.md lists which moved and how); a run that never
 waits and never spills kept its trace —
 ``tests/engine/test_one_clock.py`` pins one captured at the parent.
 
