@@ -2,66 +2,76 @@
 """Quickstart: two F4T-accelerated hosts talking TCP.
 
 Builds the paper's end-to-end setup (§5) — two FtEngines connected by a
-simulated 100 GbE wire — and runs a client/server exchange through the
-F4T socket library: connect, send, receive, close.  Everything below the
-socket calls (handshake, congestion control, reassembly, ACKs, FINs)
-happens inside the simulated hardware.
+simulated 100 GbE wire — and runs a client/server exchange on the
+engines' host calls: listen, connect, accept, send, receive, close.
+Everything below those calls (handshake, congestion control,
+reassembly, ACKs, FINs) happens inside the simulated hardware.
 
 Run:  python examples/quickstart.py
 """
 
 from repro.engine import Testbed
-from repro.host import F4TLibrary
+from repro.tcp.state_machine import TcpState
 
 
 def main() -> None:
     # The testbed: engine A (10.0.0.1) <-- 100 Gbps wire --> engine B.
     testbed = Testbed()
+    client, server = testbed.engine_a, testbed.engine_b
 
-    def pump(condition, timeout_s):
-        """Blocking socket calls drive the simulation forward."""
-        return testbed.run(until=condition, max_time_s=testbed.now_s + timeout_s)
+    def wait_for(condition):
+        """A blocking host call: run the simulation until it holds."""
+        if not testbed.run(until=condition, max_time_s=testbed.now_s + 2.0):
+            raise TimeoutError("the simulated hosts stalled")
 
-    lib_a = F4TLibrary(testbed.engine_a, pump=pump)
-    lib_b = F4TLibrary(testbed.engine_b, pump=pump)
+    def accept(port):
+        flows = []
+
+        def arrived():
+            flow = server.accept(port)
+            if flow is not None:
+                flows.append(flow)
+            return bool(flows)
+
+        wait_for(arrived)
+        return flows[0]
+
+    def recv_exactly(engine, flow, nbytes):
+        wait_for(lambda: engine.readable(flow) >= nbytes)
+        return engine.recv_data(flow, nbytes)
 
     # --- Server side (host B) -------------------------------------------
-    server = lib_b.socket()
-    server.bind_listen(80)
+    server.listen(80)
 
     # --- Client side (host A) -------------------------------------------
-    client = lib_a.socket()
-    client.connect((testbed.engine_b.ip, 80))
+    a_flow = client.connect(server.ip, 80)
+    wait_for(lambda: client.flow_state(a_flow) is TcpState.ESTABLISHED)
     print(f"[{testbed.now_s * 1e6:7.1f} us] client connected")
 
-    connection = server.accept()
+    b_flow = accept(80)
     print(f"[{testbed.now_s * 1e6:7.1f} us] server accepted")
 
     # --- Exchange data ---------------------------------------------------
     request = b"GET /hello HTTP/1.1\r\nHost: repro\r\n\r\n"
-    client.sendall(request)
-    received = connection.recv_exactly(len(request))
+    client.send_data(a_flow, request)  # the whole request fits the buffer
+    received = recv_exactly(server, b_flow, len(request))
     print(f"[{testbed.now_s * 1e6:7.1f} us] server got: {received[:20]!r}...")
 
     response = b"HTTP/1.1 200 OK\r\n\r\n" + b"F4T says hi! " * 100
-    connection.sendall(response)
-    answer = client.recv_exactly(len(response))
+    server.send_data(b_flow, response)
+    answer = recv_exactly(client, a_flow, len(response))
     print(f"[{testbed.now_s * 1e6:7.1f} us] client got {len(answer)} bytes back")
 
     # --- Tear down -------------------------------------------------------
-    client.close()
-    connection.close()
-    testbed.run(
-        until=lambda: not testbed.engine_a.flows and not testbed.engine_b.flows,
-        max_time_s=10.0,
-    )
+    client.close_flow(a_flow)
+    server.close_flow(b_flow)
+    wait_for(lambda: not client.flows and not server.flows)
     print(f"[{testbed.now_s * 1e6:7.1f} us] connections closed cleanly")
 
     # --- What the hardware did ------------------------------------------
-    a, b = testbed.engine_a.counters, testbed.engine_b.counters
     print()
-    print("engine A:", a.as_dict())
-    print("engine B:", b.as_dict())
+    print("engine A:", client.counters.as_dict())
+    print("engine B:", server.counters.as_dict())
     print(f"wire carried {testbed.wire.bytes_sent} bytes in "
           f"{testbed.now_s * 1e6:.1f} simulated microseconds")
 

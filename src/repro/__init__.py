@@ -7,20 +7,23 @@ Subpackages:
   memories) and stats; each model above keeps its own clock;
 * :mod:`repro.tcp` — the TCP protocol substrate;
 * :mod:`repro.engine` — FtEngine, the paper's contribution;
-* :mod:`repro.host` — the F4T software stack and the Linux baseline;
+* :mod:`repro.host` — the host side as calibrated CPU and PCIe costs,
+  and the Linux baseline;
 * :mod:`repro.net` — links, frames and the fault-injecting wire;
 * :mod:`repro.apps` — the evaluation workloads;
 * :mod:`repro.refsim` — the independent reference TCP simulator;
 * :mod:`repro.analysis` — per-exhibit experiment drivers and reporting.
 
-Quick start::
+Quick start (``examples/quickstart.py`` is the whole exchange)::
 
     from repro.engine import Testbed
-    from repro.host import F4TLibrary
 
     testbed = Testbed()
-    pump = lambda cond, t: testbed.run(until=cond, max_time_s=testbed.now_s + t)
-    lib = F4TLibrary(testbed.engine_a, pump=pump)
+    client, server = testbed.engine_a, testbed.engine_b
+    a_flow, b_flow = testbed.establish()  # listen(80), connect, accept
+    client.send_data(a_flow, b"hello")
+    testbed.run(until=lambda: server.readable(b_flow) >= 5)
+    print(server.recv_data(b_flow, 5))
 """
 
 from typing import TYPE_CHECKING, Callable, Dict, TypeVar

@@ -59,28 +59,39 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
     from repro.engine import Testbed
-    from repro.host import F4TLibrary
 
     testbed = Testbed()
-    pump = lambda cond, t: testbed.run(until=cond, max_time_s=testbed.now_s + t)
-    lib_a = F4TLibrary(testbed.engine_a, pump=pump)
-    lib_b = F4TLibrary(testbed.engine_b, pump=pump)
+    client, server = testbed.engine_a, testbed.engine_b
 
-    server = lib_b.socket()
-    server.bind_listen(80)
-    client = lib_a.socket()
-    client.connect((testbed.engine_b.ip, 80))
-    connection = server.accept()
-    client.sendall(b"hello from the demo")
-    print("server received:", connection.recv_exactly(19))
-    connection.sendall(b"and hello back")
-    print("client received:", client.recv_exactly(14))
-    client.close()
-    connection.close()
-    testbed.run(
-        until=lambda: not testbed.engine_a.flows and not testbed.engine_b.flows,
-        max_time_s=10.0,
-    )
+    def wait_for(condition) -> None:
+        """A blocking host call: run the engines until ``condition``."""
+        if not testbed.run(until=condition, max_time_s=testbed.now_s + 2.0):
+            raise TimeoutError("the simulated hosts stalled")
+
+    def exchange(sender, s_flow: int, receiver, r_flow: int, data: bytes) -> bytes:
+        sender.send_data(s_flow, data)  # a few bytes: the buffer takes all
+        wait_for(lambda: receiver.readable(r_flow) >= len(data))
+        return receiver.recv_data(r_flow, len(data))
+
+    server.listen(80)
+    a_flow = client.connect(server.ip, 80)
+    accepted = []
+
+    def arrived() -> bool:
+        flow = server.accept(80)
+        if flow is not None:
+            accepted.append(flow)
+        return bool(accepted)
+
+    wait_for(arrived)
+    b_flow = accepted[0]
+    print("server received:",
+          exchange(client, a_flow, server, b_flow, b"hello from the demo"))
+    print("client received:",
+          exchange(server, b_flow, client, a_flow, b"and hello back"))
+    client.close_flow(a_flow)
+    server.close_flow(b_flow)
+    testbed.run(until=lambda: not client.flows and not server.flows, max_time_s=10.0)
     print(f"done in {testbed.now_s * 1e6:.1f} simulated microseconds; "
           f"{testbed.wire.bytes_sent} bytes on the wire")
     return 0

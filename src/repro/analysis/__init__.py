@@ -6,7 +6,6 @@ from .microbench import (
     measure_baseline_event_rate,
     measure_fpc_event_rate,
     measure_header_rate,
-    measure_tonic_event_rate,
 )
 from .reporting import ExperimentResult, PaperCheck, render, render_table
 
@@ -18,7 +17,6 @@ __all__ = [
     "measure_baseline_event_rate",
     "measure_fpc_event_rate",
     "measure_header_rate",
-    "measure_tonic_event_rate",
     "render",
     "render_table",
 ]

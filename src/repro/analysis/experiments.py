@@ -44,7 +44,6 @@ from .microbench import (
     measure_baseline_event_rate,
     measure_fpc_event_rate,
     measure_header_rate,
-    measure_tonic_event_rate,
 )
 from .reporting import ExperimentResult
 
@@ -121,7 +120,7 @@ def run_figure1() -> ExperimentResult:
 def run_figure2() -> ExperimentResult:
     """Fig 2: bulk throughput of w-RMW vs w/o-RMW designs (cycle sim)."""
     w_rmw_rate = measure_baseline_event_rate(stall_cycles=17, freq_hz=322e6)
-    wo_rmw_rate = measure_tonic_event_rate()
+    wo_rmw_rate = measure_baseline_event_rate(stall_cycles=1, freq_hz=100e6)
     rows = []
     for size in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
         w = w_rmw_rate * size * 8 / 1e9

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..engine.baseline import NullFpu, SingleCycleAccelerator, StallingAccelerator
+from ..engine.baseline import NullFpu, StallingAccelerator
 from ..engine.events import EventKind, TcpEvent
 from ..engine.fpc import FlowProcessingCore
 from ..engine.ftengine import ENGINE_FREQ_HZ
@@ -24,8 +24,6 @@ from ..tcp.tcb import Tcb
 
 #: NewReno's FPU depth (Table 2), the FPU every header-rate design runs.
 NEWRENO_FPU_CYCLES = 14
-#: Cycles the w/o-RMW design is measured over.
-TONIC_CYCLES = 20_000
 
 
 def _synthetic_event(flow_id: int, index: int) -> TcpEvent:
@@ -38,7 +36,8 @@ def measure_baseline_event_rate(
     cycles: int = 20_000,
     freq_hz: float = ENGINE_FREQ_HZ,
 ) -> float:
-    """w-RMW design: one event per ``stall_cycles`` (§3.1)."""
+    """w-RMW design: one event per ``stall_cycles`` (§3.1); with a stall
+    of one cycle at 100 MHz, the w/o-RMW design."""
     accel = StallingAccelerator(stall_cycles=stall_cycles, freq_hz=freq_hz)
     index = 0
     for _ in range(cycles):
@@ -47,19 +46,6 @@ def measure_baseline_event_rate(
             index += 1
         accel.tick()
     return accel.events_processed * freq_hz / cycles
-
-
-def measure_tonic_event_rate() -> float:
-    """w/o-RMW design: one event per cycle at 100 MHz (§3.1)."""
-    accel = SingleCycleAccelerator()
-    cycles = TONIC_CYCLES
-    index = 0
-    for _ in range(cycles):
-        if not accel.input.full:
-            accel.offer_event(_synthetic_event(0, index))
-            index += 1
-        accel.tick()
-    return accel.events_processed * accel.freq_hz / cycles
 
 
 def measure_fpc_event_rate(

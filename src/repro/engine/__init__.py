@@ -6,7 +6,7 @@ pending queue, migration), the DRAM memory manager, and the TX/RX data
 paths.  The Testbed wires two engines back to back as in section 5.
 """
 
-from .baseline import NullFpu, SingleCycleAccelerator, StallingAccelerator
+from .baseline import NullFpu, StallingAccelerator
 from .buffers import SendStream
 from .events import EventKind, TcpEvent, timeout_event, user_recv_event, user_send_event
 from .event_handler import EventEntry, EventHandler, accumulate_event, merge_into_tcb
@@ -41,7 +41,6 @@ __all__ = [
     "RxParser",
     "Scheduler",
     "SendStream",
-    "SingleCycleAccelerator",
     "StallingAccelerator",
     "TcpEvent",
     "Testbed",

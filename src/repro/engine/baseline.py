@@ -4,10 +4,11 @@
   100 Gbps-capable FPGA stacks (Limago [44]) that keep TCP processing
   atomic by stalling between events of the same pipeline: one event every
   ``stall_cycles`` (17 in the paper's Fig 2/Fig 15/Fig 16b baselines).
-* :class:`SingleCycleAccelerator` (w/o-RMW) — the theoretical TONIC-like
-  design: one event per cycle at 100 MHz with *no* stalls, obtained in
-  hardware by forcing all RMW work into a single cycle (§2.5) — which is
-  what costs TONIC byte-level transfer, connectivity and versatility.
+  With a stall of one cycle at 100 MHz it is the w/o-RMW design: the
+  theoretical TONIC-like design, one event per cycle with *no* stalls,
+  obtained in hardware by forcing all RMW work into a single cycle
+  (§2.5) — which is what costs TONIC byte-level transfer, connectivity
+  and versatility.
 * :class:`NullFpu` — a latency-only FPU for event-rate micro-benchmarks
   (Figs 15, 16b) where the processing *content* is irrelevant.
 """
@@ -61,7 +62,6 @@ class StallingAccelerator(Component):
         self.input: Fifo[TcpEvent] = Fifo(INPUT_DEPTH, "baseline.in")
         self._stall_remaining = 0
         self.events_processed = 0
-        self.bytes_processed = 0
 
     def offer_event(self, event: TcpEvent) -> bool:
         return self.input.push(event)
@@ -75,34 +75,4 @@ class StallingAccelerator(Component):
         if event is None:
             return
         self.events_processed += 1
-        if event.req is not None:
-            self.bytes_processed += event.req  # req carries size in rate runs
         self._stall_remaining = self.stall_cycles - 1
-
-
-class SingleCycleAccelerator(Component):
-    """w/o-RMW: one event per cycle, TONIC-style, at 100 MHz.
-
-    Unlike TONIC we let the request size be arbitrary (the Fig 2
-    w/o-RMW curve makes exactly this assumption).
-    """
-
-    freq_hz = 100e6
-
-    def __init__(self) -> None:
-        super().__init__("wo-rmw-tonic")
-        self.input: Fifo[TcpEvent] = Fifo(INPUT_DEPTH, "tonic.in")
-        self.events_processed = 0
-        self.bytes_processed = 0
-
-    def offer_event(self, event: TcpEvent) -> bool:
-        return self.input.push(event)
-
-    def tick(self) -> None:
-        self.cycle += 1
-        event = self.input.try_pop()
-        if event is None:
-            return
-        self.events_processed += 1
-        if event.req is not None:
-            self.bytes_processed += event.req

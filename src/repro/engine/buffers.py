@@ -38,8 +38,8 @@ class SendStream:
     def append(self, data: bytes) -> int:
         """Store outgoing bytes; returns the new request pointer.
 
-        The library blocks (or returns EAGAIN) before overflowing, so
-        appending beyond capacity is a caller bug.
+        ``FtEngine.send_data`` appends only what fits, so appending
+        beyond capacity is a caller bug.
         """
         if len(data) > self.room:
             raise BufferError(

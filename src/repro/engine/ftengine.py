@@ -5,10 +5,12 @@ timers), the TX data path (packet generator), the RX data path (parser
 with cuckoo flow lookup and logical reassembly), and ARP/ICMP.  It is a
 clocked component: one :meth:`tick` is one 250 MHz cycle.
 
-The host-facing API (``connect`` / ``listen`` / ``send_data`` /
-``recv_data`` / ``close_flow``) models the 16 B command interface the
-F4T library uses (§4.1.1); notifications flowing back to the software
-are queued as :class:`EngineMessage` objects that the library drains.
+The host-facing API (``connect`` / ``listen`` / ``accept`` /
+``send_data`` / ``recv_data`` / ``close_flow``) stands for the 16 B
+commands of the F4T software stack (§4.1.1): a call hands its pointer
+straight to the scheduler, and no command ring is simulated.
+Notifications flowing back to the host are queued as
+:class:`EngineMessage` objects on one queue the host drains.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ from ..tcp.segment import (
     FLAG_ACK,
     FLAG_RST,
     PACKET_OVERHEAD,
+    PORT_MAX,
+    PORT_MIN,
     FlowKey,
     TcpSegment,
-    ip_to_string,
+    free_flow_key,
 )
 from ..tcp.seq import SEQ_MOD, seq_add
 from ..tcp.state_machine import TcpState
@@ -66,8 +70,9 @@ ENGINE_FREQ_HZ = 250e6
 #: ps end-to-end (simlint F4T007); 250 MHz divides 1 THz evenly.
 ENGINE_PERIOD_PS = 10**12 // int(ENGINE_FREQ_HZ)
 
-#: Source ports an active open may take, and where the first one starts.
-_PORT_MIN, _PORT_MAX = 1024, 65535
+#: Source ports an active open may take (module names, so a test can
+#: narrow the range), and where the first one starts.
+_PORT_MIN, _PORT_MAX = PORT_MIN, PORT_MAX
 _PORT_COUNT = _PORT_MAX - _PORT_MIN + 1
 _EPHEMERAL_BASE = 40000
 
@@ -178,23 +183,19 @@ class FtEngine(Component):
         self.flows: Dict[int, _FlowRecord] = {}
         #: The 4-tuples of ``flows``, so an active open never reuses one.
         self._keys_in_use: Set[FlowKey] = set()
-        #: port -> per-thread accept queues (SO_REUSEPORT, §4.6).
-        self.listening: Dict[int, Dict[int, Deque[int]]] = {}
+        #: port -> its accept queue of established flows.
+        self.listening: Dict[int, Deque[int]] = {}
         self._next_flow_id = 0
         self._next_ephemeral_port = _EPHEMERAL_BASE
 
         #: Events that could not enter the scheduler yet (backpressure).
         self._event_backlog: Deque[TcpEvent] = deque()
-        #: Per-thread message queues: receive-side scaling keeps all of
-        #: a flow's commands on one queue for cache locality (§4.6).
-        self.host_messages: Dict[int, Deque[EngineMessage]] = {0: deque()}
+        #: The host's message queue, every flow's messages in post order.
+        self.host_messages: Deque[EngineMessage] = deque()
         #: Bumped on every post (and by :meth:`drain_host_messages`) so
-        #: pollers can skip rescanning untouched queues; a host that pops
-        #: a queue itself (``LoadEngine``) leaves it be.
+        #: pollers can skip rescanning an untouched queue; a host that
+        #: pops the queue itself (``LoadEngine``) leaves it be.
         self.msg_epoch = 0
-        #: Flow -> its thread, for flows not on thread 0 (the default).
-        self._flow_thread: Dict[int, int] = {}
-        self._accept_rr: Dict[int, int] = {}  # per-port round-robin index
 
         self.counters = Counters()
 
@@ -214,23 +215,6 @@ class FtEngine(Component):
         self.trace = None
         self.trace_name = self.name
         self._trace_last_state: Dict[int, TcpState] = {}
-
-    # ------------------------------------------------------------- threads
-    def register_thread(self, thread_id: int) -> None:
-        """Attach an application thread (its own queues, §4.6)."""
-        self.host_messages.setdefault(thread_id, deque())
-        for queues in self.listening.values():
-            queues.setdefault(thread_id, deque())
-
-    @property
-    def registered_threads(self) -> List[int]:
-        return sorted(self.host_messages)
-
-    def _assign_flow_to_thread(self, flow_id: int, thread_id: int) -> None:
-        if thread_id:
-            self._flow_thread[flow_id] = thread_id
-        else:
-            self._flow_thread.pop(flow_id, None)
 
     # ---------------------------------------------------------------- time
     @property
@@ -284,37 +268,21 @@ class FtEngine(Component):
         self.counters.add("flows_created")
         return flow_id
 
-    def _alloc_key(self, dst_ip: int, dst_port: int) -> FlowKey:
-        """The next free 4-tuple towards a destination: source ports run
-        on from the last one handed out, wrap inside the valid range
-        and skip any still held by a live flow (as ``SoftStack`` does)."""
-        port = self._next_ephemeral_port
-        for _ in range(_PORT_COUNT):
-            key = FlowKey(self.ip, port, dst_ip, dst_port)
-            port = port + 1 if port < _PORT_MAX else _PORT_MIN
-            if key not in self._keys_in_use:
-                self._next_ephemeral_port = port
-                return key
-        raise OSError(
-            f"engine {self.name}: no free source port towards "
-            f"{ip_to_string(dst_ip)}:{dst_port} — all "
-            f"{_PORT_COUNT} 4-tuples are held by live flows"
-        )
-
     def connect(
         self,
         dst_ip: int,
         dst_port: int,
         src_port: Optional[int] = None,
-        thread_id: int = 0,
     ) -> int:
         """Active open; returns the flow ID immediately (SYN in flight)."""
         if src_port is None:
-            key = self._alloc_key(dst_ip, dst_port)
+            key, self._next_ephemeral_port = free_flow_key(
+                self.ip, dst_ip, dst_port, self._next_ephemeral_port,
+                self._keys_in_use, f"engine {self.name}", _PORT_MIN, _PORT_COUNT,
+            )
         else:
             key = FlowKey(self.ip, src_port, dst_ip, dst_port)
         flow_id = self._create_flow(key)
-        self._assign_flow_to_thread(flow_id, thread_id)
         self._submit(
             TcpEvent(
                 EventKind.USER_REQ, flow_id, connect=True, timestamp=self.time_ps
@@ -323,21 +291,13 @@ class FtEngine(Component):
         return flow_id
 
     def listen(self, port: int) -> None:
-        """Open a passive listening port with per-thread accept queues."""
-        queues = self.listening.setdefault(port, {})
-        for thread_id in self.registered_threads:
-            queues.setdefault(thread_id, deque())
+        """Open a passive listening port with its accept queue."""
+        self.listening.setdefault(port, deque())
 
-    def accept(self, port: int, thread_id: int = 0) -> Optional[int]:
-        """Pop an established connection from this thread's accept queue.
-
-        SO_REUSEPORT semantics (§4.6): new connections are distributed
-        evenly across the registered threads' queues.
-        """
-        queues = self.listening.get(port)
-        if not queues:
-            return None
-        queue = queues.get(thread_id)
+    def accept(self, port: int) -> Optional[int]:
+        """Pop an established connection from the port's accept queue
+        (None when it is empty or nothing listens there)."""
+        queue = self.listening.get(port)
         if not queue:
             return None
         return queue.popleft()
@@ -355,8 +315,8 @@ class FtEngine(Component):
     def send_data(self, flow_id: int, data: bytes) -> int:
         """Buffer ``data`` and submit the new request pointer (§4.2.1).
 
-        Returns the number of bytes accepted (bounded by buffer room);
-        the library implements blocking/EAGAIN on top of this.
+        Returns the number of bytes accepted (bounded by buffer room):
+        0 on a full buffer, which a blocking host waits out.
         """
         record = self.flows.get(flow_id)
         if record is None:
@@ -663,17 +623,14 @@ class FtEngine(Component):
         self._transmit_ip(rst, rst.dst_ip)
 
     def _post_message(self, kind: str, flow_id: int, value: int = 0) -> None:
-        """Queue a message on the flow's thread (receive-side scaling)."""
-        thread_id = self._flow_thread.get(flow_id, 0)
-        queue = self.host_messages.get(thread_id)
-        if queue is None:
-            queue = self.host_messages[0]
-        queue.append(EngineMessage(kind, flow_id, value))
+        """Queue a message for the host."""
+        self.host_messages.append(EngineMessage(kind, flow_id, value))
         self.msg_epoch += 1
         if self.trace is not None:
+            # ``thread=0`` is kept: trace fingerprints hash the detail.
             self.trace.emit(
                 self.time_ps, "host", f"{self.trace_name}/hostq", "msg",
-                flow_id, f"{kind} thread={thread_id} value={value}",
+                flow_id, f"{kind} thread=0 value={value}",
             )
 
     def _apply_notification(self, kind: NoteKind, flow_id: int, value: int) -> None:
@@ -686,16 +643,7 @@ class FtEngine(Component):
             self._post_message("connected", flow_id)
         elif kind is NoteKind.ACCEPTED:
             if record is not None and record.listen_port is not None:
-                # SO_REUSEPORT: distribute new flows evenly over the
-                # registered threads' accept queues (§4.6).
-                threads = self.registered_threads
-                index = self._accept_rr.get(record.listen_port, 0)
-                thread_id = threads[index % len(threads)]
-                self._accept_rr[record.listen_port] = index + 1
-                self._assign_flow_to_thread(flow_id, thread_id)
-                self.listening[record.listen_port].setdefault(
-                    thread_id, deque()
-                ).append(flow_id)
+                self.listening[record.listen_port].append(flow_id)
             self._post_message("accepted", flow_id)
             self.counters.add("connections_accepted")
         elif kind is NoteKind.PEER_FIN:
@@ -717,7 +665,6 @@ class FtEngine(Component):
         self.rx_parser.deregister_flow(record.key, flow_id)
         self._keys_in_use.discard(record.key)
         del self.flows[flow_id]
-        self._flow_thread.pop(flow_id, None)
         self.counters.add("flows_closed")
 
     def _drain_rx_notifications(self) -> None:
@@ -841,13 +788,10 @@ class FtEngine(Component):
         }
 
     # ------------------------------------------------------------ host I/O
-    def drain_host_messages(self, thread_id: int = 0) -> List[EngineMessage]:
-        """Drain one thread's completion messages (per-thread queues, §4.6)."""
-        queue = self.host_messages.get(thread_id)
-        if queue is None:
-            return []
-        messages = list(queue)
-        queue.clear()
+    def drain_host_messages(self) -> List[EngineMessage]:
+        """Take every message the host has not read yet."""
+        messages = list(self.host_messages)
+        self.host_messages.clear()
         if messages:
             self.msg_epoch += 1
         return messages

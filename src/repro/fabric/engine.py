@@ -307,7 +307,7 @@ class FabricLoadEngine:
         """Drain every host queue; each message dirties its conn."""
         port = self.scenario.server_port
         for index, stack in enumerate(self.stacks):
-            if not stack.host_messages[0]:
+            if not stack.host_messages:
                 continue
             for message in stack.drain_host_messages():
                 if message.kind == "accepted":

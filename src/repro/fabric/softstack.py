@@ -39,15 +39,12 @@ from ..engine.ftengine import EngineMessage
 from ..net.link import PER_PACKET_OVERHEAD
 from ..net.wire import derive_seed
 from ..sim.component import NEVER
-from ..tcp.segment import FlowKey, ip_to_string
+from ..tcp.segment import PORT_COUNT, PORT_MIN, FlowKey, free_flow_key
 from ..tcp.state_machine import TcpState
 from .service import ServiceModel
 
-#: Source ports ``connect`` hands out: from the start of the dynamic
-#: range upwards, wrapping inside the unprivileged range.
+#: Where ``connect``'s source ports start: the dynamic range.
 _EPHEMERAL_BASE = 49152
-_PORT_MIN, _PORT_MAX = 1024, 65535
-_PORT_COUNT = _PORT_MAX - _PORT_MIN + 1
 
 
 # Transport constants shared by every soft backend.
@@ -227,9 +224,9 @@ class SoftStack:
         #: Set by the owner's :class:`TimerWakeIndex`: called with the
         #: raw head of ``_timers`` whenever that head changes.
         self._publish_wake: Optional[Callable[[int], None]] = None
-        self.host_messages: Dict[int, Deque[EngineMessage]] = {0: deque()}
+        self.host_messages: Deque[EngineMessage] = deque()
         #: Bumped on every host-queue mutation, mirroring
-        #: ``FtEngine.msg_epoch`` so pollers can skip unchanged queues.
+        #: ``FtEngine.msg_epoch`` so pollers can skip an unchanged queue.
         self.msg_epoch = 0
         self._listening: Set[int] = set()
         self._accept_queues: Dict[int, Deque[int]] = {}
@@ -250,7 +247,7 @@ class SoftStack:
 
     # ------------------------------------------------------------- plumbing
     def _post(self, kind: str, flow_id: int, value: int = 0) -> None:
-        self.host_messages[0].append(EngineMessage(kind, flow_id, value))
+        self.host_messages.append(EngineMessage(kind, flow_id, value))
         self.msg_epoch += 1
 
     def _alloc_slot(self) -> int:
@@ -316,25 +313,11 @@ class SoftStack:
         self._listening.add(port)
         self._accept_queues.setdefault(port, deque())
 
-    def _alloc_key(self, dst_ip: int, dst_port: int) -> FlowKey:
-        """The next free 4-tuple towards a destination: source ports run
-        on from the last one handed out, wrap inside the valid range
-        and skip any still held by a live flow."""
-        port = self._next_port
-        for _ in range(_PORT_COUNT):
-            key = FlowKey(self.ip, port, dst_ip, dst_port)
-            port = port + 1 if port < _PORT_MAX else _PORT_MIN
-            if key not in self._by_key:
-                self._next_port = port
-                return key
-        raise OSError(
-            f"stack {self.name}: no free source port towards "
-            f"{ip_to_string(dst_ip)}:{dst_port} — all "
-            f"{_PORT_COUNT} 4-tuples are held by live flows"
-        )
-
     def connect(self, dst_ip: int, dst_port: int) -> int:
-        key = self._alloc_key(dst_ip, dst_port)
+        key, self._next_port = free_flow_key(
+            self.ip, dst_ip, dst_port, self._next_port, self._by_key,
+            f"stack {self.name}", PORT_MIN, PORT_COUNT,
+        )
         flow_id = self._next_flow_id
         self._next_flow_id += 1
         flow = _SoftFlow(flow_id, key, self._alloc_slot(), TcpState.SYN_SENT)
@@ -345,7 +328,7 @@ class SoftStack:
         self._arm(flow)
         return flow_id
 
-    def accept(self, port: int, thread_id: int = 0) -> Optional[int]:
+    def accept(self, port: int) -> Optional[int]:
         queue = self._accept_queues.get(port)
         if not queue:
             return None
@@ -403,12 +386,11 @@ class SoftStack:
         if flow.state is TcpState.ESTABLISHED:
             self._pump_flow(flow)
 
-    def drain_host_messages(self, thread_id: int = 0) -> List[EngineMessage]:
-        queue = self.host_messages.get(thread_id)
-        if not queue:
+    def drain_host_messages(self) -> List[EngineMessage]:
+        if not self.host_messages:
             return []
-        drained = list(queue)
-        queue.clear()
+        drained = list(self.host_messages)
+        self.host_messages.clear()
         self.msg_epoch += 1
         return drained
 

@@ -1,33 +1,13 @@
-"""The F4T software stack: library, runtime, queues, PCIe and CPU models,
-plus the Linux TCP stack baseline and all calibrated constants."""
+"""The F4T host side as its calibrated costs: CPU and PCIe models,
+the Linux TCP stack baseline and all calibrated constants."""
 
-from .commands import Command, Opcode
 from .cpu import CpuModel, CycleAccount
-from .library import (
-    ConnectionResetBySim,
-    F4TLibrary,
-    F4TSocket,
-    SocketError,
-    WouldBlock,
-)
 from .linux_stack import LinuxTcpStack
 from .pcie import PcieModel
-from .queues import CommandQueue, QueuePair
-from .runtime import F4TRuntime
 
 __all__ = [
-    "Command",
-    "CommandQueue",
-    "ConnectionResetBySim",
     "CpuModel",
     "CycleAccount",
-    "F4TLibrary",
-    "F4TRuntime",
-    "F4TSocket",
     "LinuxTcpStack",
-    "Opcode",
     "PcieModel",
-    "QueuePair",
-    "SocketError",
-    "WouldBlock",
 ]

@@ -98,11 +98,7 @@ def sample_occupancy(bus: TraceBus, testbed, t_ps: float) -> None:
             # host-message queue sample below still applies.
             bus.emit(
                 t_ps, "host", f"{label}/hostq", "sample", -1,
-                {
-                    "messages": sum(
-                        len(queue) for queue in engine.host_messages.values()
-                    ),
-                },
+                {"messages": len(engine.host_messages)},
             )
             continue
         bus.emit(
@@ -133,9 +129,5 @@ def sample_occupancy(bus: TraceBus, testbed, t_ps: float) -> None:
         )
         bus.emit(
             t_ps, "host", f"{label}/hostq", "sample", -1,
-            {
-                "messages": sum(
-                    len(queue) for queue in engine.host_messages.values()
-                ),
-            },
+            {"messages": len(engine.host_messages)},
         )

@@ -2,7 +2,7 @@
 
 :mod:`repro.sim.stats` gives each component its own unlabeled bag of
 numbers; great inside one module, useless across a run that spans two
-engines, a host runtime and a traffic generator.  The registry is the
+engines, their host queues and a traffic generator.  The registry is the
 cross-layer view: every instrument is a ``(name, labels)`` pair (think
 Prometheus), so ``cache_misses{engine=a}`` and ``cache_misses{engine=b}``
 coexist, and a sweep can merge per-run registries into one.

@@ -1,7 +1,7 @@
 """The trace bus: append-only structured events from every layer.
 
 One :class:`TraceBus` instance is shared by every instrumented component
-of a run (engines, scheduler, memory manager, FPCs, host runtime,
+of a run (engines, scheduler, memory manager, FPCs, host queues,
 traffic engine).  Components hold a ``trace`` attribute that is ``None``
 by default; every emit site is guarded by ``if self.trace is not None``
 so an untraced run pays one attribute load per would-be event and
@@ -39,7 +39,7 @@ ALL_LAYERS = frozenset(
         "engine.mem",    # TCB cache hits/misses, DRAM store/take, occupancy
         "engine.tx",     # generated segments leaving the engine
         "engine.rx",     # parsed segments entering the engine
-        "host",          # host runtime queues and completion messages
+        "host",          # the engines' host message queues
         "traffic",       # LoadEngine request lifecycle + samples
         "fabric",        # soft backends, the switch, the fabric driver
         "shard",         # sharded runs: cell drivers, epoch barriers

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Container, NamedTuple, Optional, Tuple
 
 from .checksum import internet_checksum, tcp_checksum
 from .options import TcpOptions
@@ -73,6 +73,43 @@ class FlowKey(NamedTuple):
             f"{ip_to_string(self.src_ip)}:{self.src_port}->"
             f"{ip_to_string(self.dst_ip)}:{self.dst_port}"
         )
+
+
+#: Source ports an active open may take: the unprivileged range.
+PORT_MIN, PORT_MAX = 1024, 65535
+PORT_COUNT = PORT_MAX - PORT_MIN + 1
+
+
+def free_flow_key(
+    src_ip: int,
+    dst_ip: int,
+    dst_port: int,
+    start: int,
+    held: Container[FlowKey],
+    owner: str,
+    port_min: int,
+    port_count: int,
+) -> Tuple[FlowKey, int]:
+    """The next free 4-tuple towards a destination, and the source port
+    to start from next time.
+
+    Source ports run on from ``start``, wrap inside the ``port_count``
+    ports from ``port_min`` and skip any 4-tuple in ``held`` (a live
+    flow's).  ``owner`` names the stack in the error raised when every
+    one is held.
+    """
+    port_max = port_min + port_count - 1
+    port = start
+    for _ in range(port_count):
+        key = FlowKey(src_ip, port, dst_ip, dst_port)
+        port = port + 1 if port < port_max else port_min
+        if key not in held:
+            return key, port
+    raise OSError(
+        f"{owner}: no free source port towards "
+        f"{ip_to_string(dst_ip)}:{dst_port} — all "
+        f"{port_count} 4-tuples are held by live flows"
+    )
 
 
 @dataclass

@@ -472,29 +472,27 @@ class LoadEngine:
             if engine.msg_epoch == self._msg_epochs[side]:
                 continue
             self._msg_epochs[side] = engine.msg_epoch
-            for queue in engine.host_messages.values():
-                if not queue:
+            queue = engine.host_messages
+            for message in queue:
+                conn = conn_map.get(message.flow_id)
+                kind = message.kind
+                if conn is None:
+                    # A flow we can't map (shouldn't happen: accepts
+                    # are mapped by _poll_accepts before this runs).
+                    # Fall back to one exhaustive sweep — polling is
+                    # idempotent, so correctness is preserved.
+                    unknown = unknown or kind != "accepted"
                     continue
-                for message in queue:
-                    conn = conn_map.get(message.flow_id)
-                    kind = message.kind
-                    if conn is None:
-                        # A flow we can't map (shouldn't happen: accepts
-                        # are mapped by _poll_accepts before this runs).
-                        # Fall back to one exhaustive sweep — polling is
-                        # idempotent, so correctness is preserved.
-                        unknown = unknown or kind != "accepted"
-                        continue
-                    if kind == "acked":
-                        if not (conn.srv_send_remaining if side else conn.state == _SENDING):
-                            continue  # that side is not waiting for send room
-                    elif kind == "data" or kind == "eof":
-                        if side:
-                            conn.b_readable = True
-                        else:
-                            conn.a_readable = True
-                    self._mark_dirty(conn)
-                queue.clear()  # marking posts nothing: all of it was read
+                if kind == "acked":
+                    if not (conn.srv_send_remaining if side else conn.state == _SENDING):
+                        continue  # that side is not waiting for send room
+                elif kind == "data" or kind == "eof":
+                    if side:
+                        conn.b_readable = True
+                    else:
+                        conn.a_readable = True
+                self._mark_dirty(conn)
+            queue.clear()  # marking posts nothing: all of it was read
         if unknown:
             self._mark_all_dirty()
 

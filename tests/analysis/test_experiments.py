@@ -20,13 +20,11 @@ from repro.analysis.experiments import (
     run_figure16a,
     run_table1,
 )
-from repro.analysis import microbench
 from repro.analysis.microbench import (
     HeaderRateDesign,
     measure_baseline_event_rate,
     measure_fpc_event_rate,
     measure_header_rate,
-    measure_tonic_event_rate,
 )
 
 
@@ -73,9 +71,10 @@ class TestMicrobench:
         rate = measure_baseline_event_rate(stall_cycles=17, cycles=5000)
         assert rate == pytest.approx(250e6 / 17, rel=0.02)
 
-    def test_tonic_anchor(self, monkeypatch):
-        monkeypatch.setattr(microbench, "TONIC_CYCLES", 3000)
-        assert measure_tonic_event_rate() == pytest.approx(100e6, rel=0.02)
+    def test_tonic_anchor(self):
+        """w/o-RMW: the stalling design with no stall, at 100 MHz."""
+        rate = measure_baseline_event_rate(stall_cycles=1, cycles=3000, freq_hz=100e6)
+        assert rate == pytest.approx(100e6, rel=0.02)
 
     def test_fpc_anchor(self):
         assert measure_fpc_event_rate(cycles=4000) == pytest.approx(125e6, rel=0.02)

@@ -21,8 +21,6 @@ from ._knobs import build_knobs
 ALLOWLIST = {
     r"repro\.engine\.ftengine:FtEngineConfig\.memory ":
         "§4.7 names both memories; running the engine on DDR4 is an open roadmap item",
-    r"repro\.host\.(library|runtime|queues|commands):":
-        "what the host software stack keeps is an open roadmap item",
 }
 
 

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.engine.baseline import (
-    NullFpu,
-    SingleCycleAccelerator,
-    StallingAccelerator,
-)
+from repro.engine.baseline import NullFpu, StallingAccelerator
 from repro.engine.events import EventKind, TcpEvent
 from repro.engine.resources import (
     FPC_COST,
@@ -49,16 +45,15 @@ class TestStallingAccelerator:
         assert accel.events_processed == 0
         assert not accel.input
 
-
-class TestSingleCycleAccelerator:
-    def test_one_event_per_cycle(self):
-        accel = saturate(SingleCycleAccelerator(), 5000)
+    def test_stall_of_one_is_one_event_per_cycle(self):
+        """w/o-RMW: no stall at 100 MHz, the TONIC-like design."""
+        accel = saturate(StallingAccelerator(1, freq_hz=100e6), 5000)
         assert accel.events_processed == 5000
         assert events_per_second(accel) == pytest.approx(100e6)
 
     def test_tonic_vs_limago_gap(self):
         """Fig 2's w/o-RMW vs w-RMW gap at equal request sizes."""
-        tonic = saturate(SingleCycleAccelerator(), 10_000)
+        tonic = saturate(StallingAccelerator(1, freq_hz=100e6), 10_000)
         limago = saturate(StallingAccelerator(17, freq_hz=322e6), 10_000)
         assert events_per_second(tonic) > 5 * events_per_second(limago)
 

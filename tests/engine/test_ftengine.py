@@ -70,6 +70,41 @@ class TestHandshake:
         for flow in flows:
             assert testbed.engine_a.flow_state(flow) is TcpState.ESTABLISHED
 
+    def test_connect_then_accept_pairs_the_two_ends(self, testbed):
+        """The host calls alone: listen, connect, accept.  The flow
+        accepted on B is the far end of the flow A opened."""
+        testbed.engine_b.listen(80)
+        a_flow = testbed.engine_a.connect(testbed.engine_b.ip, 80)
+        accepted = []
+
+        def done():
+            if not accepted:
+                flow = testbed.engine_b.accept(80)
+                if flow is not None:
+                    accepted.append(flow)
+            return bool(accepted) and (
+                testbed.engine_a.flow_state(a_flow) is TcpState.ESTABLISHED
+            )
+
+        assert testbed.run(until=done, max_time_s=0.01)
+        (b_flow,) = accepted
+        assert testbed.engine_b.flow_state(b_flow) is TcpState.ESTABLISHED
+        a_key = testbed.engine_a.flows[a_flow].key
+        b_key = testbed.engine_b.flows[b_flow].key
+        assert (a_key.src_ip, a_key.src_port) == (b_key.dst_ip, b_key.dst_port)
+        assert (a_key.dst_ip, a_key.dst_port) == (b_key.src_ip, b_key.src_port)
+        assert testbed.engine_b.flows[b_flow].listen_port == 80
+        assert testbed.engine_b.accept(80) is None  # one connect, one accept
+
+    def test_accept_is_none_on_an_empty_listening_port(self, testbed):
+        testbed.engine_b.listen(81)
+        assert testbed.engine_b.accept(81) is None
+
+    def test_accept_is_none_on_an_unlistened_port(self, testbed):
+        assert testbed.engine_b.accept(82) is None
+        testbed.engine_b.listen(81)
+        assert testbed.engine_b.accept(82) is None  # another port listens
+
     def test_arp_resolution_precedes_syn(self, testbed):
         testbed.engine_b.listen(80)
         testbed.engine_a.connect(testbed.engine_b.ip, 80)
@@ -97,6 +132,65 @@ class TestDataExchange:
         big = bytes(2 * 1024 * 1024)  # 2 MB into a 512 KB buffer
         accepted = testbed.engine_a.send_data(a_flow, big)
         assert accepted == 512 * 1024
+
+    def test_send_to_a_full_buffer_takes_nothing(self, testbed):
+        """What a non-blocking send meets: a full buffer accepts nothing
+        until ACKs free room."""
+        a_flow, _ = testbed.establish()
+        assert testbed.engine_a.send_data(a_flow, bytes(600_000)) == 512 * 1024
+        assert testbed.engine_a.send_room(a_flow) == 0
+        assert testbed.engine_a.send_data(a_flow, b"more") == 0
+
+    def test_send_then_recv_one_message(self, testbed):
+        a_flow, b_flow = testbed.establish()
+        assert testbed.engine_a.send_data(a_flow, b"hello over f4t") == 14
+        assert testbed.run(
+            until=lambda: testbed.engine_b.readable(b_flow) >= 14, max_time_s=0.05
+        )
+        assert testbed.engine_b.recv_data(b_flow, 100) == b"hello over f4t"
+        assert testbed.engine_b.readable(b_flow) == 0
+
+    def test_echo_ping_then_pong(self, testbed):
+        """One side answers only after it has read: the reply rides the
+        same flow back."""
+        a_flow, b_flow = testbed.establish()
+        testbed.engine_a.send_data(a_flow, b"ping")
+        assert testbed.run(
+            until=lambda: testbed.engine_b.readable(b_flow) >= 4, max_time_s=0.05
+        )
+        assert testbed.engine_b.recv_data(b_flow, 4) == b"ping"
+        testbed.engine_b.send_data(b_flow, b"pong")
+        assert testbed.run(
+            until=lambda: testbed.engine_a.readable(a_flow) >= 4, max_time_s=0.05
+        )
+        assert testbed.engine_a.recv_data(a_flow, 4) == b"pong"
+
+    def test_recv_with_nothing_readable_is_empty(self, testbed):
+        _, b_flow = testbed.establish()
+        assert testbed.engine_b.readable(b_flow) == 0
+        assert testbed.engine_b.recv_data(b_flow, 10) == b""
+
+    def test_transfer_larger_than_both_buffers(self, testbed):
+        """900 KB through 512 KB send and receive buffers: the sender
+        writes what room there is, the reader drains as bytes arrive."""
+        a_flow, b_flow = testbed.establish()
+        engine_a, engine_b = testbed.engine_a, testbed.engine_b
+        data = bytes(x % 256 for x in range(900_000))
+        sent = 0
+        received = bytearray()
+
+        def pump():
+            nonlocal sent
+            room = engine_a.send_room(a_flow)
+            if room and sent < len(data):
+                sent += engine_a.send_data(a_flow, data[sent:sent + room])
+            readable = engine_b.readable(b_flow)
+            if readable:
+                received.extend(engine_b.recv_data(b_flow, readable))
+            return len(received) == len(data)
+
+        assert testbed.run(until=pump, max_time_s=1.0)
+        assert bytes(received) == data
 
     def test_host_messages_flow(self, testbed):
         a_flow, b_flow = testbed.establish()
@@ -135,6 +229,25 @@ class TestTeardown:
             return not testbed.engine_a.flows and not testbed.engine_b.flows
 
         assert testbed.run(until=server, max_time_s=10.0)
+
+    def test_recv_after_the_peer_closed_is_eof(self, testbed):
+        """The peer's last bytes are read first, then b"" for good."""
+        a_flow, b_flow = testbed.establish()
+        testbed.engine_a.send_data(a_flow, b"bye")
+        testbed.engine_a.close_flow(a_flow)
+        kinds = []
+
+        def eof():
+            kinds.extend(
+                m.kind for m in testbed.engine_b.drain_host_messages()
+                if m.flow_id == b_flow
+            )
+            return "eof" in kinds
+
+        assert testbed.run(until=eof, max_time_s=0.05)
+        assert testbed.engine_b.recv_data(b_flow, 10) == b"bye"
+        assert testbed.engine_b.recv_data(b_flow, 10) == b""
+        assert testbed.engine_b.readable(b_flow) == 0
 
     def test_simultaneous_close(self, testbed):
         a_flow, b_flow = testbed.establish()

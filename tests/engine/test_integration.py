@@ -129,6 +129,29 @@ class TestManyFlows:
         assert sorted(received) == sorted(payloads.values())
 
 
+    def test_parallel_clients_on_one_listening_port(self):
+        """Clients send before the server accepts: each accepted flow
+        holds exactly its own client's bytes."""
+        testbed = Testbed()
+        testbed.engine_b.listen(80)
+        clients = [testbed.engine_a.connect(testbed.engine_b.ip, 80) for _ in range(4)]
+        for index, flow in enumerate(clients):
+            testbed.engine_a.send_data(flow, f"client-{index}".encode())
+        servers = []
+
+        def all_arrived():
+            flow = testbed.engine_b.accept(80)
+            if flow is not None:
+                servers.append(flow)
+            return len(servers) == 4 and all(
+                testbed.engine_b.readable(flow) >= 8 for flow in servers
+            )
+
+        assert testbed.run(until=all_arrived, max_time_s=0.1)
+        received = sorted(testbed.engine_b.recv_data(flow, 100) for flow in servers)
+        assert received == [b"client-0", b"client-1", b"client-2", b"client-3"]
+
+
 class TestMigrationUnderTraffic:
     def test_more_flows_than_sram_capacity(self):
         """With tiny FPCs (2x2 slots) and 12 flows, most TCBs live in

@@ -28,10 +28,10 @@ def run_engine(name: str, num_hosts: int, backend: str = "f4t"):
 def test_host_queues_are_drained(name):
     """The driver consumes what the stacks post: nothing is left queued
     (before the pump drained, every delivered segment stayed on
-    ``host_messages[0]`` for the whole run)."""
+    ``host_messages`` for the whole run)."""
     engine = run_engine(name, 8)
     assert sum(s.packets_received for s in engine.stacks) > 0
-    assert [len(s.host_messages[0]) for s in engine.stacks] == [0] * 8
+    assert [len(s.host_messages) for s in engine.stacks] == [0] * 8
 
 
 @pytest.mark.parametrize("num_hosts", [8, 16])

@@ -325,8 +325,7 @@ class TestTeardown:
             readable = tb.engine_b.readable(b_flow)
             if readable == 0 and any(
                 m.kind == "eof" and m.flow_id == b_flow
-                for q in tb.engine_b.host_messages.values()
-                for m in q
+                for m in tb.engine_b.host_messages
             ):
                 tb.engine_b.close_flow(b_flow)
             return (
@@ -345,8 +344,7 @@ class TestTeardown:
             def gone() -> bool:
                 if any(
                     m.kind == "eof" and m.flow_id == b_flow
-                    for q in tb.engine_b.host_messages.values()
-                    for m in q
+                    for m in tb.engine_b.host_messages
                 ):
                     tb.engine_b.close_flow(b_flow)
                 return (

@@ -56,6 +56,16 @@ class TestCpuModel:
         assert account.fractions() == {}
         assert account.fraction("ghost") == 0.0
 
+    def test_thin_library_claim(self):
+        """One request costs ~52 cycles in the F4T library — versus
+        ~2 270 through the Linux stack (the Fig 8a calibration anchors)."""
+        from repro.host.calibration import (
+            F4T_CYCLES_PER_SEND_BULK,
+            LINUX_CYCLES_PER_SEND_BULK,
+        )
+
+        assert LINUX_CYCLES_PER_SEND_BULK / F4T_CYCLES_PER_SEND_BULK > 40
+
 
 class TestLinuxStack:
     def test_fig8a_anchor(self):
