@@ -81,8 +81,8 @@ class FabricPacket:
         window: int = 0,
         ece: bool = False,
     ) -> None:
-        self.kind = kind          # 'syn' | 'synack' | 'data' | 'ack' | 'fin'
-        self.key = key            # sender's view: src = sender
+        self.kind = kind  # 'syn' | 'synack' | 'data' | 'ack' | 'fin' | 'rst'
+        self.key = key            # the connection's: src = opener, both ways
         self.offset = offset      # cumulative byte offset (data/fin)
         self.ack_to = ack_to      # cumulative bytes acked by the sender
         self.payload_bytes = payload_bytes
@@ -171,20 +171,28 @@ _IDLE = _IdleTransfer()
 
 
 class _SoftFlow:
-    """One connection: identity, state and timers, plus ``x``, what it
-    has moved — the shared :data:`_IDLE` until its first transfer.
-    Most held-open connections never move a byte, and pay only this."""
+    """One end of a connection: identity, state and timers, plus ``x``,
+    what it has moved — the shared :data:`_IDLE` until its first
+    transfer.  Most held-open connections never move a byte, and pay
+    only this.
+
+    ``wire_key`` is the connection's one key, src = opener: the object
+    ``connect`` made, which every segment of the connection carries and
+    both ends hold.  ``key`` reads it in this end's view (src = this
+    host), as :class:`~repro.engine.ftengine.FtEngine`'s flow records
+    do; at the opener's end the two are the same tuple.
+    """
 
     __slots__ = (
-        "flow_id", "key", "slot", "state",
+        "flow_id", "wire_key", "slot", "state",
         "hs_deadline_ps", "rto_deadline_ps", "timer_armed_ps", "x",
     )
 
     def __init__(
-        self, flow_id: int, key: FlowKey, slot: int, state: TcpState,
+        self, flow_id: int, wire_key: FlowKey, slot: int, state: TcpState,
     ) -> None:
         self.flow_id = flow_id
-        self.key = key  # a passive flow's src_port is its listen port
+        self.wire_key = wire_key
         self.slot = slot
         self.state = state
         self.hs_deadline_ps = 0
@@ -194,6 +202,21 @@ class _SoftFlow:
         #: flow.x = _Transfer()``; paths that only write after one of
         #: those (an RTO, a retransmission, ``recv_data``) go through ``x``.
         self.x: _Transfer = _IDLE
+
+    @property
+    def key(self) -> FlowKey:
+        return self.wire_key
+
+
+class _PassiveFlow(_SoftFlow):
+    """The end a SYN opened: it holds the opener's key and reverses it
+    only when asked (its ``key.src_port`` is the listen port)."""
+
+    __slots__ = ()
+
+    @property
+    def key(self) -> FlowKey:
+        return self.wire_key.reversed()
 
 
 class SoftStack:
@@ -230,6 +253,7 @@ class SoftStack:
         self.msg_epoch = 0
         self._listening: Set[int] = set()
         self._accept_queues: Dict[int, Deque[int]] = {}
+        #: Each connection's one key (src = opener) -> this end of it.
         self._by_key: Dict[FlowKey, _SoftFlow] = {}
         self._next_flow_id = 0
         self._next_port = _EPHEMERAL_BASE
@@ -250,12 +274,15 @@ class SoftStack:
         self.host_messages.append(EngineMessage(kind, flow_id, value))
         self.msg_epoch += 1
 
-    def _alloc_slot(self) -> int:
+    def _alloc_slot(self, flow_id: int) -> int:
+        """The lowest freed slot, else the next fresh one — as the flow
+        id's own int when the two are equal, so a flow on a fresh slot
+        pins one int, not two."""
         if self._free_slots:
             return heapq.heappop(self._free_slots)
         slot = self._next_slot
-        self._next_slot += 1
-        return slot
+        self._next_slot = slot + 1
+        return flow_id if slot == flow_id else slot
 
     def _emit(self, packet: FabricPacket, at_ps: int) -> None:
         self.port.send(packet, at_ps)
@@ -314,13 +341,22 @@ class SoftStack:
         self._accept_queues.setdefault(port, deque())
 
     def connect(self, dst_ip: int, dst_port: int) -> int:
+        if dst_ip == self.ip:
+            # Both ends would hold one key in one ``_by_key``, and the
+            # switch could not tell the two directions apart.
+            raise ValueError(
+                f"stack {self.name}: connect to its own address is not "
+                f"supported"
+            )
         key, self._next_port = free_flow_key(
             self.ip, dst_ip, dst_port, self._next_port, self._by_key,
             f"stack {self.name}", PORT_MIN, PORT_COUNT,
         )
         flow_id = self._next_flow_id
         self._next_flow_id += 1
-        flow = _SoftFlow(flow_id, key, self._alloc_slot(), TcpState.SYN_SENT)
+        flow = _SoftFlow(
+            flow_id, key, self._alloc_slot(flow_id), TcpState.SYN_SENT,
+        )
         self.flows[flow_id] = flow
         self._by_key[key] = flow
         at = self._send_segment(flow, FabricPacket("syn", key))
@@ -447,7 +483,7 @@ class SoftStack:
             last_at = self._send_segment(
                 flow,
                 FabricPacket(
-                    "data", flow.key, offset=x.next_to_send,
+                    "data", flow.wire_key, offset=x.next_to_send,
                     payload_bytes=chunk, ack_to=x.contiguous,
                     window=self._rwnd(x),
                 ),
@@ -460,7 +496,7 @@ class SoftStack:
             and x.next_to_send == x.app_written
         ):
             last_at = self._send_segment(
-                flow, FabricPacket("fin", flow.key, offset=x.app_written)
+                flow, FabricPacket("fin", flow.wire_key, offset=x.app_written)
             )
             x.fin_sent = True
             sent_any = True
@@ -491,14 +527,14 @@ class SoftStack:
             self._send_segment(
                 flow,
                 FabricPacket(
-                    "data", flow.key, offset=x.flow_acked,
+                    "data", flow.wire_key, offset=x.flow_acked,
                     payload_bytes=chunk, ack_to=x.contiguous,
                     window=self._rwnd(x),
                 ),
             )
         elif x.fin_sent and not x.fin_acked:
             self._send_segment(
-                flow, FabricPacket("fin", flow.key, offset=x.app_written)
+                flow, FabricPacket("fin", flow.wire_key, offset=x.app_written)
             )
 
     def _expire_timers(self, now: int) -> None:
@@ -514,11 +550,11 @@ class SoftStack:
                 flow.timer_armed_ps = 0
             if flow.hs_deadline_ps and now >= flow.hs_deadline_ps:
                 if flow.state is TcpState.SYN_SENT:
-                    at = self._send_segment(flow, FabricPacket("syn", flow.key))
+                    at = self._send_segment(flow, FabricPacket("syn", flow.wire_key))
                     flow.hs_deadline_ps = at + HANDSHAKE_RTO_PS
                 elif flow.state is TcpState.SYN_RECEIVED:
                     at = self._send_segment(
-                        flow, FabricPacket("synack", flow.key)
+                        flow, FabricPacket("synack", flow.wire_key)
                     )
                     flow.hs_deadline_ps = at + HANDSHAKE_RTO_PS
                 else:
@@ -556,8 +592,8 @@ class SoftStack:
             self._on_syn(packet)
             return
         # Everything else belongs to an existing flow, looked up by the
-        # local view of the 4-tuple (the peer's key reversed).
-        key = packet.key.reversed()
+        # connection's key as it came.
+        key = packet.key
         flow = self._by_key.get(key)
         if flow is None:
             # Late segment for a torn-down flow.  A FIN is one
@@ -573,6 +609,13 @@ class SoftStack:
                     ),
                     self.service.tx_ready_ps(now, 0, 0),
                 )
+            elif kind == "synack":
+                # A SYN that outlived its connection opened a half-open
+                # flow at the peer: reset it (the same way, slot 0), or
+                # it re-sends its SYN-ACK every handshake timeout.
+                self._emit(
+                    FabricPacket("rst", key), self.service.tx_ready_ps(now, 0, 0)
+                )
             return
         if self.trace is not None:
             self.trace.emit(
@@ -582,6 +625,11 @@ class SoftStack:
         if kind == "synack":
             self._on_synack(flow)
             return
+        if kind == "rst":
+            # Only a half-open flow is reset; an RST is never answered.
+            if flow.state is TcpState.SYN_RECEIVED:
+                self._release(flow)
+            return
         if flow.state is TcpState.SYN_RECEIVED:
             # Handshake ACK (possibly carrying data): promote + enqueue
             # on the accept queue before normal processing.
@@ -589,7 +637,7 @@ class SoftStack:
             flow.hs_deadline_ps = 0
             # Only passive flows are ever SYN_RECEIVED, and theirs is
             # the key of a SYN to a listening port.
-            self._accept_queues[flow.key.src_port].append(flow.flow_id)
+            self._accept_queues[flow.wire_key.dst_port].append(flow.flow_id)
             self._post("accepted", flow.flow_id)
         if kind == "data":
             self._on_data(flow, packet)
@@ -600,19 +648,20 @@ class SoftStack:
         self._maybe_teardown(flow)
 
     def _on_syn(self, packet: FabricPacket) -> None:
-        if packet.key.dst_port not in self._listening:
+        key = packet.key  # the opener's, kept as it came
+        if key.dst_port not in self._listening:
             return
-        key = packet.key.reversed()  # our view: src = us
         flow = self._by_key.get(key)  # not None: a duplicate SYN, re-answer
         if flow is None:
             flow_id = self._next_flow_id
             self._next_flow_id += 1
-            flow = _SoftFlow(
-                flow_id, key, self._alloc_slot(), TcpState.SYN_RECEIVED,
+            flow = _PassiveFlow(
+                flow_id, key, self._alloc_slot(flow_id),
+                TcpState.SYN_RECEIVED,
             )
             self.flows[flow_id] = flow
             self._by_key[key] = flow
-        at = self._send_segment(flow, FabricPacket("synack", flow.key))
+        at = self._send_segment(flow, FabricPacket("synack", flow.wire_key))
         flow.hs_deadline_ps = at + HANDSHAKE_RTO_PS
         self._arm(flow)
 
@@ -625,7 +674,7 @@ class SoftStack:
         self._send_segment(
             flow,
             FabricPacket(
-                "ack", flow.key, ack_to=0, window=self._rwnd(flow.x)
+                "ack", flow.wire_key, ack_to=0, window=self._rwnd(flow.x)
             ),
         )
         self._pump_flow(flow)
@@ -675,7 +724,7 @@ class SoftStack:
         self._send_segment(
             flow,
             FabricPacket(
-                "ack", flow.key, ack_to=ack_to, window=self._rwnd(x),
+                "ack", flow.wire_key, ack_to=ack_to, window=self._rwnd(x),
                 ece=ece,
             ),
         )
@@ -760,16 +809,20 @@ class SoftStack:
             x.eof_posted = True
             self._post("eof", flow.flow_id)
         if peer_done and x.fin_acked:
-            flow.state = TcpState.CLOSED
-            del self.flows[flow.flow_id]
-            self._by_key.pop(flow.key, None)
-            heapq.heappush(self._free_slots, flow.slot)
+            self._release(flow)
             self._post("closed", flow.flow_id)
             if self.trace is not None:
                 self.trace.emit(
                     self.now_ps, "fabric", self.trace_name, "closed",
                     flow.flow_id, "teardown complete",
                 )
+
+    def _release(self, flow: _SoftFlow) -> None:
+        """Forget a flow: its id, its key and its slot."""
+        flow.state = TcpState.CLOSED
+        del self.flows[flow.flow_id]
+        self._by_key.pop(flow.wire_key, None)
+        heapq.heappush(self._free_slots, flow.slot)
 
 
 class TimerWakeIndex:

@@ -45,6 +45,17 @@ BUFFER_BYTES = 1 << 21
 _INGRESS, _EGRESS = 0, 1
 
 
+def egress_host(packet: FabricPacket, src: int, num_hosts: int) -> Optional[int]:
+    """The host a packet from host ``src`` goes to: whichever end of its
+    connection's key (src = opener, both ways) it did not come from;
+    None if that is no host of the switch."""
+    key = packet.key
+    index = key.dst_ip - _BASE_IP
+    if index == src:
+        index = key.src_ip - _BASE_IP
+    return index if 0 <= index < num_hosts else None
+
+
 def _take_due(queue: Deque[Tuple[int, FabricPacket]], now_ps: int) -> List[FabricPacket]:
     """Pop one host's deliveries that have arrived by ``now_ps``."""
     due: List[FabricPacket] = []
@@ -146,10 +157,6 @@ class SwitchFabric:
     def port(self, index: int) -> _FabricPort:
         return _FabricPort(self, index)
 
-    def _host_of_ip(self, ip: int) -> Optional[int]:
-        index = ip - _BASE_IP
-        return index if 0 <= index < self.num_hosts else None
-
     # ------------------------------------------------------ the event loop
     def next_event_ps(self) -> Optional[int]:
         """Earliest instant at which the fabric's state next changes."""
@@ -178,7 +185,7 @@ class SwitchFabric:
         return _pop_due_hosts(self._arrivals, now_ps)
 
     def _admit(self, packet: FabricPacket, src: int, now_ps: int) -> None:
-        out_port = self._host_of_ip(packet.key.dst_ip)
+        out_port = egress_host(packet, src, self.num_hosts)
         if out_port is None:
             self.dropped += 1  # no such host: blackholed
             return
@@ -312,11 +319,12 @@ class CellSwitch:
         return done + self.prop_ps, self._uplink_seq[src]
 
     # -------------------------------------------------------- receiver side
-    def admit(self, packet: FabricPacket, now_ps: int) -> None:
-        """Admit one packet arriving at the switch at ``now_ps``."""
+    def admit(self, packet: FabricPacket, src: int, now_ps: int) -> None:
+        """Admit one packet from ``src`` arriving at the switch at
+        ``now_ps``."""
         if self.san is not None:
             self.san.on_switch_admit(now_ps)
-        out_port = self.host_of_ip(packet.key.dst_ip)
+        out_port = egress_host(packet, src, self.num_hosts)
         if out_port is None or out_port not in self._depth:
             self.dropped += 1  # not ours: blackholed (mis-routed)
             return

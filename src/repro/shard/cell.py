@@ -29,7 +29,7 @@ from ..obs.trace import StreamingFingerprint
 from ..check.lockstep import LockstepSanitizer
 from ..fabric.backend import get_backend
 from ..fabric.softstack import FabricPacket, SoftStack, TimerWakeIndex
-from ..fabric.switch import CellSwitch
+from ..fabric.switch import CellSwitch, egress_host
 from .host import ClientPairDriver, ServerHostDriver
 from .scenarios import ShardScenario
 
@@ -142,7 +142,7 @@ class CellSim:
     def _route(
         self, arrival_ps: int, src: int, seq: int, packet: FabricPacket
     ) -> None:
-        dst = self.switch.host_of_ip(packet.key.dst_ip)
+        dst = egress_host(packet, src, self.scenario.num_hosts)
         if dst is None:
             return  # mis-addressed: blackholed deterministically
         entry = (arrival_ps, src, seq, packet)
@@ -173,25 +173,47 @@ class CellSim:
         return out
 
     # ---------------------------------------------------------- event loop
-    def _next_event_ps(self) -> Optional[int]:
-        best = self.switch.next_any_delivery_ps()
-        for heap in (self.pending, self._opens):
-            if heap and (best is None or heap[0][0] < best):
-                best = heap[0][0]
-        return self._wake.next_deadline_ps(best)
+    def _next_event_ps(self, end_ps: int) -> Optional[int]:
+        """The next instant at which a host acts (a delivery, an open or
+        a live timer).  Every pending segment that arrives earlier, and
+        before ``end_ps``, is admitted on the way at its own arrival: an
+        instant that only admits is counted, never settled."""
+        pending, opens = self.pending, self._opens
+        while True:
+            best = self.switch.next_any_delivery_ps()
+            if opens and (best is None or opens[0][0] < best):
+                best = opens[0][0]
+            best = self._wake.next_deadline_ps(best)
+            if not pending:
+                return best
+            at = pending[0][0]
+            if best is not None and best <= at:
+                return best
+            if at >= end_ps:
+                return at
+            if at < self.now_ps:
+                at = self.now_ps
+            self.now_ps = at
+            self.events += 1
+            self._admission_only += 1
+            self._admit_due(at)
+
+    def _admit_due(self, now: int) -> None:
+        """Feed the switch every pending segment arrived by ``now``."""
+        pending = self.pending
+        while pending and pending[0][0] <= now:
+            entry = heapq.heappop(pending)
+            if self.san is not None:
+                self.san.on_admit(entry, now)
+            arrival, src, _seq, packet = entry
+            self.switch.admit(packet, src, arrival)
 
     def _settle(self, now: int) -> None:
         """Process everything due at one instant, in canonical order:
         admissions, stack ticks, driver ticks, message dispatch — on
         the hosts with a delivery, a scheduled open or a timer entry
         due (nothing can happen on the others), in ascending order."""
-        pending = self.pending
-        while pending and pending[0][0] <= now:
-            entry = heapq.heappop(pending)
-            if self.san is not None:
-                self.san.on_admit(entry, now)
-            arrival, _src, _seq, packet = entry
-            self.switch.admit(packet, arrival)
+        self._admit_due(now)
         due = self.switch.due_hosts(now)
         opens = self._opens
         opening: List[int] = []
@@ -199,9 +221,6 @@ class CellSim:
             opening.append(heapq.heappop(opens)[1])
         due.update(opening)
         self._wake.pop_due(now, due)
-        if not due:
-            self._admission_only += 1
-            return
         hosts = sorted(due)
         self._stack_ticks += len(hosts)
         for host in hosts:
@@ -239,7 +258,7 @@ class CellSim:
         if self.san is not None:
             self.san.on_epoch_open(self.pending, self.now_ps)
         while True:
-            t = self._next_event_ps()
+            t = self._next_event_ps(end_ps)
             if t is None or t >= end_ps:
                 break
             if t < self.now_ps:

@@ -36,28 +36,35 @@ _PERIOD_PS = 4_000
 class Fault:
     """One scheduled fault: the ``nth`` segment (from 0) of ``kind``
     sent in ``direction`` (``"a2b"`` or ``"b2a"``) is dropped, held back
-    ``delay_ps`` on the wire, or — data segments only — CE-marked."""
+    ``delay_ps`` on the wire, delivered twice (the copy ``delay_ps``
+    behind, or right behind with 0), or — data segments only —
+    CE-marked."""
 
     direction: str
-    kind: str        # 'syn' | 'synack' | 'data' | 'ack' | 'fin'
+    kind: str        # 'syn' | 'synack' | 'data' | 'ack' | 'fin' | 'rst'
     nth: int
-    action: str = "drop"  # 'drop' | 'delay' | 'ce'
+    action: str = "drop"  # 'drop' | 'delay' | 'dup' | 'ce'
     delay_ps: int = 0
 
     def __post_init__(self) -> None:
         assert self.direction in ("a2b", "b2a"), self.direction
-        assert self.action in ("drop", "delay", "ce"), self.action
+        assert self.action in ("drop", "delay", "dup", "ce"), self.action
         assert self.action != "ce" or self.kind == "data", self
-        assert (self.action == "delay") == (self.delay_ps > 0), self
+        if self.action == "dup":
+            assert self.delay_ps >= 0, self
+        else:
+            assert (self.action == "delay") == (self.delay_ps > 0), self
 
 
 class FaultSchedule:
     """Faults by per-direction, per-kind segment index: deterministic
-    loss, reordering and CE marks with no RNG involved.
+    loss, reordering, duplication and CE marks with no RNG involved.
 
     :meth:`hooks` gives a direction's ``drop_fn``/``delay_fn`` pair for
     :class:`~repro.net.wire.LinkDirection`; ``fired`` lists the faults
-    that met their segment, in wire order.
+    that met their segment, in wire order.  A duplicate is sent by the
+    direction's :class:`_ScheduledPort` and passes the hooks unfaulted
+    and uncounted: it is no segment of its own.
     """
 
     def __init__(self, faults: Iterable[Fault]) -> None:
@@ -70,10 +77,15 @@ class FaultSchedule:
         #: (direction, link frame index) -> hold-back of a frame the
         #: drop hook matched and did not drop.
         self._holds: Dict[Tuple[str, int], int] = {}
+        #: direction -> hold-back of the copy its port sends next.
+        self.copies: Dict[str, int] = {}
         self.fired: List[Fault] = []
 
     def hooks(self, direction: str) -> Tuple[FaultFn, DelayFn]:
         def drop_fn(packet, index: int) -> bool:
+            if direction in self.copies:  # the copy of a 'dup'
+                self._holds[direction, index] = self.copies.pop(direction)
+                return False
             nth = self._counts[direction, packet.kind]
             self._counts[direction, packet.kind] += 1
             dropped = False
@@ -83,6 +95,8 @@ class FaultSchedule:
                     dropped = True
                 elif fault.action == "ce":
                     packet.ce = True
+                elif fault.action == "dup":
+                    self.copies[direction] = fault.delay_ps
                 else:
                     self._holds[direction, index] = fault.delay_ps
             return dropped
@@ -91,6 +105,24 @@ class FaultSchedule:
             return self._holds.pop((direction, index), 0)
 
         return drop_fn, delay_fn
+
+
+class _ScheduledPort(WirePort):
+    """A wire end that puts a second copy of a segment on the link when
+    its direction's schedule duplicates that segment."""
+
+    def __init__(
+        self, outbound: LinkDirection, inbound: LinkDirection,
+        schedule: FaultSchedule, direction: str,
+    ) -> None:
+        super().__init__(outbound=outbound, inbound=inbound)
+        self._copies = schedule.copies
+        self._direction = direction
+
+    def send(self, frame, now_ps: int) -> None:
+        self._outbound.transmit(frame, now_ps)
+        if self._direction in self._copies:
+            self._outbound.transmit(frame, now_ps)
 
 
 class SoftWire:
@@ -125,8 +157,12 @@ class SoftWire:
             delay_ab = delay_ba = None
         self._ab = LinkDirection(drop_fn=drop_ab, delay_fn=delay_ab)
         self._ba = LinkDirection(drop_fn=drop_ba, delay_fn=delay_ba)
-        self.port_a = WirePort(outbound=self._ab, inbound=self._ba)
-        self.port_b = WirePort(outbound=self._ba, inbound=self._ab)
+        if schedule is not None:
+            self.port_a = _ScheduledPort(self._ab, self._ba, schedule, "a2b")
+            self.port_b = _ScheduledPort(self._ba, self._ab, schedule, "b2a")
+        else:
+            self.port_a = WirePort(outbound=self._ab, inbound=self._ba)
+            self.port_b = WirePort(outbound=self._ba, inbound=self._ab)
 
     @property
     def frames_sent(self) -> int:

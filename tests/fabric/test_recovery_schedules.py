@@ -1,12 +1,13 @@
 """SoftStack loss recovery under fixed fault schedules.
 
-Every schedule drops, delays or CE-marks chosen segments — by direction,
-kind and index, no RNG — of one whole connection: handshake, a bulk or
-request/response transfer, and FIN teardown on both sides.  On every
-schedule the bytes arrive exactly, both ends reach CLOSED with nothing
-left in ``flows`` or ``_by_key``, and — for the fixed schedules — the
-recovery counters equal the table below, which was captured before the
-per-flow record was split into a connection and a transfer part.
+Every schedule drops, delays, duplicates or CE-marks chosen segments —
+by direction, kind and index, no RNG — of one whole connection:
+handshake, a bulk or request/response transfer, and FIN teardown on
+both sides.  On every schedule the bytes arrive exactly, both ends
+reach CLOSED with nothing left in ``flows`` or ``_by_key`` — at the
+instant they close and again once every late segment has landed — and,
+for the fixed schedules, the recovery counters at the close equal the
+table below.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +26,13 @@ BULK_BYTES = 64 * 1024
 RPC_ROUNDS, RPC_REQUEST, RPC_RESPONSE = 4, 300, 5000
 #: Simulated time bound; a healthy run needs a few milliseconds at most.
 MAX_TIME_S = 1.0
+#: Where :func:`settle` stops waiting for a quiet wire (absolute).
+SETTLE_S = 0.01
 
 US = 1_000_000  # ps
+#: A hold-back that outlives a clean bulk connection (about 45 us), so
+#: the copy lands once both ends have closed.
+LATE_PS = 2_000 * US
 
 
 def _data_burst(direction, first, count, action="drop", delay_ps=0):
@@ -94,6 +100,21 @@ SCHEDULES: Dict[str, Tuple[str, List[Fault]]] = {
         "rpc", [Fault("a2b", "fin", 0), Fault("b2a", "fin", 0)],
     ),
     "rpc-request-ack-lost": ("rpc", [Fault("b2a", "ack", 1)]),
+    # Duplicates: a second copy right behind the first, or one that
+    # lands after both ends have closed.
+    "bulk-syn-duplicated": ("bulk", [Fault("a2b", "syn", 0, "dup")]),
+    "bulk-synack-duplicated": ("bulk", [Fault("b2a", "synack", 0, "dup")]),
+    "bulk-data-duplicated": ("bulk", [Fault("a2b", "data", 20, "dup")]),
+    "bulk-fin-duplicated": ("bulk", [Fault("a2b", "fin", 0, "dup")]),
+    "bulk-fin-copy-after-close": (
+        "bulk", [Fault("a2b", "fin", 0, "dup", LATE_PS)],
+    ),
+    "bulk-syn-copy-after-close": (
+        "bulk", [Fault("a2b", "syn", 0, "dup", LATE_PS)],
+    ),
+    "bulk-synack-copy-after-close": (
+        "bulk", [Fault("b2a", "synack", 0, "dup", LATE_PS)],
+    ),
 }
 
 #: name -> (a, b) x (retransmits, timeouts, ecn_echoes, packets_sent),
@@ -136,6 +157,27 @@ EXPECTED: Dict[str, Tuple[int, ...]] = {
     "rpc-request-reordered": (0, 0, 0, 24, 0, 0, 0, 23),
     "rpc-both-fins-lost": (1, 1, 0, 25, 1, 1, 0, 24),
     "rpc-request-ack-lost": (0, 0, 0, 24, 0, 0, 0, 23),
+    # Captured before the two ends of a connection shared one key.
+    "bulk-syn-duplicated": (0, 0, 0, 49, 0, 0, 0, 49),
+    "bulk-synack-duplicated": (0, 0, 0, 49, 0, 0, 0, 48),
+    "bulk-data-duplicated": (0, 0, 0, 49, 0, 0, 0, 49),
+    "bulk-fin-duplicated": (0, 0, 0, 49, 0, 0, 0, 49),
+    "bulk-fin-copy-after-close": (0, 0, 0, 49, 0, 0, 0, 48),
+    "bulk-syn-copy-after-close": (0, 0, 0, 49, 0, 0, 0, 48),
+    "bulk-synack-copy-after-close": (0, 0, 0, 49, 0, 0, 0, 48),
+}
+
+#: name -> (a, b) packets sent once the wire has settled, for the
+#: copies that land after both ends closed.  Before ``rst``, a late
+#: SYN copy opened a half-open flow at b that re-sent its SYN-ACK every
+#: handshake timeout, for good.
+AFTER_CLOSE: Dict[str, Tuple[int, int]] = {
+    # b re-ACKs the FIN from the segment alone; a ignores that ACK.
+    "bulk-fin-copy-after-close": (49, 49),
+    # b answers the SYN; a resets the SYN-ACK; b drops its half-open flow.
+    "bulk-syn-copy-after-close": (50, 49),
+    # a resets the SYN-ACK; b, holding nothing, never answers an RST.
+    "bulk-synack-copy-after-close": (50, 48),
 }
 
 
@@ -220,10 +262,23 @@ def run_schedule(shape: str, faults: List[Fault]) -> Tuple[Outcome, SoftTestbed]
     return out, tb
 
 
+def settle(tb: SoftTestbed) -> None:
+    """Run on past the close, with no pump, until nothing is in flight
+    and no timer is armed: every late segment lands and is answered."""
+    tb.run(until=lambda: False, max_time_s=SETTLE_S)
+    assert tb.wire.next_event_ps() is None, "still segments in flight"
+    for stack in (tb.engine_a, tb.engine_b):
+        assert stack.next_deadline_ps() is None, f"{stack.name}: a timer armed"
+
+
 def check_outcome(shape: str, out: Outcome, tb: SoftTestbed) -> None:
-    """Bytes exact, both ends CLOSED, no flow left on either stack."""
+    """Bytes exact, both ends CLOSED, no flow left on either stack —
+    at the instant both close and again once the wire has settled."""
     assert (out.got_a, out.got_b) == wanted(shape)
     assert out.finished and out.closed == {"a": True, "b": True}
+    for stack in (tb.engine_a, tb.engine_b):
+        assert not stack.flows and not stack._by_key
+    settle(tb)
     for stack in (tb.engine_a, tb.engine_b):
         assert not stack.flows and not stack._by_key
 
@@ -235,18 +290,21 @@ def test_fixed_schedule(name):
     check_outcome(shape, out, tb)
     assert out.fired == len(faults), "a fault no segment reached"
     assert out.counters == EXPECTED[name]
+    if name in AFTER_CLOSE:
+        sent = (tb.engine_a.packets_sent, tb.engine_b.packets_sent)
+        assert sent == AFTER_CLOSE[name]
 
 
 _FAULT = st.builds(
     lambda direction, kind, nth, action, delay_us: Fault(
         direction, kind, nth,
         action if action != "ce" or kind == "data" else "drop",
-        delay_us * US if action == "delay" else 0,
+        delay_us * US if action in ("delay", "dup") else 0,
     ),
     st.sampled_from(["a2b", "b2a"]),
-    st.sampled_from(["syn", "synack", "data", "ack", "fin"]),
+    st.sampled_from(["syn", "synack", "data", "ack", "fin", "rst"]),
     st.integers(0, 60),
-    st.sampled_from(["drop", "delay", "ce"]),
+    st.sampled_from(["drop", "delay", "dup", "ce"]),
     st.integers(1, 60),
 )
 

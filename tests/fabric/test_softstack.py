@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.testbed import Testbed
 from repro.fabric import softstack
 from repro.fabric.softstack import (
     _IDLE, _INIT_CWND, _NO_RUNS, MSS, RECV_BUFFER, FabricPacket, _Transfer,
@@ -313,6 +314,46 @@ class TestSourcePorts:
         del a._by_key[FlowKey(a.ip, 30000, dst, 80)]
         assert a.flows[a.connect(dst, 80)].key.src_port == 30000
         assert a.flows[a.connect(dst, 443)].key.src_port == 30001
+
+
+class TestOneKeyPerConnection:
+    """Both ends hold the opener's key; ``flows[id].key`` still reads in
+    each end's own view, as on the engine pair."""
+
+    def test_both_ends_hold_the_same_key_object(self):
+        tb = flextoe_testbed()
+        a_flow, b_flow = establish(tb)
+        a_end, b_end = tb.engine_a.flows[a_flow], tb.engine_b.flows[b_flow]
+        assert a_end.wire_key is b_end.wire_key is a_end.key
+        assert tb.engine_b._by_key[a_end.wire_key] is b_end
+
+    @pytest.mark.parametrize("rig", ["engines", "soft"])
+    def test_key_reads_in_the_local_view_at_both_ends(self, rig):
+        tb = Testbed() if rig == "engines" else flextoe_testbed()
+        a_flow, b_flow = establish(tb)
+        a_key = tb.engine_a.flows[a_flow].key
+        b_key = tb.engine_b.flows[b_flow].key
+        assert (a_key.src_ip, a_key.dst_ip, a_key.dst_port) == (
+            tb.engine_a.ip, tb.engine_b.ip, 80,
+        )
+        assert b_key == a_key.reversed()
+        assert b_key.src_port == 80  # the listen port
+
+    def test_connect_to_its_own_address_raises(self):
+        tb = flextoe_testbed()
+        a = tb.engine_a
+        a.listen(80)
+        with pytest.raises(ValueError, match="stack a: connect to its own"):
+            a.connect(a.ip, 80)
+        assert not a.flows and not a._by_key  # nothing half-opened
+        assert a.flows[a.connect(tb.engine_b.ip, 80)].key.src_port == 49152
+
+    def test_a_fresh_slot_is_the_flow_ids_own_int(self):
+        a = flextoe_testbed().engine_a
+        flows = [a.connect(a.ip + 1, 80) for _ in range(300)]
+        last = a.flows[flows[-1]]
+        assert last.slot == last.flow_id == 299  # past the small-int cache
+        assert last.slot is last.flow_id
 
 
 class TestTeardown:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fabric import get_fabric_scenario, run_fabric
 from repro.fabric.scenarios import FabricScenario
 from repro.fabric.softstack import FabricPacket
-from repro.fabric.switch import SwitchFabric
+from repro.fabric.switch import SwitchFabric, egress_host
 from repro.obs.trace import TraceBus, fingerprint
 from repro.tcp.segment import FlowKey
 
@@ -111,7 +111,7 @@ class _Logged(SwitchFabric):
     def _admit(self, packet, src, now_ps):
         dropped, marked = self.dropped, self.ecn_marked
         super()._admit(packet, src, now_ps)
-        port = self._host_of_ip(packet.key.dst_ip)
+        port = egress_host(packet, src, self.num_hosts)
         verdict = "drop" if self.dropped > dropped else "admit"
         self.log.append((verdict, now_ps, port, packet.offset))
         if self.ecn_marked > marked:

@@ -74,8 +74,8 @@ class TestReceiverSide:
         switch = _switch()
         first = _packet(switch, 1, 0, payload=500)
         second = _packet(switch, 1, 0, payload=500)
-        switch.admit(first, 1000)
-        switch.admit(second, 1000)
+        switch.admit(first, 1, 1000)
+        switch.admit(second, 1, 1000)
         t1 = switch.next_any_delivery_ps()
         assert switch.due_hosts(t1) == {0}
         assert switch.deliver_due(0, t1) == [first]
@@ -91,19 +91,29 @@ class TestReceiverSide:
         monkeypatch.setattr(_SmallSwitch, "buffer_bytes", 4 * (1000 + PER_PACKET_OVERHEAD))
         switch = _switch()
         assert switch.port_limit == 1000 + PER_PACKET_OVERHEAD
-        switch.admit(_packet(switch, 1, 0, payload=1000), 0)  # in service
-        switch.admit(_packet(switch, 1, 0, payload=1000), 0)  # waiting
-        switch.admit(_packet(switch, 1, 0, payload=1000), 0)  # overflow
+        switch.admit(_packet(switch, 1, 0, payload=1000), 1, 0)  # in service
+        switch.admit(_packet(switch, 1, 0, payload=1000), 1, 0)  # waiting
+        switch.admit(_packet(switch, 1, 0, payload=1000), 1, 0)  # overflow
         assert (switch.forwarded, switch.dropped) == (2, 1)
         # Once the first service completes the waiter starts serving,
         # freeing its slot for a later admission.
         later = switch.serialization_ps(1000 + PER_PACKET_OVERHEAD) + 1
-        switch.admit(_packet(switch, 1, 0, payload=1000), later)
+        switch.admit(_packet(switch, 1, 0, payload=1000), 1, later)
         assert (switch.forwarded, switch.dropped) == (3, 1)
+
+    def test_a_reply_goes_to_the_end_it_did_not_come_from(self):
+        # Both directions carry the opener's key (src = host 0): the
+        # listener's reply is routed by where it entered, not by dst.
+        switch = _switch()
+        reply = _packet(switch, 0, 1)
+        switch.admit(reply, 1, 0)
+        t = switch.next_any_delivery_ps()
+        assert switch.due_hosts(t) == {0}
+        assert switch.deliver_due(0, t) == [reply]
 
     def test_foreign_destination_is_dropped(self):
         switch = _switch()  # owns hosts 0 and 1 of 4
-        switch.admit(_packet(switch, 0, 3), 0)
+        switch.admit(_packet(switch, 0, 3), 0, 0)
         assert switch.dropped == 1
         assert switch.forwarded == 0
 
@@ -126,7 +136,7 @@ class TestShardPort:
         switch = _switch()
         port = switch.port(0, lambda *args: None)
         packet = _packet(switch, 1, 0)
-        switch.admit(packet, 0)
+        switch.admit(packet, 1, 0)
         assert port.pending == 1
         assert port.poll(switch.next_any_delivery_ps()) == [packet]
         assert port.pending == 0

@@ -21,15 +21,15 @@ from repro.shard import get_shard_scenario
 from .test_event_core import run_in_process
 
 #: Traced bytes per held-open connection (client + server endpoint) at
-#: these sizes: 602 on CPython 3.11 since a flow's transfer state is
-#: allocated at its first transfer (two 96 B connection records where
-#: there were two 240 B ones), 873 before that (831 on 3.9), and 1,307
-#: before the packed schedule, tuple keys and lazy reassembly state.
-#: (The 64 K run reads ~120 B more — its flow ids and slots leave the
-#: small-int cache.)  The ceiling leaves ~15 %: growing the connection
-#: record, an eager per-flow transfer, a per-connection list or a key
-#: ``__dict__`` back fails it.
-TRACED_CEILING_B = 700
+#: these sizes: 522 on CPython 3.11 since both ends hold the opener's
+#: one key (one 80 B tuple where there were two), 602 before that, 873
+#: before a flow's transfer state was allocated at its first transfer
+#: (831 on 3.9), and 1,307 before the packed schedule, tuple keys and
+#: lazy reassembly state.  (The 64 K run reads more — its flow ids
+#: leave the small-int cache.)  The ceiling leaves ~15 %: a second key
+#: per connection, growing the connection record, an eager per-flow
+#: transfer, a per-connection list or a key ``__dict__`` back fails it.
+TRACED_CEILING_B = 600
 
 SMALL, LARGE = 512, 256  # scaled() factors: 2,048 and 4,096 connections
 
@@ -107,3 +107,16 @@ def test_idle_flows_share_their_reassembly_and_window_state(runs):
     assert len({id(x) for x in moved}) == len(moved)
     assert all(flow.x.ooo is _NO_RUNS for flow in flows)
     assert not any(hasattr(flow.key, "__dict__") for flow in flows)
+
+
+def test_one_key_object_per_connection(runs):
+    """Both ends of every connection, in one cell or across two, hold
+    the opener's key object: there are as many keys as connections."""
+    _traced, conns, sims = runs[-1]
+    keys = {
+        id(flow.wire_key)
+        for sim in sims
+        for stack in sim.stacks.values()
+        for flow in stack.flows.values()
+    }
+    assert len(keys) == conns
