@@ -9,7 +9,7 @@ paths.  The Testbed wires two engines back to back as in section 5.
 from .baseline import NullFpu, StallingAccelerator
 from .buffers import SendStream
 from .events import EventKind, TcpEvent, timeout_event, user_recv_event, user_send_event
-from .event_handler import EventEntry, EventHandler, accumulate_event, merge_into_tcb
+from .event_handler import EventEntry, accumulate_event, merge_into_tcb
 from .fpc import FlowProcessingCore
 from .fpu import Fpu, HostNotification, NoteKind, ProcessResult, TimerOp, TxDirective
 from .ftengine import ENGINE_FREQ_HZ, EngineMessage, FtEngine, FtEngineConfig
@@ -25,7 +25,6 @@ __all__ = [
     "ENGINE_FREQ_HZ",
     "EngineMessage",
     "EventEntry",
-    "EventHandler",
     "EventKind",
     "FlowProcessingCore",
     "Fpu",

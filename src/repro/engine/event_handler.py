@@ -15,9 +15,6 @@ valid event fields onto the (possibly stale) TCB-table entry.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..sim.memory import DualPortSRAM
 from ..tcp.seq import seq_max
 from ..tcp.tcb import Tcb
 from .events import TcpEvent
@@ -158,31 +155,9 @@ def accumulate_event(entry: EventEntry, event: TcpEvent) -> EventEntry:
         entry.close |= event.close
         entry.valid |= V_FLAGS
 
-    entry.last_time = max(entry.last_time, event.timestamp)
+    if event.timestamp > entry.last_time:
+        entry.last_time = event.timestamp
     return entry
-
-
-class EventHandler:
-    """Writes events into the event table back-to-back, one per 2 cycles.
-
-    The only true read-modify-write — duplicate-ACK counting — is done
-    immediately, which is safe because an increment completes in a single
-    cycle (§4.2.1).
-    """
-
-    def __init__(self, table: DualPortSRAM) -> None:
-        self.table = table
-        self.events_handled = 0
-
-    def handle(self, slot: int, event: TcpEvent) -> EventEntry:
-        """Accumulate ``event`` into the event-table entry at ``slot``."""
-        entry: Optional[EventEntry] = self.table.read(slot)
-        if entry is None:
-            entry = EventEntry()
-            self.table.write(slot, entry)
-        accumulate_event(entry, event)
-        self.events_handled += 1
-        return entry
 
 
 def merge_into_tcb(tcb: Tcb, entry: EventEntry) -> int:
@@ -220,6 +195,7 @@ def merge_into_tcb(tcb: Tcb, entry: EventEntry) -> int:
         if entry.connect:
             tcb.cc["_connect_req"] = True
         tcb.close_requested |= entry.close
-    tcb.last_active = max(tcb.last_active, entry.last_time)
+    if entry.last_time > tcb.last_active:
+        tcb.last_active = entry.last_time
     entry.clear()
     return dup

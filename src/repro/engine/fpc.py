@@ -34,7 +34,7 @@ from ..sim.component import NEVER, Component, OwnersCycle
 from ..sim.fifo import Fifo
 from ..sim.memory import CAM, DualPortSRAM
 from ..tcp.tcb import Tcb
-from .event_handler import EventEntry, EventHandler, merge_into_tcb
+from .event_handler import EventEntry, accumulate_event, merge_into_tcb
 from .events import TcpEvent
 from .fpu import Fpu, ProcessResult
 from .memory_manager import CYCLE_PS
@@ -69,7 +69,12 @@ class FlowProcessingCore(Component):
             slots, f"fpc{fpc_id}.events"
         )
         self.cam: CAM[int] = CAM(slots, f"fpc{fpc_id}.cam")
-        self.event_handler = EventHandler(self.event_table)
+        #: The per-event path's view of the three blocks above: the
+        #: CAM's flow -> slot dict and the two tables' slot lists.  A
+        #: slot comes from this FPC's own CAM, so it is in range.
+        self._slot_of = self.cam._slots
+        self._tcbs = self.tcb_table._data
+        self._entries = self.event_table._data
         self.fpu = fpu if fpu is not None else Fpu(algorithm)
         self._latency = self.fpu.latency_cycles
         #: The FPU pipeline, oldest first: (retire_cycle, slot, TCB
@@ -78,6 +83,9 @@ class FlowProcessingCore(Component):
         self.pipe: Deque[Tuple[int, int, Tcb, int]] = deque()
 
         self.input: Fifo[TcpEvent] = Fifo(DEFAULT_INPUT_DEPTH, f"fpc{fpc_id}.in")
+        #: The input FIFO's deque, which the per-event path pushes and
+        #: pops itself (``input.rejects`` still counts a refused push).
+        self._input = self.input._items
         self._dispatch_queue: Deque[int] = deque()  # flow ids needing the FPU
         self._queued: Set[int] = set()
         self._in_flight: Set[int] = set()
@@ -300,8 +308,11 @@ class FlowProcessingCore(Component):
 
     def offer_event(self, event: TcpEvent) -> bool:
         """Scheduler pushes an event; False signals backpressure (§4.4.2)."""
-        if not self.input.push(event):
+        items = self._input
+        if len(items) >= self.input.capacity:
+            self.input.rejects += 1
             return False
+        items.append(event)
         handled = (self.clock.cycle + 1) & ~1  # the event table's even phase
         due = self.next_action
         if handled < due:
@@ -312,7 +323,7 @@ class FlowProcessingCore(Component):
 
     @property
     def backpressure(self) -> bool:
-        return len(self.input._items) > self.input.capacity // 2
+        return len(self._input) > self.input.capacity // 2
 
     # -------------------------------------------------------------- clock
     def _rearm(self, earliest: int) -> None:
@@ -329,7 +340,7 @@ class FlowProcessingCore(Component):
         waits on their retire, which the first term covers.
         """
         due = self._retire_at
-        if self.input._items:
+        if self._input:
             handled = (earliest + 1) & ~1
             if handled < due:
                 due = handled
@@ -360,39 +371,64 @@ class FlowProcessingCore(Component):
             self._retire()
             acted = True
         if cycle % 2 == 0:
-            if self.input._items:
+            if self._input:
                 self._handle_one_event()
                 acted = True
         elif self._ready and self._issue_at <= cycle:
             self._dispatch_one()
             acted = True
         if acted:
-            self._rearm(cycle + 1)
+            # _rearm(cycle + 1), inline: this runs on every tick that acts.
+            due = self._retire_at
+            if self._input:
+                handled = (cycle + 2) & ~1
+                if handled < due:
+                    due = handled
+            if self._ready:
+                issue = self._issue_at
+                if issue <= cycle:
+                    issue = cycle + 1
+                issue |= 1
+                if issue < due:
+                    due = issue
+            self.next_action = due
             if self.notify_victim is not None:
                 self._announce_victim()
 
     def _handle_one_event(self) -> None:
-        event = self.input.try_pop()
-        if event is None:
+        """The event handler (§4.2.1): fold the input head into its
+        flow's event-table entry."""
+        items = self._input
+        if not items:
             return
-        slot = self.cam.try_lookup(event.flow_id)
+        event = items.popleft()
+        flow_id = event.flow_id
+        slot = self._slot_of.get(flow_id)
         if slot is None:
             # The scheduler guarantees routing correctness (§4.3.2); a
             # miss here means the flow was evicted after routing, which
             # the moving-state protocol prevents.  Drop defensively.
             return
-        entry = self.event_handler.handle(slot, event)
+        entries = self._entries
+        entry = entries[slot]
+        if entry is None:
+            entry = entries[slot] = EventEntry()
+        accumulate_event(entry, event)
         self.events_accepted += 1
         if self.san is not None:
             self.san.on_event_write(
-                self.fpc_id, self.cycle, slot, event.flow_id, entry.valid
+                self.fpc_id, self.cycle, slot, flow_id, entry.valid
             )
         if self.trace is not None:
             self.trace.emit(
                 self.cycle * CYCLE_PS, "engine.fpc", self.trace_name,
-                "handle", event.flow_id, event.kind.value,
+                "handle", flow_id, event.kind.value,
             )
-        self._mark_pending(event.flow_id)
+        if flow_id not in self._queued:  # _mark_pending, inline
+            self._queued.add(flow_id)
+            self._dispatch_queue.append(flow_id)
+            if flow_id not in self._in_flight:
+                self._ready += 1
 
     def _dispatch_one(self) -> None:
         cycle = self.clock.cycle
@@ -406,14 +442,12 @@ class FlowProcessingCore(Component):
                 self._dispatch_queue.append(flow_id)
                 continue
             self._ready -= 1
-            slot = self.cam.try_lookup(flow_id)
-            if slot is None:
-                self._queued.discard(flow_id)
-                continue
             self._queued.discard(flow_id)
-            base = self.tcb_table.read(slot)
-            snapshot = base.clone()
-            entry = self.event_table.read(slot)
+            slot = self._slot_of.get(flow_id)
+            if slot is None:
+                continue
+            snapshot = self._tcbs[slot].clone()
+            entry = self._entries[slot]
             if self.san is not None:
                 self.san.on_construct(
                     self.fpc_id, self.cycle, slot, flow_id,
@@ -431,71 +465,70 @@ class FlowProcessingCore(Component):
     def _retire(self) -> None:
         cycle = self.clock.cycle
         pipe = self.pipe
+        slot_of, tcbs, entries = self._slot_of, self._tcbs, self._entries
         while pipe and pipe[0][0] <= cycle:
             _, slot, tcb, dup = pipe.popleft()
             result = self.fpu.process(tcb, dup, cycle * CYCLE_PS)
             self.tcbs_processed += 1
-            self._in_flight.discard(tcb.flow_id)
-            if tcb.flow_id in self._queued:
+            flow_id = tcb.flow_id
+            self._in_flight.discard(flow_id)
+            if flow_id in self._queued:
                 self._ready += 1  # re-queued while in the pipeline
             self.out_results.append(result)
-            if tcb.flow_id in self._evict_requested:
+            if flow_id in self._evict_requested:
                 # The evict checker consults the request register, not
                 # the TCB image: a request that arrived while this TCB
                 # was in the pipeline set the flag on the table copy
                 # only, and the write-back below would silently drop it
                 # — leaving the flow MOVING forever.
                 tcb.evict_flag = True
-            if tcb.evict_flag and tcb.flow_id in self._evict_requested:
-                # Evict checker: divert the *processed* TCB (§4.3.2) —
-                # but only once every already-routed event has been
-                # handled and processed (the scheduler's moving state
-                # blocks new routing, so the backlog is bounded).
-                entry = self.event_table.read(slot)
+                # Divert the *processed* TCB (§4.3.2) — but only once
+                # every already-routed event has been handled and
+                # processed (the scheduler's moving state blocks new
+                # routing, so the backlog is bounded).
+                entry = entries[slot]
                 backlog = (entry is not None and entry.valid) or any(
-                    ev.flow_id == tcb.flow_id for ev in self.input
+                    ev.flow_id == flow_id for ev in self._input
                 )
                 if backlog:
-                    self.tcb_table.write(slot, tcb)
+                    tcbs[slot] = tcb
                     if self.san is not None:
                         self.san.on_tcb_write(
-                            self.fpc_id, self.cycle, slot, tcb.flow_id,
+                            self.fpc_id, self.cycle, slot, flow_id,
                             self.fpu.writer_id,
                         )
-                    self._mark_pending(tcb.flow_id, priority=True)
+                    self._mark_pending(flow_id, priority=True)
                     continue
-                self._evict_requested.discard(tcb.flow_id)
-                del self._admitted[tcb.flow_id]
-                self.cam.remove(tcb.flow_id)
-                self.tcb_table.clear(slot)
-                self.event_table.clear(slot)
+                self._evict_requested.discard(flow_id)
+                del self._admitted[flow_id]
+                self.cam.remove(flow_id)
+                tcbs[slot] = None
+                entries[slot] = None
                 tcb.evict_flag = False
                 if self.san is not None:
-                    self.san.on_evicted(
-                        self.fpc_id, self.cycle, slot, tcb.flow_id
-                    )
+                    self.san.on_evicted(self.fpc_id, self.cycle, slot, flow_id)
                 self.out_evicted.append(tcb)
                 if self.notify_scheduler is not None:
                     self.notify_scheduler()
                 if self.trace is not None:
                     self.trace.emit(
                         self.cycle * CYCLE_PS, "engine.fpc", self.trace_name,
-                        "evict", tcb.flow_id, tcb.state.value,
+                        "evict", flow_id, tcb.state.value,
                     )
                 continue
-            current_slot = self.cam.try_lookup(tcb.flow_id)
+            current_slot = slot_of.get(flow_id)
             if current_slot is not None:
-                self.tcb_table.write(current_slot, tcb)
-                self._rerank(tcb.flow_id, tcb.last_active)
+                tcbs[current_slot] = tcb
+                self._rerank(flow_id, tcb.last_active)
                 if self.san is not None:
                     self.san.on_tcb_write(
-                        self.fpc_id, self.cycle, current_slot, tcb.flow_id,
+                        self.fpc_id, self.cycle, current_slot, flow_id,
                         self.fpu.writer_id,
                     )
-                entry = self.event_table.read(current_slot)
+                entry = entries[current_slot]
                 if entry is not None and entry.valid:
                     # Events accumulated while we were in the pipeline.
-                    self._mark_pending(tcb.flow_id)
+                    self._mark_pending(flow_id)
         self._retire_at = pipe[0][0] if pipe else NEVER
 
     def drain_results(self) -> List[ProcessResult]:

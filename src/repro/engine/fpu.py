@@ -14,7 +14,6 @@ subclass here).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..tcp.congestion import CongestionControl, get_algorithm
@@ -36,23 +35,40 @@ from ..tcp.tcb import Tcb
 from ..tcp.timers import backoff_rto, update_rtt
 
 
-@dataclass
 class TxDirective:
     """FPC's request to the packet generator (§4.1.2 ❶).
 
     ``length`` bytes starting at ``seq`` are fetched from the flow's TCP
     data buffer and appended after the generated header; the generator
     splits requests larger than the MSS into multiple segments.
+
+    Slotted, like the TCB: one per segment burst the FPU asks for.
     """
 
-    flow_id: int
-    seq: int
-    length: int
-    flags: int
-    ack: int
-    window: int
-    retransmission: bool = False
-    options: Optional[TcpOptions] = None
+    __slots__ = (
+        "flow_id", "seq", "length", "flags", "ack", "window",
+        "retransmission", "options",
+    )
+
+    def __init__(
+        self,
+        flow_id: int,
+        seq: int,
+        length: int,
+        flags: int,
+        ack: int,
+        window: int,
+        retransmission: bool = False,
+        options: Optional[TcpOptions] = None,
+    ) -> None:
+        self.flow_id = flow_id
+        self.seq = seq
+        self.length = length
+        self.flags = flags
+        self.ack = ack
+        self.window = window
+        self.retransmission = retransmission
+        self.options = options
 
 
 class NoteKind(enum.Enum):
@@ -66,11 +82,15 @@ class NoteKind(enum.Enum):
     RESET = "reset"  # connection aborted by RST
 
 
-@dataclass
 class HostNotification:
-    kind: NoteKind
-    flow_id: int
-    value: int = 0
+    """One :class:`NoteKind` for one flow, with its pointer if any."""
+
+    __slots__ = ("kind", "flow_id", "value")
+
+    def __init__(self, kind: NoteKind, flow_id: int, value: int = 0) -> None:
+        self.kind = kind
+        self.flow_id = flow_id
+        self.value = value
 
 
 class TimerOp(enum.Enum):
@@ -79,17 +99,23 @@ class TimerOp(enum.Enum):
     CANCEL = "cancel"
 
 
-@dataclass
 class ProcessResult:
     """Everything one FPU pass produces."""
 
-    tcb: Tcb
-    directives: List[TxDirective] = field(default_factory=list)
-    notifications: List[HostNotification] = field(default_factory=list)
-    timer: TimerOp = TimerOp.NONE
-    #: The deadline (ps) an ARM sets.
-    timer_deadline: int = 0
+    __slots__ = ("tcb", "directives", "notifications", "timer", "timer_deadline")
 
+    def __init__(self, tcb: Tcb) -> None:
+        self.tcb = tcb
+        self.directives: List[TxDirective] = []
+        self.notifications: List[HostNotification] = []
+        self.timer = TimerOp.NONE
+        #: The deadline (ps) an ARM sets.
+        self.timer_deadline = 0
+
+
+#: DATA_STATES as a tuple: once per pass, a membership test by identity
+#: costs no call to the enum's Python-level ``__hash__``.
+_DATA_STATES = tuple(DATA_STATES)
 
 #: Give up on a connection after this many consecutive RTO backoffs
 #: (Linux's tcp_retries2 analog); the flow is aborted with a RESET.
@@ -108,7 +134,6 @@ class Fpu:
     def __init__(self, algorithm: str = "newreno") -> None:
         self.cc: CongestionControl = get_algorithm(algorithm)
         self.passes = 0
-        self.segments_requested = 0
         self.retransmissions = 0
 
     @property
@@ -143,21 +168,15 @@ class Fpu:
             window = 0
         result.directives.append(
             TxDirective(
-                flow_id=tcb.flow_id,
-                seq=seq,
-                length=length,
-                flags=flags,
-                ack=tcb.rcv_nxt if flags & FLAG_ACK else 0,
-                window=window,
-                retransmission=retransmission,
-                options=options,
+                tcb.flow_id, seq, length, flags,
+                tcb.rcv_nxt if flags & FLAG_ACK else 0, window,
+                retransmission, options,
             )
         )
         if flags & FLAG_ACK:
             tcb.last_ack_sent = tcb.rcv_nxt
             tcb.last_wnd_sent = window
             tcb.ack_pending = False
-        self.segments_requested += 1
         if retransmission:
             self.retransmissions += 1
 
@@ -165,7 +184,7 @@ class Fpu:
     def process(self, tcb: Tcb, dup_count: int, now_ps: int) -> ProcessResult:
         """One stateless pass over the accumulated events in ``tcb``."""
         self.passes += 1
-        result = ProcessResult(tcb=tcb)
+        result = ProcessResult(tcb)
         if now_ps > tcb.last_active:
             tcb.last_active = now_ps
         if tcb.snd_max is None:
@@ -535,7 +554,7 @@ class Fpu:
     def _transmit_new_data(
         self, result: ProcessResult, tcb: Tcb, now_ps: int
     ) -> None:
-        if tcb.state not in DATA_STATES:
+        if tcb.state not in _DATA_STATES:
             return
         retransmitting = tcb.cc.pop("_retransmitting", False)
         # Tcb.bytes_unsent, bytes_in_flight and effective_window, each

@@ -97,13 +97,17 @@ class FtEngineConfig:
         return self.num_fpcs * self.fpc_slots
 
 
-@dataclass
 class EngineMessage:
     """A command FtEngine sends up to the software stack (§4.1.1)."""
 
-    kind: str  # 'acked' | 'connected' | 'accepted' | 'data' | 'eof' | 'closed' | 'reset'
-    flow_id: int
-    value: int = 0
+    __slots__ = ("kind", "flow_id", "value")
+
+    def __init__(self, kind: str, flow_id: int, value: int) -> None:
+        #: 'acked' | 'connected' | 'accepted' | 'data' | 'eof' | 'closed'
+        #: | 'reset'
+        self.kind = kind
+        self.flow_id = flow_id
+        self.value = value
 
 
 class _FlowRecord:
@@ -198,6 +202,9 @@ class FtEngine(Component):
         self.msg_epoch = 0
 
         self.counters = Counters()
+        #: The counters' own dict: a per-packet or per-call count is one
+        #: dict update here, not a :meth:`Counters.add` call.
+        self._counts = self.counters._values
 
         #: The work horizon: the first cycle on which :meth:`tick` does
         #: anything, NEVER while nothing is scheduled.  The end of each
@@ -325,8 +332,11 @@ class FtEngine(Component):
         if accept == 0:
             return 0
         pointer = record.stream.append(data[:accept])
-        self._submit(user_send_event(flow_id, pointer, self.time_ps))
-        self.counters.add("send_requests")
+        self._submit(
+            user_send_event(flow_id, pointer, self.cycle * ENGINE_PERIOD_PS)
+        )
+        counts = self._counts
+        counts["send_requests"] = counts.get("send_requests", 0) + 1
         return accept
 
     def send_room(self, flow_id: int) -> int:
@@ -336,22 +346,27 @@ class FtEngine(Component):
         return 0 if record is None else record.stream.room
 
     def readable(self, flow_id: int) -> int:
-        return self.rx_parser.readable(flow_id)
+        state = self.rx_parser.rx_states.get(flow_id)
+        return 0 if state is None else state.reassembly.readable
 
     def recv_data(self, flow_id: int, nbytes: int) -> bytes:
-        """Read reassembled in-order data; advances the rcv_user pointer."""
-        data = self.rx_parser.read(flow_id, nbytes)
+        """Read reassembled in-order data (the host's recv() DMA out of
+        the data buffer); advances the rcv_user pointer."""
+        state = self.rx_parser.rx_states.get(flow_id)
+        if state is None:
+            return b""
+        reassembly = state.reassembly
+        data = reassembly.read(nbytes)
         if data:
-            state = self.rx_parser.rx_states.get(flow_id)
             # rcv_user = rcv_nxt - still-readable: everything consumed.
-            if state is not None:
-                consumed_upto = seq_add(
-                    state.reassembly.rcv_nxt, -state.reassembly.readable
+            consumed_upto = seq_add(reassembly.rcv_nxt, -reassembly.readable)
+            self._submit(
+                user_recv_event(
+                    flow_id, consumed_upto, self.cycle * ENGINE_PERIOD_PS
                 )
-                self._submit(
-                    user_recv_event(flow_id, consumed_upto, self.time_ps)
-                )
-            self.counters.add("recv_calls")
+            )
+            counts = self._counts
+            counts["recv_calls"] = counts.get("recv_calls", 0) + 1
         return data
 
     def close_flow(self, flow_id: int) -> None:
@@ -472,7 +487,8 @@ class FtEngine(Component):
         cycle = self.cycle + 1
         self.cycle = cycle
         now_ps = cycle * ENGINE_PERIOD_PS
-        if self.timers.earliest_hint <= now_ps:
+        timers = self.timers
+        if timers.earliest_hint <= now_ps:
             self._expire_timers()
         if self._event_backlog:
             self._drain_backlog()
@@ -480,10 +496,12 @@ class FtEngine(Component):
         if in_flight and in_flight[0][0] <= now_ps:
             for frame in self.port.poll(now_ps):
                 self._handle_frame(frame)
-        if self.scheduler.next_action <= cycle:
-            self.scheduler.tick()
-        if self.memory_manager.next_action <= cycle:
-            self.memory_manager.tick()
+        scheduler = self.scheduler
+        if scheduler.next_action <= cycle:
+            scheduler.tick()
+        manager = self.memory_manager
+        if manager.next_action <= cycle:
+            manager.tick()
         # Only an armed FPC can act, in index order.  Nothing later in
         # a tick moves an FPC's horizon once it has had its turn, so
         # their minimum is taken on the way, and one that went idle
@@ -510,13 +528,37 @@ class FtEngine(Component):
         # Last, so no RX notification outlives a tick.
         if self.rx_parser.notifications:
             self._drain_rx_notifications()
-        self._publish(best)
+        # What _publish(best) does, inline: this runs once per tick.
+        soon = cycle + 1
+        if self._event_backlog:
+            best = soon
+        else:
+            due = manager.next_action
+            if due < best:
+                best = due
+            due = scheduler.next_action
+            if due < best:
+                best = due
+            if best > soon:
+                if in_flight:
+                    due = -(-in_flight[0][0] // ENGINE_PERIOD_PS)
+                    if due < best:
+                        best = due
+                hint = timers.earliest_hint
+                if hint != NEVER:
+                    due = -(-hint // ENGINE_PERIOD_PS)
+                    if due < best:
+                        best = due
+            if best < soon:
+                best = soon
+        self.next_action = best
 
     def _drain_one_fpc(self, fpc) -> None:
         """Apply what an FPC's tick produced: timer, segments, host
         notifications.  (A TCB it evicted stays queued on the FPC: the
         scheduler, woken by it, collects it.)"""
-        for result in fpc.drain_results():
+        results, fpc.out_results = fpc.out_results, []
+        for result in results:
             if self.trace is not None:
                 self._trace_fpu(fpc, result)
             tcb = result.tcb
@@ -566,42 +608,45 @@ class FtEngine(Component):
                 self.counters.add("timeouts_fired")
 
     def _handle_frame(self, frame: EthernetFrame) -> None:
-        if frame.ethertype == ETHERTYPE_ARP:
-            reply, released = self.arp.handle(frame.payload)
-            if reply is not None:
-                self.port.send(reply, self.time_ps)
-            for dst_mac, packet in released:
-                self._send_ipv4(packet, dst_mac)
-            return
-        payload = frame.payload
-        if isinstance(payload, IcmpMessage):
-            reply = self.icmp.handle(payload)
-            if reply is not None:
-                self._transmit_ip(reply, reply.dst_ip)
-            return
-        if isinstance(payload, (bytes, bytearray)):
-            try:
-                payload = TcpSegment.from_bytes(bytes(payload))
-            except ValueError:
-                # Corrupted or malformed on the wire: checksum rejected.
-                self.counters.add("packets_corrupt_dropped")
+        segment = frame.payload
+        if type(segment) is not TcpSegment:
+            if frame.ethertype == ETHERTYPE_ARP:
+                reply, released = self.arp.handle(segment)
+                if reply is not None:
+                    self.port.send(reply, self.time_ps)
+                for dst_mac, packet in released:
+                    self._send_ipv4(packet, dst_mac)
                 return
-        self.counters.add("packets_received")
-        event = self.rx_parser.parse(payload, self.time_ps)
+            if isinstance(segment, IcmpMessage):
+                reply = self.icmp.handle(segment)
+                if reply is not None:
+                    self._transmit_ip(reply, reply.dst_ip)
+                return
+            if isinstance(segment, (bytes, bytearray)):
+                try:
+                    segment = TcpSegment.from_bytes(bytes(segment))
+                except ValueError:
+                    # Corrupted or malformed on the wire: checksum rejected.
+                    self.counters.add("packets_corrupt_dropped")
+                    return
+        counts = self._counts
+        counts["packets_received"] = counts.get("packets_received", 0) + 1
+        now_ps = self.cycle * ENGINE_PERIOD_PS
+        event = self.rx_parser.parse(segment, now_ps)
         if event is not None:
             if self.trace is not None:
                 self.trace.emit(
-                    self.time_ps, "engine.rx", f"{self.trace_name}/rx",
+                    now_ps, "engine.rx", f"{self.trace_name}/rx",
                     "rx", event.flow_id,
-                    f"{payload.flag_names()} seq={payload.seq} "
-                    f"ack={payload.ack} len={len(payload.payload)}",
+                    f"{segment.flag_names()} seq={segment.seq} "
+                    f"ack={segment.ack} len={len(segment.payload)}",
                 )
             self._submit(event)
-        elif not payload.rst:
+        elif not segment.rst:
             # No flow owns this segment and no listener wants it:
             # answer with RST (RFC 793) so the sender learns immediately
             # (connection refused) instead of retrying into silence.
-            self._send_rst_for(payload)
+            self._send_rst_for(segment)
 
     def _send_rst_for(self, segment: TcpSegment) -> None:
         if segment.has_ack:
@@ -695,6 +740,8 @@ class FtEngine(Component):
             overhead = PACKET_OVERHEAD + (
                 0 if options is None else len(options.encode())
             )
+            # A directive's segments share its flow's next hop.
+            dst_mac = None if port is None else self.arp.resolve(segments[0].dst_ip)
             for segment in segments:
                 if self.trace is not None:
                     flow_id = self.rx_parser.lookup(segment.flow_key)
@@ -704,7 +751,6 @@ class FtEngine(Component):
                         f"{segment.flag_names()} seq={segment.seq} "
                         f"ack={segment.ack} len={len(segment.payload)}",
                     )
-                dst_mac = None if port is None else self.arp.resolve(segment.dst_ip)
                 if dst_mac is None:
                     self._transmit_ip(segment, segment.dst_ip)
                 else:
@@ -715,9 +761,11 @@ class FtEngine(Component):
                         ),
                         now_ps,
                     )
-            self.counters.add("packets_sent", len(segments))
+            sent = len(segments)
+            counts = self._counts
+            counts["packets_sent"] = counts.get("packets_sent", 0) + sent
             if directive.retransmission:
-                self.counters.add("retransmissions", len(segments))
+                counts["retransmissions"] = counts.get("retransmissions", 0) + sent
 
     def _transmit_ip(self, packet, dst_ip: int) -> None:
         if self.port is None:

@@ -12,11 +12,16 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..tcp.options import WINDOW_SCALE
-from ..tcp.segment import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN, FlowKey, TcpSegment
+from ..tcp.options import WINDOW_SCALE, TcpOptions
+from ..tcp.segment import FLAG_ACK, FLAG_PSH, FLAG_SYN, FlowKey, TcpSegment
 from ..tcp.seq import seq_add
 from .buffers import SendStream
 from .fpu import TxDirective
+
+#: The options of every segment whose directive carries none (most of
+#: them): one shared, never-written record instead of a fresh one, and
+#: its two lists, per segment.
+_NO_OPTIONS = TcpOptions()
 
 
 class PacketGenerator:
@@ -51,8 +56,6 @@ class PacketGenerator:
         segments: List[TcpSegment] = []
         if sack_blocks and directive.flags & FLAG_ACK and not directive.flags & FLAG_SYN:
             if directive.options is None:
-                from ..tcp.options import TcpOptions
-
                 directive.options = TcpOptions()
             directive.options.sack_blocks = list(sack_blocks)
 
@@ -90,16 +93,9 @@ class PacketGenerator:
             wire_window = min(0xFFFF, directive.window)
         else:
             wire_window = min(0xFFFF, directive.window >> WINDOW_SCALE)
-        segment = TcpSegment(
-            src_ip=key.src_ip,
-            dst_ip=key.dst_ip,
-            src_port=key.src_port,
-            dst_port=key.dst_port,
-            seq=seq,
-            ack=directive.ack,
-            flags=directive.flags,
-            window=wire_window,
+        options = directive.options
+        return TcpSegment(
+            key.src_ip, key.dst_ip, key.src_port, key.dst_port,
+            seq, directive.ack, directive.flags, wire_window, b"",
+            _NO_OPTIONS if options is None else options,
         )
-        if directive.options is not None:
-            segment.options = directive.options
-        return segment

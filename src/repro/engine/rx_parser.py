@@ -23,8 +23,8 @@ from typing import Callable, Dict, List, Optional
 
 from ..tcp.cuckoo import CuckooHashTable
 from ..tcp.reassembly import ReassemblyBuffer
-from ..tcp.segment import FlowKey, TcpSegment
-from ..tcp.seq import seq_add, seq_ge, seq_gt
+from ..tcp.segment import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, FlowKey, TcpSegment
+from ..tcp.seq import seq_add, seq_gt
 from ..tcp.tcb import DEFAULT_BUFFER_BYTES
 from .events import EventKind, TcpEvent
 
@@ -103,28 +103,25 @@ class RxParser:
     def lookup(self, key: FlowKey) -> Optional[int]:
         return self.flow_table.get(key)
 
-    def readable(self, flow_id: int) -> int:
-        state = self.rx_states.get(flow_id)
-        return 0 if state is None else state.reassembly.readable
-
-    def read(self, flow_id: int, nbytes: int) -> bytes:
-        """The host's recv() DMA out of the data buffer."""
-        state = self.rx_states.get(flow_id)
-        return b"" if state is None else state.reassembly.read(nbytes)
-
     # ------------------------------------------------------------- parsing
     def parse(self, segment: TcpSegment, now_ps: int) -> Optional[TcpEvent]:
         """Process one received segment, arrived at ``now_ps``; returns
         the control-path event.
 
         The receiver's view of the 4-tuple is the reverse of the
-        sender's, so lookups use ``segment.flow_key.reversed()``.
+        sender's: the lookup key is built from the segment's
+        destination as source, with no ``flow_key.reversed()`` round
+        trip, and the flags are decoded once.
         """
         self.packets_parsed += 1
-        key = segment.flow_key.reversed()
-        flow_id = self.flow_table.get(key)
+        flags = segment.flags
+        syn = flags & FLAG_SYN
+        fin = flags & FLAG_FIN
+        flow_id = self.flow_table.get(
+            FlowKey(segment.dst_ip, segment.dst_port, segment.src_ip, segment.src_port)
+        )
         if flow_id is None:
-            if segment.syn and not segment.has_ack and self.passive_open is not None:
+            if syn and not flags & FLAG_ACK and self.passive_open is not None:
                 flow_id = self.passive_open(segment)
             if flow_id is None:
                 self.packets_dropped_no_flow += 1
@@ -133,54 +130,54 @@ class RxParser:
         state = self.rx_states[flow_id]
         event = TcpEvent(EventKind.RX_PACKET, flow_id, timestamp=now_ps)
 
-        if segment.rst:
+        if flags & FLAG_RST:
             event.rst = True
             event.coalescible = False
             return event
 
-        if segment.syn:
+        if syn:
+            options = segment.options
             event.syn = True
             event.irs = segment.seq
             event.coalescible = False
-            if segment.options.mss is not None:
-                event.mss = segment.options.mss
+            if options.mss is not None:
+                event.mss = options.mss
             # Data reception starts after the SYN's sequence number.
             self.set_initial_rcv_nxt(flow_id, seq_add(segment.seq, 1))
             # RFC 7323: remember the peer's window-scale shift; every
             # later segment's 16-bit window is multiplied back up.
-            if segment.options.window_scale is not None:
-                state.peer_wscale = segment.options.window_scale
+            if options.window_scale is not None:
+                state.peer_wscale = options.window_scale
             event.wnd = segment.window  # SYN windows are never scaled
 
-        if segment.has_ack:
+        payload = segment.payload
+        if flags & FLAG_ACK:
+            ack = segment.ack
+            window = segment.window
             if (
-                state.last_ack_seen is not None
-                and segment.ack == state.last_ack_seen
-                and not segment.payload
-                and not segment.syn
-                and not segment.fin
-                and segment.window == state.last_wnd_seen
+                ack == state.last_ack_seen
+                and not payload
+                and not syn
+                and not fin
+                and window == state.last_wnd_seen
             ):
                 # Same cumulative ACK, no data, no window change: dup.
                 event.dup_incr = 1
                 event.coalescible = False
                 self.dup_acks_detected += 1
             else:
-                event.ack = segment.ack
-            state.last_ack_seen = segment.ack
-            state.last_wnd_seen = segment.window
+                event.ack = ack
+            state.last_ack_seen = ack
+            state.last_wnd_seen = window
             # De-scale (SYN windows are never scaled, RFC 7323).
-            if segment.syn:
-                event.wnd = segment.window
-            else:
-                event.wnd = segment.window << state.peer_wscale
+            event.wnd = window if syn else window << state.peer_wscale
             if segment.options.sack_blocks:
                 event.sack_blocks = list(segment.options.sack_blocks)
 
-        if segment.payload:
+        if payload:
             reasm = state.reassembly
             in_order = segment.seq == reasm.rcv_nxt
-            accepted = reasm.offer(segment.seq, segment.payload)
+            accepted = reasm.offer(segment.seq, payload)
             if not in_order:
                 # Out-of-order: not coalescible (GRO rule, §4.4.1), and
                 # an immediate (duplicate) ACK must go out so the sender
@@ -204,8 +201,8 @@ class RxParser:
                         RxNotification(flow_id, reasm.rcv_nxt)
                     )
 
-        if segment.fin:
-            fin_seq = seq_add(segment.seq, len(segment.payload))
+        if fin:
+            fin_seq = seq_add(segment.seq, len(payload))
             if seq_gt(state.reassembly.rcv_nxt, fin_seq):
                 # Retransmitted FIN: our ACK was lost, re-ACK it.
                 event.ack_needed = True

@@ -185,23 +185,27 @@ class Scheduler(Component):
     def submit(self, event: TcpEvent) -> bool:
         """Accept an event into the coalesce stage; False = backpressure."""
         fifo = self.coalesce_fifos[event.flow_id % COALESCE_FIFOS]
+        items = fifo._items
         # Only a new head is routable: one queued behind another waits
         # for it (and a queued head has the scheduler due or held).
-        new_head = not fifo._items
+        new_head = not items
         coalesced = False
         if self.coalescing:
             # Coalesce with the flow's tail-most queued event, but only
             # when no information would be lost (§4.4.1) — order
             # included: merging past a later event of the flow (a
             # dup-ACK, say) would let the merged one overtake it.
-            for queued in reversed(fifo._items):
+            for queued in reversed(items):
                 if queued.flow_id == event.flow_id:
                     coalesced = queued.information_preserving_merge(event)
                     break
-        if not coalesced and not fifo.push(event):
-            # Refused: the caller offers the same event again, so
-            # nothing may count it yet.
-            return False
+        if not coalesced:
+            if len(items) >= fifo.capacity:
+                # Refused: the caller offers the same event again, so
+                # nothing may count it yet.
+                fifo.rejects += 1
+                return False
+            items.append(event)
         self.events_submitted += 1
         if coalesced:
             self.events_coalesced += 1
@@ -212,7 +216,9 @@ class Scheduler(Component):
                     event.kind.value,
                 )
         elif new_head:
-            self._wake()
+            due = self.clock.cycle  # _wake, inline
+            if due < self.next_action:
+                self.next_action = due
         return True
 
     @property
@@ -233,30 +239,22 @@ class Scheduler(Component):
         self._evicted = True
         self._wake()
 
-    def _rearm(self, due: int) -> None:
-        """Fold ``due`` — when the FIFO heads are next worth trying —
-        into :attr:`next_action` at the end of a tick, when the swap-in
-        requests and the evicted TCBs have just been drained; wakes
-        during the tick have already pulled it in."""
-        if self._deferred_swap_ins and self._victim_wait is None:
-            # Put there by _collect_evicted after the swap-ins were
-            # handled (or they would be waiting already).
-            cycle = self.clock.cycle
-            fullest = None
-            if self._fpc_with_lowest_count(require_room=True) is None:
-                fullest = self._fpc_with_lowest_count(require_room=False)
-            if fullest is None:
-                due = cycle + 1  # it takes a free slot
-            else:
-                self._wait_for_victim(fullest)
-                if self._victim(fullest) is not None and fullest.next_action > cycle:
-                    # Its victim is there to stay: no tick of that FPC
-                    # this cycle can take it back into the pipe.
-                    due = cycle + 1
-        if self.pending and self.pending[0][0] < due:
-            due = self.pending[0][0]
-        if due < self.next_action:
-            self.next_action = due
+    def _swap_in_due(self, due: int) -> int:
+        """When the swap-ins deferred after this tick handled them —
+        put there by :meth:`_collect_evicted` (or they would be waiting
+        already) — are next worth trying, folded into ``due``."""
+        cycle = self.clock.cycle
+        fullest = None
+        if self._fpc_with_lowest_count(require_room=True) is None:
+            fullest = self._fpc_with_lowest_count(require_room=False)
+        if fullest is None:
+            return cycle + 1  # it takes a free slot
+        self._wait_for_victim(fullest)
+        if self._victim(fullest) is not None and fullest.next_action > cycle:
+            # Its victim is there to stay: no tick of that FPC this
+            # cycle can take it back into the pipe.
+            return cycle + 1
+        return due
 
     def tick(self) -> None:
         # A stage is entered only when it has something to do.
@@ -268,19 +266,19 @@ class Scheduler(Component):
             self._retry_pending()
         # Route up to one event per LUT partition per cycle (§4.4.2).
         due = NEVER
-        refused: List[int] = []
+        refused: Sequence[int] = ()
         for fifo in self.coalesce_fifos:
             items = fifo._items
             if not items:
                 continue
             refuser = self._route(items[0])
             if refuser is None:
-                fifo.pop()
+                items.popleft()
                 self.events_routed += 1
                 if items:
                     due = cycle + 1  # the next head is untried
             else:
-                refused.append(items[0].flow_id)
+                refused = [*refused, items[0].flow_id]
                 if refuser is not self.memory_manager:
                     # An FPC pops its input on its next even cycle, at
                     # most one tick from now: try again on the next.
@@ -296,7 +294,17 @@ class Scheduler(Component):
             popped = self.memory_manager.next_action + 1
             if popped < due:
                 due = popped
-        self._rearm(due)
+        # Fold ``due`` — when the FIFO heads are next worth trying —
+        # into the horizon, now that the swap-in requests and the
+        # evicted TCBs are drained; wakes during the tick have already
+        # pulled it in.
+        if self._deferred_swap_ins and self._victim_wait is None:
+            due = self._swap_in_due(due)
+        pending = self.pending
+        if pending and pending[0][0] < due:
+            due = pending[0][0]
+        if due < self.next_action:
+            self.next_action = due
 
     # ------------------------------------------------------------- routing
     def _route(self, event: TcpEvent) -> Optional[object]:
@@ -316,7 +324,8 @@ class Scheduler(Component):
             return None
         if location is Location.FPC:
             fpc = self.fpcs[fpc_id]
-            if fpc.backpressure and len(self.fpcs) > 1:
+            fifo = fpc.input  # FlowProcessingCore.backpressure, inline
+            if len(fifo._items) > fifo.capacity // 2 and len(self.fpcs) > 1:
                 # Event load imbalance: migrate this flow to the idlest
                 # FPC (§4.4.2, Table 2) and hold the event meanwhile —
                 # but only when some FPC actually has headroom.  When

@@ -87,8 +87,9 @@ class Testbed:
         Each iteration lands on the earliest of both engines'
         :attr:`FtEngine.next_action`, the cycle the pump asked for and
         the bound, and ticks the engine(s) due there; the cycles an
-        engine sat out reach it as one :meth:`FtEngine.advance_cycles`
-        before its next tick, the next ``until`` call or the return.
+        engine sat out reach it by assigning its clock before its next
+        tick, and as one :meth:`FtEngine.advance_cycles` before the next
+        ``until`` call or the return.
         An engine keeps its horizon current through its own ticks and
         host calls; the peer's tick can only pull its wire-arrival term
         in (a frame sent at cycle *c* arrives strictly after *c*), so
@@ -164,9 +165,10 @@ class Testbed:
                     land = bound
                 self.cycle = land
                 landings += 1
+                # An engine that sat cycles out is given them by
+                # assignment: every block reads its one clock.
                 if work_a <= land:
-                    if engine_a.cycle != land - 1:
-                        engine_a.advance_cycles(land - 1 - engine_a.cycle)
+                    engine_a.cycle = land - 1
                     head = inbound_b[0] if inbound_b else None
                     tick_a()
                     ticks_a += 1
@@ -177,8 +179,7 @@ class Testbed:
                         if arrival < engine_b.next_action:
                             engine_b.next_action = arrival
                 if work_b <= land:
-                    if engine_b.cycle != land - 1:
-                        engine_b.advance_cycles(land - 1 - engine_b.cycle)
+                    engine_b.cycle = land - 1
                     head = inbound_a[0] if inbound_a else None
                     tick_b()
                     ticks_b += 1

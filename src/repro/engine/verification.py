@@ -13,7 +13,7 @@ entry dangled, and no CAM slot leaked at any point along the way".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..tcp.seq import seq_ge, seq_le
@@ -23,6 +23,8 @@ from .scheduler import Location
 
 #: How often :func:`audited_run` checks the invariants, in cycles.
 RUN_AUDIT_CYCLES = 2048
+#: The states in which a TCB has not yet seen the peer's SYN.
+_BEFORE_PEER_SYN = (TcpState.CLOSED, TcpState.LISTEN, TcpState.SYN_SENT)
 
 
 @dataclass
@@ -104,6 +106,10 @@ class InvariantMonitor:
     def _check_pointer_monotonicity(self) -> None:
         """Cumulative pointers never regress between audits (§4.2.1)."""
         for flow_id, tcb in self._iter_tcbs():
+            if tcb.state in _BEFORE_PEER_SYN:
+                # rcv_nxt is a placeholder until the peer's SYN sets it
+                # (RFC 793); the first shadow is taken after that.
+                continue
             shadow = self._shadows.get(flow_id)
             if shadow is not None:
                 for name in ("snd_una", "snd_nxt", "req", "rcv_nxt"):

@@ -15,7 +15,7 @@ T = TypeVar("T")
 
 
 class Fifo(Generic[T]):
-    """A bounded first-in-first-out queue tracking occupancy statistics."""
+    """A bounded first-in-first-out queue counting the pushes it refused."""
 
     def __init__(self, capacity: int, name: str = "fifo") -> None:
         if capacity <= 0:
@@ -23,10 +23,7 @@ class Fifo(Generic[T]):
         self.capacity = capacity
         self.name = name
         self._items: Deque[T] = deque()
-        self.pushes = 0
-        self.pops = 0
         self.rejects = 0
-        self.max_occupancy = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -41,27 +38,21 @@ class Fifo(Generic[T]):
     def push(self, item: T) -> bool:
         """Append ``item``; returns False (and drops nothing) when full."""
         items = self._items
-        occupancy = len(items)
-        if occupancy >= self.capacity:
+        if len(items) >= self.capacity:
             self.rejects += 1
             return False
         items.append(item)
-        self.pushes += 1
-        if occupancy >= self.max_occupancy:
-            self.max_occupancy = occupancy + 1
         return True
 
     def pop(self) -> T:
         if not self._items:
             raise IndexError(f"pop from empty FIFO {self.name!r}")
-        self.pops += 1
         return self._items.popleft()
 
     def try_pop(self) -> Optional[T]:
         """Pop the head, or return None when empty."""
         if not self._items:
             return None
-        self.pops += 1
         return self._items.popleft()
 
     def clear(self) -> None:

@@ -21,16 +21,14 @@ GIB = 1 << 30
 
 
 class DualPortSRAM(Generic[V]):
-    """A BRAM-like store allowing two accesses per port pair per cycle.
+    """A BRAM-like store: an addressable array with bounds-checked ports.
 
-    Functionally it is an addressable array; the port discipline is
-    tracked as statistics (``reads``/``writes``, the per-cycle read peak) rather
-    than enforced by exceptions, because the FPC schedules its accesses
-    statically (§4.2.3) and the tests assert the schedule stays within
-    the port budget.
+    The FPC schedules its accesses statically (§4.2.3), so the port
+    discipline is a property of that schedule, not something this model
+    enforces or counts.  The FPC's per-event path indexes :attr:`_data`
+    with slots its own CAM handed out; :meth:`read`/:meth:`write` are
+    for everyone else.
     """
-
-    PORTS = 2
 
     def __init__(self, depth: int, name: str = "sram") -> None:
         if depth <= 0:
@@ -38,36 +36,20 @@ class DualPortSRAM(Generic[V]):
         self.depth = depth
         self.name = name
         self._data: List[Optional[V]] = [None] * depth
-        self.reads = 0
-        self.writes = 0
-        self._cycle_accesses: Dict[int, int] = {}
-        self.max_accesses_per_cycle = 0
-
-    def _track(self, cycle: int) -> None:
-        count = self._cycle_accesses.get(cycle, 0) + 1
-        self._cycle_accesses = {cycle: count}
-        if count > self.max_accesses_per_cycle:
-            self.max_accesses_per_cycle = count
 
     def _out_of_range(self, addr: int) -> IndexError:
         return IndexError(
             f"{self.name}: address {addr} out of range 0..{self.depth - 1}"
         )
 
-    # read/write sit under every event and every FPU pass: the bounds
-    # check and the port accounting are inline, one call per access.
-    def read(self, addr: int, cycle: Optional[int] = None) -> Optional[V]:
+    def read(self, addr: int) -> Optional[V]:
         if not 0 <= addr < self.depth:
             raise self._out_of_range(addr)
-        self.reads += 1
-        if cycle is not None:
-            self._track(cycle)
         return self._data[addr]
 
     def write(self, addr: int, value: V) -> None:
         if not 0 <= addr < self.depth:
             raise self._out_of_range(addr)
-        self.writes += 1
         self._data[addr] = value
 
     def clear(self, addr: int) -> None:

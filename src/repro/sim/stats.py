@@ -17,8 +17,10 @@ class Counters:
     def __init__(self) -> None:
         self._values: Dict[str, int] = {}
 
-    def add(self, name: str, amount: int = 1) -> None:
-        self._values[name] = self._values.get(name, 0) + amount
+    def add(self, name: str) -> None:
+        """Count one ``name``.  (A hot path that counts several at once
+        updates :attr:`_values` itself, as ``FtEngine`` does per packet.)"""
+        self._values[name] = self._values.get(name, 0) + 1
 
     def get(self, name: str) -> int:
         return self._values.get(name, 0)

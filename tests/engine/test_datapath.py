@@ -74,6 +74,21 @@ class TestPacketGenerator:
         bad = TxDirective(flow_id=9, seq=0, length=0, flags=FLAG_ACK, ack=0, window=0)
         assert gen.generate(bad, mss=1460) == []
 
+    def test_segments_without_options_share_one_unwritten_record(self):
+        stream = SendStream(base_seq=0, capacity=100_000)
+        stream.append(bytes(3000))
+        gen = make_generator(stream)
+        segments = gen.generate(
+            directive(seq=0, length=3000, flags=FLAG_ACK | FLAG_PSH), mss=1460
+        )
+        segments += gen.generate(directive(seq=3000), mss=1460)
+        assert len({id(s.options) for s in segments}) == 1
+        # A SACK-bearing directive gets options of its own.
+        sacked = gen.generate(directive(seq=3000), mss=1460, sack_blocks=[(5, 9)])
+        assert sacked[0].options is not segments[0].options
+        assert sacked[0].options.sack_blocks == [(5, 9)]
+        assert segments[0].options == TcpOptions()
+
     def test_options_attached(self):
         gen = make_generator()
         d = directive(flags=FLAG_SYN, options=TcpOptions(mss=1200))
@@ -149,7 +164,7 @@ class TestRxParserDataPath:
         assert event.ack_needed
         notes = parser.drain_notifications()
         assert notes and notes[0].readable_pointer == 105
-        assert parser.read(7, 5) == b"hello"
+        assert parser.rx_states[7].reassembly.read(5) == b"hello"
 
     def test_out_of_order_flagged_not_coalescible(self):
         parser, _ = make_parser()
@@ -167,7 +182,7 @@ class TestRxParserDataPath:
         parser.parse(incoming(seq=5, payload=b"world"), 0)
         event = parser.parse(incoming(seq=0, payload=b"hello"), 0)
         assert event.rcv_nxt == 10
-        assert parser.read(7, 10) == b"helloworld"
+        assert parser.rx_states[7].reassembly.read(10) == b"helloworld"
 
 
 class TestDupAckDetection:

@@ -2,9 +2,9 @@
 
 from hypothesis import given, strategies as st
 
+from repro.engine.baseline import NullFpu
 from repro.engine.event_handler import (
     EventEntry,
-    EventHandler,
     V_ACK,
     V_DUP,
     V_FLAGS,
@@ -13,7 +13,7 @@ from repro.engine.event_handler import (
     merge_into_tcb,
 )
 from repro.engine.events import EventKind, TcpEvent, user_send_event
-from repro.sim.memory import DualPortSRAM
+from repro.engine.fpc import FlowProcessingCore
 from repro.tcp.state_machine import TcpState
 
 from ._check_logic_oracle import copy_entry
@@ -77,21 +77,43 @@ class TestAccumulation:
 
 
 class TestEventHandlerOverTable:
+    """The FPC's event handler stage: one input event per even cycle,
+    folded by :func:`accumulate_event` into its flow's event-table
+    entry."""
+
+    @staticmethod
+    def fpc_with(*flow_ids):
+        fpc = FlowProcessingCore(0, slots=4, fpu=NullFpu(14))
+        for flow_id in flow_ids:
+            fpc.accept_tcb(make_tcb(flow_id=flow_id, state=TcpState.LISTEN))
+        return fpc
+
+    @staticmethod
+    def handle(fpc, *events):
+        for event in events:
+            assert fpc.offer_event(event)
+        while fpc.input:
+            fpc.tick()
+
+    @staticmethod
+    def entry_of(fpc, flow_id):
+        return fpc.event_table.read(fpc.cam.lookup(flow_id))
+
     def test_handle_creates_and_reuses_entries(self):
-        table = DualPortSRAM(4)
-        handler = EventHandler(table)
-        handler.handle(2, user_send_event(1, 100, 0))
-        handler.handle(2, user_send_event(1, 200, 100 * 10**9))
-        assert table.read(2).req == 200
-        assert handler.events_handled == 2
+        fpc = self.fpc_with(1)
+        entry = self.entry_of(fpc, 1)
+        self.handle(
+            fpc, user_send_event(1, 100, 0), user_send_event(1, 200, 100 * 10**9)
+        )
+        assert self.entry_of(fpc, 1) is entry
+        assert entry.req == 200
+        assert fpc.events_accepted == 2
 
     def test_slots_are_independent(self):
-        table = DualPortSRAM(4)
-        handler = EventHandler(table)
-        handler.handle(0, user_send_event(1, 100, 0))
-        handler.handle(1, user_send_event(2, 999, 0))
-        assert table.read(0).req == 100
-        assert table.read(1).req == 999
+        fpc = self.fpc_with(1, 2)
+        self.handle(fpc, user_send_event(1, 100, 0), user_send_event(2, 999, 0))
+        assert self.entry_of(fpc, 1).req == 100
+        assert self.entry_of(fpc, 2).req == 999
 
 
 class TestMergeIntoTcb:

@@ -201,11 +201,10 @@ def wanted(shape: str) -> Tuple[int, int]:
     return RPC_ROUNDS * RPC_RESPONSE, RPC_ROUNDS * RPC_REQUEST
 
 
-def run_schedule(shape: str, faults: List[Fault]) -> Tuple[Outcome, SoftTestbed]:
-    """One whole connection of ``shape`` over ``faults``: a connects, the
-    transfer runs, a closes once it is done and b closes on EOF."""
-    schedule = FaultSchedule(faults)
-    tb = SoftTestbed(lambda: FlexToeService(), schedule=schedule)
+def drive(tb, shape: str, max_time_s: float = MAX_TIME_S) -> Outcome:
+    """One whole connection of ``shape`` between ``tb``'s two ends: a
+    connects, the transfer runs, a closes once it is done and b closes
+    on EOF.  ``tb`` is any rig with the ``Testbed`` shape."""
     a, b = tb.engine_a, tb.engine_b
     b.listen(80)
     a_flow = a.connect(b.ip, 80)
@@ -252,11 +251,19 @@ def run_schedule(shape: str, faults: List[Fault]) -> Tuple[Outcome, SoftTestbed]
             b.close_flow(b_flow)
         return out.closed["a"] and out.closed["b"]
 
-    out.finished = tb.run(until=pump, max_time_s=MAX_TIME_S)
+    out.finished = tb.run(until=pump, max_time_s=max_time_s)
+    return out
+
+
+def run_schedule(shape: str, faults: List[Fault]) -> Tuple[Outcome, SoftTestbed]:
+    """:func:`drive` over ``faults`` on two soft stacks."""
+    schedule = FaultSchedule(faults)
+    tb = SoftTestbed(lambda: FlexToeService(), schedule=schedule)
+    out = drive(tb, shape)
     out.fired = len(schedule.fired)
     out.counters = tuple(
         getattr(stack, name)
-        for stack in (a, b)
+        for stack in (tb.engine_a, tb.engine_b)
         for name in ("retransmits", "timeouts", "ecn_echoes", "packets_sent")
     )
     return out, tb

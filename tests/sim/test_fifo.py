@@ -40,15 +40,6 @@ class TestFifoBasics:
         fifo.push(5)
         assert fifo.try_pop() == 5
 
-    def test_occupancy_statistics(self):
-        fifo = Fifo(4)
-        for i in range(3):
-            fifo.push(i)
-        fifo.pop()
-        assert fifo.max_occupancy == 3
-        assert fifo.pushes == 3
-        assert fifo.pops == 1
-
     def test_full_and_empty_flags(self):
         fifo = Fifo(1)
         assert len(fifo) == 0 and not fifo.full

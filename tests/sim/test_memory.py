@@ -29,18 +29,6 @@ class TestDualPortSRAM:
         sram.clear(1)
         assert sram.read(1) is None
 
-    def test_per_cycle_access_tracking(self):
-        """The FPC's static schedule keeps accesses within the port
-        budget; the model records the peak of the cycle-stamped reads so
-        tests can assert it."""
-        sram = DualPortSRAM(4)
-        sram.read(0, cycle=7)
-        sram.write(1, "a")
-        sram.read(2, cycle=7)
-        sram.read(3, cycle=8)
-        assert sram.max_accesses_per_cycle == 2
-        assert sram.reads == 3 and sram.writes == 1
-
 
 class TestDRAMModel:
     def test_rejects_bad_bandwidth(self):

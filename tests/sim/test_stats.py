@@ -12,9 +12,9 @@ class TestCounters:
     def test_add_and_get(self):
         counters = Counters()
         counters.add("packets")
-        counters.add("packets", 4)
-        assert counters.get("packets") == 5
-        assert counters["packets"] == 5
+        counters.add("packets")
+        assert counters.get("packets") == 2
+        assert counters["packets"] == 2
 
     def test_missing_is_zero(self):
         assert Counters().get("nothing") == 0
