@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .seq import SEQ_MOD, seq_add, seq_ge, seq_in_window, seq_lt, seq_sub
+from .seq import SEQ_MOD, seq_add, seq_in_window, seq_lt, seq_sub
 
 
 class ReassemblyBuffer:
@@ -121,20 +121,15 @@ class ReassemblyBuffer:
                     return self._merge(seq, payload)
         if held is not None:
             # The segment extends one held chunk at its end: append it
-            # in place.  The count is the one the merge gives an
-            # extension, whose overlap term reads min(held, size).
-            chunk = chunks[held]
-            admitted = size - min(len(chunk), size)
-            chunk += payload
+            # in place.
+            chunks[held] += payload
+        elif seq == self.rcv_nxt:
+            self._ready += payload
+            self.rcv_nxt = end
         else:
-            admitted = size
-            if seq == self.rcv_nxt:
-                self._ready += payload
-                self.rcv_nxt = end
-            else:
-                chunks[seq] = bytearray(payload)
-        self.bytes_accepted += admitted
-        return admitted
+            chunks[seq] = bytearray(payload)
+        self.bytes_accepted += size
+        return size
 
     def _merge(self, seq: int, payload: bytes) -> int:
         """Merge ``payload`` with the held chunks it overlaps or touches,
@@ -154,12 +149,11 @@ class ReassemblyBuffer:
             # starts before it and a chunk's over the segment otherwise
             # (retransmissions carry identical data, so either is right).
             union_start = other_start if seq_lt(other_start, start) else start
-            overlap = min(
-                seq_sub(end, other_start) if seq_ge(end, other_start) else 0,
-                len(other),
-                len(merged),
-            )
-            new_bytes -= max(0, overlap)
+            # The chunks are disjoint, so this one meets the union only
+            # where it meets the segment: those bytes are not new.
+            low = other_start if seq_lt(start, other_start) else start
+            high = other_end if seq_lt(other_end, end) else end
+            new_bytes -= max(0, seq_sub(high, low))
             if seq_lt(other_start, start):
                 union = other[: seq_sub(start, other_start)]
                 union += merged
@@ -180,9 +174,8 @@ class ReassemblyBuffer:
             self.rcv_nxt = end
         else:
             chunks[start] = merged
-        admitted = max(0, new_bytes)
-        self.bytes_accepted += admitted
-        return admitted
+        self.bytes_accepted += new_bytes
+        return new_bytes
 
     # ------------------------------------------------------------- output
     @property

@@ -12,7 +12,7 @@ offer by offer (``test_reassembly_oracle.py``).
 """
 
 from repro.tcp.reassembly import ReassemblyBuffer
-from repro.tcp.seq import seq_add, seq_ge, seq_in_window, seq_lt, seq_sub
+from repro.tcp.seq import seq_add, seq_in_window, seq_lt, seq_sub
 
 
 class OracleReassemblyBuffer(ReassemblyBuffer):
@@ -55,12 +55,9 @@ class OracleReassemblyBuffer(ReassemblyBuffer):
                 continue
             del self._chunks[other_start]
             union_start = other_start if seq_lt(other_start, start) else start
-            overlap = min(
-                seq_sub(end, other_start) if seq_ge(end, other_start) else 0,
-                len(other),
-                len(merged),
-            )
-            new_bytes -= max(0, overlap)
+            low = other_start if seq_lt(start, other_start) else start
+            high = other_end if seq_lt(other_end, end) else end
+            new_bytes -= max(0, seq_sub(high, low))
             union = bytearray()
             if seq_lt(other_start, start):
                 union += other[: seq_sub(start, other_start)]
@@ -78,8 +75,8 @@ class OracleReassemblyBuffer(ReassemblyBuffer):
             start = union_start
             end = seq_add(start, len(merged))
         self._chunks[start] = bytes(merged)
-        self.bytes_accepted += max(0, new_bytes)
-        return max(0, new_bytes)
+        self.bytes_accepted += new_bytes
+        return new_bytes
 
     def _promote_in_order(self) -> None:
         """Move the chunk at ``rcv_nxt`` (if any) into the ready stream."""

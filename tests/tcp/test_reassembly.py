@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.tcp.reassembly import ReassemblyBuffer
 from repro.tcp.seq import SEQ_MOD, seq_add
 
+from ._reassembly_oracle import OracleReassemblyBuffer
+
 
 class TestInOrder:
     def test_in_order_delivery(self):
@@ -169,3 +171,23 @@ class TestProperties:
             boundaries = buffer.chunk_boundaries()
             for (s1, e1), (s2, e2) in zip(boundaries, boundaries[1:]):
                 assert e1 < s2 or (e1 - s2) % SEQ_MOD > 0
+
+
+# The new-byte count of a segment that extends or overlaps a held chunk,
+# on the buffer and on its oracle alike.
+@pytest.mark.parametrize("make", [ReassemblyBuffer, OracleReassemblyBuffer])
+def test_extending_a_held_chunk_counts_every_new_byte(make):
+    buffer = make(0, 1000)
+    assert buffer.offer(10, b"a" * 100) == 100
+    assert buffer.offer(110, b"b" * 50) == 50
+    assert buffer.bytes_accepted == 150
+
+
+@pytest.mark.parametrize("make", [ReassemblyBuffer, OracleReassemblyBuffer])
+def test_overlapping_a_held_chunk_counts_only_the_new_bytes(make):
+    buffer = make(0, 1000)
+    assert buffer.offer(10, b"a" * 100) == 100
+    assert buffer.offer(50, b"a" * 100) == 40  # [110, 150) is new
+    assert buffer.offer(0, b"a" * 30) == 10  # [0, 10) is new
+    assert buffer.bytes_accepted == 150
+    assert buffer.read(buffer.readable) == b"a" * 150
