@@ -70,8 +70,8 @@ def main() -> None:
 
     # --- What the hardware did ------------------------------------------
     print()
-    print("engine A:", client.counters.as_dict())
-    print("engine B:", server.counters.as_dict())
+    print("engine A:", dict(client.counters))
+    print("engine B:", dict(server.counters))
     print(f"wire carried {testbed.wire.bytes_sent} bytes in "
           f"{testbed.now_s * 1e6:.1f} simulated microseconds")
 

@@ -3,8 +3,8 @@ framework (Boo et al., ISCA 2023), rebuilt in Python.
 
 Subpackages:
 
-* :mod:`repro.sim` — hardware primitives (components, FIFOs, pipelines,
-  memories) and stats; each model above keeps its own clock;
+* :mod:`repro.sim` — the clocked component base, the DRAM/HBM channel
+  model and latency histograms; each model above keeps its own clock;
 * :mod:`repro.tcp` — the TCP protocol substrate;
 * :mod:`repro.engine` — FtEngine, the paper's contribution;
 * :mod:`repro.host` — the host side as calibrated CPU and PCIe costs,

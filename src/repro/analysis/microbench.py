@@ -41,8 +41,7 @@ def measure_baseline_event_rate(
     accel = StallingAccelerator(stall_cycles=stall_cycles, freq_hz=freq_hz)
     index = 0
     for _ in range(cycles):
-        if not accel.input.full:
-            accel.offer_event(_synthetic_event(0, index))
+        if accel.offer_event(_synthetic_event(0, index)):
             index += 1
         accel.tick()
     return accel.events_processed * freq_hz / cycles
@@ -62,8 +61,7 @@ def measure_fpc_event_rate(
     fpc.accept_tcb(Tcb(flow_id=0))
     index = 0
     for _ in range(cycles):
-        if not fpc.input.full:
-            fpc.offer_event(_synthetic_event(0, index))
+        if fpc.offer_event(_synthetic_event(0, index)):
             index += 1
         fpc.tick()
         if fpc.out_results:
@@ -123,8 +121,9 @@ def measure_header_rate(
         index = 0
         for _ in range(cycles):
             credit += offered_per_cycle
-            while credit >= 1.0 and not accel.input.full:
-                accel.offer_event(_synthetic_event(index % flows, index))
+            while credit >= 1.0 and accel.offer_event(
+                _synthetic_event(index % flows, index)
+            ):
                 index += 1
                 credit -= 1.0
             credit = min(credit, 8.0)

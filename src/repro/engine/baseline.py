@@ -15,14 +15,13 @@
 
 from __future__ import annotations
 
+from collections import deque
+from typing import ClassVar, Deque
+
 from ..sim.component import Component
-from ..sim.fifo import Fifo
 from ..tcp.tcb import Tcb
 from .events import TcpEvent
 from .fpu import Fpu, ProcessResult
-
-#: Input FIFO depth of both baselines (events).
-INPUT_DEPTH = 1024
 
 
 class NullFpu(Fpu):
@@ -49,6 +48,9 @@ class StallingAccelerator(Component):
     ``freq / stall_cycles`` events per second, independent of workload.
     """
 
+    #: The input queue's depth, in events.
+    depth: ClassVar[int] = 1024
+
     def __init__(
         self,
         stall_cycles: int = 17,
@@ -59,20 +61,25 @@ class StallingAccelerator(Component):
             raise ValueError("stall must be at least one cycle")
         self.stall_cycles = stall_cycles
         self.freq_hz = freq_hz
-        self.input: Fifo[TcpEvent] = Fifo(INPUT_DEPTH, "baseline.in")
+        self.input: Deque[TcpEvent] = deque()
         self._stall_remaining = 0
         self.events_processed = 0
 
     def offer_event(self, event: TcpEvent) -> bool:
-        return self.input.push(event)
+        """Queue ``event``; False (and nothing queued) when the input
+        is full."""
+        if len(self.input) >= self.depth:
+            return False
+        self.input.append(event)
+        return True
 
     def tick(self) -> None:
         self.cycle += 1
         if self._stall_remaining > 0:
             self._stall_remaining -= 1
             return
-        event = self.input.try_pop()
-        if event is None:
+        if not self.input:
             return
+        self.input.popleft()
         self.events_processed += 1
         self._stall_remaining = self.stall_cycles - 1

@@ -5,7 +5,16 @@ An FPC bundles:
 * the **event handler**, accumulating one input event every two cycles
   into the event table (§4.2.1);
 * the **dual memory** — TCB table + event table, each written by exactly
-  one writer, with per-field valid bits (§4.2.3);
+  one writer, with per-field valid bits (§4.2.3).  They are BRAM, dual
+  ported, so the two tables give four reads and four writes per two
+  cycles; the FPC schedules its accesses statically, so that port
+  discipline is a property of the schedule below, not something the
+  model checks.  Here each table is a list indexed by slot;
+* the **CAM** mapping a global flow id to its local slot (§4.4.2): a
+  comparator array plus a binary log module in hardware, relying on the
+  scheduler's routing guarantee that a lookup hits exactly one entry;
+  here a dict, and a free-slot list handing out the lowest slot first
+  and a freed slot first again;
 * the **TCB manager**, constructing up-to-date TCBs and dispatching them
   round-robin so the FPU never sees the same flow twice within its
   pipeline depth (§4.2.2);
@@ -32,8 +41,6 @@ from collections import OrderedDict, deque
 from typing import Callable, ClassVar, Deque, Dict, List, Optional, Set, Tuple
 
 from ..sim.component import NEVER, Component, OwnersCycle
-from ..sim.fifo import Fifo
-from ..sim.memory import CAM, DualPortSRAM
 from ..tcp.tcb import Tcb
 from .event_handler import EventEntry, accumulate_event, merge_into_tcb
 from .events import TcpEvent
@@ -42,7 +49,6 @@ from .memory_manager import CYCLE_PS
 
 #: Reference design: 8 FPCs x 128 flows (§4.4.2).
 DEFAULT_SLOTS = 128
-DEFAULT_INPUT_DEPTH = 64
 
 
 class FlowProcessingCore(Component):
@@ -52,6 +58,9 @@ class FlowProcessingCore(Component):
     #: The FPU's initiation interval: a TCB may enter the pipe every
     #: this many cycles (§4.2.2).
     initiation_interval: ClassVar[int] = 2
+    #: The input queue's depth, in events: :meth:`offer_event` refuses
+    #: past it, and past half of it the FPC reports backpressure.
+    depth: ClassVar[int] = 64
 
     def __init__(
         self,
@@ -65,17 +74,14 @@ class FlowProcessingCore(Component):
         self.fpc_id = fpc_id
         self.slots = slots
 
-        self.tcb_table: DualPortSRAM[Tcb] = DualPortSRAM(slots, f"fpc{fpc_id}.tcb")
-        self.event_table: DualPortSRAM[EventEntry] = DualPortSRAM(
-            slots, f"fpc{fpc_id}.events"
-        )
-        self.cam: CAM[int] = CAM(slots, f"fpc{fpc_id}.cam")
-        #: The per-event path's view of the three blocks above: the
-        #: CAM's flow -> slot dict and the two tables' slot lists.  A
-        #: slot comes from this FPC's own CAM, so it is in range.
-        self._slot_of = self.cam._slots
-        self._tcbs = self.tcb_table._data
-        self._entries = self.event_table._data
+        #: The CAM: resident flow -> its slot in the two tables.
+        self._slot_of: Dict[int, int] = {}
+        #: The free slots: ``pop`` hands out the lowest first, and a
+        #: freed slot, appended, is the next handed out.
+        self._free: List[int] = list(range(slots - 1, -1, -1))
+        #: The TCB table and the event table, by slot.
+        self._tcbs: List[Optional[Tcb]] = [None] * slots
+        self._entries: List[Optional[EventEntry]] = [None] * slots
         self.fpu = fpu if fpu is not None else Fpu(algorithm)
         self._latency = self.fpu.latency_cycles
         #: The FPU pipeline, oldest first: (retire_cycle, slot, TCB
@@ -83,10 +89,8 @@ class FlowProcessingCore(Component):
         #: the head retires first.
         self.pipe: Deque[Tuple[int, int, Tcb, int]] = deque()
 
-        self.input: Fifo[TcpEvent] = Fifo(DEFAULT_INPUT_DEPTH, f"fpc{fpc_id}.in")
-        #: The input FIFO's deque, which the per-event path pushes and
-        #: pops itself (``input.rejects`` still counts a refused push).
-        self._input = self.input._items
+        #: The input FIFO, at most :attr:`depth` events.
+        self.input: Deque[TcpEvent] = deque()
         self._dispatch_queue: Deque[int] = deque()  # flow ids needing the FPU
         self._queued: Set[int] = set()
         self._in_flight: Set[int] = set()
@@ -154,10 +158,10 @@ class FlowProcessingCore(Component):
     # -------------------------------------------------------------- flows
     @property
     def flow_count(self) -> int:
-        return len(self._admitted)  # one entry per CAM entry
+        return len(self._slot_of)
 
     def resident_flows(self) -> List[int]:
-        return self.cam.keys()
+        return list(self._slot_of)
 
     def accept_tcb(self, tcb: Tcb, entry: Optional[EventEntry] = None) -> None:
         """Install a TCB (new flow or swap-in from DRAM, §4.3.2).
@@ -167,11 +171,15 @@ class FlowProcessingCore(Component):
         handled in the memory manager while the flow lived in DRAM.
         """
         flow_id = tcb.flow_id
-        slot = self.cam.insert(flow_id)
+        if flow_id in self._slot_of:
+            raise KeyError(f"{self.name}: flow {flow_id} is already resident")
+        if not self._free:
+            raise OverflowError(f"{self.name}: all {self.slots} TCB slots in use")
+        slot = self._slot_of[flow_id] = self._free.pop()
         tcb.evict_flag = False
         written = entry if entry is not None else EventEntry()
-        self.tcb_table.write(slot, tcb)
-        self.event_table.write(slot, written)
+        self._tcbs[slot] = tcb
+        self._entries[slot] = written
         self._admissions += 1
         self._admitted[flow_id] = self._admissions
         self._unranked[flow_id] = tcb.last_active
@@ -197,11 +205,10 @@ class FlowProcessingCore(Component):
 
     def request_evict(self, flow_id: int) -> bool:
         """Scheduler asks to evict ``flow_id``; sets the TCB's evict flag."""
-        slot = self.cam.try_lookup(flow_id)
+        slot = self._slot_of.get(flow_id)
         if slot is None:
             return False
-        tcb = self.tcb_table.read(slot)
-        tcb.evict_flag = True
+        self._tcbs[slot].evict_flag = True
         if self.san is not None:
             self.san.on_evict_request(self.fpc_id, self.cycle, flow_id)
         self._evict_requested.add(flow_id)
@@ -214,12 +221,12 @@ class FlowProcessingCore(Component):
     def release(self, flow_id: int) -> Optional[int]:
         """Free a closed flow's slot; returns it, or None when the flow
         is not resident here."""
-        slot = self.cam.try_lookup(flow_id)
+        slot = self._slot_of.pop(flow_id, None)
         if slot is None:
             return None
-        self.cam.remove(flow_id)
-        self.tcb_table.clear(slot)
-        self.event_table.clear(slot)
+        self._free.append(slot)
+        self._tcbs[slot] = None
+        self._entries[slot] = None
         self._withdraw(flow_id)
         del self._admitted[flow_id]
         # A pass still in the pipe retires to no slot, never to eviction.
@@ -304,8 +311,8 @@ class FlowProcessingCore(Component):
                 del self._lru[flow_id]
 
     def peek_tcb(self, flow_id: int) -> Optional[Tcb]:
-        slot = self.cam.try_lookup(flow_id)
-        return None if slot is None else self.tcb_table.read(slot)
+        slot = self._slot_of.get(flow_id)
+        return None if slot is None else self._tcbs[slot]
 
     # -------------------------------------------------------------- queue
     def _mark_pending(self, flow_id: int, priority: bool = False) -> None:
@@ -321,9 +328,8 @@ class FlowProcessingCore(Component):
 
     def offer_event(self, event: TcpEvent) -> bool:
         """Scheduler pushes an event; False signals backpressure (§4.4.2)."""
-        items = self._input
-        if len(items) >= self.input.capacity:
-            self.input.rejects += 1
+        items = self.input
+        if len(items) >= self.depth:
             return False
         items.append(event)
         handled = (self.clock.cycle + 1) & ~1  # the event table's even phase
@@ -336,7 +342,7 @@ class FlowProcessingCore(Component):
 
     @property
     def backpressure(self) -> bool:
-        return len(self._input) > self.input.capacity // 2
+        return len(self.input) > self.depth // 2
 
     # -------------------------------------------------------------- clock
     def _rearm(self, earliest: int) -> None:
@@ -353,7 +359,7 @@ class FlowProcessingCore(Component):
         waits on their retire, which the first term covers.
         """
         due = self._retire_at
-        if self._input:
+        if self.input:
             handled = (earliest + 1) & ~1
             if handled < due:
                 due = handled
@@ -384,7 +390,7 @@ class FlowProcessingCore(Component):
             self._retire()
             acted = True
         if cycle % 2 == 0:
-            if self._input:
+            if self.input:
                 self._handle_one_event()
                 acted = True
         elif self._ready and self._issue_at <= cycle:
@@ -393,7 +399,7 @@ class FlowProcessingCore(Component):
         if acted:
             # _rearm(cycle + 1), inline: this runs on every tick that acts.
             due = self._retire_at
-            if self._input:
+            if self.input:
                 handled = (cycle + 2) & ~1
                 if handled < due:
                     due = handled
@@ -411,7 +417,7 @@ class FlowProcessingCore(Component):
     def _handle_one_event(self) -> None:
         """The event handler (§4.2.1): fold the input head into its
         flow's event-table entry."""
-        items = self._input
+        items = self.input
         if not items:
             return
         event = items.popleft()
@@ -501,7 +507,7 @@ class FlowProcessingCore(Component):
                 # routing, so the backlog is bounded).
                 entry = entries[slot]
                 backlog = (entry is not None and entry.valid) or any(
-                    ev.flow_id == flow_id for ev in self._input
+                    ev.flow_id == flow_id for ev in self.input
                 )
                 if backlog:
                     tcbs[slot] = tcb
@@ -514,7 +520,7 @@ class FlowProcessingCore(Component):
                     continue
                 self._evict_requested.discard(flow_id)
                 del self._admitted[flow_id]
-                self.cam.remove(flow_id)
+                self._free.append(slot_of.pop(flow_id))
                 tcbs[slot] = None
                 entries[slot] = None
                 tcb.evict_flag = False

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Deque, Dict, List, Optional, Sequence, Set
 
-from collections import deque
+from collections import Counter, deque
 
 from ..net.ethernet import (
     ETHERTYPE_ARP,
@@ -31,7 +31,6 @@ from ..net.ethernet import (
 )
 from ..net.wire import WirePort
 from ..sim.component import NEVER, Component
-from ..sim.stats import Counters
 from ..tcp.segment import (
     FLAG_ACK,
     FLAG_RST,
@@ -201,10 +200,8 @@ class FtEngine(Component):
         #: pops the queue itself (``LoadEngine``) leaves it be.
         self.msg_epoch = 0
 
-        self.counters = Counters()
-        #: The counters' own dict: a per-packet or per-call count is one
-        #: dict update here, not a :meth:`Counters.add` call.
-        self._counts = self.counters._values
+        #: The engine's named counts (a missing name reads 0).
+        self.counters: Counter[str] = Counter()
 
         #: The work horizon: the first cycle on which :meth:`tick` does
         #: anything, NEVER while nothing is scheduled.  The end of each
@@ -272,7 +269,7 @@ class FtEngine(Component):
         )
         self._keys_in_use.add(key)
         self.scheduler.register_new_flow(tcb)
-        self.counters.add("flows_created")
+        self.counters["flows_created"] += 1
         return flow_id
 
     def connect(
@@ -315,7 +312,7 @@ class FtEngine(Component):
             return None
         key = segment.flow_key.reversed()  # local view: we are the source
         flow_id = self._create_flow(key, listen_port=segment.dst_port)
-        self.counters.add("passive_opens")
+        self.counters["passive_opens"] += 1
         return flow_id
 
     # --------------------------------------------------------- socket data
@@ -335,8 +332,7 @@ class FtEngine(Component):
         self._submit(
             user_send_event(flow_id, pointer, self.cycle * ENGINE_PERIOD_PS)
         )
-        counts = self._counts
-        counts["send_requests"] = counts.get("send_requests", 0) + 1
+        self.counters["send_requests"] += 1
         return accept
 
     def send_room(self, flow_id: int) -> int:
@@ -365,8 +361,7 @@ class FtEngine(Component):
                     flow_id, consumed_upto, self.cycle * ENGINE_PERIOD_PS
                 )
             )
-            counts = self._counts
-            counts["recv_calls"] = counts.get("recv_calls", 0) + 1
+            self.counters["recv_calls"] += 1
         return data
 
     def close_flow(self, flow_id: int) -> None:
@@ -378,7 +373,7 @@ class FtEngine(Component):
                 EventKind.USER_REQ, flow_id, close=True, timestamp=self.time_ps
             )
         )
-        self.counters.add("close_requests")
+        self.counters["close_requests"] += 1
 
     def tcb_of(self, flow_id: int) -> Optional[Tcb]:
         """Debug/verification view of a flow's current TCB."""
@@ -605,7 +600,7 @@ class FtEngine(Component):
         for flow_id in self.timers.expire(now_ps):
             if flow_id in self.flows:
                 self._submit(timeout_event(flow_id, now_ps))
-                self.counters.add("timeouts_fired")
+                self.counters["timeouts_fired"] += 1
 
     def _handle_frame(self, frame: EthernetFrame) -> None:
         segment = frame.payload
@@ -627,10 +622,9 @@ class FtEngine(Component):
                     segment = TcpSegment.from_bytes(bytes(segment))
                 except ValueError:
                     # Corrupted or malformed on the wire: checksum rejected.
-                    self.counters.add("packets_corrupt_dropped")
+                    self.counters["packets_corrupt_dropped"] += 1
                     return
-        counts = self._counts
-        counts["packets_received"] = counts.get("packets_received", 0) + 1
+        self.counters["packets_received"] += 1
         now_ps = self.cycle * ENGINE_PERIOD_PS
         event = self.rx_parser.parse(segment, now_ps)
         if event is not None:
@@ -664,7 +658,7 @@ class FtEngine(Component):
                 flags=FLAG_RST | FLAG_ACK,
                 window=0,
             )
-        self.counters.add("rsts_sent")
+        self.counters["rsts_sent"] += 1
         self._transmit_ip(rst, rst.dst_ip)
 
     def _post_message(self, kind: str, flow_id: int, value: int = 0) -> None:
@@ -690,7 +684,7 @@ class FtEngine(Component):
             if record is not None and record.listen_port is not None:
                 self.listening[record.listen_port].append(flow_id)
             self._post_message("accepted", flow_id)
-            self.counters.add("connections_accepted")
+            self.counters["connections_accepted"] += 1
         elif kind is NoteKind.PEER_FIN:
             self._post_message("eof", flow_id, value)
         elif kind is NoteKind.CLOSED:
@@ -710,7 +704,7 @@ class FtEngine(Component):
         self.rx_parser.deregister_flow(record.key, flow_id)
         self._keys_in_use.discard(record.key)
         del self.flows[flow_id]
-        self.counters.add("flows_closed")
+        self.counters["flows_closed"] += 1
 
     def _drain_rx_notifications(self) -> None:
         for note in self.rx_parser.drain_notifications():
@@ -762,10 +756,10 @@ class FtEngine(Component):
                         now_ps,
                     )
             sent = len(segments)
-            counts = self._counts
-            counts["packets_sent"] = counts.get("packets_sent", 0) + sent
+            counts = self.counters
+            counts["packets_sent"] += sent
             if directive.retransmission:
-                counts["retransmissions"] = counts.get("retransmissions", 0) + sent
+                counts["retransmissions"] += sent
 
     def _transmit_ip(self, packet, dst_ip: int) -> None:
         if self.port is None:
@@ -791,7 +785,7 @@ class FtEngine(Component):
     def stats_report(self) -> Dict[str, object]:
         """Aggregate statistics from every module, for dashboards/demos."""
         return {
-            "engine": self.counters.as_dict(),
+            "engine": dict(self.counters),
             "scheduler": {
                 "events_submitted": self.scheduler.events_submitted,
                 "events_coalesced": self.scheduler.events_coalesced,

@@ -13,11 +13,11 @@ channel occupancy that throttles Fig 13's DRAM curve past 1024 flows.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, ClassVar, Deque, Dict, List, Optional, Tuple
 
 from ..mem.hierarchy import TcbCacheHierarchy
 from ..sim.component import NEVER, Component, OwnersCycle
-from ..sim.fifo import Fifo
 from ..sim.memory import DRAMModel
 from ..tcp.seq import seq_max, seq_sub
 from ..tcp.tcb import TCB_SIZE_BYTES, Tcb
@@ -25,7 +25,6 @@ from .event_handler import V_ACK, V_FLAGS, V_REQ, V_WND, EventEntry, accumulate_
 from .events import TcpEvent
 
 DEFAULT_CACHE_ENTRIES = 512
-DEFAULT_INPUT_DEPTH = 256
 
 #: One 250 MHz cycle in exact integer picoseconds (ftengine's
 #: ENGINE_PERIOD_PS; that module imports this one).
@@ -75,6 +74,9 @@ class MemoryManager(Component):
     """Handles events for DRAM-resident flows and feeds swap-in requests."""
 
     cycle = OwnersCycle()
+    #: The input queue's depth, in events: :meth:`offer_event` refuses
+    #: past it, and past half of it the block reports backpressure.
+    depth: ClassVar[int] = 256
 
     def __init__(
         self,
@@ -96,7 +98,8 @@ class MemoryManager(Component):
         #: arrives here (most DRAM flows are idle: they keep no entry).
         self._resident: Dict[int, Tuple[Tcb, Optional[EventEntry]]] = {}
 
-        self.input: Fifo[TcpEvent] = Fifo(DEFAULT_INPUT_DEPTH, "memmgr.in")
+        #: The input FIFO, at most :attr:`depth` events.
+        self.input: Deque[TcpEvent] = deque()
         #: Check-logic output: flows that can now send (§4.3.1).
         self.swap_in_requests: List[int] = []
         self._swap_in_pending: set = set()
@@ -215,8 +218,9 @@ class MemoryManager(Component):
 
     # -------------------------------------------------------------- input
     def offer_event(self, event: TcpEvent) -> bool:
-        if not self.input.push(event):
+        if len(self.input) >= self.depth:
             return False
+        self.input.append(event)
         if self.next_action == NEVER:
             # The scheduler routes before this block's turn in a cycle.
             self._rearm(int(self.time_ps_fn() // CYCLE_PS))
@@ -224,7 +228,7 @@ class MemoryManager(Component):
 
     @property
     def backpressure(self) -> bool:
-        return len(self.input) > self.input.capacity // 2
+        return len(self.input) > self.depth // 2
 
     def _rearm(self, earliest: int) -> None:
         """Publish :attr:`next_action`: ``earliest``, or the first cycle
@@ -235,7 +239,7 @@ class MemoryManager(Component):
         so :meth:`tick`'s own comparison decides, and the horizon is the
         cycle the per-cycle stall test would first pass on.
         """
-        if not self.input._items:
+        if not self.input:
             self.next_action = NEVER
             return
         busy_until_ps = self.dram.busy_until_ps
@@ -253,10 +257,8 @@ class MemoryManager(Component):
         now_ps = self.time_ps_fn()
         # The DRAM channel gates throughput: while it is busy we stall,
         # which is exactly the Fig 13 bottleneck.
-        if not self.dram.busy_until_ps > now_ps:
-            event = self.input.try_pop()
-            if event is not None:
-                self.handle_event(event)
+        if not self.dram.busy_until_ps > now_ps and self.input:
+            self.handle_event(self.input.popleft())
         self._rearm(int(now_ps // CYCLE_PS) + 1)
 
     def handle_event(self, event: TcpEvent) -> None:

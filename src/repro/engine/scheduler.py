@@ -3,8 +3,10 @@
 The scheduler orchestrates all flows:
 
 * it tracks every TCB's up-to-date location in the **location LUT**
-  (implemented with partitioned logic LUTs so several events route per
-  cycle, §4.4.2);
+  (§4.4.2).  In hardware it is built from logic LUTs partitioned into
+  groups, each serving one access per cycle, so that several events
+  route per cycle: eight FPCs each accepting an event every two cycles
+  need four groups, one per coalesce FIFO.  Here it is one dict;
 * it **coalesces** events of the same flow in four 16-entry FIFOs before
   routing, reducing the event count reaching FPCs (§4.4.1);
 * it holds events whose TCB is migrating in the **pending queue** and
@@ -25,8 +27,6 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.component import NEVER, Component, OwnersCycle
-from ..sim.fifo import Fifo
-from ..sim.memory import PartitionedLUT
 from ..tcp.tcb import Tcb
 from .events import TcpEvent
 from .fpc import FlowProcessingCore
@@ -79,12 +79,15 @@ class Scheduler(Component):
         self.fpcs = fpcs
         self.memory_manager = memory_manager
         self.coalescing = coalescing
-        self.lut = PartitionedLUT(COALESCE_FIFOS)
+        #: The location LUT: flow -> (Location, FPC id or -1).
+        self.lut: Dict[int, Tuple[Location, int]] = {}
         #: Per FPC, its two location-LUT values (shared, like _IN_DRAM).
         self._in_fpc = [(Location.FPC, fpc.fpc_id) for fpc in fpcs]
         self._leaving_fpc = [(Location.MOVING, fpc.fpc_id) for fpc in fpcs]
-        self.coalesce_fifos: List[Fifo[TcpEvent]] = [
-            Fifo(COALESCE_DEPTH, f"coalesce{i}") for i in range(COALESCE_FIFOS)
+        #: At most COALESCE_DEPTH events each; a flow's FIFO is its id
+        #: modulo COALESCE_FIFOS.
+        self.coalesce_fifos: List[Deque[TcpEvent]] = [
+            deque() for _ in range(COALESCE_FIFOS)
         ]
         #: Events whose destination is migrating: (retry_cycle, event).
         self.pending: Deque[Tuple[int, TcpEvent]] = deque()
@@ -139,10 +142,10 @@ class Scheduler(Component):
         target = self._fpc_with_lowest_count(require_room=True)
         if target is not None:
             target.accept_tcb(tcb)
-            self.lut.set(tcb.flow_id, self._in_fpc[target.fpc_id])
+            self.lut[tcb.flow_id] = self._in_fpc[target.fpc_id]
             return Location.FPC
         self.memory_manager.store(tcb)
-        self.lut.set(tcb.flow_id, _IN_DRAM)
+        self.lut[tcb.flow_id] = _IN_DRAM
         return Location.DRAM
 
     def deregister_flow(self, flow_id: int) -> None:
@@ -161,7 +164,7 @@ class Scheduler(Component):
             self.memory_manager.take(flow_id)
         if self.san is not None:
             self.san.on_flow_closed(flow_id)
-        self.lut.delete(flow_id)
+        del self.lut[flow_id]
 
     def location_of(self, flow_id: int) -> Optional[Location]:
         where = self.lut.get(flow_id)
@@ -184,8 +187,7 @@ class Scheduler(Component):
     # ------------------------------------------------------------- submit
     def submit(self, event: TcpEvent) -> bool:
         """Accept an event into the coalesce stage; False = backpressure."""
-        fifo = self.coalesce_fifos[event.flow_id % COALESCE_FIFOS]
-        items = fifo._items
+        items = self.coalesce_fifos[event.flow_id % COALESCE_FIFOS]
         # Only a new head is routable: one queued behind another waits
         # for it (and a queued head has the scheduler due or held).
         new_head = not items
@@ -200,10 +202,9 @@ class Scheduler(Component):
                     coalesced = queued.information_preserving_merge(event)
                     break
         if not coalesced:
-            if len(items) >= fifo.capacity:
+            if len(items) >= COALESCE_DEPTH:
                 # Refused: the caller offers the same event again, so
                 # nothing may count it yet.
-                fifo.rejects += 1
                 return False
             items.append(event)
         self.events_submitted += 1
@@ -264,11 +265,11 @@ class Scheduler(Component):
         self.next_action = NEVER
         if self.pending:
             self._retry_pending()
-        # Route up to one event per LUT partition per cycle (§4.4.2).
+        # Route up to one event per coalesce FIFO per cycle, one LUT
+        # partition each in hardware (§4.4.2).
         due = NEVER
         refused: Sequence[int] = ()
-        for fifo in self.coalesce_fifos:
-            items = fifo._items
+        for items in self.coalesce_fifos:
             if not items:
                 continue
             refuser = self._route(items[0])
@@ -324,8 +325,8 @@ class Scheduler(Component):
             return None
         if location is Location.FPC:
             fpc = self.fpcs[fpc_id]
-            fifo = fpc.input  # FlowProcessingCore.backpressure, inline
-            if len(fifo._items) > fifo.capacity // 2 and len(self.fpcs) > 1:
+            # FlowProcessingCore.backpressure, inline.
+            if len(fpc.input) > fpc.depth // 2 and len(self.fpcs) > 1:
                 # Event load imbalance: migrate this flow to the idlest
                 # FPC (§4.4.2, Table 2) and hold the event meanwhile —
                 # but only when some FPC actually has headroom.  When
@@ -374,7 +375,7 @@ class Scheduler(Component):
             return
         if not self.fpcs[source_fpc].request_evict(flow_id):
             return
-        self.lut.set(flow_id, self._leaving_fpc[source_fpc])
+        self.lut[flow_id] = self._leaving_fpc[source_fpc]
         self._migrations[flow_id] = _Migration(flow_id, source_fpc, kind="congestion")
         self.congestion_migrations += 1
         if self.san is not None:
@@ -398,7 +399,7 @@ class Scheduler(Component):
         victim = self._victim(fpc)
         if victim is None or not fpc.request_evict(victim):
             return False
-        self.lut.set(victim, self._leaving_fpc[fpc.fpc_id])
+        self.lut[victim] = self._leaving_fpc[fpc.fpc_id]
         self._migrations[victim] = _Migration(
             victim, fpc.fpc_id, kind="capacity", then_swap_in=then_swap_in
         )
@@ -461,10 +462,10 @@ class Scheduler(Component):
     def _complete_swap_in(self, flow_id: int, target: FlowProcessingCore) -> None:
         if flow_id in self._refused:
             self._wake()  # its held FIFO head now routes to the FPC
-        self.lut.set(flow_id, _SWAPPING_IN)
+        self.lut[flow_id] = _SWAPPING_IN
         tcb, entry = self.memory_manager.take(flow_id)
         target.accept_tcb(tcb, entry)
-        self.lut.set(flow_id, self._in_fpc[target.fpc_id])
+        self.lut[flow_id] = self._in_fpc[target.fpc_id]
         self.swap_ins += 1
         if self.trace is not None:
             self.trace.emit(
@@ -486,7 +487,7 @@ class Scheduler(Component):
                     target = self._fpc_with_lowest_count(require_room=True)
                     if target is not None and target is not fpc:
                         target.accept_tcb(tcb)
-                        self.lut.set(tcb.flow_id, self._in_fpc[target.fpc_id])
+                        self.lut[tcb.flow_id] = self._in_fpc[target.fpc_id]
                         if self.trace is not None:
                             self.trace.emit(
                                 self.cycle * CYCLE_PS, "engine.sched",
@@ -495,7 +496,7 @@ class Scheduler(Component):
                             )
                         continue
                 self.memory_manager.store(tcb)
-                self.lut.set(tcb.flow_id, _IN_DRAM)
+                self.lut[tcb.flow_id] = _IN_DRAM
                 if self.trace is not None:
                     self.trace.emit(
                         self.cycle * CYCLE_PS, "engine.sched",

@@ -1,7 +1,7 @@
 """Metric collectors: assemble a labeled registry from a finished run.
 
-The components keep their cheap local instruments (``Counters`` bags,
-plain ints); these functions lift them into one
+The components keep their cheap local instruments (count dicts, plain
+ints); these functions lift them into one
 :class:`~repro.obs.metrics.MetricsRegistry` with ``engine=a/b`` and
 ``component=...`` labels at collection time, so collecting costs nothing
 during the run and the registry is the single export surface.

@@ -1,14 +1,14 @@
 """The metrics registry: labeled counters, gauges and histograms.
 
-:mod:`repro.sim.stats` gives each component its own unlabeled bag of
-numbers; great inside one module, useless across a run that spans two
+Each component keeps its own unlabeled counts and histograms; great
+inside one module, useless across a run that spans two
 engines, their host queues and a traffic generator.  The registry is the
 cross-layer view: every instrument is a ``(name, labels)`` pair (think
 Prometheus), so ``cache_misses{engine=a}`` and ``cache_misses{engine=b}``
 coexist, and a sweep can merge per-run registries into one.
 
-The registry *wraps* the sim.stats primitives rather than replacing
-them — components keep their cheap local bags and histograms, and
+The registry *wraps* those instruments rather than replacing them —
+components keep their cheap local counts and histograms, and
 :meth:`MetricsRegistry.ingest_scalars` / ``ingest_histogram`` lift them
 into labeled metrics at snapshot time (histograms delegate their
 percentile math to :class:`~repro.sim.stats.Histogram`).
@@ -39,8 +39,8 @@ def format_labels(labels: Mapping[str, str]) -> str:
 
 
 class Counter:
-    """Labeled counter, ingested as a total: the sim.stats bags count
-    from the component's own start of time."""
+    """Labeled counter, ingested as a total: a component counts from
+    its own start of time."""
 
     kind = "counter"
 
@@ -107,14 +107,6 @@ class MetricsSnapshot:
             if row_name == name and _label_key(row_labels) == key:
                 return value
         return None
-
-    def as_dict(self) -> Dict[str, float]:
-        """``name{labels}`` -> value, for quick asserts and JSON scalars."""
-        out: Dict[str, float] = {}
-        for name, _kind, labels, value in self.rows:
-            suffix = format_labels(labels)
-            out[f"{name}{{{suffix}}}" if suffix else name] = value
-        return out
 
     # ------------------------------------------------------------- export
     def to_csv(self) -> str:

@@ -1,11 +1,12 @@
-"""Hardware primitives and statistics the models are built from.
+"""Simulation primitives the models are built from.
 
 The paper prototypes FtEngine on a Xilinx U280; we substitute
 cycle-level models (the paper itself uses cycle-accurate simulation for
-its versatility experiments, section 5.4).  This package holds the
-building blocks only: clocked components, FIFOs with backpressure,
-BRAM/DRAM/HBM/CAM/LUT memory models, and counters/histograms/rate
-meters.  (The FPU pipeline lives in the FPC that owns it.)
+its versatility experiments, section 5.4).  This package holds what
+several models share: the clocked :class:`Component` base, the DRAM/HBM
+channel model and latency histograms.  Each engine block owns its own
+tables, queues and counts as plain containers (the FPU pipeline, for
+one, lives in the FPC that owns it).
 
 There is no clock here.  Each model owns its loop and its time base:
 cycle time is ``Testbed.cycle * ENGINE_PERIOD_PS`` (``repro.engine``),
@@ -14,17 +15,7 @@ event time is the integer-picosecond clock of ``run_fabric``
 """
 
 from .component import Component
-from .fifo import Fifo
-from .memory import CAM, DRAMModel, DualPortSRAM, PartitionedLUT
-from .stats import Counters, Histogram
+from .memory import DRAMModel
+from .stats import Histogram
 
-__all__ = [
-    "CAM",
-    "Component",
-    "Counters",
-    "DRAMModel",
-    "DualPortSRAM",
-    "Fifo",
-    "Histogram",
-    "PartitionedLUT",
-]
+__all__ = ["Component", "DRAMModel", "Histogram"]

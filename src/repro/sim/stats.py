@@ -1,38 +1,13 @@
-"""Measurement utilities: counters, rate meters and latency histograms.
+"""Latency histograms: percentile queries over recorded samples.
 
-Every experiment reports either a rate (requests/s, events/s, Gbps) or a
-latency percentile (Fig 12's median and p99), so these three classes are
-the backbone of the whole evaluation harness.
+Every latency an experiment reports (Fig 12's median and p99) is read
+off a :class:`Histogram`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
-
-
-class Counters:
-    """A named bag of monotonically increasing counters."""
-
-    def __init__(self) -> None:
-        self._values: Dict[str, int] = {}
-
-    def add(self, name: str) -> None:
-        """Count one ``name``.  (A hot path that counts several at once
-        updates :attr:`_values` itself, as ``FtEngine`` does per packet.)"""
-        self._values[name] = self._values.get(name, 0) + 1
-
-    def get(self, name: str) -> int:
-        return self._values.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._values)
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counters({self._values!r})"
+from typing import Iterable, List
 
 
 class Histogram:

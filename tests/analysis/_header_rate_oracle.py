@@ -45,8 +45,9 @@ def measure_header_rate_per_cycle(
         index = 0
         for _ in range(cycles):
             credit += offered_per_cycle
-            while credit >= 1.0 and not accel.input.full:
-                accel.offer_event(_synthetic_event(index % flows, index))
+            while credit >= 1.0 and accel.offer_event(
+                _synthetic_event(index % flows, index)
+            ):
                 index += 1
                 accepted += 1
                 credit -= 1.0

@@ -46,8 +46,7 @@ class TestValidBitInjection:
         assert run_until(fpc, lambda: fpc.events_accepted == 1)
         # Corrupt the event table out-of-band: set SACK-valid even
         # though no SACK event was ever handled.
-        slot = fpc.cam.try_lookup(0)
-        fpc.event_table.read(slot).valid |= V_SACK
+        fpc._entries[fpc._slot_of[0]].valid |= V_SACK
         assert run_until(fpc, lambda: not san.ok)
         finding = san.findings[0]
         assert finding.kind == "valid-bit"
@@ -61,8 +60,7 @@ class TestValidBitInjection:
         fpc = make_fpc(san)
         fpc.offer_event(user_send_event(0, 100, 0))
         assert run_until(fpc, lambda: fpc.events_accepted == 1)
-        slot = fpc.cam.try_lookup(0)
-        fpc.event_table.read(slot).valid = 0  # drop every accumulated bit
+        fpc._entries[fpc._slot_of[0]].valid = 0  # drop every accumulated bit
         assert run_until(fpc, lambda: not san.ok)
         finding = san.findings[0]
         assert finding.kind == "valid-bit"
@@ -89,7 +87,7 @@ class TestDualWriterInjection:
         assert san.ok
         # Inject a scheduler bug: the slot the FPU just wrote back is
         # double-allocated to an incoming swap-in in the same cycle.
-        slot = fpc.cam.try_lookup(0)
+        slot = fpc._slot_of[0]
         san.on_accept(fpc.fpc_id, fpc.cycle, slot, flow_id=99, valid=0)
         dual = [f for f in san.findings if f.kind == "dual-writer"]
         assert dual, san.report()

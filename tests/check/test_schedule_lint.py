@@ -17,7 +17,7 @@ def ids(findings):
 
 
 def lint_in_sim(source):
-    return lint_source(source, path="src/repro/sim/fifo.py")
+    return lint_source(source, path="src/repro/sim/component.py")
 
 
 class TestF4T007CoversScheduleIdioms:

@@ -14,10 +14,10 @@ def coldest_flow_by_scan(fpc) -> Optional[int]:
     """Least-recently-active resident flow eligible for eviction."""
     best_id: Optional[int] = None
     best_rank = None
-    for flow_id in fpc.cam.keys():
+    for flow_id in fpc.resident_flows():
         if flow_id in fpc._in_flight or flow_id in fpc._evict_requested:
             continue
-        rank = fpc.tcb_table.read(fpc.cam.lookup(flow_id)).last_active
+        rank = fpc.peek_tcb(flow_id).last_active
         if best_rank is None or rank < best_rank:
             best_rank = rank
             best_id = flow_id

@@ -19,8 +19,7 @@ def events_per_second(accel):
 
 def saturate(accel, cycles):
     for i in range(cycles):
-        if not accel.input.full:
-            accel.offer_event(TcpEvent(EventKind.USER_REQ, 0, req=i))
+        accel.offer_event(TcpEvent(EventKind.USER_REQ, 0, req=i))
         accel.tick()
     return accel
 

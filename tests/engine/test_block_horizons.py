@@ -43,7 +43,7 @@ class Rig:
         ]
         for fpc in self.fpcs:
             fpc.initiation_interval = interval
-            fpc.input.capacity = 4  # backpressure past two queued events
+            fpc.depth = 4  # backpressure past two queued events
         # DDR4 and a one-line cache: nearly every access holds the
         # channel for 7 cycles, 14 with a dirty write-back.
         self.manager = MemoryManager(
@@ -51,7 +51,7 @@ class Rig:
             clock=self,
         )
         # Two DRAM events queue up; a third is refused.
-        self.manager.input.capacity = 2
+        self.manager.depth = 2
         self.scheduler = Scheduler(self.fpcs, self.manager, clock=self)
         for flow_id in range(FLOWS):
             self.scheduler.register_new_flow(Tcb(flow_id=flow_id))
@@ -84,15 +84,15 @@ class Rig:
         # The scheduler's tick body, unguarded, every cycle.
         scheduler._retry_pending()
         for fifo in scheduler.coalesce_fifos:
-            if fifo and scheduler._route(next(iter(fifo))) is None:
-                fifo.pop()
+            if fifo and scheduler._route(fifo[0]) is None:
+                fifo.popleft()
                 scheduler.events_routed += 1
         scheduler._handle_swap_in_requests()
         scheduler._collect_evicted()
         # The memory manager's, whenever its input holds anything.
-        if manager.input._items:
+        if manager.input:
             if not manager.dram.busy_until_ps > manager.time_ps_fn():
-                manager.handle_event(manager.input.pop())
+                manager.handle_event(manager.input.popleft())
         self._tick_fpcs()
 
     def step_gated(self):
@@ -104,7 +104,7 @@ class Rig:
             # A head an FPC's full input refused is tried again on the
             # next cycle (the FPC pops it on its next even one); a
             # swap-in with no victim sleeps, so it never ticks idle.
-            blocked = any(fifo._items for fifo in scheduler.coalesce_fifos)
+            blocked = any(scheduler.coalesce_fifos)
             if self._scheduler_view() == before and not blocked:
                 self.idle_ticks.append(("scheduler", self.cycle))
         if manager.next_action <= self.cycle:
@@ -129,10 +129,7 @@ class Rig:
             [(retry, e.flow_id, e.req) for retry, e in scheduler.pending],
             deferred,
             sorted(scheduler._migrations),
-            # (Not the LUT's read count nor the memory manager's input
-            # refusals: a head it refused is not tried again while it
-            # sleeps.)
-            [dict(table) for table in scheduler.lut._tables],
+            dict(scheduler.lut),
             scheduler.events_routed, scheduler.evictions, scheduler.swap_ins,
             scheduler.pending_retries, scheduler.congestion_migrations,
             scheduler.max_pending,
@@ -162,6 +159,20 @@ class Rig:
              for fpc in self.fpcs],
             list(self.drained),
         )
+
+
+def _record_refusals(block, refused):
+    """Wrap ``block.offer_event`` to add ``block`` to ``refused`` when
+    its full input refuses an event."""
+    offer = block.offer_event
+
+    def offer_event(event):
+        if offer(event):
+            return True
+        refused.add(block)
+        return False
+
+    block.offer_event = offer_event
 
 
 _OPS = st.lists(
@@ -217,6 +228,9 @@ class TestBlockHorizons:
         ]
         seen = set()
         rig = Rig(latency=2, interval=2)
+        refused = set()  # the blocks whose full input refused an event
+        for block in [*rig.fpcs, rig.manager]:
+            _record_refusals(block, refused)
         for burst in ops:
             for op, flow_id in burst:
                 rig.apply(op, flow_id)
@@ -228,9 +242,9 @@ class TestBlockHorizons:
                 seen.add("sleeping through a migration")
             if scheduler._deferred_swap_ins:
                 seen.add("swap-in deferred")
-            if any(fifo.rejects for fpc in rig.fpcs for fifo in [fpc.input]):
+            if refused.intersection(rig.fpcs):
                 seen.add("route refused by a full input")
-            if manager.input.rejects and scheduler.next_action > rig.cycle + 1:
+            if manager in refused and scheduler.next_action > rig.cycle + 1:
                 seen.add("sleeping until the memory manager pops")
             if NEVER > manager.next_action > rig.cycle + 1:
                 seen.add("memory manager stalled on the DRAM channel")
@@ -246,7 +260,7 @@ class TestBlockHorizons:
     def test_a_pending_event_wakes_the_scheduler_on_its_retry_cycle(self):
         rig = Rig(latency=14, interval=2)
         scheduler = rig.scheduler
-        scheduler.lut.set(0, (Location.MOVING, 0))  # as a migration leaves it
+        scheduler.lut[0] = (Location.MOVING, 0)  # as a migration leaves it
         scheduler.submit(user_send_event(0, 1, 0))
         assert scheduler.next_action <= rig.cycle + 1  # the next tick
         rig.step_gated()  # routed into the pending queue

@@ -97,7 +97,7 @@ class TestEventHandlerOverTable:
 
     @staticmethod
     def entry_of(fpc, flow_id):
-        return fpc.event_table.read(fpc.cam.lookup(flow_id))
+        return fpc._entries[fpc._slot_of[flow_id]]
 
     def test_handle_creates_and_reuses_entries(self):
         fpc = self.fpc_with(1)

@@ -38,9 +38,9 @@ class TestWireCorruption:
 
         assert testbed.run(until=pump, max_time_s=5.0)
         assert testbed.engine_b.recv_data(b_flow, len(data)) == data
-        assert testbed.engine_b.counters.get("packets_corrupt_dropped") == 3
+        assert testbed.engine_b.counters["packets_corrupt_dropped"] == 3
         # Retransmissions repaired the corrupted segments.
-        assert testbed.engine_a.counters.get("retransmissions") >= 1
+        assert testbed.engine_a.counters["retransmissions"] >= 1
 
 
 class TestRetryGiveUp:
@@ -81,7 +81,7 @@ class TestRstGeneration:
             return any(m.kind == "reset" for m in messages)
 
         assert testbed.run(until=reset_seen, max_time_s=0.01)
-        assert testbed.engine_a.counters.get("rsts_sent") >= 1
+        assert testbed.engine_a.counters["rsts_sent"] >= 1
         assert b_flow not in testbed.engine_b.flows
 
     def test_rst_is_never_answered_with_rst(self):
@@ -99,7 +99,7 @@ class TestRstGeneration:
         )
         testbed.engine_a._transmit_ip(stray, testbed.engine_b.ip)
         testbed.run(max_time_s=testbed.now_s + 1e-4)
-        assert testbed.engine_b.counters.get("rsts_sent", ) == 0
+        assert testbed.engine_b.counters["rsts_sent"] == 0
 
 
 def _drop(port, should_drop):
@@ -230,4 +230,4 @@ class TestHandshakeUnderLoss:
             from_a(seq=101, ack=0, flags=FLAG_ACK)
         assert engine_b.rx_parser.dup_acks_detected == 3
         assert engine_b.flow_state(b_flow) is TcpState.SYN_RECEIVED
-        assert engine_b.counters.get("retransmissions") == 0
+        assert engine_b.counters["retransmissions"] == 0

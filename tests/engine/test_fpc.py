@@ -40,6 +40,29 @@ class TestResidency:
         with pytest.raises(OverflowError):
             fpc.accept_tcb(Tcb(flow_id=99))
 
+    def test_a_duplicate_or_full_accept_raises(self):
+        """The CAM's invariants: a resident flow is never accepted
+        again, and a full FPC accepts nothing."""
+        fpc = make_fpc(slots=2)
+        fpc.accept_tcb(Tcb(flow_id=5))
+        with pytest.raises(KeyError):
+            fpc.accept_tcb(Tcb(flow_id=5))
+        fpc.accept_tcb(Tcb(flow_id=6))
+        with pytest.raises(OverflowError):
+            fpc.accept_tcb(Tcb(flow_id=7))
+        assert sorted(fpc.resident_flows()) == [5, 6]
+
+    def test_a_freed_slot_is_reused_first(self):
+        """Slots are handed out lowest first, and a freed one is the
+        next handed out."""
+        fpc = make_fpc(slots=4)
+        install_flows(fpc, 3)
+        assert fpc.release(1) == 1
+        assert fpc.release(1) is None  # no longer resident
+        fpc.accept_tcb(Tcb(flow_id=9))
+        fpc.accept_tcb(Tcb(flow_id=10))
+        assert (fpc.release(9), fpc.release(10), fpc.release(0)) == (1, 3, 0)
+
     def test_resident_flows(self):
         fpc = make_fpc()
         install_flows(fpc, 3)
@@ -60,8 +83,7 @@ class TestEventProcessingRate:
         install_flows(fpc, 4)
         offered = 0
         for cycle in range(1000):
-            if not fpc.input.full:
-                fpc.offer_event(user_send_event(offered % 4, offered + 1, 0))
+            if fpc.offer_event(user_send_event(offered % 4, offered + 1, 0)):
                 offered += 1
             fpc.tick()
             fpc.drain_results()
@@ -74,8 +96,7 @@ class TestEventProcessingRate:
             fpc = make_fpc(latency=latency)
             install_flows(fpc, 1)
             for i in range(2000):
-                if not fpc.input.full:
-                    fpc.offer_event(user_send_event(0, i + 1, 0))
+                fpc.offer_event(user_send_event(0, i + 1, 0))
                 fpc.tick()
                 fpc.drain_results()
             rates.append(fpc.events_accepted)
@@ -85,8 +106,7 @@ class TestEventProcessingRate:
         fpc = make_fpc(latency=40)
         install_flows(fpc, 1)
         for i in range(200):
-            if not fpc.input.full:
-                fpc.offer_event(user_send_event(0, i + 1, 0))
+            fpc.offer_event(user_send_event(0, i + 1, 0))
             fpc.tick()
             fpc.drain_results()
         # Events kept flowing in at ~1/2 cycles even though the FPU
@@ -102,8 +122,7 @@ class TestHazardFreedom:
         install_flows(fpc, 2)
         max_inflight_same_flow = 0
         for i in range(500):
-            if not fpc.input.full:
-                fpc.offer_event(user_send_event(i % 2, i + 1, 0))
+            fpc.offer_event(user_send_event(i % 2, i + 1, 0))
             fpc.tick()
             fpc.drain_results()
             # Pipe entries are (retire_cycle, slot, tcb, dup).
@@ -127,9 +146,8 @@ class TestHazardFreedom:
         for _ in range(80):
             fpc.tick()
             fpc.drain_results()
-        slot = fpc.cam.lookup(0)
-        entry = fpc.event_table.read(slot)
-        tcb = fpc.tcb_table.read(slot)
+        tcb = fpc.peek_tcb(0)
+        entry = fpc._entries[fpc._slot_of[0]]
         # Either already merged into the TCB or still valid in the table.
         assert tcb.req == 999 or (entry.valid and entry.req == 999)
 
@@ -212,10 +230,46 @@ class TestBackpressure:
     def test_input_fifo_backpressure_signal(self):
         fpc = make_fpc(slots=4)
         install_flows(fpc, 1)
-        while not fpc.input.full:
-            fpc.offer_event(user_send_event(0, 1, 0))
+        while fpc.offer_event(user_send_event(0, 1, 0)):
+            pass
+        assert len(fpc.input) == fpc.depth
         assert fpc.backpressure
         assert not fpc.offer_event(user_send_event(0, 1, 0))
+
+    def test_a_refusal_past_the_depth_keeps_the_contents(self, monkeypatch):
+        monkeypatch.setattr(FlowProcessingCore, "depth", 2)
+        fpc = make_fpc()
+        install_flows(fpc, 1)
+        assert fpc.offer_event(user_send_event(0, 1, 0))
+        assert not fpc.backpressure  # past half the depth, not at it
+        assert fpc.offer_event(user_send_event(0, 2, 0))
+        assert fpc.backpressure
+        assert not fpc.offer_event(user_send_event(0, 3, 0))
+        assert [event.req for event in fpc.input] == [1, 2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.booleans(), max_size=200))
+    def test_occupancy_never_exceeds_the_depth(self, offers):
+        """Offered (True) or ticked (False) in any order, the input
+        holds at most ``depth`` events, and what it accepted it hands
+        to the event handler in order."""
+        fpc = make_fpc(slots=2)
+        fpc.depth = 5
+        install_flows(fpc, 1)
+        accepted, handled = [], []
+        for pointer, offer in enumerate(offers, 1):
+            if offer:
+                if fpc.offer_event(user_send_event(0, pointer, 0)):
+                    accepted.append(pointer)
+            else:
+                head = fpc.input[0].req if fpc.input else None
+                before = len(fpc.input)
+                fpc.tick()
+                if len(fpc.input) < before:
+                    handled.append(head)
+                fpc.drain_results()
+            assert 0 <= len(fpc.input) <= 5
+        assert handled == accepted[: len(handled)]
 
 
 class TestFpuPipe:
@@ -342,9 +396,9 @@ def _state(fpc):
     """Everything a tick can change."""
     slots = []
     for flow_id in sorted(fpc.resident_flows()):
-        slot = fpc.cam.lookup(flow_id)
-        tcb = fpc.tcb_table.read(slot)
-        entry = fpc.event_table.read(slot)
+        slot = fpc._slot_of[flow_id]
+        tcb = fpc._tcbs[slot]
+        entry = fpc._entries[slot]
         slots.append((flow_id, slot, tcb.req, tcb.evict_flag, entry.valid, entry.req))
     return (
         [event.req for event in fpc.input],
@@ -361,7 +415,7 @@ def _state(fpc):
 
 def _apply(fpc, op, flow_id, pending, sequence, parked, fresh):
     """One scheduler-side call into the FPC (its entry points)."""
-    if op == "event" and not fpc.input.full:
+    if op == "event":
         fpc.offer_event(user_send_event(flow_id % 3, sequence, 0))
     elif op == "evict":
         fpc.request_evict(flow_id % 3)

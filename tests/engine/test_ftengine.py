@@ -41,7 +41,7 @@ class TestHandshake:
             return any(m.kind == "reset" for m in messages)
 
         assert testbed.run(until=refused, max_time_s=0.01)
-        assert testbed.engine_b.counters.get("rsts_sent") == 1
+        assert testbed.engine_b.counters["rsts_sent"] == 1
         assert flow not in testbed.engine_a.flows  # torn down
 
     def test_unreachable_peer_retries_with_backoff(self, testbed):
@@ -49,7 +49,7 @@ class TestHandshake:
         testbed.wire.port_a.send = lambda frame, now_ps: None  # blackhole
         flow = testbed.engine_a.connect(testbed.engine_b.ip, 80)
         assert testbed.run(
-            until=lambda: testbed.engine_a.counters.get("retransmissions") >= 2,
+            until=lambda: testbed.engine_a.counters["retransmissions"] >= 2,
             max_time_s=8.0,
         )
         assert testbed.engine_a.flow_state(flow) is TcpState.SYN_SENT
@@ -210,8 +210,8 @@ class TestDataExchange:
         testbed.engine_a.send_data(a_flow, bytes(10_000))
         testbed.run(until=lambda: testbed.engine_b.readable(b_flow) >= 10_000,
                     max_time_s=0.05)
-        assert testbed.engine_a.counters.get("packets_sent") >= 7  # ceil(10000/1460)
-        assert testbed.engine_b.counters.get("packets_received") >= 7
+        assert testbed.engine_a.counters["packets_sent"] >= 7  # ceil(10000/1460)
+        assert testbed.engine_b.counters["packets_received"] >= 7
 
 
 class TestTeardown:

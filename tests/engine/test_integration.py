@@ -42,7 +42,7 @@ class TestLossRecovery:
         data = patterned_data(150_000)
         assert transfer(testbed, a_flow, b_flow, data) == data
         assert wire.frames_dropped > 0
-        assert testbed.engine_a.counters.get("retransmissions") > 0
+        assert testbed.engine_a.counters["retransmissions"] > 0
 
     def test_ack_loss_recovered(self):
         """Dropping ACKs (b->a) stalls the sender until retransmission

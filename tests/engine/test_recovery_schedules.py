@@ -149,7 +149,7 @@ def run_on_engines(name: str):
     out = drive(tb, shape, max_time_s=MAX_TIME_S)
     engines = (tb.engine_a, tb.engine_b)
     row = tuple(
-        engine.counters.get(counter)
+        engine.counters[counter]
         for engine in engines
         for counter in ("retransmissions", "timeouts_fired", "packets_sent")
     ) + (len(schedule.fired),) + tuple(len(engine.flows) for engine in engines)
@@ -161,7 +161,7 @@ def holds_nothing(engine) -> bool:
         not engine.flows
         and not engine.rx_parser.rx_states
         and len(engine.rx_parser.flow_table) == 0
-        and all(len(fpc.cam) == 0 for fpc in engine.fpcs)
+        and all(fpc.flow_count == 0 for fpc in engine.fpcs)
         and engine.memory_manager.flow_count == 0
     )
 

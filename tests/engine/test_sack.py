@@ -143,7 +143,7 @@ class TestSackEndToEnd:
         testbed = self._run_with_burst_loss([30, 33, 36])
         # Retransmissions happened, but far fewer than go-back-N would
         # need (the whole remaining window each time).
-        rtx = testbed.engine_a.counters.get("retransmissions")
+        rtx = testbed.engine_a.counters["retransmissions"]
         assert 3 <= rtx <= 12
 
     def test_sparse_loss_recovery(self):

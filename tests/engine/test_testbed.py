@@ -67,7 +67,7 @@ class TestRunSemantics:
         testbed.wire.port_a.send = lambda frame, now_ps: None  # blackhole
         flow = testbed.engine_a.connect(testbed.engine_b.ip, 9999)
         fired = testbed.run(
-            until=lambda: testbed.engine_a.counters.get("timeouts_fired") >= 1,
+            until=lambda: testbed.engine_a.counters["timeouts_fired"] >= 1,
             max_time_s=5.0,
         )
         assert fired
@@ -245,7 +245,7 @@ class TestHorizonLoop:
     @staticmethod
     def _counters(testbed):
         return [
-            (e.cycle, e.scheduler.events_routed, e.counters.as_dict(),
+            (e.cycle, e.scheduler.events_routed, dict(e.counters),
              e.stats_report())
             for e in (testbed.engine_a, testbed.engine_b)
         ]
@@ -331,7 +331,7 @@ class TestLongIdleTimer:
         assert deadline == engine.tcb_of(a_flow).last_active + MAX_RTO_PS
         before = dict(testbed.loop_stats)
         assert testbed.run(
-            until=lambda: engine.counters.get("timeouts_fired") > 0,
+            until=lambda: engine.counters["timeouts_fired"] > 0,
             max_time_s=testbed.now_s + 61.0,
         )
         assert testbed.cycle == -(-deadline // ENGINE_PERIOD_PS)

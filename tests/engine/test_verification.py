@@ -33,7 +33,7 @@ class TestMonitorMechanics:
         testbed = Testbed()
         a_flow, _ = testbed.establish()
         monitor = InvariantMonitor(testbed.engine_a)
-        testbed.engine_a.scheduler.lut.delete(a_flow)  # corrupt the LUT
+        del testbed.engine_a.scheduler.lut[a_flow]  # corrupt the LUT
         found = monitor.check()
         assert any(v.invariant == "location-lut" for v in found)
 

@@ -69,14 +69,6 @@ class TestSnapshot:
         assert snapshot.value("latency_s", stat="count") == 0
         assert math.isnan(snapshot.value("latency_s", stat="p99"))
 
-    def test_as_dict_names_carry_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("frames", engine="a").set_total(1)
-        registry.counter("total").set_total(1)
-        flat = registry.snapshot().as_dict()
-        assert flat["frames{engine=a}"] == 1
-        assert flat["total"] == 1
-
 
 class TestLabels:
     def test_format_is_sorted_and_parseable(self):

@@ -1,33 +1,8 @@
-"""Memory models: BRAM, DRAM/HBM channel timing, CAM, partitioned LUT."""
+"""The DRAM/HBM channel model: timing, serialization, functional store."""
 
 import pytest
 
-from repro.sim.memory import CAM, DRAMModel, DualPortSRAM, PartitionedLUT
-
-
-class TestDualPortSRAM:
-    def test_read_write(self):
-        sram = DualPortSRAM(8)
-        sram.write(3, "tcb")
-        assert sram.read(3) == "tcb"
-        assert sram.read(0) is None
-
-    def test_bounds_checked(self):
-        sram = DualPortSRAM(4)
-        with pytest.raises(IndexError):
-            sram.read(4)
-        with pytest.raises(IndexError):
-            sram.write(-1, "x")
-
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            DualPortSRAM(0)
-
-    def test_clear(self):
-        sram = DualPortSRAM(2)
-        sram.write(1, "x")
-        sram.clear(1)
-        assert sram.read(1) is None
+from repro.sim.memory import DRAMModel
 
 
 class TestDRAMModel:
@@ -80,73 +55,3 @@ class TestDRAMModel:
         dram.transfer(500, 0.0)
         assert 0 < dram.utilization(1e9) <= 1.0
         assert dram.utilization(0) == 0.0
-
-
-class TestCAM:
-    def test_insert_lookup_remove(self):
-        cam = CAM(4)
-        slot = cam.insert("flow7")
-        assert cam.lookup("flow7") == slot
-        assert cam.remove("flow7") == slot
-        assert "flow7" not in cam
-
-    def test_slots_are_recycled(self):
-        cam = CAM(2)
-        a = cam.insert("a")
-        cam.insert("b")
-        cam.remove("a")
-        assert cam.insert("c") == a  # freed slot reused
-
-    def test_full(self):
-        cam = CAM(1)
-        cam.insert("a")
-        assert cam.full
-        with pytest.raises(OverflowError):
-            cam.insert("b")
-
-    def test_duplicate_insert_rejected(self):
-        cam = CAM(2)
-        cam.insert("a")
-        with pytest.raises(KeyError):
-            cam.insert("a")
-
-    def test_lookup_miss_raises_but_try_lookup_does_not(self):
-        cam = CAM(2)
-        with pytest.raises(KeyError):
-            cam.lookup("ghost")
-        assert cam.try_lookup("ghost") is None
-
-    def test_keys_and_len(self):
-        cam = CAM(4)
-        cam.insert("x")
-        cam.insert("y")
-        assert sorted(cam.keys()) == ["x", "y"]
-        assert len(cam) == 2
-
-
-class TestPartitionedLUT:
-    def test_set_get_delete(self):
-        lut = PartitionedLUT(4)
-        lut.set(10, "fpc0")
-        assert lut.get(10) == "fpc0"
-        assert 10 in lut
-        lut.delete(10)
-        assert lut.get(10) is None
-
-    def test_get_default(self):
-        assert PartitionedLUT(2).get(5, "dram") == "dram"
-
-    def test_partition_count_sets_routing_rate(self):
-        """Eight FPCs at one event per two cycles need four partitions
-        (§4.4.2)."""
-        assert PartitionedLUT(4).groups == 4
-
-    def test_len_counts_across_partitions(self):
-        lut = PartitionedLUT(4)
-        for key in range(100):
-            lut.set(key, key)
-        assert len(lut) == 100
-
-    def test_rejects_bad_groups(self):
-        with pytest.raises(ValueError):
-            PartitionedLUT(0)

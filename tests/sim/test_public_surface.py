@@ -1,22 +1,14 @@
 """The ``repro.sim`` public surface, pinned.
 
-``repro.sim`` is hardware primitives plus stats; the models own their
-loops and clocks.  A name that appears here (a re-export of a retired
+``repro.sim`` is what several models share — the component base, the
+DRAM channel and histograms; the models own their loops, clocks,
+tables and queues.  A name that appears here (a re-export of a retired
 clock kernel, say) or disappears shows up as a diff against this list.
 """
 
 import repro.sim
 
-EXPECTED = [
-    "CAM",
-    "Component",
-    "Counters",
-    "DRAMModel",
-    "DualPortSRAM",
-    "Fifo",
-    "Histogram",
-    "PartitionedLUT",
-]
+EXPECTED = ["Component", "DRAMModel", "Histogram"]
 
 
 def test_all_is_exactly_the_primitives_and_stats():

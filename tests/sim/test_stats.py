@@ -1,30 +1,11 @@
-"""Counters and percentile histograms."""
+"""Percentile histograms."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import Counters, Histogram
-
-
-class TestCounters:
-    def test_add_and_get(self):
-        counters = Counters()
-        counters.add("packets")
-        counters.add("packets")
-        assert counters.get("packets") == 2
-        assert counters["packets"] == 2
-
-    def test_missing_is_zero(self):
-        assert Counters().get("nothing") == 0
-
-    def test_as_dict_is_a_copy(self):
-        counters = Counters()
-        counters.add("x")
-        snapshot = counters.as_dict()
-        snapshot["x"] = 99
-        assert counters.get("x") == 1
+from repro.sim.stats import Histogram
 
 
 class TestHistogram:

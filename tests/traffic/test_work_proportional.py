@@ -223,12 +223,14 @@ def _run_spill():
     return load_engine, result
 
 
-def _scheduler_footprint(scheduler):
-    """What a scheduler tick can move: counters, queue lengths, the LUT."""
+def _scheduler_footprint(scheduler, attempts):
+    """What a scheduler tick can move: counters, queue lengths, the LUT,
+    and ``attempts[0]``, the routes offered to an FPC or the memory
+    manager so far (one their full input refused moves nothing else)."""
     return (
         scheduler.events_routed, scheduler.evictions, scheduler.swap_ins,
         scheduler.pending_retries, scheduler.congestion_migrations,
-        scheduler.lut.accesses, len(scheduler.lut),
+        attempts[0], len(scheduler.lut),
         [len(fifo) for fifo in scheduler.coalesce_fifos],
         len(scheduler.pending), len(scheduler._deferred_swap_ins),
         len(scheduler._migrations), len(scheduler.memory_manager.swap_in_requests),
@@ -241,6 +243,7 @@ def test_spill_blocks_are_called_when_they_have_something_to_do(monkeypatch):
     and the memory manager, none finds nothing to do — work that waits
     on another block (a route the memory manager's full input refused,
     a swap-in with no victim to evict) sleeps until that block moves."""
+    from repro.engine.fpc import FlowProcessingCore
     from repro.engine.memory_manager import MemoryManager
     from repro.engine.scheduler import Scheduler
 
@@ -249,29 +252,28 @@ def test_spill_blocks_are_called_when_they_have_something_to_do(monkeypatch):
          "refused", "first_tries", "early_retries", "retried_for_nothing"), 0
     )
     scheduler_tick, manager_tick = Scheduler.tick, MemoryManager.tick
-    offer = MemoryManager.offer_event
+    offer, fpc_offer = MemoryManager.offer_event, FlowProcessingCore.offer_event
+    attempts = [0]  # routes offered to a block's input
     schedulers = {}  # memory manager -> its scheduler
     pops = {}  # memory manager -> events popped off its input so far
     refused_at = {}  # id(event) -> its manager's pops when it was refused
 
     def counted_scheduler_tick(scheduler):
         schedulers[scheduler.memory_manager] = scheduler
-        before = _scheduler_footprint(scheduler)
+        before = _scheduler_footprint(scheduler, attempts)
         first = counts["first_tries"]
         scheduler_tick(scheduler)
         counts["scheduler"] += 1
-        after = _scheduler_footprint(scheduler)
+        after = _scheduler_footprint(scheduler, attempts)
         if after[:5] + after[6:] == before[:5] + before[6:]:
-            # Nothing moved but LUT reads: it must at least have tried a
-            # head for the first time since its input last popped.
+            # Nothing moved but refused routes: it must at least have
+            # tried a head for the first time since its input last popped.
             counts["retried_for_nothing"] += counts["first_tries"] == first
         if after == before:
             # The two blocked kinds wait on another block with the work
             # still queued here: a route refused by a full input, a
             # swap-in deferred while no victim can be evicted.
-            if scheduler._deferred_swap_ins or any(
-                fifo._items for fifo in scheduler.coalesce_fifos
-            ):
+            if scheduler._deferred_swap_ins or any(scheduler.coalesce_fifos):
                 counts["blocked"] += 1
             else:
                 counts["idle"] += 1
@@ -284,9 +286,14 @@ def test_spill_blocks_are_called_when_they_have_something_to_do(monkeypatch):
         manager_tick(manager)
         pops[manager] = pops.get(manager, 0) + queued - len(manager.input)
 
+    def counted_fpc_offer(fpc, event):
+        attempts[0] += 1
+        return fpc_offer(fpc, event)
+
     def checked_offer(manager, event):
+        attempts[0] += 1
         head = any(
-            fifo._items and fifo._items[0] is event
+            fifo and fifo[0] is event
             for fifo in schedulers[manager].coalesce_fifos
         )
         popped = pops.get(manager, 0)
@@ -306,6 +313,7 @@ def test_spill_blocks_are_called_when_they_have_something_to_do(monkeypatch):
     monkeypatch.setattr(Scheduler, "tick", counted_scheduler_tick)
     monkeypatch.setattr(MemoryManager, "tick", counted_manager_tick)
     monkeypatch.setattr(MemoryManager, "offer_event", checked_offer)
+    monkeypatch.setattr(FlowProcessingCore, "offer_event", counted_fpc_offer)
     horizon, _ = _run_spill()
     monkeypatch.undo()
 
