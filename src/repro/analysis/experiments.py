@@ -15,12 +15,13 @@ from .. import Registry
 from ..apps.echo import EchoModel
 from ..apps.iperf import BulkTransferModel
 from ..apps.nginx import NginxPerformanceModel, simulate_closed_loop
-from ..apps.roundrobin import RoundRobinModel
 from ..engine.ftengine import ENGINE_FREQ_HZ, FtEngineConfig
 from ..engine.resources import ftengine_cost, utilization_table
 from ..host.calibration import (
     COMMAND_BYTES_DEFAULT,
     COMMAND_BYTES_SIMPLIFIED,
+    F4T_CYCLES_PER_SEND_BULK,
+    F4T_CYCLES_PER_SEND_RR,
     F4T_HEADER_OFFERED_BULK,
     F4T_HEADER_OFFERED_RR,
     F4T_HEADER_RATE_PER_CORE,
@@ -180,12 +181,15 @@ def run_figure8() -> ExperimentResult:
                 linux = LinuxTcpStack(CpuModel(cores=cores))
                 if pattern == "bulk":
                     linux_gbps = linux.bulk_goodput_gbps(size)
-                    f4t = BulkTransferModel(cores=cores).request_rate(size)
+                    cycles = F4T_CYCLES_PER_SEND_BULK
                 else:
                     linux_gbps = (
                         linux.round_robin_request_rate(size) * size * 8 / 1e9
                     )
-                    f4t = RoundRobinModel(cores=cores).request_rate(size)
+                    cycles = F4T_CYCLES_PER_SEND_RR
+                f4t = BulkTransferModel(
+                    cores=cores, cycles_per_send=cycles
+                ).request_rate(size)
                 f4t_points[(pattern, size, cores)] = f4t.goodput_gbps
                 rows.append(
                     (

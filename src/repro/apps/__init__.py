@@ -9,7 +9,6 @@ from .nginx import (
     http_get,
     simulate_closed_loop,
 )
-from .roundrobin import RoundRobinModel
 from .shortconn import ChurnResult, run_connection_churn
 from .wrk import WrkResult, run_functional_wrk
 
@@ -21,7 +20,6 @@ __all__ = [
     "HTTP_RESPONSE",
     "NginxPerformanceModel",
     "RESPONSE_BYTES",
-    "RoundRobinModel",
     "WrkResult",
     "http_get",
     "measure_dram_swap_rate",

@@ -10,7 +10,7 @@ Two faces:
 * :func:`run_functional_bulk` — drives real bytes through two engines on
   the testbed and reports measured goodput (integration-level fidelity);
 * :class:`BulkTransferModel` — the calibrated end-to-end rate model used
-  to regenerate Fig 8a/Fig 9 (min of software, PCIe, engine, link).
+  to regenerate Fig 8a/8b/Fig 9 (min of software, PCIe, link).
 """
 
 from __future__ import annotations
@@ -85,10 +85,13 @@ class BulkTransferModel:
     coalesce in the scheduler, so the engine processes the merged
     stream as one large request and never limits bulk throughput
     (§4.4.1, §5.1's observation that accumulated events act as one
-    large request).
+    large request).  The round-robin pattern (Fig 8b) is the same model
+    on the costlier RR software path: ``F4T_CYCLES_PER_SEND_RR``.
     """
 
     cores: int = 1
+    #: Host CPU cycles per 128 B send request on the F4T library path.
+    cycles_per_send: float = F4T_CYCLES_PER_SEND_BULK
 
     def request_rate(self, request_bytes: int) -> BulkResult:
         """F4T's achievable request rate at this request size.
@@ -101,7 +104,7 @@ class BulkTransferModel:
         """
         cpu = CpuModel(cores=self.cores)
         software = cpu.rate_for(
-            F4T_CYCLES_PER_SEND_BULK + 0.05 * max(0, request_bytes - 128)
+            self.cycles_per_send + 0.05 * max(0, request_bytes - 128)
         )
         pcie = PcieModel().max_requests_per_s(request_bytes)
         link_goodput = LINK_100G.max_goodput_gbps(DEFAULT_MSS) * 1e9 / 8  # bytes/s

@@ -11,8 +11,9 @@ from repro.apps.nginx import (
     http_get,
     simulate_closed_loop,
 )
-from repro.apps.roundrobin import RoundRobinModel, round_robin_scenario
+from repro.apps.roundrobin import round_robin_scenario
 from repro.apps.wrk import run_functional_wrk
+from repro.host.calibration import F4T_CYCLES_PER_SEND_RR
 from repro.traffic import Fixed, Scenario, TrafficClass, run_scenario
 
 
@@ -56,14 +57,19 @@ class TestBulkModel:
         per_packet_limit = 100e9 * 64 / (64 + 78) / 8 / 64  # 64 B packets
         assert point.requests_per_s > per_packet_limit
 
+def round_robin_model(cores):
+    """Fig 8b's F4T model: the bulk model on the RR software path."""
+    return BulkTransferModel(cores=cores, cycles_per_send=F4T_CYCLES_PER_SEND_RR)
+
+
 class TestRoundRobinModel:
     def test_fig8b_anchors(self):
-        assert RoundRobinModel(cores=1).request_rate(128).goodput_gbps == pytest.approx(35, rel=0.05)
-        assert RoundRobinModel(cores=8).request_rate(128).goodput_gbps == pytest.approx(90, rel=0.05)
+        assert round_robin_model(1).request_rate(128).goodput_gbps == pytest.approx(35, rel=0.05)
+        assert round_robin_model(8).request_rate(128).goodput_gbps == pytest.approx(90, rel=0.05)
 
     def test_rr_slower_than_bulk_per_core(self):
         bulk = BulkTransferModel(cores=1).request_rate(128)
-        rr = RoundRobinModel(cores=1).request_rate(128)
+        rr = round_robin_model(1).request_rate(128)
         assert rr.requests_per_s < bulk.requests_per_s
 
 
@@ -193,8 +199,8 @@ class TestConnectionChurn:
         # Everything torn down: no leaked flows, CAM slots or RX state.
         assert not testbed.engine_a.flows
         assert not testbed.engine_b.flows
-        assert testbed.engine_a.counters.get("flows_closed") == 8
-        assert testbed.engine_b.counters.get("flows_closed") == 8
+        assert testbed.engine_a.counters["flows_closed"] == 8
+        assert testbed.engine_b.counters["flows_closed"] == 8
         assert len(testbed.engine_a.rx_parser.rx_states) == 0
 
     def test_lifecycle_includes_time_wait(self):
