@@ -40,29 +40,6 @@ class TestResidency:
         with pytest.raises(OverflowError):
             fpc.accept_tcb(Tcb(flow_id=99))
 
-    def test_a_duplicate_or_full_accept_raises(self):
-        """The CAM's invariants: a resident flow is never accepted
-        again, and a full FPC accepts nothing."""
-        fpc = make_fpc(slots=2)
-        fpc.accept_tcb(Tcb(flow_id=5))
-        with pytest.raises(KeyError):
-            fpc.accept_tcb(Tcb(flow_id=5))
-        fpc.accept_tcb(Tcb(flow_id=6))
-        with pytest.raises(OverflowError):
-            fpc.accept_tcb(Tcb(flow_id=7))
-        assert sorted(fpc.resident_flows()) == [5, 6]
-
-    def test_a_freed_slot_is_reused_first(self):
-        """Slots are handed out lowest first, and a freed one is the
-        next handed out."""
-        fpc = make_fpc(slots=4)
-        install_flows(fpc, 3)
-        assert fpc.release(1) == 1
-        assert fpc.release(1) is None  # no longer resident
-        fpc.accept_tcb(Tcb(flow_id=9))
-        fpc.accept_tcb(Tcb(flow_id=10))
-        assert (fpc.release(9), fpc.release(10), fpc.release(0)) == (1, 3, 0)
-
     def test_resident_flows(self):
         fpc = make_fpc()
         install_flows(fpc, 3)
@@ -246,30 +223,6 @@ class TestBackpressure:
         assert fpc.backpressure
         assert not fpc.offer_event(user_send_event(0, 3, 0))
         assert [event.req for event in fpc.input] == [1, 2]
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.booleans(), max_size=200))
-    def test_occupancy_never_exceeds_the_depth(self, offers):
-        """Offered (True) or ticked (False) in any order, the input
-        holds at most ``depth`` events, and what it accepted it hands
-        to the event handler in order."""
-        fpc = make_fpc(slots=2)
-        fpc.depth = 5
-        install_flows(fpc, 1)
-        accepted, handled = [], []
-        for pointer, offer in enumerate(offers, 1):
-            if offer:
-                if fpc.offer_event(user_send_event(0, pointer, 0)):
-                    accepted.append(pointer)
-            else:
-                head = fpc.input[0].req if fpc.input else None
-                before = len(fpc.input)
-                fpc.tick()
-                if len(fpc.input) < before:
-                    handled.append(head)
-                fpc.drain_results()
-            assert 0 <= len(fpc.input) <= 5
-        assert handled == accepted[: len(handled)]
 
 
 class TestFpuPipe:

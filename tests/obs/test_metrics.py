@@ -69,6 +69,16 @@ class TestSnapshot:
         assert snapshot.value("latency_s", stat="count") == 0
         assert math.isnan(snapshot.value("latency_s", stat="p99"))
 
+    def test_as_dict_names_carry_labels(self):
+        """Each snapshot row carries its metric's name with its labels;
+        an unlabeled metric has none."""
+        registry = MetricsRegistry()
+        registry.counter("frames", engine="a").set_total(1)
+        registry.counter("total").set_total(1)
+        rows = {(name, format_labels(labels)): value
+                for name, _kind, labels, value in registry.snapshot()}
+        assert rows == {("frames", "engine=a"): 1, ("total", ""): 1}
+
 
 class TestLabels:
     def test_format_is_sorted_and_parseable(self):

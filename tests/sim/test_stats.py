@@ -1,11 +1,21 @@
-"""Percentile histograms."""
+"""Engine counts and percentile histograms."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.engine.ftengine import FtEngine
 from repro.sim.stats import Histogram
+
+
+class TestCounters:
+    def test_missing_is_zero(self):
+        """An engine's counts read a name never counted as 0, and the
+        read adds no entry."""
+        engine = FtEngine(ip=0x0A000001)
+        assert engine.counters["nothing"] == 0
+        assert "nothing" not in engine.counters
 
 
 class TestHistogram:
