@@ -40,9 +40,11 @@ def measure_baseline_event_rate(
     of one cycle at 100 MHz, the w/o-RMW design."""
     accel = StallingAccelerator(stall_cycles=stall_cycles, freq_hz=freq_hz)
     index = 0
+    event = _synthetic_event(0, index)  # a refused event is offered again
     for _ in range(cycles):
-        if accel.offer_event(_synthetic_event(0, index)):
+        if accel.offer_event(event):
             index += 1
+            event = _synthetic_event(0, index)
         accel.tick()
     return accel.events_processed * freq_hz / cycles
 
@@ -60,9 +62,11 @@ def measure_fpc_event_rate(
     fpc = FlowProcessingCore(0, slots=1, fpu=NullFpu(fpu_latency))
     fpc.accept_tcb(Tcb(flow_id=0))
     index = 0
+    event = _synthetic_event(0, index)  # a refused event is offered again
     for _ in range(cycles):
-        if fpc.offer_event(_synthetic_event(0, index)):
+        if fpc.offer_event(event):
             index += 1
+            event = _synthetic_event(0, index)
         fpc.tick()
         if fpc.out_results:
             fpc.drain_results()
@@ -119,12 +123,12 @@ def measure_header_rate(
         accel = StallingAccelerator(stall_cycles=design.baseline_stall, freq_hz=freq_hz)
         credit = 0.0
         index = 0
+        event = _synthetic_event(0, index)  # a refused event is offered again
         for _ in range(cycles):
             credit += offered_per_cycle
-            while credit >= 1.0 and accel.offer_event(
-                _synthetic_event(index % flows, index)
-            ):
+            while credit >= 1.0 and accel.offer_event(event):
                 index += 1
+                event = _synthetic_event(index % flows, index)
                 credit -= 1.0
             credit = min(credit, 8.0)
             accel.tick()

@@ -48,6 +48,9 @@ class ArpModule:
         self._last_request_ps: Dict[int, int] = {}
         self.requests_sent = 0
         self.replies_sent = 0
+        #: Packets turned away because their IP already had
+        #: ``MAX_PENDING_PER_IP`` parked: they are never sent.
+        self.pending_dropped = 0
 
     def resolve(self, ip: int) -> Optional[int]:
         """Cached MAC for ``ip``, or None if unresolved."""
@@ -60,11 +63,14 @@ class ArpModule:
 
         Returns None when a recent request for this IP is already
         outstanding; a lost request is re-broadcast after the retry
-        interval.
+        interval.  A packet past the ``MAX_PENDING_PER_IP`` cap is
+        dropped (counted in ``pending_dropped``).
         """
         waiters = self._pending.setdefault(ip, [])
         if len(waiters) < self.MAX_PENDING_PER_IP:
             waiters.append(packet)
+        else:
+            self.pending_dropped += 1
         last = self._last_request_ps.get(ip)
         if (
             len(waiters) > 1

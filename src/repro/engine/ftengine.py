@@ -826,6 +826,7 @@ class FtEngine(Component):
             "arp": {
                 "requests_sent": self.arp.requests_sent,
                 "replies_sent": self.arp.replies_sent,
+                "pending_dropped": self.arp.pending_dropped,
             },
         }
 

@@ -98,12 +98,19 @@ class F4TService(ServiceModel):
         return F4T_EVENT_INTERVAL_PS
 
     def tx_ready_ps(self, now_ps: int, flow_slot: int, payload_bytes: int) -> int:
-        ready = super().tx_ready_ps(now_ps, flow_slot, payload_bytes)
+        # ServiceModel.tx_ready_ps with this occupancy, in one call: it
+        # runs once per segment every F4T host sends.
+        lanes = self._lane_free_ps
+        lane = flow_slot % self.lanes
+        start = lanes[lane]
+        if start < now_ps:
+            start = now_ps
+        lanes[lane] = start + F4T_EVENT_INTERVAL_PS
         if flow_slot >= self.sram_flows:
             # DRAM-resident flow: the TCB swap serializes ahead of the
             # segment (§4.3.1), lengthening its path but not the lane's.
-            ready += self.dram_swap_ps
-        return ready
+            return start + self.latency_ps + self.dram_swap_ps
+        return start + self.latency_ps
 
 
 class FlexToeService(ServiceModel):

@@ -336,9 +336,11 @@ class SoftStack:
             heapq.heappush(timers, (deadline, flow.flow_id))
 
     # ----------------------------------------------------- host-facing API
-    def listen(self, port: int) -> None:
+    def listen(self, port: int) -> Deque[int]:
+        """Accept connections on ``port``; returns its accept queue (the
+        flow ids :meth:`accept` hands out, in handshake order)."""
         self._listening.add(port)
-        self._accept_queues.setdefault(port, deque())
+        return self._accept_queues.setdefault(port, deque())
 
     def connect(self, dst_ip: int, dst_port: int) -> int:
         if dst_ip == self.ip:
@@ -463,7 +465,9 @@ class SoftStack:
         now = self.now_ps
         for packet in self.port.poll(now):
             self._receive(packet, now)
-        self._expire_timers(now)
+        timers = self._timers
+        if timers and timers[0][0] <= now:
+            self._expire_timers(now)
 
     # ------------------------------------------------------- the data path
     def _pump_flow(self, flow: _SoftFlow) -> None:
@@ -538,9 +542,9 @@ class SoftStack:
             )
 
     def _expire_timers(self, now: int) -> None:
+        """Pop and act on every timer entry due by ``now`` (``tick``
+        calls this only when the heap's head is due)."""
         timers = self._timers
-        if not timers or timers[0][0] > now:
-            return
         while timers and timers[0][0] <= now:
             deadline, flow_id = heapq.heappop(timers)
             flow = self.flows.get(flow_id)

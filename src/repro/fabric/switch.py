@@ -40,6 +40,10 @@ _BASE_IP = ip_from_string("10.0.0.1")
 #: Total packet buffer of one switch (bytes).
 BUFFER_BYTES = 1 << 21
 
+#: Bit-picoseconds per second: ``wire_bytes * _PS_BITS // bits_per_s``
+#: is a packet's serialization time in whole ps.
+_PS_BITS = 8 * 10**12
+
 #: Event kinds, the middle field of the heap key: at one instant every
 #: ingress admission sorts before any egress start.
 _INGRESS, _EGRESS = 0, 1
@@ -225,7 +229,7 @@ class SwitchFabric:
         packet = queue.pop()
         self.buffer_used -= packet.wire_bytes
         # Link.serialization_time_ps, inline: once per forwarded packet.
-        ser_ps = packet.wire_bytes * 8 * 10**12 // self._bits_per_s
+        ser_ps = packet.wire_bytes * _PS_BITS // self._bits_per_s
         self._egress_free_ps[out_port] = start_ps + ser_ps
         arrival = start_ps + ser_ps + self._egress_prop_ps
         self._delivery[out_port].append((arrival, packet))
@@ -268,24 +272,29 @@ class CellSwitch:
         self._bits_per_s = LINK_100G.bits_per_second
         self.prop_ps = LINK_100G.propagation_delay_ps
         self.port_limit = self.buffer_bytes // num_hosts
-        #: Sender side, per owned host: uplink serializer free instant
-        #: and the per-source sequence that makes exchange keys unique.
-        self._uplink_free: Dict[int, int] = {h: 0 for h in hosts}
-        self._uplink_seq: Dict[int, int] = {h: 0 for h in hosts}
-        #: Receiver side, per owned host: egress free instant, queued
-        #: depth, and the (serve_start_ps, wire_bytes) retirement queue.
-        self._egress_free: Dict[int, int] = {h: 0 for h in hosts}
-        self._depth: Dict[int, int] = {h: 0 for h in hosts}
-        self._serving: Dict[int, Deque[Tuple[int, int]]] = {
-            h: deque() for h in hosts
-        }
-        #: Per owned host: (delivery_ps, packet) in delivery order (one
-        #: egress serializer per port), and the (delivery_ps, host) heap
-        #: over all of them: who is due when.
-        self._delivery: Dict[int, Deque[Tuple[int, FabricPacket]]] = {
-            h: deque() for h in hosts
-        }
-        self._arrivals: List[Tuple[int, int]] = []
+        # Per-host state lives in lists indexed by host; only the owned
+        # hosts' entries are ever touched (``_serving`` is None for the
+        # others, which is how admission tells them apart).
+        #: Sender side: uplink serializer free instant and the
+        #: per-source sequence that makes exchange keys unique.
+        self._uplink_free: List[int] = [0] * num_hosts
+        self._uplink_seq: List[int] = [0] * num_hosts
+        #: Receiver side: egress free instant, queued depth, and the
+        #: (serve_start_ps, wire_bytes) retirement queue.
+        self._egress_free: List[int] = [0] * num_hosts
+        self._depth: List[int] = [0] * num_hosts
+        self._serving: List[Optional[Deque[Tuple[int, int]]]] = [None] * num_hosts
+        #: (delivery_ps, packet) in delivery order (one egress
+        #: serializer per port).
+        self._delivery: List[Optional[Deque[Tuple[int, FabricPacket]]]] = [
+            None
+        ] * num_hosts
+        for host in self.hosts:
+            self._serving[host] = deque()
+            self._delivery[host] = deque()
+        #: The (delivery_ps, host) heap over every owned host's
+        #: deliveries: who is due when (the cell's loop reads its head).
+        self.arrivals: List[Tuple[int, int]] = []
         #: Lockstep sanitizer view (set by CellSim when attached); the
         #: admit hook checks the nondecreasing-arrival feed contract.
         self.san: Optional["LockstepSanitizer"] = None
@@ -301,49 +310,52 @@ class CellSwitch:
         index = ip - _BASE_IP
         return index if 0 <= index < self.num_hosts else None
 
-    def serialization_ps(self, wire_bytes: int) -> int:
-        return wire_bytes * 8 * 10**12 // self._bits_per_s
-
     # ---------------------------------------------------------- sender side
     def send_from(
         self, src: int, packet: FabricPacket, at_ps: int
     ) -> Tuple[int, int]:
         """Run one packet through ``src``'s uplink; returns its
         ``(switch_arrival_ps, seq)`` exchange key."""
+        wire_bytes = packet.wire_bytes
         free = self._uplink_free[src]
         start = at_ps if at_ps > free else free
-        done = start + self.serialization_ps(packet.wire_bytes)
+        # Link.serialization_time_ps, inline: once per sent packet.
+        done = start + wire_bytes * _PS_BITS // self._bits_per_s
         self._uplink_free[src] = done
-        self._uplink_seq[src] += 1
-        self.bytes_sent += packet.wire_bytes
-        return done + self.prop_ps, self._uplink_seq[src]
+        seq = self._uplink_seq[src] + 1
+        self._uplink_seq[src] = seq
+        self.bytes_sent += wire_bytes
+        return done + self.prop_ps, seq
 
     # -------------------------------------------------------- receiver side
-    def admit(self, packet: FabricPacket, src: int, now_ps: int) -> None:
-        """Admit one packet from ``src`` arriving at the switch at
+    def admit(self, packet: FabricPacket, dst: int, now_ps: int) -> None:
+        """Admit one packet for host ``dst`` (the end of its connection
+        it did not come from: :func:`egress_host`, which the sender's
+        cell worked out when it routed it) arriving at the switch at
         ``now_ps``."""
         if self.san is not None:
             self.san.on_switch_admit(now_ps)
-        out_port = egress_host(packet, src, self.num_hosts)
-        if out_port is None or out_port not in self._depth:
+        serving = self._serving[dst]
+        if serving is None:
             self.dropped += 1  # not ours: blackholed (mis-routed)
             return
-        serving = self._serving[out_port]
+        depth = self._depth[dst]
         while serving and serving[0][0] <= now_ps:
-            self._depth[out_port] -= serving.popleft()[1]
+            depth -= serving.popleft()[1]
         wire_bytes = packet.wire_bytes
-        depth = self._depth[out_port]
         if depth + wire_bytes > self.port_limit:
+            self._depth[dst] = depth
             self.dropped += 1
             return
-        free = self._egress_free[out_port]
+        free = self._egress_free[dst]
         start = now_ps if now_ps > free else free
-        done = start + self.serialization_ps(wire_bytes)
-        self._egress_free[out_port] = done
-        self._depth[out_port] = depth + wire_bytes
+        done = start + wire_bytes * _PS_BITS // self._bits_per_s
+        self._egress_free[dst] = done
+        self._depth[dst] = depth + wire_bytes
         serving.append((start, wire_bytes))
-        self._delivery[out_port].append((done + self.prop_ps, packet))
-        heapq.heappush(self._arrivals, (done + self.prop_ps, out_port))
+        delivery = done + self.prop_ps
+        self._delivery[dst].append((delivery, packet))
+        heapq.heappush(self.arrivals, (delivery, dst))
         self.forwarded += 1
 
     # ------------------------------------------------------------ the ports
@@ -351,11 +363,11 @@ class CellSwitch:
         return _take_due(self._delivery[host], now_ps)
 
     def next_any_delivery_ps(self) -> Optional[int]:
-        return self._arrivals[0][0] if self._arrivals else None
+        return self.arrivals[0][0] if self.arrivals else None
 
     def due_hosts(self, now_ps: int) -> Set[int]:
         """The hosts whose ``deliver_due(host, now_ps)`` has packets."""
-        return _pop_due_hosts(self._arrivals, now_ps)
+        return _pop_due_hosts(self.arrivals, now_ps)
 
     def port(self, host: int, outbound) -> "ShardPort":
         return ShardPort(self, host, outbound)

@@ -34,9 +34,10 @@ from .host import ClientPairDriver, ServerHostDriver
 from .scenarios import ShardScenario
 
 #: One cross-switch wire segment: (switch_arrival_ps, src_host,
-#: per-source sequence, packet).  The first three fields are a unique,
-#: deterministic sort key — packets never need comparing.
-Entry = Tuple[int, int, int, FabricPacket]
+#: per-source sequence, dst_host, packet).  The first three fields are
+#: a unique, deterministic sort key — packets never need comparing; the
+#: destination is worked out once, when the sender's cell routes it.
+Entry = Tuple[int, int, int, int, FabricPacket]
 
 
 class CellSim:
@@ -108,6 +109,8 @@ class CellSim:
         self.outboxes: Dict[int, List[Entry]] = {
             c: [] for c in range(scenario.num_cells) if c != cell
         }
+        self._num_hosts = scenario.num_hosts
+        self._hosts_per_cell = scenario.hosts_per_cell
         #: One (next scheduled open, host) entry per host with any left.
         self._opens: List[Tuple[int, int]] = []
         for host in self.hosts:
@@ -133,20 +136,23 @@ class CellSim:
         }
 
     def _schedule_open(self, host: int) -> None:
-        opens = (d.next_action_ps() for d in self.clients[host])
-        times = [at for at in opens if at is not None]
-        if times:
-            heapq.heappush(self._opens, (min(times), host))
+        best = None
+        for driver in self.clients[host]:
+            at = driver.next_action_ps()
+            if at is not None and (best is None or at < best):
+                best = at
+        if best is not None:
+            heapq.heappush(self._opens, (best, host))
 
     # ------------------------------------------------------------- routing
     def _route(
         self, arrival_ps: int, src: int, seq: int, packet: FabricPacket
     ) -> None:
-        dst = egress_host(packet, src, self.scenario.num_hosts)
+        dst = egress_host(packet, src, self._num_hosts)
         if dst is None:
             return  # mis-addressed: blackholed deterministically
-        entry = (arrival_ps, src, seq, packet)
-        dst_cell = self.scenario.cell_of(dst)
+        entry = (arrival_ps, src, seq, dst, packet)
+        dst_cell = dst // self._hosts_per_cell  # scenario.cell_of(dst)
         if dst_cell == self.cell:
             if self.san is not None:
                 self.san.on_route_local(entry, self.now_ps)
@@ -177,15 +183,22 @@ class CellSim:
         """The next instant at which a host acts (a delivery, an open or
         a live timer).  Every pending segment that arrives earlier, and
         before ``end_ps``, is admitted on the way at its own arrival: an
-        instant that only admits is counted, never settled."""
-        pending, opens = self.pending, self._opens
-        while True:
-            best = self.switch.next_any_delivery_ps()
-            if opens and (best is None or opens[0][0] < best):
-                best = opens[0][0]
-            best = self._wake.next_deadline_ps(best)
-            if not pending:
-                return best
+        instant that only admits is counted, never settled.
+
+        The horizon is taken once: an admission changes nothing but the
+        switch's delivery heap, whose new head is folded in."""
+        pending, arrivals = self.pending, self.switch.arrivals
+        best = arrivals[0][0] if arrivals else None
+        opens = self._opens
+        if opens and (best is None or opens[0][0] < best):
+            best = opens[0][0]
+        wake = self._wake
+        if wake._heap:
+            best = wake.next_deadline_ps(best)
+        if not pending:
+            return best
+        admit, san = self.switch.admit, self.san
+        while pending:
             at = pending[0][0]
             if best is not None and best <= at:
                 return best
@@ -196,55 +209,77 @@ class CellSim:
             self.now_ps = at
             self.events += 1
             self._admission_only += 1
-            self._admit_due(at)
+            while pending and pending[0][0] <= at:  # _admit_due(at)
+                entry = heapq.heappop(pending)
+                if san is not None:
+                    san.on_admit(entry, at)
+                admit(entry[4], entry[3], entry[0])
+            if arrivals and (best is None or arrivals[0][0] < best):
+                best = arrivals[0][0]
+        return best
 
     def _admit_due(self, now: int) -> None:
         """Feed the switch every pending segment arrived by ``now``."""
-        pending = self.pending
+        pending, san = self.pending, self.san
+        admit = self.switch.admit
         while pending and pending[0][0] <= now:
             entry = heapq.heappop(pending)
-            if self.san is not None:
-                self.san.on_admit(entry, now)
-            arrival, src, _seq, packet = entry
-            self.switch.admit(packet, src, arrival)
+            if san is not None:
+                san.on_admit(entry, now)
+            admit(entry[4], entry[3], entry[0])
 
     def _settle(self, now: int) -> None:
         """Process everything due at one instant, in canonical order:
         admissions, stack ticks, driver ticks, message dispatch — on
         the hosts with a delivery, a scheduled open or a timer entry
-        due (nothing can happen on the others), in ascending order."""
-        self._admit_due(now)
-        due = self.switch.due_hosts(now)
+        due (nothing can happen on the others), in ascending order.
+
+        Each step runs only where it can act: a client driver when its
+        next connect is due, a server driver when its accept queue
+        holds a connection, a dispatch when the stack posted messages."""
+        pending = self.pending
+        if pending and pending[0][0] <= now:
+            self._admit_due(now)
+        switch = self.switch
+        arrivals = switch.arrivals
+        due = switch.due_hosts(now) if arrivals and arrivals[0][0] <= now else set()
         opens = self._opens
         opening: List[int] = []
         while opens and opens[0][0] <= now:
             opening.append(heapq.heappop(opens)[1])
         due.update(opening)
-        self._wake.pop_due(now, due)
-        hosts = sorted(due)
+        wake = self._wake
+        if wake._heap and wake._heap[0][0] <= now:  # else pop_due pops nothing
+            wake.pop_due(now, due)
+        hosts = sorted(due) if len(due) > 1 else due
         self._stack_ticks += len(hosts)
+        stacks = self.stacks
         for host in hosts:
-            stack = self.stacks[host]
+            stack = stacks[host]
             stack.now_ps = now
             stack.tick()
+        servers, clients = self.servers, self.clients
         for host in hosts:
-            server = self.servers.get(host)
-            if server is not None:
+            server = servers.get(host)
+            if server is not None and server.backlog:
                 server.tick(now)
-            for driver in self.clients[host]:
-                driver.tick(now)
+            if host in opening:
+                for driver in clients[host]:
+                    at = driver.next_action_ps()
+                    if at is not None and at <= now:
+                        driver.tick(now)
         for host in opening:
             self._schedule_open(host)
         for host in hosts:
-            stack = self.stacks[host]
-            messages = stack.drain_host_messages()
-            if not messages:
+            stack = stacks[host]
+            if not stack.host_messages:
                 continue
-            clients = self.clients[host]
-            server = self.servers.get(host)
+            messages = stack.drain_host_messages()
+            drivers = clients[host]
+            server = servers.get(host)
             for message in messages:
                 owner = None
-                for driver in clients:
+                for driver in drivers:
                     if message.flow_id in driver.conns:
                         owner = driver
                         break

@@ -181,7 +181,8 @@ class ServerHostDriver:
         self.close_after = scenario.close_after
         self.trace = trace
         self.trace_name = f"srv{host}"
-        stack.listen(self.port)
+        #: The port's accept queue: ``tick`` has work iff it is non-empty.
+        self.backlog = stack.listen(self.port)
         #: Per client host: that pair and the index of the next
         #: accept — the framing contract with the client.
         self.pairs: Dict[int, ShardPair] = {
@@ -196,10 +197,8 @@ class ServerHostDriver:
         self.closed = 0
 
     def tick(self, now_ps: int) -> None:
-        while True:
+        while self.backlog:
             flow_id = self.stack.accept(self.port)
-            if flow_id is None:
-                return
             flow = self.stack.flows.get(flow_id)
             if flow is None:  # torn down before the app saw it
                 continue

@@ -8,8 +8,6 @@ them (``repro.engine.fpc``, ``repro.engine.scheduler``).
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 GIB = 1 << 30
 
 
@@ -41,7 +39,6 @@ class DRAMModel:
         self.busy_until_ps = 0.0
         self.bytes_transferred = 0
         self.requests = 0
-        self._store: Dict[int, Any] = {}
 
     @classmethod
     def ddr4(cls) -> "DRAMModel":
@@ -75,17 +72,3 @@ class DRAMModel:
         self.bytes_transferred += nbytes
         self.requests += 1
         return start + occupancy + self.latency_ps
-
-    # Functional backing store (the TCB home location).
-    def store(self, addr: int, value: Any) -> None:
-        self._store[addr] = value
-
-    def load(self, addr: int) -> Any:
-        return self._store.get(addr)
-
-    def utilization(self, elapsed_ps: float) -> float:
-        """Fraction of the channel's bandwidth consumed over ``elapsed_ps``."""
-        if elapsed_ps <= 0:
-            return 0.0
-        used = self.bytes_transferred / self.bandwidth_bytes_per_s * 1e12
-        return min(1.0, used / elapsed_ps)

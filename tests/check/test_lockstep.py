@@ -73,8 +73,8 @@ class TestReorderedExchangeBatch:
         san = LockstepSanitizer().for_cell(0)
         switch = CellSwitch([0, 1], num_hosts=4)
         switch.san = san
-        switch.admit(make_packet(), 1, 2_000_000)
-        switch.admit(make_packet(), 1, 1_000_000)  # out of order
+        switch.admit(make_packet(), 0, 2_000_000)
+        switch.admit(make_packet(), 0, 1_000_000)  # out of order
         assert not san.ok
         finding = san.findings[0]
         assert finding.kind == "admission-order"
@@ -85,9 +85,9 @@ class TestReorderedExchangeBatch:
         san = LockstepSanitizer().for_cell(0)
         switch = CellSwitch([0, 1], num_hosts=4)
         switch.san = san
-        switch.admit(make_packet(), 1, 1_000_000)
-        switch.admit(make_packet(), 1, 1_000_000)  # ties are fine
-        switch.admit(make_packet(), 1, 2_000_000)
+        switch.admit(make_packet(), 0, 1_000_000)
+        switch.admit(make_packet(), 0, 1_000_000)  # ties are fine
+        switch.admit(make_packet(), 0, 2_000_000)
         assert san.ok, san.report()
 
     def test_settle_loop_pop_order_checked(self):

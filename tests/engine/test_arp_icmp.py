@@ -56,6 +56,53 @@ class TestArp:
         reply = ArpMessage(ArpOp.REPLY, 0x0B, 2, 0x02, 1)
         _, released = arp.handle(reply)
         assert len(released) == ArpModule.MAX_PENDING_PER_IP
+        assert arp.pending_dropped == 100 - ArpModule.MAX_PENDING_PER_IP
+
+    def test_parked_packets_past_the_cap_are_counted_drops(self):
+        """``rr_spill``'s build: 256 connects leave engine A before ARP
+        resolves, so 192 SYNs find the pending store full and go out only
+        on their initial 1 s RTO — every timeout and retransmission of
+        the run."""
+        engine_a, engine_b, resent_syns = _spill_build()
+        report_a, report_b = engine_a.stats_report(), engine_b.stats_report()
+        dropped = 256 - ArpModule.MAX_PENDING_PER_IP
+        assert report_a["arp"]["pending_dropped"] == dropped == 192
+        assert report_b["arp"]["pending_dropped"] == 0
+        assert report_a["engine"]["timeouts_fired"] == dropped
+        assert report_a["engine"]["retransmissions"] == dropped
+        assert report_b["engine"].get("timeouts_fired", 0) == 0
+        assert resent_syns == dropped
+
+
+def _spill_build():
+    """Run the 256-flow round-robin spill (64 TCB slots per engine) and
+    count the SYNs engine A sends from its first RTO on."""
+    from repro.apps.roundrobin import round_robin_scenario
+    from repro.engine.ftengine import FtEngineConfig
+    from repro.engine.testbed import Testbed
+    from repro.tcp.segment import TcpSegment
+    from repro.tcp.tcb import INITIAL_RTO_PS
+    from repro.traffic import LoadEngine
+
+    config = FtEngineConfig(num_fpcs=4, fpc_slots=16)
+    load = LoadEngine(
+        round_robin_scenario(256, 2, 128),
+        testbed=Testbed(config_a=config, config_b=config),
+    )
+    engine_a = load.testbed.engine_a
+    port = engine_a.port
+    send = port.send
+    resent = []
+
+    def counted_send(frame, now_ps):
+        segment = frame.payload
+        if type(segment) is TcpSegment and segment.syn and now_ps >= INITIAL_RTO_PS:
+            resent.append(segment)
+        send(frame, now_ps)
+
+    port.send = counted_send
+    load.run(setup_time_s=5.0, run_time_s=2.0)
+    return engine_a, load.testbed.engine_b, len(resent)
 
 
 class TestIcmp:

@@ -12,6 +12,7 @@ counting wrapper the fabric and shard scaling tests share.
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.fabric.softstack import SoftStack, TimerWakeIndex
+from repro.shard.cell import CellSim
 
 
 def timer_due(stack: SoftStack, now_ps: int) -> bool:
@@ -49,27 +50,44 @@ def use_scan(monkeypatch) -> None:
     monkeypatch.setattr(TimerWakeIndex, "next_deadline_ps", next_deadline_ps)
 
 
-#: ("instant", first host of the index, now_ps) per loop instant, then
+#: ("instant", first host of the loop, now_ps) per loop instant, then
 #: one ("tick", stack name, now_ps) per stack ticked at it.
 Record = Tuple[str, object, int]
 
 
 def record_instants(monkeypatch) -> List[Record]:
     """Record every loop instant and every stack tick, in order (call
-    after :func:`use_scan` to record a scan run)."""
+    after :func:`use_scan` to record a scan run).
+
+    An instant is recorded where its loop settles it: ``run_event_loop``
+    asks the index for due hosts at every instant, ``CellSim._settle``
+    only when a timer entry is due, so a cell's instant is recorded at
+    ``_settle`` and the ``pop_due`` calls inside it are not."""
     records: List[Record] = []
+    settling: List[int] = []
     pop_due = TimerWakeIndex.pop_due
+    settle = CellSim._settle
     tick = SoftStack.tick
 
     def recorded_pop_due(self: TimerWakeIndex, now_ps: int, due: Set[int]) -> None:
-        records.append(("instant", next(iter(self.stacks)), now_ps))
+        if not settling:
+            records.append(("instant", next(iter(self.stacks)), now_ps))
         pop_due(self, now_ps, due)
+
+    def recorded_settle(sim: CellSim, now_ps: int) -> None:
+        records.append(("instant", next(iter(sim.stacks)), now_ps))
+        settling.append(now_ps)
+        try:
+            settle(sim, now_ps)
+        finally:
+            settling.pop()
 
     def recorded_tick(stack: SoftStack) -> None:
         records.append(("tick", stack.name, stack.now_ps))
         tick(stack)
 
     monkeypatch.setattr(TimerWakeIndex, "pop_due", recorded_pop_due)
+    monkeypatch.setattr(CellSim, "_settle", recorded_settle)
     monkeypatch.setattr(SoftStack, "tick", recorded_tick)
     return records
 

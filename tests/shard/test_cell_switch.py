@@ -9,8 +9,12 @@ propagation, FIFO egress queueing and per-port static buffer limits.
 """
 
 from repro.fabric.softstack import PER_PACKET_OVERHEAD, FabricPacket
-from repro.fabric.switch import CellSwitch
+from repro.fabric.switch import CellSwitch, egress_host
+from repro.net.link import LINK_100G
 from repro.tcp.segment import FlowKey
+
+#: Whole ps to clock a packet out of a 100 Gbps port.
+serialization_ps = LINK_100G.serialization_time_ps
 
 
 class _SmallSwitch(CellSwitch):
@@ -45,7 +49,7 @@ class TestSenderSide:
     def test_uplink_serializes_back_to_back_sends(self):
         switch = _switch()
         p = _packet(switch, 0, 1, payload=1000)
-        ser = switch.serialization_ps(p.wire_bytes)
+        ser = serialization_ps(p.wire_bytes)
         first, seq1 = switch.send_from(0, p, 0)
         second, seq2 = switch.send_from(0, _packet(switch, 0, 1, 1000), 0)
         assert first == ser + switch.prop_ps
@@ -57,7 +61,7 @@ class TestSenderSide:
         arrival, _ = switch.send_from(0, _packet(switch, 0, 1), 5_000_000)
         expected = (
             5_000_000
-            + switch.serialization_ps(PER_PACKET_OVERHEAD)
+            + serialization_ps(PER_PACKET_OVERHEAD)
             + switch.prop_ps
         )
         assert arrival == expected
@@ -74,13 +78,13 @@ class TestReceiverSide:
         switch = _switch()
         first = _packet(switch, 1, 0, payload=500)
         second = _packet(switch, 1, 0, payload=500)
-        switch.admit(first, 1, 1000)
-        switch.admit(second, 1, 1000)
+        switch.admit(first, 0, 1000)
+        switch.admit(second, 0, 1000)
         t1 = switch.next_any_delivery_ps()
         assert switch.due_hosts(t1) == {0}
         assert switch.deliver_due(0, t1) == [first]
         t2 = switch.next_any_delivery_ps()
-        ser = switch.serialization_ps(first.wire_bytes)
+        ser = serialization_ps(first.wire_bytes)
         assert t2 == t1 + ser  # FIFO egress: second serializes after first
         assert switch.deliver_due(0, t2) == [second]
         assert switch.forwarded == 2
@@ -91,14 +95,14 @@ class TestReceiverSide:
         monkeypatch.setattr(_SmallSwitch, "buffer_bytes", 4 * (1000 + PER_PACKET_OVERHEAD))
         switch = _switch()
         assert switch.port_limit == 1000 + PER_PACKET_OVERHEAD
-        switch.admit(_packet(switch, 1, 0, payload=1000), 1, 0)  # in service
-        switch.admit(_packet(switch, 1, 0, payload=1000), 1, 0)  # waiting
-        switch.admit(_packet(switch, 1, 0, payload=1000), 1, 0)  # overflow
+        switch.admit(_packet(switch, 1, 0, payload=1000), 0, 0)  # in service
+        switch.admit(_packet(switch, 1, 0, payload=1000), 0, 0)  # waiting
+        switch.admit(_packet(switch, 1, 0, payload=1000), 0, 0)  # overflow
         assert (switch.forwarded, switch.dropped) == (2, 1)
         # Once the first service completes the waiter starts serving,
         # freeing its slot for a later admission.
-        later = switch.serialization_ps(1000 + PER_PACKET_OVERHEAD) + 1
-        switch.admit(_packet(switch, 1, 0, payload=1000), 1, later)
+        later = serialization_ps(1000 + PER_PACKET_OVERHEAD) + 1
+        switch.admit(_packet(switch, 1, 0, payload=1000), 0, later)
         assert (switch.forwarded, switch.dropped) == (3, 1)
 
     def test_a_reply_goes_to_the_end_it_did_not_come_from(self):
@@ -106,14 +110,14 @@ class TestReceiverSide:
         # listener's reply is routed by where it entered, not by dst.
         switch = _switch()
         reply = _packet(switch, 0, 1)
-        switch.admit(reply, 1, 0)
+        switch.admit(reply, egress_host(reply, 1, switch.num_hosts), 0)
         t = switch.next_any_delivery_ps()
         assert switch.due_hosts(t) == {0}
         assert switch.deliver_due(0, t) == [reply]
 
     def test_foreign_destination_is_dropped(self):
         switch = _switch()  # owns hosts 0 and 1 of 4
-        switch.admit(_packet(switch, 0, 3), 0, 0)
+        switch.admit(_packet(switch, 0, 3), 3, 0)
         assert switch.dropped == 1
         assert switch.forwarded == 0
 
@@ -129,14 +133,14 @@ class TestShardPort:
         assert routed is packet
         assert src == 0 and seq == 1
         assert arrival == (
-            switch.serialization_ps(packet.wire_bytes) + switch.prop_ps
+            serialization_ps(packet.wire_bytes) + switch.prop_ps
         )
 
     def test_poll_surfaces_admitted_packets(self):
         switch = _switch()
         port = switch.port(0, lambda *args: None)
         packet = _packet(switch, 1, 0)
-        switch.admit(packet, 1, 0)
+        switch.admit(packet, 0, 0)
         assert port.pending == 1
         assert port.poll(switch.next_any_delivery_ps()) == [packet]
         assert port.pending == 0

@@ -107,11 +107,11 @@ class TestGroupKinds:
             return (
                 {
                     pair: [
-                        (at, src, seq) + tuple(
+                        (at, src, seq, dst) + tuple(
                             getattr(packet, name)
                             for name in FabricPacket.__slots__
                         )
-                        for at, src, seq, packet in entries
+                        for at, src, seq, dst, packet in entries
                     ]
                     for pair, entries in outbound.items()
                 },

@@ -9,9 +9,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.fabric.softstack import TimerWakeIndex
 from repro.fabric.switch import CellSwitch
 from repro.shard import get_shard_scenario, run_shard, runner
 from repro.shard.cell import CellSim
+from repro.shard.host import ClientPairDriver, ServerHostDriver
 from repro.shard.scenarios import ShardPair, ShardScenario
 
 from ..fabric._scan_oracle import StackVisits, record_instants, use_scan
@@ -77,7 +79,8 @@ def test_index_visits_the_instants_and_ticks_the_stacks_of_the_scan(
         )
         assert (result.total("timeouts") > 0) == lossy
     records, _fingerprint, events, admission_only = runs[False]
-    # An instant that only admits segments never asks for due hosts.
+    # One recorded instant per settled instant: an instant that only
+    # admits segments is never settled.
     instants = sum(kind == "instant" for kind, _who, _at in records)
     assert instants == events - admission_only
     assert runs[False] == runs[True]
@@ -139,3 +142,50 @@ def test_loop_stats_account_for_every_instant_and_tick(scenario, monkeypatch):
         )
     # The loop's own keys never reach the fingerprinted counters.
     assert not set(stats[0]) & set(sims[0].report())
+
+
+def test_drivers_tick_only_when_they_can_act_and_the_horizon_is_taken_once(
+    monkeypatch,
+):
+    """A client driver is ticked at each instant one of its connects is
+    due, a server driver only with a connection to accept, and an
+    admission-only instant folds in the switch's new head instead of
+    asking the wake index again."""
+    counts = {"client": 0, "server": 0, "horizons": 0, "queries": 0}
+    searching = []
+
+    def counted(key, method):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    next_event = CellSim._next_event_ps
+    query = TimerWakeIndex.next_deadline_ps
+
+    def counted_next_event(sim, end_ps):
+        counts["horizons"] += 1
+        searching.append(end_ps)
+        try:
+            return next_event(sim, end_ps)
+        finally:
+            searching.pop()
+
+    def counted_query(wake, best):
+        counts["queries"] += bool(searching)
+        return query(wake, best)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ClientPairDriver, "tick", counted("client", ClientPairDriver.tick))
+        patch.setattr(ServerHostDriver, "tick", counted("server", ServerHostDriver.tick))
+        patch.setattr(CellSim, "_next_event_ps", counted_next_event)
+        patch.setattr(TimerWakeIndex, "next_deadline_ps", counted_query)
+        result, sims = run_in_process(
+            patch, get_shard_scenario("megaflow").scaled(512)
+        )
+    drivers = [d for sim in sims for ds in sim.clients.values() for d in ds]
+    accepts = sum(s.accepted for sim in sims for s in sim.servers.values())
+    assert counts["client"] == sum(len(set(d.connect_at)) for d in drivers)
+    assert 0 < counts["server"] <= accepts == result.total("conns_established")
+    assert sum(sim.loop_stats["admission_only"] for sim in sims) > 0
+    assert 0 < counts["queries"] <= counts["horizons"]

@@ -61,7 +61,7 @@ class _ScriptedStack:
         self._accepts = list(accepts)
 
     def listen(self, port):
-        pass
+        return self._accepts  # the accept queue the driver watches
 
     def connect(self, dst_ip, dst_port):
         self.connected.append((dst_ip, dst_port))

@@ -116,15 +116,3 @@ class TestDRAMModel:
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
             DRAMModel(1e9).transfer(-1, 0.0)
-
-    def test_functional_store(self):
-        dram = DRAMModel(1e9)
-        dram.store(42, "tcb")
-        assert dram.load(42) == "tcb"
-        assert dram.load(43) is None
-
-    def test_utilization(self):
-        dram = DRAMModel(1e9)
-        dram.transfer(500, 0.0)
-        assert 0 < dram.utilization(1e9) <= 1.0
-        assert dram.utilization(0) == 0.0
