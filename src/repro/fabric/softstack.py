@@ -20,9 +20,9 @@ arithmetic.
 
 All timestamps are integer picoseconds end to end — the same type the
 engines keep, so a soft stack and an FtEngine measure time alike
-(simlint F4T007/F4T010 cover this package) — and the link is the
-engines' own :class:`~repro.net.wire.LinkDirection`; the only
-randomness is the seeded jitter on the ECN hold-off.
+(simlint F4T007/F4T010 cover this package) — and its links are timed
+as the engines' :class:`~repro.net.wire.LinkDirection` times theirs;
+the only randomness is the seeded jitter on the ECN hold-off.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class FabricPacket:
     """One segment on a fabric link; sizes and offsets only, no bytes."""
 
     __slots__ = (
-        "kind", "key", "offset", "ack_to", "payload_bytes", "window",
-        "ce", "ece",
+        "kind", "key", "offset", "ack_to", "payload_bytes", "wire_bytes",
+        "window", "ce", "ece",
     )
 
     def __init__(
@@ -86,13 +86,10 @@ class FabricPacket:
         self.offset = offset      # cumulative byte offset (data/fin)
         self.ack_to = ack_to      # cumulative bytes acked by the sender
         self.payload_bytes = payload_bytes
+        self.wire_bytes = payload_bytes + PER_PACKET_OVERHEAD
         self.window = window      # advertised receive window
         self.ce = False           # congestion-experienced (set by switch)
         self.ece = ece            # receiver's CE echo
-
-    @property
-    def wire_bytes(self) -> int:
-        return self.payload_bytes + PER_PACKET_OVERHEAD
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -869,6 +866,12 @@ class TimerWakeIndex:
             else:
                 self.stale_pops += 1
 
+    def raw_bound_ps(self, limit_ps: int) -> int:
+        """``limit_ps`` lowered to the heap's top: never later than the
+        earliest live deadline, and known without validating anything."""
+        heap = self._heap
+        return heap[0][0] if heap and heap[0][0] < limit_ps else limit_ps
+
     def next_deadline_ps(self, best: Optional[int]) -> Optional[int]:
         """``best`` lowered to the earliest live timer deadline under it.
 
@@ -904,16 +907,21 @@ def run_event_loop(
     ``clock`` is the owner (``FabricLoadEngine``) whose integer
     ``time_ps`` this loop advances; predicates and drivers read it
     between events.  ``wake`` is the owner's timer wake index over the
-    stacks.  ``network`` (``SwitchFabric``) joins them:
-    ``advance(now_ps)`` runs its events up to the instant and names the
-    stacks (by host) with a delivery due, and ``next_event_ps()`` is its
-    next state change.  The soft stacks do nothing between packet
-    arrivals and timer deadlines, so an instant ticks — in ascending
-    host order — only the stacks with a delivery or a timer entry due
-    in the index, then jumps to the earliest of the network's next
-    event, the pump's declared instant and the index's earliest live
-    deadline (validated only when its raw top beats the other two),
-    never past ``deadline_ps``.
+    stacks.  ``network`` (``SwitchFabric``) joins them and publishes
+    the next instant a host can see from it: ``advance(limit_ps)`` runs
+    the network's own events, in order, up to the first delivery or
+    ``limit_ps``, whichever comes first (an event at exactly that
+    instant included), and returns the next delivery instant;
+    ``due_hosts(now_ps)`` pops the hosts (by index) with a delivery
+    due.  The soft stacks do nothing between packet arrivals and timer
+    deadlines, so the loop lands only where a host can act: an instant
+    ticks — in ascending host order — only the stacks with a delivery
+    or a timer entry due in the index, then the network runs ahead to
+    the earliest of the next delivery, the pump's declared instant and
+    the index's raw top (never later than its earliest live deadline),
+    never past ``deadline_ps``.  The raw top is validated only when it
+    beats the other two; if validation moves it past where the network
+    stopped, the network runs ahead again.
 
     ``until`` (the driver's pump) has ``Testbed.run``'s contract in
     picoseconds: asked right after each call, ``next_call_ps`` names
@@ -925,16 +933,17 @@ def run_event_loop(
     call into any.
 
     True when ``until`` held; False on the deadline or a stall (no
-    future event could change ``until``).
+    future event could change ``until``; the clock then stops where
+    ``network.stall_ps`` says the network's own events did).
     """
     stacks = wake.stacks
     pump_at = 0  # the first instant calls the pump
     while True:
         t = clock.time_ps
-        due = network.advance(t)
+        due = network.due_hosts(t)
         wake.pop_due(t, due)
         posted = False
-        for host in sorted(due):
+        for host in sorted(due) if len(due) > 1 else due:
             stack = stacks[host]
             epoch = stack.msg_epoch
             stack.now_ps = t
@@ -950,12 +959,17 @@ def run_event_loop(
                 pump_at = t + 1
         if t >= deadline_ps:
             return False
-        following = network.next_event_ps()
-        if following is not None and following <= t:
-            following = None
-        if t < pump_at < NEVER and (following is None or pump_at < following):
-            following = pump_at
-        following = wake.next_deadline_ps(following)
+        pump_due = t < pump_at < NEVER
+        limit = pump_at if pump_due and pump_at < deadline_ps else deadline_ps
+        while True:  # again only while validation moved a stale top
+            bound = wake.raw_bound_ps(limit)
+            following = network.advance(bound)
+            if pump_due and (following is None or pump_at < following):
+                following = pump_at
+            following = wake.next_deadline_ps(following)
+            if bound == limit or (following is not None and following <= bound):
+                break
         if following is None:
+            clock.time_ps = network.stall_ps(t, deadline_ps)
             return False
         clock.time_ps = min(following, deadline_ps)

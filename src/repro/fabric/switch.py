@@ -15,19 +15,20 @@ the shared buffer and the policy arbitrating it — are all here:
   their windows — DCTCP-flavored, deliberately minimal.
 
 Everything is integer picoseconds and integer bytes; events sit on one
-``(time_ps, ingress-before-egress, port)`` heap and are processed in
-that total order, so one seed replays one run bit for bit (the switch
-itself has *no* RNG at all) and an instant costs what is due at it.
+heap keyed ``(time_ps, ingress-before-egress, port)`` and are processed
+in that total order, so one seed replays one run bit for bit (the switch
+itself has *no* RNG at all).  No host sees an ingress or an egress
+start, only a delivery, so the event loop lets the switch run its own
+events ahead to the next instant a host can act at, in one call.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Deque, List, Optional, Set, Tuple
 
 from ..net.link import LINK_100G
-from ..net.wire import LinkDirection
 from ..tcp.segment import ip_from_string
 from .softstack import FabricPacket
 
@@ -105,10 +106,20 @@ class _FabricPort:
         self._index = index
 
     def send(self, packet: FabricPacket, now_ps: int) -> None:
+        """Serialize ``packet`` on this host's uplink (FIFO, as
+        :meth:`CellSwitch.send_from` does) and schedule its ingress."""
         fabric = self._fabric
-        arrival = fabric._uplinks[self._index].transmit(packet, now_ps)
-        if arrival is not None:
-            heapq.heappush(fabric._events, (arrival, _INGRESS, self._index))
+        index = self._index
+        free = fabric._uplink_free[index]
+        start = now_ps if now_ps > free else free
+        # Link.serialization_time_ps, inline: once per sent packet.
+        done = start + packet.wire_bytes * _PS_BITS // fabric._bits_per_s
+        fabric._uplink_free[index] = done
+        # An uplink's arrivals strictly increase: no heap tie reaches
+        # the packet.
+        heapq.heappush(
+            fabric._events, (done + fabric._prop_ps, _INGRESS, index, packet)
+        )
 
     def poll(self, now_ps: int) -> List[FabricPacket]:
         """Packets the switch (advanced by the event loop) delivered."""
@@ -127,16 +138,21 @@ class SwitchFabric:
         self.num_hosts = num_hosts
         #: CE-mark packets enqueued above this depth; 0 disables ECN.
         self.ecn_threshold_bytes = ecn_threshold_bytes
-        self._uplinks = [LinkDirection() for _ in range(num_hosts)]
+        #: Instant each host's uplink serializer frees (100 GbE, as the
+        #: egress links).
+        self._uplink_free = [0] * num_hosts
         self._queues = [_OutputQueue() for _ in range(num_hosts)]
         self._egress_free_ps = [0] * num_hosts
-        self._egress_prop_ps = LINK_100G.propagation_delay_ps
+        self._prop_ps = LINK_100G.propagation_delay_ps
         self._bits_per_s = LINK_100G.bits_per_second
-        #: The event heap: ``(time_ps, kind, port)``.  An ingress entry
-        #: is pushed when an uplink transmit fixes an arrival; a port
-        #: with queued packets has exactly one scheduled egress start.
-        self._events: List[Tuple[int, int, int]] = []
+        #: The event heap: ``(time_ps, kind, port, packet)``.  An ingress
+        #: entry (``port`` the sender) is pushed when a send fixes its
+        #: arrival; a port with queued packets has exactly one scheduled
+        #: egress start (``packet`` None).
+        self._events: List[Tuple[int, int, int, Optional[FabricPacket]]] = []
         self.events_popped = 0
+        #: The instant of the last event processed.
+        self._ran_to_ps = 0
         #: Per-host inbound deliveries, (arrival_ps, packet) in arrival
         #: order (one egress serializer per port: arrivals only grow),
         #: and the (arrival_ps, host) heap that says who is due when.
@@ -162,31 +178,44 @@ class SwitchFabric:
         return _FabricPort(self, index)
 
     # ------------------------------------------------------ the event loop
-    def next_event_ps(self) -> Optional[int]:
-        """Earliest instant at which the fabric's state next changes."""
-        events, arrivals = self._events, self._arrivals
-        if events and (not arrivals or events[0][0] < arrivals[0][0]):
-            return events[0][0]
-        return arrivals[0][0] if arrivals else None
-
-    def advance(self, now_ps: int) -> Set[int]:
-        """Process every switch event due at or before ``now_ps``;
-        returns the hosts with a delivery due.
+    def advance(self, limit_ps: int) -> Optional[int]:
+        """Run the switch's own events ahead, up to the first delivery
+        or ``limit_ps``, whichever comes first (an event at exactly that
+        instant included); returns the next delivery instant.
 
         Events are handled in global time order with ingress admissions
         before egress starts at the same instant, ties across ports
         broken by host index — a fixed total order, hence determinism.
+        An egress start may schedule a delivery ahead of the one the
+        run was bounded by, which then bounds the rest of it.
         """
-        events = self._events
-        while events and events[0][0] <= now_ps:
-            t, kind, port = heapq.heappop(events)
+        events, arrivals = self._events, self._arrivals
+        stop = limit_ps
+        if arrivals and arrivals[0][0] < stop:
+            stop = arrivals[0][0]
+        while events and events[0][0] <= stop:
+            t, kind, port, packet = heapq.heappop(events)
             self.events_popped += 1
+            self._ran_to_ps = t
             if kind == _INGRESS:
-                for packet in self._uplinks[port].deliver_due(t):
-                    self._admit(packet, port, t)
+                self._admit(packet, port, t)
             else:
-                self._serve(port, t)
+                arrival = self._serve(port, t)
+                if arrival < stop:
+                    stop = arrival
+        return arrivals[0][0] if arrivals else None
+
+    def due_hosts(self, now_ps: int) -> Set[int]:
+        """The hosts whose port has a delivery due by ``now_ps``."""
         return _pop_due_hosts(self._arrivals, now_ps)
+
+    def stall_ps(self, now_ps: int, deadline_ps: int) -> int:
+        """Where a stalled event loop at ``now_ps`` stops its clock: at
+        the last event the switch ran, or at the deadline if one is
+        still due past it."""
+        if self._events:
+            return deadline_ps
+        return self._ran_to_ps if self._ran_to_ps > now_ps else now_ps
 
     def _admit(self, packet: FabricPacket, src: int, now_ps: int) -> None:
         out_port = egress_host(packet, src, self.num_hosts)
@@ -219,28 +248,31 @@ class SwitchFabric:
         if queue.queued_packets == 1:
             # First in line: starts now, or when the serializer frees.
             start = max(now_ps, self._egress_free_ps[out_port])
-            heapq.heappush(self._events, (start, _EGRESS, out_port))
+            heapq.heappush(self._events, (start, _EGRESS, out_port, None))
         self.buffer_used += wire_bytes
         if self.buffer_used > self.peak_buffer_bytes:
             self.peak_buffer_bytes = self.buffer_used
 
-    def _serve(self, out_port: int, start_ps: int) -> None:
+    def _serve(self, out_port: int, start_ps: int) -> int:
+        """Start serving ``out_port``'s oldest packet; returns its
+        delivery instant."""
         queue = self._queues[out_port]
         packet = queue.pop()
         self.buffer_used -= packet.wire_bytes
         # Link.serialization_time_ps, inline: once per forwarded packet.
         ser_ps = packet.wire_bytes * _PS_BITS // self._bits_per_s
         self._egress_free_ps[out_port] = start_ps + ser_ps
-        arrival = start_ps + ser_ps + self._egress_prop_ps
+        arrival = start_ps + ser_ps + self._prop_ps
         self._delivery[out_port].append((arrival, packet))
         heapq.heappush(self._arrivals, (arrival, out_port))
         if queue.queued_packets:
             # Whatever is queued was admitted at or before start_ps, so
             # the next start is the instant the serializer frees.
             heapq.heappush(
-                self._events, (start_ps + ser_ps, _EGRESS, out_port)
+                self._events, (start_ps + ser_ps, _EGRESS, out_port, None)
             )
         self.forwarded += 1
+        return arrival
 
 
 # ---------------------------------------------------------------- sharding

@@ -71,8 +71,8 @@ class LinkDirection:
     Frames — anything with ``wire_bytes``: the engines' Ethernet frames,
     the fabric's packets — serialize FIFO at the link rate and arrive one
     propagation delay after their last bit.  The optional ``drop_fn`` and
-    ``delay_fn`` inject loss and reordering.  The engine wire, the soft
-    wire and the switch fabric's uplinks are all made of these.
+    ``delay_fn`` inject loss and reordering.  The engine wire is made
+    of these; the switch fabric times its uplinks the same way, inline.
     """
 
     def __init__(

@@ -4,7 +4,7 @@ Until the timer wake index, ``run_event_loop`` and ``CellSim`` asked
 every stack ``timer_due(now)`` and walked every stack's timer heap in
 ``earliest_wakeup_ps`` at every instant.  Both live on here, the way
 ``test_switch.py`` keeps the old switch sweep: :func:`use_scan` answers
-the index's two queries from the stacks' own heaps, so a run under it
+the index's three queries from the stacks' own heaps, so a run under it
 never depends on what was published.  :class:`StackVisits` is the
 counting wrapper the fabric and shard scaling tests share.
 """
@@ -34,8 +34,17 @@ def earliest_wakeup_ps(
     return best
 
 
+def raw_bound_ps(stacks: Iterable[SoftStack], limit_ps: int) -> int:
+    """``limit_ps`` lowered to the earliest raw timer-heap head."""
+    for stack in stacks:
+        timers = stack._timers
+        if timers and timers[0][0] < limit_ps:
+            limit_ps = timers[0][0]
+    return limit_ps
+
+
 def use_scan(monkeypatch) -> None:
-    """Answer both index queries by scanning every stack."""
+    """Answer every index query by scanning every stack."""
 
     def pop_due(self: TimerWakeIndex, now_ps: int, due: Set[int]) -> None:
         due.update(
@@ -46,7 +55,11 @@ def use_scan(monkeypatch) -> None:
     def next_deadline_ps(self: TimerWakeIndex, best: Optional[int]) -> Optional[int]:
         return earliest_wakeup_ps(self.stacks.values(), best)
 
+    def scanned_raw_bound_ps(self: TimerWakeIndex, limit_ps: int) -> int:
+        return raw_bound_ps(self.stacks.values(), limit_ps)
+
     monkeypatch.setattr(TimerWakeIndex, "pop_due", pop_due)
+    monkeypatch.setattr(TimerWakeIndex, "raw_bound_ps", scanned_raw_bound_ps)
     monkeypatch.setattr(TimerWakeIndex, "next_deadline_ps", next_deadline_ps)
 
 

@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from repro.engine.testbed import message_driven
 from repro.fabric.service import ServiceModel
 from repro.fabric.softstack import SoftStack, TimerWakeIndex, run_event_loop
+from repro.fabric.switch import SwitchFabric
 from repro.net.wire import (
     DelayFn, FaultFn, LinkDirection, WirePort, derive_seed,
 )
@@ -61,7 +62,8 @@ class FaultSchedule:
     loss, reordering, duplication and CE marks with no RNG involved.
 
     :meth:`hooks` gives a direction's ``drop_fn``/``delay_fn`` pair for
-    :class:`~repro.net.wire.LinkDirection`; ``fired`` lists the faults
+    :class:`~repro.net.wire.LinkDirection` or a switch port's sends
+    (:class:`SwitchTestbed`); ``fired`` lists the faults
     that met their segment, in wire order.  A duplicate is sent by the
     direction's :class:`_ScheduledPort` and passes the hooks unfaulted
     and uncounted: it is no segment of its own.
@@ -182,44 +184,61 @@ class SoftWire:
             default=None,
         )
 
-    def advance(self, now_ps: int) -> Set[int]:
-        """The event loop's network step: a wire has no events of its
-        own, so just name the ends (0 = a, 1 = b) with an arrival due."""
+    # The event loop's network contract.  A wire has no events of its
+    # own: its next delivery is its next arrival, and it never runs
+    # ahead of the loop.
+    def advance(self, limit_ps: int) -> Optional[int]:
+        return self.next_event_ps()
+
+    def due_hosts(self, now_ps: int) -> Set[int]:
+        """The ends (0 = a, 1 = b) with an arrival due."""
         return {
             end
             for end, inbound in enumerate((self._ba, self._ab))
             if inbound._in_flight and inbound._in_flight[0][0] <= now_ps
         }
 
+    def stall_ps(self, now_ps: int, deadline_ps: int) -> int:
+        return now_ps
 
-class SoftTestbed:
-    """Two soft stacks back to back, on one service model.
 
-    The same shape as :class:`~repro.engine.testbed.Testbed` —
-    ``engine_a``/``engine_b``/``wire``/``run()``/``now_s``/``cycle`` —
-    but driven as a discrete-event loop over integer picoseconds: the
-    soft stacks do nothing between packet arrivals and timer deadlines,
-    so the loop jumps straight from event to event.
-    """
+class _FaultedPort:
+    """A switch port whose sends first pass one direction's schedule
+    hooks (the switch itself has none): a dropped segment never reaches
+    the uplink, a held-back one enters it ``delay_ps`` late — and, the
+    uplink serializing FIFO, holds back whatever its host sends after it."""
 
-    __test__ = False  # not a pytest test class, despite the name
+    def __init__(self, port, hooks: Tuple[FaultFn, DelayFn]) -> None:
+        self._port = port
+        self._drop, self._delay = hooks
+        self._index = 0
 
-    def __init__(
-        self,
-        service_factory: Callable[[], ServiceModel],
-        drop_probability: float = 0.0,
-        seed: int = 0,
-        schedule: Optional[FaultSchedule] = None,
-    ) -> None:
-        self.wire = SoftWire(
-            drop_probability=drop_probability, seed=seed, schedule=schedule,
-        )
+    def send(self, packet, now_ps: int) -> None:
+        index = self._index
+        self._index += 1
+        if not self._drop(packet, index):
+            self._port.send(packet, now_ps + self._delay(packet, index))
+
+    def poll(self, now_ps: int) -> List:
+        return self._port.poll(now_ps)
+
+
+class _Rig:
+    """What both two-host rigs share: the ``Testbed`` shape
+    (``engine_a``/``engine_b``/``run()``/``now_s``/``cycle``) over the
+    one event loop every set of soft stacks runs on."""
+
+    __test__ = False  # not a pytest test class
+
+    wire = None  # the network the two stacks' ports are ends of
+
+    def _attach(self, port_a, port_b, service_factory, seed: int) -> None:
         self.engine_a = SoftStack(
-            ip_from_string("10.0.0.1"), self.wire.port_a, service_factory(),
+            ip_from_string("10.0.0.1"), port_a, service_factory(),
             name="a", seed=seed,
         )
         self.engine_b = SoftStack(
-            ip_from_string("10.0.0.2"), self.wire.port_b, service_factory(),
+            ip_from_string("10.0.0.2"), port_b, service_factory(),
             name="b", seed=seed,
         )
         self._wake = TimerWakeIndex(enumerate((self.engine_a, self.engine_b)))
@@ -247,3 +266,69 @@ class SoftTestbed:
             self, self._wake, self.wire, seconds_to_ps(max_time_s),
             until=until, next_call_ps=next_call_ps,
         )
+
+
+def hold_the_switch_to_its_landings(monkeypatch) -> List[int]:
+    """Fail the run if a ``SwitchFabric`` ever ran an event past the
+    instant its event loop lands at next (checked at every landing);
+    returns the landings, in order."""
+    landings: List[int] = []
+    due_hosts = SwitchFabric.due_hosts
+
+    def landing(fabric: SwitchFabric, now_ps: int) -> Set[int]:
+        assert fabric._ran_to_ps <= now_ps, "the switch ran past a landing"
+        landings.append(now_ps)
+        return due_hosts(fabric, now_ps)
+
+    monkeypatch.setattr(SwitchFabric, "due_hosts", landing)
+    return landings
+
+
+class SwitchTestbed(_Rig):
+    """Two soft stacks as hosts 0 (a) and 1 (b) of a 2-host
+    :class:`~repro.fabric.switch.SwitchFabric` (``wire``), with an
+    optional :class:`FaultSchedule` applied where each host sends:
+    ``a2b`` is host 0's port, ``b2a`` host 1's."""
+
+    def __init__(
+        self,
+        service_factory: Callable[[], ServiceModel],
+        schedule: Optional[FaultSchedule] = None,
+    ) -> None:
+        self.wire = SwitchFabric(2)
+        port_a, port_b = self.wire.port(0), self.wire.port(1)
+        if schedule is not None:
+            port_a = _FaultedPort(port_a, schedule.hooks("a2b"))
+            port_b = _FaultedPort(port_b, schedule.hooks("b2a"))
+        self._attach(port_a, port_b, service_factory, seed=0)
+
+    def in_flight(self) -> bool:
+        """Whether a packet is still on an uplink, queued or due."""
+        return bool(self.wire._events or self.wire._arrivals)
+
+
+class SoftTestbed(_Rig):
+    """Two soft stacks back to back, on one service model.
+
+    The same shape as :class:`~repro.engine.testbed.Testbed` —
+    ``engine_a``/``engine_b``/``wire``/``run()``/``now_s``/``cycle`` —
+    but driven as a discrete-event loop over integer picoseconds: the
+    soft stacks do nothing between packet arrivals and timer deadlines,
+    so the loop jumps straight from event to event.
+    """
+
+    def __init__(
+        self,
+        service_factory: Callable[[], ServiceModel],
+        drop_probability: float = 0.0,
+        seed: int = 0,
+        schedule: Optional[FaultSchedule] = None,
+    ) -> None:
+        self.wire = SoftWire(
+            drop_probability=drop_probability, seed=seed, schedule=schedule,
+        )
+        self._attach(self.wire.port_a, self.wire.port_b, service_factory, seed)
+
+    def in_flight(self) -> bool:
+        """Whether a segment is still on the wire."""
+        return self.wire.next_event_ps() is not None

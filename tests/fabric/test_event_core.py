@@ -10,11 +10,16 @@ import pytest
 from repro.fabric import get_fabric_scenario
 from repro.fabric.engine import FabricLoadEngine
 from repro.fabric.service import FlexToeService
-from repro.fabric.softstack import RTO_PS, SoftStack, TimerWakeIndex
+from repro.fabric.softstack import (
+    RTO_PS, FabricPacket, SoftStack, TimerWakeIndex,
+)
+from repro.tcp.segment import FlowKey, ip_from_string
 from repro.tcp.state_machine import TcpState
 
 from ._scan_oracle import StackVisits, record_instants, timer_due, use_scan
-from ._soft_testbed import SoftTestbed
+from ._soft_testbed import (
+    SoftTestbed, SwitchTestbed, hold_the_switch_to_its_landings,
+)
 
 
 def run_engine(name: str, num_hosts: int, backend: str = "f4t"):
@@ -50,10 +55,52 @@ def test_work_is_proportional_to_events(num_hosts, monkeypatch):
     # Every tick had something to do — a packet to receive or a timer
     # entry to pop — hence ticks <= packets received + timer pops.
     assert ticks and all(ticks)
-    # One heap pop per switch event: an uplink arrival or an egress start.
+    # One heap pop per switch event: an uplink arrival (every packet a
+    # stack sent, less those still on their uplink) or an egress start.
     fabric = engine.fabric
-    ingress = sum(u.frames_sent - u.in_flight for u in fabric._uplinks)
+    on_uplinks = sum(1 for event in fabric._events if event[3] is not None)
+    ingress = sum(s.packets_sent for s in engine.stacks) - on_uplinks
     assert fabric.events_popped == ingress + fabric.forwarded
+
+
+@pytest.mark.parametrize("backend", ["f4t", "linux_stack"])
+def test_the_switch_runs_ahead_to_host_visible_instants(backend, monkeypatch):
+    """The loop lands only where a host can act — about once per
+    forwarded packet, not once per switch event — and the switch, run
+    ahead between landings, never passes the next one.  On linux_stack
+    RTOs fire while the switch still has events pending: a run ahead
+    bounded by deliveries and the pump alone passes those landings."""
+    landings = hold_the_switch_to_its_landings(monkeypatch)
+    engine = run_engine("incast", 8, backend=backend)
+    # Measured 0.998 (f4t) and 1.005 (linux_stack) landings per
+    # forwarded packet; 2.44 and 2.31 when it landed on every event.
+    assert len(landings) <= 1.05 * engine.fabric.forwarded
+    if backend == "linux_stack":
+        assert sum(stack.timeouts for stack in engine.stacks) > 0
+
+
+def test_a_stall_stops_the_clock_where_the_switch_s_events_did():
+    """With nothing left for a host to do, the loop stops the clock at
+    the switch's last event — or at the deadline while one is still
+    due past it — as it did when it landed on every switch event (the
+    instants pinned are from then)."""
+    tb = SwitchTestbed(FlexToeService)
+    b = tb.engine_b
+    # A FIN of no connection: b re-ACKs it from the segment alone, to
+    # an address no host has, and the switch blackholes the ACK.
+    stray = FlowKey(ip_from_string("10.0.0.99"), 5, b.ip, 80)
+    tb.engine_a.port.send(FabricPacket("fin", stray, offset=7), 0)
+    assert not tb.run(until=lambda: False, max_time_s=0.01)
+    assert (b.packets_sent, tb.wire.dropped) == (1, 1)
+    assert tb.time_ps == 8_518_720  # the blackholed ACK's ingress
+    # A SYN to that address: its ingress, past the first deadline,
+    # holds the clock at the deadline; the second run drops it.
+    nowhere = FlowKey(tb.engine_a.ip, 5, ip_from_string("10.0.0.99"), 80)
+    tb.engine_a.port.send(FabricPacket("syn", nowhere), tb.time_ps)
+    assert not tb.run(until=lambda: False, max_time_s=9e-6)
+    assert (tb.time_ps, tb.wire.dropped) == (9_000_000, 1)
+    assert not tb.run(until=lambda: False, max_time_s=2e-5)
+    assert (tb.time_ps, tb.wire.dropped) == (10_524_960, 2)
 
 
 # ------------------------------------------------- when the pump is called

@@ -18,7 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fabric.service import FlexToeService
 
-from ._soft_testbed import Fault, FaultSchedule, SoftTestbed
+from ._soft_testbed import (
+    Fault, FaultSchedule, SoftTestbed, SwitchTestbed,
+    hold_the_switch_to_its_landings,
+)
 
 #: Bulk: one 64 KiB stream a -> b (45 segments), then FIN both ways.
 BULK_BYTES = 64 * 1024
@@ -255,10 +258,8 @@ def drive(tb, shape: str, max_time_s: float = MAX_TIME_S) -> Outcome:
     return out
 
 
-def run_schedule(shape: str, faults: List[Fault]) -> Tuple[Outcome, SoftTestbed]:
-    """:func:`drive` over ``faults`` on two soft stacks."""
-    schedule = FaultSchedule(faults)
-    tb = SoftTestbed(lambda: FlexToeService(), schedule=schedule)
+def replay(tb, schedule: FaultSchedule, shape: str) -> Outcome:
+    """:func:`drive` on ``tb``, whose ports apply ``schedule``."""
     out = drive(tb, shape)
     out.fired = len(schedule.fired)
     out.counters = tuple(
@@ -266,14 +267,21 @@ def run_schedule(shape: str, faults: List[Fault]) -> Tuple[Outcome, SoftTestbed]
         for stack in (tb.engine_a, tb.engine_b)
         for name in ("retransmits", "timeouts", "ecn_echoes", "packets_sent")
     )
-    return out, tb
+    return out
+
+
+def run_schedule(shape: str, faults: List[Fault]) -> Tuple[Outcome, SoftTestbed]:
+    """:func:`drive` over ``faults`` on two soft stacks."""
+    schedule = FaultSchedule(faults)
+    tb = SoftTestbed(lambda: FlexToeService(), schedule=schedule)
+    return replay(tb, schedule, shape), tb
 
 
 def settle(tb: SoftTestbed) -> None:
     """Run on past the close, with no pump, until nothing is in flight
     and no timer is armed: every late segment lands and is answered."""
     tb.run(until=lambda: False, max_time_s=SETTLE_S)
-    assert tb.wire.next_event_ps() is None, "still segments in flight"
+    assert not tb.in_flight(), "still segments in flight"
     for stack in (tb.engine_a, tb.engine_b):
         assert stack.next_deadline_ps() is None, f"{stack.name}: a timer armed"
 
@@ -321,3 +329,66 @@ _FAULT = st.builds(
 def test_any_schedule_delivers_and_closes(shape, faults):
     out, tb = run_schedule(shape, faults)
     check_outcome(shape, out, tb)
+
+
+# ------------------------------------------------- across the switch
+#: The schedules that only drop or hold back segments (the switch rig
+#: has no duplicating or CE-marking port).
+SWITCHED = sorted(
+    name for name, (_shape, faults) in SCHEDULES.items()
+    if all(fault.action in ("drop", "delay") for fault in faults)
+)
+
+#: name -> (a, b) x (retransmits, timeouts, ecn_echoes, packets_sent),
+#: then the close instant (ps), on two hosts of a ``SwitchFabric`` with
+#: the faults applied where each host sends.  A held-back segment holds
+#: back its whole uplink there, so the reordering schedules recover
+#: differently than on the point-to-point wire.  Captured while the
+#: event loop still landed on every switch event.
+SWITCH_EXPECTED: Dict[str, Tuple[int, ...]] = {
+    "bulk-ack-burst-lost": (0, 0, 0, 49, 0, 0, 0, 48, 62297960),
+    "bulk-ack-of-fin-lost": (1, 1, 0, 50, 0, 0, 0, 49, 117550040),
+    "bulk-ack-reordered": (0, 0, 0, 49, 0, 0, 0, 48, 69960200),
+    "bulk-clean": (0, 0, 0, 49, 0, 0, 0, 48, 61067560),
+    "bulk-data-and-first-resend-lost": (2, 1, 0, 51, 0, 0, 0, 48, 110450480),
+    "bulk-data-lost-fin-acked-before-resend": (
+        1, 1, 0, 50, 0, 0, 0, 48, 124078160,
+    ),
+    "bulk-data-reordered": (0, 0, 0, 49, 0, 0, 0, 48, 80113240),
+    "bulk-data-reordered-short": (0, 0, 0, 49, 0, 0, 0, 48, 61067560),
+    "bulk-fin-lost": (1, 1, 0, 50, 0, 0, 0, 48, 124077520),
+    "bulk-first-data-lost": (1, 0, 0, 83, 0, 0, 0, 81, 113309680),
+    "bulk-five-data-lost": (3, 1, 0, 66, 0, 0, 0, 60, 202320320),
+    "bulk-handshake-ack-lost": (0, 0, 0, 49, 0, 0, 0, 48, 61067560),
+    "bulk-last-ack-lost": (0, 0, 0, 50, 1, 1, 0, 49, 113567560),
+    "bulk-mid-data-lost": (1, 0, 0, 50, 0, 0, 0, 48, 61181840),
+    "bulk-peer-fin-lost": (0, 0, 0, 49, 1, 1, 0, 49, 113567560),
+    "bulk-syn-lost": (0, 0, 0, 50, 0, 0, 0, 48, 113567560),
+    "bulk-synack-lost": (0, 0, 0, 50, 0, 0, 0, 49, 113567560),
+    "bulk-tail-data-lost": (1, 1, 0, 51, 0, 0, 0, 49, 124174960),
+    "bulk-window-of-acks-lost": (5, 5, 0, 80, 0, 0, 0, 79, 1678817120),
+    "rpc-both-fins-lost": (1, 1, 0, 25, 1, 1, 0, 24, 210733000),
+    "rpc-clean": (0, 0, 0, 24, 0, 0, 0, 23, 105733000),
+    "rpc-last-response-segment-lost": (0, 0, 0, 24, 1, 1, 0, 24, 168801320),
+    "rpc-request-ack-lost": (0, 0, 0, 24, 0, 0, 0, 23, 105733000),
+    "rpc-request-lost": (1, 1, 0, 25, 0, 0, 0, 23, 158233000),
+    "rpc-request-reordered": (0, 0, 0, 24, 0, 0, 0, 23, 135733000),
+    "rpc-response-segment-lost": (0, 0, 0, 24, 1, 1, 0, 24, 182250120),
+}
+
+
+@pytest.mark.parametrize("name", SWITCHED)
+def test_fixed_schedule_across_the_switch(name, monkeypatch):
+    """The drop and delay schedules through the switch: RTOs fire
+    between switch events, and the switch, run ahead between landings,
+    has never run an event past the instant the loop lands at next.
+    The counters and the close instant are pinned."""
+    hold_the_switch_to_its_landings(monkeypatch)
+    shape, faults = SCHEDULES[name]
+    schedule = FaultSchedule(faults)
+    tb = SwitchTestbed(lambda: FlexToeService(), schedule=schedule)
+    out = replay(tb, schedule, shape)
+    close_ps = tb.time_ps
+    check_outcome(shape, out, tb)
+    assert out.fired == len(faults), "a fault no segment reached"
+    assert out.counters + (close_ps,) == SWITCH_EXPECTED[name]
