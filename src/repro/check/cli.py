@@ -1,4 +1,4 @@
-"""``python -m repro check`` — the static analyzer and race sanitizer.
+"""``python -m repro check`` — the static analyzer and the two sanitizers.
 
 Subcommands::
 
@@ -18,18 +18,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..cli import add_group, emit, positive
+from ..cli import add_group, emit
+from .findings import Sanitizer
 from .lint import lint_paths
 from .lockstep import run_lockstep_check
-from .race import DEFAULT_MAX_FINDINGS, run_race_check
+from .race import run_race_check
 from .rules import all_rules
 
 DEFAULT_PATHS = ["src"]
 
 
 Leg = Tuple[Dict[str, Any], bool]  # (the --json payload, clean?)
+SanitizedRun = Callable[[str, Optional[int]], Tuple[Sanitizer[Any], object]]
 
 
 def _lint(args: argparse.Namespace) -> Leg:
@@ -38,39 +40,15 @@ def _lint(args: argparse.Namespace) -> Leg:
     return result.to_json(), result.ok
 
 
-def _race(args: argparse.Namespace, max_findings: int = DEFAULT_MAX_FINDINGS) -> Leg:
-    san, result = run_race_check(
-        scenario_name=args.scenario,
-        seed=args.seed,
-        load_scale=args.load_scale,
-        max_findings=max_findings,
-    )
+def _sanitized(run: SanitizedRun, scenario: str, seed: Optional[int]) -> Leg:
+    """One sanitizer leg: the run, its report, and whether it finished."""
+    san, result = run(scenario, seed)
     print(san.report())
     finished = getattr(result, "finished", True)
     if not finished:
-        print("check race: traffic run did not finish", file=sys.stderr)
-    payload = {
-        "writes_checked": san.writes_checked,
-        "findings": [finding.to_json() for finding in san.findings],
-    }
-    return payload, san.ok and finished
-
-
-def _lockstep(
-    scenario: str, seed: Optional[int], max_findings: int = DEFAULT_MAX_FINDINGS
-) -> Leg:
-    san, result = run_lockstep_check(
-        scenario_name=scenario, seed=seed, max_findings=max_findings
-    )
-    print(san.report())
-    finished = getattr(result, "finished", True)
-    if not finished:
-        print("check lockstep: shard run did not finish", file=sys.stderr)
-    payload = {
-        "checks_run": san.checks_run,
-        "findings": [finding.to_json() for finding in san.findings],
-    }
-    return payload, san.ok and finished
+        print(f"check {san.name}: the sanitized run did not finish",
+              file=sys.stderr)
+    return san.to_json(), san.ok and finished
 
 
 def _finish(args: argparse.Namespace, payload: Dict[str, Any], ok: bool) -> int:
@@ -89,18 +67,22 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_race(args: argparse.Namespace) -> int:
-    return _finish(args, *_race(args, args.max_findings))
+    return _finish(args, *_sanitized(run_race_check, args.scenario, args.seed))
 
 
 def cmd_lockstep(args: argparse.Namespace) -> int:
-    return _finish(args, *_lockstep(args.scenario, args.seed, args.max_findings))
+    return _finish(
+        args, *_sanitized(run_lockstep_check, args.scenario, args.seed)
+    )
 
 
 def cmd_all(args: argparse.Namespace) -> int:
     legs = {
         "lint": _lint(args),
-        "race": _race(args),
-        "lockstep": _lockstep(args.lockstep_scenario, args.seed),
+        "race": _sanitized(run_race_check, args.scenario, args.seed),
+        "lockstep": _sanitized(
+            run_lockstep_check, args.lockstep_scenario, args.seed
+        ),
     }
     return _finish(
         args,
@@ -113,13 +95,10 @@ def _add_race_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario", default="churn",
         help="traffic scenario driving the sanitized run (default churn, "
-             "which exercises the Fig 6 migration protocol)",
+             "which keeps every flow in SRAM: it never evicts, so the "
+             "Fig 6 migration and DRAM hooks stay idle)",
     )
     parser.add_argument("--seed", type=int, default=None, help="top-level seed")
-    parser.add_argument(
-        "--load-scale", type=positive, default=1.0,
-        help="multiply every open-loop arrival rate",
-    )
 
 
 def add_check_parser(subparsers: argparse._SubParsersAction) -> None:
@@ -141,10 +120,6 @@ def add_check_parser(subparsers: argparse._SubParsersAction) -> None:
         "race", help="run a traffic scenario under the race sanitizer"
     )
     _add_race_options(race)
-    race.add_argument(
-        "--max-findings", type=int, default=DEFAULT_MAX_FINDINGS,
-        help="cap on recorded violations",
-    )
     race.add_argument("--json", metavar="PATH", help="write findings JSON")
     race.set_defaults(handler=cmd_race)
 
@@ -159,10 +134,6 @@ def add_check_parser(subparsers: argparse._SubParsersAction) -> None:
     )
     lockstep.add_argument(
         "--seed", type=int, default=None, help="scenario seed override"
-    )
-    lockstep.add_argument(
-        "--max-findings", type=int, default=DEFAULT_MAX_FINDINGS,
-        help="cap on recorded violations",
     )
     lockstep.add_argument("--json", metavar="PATH", help="write findings JSON")
     lockstep.set_defaults(handler=cmd_lockstep)

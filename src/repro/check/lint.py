@@ -8,7 +8,7 @@ filtered through ``# f4t: noqa`` line suppressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
 from .findings import Finding
@@ -74,7 +74,7 @@ class LintResult:
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
             "summary": self.summary(),
-            "findings": [finding.to_json() for finding in self.findings],
+            "findings": [asdict(finding) for finding in self.findings],
         }
 
 

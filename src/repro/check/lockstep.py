@@ -31,12 +31,9 @@ code path, not just the symptom.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
-from .findings import LockstepFinding
-
-#: Default cap so a systematically broken run cannot OOM the checker.
-DEFAULT_MAX_FINDINGS = 1000
+from .findings import LockstepFinding, Sanitizer
 
 #: The first three Entry fields: (arrival_ps, src, seq).
 Key = Tuple[int, int, int]
@@ -53,24 +50,24 @@ def _call_site() -> str:
     return f"{path}:{frame.f_lineno}"
 
 
-class LockstepSanitizer:
+class LockstepSanitizer(Sanitizer[LockstepFinding]):
     """Shadow-state checker for the shard layer's lockstep protocol.
 
     Pass one instance to :func:`repro.shard.runner.run_shard` via its
     ``sanitizer`` argument; each :class:`~repro.shard.cell.CellSim`
-    takes a :meth:`for_cell` view (the race sanitizer's ``scoped``
-    pattern — views share the findings list and counters with the
-    root).  Read :attr:`findings` after the run, or :meth:`report` for
-    the rendered listing.
+    takes a :meth:`for_cell` view (views share the findings list and
+    counters with the root).  Read :attr:`findings` after the run, or
+    :meth:`report` for the rendered listing.  Its tally counts checks.
     """
 
-    def __init__(self, max_findings: int = DEFAULT_MAX_FINDINGS) -> None:
-        self.max_findings = max_findings
+    name = "lockstep"
+    tally_key = "checks_run"
+    tally_noun = "checks"
+
+    def __init__(self) -> None:
+        super().__init__()
         #: The cell this view belongs to; -1 on the root.
         self.cell = -1
-        self.findings: List[LockstepFinding] = []
-        #: Shared counters (a dict so views mutate the same ints).
-        self._counts: Dict[str, int] = {"checks": 0, "dropped": 0}
         #: Shared epoch cursor, advanced by the runner's barrier loop.
         self._epoch: Dict[str, int] = {"index": 0, "boundary_ps": 0}
         #: cell -> last key admitted by the settle loop.
@@ -86,43 +83,13 @@ class LockstepSanitizer:
         Views share all state with the root: findings land in one list,
         one report — only the cell id (stamped on findings) differs.
         """
-        view = LockstepSanitizer.__new__(LockstepSanitizer)
-        view.__dict__.update(self.__dict__)
-        view.cell = cell
-        return view
-
-    # -------------------------------------------------------------- report
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    @property
-    def checks_run(self) -> int:
-        return self._counts["checks"]
-
-    @property
-    def dropped(self) -> int:
-        return self._counts["dropped"]
-
-    def report(self) -> str:
-        lines = [finding.render() for finding in self.findings]
-        noun = "violation" if len(self.findings) == 1 else "violations"
-        lines.append(
-            f"lockstep sanitizer: {len(self.findings)} {noun} over "
-            f"{self.checks_run} checks"
-            + (f" ({self.dropped} findings dropped at cap)"
-               if self.dropped else "")
-        )
-        return "\n".join(lines)
+        return self._view(cell=cell)
 
     def _emit(
         self, kind: str, t_ps: int, site: str, message: str,
         cell: Optional[int] = None,
     ) -> None:
-        if len(self.findings) >= self.max_findings:
-            self._counts["dropped"] += 1
-            return
-        self.findings.append(LockstepFinding(
+        self._record(LockstepFinding(
             kind=kind,
             epoch=self._epoch["index"],
             cell=self.cell if cell is None else cell,
@@ -135,7 +102,7 @@ class LockstepSanitizer:
     def on_configure(self, epoch_ps: int, prop_ps: int) -> None:
         """Cell construction: the epoch must not exceed the propagation
         lower bound, or the exchange-at-barrier protocol loses events."""
-        self._counts["checks"] += 1
+        self._counts["tally"] += 1
         if epoch_ps > prop_ps:
             self._emit(
                 "epoch-bound", 0, _call_site(),
@@ -152,7 +119,7 @@ class LockstepSanitizer:
     # ----------------------------------------------------------- cell hooks
     def on_route_local(self, entry: Sequence, now_ps: int) -> None:
         """A packet routed into this cell's own pending inbox."""
-        self._counts["checks"] += 1
+        self._counts["tally"] += 1
         arrival = entry[0]
         if arrival < now_ps:
             self._emit(
@@ -172,7 +139,7 @@ class LockstepSanitizer:
         """
         site = _call_site()
         for entry in entries:
-            self._counts["checks"] += 1
+            self._counts["tally"] += 1
             arrival = entry[0]
             if arrival < now_ps:
                 self._emit(
@@ -203,7 +170,7 @@ class LockstepSanitizer:
         barrier batched and ordered its pushes.  Also re-checks that
         nothing pending lies in the past.
         """
-        self._counts["checks"] += 1
+        self._counts["tally"] += 1
         site = _call_site()
         size = len(pending)
         for index in range(size):
@@ -230,7 +197,7 @@ class LockstepSanitizer:
     def on_admit(self, key: Sequence, now_ps: int) -> None:
         """Settle-loop pop: keys must leave the heap in nondecreasing
         order — the admission sequence the fingerprint depends on."""
-        self._counts["checks"] += 1
+        self._counts["tally"] += 1
         admitted = tuple(key[:3])
         last = self._last_admit.get(self.cell)
         if last is not None and admitted < last:
@@ -247,7 +214,7 @@ class LockstepSanitizer:
         """CellSwitch.admit: arrivals must be fed in nondecreasing
         order (the documented CellSwitch contract) so lazy depth
         retirement stays exact."""
-        self._counts["checks"] += 1
+        self._counts["tally"] += 1
         last = self._last_switch.get(self.cell)
         if last is not None and now_ps < last:
             self._emit(
@@ -262,7 +229,7 @@ class LockstepSanitizer:
     def on_merge(self, cells: Sequence[int], num_cells: int) -> None:
         """Fingerprint merge: parts must be complete and in cell order
         regardless of which workers produced them."""
-        self._counts["checks"] += 1
+        self._counts["tally"] += 1
         expected = list(range(num_cells))
         if list(cells) != expected:
             self._emit(
@@ -275,9 +242,7 @@ class LockstepSanitizer:
 
 
 def run_lockstep_check(
-    scenario_name: str = "churn",
-    seed: Optional[int] = None,
-    max_findings: int = DEFAULT_MAX_FINDINGS,
+    scenario_name: str = "churn", seed: Optional[int] = None
 ) -> Tuple[LockstepSanitizer, object]:
     """Run a shard scenario with the lockstep sanitizer attached.
 
@@ -291,6 +256,6 @@ def run_lockstep_check(
     from ..shard.scenarios import get_shard_scenario
 
     scenario = get_shard_scenario(scenario_name, seed=seed)
-    san = LockstepSanitizer(max_findings=max_findings)
+    san = LockstepSanitizer()
     result = run_shard(scenario, workers=2, fingerprint=True, sanitizer=san)
     return san, result

@@ -28,10 +28,10 @@ trace bus uses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..engine.event_handler import valid_bit_names
-from .findings import RaceFinding
+from .findings import RaceFinding, Sanitizer
 
 #: Writer ids carried on every shadow write.
 WRITER_EVENT_HANDLER = "event-handler"
@@ -39,26 +39,25 @@ WRITER_FPU = "fpu"
 WRITER_SWAP_IN = "swap-in"
 WRITER_MEMMGR = "memmgr"
 
-#: Default cap so a systematically broken run cannot OOM the checker.
-DEFAULT_MAX_FINDINGS = 1000
 
-
-class RaceSanitizer:
+class RaceSanitizer(Sanitizer[RaceFinding]):
     """Shadow-state checker for the dual-memory TCB scheme.
 
     Attach with :func:`attach_sanitizer`; read :attr:`findings` after
     the run (or :meth:`report` for the rendered listing).  The sanitizer
     is tolerant of mid-run attachment: flows it has never seen are
-    adopted on first sight rather than reported.
+    adopted on first sight rather than reported.  Its tally counts
+    checked writes.
     """
 
-    def __init__(self, max_findings: int = DEFAULT_MAX_FINDINGS) -> None:
-        self.max_findings = max_findings
+    name = "race"
+    tally_key = "writes_checked"
+    tally_noun = "checked writes"
+
+    def __init__(self) -> None:
+        super().__init__()
         #: Namespace prefix ("a/", "b/") of this view; "" on the root.
         self.label = ""
-        self.findings: List[RaceFinding] = []
-        #: Shared counters (a dict so scoped views mutate the same ints).
-        self._counts: Dict[str, int] = {"writes": 0, "dropped": 0}
         #: (table, slot) -> (cycle, writer) of the most recent write.
         self._last_write: Dict[Tuple[str, int], Tuple[int, str]] = {}
         #: (label, fpc_id, slot) -> expected valid-bit mask (shadow copy).
@@ -80,18 +79,7 @@ class RaceSanitizer:
         0s) from clobbering each other's shadow state.  Views share all
         state with the root: findings land in one list, one report.
         """
-        view = RaceSanitizer.__new__(RaceSanitizer)
-        view.__dict__.update(self.__dict__)
-        view.label = f"{label}/" if label else ""
-        return view
-
-    @property
-    def writes_checked(self) -> int:
-        return self._counts["writes"]
-
-    @property
-    def dropped(self) -> int:
-        return self._counts["dropped"]
+        return self._view(label=f"{label}/" if label else "")
 
     def _fpc_name(self, fpc_id: int) -> str:
         return f"{self.label}fpc{fpc_id}"
@@ -99,30 +87,11 @@ class RaceSanitizer:
     def _flow_key(self, flow_id: int) -> Tuple[str, int]:
         return (self.label, flow_id)
 
-    # ------------------------------------------------------------ report
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def report(self) -> str:
-        lines = [finding.render() for finding in self.findings]
-        noun = "violation" if len(self.findings) == 1 else "violations"
-        lines.append(
-            f"race sanitizer: {len(self.findings)} {noun} over "
-            f"{self.writes_checked} checked writes"
-            + (f" ({self.dropped} findings dropped at cap)"
-               if self.dropped else "")
-        )
-        return "\n".join(lines)
-
     def _emit(
         self, kind: str, cycle: int, flow_id: int, table: str, slot: int,
         writer: str, message: str,
     ) -> None:
-        if len(self.findings) >= self.max_findings:
-            self._counts["dropped"] += 1
-            return
-        self.findings.append(RaceFinding(
+        self._record(RaceFinding(
             kind=kind, cycle=cycle, flow_id=flow_id, table=table,
             slot=slot, writer=writer, message=message,
         ))
@@ -131,7 +100,7 @@ class RaceSanitizer:
     def _record_write(
         self, cycle: int, table: str, slot: int, writer: str, flow_id: int
     ) -> None:
-        self._counts["writes"] += 1
+        self._counts["tally"] += 1
         previous = self._last_write.get((table, slot))
         if previous is not None:
             prev_cycle, prev_writer = previous
@@ -269,7 +238,7 @@ class RaceSanitizer:
 
     def on_dram_write(self, cycle: int, flow_id: int, valid: int) -> None:
         """Memory manager handled an event against the DRAM-resident TCB."""
-        self._counts["writes"] += 1
+        self._counts["tally"] += 1
         key = self._flow_key(flow_id)
         where = self._location.get(key)
         if where is None:
@@ -297,7 +266,7 @@ class RaceSanitizer:
         cache what DRAM does not hold), and the direct-mapped cache
         holds at most one line per flow.
         """
-        self._counts["writes"] += 1
+        self._counts["tally"] += 1
         key = self._flow_key(flow_id)
         where = self._location.get(key)
         if where is None:
@@ -320,7 +289,7 @@ class RaceSanitizer:
 
     def on_cache_evict(self, cycle: int, flow_id: int) -> None:
         """A miss wrote a displaced line back to DRAM."""
-        self._counts["writes"] += 1
+        self._counts["tally"] += 1
         key = self._flow_key(flow_id)
         if key not in self._cached:
             self._emit(
@@ -336,12 +305,6 @@ class RaceSanitizer:
         self._cached.discard(self._flow_key(flow_id))
 
     # ----------------------------------------------------- scheduler hooks
-    def on_migration_start(
-        self, cycle: int, flow_id: int, source_fpc: int
-    ) -> None:
-        """Scheduler began a migration (capacity or congestion)."""
-        self._evict_pending.setdefault(self._flow_key(flow_id), cycle)
-
     def on_flow_closed(self, flow_id: int) -> None:
         """Flow deregistered; forget everything about it."""
         self._location.pop(self._flow_key(flow_id), None)
@@ -377,25 +340,25 @@ def attach_sanitizer(target: object, san: Optional[RaceSanitizer]) -> None:
 
 
 def run_race_check(
-    scenario_name: str = "churn",
-    seed: Optional[int] = None,
-    load_scale: float = 1.0,
-    max_findings: int = DEFAULT_MAX_FINDINGS,
+    scenario_name: str = "churn", seed: Optional[int] = None
 ) -> Tuple[RaceSanitizer, object]:
-    """Run a traffic scenario with the sanitizer attached end to end.
+    """Run a traffic scenario with the sanitizer attached to both
+    engines of a testbed.  Returns the sanitizer and the traffic result.
 
-    The churn preset exercises the interesting surface — per-request
-    connection churn forces evictions and swap-ins through the Fig 6
-    migration protocol while both writers stay busy.  Returns the
-    sanitizer and the traffic result.
+    What the default reaches: ``churn`` opens and closes a connection
+    per request on a design with room for every flow in SRAM, so it
+    checks the event-handler, FPU and accept-port writes and the valid
+    bits (320 checked writes over 8 completed requests at seed 7), but
+    it never evicts: no evict, memory-manager or TCB-cache hook runs.
+    The Fig 6 migration protocol and the DRAM tier are reached only by
+    a scenario with more flows than FPC slots.
     """
     from ..engine.testbed import Testbed
     from ..traffic import LoadEngine, get_scenario
 
     scenario = get_scenario(scenario_name, seed=seed)
     testbed = Testbed(wire=scenario.build_wire())
-    san = RaceSanitizer(max_findings=max_findings)
+    san = RaceSanitizer()
     attach_sanitizer(testbed, san)
-    engine = LoadEngine(scenario, testbed=testbed, load_scale=load_scale)
-    result = engine.run()
+    result = LoadEngine(scenario, testbed=testbed).run()
     return san, result

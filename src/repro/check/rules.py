@@ -3,7 +3,9 @@
 Each rule is an AST check with a stable id (``F4T0xx``) so findings can
 be suppressed per line with ``# f4t: noqa[F4T0xx]`` (or ``# f4t: noqa``
 for all rules).  The rules encode contracts no off-the-shelf linter
-knows:
+knows, and each guards a construct the tree still has:
+``tests/check/test_liveness.py`` mutates one real site per rule and
+fails on a rule (or an exemption) that fires nowhere.
 
 * **F4T001 / F4T002** — the simulated layers (:data:`SIM_LAYERS`) must
   be deterministic given the seed: no shared global RNG, no wall clock.
@@ -12,14 +14,10 @@ knows:
 * **F4T004** — trace hooks follow the near-zero-cost contract: every
   ``*.trace.emit(...)`` sits under an ``if <owner>.trace is not None``
   (or truthiness) guard so untraced runs pay a single attribute test.
-* **F4T005** — counters are mutated through their API (``.add()``,
-  ``.record()``), never by poking the private ``_values`` store.
-* **F4T006** — picosecond clocks must not accumulate fractional floats
-  (``+=`` of a division drifts); recompute from absolute values.
 * **F4T007** — simulated time is integer picoseconds end to end, from
   the wire through the TCP core to the arrival schedule: in the
   :data:`CLOCKED_LAYERS`, no float literal may be assigned into
-  ``*_ps`` instance state outside the calibrated-constants modules.
+  ``*_ps`` instance state outside the calibrated DRAM model.
 * **F4T008 / F4T009 / F4T010 / F4T011** — the determinism-dataflow
   family added with the shard layer, F4T008 and F4T010 backed by
   :mod:`repro.check.dataflow`: unordered ``dict``/``set`` iteration must
@@ -30,6 +28,9 @@ knows:
   :data:`CLOCKED_LAYERS`, payload objects shielded behind a sequence
   discriminator everywhere); and sim-layer
   functions must not take mutable default arguments.
+
+F4T005 and F4T006 are retired: the private counter store and the
+fractional ``*_ps`` accumulation they guarded are gone from the tree.
 """
 
 from __future__ import annotations
@@ -223,8 +224,6 @@ class RawSeqCompareRule(LintRule):
         "TCP sequence space wraps at 2^32; ordered comparisons on "
         "sequence-typed values must go through repro.tcp.seq"
     )
-    exempt_suffixes = ("repro/tcp/seq.py",)
-
     def check(self, ctx: Module) -> Iterator[Finding]:
         for node in ctx.nodes(ast.Compare):
             operands = [node.left] + list(node.comparators)
@@ -337,87 +336,19 @@ class UnguardedTraceRule(LintRule):
         return False
 
 
-class StatsBypassRule(LintRule):
-    rule_id = "F4T005"
-    title = "stats-bypass"
-    rationale = (
-        "sim.stats counters and obs metrics are mutated through their API "
-        "(.add()/.record()/.observe()), never by poking the private store"
-    )
-    exempt_suffixes = ("repro/sim/stats.py", "repro/obs/metrics.py")
-
-    def check(self, ctx: Module) -> Iterator[Finding]:
-        for node, targets, _ in _assignments(ctx):
-            for target in targets:
-                probe = target
-                if isinstance(probe, ast.Subscript):
-                    probe = probe.value
-                if isinstance(probe, ast.Attribute) and probe.attr == "_values":
-                    yield self.finding(
-                        ctx, node,
-                        "direct mutation of a private '_values' store; go "
-                        "through the counters/metrics API instead",
-                    )
-
-
-class FloatPsAccumulationRule(LintRule):
-    rule_id = "F4T006"
-    title = "float-ps-accum"
-    rationale = (
-        "accumulating fractional picoseconds (`x_ps += a / b`) drifts as "
-        "float error compounds; recompute from absolute values instead"
-    )
-
-    def check(self, ctx: Module) -> Iterator[Finding]:
-        for node in ctx.nodes(ast.AugAssign):
-            if not isinstance(node.op, (ast.Add, ast.Sub)):
-                continue
-            target = node.target
-            name = None
-            if isinstance(target, ast.Name):
-                name = target.id
-            elif isinstance(target, ast.Attribute):
-                name = target.attr
-            if name is None or not name.endswith("_ps"):
-                continue
-            if self._fractional(node.value):
-                yield self.finding(
-                    ctx, node,
-                    f"accumulating a fractional value into picosecond clock "
-                    f"'{name}' compounds float error; compute the absolute "
-                    "time instead",
-                )
-
-    @staticmethod
-    def _fractional(value: ast.expr) -> bool:
-        for sub in ast.walk(value):
-            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div):
-                return True
-            if (
-                isinstance(sub, ast.Constant)
-                and isinstance(sub.value, float)
-                and not float(sub.value).is_integer()
-            ):
-                return True
-        return False
-
-
 class FloatPsStateRule(LintRule):
     rule_id = "F4T007"
     title = "float-ps-state"
     rationale = (
-        "kernel time is integer picoseconds end-to-end (PR 5); a float "
-        "literal assigned into `*_ps` instance state reintroduces drift — "
-        "keep physical/calibrated float constants in the exempted modules"
+        "kernel time is integer picoseconds end-to-end; a float literal "
+        "assigned into `*_ps` instance state reintroduces drift — keep "
+        "physical/calibrated float constants in the exempted DRAM model"
     )
     #: Only the clocked layers carry kernel time; hosts/analysis are free.
     layers = CLOCKED_LAYERS
     #: Calibrated physical-latency models legitimately hold fractional
     #: picoseconds (e.g. DRAM occupancy = bytes / bandwidth).
-    exempt_suffixes = (
-        "repro/sim/memory.py",
-        "repro/host/calibration.py",
-    )
+    exempt_suffixes = ("repro/sim/memory.py",)
 
     def check(self, ctx: Module) -> Iterator[Finding]:
         for node, targets, value in _assignments(ctx):
@@ -741,8 +672,6 @@ _RULES: List[LintRule] = [
     WallClockRule(),
     RawSeqCompareRule(),
     UnguardedTraceRule(),
-    StatsBypassRule(),
-    FloatPsAccumulationRule(),
     FloatPsStateRule(),
     UnorderedFlowRule(),
     ProcessIdentityRule(),

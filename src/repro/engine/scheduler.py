@@ -378,8 +378,6 @@ class Scheduler(Component):
         self.lut[flow_id] = self._leaving_fpc[source_fpc]
         self._migrations[flow_id] = _Migration(flow_id, source_fpc, kind="congestion")
         self.congestion_migrations += 1
-        if self.san is not None:
-            self.san.on_migration_start(self.cycle, flow_id, source_fpc)
         if self.trace is not None:
             self.trace.emit(
                 self.cycle * CYCLE_PS, "engine.sched", self.trace_name,
@@ -403,8 +401,6 @@ class Scheduler(Component):
         self._migrations[victim] = _Migration(
             victim, fpc.fpc_id, kind="capacity", then_swap_in=then_swap_in
         )
-        if self.san is not None:
-            self.san.on_migration_start(self.cycle, victim, fpc.fpc_id)
         if self.trace is not None:
             self.trace.emit(
                 self.cycle * CYCLE_PS, "engine.sched", self.trace_name,

@@ -8,6 +8,7 @@ to the switch in raw batch order instead of key order — then check the
 sanitizer names both the check id and the hook's ``file:line``.
 """
 
+from repro.check import findings
 from repro.check.lockstep import LockstepSanitizer, run_lockstep_check
 from repro.fabric.softstack import FabricPacket
 from repro.fabric.switch import CellSwitch
@@ -128,8 +129,9 @@ class TestStructuralChecks:
         san.on_merge([0, 1, 2], num_cells=3)
         assert san.ok
 
-    def test_findings_capped(self):
-        san = LockstepSanitizer(max_findings=2).for_cell(0)
+    def test_findings_capped(self, monkeypatch):
+        monkeypatch.setattr(findings, "MAX_FINDINGS", 2)
+        san = LockstepSanitizer().for_cell(0)
         for n in range(5):
             san.on_configure(epoch_ps=10, prop_ps=1)
         assert len(san.findings) == 2
@@ -153,5 +155,5 @@ class TestCleanRun:
         sanitizer, and the hooks observe without perturbing the run."""
         san, result = run_lockstep_check("churn")
         assert san.ok, san.report()
-        assert san.checks_run > 0
+        assert san.tally > 0
         assert result.finished

@@ -5,6 +5,12 @@ The fault-injection fixtures corrupt the event-table path out-of-band
 implementation would, then check the sanitizer names the hazard.
 """
 
+import inspect
+import textwrap
+
+import pytest
+
+from repro.apps.roundrobin import round_robin_scenario
 from repro.check.race import (
     RaceSanitizer,
     WRITER_EVENT_HANDLER,
@@ -15,8 +21,11 @@ from repro.engine.baseline import NullFpu
 from repro.engine.event_handler import V_ACK, V_REQ, V_SACK
 from repro.engine.events import user_send_event
 from repro.engine.fpc import FlowProcessingCore
+from repro.engine.ftengine import FtEngineConfig
+from repro.engine.memory_manager import MemoryManager
 from repro.engine.testbed import Testbed
 from repro.tcp.state_machine import TcpState
+from repro.traffic import LoadEngine
 
 from .._records import make_tcb
 
@@ -73,7 +82,7 @@ class TestValidBitInjection:
             fpc.offer_event(user_send_event(0, 100 * (n + 1), 0.0))
         assert run_until(fpc, lambda: fpc.tcbs_processed >= 3)
         assert san.ok, san.report()
-        assert san.writes_checked > 0
+        assert san.tally > 0
 
 
 class TestDualWriterInjection:
@@ -139,6 +148,57 @@ class TestMigrationWindow:
         assert stale and "location LUT" in stale[0].message
 
 
+def mutant(method, old, new):
+    """``method`` recompiled in its own module with ``old`` (which must
+    occur once in its source) replaced by ``new``."""
+    source = inspect.getsource(method)
+    assert source.count(old) == 1, old
+    namespace = {}
+    code = compile(textwrap.dedent(source.replace(old, new)),
+                   inspect.getsourcefile(method), "exec")
+    exec(code, method.__globals__, namespace)
+    return namespace[method.__name__]
+
+
+CACHE_KINDS = {"ghost-cache-line", "dup-cache-line"}
+
+
+def spill_kinds():
+    """The finding kinds of a sanitized spilling run: 32 flows over one
+    FPC of 8 slots per engine, so the memory manager, DRAM and TCB
+    cache are on the path."""
+    config = FtEngineConfig(num_fpcs=1, fpc_slots=8)
+    testbed = Testbed(config_a=config, config_b=config)
+    san = RaceSanitizer()
+    attach_sanitizer(testbed, san)
+    LoadEngine(round_robin_scenario(32, 2, 128), testbed=testbed).run()
+    assert testbed.engine_a.memory_manager.cache.hits > 0
+    return {finding.kind for finding in san.findings}
+
+
+class TestTcbCacheShadow:
+    """A mutated memory manager on a spilling build: the cache shadow
+    names a line that outlives its DRAM copy or is filled twice."""
+
+    def test_spilling_run_keeps_the_cache_shadow(self):
+        assert not spill_kinds() & CACHE_KINDS
+
+    @pytest.mark.parametrize("method, old, new, kind", [
+        # A swap-in that leaves the flow's line in the cache.
+        ("take", "self.cache.invalidate(flow_id)\n"
+                 "            if self.san is not None:\n"
+                 "                self.san.on_cache_invalidate(flow_id)", "pass",
+         "ghost-cache-line"),
+        # A hit charged as a miss: the line is filled again.
+        ("_touch_cache", '"hit", flow_id,\n                )\n            return',
+         '"hit", flow_id,\n                )', "dup-cache-line"),
+    ])
+    def test_mutated_manager_detected(self, monkeypatch, method, old, new, kind):
+        original = getattr(MemoryManager, method)
+        monkeypatch.setattr(MemoryManager, method, mutant(original, old, new))
+        assert kind in spill_kinds()
+
+
 class TestAttachment:
     def test_testbed_engines_get_distinct_namespaces(self):
         """Both engines number their FPCs and flows from zero; the
@@ -164,5 +224,5 @@ class TestAttachment:
         """The CI gate: the shipped engine passes its own sanitizer."""
         san, result = run_race_check("churn", seed=7)
         assert san.ok, san.report()
-        assert san.writes_checked > 0
+        assert san.tally > 0
         assert getattr(result, "finished", True)

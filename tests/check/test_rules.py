@@ -137,30 +137,6 @@ class TestUnguardedTrace:
         assert lint_in_layer(good) == []
 
 
-class TestStatsBypass:
-    def test_counter_dict_mutation_flagged(self):
-        bad = "def f(stats):\n    stats._values['retransmissions'] += 1\n"
-        assert ids(lint_in_layer(bad)) == ["F4T005"]
-
-    def test_metrics_api_ok(self):
-        good = "def f(stats):\n    stats.incr('retransmissions')\n"
-        assert lint_in_layer(good) == []
-
-    def test_stats_module_itself_exempt(self):
-        impl = "def incr(self, name):\n    self._values[name] += 1\n"
-        assert lint_source(impl, path="src/repro/sim/stats.py") == []
-
-
-class TestFloatPsAccumulation:
-    def test_float_division_into_ps_flagged(self):
-        bad = "def f(self, delta):\n    self.now_ps += delta / 3\n"
-        assert ids(lint_in_layer(bad, layer="sim")) == ["F4T006"]
-
-    def test_integer_accumulation_ok(self):
-        good = "def f(self, delta):\n    self.now_ps += delta // 3\n"
-        assert lint_in_layer(good, layer="sim") == []
-
-
 class TestFloatPsState:
     def test_float_literal_into_ps_attribute_flagged(self):
         bad = "def f(self):\n    self.time_ps = 0.0\n"

@@ -1,12 +1,11 @@
-"""simlint coverage over schedule-table idioms (F4T006/F4T007/F4T010).
+"""simlint coverage over integer-ps table idioms (F4T007/F4T010).
 
-An edge schedule — integer-ps slot offsets, a window base, a sort of
-coincident clock edges — is exactly where the integer-picosecond
-contract (F4T007) and the total-order-key contract (F4T010) are most
-tempting to shortcut: a float slot offset or a float-keyed slot sort is
-invisibly wrong until two edges tie.  These snippets are linted as if
-they lived in the sim layer; mutated variants must trip the rules and
-the integer forms must pass, proving the lint covers this shape of code.
+Slot offsets, a window base and a sort of coincident instants are where
+the integer-picosecond contract (F4T007) and the total-order-key
+contract (F4T010) are most tempting to shortcut: a float slot offset or
+a float-keyed slot sort is invisibly wrong until two instants tie.
+These snippets are linted as if they lived in the sim layer; mutated
+variants must trip the rules and the integer forms must pass.
 """
 
 from ._lint_source import lint_source
@@ -30,16 +29,6 @@ class TestF4T007CoversScheduleIdioms:
             "        self.slot_offset_ps = 0.0\n"
         )
         assert ids(lint_in_sim(bad)) == ["F4T007"]
-
-    def test_fractional_window_accumulation_flagged(self):
-        # Summing a fractional period into the window base is the exact
-        # bug the compiled table exists to make impossible.
-        bad = (
-            "class Cursor:\n"
-            "    def wrap(self):\n"
-            "        self.base_ps += 500_000 / 161\n"
-        )
-        assert "F4T006" in ids(lint_in_sim(bad))
 
     def test_integer_offsets_ok(self):
         good = (

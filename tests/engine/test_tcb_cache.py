@@ -129,7 +129,7 @@ class TestChurnFuzz:
                 manager.take(victim)
         assert manager.san.ok, manager.san.report()
         assert manager.cache.writebacks > 0
-        assert manager.san.writes_checked > 0
+        assert manager.san.tally > 0
 
 
 #: 1,024 round-robin flows, two rounds, on 4 x 16 TCB slots: 960 flows

@@ -70,7 +70,7 @@ class TestSanitizedRun:
         san = LockstepSanitizer()
         result = run_shard(scenario, fingerprint=True, sanitizer=san)
         assert san.ok, san.report()
-        assert san.checks_run > 0
+        assert san.tally > 0
         assert result.fingerprint == GOLDEN_CHURN
         assert [c.fingerprint for c in result.cells] == [
             c.fingerprint

@@ -58,7 +58,7 @@ def test_surface_matches_the_parent_capture():
         golden = handle.read().splitlines()
     assert lines == golden
     assert sum(1 for line in lines if not line.startswith(" ")) == 32
-    assert sum(1 for line in lines if line.startswith(" ")) == 86
+    assert sum(1 for line in lines if line.startswith(" ")) == 82
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -117,8 +117,6 @@ def test_only_a_registry_miss_becomes_exit_2(capsys, monkeypatch):
     ["fabric", "run", "incast", "--hosts", "1"],
     ["fabric", "sweep", "incast", "--hosts", "1"],
     ["shard", "run", "mixed", "--load-scale", "0"],
-    ["check", "race", "--load-scale", "0"],
-    ["check", "all", "--load-scale", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_a_rate_of_zero_or_less_or_one_host_is_a_usage_error(argv, capsys):
     """Caught by the flag's type before anything runs: exit 2 and one
