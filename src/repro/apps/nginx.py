@@ -28,7 +28,7 @@ from ..host.calibration import (
     NGINX_LINUX_KERNEL_FRACTION,
     NGINX_LINUX_TCP_FRACTION,
 )
-from ..host.cpu import CpuModel, CycleAccount
+from ..host.cpu import CycleAccount
 from ..sim.stats import Histogram
 
 #: The evaluation's response: 256 B including HTTP header and HTML
@@ -52,8 +52,6 @@ def http_get() -> bytes:
 class NginxPerformanceModel:
     """Per-request cycle budgets for the two stacks."""
 
-    cores = 1
-
     # ------------------------------------------------------------- budgets
     @property
     def linux_cycles_per_request(self) -> float:
@@ -69,14 +67,6 @@ class NginxPerformanceModel:
         app_cycles = NGINX_LINUX_APP_FRACTION * NGINX_LINUX_CYCLES_PER_REQ
         app_fraction_f4t = 1.0 - NGINX_F4T_KERNEL_FRACTION - NGINX_F4T_LIB_FRACTION
         return app_cycles / app_fraction_f4t
-
-    def request_rate(self, stack: str) -> float:
-        cpu = CpuModel(cores=self.cores)
-        if stack == "linux":
-            return cpu.rate_for(self.linux_cycles_per_request)
-        if stack == "f4t":
-            return cpu.rate_for(self.f4t_cycles_per_request)
-        raise ValueError(f"unknown stack {stack!r}")
 
     def speedup(self) -> float:
         """Fig 10's headline: 2.8x at the saturation point."""

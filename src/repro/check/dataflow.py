@@ -12,7 +12,11 @@ machinery:
 * **kind inference** for names — dict / set / ordered sequence / int /
   float / str / object — from literals, constructor calls, ``sorted()``
   and annotations (parameters, ``AnnAssign``, and ``self.x``
-  assignments scanned class-wide);
+  assignments scanned class-wide).  An object kind keeps its class as
+  written (``object:wire.Wire``), and a scope records which names it
+  binds to anything but one kind and which to one call's result: it is
+  also the type table the reach graph and the knob pass resolve method
+  calls by;
 * **taint tracking** from unordered-iteration targets through
   assignments, comprehensions, f-strings and container mutation down to
   sink call sites;
@@ -32,7 +36,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - the index builds the dataflow
     from .index import ImportTable
@@ -45,7 +51,8 @@ KIND_INT = "int"
 KIND_FLOAT = "float"
 KIND_STR = "str"
 KIND_UNKNOWN = "unknown"
-#: Object kinds are ``object:ClassName`` so rules can consult the class.
+#: Object kinds are ``object:ClassName`` (dotted as written, as in
+#: ``object:wire.Wire``) so rules can consult the class.
 _OBJECT_PREFIX = "object:"
 
 _DICT_ANN = frozenset({
@@ -85,7 +92,8 @@ def is_object_kind(kind: str) -> bool:
 
 
 def object_class(kind: str) -> str:
-    return kind[len(_OBJECT_PREFIX):]
+    """The class name of an object kind, without its module path."""
+    return kind[len(_OBJECT_PREFIX):].rpartition(".")[2]
 
 
 def annotation_kind(node: Optional[ast.expr]) -> str:
@@ -125,7 +133,7 @@ def annotation_kind(node: Optional[ast.expr]) -> str:
     if name == "None" or name == "Any" or name == "object":
         return KIND_UNKNOWN
     if name[:1].isupper():
-        return object_kind(name)
+        return object_kind(ast.unparse(node))
     return KIND_UNKNOWN
 
 
@@ -147,17 +155,20 @@ class Scope:
     attr_kinds: Dict[str, str] = field(default_factory=dict)
     #: Names assigned a tuple literal in this function, for key checks.
     tuple_values: Dict[str, ast.Tuple] = field(default_factory=dict)
+    #: Names (and ``"self.<attr>"``, class-wide) bound here to anything
+    #: but one known kind: their kind above is a first guess, not a type.
+    untyped: Set[str] = field(default_factory=set)
+    #: The class a method is in: what its ``cls(...)`` builds.
+    owner: Optional[str] = None
+    #: Names every binding of which is one call's result: the callee as
+    #: written (``"wire.make_port"``).
+    calls: Dict[str, str] = field(default_factory=dict)
 
     def kind_of(self, node: ast.expr) -> str:
         if isinstance(node, ast.Name):
             return self.kinds.get(node.id, KIND_UNKNOWN)
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return self.attr_kinds.get(node.attr, KIND_UNKNOWN)
-        return KIND_UNKNOWN
+        attr = _self_attr(node)
+        return KIND_UNKNOWN if attr is None else self.attr_kinds.get(attr, KIND_UNKNOWN)
 
 
 def infer_kind(node: ast.expr, scope: Scope) -> str:
@@ -183,6 +194,8 @@ def infer_kind(node: ast.expr, scope: Scope) -> str:
     if isinstance(node, ast.Call):
         func = node.func
         name = _tail_name(func)
+        if scope.owner and isinstance(func, ast.Name) and func.id == "cls":
+            return object_kind(scope.owner)
         if isinstance(func, ast.Name) or isinstance(func, ast.Attribute):
             if name in _DICT_CTORS:
                 return KIND_DICT
@@ -208,7 +221,7 @@ def infer_kind(node: ast.expr, scope: Scope) -> str:
             if name == "copy" and isinstance(func, ast.Attribute):
                 return infer_kind(func.value, scope)
             if name is not None and name[:1].isupper():
-                return object_kind(name)
+                return object_kind(ast.unparse(func))
         return KIND_UNKNOWN
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Div):
@@ -231,62 +244,97 @@ def infer_kind(node: ast.expr, scope: Scope) -> str:
     return KIND_UNKNOWN
 
 
-def _class_attr_kinds(cls: ast.ClassDef) -> Dict[str, str]:
-    """Kinds of ``self.<attr>`` assignments anywhere in one class."""
-    kinds: Dict[str, str] = {}
-    for node in ast.walk(cls):
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        annotation: Optional[ast.expr] = None
+def _name(node: ast.AST) -> Optional[str]:
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``x`` for a ``self.x`` node, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _scan(
+    root: ast.AST,
+    scope: Scope,
+    kinds: Dict[str, str],
+    name_of: Callable[[ast.AST], Optional[str]],
+    bound: Dict[str, Set[str]],
+) -> Set[str]:
+    """Record in ``kinds`` the first known kind of each name ``name_of``
+    reads off a one-target assignment under ``root``, and in
+    ``scope.calls`` the callee of each bound only to one call's result;
+    return the names bound to anything but one known kind or callee (a
+    bare ``None`` binds none, a loop, ``with``, unpacking or augmented
+    target an unknown one)."""
+    seen: Set[int] = set()
+    target: ast.expr
+    value: Optional[ast.expr]
+    annotation: Optional[ast.expr]
+    for node in ast.walk(root):
+        name = name_of(node)
+        if name and isinstance(getattr(node, "ctx", None), ast.Store) and id(node) not in seen:
+            bound.setdefault(name, set()).add(KIND_UNKNOWN)
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
+            target, value, annotation = node.targets[0], node.value, None
         elif isinstance(node, ast.AnnAssign):
             target, value, annotation = node.target, node.value, node.annotation
         else:
             continue
-        if not (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
+        name = name_of(target)
+        if name is None:
             continue
-        kind = annotation_kind(annotation)
-        if kind == KIND_UNKNOWN and value is not None:
-            kind = infer_kind(value, Scope(attr_kinds=kinds))
-        if kind != KIND_UNKNOWN and target.attr not in kinds:
-            kinds[target.attr] = kind
-    return kinds
-
-
-def build_scope(
-    func: ast.FunctionDef, attr_kinds: Optional[Dict[str, str]] = None
-) -> Scope:
-    """One pre-pass over a function: parameter and assignment kinds."""
-    scope = Scope(attr_kinds=dict(attr_kinds or {}))
-    args = func.args
-    for arg in args.posonlyargs + args.args + args.kwonlyargs:
-        kind = annotation_kind(arg.annotation)
-        if kind != KIND_UNKNOWN:
-            scope.kinds[arg.arg] = kind
-    for node in ast.walk(func):
-        target = None
-        value: Optional[ast.expr] = None
-        annotation = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign):
-            target, value, annotation = node.target, node.value, node.annotation
-        else:
-            continue
-        if not isinstance(target, ast.Name):
-            continue
+        seen.add(id(target))
         kind = annotation_kind(annotation)
         if kind == KIND_UNKNOWN and value is not None:
             kind = infer_kind(value, scope)
         if kind != KIND_UNKNOWN:
-            scope.kinds.setdefault(target.id, kind)
+            kinds.setdefault(name, kind)
         if isinstance(value, ast.Tuple):
-            scope.tuple_values.setdefault(target.id, value)
+            scope.tuple_values.setdefault(name, value)
+        if kind == KIND_UNKNOWN and isinstance(value, ast.Call) and _dotted(value.func):
+            kind = "call:" + ast.unparse(value.func)  # typed by what the callee returns
+        each = bound.setdefault(name, set())
+        if annotation is not None or not (isinstance(value, ast.Constant) and value.value is None):
+            each.add(kind)
+    for name, each in bound.items():
+        only = next(iter(each)) if len(each) == 1 else ""
+        if only.startswith("call:"):
+            scope.calls[name] = only[len("call:"):]
+    return {n for n, k in bound.items() if len(k) != 1 or KIND_UNKNOWN in k}
+
+
+def _dotted(node: ast.expr) -> bool:
+    """Is ``node`` a name chain (``a.b.c``)?"""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name)
+
+
+def _class_scope(cls: ast.ClassDef) -> Scope:
+    """Kinds of ``self.<attr>`` assignments anywhere in one class."""
+    scope = Scope()
+    untyped = _scan(cls, scope, scope.attr_kinds, _self_attr, {}) | set(scope.calls)
+    return Scope(attr_kinds=scope.attr_kinds, untyped={f"self.{n}" for n in untyped},
+                 owner=cls.name)
+
+
+def build_scope(func: ast.FunctionDef, cls: Optional[Scope] = None) -> Scope:
+    """One pre-pass over a function: parameter and assignment kinds."""
+    scope = Scope(attr_kinds=dict(cls.attr_kinds), owner=cls.owner) if cls else Scope()
+    bound: Dict[str, Set[str]] = {}
+    args = func.args
+    for arg in args.posonlyargs + args.args + args.kwonlyargs:
+        kind = annotation_kind(arg.annotation)
+        bound[arg.arg] = {kind}
+        if kind != KIND_UNKNOWN:
+            scope.kinds[arg.arg] = kind
+    scope.untyped = _scan(func, scope, scope.kinds, _name, bound) | (cls.untyped if cls else set())
     return scope
 
 
@@ -298,12 +346,12 @@ def iter_function_scopes(
     kinds) and every function nested in those."""
     for node in ast.iter_child_nodes(tree):
         tops: Sequence[ast.AST] = node.body if isinstance(node, ast.ClassDef) else [node]
-        attr_kinds = _class_attr_kinds(node) if isinstance(node, ast.ClassDef) else None
+        cls = _class_scope(node) if isinstance(node, ast.ClassDef) else None
         for top in tops:
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for func in ast.walk(top):
                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield func, build_scope(func, attr_kinds)
+                        yield func, build_scope(func, cls)
 
 
 def comparable_classes(classes: Iterable[ast.ClassDef]) -> Set[str]:
@@ -486,15 +534,7 @@ class ModuleDataflow:
     def callee_name(self, call: ast.Call) -> Optional[str]:
         """Module-local callee name: ``helper(...)`` or ``self.helper(...)``."""
         func = call.func
-        if isinstance(func, ast.Name):
-            return func.id
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "self"
-        ):
-            return func.attr
-        return None
+        return func.id if isinstance(func, ast.Name) else _self_attr(func)
 
 
 class _TaintPass:
@@ -609,13 +649,8 @@ class _TaintPass:
         if isinstance(node, ast.Name):
             if node.id not in shadowed and node.id in self.tainted:
                 origins |= self.tainted[node.id]
-        elif (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and f"self.{node.attr}" in self.tainted
-        ):
-            origins |= self.tainted[f"self.{node.attr}"]
+        elif (attr := _self_attr(node)) and f"self.{attr}" in self.tainted:
+            origins |= self.tainted[f"self.{attr}"]
         elif isinstance(
             node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
         ):
@@ -685,14 +720,9 @@ class _TaintPass:
         ):
             base: ast.expr = func.value
             while isinstance(base, (ast.Attribute, ast.Subscript)):
-                if (
-                    isinstance(base, ast.Attribute)
-                    and isinstance(base.value, ast.Name)
-                    and base.value.id == "self"
-                ):
-                    self.tainted.setdefault(
-                        f"self.{base.attr}", set()
-                    ).update(arg_origins)
+                attr = _self_attr(base)
+                if attr is not None:
+                    self.tainted.setdefault(f"self.{attr}", set()).update(arg_origins)
                     return
                 base = base.value
             if isinstance(base, ast.Name):
@@ -705,10 +735,6 @@ def _target_names(target: ast.expr) -> List[str]:
     for node in ast.walk(target):
         if isinstance(node, ast.Name):
             names.append(node.id)
-        elif (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            names.append(f"self.{node.attr}")
+        elif (attr := _self_attr(node)) is not None:
+            names.append(f"self.{attr}")
     return names

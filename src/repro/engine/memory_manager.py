@@ -75,7 +75,7 @@ class MemoryManager(Component):
 
     cycle = OwnersCycle()
     #: The input queue's depth, in events: :meth:`offer_event` refuses
-    #: past it, and past half of it the block reports backpressure.
+    #: past it.
     depth: ClassVar[int] = 256
 
     def __init__(
@@ -225,10 +225,6 @@ class MemoryManager(Component):
             # The scheduler routes before this block's turn in a cycle.
             self._rearm(int(self.time_ps_fn() // CYCLE_PS))
         return True
-
-    @property
-    def backpressure(self) -> bool:
-        return len(self.input) > self.depth // 2
 
     def _rearm(self, earliest: int) -> None:
         """Publish :attr:`next_action`: ``earliest``, or the first cycle

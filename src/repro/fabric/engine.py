@@ -36,6 +36,9 @@ from .switch import SwitchFabric
 #: Shared zero payload; transfer content is opaque, only sizes matter.
 _ZEROS = bytes(1 << 16)
 
+#: Simulated seconds a run gives its connections to open.
+SETUP_TIME_S = 0.05
+
 
 @dataclass
 class FabricResult:
@@ -256,9 +259,7 @@ class FabricLoadEngine:
         self.result.offered = len(self._schedule)
 
     # ----------------------------------------------------------- lifecycle
-    def run(
-        self, max_time_s: float = 0.25, setup_time_s: float = 0.05
-    ) -> FabricResult:
+    def run(self, max_time_s: float = 0.25) -> FabricResult:
         scenario = self.scenario
         if self.trace is not None:
             for stack in self.stacks:
@@ -274,7 +275,7 @@ class FabricLoadEngine:
         else:
             self._build_schedule()
         # Handshakes finish on 'accepted' / 'connected' messages.
-        if not self._run(self._pools_ready, message_driven, setup_time_s):
+        if not self._run(self._pools_ready, message_driven, SETUP_TIME_S):
             raise TimeoutError(
                 f"{scenario.name}: fabric connection setup did not complete"
             )

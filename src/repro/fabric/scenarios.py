@@ -50,7 +50,7 @@ class FabricScenario:
     arrival: Optional[ArrivalProcess] = None
     request: SizeDistribution = field(default_factory=lambda: Fixed(256))
     response: SizeDistribution = field(default_factory=lambda: Fixed(4096))
-    duration_s: float = 400e-6
+    duration_s: ClassVar[float] = 400e-6
     #: ``fixed`` — every request targets host 0; ``zipf`` — the server
     #: is sampled by Zipf popularity over all hosts but the client.
     server_select: str = "fixed"
@@ -170,7 +170,6 @@ def flash_crowd_scenario() -> FabricScenario:
         ),
         request=Fixed(128),
         response=Fixed(8 * 1024),
-        duration_s=400e-6,
         server_select="fixed",
         ecn_threshold_bytes=128 * 1024,
     )
@@ -189,6 +188,5 @@ def zipf_fanout_scenario() -> FabricScenario:
         arrival=Poisson(rate=60e3),
         request=Fixed(128),
         response=Zipf(minimum=1024, maximum=64 * 1024),
-        duration_s=400e-6,
         server_select="zipf",
     )

@@ -921,7 +921,8 @@ def run_event_loop(
     the index's raw top (never later than its earliest live deadline),
     never past ``deadline_ps``.  The raw top is validated only when it
     beats the other two; if validation moves it past where the network
-    stopped, the network runs ahead again.
+    stopped, the network runs ahead again, and the deadline it found
+    live is not validated a second time.
 
     ``until`` (the driver's pump) has ``Testbed.run``'s contract in
     picoseconds: asked right after each call, ``next_call_ps`` names
@@ -961,12 +962,16 @@ def run_event_loop(
             return False
         pump_due = t < pump_at < NEVER
         limit = pump_at if pump_due and pump_at < deadline_ps else deadline_ps
+        live = None  # a deadline an earlier pass validated: no stack ticks between passes
         while True:  # again only while validation moved a stale top
             bound = wake.raw_bound_ps(limit)
             following = network.advance(bound)
             if pump_due and (following is None or pump_at < following):
                 following = pump_at
-            following = wake.next_deadline_ps(following)
+            if live is not None and (following is None or live < following):
+                following = live  # known live: the index asks no stack for it
+            best, following = following, wake.next_deadline_ps(following)
+            live = following if following != best else live
             if bound == limit or (following is not None and following <= bound):
                 break
         if following is None:

@@ -46,12 +46,3 @@ class PcieModel:
         """The PCIe-imposed request-rate ceiling (Fig 9's 396 Mrps)."""
         per_request = self.bytes_per_request(payload_bytes, command_bytes)
         return self.effective_bytes_per_s / per_request
-
-    def max_goodput_gbps(self, payload_bytes: int) -> float:
-        """Payload throughput at the PCIe ceiling."""
-        return (
-            self.max_requests_per_s(payload_bytes)
-            * payload_bytes
-            * 8
-            / 1e9
-        )

@@ -128,10 +128,6 @@ class WireTap:
         port.send = tapped_send
         return tap
 
-    @property
-    def packets(self) -> List[CapturedPacket]:
-        return self.writer.packets
-
     def save(self, path: str) -> int:
         return self.writer.save(path)
 

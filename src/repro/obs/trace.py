@@ -159,13 +159,8 @@ class TraceBus:
     def events_for_flow(self, flow_id: int) -> List[TraceEvent]:
         return [event for event in self._events if event.flow_id == flow_id]
 
-    def count(self, kind: Optional[str] = None, layer: Optional[str] = None) -> int:
-        return sum(
-            1
-            for event in self._events
-            if (kind is None or event.kind == kind)
-            and (layer is None or event.layer == layer)
-        )
+    def count(self, kind: Optional[str] = None) -> int:
+        return sum(1 for event in self._events if kind is None or event.kind == kind)
 
     def clear(self) -> None:
         self._events.clear()

@@ -62,10 +62,6 @@ class ClassMetrics:
     achieved_rps: float = 0.0
     goodput_gbps: float = 0.0
 
-    @property
-    def dropped(self) -> int:
-        return self.offered - self.completed
-
     def _pct(self, p: float) -> float:
         return self.latencies.percentile(p) if len(self.latencies) else math.nan
 

@@ -108,8 +108,6 @@ class TestNginxModel:
     def test_unknown_stack_rejected(self):
         with pytest.raises(ValueError):
             NginxPerformanceModel().cycle_breakdown("windows")
-        with pytest.raises(ValueError):
-            NginxPerformanceModel().request_rate("windows")
 
     def test_response_is_256B(self):
         assert len(HTTP_RESPONSE) == RESPONSE_BYTES == 256

@@ -1,24 +1,29 @@
 """Which options does anything outside ``tests/`` ever set?
 
-A value pass over :mod:`._reach`'s graph (the program index's trees and
-the graph's name resolution); nothing is imported.  A *knob* is a
-parameter with a default of a module-level function, of a method or of
-an ``__init__``, or a dataclass field with a default.  A
-``default_factory`` container and an ``init=False`` field are not
-knobs, and neither is a dataclass field the package writes after
-construction (``x.field = ...`` where ``x`` is annotated as, or built
-by, its class; ``self.field = ...`` outside ``__init__`` and
-``__post_init__``; or through any other owner when no other dataclass
+A value pass over :mod:`._reach`'s graph (the program index's trees,
+the graph's name resolution and its receiver types); nothing is
+imported.  A *knob* is a parameter with a default of a module-level
+function, of a method or of an ``__init__``, or a dataclass field with
+a default.  A ``default_factory`` container and an ``init=False`` field
+are not knobs, and neither is a dataclass field the package writes
+after construction (``x.field = ...`` where ``x`` is typed as its class
+or a subclass; ``self.field = ...`` outside ``__init__`` and
+``__post_init__``; or through an untyped owner when no other dataclass
 has a field of that name): its default is a record's initial state.
 Dunder methods come with their class and have no knobs of their own.
 
 A knob is *varied* when a counting caller (any code of the package
 and the root files; never ``tests/``) passes it a value whose source
 text differs from the default's: by keyword, by position, through
-``dataclasses.replace`` or through ``functools.partial``.  A call
-through an attribute that names no package unit (``x.run(...)``,
-``self.run(...)``) is matched by name, as :mod:`._reach` matches
-methods: it binds every method of that name.  These vary it too:
+``dataclasses.replace`` (binding the fields of the typed receiver's
+class and subclasses, or of every dataclass when it is untyped) or
+through ``functools.partial``.  A call through an attribute that names
+no package unit (``x.run(...)``, ``self.run(...)``) binds what
+:mod:`._reach` resolves it to by the receiver's type, read off the
+program index's type table: ``run`` of the receiver's class (or its
+first base defining it) and of every subclass defining it.  Only an
+untyped receiver is matched by name: it binds every method of that
+name.  These vary it too:
 
 * a ``*``/``**`` splat into its callable (every knob of it);
 * a ``"pkg.mod:Qual"`` string naming its callable (every knob of it),
@@ -33,20 +38,22 @@ same default text and never reassigned there, is forwarded: it varies
 the knob only when that parameter is varied in turn.  A function or
 method used other than by a call (a handler, a callback, a registry
 entry, ``getattr(x, "name")``, a string target) has every parameter
-varied, since its callers cannot be seen; for a method that is every
-method of that name.
+varied, since its callers cannot be seen; for a method that is what
+its receiver's type resolves it to, or every method of that name when
+the receiver is untyped (and always for ``getattr``).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.check import dataflow as df
 from repro.check.index import Module
 
-from ._reach import TARGET, Graph, _chain, _registry, build
+from ._reach import TARGET, Graph, _chain, _registry, build, receiver
 
 Param = Tuple[str, str]  # (declaring callable key, parameter name)
 
@@ -251,8 +258,15 @@ class KnobPass:
             chain = _chain(func)
             keys = self.graph.resolve(scope.module, chain) if chain else set()
             if not keys and isinstance(func, ast.Attribute):
-                keys = set(self.by_name.get(func.attr, ()))
+                keys = self.callees(func, scope)
         return [s for s in map(self.signature, sorted(keys)) if s is not None]
+
+    def callees(self, node: ast.Attribute, scope: "Scope") -> Set[str]:
+        """The methods ``node`` names: by its receiver's type, or every
+        method of that name when the receiver is untyped."""
+        typed = receiver(node.value, scope.table, scope.cls)
+        found = self.graph.methods(scope.module, typed, node.attr) if typed else None
+        return set(self.by_name.get(node.attr, ())) if found is None else found
 
     def is_named(self, func: ast.expr, module: str, *names: str) -> bool:
         """Is ``func`` ``dataclasses.replace``/``functools.partial`` (as named)?"""
@@ -278,9 +292,10 @@ class KnobPass:
                 if sig is not None:
                     self.grid(sig, node, scope)
         if self.is_named(node.func, scope.module, "replace") and node.args:
-            receiver = node.args[0]
-            if isinstance(receiver, ast.Name) and receiver.id == "self" and scope.cls:
-                sigs = [s for s in [self.signature(scope.cls)] if s]
+            classes = self.classes_of(node.args[0], scope)
+            if classes:  # the receiver's class or any subclass
+                owners = {k for c in classes for k in (c, *self.graph.subclasses(c))}
+                sigs = [s for s in map(self.signature, sorted(owners)) if s]
             else:
                 sigs = list(self.dataclasses())
             for sig in sigs:
@@ -330,6 +345,11 @@ class KnobPass:
         sig = self.signature(key)
         if sig is not None:
             self.vary_all(sig)
+
+    def classes_of(self, owner: ast.expr, scope: "Scope") -> Optional[List[str]]:
+        """The package classes ``owner`` is typed as, None when untyped."""
+        typed = receiver(owner, scope.table, scope.cls)
+        return self.graph.receiver_classes(scope.module, typed) if typed else None
 
     def escape_named(self, name: str) -> None:
         """A method used other than by a call: every method of that name."""
@@ -388,8 +408,8 @@ class Scope:
     cls: Optional[str] = None
     #: The enclosing method or function (top level: "").
     method: str = ""
-    #: Local name -> the classes its annotation or ``x = Cls(...)`` names.
-    types: Dict[str, Set[str]] = field(default_factory=dict)
+    #: The innermost function's type table (the program index's scope).
+    table: Optional[df.Scope] = None
     #: The calling callable's key and its defaulted, never reassigned
     #: parameters (``__init__`` and module-level functions only).
     key: Optional[str] = None
@@ -435,11 +455,14 @@ class _Walker(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         outer = self.scope
+        table = self.knobs.graph.modules[outer.module].scopes.get(node)
         if self.depth == 0:
             if outer.cls is None and any(map(_registry, node.decorator_list)):
                 self.knobs.escape(f"{outer.module}:{node.name}")
             self.scope = _scope_for(outer.module, outer.cls, node)
-            self.scope.types = self._types(node)
+            self.scope.table = table
+        else:
+            self.scope = replace(outer, table=table)
         self.depth += 1
         self.generic_visit(node)
         self.depth -= 1
@@ -459,47 +482,13 @@ class _Walker(ast.NodeVisitor):
         self._reference(node)
         self.generic_visit(node)
 
-    def _classes(self, expr: ast.expr) -> Set[str]:
-        """The package classes an annotation or a constructor call names."""
-        found: Set[str] = set()
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                try:
-                    found |= self._classes(ast.parse(node.value, mode="eval").body)
-                except SyntaxError:
-                    pass
-            elif isinstance(node, (ast.Name, ast.Attribute)):
-                chain = _chain(node)
-                if chain:
-                    found |= set(self.knobs.graph.resolve(self.scope.module, chain))
-        return found & set(self.knobs.classes)
-
-    def _types(self, node: ast.FunctionDef) -> Dict[str, Set[str]]:
-        types: Dict[str, Set[str]] = {}
-        args = node.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            if arg.annotation is not None:
-                types.setdefault(arg.arg, set()).update(self._classes(arg.annotation))
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
-                types.setdefault(sub.target.id, set()).update(self._classes(sub.annotation))
-            elif isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call):
-                func = sub.value.func
-                made = ({self.scope.cls} if _chain(func) == ("cls",) and self.scope.cls
-                        else self._classes(func))
-                for target in sub.targets:
-                    if isinstance(target, ast.Name):
-                        types.setdefault(target.id, set()).update(made)
-        return types
-
     def _store(self, node: ast.Attribute) -> None:
         owner, scope = node.value, self.scope
         if isinstance(owner, ast.Name) and owner.id == "self" and scope.cls:
             if scope.key != scope.cls and scope.method != "__post_init__":
                 self.knobs.stores.add((scope.cls, node.attr))
             return
-        types = scope.types.get(owner.id) if isinstance(owner, ast.Name) else None
-        for cls in types or [""]:  # "": of no known class, so of any
+        for cls in self.knobs.classes_of(owner, scope) or [""]:  # "": of any class
             self.knobs.stores.add((cls, node.attr))
 
     def _reference(self, node: ast.expr) -> None:
@@ -509,11 +498,11 @@ class _Walker(ast.NodeVisitor):
             return
         chain = _chain(node)
         keys = self.knobs.graph.resolve(self.scope.module, chain) if chain else set()
+        if not keys and isinstance(node, ast.Attribute):
+            keys = self.knobs.callees(node, self.scope)
         for key in keys:
             if key in self.knobs.functions or key in self.knobs.methods:
                 self.knobs.escape(key)
-        if not keys and isinstance(node, ast.Attribute):
-            self.knobs.escape_named(node.attr)
 
     def visit_Constant(self, node: ast.Constant) -> None:
         if id(node) in self.knobs.grid_strings:

@@ -16,11 +16,27 @@ Edges:
   that holds the registry (the decorator's own module), since a lookup
   there is how anything finds it.
 
-Methods are matched conservatively.  A reached ``x.foo`` (or
-``getattr(x, "foo")``) reaches the method ``foo`` of every reached
-class; a method overriding a reached base method is reached; dunders
-come with their class, and ``__all__`` with its module.  A reached
-method reaches its class, a reached unit its module's top-level code.
+A method call resolves by its receiver's type, read off the program
+index's one type table (each function's :class:`repro.check.dataflow.Scope`:
+an annotation, a constructor assignment, a class-wide ``self.x``
+assignment, a call's result, each only when every binding of the name
+agrees) or off the receiver itself: ``self``/``cls`` is the enclosing
+class, ``super()`` its bases, a name chain naming a class that class, a
+module-level name what its annotation or constructor says.  A call's
+result is what the callee builds or its return annotation names.  An
+attribute of a typed receiver is typed by the class-wide assignments of
+its class, its bases and its subclasses (``self.wire.send`` is
+``Wire.send`` where ``self.wire = Wire()`` is the one binding).  A
+reached ``x.foo`` on a receiver of class ``T`` reaches the first ``foo``
+in ``T`` and its bases (``B(A[int])`` has the base ``A``), and the
+``foo`` of every reached subclass of ``T``; a module, an outside import
+or a builtin value reaches no method.  Only an untyped receiver (and
+``getattr(x, "foo")``) is matched by name: it reaches the ``foo`` of
+every reached class, once nothing typed is left to reach
+(:attr:`Graph.by_name` is what that adds).  A method overriding a
+reached base method is reached; dunders come with their class, and
+``__all__`` with its module.  A reached method reaches its class, a
+reached unit its module's top-level code.
 
 Roots are whole files (every line of them counts: ``bench/``,
 ``benchmarks/``, ``examples/``) and unit keys (the CLI handlers).
@@ -32,14 +48,23 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.check import dataflow as df
 from repro.check.index import Module
 
 #: ``mod:Qual``, ``mod:Qual.method``, ``mod:Qual+.method``, ``mod:DICT[key]``.
 TARGET = re.compile(r"([A-Za-z_][\w.]*):([A-Za-z_]\w*)(\+?)(?:\.([A-Za-z_]\w*))?")
 
 Chain = Tuple[str, ...]
+#: A method call's receiver: ``("class", key)`` (``self``/``cls`` in that
+#: class), ``("super", key)``, ``("chain", *names)`` (a name chain as
+#: written, resolved in the caller's module), ``("of", *names)`` (an
+#: instance of the class so named), ``("returns", *names)`` (what calling
+#: the name chain returns), ``("attr", name, receiver)`` (an attribute of
+#: another receiver), ``("result", name, receiver)`` (what its method
+#: ``name`` returns) or ``("none",)`` (a builtin value).
+Receiver = Tuple[Any, ...]
 
 
 @dataclass
@@ -50,10 +75,14 @@ class Unit:
     lines: int = 0
     refs: Set[Chain] = field(default_factory=set)
     attrs: Set[str] = field(default_factory=set)
+    typed: Set[Tuple[Receiver, str]] = field(default_factory=set)
     strings: Set[str] = field(default_factory=set)
     imports: Set[str] = field(default_factory=set)
     bases: List[Chain] = field(default_factory=list)
     entries: List[str] = field(default_factory=list)
+    #: The class a function or method is annotated to return, or a
+    #: module-level name is bound to (its annotation or constructor).
+    value_type: Optional[Receiver] = None
 
 
 def _chain(node: ast.expr) -> Optional[Chain]:
@@ -66,6 +95,11 @@ def _chain(node: ast.expr) -> Optional[Chain]:
     return (node.id, *reversed(parts))
 
 
+def _base(node: ast.expr) -> Optional[Chain]:
+    """A class base's name chain: ``Sanitizer[RaceFinding]`` is ``Sanitizer``."""
+    return _chain(node.value if isinstance(node, ast.Subscript) else node)
+
+
 def _annotations(node: ast.AST) -> Iterable[ast.expr]:
     if isinstance(node, ast.arg):
         return [node.annotation] if node.annotation else []
@@ -76,20 +110,96 @@ def _annotations(node: ast.AST) -> Iterable[ast.expr]:
     return []
 
 
-def _collect(unit: Unit, trees: Iterable[ast.AST]) -> None:
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                unit.refs.add((node.id,))
-            elif isinstance(node, ast.Attribute):
+def _object(kind: str) -> Optional[Receiver]:
+    """An object kind as a receiver, else None.  Used alone for return
+    annotations and module-level names, where a builtin kind types
+    nothing (``-> Counter`` may name the package's own ``Counter``)."""
+    return ("of", *kind.partition(":")[2].split(".")) if df.is_object_kind(kind) else None
+
+
+def _kind(kind: str) -> Optional[Receiver]:
+    """A type table kind as a receiver: a builtin kind is ``("none",)``."""
+    return _object(kind) or (None if kind == df.KIND_UNKNOWN else ("none",))
+
+
+def receiver(expr: ast.expr, scope: Optional[df.Scope], cls: Optional[str]) -> Optional[Receiver]:
+    """The type of a method call's receiver, or None when it has none.
+
+    ``scope`` is the type table of the function holding the call, ``cls``
+    the class ``self`` is in it.  A call's result is typed by what it
+    calls: a class, or a function or method with a return annotation.
+    """
+    if isinstance(expr, ast.Call):
+        callee = _chain(expr.func)
+        if callee == ("super",):
+            return ("super", cls) if cls else None
+        return _result(callee, scope, cls, 0) if callee else None
+    chain = _chain(expr)
+    return _typed(chain, scope, cls, 0) if chain else None
+
+
+def _typed(chain: Chain, scope: Optional[df.Scope], cls: Optional[str],
+           depth: int) -> Optional[Receiver]:
+    root = chain[0]
+    if root in ("self", "cls"):
+        typed: Optional[Receiver] = ("class", cls) if cls else None
+    elif scope is None or not (root in scope.untyped or root in scope.kinds
+                               or root in scope.calls):
+        return ("chain", *chain)  # a module-level or imported name
+    elif root in scope.untyped or depth > 4:
+        return None
+    elif root in scope.kinds:
+        typed = _kind(scope.kinds[root])
+    else:
+        typed = _result(tuple(scope.calls[root].split(".")), scope, cls, depth + 1)
+    for name in chain[1:]:
+        typed = ("attr", name, typed) if typed and typed[0] != "none" else None
+    return typed
+
+
+def _result(callee: Chain, scope: Optional[df.Scope], cls: Optional[str],
+            depth: int) -> Optional[Receiver]:
+    """The type of what a call of ``callee`` returns (its annotation)."""
+    if len(callee) == 1:
+        return ("returns", *callee)
+    owner = _typed(callee[:-1], scope, cls, depth)
+    if owner is None or owner[0] == "none":
+        return None
+    return ("returns", *callee) if owner[0] == "chain" else ("result", callee[-1], owner)
+
+
+class _Collector:
+    """Adds what trees name to one unit, each attribute with its receiver."""
+
+    def __init__(self, unit: Unit, module: Optional[Module], cls: Optional[str]) -> None:
+        self.unit, self.module, self.cls = unit, module, cls
+
+    def collect(self, trees: Iterable[ast.AST], function: Optional[ast.AST] = None) -> None:
+        scope = self.module.scopes.get(function) if self.module and function else None
+        self._walk(list(trees), scope, self.cls)
+
+    def _walk(self, todo: List[ast.AST], scope: Optional[df.Scope], cls: Optional[str]) -> None:
+        unit = self.unit
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.Name):
+                if not isinstance(node.ctx, ast.Store):
+                    unit.refs.add((node.id,))
+                continue
+            if isinstance(node, ast.Attribute):
                 chain = _chain(node)
                 if chain:
                     unit.refs.add(chain)
                 if not isinstance(node.ctx, ast.Store):
-                    unit.attrs.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if TARGET.match(node.value):
+                    typed = receiver(node.value, scope, cls)
+                    if typed is None:
+                        unit.attrs.add(node.attr)
+                    else:
+                        unit.typed.add((typed, node.attr))
+            elif isinstance(node, ast.Constant):
+                if isinstance(node.value, str) and TARGET.match(node.value):
                     unit.strings.add(node.value)
+                continue
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 if node.func.id in ("getattr", "hasattr") and len(node.args) > 1:
                     name = node.args[1]
@@ -99,13 +209,23 @@ def _collect(unit: Unit, trees: Iterable[ast.AST]) -> None:
                 unit.imports.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 unit.imports.add(node.module or "")
-            for ann in _annotations(node):  # quoted annotations name classes too
-                for text in ast.walk(ann):
-                    if isinstance(text, ast.Constant) and isinstance(text.value, str):
-                        try:
-                            _collect(unit, [ast.parse(text.value, mode="eval")])
-                        except SyntaxError:
-                            pass
+            elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign)):
+                for ann in _annotations(node):  # quoted annotations name classes too
+                    for text in ast.walk(ann):
+                        if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                            try:
+                                todo.append(ast.parse(text.value, mode="eval"))
+                            except SyntaxError:
+                                pass
+                if not isinstance(node, (ast.arg, ast.AnnAssign)) and self.module:
+                    # a nested function: its own type table
+                    self._walk(list(ast.iter_child_nodes(node)), self.module.scopes.get(node), cls)
+                    continue
+            elif isinstance(node, ast.ClassDef):
+                # a nested class: ``self`` is not the outer class
+                self._walk(list(ast.iter_child_nodes(node)), scope, None)
+                continue
+            todo.extend(ast.iter_child_nodes(node))
 
 
 def _span(node: ast.AST) -> int:
@@ -124,8 +244,17 @@ class Graph:
         self.modules: Dict[str, Module] = {}
         self.units: Dict[str, Unit] = {}
         self.reached: Set[str] = set()
+        #: Attribute names read through an untyped receiver.
         self.attrs: Set[str] = set()
+        #: (class, name): ``name`` called on a receiver of that class.
+        self.called: Set[Tuple[str, str]] = set()
+        #: Methods reached only by the untyped name match.
+        self.by_name: Set[str] = set()
+        #: class -> its type table (a method's scope: the class-wide kinds).
+        self.tables: Dict[str, df.Scope] = {}
         self._ancestors: Dict[str, List[str]] = {}
+        self._subclasses: Dict[str, List[str]] = {}
+        self._classes: Dict[Tuple[str, Receiver], Optional[List[str]]] = {}
         #: (module, decorator chain, entry key) for each ``@register...``
         self._entries: List[Tuple[str, Chain, str]] = []
 
@@ -133,41 +262,53 @@ class Graph:
     def add_module(self, module: Module) -> None:
         name = module.name
         self.modules[name] = module
-        top = self._unit(f"{name}:", "module", name)
+        top = _Collector(self._unit(f"{name}:", "module", name), module, None)
         for stmt in module.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 key = f"{name}:{stmt.name}"
-                _collect(top, stmt.decorator_list)
+                top.collect(stmt.decorator_list)
                 self._entries.extend(
                     (name, chain, key)
                     for chain in map(_registry, stmt.decorator_list) if chain
                 )
                 if isinstance(stmt, ast.ClassDef):
-                    self._add_class(key, stmt, name)
+                    self._add_class(key, stmt, module)
                 else:
                     unit = self._unit(key, "function", name, _span(stmt))
-                    _collect(unit, [stmt.args, *stmt.body, *_annotations(stmt)])
+                    unit.value_type = _object(df.annotation_kind(stmt.returns))
+                    _Collector(unit, module, None).collect(
+                        [stmt.args, *stmt.body, *_annotations(stmt)], stmt)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
                 for local in names:  # ``__all__`` is its module's own code
-                    unit = top if local == "__all__" else self._unit(
+                    rebound = f"{name}:{local}" in self.units
+                    unit = top.unit if local == "__all__" else self._unit(
                         f"{name}:{local}", "data", name, _span(stmt))
-                    _collect(unit, [stmt])
+                    _Collector(unit, module, None).collect([stmt])
+                    if len(targets) == 1 and isinstance(targets[0], ast.Name) and not rebound:
+                        unit.value_type = _object(
+                            df.annotation_kind(stmt.annotation)
+                            if isinstance(stmt, ast.AnnAssign)
+                            else df.infer_kind(stmt.value, df.Scope()))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                _collect(top, [stmt])
+                top.collect([stmt])
 
-    def _add_class(self, key: str, node: ast.ClassDef, module: str) -> None:
-        unit = self._unit(key, "class", module, _span(node))
-        unit.bases = [c for c in map(_chain, node.bases) if c]
-        _collect(unit, [*node.bases, *node.keywords])
+    def _add_class(self, key: str, node: ast.ClassDef, module: Module) -> None:
+        unit = self._unit(key, "class", module.name, _span(node))
+        unit.bases = [c for c in map(_base, node.bases) if c]
+        body = _Collector(unit, module, key)
+        body.collect([*node.bases, *node.keywords])
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                method = self._unit(f"{key}.{stmt.name}", "method", module, _span(stmt))
-                _collect(unit, stmt.decorator_list)
-                _collect(method, [stmt.args, *stmt.body, *_annotations(stmt)])
+                self.tables.setdefault(key, module.scopes[stmt])
+                method = self._unit(f"{key}.{stmt.name}", "method", module.name, _span(stmt))
+                method.value_type = _object(df.annotation_kind(stmt.returns))
+                body.collect(stmt.decorator_list)
+                _Collector(method, module, key).collect(
+                    [stmt.args, *stmt.body, *_annotations(stmt)], stmt)
             else:
-                _collect(unit, [stmt])
+                body.collect([stmt])
 
     def _unit(self, key: str, kind: str, module: str, lines: int = 0) -> Unit:
         unit = self.units[key] = Unit(key, kind, module, lines)
@@ -177,7 +318,7 @@ class Graph:
         """Every line of ``module`` is a root; returns the root unit's key."""
         name = f"<root>{module.path}"
         self.modules[name] = module
-        _collect(self._unit(f"{name}:", "root", name), [module.tree])
+        _Collector(self._unit(f"{name}:", "root", name), module, None).collect([module.tree])
         return f"{name}:"
 
     # --------------------------------------------------------- resolving
@@ -232,11 +373,115 @@ class Graph:
         return seen
 
     def subclasses(self, key: str) -> List[str]:
-        return [k for k, u in self.units.items() if u.kind == "class" and key in self.ancestors(k)]
+        if key not in self._subclasses:
+            self._subclasses[key] = [k for k, u in self.units.items()
+                                     if u.kind == "class" and key in self.ancestors(k)]
+        return self._subclasses[key]
+
+    def receiver_classes(self, module: str, typed: Receiver) -> Optional[List[str]]:
+        """The package classes a receiver is, ``[]`` for a module, an outside
+        import or a builtin value, None when its type is unknown."""
+        if (module, typed) not in self._classes:
+            self._classes[module, typed] = None  # a cycle of attributes is untyped
+            self._classes[module, typed] = self._receiver_classes(module, typed)
+        return self._classes[module, typed]
+
+    def _receiver_classes(self, module: str, typed: Receiver) -> Optional[List[str]]:
+        mode = typed[0]
+        if mode in ("class", "super"):
+            return [typed[1]] if typed[1] in self.units else None  # a root file's class
+        if mode == "none":
+            return []
+        if mode == "attr":
+            return self._attr_classes(module, typed[2], typed[1])
+        if mode == "result":  # an outside method or a callable attribute: unknown
+            methods = self.methods(module, typed[2], typed[1])
+            return self._returned(methods, True) if methods else None
+        found = self.resolve(module, typed[1:])
+        exact = bool(found) and all(  # the chain's own unit: ``Cls.attr`` resolves to ``Cls``
+            len(typed) == 2 or re.split("[:.]", k)[-1] == typed[-1] for k in found)
+        if mode in ("of", "returns"):
+            return self._returned(found, True) if exact else None
+        if exact and all(self.units[k].kind in ("class", "data") for k in found):
+            return self._returned(found, False)
+        if found and all(self.units[k].kind == "module" for k in found):
+            return []
+        bindings = self.modules[module].imports.get(typed[1], ())
+        if not found and bindings and all(source not in self.modules for source, _ in bindings):
+            return []
+        return None
+
+    def _returned(self, keys: Iterable[str], called: bool) -> Optional[List[str]]:
+        """The classes what ``keys`` name is: a class itself or what it
+        builds, what a called function or method returns (its annotation),
+        what a module-level name holds; None when one is untyped."""
+        found: Set[str] = set()
+        for key in keys:
+            unit = self.units[key]
+            if unit.kind == "class":
+                found.add(key)
+                continue
+            typed = unit.value_type if (unit.kind == "data") != called else None
+            classes = self.receiver_classes(unit.module, typed) if typed else None
+            if classes is None:
+                return None
+            found.update(classes)
+        return sorted(found)
+
+    def _attr_classes(self, module: str, owner: Receiver, name: str) -> Optional[List[str]]:
+        """The classes attribute ``name`` of ``owner`` is: what every class
+        ``owner`` can be, its bases and subclasses assign ``self.name``."""
+        owners = self.receiver_classes(module, owner)
+        if not owners:  # an outside object's attribute is unknown too
+            return None
+        found: Set[str] = set()
+        attr = f"self.{name}"
+        for cls in owners:
+            known = False
+            for holder in [cls, *self.ancestors(cls), *self.subclasses(cls)]:
+                table = self.tables.get(holder)
+                if table is None or attr not in table.untyped and name not in table.attr_kinds:
+                    continue
+                kind = None if attr in table.untyped else _kind(table.attr_kinds[name])
+                classes = self.receiver_classes(self.units[holder].module, kind) if kind else None
+                if classes is None:
+                    return None
+                found.update(classes)
+                known = True
+            if not known:
+                return None
+        return sorted(found)
+
+    def first(self, typed: Receiver, cls: str, name: str) -> Set[str]:
+        """The method ``name`` a receiver of class ``cls`` runs: the first
+        one in the class and its bases (only the bases for ``super()``)."""
+        mro = self.ancestors(cls) if typed[0] == "super" else [cls, *self.ancestors(cls)]
+        for owner in mro:
+            if f"{owner}.{name}" in self.units:
+                return {f"{owner}.{name}"}
+        return set()
+
+    def methods(self, module: str, typed: Receiver, name: str) -> Optional[Set[str]]:
+        """Every method a call of ``name`` on ``typed`` can run, None when
+        the receiver is untyped: the first in its class and bases, and the
+        one of every subclass defining it."""
+        classes = self.receiver_classes(module, typed)
+        if classes is None:
+            return None
+        found: Set[str] = set()
+        for cls in classes:
+            found |= self.first(typed, cls, name)
+            if typed[0] != "super":
+                found.update(f"{sub}.{name}" for sub in self.subclasses(cls)
+                             if f"{sub}.{name}" in self.units)
+        return found
 
     # --------------------------------------------------------- reaching
     def reach(self, *keys: str) -> None:
+        """Reach ``keys`` and what they use: typed edges to a fixpoint
+        first, then the untyped name match (what it adds is ``by_name``)."""
         todo = [k for k in keys if k in self.units]
+        by_name, typed_only = False, set()
         while True:
             while todo:
                 key = todo.pop()
@@ -251,23 +496,41 @@ class Graph:
                     found |= self.resolve_target(text)
                 for module in unit.imports:
                     found |= self._in_module(module, [])
+                for typed, name in unit.typed:
+                    classes = self.receiver_classes(unit.module, typed)
+                    if classes is None:
+                        self.attrs.add(name)
+                    for cls in classes or ():
+                        found |= self.first(typed, cls, name)
+                        if typed[0] != "super":  # and every reached subclass's override
+                            self.called.add((cls, name))
                 if unit.kind == "method":
                     found.add(key.rpartition(".")[0])
                 self.attrs |= unit.attrs
                 todo.extend(k for k in found if k in self.units and k not in self.reached)
             todo = [k for k, u in self.units.items()
                     if u.kind == "method" and k not in self.reached
-                    and self._method_reached(k)]
+                    and self._method_reached(k, by_name)]
+            if not todo and not by_name:
+                by_name, typed_only = True, set(self.reached)
+                continue
             if not todo:
+                self.by_name |= {k for k in self.reached - typed_only
+                                 if self.units[k].kind == "method"}
                 return
 
-    def _method_reached(self, key: str) -> bool:
+    def _method_reached(self, key: str, by_name: bool) -> bool:
         cls, _, name = key.rpartition(".")
         if cls not in self.reached:
             return False
-        if name in self.attrs or (name.startswith("__") and name.endswith("__")):
+        if name.startswith("__") and name.endswith("__"):
             return True
-        return any(f"{base}.{name}" in self.reached for base in self.ancestors(cls))
+        bases = self.ancestors(cls)
+        if any((owner, name) in self.called for owner in [cls, *bases]):
+            return True
+        if any(f"{base}.{name}" in self.reached for base in bases):
+            return True
+        return by_name and name in self.attrs
 
     def unreached(self) -> List[Unit]:
         return [u for k, u in sorted(self.units.items())

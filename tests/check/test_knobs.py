@@ -117,8 +117,9 @@ def test_a_forwarded_default_is_as_varied_as_its_source(tmp_path):
 
 
 def test_functions_and_methods_are_knobs_too(tmp_path):
-    """A function parameter only tests vary; a method matched by name
-    (any receiver, any class defining it); a method used other than by a
+    """A function parameter only tests vary; a method called on an
+    untyped receiver (an unannotated parameter) is matched by name, so
+    it binds every class defining it; a method used other than by a
     call (its callers cannot be seen)."""
     _package(tmp_path, {"mod": """
         def run(scenario, backend="f4t", seed=0):
@@ -151,8 +152,11 @@ def test_functions_and_methods_are_knobs_too(tmp_path):
     root.write_text(textwrap.dedent("""
         from pkg.mod import Stack, Wire, run
 
+        def drive(stack):
+            stack.send(b"", delay=5)
+
         run("rpc", seed=7)
-        Stack().send(b"", delay=5)
+        drive(Stack())
         Wire().tap(b"")
         Stack().drive()
     """))
@@ -163,6 +167,42 @@ def test_functions_and_methods_are_knobs_too(tmp_path):
         "pkg.mod:Wire.tap(copies=) (1)",
         "pkg.mod:run(backend=) ('f4t')",
     ]
+
+
+def test_a_method_call_binds_by_its_receivers_type(tmp_path):
+    """A typed receiver binds its class's method only: ``Stack.send``'s
+    ``delay`` is reported although ``Wire.send``'s is varied, and a
+    call through ``self`` and a class-wide ``self.x`` binds the same way."""
+    _package(tmp_path, {"mod": """
+        class Wire:
+            def send(self, frame, delay=0):
+                return frame, delay
+
+        class Stack:
+            def __init__(self):
+                self.wire = Wire()
+
+            def send(self, frame, delay=0):
+                return frame, delay
+
+            def flush(self, frame, wait=1):
+                return frame, wait
+
+            def drive(self):
+                self.flush(b"", wait=2)
+                return self.wire.send(b"", delay=5)
+    """})
+    root = tmp_path / "root.py"
+    root.write_text(textwrap.dedent("""
+        from pkg.mod import Stack
+
+        def main():
+            stack = Stack()
+            stack.send(b"")
+            stack.drive()
+    """))
+    knobs = build_knobs(_index(tmp_path, root), "pkg", [root])
+    assert knobs.unvaried() == ["pkg.mod:Stack.send(delay=) (0)"]
 
 
 def test_a_grid_binds_its_driver_to_its_literal_values(tmp_path):

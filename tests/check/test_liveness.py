@@ -6,8 +6,12 @@ mutated_source)``, no copy of the tree): the rule must fire inside the
 function the edit touched, no other rule may fire, and the unmutated
 file must lint clean.  A rule registered without a probe fails here, and
 so does an exemption that exempts nothing: a rule or exemption with no
-live target is deleted, not kept.  The sanitizers' finding kinds are
-held the same way: each one is fired by a test.
+live target is deleted, not kept.  The layer sets are probed entry by
+entry: a plant appended to a real module of each ``SIM_LAYERS`` and
+``CLOCKED_LAYERS`` layer fires its rule there and nowhere outside the
+set, and an entry with no module under ``src/repro`` fails.  The
+sanitizers' finding kinds are held the same way: each one is fired by a
+test.
 """
 
 import ast
@@ -18,7 +22,7 @@ import pytest
 
 from repro.check.index import Module
 from repro.check.lint import lint_modules
-from repro.check.rules import all_rules
+from repro.check.rules import CLOCKED_LAYERS, SIM_LAYERS, all_rules
 
 from .conftest import REPO
 
@@ -70,6 +74,17 @@ PROBES = [
 ]
 
 
+#: Per layer-scoped rule: its layer set and a plant it fires on.
+LAYER_PLANTS = {
+    "F4T002": (SIM_LAYERS, "\n\nimport time as _probe_clock\n\n\n"
+                           "def _probe():\n    return _probe_clock.monotonic()\n"),
+    "F4T007": (CLOCKED_LAYERS, "\n\nclass _Probe:\n    def __init__(self):\n"
+                               "        self.probe_ps = 0.5\n"),
+}
+#: A layer in neither set, where every plant must lint clean.
+OUTSIDE = "lab"
+
+
 def enclosing_lines(module, line):
     """The line span of the innermost function holding ``line``."""
     spans = [
@@ -98,6 +113,28 @@ def test_rule_fires_at_its_site(probe, program_index, src_lint):
     assert findings, f"{probe.rule} does not guard {probe.guards}"
     assert {f.rule for f in findings} == {probe.rule}, findings
     assert all(first <= f.line <= last for f in findings), findings
+
+
+@pytest.mark.parametrize(
+    "rule_id, layer",
+    [(rule_id, layer) for rule_id, (layers, _) in LAYER_PLANTS.items()
+     for layer in [*sorted(layers), OUTSIDE]],
+    ids=lambda value: value,
+)
+def test_a_layer_rule_fires_in_each_layer_of_its_set(rule_id, layer, program_index):
+    layers, plant = LAYER_PLANTS[rule_id]
+    rule = next(r for r in all_rules() if r.rule_id == rule_id)
+    assert rule.layers == layers and OUTSIDE not in layers
+    modules = sorted(
+        (m for m in program_index.values() if m.layer == layer and m.path.startswith(str(SRC))
+         and not any(m.path.endswith(s) for s in rule.exempt_suffixes)),
+        key=lambda m: m.path,
+    )
+    assert modules, f"{layer}: no module under src/repro"
+    source = modules[0].source
+    mutated = Module(modules[0].path, source + plant)
+    planted = [f for f in lint_modules([mutated]).findings if f.line > source.count("\n")]
+    assert {f.rule for f in planted} == ({rule_id} if layer in layers else set()), planted
 
 
 @pytest.mark.parametrize(

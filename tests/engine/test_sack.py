@@ -133,7 +133,7 @@ class TestSackEndToEnd:
             max_time_s=5.0,
         )
         sacked_acks = [
-            p for p in tap.packets
+            p for p in tap.writer.packets
             if p.segment is not None and p.segment.options.sack_blocks
         ]
         assert sacked_acks, "no ACK ever carried SACK blocks"

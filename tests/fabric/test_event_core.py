@@ -79,6 +79,40 @@ def test_the_switch_runs_ahead_to_host_visible_instants(backend, monkeypatch):
         assert sum(stack.timeouts for stack in engine.stacks) > 0
 
 
+def test_a_live_timer_top_is_validated_once_per_step(monkeypatch):
+    """When a second run-ahead pass of one horizon step finds a later
+    delivery, the deadline the first pass validated is carried, not
+    asked of its stack again: no stack ticks between the passes.  This
+    run repeated 7 validations before; f4t incasts repeated none."""
+    ticks, validated, repeats = [0], [], []
+    tick = SoftStack.tick
+    stack_deadline = SoftStack.next_deadline_ps
+    index_deadline = TimerWakeIndex.next_deadline_ps
+
+    def counted_tick(stack):
+        ticks[0] += 1
+        tick(stack)
+
+    def asked(stack):
+        deadline = stack_deadline(stack)
+        if validated and validated[-1] == (stack, deadline, ticks[0]):
+            repeats.append(deadline)
+        return deadline
+
+    def lowered(index, best):
+        found = index_deadline(index, best)
+        if found is not None and found != best:  # a timer deadline, validated live
+            validated.append((index.stacks[index._heap[0][1]], found, ticks[0]))
+        return found
+
+    monkeypatch.setattr(SoftStack, "tick", counted_tick)
+    monkeypatch.setattr(SoftStack, "next_deadline_ps", asked)
+    monkeypatch.setattr(TimerWakeIndex, "next_deadline_ps", lowered)
+    engine = run_engine("incast", 16, backend="linux_stack")
+    assert validated and sum(stack.timeouts for stack in engine.stacks) > 0
+    assert repeats == []
+
+
 def test_a_stall_stops_the_clock_where_the_switch_s_events_did():
     """With nothing left for a host to do, the loop stops the clock at
     the switch's last event — or at the deadline while one is still

@@ -24,7 +24,7 @@ class TestPcieModel:
 
     def test_goodput_grows_with_payload(self):
         pcie = PcieModel()
-        assert pcie.max_goodput_gbps(1024) > pcie.max_goodput_gbps(64)
+        assert pcie.max_requests_per_s(1024) * 1024 > pcie.max_requests_per_s(64) * 64
 
     def test_completion_accounting_optional(self):
         """Coalesced completions stay out of the per-request bytes."""

@@ -78,10 +78,10 @@ class TestWireTap:
         )
         assert testbed.engine_b.recv_data(b_flow, 5000) == b"x" * 5000
         # The SYN, the data segments and the final state are all there.
-        flags = [p.segment.flag_names() for p in tap.packets if p.segment]
+        flags = [p.segment.flag_names() for p in tap.writer.packets if p.segment]
         assert any("SYN" in f for f in flags)
         data_packets = [
-            p for p in tap.packets if p.segment and p.segment.payload
+            p for p in tap.writer.packets if p.segment and p.segment.payload
         ]
         assert len(data_packets) >= 4  # 5000 B / 1460 MSS
 
@@ -94,7 +94,7 @@ class TestWireTap:
             until=lambda: testbed.engine_b.readable(b_flow) >= 20_000,
             max_time_s=0.05,
         )
-        times = [p.timestamp_s for p in tap.packets]
+        times = [p.timestamp_s for p in tap.writer.packets]
         assert times == sorted(times)
         assert times[-1] > 0
 
@@ -106,5 +106,5 @@ class TestWireTap:
         count = tap.save(str(path))
         assert count >= 2  # SYN + handshake ACK at least
         assert path.stat().st_size == 24 + sum(
-            16 + len(p.data) for p in tap.packets
+            16 + len(p.data) for p in tap.writer.packets
         )

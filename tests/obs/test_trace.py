@@ -39,13 +39,13 @@ class TestFiltering:
         assert len(bus) == 1
         assert bus.events[0].layer == "engine.tx"
 
-    def test_count_by_kind_and_layer(self):
+    def test_count_by_kind(self):
         bus = TraceBus()
         _fill(bus, 3, layer="engine.fpc", kind="handle")
         _fill(bus, 2, layer="engine.tx", kind="tx")
         assert bus.count("handle") == 3
-        assert bus.count(layer="engine.tx") == 2
-        assert bus.count("tx", layer="engine.tx") == 2
+        assert bus.count("tx") == 2
+        assert bus.count() == 5
 
 
 class TestSampling:
