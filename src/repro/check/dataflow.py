@@ -37,7 +37,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, AbstractSet, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Set, Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - the index builds the dataflow
@@ -96,8 +97,12 @@ def object_class(kind: str) -> str:
     return kind[len(_OBJECT_PREFIX):].rpartition(".")[2]
 
 
-def annotation_kind(node: Optional[ast.expr]) -> str:
-    """The kind named by a type annotation, unwrapping Optional & co."""
+def annotation_kind(node: Optional[ast.expr], classes: AbstractSet[str]) -> str:
+    """The kind named by a type annotation, unwrapping Optional & co.
+
+    ``classes`` are the bare names the module binds to the package's own
+    classes: one of those is an object even where it shares a builtin
+    container's name (``Counter``)."""
     if node is None:
         return KIND_UNKNOWN
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -105,7 +110,7 @@ def annotation_kind(node: Optional[ast.expr]) -> str:
             parsed = ast.parse(node.value, mode="eval")
         except SyntaxError:
             return KIND_UNKNOWN
-        return annotation_kind(parsed.body)
+        return annotation_kind(parsed.body, classes)
     if isinstance(node, ast.Subscript):
         base = node.value
         base_name = _tail_name(base)
@@ -113,11 +118,13 @@ def annotation_kind(node: Optional[ast.expr]) -> str:
             inner = node.slice
             if isinstance(inner, ast.Tuple) and inner.elts:
                 inner = inner.elts[0]
-            return annotation_kind(inner)
-        return annotation_kind(base)
+            return annotation_kind(inner, classes)
+        return annotation_kind(base, classes)
     name = _tail_name(node)
     if name is None:
         return KIND_UNKNOWN
+    if isinstance(node, ast.Name) and name in classes:
+        return object_kind(name)
     if name in _DICT_ANN:
         return KIND_DICT
     if name in _SET_ANN:
@@ -163,6 +170,9 @@ class Scope:
     #: Names every binding of which is one call's result: the callee as
     #: written (``"wire.make_port"``).
     calls: Dict[str, str] = field(default_factory=dict)
+    #: The module's names for the package's own classes (see
+    #: :func:`annotation_kind`).
+    classes: AbstractSet[str] = frozenset()
 
     def kind_of(self, node: ast.expr) -> str:
         if isinstance(node, ast.Name):
@@ -196,6 +206,8 @@ def infer_kind(node: ast.expr, scope: Scope) -> str:
         name = _tail_name(func)
         if scope.owner and isinstance(func, ast.Name) and func.id == "cls":
             return object_kind(scope.owner)
+        if isinstance(func, ast.Name) and func.id in scope.classes:
+            return object_kind(func.id)
         if isinstance(func, ast.Name) or isinstance(func, ast.Attribute):
             if name in _DICT_CTORS:
                 return KIND_DICT
@@ -290,7 +302,7 @@ def _scan(
         if name is None:
             continue
         seen.add(id(target))
-        kind = annotation_kind(annotation)
+        kind = annotation_kind(annotation, scope.classes)
         if kind == KIND_UNKNOWN and value is not None:
             kind = infer_kind(value, scope)
         if kind != KIND_UNKNOWN:
@@ -316,21 +328,23 @@ def _dotted(node: ast.expr) -> bool:
     return isinstance(node, ast.Name)
 
 
-def _class_scope(cls: ast.ClassDef) -> Scope:
+def _class_scope(cls: ast.ClassDef, classes: AbstractSet[str]) -> Scope:
     """Kinds of ``self.<attr>`` assignments anywhere in one class."""
-    scope = Scope()
+    scope = Scope(classes=classes)
     untyped = _scan(cls, scope, scope.attr_kinds, _self_attr, {}) | set(scope.calls)
     return Scope(attr_kinds=scope.attr_kinds, untyped={f"self.{n}" for n in untyped},
-                 owner=cls.name)
+                 owner=cls.name, classes=classes)
 
 
-def build_scope(func: ast.FunctionDef, cls: Optional[Scope] = None) -> Scope:
+def build_scope(func: ast.FunctionDef, cls: Optional[Scope], classes: AbstractSet[str]) -> Scope:
     """One pre-pass over a function: parameter and assignment kinds."""
-    scope = Scope(attr_kinds=dict(cls.attr_kinds), owner=cls.owner) if cls else Scope()
+    scope = Scope(classes=classes)
+    if cls:
+        scope.attr_kinds, scope.owner = dict(cls.attr_kinds), cls.owner
     bound: Dict[str, Set[str]] = {}
     args = func.args
     for arg in args.posonlyargs + args.args + args.kwonlyargs:
-        kind = annotation_kind(arg.annotation)
+        kind = annotation_kind(arg.annotation, classes)
         bound[arg.arg] = {kind}
         if kind != KIND_UNKNOWN:
             scope.kinds[arg.arg] = kind
@@ -339,19 +353,20 @@ def build_scope(func: ast.FunctionDef, cls: Optional[Scope] = None) -> Scope:
 
 
 def iter_function_scopes(
-    tree: ast.AST,
+    tree: ast.AST, classes: AbstractSet[str],
 ) -> Iterator[Tuple[ast.FunctionDef, Scope]]:
     """Every function in a module with its scope: the module-level ones,
     the methods of module-level classes (with the class-wide ``self.x``
-    kinds) and every function nested in those."""
+    kinds) and every function nested in those.  ``classes``: see
+    :func:`annotation_kind`."""
     for node in ast.iter_child_nodes(tree):
         tops: Sequence[ast.AST] = node.body if isinstance(node, ast.ClassDef) else [node]
-        cls = _class_scope(node) if isinstance(node, ast.ClassDef) else None
+        cls = _class_scope(node, classes) if isinstance(node, ast.ClassDef) else None
         for top in tops:
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for func in ast.walk(top):
                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield func, build_scope(func, cls)
+                        yield func, build_scope(func, cls, classes)
 
 
 def comparable_classes(classes: Iterable[ast.ClassDef]) -> Set[str]:

@@ -146,6 +146,16 @@ class Module:
                 self.parents[child] = node
                 todo.append(child)
         self.imports = ImportTable(self)
+        #: The names this module binds to the package's own classes: its
+        #: top-level classes and the capitalised names it imports from
+        #: its own package.
+        root = self.name.partition(".")[0]
+        self.package_classes = frozenset(
+            [c.name for c in self.tree.body if isinstance(c, ast.ClassDef)]
+            + [local for local, bindings in self.imports.items()
+               if local[:1].isupper()
+               and any(member and source.partition(".")[0] == root for source, member in bindings)]
+        )
 
     def nodes(self, kind: Type[N]) -> List[N]:
         """Every node of exactly this type, in ``ast.walk`` order."""
@@ -154,7 +164,7 @@ class Module:
     @cached_property
     def scopes(self) -> Dict[ast.FunctionDef, df.Scope]:
         """Every function the dataflow analyses, with its scope."""
-        return dict(df.iter_function_scopes(self.tree))
+        return dict(df.iter_function_scopes(self.tree, self.package_classes))
 
     @cached_property
     def dataflow(self) -> df.ModuleDataflow:

@@ -30,7 +30,7 @@ from ..sim.stats import Histogram
 from ..tcp.state_machine import TcpState
 from .backend import get_backend
 from .scenarios import FabricScenario
-from .softstack import SoftStack, TimerWakeIndex, run_event_loop
+from .softstack import SoftStack, TimerHeap, run_event_loop
 from .switch import SwitchFabric
 
 #: Shared zero payload; transfer content is opaque, only sizes matter.
@@ -161,17 +161,19 @@ class FabricLoadEngine:
         self.spec = get_backend(backend)
         self.load_scale = load_scale
         self.fabric = SwitchFabric(scenario.num_hosts, scenario.ecn_threshold_bytes)
+        self.timers = TimerHeap()
         self.stacks: List[SoftStack] = [
             SoftStack(
                 ip=self.fabric.host_ip(i),
                 port=self.fabric.port(i),
                 service=self.spec.service_class(),
+                timers=self.timers,
+                host=i,
                 name=f"h{i}",
                 seed=scenario.seed,
             )
             for i in range(scenario.num_hosts)
         ]
-        self._wake = TimerWakeIndex(enumerate(self.stacks))
         self.time_ps = 0
         self.conns: List[_FabricConn] = []
         self._conn_by_pair: Dict[Tuple[int, int], _FabricConn] = {}
@@ -547,7 +549,7 @@ class FabricLoadEngine:
         """Settle every host at each event instant, for ``max_time_s`` more."""
         return run_event_loop(
             self,
-            self._wake,
+            self.timers,
             self.fabric,
             self.time_ps + seconds_to_ps(max_time_s),
             until=until,

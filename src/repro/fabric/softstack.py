@@ -30,10 +30,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from functools import partial
-from typing import (
-    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..engine.ftengine import EngineMessage
 from ..net.link import PER_PACKET_OVERHEAD
@@ -205,6 +202,14 @@ class _SoftFlow:
         return self.wire_key
 
 
+def _deadline_ps(flow: _SoftFlow) -> int:
+    """The earlier of a flow's handshake and retransmit deadlines; 0 = none."""
+    hs, rto = flow.hs_deadline_ps, flow.rto_deadline_ps
+    if hs and rto:
+        return hs if hs < rto else rto
+    return hs or rto
+
+
 class _PassiveFlow(_SoftFlow):
     """The end a SYN opened: it holds the opener's key and reverses it
     only when asked (its ``key.src_port`` is the listen port)."""
@@ -217,33 +222,36 @@ class _PassiveFlow(_SoftFlow):
 
 
 class SoftStack:
-    """One host's soft offload engine: transport + service model."""
+    """One host's soft offload engine: transport + service model.
+
+    Its loop's owner hands it a port and the loop's :class:`TimerHeap`
+    alike; ``host`` is its index on both."""
 
     def __init__(
         self,
         ip: int,
         port,
         service: ServiceModel,
+        timers: TimerHeap,
+        host: int,
         name: str = "soft",
         seed: int = 0,
     ) -> None:
         self.ip = ip
         self.port = port
         self.service = service
+        self.timers: TimerHeap = timers
+        self.host = host
+        timers.stacks[host] = self
+        #: The timer entries ``timers.pop_due`` handed over for the
+        #: next ``tick``, in (deadline, flow id) order.
+        self._due_timers: List[Tuple[int, int, int]] = []
         self.name = name
         self.now_ps = 0  # the driving loop sets this before tick()
         #: The only RNG: seeded jitter on the ECN recovery hold-off,
         #: derived per host name so every stack draws its own stream.
         self._ecn_rng = random.Random(derive_seed(seed, f"ecn/{name}"))
         self.flows: Dict[int, _SoftFlow] = {}
-        #: Lazy (deadline_ps, flow_id) min-heap over hs/rto deadlines;
-        #: see ``_arm``.  Keeps ``next_deadline_ps``/``_expire_timers``
-        #: O(log n) instead of O(flows) — the difference between a
-        #: 2-host testbed and a million-flow shard cell.
-        self._timers: List[Tuple[int, int]] = []
-        #: Set by the owner's :class:`TimerWakeIndex`: called with the
-        #: raw head of ``_timers`` whenever that head changes.
-        self._publish_wake: Optional[Callable[[int], None]] = None
         self.host_messages: Deque[EngineMessage] = deque()
         #: Bumped on every host-queue mutation, mirroring
         #: ``FtEngine.msg_epoch`` so pollers can skip an unchanged queue.
@@ -307,7 +315,7 @@ class SoftStack:
         return free if free > 0 else 0
 
     def _arm(self, flow: _SoftFlow) -> None:
-        """Index the flow's earliest live deadline in the timer heap.
+        """Index the flow's earliest live deadline in the loop's timer heap.
 
         Lazy discipline: at most one *tracked* entry per flow (its
         earliest pushed instant, ``timer_armed_ps``).  Re-arming later
@@ -316,21 +324,12 @@ class SoftStack:
         deadline.  So arming stays O(log n) and the heap stays
         proportional to the flow count, not the ack count.
         """
-        hs, rto = flow.hs_deadline_ps, flow.rto_deadline_ps
-        if hs and rto:
-            deadline = hs if hs < rto else rto
-        else:
-            deadline = hs or rto
+        deadline = _deadline_ps(flow)
         if deadline <= 0:
             return
         if flow.timer_armed_ps == 0 or deadline < flow.timer_armed_ps:
             flow.timer_armed_ps = deadline
-            timers = self._timers
-            if self._publish_wake is not None and (
-                not timers or deadline < timers[0][0]
-            ):
-                self._publish_wake(deadline)
-            heapq.heappush(timers, (deadline, flow.flow_id))
+            self.timers.push(deadline, self.host, flow.flow_id)
 
     # ----------------------------------------------------- host-facing API
     def listen(self, port: int) -> Deque[int]:
@@ -430,40 +429,13 @@ class SoftStack:
         return drained
 
     # ------------------------------------------------------------ the tick
-    def next_deadline_ps(self) -> Optional[int]:
-        """The earliest live deadline, dropping the stale entries above it."""
-        timers = self._timers
-        popped = False
-        while timers:
-            deadline, flow_id = timers[0]
-            flow = self.flows.get(flow_id)
-            actual = 0
-            if flow is not None:
-                hs, rto = flow.hs_deadline_ps, flow.rto_deadline_ps
-                if hs and rto:
-                    actual = hs if hs < rto else rto
-                else:
-                    actual = hs or rto
-            if actual == deadline:
-                if popped and self._publish_wake is not None:
-                    self._publish_wake(deadline)
-                return deadline
-            # Dead flow or superseded deadline: drop the entry and, if
-            # the flow still has a live deadline, re-index it there.
-            heapq.heappop(timers)
-            popped = True
-            if flow is not None:
-                if flow.timer_armed_ps == deadline:
-                    flow.timer_armed_ps = 0
-                self._arm(flow)
-        return None
-
     def tick(self) -> None:
+        """Receive what has arrived, then act on the timer entries the
+        loop handed over for this instant."""
         now = self.now_ps
         for packet in self.port.poll(now):
             self._receive(packet, now)
-        timers = self._timers
-        if timers and timers[0][0] <= now:
+        if self._due_timers:
             self._expire_timers(now)
 
     # ------------------------------------------------------- the data path
@@ -539,11 +511,10 @@ class SoftStack:
             )
 
     def _expire_timers(self, now: int) -> None:
-        """Pop and act on every timer entry due by ``now`` (``tick``
-        calls this only when the heap's head is due)."""
-        timers = self._timers
-        while timers and timers[0][0] <= now:
-            deadline, flow_id = heapq.heappop(timers)
+        """Act on every timer entry handed over for ``now``, live or
+        stale; a flow re-arms what is left of its deadlines."""
+        due = self._due_timers
+        for deadline, _host, flow_id in due:
             flow = self.flows.get(flow_id)
             if flow is None:
                 continue
@@ -582,8 +553,7 @@ class SoftStack:
                     )
                     self._retransmit_from(flow, go_back=True)
             self._arm(flow)
-        if timers and self._publish_wake is not None:
-            self._publish_wake(timers[0][0])
+        due.clear()
 
     # ------------------------------------------------------------- receive
     def _receive(self, packet: FabricPacket, now: int) -> None:
@@ -826,77 +796,69 @@ class SoftStack:
         heapq.heappush(self._free_slots, flow.slot)
 
 
-class TimerWakeIndex:
-    """One ``(raw timer-heap head, host)`` min-heap over a set of stacks.
+class TimerHeap:
+    """The timers of every stack of one loop: a ``(deadline_ps, host,
+    flow_id)`` min-heap.
 
-    The owner of the stacks (``CellSim``, ``FabricLoadEngine``) builds
-    it once; from then on every stack publishes
-    its raw ``_timers`` head here whenever that head changes — ``_arm``
-    pushing a new head, ``_expire_timers``/``next_deadline_ps`` popping
-    the old one.  An entry is live iff it still equals its stack's raw
-    head; anything else was superseded by a later publish and is dropped
-    on pop.  So "who has a timer entry to pop now" and "when is the next
-    timer instant" cost what is due, not one visit per host.
+    The loop's owner (``FabricLoadEngine``, ``CellSim``, a two-host
+    rig) builds one and hands it to each stack it builds; ``_arm``
+    pushes here.  Entries are invalidated lazily: an entry is live while
+    it equals its flow's deadline, anything else pops as stale.  So
+    "who has a timer entry to pop now" and "when is the next timer
+    instant" cost what is due, not one visit per host or per flow.
     """
 
-    def __init__(self, stacks: Iterable[Tuple[int, "SoftStack"]]) -> None:
-        #: host -> stack, in the order given (ascending host).
-        self.stacks: Dict[int, SoftStack] = dict(stacks)
-        self._heap: List[Tuple[int, int]] = []
+    def __init__(self) -> None:
+        #: host -> stack, in the order the stacks were built.
+        self.stacks: Dict[int, SoftStack] = {}
+        self._heap: List[Tuple[int, int, int]] = []
         self.pushes = 0
+        #: Entries ``pop_due`` handed to their host.
         self.live_pops = 0
+        #: Entries ``next_deadline_ps`` dropped as superseded.
         self.stale_pops = 0
-        for host, stack in self.stacks.items():
-            stack._publish_wake = partial(self._publish, host)
 
-    def _publish(self, host: int, head_ps: int) -> None:
+    def push(self, deadline_ps: int, host: int, flow_id: int) -> None:
         self.pushes += 1
-        heapq.heappush(self._heap, (head_ps, host))
+        heapq.heappush(self._heap, (deadline_ps, host, flow_id))
 
     def pop_due(self, now_ps: int, due: Set[int]) -> None:
-        """Add to ``due`` every host whose stack has a timer entry (live
-        or stale) to pop at ``now_ps``."""
-        heap = self._heap
+        """Pop every entry due by ``now_ps``, hand each host its own in
+        (deadline, flow id) order and add the host to ``due``: its next
+        ``tick`` acts on them."""
+        heap, stacks = self._heap, self.stacks
         while heap and heap[0][0] <= now_ps:
-            head, host = heapq.heappop(heap)
-            timers = self.stacks[host]._timers
-            if timers and timers[0][0] == head:
-                self.live_pops += 1
-                due.add(host)
-            else:
-                self.stale_pops += 1
+            entry = heapq.heappop(heap)
+            host = entry[1]
+            stacks[host]._due_timers.append(entry)
+            due.add(host)
+            self.live_pops += 1
 
-    def raw_bound_ps(self, limit_ps: int) -> int:
-        """``limit_ps`` lowered to the heap's top: never later than the
-        earliest live deadline, and known without validating anything."""
-        heap = self._heap
-        return heap[0][0] if heap and heap[0][0] < limit_ps else limit_ps
-
-    def next_deadline_ps(self, best: Optional[int]) -> Optional[int]:
-        """``best`` lowered to the earliest live timer deadline under it.
-
-        A raw head is never later than its stack's true deadline, so only
-        a top that beats ``best`` is worth validating; validation drops
-        the stack's stale timer entries and re-publishes, which leaves
-        this top superseded and the next one to look at.
-        """
-        heap = self._heap
-        while heap and (best is None or heap[0][0] < best):
-            head, host = heap[0]
-            stack = self.stacks[host]
-            timers = stack._timers
-            if timers and timers[0][0] == head and stack.next_deadline_ps() == head:
-                return head
-            # Superseded: anything re-published is later than ``head``,
-            # so the top is still this entry.
+    def next_deadline_ps(self, bound: Optional[int]) -> Optional[int]:
+        """The earliest live deadline under ``bound`` (None: any), else
+        ``bound``.  Every stale entry above it is dropped on the way,
+        and its flow re-indexed at its true deadline, if it has one."""
+        heap, stacks = self._heap, self.stacks
+        while heap and (bound is None or heap[0][0] < bound):
+            deadline, host, flow_id = heap[0]
+            stack = stacks[host]
+            flow = stack.flows.get(flow_id)
+            actual = 0 if flow is None else _deadline_ps(flow)
+            if actual == deadline:
+                return deadline
             heapq.heappop(heap)
             self.stale_pops += 1
-        return best
+            if flow is not None:
+                if flow.timer_armed_ps == deadline:
+                    flow.timer_armed_ps = 0
+                if actual:
+                    stack._arm(flow)
+        return bound
 
 
 def run_event_loop(
     clock,
-    wake: TimerWakeIndex,
+    timers: TimerHeap,
     network,
     deadline_ps: int,
     until: Callable[[], bool],
@@ -906,23 +868,21 @@ def run_event_loop(
 
     ``clock`` is the owner (``FabricLoadEngine``) whose integer
     ``time_ps`` this loop advances; predicates and drivers read it
-    between events.  ``wake`` is the owner's timer wake index over the
-    stacks.  ``network`` (``SwitchFabric``) joins them and publishes
-    the next instant a host can see from it: ``advance(limit_ps)`` runs
-    the network's own events, in order, up to the first delivery or
-    ``limit_ps``, whichever comes first (an event at exactly that
-    instant included), and returns the next delivery instant;
-    ``due_hosts(now_ps)`` pops the hosts (by index) with a delivery
-    due.  The soft stacks do nothing between packet arrivals and timer
-    deadlines, so the loop lands only where a host can act: an instant
-    ticks — in ascending host order — only the stacks with a delivery
-    or a timer entry due in the index, then the network runs ahead to
-    the earliest of the next delivery, the pump's declared instant and
-    the index's raw top (never later than its earliest live deadline),
-    never past ``deadline_ps``.  The raw top is validated only when it
-    beats the other two; if validation moves it past where the network
-    stopped, the network runs ahead again, and the deadline it found
-    live is not validated a second time.
+    between events.  ``timers`` is the owner's timer heap, whose
+    ``stacks`` are the hosts.  ``network`` (``SwitchFabric``) joins them
+    and publishes the next instant a host can see from it:
+    ``advance(limit_ps)`` runs the network's own events, in order, up
+    to the first delivery or ``limit_ps``, whichever comes first (an
+    event at exactly that instant included), and returns the next
+    delivery instant; ``due_hosts(now_ps)`` pops the hosts (by index)
+    with a delivery due.  The soft stacks do nothing between packet
+    arrivals and timer deadlines, so the loop lands only where a host
+    can act: an instant ticks — in ascending host order — only the
+    stacks with a delivery or a timer entry due, then the network runs
+    ahead to the earliest of the pump's declared instant and the
+    heap's earliest live deadline (validated first, so one pass
+    suffices), never past ``deadline_ps``, and the loop lands at that
+    bound or at the next delivery, whichever is earlier.
 
     ``until`` (the driver's pump) has ``Testbed.run``'s contract in
     picoseconds: asked right after each call, ``next_call_ps`` names
@@ -937,12 +897,12 @@ def run_event_loop(
     future event could change ``until``; the clock then stops where
     ``network.stall_ps`` says the network's own events did).
     """
-    stacks = wake.stacks
+    stacks = timers.stacks
     pump_at = 0  # the first instant calls the pump
     while True:
         t = clock.time_ps
         due = network.due_hosts(t)
-        wake.pop_due(t, due)
+        timers.pop_due(t, due)
         posted = False
         for host in sorted(due) if len(due) > 1 else due:
             stack = stacks[host]
@@ -962,19 +922,13 @@ def run_event_loop(
             return False
         pump_due = t < pump_at < NEVER
         limit = pump_at if pump_due and pump_at < deadline_ps else deadline_ps
-        live = None  # a deadline an earlier pass validated: no stack ticks between passes
-        while True:  # again only while validation moved a stale top
-            bound = wake.raw_bound_ps(limit)
-            following = network.advance(bound)
-            if pump_due and (following is None or pump_at < following):
-                following = pump_at
-            if live is not None and (following is None or live < following):
-                following = live  # known live: the index asks no stack for it
-            best, following = following, wake.next_deadline_ps(following)
-            live = following if following != best else live
-            if bound == limit or (following is not None and following <= bound):
-                break
+        bound = timers.next_deadline_ps(limit)
+        following = network.advance(bound)
+        if (pump_due or bound < limit) and (following is None or bound < following):
+            following = bound  # the pump or a timer acts there
         if following is None:
-            clock.time_ps = network.stall_ps(t, deadline_ps)
-            return False
+            if timers.next_deadline_ps(None) is None:
+                clock.time_ps = network.stall_ps(t, deadline_ps)
+                return False
+            following = deadline_ps  # a timer is due at or past it
         clock.time_ps = min(following, deadline_ps)

@@ -28,7 +28,7 @@ from ..obs.trace import StreamingFingerprint
 
 from ..check.lockstep import LockstepSanitizer
 from ..fabric.backend import get_backend
-from ..fabric.softstack import FabricPacket, SoftStack, TimerWakeIndex
+from ..fabric.softstack import FabricPacket, SoftStack, TimerHeap
 from ..fabric.switch import CellSwitch, egress_host
 from .host import ClientPairDriver, ServerHostDriver
 from .scenarios import ShardScenario
@@ -62,18 +62,20 @@ class CellSim:
             self.san.on_configure(scenario.epoch_ps, self.switch.prop_ps)
             self.switch.san = self.san
         spec = get_backend(scenario.backend)
+        self.timers = TimerHeap()
         self.stacks: Dict[int, SoftStack] = {}
         for host in self.hosts:
             stack = SoftStack(
                 ip=self.switch.host_ip(host),
                 port=self.switch.port(host, self._route),
                 service=spec.service_class(),
+                timers=self.timers,
+                host=host,
                 name=f"h{host}",
                 seed=scenario.seed,
             )
             stack.trace = trace
             self.stacks[host] = stack
-        self._wake = TimerWakeIndex(self.stacks.items())
         # Drivers: client pairs sorted by (client, server) and server
         # hosts grouped — construction order is part of determinism.
         self.clients: Dict[int, List[ClientPairDriver]] = {
@@ -124,15 +126,15 @@ class CellSim:
     def loop_stats(self) -> Dict[str, int]:
         """What the event loop itself did — not simulated behaviour, so
         not in :meth:`report`: instants visited, instants that only
-        admitted packets, stack ticks, and the wake index's traffic."""
-        wake = self._wake
+        admitted packets, stack ticks, and the timer heap's traffic."""
+        timers = self.timers
         return {
             "instants": self.events,
             "admission_only": self._admission_only,
             "stack_ticks": self._stack_ticks,
-            "index_pushes": wake.pushes,
-            "live_pops": wake.live_pops,
-            "stale_pops": wake.stale_pops,
+            "index_pushes": timers.pushes,
+            "live_pops": timers.live_pops,
+            "stale_pops": timers.stale_pops,
         }
 
     def _schedule_open(self, host: int) -> None:
@@ -192,9 +194,9 @@ class CellSim:
         opens = self._opens
         if opens and (best is None or opens[0][0] < best):
             best = opens[0][0]
-        wake = self._wake
-        if wake._heap:
-            best = wake.next_deadline_ps(best)
+        timers = self.timers
+        if timers._heap:
+            best = timers.next_deadline_ps(best)
         if not pending:
             return best
         admit, san = self.switch.admit, self.san
@@ -248,9 +250,9 @@ class CellSim:
         while opens and opens[0][0] <= now:
             opening.append(heapq.heappop(opens)[1])
         due.update(opening)
-        wake = self._wake
-        if wake._heap and wake._heap[0][0] <= now:  # else pop_due pops nothing
-            wake.pop_due(now, due)
+        heap = self.timers._heap
+        if heap and heap[0][0] <= now:  # else pop_due pops nothing
+            self.timers.pop_due(now, due)
         hosts = sorted(due) if len(due) > 1 else due
         self._stack_ticks += len(hosts)
         stacks = self.stacks
@@ -309,7 +311,7 @@ class CellSim:
         cannot act again without a barrier delivering it input."""
         if self.pending or self.switch.next_any_delivery_ps() is not None:
             return False
-        if self._wake.next_deadline_ps(None) is not None:
+        if self.timers.next_deadline_ps(None) is not None:
             return False
         return all(d.done for ds in self.clients.values() for d in ds)
 

@@ -34,6 +34,8 @@ from __future__ import annotations
 import multiprocessing
 import resource
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, TextIO, Tuple, Union
@@ -457,8 +459,17 @@ def run_traffic_shard(
     jobs = [(cell, part, load_scale) for cell, part in enumerate(parts)]
     workers = max(1, min(workers, len(jobs)))
     if _can_fork(workers):
-        with mp_context().Pool(processes=workers) as pool:
-            rows = pool.map(_traffic_cell_job, jobs)
+        # An executor, not a Pool: a dead worker breaks it at once
+        # instead of leaving its result awaited forever.
+        with ProcessPoolExecutor(workers, mp_context=mp_context()) as pool:
+            futures = [pool.submit(_traffic_cell_job, job) for job in jobs]
+            try:
+                rows = [future.result() for future in futures]
+            except BrokenProcessPool as exc:
+                lost = [job[0] for job, f in zip(jobs, futures) if f.exception()]
+                raise ShardWorkerError(
+                    f"a traffic shard worker died; cells {lost} did not finish"
+                ) from exc
     else:
         workers = 1
         rows = [_traffic_cell_job(job) for job in jobs]

@@ -110,16 +110,11 @@ def _annotations(node: ast.AST) -> Iterable[ast.expr]:
     return []
 
 
-def _object(kind: str) -> Optional[Receiver]:
-    """An object kind as a receiver, else None.  Used alone for return
-    annotations and module-level names, where a builtin kind types
-    nothing (``-> Counter`` may name the package's own ``Counter``)."""
-    return ("of", *kind.partition(":")[2].split(".")) if df.is_object_kind(kind) else None
-
-
 def _kind(kind: str) -> Optional[Receiver]:
     """A type table kind as a receiver: a builtin kind is ``("none",)``."""
-    return _object(kind) or (None if kind == df.KIND_UNKNOWN else ("none",))
+    if df.is_object_kind(kind):
+        return ("of", *kind.partition(":")[2].split("."))
+    return None if kind == df.KIND_UNKNOWN else ("none",)
 
 
 def receiver(expr: ast.expr, scope: Optional[df.Scope], cls: Optional[str]) -> Optional[Receiver]:
@@ -275,7 +270,7 @@ class Graph:
                     self._add_class(key, stmt, module)
                 else:
                     unit = self._unit(key, "function", name, _span(stmt))
-                    unit.value_type = _object(df.annotation_kind(stmt.returns))
+                    unit.value_type = _kind(df.annotation_kind(stmt.returns, module.package_classes))
                     _Collector(unit, module, None).collect(
                         [stmt.args, *stmt.body, *_annotations(stmt)], stmt)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -287,10 +282,10 @@ class Graph:
                         f"{name}:{local}", "data", name, _span(stmt))
                     _Collector(unit, module, None).collect([stmt])
                     if len(targets) == 1 and isinstance(targets[0], ast.Name) and not rebound:
-                        unit.value_type = _object(
-                            df.annotation_kind(stmt.annotation)
+                        unit.value_type = _kind(
+                            df.annotation_kind(stmt.annotation, module.package_classes)
                             if isinstance(stmt, ast.AnnAssign)
-                            else df.infer_kind(stmt.value, df.Scope()))
+                            else df.infer_kind(stmt.value, df.Scope(classes=module.package_classes)))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 top.collect([stmt])
 
@@ -303,7 +298,7 @@ class Graph:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.tables.setdefault(key, module.scopes[stmt])
                 method = self._unit(f"{key}.{stmt.name}", "method", module.name, _span(stmt))
-                method.value_type = _object(df.annotation_kind(stmt.returns))
+                method.value_type = _kind(df.annotation_kind(stmt.returns, module.package_classes))
                 body.collect(stmt.decorator_list)
                 _Collector(method, module, key).collect(
                     [stmt.args, *stmt.body, *_annotations(stmt)], stmt)

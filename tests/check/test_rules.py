@@ -203,6 +203,26 @@ class TestUnorderedFlow:
         )
         assert lint_in_layer(good, layer="obs") == []
 
+    def test_a_package_counter_is_no_dict_and_collections_counter_is(self):
+        # ``Counter`` names a dict kind only where it is the builtin's: a
+        # class of the module's own, or one imported from the package
+        # (``obs/metrics.py``'s ``Counter``), is an object.
+        emit = (
+            "def f(bus, counter: Counter):\n"
+            "    for value in counter:\n"
+            "        bus.emit(value)\n"
+            "\n"
+            "def g(bus):\n"
+            "    for value in Counter():\n"
+            "        bus.emit(value)\n"
+        )
+        own = "class Counter:\n    pass\n\n\n" + emit
+        imported = "from ..obs.metrics import Counter\n\n\n" + emit
+        builtin = "from collections import Counter\n\n\n" + emit
+        assert lint_in_layer(own, layer="obs") == []
+        assert lint_in_layer(imported, layer="obs") == []
+        assert ids(lint_in_layer(builtin, layer="obs")) == ["F4T008", "F4T008"]
+
     def test_outside_digest_layers_ok(self):
         bad = (
             "def f(digest):\n"

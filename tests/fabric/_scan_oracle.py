@@ -1,66 +1,72 @@
-"""The retired every-host scan, kept as the wake index's test oracle.
+"""The every-host scan, kept as the timer heap's test oracle.
 
-Until the timer wake index, ``run_event_loop`` and ``CellSim`` asked
-every stack ``timer_due(now)`` and walked every stack's timer heap in
-``earliest_wakeup_ps`` at every instant.  Both live on here, the way
-``test_switch.py`` keeps the old switch sweep: :func:`use_scan` answers
-the index's three queries from the stacks' own heaps, so a run under it
-never depends on what was published.  :class:`StackVisits` is the
-counting wrapper the fabric and shard scaling tests share.
+Before the wake index, ``run_event_loop`` and ``CellSim`` asked every
+stack whether a timer entry was due and walked every stack's timer
+heap for the earliest live deadline at every instant.  That scan lives
+on here over the one heap a loop now keeps, the way ``test_switch.py``
+keeps the old switch sweep: :func:`use_scan` answers the heap's two
+queries by visiting every host's entries, so a run under it never
+depends on the heap's order.  :class:`StackVisits` is the counting
+wrapper the fabric and shard scaling tests share.
 """
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+import heapq
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.fabric.softstack import SoftStack, TimerWakeIndex
+from repro.fabric.softstack import SoftStack, TimerHeap, _deadline_ps
 from repro.shard.cell import CellSim
 
-
-def timer_due(stack: SoftStack, now_ps: int) -> bool:
-    """Whether ``tick`` has a timer entry (live or stale) to pop."""
-    timers = stack._timers
-    return bool(timers) and timers[0][0] <= now_ps
+Entry = Tuple[int, int, int]
 
 
-def earliest_wakeup_ps(
-    stacks: Iterable[SoftStack], best: Optional[int]
-) -> Optional[int]:
-    """``best`` lowered to the earliest live timer deadline under it."""
-    for stack in stacks:
-        timers = stack._timers
-        if timers and (best is None or timers[0][0] < best):
-            wakeup = stack.next_deadline_ps()
-            if wakeup is not None and (best is None or wakeup < best):
-                best = wakeup
-    return best
-
-
-def raw_bound_ps(stacks: Iterable[SoftStack], limit_ps: int) -> int:
-    """``limit_ps`` lowered to the earliest raw timer-heap head."""
-    for stack in stacks:
-        timers = stack._timers
-        if timers and timers[0][0] < limit_ps:
-            limit_ps = timers[0][0]
-    return limit_ps
+def host_heads(timers: TimerHeap) -> Dict[int, Entry]:
+    """Every host's earliest entry, live or stale, by scanning them all."""
+    heads: Dict[int, Entry] = {}
+    for entry in timers._heap:
+        head = heads.get(entry[1])
+        if head is None or entry < head:
+            heads[entry[1]] = entry
+    return heads
 
 
 def use_scan(monkeypatch) -> None:
-    """Answer every index query by scanning every stack."""
+    """Answer every heap query by scanning every host's entries."""
 
-    def pop_due(self: TimerWakeIndex, now_ps: int, due: Set[int]) -> None:
-        due.update(
-            host for host, stack in self.stacks.items()
-            if timer_due(stack, now_ps)
-        )
+    def pop_due(self: TimerHeap, now_ps: int, due: Set[int]) -> None:
+        for host, stack in self.stacks.items():
+            mine = sorted(e for e in self._heap if e[1] == host and e[0] <= now_ps)
+            if mine:
+                stack._due_timers.extend(mine)
+                due.add(host)
+                self.live_pops += len(mine)
+        self._heap[:] = [e for e in self._heap if e[0] > now_ps]
+        heapq.heapify(self._heap)
 
-    def next_deadline_ps(self: TimerWakeIndex, best: Optional[int]) -> Optional[int]:
-        return earliest_wakeup_ps(self.stacks.values(), best)
+    def next_deadline_ps(self: TimerHeap, bound: Optional[int]) -> Optional[int]:
+        while True:
+            heads = host_heads(self)
+            first = None
+            for host in self.stacks:
+                head = heads.get(host)
+                if head is not None and (first is None or head < first):
+                    first = head
+            if first is None or (bound is not None and first[0] >= bound):
+                return bound
+            deadline, host, flow_id = first
+            stack = self.stacks[host]
+            flow = stack.flows.get(flow_id)
+            if flow is not None and _deadline_ps(flow) == deadline:
+                return deadline
+            self._heap.remove(first)
+            heapq.heapify(self._heap)
+            self.stale_pops += 1
+            if flow is not None:
+                if flow.timer_armed_ps == deadline:
+                    flow.timer_armed_ps = 0
+                stack._arm(flow)
 
-    def scanned_raw_bound_ps(self: TimerWakeIndex, limit_ps: int) -> int:
-        return raw_bound_ps(self.stacks.values(), limit_ps)
-
-    monkeypatch.setattr(TimerWakeIndex, "pop_due", pop_due)
-    monkeypatch.setattr(TimerWakeIndex, "raw_bound_ps", scanned_raw_bound_ps)
-    monkeypatch.setattr(TimerWakeIndex, "next_deadline_ps", next_deadline_ps)
+    monkeypatch.setattr(TimerHeap, "pop_due", pop_due)
+    monkeypatch.setattr(TimerHeap, "next_deadline_ps", next_deadline_ps)
 
 
 #: ("instant", first host of the loop, now_ps) per loop instant, then
@@ -73,16 +79,16 @@ def record_instants(monkeypatch) -> List[Record]:
     after :func:`use_scan` to record a scan run).
 
     An instant is recorded where its loop settles it: ``run_event_loop``
-    asks the index for due hosts at every instant, ``CellSim._settle``
+    asks the heap for due hosts at every instant, ``CellSim._settle``
     only when a timer entry is due, so a cell's instant is recorded at
     ``_settle`` and the ``pop_due`` calls inside it are not."""
     records: List[Record] = []
     settling: List[int] = []
-    pop_due = TimerWakeIndex.pop_due
+    pop_due = TimerHeap.pop_due
     settle = CellSim._settle
     tick = SoftStack.tick
 
-    def recorded_pop_due(self: TimerWakeIndex, now_ps: int, due: Set[int]) -> None:
+    def recorded_pop_due(self: TimerHeap, now_ps: int, due: Set[int]) -> None:
         if not settling:
             records.append(("instant", next(iter(self.stacks)), now_ps))
         pop_due(self, now_ps, due)
@@ -99,7 +105,7 @@ def record_instants(monkeypatch) -> List[Record]:
         records.append(("tick", stack.name, stack.now_ps))
         tick(stack)
 
-    monkeypatch.setattr(TimerWakeIndex, "pop_due", recorded_pop_due)
+    monkeypatch.setattr(TimerHeap, "pop_due", recorded_pop_due)
     monkeypatch.setattr(CellSim, "_settle", recorded_settle)
     monkeypatch.setattr(SoftStack, "tick", recorded_tick)
     return records

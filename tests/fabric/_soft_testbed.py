@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.engine.testbed import message_driven
 from repro.fabric.service import ServiceModel
-from repro.fabric.softstack import SoftStack, TimerWakeIndex, run_event_loop
+from repro.fabric.softstack import SoftStack, TimerHeap, run_event_loop
 from repro.fabric.switch import SwitchFabric
 from repro.net.wire import (
     DelayFn, FaultFn, LinkDirection, WirePort, derive_seed,
@@ -233,15 +233,15 @@ class _Rig:
     wire = None  # the network the two stacks' ports are ends of
 
     def _attach(self, port_a, port_b, service_factory, seed: int) -> None:
+        self.timers = TimerHeap()
         self.engine_a = SoftStack(
             ip_from_string("10.0.0.1"), port_a, service_factory(),
-            name="a", seed=seed,
+            self.timers, 0, name="a", seed=seed,
         )
         self.engine_b = SoftStack(
             ip_from_string("10.0.0.2"), port_b, service_factory(),
-            name="b", seed=seed,
+            self.timers, 1, name="b", seed=seed,
         )
-        self._wake = TimerWakeIndex(enumerate((self.engine_a, self.engine_b)))
         self.time_ps = 0
 
     @property
@@ -263,7 +263,7 @@ class _Rig:
         runs when a stack posts a host message or at the instant
         ``next_call_ps`` names."""
         return run_event_loop(
-            self, self._wake, self.wire, seconds_to_ps(max_time_s),
+            self, self.timers, self.wire, seconds_to_ps(max_time_s),
             until=until, next_call_ps=next_call_ps,
         )
 

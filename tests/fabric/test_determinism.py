@@ -34,6 +34,34 @@ def test_incast_f4t_trace_matches_golden():
     assert fingerprint(bus.events) == GOLDEN_INCAST_F4T
 
 
+#: The 8-host incast on linux_stack (seed 1234), the fabric run whose
+#: RTOs fire: its ``FabricResult`` counters and fabric-layer trace
+#: fingerprint, captured before the soft stacks' per-stack timer heaps
+#: and the wake index over their heads became one heap per loop.
+GOLDEN_INCAST_LINUX = (
+    "dfa9b98851f1841dc174e573f2e81c8d845a7d513e66d03ef603d3a6375f413f"
+)
+GOLDEN_INCAST_LINUX_COUNTERS = {
+    "offered": 21, "completed": 21, "bytes_delivered": 2_753_856,
+    "retransmits": 2, "timeouts": 2, "switch_drops": 0, "ecn_marks": 0,
+    "peak_buffer_bytes": 4_614, "elapsed_ps": 614_540_958,
+}
+
+
+def test_incast_linux_stack_timeouts_match_golden():
+    scenario = get_fabric_scenario("incast", num_hosts=8, seed=1234)
+    bus = TraceBus(layers=["fabric"])
+    result = run_fabric(scenario, backend="linux_stack", trace=bus)
+    assert result.finished and bus.dropped == 0
+    counters = {
+        name: getattr(result, name)
+        for name in GOLDEN_INCAST_LINUX_COUNTERS if name != "elapsed_ps"
+    }
+    counters["elapsed_ps"] = round(result.elapsed_s * 1e12)
+    assert counters == GOLDEN_INCAST_LINUX_COUNTERS
+    assert fingerprint(bus.events) == GOLDEN_INCAST_LINUX
+
+
 #: What a driver of the fabric observes, per (scenario, backend) at 4 and
 #: 8 hosts, seed 1234: sha256 (first 16 hex digits) over the sorted
 #: latency samples and ``FabricResult.scalars()``.  They pin the loop's

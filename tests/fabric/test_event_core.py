@@ -10,13 +10,11 @@ import pytest
 from repro.fabric import get_fabric_scenario
 from repro.fabric.engine import FabricLoadEngine
 from repro.fabric.service import FlexToeService
-from repro.fabric.softstack import (
-    RTO_PS, FabricPacket, SoftStack, TimerWakeIndex,
-)
+from repro.fabric.softstack import RTO_PS, FabricPacket, SoftStack, TimerHeap
 from repro.tcp.segment import FlowKey, ip_from_string
 from repro.tcp.state_machine import TcpState
 
-from ._scan_oracle import StackVisits, record_instants, timer_due, use_scan
+from ._scan_oracle import StackVisits, record_instants, use_scan
 from ._soft_testbed import (
     SoftTestbed, SwitchTestbed, hold_the_switch_to_its_landings,
 )
@@ -45,7 +43,7 @@ def test_work_is_proportional_to_events(num_hosts, monkeypatch):
     original = SoftStack.tick
 
     def counted_tick(stack):
-        due = timer_due(stack, stack.now_ps)
+        due = bool(stack._due_timers)
         received = stack.packets_received
         original(stack)
         ticks.append(due or stack.packets_received > received)
@@ -80,34 +78,28 @@ def test_the_switch_runs_ahead_to_host_visible_instants(backend, monkeypatch):
 
 
 def test_a_live_timer_top_is_validated_once_per_step(monkeypatch):
-    """When a second run-ahead pass of one horizon step finds a later
-    delivery, the deadline the first pass validated is carried, not
-    asked of its stack again: no stack ticks between the passes.  This
-    run repeated 7 validations before; f4t incasts repeated none."""
+    """The heap's live top is validated once per horizon step, before
+    the switch runs ahead, and a step that validates it lands where a
+    stack ticks: no live top is validated twice with no tick between."""
     ticks, validated, repeats = [0], [], []
     tick = SoftStack.tick
-    stack_deadline = SoftStack.next_deadline_ps
-    index_deadline = TimerWakeIndex.next_deadline_ps
+    next_deadline_ps = TimerHeap.next_deadline_ps
 
     def counted_tick(stack):
         ticks[0] += 1
         tick(stack)
 
-    def asked(stack):
-        deadline = stack_deadline(stack)
-        if validated and validated[-1] == (stack, deadline, ticks[0]):
-            repeats.append(deadline)
-        return deadline
-
-    def lowered(index, best):
-        found = index_deadline(index, best)
-        if found is not None and found != best:  # a timer deadline, validated live
-            validated.append((index.stacks[index._heap[0][1]], found, ticks[0]))
+    def lowered(timers, bound):
+        found = next_deadline_ps(timers, bound)
+        if found is not None and found != bound:  # a timer deadline, validated live
+            seen = (timers._heap[0], ticks[0])
+            if validated and validated[-1] == seen:
+                repeats.append(found)
+            validated.append(seen)
         return found
 
     monkeypatch.setattr(SoftStack, "tick", counted_tick)
-    monkeypatch.setattr(SoftStack, "next_deadline_ps", asked)
-    monkeypatch.setattr(TimerWakeIndex, "next_deadline_ps", lowered)
+    monkeypatch.setattr(TimerHeap, "next_deadline_ps", lowered)
     engine = run_engine("incast", 16, backend="linux_stack")
     assert validated and sum(stack.timeouts for stack in engine.stacks) > 0
     assert repeats == []
@@ -178,11 +170,10 @@ def test_every_pump_call_is_due(name, monkeypatch):
     assert calls and undue == []
 
 
-# ------------------------------------------------- the timer wake index
+# ------------------------------------------------------- the timer heap
 def run_lossy_testbed():
     """Four bulk transfers over a 5 % drop wire: RTO timers fire, back
-    off and leave stale heap entries behind, and a pop on one flow
-    leaves the others' entries as the stack's new raw head."""
+    off and leave stale heap entries behind."""
     tb = SoftTestbed(lambda: FlexToeService(), drop_probability=0.05, seed=7)
     tb.engine_b.listen(80)
     flows = [tb.engine_a.connect(tb.engine_b.ip, 80) for _ in range(4)]
@@ -227,18 +218,30 @@ def test_index_visits_the_instants_and_ticks_the_stacks_of_the_scan(
     run, monkeypatch
 ):
     """Instant by instant: the same instants and the same ticked hosts
-    as asking every stack ``timer_due`` and walking every timer heap.
-    Fails if a publish site (``_arm``'s new head, the re-publish after
-    ``_expire_timers`` / ``next_deadline_ps`` pop) goes missing."""
+    as visiting every host's timer entries for the due ones and the
+    earliest live one.  Fails if the heap hands over, drops or
+    re-indexes an entry the scan would not."""
     index = recorded(monkeypatch, run, scan=False)
     scan = recorded(monkeypatch, run, scan=True)
     assert any(kind == "tick" for kind, _who, _at in index)
     assert index == scan
 
 
+def test_pop_due_hands_each_host_its_entries_in_deadline_then_flow_order():
+    tb = SoftTestbed(FlexToeService)
+    timers, due = tb.timers, set()
+    for deadline, host, flow_id in [(30, 1, 4), (10, 0, 7), (40, 0, 3), (10, 0, 2), (20, 1, 1)]:
+        timers.push(deadline, host, flow_id)
+    timers.pop_due(30, due)
+    assert due == {0, 1}
+    assert tb.engine_a._due_timers == [(10, 0, 2), (10, 0, 7)]
+    assert tb.engine_b._due_timers == [(20, 1, 1), (30, 1, 4)]
+    assert timers._heap == [(40, 0, 3)] and timers.live_pops == 4
+
+
 def run_incast_beside_idle_hosts(idle: int, monkeypatch):
     """The 8-host incast on a fabric that also has ``idle`` hosts
-    nobody connects to; returns (stack method calls, wake index)."""
+    nobody connects to; returns (stack method calls, timer heap)."""
     active = get_fabric_scenario("incast", num_hosts=8, seed=1234)
     with monkeypatch.context() as patch:
         visits = StackVisits(patch)
@@ -246,25 +249,25 @@ def run_incast_beside_idle_hosts(idle: int, monkeypatch):
         engine.scenario = active  # connect and drive the first 8 only
         assert engine.run().finished
     assert len(engine.stacks) == 8 + idle
-    return visits.calls, engine._wake
+    return visits.calls, engine.timers
 
 
 def test_idle_hosts_cost_no_stack_visits(monkeypatch):
     few, _ = run_incast_beside_idle_hosts(8, monkeypatch)
-    many, wake = run_incast_beside_idle_hosts(32, monkeypatch)
+    many, timers = run_incast_beside_idle_hosts(32, monkeypatch)
     # listen() is per host at setup; everything the loop does per
     # instant is the same whether 8 or 32 hosts sit idle.
     assert many.pop("listen") == few.pop("listen") + 24
     assert many == few
-    assert many["tick"] > 0 and wake.pushes > 0
-    # The index is exact bookkeeping: every entry pushed was popped
-    # live (and its host ticked) or stale, or is still queued.
-    assert wake.pushes == wake.live_pops + wake.stale_pops + len(wake._heap)
+    assert many["tick"] > 0 and timers.pushes > 0
+    # The heap is exact bookkeeping: every entry pushed was handed to
+    # its host (and the host ticked) or dropped stale, or is still queued.
+    assert timers.pushes == timers.live_pops + timers.stale_pops + len(timers._heap)
 
 
 def test_every_live_pop_is_ticked(monkeypatch):
     popped, ticked = [], []
-    pop_due = TimerWakeIndex.pop_due
+    pop_due = TimerHeap.pop_due
     tick = SoftStack.tick
 
     def watched_pop_due(self, now_ps, due):
@@ -276,18 +279,18 @@ def test_every_live_pop_is_ticked(monkeypatch):
         ticked.append((stack.now_ps, stack.name))
         tick(stack)
 
-    monkeypatch.setattr(TimerWakeIndex, "pop_due", watched_pop_due)
+    monkeypatch.setattr(TimerHeap, "pop_due", watched_pop_due)
     monkeypatch.setattr(SoftStack, "tick", watched_tick)
     # linux_stack: its slow service path lets RTOs fire (f4t pops none).
     engine = run_engine("incast", 8, backend="linux_stack")
     assert popped and set(popped) <= set(ticked)
-    assert engine._wake.live_pops >= len(popped)
+    assert engine.timers.live_pops >= len(popped)
 
 
 class TestLongIdleTimer:
     """A soft stack's RTO backed off to its cap with nothing else to do:
-    the event loop jumps from deadline to deadline, and the timer wake
-    index hands over each one at exactly its instant."""
+    the event loop jumps from deadline to deadline, and the timer heap
+    hands over each one at exactly its instant."""
 
     def test_backed_off_rto_fires_at_its_instant(self):
         # Every data segment is dropped: the RTO fires, backs off and
@@ -302,8 +305,8 @@ class TestLongIdleTimer:
         )
         stack.send_data(flow_id, bytes(1000))
         flow = stack.flows[flow_id]
-        wake = testbed._wake
-        live_before, stale_before = wake.live_pops, wake.stale_pops
+        timers = testbed.timers
+        live_before, stale_before = timers.live_pops, timers.stale_pops
         fires = []  # (instant, the deadline armed before it)
         seen = {"timeouts": 0, "deadline": None, "instants": 0}
 
@@ -326,12 +329,11 @@ class TestLongIdleTimer:
         # One instant per timeout (plus the first call and the one that
         # sent the data), not one per cycle or per host.
         assert seen["instants"] == len(fires) + 2
-        live = wake.live_pops - live_before
-        stale = wake.stale_pops - stale_before
-        assert wake.pushes == wake.live_pops + wake.stale_pops + len(wake._heap)
-        # Each due instant pops the head its stack published when it
-        # re-armed, twice at most (``_arm`` and the end of
-        # ``_expire_timers`` both publish it).  The only stale entries
-        # are the two handshake timers the connection setup left behind.
-        assert len(fires) <= live <= 2 * len(fires)
+        live = timers.live_pops - live_before
+        stale = timers.stale_pops - stale_before
+        assert timers.pushes == timers.live_pops + timers.stale_pops + len(timers._heap)
+        # Each due instant pops the one entry its flow re-armed.  The
+        # only stale entries are the two handshake timers the
+        # connection setup left behind.
+        assert live == len(fires)
         assert stale == 2

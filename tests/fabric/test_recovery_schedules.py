@@ -282,8 +282,7 @@ def settle(tb: SoftTestbed) -> None:
     and no timer is armed: every late segment lands and is answered."""
     tb.run(until=lambda: False, max_time_s=SETTLE_S)
     assert not tb.in_flight(), "still segments in flight"
-    for stack in (tb.engine_a, tb.engine_b):
-        assert stack.next_deadline_ps() is None, f"{stack.name}: a timer armed"
+    assert tb.timers.next_deadline_ps(None) is None, "a timer armed"
 
 
 def check_outcome(shape: str, out: Outcome, tb: SoftTestbed) -> None:

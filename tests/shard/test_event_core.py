@@ -1,7 +1,7 @@
 """The cell event loop does work in proportion to what is due.
 
-The shard half of ``tests/fabric/test_event_core.py``: the timer wake
-index against the retired every-host scan on a sharded run, and counts
+The shard half of ``tests/fabric/test_event_core.py``: the timer heap
+against the every-host scan on a sharded run, and counts
 (never timings) showing that idle hosts cost a cell nothing per instant.
 """
 
@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.fabric.softstack import TimerWakeIndex
+from repro.fabric.softstack import TimerHeap
 from repro.fabric.switch import CellSwitch
 from repro.shard import get_shard_scenario, run_shard, runner
 from repro.shard.cell import CellSim
@@ -56,14 +56,35 @@ def lossy_churn() -> ShardScenario:
     )
 
 
+#: ``lossy_churn`` on two in-process groups with a 64 KiB cell switch
+#: buffer, the shard run whose timers fire: its merged fingerprint and
+#: per-cell (timeouts, retransmits, events), captured before the soft
+#: stacks' per-stack timer heaps and the wake index over their heads
+#: became one heap per loop.
+GOLDEN_LOSSY_CHURN = (
+    "db4b2feccf530c3178bc47419ce831507b29f7c1b5b3810ebab479229ab4e65a"
+)
+GOLDEN_LOSSY_CHURN_CELLS = [(6, 9, 2108), (0, 0, 1328), (7, 13, 1009), (0, 0, 1330)]
+
+
+def test_lossy_churn_matches_its_golden(monkeypatch):
+    monkeypatch.setattr(CellSwitch, "buffer_bytes", 1 << 16)
+    result, _sims = run_in_process(monkeypatch, lossy_churn(), workers=2)
+    assert result.fingerprint == GOLDEN_LOSSY_CHURN
+    assert [
+        (c.counters["timeouts"], c.counters["retransmits"], c.counters["events"])
+        for c in result.cells
+    ] == GOLDEN_LOSSY_CHURN_CELLS
+
+
 @pytest.mark.parametrize("scenario, lossy", [
     (get_shard_scenario("churn"), False), (lossy_churn(), True),
 ], ids=["churn", "lossy_churn"])
 def test_index_visits_the_instants_and_ticks_the_stacks_of_the_scan(
     scenario, lossy, monkeypatch
 ):
-    """A two-group run, instant by instant, against asking every stack
-    ``timer_due`` and walking every timer heap."""
+    """A two-group run, instant by instant, against visiting every
+    host's timer entries."""
     if lossy:
         monkeypatch.setattr(CellSwitch, "buffer_bytes", 1 << 16)
     runs = {}
@@ -114,8 +135,8 @@ def test_idle_hosts_cost_a_cell_no_stack_visits(monkeypatch):
     assert many_result.total("events") == few_result.total("events") > 0
     assert many == few
     for sim in sims:
-        wake = sim._wake
-        assert wake.pushes == wake.live_pops + wake.stale_pops + len(wake._heap)
+        timers = sim.timers
+        assert timers.pushes == timers.live_pops + timers.stale_pops + len(timers._heap)
 
 
 @pytest.mark.parametrize("scenario", [
@@ -138,7 +159,7 @@ def test_loop_stats_account_for_every_instant_and_tick(scenario, monkeypatch):
         # Every tick is one host of a non-admission-only instant.
         assert s["stack_ticks"] >= s["instants"] - s["admission_only"]
         assert s["index_pushes"] == (
-            s["live_pops"] + s["stale_pops"] + len(sim._wake._heap)
+            s["live_pops"] + s["stale_pops"] + len(sim.timers._heap)
         )
     # The loop's own keys never reach the fingerprinted counters.
     assert not set(stats[0]) & set(sims[0].report())
@@ -150,7 +171,7 @@ def test_drivers_tick_only_when_they_can_act_and_the_horizon_is_taken_once(
     """A client driver is ticked at each instant one of its connects is
     due, a server driver only with a connection to accept, and an
     admission-only instant folds in the switch's new head instead of
-    asking the wake index again."""
+    asking the timer heap again."""
     counts = {"client": 0, "server": 0, "horizons": 0, "queries": 0}
     searching = []
 
@@ -161,7 +182,7 @@ def test_drivers_tick_only_when_they_can_act_and_the_horizon_is_taken_once(
         return wrapper
 
     next_event = CellSim._next_event_ps
-    query = TimerWakeIndex.next_deadline_ps
+    query = TimerHeap.next_deadline_ps
 
     def counted_next_event(sim, end_ps):
         counts["horizons"] += 1
@@ -171,15 +192,15 @@ def test_drivers_tick_only_when_they_can_act_and_the_horizon_is_taken_once(
         finally:
             searching.pop()
 
-    def counted_query(wake, best):
+    def counted_query(timers, best):
         counts["queries"] += bool(searching)
-        return query(wake, best)
+        return query(timers, best)
 
     with monkeypatch.context() as patch:
         patch.setattr(ClientPairDriver, "tick", counted("client", ClientPairDriver.tick))
         patch.setattr(ServerHostDriver, "tick", counted("server", ServerHostDriver.tick))
         patch.setattr(CellSim, "_next_event_ps", counted_next_event)
-        patch.setattr(TimerWakeIndex, "next_deadline_ps", counted_query)
+        patch.setattr(TimerHeap, "next_deadline_ps", counted_query)
         result, sims = run_in_process(
             patch, get_shard_scenario("megaflow").scaled(512)
         )

@@ -10,7 +10,10 @@ import time
 import pytest
 
 from .._cli import main as repro_main
-from repro.shard import ShardWorkerError, get_shard_scenario, run_shard
+from repro.shard import (
+    ShardWorkerError, get_shard_scenario, run_shard, run_traffic_shard, runner,
+)
+from repro.traffic import get_scenario
 
 
 class TestChurnRun:
@@ -102,6 +105,31 @@ class TestWorkerDeath:
         assert "epoch" in message and "exit code -9" in message
         assert elapsed < 5.0
         assert shard_workers() == []
+
+
+def _cell_0_dies(args):
+    """``_traffic_cell_job``, except that cell 0's worker SIGKILLs itself."""
+    if args[0] == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _traffic_cell_job(args)
+
+
+_traffic_cell_job = runner._traffic_cell_job
+
+
+class TestTrafficWorkerDeath:
+    def test_sigkilled_traffic_worker_is_a_prompt_named_error(self, monkeypatch):
+        """A traffic cell whose worker dies is one ShardWorkerError naming
+        the cells left unfinished, raised at once — not a pool that waits
+        forever for the dead worker's result."""
+        monkeypatch.setattr(runner, "_traffic_cell_job", _cell_0_dies)
+        children = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(ShardWorkerError) as raised:
+            run_traffic_shard(get_scenario("mixed", seed=1234), workers=2)
+        assert time.monotonic() - started < 10.0
+        assert "cells [0" in str(raised.value)
+        assert set(multiprocessing.active_children()) <= children
 
 
 class TestShardCli:
