@@ -295,11 +295,11 @@ class FabricLoadEngine:
 
     def _connect(self, client: int, server: int) -> _FabricConn:
         conn = _FabricConn(len(self.conns), client, server)
-        stack = self.stacks[client]
+        stack: SoftStack = self.stacks[client]
         conn.c_flow = stack.connect(
             self.fabric.host_ip(server), self.scenario.server_port
         )
-        key = stack.flows[conn.c_flow].key
+        key = stack.flow_key(conn.c_flow)
         self._awaiting[(server, key.src_ip, key.src_port)] = conn
         self._conn_of_flow[(client, conn.c_flow)] = conn
         self.conns.append(conn)
@@ -316,9 +316,8 @@ class FabricLoadEngine:
                 if message.kind == "accepted":
                     # One accept-queue entry per message, in step.
                     flow = stack.accept(port)
-                    record = stack.flows.get(flow)
-                    if record is not None:
-                        key = record.key
+                    key = stack.flow_key(flow)
+                    if key is not None:
                         conn = self._awaiting.pop(
                             (index, key.dst_ip, key.dst_port), None
                         )

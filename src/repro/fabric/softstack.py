@@ -30,7 +30,9 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from ..engine.ftengine import EngineMessage
 from ..net.link import PER_PACKET_OVERHEAD
@@ -99,6 +101,10 @@ class FabricPacket:
 _NO_RUNS: Tuple[Tuple[int, int], ...] = ()
 #: The initial congestion window: one int every transfer starts on.
 _INIT_CWND = INIT_CWND_SEGMENTS * MSS
+#: Read once: an attribute read on an enum class costs about eight
+#: global reads on CPython 3.11, and ``_park`` runs for most held-open
+#: ends.
+_ESTABLISHED = TcpState.ESTABLISHED
 
 
 class _Transfer:
@@ -167,14 +173,22 @@ _IDLE = _IdleTransfer()
 class _SoftFlow:
     """One end of a connection: identity, state and timers, plus ``x``,
     what it has moved — the shared :data:`_IDLE` until its first
-    transfer.  Most held-open connections never move a byte, and pay
-    only this.
+    transfer.
 
     ``wire_key`` is the connection's one key, src = opener: the object
     ``connect`` made, which every segment of the connection carries and
     both ends hold.  ``key`` reads it in this end's view (src = this
     host), as :class:`~repro.engine.ftengine.FtEngine`'s flow records
     do; at the opener's end the two are the same tuple.
+
+    Most held-open connections never move a byte, and their ends do not
+    keep this record: an end that is ESTABLISHED, idle, has no deadline
+    and no timer entry, and sits on the slot its flow id names is
+    *parked* (:meth:`SoftStack._park`) once its last timer entry leaves
+    the heap.  It is then only its two table entries — ``flows[flow_id]``
+    holds ``wire_key``, ``_by_key[wire_key]`` the flow id — and a write
+    (a segment, ``send_data``, ``close_flow``) rebuilds the record
+    exactly (:meth:`SoftStack._unpark`).
     """
 
     __slots__ = (
@@ -251,15 +265,17 @@ class SoftStack:
         #: The only RNG: seeded jitter on the ECN recovery hold-off,
         #: derived per host name so every stack draws its own stream.
         self._ecn_rng = random.Random(derive_seed(seed, f"ecn/{name}"))
-        self.flows: Dict[int, _SoftFlow] = {}
+        #: flow id -> its end: the record, or, parked, the wire key.
+        self.flows: Dict[int, Union[_SoftFlow, FlowKey]] = {}
         self.host_messages: Deque[EngineMessage] = deque()
         #: Bumped on every host-queue mutation, mirroring
         #: ``FtEngine.msg_epoch`` so pollers can skip an unchanged queue.
         self.msg_epoch = 0
         self._listening: Set[int] = set()
         self._accept_queues: Dict[int, Deque[int]] = {}
-        #: Each connection's one key (src = opener) -> this end of it.
-        self._by_key: Dict[FlowKey, _SoftFlow] = {}
+        #: Each connection's one key (src = opener) -> this end of it:
+        #: the record, or, parked, the flow id.
+        self._by_key: Dict[FlowKey, Union[_SoftFlow, int]] = {}
         self._next_flow_id = 0
         self._next_port = _EPHEMERAL_BASE
         self._free_slots: List[int] = []
@@ -331,6 +347,34 @@ class SoftStack:
             flow.timer_armed_ps = deadline
             self.timers.push(deadline, self.host, flow.flow_id)
 
+    def _park(self, flow: _SoftFlow) -> None:
+        """Park ``flow`` if it has nothing to do — ESTABLISHED, never
+        moved a byte, no deadline, no timer entry left, on the slot its
+        flow id names — by dropping its record: its two table entries
+        stand for it, ``flows`` holding its wire key and ``_by_key`` its
+        flow id."""
+        if (
+            flow.x is _IDLE
+            and flow.state is _ESTABLISHED
+            and not flow.timer_armed_ps
+            and not (flow.hs_deadline_ps or flow.rto_deadline_ps)
+            and flow.slot == flow.flow_id
+        ):
+            flow_id, key = flow.flow_id, flow.wire_key
+            self.flows[flow_id] = key
+            self._by_key[key] = flow_id
+
+    def _unpark(self, flow_id: int) -> _SoftFlow:
+        """Rebuild a parked end as the record it was: the opener's or
+        the passive end by its key's source, slot = flow id, idle, no
+        deadline."""
+        key = self.flows[flow_id]
+        flow_id = self._by_key[key]  # the table's own int, as before
+        cls = _SoftFlow if key.src_ip == self.ip else _PassiveFlow
+        flow = cls(flow_id, key, flow_id, _ESTABLISHED)
+        self.flows[flow_id] = self._by_key[key] = flow
+        return flow
+
     # ----------------------------------------------------- host-facing API
     def listen(self, port: int) -> Deque[int]:
         """Accept connections on ``port``; returns its accept queue (the
@@ -368,13 +412,24 @@ class SoftStack:
             return None
         return queue.popleft()
 
+    def flow_key(self, flow_id: int) -> Optional[FlowKey]:
+        """The flow's key in this end's view (src = this host)."""
+        flow = self.flows.get(flow_id)
+        if type(flow) is not FlowKey:
+            return None if flow is None else flow.key
+        return flow if flow.src_ip == self.ip else flow.reversed()
+
     def flow_state(self, flow_id: int) -> Optional[TcpState]:
         flow = self.flows.get(flow_id)
+        if type(flow) is FlowKey:
+            return _ESTABLISHED
         return flow.state if flow is not None else None
 
     def send_room(self, flow_id: int) -> int:
         """Bytes :meth:`send_data` would accept now."""
         flow = self.flows.get(flow_id)
+        if type(flow) is FlowKey:
+            return SEND_BUFFER
         if flow is None or flow.x.fin_queued:
             return 0
         return SEND_BUFFER - (flow.x.app_written - flow.x.flow_acked)
@@ -384,6 +439,8 @@ class SoftStack:
         if accepted <= 0:
             return 0
         flow = self.flows[flow_id]
+        if type(flow) is FlowKey:
+            flow = self._unpark(flow_id)
         x = flow.x
         if x is _IDLE:
             x = flow.x = _Transfer()
@@ -394,13 +451,13 @@ class SoftStack:
 
     def readable(self, flow_id: int) -> int:
         flow = self.flows.get(flow_id)
-        if flow is None:
+        if flow is None or type(flow) is FlowKey:
             return 0
         return flow.x.contiguous - flow.x.delivered
 
     def recv_data(self, flow_id: int, nbytes: int) -> bytes:
         flow = self.flows.get(flow_id)
-        if flow is None:
+        if flow is None or type(flow) is FlowKey:
             return b""
         x = flow.x  # bytes to take means a data arrival gave it its own
         take = min(nbytes, x.contiguous - x.delivered)
@@ -411,7 +468,9 @@ class SoftStack:
 
     def close_flow(self, flow_id: int) -> None:
         flow = self.flows.get(flow_id)
-        if flow is None or flow.x.fin_queued:
+        if type(flow) is FlowKey:
+            flow = self._unpark(flow_id)
+        elif flow is None or flow.x.fin_queued:
             return
         x = flow.x
         if x is _IDLE:
@@ -512,12 +571,12 @@ class SoftStack:
 
     def _expire_timers(self, now: int) -> None:
         """Act on every timer entry handed over for ``now``, live or
-        stale; a flow re-arms what is left of its deadlines."""
+        stale; a flow re-arms what is left of its deadlines, or parks."""
         due = self._due_timers
         for deadline, _host, flow_id in due:
             flow = self.flows.get(flow_id)
-            if flow is None:
-                continue
+            if flow is None or type(flow) is FlowKey:
+                continue  # gone, or parked: nothing is due
             if flow.timer_armed_ps == deadline:
                 flow.timer_armed_ps = 0
             if flow.hs_deadline_ps and now >= flow.hs_deadline_ps:
@@ -553,6 +612,7 @@ class SoftStack:
                     )
                     self._retransmit_from(flow, go_back=True)
             self._arm(flow)
+            self._park(flow)
         due.clear()
 
     # ------------------------------------------------------------- receive
@@ -588,6 +648,8 @@ class SoftStack:
                     FabricPacket("rst", key), self.service.tx_ready_ps(now, 0, 0)
                 )
             return
+        if type(flow) is int:
+            flow = self._unpark(flow)
         if self.trace is not None:
             self.trace.emit(
                 now, "fabric", self.trace_name, f"rx-{kind}",
@@ -623,7 +685,9 @@ class SoftStack:
         if key.dst_port not in self._listening:
             return
         flow = self._by_key.get(key)  # not None: a duplicate SYN, re-answer
-        if flow is None:
+        if type(flow) is int:
+            flow = self._unpark(flow)
+        elif flow is None:
             flow_id = self._next_flow_id
             self._next_flow_id += 1
             flow = _PassiveFlow(
@@ -837,12 +901,15 @@ class TimerHeap:
     def next_deadline_ps(self, bound: Optional[int]) -> Optional[int]:
         """The earliest live deadline under ``bound`` (None: any), else
         ``bound``.  Every stale entry above it is dropped on the way,
-        and its flow re-indexed at its true deadline, if it has one."""
+        and its flow re-indexed at its true deadline, if it has one, or
+        else parked, if it can be."""
         heap, stacks = self._heap, self.stacks
         while heap and (bound is None or heap[0][0] < bound):
             deadline, host, flow_id = heap[0]
             stack = stacks[host]
             flow = stack.flows.get(flow_id)
+            if type(flow) is FlowKey:
+                flow = None  # parked: no deadline
             actual = 0 if flow is None else _deadline_ps(flow)
             if actual == deadline:
                 return deadline
@@ -853,6 +920,8 @@ class TimerHeap:
                     flow.timer_armed_ps = 0
                 if actual:
                     stack._arm(flow)
+                else:
+                    stack._park(flow)
         return bound
 
 

@@ -16,9 +16,10 @@ Each cell drives its hosts with two small state machines sitting on the
 
 Both sides count everything they do; a cell's connection/transaction
 totals are sums of these counters, and all state for settled
-connections is dropped eagerly — a held-open megaflow connection costs
-its two stack flow objects and, here, the eight bytes of its connect
-instant.
+connections is dropped eagerly — a held-open megaflow connection that
+never transacts costs its two ends' flow-table entries (each end is
+parked once its handshake timer entry leaves the heap: no flow object)
+and, here, the eight bytes of its connect instant.
 """
 
 from __future__ import annotations
@@ -199,10 +200,10 @@ class ServerHostDriver:
     def tick(self, now_ps: int) -> None:
         while self.backlog:
             flow_id = self.stack.accept(self.port)
-            flow = self.stack.flows.get(flow_id)
-            if flow is None:  # torn down before the app saw it
+            key = self.stack.flow_key(flow_id)
+            if key is None:  # torn down before the app saw it
                 continue
-            client = self.host_of_ip(flow.key.dst_ip)
+            client = self.host_of_ip(key.dst_ip)
             if client is None:
                 # Not a scheduled pair: nothing to frame, just hold.
                 self.accepted += 1

@@ -13,7 +13,7 @@ wrapper the fabric and shard scaling tests share.
 import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.fabric.softstack import SoftStack, TimerHeap, _deadline_ps
+from repro.fabric.softstack import SoftStack, TimerHeap, _SoftFlow, _deadline_ps
 from repro.shard.cell import CellSim
 
 Entry = Tuple[int, int, int]
@@ -55,6 +55,8 @@ def use_scan(monkeypatch) -> None:
             deadline, host, flow_id = first
             stack = self.stacks[host]
             flow = stack.flows.get(flow_id)
+            if not isinstance(flow, _SoftFlow):
+                flow = None  # gone, or parked: no deadline
             if flow is not None and _deadline_ps(flow) == deadline:
                 return deadline
             self._heap.remove(first)
@@ -64,6 +66,7 @@ def use_scan(monkeypatch) -> None:
                 if flow.timer_armed_ps == deadline:
                     flow.timer_armed_ps = 0
                 stack._arm(flow)
+                stack._park(flow)
 
     monkeypatch.setattr(TimerHeap, "pop_due", pop_due)
     monkeypatch.setattr(TimerHeap, "next_deadline_ps", next_deadline_ps)

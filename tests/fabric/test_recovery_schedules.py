@@ -7,7 +7,9 @@ both sides.  On every schedule the bytes arrive exactly, both ends
 reach CLOSED with nothing left in ``flows`` or ``_by_key`` — at the
 instant they close and again once every late segment has landed — and,
 for the fixed schedules, the recovery counters at the close equal the
-table below.
+table below.  The held-open schedules first leave the connection idle
+past the handshake timeout, so both ends park, and then send on it,
+close it or hit it with a stray handshake copy or a late FIN.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fabric.service import FlexToeService
+from repro.fabric.softstack import HANDSHAKE_RTO_PS, SoftStack
+from repro.sim.component import NEVER
+from repro.tcp.segment import FlowKey
 
 from ._soft_testbed import (
     Fault, FaultSchedule, SoftTestbed, SwitchTestbed,
@@ -201,13 +206,19 @@ def wanted(shape: str) -> Tuple[int, int]:
     """(bytes a receives, bytes b receives) over a connection of ``shape``."""
     if shape == "bulk":
         return 0, BULK_BYTES
+    if shape == "idle":
+        return 0, 0
     return RPC_ROUNDS * RPC_RESPONSE, RPC_ROUNDS * RPC_REQUEST
 
 
-def drive(tb, shape: str, max_time_s: float = MAX_TIME_S) -> Outcome:
+def drive(
+    tb, shape: str, max_time_s: float = MAX_TIME_S, hold_ps: int = 0,
+) -> Outcome:
     """One whole connection of ``shape`` between ``tb``'s two ends: a
     connects, the transfer runs, a closes once it is done and b closes
-    on EOF.  ``tb`` is any rig with the ``Testbed`` shape."""
+    on EOF.  With ``hold_ps``, a neither sends nor closes before that
+    instant: the connection is held open, idle, until then.  ``tb`` is
+    any rig with the ``Testbed`` shape."""
     a, b = tb.engine_a, tb.engine_b
     b.listen(80)
     a_flow = a.connect(b.ip, 80)
@@ -232,9 +243,11 @@ def drive(tb, shape: str, max_time_s: float = MAX_TIME_S) -> Outcome:
                     out.closed[name] = True
         if b_flow is None:
             b_flow = b.accept(80)
-        if shape == "bulk":
+        if tb.time_ps < hold_ps:
+            pass  # held open: a waits
+        elif shape == "bulk":
             top_up("a", a, a_flow, BULK_BYTES)
-        else:
+        elif shape == "rpc":
             # Request k goes out once response k - 1 is in.
             rounds = min(RPC_ROUNDS, out.got_a // RPC_RESPONSE + 1)
             top_up("a", a, a_flow, rounds * RPC_REQUEST)
@@ -243,7 +256,10 @@ def drive(tb, shape: str, max_time_s: float = MAX_TIME_S) -> Outcome:
             out.got_b += len(b.recv_data(b_flow, b.readable(b_flow)))
             if shape == "rpc":
                 top_up("b", b, b_flow, out.got_b // RPC_REQUEST * RPC_RESPONSE)
-        if not closing["a"] and sent["a"] == want_b and out.got_a == want_a:
+        if (
+            tb.time_ps >= hold_ps and not closing["a"]
+            and sent["a"] == want_b and out.got_a == want_a
+        ):
             closing["a"] = True
             a.close_flow(a_flow)
         if (
@@ -254,13 +270,21 @@ def drive(tb, shape: str, max_time_s: float = MAX_TIME_S) -> Outcome:
             b.close_flow(b_flow)
         return out.closed["a"] and out.closed["b"]
 
-    out.finished = tb.run(until=pump, max_time_s=max_time_s)
+    if hold_ps:
+        out.finished = tb.run(
+            until=pump, max_time_s=max_time_s,
+            next_call_ps=lambda: hold_ps if tb.time_ps < hold_ps else NEVER,
+        )
+    else:
+        out.finished = tb.run(until=pump, max_time_s=max_time_s)
     return out
 
 
-def replay(tb, schedule: FaultSchedule, shape: str) -> Outcome:
+def replay(
+    tb, schedule: FaultSchedule, shape: str, hold_ps: int = 0,
+) -> Outcome:
     """:func:`drive` on ``tb``, whose ports apply ``schedule``."""
-    out = drive(tb, shape)
+    out = drive(tb, shape, hold_ps=hold_ps)
     out.fired = len(schedule.fired)
     out.counters = tuple(
         getattr(stack, name)
@@ -391,3 +415,76 @@ def test_fixed_schedule_across_the_switch(name, monkeypatch):
     check_outcome(shape, out, tb)
     assert out.fired == len(faults), "a fault no segment reached"
     assert out.counters + (close_ps,) == SWITCH_EXPECTED[name]
+
+
+# ------------------------------------------------------ held open
+#: How long a held-open connection sits idle before a acts: past the
+#: handshake timeout, so every handshake timer entry has left the heap.
+HOLD_PS = 2 * HANDSHAKE_RTO_PS
+#: A copy that lands while both ends are still idle.
+COPY_PS = 75 * US
+
+#: name -> (shape, faults) of a connection held open for ``HOLD_PS``,
+#: then (a) sent on, (b) closed, (c) hit by a duplicated handshake
+#: segment delayed into the idle stretch and then closed, or (d) closed
+#: with its FIN held back past the retransmit timeout.  ``idle`` moves
+#: no byte either way.
+HELD: Dict[str, Tuple[str, List[Fault]]] = {
+    "held-send": ("bulk", []),
+    "held-rpc": ("rpc", []),
+    "held-close": ("idle", []),
+    "held-syn-copy": ("idle", [Fault("a2b", "syn", 0, "dup", COPY_PS)]),
+    "held-synack-copy": ("idle", [Fault("b2a", "synack", 0, "dup", COPY_PS)]),
+    "held-handshake-ack-copy": (
+        "idle", [Fault("a2b", "ack", 0, "dup", COPY_PS)],
+    ),
+    "held-fin-late": ("idle", [Fault("a2b", "fin", 0, "delay", LATE_PS)]),
+}
+
+#: name -> (a, b) x (retransmits, timeouts, ecn_echoes, packets_sent),
+#: the close instant (ps), then (a, b) packets sent once the wire has
+#: settled; captured before an idle end could park.
+HELD_EXPECTED: Dict[str, Tuple[int, ...]] = {
+    "held-close": (0, 0, 0, 4, 0, 0, 0, 3, 113533720, 4, 3),
+    "held-fin-late": (1, 1, 0, 5, 0, 0, 0, 3, 166033720, 5, 4),
+    "held-handshake-ack-copy": (0, 0, 0, 4, 0, 0, 0, 3, 113533720, 4, 3),
+    "held-rpc": (0, 0, 0, 24, 0, 0, 0, 23, 164042480, 24, 23),
+    "held-send": (0, 0, 0, 49, 0, 0, 0, 48, 133633520, 49, 48),
+    "held-syn-copy": (0, 0, 0, 4, 0, 0, 0, 4, 113533720, 4, 4),
+    "held-synack-copy": (0, 0, 0, 4, 0, 0, 0, 3, 113533720, 4, 3),
+}
+
+
+def record_parks(monkeypatch) -> List[Tuple[str, int]]:
+    """(stack name, instant) of every end that parks, in order."""
+    parks: List[Tuple[str, int]] = []
+    park = SoftStack._park
+
+    def recorded(stack: SoftStack, flow) -> None:
+        park(stack, flow)
+        if type(stack.flows[flow.flow_id]) is FlowKey:
+            parks.append((stack.name, stack.now_ps))
+
+    monkeypatch.setattr(SoftStack, "_park", recorded)
+    return parks
+
+
+@pytest.mark.parametrize("name", sorted(HELD))
+def test_held_open_schedule(name, monkeypatch):
+    """Both ends park while the connection is held open, then whatever
+    comes — a send, a close, a stray handshake copy, a late FIN —
+    unparks them, and the counters are the ones captured before an end
+    could park."""
+    parks = record_parks(monkeypatch)
+    shape, faults = HELD[name]
+    schedule = FaultSchedule(faults)
+    tb = SoftTestbed(lambda: FlexToeService(), schedule=schedule)
+    out = replay(tb, schedule, shape, hold_ps=HOLD_PS)
+    close_ps = tb.time_ps
+    assert close_ps > HOLD_PS
+    assert sorted({who for who, _at in parks}) == ["a", "b"]
+    assert all(at < COPY_PS for _who, at in parks)
+    check_outcome(shape, out, tb)
+    assert out.fired == len(faults), "a fault no segment reached"
+    settled = (tb.engine_a.packets_sent, tb.engine_b.packets_sent)
+    assert out.counters + (close_ps,) + settled == HELD_EXPECTED[name]

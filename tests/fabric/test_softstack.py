@@ -5,7 +5,8 @@ import pytest
 from repro.engine.testbed import Testbed
 from repro.fabric import softstack
 from repro.fabric.softstack import (
-    _IDLE, _INIT_CWND, _NO_RUNS, MSS, RECV_BUFFER, FabricPacket, _Transfer,
+    _IDLE, _INIT_CWND, _NO_RUNS, MSS, RECV_BUFFER, SEND_BUFFER, FabricPacket,
+    _PassiveFlow, _SoftFlow, _Transfer,
 )
 from repro.fabric.service import FlexToeService
 from repro.tcp.segment import FlowKey
@@ -33,6 +34,19 @@ def establish(tb: SoftTestbed):
 
     assert tb.run(until=accepted, max_time_s=0.1)
     return a_flow, b_box["flow"]
+
+
+def settle(tb: SoftTestbed) -> None:
+    """Run on with no pump until nothing is left to happen: every stale
+    handshake entry leaves the heap, and every idle end parks."""
+    assert not tb.run(until=lambda: False, max_time_s=tb.now_s + 0.1)
+    assert tb.timers.next_deadline_ps(None) is None
+
+
+def record(stack, flow_id: int) -> _SoftFlow:
+    """The flow's record: a parked end is rebuilt, as a write would."""
+    flow = stack.flows[flow_id]
+    return flow if isinstance(flow, _SoftFlow) else stack._unpark(flow_id)
 
 
 class TestHandshakeAndData:
@@ -174,9 +188,7 @@ class TestLazyReassemblyState:
     def test_out_of_order_insert_copies_the_shared_empty(self):
         tb = flextoe_testbed()
         a_flow, b_flow = establish(tb)
-        first, second = (
-            tb.engine_a.flows[a_flow], tb.engine_b.flows[b_flow]
-        )
+        first, second = record(tb.engine_a, a_flow), record(tb.engine_b, b_flow)
         x = second.x = _Transfer()
         assert x.ooo is _NO_RUNS
         tb.engine_b._insert_ooo(x, 3000, 4000)
@@ -193,13 +205,14 @@ def owned(tb: SoftTestbed):
         (stack.name, flow.flow_id)
         for stack in (tb.engine_a, tb.engine_b)
         for flow in stack.flows.values()
-        if flow.x is not _IDLE
+        if isinstance(flow, _SoftFlow) and flow.x is not _IDLE
     }
 
 
 class TestIdleTransfer:
     """Every flow starts on the one shared, read-only idle transfer and
-    takes its own at its first write; every other flow stays on it."""
+    takes its own at its first write; every other flow stays on it (or
+    parks: then it keeps no record at all)."""
 
     def rig(self, **kwargs):
         """Four established connections a -> b, none moved a byte."""
@@ -240,9 +253,11 @@ class TestIdleTransfer:
     def test_fin_arrival(self):
         tb, (a_flow, b_flow) = self.rig()
         tb.engine_a.close_flow(a_flow)
-        flow = tb.engine_b.flows[b_flow]
-        assert tb.run(until=lambda: flow.x.peer_fin_at == 0, max_time_s=0.1)
+        assert tb.run(
+            until=lambda: ("b", b_flow) in owned(tb), max_time_s=0.1
+        )
         assert owned(tb) == {("a", a_flow), ("b", b_flow)}
+        assert tb.engine_b.flows[b_flow].x.peer_fin_at == 0
 
     def test_rto(self):
         # The first data segment on the wire is connection 1's only one.
@@ -256,7 +271,7 @@ class TestIdleTransfer:
 
     def test_acks_that_move_nothing_copy_nothing(self):
         tb, (a_flow, b_flow) = self.rig()
-        key = tb.engine_a.flows[a_flow].key  # the sender's view
+        key = tb.engine_a.flow_key(a_flow)  # the sender's view
         tb.engine_b._receive(
             FabricPacket("ack", key, window=RECV_BUFFER), tb.time_ps
         )
@@ -266,7 +281,7 @@ class TestIdleTransfer:
     def test_ack_that_changes_the_window_or_echoes_ce(self, window, ece):
         tb, (a_flow, b_flow) = self.rig()
         b = tb.engine_b
-        key = tb.engine_a.flows[a_flow].key
+        key = tb.engine_a.flow_key(a_flow)
         b._receive(
             FabricPacket("ack", key, window=window, ece=ece), tb.time_ps
         )
@@ -323,16 +338,24 @@ class TestOneKeyPerConnection:
     def test_both_ends_hold_the_same_key_object(self):
         tb = flextoe_testbed()
         a_flow, b_flow = establish(tb)
-        a_end, b_end = tb.engine_a.flows[a_flow], tb.engine_b.flows[b_flow]
+        a_end, b_end = record(tb.engine_a, a_flow), record(tb.engine_b, b_flow)
         assert a_end.wire_key is b_end.wire_key is a_end.key
         assert tb.engine_b._by_key[a_end.wire_key] is b_end
 
-    @pytest.mark.parametrize("rig", ["engines", "soft"])
+    @pytest.mark.parametrize("rig", ["engines", "soft", "soft-parked"])
     def test_key_reads_in_the_local_view_at_both_ends(self, rig):
         tb = Testbed() if rig == "engines" else flextoe_testbed()
         a_flow, b_flow = establish(tb)
-        a_key = tb.engine_a.flows[a_flow].key
-        b_key = tb.engine_b.flows[b_flow].key
+        if rig == "engines":
+            a_key = tb.engine_a.flows[a_flow].key
+            b_key = tb.engine_b.flows[b_flow].key
+        else:
+            if rig == "soft-parked":
+                settle(tb)
+            a_key = tb.engine_a.flow_key(a_flow)
+            b_key = tb.engine_b.flow_key(b_flow)
+            assert a_key == record(tb.engine_a, a_flow).key
+            assert b_key == record(tb.engine_b, b_flow).key
         assert (a_key.src_ip, a_key.dst_ip, a_key.dst_port) == (
             tb.engine_a.ip, tb.engine_b.ip, 80,
         )
@@ -402,5 +425,116 @@ class TestIntegerTime:
         a_flow, b_flow = establish(tb)
         assert isinstance(tb.time_ps, int)
         assert isinstance(tb.engine_a.now_ps, int)
-        for flow in list(tb.engine_a.flows.values()):
-            assert isinstance(flow.rto_deadline_ps, int)
+        for flow_id in list(tb.engine_a.flows):
+            assert isinstance(record(tb.engine_a, flow_id).rto_deadline_ps, int)
+
+
+class TestParking:
+    """An ESTABLISHED end that never moved a byte keeps no record once
+    its last timer entry has left the heap: ``flows`` holds the
+    connection's one key and ``_by_key`` the flow id.  Reads answer
+    from that; a write rebuilds the record it was."""
+
+    def parked(self):
+        tb = flextoe_testbed()
+        a_flow, b_flow = establish(tb)
+        settle(tb)
+        return tb, a_flow, b_flow
+
+    def test_idle_ends_park_on_their_two_table_entries(self):
+        tb, a_flow, b_flow = self.parked()
+        a, b = tb.engine_a, tb.engine_b
+        key = a.flows[a_flow]
+        assert type(key) is FlowKey and b.flows[b_flow] is key
+        assert (a._by_key[key], b._by_key[key]) == (a_flow, b_flow)
+        assert a._by_key[key] is a_flow  # the table's own int
+        assert (a.flow_key(a_flow), b.flow_key(b_flow)) == (key, key.reversed())
+
+    def test_reads_answer_from_the_parked_form(self):
+        tb, a_flow, b_flow = self.parked()
+        for stack, flow in ((tb.engine_a, a_flow), (tb.engine_b, b_flow)):
+            assert stack.flow_state(flow) is TcpState.ESTABLISHED
+            assert stack.readable(flow) == 0
+            assert stack.recv_data(flow, 100) == b""
+            assert stack.send_room(flow) == SEND_BUFFER
+            assert stack.send_data(flow, b"") == 0
+            assert type(stack.flows[flow]) is FlowKey  # still parked
+
+    def test_unpark_rebuilds_the_record_it_was(self, monkeypatch):
+        fields = _SoftFlow.__slots__
+        dropped = {}
+        park = softstack.SoftStack._park
+
+        def parking(stack, flow):
+            seen = (type(flow), [getattr(flow, name) for name in fields])
+            park(stack, flow)
+            if type(stack.flows[flow.flow_id]) is FlowKey:
+                dropped[stack.name, flow.flow_id] = seen
+
+        monkeypatch.setattr(softstack.SoftStack, "_park", parking)
+        tb, a_flow, b_flow = self.parked()
+        assert sorted(dropped) == [("a", a_flow), ("b", b_flow)]
+        for stack, flow, cls in (
+            (tb.engine_a, a_flow, _SoftFlow), (tb.engine_b, b_flow, _PassiveFlow),
+        ):
+            key = stack.flows[flow]
+            rebuilt = stack._unpark(flow)
+            assert (type(rebuilt), [getattr(rebuilt, name) for name in fields]) == (
+                dropped[stack.name, flow]
+            )
+            assert type(rebuilt) is cls
+            assert rebuilt.wire_key is key and rebuilt.x is _IDLE
+            assert rebuilt.slot is rebuilt.flow_id
+            assert stack.flows[flow] is stack._by_key[key] is rebuilt
+
+    @pytest.mark.parametrize("write", ["send", "close", "segment"])
+    def test_a_write_unparks(self, write):
+        tb, a_flow, b_flow = self.parked()
+        a, b = tb.engine_a, tb.engine_b
+        if write == "send":
+            assert a.send_data(a_flow, bytes(100)) == 100
+            assert a.flows[a_flow].x.app_written == 100
+        elif write == "close":
+            a.close_flow(a_flow)
+            assert a.flows[a_flow].x.fin_queued
+        else:
+            b._receive(
+                FabricPacket("ack", a.flow_key(a_flow), window=RECV_BUFFER),
+                tb.time_ps,
+            )
+            assert isinstance(b.flows[b_flow], _PassiveFlow)
+            assert type(a.flows[a_flow]) is FlowKey
+            return
+        assert isinstance(a.flows[a_flow], _SoftFlow)
+        assert type(b.flows[b_flow]) is FlowKey
+
+    def test_an_end_that_moved_a_byte_keeps_its_record(self):
+        tb = flextoe_testbed()
+        a_flow, b_flow = establish(tb)
+        a, b = tb.engine_a, tb.engine_b
+        a.send_data(a_flow, bytes(100))
+        assert tb.run(until=lambda: b.readable(b_flow) == 100, max_time_s=0.1)
+        settle(tb)
+        assert isinstance(a.flows[a_flow], _SoftFlow)
+        assert isinstance(b.flows[b_flow], _SoftFlow)
+
+    def test_an_end_on_a_reused_slot_keeps_its_record(self):
+        """The parked form has no slot: an end whose slot is not its
+        flow id (it took a slot a closed flow freed) stays a record."""
+        tb = flextoe_testbed()
+        a, b = tb.engine_a, tb.engine_b
+        a_flow, b_flow = establish(tb)
+        a.close_flow(a_flow)
+
+        def closed() -> bool:
+            if any(m.kind == "eof" for m in b.drain_host_messages()):
+                b.close_flow(b_flow)
+            return a_flow not in a.flows and b_flow not in b.flows
+
+        assert tb.run(until=closed, max_time_s=0.5)
+        a_flow, b_flow = establish(tb)
+        settle(tb)
+        for stack, flow in ((a, a_flow), (b, b_flow)):
+            end = stack.flows[flow]
+            assert isinstance(end, _SoftFlow)
+            assert (end.flow_id, end.slot) == (1, 0)

@@ -56,7 +56,7 @@ class _ScriptedStack:
     accepts come from a prepared queue, nothing reaches a wire."""
 
     def __init__(self, accepts=()):
-        self.flows = {}
+        self.keys = {}
         self.connected = []
         self._accepts = list(accepts)
 
@@ -71,10 +71,11 @@ class _ScriptedStack:
         if not self._accepts:
             return None
         flow_id, client_ip = self._accepts.pop(0)
-        self.flows[flow_id] = SimpleNamespace(
-            key=SimpleNamespace(dst_ip=client_ip)
-        )
+        self.keys[flow_id] = SimpleNamespace(dst_ip=client_ip)
         return flow_id
+
+    def flow_key(self, flow_id):
+        return self.keys.get(flow_id)
 
 
 @pytest.mark.parametrize("name", available_shard_scenarios())
